@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-json race strict fuzz bench docs chaos serve-smoke check clean
+.PHONY: all build test vet lint lint-json race strict fuzz bench bench-e2e bench-compare docs chaos serve-smoke check clean
 
 all: build test
 
@@ -63,16 +63,28 @@ chaos:
 serve-smoke:
 	./scripts/serve_smoke.sh
 
-# Single-iteration sweep of the paper-artefact benchmarks (bench_test.go)
-# with allocation stats, streamed as test2json records to BENCH_10.json —
-# the machine-readable artifact CI uploads. One iteration keeps the sweep
-# minutes-scale; shapes (scaling curves, compute/comm split, the payoff
-# cache's game_play speedup) survive, but absolute ns/op are noisy at
-# -benchtime=1x. The cache ablation runs at 10 iterations on top so its
-# headline ratio (docs/KERNEL.md) is stable enough to compare.
+# Regenerates the paper's artefacts: a single-iteration sweep of the
+# per-table/figure benchmarks (bench_test.go) with allocation stats,
+# streamed as test2json records to BENCH_10.json — the machine-readable
+# artifact CI uploads. One iteration keeps the sweep minutes-scale; shapes
+# (scaling curves, compute/comm split, the payoff cache's game_play
+# speedup) survive, but absolute ns/op are noisy at -benchtime=1x, so this
+# is not the basis for performance claims — bench-e2e is (bench/README.md).
+# The cache ablation runs at 10 iterations on top so its headline ratio
+# (docs/KERNEL.md) is stable enough to compare.
 bench:
 	$(GO) test -json -run '^$$' -bench . -benchmem -benchtime 1x . > BENCH_10.json
 	$(GO) test -json -run '^$$' -bench 'Ablation_PayoffCache' -benchtime 10x . >> BENCH_10.json
+
+# The end-to-end benchmark BENCHMARK.json declares: eight fixed workloads
+# with verified result hashes, end-to-end and per-layer metrics
+# (bench/README.md). bench-compare prints the paired table for two result
+# files, e.g. a parent commit's run against this checkout's.
+bench-e2e:
+	bash bench/run.sh
+
+bench-compare:
+	bash bench/run.sh -compare $(A) $(B)
 
 # Documentation gate: package docs present on every exported symbol
 # (the pkgdoc egdlint analyzer alone) and no broken relative links or

@@ -72,7 +72,6 @@ func run(args []string, out io.Writer) error {
 		ckptFile  = fs.String("checkpoint-file", "", "recovery checkpoint path for -checkpoint-every (default: the -checkpoint path)")
 		inject    = fs.String("inject-fault", "", "scripted fault specs, ';'-separated, e.g. 'rank=2,after=500' (see internal/mpi.ParseFault)")
 		restarts  = fs.Int("max-restarts", 3, "restart budget after rank failures (parallel engine; <= 0 disables recovery)")
-		degrade   = fs.Bool("degrade", false, "on worker failure, restart on one fewer rank")
 		deadline  = fs.Duration("worker-timeout", 0, "receive deadline that turns a stalled rank into a detectable failure (parallel engine)")
 		evict     = fs.Bool("evict", false, "recover from worker failures live: heartbeat detection, communicator shrink, in-flight re-shard (parallel engine)")
 		hbEvery   = fs.Duration("heartbeat-every", 0, "liveness tick interval for -evict (0 = engine default)")
@@ -116,27 +115,17 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if snap.Memory != *memory {
-			return fmt.Errorf("checkpoint is memory-%d, flags say memory-%d", snap.Memory, *memory)
-		}
-		if len(snap.Strategies) != *ssets {
-			return fmt.Errorf("checkpoint has %d SSets, flags say %d", len(snap.Strategies), *ssets)
-		}
-		cfg.InitialStrategies = snap.Strategies
-		cfg.StartGeneration = int(snap.Generation)
+		// The run continues the checkpoint's trajectory, so its seed wins
+		// over -seed; memory and SSet count must match the flags. Window
+		// policy: -gens more generations from the checkpoint.
 		cfg.Seed = snap.Seed
-		if snap.Counters != nil {
-			cfg.BaseCounters = sim.Counters{
-				GamesPlayed: snap.Counters.GamesPlayed,
-				PCEvents:    snap.Counters.PCEvents,
-				Adoptions:   snap.Counters.Adoptions,
-				Mutations:   snap.Counters.Mutations,
-			}
+		if err := cfg.ResumeFrom(snap); err != nil {
+			return err
 		}
 		fmt.Fprintf(out, "resuming from %s at generation %d (seed %d)\n", *resume, snap.Generation, snap.Seed)
 	}
-	if *ranks < 2 && (*inject != "" || *degrade || *deadline > 0 || *evict) {
-		return fmt.Errorf("-inject-fault, -degrade, -worker-timeout and -evict need the parallel engine (-ranks >= 2)")
+	if *ranks < 2 && (*inject != "" || *deadline > 0 || *evict) {
+		return fmt.Errorf("-inject-fault, -worker-timeout and -evict need the parallel engine (-ranks >= 2)")
 	}
 	if *ckptEvery > 0 {
 		path := *ckptFile
@@ -206,7 +195,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	resilient := cfg.FaultPlan != nil || cfg.CheckpointEvery > 0 || *degrade || cfg.RecvTimeout > 0 || cfg.Evict
+	resilient := cfg.FaultPlan != nil || cfg.CheckpointEvery > 0 || cfg.RecvTimeout > 0 || cfg.Evict
 	if cfg.CheckpointEvery > 0 || (resilient && *ranks >= 2) {
 		cfg.EventLog = trace.NewEventLog()
 	}
@@ -235,7 +224,6 @@ func run(args []string, out io.Writer) error {
 			MaxRestarts: budget,
 			Backoff:     100 * time.Millisecond,
 			MaxBackoff:  2 * time.Second,
-			Degrade:     *degrade,
 		})
 	case *ranks >= 2:
 		res, err = sim.RunParallel(cfg, *ranks)
@@ -272,10 +260,9 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "work: %d games, %d PC events, %d adoptions, %d mutations\n",
 		res.Counters.GamesPlayed, res.Counters.PCEvents, res.Counters.Adoptions, res.Counters.Mutations)
 	if cfg.EventLog != nil {
-		fmt.Fprintf(out, "fault tolerance: %d checkpoints, %d faults, %d recoveries, %d degradations, %d restarts, %d evictions\n",
+		fmt.Fprintf(out, "fault tolerance: %d checkpoints, %d faults, %d recoveries, %d restarts, %d evictions\n",
 			cfg.EventLog.Count(trace.EventCheckpoint), cfg.EventLog.Count(trace.EventFault),
-			cfg.EventLog.Count(trace.EventRecovery), cfg.EventLog.Count(trace.EventDegrade),
-			res.Restarts, res.Evictions)
+			cfg.EventLog.Count(trace.EventRecovery), res.Restarts, res.Evictions)
 		for _, e := range cfg.EventLog.Events() {
 			if e.Kind == trace.EventCheckpoint {
 				continue // one per cadence tick; the count above suffices

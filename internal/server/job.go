@@ -134,9 +134,8 @@ func (j *Job) resumePoint() *checkpoint.Snapshot {
 }
 
 // sampleEvent is the SSE payload for a sampled generation. Mean fitness is
-// omitted because only the sequential engine's Nature view can compute it
-// in the observer; cooperation derives from strategies alone and is valid
-// on both engines.
+// omitted because the observer's population view carries strategies, not
+// payoffs, on either engine; cooperation derives from strategies alone.
 type sampleEvent struct {
 	Generation  int     `json:"generation"`
 	Cooperation float64 `json:"cooperation"`
@@ -558,19 +557,15 @@ func (m *Manager) runJob(job *Job) {
 	defer m.reg.Gauge("egd_server_jobs_running").Add(-1)
 
 	cfg := job.cfg
-	end := job.cfg.StartGeneration + job.cfg.Generations
 	if snap := job.resumePoint(); snap != nil {
-		cfg.InitialStrategies = snap.Strategies
-		cfg.StartGeneration = int(snap.Generation)
-		cfg.Generations = end - int(snap.Generation)
-		if rc := snap.Counters; rc != nil {
-			cfg.BaseCounters = sim.Counters{
-				GamesPlayed: rc.GamesPlayed,
-				PCEvents:    rc.PCEvents,
-				Adoptions:   rc.Adoptions,
-				Mutations:   rc.Mutations,
-			}
+		// A stale or foreign checkpoint file would silently fork the job's
+		// trajectory; ResumeFrom refuses it and the job fails instead.
+		if err := cfg.ResumeFrom(snap); err != nil {
+			m.settle(job, StateFailed, nil, "resume checkpoint rejected: "+err.Error())
+			return
 		}
+		// Window policy: finish the job's original window.
+		cfg.Generations = job.cfg.StartGeneration + job.cfg.Generations - cfg.StartGeneration
 	}
 	cfg.CheckpointSink = job.sink
 	if m.store != nil {

@@ -8,6 +8,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/checkpoint"
+	"repro/internal/sim"
+	"repro/internal/strategy"
 )
 
 // durableSpec is a job long enough to interrupt mid-run: full_recompute
@@ -77,6 +81,11 @@ func copyDir(t *testing.T, src, dst string) {
 			continue
 		}
 		data, err := os.ReadFile(sp)
+		if os.IsNotExist(err) {
+			// A checkpoint temp file renamed into place between the listing
+			// and the read: an image without it is an equally valid crash.
+			continue
+		}
 		if err != nil {
 			t.Fatalf("reading %s: %v", sp, err)
 		}
@@ -152,6 +161,53 @@ func TestDrainParksAndResumesBitIdentical(t *testing.T) {
 	got := resultMinusElapsed(t, ts2, id)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("drained+resumed result differs from uninterrupted run\n got: %v\nwant: %v", got, want)
+	}
+}
+
+// TestRecoveryRejectsForeignCheckpoint plants a checkpoint from a different
+// run — another seed, or another SSet count — under a drained job's ID: the
+// recovering daemon must fail the job with a clear error, not resume from
+// the foreign state and serve a silently forked trajectory.
+func TestRecoveryRejectsForeignCheckpoint(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		ssets int
+		seed  uint64
+	}{
+		{"seed", 8, 999},
+		{"ssets", 6, 1234},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, ts := newDurableServer(t, dir)
+			id := submit(t, ts, "", durableSpec)
+			waitUntil(t, ts, id, "mid-run", func(m map[string]any) bool {
+				gen, _ := m["generation"].(float64)
+				return m["state"] == string(StateRunning) && gen >= 300
+			})
+			if err := s.Drain(30 * time.Second); err != nil {
+				t.Fatalf("Drain: %v", err)
+			}
+			ts.Close()
+			sink := &sim.FileSink{Path: filepath.Join(dir, checkpointsDir, id+".ckpt")}
+			foreign := &checkpoint.Snapshot{Generation: 400, Seed: tc.seed, Memory: 1}
+			for i := 0; i < tc.ssets; i++ {
+				foreign.Strategies = append(foreign.Strategies, strategy.AllD(strategy.NewSpace(1)))
+			}
+			if err := sink.Save(foreign); err != nil {
+				t.Fatalf("planting checkpoint: %v", err)
+			}
+
+			_, ts2 := newDurableServer(t, dir)
+			st := waitUntil(t, ts2, id, "a terminal state", func(m map[string]any) bool {
+				got, _ := m["state"].(string)
+				return State(got).terminal()
+			})
+			msg, _ := st["error"].(string)
+			if st["state"] != string(StateFailed) || !strings.Contains(msg, "does not match") {
+				t.Fatalf("job resumed from a foreign checkpoint: state %v, error %q", st["state"], msg)
+			}
+		})
 	}
 }
 

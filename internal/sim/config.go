@@ -4,12 +4,15 @@
 // Agent through Fermi pairwise-comparison learning and random mutation
 // (population dynamics, §IV-B).
 //
-// Two engines produce bit-identical trajectories from the same seed:
+// Two engines produce bit-identical trajectories from the same seed,
+// because both execute the one Nature Agent generation (nature.generation)
+// and differ only in the fitness source plugged into it:
 //
-//   - RunSequential: a single-threaded reference implementation;
+//   - RunSequential: a single-threaded reference implementation that plays
+//     every game pair itself;
 //   - RunParallel: the paper's SPMD decomposition over the mpi runtime —
 //     rank 0 is the Nature Agent, the remaining ranks own block-distributed
-//     SSets, fitness travels point-to-point, selections and strategy
+//     game pairs, fitness travels point-to-point, selections and strategy
 //     updates travel by broadcast.
 //
 // Fitness evaluation supports the paper's every-generation full recompute
@@ -114,8 +117,14 @@ type Config struct {
 	// SampleStride keeps every k-th generation in the recorded time series
 	// (0 selects an automatic stride bounding series length to ~1000).
 	SampleStride int
-	// Observer, when non-nil, is invoked after every generation with the
-	// current population snapshot. It runs on the Nature Agent.
+	// Observer, when non-nil, is invoked after every generation. It runs on
+	// the Nature Agent, and the *Population it receives is the Nature
+	// Agent's global strategy view — each SSet's strategy plus the
+	// statistics derived from strategies alone (Abundance, FractionMatching,
+	// FractionNear, MeanCooperationProb, Snapshot) — identical on both
+	// engines at every rank count. It carries no payoffs or fitness: those
+	// live with whichever rank plays the games, and reach the caller as
+	// Result.MeanFitness and Result.FinalFitness.
 	Observer Observer
 	// Control, when non-nil, is polled at the top of every generation (on
 	// the Nature rank in the parallel engine, where it also tells the
@@ -318,7 +327,7 @@ func (c *Config) Validate() error {
 	if c.ExactPayoffs {
 		// Probe exact-mode computability once, up front: a job whose Markov
 		// analysis cannot run (rules the chain solver rejects) must fail
-		// validation here rather than surface mid-run from playPair.
+		// validation here rather than surface mid-run from payoffKernel.play.
 		probe := strategy.AllC(strategy.NewSpace(c.Memory))
 		if _, _, err := analysis.MarkovPayoffN(c.Rules.Payoff, probe, probe, c.Rules.ErrorRate); err != nil {
 			return fmt.Errorf("sim: exact payoffs not computable for this configuration: %w", err)

@@ -154,7 +154,7 @@ func TestResilientDoesNotRestartOnControlStop(t *testing.T) {
 }
 
 func TestExactModeErrorPropagatesInsteadOfPanicking(t *testing.T) {
-	// Regression: playPair used to panic when MarkovPayoffN failed mid-run.
+	// Regression: the payoff kernel used to panic when MarkovPayoffN failed mid-run.
 	// Validate screens configurations up front, so force a runtime failure
 	// the way a buggy caller could: an observer injecting a strategy from the
 	// wrong memory space, which poisons the next generation's exact analysis.
@@ -171,7 +171,7 @@ func TestExactModeErrorPropagatesInsteadOfPanicking(t *testing.T) {
 		t.Fatal("exact-mode analysis failure did not surface as an error")
 	}
 	if !strings.Contains(err.Error(), "exact payoff for pair") {
-		t.Fatalf("error = %v, want a playPair exact-payoff error", err)
+		t.Fatalf("error = %v, want a payoffKernel.play exact-payoff error", err)
 	}
 }
 

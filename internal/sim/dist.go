@@ -1,9 +1,6 @@
 package sim
 
 import (
-	"fmt"
-	"time"
-
 	"repro/internal/mpi"
 	"repro/internal/strategy"
 )
@@ -11,10 +8,10 @@ import (
 // This file is the multi-process entry point of the parallel engine: where
 // RunParallel hosts every rank as a goroutine of one process, RunWorker
 // hosts exactly one rank of a networked world wired by an mpi.NetTransport
-// (the egdrun launcher spawns one such process per rank). The rank bodies
-// are identical — natureRank and workerRank run unchanged over the wire —
-// so a networked run follows the same trajectory, bit for bit, as an
-// in-process run of the same Config.
+// (the egdrun launcher spawns one such process per rank). The rank roles
+// and the world set-up are the same code (runWorld) — natureRank and
+// workerRank run unchanged over the wire — so a networked run follows the
+// same trajectory, bit for bit, as an in-process run of the same Config.
 
 func init() {
 	// Register the engine's wire-payload vocabulary with the transport
@@ -40,61 +37,14 @@ func init() {
 // this process's view of the wire (per-process accounting; see
 // docs/TRANSPORT.md). Worker processes return (nil, nil) on success.
 func RunWorker(cfg Config, t *mpi.NetTransport) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := checkParallel(&cfg, t.Size()); err != nil {
 		return nil, err
 	}
-	ranks := t.Size()
-	if ranks < 2 {
-		return nil, fmt.Errorf("sim: parallel engine needs >= 2 ranks (Nature + workers), got %d", ranks)
-	}
-	nWorkers := ranks - 1
-	totalGames := cfg.NumSSets * (cfg.NumSSets - 1)
-	if nWorkers > totalGames {
-		return nil, fmt.Errorf("sim: %d workers exceed %d games per generation", nWorkers, totalGames)
-	}
-
 	world := mpi.NewNetWorld(t)
-	if cfg.Metrics {
-		world.EnableMetrics()
-	}
-	if cfg.FaultPlan != nil {
-		world.InstallFaultPlan(cfg.FaultPlan)
-	}
-	if cfg.RecvTimeout > 0 {
-		world.SetRecvTimeout(cfg.RecvTimeout)
-	}
-	if cfg.Evict {
-		world.EnableEviction(cfg.HeartbeatEvery, cfg.HeartbeatMisses)
-	}
-	if err := t.Start(); err != nil {
-		return nil, err
-	}
-	var result *Result
-	start := time.Now() //egdlint:allow determinism elapsed-time metadata for Result.Elapsed, not part of the trajectory
-	err := world.RunLocal(func(c *mpi.Comm) error {
-		if c.Rank() == 0 {
-			res, err := natureRank(cfg, c)
-			if err != nil {
-				return err
-			}
-			result = res
-			return nil
+	return runWorld(cfg, world, func(body func(*mpi.Comm) error) error {
+		if err := t.Start(); err != nil {
+			return err
 		}
-		return workerRank(cfg, c)
+		return world.RunLocal(body)
 	})
-	if err != nil {
-		return nil, err
-	}
-	if result == nil {
-		// A worker rank: the Result lives on the Nature process.
-		return nil, nil
-	}
-	result.Elapsed = time.Since(start) //egdlint:allow determinism elapsed-time metadata, not part of the trajectory
-	result.Evictions = len(world.Evictions())
-	result.Ranks = ranks - result.Evictions
-	if cfg.Metrics && result.Metrics != nil {
-		result.Metrics.Comm = world.CommMetricsSnapshot()
-		result.Metrics.Transport = world.TransportStats()
-	}
-	return result, nil
 }

@@ -1,8 +1,12 @@
 package sim
 
 import (
+	"errors"
+
 	"repro/internal/rng"
+	"repro/internal/stats"
 	"repro/internal/strategy"
+	"repro/internal/trace"
 )
 
 // Derivation keys for the independent random streams of a run. Both engines
@@ -16,7 +20,7 @@ const (
 // decision is the Nature Agent's plan for one generation, computed before
 // fitness is consulted: whether a PC event fires and which SSets it
 // compares, and whether a mutation fires and which SSet it hits. The
-// adoption itself depends on fitness and is resolved in applyPC.
+// adoption itself depends on fitness and is resolved by resolveAdoption.
 type decision struct {
 	pc               bool
 	teacher, learner int
@@ -61,4 +65,167 @@ func resolveAdoption(cfg *Config, master *rng.Source, gen int, piT, piL float64)
 func mutantStrategy(cfg *Config, master *rng.Source, sp strategy.Space, gen int) strategy.Strategy {
 	src := master.Derive(keyMutant, uint64(gen))
 	return randomStrategy(cfg.Kind, sp, src)
+}
+
+// fitnessSource is the seam between the Nature Agent's generation and the
+// place payoffs live. The sequential engine plays every pair itself, so its
+// source answers from a local pairBlock and has nobody to tell; rank 0 of
+// the parallel engine owns no pairs, so its source is the wire protocol —
+// the same five calls become Bcast(selection), ordered tagFitness receives,
+// Bcast(update) and a Reduce. Each source books its own phase timings.
+type fitnessSource interface {
+	// refresh brings every pair's payoff up to date for generation gen and
+	// returns how many games the schedule touched.
+	refresh(gen int) (uint64, error)
+	// announce publishes the generation's selection — or a Stop — to whoever
+	// plays the games.
+	announce(sel selection) error
+	// fitnesses returns the relative fitness of the two selected SSets,
+	// teacher first.
+	fitnesses(teacher, learner int) (piT, piL float64, err error)
+	// publish delivers the end-of-generation strategy update.
+	publish(u update) error
+	// meanFitness returns the population's mean relative fitness for the
+	// sampled series; it is asked only on generations whose update carried
+	// MeanFitnessWanted.
+	meanFitness() (float64, error)
+}
+
+// nature is the paper's Nature Agent (§IV-B): the global strategy view, the
+// run's result so far, and the one generation both engines execute.
+type nature struct {
+	cfg    *Config
+	master *rng.Source
+	pop    *Population
+	res    *Result
+	src    fitnessSource
+	// gen is the generation about to run; end is one past the last.
+	gen, end int
+	pt       *phaseTimer
+	// stepTimer books the decide-to-mutate span as PhaseNatureStep. It is pt
+	// in the sequential engine and nil (a no-op) on the parallel Nature
+	// rank, where that span is communication the source already books under
+	// the broadcast and fitness_comm phases.
+	stepTimer *phaseTimer
+}
+
+func newNature(cfg *Config) *nature {
+	master := rng.New(cfg.Seed)
+	n := &nature{
+		cfg:    cfg,
+		master: master,
+		pop:    NewPopulation(*cfg, master),
+		res:    &Result{Counters: cfg.BaseCounters},
+		gen:    cfg.StartGeneration,
+		end:    cfg.StartGeneration + cfg.Generations,
+	}
+	n.res.MeanFitness, _ = stats.NewSeries(cfg.SampleStride)
+	n.res.Cooperation, _ = stats.NewSeries(cfg.SampleStride)
+	if cfg.Metrics {
+		n.pt = newPhaseTimer()
+	}
+	return n
+}
+
+// partial is what a run that ended with err hands back: the result so far
+// when the control hook stopped it (the caller stitches the sampled series
+// across the pause), nothing when it failed.
+func (n *nature) partial(err error) *Result {
+	if errors.Is(err, ErrStopped) {
+		return n.res
+	}
+	return nil
+}
+
+// generation runs generation n.gen — the paper's Nature Agent pseudo-code —
+// and advances n.gen on success. Every random draw derives from (seed, gen),
+// and the source delivers fitness folded in column order, so the trajectory
+// is the same whichever source is plugged in.
+func (n *nature) generation() error {
+	cfg, gen := n.cfg, n.gen
+	// Control poll at the generation boundary (pause/cancel for a hosting
+	// service). The stop is announced first — it is the players' next
+	// rendezvous; they are already on this generation's games — and then the
+	// resume snapshot is persisted.
+	if cfg.Control != nil {
+		if cause := cfg.Control(gen); cause != nil {
+			if err := n.src.announce(selection{Stop: true}); err != nil {
+				return err
+			}
+			return stopRun(cfg, n.pop, gen, n.res.Counters, n.res.MeanFitness, n.res.Cooperation, cause)
+		}
+	}
+
+	// Game dynamics: every SSet's payoffs are brought up to date.
+	played, err := n.src.refresh(gen)
+	n.res.Counters.GamesPlayed += played
+	if err != nil {
+		return err
+	}
+	n.pop.clearDirty()
+
+	// Population dynamics: the PC learning event and the mutation event.
+	tn := n.stepTimer.begin()
+	d := natureDecision(cfg, n.master, gen)
+	ev := Events{
+		PCOccurred:       d.pc,
+		Teacher:          d.teacher,
+		Learner:          d.learner,
+		MutationOccurred: d.mutate,
+		Mutant:           d.mutant,
+	}
+	if err := n.src.announce(selection{PC: d.pc, Teacher: d.teacher, Learner: d.learner}); err != nil {
+		return err
+	}
+	u := update{MeanFitnessWanted: gen%cfg.SampleStride == 0}
+	if d.pc {
+		n.res.Counters.PCEvents++
+		piT, piL, err := n.src.fitnesses(d.teacher, d.learner)
+		if err != nil {
+			return err
+		}
+		if resolveAdoption(cfg, n.master, gen, piT, piL) {
+			n.pop.Adopt(d.learner, d.teacher)
+			u.Adopted, u.Learner, u.Teacher = true, d.learner, d.teacher
+			ev.Adopted = true
+			n.res.Counters.Adoptions++
+		}
+	}
+	if d.mutate {
+		n.res.Counters.Mutations++
+		u.Mutated, u.Mutant = true, d.mutant
+		u.MutantStrategy = mutantStrategy(cfg, n.master, n.pop.Space(), gen)
+		n.pop.SetStrategy(d.mutant, u.MutantStrategy)
+	}
+	n.stepTimer.end(PhaseNatureStep, tn)
+	if err := n.src.publish(u); err != nil {
+		return err
+	}
+
+	if u.MeanFitnessWanted {
+		mean, err := n.src.meanFitness()
+		if err != nil {
+			return err
+		}
+		n.res.MeanFitness.Observe(gen, mean)
+		n.res.Cooperation.Observe(gen, n.pop.MeanCooperationProb())
+	}
+	if cfg.Observer != nil {
+		cfg.Observer.Generation(gen, n.pop, ev)
+	}
+	// Checkpoint on absolute generation numbers, so a resumed run keeps the
+	// original cadence instead of one phase-shifted by the restart, and
+	// sequential and parallel runs write identical snapshots.
+	if cfg.CheckpointEvery > 0 && (gen+1)%cfg.CheckpointEvery == 0 {
+		tc := n.pt.begin()
+		if err := saveSnapshot(cfg, n.pop, gen+1, n.res.Counters, n.res.MeanFitness, n.res.Cooperation); err != nil {
+			return err
+		}
+		n.pt.end(PhaseCheckpoint, tc)
+		if cfg.EventLog != nil {
+			cfg.EventLog.Append(trace.Event{Kind: trace.EventCheckpoint, Generation: gen + 1, Rank: 0})
+		}
+	}
+	n.gen++
+	return nil
 }

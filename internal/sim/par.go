@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/rng"
-	"repro/internal/stats"
 	"repro/internal/strategy"
 	"repro/internal/trace"
 )
@@ -18,67 +17,6 @@ const (
 	tagFitness = 1 // owner -> Nature: payoff segment of a selected SSet
 	tagRows    = 2 // owner -> Nature: final payoff block
 )
-
-// The work decomposition follows both of the paper's parallelism levels:
-// the S×(S-1) matches of a generation form a flat, i-major list of game
-// pairs, block-distributed over the worker ranks. When there are fewer
-// workers than SSets a worker owns several whole rows (SSets); when there
-// are more, a single SSet's row spans several workers — the paper's
-// "agents within each strategy group" level, where each agent handles s/a
-// opponents ("each processor handles the agents of between 1/2 to 8 full
-// SSets", §VI-B).
-//
-// Bit-exact parity with the sequential engine is preserved by reassembling
-// fitness in j-order: sequential fitness sums a row's payoffs left to
-// right, so the Nature Agent concatenates the owners' contiguous segments
-// in ascending column order and folds them in exactly that order.
-
-// pairToIJ unflattens pair index i*(S-1)+jIdx into (i, j), with jIdx
-// skipping the diagonal.
-func pairToIJ(s, pair int) (i, j int) {
-	i = pair / (s - 1)
-	jIdx := pair % (s - 1)
-	j = jIdx
-	if jIdx >= i {
-		j = jIdx + 1
-	}
-	return i, j
-}
-
-// blockRange returns worker w's contiguous range of the n work items
-// (block-distributed, remainders to the leading workers).
-func blockRange(n, nWorkers, w int) (lo, hi int) {
-	base := n / nWorkers
-	rem := n % nWorkers
-	lo = w*base + min(w, rem)
-	hi = lo + base
-	if w < rem {
-		hi++
-	}
-	return lo, hi
-}
-
-// rowSegment is one worker's contiguous piece of an SSet's game row.
-type rowSegment struct {
-	worker int // worker index (0-based)
-	lo, hi int // pair-index range within the global flat list
-}
-
-// rowSegments lists, in ascending column order, the workers owning pieces
-// of SSet i's row of games.
-func rowSegments(s, nWorkers, i int) []rowSegment {
-	rowLo := i * (s - 1)
-	rowHi := rowLo + (s - 1)
-	var segs []rowSegment
-	for w := 0; w < nWorkers; w++ {
-		lo, hi := blockRange(s*(s-1), nWorkers, w)
-		if hi <= rowLo || lo >= rowHi {
-			continue
-		}
-		segs = append(segs, rowSegment{worker: w, lo: max(lo, rowLo), hi: min(hi, rowHi)})
-	}
-	return segs
-}
 
 // update is the Nature Agent's end-of-generation broadcast: the strategy
 // changes every rank must apply to its global view (paper §V-B, "global
@@ -94,17 +32,22 @@ type update struct {
 	MeanFitnessWanted bool
 }
 
+// tableWireBytes models one strategy table on the wire: a bit per state for
+// pure strategies, a float64 per state for mixed ones.
+func tableWireBytes(s strategy.Strategy) uint64 {
+	states := uint64(s.Space().NumStates())
+	if _, ok := s.(*strategy.Mixed); ok {
+		return states * 8
+	}
+	return states / 8
+}
+
 // WireBytes models the broadcast payload size for the communication
 // counters: a few header words plus the mutant strategy table when present.
 func (u update) WireBytes() uint64 {
 	n := uint64(6 * 8)
 	if u.MutantStrategy != nil {
-		states := uint64(u.MutantStrategy.Space().NumStates())
-		if _, ok := u.MutantStrategy.(*strategy.Mixed); ok {
-			n += states * 8
-		} else {
-			n += states / 8
-		}
+		n += tableWireBytes(u.MutantStrategy)
 	}
 	return n
 }
@@ -148,14 +91,132 @@ type resume struct {
 func (r resume) WireBytes() uint64 {
 	n := uint64(2 * 8)
 	for _, s := range r.Strategies {
-		states := uint64(s.Space().NumStates())
-		if _, ok := s.(*strategy.Mixed); ok {
-			n += states * 8
-		} else {
-			n += states / 8
-		}
+		n += tableWireBytes(s)
 	}
 	return n
+}
+
+// RunParallel executes the simulation on a world of `ranks` goroutine
+// ranks: rank 0 is the Nature Agent, ranks 1..ranks-1 own block-distributed
+// game pairs — the paper's Blue Gene mapping, including the agents-within-
+// SSet split when workers outnumber SSets. The trajectory is identical to
+// RunSequential with the same Config for every rank count.
+//
+// ranks must be at least 2; workers may not outnumber the games of one
+// generation, S×(S-1). When the control hook stops the run the partial
+// Result (series up to the stop) is returned alongside the error, so the
+// caller can stitch across a pause.
+func RunParallel(cfg Config, ranks int) (*Result, error) {
+	if err := checkParallel(&cfg, ranks); err != nil {
+		return nil, err
+	}
+	world := mpi.NewWorld(ranks)
+	return runWorld(cfg, world, world.Run)
+}
+
+// checkParallel validates cfg and the rank count for the parallel engine.
+func checkParallel(cfg *Config, ranks int) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if ranks < 2 {
+		return fmt.Errorf("sim: parallel engine needs >= 2 ranks (Nature + workers), got %d", ranks)
+	}
+	if games := cfg.NumSSets * (cfg.NumSSets - 1); ranks-1 > games {
+		return fmt.Errorf("sim: %d workers exceed %d games per generation", ranks-1, games)
+	}
+	return nil
+}
+
+// runWorld is the one world set-up behind RunParallel and RunWorker: it
+// installs the Config's world options, has launch run the rank roles on the
+// ranks the world hosts (all of them in-process, one per process over a
+// transport), and completes the Nature rank's Result. It returns (nil, nil)
+// when this process hosted only a worker.
+func runWorld(cfg Config, world *mpi.World, launch func(body func(*mpi.Comm) error) error) (*Result, error) {
+	if cfg.Metrics {
+		world.EnableMetrics()
+	}
+	if cfg.FaultPlan != nil {
+		world.InstallFaultPlan(cfg.FaultPlan)
+	}
+	if cfg.RecvTimeout > 0 {
+		world.SetRecvTimeout(cfg.RecvTimeout)
+	}
+	if cfg.Evict {
+		world.EnableEviction(cfg.HeartbeatEvery, cfg.HeartbeatMisses)
+	}
+	var result *Result
+	var start time.Time
+	err := launch(func(c *mpi.Comm) error {
+		if c.Rank() != 0 {
+			return runWorkerRank(&cfg, c)
+		}
+		start = time.Now() //egdlint:allow determinism elapsed-time metadata for Result.Elapsed, not part of the trajectory
+		n := newNatureRank(&cfg, c)
+		if err := runRank(&cfg, c, n); err != nil {
+			result = n.partial(err)
+			return err
+		}
+		result = n.res
+		result.Final = n.pop.Snapshot()
+		return nil
+	})
+	if err != nil || result == nil {
+		return result, err
+	}
+	result.Elapsed = time.Since(start) //egdlint:allow determinism elapsed-time metadata, not part of the trajectory
+	result.Evictions = len(world.Evictions())
+	result.Ranks = world.Size() - result.Evictions
+	if cfg.Metrics && result.Metrics != nil {
+		// Comm and transport accounting is this process's view: every rank
+		// in-process, the hosted rank's side of the wire when networked.
+		result.Metrics.Comm = world.CommMetricsSnapshot()
+		result.Metrics.Transport = world.TransportStats()
+		if cfg.EventLog != nil {
+			stats := world.Stats()
+			cfg.EventLog.Append(trace.Event{Kind: trace.EventMetrics, Generation: cfg.StartGeneration + cfg.Generations, Rank: -1,
+				Detail: fmt.Sprintf("games=%d p2p_msgs=%d p2p_bytes=%d collectives=%d",
+					result.Counters.GamesPlayed, stats.PointToPointMessages, stats.PointToPointBytes, stats.CollectiveOps)})
+		}
+	}
+	return result, nil
+}
+
+// rankRole is one side of the parallel engine's protocol — the Nature Agent
+// or a worker — as the recovery driver sees it.
+type rankRole interface {
+	// step runs the rank's next unit of work on its current communicator —
+	// one generation while any remain, then finalization — and reports
+	// whether the run is complete.
+	step() (done bool, err error)
+	// position is the generation the rank stands at, for the event trace.
+	position() int
+	// resync re-establishes the shared state on a freshly shrunk
+	// communicator: Nature rolls back to its snapshot and broadcasts it, a
+	// worker receives and adopts it. On success the role continues on nc.
+	resync(nc *mpi.Comm) error
+}
+
+// runRank drives one rank to completion: run a step; on a failure live
+// eviction can absorb, recover onto the shrunk communicator and run the
+// step the recovery left the rank at. The same loop serves the generations
+// and finalization, so a resume can move a rank across that boundary in
+// either direction.
+func runRank(cfg *Config, c *mpi.Comm, r rankRole) error {
+	traced := 0 // evictions already in the event log
+	for {
+		done, err := r.step()
+		if err == nil {
+			if done {
+				return nil
+			}
+			continue
+		}
+		if c, err = recoverLive(cfg, c, r, &traced, err); err != nil {
+			return err
+		}
+	}
 }
 
 // evictable reports whether an engine error is a rank failure that live
@@ -170,89 +231,84 @@ func evictable(err error) bool {
 	return errors.As(err, &rf)
 }
 
-// minRanksFloor normalises Config.MinRanks against the engine's floor of
-// Nature plus one worker.
-func minRanksFloor(cfg *Config) int { return max(cfg.MinRanks, 2) }
-
-// RunParallel executes the simulation on a world of `ranks` goroutine
-// ranks: rank 0 is the Nature Agent, ranks 1..ranks-1 own block-distributed
-// game pairs — the paper's Blue Gene mapping, including the agents-within-
-// SSet split when workers outnumber SSets. The trajectory is identical to
-// RunSequential with the same Config for every rank count.
-//
-// ranks must be at least 2; workers may not outnumber the games of one
-// generation, S×(S-1).
-func RunParallel(cfg Config, ranks int) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// recoverLive is the survivor-side eviction protocol, identical on every
+// rank — which is what keeps the rendezvous aligned across divergent
+// failure interleavings: agree on the surviving set, shrink onto it, resync
+// the role's state. Each loop iteration is one agreement epoch; a failure
+// landing mid-recovery (a failed Shrink or resume broadcast) starts
+// another. It returns the communicator to continue on, or cause when live
+// eviction cannot proceed — eviction is off, the failure is this rank's
+// own, the Nature rank is among the dead (no one can re-drive the
+// schedule), or the survivors are fewer than Config.MinRanks — and the
+// restart supervisor must take over.
+func recoverLive(cfg *Config, c *mpi.Comm, r rankRole, traced *int, cause error) (*mpi.Comm, error) {
+	if !cfg.Evict {
+		return nil, cause
 	}
-	if ranks < 2 {
-		return nil, fmt.Errorf("sim: parallel engine needs >= 2 ranks (Nature + workers), got %d", ranks)
-	}
-	nWorkers := ranks - 1
-	totalGames := cfg.NumSSets * (cfg.NumSSets - 1)
-	if nWorkers > totalGames {
-		return nil, fmt.Errorf("sim: %d workers exceed %d games per generation", nWorkers, totalGames)
-	}
-
-	world := mpi.NewWorld(ranks)
-	if cfg.Metrics {
-		world.EnableMetrics()
-	}
-	if cfg.FaultPlan != nil {
-		world.InstallFaultPlan(cfg.FaultPlan)
-	}
-	if cfg.RecvTimeout > 0 {
-		world.SetRecvTimeout(cfg.RecvTimeout)
-	}
-	if cfg.Evict {
-		world.EnableEviction(cfg.HeartbeatEvery, cfg.HeartbeatMisses)
-	}
-	var result *Result
-	start := time.Now() //egdlint:allow determinism elapsed-time metadata for Result.Elapsed, not part of the trajectory
-	err := world.Run(func(c *mpi.Comm) error {
-		if c.Rank() == 0 {
-			res, err := natureRank(cfg, c)
-			// On a control-hook stop res is the partial result (series up to
-			// the stop); keep it so the caller can stitch across a pause.
-			result = res
-			return err
-		}
-		return workerRank(cfg, c)
-	})
-	if err != nil {
-		return result, err
-	}
-	result.Elapsed = time.Since(start) //egdlint:allow determinism elapsed-time metadata, not part of the trajectory
-	result.Evictions = len(world.Evictions())
-	result.Ranks = ranks - result.Evictions
-	if cfg.Metrics && result.Metrics != nil {
-		result.Metrics.Comm = world.CommMetricsSnapshot()
+	logEvent := func(kind trace.EventKind, rank int, detail string) {
 		if cfg.EventLog != nil {
-			stats := world.Stats()
-			cfg.EventLog.Append(trace.Event{Kind: trace.EventMetrics, Generation: cfg.StartGeneration + cfg.Generations, Rank: -1,
-				Detail: fmt.Sprintf("games=%d p2p_msgs=%d p2p_bytes=%d collectives=%d",
-					result.Counters.GamesPlayed, stats.PointToPointMessages, stats.PointToPointBytes, stats.CollectiveOps)})
+			cfg.EventLog.Append(trace.Event{Kind: kind, Generation: r.position(), Rank: rank, Detail: detail})
 		}
 	}
-	return result, nil
+	for cur := cause; evictable(cur); {
+		surv, err := c.Agree()
+		if err != nil {
+			break
+		}
+		if len(surv) == 0 || surv[0] != 0 {
+			// The lowest survivor records the decision once for the trace.
+			if len(surv) > 0 && c.OrigRank() == surv[0] {
+				logEvent(trace.EventEvictionFailed, 0, "nature rank failed; falling back to checkpoint restart")
+			}
+			break
+		}
+		if c.Rank() == 0 {
+			evs := c.Evictions()
+			for _, e := range evs[*traced:] {
+				logEvent(trace.EventEviction, e.Rank, e.Err.Error())
+			}
+			*traced = len(evs)
+		}
+		// The engine's own floor is Nature plus one worker.
+		if floor := max(cfg.MinRanks, 2); len(surv) < floor {
+			if c.Rank() == 0 {
+				logEvent(trace.EventEvictionFailed, -1,
+					fmt.Sprintf("%d survivors below floor %d; falling back to checkpoint restart", len(surv), floor))
+			}
+			break
+		}
+		nc, err := c.Shrink(surv)
+		if err != nil {
+			cur = err
+			continue
+		}
+		if err := r.resync(nc); err != nil {
+			c, cur = nc, err
+			continue
+		}
+		return nc, nil
+	}
+	return nil, cause
 }
 
 // natureSnap is the Nature Agent's rollback point for live eviction:
-// everything needed to replay the generation a failure interrupted.
+// everything a generation changes before it completes, which is what
+// replaying the one a failure interrupted needs (gen itself only advances
+// on success).
 // Strategy references can be shared because strategies are immutable —
 // Adopt and SetStrategy replace entries, never mutate them in place.
 type natureSnap struct {
-	gen             int
 	strategies      []strategy.Strategy
 	dirty           []bool
 	counters        Counters
 	fitLen, coopLen int
 }
 
-// natureRank is rank 0: the paper's Nature Agent. It keeps the global
-// strategy view, drives the evolutionary schedule, gathers selected
-// fitness values point-to-point, and broadcasts selections and updates.
+// natureRank is rank 0: the paper's Nature Agent driving the shared
+// generation over the wire. It is its own fitness source — it owns no game
+// pairs, so refresh only tallies the schedule, the selection and update go
+// out by broadcast, and the selected fitness values come back
+// point-to-point.
 //
 // With cfg.Evict, a detected rank failure is recovered live at the current
 // generation boundary: Nature agrees with the survivors on the new rank
@@ -261,345 +317,197 @@ type natureSnap struct {
 // dead rank's game pairs and replay the generation from its
 // generation-keyed random streams — bit-identical to a fault-free run for
 // deterministic games.
-func natureRank(cfg Config, c *mpi.Comm) (*Result, error) {
-	master := rng.New(cfg.Seed)
-	pop := NewPopulation(cfg, master) // global strategy view (payoffs unused here)
-	s := cfg.NumSSets
-	end := cfg.StartGeneration + cfg.Generations
-	res := &Result{Counters: cfg.BaseCounters}
-	res.MeanFitness, _ = stats.NewSeries(cfg.SampleStride)
-	res.Cooperation, _ = stats.NewSeries(cfg.SampleStride)
-
-	gen := cfg.StartGeneration
+type natureRank struct {
+	*nature
+	c *mpi.Comm
 	// pendingFull marks that the workers' next refresh replays every owned
 	// pair (their payoff blocks were re-sharded by an eviction); crossCheck
 	// counts the games scheduled since the last world (re)synchronisation,
 	// mirroring the workers' local tallies, which reset on resume.
-	pendingFull := false
-	var crossCheck uint64
-	var snap natureSnap
-	seenEvictions := 0
-	var pt *phaseTimer
-	if cfg.Metrics {
-		pt = newPhaseTimer()
+	pendingFull bool
+	crossCheck  uint64
+	snap        natureSnap
+}
+
+func newNatureRank(cfg *Config, c *mpi.Comm) *natureRank {
+	n := &natureRank{nature: newNature(cfg), c: c}
+	n.src = n
+	return n
+}
+
+func (n *natureRank) position() int { return n.gen }
+
+func (n *natureRank) step() (bool, error) {
+	if n.cfg.Evict {
+		n.takeSnap() // at n.gen == n.end this is the finalization resume point
 	}
-
-	logEvent := func(e trace.Event) {
-		if cfg.EventLog != nil {
-			cfg.EventLog.Append(e)
-		}
+	if n.gen < n.end {
+		return false, n.generation()
 	}
-	takeSnap := func() {
-		snap.gen = gen
-		snap.strategies = append(snap.strategies[:0], pop.strategies...)
-		snap.dirty = append(snap.dirty[:0], pop.dirty...)
-		snap.counters = res.Counters
-		snap.fitLen = res.MeanFitness.Len()
-		snap.coopLen = res.Cooperation.Len()
+	return true, n.finalize()
+}
+
+func (n *natureRank) takeSnap() {
+	n.snap.strategies = append(n.snap.strategies[:0], n.pop.strategies...)
+	n.snap.dirty = append(n.snap.dirty[:0], n.pop.dirty...)
+	n.snap.counters = n.res.Counters
+	n.snap.fitLen = n.res.MeanFitness.Len()
+	n.snap.coopLen = n.res.Cooperation.Len()
+}
+
+// resync rolls Nature back to the snapshot and rebroadcasts it as the
+// authoritative state.
+func (n *natureRank) resync(nc *mpi.Comm) error {
+	copy(n.pop.strategies, n.snap.strategies)
+	copy(n.pop.dirty, n.snap.dirty)
+	n.res.Counters = n.snap.counters
+	n.res.MeanFitness.Truncate(n.snap.fitLen)
+	n.res.Cooperation.Truncate(n.snap.coopLen)
+	n.pendingFull = true
+	n.crossCheck = 0
+	rs := resume{
+		Gen:        n.gen,
+		Replay:     min(n.gen, n.end-1),
+		Strategies: append([]strategy.Strategy(nil), n.snap.strategies...),
 	}
-	restore := func() {
-		gen = snap.gen
-		copy(pop.strategies, snap.strategies)
-		copy(pop.dirty, snap.dirty)
-		res.Counters = snap.counters
-		res.MeanFitness.Truncate(snap.fitLen)
-		res.Cooperation.Truncate(snap.coopLen)
+	if _, err := nc.Bcast(0, rs); err != nil {
+		return err
 	}
+	n.c = nc
+	return nil
+}
 
-	// recvFitness reassembles SSet i's fitness from its row segments,
-	// folding payoffs in ascending column order so the floating-point sum
-	// matches the sequential engine bit for bit — at any worker count,
-	// which is what makes post-eviction re-sharding trajectory-invariant.
-	recvFitness := func(c *mpi.Comm, i int) (float64, error) {
-		total := 0.0
-		for _, seg := range rowSegments(s, c.Size()-1, i) {
-			msg, err := c.Recv(1+seg.worker, tagFitness)
-			if err != nil {
-				return 0, err
-			}
-			for _, v := range msg.Payload.([]float64) {
-				total += v
-			}
-		}
-		return total / float64(s-1), nil
+// refresh tallies the games the workers are scheduling this generation —
+// they evaluate the replay predicate over the same dirty marks — without
+// playing any. A post-eviction replay recomputes every pair.
+func (n *natureRank) refresh(int) (uint64, error) {
+	scheduled := scheduledGames(n.pop.dirty, n.pendingFull || n.cfg.FullRecompute)
+	n.pendingFull = false
+	n.crossCheck += scheduled
+	return scheduled, nil
+}
+
+// announce broadcasts the selection to all ranks (collective network).
+func (n *natureRank) announce(sel selection) error { return n.bcast(sel) }
+
+// publish broadcasts the global strategy update (collective network).
+func (n *natureRank) publish(u update) error { return n.bcast(u) }
+
+func (n *natureRank) bcast(payload any) error {
+	tb := n.pt.begin()
+	if _, err := n.c.Bcast(0, payload); err != nil {
+		return err
 	}
+	n.pt.end(PhaseBroadcast, tb)
+	return nil
+}
 
-	oneGeneration := func(c *mpi.Comm) error {
-		// Count the games the workers are scheduling this generation before
-		// the dirty marks are cleared: the workers' refresh predicate plays
-		// pair (i, j) iff FullRecompute or either side is dirty, so the
-		// scheduled total is all pairs minus the clean×clean ones. Keeping
-		// this tally on Nature lets snapshots carry an up-to-date
-		// GamesPlayed without an every-generation reduction. A post-eviction
-		// replay recomputes every pair.
-		var scheduled uint64
-		if pendingFull || cfg.FullRecompute {
-			scheduled = uint64(s) * uint64(s-1)
-		} else {
-			dcount := 0
-			for _, isDirty := range pop.dirty {
-				if isDirty {
-					dcount++
-				}
-			}
-			clean := s - dcount
-			scheduled = uint64(s*(s-1) - clean*(clean-1))
-		}
-		pendingFull = false
-		res.Counters.GamesPlayed += scheduled
-		crossCheck += scheduled
-		pop.clearDirty()
-		d := natureDecision(&cfg, master, gen)
-		ev := Events{
-			PCOccurred:       d.pc,
-			Teacher:          d.teacher,
-			Learner:          d.learner,
-			MutationOccurred: d.mutate,
-			Mutant:           d.mutant,
-		}
-
-		// Announce the PC selection to all ranks (collective network).
-		sel := selection{PC: d.pc, Teacher: d.teacher, Learner: d.learner}
-		tb := pt.begin()
-		if _, err := c.Bcast(0, sel); err != nil {
-			return err
-		}
-		pt.end(PhaseBroadcast, tb)
-
-		var u update
-		if d.pc {
-			res.Counters.PCEvents++
-			// The owners return the selected SSets' payoff segments
-			// point-to-point (torus network in the paper); teacher first,
-			// then learner, in segment order.
-			tf := pt.begin()
-			piT, err := recvFitness(c, d.teacher)
-			if err != nil {
-				return err
-			}
-			piL, err := recvFitness(c, d.learner)
-			if err != nil {
-				return err
-			}
-			pt.end(PhaseFitnessComm, tf)
-			if resolveAdoption(&cfg, master, gen, piT, piL) {
-				pop.Adopt(d.learner, d.teacher)
-				u.Adopted = true
-				u.Learner, u.Teacher = d.learner, d.teacher
-				ev.Adopted = true
-				res.Counters.Adoptions++
-			}
-		}
-		if d.mutate {
-			res.Counters.Mutations++
-			mut := mutantStrategy(&cfg, master, pop.Space(), gen)
-			pop.SetStrategy(d.mutant, mut)
-			u.Mutated = true
-			u.Mutant = d.mutant
-			u.MutantStrategy = mut
-		}
-		u.MeanFitnessWanted = gen%cfg.SampleStride == 0
-
-		// Broadcast the global strategy update (collective network).
-		tb = pt.begin()
-		if _, err := c.Bcast(0, u); err != nil {
-			return err
-		}
-		pt.end(PhaseBroadcast, tb)
-
-		if u.MeanFitnessWanted {
-			// Join the workers' payoff reduction; Nature contributes 0.
-			tr := pt.begin()
-			total, err := c.Reduce(0, 0, mpi.OpSum)
-			if err != nil {
-				return err
-			}
-			pt.end(PhaseReduce, tr)
-			res.MeanFitness.Observe(gen, total/float64(s*(s-1)))
-			res.Cooperation.Observe(gen, pop.MeanCooperationProb())
-		}
-		if cfg.Observer != nil {
-			cfg.Observer.Generation(gen, pop, ev)
-		}
-		// Checkpoint on absolute generation numbers, so a resumed run keeps
-		// the original cadence instead of one phase-shifted by the restart.
-		if cfg.CheckpointEvery > 0 && (gen+1)%cfg.CheckpointEvery == 0 {
-			tc := pt.begin()
-			if err := saveSnapshot(&cfg, pop, gen+1, res.Counters, res.MeanFitness, res.Cooperation); err != nil {
-				return err
-			}
-			pt.end(PhaseCheckpoint, tc)
-			logEvent(trace.Event{Kind: trace.EventCheckpoint, Generation: gen + 1, Rank: 0})
-		}
-		return nil
+// fitnesses receives the selected SSets' payoff segments point-to-point
+// from their owners (torus network in the paper); teacher first, then
+// learner, in segment order.
+func (n *natureRank) fitnesses(teacher, learner int) (piT, piL float64, err error) {
+	tf := n.pt.begin()
+	if piT, err = n.recvFitness(teacher); err != nil {
+		return 0, 0, err
 	}
+	if piL, err = n.recvFitness(learner); err != nil {
+		return 0, 0, err
+	}
+	n.pt.end(PhaseFitnessComm, tf)
+	return piT, piL, nil
+}
 
-	finalize := func(c *mpi.Comm) error {
-		// A resume directly into finalization replays the last generation's
-		// games wholesale; account for them in the cross-check (the restored
-		// GamesPlayed already covers the run's schedule).
-		if pendingFull {
-			crossCheck += uint64(s) * uint64(s-1)
-			pendingFull = false
+// recvFitness reassembles SSet i's fitness from its row segments, folding
+// payoffs in ascending column order so the floating-point sum matches the
+// sequential engine bit for bit — at any worker count, which is what makes
+// post-eviction re-sharding trajectory-invariant.
+func (n *natureRank) recvFitness(i int) (float64, error) {
+	s := n.cfg.NumSSets
+	total := 0.0
+	for _, seg := range rowSegments(s, n.c.Size()-1, i) {
+		msg, err := n.c.Recv(1+seg.worker, tagFitness)
+		if err != nil {
+			return 0, err
 		}
-		// Collect the final payoff blocks and compute all fitness values in
-		// the sequential engine's order.
-		nWorkers := c.Size() - 1
-		flat := make([]float64, s*(s-1))
-		tf := pt.begin()
-		for w := 0; w < nWorkers; w++ {
-			msg, err := c.Recv(1+w, tagRows)
-			if err != nil {
-				return err
-			}
-			lo, _ := blockRange(s*(s-1), nWorkers, w)
-			copy(flat[lo:], msg.Payload.([]float64))
-		}
-		pt.end(PhaseFitnessComm, tf)
-		fitness := make([]float64, s)
-		for i := 0; i < s; i++ {
-			total := 0.0
-			for k := i * (s - 1); k < (i+1)*(s-1); k++ {
-				total += flat[k]
-			}
-			fitness[i] = total / float64(s-1)
-		}
-		// The workers' reduced game count cross-checks Nature's scheduled
-		// tally: both sides evaluate the same refresh predicate over the
-		// same window, so any divergence means the global views drifted.
-		tr := pt.begin()
-		games, err := c.Reduce(0, 0, mpi.OpSum)
+		total = foldPayoffs(total, msg.Payload.([]float64))
+	}
+	return total / float64(s-1), nil
+}
+
+// meanFitness joins the workers' payoff reduction; Nature contributes 0.
+func (n *natureRank) meanFitness() (float64, error) {
+	tr := n.pt.begin()
+	total, err := n.c.Reduce(0, 0, mpi.OpSum)
+	if err != nil {
+		return 0, err
+	}
+	n.pt.end(PhaseReduce, tr)
+	s := n.cfg.NumSSets
+	return total / float64(s*(s-1)), nil
+}
+
+func (n *natureRank) finalize() error {
+	cfg, c, s := n.cfg, n.c, n.cfg.NumSSets
+	// A resume directly into finalization replays the last generation's
+	// games wholesale; account for them in the cross-check (the restored
+	// GamesPlayed already covers the run's schedule).
+	if n.pendingFull {
+		n.crossCheck += uint64(s * (s - 1))
+		n.pendingFull = false
+	}
+	// Collect the final payoff blocks into one covering the whole pair list.
+	nWorkers := c.Size() - 1
+	full := newPairBlock(s, 0, s*(s-1))
+	tf := n.pt.begin()
+	for w := 0; w < nWorkers; w++ {
+		msg, err := c.Recv(1+w, tagRows)
 		if err != nil {
 			return err
 		}
-		pt.end(PhaseReduce, tr)
-		if uint64(games) != crossCheck {
-			return fmt.Errorf("sim: workers played %d games since the last synchronisation, Nature scheduled %d — global views diverged",
-				uint64(games), crossCheck)
-		}
-		// Collect every rank's phase timings. Gated on Metrics so the
-		// collective-operation counters existing fault scripts key on are
-		// unchanged when observability is off; symmetric with the workers'
-		// finalize.
-		if cfg.Metrics {
-			snapsAny, err := c.Gather(0, pt.snapshot(c.OrigRank()))
-			if err != nil {
-				return err
-			}
-			rm := &RunMetrics{}
-			for _, a := range snapsAny {
-				rm.Phases = append(rm.Phases, a.(RankPhaseSnapshot))
-			}
-			sort.Slice(rm.Phases, func(i, j int) bool { return rm.Phases[i].Rank < rm.Phases[j].Rank })
-			res.Metrics = rm
-		}
-		// In eviction mode a final barrier keeps workers resident until
-		// Nature has everything, so a late failure still finds every
-		// survivor able to agree. Gated on Evict: an unconditional barrier
-		// would shift the operation counters existing fault scripts key on.
-		if cfg.Evict {
-			if err := c.Barrier(); err != nil {
-				return err
-			}
-		}
-		res.FinalFitness = fitness
-		return nil
+		lo, _ := blockRange(s*(s-1), nWorkers, w)
+		copy(full.payoffs[lo:], msg.Payload.([]float64))
 	}
-
-	// recoverLive runs the survivor-side eviction protocol: agree on the
-	// surviving set, shrink onto it, roll back to the snapshot, and
-	// rebroadcast the authoritative state. Each loop iteration is one
-	// agreement epoch; a failure landing mid-recovery starts another.
-	recoverLive := func(c *mpi.Comm, cause error) (*mpi.Comm, error) {
-		if !cfg.Evict {
-			return nil, cause
-		}
-		cur := cause
-		for {
-			if !evictable(cur) {
-				return nil, cause
-			}
-			surv, err := c.Agree()
-			if err != nil {
-				return nil, cause
-			}
-			evs := c.Evictions()
-			for _, e := range evs[seenEvictions:] {
-				logEvent(trace.Event{Kind: trace.EventEviction, Generation: snap.gen, Rank: e.Rank,
-					Detail: e.Err.Error()})
-			}
-			seenEvictions = len(evs)
-			if len(surv) < minRanksFloor(&cfg) {
-				logEvent(trace.Event{Kind: trace.EventEvictionFailed, Generation: snap.gen, Rank: -1,
-					Detail: fmt.Sprintf("%d survivors below floor %d; falling back to checkpoint restart",
-						len(surv), minRanksFloor(&cfg))})
-				return nil, cause
-			}
-			nc, err := c.Shrink(surv)
-			if err != nil {
-				cur = err
-				continue
-			}
-			restore()
-			pendingFull = true
-			crossCheck = 0
-			rs := resume{
-				Gen:        snap.gen,
-				Replay:     min(snap.gen, end-1),
-				Strategies: append([]strategy.Strategy(nil), snap.strategies...),
-			}
-			if _, err := nc.Bcast(0, rs); err != nil {
-				c, cur = nc, err
-				continue
-			}
-			return nc, nil
-		}
+	n.pt.end(PhaseFitnessComm, tf)
+	// The workers' reduced game count cross-checks Nature's scheduled
+	// tally: both sides evaluate the same refresh predicate over the
+	// same window, so any divergence means the global views drifted.
+	tr := n.pt.begin()
+	games, err := c.Reduce(0, 0, mpi.OpSum)
+	if err != nil {
+		return err
 	}
-
-	for gen < end {
-		// Control poll at the generation boundary: a stop is announced via a
-		// Stop selection broadcast (the workers' next rendezvous — they are
-		// already playing this generation's games) before Nature persists the
-		// resume snapshot and exits. The partial Result rides along with
-		// ErrStopped so the caller keeps the series sampled before the cut.
-		if cfg.Control != nil {
-			if cause := cfg.Control(gen); cause != nil {
-				if _, err := c.Bcast(0, selection{Stop: true}); err != nil {
-					return nil, err
-				}
-				return res, stopRun(&cfg, pop, gen, res.Counters, res.MeanFitness, res.Cooperation, cause)
-			}
-		}
-		if cfg.Evict {
-			takeSnap()
-		}
-		err := oneGeneration(c)
-		if err == nil {
-			gen++
-			continue
-		}
-		nc, rerr := recoverLive(c, err)
-		if rerr != nil {
-			return nil, rerr
-		}
-		c = nc
+	n.pt.end(PhaseReduce, tr)
+	if uint64(games) != n.crossCheck {
+		return fmt.Errorf("sim: workers played %d games since the last synchronisation, Nature scheduled %d — global views diverged",
+			uint64(games), n.crossCheck)
 	}
+	// Collect every rank's phase timings. Gated on Metrics so the
+	// collective-operation counters existing fault scripts key on are
+	// unchanged when observability is off; symmetric with the workers'
+	// finalize.
+	if cfg.Metrics {
+		snapsAny, err := c.Gather(0, n.pt.snapshot(c.OrigRank()))
+		if err != nil {
+			return err
+		}
+		rm := &RunMetrics{}
+		for _, a := range snapsAny {
+			rm.Phases = append(rm.Phases, a.(RankPhaseSnapshot))
+		}
+		sort.Slice(rm.Phases, func(i, j int) bool { return rm.Phases[i].Rank < rm.Phases[j].Rank })
+		n.res.Metrics = rm
+	}
+	// In eviction mode a final barrier keeps workers resident until
+	// Nature has everything, so a late failure still finds every
+	// survivor able to agree. Gated on Evict: an unconditional barrier
+	// would shift the operation counters existing fault scripts key on.
 	if cfg.Evict {
-		takeSnap() // snap.gen == end: the finalization resume point
-	}
-	for {
-		err := finalize(c)
-		if err == nil {
-			break
+		if err := c.Barrier(); err != nil {
+			return err
 		}
-		nc, rerr := recoverLive(c, err)
-		if rerr != nil {
-			return nil, rerr
-		}
-		c = nc
 	}
-	res.Final = pop.Snapshot()
-	return res, nil
+	n.res.FinalFitness = full.fitnesses()
+	return nil
 }
 
 // workerRank is ranks 1..P-1: it owns a contiguous block of game pairs,
@@ -610,278 +518,205 @@ func natureRank(cfg Config, c *mpi.Comm) (*Result, error) {
 // eviction protocol: agree, shrink, then adopt Nature's resume broadcast
 // wholesale — new dense rank, re-sharded pair block, authoritative strategy
 // view — and replay every owned pair from the interrupted generation's
-// random streams. If Nature itself is among the dead, live eviction cannot
-// continue (no one can re-drive the schedule) and the worker returns the
-// failure so the restart supervisor takes over.
-func workerRank(cfg Config, c *mpi.Comm) error {
-	master := rng.New(cfg.Seed)
-	pop := NewPopulation(cfg, master) // same deterministic initialisation
-	s := cfg.NumSSets
-	end := cfg.StartGeneration + cfg.Generations
-	kern := newPayoffKernel(&cfg)
-
-	w := c.Rank() - 1
-	lo, hi := blockRange(s*(s-1), c.Size()-1, w)
-	// payoffs[k-lo] is pair k's mean per-round payoff for its row SSet.
-	payoffs := make([]float64, hi-lo)
-	games := uint64(0)
-	gen := cfg.StartGeneration
+// random streams.
+type workerRank struct {
+	cfg    *Config
+	c      *mpi.Comm
+	master *rng.Source
+	pop    *Population
+	kern   *payoffKernel
+	block  *pairBlock
+	pt     *phaseTimer
+	// games counts every owned pair the schedule touched since the last
+	// (re)synchronisation, for Nature's cross-check.
+	games    uint64
+	gen, end int
 	// pendingFull marks that an eviction re-sharded this worker's block:
 	// the next pass replays every owned pair from replayGen's streams.
-	pendingFull := false
-	replayGen := 0
-	var pt *phaseTimer
+	pendingFull bool
+	replayGen   int
+}
+
+// runWorkerRank runs a worker to completion. A control stop announced by
+// Nature is a clean exit, so the run's only error is Nature's, carrying the
+// snapshot outcome.
+func runWorkerRank(cfg *Config, c *mpi.Comm) error {
+	master := rng.New(cfg.Seed)
+	w := &workerRank{
+		cfg:    cfg,
+		master: master,
+		pop:    NewPopulation(*cfg, master), // same deterministic initialisation
+		kern:   newPayoffKernel(cfg),
+		gen:    cfg.StartGeneration,
+		end:    cfg.StartGeneration + cfg.Generations,
+	}
 	if cfg.Metrics {
-		pt = newPhaseTimer()
+		w.pt = newPhaseTimer()
 	}
+	w.join(c)
+	if err := runRank(cfg, c, w); !errors.Is(err, ErrStopped) {
+		return err
+	}
+	return nil
+}
 
-	// refresh replays the owned pairs whose participants changed. A
-	// pairPayoff failure (exact-mode analysis error) aborts the pass: it is
-	// a configuration fault, not a rank failure, so it propagates out of the
-	// run instead of triggering eviction. games counts every owned pair the
-	// schedule touched, cache hits included — Nature's cross-check tallies
-	// scheduled games, and a memo hit still delivers a scheduled payoff.
-	refresh := func(g int) error {
-		kern.prepare(&cfg, pop)
-		for k := lo; k < hi; k++ {
-			i, j := pairToIJ(s, k)
-			if cfg.FullRecompute || pop.dirty[i] || pop.dirty[j] {
-				v, err := kern.pairPayoff(&cfg, master, g, i, j, pop.strategies[i], pop.strategies[j])
-				if err != nil {
-					return err
-				}
-				payoffs[k-lo] = v
-				games++
-			}
-		}
+// join makes c the worker's communicator and (re-)shards the pair list
+// over its workers.
+func (w *workerRank) join(c *mpi.Comm) {
+	s := w.cfg.NumSSets
+	lo, hi := blockRange(s*(s-1), c.Size()-1, c.Rank()-1)
+	w.c, w.block, w.games = c, newPairBlock(s, lo, hi), 0
+}
+
+func (w *workerRank) position() int { return w.gen }
+
+func (w *workerRank) step() (bool, error) {
+	if w.gen < w.end {
+		return false, w.generation()
+	}
+	return true, w.finalize()
+}
+
+// resync adopts Nature's resume broadcast wholesale: the worker may be a
+// generation ahead of or behind Nature (a dead mid-tree rank can break a
+// broadcast relay part-way), so local state is untrusted.
+func (w *workerRank) resync(nc *mpi.Comm) error {
+	rsAny, err := nc.Bcast(0, nil)
+	if err != nil {
+		return err
+	}
+	rs := rsAny.(resume)
+	for i, st := range rs.Strategies {
+		w.pop.strategies[i] = st.Clone()
+	}
+	w.pop.clearDirty()
+	w.gen, w.replayGen, w.pendingFull = rs.Gen, rs.Replay, true
+	w.join(nc)
+	return nil
+}
+
+// play is the worker's game dynamics: replay the owned pairs whose
+// participants changed — or, after an eviction re-sharded the block, every
+// owned pair from the interrupted generation's streams.
+func (w *workerRank) play() error {
+	gen, all := w.gen, w.cfg.FullRecompute
+	if w.pendingFull {
+		gen, all, w.pendingFull = w.replayGen, true, false
+	}
+	tg := w.pt.begin()
+	played, err := w.block.refresh(w.cfg, w.pop, w.master, w.kern, gen, all)
+	w.games += played
+	if err != nil {
+		return err
+	}
+	w.pt.end(PhaseGamePlay, tg)
+	return nil
+}
+
+// sendSegment returns the owned piece of SSet i's payoff row to Nature, if
+// this worker owns any of it.
+func (w *workerRank) sendSegment(i int) error {
+	seg := w.block.segment(i)
+	if seg == nil {
 		return nil
 	}
-	// replayAll recomputes the whole owned block from generation g's
-	// streams, regardless of dirtiness — the post-eviction rebuild.
-	replayAll := func(g int) error {
-		kern.prepare(&cfg, pop)
-		for k := lo; k < hi; k++ {
-			i, j := pairToIJ(s, k)
-			v, err := kern.pairPayoff(&cfg, master, g, i, j, pop.strategies[i], pop.strategies[j])
-			if err != nil {
-				return err
-			}
-			payoffs[k-lo] = v
-			games++
-		}
-		return nil
-	}
-	// segment extracts the owned, contiguous payoff slice of SSet i's row
-	// (nil when this worker owns none of it).
-	segment := func(i int) []float64 {
-		rowLo, rowHi := i*(s-1), (i+1)*(s-1)
-		segLo, segHi := max(lo, rowLo), min(hi, rowHi)
-		if segLo >= segHi {
-			return nil
-		}
-		out := make([]float64, segHi-segLo)
-		copy(out, payoffs[segLo-lo:segHi-lo])
-		return out
-	}
+	return w.c.Send(0, tagFitness, append([]float64(nil), seg...))
+}
 
-	oneGeneration := func(c *mpi.Comm) error {
-		// Game dynamics: replay this worker's pairs.
-		tg := pt.begin()
-		if pendingFull {
-			pendingFull = false
-			if err := replayAll(replayGen); err != nil {
-				return err
-			}
-		} else if err := refresh(gen); err != nil {
+// recvBcast receives one of Nature's per-generation broadcasts.
+func (w *workerRank) recvBcast() (any, error) {
+	tb := w.pt.begin()
+	v, err := w.c.Bcast(0, nil)
+	if err == nil {
+		w.pt.end(PhaseBroadcast, tb)
+	}
+	return v, err
+}
+
+func (w *workerRank) generation() error {
+	if err := w.play(); err != nil {
+		return err
+	}
+	w.pop.clearDirty()
+
+	// Receive the PC selection.
+	selAny, err := w.recvBcast()
+	if err != nil {
+		return err
+	}
+	sel := selAny.(selection)
+	if sel.Stop {
+		return fmt.Errorf("sim: worker %d: %w", w.c.Rank(), ErrStopped)
+	}
+	if sel.PC {
+		// Owners of the selected rows return their segments; teacher
+		// before learner so Nature's ordered receives match when one
+		// worker owns pieces of both.
+		tf := w.pt.begin()
+		if err := w.sendSegment(sel.Teacher); err != nil {
 			return err
 		}
-		pt.end(PhaseGamePlay, tg)
-		pop.clearDirty()
-
-		// Receive the PC selection.
-		tb := pt.begin()
-		selAny, err := c.Bcast(0, nil)
-		if err != nil {
+		if err := w.sendSegment(sel.Learner); err != nil {
 			return err
 		}
-		pt.end(PhaseBroadcast, tb)
-		sel := selAny.(selection)
-		if sel.Stop {
-			// Nature's control hook stopped the run; the outer loop turns
-			// this into a clean worker exit.
-			return fmt.Errorf("sim: worker %d: %w", c.Rank(), ErrStopped)
-		}
-		if sel.PC {
-			// Owners of the selected rows return their segments; teacher
-			// before learner so Nature's ordered receives match when one
-			// worker owns pieces of both.
-			tf := pt.begin()
-			if seg := segment(sel.Teacher); seg != nil {
-				if err := c.Send(0, tagFitness, seg); err != nil {
-					return err
-				}
-			}
-			if seg := segment(sel.Learner); seg != nil {
-				if err := c.Send(0, tagFitness, seg); err != nil {
-					return err
-				}
-			}
-			pt.end(PhaseFitnessComm, tf)
-		}
+		w.pt.end(PhaseFitnessComm, tf)
+	}
 
-		// Apply the global strategy update.
-		tb = pt.begin()
-		uAny, err := c.Bcast(0, nil)
-		if err != nil {
+	// Apply the global strategy update.
+	uAny, err := w.recvBcast()
+	if err != nil {
+		return err
+	}
+	u := uAny.(update)
+	if u.Adopted {
+		w.pop.Adopt(u.Learner, u.Teacher)
+	}
+	if u.Mutated {
+		w.pop.SetStrategy(u.Mutant, u.MutantStrategy.Clone())
+	}
+	if u.MeanFitnessWanted {
+		tr := w.pt.begin()
+		if _, err := w.c.Reduce(0, foldPayoffs(0, w.block.payoffs), mpi.OpSum); err != nil {
 			return err
 		}
-		pt.end(PhaseBroadcast, tb)
-		u := uAny.(update)
-		if u.Adopted {
-			pop.Adopt(u.Learner, u.Teacher)
-		}
-		if u.Mutated {
-			pop.SetStrategy(u.Mutant, u.MutantStrategy.Clone())
-		}
-		if u.MeanFitnessWanted {
-			partial := 0.0
-			for _, v := range payoffs {
-				partial += v
-			}
-			tr := pt.begin()
-			if _, err := c.Reduce(0, partial, mpi.OpSum); err != nil {
-				return err
-			}
-			pt.end(PhaseReduce, tr)
-		}
-		return nil
+		w.pt.end(PhaseReduce, tr)
 	}
+	w.gen++
+	return nil
+}
 
-	finalize := func(c *mpi.Comm) error {
-		// A resume directly into finalization still rebuilds the re-sharded
-		// block before shipping it.
-		if pendingFull {
-			tg := pt.begin()
-			pendingFull = false
-			if err := replayAll(replayGen); err != nil {
-				return err
-			}
-			pt.end(PhaseGamePlay, tg)
-		}
-		// Ship the final payoff block and the game counter to Nature.
-		final := make([]float64, len(payoffs))
-		copy(final, payoffs)
-		tf := pt.begin()
-		if err := c.Send(0, tagRows, final); err != nil {
+func (w *workerRank) finalize() error {
+	// A resume directly into finalization still rebuilds the re-sharded
+	// block before shipping it.
+	if w.pendingFull {
+		if err := w.play(); err != nil {
 			return err
 		}
-		pt.end(PhaseFitnessComm, tf)
-		tr := pt.begin()
-		if _, err := c.Reduce(0, float64(games), mpi.OpSum); err != nil {
+	}
+	// Ship the final payoff block and the game counter to Nature.
+	tf := w.pt.begin()
+	if err := w.c.Send(0, tagRows, append([]float64(nil), w.block.payoffs...)); err != nil {
+		return err
+	}
+	w.pt.end(PhaseFitnessComm, tf)
+	tr := w.pt.begin()
+	if _, err := w.c.Reduce(0, float64(w.games), mpi.OpSum); err != nil {
+		return err
+	}
+	w.pt.end(PhaseReduce, tr)
+	// Ship the phase timings (plus this rank's cache counters when
+	// caching is on); mirrors Nature's metrics Gather.
+	if w.cfg.Metrics {
+		snap := w.pt.snapshot(w.c.OrigRank())
+		snap.Cache = w.kern.cacheStats()
+		if _, err := w.c.Gather(0, snap); err != nil {
 			return err
 		}
-		pt.end(PhaseReduce, tr)
-		// Ship the phase timings (plus this rank's cache counters when
-		// caching is on); mirrors Nature's metrics Gather.
-		if cfg.Metrics {
-			snap := pt.snapshot(c.OrigRank())
-			snap.Cache = kern.cacheStats()
-			if _, err := c.Gather(0, snap); err != nil {
-				return err
-			}
-		}
-		// Mirror Nature's eviction-mode barrier: stay resident until every
-		// rank is done, so a late failure still finds a full survivor set.
-		if cfg.Evict {
-			return c.Barrier()
-		}
-		return nil
 	}
-
-	// recoverLive is the worker side of the eviction protocol; it mirrors
-	// Nature's agreement epochs exactly — one Agree per entry, another per
-	// failed Shrink or resume broadcast — which is what keeps the rendezvous
-	// aligned across divergent failure interleavings.
-	recoverLive := func(c *mpi.Comm, cause error) (*mpi.Comm, error) {
-		if !cfg.Evict {
-			return nil, cause
-		}
-		cur := cause
-		for {
-			if !evictable(cur) {
-				return nil, cause
-			}
-			surv, err := c.Agree()
-			if err != nil {
-				return nil, cause
-			}
-			if len(surv) == 0 || surv[0] != 0 {
-				// Nature itself died: fall back to checkpoint restart. The
-				// lowest survivor records the decision once for the trace.
-				if len(surv) > 0 && c.OrigRank() == surv[0] && cfg.EventLog != nil {
-					cfg.EventLog.Append(trace.Event{Kind: trace.EventEvictionFailed, Generation: gen, Rank: 0,
-						Detail: "nature rank failed; falling back to checkpoint restart"})
-				}
-				return nil, cause
-			}
-			if len(surv) < minRanksFloor(&cfg) {
-				return nil, cause
-			}
-			nc, err := c.Shrink(surv)
-			if err != nil {
-				cur = err
-				continue
-			}
-			rsAny, err := nc.Bcast(0, nil)
-			if err != nil {
-				c, cur = nc, err
-				continue
-			}
-			rs := rsAny.(resume)
-			// Adopt the authoritative state wholesale: the worker may be a
-			// generation ahead of or behind Nature (a dead mid-tree rank can
-			// break a broadcast relay part-way), so local state is untrusted.
-			for i, st := range rs.Strategies {
-				pop.strategies[i] = st.Clone()
-			}
-			pop.clearDirty()
-			gen = rs.Gen
-			replayGen = rs.Replay
-			pendingFull = true
-			w = nc.Rank() - 1
-			lo, hi = blockRange(s*(s-1), nc.Size()-1, w)
-			payoffs = make([]float64, hi-lo)
-			games = 0
-			return nc, nil
-		}
+	// Mirror Nature's eviction-mode barrier: stay resident until every
+	// rank is done, so a late failure still finds a full survivor set.
+	if w.cfg.Evict {
+		return w.c.Barrier()
 	}
-
-	for gen < end {
-		err := oneGeneration(c)
-		if err == nil {
-			gen++
-			continue
-		}
-		if errors.Is(err, ErrStopped) {
-			// Control stop announced by Nature: exit cleanly so the run's
-			// only error is Nature's, carrying the snapshot outcome.
-			return nil
-		}
-		nc, rerr := recoverLive(c, err)
-		if rerr != nil {
-			return rerr
-		}
-		c = nc
-	}
-	for {
-		err := finalize(c)
-		if err == nil {
-			return nil
-		}
-		nc, rerr := recoverLive(c, err)
-		if rerr != nil {
-			return rerr
-		}
-		c = nc
-	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -203,4 +204,53 @@ func TestParallelOneSSetPerWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameTrajectory(t, seq, par)
+}
+
+// observed is one Observer callback, flattened to comparable values.
+type observed struct {
+	gen        int
+	ev         Events
+	strategies string // per-SSet fingerprints, in SSet order
+}
+
+// TestObserverStreamParity: Config.Observer sees the same thing on either
+// engine — the full (generation, events, population) stream of a parallel
+// run equals the sequential one's, at every rank count and in both
+// evaluation modes.
+func TestObserverStreamParity(t *testing.T) {
+	for _, full := range []bool{false, true} {
+		cfg := testConfig(1, 10, 80)
+		cfg.Seed = 107
+		cfg.FullRecompute = full
+		record := func(run func(Config) (*Result, error)) []observed {
+			var stream []observed
+			c := cfg
+			c.Observer = ObserverFunc(func(gen int, pop *Population, ev Events) {
+				o := observed{gen: gen, ev: ev}
+				for i := 0; i < pop.Size(); i++ {
+					o.strategies += fmt.Sprintf("%x,", pop.Strategy(i).Fingerprint())
+				}
+				stream = append(stream, o)
+			})
+			if _, err := run(c); err != nil {
+				t.Fatal(err)
+			}
+			return stream
+		}
+		want := record(RunSequential)
+		if len(want) != cfg.Generations {
+			t.Fatalf("full=%v: sequential observer saw %d generations, want %d", full, len(want), cfg.Generations)
+		}
+		for _, ranks := range []int{2, 3, 5} {
+			got := record(func(c Config) (*Result, error) { return RunParallel(c, ranks) })
+			if len(got) != len(want) {
+				t.Fatalf("full=%v ranks=%d: observer saw %d generations, want %d", full, ranks, len(got), len(want))
+			}
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("full=%v ranks=%d: observer callback %d = %+v, sequential saw %+v", full, ranks, k, got[k], want[k])
+				}
+			}
+		}
+	}
 }

@@ -14,7 +14,7 @@ import (
 // strategy-pair payoff cache, and a pointer-keyed fingerprint memo. Each
 // rank (and the sequential engine) owns exactly one kernel; none of its
 // state is shared or sent. A nil kernel is valid and selects the plain
-// uncached path — tests exercising refreshPayoffs directly rely on this.
+// uncached path — tests exercising pairBlock.refresh directly rely on this.
 //
 // The cacheability contract (docs/KERNEL.md): a pair payoff may be served
 // from the cache only when replaying the match is guaranteed to reproduce
@@ -96,7 +96,7 @@ func (k *payoffKernel) fingerprint(s strategy.Strategy) (strategy.Fingerprint, b
 }
 
 // prepare (re)builds the per-pass fingerprint table from the population
-// ahead of a refresh or replay sweep. It costs one memo lookup per SSet —
+// ahead of a refresh sweep. It costs one memo lookup per SSet —
 // amortised over up to S-1 matches each — and is a no-op without a cache.
 func (k *payoffKernel) prepare(cfg *Config, pop *Population) {
 	if k == nil || k.cache == nil {

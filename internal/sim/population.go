@@ -9,14 +9,12 @@ import (
 )
 
 // Population is the global view of the strategy space the paper's Nature
-// Agent maintains: the strategy assigned to each SSet plus the pairwise
-// payoff table from which SSet fitness derives.
+// Agent maintains: the strategy assigned to each SSet. Every rank of either
+// engine keeps an identical copy; payoffs live with whoever plays the games
+// (pairBlock), not here.
 type Population struct {
 	space      strategy.Space
 	strategies []strategy.Strategy
-	// payoff[i*S+j] is the mean per-round payoff SSet i's strategy earns
-	// against SSet j's strategy (i != j). The diagonal is unused.
-	payoff []float64
 	// dirty marks SSets whose strategy changed since their games were last
 	// replayed (incremental mode).
 	dirty []bool
@@ -30,7 +28,6 @@ func NewPopulation(cfg Config, src *rng.Source) *Population {
 	p := &Population{
 		space:      sp,
 		strategies: make([]strategy.Strategy, cfg.NumSSets),
-		payoff:     make([]float64, cfg.NumSSets*cfg.NumSSets),
 		dirty:      make([]bool, cfg.NumSSets),
 	}
 	for i := range p.strategies {
@@ -72,54 +69,12 @@ func (p *Population) Adopt(learner, teacher int) {
 	p.dirty[learner] = true
 }
 
-// Payoff returns the cached mean per-round payoff of i against j.
-func (p *Population) Payoff(i, j int) float64 { return p.payoff[i*len(p.strategies)+j] }
-
-func (p *Population) setPayoff(i, j int, v float64) { p.payoff[i*len(p.strategies)+j] = v }
-
-// Fitness returns SSet i's relative fitness: its mean per-round payoff
-// averaged over all S-1 opponents. The payoff table already stores mean
-// per-round payoffs (game.Result.Mean0 divides by rounds; exact mode is
-// per-round by construction), so the only normalisation applied here is
-// 1/(S-1) — together they realise the paper's 1/((S-1)*rounds) scaling of
-// raw match totals. The Fermi exponent therefore always works on the
-// per-round payoff scale ([S..T], 1 = all-defect to 3 = full cooperation
-// under the standard payoff), independent of population size and match
-// length.
-func (p *Population) Fitness(i int) float64 {
-	s := len(p.strategies)
-	total := 0.0
-	for j := 0; j < s; j++ {
-		if j != i {
-			total += p.Payoff(i, j)
-		}
-	}
-	return total / float64(s-1)
-}
-
-// Fitnesses returns all SSet fitnesses.
-func (p *Population) Fitnesses() []float64 {
-	out := make([]float64, p.Size())
-	for i := range out {
-		out[i] = p.Fitness(i)
-	}
-	return out
-}
-
-// MeanFitness returns the population's mean relative fitness. Under the
-// standard payoff it ranges from 1 (all-defect) to 3 (full cooperation).
-func (p *Population) MeanFitness() float64 {
-	total := 0.0
-	for i := 0; i < p.Size(); i++ {
-		total += p.Fitness(i)
-	}
-	return total / float64(p.Size())
-}
-
 // Abundance returns the strategy-abundance tally of the current population.
-func (p *Population) Abundance() *stats.Abundance {
+func (p *Population) Abundance() *stats.Abundance { return abundance(p.strategies) }
+
+func abundance(strategies []strategy.Strategy) *stats.Abundance {
 	a := stats.NewAbundance()
-	for _, s := range p.strategies {
+	for _, s := range strategies {
 		a.Add(s.Fingerprint())
 	}
 	return a
@@ -140,9 +95,14 @@ func (p *Population) FractionMatching(ref strategy.Strategy) float64 {
 // FractionNear returns the share of SSets whose strategy rounds to the pure
 // strategy ref — the clustering view used for mixed-strategy populations,
 // where exact equality never occurs.
-func (p *Population) FractionNear(ref *strategy.Pure) float64 {
+func (p *Population) FractionNear(ref *strategy.Pure) float64 { return fractionNear(p.strategies, ref) }
+
+func fractionNear(strategies []strategy.Strategy, ref *strategy.Pure) float64 {
+	if len(strategies) == 0 {
+		return 0
+	}
 	n := 0
-	for _, s := range p.strategies {
+	for _, s := range strategies {
 		switch v := s.(type) {
 		case *strategy.Pure:
 			if v.Equal(ref) {
@@ -154,7 +114,7 @@ func (p *Population) FractionNear(ref *strategy.Pure) float64 {
 			}
 		}
 	}
-	return float64(n) / float64(p.Size())
+	return float64(n) / float64(len(strategies))
 }
 
 // MeanCooperationProb returns the average cooperation probability across
@@ -187,41 +147,7 @@ func Fermi(beta, piT, piL float64) float64 {
 	return 1.0 / (1.0 + math.Exp(-beta*(piT-piL)))
 }
 
-// refreshPayoffs brings the payoff table up to date for generation gen over
-// the SSet range [lo, hi) (the rows this caller owns). In full-recompute
-// mode every owned row is replayed; in incremental mode only games
-// involving a dirty SSet are. Column entries i<j and j<i are separate games,
-// exactly as in the paper where each SSet's own agents model all its
-// matches. Match evaluation goes through kern (payoffKernel.pairPayoff; a
-// nil kernel selects the plain uncached path). Returns the number of games
-// played — a cache hit still counts, since the game was scheduled and its
-// payoff delivered; only the recomputation was skipped. A pairPayoff failure
-// aborts the refresh and propagates so the run fails cleanly instead of
-// panicking.
-func refreshPayoffs(cfg *Config, pop *Population, master *rng.Source, kern *payoffKernel, gen, lo, hi int) (uint64, error) {
-	games := uint64(0)
-	s := pop.Size()
-	kern.prepare(cfg, pop)
-	for i := lo; i < hi; i++ {
-		replayAll := cfg.FullRecompute || pop.dirty[i]
-		for j := 0; j < s; j++ {
-			if j == i {
-				continue
-			}
-			if replayAll || pop.dirty[j] {
-				v, err := kern.pairPayoff(cfg, master, gen, i, j, pop.strategies[i], pop.strategies[j])
-				if err != nil {
-					return games, err
-				}
-				pop.setPayoff(i, j, v)
-				games++
-			}
-		}
-	}
-	return games, nil
-}
-
-// clearDirty resets the dirty marks after all owners refreshed their rows.
+// clearDirty resets the dirty marks once every owner has refreshed its pairs.
 func (p *Population) clearDirty() {
 	for i := range p.dirty {
 		p.dirty[i] = false

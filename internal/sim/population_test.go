@@ -69,16 +69,28 @@ func TestAdoptClones(t *testing.T) {
 	}
 }
 
+// wholeBlock is the sequential engine's pair block: the whole flat list.
+func wholeBlock(s int) *pairBlock { return newPairBlock(s, 0, s*(s-1)) }
+
+// at addresses pair (i, j)'s payoff in a block that owns it.
+func (b *pairBlock) at(i, j int) *float64 {
+	k := i*(b.s-1) + j
+	if j > i {
+		k--
+	}
+	return &b.payoffs[k-b.lo]
+}
+
 func TestFitnessFromPayoffs(t *testing.T) {
 	cfg := testConfig(1, 3, 0)
 	_ = cfg.Validate()
-	p := NewPopulation(cfg, rng.New(3))
-	p.setPayoff(0, 1, 2.0)
-	p.setPayoff(0, 2, 4.0)
-	if got := p.Fitness(0); got != 3.0 {
+	b := wholeBlock(cfg.NumSSets)
+	*b.at(0, 1) = 2.0
+	*b.at(0, 2) = 4.0
+	if got := b.fitness(0); got != 3.0 {
 		t.Fatalf("fitness = %v, want 3", got)
 	}
-	fs := p.Fitnesses()
+	fs := b.fitnesses()
 	if len(fs) != 3 || fs[0] != 3.0 {
 		t.Fatalf("Fitnesses = %v", fs)
 	}
@@ -101,10 +113,11 @@ func TestFitnessScaleIsPerRound(t *testing.T) {
 		for i := 1; i < pop.Size(); i++ {
 			pop.SetStrategy(i, strategy.AllC(pop.Space()))
 		}
-		if _, err := refreshPayoffs(&cfg, pop, master, nil, 0, 0, pop.Size()); err != nil {
+		b := wholeBlock(pop.Size())
+		if _, err := b.refresh(&cfg, pop, master, nil, 0, cfg.FullRecompute); err != nil {
 			t.Fatal(err)
 		}
-		if got := pop.Fitness(0); got != cfg.Rules.Payoff.T {
+		if got := b.fitness(0); got != cfg.Rules.Payoff.T {
 			t.Fatalf("rounds=%d: AllD fitness = %v, want temptation %v (per-round scale)",
 				rounds, got, cfg.Rules.Payoff.T)
 		}
@@ -294,8 +307,17 @@ func TestRefreshPayoffsIncremental(t *testing.T) {
 	_ = cfg.Validate()
 	master := rng.New(9)
 	pop := NewPopulation(cfg, master)
+	b := wholeBlock(pop.Size())
+	refresh := func(gen int) (uint64, error) {
+		return b.refresh(&cfg, pop, master, nil, gen, cfg.FullRecompute)
+	}
+	// The Nature rank's closed-form tally must agree with every pass.
+	scheduled := func() uint64 { return scheduledGames(pop.dirty, cfg.FullRecompute) }
 	// First refresh: everything dirty -> S*(S-1) games.
-	games, err := refreshPayoffs(&cfg, pop, master, nil, 0, 0, pop.Size())
+	if got := scheduled(); got != 30 {
+		t.Fatalf("initial schedule tallies %d games, want 30", got)
+	}
+	games, err := refresh(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,18 +326,18 @@ func TestRefreshPayoffsIncremental(t *testing.T) {
 	}
 	pop.clearDirty()
 	// Nothing changed: zero games.
-	if g, err := refreshPayoffs(&cfg, pop, master, nil, 1, 0, pop.Size()); err != nil || g != 0 {
+	if g, err := refresh(1); err != nil || g != 0 || scheduled() != 0 {
 		t.Fatalf("clean refresh played %d games (err %v)", g, err)
 	}
 	// One SSet changes: its row (5 games) plus its column (5 games).
 	pop.SetStrategy(2, strategy.AllD(pop.Space()))
-	if g, err := refreshPayoffs(&cfg, pop, master, nil, 2, 0, pop.Size()); err != nil || g != 10 {
+	if g, err := refresh(2); err != nil || g != 10 || scheduled() != 10 {
 		t.Fatalf("single-change refresh played %d games, want 10 (err %v)", g, err)
 	}
 	pop.clearDirty()
 	// Full recompute mode: always S*(S-1).
 	cfg.FullRecompute = true
-	if g, err := refreshPayoffs(&cfg, pop, master, nil, 3, 0, pop.Size()); err != nil || g != 30 {
+	if g, err := refresh(3); err != nil || g != 30 || scheduled() != 30 {
 		t.Fatalf("full recompute played %d games, want 30 (err %v)", g, err)
 	}
 }
@@ -327,14 +349,63 @@ func TestPayoffValuesMatchDirectPlay(t *testing.T) {
 	pop := NewPopulation(cfg, master)
 	pop.SetStrategy(0, strategy.AllC(pop.Space()))
 	pop.SetStrategy(1, strategy.AllD(pop.Space()))
-	if _, err := refreshPayoffs(&cfg, pop, master, nil, 0, 0, pop.Size()); err != nil {
+	b := wholeBlock(pop.Size())
+	if _, err := b.refresh(&cfg, pop, master, nil, 0, cfg.FullRecompute); err != nil {
 		t.Fatal(err)
 	}
 	// ALLC vs ALLD: sucker payoff 0 per round; ALLD vs ALLC: temptation 4.
-	if got := pop.Payoff(0, 1); got != 0 {
+	if got := *b.at(0, 1); got != 0 {
 		t.Fatalf("payoff(ALLC,ALLD) = %v", got)
 	}
-	if got := pop.Payoff(1, 0); got != 4 {
+	if got := *b.at(1, 0); got != 4 {
 		t.Fatalf("payoff(ALLD,ALLC) = %v", got)
+	}
+}
+
+// Worker blocks are windows onto the one pair list: refreshed side by side
+// they hold exactly the whole-list block's payoffs, and their row segments,
+// taken in worker order, tile each SSet's row — which is what lets Nature
+// fold a row's fitness in column order at any worker count.
+func TestPairBlocksTileTheWholeList(t *testing.T) {
+	cfg := testConfig(1, 6, 0)
+	cfg.Rules.ErrorRate = 0.05 // noisy: payoffs depend on the (gen, i, j) stream
+	_ = cfg.Validate()
+	master := rng.New(21)
+	pop := NewPopulation(cfg, master)
+	s := pop.Size()
+	whole := wholeBlock(s)
+	if _, err := whole.refresh(&cfg, pop, master, nil, 4, false); err != nil {
+		t.Fatal(err)
+	}
+	for _, nWorkers := range []int{1, 2, 4, 7, s * (s - 1)} {
+		var flat []float64
+		rows := make([][]float64, s)
+		games := uint64(0)
+		for w := 0; w < nWorkers; w++ {
+			lo, hi := blockRange(s*(s-1), nWorkers, w)
+			b := newPairBlock(s, lo, hi)
+			g, err := b.refresh(&cfg, pop, master, nil, 4, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			games += g
+			flat = append(flat, b.payoffs...)
+			for i := range rows {
+				rows[i] = append(rows[i], b.segment(i)...)
+			}
+		}
+		if games != uint64(s*(s-1)) {
+			t.Fatalf("%d workers played %d games, want %d", nWorkers, games, s*(s-1))
+		}
+		for k, v := range whole.payoffs {
+			if flat[k] != v {
+				t.Fatalf("%d workers: pair %d payoff %v, whole-list block has %v", nWorkers, k, flat[k], v)
+			}
+		}
+		for i, row := range rows {
+			if len(row) != s-1 || foldPayoffs(0, row)/float64(s-1) != whole.fitness(i) {
+				t.Fatalf("%d workers: row %d segments %v do not tile the row", nWorkers, i, row)
+			}
+		}
 	}
 }

@@ -10,7 +10,9 @@ import (
 )
 
 // RestartPolicy governs how RunParallelResilient reacts to rank failures.
-// The zero value restarts up to 3 times with no backoff and no degradation.
+// The zero value restarts up to 3 times with no backoff. A restart always
+// runs on the original rank count; continuing on fewer ranks is live
+// eviction's job (Config.Evict, Config.MinRanks).
 type RestartPolicy struct {
 	// MaxRestarts is the number of restarts attempted before giving up
 	// (0 selects the default of 3; negative disables restarts entirely).
@@ -20,14 +22,6 @@ type RestartPolicy struct {
 	Backoff time.Duration
 	// MaxBackoff caps the doubling (0 means uncapped).
 	MaxBackoff time.Duration
-	// Degrade, when true, drops the failed worker on each restart: the run
-	// continues on one fewer rank. Correctness is unaffected — the engine's
-	// trajectory is identical at any rank count — only the work split
-	// changes.
-	Degrade bool
-	// MinRanks is the smallest world Degrade may shrink to (values < 2 mean
-	// 2, the engine's floor of Nature plus one worker).
-	MinRanks int
 }
 
 func (p RestartPolicy) maxRestarts() int {
@@ -36,8 +30,6 @@ func (p RestartPolicy) maxRestarts() int {
 	}
 	return max(p.MaxRestarts, 0)
 }
-
-func (p RestartPolicy) minRanks() int { return max(p.MinRanks, 2) }
 
 func (p RestartPolicy) backoff(attempt int) time.Duration {
 	if p.Backoff <= 0 {
@@ -62,17 +54,14 @@ func (p RestartPolicy) backoff(attempt int) time.Duration {
 //
 // Recovery is evict-first, restart-second: with cfg.Evict, worker failures
 // are recovered live inside RunParallel (heartbeat detection, communicator
-// shrink, one-generation replay — see par.go) and never reach this
+// shrink, one-generation replay — see recoverLive) and never reach this
 // supervisor. Only failures live eviction cannot absorb — the Nature rank
 // dying, or survivors dropping below cfg.MinRanks — surface here and take
 // the checkpoint-restart path.
 //
 // When cfg.CheckpointEvery > 0 and no sink is configured, an in-memory sink
 // is installed automatically. With checkpointing disabled, recovery restarts
-// from the beginning — correct, but all progress is lost. With
-// policy.Degrade, each restart drops the failed worker's rank from the world
-// (never below policy.MinRanks); the trajectory is rank-count-invariant, so
-// results are unchanged.
+// from the beginning — correct, but all progress is lost.
 //
 // The returned Result reports cumulative counters for the whole logical run;
 // its sampled series (MeanFitness, Cooperation) cover only the generations
@@ -84,15 +73,8 @@ func RunParallelResilient(cfg Config, ranks int, policy RestartPolicy) (*Result,
 	// Validate up front (normalising SampleStride against the full window,
 	// so resumed segments sample on the original schedule); any later
 	// failure is then a runtime fault and retryable.
-	if err := cfg.Validate(); err != nil {
+	if err := checkParallel(&cfg, ranks); err != nil {
 		return nil, err
-	}
-	if ranks < 2 {
-		return nil, fmt.Errorf("sim: parallel engine needs >= 2 ranks (Nature + workers), got %d", ranks)
-	}
-	if ranks-1 > cfg.NumSSets*(cfg.NumSSets-1) {
-		return nil, fmt.Errorf("sim: %d workers exceed %d games per generation",
-			ranks-1, cfg.NumSSets*(cfg.NumSSets-1))
 	}
 
 	logEvent := func(e trace.Event) {
@@ -130,20 +112,10 @@ func RunParallelResilient(cfg Config, ranks int, policy RestartPolicy) (*Result,
 			return nil, fmt.Errorf("sim: giving up after %d restarts: %w", attempt, err)
 		}
 
-		if policy.Degrade && failedRank > 0 && ranks > policy.minRanks() {
-			ranks--
-			logEvent(trace.Event{
-				Kind: trace.EventDegrade, Generation: -1, Rank: failedRank, Attempt: attempt,
-				Detail: fmt.Sprintf("continuing on %d ranks", ranks),
-			})
-		}
-
-		restart, resumeGen, err := restartConfig(cfg, attempt)
-		if err != nil {
+		if cur, err = restartConfig(cfg, attempt); err != nil {
 			return nil, err
 		}
-		cur = restart
-		logEvent(trace.Event{Kind: trace.EventRecovery, Generation: resumeGen, Rank: failedRank, Attempt: attempt + 1})
+		logEvent(trace.Event{Kind: trace.EventRecovery, Generation: cur.StartGeneration, Rank: failedRank, Attempt: attempt + 1})
 
 		if b := policy.backoff(attempt); b > 0 {
 			time.Sleep(b)
@@ -153,36 +125,29 @@ func RunParallelResilient(cfg Config, ranks int, policy RestartPolicy) (*Result,
 
 // restartConfig builds the configuration for the next attempt: the original
 // run resumed from the latest checkpoint, or from scratch when none exists.
-// It returns the absolute generation the attempt starts from.
-func restartConfig(cfg Config, attempt int) (Config, int, error) {
-	cur := cfg
+func restartConfig(cfg Config, attempt int) (Config, error) {
 	if cfg.CheckpointSink == nil {
-		return cur, cfg.StartGeneration, nil
+		return cfg, nil
 	}
 	snap, err := cfg.CheckpointSink.Latest()
 	if err != nil {
-		return cur, 0, fmt.Errorf("sim: restart %d: reading checkpoint: %w", attempt+1, err)
+		return cfg, fmt.Errorf("sim: restart %d: reading checkpoint: %w", attempt+1, err)
 	}
 	if snap == nil {
-		return cur, cfg.StartGeneration, nil
+		return cfg, nil
 	}
+	cur := cfg
 	// A snapshot from a different run would silently fork the trajectory;
-	// fail fast instead.
-	if snap.Seed != cfg.Seed || snap.Memory != cfg.Memory || len(snap.Strategies) != cfg.NumSSets {
-		return cur, 0, fmt.Errorf("sim: restart %d: checkpoint (seed %d, memory %d, %d SSets) does not match run (seed %d, memory %d, %d SSets)",
-			attempt+1, snap.Seed, snap.Memory, len(snap.Strategies), cfg.Seed, cfg.Memory, cfg.NumSSets)
+	// ResumeFrom fails fast instead.
+	if err := cur.ResumeFrom(snap); err != nil {
+		return cfg, fmt.Errorf("sim: restart %d: %w", attempt+1, err)
 	}
+	// Window policy: finish the original run.
 	end := cfg.StartGeneration + cfg.Generations
-	resumeGen := int(snap.Generation)
-	if resumeGen < cfg.StartGeneration || resumeGen > end {
-		return cur, 0, fmt.Errorf("sim: restart %d: checkpoint generation %d outside run window [%d,%d]",
-			attempt+1, resumeGen, cfg.StartGeneration, end)
+	if cur.StartGeneration < cfg.StartGeneration || cur.StartGeneration > end {
+		return cfg, fmt.Errorf("sim: restart %d: checkpoint generation %d outside run window [%d,%d]",
+			attempt+1, cur.StartGeneration, cfg.StartGeneration, end)
 	}
-	cur.InitialStrategies = snap.Strategies
-	cur.StartGeneration = resumeGen
-	cur.Generations = end - resumeGen
-	if snap.Counters != nil {
-		cur.BaseCounters = runToCounters(snap.Counters)
-	}
-	return cur, resumeGen, nil
+	cur.Generations = end - cur.StartGeneration
+	return cur, nil
 }

@@ -169,40 +169,6 @@ func TestResilientRecoversFromStalledWorker(t *testing.T) {
 	}
 }
 
-// Degraded restart: after a worker dies the supervisor continues on one
-// fewer rank. The trajectory is rank-count-invariant, so the result must
-// still match the clean run.
-func TestResilientDegradesToFewerRanks(t *testing.T) {
-	cfg := testConfig(1, 8, 120)
-	cfg.Seed = 304
-	cfg.FullRecompute = true
-
-	clean, err := RunParallel(cfg, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	faulty := cfg
-	faulty.CheckpointEvery = 40
-	faulty.CheckpointSink = NewMemorySink()
-	faulty.FaultPlan = mpi.NewFaultPlan().Kill(3, 100)
-	faulty.EventLog = trace.NewEventLog()
-	res, err := RunParallelResilient(faulty, 5, RestartPolicy{Degrade: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ranks != 4 {
-		t.Fatalf("ranks after degrade = %d, want 4", res.Ranks)
-	}
-	if res.Restarts != 1 {
-		t.Fatalf("restarts = %d, want 1", res.Restarts)
-	}
-	if n := faulty.EventLog.Count(trace.EventDegrade); n != 1 {
-		t.Errorf("degrade events = %d, want 1", n)
-	}
-	assertSameOutcome(t, clean, res)
-}
-
 // Incremental (dirty-tracking) mode also recovers exactly — the resume
 // replays every pair once at the restore generation, which inflates
 // GamesPlayed but leaves the trajectory untouched for deterministic games.

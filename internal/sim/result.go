@@ -46,32 +46,8 @@ type Result struct {
 }
 
 // FinalAbundance tallies the final population's strategy abundance.
-func (r *Result) FinalAbundance() *stats.Abundance {
-	a := stats.NewAbundance()
-	for _, s := range r.Final {
-		a.Add(s.Fingerprint())
-	}
-	return a
-}
+func (r *Result) FinalAbundance() *stats.Abundance { return abundance(r.Final) }
 
 // FractionNear returns the share of final SSets whose strategy rounds to
 // the pure strategy ref (Fig. 2's "85% of all SSets adopted WSLS" measure).
-func (r *Result) FractionNear(ref *strategy.Pure) float64 {
-	n := 0
-	for _, s := range r.Final {
-		switch v := s.(type) {
-		case *strategy.Pure:
-			if v.Equal(ref) {
-				n++
-			}
-		case *strategy.Mixed:
-			if v.NearestPure().Equal(ref) {
-				n++
-			}
-		}
-	}
-	if len(r.Final) == 0 {
-		return 0
-	}
-	return float64(n) / float64(len(r.Final))
-}
+func (r *Result) FractionNear(ref *strategy.Pure) float64 { return fractionNear(r.Final, ref) }

@@ -4,118 +4,80 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/rng"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
-// RunSequential executes the full simulation on one thread. It is the
-// reference implementation: RunParallel must reproduce its trajectory
-// exactly for any rank count.
+// RunSequential executes the full simulation on one thread: the Nature
+// Agent's generation (nature.generation) over a local fitness source that
+// plays every pair itself. It is the reference implementation: RunParallel
+// must reproduce its trajectory exactly for any rank count.
 func RunSequential(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	start := time.Now() //egdlint:allow determinism elapsed-time metadata for Result.Elapsed, not part of the trajectory
-	master := rng.New(cfg.Seed)
-	pop := NewPopulation(cfg, master)
-	kern := newPayoffKernel(&cfg)
-	res := &Result{Ranks: 1, Counters: cfg.BaseCounters}
-	res.MeanFitness, _ = stats.NewSeries(cfg.SampleStride)
-	res.Cooperation, _ = stats.NewSeries(cfg.SampleStride)
-	var pt *phaseTimer
-	if cfg.Metrics {
-		pt = newPhaseTimer()
+	n := newNature(&cfg)
+	local := &localSource{
+		nature: n,
+		kern:   newPayoffKernel(&cfg),
+		block:  newPairBlock(cfg.NumSSets, 0, cfg.NumSSets*(cfg.NumSSets-1)),
 	}
-
-	for gen := cfg.StartGeneration; gen < cfg.StartGeneration+cfg.Generations; gen++ {
-		// Control poll: a non-nil return stops the run at this generation
-		// boundary (pause/cancel for a hosting service). The partial Result
-		// rides along with ErrStopped so the caller keeps the series sampled
-		// before the cut; a resumed segment's series appended to it is
-		// bit-identical to an uninterrupted run's.
-		if cfg.Control != nil {
-			if cause := cfg.Control(gen); cause != nil {
-				return res, stopRun(&cfg, pop, gen, res.Counters, res.MeanFitness, res.Cooperation, cause)
-			}
-		}
-		// Game dynamics: bring every SSet's payoff row up to date.
-		tg := pt.begin()
-		played, err := refreshPayoffs(&cfg, pop, master, kern, gen, 0, pop.Size())
-		res.Counters.GamesPlayed += played
-		if err != nil {
-			return nil, err
-		}
-		pt.end(PhaseGamePlay, tg)
-		pop.clearDirty()
-
-		// Population dynamics: the Nature Agent's step.
-		tn := pt.begin()
-		ev := natureStep(&cfg, pop, master, gen, &res.Counters)
-		pt.end(PhaseNatureStep, tn)
-
-		res.MeanFitness.Observe(gen, pop.MeanFitness())
-		res.Cooperation.Observe(gen, pop.MeanCooperationProb())
-		if cfg.Observer != nil {
-			cfg.Observer.Generation(gen, pop, ev)
-		}
-		// Same absolute-generation checkpoint cadence as the parallel
-		// engine, so sequential and parallel runs write identical snapshots.
-		if cfg.CheckpointEvery > 0 && (gen+1)%cfg.CheckpointEvery == 0 {
-			tc := pt.begin()
-			if err := saveSnapshot(&cfg, pop, gen+1, res.Counters, res.MeanFitness, res.Cooperation); err != nil {
-				return nil, err
-			}
-			pt.end(PhaseCheckpoint, tc)
-			if cfg.EventLog != nil {
-				cfg.EventLog.Append(trace.Event{Kind: trace.EventCheckpoint, Generation: gen + 1, Rank: 0})
-			}
+	n.src, n.stepTimer = local, n.pt
+	for n.gen < n.end {
+		if err := n.generation(); err != nil {
+			return n.partial(err), err
 		}
 	}
 
-	res.Final = pop.Snapshot()
-	res.FinalFitness = pop.Fitnesses()
+	res := n.res
+	res.Ranks = 1
+	res.Final = n.pop.Snapshot()
+	res.FinalFitness = local.block.fitnesses()
 	res.Elapsed = time.Since(start) //egdlint:allow determinism elapsed-time metadata, not part of the trajectory
 	if cfg.Metrics {
-		snap := pt.snapshot(0)
-		snap.Cache = kern.cacheStats()
+		snap := n.pt.snapshot(0)
+		snap.Cache = local.kern.cacheStats()
 		res.Metrics = &RunMetrics{Phases: []RankPhaseSnapshot{snap}}
 		if cfg.EventLog != nil {
-			cfg.EventLog.Append(trace.Event{Kind: trace.EventMetrics,
-				Generation: cfg.StartGeneration + cfg.Generations, Rank: 0,
+			cfg.EventLog.Append(trace.Event{Kind: trace.EventMetrics, Generation: n.end, Rank: 0,
 				Detail: fmt.Sprintf("games=%d", res.Counters.GamesPlayed)})
 		}
 	}
 	return res, nil
 }
 
-// natureStep performs one generation of population dynamics on a population
-// with up-to-date payoffs: the PC learning event and the mutation event,
-// per the paper's Nature Agent pseudo-code. Used verbatim by the sequential
-// engine and by rank 0 of the parallel engine (operating on its global
-// view), which is what keeps the two trajectories identical.
-func natureStep(cfg *Config, pop *Population, master *rng.Source, gen int, ctr *Counters) Events {
-	d := natureDecision(cfg, master, gen)
-	ev := Events{
-		PCOccurred:       d.pc,
-		Teacher:          d.teacher,
-		Learner:          d.learner,
-		MutationOccurred: d.mutate,
-		Mutant:           d.mutant,
+// localSource is the sequential engine's fitness source: one pairBlock
+// covering the whole pair list, refreshed in place. Nobody else holds
+// state, so the announce and publish halves of the seam have nothing to do.
+type localSource struct {
+	*nature
+	kern  *payoffKernel
+	block *pairBlock
+}
+
+func (l *localSource) refresh(gen int) (uint64, error) {
+	tg := l.pt.begin()
+	played, err := l.block.refresh(l.cfg, l.pop, l.master, l.kern, gen, l.cfg.FullRecompute)
+	if err == nil {
+		l.pt.end(PhaseGamePlay, tg)
 	}
-	if d.pc {
-		ctr.PCEvents++
-		piT := pop.Fitness(d.teacher)
-		piL := pop.Fitness(d.learner)
-		if resolveAdoption(cfg, master, gen, piT, piL) {
-			pop.Adopt(d.learner, d.teacher)
-			ev.Adopted = true
-			ctr.Adoptions++
-		}
+	return played, err
+}
+
+func (*localSource) announce(selection) error { return nil }
+
+func (l *localSource) fitnesses(teacher, learner int) (float64, float64, error) {
+	return l.block.fitness(teacher), l.block.fitness(learner), nil
+}
+
+func (*localSource) publish(update) error { return nil }
+
+// meanFitness is the mean of the per-SSet fitnesses (under the standard
+// payoff, 1 = all-defect to 3 = full cooperation).
+func (l *localSource) meanFitness() (float64, error) {
+	total := 0.0
+	for i := 0; i < l.block.s; i++ {
+		total += l.block.fitness(i)
 	}
-	if d.mutate {
-		ctr.Mutations++
-		pop.SetStrategy(d.mutant, mutantStrategy(cfg, master, pop.Space(), gen))
-	}
-	return ev
+	return total / float64(l.block.s), nil
 }

@@ -144,12 +144,13 @@ func (f *FileSink) Latest() (*checkpoint.Snapshot, error) {
 // with the run's cumulative counters — and, under cfg.CheckpointSeries,
 // the series sampled so far — into the configured sink.
 func saveSnapshot(cfg *Config, pop *Population, gen int, ctr Counters, fit, coop *stats.Series) error {
+	rc := checkpoint.RunCounters(ctr)
 	snap := &checkpoint.Snapshot{
 		Generation: uint64(gen),
 		Seed:       cfg.Seed,
 		Memory:     cfg.Memory,
 		Strategies: pop.Snapshot(),
-		Counters:   countersToRun(ctr),
+		Counters:   &rc,
 	}
 	if cfg.CheckpointSeries {
 		snap.MeanFitness = seriesToPoints(fit)
@@ -158,6 +159,25 @@ func saveSnapshot(cfg *Config, pop *Population, gen int, ctr Counters, fit, coop
 	if err := cfg.CheckpointSink.Save(snap); err != nil {
 		return fmt.Errorf("sim: checkpoint at generation %d: %w", gen, err)
 	}
+	return nil
+}
+
+// ResumeFrom points the configuration at snap — saveSnapshot's inverse: the
+// population restarts from the snapshot's strategies, at its generation,
+// with its cumulative counters, so the run continues the snapshot's
+// trajectory bit-identically (every random stream is keyed by seed and
+// absolute generation). A snapshot of a different run — another seed,
+// memory depth or SSet count — would silently fork the trajectory and is
+// refused. Generations is left alone: whether the resumed run finishes the
+// original window or runs further is the caller's policy.
+func (c *Config) ResumeFrom(snap *checkpoint.Snapshot) error {
+	if snap.Seed != c.Seed || snap.Memory != c.Memory || len(snap.Strategies) != c.NumSSets {
+		return fmt.Errorf("sim: checkpoint (seed %d, memory %d, %d SSets) does not match run (seed %d, memory %d, %d SSets)",
+			snap.Seed, snap.Memory, len(snap.Strategies), c.Seed, c.Memory, c.NumSSets)
+	}
+	c.InitialStrategies = snap.Strategies
+	c.StartGeneration = int(snap.Generation)
+	c.BaseCounters = runToCounters(snap.Counters)
 	return nil
 }
 
@@ -176,26 +196,11 @@ func seriesToPoints(s *stats.Series) []checkpoint.SeriesPoint {
 	return out
 }
 
-// countersToRun converts sim counters to their checkpoint form.
-func countersToRun(c Counters) *checkpoint.RunCounters {
-	return &checkpoint.RunCounters{
-		GamesPlayed: c.GamesPlayed,
-		PCEvents:    c.PCEvents,
-		Adoptions:   c.Adoptions,
-		Mutations:   c.Mutations,
-	}
-}
-
-// runToCounters converts checkpoint counters back; a nil input (a version-1
-// snapshot) yields zero counters.
+// runToCounters converts checkpoint counters back (the two types carry the
+// same fields); a nil input (a version-1 snapshot) yields zero counters.
 func runToCounters(rc *checkpoint.RunCounters) Counters {
 	if rc == nil {
 		return Counters{}
 	}
-	return Counters{
-		GamesPlayed: rc.GamesPlayed,
-		PCEvents:    rc.PCEvents,
-		Adoptions:   rc.Adoptions,
-		Mutations:   rc.Mutations,
-	}
+	return Counters(*rc)
 }

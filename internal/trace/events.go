@@ -17,8 +17,6 @@ const (
 	EventCheckpoint EventKind = "checkpoint"
 	// EventRecovery: the supervisor restarted the run from a snapshot.
 	EventRecovery EventKind = "recovery"
-	// EventDegrade: the supervisor restarted with fewer ranks.
-	EventDegrade EventKind = "degrade"
 	// EventGiveUp: the restart budget was exhausted.
 	EventGiveUp EventKind = "give_up"
 	// EventEviction: a failed rank was evicted live — the world shrank onto
@@ -44,7 +42,7 @@ type Event struct {
 	// rank for checkpoints. -1 when not rank-specific.
 	Rank int `json:"rank"`
 	// Attempt is the supervisor's restart attempt number (0 for the first
-	// run); meaningful for recovery/degrade/give-up events.
+	// run); meaningful for recovery and give-up events.
 	Attempt int `json:"attempt"`
 	// Detail is a human-readable elaboration (e.g. the failure error).
 	Detail string `json:"detail,omitempty"`
