@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-json race strict fuzz bench bench-e2e bench-compare docs chaos serve-smoke check clean
+.PHONY: all build test vet lint lint-json race strict fuzz bench bench-e2e bench-compare docs loc chaos serve-smoke check clean
 
 all: build test
 
@@ -92,6 +92,18 @@ bench-compare:
 docs:
 	$(GO) run ./cmd/egdlint -run pkgdoc ./...
 	$(GO) run ./cmd/egddoc
+
+# Code size: non-test Go lines that are neither blank nor comment-only, per
+# package and in total, outside bench/ and .bench_build/ — the pipeline
+# CHANGES.md has quoted since PR 12, so "less code" is a number every PR can
+# show (CI prints it in the docs job).
+LOC_FILES = -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*'
+LOC_COUNT = xargs cat | grep -v '^\s*//' | grep -vc '^\s*$$'
+loc:
+	@for d in $$(find . $(LOC_FILES) | xargs -n1 dirname | sort -u); do \
+		printf '%6d  %s\n' "$$(find $$d -maxdepth 1 $(LOC_FILES) | $(LOC_COUNT))" "$$d"; \
+	done
+	@printf '%6d  total\n' "$$(find . $(LOC_FILES) | $(LOC_COUNT))"
 
 check: vet lint
 	$(GO) test -race ./...

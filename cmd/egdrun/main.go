@@ -31,9 +31,9 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/sim"
-	"repro/internal/strategy"
 )
 
 func main() {
@@ -367,27 +367,19 @@ func runWorker(cfg sim.Config, rank int, addrs []string, network, job string, ou
 		return fmt.Errorf("rank %d: %w", rank, err)
 	}
 	if res != nil {
-		printSummary(out, cfg, res)
+		printSummary(out, res)
 	}
 	return nil
 }
 
 // printSummary writes the run summary. Every line except "run:" is a pure
-// function of the trajectory, so fault-free and chaos runs of the same
-// seeded config diff clean on them (the CI smoke relies on this; use -full
-// so eviction replay does not inflate GamesPlayed).
-func printSummary(out io.Writer, cfg sim.Config, res *sim.Result) {
+// function of the trajectory (core.SummaryLines), so fault-free and chaos
+// runs of the same seeded config diff clean on them (the CI smoke relies on
+// this; use -full so eviction replay does not inflate GamesPlayed).
+func printSummary(out io.Writer, res *sim.Result) {
 	fmt.Fprintf(out, "run: %d ranks finish, %d evictions, %.2fs\n",
 		res.Ranks, res.Evictions, res.Elapsed.Seconds())
-	fmt.Fprintf(out, "work: %d games, %d PC events, %d adoptions, %d mutations\n",
-		res.Counters.GamesPlayed, res.Counters.PCEvents, res.Counters.Adoptions, res.Counters.Mutations)
-	if g, v, ok := res.MeanFitness.Last(); ok {
-		fmt.Fprintf(out, "final mean fitness (gen %d): %.4f  [1=all-defect .. 3=full cooperation]\n", g, v)
+	for _, line := range core.SummaryLines(res) {
+		fmt.Fprintln(out, line)
 	}
-	if g, v, ok := res.Cooperation.Last(); ok {
-		fmt.Fprintf(out, "final cooperation probability (gen %d): %.4f\n", g, v)
-	}
-	sp := strategy.NewSpace(cfg.Memory)
-	fmt.Fprintf(out, "WSLS fraction: %.3f\n", res.FractionNear(strategy.WSLS(sp)))
-	fmt.Fprintf(out, "distinct strategies: %d of %d SSets\n", res.FinalAbundance().Distinct(), cfg.NumSSets)
 }

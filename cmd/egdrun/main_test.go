@@ -1,0 +1,114 @@
+package main
+
+import (
+	"os"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/sim"
+)
+
+// helperEnv turns this test binary into egdrun itself: the launcher under
+// test re-executes os.Executable() once per rank, and the children inherit
+// the variable (the re-exec idiom of cmd/egdserve's crash tests).
+const helperEnv = "EGDRUN_TEST_AS_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(helperEnv) == "1" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+func TestParseChaos(t *testing.T) {
+	cases := []struct {
+		spec string
+		stop bool
+		want chaosSpec
+		bad  string // substring of the expected error; empty means success
+	}{
+		{spec: "2@500ms", want: chaosSpec{rank: 2, delay: 500 * time.Millisecond}},
+		{spec: "1@0s", want: chaosSpec{rank: 1}},
+		{spec: "3@1s:250ms", stop: true, want: chaosSpec{rank: 3, delay: time.Second, pause: 250 * time.Millisecond, stop: true}},
+		{spec: "3@1s", stop: true, want: chaosSpec{rank: 3, delay: time.Second, pause: 2 * time.Second, stop: true}},
+		{spec: "2", bad: "want rank@delay"},
+		{spec: "two@1s", bad: "bad rank"},
+		{spec: "2@soon", bad: "bad delay"},
+		{spec: "2@1s:250ms", bad: "bad delay"}, // a pause is a stop-spec form only
+		{spec: "2@1s:later", stop: true, bad: "bad pause"},
+		{spec: "2@:1s", stop: true, bad: "bad delay"},
+	}
+	for _, tc := range cases {
+		got, err := parseChaos(tc.spec, tc.stop)
+		switch {
+		case tc.bad == "" && (err != nil || got != tc.want):
+			t.Errorf("parseChaos(%q, %v) = %+v, %v; want %+v", tc.spec, tc.stop, got, err, tc.want)
+		case tc.bad != "" && (err == nil || !strings.Contains(err.Error(), tc.bad)):
+			t.Errorf("parseChaos(%q, %v) error = %v, want one containing %q", tc.spec, tc.stop, err, tc.bad)
+		}
+	}
+}
+
+// Every rejection happens before the launcher spawns a process.
+func TestRunRejectsBadInvocations(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"one rank", []string{"-np", "1"}, "-np must be >= 2"},
+		{"no rank count", nil, "-np must be >= 2"},
+		{"chaos kill without evict", []string{"-np", "3", "-chaos-kill", "1@1s"}, "need -evict"},
+		{"chaos stop without evict", []string{"-np", "3", "-chaos-stop", "1@1s:1s"}, "need -evict"},
+		{"chaos on the Nature rank", []string{"-np", "3", "-evict", "-chaos-kill", "0@1s"}, "out of worker range [1,3)"},
+		{"chaos past the last rank", []string{"-np", "3", "-evict", "-chaos-stop", "3@1s"}, "out of worker range [1,3)"},
+		{"malformed chaos spec", []string{"-np", "3", "-evict", "-chaos-kill", "1"}, "want rank@delay"},
+		{"tcp without a port", []string{"-np", "2", "-tcp", "localhost"}, "want host:basePort"},
+		{"tcp with a bad port", []string{"-np", "2", "-tcp", "localhost:http"}, "bad base port"},
+		{"bad fault spec", []string{"-np", "2", "-inject-fault", "rank=two"}, `fault spec rank "two"`},
+		{"invalid simulation", []string{"-np", "2", "-memory", "9"}, "memory 9 out of"},
+	}
+	for _, tc := range cases {
+		var out strings.Builder
+		err := run(tc.args, &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: run%v error = %v, want one containing %q", tc.name, tc.args, err, tc.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s: a rejected invocation printed %q", tc.name, out.String())
+		}
+	}
+}
+
+// A real three-process fleet over unix sockets: the Nature process's
+// deterministic summary must be the in-process parallel engine's, line for
+// line.
+func TestFleetSummaryMatchesInProcessEngine(t *testing.T) {
+	t.Setenv(helperEnv, "1")
+	var out strings.Builder
+	args := []string{"-np", "3", "-ssets", "8", "-gens", "150", "-rounds", "20", "-seed", "11", "-full",
+		"-sock", t.TempDir(), "-timeout", "2m"}
+	if err := run(args, &out); err != nil {
+		t.Fatalf("fleet failed: %v\noutput:\n%s", err, out.String())
+	}
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	if !strings.HasPrefix(lines[0], "run: 3 ranks finish, 0 evictions, ") {
+		t.Fatalf("first line = %q, want the fleet's run line", lines[0])
+	}
+
+	cfg := sim.DefaultConfig(1, 8)
+	cfg.Generations = 150
+	cfg.Rules.Rounds = 20
+	cfg.Seed = 11
+	cfg.FullRecompute = true
+	res, err := sim.RunParallel(cfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(lines[1:], "\n"), strings.Join(core.SummaryLines(res), "\n"); got != want {
+		t.Fatalf("fleet summary differs from sim.RunParallel's:\n%s\n--- want ---\n%s", got, want)
+	}
+}

@@ -31,7 +31,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/sim"
-	"repro/internal/strategy"
 	"repro/internal/trace"
 )
 
@@ -115,9 +114,10 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		// The run continues the checkpoint's trajectory, so its seed wins
-		// over -seed; memory and SSet count must match the flags. Window
-		// policy: -gens more generations from the checkpoint.
+		// The run continues the checkpoint's trajectory — counters and
+		// series included — so its seed wins over -seed; memory and SSet
+		// count must match the flags. Window policy: -gens more generations
+		// from the checkpoint.
 		cfg.Seed = snap.Seed
 		if err := cfg.ResumeFrom(snap); err != nil {
 			return err
@@ -257,8 +257,8 @@ func run(args []string, out io.Writer) error {
 		*memory, *ssets, *gens, res.Ranks, res.Elapsed.Seconds())
 	fmt.Fprintf(out, "population: %d agents (agents/SSet = #SSets), %d games/generation when fully replayed\n",
 		cfg.PopulationSize(), cfg.GamesPerGeneration())
-	fmt.Fprintf(out, "work: %d games, %d PC events, %d adoptions, %d mutations\n",
-		res.Counters.GamesPlayed, res.Counters.PCEvents, res.Counters.Adoptions, res.Counters.Mutations)
+	summary := core.SummaryLines(res)
+	fmt.Fprintln(out, summary[0]) // the work counters
 	if cfg.EventLog != nil {
 		fmt.Fprintf(out, "fault tolerance: %d checkpoints, %d faults, %d recoveries, %d restarts, %d evictions\n",
 			cfg.EventLog.Count(trace.EventCheckpoint), cfg.EventLog.Count(trace.EventFault),
@@ -274,15 +274,9 @@ func run(args []string, out io.Writer) error {
 	if res.Metrics != nil {
 		printPhaseSummary(out, res)
 	}
-	if g, v, ok := res.MeanFitness.Last(); ok {
-		fmt.Fprintf(out, "final mean fitness (gen %d): %.4f  [1=all-defect .. 3=full cooperation]\n", g, v)
+	for _, line := range summary[1:] {
+		fmt.Fprintln(out, line)
 	}
-	if g, v, ok := res.Cooperation.Last(); ok {
-		fmt.Fprintf(out, "final cooperation probability (gen %d): %.4f\n", g, v)
-	}
-	sp := strategy.NewSpace(*memory)
-	fmt.Fprintf(out, "WSLS fraction: %.3f\n", res.FractionNear(strategy.WSLS(sp)))
-	fmt.Fprintf(out, "distinct strategies: %d of %d SSets\n", res.FinalAbundance().Distinct(), *ssets)
 	fmt.Fprintln(out, "most abundant strategies:")
 	for _, line := range core.SortedAbundanceNames(res, *top) {
 		fmt.Fprintln(out, "  ", line)
@@ -304,7 +298,10 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "trace: %d records -> %s\n", rec.Len(), *csvPath)
 	}
 	if *ckpt != "" {
-		if err := writeCheckpoint(*ckpt, uint64(cfg.StartGeneration+*gens), cfg.Seed, *memory, res); err != nil {
+		// The end state goes through the same atomic, fsync'd replace as the
+		// periodic checkpoints that may share this path, so a crash here
+		// leaves the last good recovery point, never a torn file.
+		if err := (&sim.FileSink{Path: *ckpt}).Save(res.Snapshot(cfg)); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "checkpoint -> %s\n", *ckpt)
@@ -366,29 +363,4 @@ func writeMetrics(path, format string, res *sim.Result) error {
 		return metrics.WritePrometheus(f, snap)
 	}
 	return metrics.WriteJSON(f, snap)
-}
-
-// writeCheckpoint atomically-ish writes a final snapshot, counters included
-// so a later -resume continues the cumulative work totals (write then rename
-// is unnecessary for this tool; a plain truncate-write keeps it simple).
-func writeCheckpoint(path string, gen, seed uint64, memory int, res *sim.Result) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	snap := &checkpoint.Snapshot{
-		Generation: gen,
-		Seed:       seed,
-		Memory:     memory,
-		Strategies: res.Final,
-		Fitness:    res.FinalFitness,
-		Counters: &checkpoint.RunCounters{
-			GamesPlayed: res.Counters.GamesPlayed,
-			PCEvents:    res.Counters.PCEvents,
-			Adoptions:   res.Counters.Adoptions,
-			Mutations:   res.Counters.Mutations,
-		},
-	}
-	return checkpoint.Write(f, snap)
 }

@@ -8,8 +8,62 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/metrics"
 )
+
+// deterministicLines keeps the report lines that are pure functions of the
+// trajectory (everything from the work counters down, minus file notices).
+func deterministicLines(out string) string {
+	var keep []string
+	for _, line := range strings.Split(out, "\n") {
+		for _, prefix := range []string{"work:", "final ", "WSLS ", "distinct ", "most abundant", "   "} {
+			if strings.HasPrefix(line, prefix) {
+				keep = append(keep, line)
+			}
+		}
+	}
+	return strings.Join(keep, "\n")
+}
+
+// -checkpoint writes the whole run — through the atomic sink, onto the path
+// the periodic checkpoints share — and -resume continues it: the two
+// segments' report equals the uninterrupted run's, series tail included.
+func TestRunCheckpointThenResumeContinuesTheRun(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "run.ckpt")
+	common := []string{"-memory", "1", "-ssets", "8", "-rounds", "20", "-full", "-seed", "43"}
+	runArgs := func(extra ...string) string {
+		t.Helper()
+		var out strings.Builder
+		if err := run(append(append([]string{}, common...), extra...), &out); err != nil {
+			t.Fatalf("run %v failed: %v\noutput:\n%s", extra, err, out.String())
+		}
+		return out.String()
+	}
+	runArgs("-gens", "60", "-checkpoint", ckpt, "-checkpoint-every", "25")
+	f, err := os.Open(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := checkpoint.Read(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Generation != 60 || len(snap.MeanFitness) != 60 || len(snap.Cooperation) != 60 || len(snap.Fitness) != 8 || snap.Counters == nil {
+		t.Fatalf("final checkpoint at generation %d carries %d/%d series points, %d fitness values, counters %v",
+			snap.Generation, len(snap.MeanFitness), len(snap.Cooperation), len(snap.Fitness), snap.Counters)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("checkpoint dir has %d entries, want only the checkpoint", len(entries))
+	}
+	resumed := runArgs("-gens", "40", "-resume", ckpt)
+	whole := runArgs("-gens", "100")
+	if got, want := deterministicLines(resumed), deterministicLines(whole); got != want || !strings.Contains(got, "(gen 99)") {
+		t.Fatalf("resumed report differs from the uninterrupted run's:\n%s\n--- want ---\n%s", got, want)
+	}
+}
 
 // End-to-end smoke test of the fault-tolerance surface with live eviction:
 // a scripted worker kill under -evict must complete without a restart and

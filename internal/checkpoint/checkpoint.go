@@ -1,8 +1,10 @@
 // Package checkpoint serialises simulation state — the record-keeping role
 // the paper assigns to the Nature Agent ("handles all file I/O to record
-// the global variables across generations"). A Snapshot captures the
-// generation number and every SSet's strategy; the binary codec is
-// self-describing, versioned, and stdlib-only.
+// the global variables across generations"). A Snapshot is the one record
+// of a run at a generation boundary: the generation number and every SSet's
+// strategy, plus the cumulative counters and the sampled series, so a run
+// resumed from it returns what the uninterrupted run would. The binary
+// codec is self-describing, versioned, and stdlib-only.
 package checkpoint
 
 import (
@@ -54,16 +56,18 @@ type Snapshot struct {
 	// Fitness optionally holds every SSet's fitness at the snapshot
 	// (empty means not recorded).
 	Fitness []float64
-	// Counters optionally holds the run's cumulative event counters, so a
-	// resumed run can report totals identical to an uninterrupted one. Nil
-	// means not recorded (and the snapshot encodes as version 1).
+	// Counters holds the run's cumulative event counters, so a resumed run
+	// reports totals identical to an uninterrupted one. Nil means not
+	// recorded (and the snapshot encodes as version 1); every snapshot the
+	// engines write carries them.
 	Counters *RunCounters
-	// MeanFitness and Cooperation optionally carry the sampled series up to
-	// the snapshot generation (sim.Config.CheckpointSeries), so a service
-	// that resumes a crashed run from this snapshot can serve a stitched
-	// series identical to an uninterrupted run's. Nil means not recorded
-	// (and the snapshot encodes as version <= 2); non-nil but empty is
-	// recorded and survives a round trip.
+	// MeanFitness and Cooperation carry the sampled series up to the
+	// snapshot generation, which makes a snapshot the complete record of the
+	// run so far: sim.Config.ResumeFrom restores them and the resumed run
+	// returns the uninterrupted run's series. Every snapshot the engines
+	// write carries both. Nil means not recorded (and the snapshot encodes
+	// as version <= 2); non-nil but empty is recorded and survives a round
+	// trip.
 	MeanFitness []SeriesPoint
 	Cooperation []SeriesPoint
 }
@@ -74,13 +78,13 @@ type SeriesPoint struct {
 	Value      float64
 }
 
-// RunCounters mirrors sim.Counters without importing it (checkpoint is a
-// leaf package): cumulative event totals at the snapshot generation.
+// RunCounters tallies the work a run performed up to the snapshot
+// generation (sim.Counters is an alias of it).
 type RunCounters struct {
-	GamesPlayed uint64
-	PCEvents    uint64
-	Adoptions   uint64
-	Mutations   uint64
+	GamesPlayed uint64 // two-player IPD matches executed
+	PCEvents    uint64 // pairwise-comparison events fired
+	Adoptions   uint64 // PC events in which the learner adopted
+	Mutations   uint64 // mutation events fired
 }
 
 // Validate checks internal consistency.

@@ -12,34 +12,35 @@ import (
 // panic, and any stream it accepts must re-encode to an equivalent
 // snapshot.
 func FuzzRead(f *testing.F) {
-	// Seed with valid streams of both strategy kinds.
+	// Seed with valid streams of both strategy kinds. Each seed gets its own
+	// buffer: F.Add keeps the slice it is given.
+	seed := func(s *Snapshot) {
+		var buf bytes.Buffer
+		if err := Write(&buf, s); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
 	sp := strategy.NewSpace(2)
 	src := rng.New(1)
-	pure := &Snapshot{Generation: 5, Seed: 9, Memory: 2,
+	seed(&Snapshot{Generation: 5, Seed: 9, Memory: 2,
 		Strategies: []strategy.Strategy{strategy.RandomPure(sp, src), strategy.WSLS(sp)},
-		Fitness:    []float64{1.5, 2.5}}
-	var buf bytes.Buffer
-	if err := Write(&buf, pure); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	buf.Reset()
-	mixed := &Snapshot{Generation: 1, Memory: 1,
-		Strategies: []strategy.Strategy{strategy.GTFT(strategy.NewSpace(1), 0.3)}}
-	if err := Write(&buf, mixed); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	buf.Reset()
-	series := &Snapshot{Generation: 8, Seed: 3, Memory: 1,
+		Fitness:    []float64{1.5, 2.5}})
+	seed(&Snapshot{Generation: 1, Memory: 1,
+		Strategies: []strategy.Strategy{strategy.GTFT(strategy.NewSpace(1), 0.3)}})
+	seed(&Snapshot{Generation: 8, Seed: 3, Memory: 1,
 		Strategies:  []strategy.Strategy{strategy.WSLS(strategy.NewSpace(1))},
 		Counters:    &RunCounters{GamesPlayed: 42},
 		MeanFitness: []SeriesPoint{{Generation: 0, Value: 2.0}, {Generation: 4, Value: 2.25}},
-		Cooperation: []SeriesPoint{{Generation: 0, Value: 0.5}}}
-	if err := Write(&buf, series); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
+		Cooperation: []SeriesPoint{{Generation: 0, Value: 0.5}}})
+	// The shape the engines write at the end of a run: all five blocks,
+	// one series recorded but still empty.
+	seed(&Snapshot{Generation: 1, Seed: 7, Memory: 2,
+		Strategies:  []strategy.Strategy{strategy.WSLS(sp), strategy.RandomPure(sp, src)},
+		Fitness:     []float64{2.0, 1.25},
+		Counters:    &RunCounters{GamesPlayed: 2, PCEvents: 1, Mutations: 1},
+		MeanFitness: []SeriesPoint{{Generation: 0, Value: 1.625}},
+		Cooperation: []SeriesPoint{}})
 	f.Add([]byte{})
 	f.Add([]byte{0x31, 0x44, 0x47, 0x45, 1, 0})
 

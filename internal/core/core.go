@@ -273,6 +273,26 @@ func SortedAbundanceNames(res *sim.Result, top int) []string {
 	return out
 }
 
+// SummaryLines returns the deterministic lines of a run report: the work
+// counters first, then the last sampled mean fitness and cooperation, the
+// WSLS fraction and the distinct-strategy count. Each is a pure function of
+// the trajectory, so runs of one seeded configuration diff clean on them
+// whichever binary, engine or fault schedule produced them — egdsim and
+// egdrun print exactly these, and scripts/chaos_smoke.sh compares them.
+func SummaryLines(res *sim.Result) []string {
+	lines := []string{fmt.Sprintf("work: %d games, %d PC events, %d adoptions, %d mutations",
+		res.Counters.GamesPlayed, res.Counters.PCEvents, res.Counters.Adoptions, res.Counters.Mutations)}
+	if g, v, ok := res.MeanFitness.Last(); ok {
+		lines = append(lines, fmt.Sprintf("final mean fitness (gen %d): %.4f  [1=all-defect .. 3=full cooperation]", g, v))
+	}
+	if g, v, ok := res.Cooperation.Last(); ok {
+		lines = append(lines, fmt.Sprintf("final cooperation probability (gen %d): %.4f", g, v))
+	}
+	return append(lines,
+		fmt.Sprintf("WSLS fraction: %.3f", res.FractionNear(strategy.WSLS(res.Final[0].Space()))),
+		fmt.Sprintf("distinct strategies: %d of %d SSets", res.FinalAbundance().Distinct(), len(res.Final)))
+}
+
 // DefaultCalibration returns the paper-anchored calibration used when the
 // caller does not measure one on the host.
 func DefaultCalibration() perfmodel.Calibration { return perfmodel.PaperCalibration() }

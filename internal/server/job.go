@@ -59,16 +59,16 @@ type Job struct {
 	ID     string
 	Tenant string
 	Spec   JobSpec
-	// cfg is the validated, default-normalised configuration. SampleStride
-	// is pinned here at submission, so resumed segments keep the original
-	// sampling schedule (bit-identical series across pause/resume).
+	// cfg is the validated, default-normalised configuration of the whole
+	// job; every segment is this configuration resumed from a snapshot.
 	cfg sim.Config
 	// EstimatedSeconds is the admission controller's modelled cost.
 	EstimatedSeconds float64
 
 	hub *hub
 	// sink holds the job's resume snapshots: an in-memory sink by default,
-	// a durableSink (on-disk, crash-safe, series-carrying) under -data-dir.
+	// a sim.FileSink (on-disk, crash-safe) under -data-dir. Each snapshot is
+	// the complete run so far — strategies, counters, series.
 	sink sim.CheckpointSink
 	ctrl atomic.Int32
 
@@ -82,11 +82,6 @@ type Job struct {
 	// recovered daemon answers for done jobs without re-running them.
 	wire *jobResult
 	snap *checkpoint.Snapshot // resume point while paused (or recovered)
-	// priorFitness/priorCoop accumulate the series sampled by segments that
-	// ended in a pause; the final segment's series appended to them equals an
-	// uninterrupted run's series exactly (same stride, disjoint generations).
-	priorFitness []samplePoint
-	priorCoop    []samplePoint
 }
 
 // jobStatus is the wire form of a job's state.
@@ -440,7 +435,7 @@ func (m *Manager) newSink(job *Job) sim.CheckpointSink {
 	if m.store == nil {
 		return sim.NewMemorySink()
 	}
-	return newDurableSink(job, m.store.checkpointPath(job.ID))
+	return &sim.FileSink{Path: m.store.checkpointPath(job.ID)}
 }
 
 // enqueue places a queued job on the worker queue without blocking; a full
@@ -538,9 +533,9 @@ func (m *Manager) worker() {
 	}
 }
 
-// runJob executes one segment of a job: from its spec configuration, or
-// from the pause snapshot when resuming. It ends in done/failed/canceled,
-// or in paused with a fresh resume snapshot.
+// runJob executes one segment of a job: its spec configuration, resumed
+// from the job's snapshot when it has one. It ends in done/failed/canceled,
+// or parked (paused, or queued by a drain) with a fresh resume snapshot.
 func (m *Manager) runJob(job *Job) {
 	switch job.ctrl.Load() {
 	case ctrlCancel:
@@ -568,15 +563,11 @@ func (m *Manager) runJob(job *Job) {
 		cfg.Generations = job.cfg.StartGeneration + job.cfg.Generations - cfg.StartGeneration
 	}
 	cfg.CheckpointSink = job.sink
-	if m.store != nil {
-		// Durable mode: snapshots carry the sampled series (so a recovered
-		// /result keeps pre-crash points), and every job checkpoints on the
-		// server cadence even when its spec asked for none — otherwise a
-		// crash would replay the whole trajectory from generation 0.
-		cfg.CheckpointSeries = true
-		if cfg.CheckpointEvery == 0 {
-			cfg.CheckpointEvery = m.checkpointEvery
-		}
+	if m.store != nil && cfg.CheckpointEvery == 0 {
+		// Durable mode: every job checkpoints on the server cadence even
+		// when its spec asked for none — otherwise a crash would replay the
+		// whole trajectory from generation 0.
+		cfg.CheckpointEvery = m.checkpointEvery
 	}
 	cfg.Control = func(gen int) error {
 		job.setGen(gen)
@@ -610,52 +601,41 @@ func (m *Manager) runJob(job *Job) {
 	} else {
 		res, err = sim.RunSequential(cfg)
 	}
+	ctrl := job.ctrl.Load()
 	switch {
 	case err == nil:
 		m.settle(job, StateDone, res, "")
-	case errors.Is(err, sim.ErrStopped) && job.ctrl.Load() == ctrlPause:
-		snap, serr := job.sink.Latest()
-		if serr != nil || snap == nil {
-			m.settle(job, StateFailed, nil, fmt.Sprintf("pause snapshot unavailable: %v", serr))
-			return
-		}
-		job.mu.Lock()
-		job.snap = snap
-		job.gen = int(snap.Generation)
-		job.state = StatePaused
-		if res != nil { // partial result: series observed before the cut
-			job.priorFitness = append(job.priorFitness, seriesPoints(res.MeanFitness)...)
-			job.priorCoop = append(job.priorCoop, seriesPoints(res.Cooperation)...)
-		}
-		job.mu.Unlock()
-		job.ctrl.Store(ctrlRun)
-		job.hub.publish("state", map[string]any{"id": job.ID, "state": StatePaused, "generation": snap.Generation})
-		m.persistState(job)
-	case errors.Is(err, sim.ErrStopped) && job.ctrl.Load() == ctrlDrain:
-		// Shutdown drain: the engine persisted a durable snapshot before
-		// stopping; park the job as queued so recovery resumes it from
-		// exactly this boundary.
-		snap, serr := job.sink.Latest()
-		if serr != nil || snap == nil {
-			m.settle(job, StateFailed, nil, fmt.Sprintf("drain snapshot unavailable: %v", serr))
-			return
-		}
-		job.mu.Lock()
-		job.snap = snap
-		job.gen = int(snap.Generation)
-		job.state = StateQueued
-		if res != nil {
-			job.priorFitness = append(job.priorFitness, seriesPoints(res.MeanFitness)...)
-			job.priorCoop = append(job.priorCoop, seriesPoints(res.Cooperation)...)
-		}
-		job.mu.Unlock()
-		job.hub.publish("state", map[string]any{"id": job.ID, "state": StateQueued, "generation": snap.Generation})
-		m.persistState(job)
+	case errors.Is(err, sim.ErrStopped) && ctrl == ctrlPause:
+		m.park(job, StatePaused)
+	case errors.Is(err, sim.ErrStopped) && ctrl == ctrlDrain:
+		// Shutdown drain: back to queued, so the next boot's recovery
+		// resumes the job from exactly this boundary.
+		m.park(job, StateQueued)
 	case errors.Is(err, sim.ErrStopped):
 		m.settle(job, StateCanceled, nil, "")
 	default:
 		m.settle(job, StateFailed, nil, err.Error())
 	}
+}
+
+// park ends a stopped segment in a non-terminal state — paused, or queued
+// for a drain. The engine persisted the stop snapshot before returning; it
+// is the whole run so far and becomes the job's resume point.
+func (m *Manager) park(job *Job, state State) {
+	snap, err := job.sink.Latest()
+	if err != nil || snap == nil {
+		m.settle(job, StateFailed, nil, fmt.Sprintf("stop snapshot unavailable: %v", err))
+		return
+	}
+	job.mu.Lock()
+	job.snap = snap
+	job.gen = int(snap.Generation)
+	job.state = state
+	job.mu.Unlock()
+	// The request is served; a drained job never runs again in this process.
+	job.ctrl.Store(ctrlRun)
+	job.hub.publish("state", map[string]any{"id": job.ID, "state": state, "generation": snap.Generation})
+	m.persistState(job)
 }
 
 // settle moves a job to a terminal state exactly once: records the outcome,

@@ -54,7 +54,7 @@ func (m *Manager) rebuildJob(rj *recoveredJob) *Job {
 		hub:              newHubAt(rj.eventID),
 		gen:              rj.gen,
 	}
-	job.sink = newDurableSink(job, m.store.checkpointPath(rj.id))
+	job.sink = m.newSink(job)
 	if rj.state.terminal() {
 		job.state = rj.state
 		job.errMsg = rj.errMsg
@@ -88,8 +88,6 @@ func (m *Manager) rebuildJob(rj *recoveredJob) *Job {
 	if snap != nil && serr == nil {
 		job.snap = snap
 		job.gen = int(snap.Generation)
-		job.priorFitness = pointsFromSnapshot(snap.MeanFitness)
-		job.priorCoop = pointsFromSnapshot(snap.Cooperation)
 	}
 	return job
 }

@@ -275,8 +275,10 @@ type jobResult struct {
 	ElapsedSeconds float64       `json:"elapsed_seconds"`
 }
 
+// seriesPoints is a sampled series in wire form (null when nothing was
+// sampled).
 func seriesPoints(s *stats.Series) []samplePoint {
-	if s == nil {
+	if s.Len() == 0 {
 		return nil
 	}
 	out := make([]samplePoint, s.Len())
@@ -285,18 +287,6 @@ func seriesPoints(s *stats.Series) []samplePoint {
 		out[i] = samplePoint{Generation: g, Value: v}
 	}
 	return out
-}
-
-// stitchPoints joins the series of pause-terminated segments with the final
-// segment's. The segments sample disjoint generation ranges on the same
-// pinned stride, so the concatenation is exactly an uninterrupted run's
-// series.
-func stitchPoints(prior []samplePoint, s *stats.Series) []samplePoint {
-	pts := append(append([]samplePoint(nil), prior...), seriesPoints(s)...)
-	if len(pts) == 0 {
-		return nil
-	}
-	return pts
 }
 
 // buildWireLocked materialises a finished run's wire result; the caller
@@ -309,8 +299,8 @@ func buildWireLocked(job *Job, res *sim.Result) *jobResult {
 		FinalFitness:   res.FinalFitness,
 		Fingerprints:   make([]string, len(res.Final)),
 		Counters:       res.Counters,
-		MeanFitness:    stitchPoints(job.priorFitness, res.MeanFitness),
-		Cooperation:    stitchPoints(job.priorCoop, res.Cooperation),
+		MeanFitness:    seriesPoints(res.MeanFitness),
+		Cooperation:    seriesPoints(res.Cooperation),
 		Ranks:          res.Ranks,
 		Restarts:       res.Restarts,
 		ElapsedSeconds: res.Elapsed.Seconds(),

@@ -76,11 +76,9 @@ func parseSpec(r io.Reader) (JobSpec, error) {
 	return spec, nil
 }
 
-// Config materialises the spec into a validated engine configuration. The
-// returned Config has its defaults normalised — in particular SampleStride
-// is pinned to a concrete value, so a later resume (which shrinks
-// Generations) samples on the submission-time schedule and a paused+resumed
-// job's series stay bit-identical to an uninterrupted run's.
+// Config materialises the spec into a validated engine configuration with
+// its defaults normalised: the whole job's window, which every resumed
+// segment is derived from (sim.Config.ResumeFrom).
 func (s JobSpec) Config() (sim.Config, error) {
 	if s.Ranks == 1 || s.Ranks < 0 {
 		return sim.Config{}, fmt.Errorf("server: ranks must be 0 (sequential) or >= 2, got %d", s.Ranks)

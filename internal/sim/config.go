@@ -133,42 +133,30 @@ type Config struct {
 	// (when one is configured) and returns an error wrapping both
 	// ErrStopped and the hook's error. Pause/cancel in a hosting service
 	// builds on this: resume the stopped run from the persisted snapshot
-	// via InitialStrategies / StartGeneration / BaseCounters and the
-	// trajectory continues bit-identically (for deterministic games).
+	// via ResumeFrom and it continues bit-identically (for deterministic
+	// games), ending in the Result the uninterrupted run returns.
 	Control func(gen int) error
-	// InitialStrategies, when non-nil, seeds the population (e.g. resuming
-	// from a checkpoint) instead of random initialisation. Length must
+	// InitialStrategies, when non-nil, seeds the population instead of
+	// random initialisation (ResumeFrom sets it from a checkpoint). Length must
 	// equal NumSSets and every strategy must live in the Memory space.
 	// Strategies are cloned; the caller's slice is not retained.
 	InitialStrategies []strategy.Strategy
 	// StartGeneration offsets the generation counter. Every per-generation
 	// random stream is keyed by the absolute generation number, so a run
-	// resumed from generation g's snapshot with StartGeneration = g
-	// continues the original trajectory exactly (bit-identical for
+	// resumed from generation g's snapshot (ResumeFrom sets StartGeneration
+	// = g) continues the original trajectory exactly (bit-identical for
 	// deterministic games; for mixed strategies the resumed run resamples
 	// cached match-ups once at the resume point).
 	StartGeneration int
 	// CheckpointEvery makes the Nature Agent persist a snapshot to
 	// CheckpointSink every k completed generations (0 disables). The
-	// snapshot captures strategies and cumulative counters — everything a
-	// resume needs, since per-generation randomness re-derives from (Seed,
-	// generation).
+	// snapshot captures strategies, cumulative counters and the sampled
+	// series — the whole run so far, and everything ResumeFrom needs, since
+	// per-generation randomness re-derives from (Seed, generation).
 	CheckpointEvery int
 	// CheckpointSink receives periodic snapshots; required when
 	// CheckpointEvery > 0.
 	CheckpointSink CheckpointSink
-	// CheckpointSeries includes the sampled mean-fitness and cooperation
-	// series (up to the snapshot generation) in every snapshot written to
-	// CheckpointSink. A service that resumes a killed run from such a
-	// snapshot can then serve a stitched series identical to an
-	// uninterrupted run's — the series samples before the resume point
-	// would otherwise exist only in the dead process's memory. Collection
-	// never feeds back into the trajectory; snapshots merely grow by the
-	// retained sample points (encoded as checkpoint stream version 3).
-	CheckpointSeries bool
-	// BaseCounters seeds the run's counters, so a run resumed from a
-	// snapshot reports cumulative totals identical to an uninterrupted one.
-	BaseCounters Counters
 	// RecvTimeout, when positive, bounds every blocking receive in the
 	// parallel engine (including collective-internal ones): a rank stalled
 	// past the deadline fails with mpi.ErrRecvTimeout instead of hanging —
@@ -206,6 +194,9 @@ type Config struct {
 	// feeds back into the trajectory — parity and bit-exactness hold with
 	// it on or off (see docs/OBSERVABILITY.md).
 	Metrics bool
+
+	// prior is the run before StartGeneration, set only by ResumeFrom.
+	prior priorRun
 }
 
 // Observer receives per-generation callbacks from the Nature Agent.
@@ -295,7 +286,7 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("sim: sample stride %v < 0", c.SampleStride)
 	}
 	if c.SampleStride == 0 {
-		c.SampleStride = c.Generations/1000 + 1
+		c.SampleStride = autoStride(c.Generations)
 	}
 	if c.StartGeneration < 0 {
 		return fmt.Errorf("sim: negative start generation %d", c.StartGeneration)
@@ -349,6 +340,10 @@ func (c *Config) Validate() error {
 	}
 	return nil
 }
+
+// autoStride is the automatic SampleStride for a window of gens
+// generations: it bounds the recorded series to ~1000 points.
+func autoStride(gens int) int { return gens/1000 + 1 }
 
 // PopulationSize returns the total number of agents,
 // NumSSets * AgentsPerSSet. With the paper's default AgentsPerSSet ==

@@ -3,29 +3,26 @@ package sim
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/stats"
 )
 
 // ErrStopped marks a run halted by Config.Control: both engines return an
-// error wrapping it (and the hook's own error) when the hook asks for a
-// stop at a generation boundary. A stopped run is not a fault — the
-// restart supervisor returns it unchanged instead of restarting — and when
-// a CheckpointSink is configured the engine persists a resume snapshot
-// first, so the caller can continue the trajectory bit-identically via
-// InitialStrategies / StartGeneration / BaseCounters (the contract
-// pause/resume in a job service builds on).
+// error wrapping it (and the hook's own error) and no Result when the hook
+// asks for a stop at a generation boundary. A stopped run is not a fault —
+// the restart supervisor returns it unchanged instead of restarting — and
+// when a CheckpointSink is configured the engine persists a resume snapshot
+// first. That snapshot is the hand-off: Config.ResumeFrom continues the
+// trajectory from it bit-identically, series and counters included (the
+// contract pause/resume in a job service builds on).
 var ErrStopped = errors.New("sim: run stopped by control hook")
 
-// stopRun finalises a control-initiated stop on the Nature side: it
-// persists a resume snapshot of the population at the top of generation
-// gen (when a sink is configured, carrying the series sampled so far
-// under cfg.CheckpointSeries) and returns the run's stop error.
-func stopRun(cfg *Config, pop *Population, gen int, ctr Counters, fit, coop *stats.Series, cause error) error {
-	if cfg.CheckpointSink != nil {
-		if err := saveSnapshot(cfg, pop, gen, ctr, fit, coop); err != nil {
-			return fmt.Errorf("sim: stop snapshot at generation %d: %w (stop cause: %w)", gen, err, cause)
+// stop finalises a control-initiated stop at the top of generation n.gen:
+// it persists the resume snapshot (when a sink is configured) and returns
+// the run's stop error.
+func (n *nature) stop(cause error) error {
+	if n.cfg.CheckpointSink != nil {
+		if err := n.saveSnapshot(n.gen); err != nil {
+			return fmt.Errorf("sim: stop snapshot at generation %d: %w (stop cause: %w)", n.gen, err, cause)
 		}
 	}
-	return fmt.Errorf("sim: run stopped at generation %d: %w: %w", gen, ErrStopped, cause)
+	return fmt.Errorf("sim: run stopped at generation %d: %w: %w", n.gen, ErrStopped, cause)
 }

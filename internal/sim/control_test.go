@@ -57,10 +57,10 @@ func TestControlStopAndResumeSequential(t *testing.T) {
 	}
 
 	resume := base
-	resume.InitialStrategies = snap.Strategies
-	resume.StartGeneration = int(snap.Generation)
+	if err := resume.ResumeFrom(snap); err != nil {
+		t.Fatal(err)
+	}
 	resume.Generations = base.Generations - int(snap.Generation)
-	resume.BaseCounters = runToCounters(snap.Counters)
 	resumed, err := RunSequential(resume)
 	if err != nil {
 		t.Fatal(err)
@@ -108,10 +108,10 @@ func TestControlStopAndResumeParallel(t *testing.T) {
 	}
 
 	resume := base
-	resume.InitialStrategies = snap.Strategies
-	resume.StartGeneration = int(snap.Generation)
+	if err := resume.ResumeFrom(snap); err != nil {
+		t.Fatal(err)
+	}
 	resume.Generations = base.Generations - int(snap.Generation)
-	resume.BaseCounters = runToCounters(snap.Counters)
 	resumed, err := RunParallel(resume, 3) // rank count may even change across the cut
 	if err != nil {
 		t.Fatal(err)

@@ -1,0 +1,231 @@
+package sim
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/checkpoint"
+	"repro/internal/mpi"
+	"repro/internal/rng"
+	"repro/internal/strategy"
+)
+
+// The resume contract, engine-level: a run interrupted at a generation
+// boundary and resumed through Config.ResumeFrom from one of its own
+// snapshots returns the Result the uninterrupted run returns — final
+// strategies and fitness, counters, and both sampled series from generation
+// 0 — whichever engine ran it and however it was interrupted.
+
+// runOn runs cfg on the sequential engine (ranks 1) or the parallel one.
+func runOn(cfg Config, ranks int) (*Result, error) {
+	if ranks < 2 {
+		return RunSequential(cfg)
+	}
+	return RunParallel(cfg, ranks)
+}
+
+// assertSameResult is the strict form of assertSameOutcome: every
+// deterministic field of the Result bit for bit, mean fitness included.
+// GamesPlayed may exceed the reference's on an incremental run (a resume
+// replays every pair once); with FullRecompute it must match.
+func assertSameResult(t *testing.T, want, got *Result, fullRecompute bool) {
+	t.Helper()
+	w, g := want.Counters, got.Counters
+	if g.GamesPlayed < w.GamesPlayed || (fullRecompute && g.GamesPlayed != w.GamesPlayed) {
+		t.Fatalf("games played %d vs uninterrupted %d", g.GamesPlayed, w.GamesPlayed)
+	}
+	g.GamesPlayed = w.GamesPlayed
+	if w != g {
+		t.Fatalf("event counters differ: %+v vs %+v", w, g)
+	}
+	assertSameFinal(t, want, got)
+	assertSameSeries(t, "mean fitness", want.MeanFitness, got.MeanFitness, 0)
+	assertSameSeries(t, "cooperation", want.Cooperation, got.Cooperation, 0)
+}
+
+func TestInterruptedRunReturnsTheUninterruptedResult(t *testing.T) {
+	const gens, every = 120, 25
+	engines := []int{1, 3, 5} // rank counts; 1 is RunSequential
+	pick := rng.New(1409)
+
+	// resumeOn continues base from the sink's latest snapshot to the end of
+	// base's window.
+	resumeOn := func(t *testing.T, base Config, sink CheckpointSink, ranks int) *Result {
+		t.Helper()
+		snap, err := sink.Latest()
+		if err != nil || snap == nil {
+			t.Fatalf("no snapshot to resume from: %v", err)
+		}
+		cfg := base
+		if err := cfg.ResumeFrom(snap); err != nil {
+			t.Fatal(err)
+		}
+		cfg.Generations = base.Generations - int(snap.Generation)
+		res, err := runOn(cfg, ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	interruptions := []struct {
+		name         string
+		parallelOnly bool
+		run          func(t *testing.T, base Config, ei int) *Result
+	}{
+		{"control stop", false, func(t *testing.T, base Config, ei int) *Result {
+			stopAt := 1 + pick.Intn(gens-1)
+			cfg, stops := base, 0
+			cfg.CheckpointSink = NewMemorySink()
+			cfg.Control = stopAfter(stopAt, &stops)
+			if res, err := runOn(cfg, engines[ei]); !errors.Is(err, ErrStopped) || res != nil {
+				t.Fatalf("stop at %d: result %v, error %v; want nil, ErrStopped", stopAt, res, err)
+			}
+			return resumeOn(t, base, cfg.CheckpointSink, engines[ei])
+		}},
+		{"periodic checkpoint, other rank count", false, func(t *testing.T, base Config, ei int) *Result {
+			// The first segment dies (here: simply ends) past its last
+			// periodic checkpoint, on the next engine of the table.
+			first := base
+			first.Generations = every + 1 + pick.Intn(gens-every-1)
+			first.CheckpointEvery = every
+			first.CheckpointSink = NewMemorySink()
+			if _, err := runOn(first, engines[(ei+1)%len(engines)]); err != nil {
+				t.Fatal(err)
+			}
+			return resumeOn(t, base, first.CheckpointSink, engines[ei])
+		}},
+		// The restart supervisor fronts the parallel engine only.
+		{"supervised kill", true, func(t *testing.T, base Config, ei int) *Result {
+			cfg := base
+			cfg.CheckpointEvery = every
+			// Every worker sends at least once a generation (the sampled
+			// reduction), so the kill lands mid-run, past a checkpoint.
+			cfg.FaultPlan = mpi.NewFaultPlan().Kill(1, uint64(every+pick.Intn(gens-2*every)))
+			res, err := RunParallelResilient(cfg, engines[ei], RestartPolicy{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Restarts != 1 || !cfg.FaultPlan.Faults()[0].Fired() {
+				t.Fatalf("restarts = %d, kill fired = %v; want one recovery", res.Restarts, cfg.FaultPlan.Faults()[0].Fired())
+			}
+			return res
+		}},
+	}
+
+	for _, full := range []bool{false, true} {
+		// 9 SSets and 16 rounds keep S-1 and the match length powers of
+		// two: every payoff, row sum and population total is then a dyadic
+		// rational float64 holds exactly, the one rounding left is the
+		// final division, and the mean-fitness series is bit-identical
+		// across engines and rank counts — so a single sequential run is
+		// the reference for the whole table.
+		base := testConfig(1, 9, gens)
+		base.Rules.Rounds = 16
+		base.Seed = 1410
+		base.FullRecompute = full
+		want, err := RunSequential(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Counters.Adoptions == 0 || want.Counters.Mutations == 0 {
+			t.Fatalf("degenerate reference run: %+v", want.Counters)
+		}
+		for ei, ranks := range engines {
+			for _, in := range interruptions {
+				if in.parallelOnly && ranks < 2 {
+					continue
+				}
+				t.Run(fmt.Sprintf("full=%v/ranks=%d/%s", full, ranks, in.name), func(t *testing.T) {
+					assertSameResult(t, want, in.run(t, base, ei), full)
+				})
+			}
+		}
+	}
+}
+
+func TestResumeFromRejectsMalformedSeries(t *testing.T) {
+	cfg := testConfig(1, 4, 40)
+	cfg.Seed = 1411
+	sink := NewMemorySink()
+	first := cfg
+	first.Generations = 20
+	first.CheckpointEvery = 20
+	first.CheckpointSink = sink
+	if _, err := RunSequential(first); err != nil {
+		t.Fatal(err)
+	}
+	good, err := sink.Latest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(good.MeanFitness) != 20 || len(good.Cooperation) != 20 {
+		t.Fatalf("snapshot carries %d/%d series points, want 20/20", len(good.MeanFitness), len(good.Cooperation))
+	}
+
+	cases := []struct {
+		name, want string
+		mutate     func(s *checkpoint.Snapshot)
+	}{
+		{"intact", "", func(*checkpoint.Snapshot) {}},
+		{"descending generations", "not ascending", func(s *checkpoint.Snapshot) {
+			s.MeanFitness[5], s.MeanFitness[6] = s.MeanFitness[6], s.MeanFitness[5]
+		}},
+		{"repeated generation", "not ascending", func(s *checkpoint.Snapshot) {
+			s.Cooperation[3].Generation = s.Cooperation[2].Generation
+		}},
+		{"point at the snapshot generation", "not ascending below", func(s *checkpoint.Snapshot) {
+			s.Cooperation[19].Generation = s.Generation
+		}},
+		{"point past the snapshot generation", "not ascending below", func(s *checkpoint.Snapshot) {
+			s.MeanFitness[19].Generation = s.Generation + 7
+		}},
+		{"foreign seed", "does not match", func(s *checkpoint.Snapshot) { s.Seed++ }},
+	}
+	for _, tc := range cases {
+		snap, err := sink.Latest() // a fresh decode per case
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.mutate(snap)
+		resumed := cfg
+		err = resumed.ResumeFrom(snap)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error = %v, want one containing %q", tc.name, err, tc.want)
+		case tc.want != "" && (resumed.StartGeneration != 0 || resumed.InitialStrategies != nil):
+			t.Errorf("%s: a refused snapshot still changed the config", tc.name)
+		}
+	}
+}
+
+// A snapshot without counter or series blocks — an older stream version,
+// or one built by hand — still resumes; the run then simply has no record
+// of the generations before it.
+func TestResumeFromBareSnapshot(t *testing.T) {
+	cfg := testConfig(1, 4, 30)
+	cfg.Seed = 1412
+	sp := strategy.NewSpace(1)
+	bare := &checkpoint.Snapshot{
+		Generation: 10, Seed: cfg.Seed, Memory: 1,
+		Strategies: []strategy.Strategy{strategy.AllC(sp), strategy.AllD(sp), strategy.TFT(sp), strategy.WSLS(sp)},
+	}
+	if err := cfg.ResumeFrom(bare); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Generations = 20
+	res, err := RunSequential(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, _ := res.MeanFitness.At(0); res.MeanFitness.Len() != 20 || g != 10 {
+		t.Fatalf("series has %d points from generation %d, want 20 from 10", res.MeanFitness.Len(), g)
+	}
+	if res.Counters.PCEvents > 20 || res.Counters.Mutations > 20 {
+		t.Fatalf("counters %+v cover more than the 20 generations run", res.Counters)
+	}
+}

@@ -1,10 +1,7 @@
 package sim
 
 import (
-	"errors"
-
 	"repro/internal/rng"
-	"repro/internal/stats"
 	"repro/internal/strategy"
 	"repro/internal/trace"
 )
@@ -115,26 +112,21 @@ func newNature(cfg *Config) *nature {
 		cfg:    cfg,
 		master: master,
 		pop:    NewPopulation(*cfg, master),
-		res:    &Result{Counters: cfg.BaseCounters},
-		gen:    cfg.StartGeneration,
-		end:    cfg.StartGeneration + cfg.Generations,
+		// The Result starts from what ResumeFrom restored (nothing on a
+		// fresh run) and only ever grows, so a resumed run ends with the
+		// uninterrupted run's counters and series.
+		res: &Result{
+			Counters:    cfg.prior.counters,
+			MeanFitness: seriesFromPoints(cfg.SampleStride, cfg.prior.fitness),
+			Cooperation: seriesFromPoints(cfg.SampleStride, cfg.prior.coop),
+		},
+		gen: cfg.StartGeneration,
+		end: cfg.StartGeneration + cfg.Generations,
 	}
-	n.res.MeanFitness, _ = stats.NewSeries(cfg.SampleStride)
-	n.res.Cooperation, _ = stats.NewSeries(cfg.SampleStride)
 	if cfg.Metrics {
 		n.pt = newPhaseTimer()
 	}
 	return n
-}
-
-// partial is what a run that ended with err hands back: the result so far
-// when the control hook stopped it (the caller stitches the sampled series
-// across the pause), nothing when it failed.
-func (n *nature) partial(err error) *Result {
-	if errors.Is(err, ErrStopped) {
-		return n.res
-	}
-	return nil
 }
 
 // generation runs generation n.gen — the paper's Nature Agent pseudo-code —
@@ -152,7 +144,7 @@ func (n *nature) generation() error {
 			if err := n.src.announce(selection{Stop: true}); err != nil {
 				return err
 			}
-			return stopRun(cfg, n.pop, gen, n.res.Counters, n.res.MeanFitness, n.res.Cooperation, cause)
+			return n.stop(cause)
 		}
 	}
 
@@ -218,7 +210,7 @@ func (n *nature) generation() error {
 	// sequential and parallel runs write identical snapshots.
 	if cfg.CheckpointEvery > 0 && (gen+1)%cfg.CheckpointEvery == 0 {
 		tc := n.pt.begin()
-		if err := saveSnapshot(cfg, n.pop, gen+1, n.res.Counters, n.res.MeanFitness, n.res.Cooperation); err != nil {
+		if err := n.saveSnapshot(gen + 1); err != nil {
 			return err
 		}
 		n.pt.end(PhaseCheckpoint, tc)

@@ -103,9 +103,7 @@ func (r resume) WireBytes() uint64 {
 // RunSequential with the same Config for every rank count.
 //
 // ranks must be at least 2; workers may not outnumber the games of one
-// generation, S×(S-1). When the control hook stops the run the partial
-// Result (series up to the stop) is returned alongside the error, so the
-// caller can stitch across a pause.
+// generation, S×(S-1).
 func RunParallel(cfg Config, ranks int) (*Result, error) {
 	if err := checkParallel(&cfg, ranks); err != nil {
 		return nil, err
@@ -155,7 +153,6 @@ func runWorld(cfg Config, world *mpi.World, launch func(body func(*mpi.Comm) err
 		start = time.Now() //egdlint:allow determinism elapsed-time metadata for Result.Elapsed, not part of the trajectory
 		n := newNatureRank(&cfg, c)
 		if err := runRank(&cfg, c, n); err != nil {
-			result = n.partial(err)
 			return err
 		}
 		result = n.res
@@ -163,7 +160,7 @@ func runWorld(cfg Config, world *mpi.World, launch func(body func(*mpi.Comm) err
 		return nil
 	})
 	if err != nil || result == nil {
-		return result, err
+		return nil, err
 	}
 	result.Elapsed = time.Since(start) //egdlint:allow determinism elapsed-time metadata, not part of the trajectory
 	result.Evictions = len(world.Evictions())

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // The paper's central software property: the parallel decomposition changes
@@ -19,6 +21,19 @@ func assertSameTrajectory(t *testing.T, a, b *Result) {
 		a.Counters.GamesPlayed != b.Counters.GamesPlayed {
 		t.Fatalf("counters differ: %+v vs %+v", a.Counters, b.Counters)
 	}
+	assertSameFinal(t, a, b)
+	assertSameSeries(t, "mean fitness", a.MeanFitness, b.MeanFitness, reductionDrift)
+}
+
+// reductionDrift bounds how far two mean-fitness samples of one trajectory
+// may sit apart when they were summed in different orders — a tree
+// reduction over a different worker count, or the sequential engine's
+// serial loop: last-ulp drift only.
+const reductionDrift = 1e-9
+
+// assertSameFinal requires bit-identical final strategies and fitness.
+func assertSameFinal(t *testing.T, a, b *Result) {
+	t.Helper()
 	if len(a.Final) != len(b.Final) {
 		t.Fatalf("final population sizes differ")
 	}
@@ -32,19 +47,23 @@ func assertSameTrajectory(t *testing.T, a, b *Result) {
 			t.Fatalf("final fitness %d differs: %v vs %v", i, a.FinalFitness[i], b.FinalFitness[i])
 		}
 	}
-	if a.MeanFitness.Len() != b.MeanFitness.Len() {
-		t.Fatalf("series lengths differ: %d vs %d", a.MeanFitness.Len(), b.MeanFitness.Len())
+}
+
+// assertSameSeries requires the same sampled generations and values within
+// tol (0 demands bit-identity).
+func assertSameSeries(t *testing.T, name string, a, b *stats.Series, tol float64) {
+	t.Helper()
+	if a.Len() != b.Len() {
+		t.Fatalf("%s series lengths differ: %d vs %d", name, a.Len(), b.Len())
 	}
-	for i := 0; i < a.MeanFitness.Len(); i++ {
-		ga, va := a.MeanFitness.At(i)
-		gb, vb := b.MeanFitness.At(i)
+	for i := 0; i < a.Len(); i++ {
+		ga, va := a.At(i)
+		gb, vb := b.At(i)
 		if ga != gb {
-			t.Fatalf("series generation %d vs %d", ga, gb)
+			t.Fatalf("%s sample %d: generation %d vs %d", name, i, ga, gb)
 		}
-		// Summation order differs between a tree reduction and a serial
-		// loop; allow last-ulp drift only.
-		if math.Abs(va-vb) > 1e-9 {
-			t.Fatalf("mean fitness at gen %d: %v vs %v", ga, va, vb)
+		if math.Abs(va-vb) > tol {
+			t.Fatalf("%s at gen %d: %v vs %v", name, ga, va, vb)
 		}
 	}
 }

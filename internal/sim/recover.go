@@ -63,16 +63,15 @@ func (p RestartPolicy) backoff(attempt int) time.Duration {
 // is installed automatically. With checkpointing disabled, recovery restarts
 // from the beginning — correct, but all progress is lost.
 //
-// The returned Result reports cumulative counters for the whole logical run;
-// its sampled series (MeanFitness, Cooperation) cover only the generations
-// since the last restart. Restarts records how many recoveries occurred.
+// The returned Result is the whole logical run's — counters and sampled
+// series cover every generation, restarts or not. Restarts records how many
+// recoveries occurred.
 func RunParallelResilient(cfg Config, ranks int, policy RestartPolicy) (*Result, error) {
 	if cfg.CheckpointEvery > 0 && cfg.CheckpointSink == nil {
 		cfg.CheckpointSink = NewMemorySink()
 	}
-	// Validate up front (normalising SampleStride against the full window,
-	// so resumed segments sample on the original schedule); any later
-	// failure is then a runtime fault and retryable.
+	// Validate up front; any later failure is then a runtime fault and
+	// retryable.
 	if err := checkParallel(&cfg, ranks); err != nil {
 		return nil, err
 	}
@@ -91,11 +90,10 @@ func RunParallelResilient(cfg Config, ranks int, policy RestartPolicy) (*Result,
 			return res, nil
 		}
 		// A control-hook stop is a requested outcome, not a fault: return it
-		// unchanged (with the partial result) so the caller (a pausing job
-		// service, say) sees ErrStopped instead of the supervisor re-running
-		// the stopped work.
+		// unchanged so the caller (a pausing job service, say) sees
+		// ErrStopped instead of the supervisor re-running the stopped work.
 		if errors.Is(err, ErrStopped) {
-			return res, err
+			return nil, err
 		}
 
 		failedRank := -1

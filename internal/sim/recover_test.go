@@ -13,27 +13,19 @@ import (
 )
 
 // assertSameOutcome pins the whole-run outputs a recovered run must
-// reproduce bit for bit: final strategies, final fitness, and cumulative
-// counters. (The sampled series are excluded: a resumed segment only
-// observes generations since the last restart.)
+// reproduce bit for bit: final strategies, final fitness, cumulative
+// counters, and both sampled series from generation 0 — every snapshot
+// carries them and ResumeFrom restores them. Mean-fitness values alone get
+// assertSameTrajectory's reduction-order allowance, because callers here
+// change the rank count mid-run (evictions, a resume on more ranks).
 func assertSameOutcome(t *testing.T, clean, got *Result) {
 	t.Helper()
 	if clean.Counters != got.Counters {
 		t.Fatalf("counters differ: %+v vs %+v", clean.Counters, got.Counters)
 	}
-	if len(clean.Final) != len(got.Final) {
-		t.Fatal("final population sizes differ")
-	}
-	for i := range clean.Final {
-		if !clean.Final[i].Equal(got.Final[i]) {
-			t.Fatalf("final strategy %d differs", i)
-		}
-	}
-	for i := range clean.FinalFitness {
-		if clean.FinalFitness[i] != got.FinalFitness[i] {
-			t.Fatalf("final fitness %d differs: %v vs %v", i, clean.FinalFitness[i], got.FinalFitness[i])
-		}
-	}
+	assertSameFinal(t, clean, got)
+	assertSameSeries(t, "mean fitness", clean.MeanFitness, got.MeanFitness, reductionDrift)
+	assertSameSeries(t, "cooperation", clean.Cooperation, got.Cooperation, 0)
 }
 
 // The acceptance scenario for the fault-tolerant engine: kill worker rank 2
@@ -112,10 +104,10 @@ func TestParallelCheckpointResumeParity(t *testing.T) {
 	}
 
 	second := cfg
+	if err := second.ResumeFrom(snap); err != nil {
+		t.Fatal(err)
+	}
 	second.Generations = 40
-	second.StartGeneration = int(snap.Generation)
-	second.InitialStrategies = snap.Strategies
-	second.BaseCounters = runToCounters(snap.Counters)
 	resumed, err := RunParallel(second, 6)
 	if err != nil {
 		t.Fatal(err)

@@ -3,17 +3,14 @@ package sim
 import (
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/stats"
 	"repro/internal/strategy"
 )
 
-// Counters tallies the work a run performed.
-type Counters struct {
-	GamesPlayed uint64 // two-player IPD matches executed
-	PCEvents    uint64 // pairwise-comparison events fired
-	Adoptions   uint64 // PC events in which the learner adopted
-	Mutations   uint64 // mutation events fired
-}
+// Counters tallies the work a run performed. It is the snapshot's counter
+// block itself, so a run and its checkpoints cannot disagree on the fields.
+type Counters = checkpoint.RunCounters
 
 // Result is the outcome of a simulation run.
 type Result struct {
@@ -51,3 +48,14 @@ func (r *Result) FinalAbundance() *stats.Abundance { return abundance(r.Final) }
 // FractionNear returns the share of final SSets whose strategy rounds to
 // the pure strategy ref (Fig. 2's "85% of all SSets adopted WSLS" measure).
 func (r *Result) FractionNear(ref *strategy.Pure) float64 { return fractionNear(r.Final, ref) }
+
+// Snapshot is the finished run as a checkpoint: the final population and
+// fitness at the generation cfg's window ends on, with the cumulative
+// counters and both series — what the engines' periodic and stop snapshots
+// carry, so Config.ResumeFrom continues the run from it as from any of
+// those. cfg is the configuration the run was started with.
+func (r *Result) Snapshot(cfg Config) *checkpoint.Snapshot {
+	snap := newSnapshot(&cfg, cfg.StartGeneration+cfg.Generations, r.Final, r.Counters, r.MeanFitness, r.Cooperation)
+	snap.Fitness = r.FinalFitness
+	return snap
+}

@@ -7,10 +7,9 @@ import (
 )
 
 // Resume semantics: a run of G generations must equal a run of the first
-// half followed by a run of the second half seeded with the first half's
-// final strategies and StartGeneration at the cut. Exact for pure
-// strategies without execution errors, whose match outcomes are
-// deterministic.
+// half followed by a run of the second half resumed (ResumeFrom) from the
+// first half's end-of-run snapshot. Exact for pure strategies without
+// execution errors, whose match outcomes are deterministic.
 
 func TestResumeEquivalencePureStrategies(t *testing.T) {
 	cfg := testConfig(1, 10, 100)
@@ -29,9 +28,10 @@ func TestResumeEquivalencePureStrategies(t *testing.T) {
 	}
 
 	second := cfg
+	if err := second.ResumeFrom(half.Snapshot(first)); err != nil {
+		t.Fatal(err)
+	}
 	second.Generations = 40
-	second.StartGeneration = 60
-	second.InitialStrategies = half.Final
 	resumed, err := RunSequential(second)
 	if err != nil {
 		t.Fatal(err)
@@ -42,14 +42,15 @@ func TestResumeEquivalencePureStrategies(t *testing.T) {
 			t.Fatalf("final strategy %d differs after resume", i)
 		}
 	}
-	// Event counters across the halves must sum to the full run's.
-	if half.Counters.PCEvents+resumed.Counters.PCEvents != full.Counters.PCEvents {
-		t.Fatalf("PC events %d+%d != %d", half.Counters.PCEvents, resumed.Counters.PCEvents, full.Counters.PCEvents)
+	// The resumed run carries the first half's event counters: its totals
+	// must be the full run's.
+	if resumed.Counters.PCEvents != full.Counters.PCEvents {
+		t.Fatalf("PC events %d (first half %d) != %d", resumed.Counters.PCEvents, half.Counters.PCEvents, full.Counters.PCEvents)
 	}
-	if half.Counters.Mutations+resumed.Counters.Mutations != full.Counters.Mutations {
+	if resumed.Counters.Mutations != full.Counters.Mutations {
 		t.Fatal("mutation counts do not sum")
 	}
-	if half.Counters.Adoptions+resumed.Counters.Adoptions != full.Counters.Adoptions {
+	if resumed.Counters.Adoptions != full.Counters.Adoptions {
 		t.Fatal("adoption counts do not sum")
 	}
 }
@@ -69,9 +70,10 @@ func TestResumeEquivalenceParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	second := cfg
+	if err := second.ResumeFrom(half.Snapshot(first)); err != nil {
+		t.Fatal(err)
+	}
 	second.Generations = 25
-	second.StartGeneration = 25
-	second.InitialStrategies = half.Final
 	resumed, err := RunParallel(second, 5)
 	if err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ func RunSequential(cfg Config) (*Result, error) {
 	n.src, n.stepTimer = local, n.pt
 	for n.gen < n.end {
 		if err := n.generation(); err != nil {
-			return n.partial(err), err
+			return nil, err
 		}
 	}
 

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/stats"
+	"repro/internal/strategy"
 )
 
 // CheckpointSink receives the Nature Agent's periodic snapshots and serves
@@ -140,44 +141,79 @@ func (f *FileSink) Latest() (*checkpoint.Snapshot, error) {
 	return checkpoint.Read(file)
 }
 
-// saveSnapshot captures the population after gen completed generations,
-// with the run's cumulative counters — and, under cfg.CheckpointSeries,
-// the series sampled so far — into the configured sink.
-func saveSnapshot(cfg *Config, pop *Population, gen int, ctr Counters, fit, coop *stats.Series) error {
-	rc := checkpoint.RunCounters(ctr)
-	snap := &checkpoint.Snapshot{
-		Generation: uint64(gen),
-		Seed:       cfg.Seed,
-		Memory:     cfg.Memory,
-		Strategies: pop.Snapshot(),
-		Counters:   &rc,
+// newSnapshot records a run at a generation boundary: the strategies after
+// gen completed generations, the cumulative counters and both series
+// sampled so far. Every snapshot the engines write is built here, so each
+// one is the whole run up to gen and ResumeFrom needs nothing else.
+func newSnapshot(cfg *Config, gen int, strategies []strategy.Strategy, ctr Counters, fit, coop *stats.Series) *checkpoint.Snapshot {
+	return &checkpoint.Snapshot{
+		Generation:  uint64(gen),
+		Seed:        cfg.Seed,
+		Memory:      cfg.Memory,
+		Strategies:  strategies,
+		Counters:    &ctr,
+		MeanFitness: seriesToPoints(fit),
+		Cooperation: seriesToPoints(coop),
 	}
-	if cfg.CheckpointSeries {
-		snap.MeanFitness = seriesToPoints(fit)
-		snap.Cooperation = seriesToPoints(coop)
-	}
-	if err := cfg.CheckpointSink.Save(snap); err != nil {
+}
+
+// saveSnapshot persists the Nature Agent's state after gen completed
+// generations into the configured sink.
+func (n *nature) saveSnapshot(gen int) error {
+	snap := newSnapshot(n.cfg, gen, n.pop.Snapshot(), n.res.Counters, n.res.MeanFitness, n.res.Cooperation)
+	if err := n.cfg.CheckpointSink.Save(snap); err != nil {
 		return fmt.Errorf("sim: checkpoint at generation %d: %w", gen, err)
 	}
 	return nil
 }
 
-// ResumeFrom points the configuration at snap — saveSnapshot's inverse: the
-// population restarts from the snapshot's strategies, at its generation,
-// with its cumulative counters, so the run continues the snapshot's
-// trajectory bit-identically (every random stream is keyed by seed and
-// absolute generation). A snapshot of a different run — another seed,
-// memory depth or SSet count — would silently fork the trajectory and is
-// refused. Generations is left alone: whether the resumed run finishes the
+// priorRun is the part of a snapshot that has no exported Config field: the
+// counters and series of the generations before StartGeneration, which the
+// Nature Agent starts its Result from.
+type priorRun struct {
+	counters      Counters
+	fitness, coop []checkpoint.SeriesPoint
+}
+
+// ResumeFrom points the configuration at snap — newSnapshot's inverse and
+// the one way back into a run: the population restarts from the snapshot's
+// strategies, at its generation, with its cumulative counters and sampled
+// series, so the run continues the snapshot's trajectory and returns the
+// Result the uninterrupted run would have (every random stream is keyed by
+// seed and absolute generation; bit-identical for deterministic games). A
+// snapshot of a different run — another seed, memory depth or SSet count —
+// would silently fork the trajectory and is refused, as is a series that is
+// not strictly ascending below the snapshot generation (the points arrive
+// from a file). A snapshot without counters or series (an older stream
+// version) resumes with empty ones.
+//
+// Call it on the run's own Config, before narrowing Generations: an
+// automatic SampleStride is pinned here from the window the receiver still
+// describes, so the resumed segment samples on the original schedule.
+// Generations itself is left alone — whether the resumed run finishes the
 // original window or runs further is the caller's policy.
 func (c *Config) ResumeFrom(snap *checkpoint.Snapshot) error {
 	if snap.Seed != c.Seed || snap.Memory != c.Memory || len(snap.Strategies) != c.NumSSets {
 		return fmt.Errorf("sim: checkpoint (seed %d, memory %d, %d SSets) does not match run (seed %d, memory %d, %d SSets)",
 			snap.Seed, snap.Memory, len(snap.Strategies), c.Seed, c.Memory, c.NumSSets)
 	}
+	for _, pts := range [][]checkpoint.SeriesPoint{snap.MeanFitness, snap.Cooperation} {
+		for i, p := range pts {
+			if p.Generation >= snap.Generation || (i > 0 && p.Generation <= pts[i-1].Generation) {
+				return fmt.Errorf("sim: checkpoint series point %d (generation %d) is not ascending below snapshot generation %d",
+					i, p.Generation, snap.Generation)
+			}
+		}
+	}
+	if c.SampleStride == 0 {
+		c.SampleStride = autoStride(c.Generations)
+	}
 	c.InitialStrategies = snap.Strategies
 	c.StartGeneration = int(snap.Generation)
-	c.BaseCounters = runToCounters(snap.Counters)
+	c.prior = priorRun{fitness: snap.MeanFitness, coop: snap.Cooperation}
+	if snap.Counters != nil {
+		c.prior.counters = *snap.Counters
+	}
 	return nil
 }
 
@@ -196,11 +232,12 @@ func seriesToPoints(s *stats.Series) []checkpoint.SeriesPoint {
 	return out
 }
 
-// runToCounters converts checkpoint counters back (the two types carry the
-// same fields); a nil input (a version-1 snapshot) yields zero counters.
-func runToCounters(rc *checkpoint.RunCounters) Counters {
-	if rc == nil {
-		return Counters{}
+// seriesFromPoints is seriesToPoints' inverse: a series sampling on stride
+// that already holds the restored points.
+func seriesFromPoints(stride int, pts []checkpoint.SeriesPoint) *stats.Series {
+	s, _ := stats.NewSeries(stride) // stride >= 1 after Validate
+	for _, p := range pts {
+		s.Append(int(p.Generation), p.Value)
 	}
-	return Counters(*rc)
+	return s
 }

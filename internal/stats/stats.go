@@ -163,9 +163,14 @@ func NewSeries(stride int) (*Series, error) {
 
 // Observe records the value at a generation if it falls on the stride.
 func (s *Series) Observe(gen int, v float64) {
-	if gen%s.stride != 0 {
-		return
+	if gen%s.stride == 0 {
+		s.Append(gen, v)
 	}
+}
+
+// Append records a sample unconditionally — the way back in for samples an
+// earlier segment of the run already kept (restored from a checkpoint).
+func (s *Series) Append(gen int, v float64) {
 	s.gens = append(s.gens, gen)
 	s.vals = append(s.vals, v)
 }
