@@ -20,7 +20,7 @@ func TestList(t *testing.T) {
 		t.Fatalf("egdlint -list exited %d: %s", code, errw.String())
 	}
 	got := out.String()
-	for _, name := range []string{"mpierrcheck", "mpirequest", "mpicollective", "mpitag", "mpisession", "determinism"} {
+	for _, name := range []string{"mpierrcheck", "mpicollective", "mpitag", "mpisession", "determinism"} {
 		if !strings.Contains(got, name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, got)
 		}

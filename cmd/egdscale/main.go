@@ -55,7 +55,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	cal := core.DefaultCalibration()
+	cal := perfmodel.PaperCalibration()
 	if *hostCal {
 		rules := game.DefaultRules()
 		hc, err := perfmodel.HostCalibration(rules, 20, true, 1)

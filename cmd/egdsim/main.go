@@ -239,16 +239,8 @@ func run(args []string, out io.Writer) error {
 	}
 	if *pprofMem != "" {
 		runtime.GC() // flush unreachable allocations so the heap profile reflects live data
-		f, ferr := os.Create(*pprofMem)
-		if ferr != nil {
-			return ferr
-		}
-		if werr := pprof.WriteHeapProfile(f); werr != nil {
-			f.Close()
-			return fmt.Errorf("write heap profile: %w", werr)
-		}
-		if cerr := f.Close(); cerr != nil {
-			return cerr
+		if err := writeFile(*pprofMem, pprof.WriteHeapProfile); err != nil {
+			return fmt.Errorf("write heap profile: %w", err)
 		}
 		fmt.Fprintf(out, "heap profile -> %s\n", *pprofMem)
 	}
@@ -287,12 +279,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if rec != nil {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := rec.WriteCSV(f); err != nil {
+		if err := writeFile(*csvPath, rec.WriteCSV); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "trace: %d records -> %s\n", rec.Len(), *csvPath)
@@ -353,14 +340,25 @@ func printPhaseSummary(out io.Writer, res *sim.Result) {
 
 // writeMetrics serialises the run's metric registry snapshot.
 func writeMetrics(path, format string, res *sim.Result) error {
+	snap := res.MetricsRegistry().Snapshot()
+	return writeFile(path, func(w io.Writer) error {
+		if format == "prom" {
+			return metrics.WritePrometheus(w, snap)
+		}
+		return metrics.WriteJSON(w, snap)
+	})
+}
+
+// writeFile creates path, fills it through write, and reports the first
+// failure — Close included, so a full disk is an error, not a short file.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	snap := res.MetricsRegistry().Snapshot()
-	if format == "prom" {
-		return metrics.WritePrometheus(f, snap)
+	if err := write(f); err != nil {
+		f.Close()
+		return err
 	}
-	return metrics.WriteJSON(f, snap)
+	return f.Close()
 }

@@ -234,6 +234,20 @@ func TestRunMetricsRejectsUnknownFormat(t *testing.T) {
 	}
 }
 
+// A -trace or -metrics target that cannot take the bytes fails the run
+// instead of leaving a short file behind an exit 0.
+func TestRunReportsOutputWriteFailure(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	for _, flag := range []string{"-trace", "-metrics"} {
+		var out strings.Builder
+		if err := run([]string{"-ssets", "8", "-gens", "10", flag, "/dev/full"}, &out); err == nil {
+			t.Errorf("%s /dev/full: write failure not reported", flag)
+		}
+	}
+}
+
 // -payoff-cache keeps the trajectory identical and prints the cache
 // summary line when metrics are on.
 func TestRunPayoffCacheSmoke(t *testing.T) {

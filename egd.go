@@ -28,6 +28,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/game"
+	"repro/internal/perfmodel"
 	"repro/internal/sim"
 	"repro/internal/strategy"
 )
@@ -271,42 +272,26 @@ func PaperTables() map[string]string {
 // Table VII, Figures 3-7) as formatted text keyed by name, using the
 // paper-anchored calibration.
 func ScalingTables() (map[string]string, error) {
-	cal := core.DefaultCalibration()
+	cal := perfmodel.PaperCalibration()
+	tables := []struct {
+		name  string
+		build func() (*core.Table, error)
+	}{
+		{"table6", func() (*core.Table, error) { return core.TableVI(cal) }},
+		{"table7", func() (*core.Table, error) { return core.TableVII(cal) }},
+		{"fig3", func() (*core.Table, error) { return core.Fig3(cal) }},
+		{"fig4", func() (*core.Table, error) { return core.Fig4(cal, 2048) }},
+		{"fig5", func() (*core.Table, error) { return core.Fig5(cal) }},
+		{"fig6", func() (*core.Table, error) { return core.Fig6(cal) }},
+		{"fig7", func() (*core.Table, error) { return core.Fig7(cal, true) }},
+	}
 	out := map[string]string{}
-	add := func(name string, tbl *core.Table, err error) error {
+	for _, t := range tables {
+		tbl, err := t.build()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		out[name] = tbl.Format()
-		return nil
-	}
-	t6, err := core.TableVI(cal)
-	if err := add("table6", t6, err); err != nil {
-		return nil, err
-	}
-	t7, err := core.TableVII(cal)
-	if err := add("table7", t7, err); err != nil {
-		return nil, err
-	}
-	f3, err := core.Fig3(cal)
-	if err := add("fig3", f3, err); err != nil {
-		return nil, err
-	}
-	f4, err := core.Fig4(cal, 2048)
-	if err := add("fig4", f4, err); err != nil {
-		return nil, err
-	}
-	f5, err := core.Fig5(cal)
-	if err := add("fig5", f5, err); err != nil {
-		return nil, err
-	}
-	f6, err := core.Fig6(cal)
-	if err := add("fig6", f6, err); err != nil {
-		return nil, err
-	}
-	f7, err := core.Fig7(cal, true)
-	if err := add("fig7", f7, err); err != nil {
-		return nil, err
+		out[t.name] = tbl.Format()
 	}
 	return out, nil
 }

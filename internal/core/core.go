@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/game"
-	"repro/internal/perfmodel"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/strategy"
@@ -201,19 +200,6 @@ func RunWSLSValidation(cfg sim.Config, kClusters int) (*WSLSOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	return summariseWSLS(cfg, res, kClusters)
-}
-
-// RunWSLSValidationParallel is RunWSLSValidation on the parallel engine.
-func RunWSLSValidationParallel(cfg sim.Config, kClusters, ranks int) (*WSLSOutcome, error) {
-	res, err := sim.RunParallel(cfg, ranks)
-	if err != nil {
-		return nil, err
-	}
-	return summariseWSLS(cfg, res, kClusters)
-}
-
-func summariseWSLS(cfg sim.Config, res *sim.Result, kClusters int) (*WSLSOutcome, error) {
 	sp := strategy.NewSpace(cfg.Memory)
 	wsls := strategy.WSLS(sp)
 	out := &WSLSOutcome{Result: res, WSLSFraction: res.FractionNear(wsls)}
@@ -292,7 +278,3 @@ func SummaryLines(res *sim.Result) []string {
 		fmt.Sprintf("WSLS fraction: %.3f", res.FractionNear(strategy.WSLS(res.Final[0].Space()))),
 		fmt.Sprintf("distinct strategies: %d of %d SSets", res.FinalAbundance().Distinct(), len(res.Final)))
 }
-
-// DefaultCalibration returns the paper-anchored calibration used when the
-// caller does not measure one on the host.
-func DefaultCalibration() perfmodel.Calibration { return perfmodel.PaperCalibration() }

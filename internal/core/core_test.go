@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/perfmodel"
 	"repro/internal/sim"
 	"repro/internal/strategy"
 )
@@ -74,7 +75,7 @@ func TestTableFormatAndCSV(t *testing.T) {
 }
 
 func TestModelTablesGenerate(t *testing.T) {
-	cal := DefaultCalibration()
+	cal := perfmodel.PaperCalibration()
 	vi, err := TableVI(cal)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +125,7 @@ func TestMappingStudy(t *testing.T) {
 }
 
 func TestFig7FullSystemDegrades(t *testing.T) {
-	tbl, err := Fig7(DefaultCalibration(), true)
+	tbl, err := Fig7(perfmodel.PaperCalibration(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,24 +159,6 @@ func TestRunWSLSValidationSmoke(t *testing.T) {
 	}
 	if out.Result == nil || len(out.Result.Final) != 24 {
 		t.Fatal("result missing")
-	}
-}
-
-func TestRunWSLSValidationParallelMatches(t *testing.T) {
-	cfg := smallWSLSConfig()
-	seqOut, err := RunWSLSValidation(cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parOut, err := RunWSLSValidationParallel(cfg, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seqOut.WSLSFraction != parOut.WSLSFraction {
-		t.Fatalf("WSLS fraction differs: %v vs %v", seqOut.WSLSFraction, parOut.WSLSFraction)
-	}
-	if seqOut.DominantIsWSLS != parOut.DominantIsWSLS {
-		t.Fatal("cluster readout differs between engines")
 	}
 }
 

@@ -4,7 +4,6 @@ package lint
 func All() []*Analyzer {
 	return []*Analyzer{
 		MPIErrCheck,
-		MPIRequest,
 		MPICollective,
 		MPITag,
 		MPISession,
@@ -18,7 +17,6 @@ func All() []*Analyzer {
 // files too (see RunAnalyzersTests).
 func SPMDSafety() []*Analyzer {
 	return []*Analyzer{
-		MPIRequest,
 		MPICollective,
 		MPISession,
 	}

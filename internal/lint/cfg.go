@@ -3,14 +3,9 @@ package lint
 // cfg.go is the suite's intra-function control-flow layer: basic blocks
 // over go/ast with branch, loop, defer, and labeled-jump edges, built
 // per function body (function literals are separate graphs — a closure
-// is its own function). Two query families sit on top:
-//
-//   - all-paths: EveryPathHits — must every execution from a statement
-//     to the function's exit pass a node satisfying a predicate? This
-//     is what lets mpirequest prove a *Request reaches Wait/Cancel on
-//     every path, not just on one.
-//   - any-path: Reaches / ReachableBlocks — plain reachability, used to
-//     prune dead code before an analyzer trusts an operation to run.
+// is its own function). One query sits on top: ReachableBlocks, plain
+// reachability from the entry, used to prune dead code before an
+// analyzer trusts an operation to run.
 //
 // Each block also carries its guard stack: the branch decisions (if
 // condition + arm, switch tag + case, loop condition) lexically active
@@ -21,8 +16,8 @@ package lint
 // guard stacks are lexical (code after an `if { return }` merge carries
 // the pre-branch guards, not the negated condition), and a block ending
 // in a call that provably never returns (panic, os.Exit, log.Fatal*,
-// runtime.Goexit, testing's Fatal/FailNow/Skip family) is marked Fatal
-// and excused from all-paths queries — a path that dies cannot leak.
+// runtime.Goexit, testing's Fatal/FailNow/Skip family) has no successor
+// — the code after it is dead.
 
 import (
 	"go/ast"
@@ -36,13 +31,7 @@ type CFG struct {
 	Exit   *Block // single synthetic exit; reached by return and fall-through
 	Blocks []*Block
 
-	index map[ast.Node]blockPos
 	reach map[*Block]bool // lazily computed entry-reachability
-}
-
-type blockPos struct {
-	b *Block
-	i int
 }
 
 // Block is a basic block: statements and condition expressions that
@@ -52,9 +41,6 @@ type Block struct {
 	Nodes  []ast.Node
 	Succs  []*Block
 	Guards []Guard
-	// Fatal marks a block whose last node is a call that never returns
-	// (panic, os.Exit, t.Fatal, ...): control does not reach Exit.
-	Fatal bool
 }
 
 // Guard is one branch decision on a block's guard stack.
@@ -78,7 +64,8 @@ type Guard struct {
 // belong to their own graphs.
 func NewCFG(body *ast.BlockStmt, info *types.Info) *CFG {
 	b := &cfgBuilder{
-		g:      &CFG{index: make(map[ast.Node]blockPos)},
+		g:      &CFG{},
+		seen:   make(map[ast.Node]bool),
 		info:   info,
 		labels: make(map[string]*Block),
 	}
@@ -88,12 +75,6 @@ func NewCFG(body *ast.BlockStmt, info *types.Info) *CFG {
 	b.stmts(body.List)
 	b.link(b.cur, b.g.Exit)
 	return b.g
-}
-
-// Find returns the block holding node n, if n was recorded in the graph.
-func (g *CFG) Find(n ast.Node) (*Block, bool) {
-	p, ok := g.index[n]
-	return p.b, ok
 }
 
 // ReachableBlocks returns the set of blocks reachable from Entry.
@@ -115,83 +96,11 @@ func (g *CFG) ReachableBlocks() map[*Block]bool {
 	return g.reach
 }
 
-// Reaches reports whether any path leads from node `from` to node `to`.
-// Nodes in the same block are ordered by position in the block.
-func (g *CFG) Reaches(from, to ast.Node) bool {
-	pf, ok := g.index[from]
-	if !ok {
-		return false
-	}
-	pt, ok := g.index[to]
-	if !ok {
-		return false
-	}
-	if pf.b == pt.b && pt.i > pf.i {
-		return true
-	}
-	seen := map[*Block]bool{}
-	stack := append([]*Block(nil), pf.b.Succs...)
-	for len(stack) > 0 {
-		blk := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[blk] {
-			continue
-		}
-		seen[blk] = true
-		if blk == pt.b {
-			return true
-		}
-		stack = append(stack, blk.Succs...)
-	}
-	return false
-}
-
-// EveryPathHits reports whether every execution path from node `from`
-// (exclusive) to the function's exit passes at least one node for which
-// hit returns true. Paths that terminate in a Fatal block (panic,
-// os.Exit, ...) or loop forever never reach the exit and are excused.
-// An unindexed `from` returns false — the conservative answer for the
-// "is this obligation provably met" question the callers ask.
-func (g *CFG) EveryPathHits(from ast.Node, hit func(ast.Node) bool) bool {
-	p, ok := g.index[from]
-	if !ok {
-		return false
-	}
-	// visited marks blocks whose full scan (from node 0) is underway or
-	// done without the branch having been pruned by a hit; re-entering
-	// one means a cycle, which never reaches the exit on its own.
-	visited := map[*Block]bool{}
-	var walk func(blk *Block, start int) bool
-	walk = func(blk *Block, start int) bool {
-		for i := start; i < len(blk.Nodes); i++ {
-			if hit(blk.Nodes[i]) {
-				return true
-			}
-		}
-		if blk.Fatal {
-			return true
-		}
-		if blk == g.Exit {
-			return false
-		}
-		for _, s := range blk.Succs {
-			if visited[s] {
-				continue
-			}
-			visited[s] = true
-			if !walk(s, 0) {
-				return false
-			}
-		}
-		return true
-	}
-	return walk(p.b, p.i+1)
-}
-
 type cfgBuilder struct {
 	g    *CFG
 	info *types.Info
 	cur  *Block
+	seen map[ast.Node]bool // nodes already placed in a block
 
 	// breaks/continues are the enclosing jump targets, innermost last;
 	// an empty label matches the innermost, a named one its loop/switch.
@@ -241,10 +150,10 @@ func (b *cfgBuilder) addTo(blk *Block, n ast.Node) {
 	if n == nil {
 		return
 	}
-	if _, ok := b.g.index[n]; ok {
+	if b.seen[n] {
 		return
 	}
-	b.g.index[n] = blockPos{blk, len(blk.Nodes)}
+	b.seen[n] = true
 	blk.Nodes = append(blk.Nodes, n)
 }
 
@@ -301,7 +210,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 	case *ast.ExprStmt:
 		b.add(s)
 		if b.neverReturns(s.X) {
-			b.cur.Fatal = true
 			b.cur = b.dead(b.cur.Guards)
 		}
 	default:

@@ -85,229 +85,114 @@ func (h *cfgHarness) marker(name string) ast.Node {
 	return found
 }
 
-// calls reports whether node n (or a child) calls the named function.
-func calls(name string) func(ast.Node) bool {
-	return func(n ast.Node) bool {
-		found := false
-		ast.Inspect(n, func(m ast.Node) bool {
-			if call, ok := m.(*ast.CallExpr); ok {
-				if id, ok := call.Fun.(*ast.Ident); ok && id.Name == name {
-					found = true
-				}
-			}
-			return !found
-		})
-		return found
-	}
-}
-
-func (h *cfgHarness) everyPathHits(fromMarker, hitMarker string) bool {
+// blockOf returns the block the builder placed node n in.
+func (h *cfgHarness) blockOf(n ast.Node) *lint.Block {
 	h.t.Helper()
-	return h.g.EveryPathHits(h.marker(fromMarker), calls(hitMarker))
+	for _, blk := range h.g.Blocks {
+		for _, m := range blk.Nodes {
+			if m == n {
+				return blk
+			}
+		}
+	}
+	h.t.Fatal("statement not placed in any block")
+	return nil
 }
 
-func TestEveryPathHitsLinear(t *testing.T) {
-	h := buildCFG(t, `
-	start()
-	other()
+// Each shape marks the statements control can reach with hit() and the
+// dead ones with other(): ReachableBlocks must keep the former and prune
+// the latter, which pins the builder's edges for every terminator.
+func TestReachableBlocksPrunesDeadCode(t *testing.T) {
+	shapes := map[string]string{
+		"after return": `
 	hit()
-`)
-	if !h.everyPathHits("start", "hit") {
-		t.Error("straight-line hit not proven")
-	}
-	if h.everyPathHits("hit", "start") {
-		t.Error("hit before from-node should not count")
-	}
-}
-
-func TestEveryPathHitsEarlyReturn(t *testing.T) {
-	h := buildCFG(t, `
-	start()
+	return
+	other()`,
+		"after a call that never returns": `
+	hit()
+	panic("dies here")
+	other()`,
+		"early return merges back": `
 	if cond() {
 		return
 	}
-	hit()
-`)
-	if h.everyPathHits("start", "hit") {
-		t.Error("early return skips hit; must not be proven")
-	}
-}
-
-func TestEveryPathHitsBothArms(t *testing.T) {
-	h := buildCFG(t, `
-	start()
-	if cond() {
-		hit()
-		return
-	}
-	hit()
-`)
-	if !h.everyPathHits("start", "hit") {
-		t.Error("hit on both arms should be proven")
-	}
-}
-
-func TestEveryPathHitsFatalExcused(t *testing.T) {
-	h := buildCFG(t, `
-	start()
-	if cond() {
-		panic("dies before hit")
-	}
-	hit()
-`)
-	if !h.everyPathHits("start", "hit") {
-		t.Error("a path that panics cannot reach the exit; it is excused")
-	}
-}
-
-func TestEveryPathHitsLoopContinue(t *testing.T) {
-	h := buildCFG(t, `
+	hit()`,
+		"after continue": `
 	for i := 0; i < 3; i++ {
-		start()
 		if cond() {
 			continue
+			other()
 		}
 		hit()
-	}
-`)
-	if h.everyPathHits("start", "hit") {
-		t.Error("continue path exits the loop without hit; must not be proven")
-	}
-}
-
-func TestEveryPathHitsLoopBreakAfter(t *testing.T) {
-	h := buildCFG(t, `
-	start()
-	for i := 0; i < 3; i++ {
+	}`,
+		"break leaves an endless loop": `
+	for {
 		if cond() {
 			break
 		}
 	}
-	hit()
-`)
-	if !h.everyPathHits("start", "hit") {
-		t.Error("both loop exits (break, condition) flow into hit")
-	}
-}
-
-func TestEveryPathHitsSwitch(t *testing.T) {
-	h := buildCFG(t, `
-	start()
-	switch choice() {
-	case 0:
-		hit()
-	case 1:
+	hit()`,
+		"endless loop without break": `
+	for {
 		hit()
 	}
-`)
-	if h.everyPathHits("start", "hit") {
-		t.Error("no default: control can fall past every case")
-	}
-
-	h = buildCFG(t, `
-	start()
-	switch choice() {
-	case 0:
-		hit()
-	default:
-		hit()
-	}
-`)
-	if !h.everyPathHits("start", "hit") {
-		t.Error("default present and every clause hits; should be proven")
-	}
-}
-
-func TestEveryPathHitsFallthrough(t *testing.T) {
-	h := buildCFG(t, `
-	switch choice() {
-	case 0:
-		start()
-		fallthrough
-	case 1:
-		hit()
-	default:
-	}
-`)
-	if !h.everyPathHits("start", "hit") {
-		t.Error("fallthrough chains case 0 into case 1's hit")
-	}
-}
-
-func TestEveryPathHitsSelect(t *testing.T) {
-	h := buildCFG(t, `
-	ch := make(chan int)
-	start()
-	select {
-	case <-ch:
-		hit()
-	case v := <-ch:
-		_ = v
-		hit()
-	}
-`)
-	if !h.everyPathHits("start", "hit") {
-		t.Error("a select without default blocks until a clause runs; both hit")
-	}
-}
-
-func TestEveryPathHitsLabeledBreak(t *testing.T) {
-	h := buildCFG(t, `
+	other()`,
+		"labeled break leaves the outer loop": `
 outer:
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			start()
+	for {
+		for {
 			if cond() {
 				break outer
 			}
 		}
-		hit()
+		other()
 	}
-`)
-	if h.everyPathHits("start", "hit") {
-		t.Error("break outer skips the inner-loop epilogue hit")
-	}
-}
-
-func TestReaches(t *testing.T) {
-	h := buildCFG(t, `
-	start()
-	if cond() {
+	hit()`,
+		"switch without default falls past": `
+	switch choice() {
+	case 0:
+		return
+	case 1:
 		return
 	}
-	hit()
+	hit()`,
+		"switch whose every clause returns": `
+	switch choice() {
+	case 0:
+		hit()
+		return
+	default:
+		return
+	}
+	other()`,
+		"select whose every clause returns": `
+	ch := make(chan int)
+	select {
+	case <-ch:
+		hit()
+		return
+	case v := <-ch:
+		_ = v
+		return
+	}
+	other()`,
+		"goto skips ahead": `
+	goto done
 	other()
-`)
-	if !h.g.Reaches(h.marker("start"), h.marker("hit")) {
-		t.Error("start reaches hit on the fall-through path")
+done:
+	hit()`,
 	}
-	if !h.g.Reaches(h.marker("hit"), h.marker("other")) {
-		t.Error("same-block ordering: hit precedes other")
-	}
-	if h.g.Reaches(h.marker("other"), h.marker("start")) {
-		t.Error("no back edge: other must not reach start")
-	}
-}
-
-func TestReachableBlocksPrunesDeadCode(t *testing.T) {
-	h := buildCFG(t, `
-	start()
-	return
-	hit()
-`)
-	blk, ok := h.g.Find(h.marker("hit"))
-	if !ok {
-		t.Fatal("dead statement not indexed")
-	}
-	if h.g.ReachableBlocks()[blk] {
-		t.Error("statement after return must be unreachable")
-	}
-	ent, ok := h.g.Find(h.marker("start"))
-	if !ok {
-		t.Fatal("entry statement not indexed")
-	}
-	if !h.g.ReachableBlocks()[ent] {
-		t.Error("entry statement must be reachable")
+	for name, body := range shapes {
+		t.Run(name, func(t *testing.T) {
+			h := buildCFG(t, body)
+			reach := h.g.ReachableBlocks()
+			if !reach[h.blockOf(h.marker("hit"))] {
+				t.Error("hit() must be reachable")
+			}
+			if strings.Contains(body, "other()") && reach[h.blockOf(h.marker("other"))] {
+				t.Error("other() must be pruned as dead code")
+			}
+		})
 	}
 }
 
@@ -320,18 +205,9 @@ func TestGuardsCarryBranchArms(t *testing.T) {
 	}
 	other()
 `)
-	thenBlk, ok := h.g.Find(h.marker("start"))
-	if !ok {
-		t.Fatal("then-arm statement not indexed")
-	}
-	elseBlk, ok := h.g.Find(h.marker("hit"))
-	if !ok {
-		t.Fatal("else-arm statement not indexed")
-	}
-	afterBlk, ok := h.g.Find(h.marker("other"))
-	if !ok {
-		t.Fatal("merge statement not indexed")
-	}
+	thenBlk := h.blockOf(h.marker("start"))
+	elseBlk := h.blockOf(h.marker("hit"))
+	afterBlk := h.blockOf(h.marker("other"))
 	if n := len(thenBlk.Guards); n != 1 || thenBlk.Guards[0].Branch != 0 {
 		t.Errorf("then arm guards = %+v, want one guard with Branch 0", thenBlk.Guards)
 	}

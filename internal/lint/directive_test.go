@@ -76,7 +76,7 @@ func TestDirectiveMalformed(t *testing.T) {
 
 //egdlint:allow
 //egdlint:allow nosuchrule with a reason
-//egdlint:allow mpirequest
+//egdlint:allow mpicollective
 //egdlint:allow mpisession valid: suppresses the line below
 var x int
 `
@@ -90,7 +90,7 @@ var x int
 	}{
 		{3, "needs a rule name and a reason"},
 		{4, `unknown rule "nosuchrule"`},
-		{5, "mpirequest needs a reason"},
+		{5, "mpicollective needs a reason"},
 	}
 	for i, w := range wants {
 		f := findings[i]

@@ -15,7 +15,7 @@ func FuzzDirective(f *testing.F) {
 	f.Add("//egdlint:allow determinism wall-clock is display-only here")
 	f.Add("//egdlint:allow")
 	f.Add("//egdlint:allow ")
-	f.Add("//egdlint:allow mpirequest")
+	f.Add("//egdlint:allow mpicollective")
 	f.Add("//egdlint:allow nosuchrule because reasons")
 	f.Add("//egdlint:allow\t\tmpitag odd spacing")
 	f.Add("//egdlint:allow \x00 binary junk \xff")

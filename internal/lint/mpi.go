@@ -6,7 +6,7 @@ import (
 )
 
 // Shared recognition helpers: the analyzers identify the MPI layer
-// structurally — a method on a named type Comm, World, or Request whose
+// structurally — a method on a named type Comm or World whose
 // defining package is called "mpi" — rather than by import path, so the
 // same analyzers work against repro/internal/mpi and against the fake
 // mpi package the testdata fixtures declare.
@@ -51,31 +51,26 @@ func namedMPIType(t types.Type) string {
 	return obj.Name()
 }
 
-// errReturning lists the Comm/World/Request methods whose (usually
+// errReturning lists the Comm/World methods whose (usually
 // final) error result carries the fault-tolerance signal: typed errors
 // like RankFailedError and ErrRevoked surface only here, so dropping
 // one silently disables recovery.
 var errReturning = map[string]map[string]bool{
-	"Comm": setOf("Send", "Recv", "RecvTimeout", "Bcast", "NaiveBcast", "Reduce",
-		"Allreduce", "ReduceSlice", "Gather", "Allgather", "Scatter",
+	"Comm": setOf("Send", "Recv", "RecvTimeout", "Bcast", "Reduce", "Gather",
 		"Barrier", "Agree", "Shrink"),
-	"World":   setOf("Run", "Shrink"),
-	"Request": setOf("Wait"),
+	"World": setOf("Run", "Shrink"),
 }
 
 // collectives lists the operations every rank must execute in the same
 // order — the SPMD symmetry Blue Gene's collective network assumes.
-var collectives = setOf("Bcast", "NaiveBcast", "Reduce", "Allreduce", "ReduceSlice",
-	"Gather", "Allgather", "Scatter", "Barrier", "Agree", "Shrink")
+var collectives = setOf("Bcast", "Reduce", "Gather", "Barrier", "Agree", "Shrink")
 
 // taggedOps maps point-to-point operations to the index of their tag
 // argument.
 var taggedOps = map[string]int{
 	"Send":        1,
-	"Isend":       1,
 	"Recv":        1,
 	"RecvTimeout": 1,
-	"Irecv":       1,
 }
 
 func setOf(names ...string) map[string]bool {

@@ -6,7 +6,7 @@ import (
 
 // MPIErrCheck flags discarded results of mpi communication calls.
 //
-// Every Comm/World/Request operation reports rank failure through its
+// Every Comm/World operation reports rank failure through its
 // error result — RankFailedError from a poisoned endpoint, ErrRevoked
 // after an eviction, ErrRecvTimeout from a stalled peer. Discarding one
 // silently turns a detectable failure into a hang or a corrupted
@@ -15,7 +15,7 @@ import (
 // a site that can justify it.
 var MPIErrCheck = &Analyzer{
 	Name: "mpierrcheck",
-	Doc:  "mpi Comm/World/Request results must not be discarded: the typed errors carry the fault-tolerance signal",
+	Doc:  "mpi Comm/World results must not be discarded: the typed errors carry the fault-tolerance signal",
 	Run:  runMPIErrCheck,
 }
 

@@ -10,7 +10,7 @@ import (
 // MPISession is the cross-rank session-typing analyzer: within one
 // function it splits the control-flow graph at Rank()/OrigRank()-
 // conditioned branches into per-rank-role sides, collects each side's
-// point-to-point operations (Send/Isend/Recv/RecvTimeout/Irecv) with
+// point-to-point operations (Send/Recv/RecvTimeout) with
 // their resolved tag constants, and reports a tag that one role sends
 // with no receive on any peer role — or receives with no send. At
 // runtime that asymmetry is not an error value but a hang: the sender
@@ -154,9 +154,9 @@ func checkSession(pass *Pass, fn *ast.FuncDecl) {
 func p2pOp(pass *Pass, call *ast.CallExpr, method string, role []Guard) (sessionOp, bool) {
 	var send bool
 	switch method {
-	case "Send", "Isend":
+	case "Send":
 		send = true
-	case "Recv", "RecvTimeout", "Irecv":
+	case "Recv", "RecvTimeout":
 	default:
 		return sessionOp{}, false
 	}

@@ -22,11 +22,6 @@ func TestMPIErrCheck(t *testing.T) {
 	linttest.Run(t, lint.MPIErrCheck, "errcheck")
 }
 
-func TestMPIRequest(t *testing.T) {
-	needGo(t)
-	linttest.Run(t, lint.MPIRequest, "request")
-}
-
 func TestMPISession(t *testing.T) {
 	needGo(t)
 	linttest.Run(t, lint.MPISession, "session")

@@ -7,12 +7,11 @@ import "fixtures/mpi"
 
 const tagData = 7
 
-func bad(c *mpi.Comm, w *mpi.World, r *mpi.Request) {
+func bad(c *mpi.Comm, w *mpi.World) {
 	c.Barrier()                                   // want `result of mpi\.Comm\.Barrier discarded`
 	c.Send(1, tagData, "x")                       // want `result of mpi\.Comm\.Send discarded`
 	c.Bcast(0, nil)                               // want `result of mpi\.Comm\.Bcast discarded`
 	c.Agree()                                     // want `result of mpi\.Comm\.Agree discarded`
-	r.Wait()                                      // want `result of mpi\.Request\.Wait discarded`
 	w.Run(func(c *mpi.Comm) error { return nil }) // want `result of mpi\.World\.Run discarded`
 
 	_ = c.Barrier()              // want `error result of mpi\.Comm\.Barrier assigned to _`

@@ -1,6 +1,6 @@
 // Package mpi is a compile-only stand-in for repro/internal/mpi: the
 // egdlint analyzers identify the MPI layer structurally (a package
-// named "mpi" declaring Comm/World/Request), so fixtures exercise them
+// named "mpi" declaring Comm/World), so fixtures exercise them
 // without importing the real runtime.
 package mpi
 
@@ -49,32 +49,8 @@ func (c *Comm) RecvTimeout(src, tag int, timeout time.Duration) (Message, error)
 }
 
 func (c *Comm) Bcast(root int, payload any) (any, error)               { return nil, nil }
-func (c *Comm) NaiveBcast(root int, payload any) (any, error)          { return nil, nil }
 func (c *Comm) Reduce(root int, value float64, op Op) (float64, error) { return 0, nil }
-func (c *Comm) Allreduce(value float64, op Op) (float64, error)        { return 0, nil }
-func (c *Comm) ReduceSlice(root int, v []float64, op Op) ([]float64, error) {
-	return nil, nil
-}
-func (c *Comm) Gather(root int, payload any) ([]any, error) { return nil, nil }
-func (c *Comm) Allgather(payload any) ([]any, error)        { return nil, nil }
-func (c *Comm) Scatter(root int, payloads []any) (any, error) {
-	return nil, nil
-}
-func (c *Comm) Barrier() error                        { return nil }
-func (c *Comm) Agree() ([]int, error)                 { return nil, nil }
-func (c *Comm) Shrink(survivors []int) (*Comm, error) { return nil, nil }
-
-// Isend mirrors Comm.Isend.
-func (c *Comm) Isend(dst, tag int, payload any) *Request { return &Request{} }
-
-// Irecv mirrors Comm.Irecv.
-func (c *Comm) Irecv(src, tag int) *Request { return &Request{} }
-
-// Request mirrors mpi.Request.
-type Request struct{}
-
-// Wait mirrors Request.Wait.
-func (r *Request) Wait() (Message, error) { return Message{}, nil }
-
-// Cancel mirrors Request.Cancel.
-func (r *Request) Cancel() {}
+func (c *Comm) Gather(root int, payload any) ([]any, error)            { return nil, nil }
+func (c *Comm) Barrier() error                                         { return nil }
+func (c *Comm) Agree() ([]int, error)                                  { return nil, nil }
+func (c *Comm) Shrink(survivors []int) (*Comm, error)                  { return nil, nil }

@@ -93,16 +93,11 @@ func loopSession(c *mpi.Comm) {
 	}
 }
 
-// asyncPair: Isend/Irecv and RecvTimeout participate like their
-// blocking forms. Clean.
-func asyncPair(c *mpi.Comm, d time.Duration) {
+// timedPair: RecvTimeout participates like Recv. Clean.
+func timedPair(c *mpi.Comm, d time.Duration) {
 	if c.Rank() == 0 {
-		r := c.Irecv(1, tagFitness)
-		_, _ = r.Wait()
 		_, _ = c.RecvTimeout(1, tagRows, d)
 	} else {
-		r := c.Isend(0, tagFitness, nil)
-		_, _ = r.Wait()
 		_ = c.Send(0, tagRows, nil)
 	}
 }

@@ -13,7 +13,6 @@ const (
 	tagGather
 	tagBarrierUp
 	tagBarrierDown
-	tagScatter
 )
 
 // enterCollective accounts one collective entry for this rank and consults
@@ -144,67 +143,6 @@ func (c *Comm) Reduce(root int, value float64, op Op) (float64, error) {
 	return 0, nil
 }
 
-// Allreduce combines every rank's value with op and returns the result on
-// all ranks (Reduce to rank 0 followed by Bcast).
-func (c *Comm) Allreduce(value float64, op Op) (float64, error) {
-	red, err := c.Reduce(0, value, op)
-	if err != nil {
-		return 0, err
-	}
-	out, err := c.Bcast(0, red)
-	if err != nil {
-		return 0, err
-	}
-	return out.(float64), nil
-}
-
-// ReduceSlice element-wise reduces equal-length float64 slices to root.
-// Non-root ranks receive nil.
-func (c *Comm) ReduceSlice(root int, values []float64, op Op) ([]float64, error) {
-	if err := c.checkRank(root); err != nil {
-		return nil, err
-	}
-	if stop := c.collTimer("reduce_slice"); stop != nil {
-		defer stop()
-	}
-	if err := c.enterCollective(); err != nil {
-		return nil, err
-	}
-	size := c.world.size
-	vrank := (c.rank - root + size) % size
-	acc := make([]float64, len(values))
-	copy(acc, values)
-	mask := 1
-	for mask < size {
-		if vrank&mask != 0 {
-			parent := ((vrank &^ mask) + root) % size
-			if err := c.send(parent, tagReduce, acc); err != nil {
-				return nil, err
-			}
-			break
-		}
-		peer := vrank | mask
-		if peer < size {
-			msg, err := c.recv((peer+root)%size, tagReduce)
-			if err != nil {
-				return nil, err
-			}
-			other := msg.Payload.([]float64)
-			if len(other) != len(acc) {
-				return nil, fmt.Errorf("mpi: ReduceSlice length mismatch %d vs %d", len(other), len(acc))
-			}
-			for i := range acc {
-				acc[i] = op.apply(acc[i], other[i])
-			}
-		}
-		mask <<= 1
-	}
-	if c.rank == root {
-		return acc, nil
-	}
-	return nil, nil
-}
-
 // Gather collects every rank's payload at root, indexed by rank. Non-root
 // ranks receive nil.
 func (c *Comm) Gather(root int, payload any) ([]any, error) {
@@ -239,52 +177,6 @@ func (c *Comm) Gather(root int, payload any) ([]any, error) {
 		out[src] = msg.Payload
 	}
 	return out, nil
-}
-
-// Allgather collects every rank's payload on all ranks (Gather + Bcast).
-func (c *Comm) Allgather(payload any) ([]any, error) {
-	gathered, err := c.Gather(0, payload)
-	if err != nil {
-		return nil, err
-	}
-	out, err := c.Bcast(0, gathered)
-	if err != nil {
-		return nil, err
-	}
-	return out.([]any), nil
-}
-
-// Scatter distributes root's per-rank payloads; rank i receives
-// payloads[i]. Non-root ranks pass nil.
-func (c *Comm) Scatter(root int, payloads []any) (any, error) {
-	if err := c.checkRank(root); err != nil {
-		return nil, err
-	}
-	if stop := c.collTimer("scatter"); stop != nil {
-		defer stop()
-	}
-	if err := c.enterCollective(); err != nil {
-		return nil, err
-	}
-	if c.rank == root {
-		if len(payloads) != c.world.size {
-			return nil, fmt.Errorf("mpi: Scatter needs %d payloads, got %d", c.world.size, len(payloads))
-		}
-		for dst := 0; dst < c.world.size; dst++ {
-			if dst == root {
-				continue
-			}
-			if err := c.send(dst, tagScatter, payloads[dst]); err != nil {
-				return nil, err
-			}
-		}
-		return payloads[root], nil
-	}
-	msg, err := c.recv(root, tagScatter)
-	if err != nil {
-		return nil, err
-	}
-	return msg.Payload, nil
 }
 
 // Barrier blocks until every rank has entered it: an up-sweep to rank 0
@@ -331,36 +223,4 @@ func (c *Comm) Barrier() error {
 		}
 	}
 	return nil
-}
-
-// NaiveBcast is the ablation comparator for Bcast: root sends size-1
-// individual messages. Same result, O(P) serial sends instead of O(log P)
-// rounds; the ablation bench quantifies the difference the collective tree
-// makes.
-func (c *Comm) NaiveBcast(root int, payload any) (any, error) {
-	if err := c.checkRank(root); err != nil {
-		return nil, err
-	}
-	if stop := c.collTimer("naive_bcast"); stop != nil {
-		defer stop()
-	}
-	if err := c.enterCollective(); err != nil {
-		return nil, err
-	}
-	if c.rank == root {
-		for dst := 0; dst < c.world.size; dst++ {
-			if dst == root {
-				continue
-			}
-			if err := c.send(dst, tagBcast, payload); err != nil {
-				return nil, err
-			}
-		}
-		return payload, nil
-	}
-	msg, err := c.recv(root, tagBcast)
-	if err != nil {
-		return nil, err
-	}
-	return msg.Payload, nil
 }

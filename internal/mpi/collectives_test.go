@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 	"testing"
 )
@@ -105,66 +104,6 @@ func TestReduceMaxMinNonZeroRoot(t *testing.T) {
 	}
 }
 
-func TestAllreduce(t *testing.T) {
-	for _, size := range []int{1, 2, 5, 16} {
-		w := NewWorld(size)
-		want := float64(size * 2)
-		err := w.Run(func(c *Comm) error {
-			got, err := c.Allreduce(2, OpSum)
-			if err != nil {
-				return err
-			}
-			if got != want {
-				return fmt.Errorf("rank %d: allreduce = %v, want %v", c.Rank(), got, want)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("size %d: %v", size, err)
-		}
-	}
-}
-
-func TestReduceSlice(t *testing.T) {
-	w := NewWorld(6)
-	err := w.Run(func(c *Comm) error {
-		vals := []float64{float64(c.Rank()), 1, -float64(c.Rank())}
-		got, err := c.ReduceSlice(2, vals, OpSum)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 2 {
-			want := []float64{15, 6, -15}
-			for i := range want {
-				if math.Abs(got[i]-want[i]) > 1e-12 {
-					return fmt.Errorf("got %v, want %v", got, want)
-				}
-			}
-		} else if got != nil {
-			return fmt.Errorf("non-root got %v", got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReduceSliceLengthMismatch(t *testing.T) {
-	w := NewWorld(2)
-	err := w.Run(func(c *Comm) error {
-		vals := make([]float64, 2+c.Rank())
-		_, err := c.ReduceSlice(0, vals, OpSum)
-		if c.Rank() == 0 && err == nil {
-			return fmt.Errorf("length mismatch not detected")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestGatherAllRoots(t *testing.T) {
 	for _, size := range []int{1, 2, 4, 9} {
 		for root := 0; root < size; root += max(1, size/2) {
@@ -191,67 +130,6 @@ func TestGatherAllRoots(t *testing.T) {
 				t.Fatalf("size %d root %d: %v", size, root, err)
 			}
 		}
-	}
-}
-
-func TestAllgather(t *testing.T) {
-	w := NewWorld(5)
-	err := w.Run(func(c *Comm) error {
-		got, err := c.Allgather(fmt.Sprintf("r%d", c.Rank()))
-		if err != nil {
-			return err
-		}
-		if len(got) != 5 {
-			return fmt.Errorf("len %d", len(got))
-		}
-		for i, v := range got {
-			if v.(string) != fmt.Sprintf("r%d", i) {
-				return fmt.Errorf("slot %d = %v", i, v)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestScatter(t *testing.T) {
-	w := NewWorld(4)
-	err := w.Run(func(c *Comm) error {
-		var parts []any
-		if c.Rank() == 1 {
-			parts = []any{10, 11, 12, 13}
-		}
-		got, err := c.Scatter(1, parts)
-		if err != nil {
-			return err
-		}
-		if got.(int) != 10+c.Rank() {
-			return fmt.Errorf("rank %d got %v", c.Rank(), got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestScatterWrongLength(t *testing.T) {
-	w := NewWorld(2)
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() == 0 {
-			_, err := c.Scatter(0, []any{1})
-			if err == nil {
-				return fmt.Errorf("short scatter accepted")
-			}
-			return fmt.Errorf("expected failure")
-		}
-		_, err := c.Scatter(0, nil)
-		return err
-	})
-	if err == nil {
-		t.Fatal("expected propagated failure")
 	}
 }
 
@@ -287,27 +165,6 @@ func TestBarrierSingleRank(t *testing.T) {
 	}
 }
 
-func TestNaiveBcastMatchesBcast(t *testing.T) {
-	w := NewWorld(9)
-	err := w.Run(func(c *Comm) error {
-		var p any
-		if c.Rank() == 4 {
-			p = 77
-		}
-		got, err := c.NaiveBcast(4, p)
-		if err != nil {
-			return err
-		}
-		if got.(int) != 77 {
-			return fmt.Errorf("rank %d got %v", c.Rank(), got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMixedCollectiveSequence(t *testing.T) {
 	// Interleave different collectives in the same program order on every
 	// rank: the exact pattern the simulation engine uses per generation.
@@ -327,12 +184,12 @@ func TestMixedCollectiveSequence(t *testing.T) {
 			if sel[0] != gen%8 {
 				return fmt.Errorf("gen %d: bad pair %v", gen, sel)
 			}
-			total, err := c.Allreduce(float64(c.Rank()), OpSum)
+			total, err := c.Reduce(0, float64(c.Rank()), OpSum)
 			if err != nil {
 				return err
 			}
-			if total != 28 {
-				return fmt.Errorf("gen %d: allreduce %v", gen, total)
+			if c.Rank() == 0 && total != 28 {
+				return fmt.Errorf("gen %d: reduce %v", gen, total)
 			}
 			if err := c.Barrier(); err != nil {
 				return err
@@ -368,10 +225,29 @@ func TestCollectiveCounters(t *testing.T) {
 	}
 }
 
-func BenchmarkBcastTree64(b *testing.B)  { benchBcast(b, 64, false) }
-func BenchmarkBcastNaive64(b *testing.B) { benchBcast(b, 64, true) }
+// The tree-vs-flat pair quantifies what the binomial tree buys: the flat
+// variant is root sending size-1 individual messages.
+func BenchmarkBcastTree64(b *testing.B) { benchBcast(b, 64, (*Comm).Bcast) }
+func BenchmarkBcastFlat64(b *testing.B) { benchBcast(b, 64, flatBcast) }
 
-func benchBcast(b *testing.B, size int, naive bool) {
+func flatBcast(c *Comm, root int, payload any) (any, error) {
+	const tag = 1
+	if c.Rank() != root {
+		msg, err := c.Recv(root, tag)
+		return msg.Payload, err
+	}
+	for dst := 0; dst < c.Size(); dst++ {
+		if dst == root {
+			continue
+		}
+		if err := c.Send(dst, tag, payload); err != nil {
+			return nil, err
+		}
+	}
+	return payload, nil
+}
+
+func benchBcast(b *testing.B, size int, bcast func(c *Comm, root int, payload any) (any, error)) {
 	w := NewWorld(size)
 	payload := make([]float64, 128)
 	b.ResetTimer()
@@ -381,13 +257,7 @@ func benchBcast(b *testing.B, size int, naive bool) {
 			if c.Rank() == 0 {
 				p = payload
 			}
-			var err error
-			if naive {
-				_, err = c.NaiveBcast(0, p)
-			} else {
-				_, err = c.Bcast(0, p)
-			}
-			if err != nil {
+			if _, err := bcast(c, 0, p); err != nil {
 				return err
 			}
 		}

@@ -117,20 +117,35 @@ func (w *World) rankExited(rank int, err error) {
 	w.econd.Broadcast()
 }
 
-// startHeartbeat launches the per-rank beat emitters and the failure
-// monitor; the returned function stops them. Nil when eviction is off.
-// Timing uses a monotonic offset from hbStart so wall-clock jumps cannot
-// fake a missed deadline.
+// startHeartbeat launches one beat emitter per rank this process hosts —
+// every rank of an in-process world, self on a networked one, where each
+// beat also goes out over the wire — and the failure monitor; the returned
+// function stops them. Nil when eviction is off. Ranks hosted elsewhere have
+// their lastBeat refreshed by noteRemoteBeat; they are primed with a start-up
+// grace so a peer process that launches a moment later is not declared dead
+// before its first beat can possibly arrive. Timing uses a monotonic offset
+// from hbStart so wall-clock jumps cannot fake a missed deadline.
 func (w *World) startHeartbeat() func() {
 	if !w.evict {
 		return nil
 	}
+	// Under emu: noteRemoteBeat reads hbStart from the transport's goroutines.
+	w.emu.Lock()
 	w.hbStart = time.Now()
+	w.emu.Unlock()
+	deadline := time.Duration(w.hbMisses) * w.hbEvery
+	grace := deadline
+	if grace < time.Second {
+		grace = time.Second
+	}
+	nt, _ := w.tr.(*NetTransport)
 	stop := make(chan struct{})
 	var hwg sync.WaitGroup
-	for r := 0; r < w.size; r++ {
+	// every runs tick once per beat interval until stop or until exited
+	// closes (a nil exited never does).
+	every := func(exited <-chan struct{}, tick func()) {
 		hwg.Add(1)
-		go func(rank int) {
+		go func() {
 			defer hwg.Done()
 			t := time.NewTicker(w.hbEvery)
 			defer t.Stop()
@@ -138,30 +153,29 @@ func (w *World) startHeartbeat() func() {
 				select {
 				case <-stop:
 					return
-				case <-w.exited[rank]:
+				case <-exited:
 					return
 				case <-t.C:
-					w.lastBeat[rank].Store(int64(time.Since(w.hbStart)))
-					w.noteHeartbeat(rank)
+					tick()
 				}
 			}
-		}(r)
+		}()
 	}
-	hwg.Add(1)
-	go func() {
-		defer hwg.Done()
-		t := time.NewTicker(w.hbEvery)
-		defer t.Stop()
-		deadline := time.Duration(w.hbMisses) * w.hbEvery
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				w.monitorTick(deadline)
-			}
+	for r := 0; r < w.size; r++ {
+		if w.self >= 0 && r != w.self {
+			w.lastBeat[r].Store(int64(grace))
+			continue
 		}
-	}()
+		rank := r
+		every(w.exited[rank], func() {
+			w.lastBeat[rank].Store(int64(time.Since(w.hbStart)))
+			w.noteHeartbeat(rank)
+			if nt != nil {
+				nt.Beat()
+			}
+		})
+	}
+	every(nil, func() { w.monitorTick(deadline) })
 	return func() {
 		close(stop)
 		hwg.Wait()

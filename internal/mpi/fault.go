@@ -24,9 +24,6 @@ var ErrInjectedFault = errors.New("mpi: injected fault")
 // matching message arrives.
 var ErrRecvTimeout = errors.New("mpi: receive timed out")
 
-// ErrRecvCancelled is returned by a pending Irecv after Request.Cancel.
-var ErrRecvCancelled = errors.New("mpi: receive cancelled")
-
 // ErrShutdown is returned by receives still pending after every rank has
 // returned from Run (the world is torn down, so no matching send can ever
 // arrive).

@@ -184,8 +184,6 @@ func TagLabel(tag int) string {
 		return "coll_barrier_up"
 	case tagBarrierDown:
 		return "coll_barrier_down"
-	case tagScatter:
-		return "coll_scatter"
 	case AnyTag:
 		return "any"
 	}

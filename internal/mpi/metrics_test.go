@@ -197,25 +197,3 @@ func TestMetricsSurviveShrink(t *testing.T) {
 		t.Error("no heartbeats recorded in eviction mode")
 	}
 }
-
-// TestMetricsIrecvAccounted: the non-blocking receive path books
-// received traffic too.
-func TestMetricsIrecvAccounted(t *testing.T) {
-	w := NewWorld(2)
-	w.EnableMetrics()
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() == 0 {
-			return c.Send(1, 1, []float64{1, 2})
-		}
-		req := c.Irecv(0, 1)
-		_, err := req.Wait()
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := w.CommMetricsSnapshot()[1]
-	if s.RecvMsgs != 1 || s.RecvBytes != 16 {
-		t.Errorf("Irecv accounting = %d msgs / %d bytes, want 1 / 16", s.RecvMsgs, s.RecvBytes)
-	}
-}

@@ -7,12 +7,11 @@
 //
 //   - Send is buffered (never blocks); Recv blocks until a matching message
 //     (by source and tag, with wildcards) arrives. Messages from the same
-//     (source, tag) pair are non-overtaking.
-//   - Isend/Irecv return Requests completed by Wait, modelling the paper's
-//     non-blocking point-to-point fitness returns over the torus.
-//   - Bcast, Reduce, Allreduce, Gather, Allgather, and Barrier are
-//     collectives implemented over binomial trees of point-to-point
-//     messages, modelling the Blue Gene collective network the paper uses
+//     (source, tag) pair are non-overtaking; the engine's point-to-point
+//     fitness returns (the paper's torus traffic) ride on this pair.
+//   - Bcast, Reduce, Gather, and Barrier are collectives implemented over
+//     point-to-point messages (binomial trees for Bcast, Reduce and
+//     Barrier), modelling the Blue Gene collective network the paper uses
 //     for pair-selection announcements and global strategy updates.
 //
 // The runtime counts messages and bytes per rank; the perfmodel package uses
@@ -94,12 +93,11 @@ func (ib *inbox) finish(cause error) {
 }
 
 // take removes and returns the first message matching (src, tag); it blocks
-// until one arrives, the optional timeout expires, the optional cancel flag
-// is raised, or the world ends (abort or shutdown). The AnyTag wildcard
-// matches user tags only — collective-protocol messages live in their own
-// context, as in MPI, so a wildcard receive can never steal a broadcast or
-// barrier packet.
-func (ib *inbox) take(src, tag int, timeout time.Duration, cancelled *bool) (envelope, error) {
+// until one arrives, the optional timeout expires, or the world ends (abort
+// or shutdown). The AnyTag wildcard matches user tags only —
+// collective-protocol messages live in their own context, as in MPI, so a
+// wildcard receive can never steal a broadcast or barrier packet.
+func (ib *inbox) take(src, tag int, timeout time.Duration) (envelope, error) {
 	var expired bool
 	if timeout > 0 {
 		t := time.AfterFunc(timeout, func() {
@@ -125,9 +123,6 @@ func (ib *inbox) take(src, tag int, timeout time.Duration, cancelled *bool) (env
 		}
 		if expired {
 			return envelope{}, ErrRecvTimeout
-		}
-		if cancelled != nil && *cancelled {
-			return envelope{}, ErrRecvCancelled
 		}
 		ib.cond.Wait()
 	}
@@ -309,8 +304,8 @@ func (w *World) Stats() Stats {
 // errors.Join, in rank order, so a cascading abort cannot mask the root
 // cause. A rank whose own error is not itself an abort echo is wrapped in
 // *RankFailedError; survivors unwinding on the abort are wrapped as plain
-// cascade errors. After all ranks return, receives still pending (leaked
-// Irecvs) are released with ErrShutdown.
+// cascade errors. After all ranks return, receives still pending (on a
+// goroutine the body left behind) are released with ErrShutdown.
 func (w *World) Run(body func(c *Comm) error) error {
 	if w.root != nil {
 		panic("mpi: Run on a shrunk sub-world; run the root world")
@@ -525,96 +520,12 @@ func (c *Comm) recvDeadline(src, tag int, timeout time.Duration) (Message, error
 	if timeout <= 0 {
 		timeout = c.world.recvTimeout
 	}
-	e, err := c.world.boxes[c.rank].take(src, tag, timeout, nil)
+	e, err := c.world.boxes[c.rank].take(src, tag, timeout)
 	if err != nil {
 		return Message{}, err
 	}
 	c.accountRecv(e)
 	return Message{Source: e.source, Tag: e.tag, Payload: e.payload}, nil
-}
-
-// Request is a pending non-blocking operation.
-type Request struct {
-	done   chan struct{}
-	msg    Message
-	err    error
-	cancel func()
-}
-
-// Wait blocks until the operation completes and returns its result. For
-// completed Isends the Message is zero-valued.
-func (r *Request) Wait() (Message, error) {
-	<-r.done
-	return r.msg, r.err
-}
-
-// Cancel aborts a pending Irecv: its goroutine stops waiting and Wait
-// returns ErrRecvCancelled. Calling Cancel on a completed request, a
-// request whose message already matched, or an Isend request is a no-op.
-// Cancel is safe to call from any goroutine, any number of times.
-func (r *Request) Cancel() {
-	if r.cancel != nil {
-		r.cancel()
-	}
-}
-
-// Isend starts a non-blocking send. With this runtime's buffered sends it
-// completes immediately; the Request form is kept so the algorithm code
-// reads like its MPI original.
-func (c *Comm) Isend(dst, tag int, payload any) *Request {
-	r := &Request{done: make(chan struct{})}
-	r.err = c.Send(dst, tag, payload)
-	close(r.done)
-	return r
-}
-
-// Irecv starts a non-blocking receive completed by Wait and abandoned by
-// Cancel. An Irecv that never matches is also released when the world
-// aborts or shuts down, so it cannot leak its goroutine past Run.
-func (c *Comm) Irecv(src, tag int) *Request {
-	r := &Request{done: make(chan struct{})}
-	if src != AnySource {
-		if err := c.checkRank(src); err != nil {
-			r.err = err
-			close(r.done)
-			return r
-		}
-	}
-	if tag != AnyTag {
-		if err := c.checkUserTag(tag); err != nil {
-			r.err = err
-			close(r.done)
-			return r
-		}
-	}
-	// A request created on an already-revoked communicator fails fast with
-	// the revocation cause rather than waiting out the receive deadline: no
-	// matching send can ever complete on a revoked comm.
-	if err := c.world.revokeErr(); err != nil {
-		r.err = err
-		close(r.done)
-		return r
-	}
-	ib := c.world.boxes[c.rank]
-	cancelled := new(bool)
-	r.cancel = func() {
-		ib.mu.Lock()
-		*cancelled = true
-		ib.mu.Unlock()
-		ib.cond.Broadcast()
-	}
-	timeout := c.world.recvTimeout
-	go func() {
-		e, err := ib.take(src, tag, timeout, cancelled)
-		if err != nil {
-			r.err = err
-		} else {
-			c.accountRecv(e)
-			r.msg = Message{Source: e.source, Tag: e.tag, Payload: e.payload}
-		}
-		close(r.done)
-	}()
-	return r
 }
 
 // payloadBytes estimates the wire size of a payload for the communication
@@ -634,8 +545,7 @@ func payloadBytes(p any) uint64 {
 	case []uint32:
 		return uint64(4 * len(v))
 	case []any:
-		// Aggregate payloads (Gather results fed back through Bcast in
-		// Allgather) cost the sum of their elements on the wire.
+		// Aggregate payloads cost the sum of their elements on the wire.
 		var total uint64
 		for _, e := range v {
 			total += payloadBytes(e)

@@ -55,7 +55,7 @@ func (w *World) RunLocal(body func(c *Comm) error) error {
 	if !ok || w.self < 0 {
 		panic("mpi: RunLocal needs a networked world (NewNetWorld)")
 	}
-	stopHB := w.startLocalHeartbeat(nt)
+	stopHB := w.startHeartbeat()
 	err := runBody(body, &Comm{world: w, rank: w.self})
 	if w.evict {
 		w.rankExited(w.self, err)
@@ -66,68 +66,6 @@ func (w *World) RunLocal(body func(c *Comm) error) error {
 	nt.Shutdown(err)
 	w.shutdown()
 	return err
-}
-
-// startLocalHeartbeat is startHeartbeat's networked-world counterpart: one
-// emitter for the hosted rank (which also broadcasts the beat over the
-// wire) plus the shared failure monitor. Remote ranks' lastBeat entries
-// are refreshed by noteRemoteBeat when their beats arrive; they are primed
-// with a startup grace so a peer process that launches a moment later is
-// not declared dead before its first beat can possibly arrive.
-func (w *World) startLocalHeartbeat(nt *NetTransport) func() {
-	if !w.evict {
-		return nil
-	}
-	w.emu.Lock()
-	w.hbStart = time.Now()
-	w.emu.Unlock()
-	deadline := time.Duration(w.hbMisses) * w.hbEvery
-	grace := deadline
-	if grace < time.Second {
-		grace = time.Second
-	}
-	for r := 0; r < w.size; r++ {
-		if r != w.self {
-			w.lastBeat[r].Store(int64(grace))
-		}
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{}, 2)
-	go func() {
-		defer func() { done <- struct{}{} }()
-		t := time.NewTicker(w.hbEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-w.exited[w.self]:
-				return
-			case <-t.C:
-				w.lastBeat[w.self].Store(int64(time.Since(w.hbStart)))
-				w.noteHeartbeat(w.self)
-				nt.Beat()
-			}
-		}
-	}()
-	go func() {
-		defer func() { done <- struct{}{} }()
-		t := time.NewTicker(w.hbEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				w.monitorTick(deadline)
-			}
-		}
-	}()
-	return func() {
-		close(stop)
-		<-done
-		<-done
-	}
 }
 
 // noteRemoteBeat feeds a wire heartbeat into the failure detector: receipt

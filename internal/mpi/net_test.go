@@ -3,6 +3,8 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -122,14 +124,14 @@ func TestNetWorldPointToPointAndCollectives(t *testing.T) {
 				}
 			}
 		}
-		// Allgather and barrier.
-		all, err := c.Allgather(c.Rank() * 10)
+		// The gathered []any aggregate crosses the wire again, then barrier.
+		all, err := c.Bcast(0, vals)
 		if err != nil {
-			return fmt.Errorf("allgather: %w", err)
+			return fmt.Errorf("bcast of gathered: %w", err)
 		}
-		for i, v := range all {
-			if v.(int) != i*10 {
-				return fmt.Errorf("allgather got %v", all)
+		for i, v := range all.([]any) {
+			if v.(int) != i {
+				return fmt.Errorf("bcast of gathered got %v", all)
 			}
 		}
 		return c.Barrier()
@@ -313,6 +315,80 @@ func TestNetWorldSilentVanishEvicted(t *testing.T) {
 		msg := evs[0].Err.Error()
 		if !strings.Contains(msg, "heartbeat") && !strings.Contains(msg, "unreachable") {
 			t.Errorf("rank %d eviction cause %q lacks liveness diagnosis", tr.Self(), msg)
+		}
+	}
+}
+
+// A half-open peer — a connection to the listener that never sends its
+// hello — is closed once the hello deadline (DialTimeout+WriteTimeout)
+// lapses, and meanwhile does not keep the real mesh from wiring.
+func TestNetHalfOpenPeerDroppedWhileMeshWires(t *testing.T) {
+	cfgs := netMesh(t, 2)
+	for i := range cfgs {
+		cfgs[i].DialTimeout = 100 * time.Millisecond
+		cfgs[i].WriteTimeout = 200 * time.Millisecond
+	}
+	trs := newNetTransports(t, cfgs)
+	worlds := []*World{NewNetWorld(trs[0]), NewNetWorld(trs[1])}
+	t.Cleanup(func() {
+		for _, tr := range trs {
+			tr.close()
+		}
+	})
+
+	// Rank 1 listens and waits for rank 0 to dial in.
+	started := make(chan error, 1)
+	go func() { started <- trs[1].Start() }()
+
+	// The half-open peer connects as soon as the listener is up.
+	var raw net.Conn
+	for giveUp := time.Now().Add(5 * time.Second); raw == nil; {
+		c, err := net.Dial("unix", cfgs[1].Addrs[1])
+		if err == nil {
+			raw = c
+		} else if time.Now().After(giveUp) {
+			t.Fatalf("rank 1 never listened: %v", err)
+		} else {
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	defer raw.Close()
+	opened := time.Now()
+
+	// The real mesh wires around it and carries traffic.
+	if err := trs[0].Start(); err != nil {
+		t.Fatalf("rank 0 start: %v", err)
+	}
+	if err := <-started; err != nil {
+		t.Fatalf("rank 1 start: %v", err)
+	}
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for r, w := range worlds {
+		wg.Add(1)
+		go func(r int, w *World) {
+			defer wg.Done()
+			errs[r] = w.RunLocal(func(c *Comm) error {
+				if c.Rank() == 0 {
+					return c.Send(1, 7, "ping")
+				}
+				_, err := c.Recv(0, 7)
+				return err
+			})
+		}(r, w)
+	}
+
+	// The listener gives up on the silent connection within its bound.
+	bound := cfgs[1].DialTimeout + cfgs[1].WriteTimeout
+	_ = raw.SetReadDeadline(opened.Add(bound + 2*time.Second))
+	if _, err := raw.Read(make([]byte, 1)); err != io.EOF {
+		t.Errorf("half-open connection after %v: read returned %v, want EOF from the listener closing it (bound %v)",
+			time.Since(opened), err, bound)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Errorf("rank %d: %v", r, err)
 		}
 	}
 }

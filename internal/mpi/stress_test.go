@@ -67,12 +67,12 @@ func TestStressMixedTraffic(t *testing.T) {
 			if v.(int) != r*r {
 				return fmt.Errorf("round %d: bcast got %v", r, v)
 			}
-			sum, err := c.Allreduce(float64(c.Rank()), OpSum)
+			sum, err := c.Reduce(root, float64(c.Rank()), OpSum)
 			if err != nil {
 				return err
 			}
-			if sum != float64(size*(size-1))/2 {
-				return fmt.Errorf("round %d: allreduce %v", r, sum)
+			if c.Rank() == root && sum != float64(size*(size-1))/2 {
+				return fmt.Errorf("round %d: reduce %v", r, sum)
 			}
 			if err := c.Barrier(); err != nil {
 				return err
@@ -94,11 +94,11 @@ func TestStressManyWorlds(t *testing.T) {
 			w := NewWorld(4)
 			done <- w.Run(func(c *Comm) error {
 				for r := 0; r < 30; r++ {
-					sum, err := c.Allreduce(float64(wi), OpSum)
+					sum, err := c.Reduce(0, float64(wi), OpSum)
 					if err != nil {
 						return err
 					}
-					if sum != float64(4*wi) {
+					if c.Rank() == 0 && sum != float64(4*wi) {
 						return fmt.Errorf("world %d leaked: sum %v", wi, sum)
 					}
 				}
@@ -110,40 +110,5 @@ func TestStressManyWorlds(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestIrecvOutstanding posts receives before the matching sends exist.
-func TestIrecvOutstanding(t *testing.T) {
-	w := NewWorld(3)
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() == 0 {
-			// Post both receives first, then trigger the sends with a
-			// barrier release.
-			r1 := c.Irecv(1, 5) //egdlint:allow mpirequest on the Barrier error path world shutdown releases the posted receives
-			r2 := c.Irecv(2, 5) //egdlint:allow mpirequest on the Barrier error path world shutdown releases the posted receives
-			if err := c.Barrier(); err != nil {
-				return err
-			}
-			m1, err := r1.Wait()
-			if err != nil {
-				return err
-			}
-			m2, err := r2.Wait()
-			if err != nil {
-				return err
-			}
-			if m1.Payload.(int) != 100 || m2.Payload.(int) != 200 {
-				return fmt.Errorf("got %v %v", m1.Payload, m2.Payload)
-			}
-			return nil
-		}
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		return c.Send(0, 5, c.Rank()*100)
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

@@ -346,8 +346,9 @@ func (m *Manager) drainSeconds() int {
 }
 
 // Submit validates, prices, and admits a job, returning it in StateQueued.
-// Errors are *specError (malformed), *admissionError (over budget), or
-// *quotaError (tenant limits); the HTTP layer maps each to its status.
+// Errors are *specError (malformed), *admissionError (over budget),
+// *quotaError (tenant limits), or errShuttingDown; the HTTP layer maps each
+// to its status.
 func (m *Manager) Submit(tenant string, spec JobSpec) (*Job, error) {
 	cfg, err := spec.Config()
 	if err != nil {
@@ -377,7 +378,7 @@ func (m *Manager) Submit(tenant string, spec JobSpec) (*Job, error) {
 	if m.closed {
 		m.mu.Unlock()
 		m.quotas.release(tenant)
-		return nil, &specError{Detail: "server shutting down"}
+		return nil, errShuttingDown
 	}
 	if m.maxOutstanding > 0 && m.outstanding+est > m.maxOutstanding {
 		retry := m.drainSeconds()
@@ -446,7 +447,7 @@ func (m *Manager) enqueue(job *Job) error {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		return &specError{Detail: "server shutting down"}
+		return errShuttingDown
 	}
 	select {
 	case m.queue <- job:
@@ -694,6 +695,11 @@ type specError struct {
 }
 
 func (e *specError) Error() string { return "server: invalid job spec: " + e.Detail }
+
+// errShuttingDown rejects a submission or resume that arrives once Close or
+// Drain has begun (HTTP 503): the request is valid, this process just takes
+// no more work, so the client retries against the restarted daemon.
+var errShuttingDown = errors.New("server: shutting down")
 
 // stateError is an invalid lifecycle transition (HTTP 409).
 type stateError struct {

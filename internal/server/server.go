@@ -166,9 +166,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v) //nolint:errcheck // client gone mid-write is not actionable
 }
 
+// shutdownRetryAfter is the Retry-After (seconds) sent with a 503 during
+// shutdown: the restart time is not known to the dying process, so this is
+// only a floor that keeps clients from hammering the closing listener.
+const shutdownRetryAfter = "5"
+
 // writeError maps the manager's typed errors onto HTTP semantics: 400 for
 // malformed specs, 409 for invalid transitions, 422/429 (+ Retry-After and
-// the modelled cost) for admission, 429 (+ Retry-After) for quotas.
+// the modelled cost) for admission, 429 (+ Retry-After) for quotas, 503
+// (+ Retry-After) once shutdown has begun.
 func writeError(w http.ResponseWriter, err error) {
 	var se *specError
 	var ste *stateError
@@ -193,6 +199,9 @@ func writeError(w http.ResponseWriter, err error) {
 			w.Header().Set("Retry-After", strconv.Itoa(qe.RetryAfterSeconds))
 		}
 		writeJSON(w, http.StatusTooManyRequests, qe)
+	case errors.Is(err, errShuttingDown):
+		w.Header().Set("Retry-After", shutdownRetryAfter)
+		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"reason": "shutting_down", "detail": "the server is draining for shutdown; resubmit after it restarts"})
 	default:
 		writeJSON(w, http.StatusInternalServerError, map[string]string{"reason": "internal", "detail": err.Error()})
 	}

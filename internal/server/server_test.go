@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -21,16 +22,28 @@ import (
 // httptest waits on connections.
 func newTestServer(t *testing.T, opts Options) *httptest.Server {
 	t.Helper()
+	_, ts := startServer(t, opts, nil)
+	return ts
+}
+
+// startServer is newTestServer for tests that also drive the Server itself
+// or observe its handler through wrap (nil: serve the handler as is).
+func startServer(t *testing.T, opts Options, wrap func(http.Handler) http.Handler) (*Server, *httptest.Server) {
+	t.Helper()
 	s, err := New(opts)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	ts := httptest.NewServer(s.Handler())
+	h := s.Handler()
+	if wrap != nil {
+		h = wrap(h)
+	}
+	ts := httptest.NewServer(h)
 	t.Cleanup(func() {
 		s.Close()
 		ts.Close()
 	})
-	return ts
+	return s, ts
 }
 
 // doJSON issues one request and decodes the response body into a generic map.
@@ -449,6 +462,96 @@ func TestSSELiveStreamAndReplay(t *testing.T) {
 	}
 }
 
+// A subscriber that never drains is dropped once its 64-event buffer is
+// full — publish never blocks on it — and a re-subscribe with the last id
+// it saw replays the dense remainder of the timeline.
+func TestHubDropsLaggingSubscriberAndReplays(t *testing.T) {
+	h := newHub()
+	_, ch, cancel := h.subscribe(0)
+	const buffered, extra = 64, 6
+	published := make(chan struct{})
+	go func() {
+		defer close(published)
+		for i := 0; i < buffered+extra; i++ {
+			h.publish("tick", i)
+		}
+	}()
+	select {
+	case <-published:
+	case <-time.After(5 * time.Second):
+		t.Fatal("publish blocked on a subscriber that does not drain")
+	}
+	last := 0
+	for ev := range ch { // closed by the drop, after the buffered prefix
+		if ev.ID != last+1 {
+			t.Fatalf("buffered event id %d after %d; want dense ids", ev.ID, last)
+		}
+		last = ev.ID
+	}
+	if last != buffered {
+		t.Fatalf("lagging subscriber received %d events before the drop, want %d", last, buffered)
+	}
+	cancel() // after a drop: must be a no-op, not a double close
+	backlog, _, cancel2 := h.subscribe(last)
+	defer cancel2()
+	if len(backlog) != extra {
+		t.Fatalf("replay after id %d returned %d events, want %d", last, len(backlog), extra)
+	}
+	for i, ev := range backlog {
+		if ev.ID != last+1+i {
+			t.Fatalf("replayed event %d has id %d, want %d", i, ev.ID, last+1+i)
+		}
+	}
+}
+
+// A client that opens the event stream and then stops reading stalls the
+// TCP send buffer; the per-event write deadline (Options.SSEWriteTimeout)
+// must end the handler instead of letting it hang on the dead peer.
+func TestSSEStalledClientEndsWithinWriteTimeout(t *testing.T) {
+	const writeTimeout = 200 * time.Millisecond
+	ended := make(chan time.Duration, 1)
+	s, ts := startServer(t, Options{Workers: 1, SSEWriteTimeout: writeTimeout}, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			start := time.Now()
+			h.ServeHTTP(w, r)
+			if strings.HasSuffix(r.URL.Path, "/events") {
+				ended <- time.Since(start)
+			}
+		})
+	})
+	// The single worker is busy with the first job, so the second stays
+	// queued with an open, otherwise silent hub.
+	submit(t, ts, "", longSpec)
+	job, ok := s.mgr.get(submit(t, ts, "", longSpec))
+	if !ok {
+		t.Fatal("queued job not registered")
+	}
+	// 16 MiB of backlog: more than the loopback socket buffers can absorb.
+	blob := strings.Repeat("x", 256<<10)
+	for i := 0; i < 64; i++ {
+		job.hub.publish("blob", blob)
+	}
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := fmt.Fprintf(conn, "GET /api/v1/jobs/%s/events HTTP/1.1\r\nHost: stalled\r\n\r\n", job.ID); err != nil {
+		t.Fatal(err)
+	}
+	// ... and never read. The bound is generous against the write timeout
+	// but far below the 30 s default, let alone a hang.
+	select {
+	case took := <-ended:
+		if took < writeTimeout {
+			t.Errorf("handler ended after %v, before one write timeout (%v): the client never stalled it", took, writeTimeout)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("event handler still writing to a stalled client after 10s (write timeout %v)", writeTimeout)
+	}
+}
+
 func TestSpecAndTransitionErrors(t *testing.T) {
 	ts := newTestServer(t, Options{Workers: 1})
 
@@ -491,6 +594,23 @@ func TestSpecAndTransitionErrors(t *testing.T) {
 	}
 	doJSON(t, "POST", ts.URL+"/api/v1/jobs/"+long+"/cancel", "", "")
 	waitState(t, ts, long, StateCanceled)
+}
+
+// A valid submission that arrives once Drain has begun is refused as
+// retryable (503 shutting_down + Retry-After), not as a bad spec: the
+// client must resubmit to the restarted daemon, never drop the job.
+func TestSubmitAfterDrainIsRetryable(t *testing.T) {
+	s, ts := startServer(t, Options{Workers: 1}, nil)
+	if err := s.Drain(10 * time.Second); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	resp, m := doJSON(t, "POST", ts.URL+"/api/v1/jobs", "", `{"memory":1,"ssets":8,"generations":20,"rounds":10,"seed":1}`)
+	if resp.StatusCode != http.StatusServiceUnavailable || m["reason"] != "shutting_down" {
+		t.Fatalf("submit after drain: got %d (%v), want 503 shutting_down", resp.StatusCode, m)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("503 during shutdown carries no Retry-After")
+	}
 }
 
 func TestCancelQueuedAndRunning(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/game"
-	"repro/internal/strategy"
 )
 
 // assertBitIdentical is the cache-parity comparator: unlike
@@ -270,24 +269,5 @@ func TestConfigRejectsNegativeCacheSize(t *testing.T) {
 	cfg.PayoffCacheSize = -1
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("negative PayoffCacheSize validated")
-	}
-}
-
-func TestPayoffKernelFingerprintMemoBounded(t *testing.T) {
-	cfg := testConfig(1, 4, 0)
-	cfg.PayoffCache = true
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	kern := newPayoffKernel(&cfg)
-	sp := strategy.NewSpace(1)
-	for i := 0; i < 1000; i++ {
-		s := strategy.NewPure(sp) // fresh pointer each time: distinct memo key
-		if _, ok := kern.fingerprint(s); !ok {
-			t.Fatal("pure strategy not fingerprintable")
-		}
-		if len(kern.fps) > kern.fpCap {
-			t.Fatalf("fingerprint memo grew to %d, cap %d", len(kern.fps), kern.fpCap)
-		}
 	}
 }
