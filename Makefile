@@ -36,14 +36,13 @@ strict:
 	$(GO) test -tags mpistrict ./internal/mpi ./internal/sim
 
 # Short fuzz pass over every fuzz target that guards a parser: the
-# checkpoint wire format, the fault-spec grammar, the trace CSV, the
-# job-store journal replayer (arbitrary tail damage must never panic),
+# checkpoint wire format, the fault-spec grammar, the wire frame decoder,
+# the job-store journal replayer (arbitrary tail damage must never panic),
 # and the egdlint allow-directive grammar.
 fuzz:
 	$(GO) test -fuzz=FuzzRead -fuzztime=10s ./internal/checkpoint
 	$(GO) test -fuzz=FuzzParseFault -fuzztime=10s ./internal/mpi
 	$(GO) test -fuzz=FuzzWireFrame -fuzztime=10s ./internal/mpi
-	$(GO) test -fuzz=FuzzParseCSV -fuzztime=10s ./internal/trace
 	$(GO) test -fuzz=FuzzJournalTail -fuzztime=10s ./internal/server
 	$(GO) test -fuzz=FuzzDirective -fuzztime=10s ./internal/lint
 

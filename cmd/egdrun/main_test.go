@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -110,5 +112,70 @@ func TestFleetSummaryMatchesInProcessEngine(t *testing.T) {
 	}
 	if got, want := strings.Join(lines[1:], "\n"), strings.Join(core.SummaryLines(res), "\n"); got != want {
 		t.Fatalf("fleet summary differs from sim.RunParallel's:\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
+// The chaos schedule scripts/chaos_smoke.sh drives, in Go: a four-process
+// fleet that loses one worker to SIGKILL and one to SIGSTOP mid-run recovers
+// live, and its rank-0 summary is the fault-free fleet's and the in-process
+// engine's, line for line. The launcher runs as a child process (this
+// binary, re-executed as egdrun) so its stderr — where it attributes every
+// worker's exit — can be read.
+func TestFleetChaosScheduleMatchesFaultFree(t *testing.T) {
+	fleet := func(extra ...string) (summary []string, stderr string) {
+		t.Helper()
+		self, err := os.Executable()
+		if err != nil {
+			t.Fatal(err)
+		}
+		args := append([]string{"-np", "4", "-ssets", "16", "-gens", "1200", "-rounds", "20", "-seed", "7", "-full",
+			"-sock", t.TempDir(), "-timeout", "2m"}, extra...)
+		cmd := exec.Command(self, args...)
+		cmd.Env = append(os.Environ(), helperEnv+"=1")
+		var out, errb bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &out, &errb
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("fleet %v failed: %v\nstdout:\n%s\nstderr:\n%s", extra, err, out.String(), errb.String())
+		}
+		lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+		if !strings.HasPrefix(lines[0], "run: ") {
+			t.Fatalf("fleet %v: first line = %q, want the run line", extra, lines[0])
+		}
+		return lines, errb.String()
+	}
+
+	clean, _ := fleet()
+	chaos, stderr := fleet("-evict", "-heartbeat-every", "25ms", "-heartbeat-misses", "5",
+		"-chaos-kill", "2@150ms", "-chaos-stop", "3@400ms:700ms")
+
+	if !strings.HasPrefix(chaos[0], "run: 2 ranks finish, 2 evictions, ") {
+		t.Errorf("chaos run line = %q, want both targets evicted mid-run", chaos[0])
+	}
+	for _, want := range []string{
+		"egdrun: rank 0: exit 0\n",
+		"egdrun: rank 1: exit 0\n",
+		"egdrun: rank 2: killed by signal 9 (killed) (chaos target)\n",
+		"egdrun: rank 3: exit 1 (chaos target)\n",
+	} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("launcher did not report %q; stderr:\n%s", strings.TrimSpace(want), stderr)
+		}
+	}
+
+	cfg := sim.DefaultConfig(1, 16)
+	cfg.Generations = 1200
+	cfg.Rules.Rounds = 20
+	cfg.Seed = 7
+	cfg.FullRecompute = true
+	res, err := sim.RunParallel(cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Join(core.SummaryLines(res), "\n")
+	if got := strings.Join(clean[1:], "\n"); got != want {
+		t.Errorf("fault-free fleet summary differs from sim.RunParallel's:\n%s\n--- want ---\n%s", got, want)
+	}
+	if got := strings.Join(chaos[1:], "\n"); got != want {
+		t.Errorf("chaos fleet summary differs from the fault-free one:\n%s\n--- want ---\n%s", got, want)
 	}
 }

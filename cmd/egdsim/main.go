@@ -216,15 +216,7 @@ func run(args []string, out io.Writer) error {
 	)
 	switch {
 	case *ranks >= 2 && resilient:
-		budget := *restarts
-		if budget <= 0 {
-			budget = -1 // RestartPolicy treats negative as "no restarts"
-		}
-		res, err = sim.RunParallelResilient(cfg, *ranks, sim.RestartPolicy{
-			MaxRestarts: budget,
-			Backoff:     100 * time.Millisecond,
-			MaxBackoff:  2 * time.Second,
-		})
+		res, err = sim.RunParallelResilient(cfg, *ranks, *restarts)
 	case *ranks >= 2:
 		res, err = sim.RunParallel(cfg, *ranks)
 	default:

@@ -26,9 +26,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/game"
-	"repro/internal/perfmodel"
 	"repro/internal/sim"
 	"repro/internal/strategy"
 )
@@ -253,45 +251,6 @@ func ClassicTournament(memory int, errorRate float64, repeats int, seed uint64) 
 	out := make([]Standing, len(standings))
 	for i, s := range standings {
 		out[i] = Standing{Name: s.Name, Score: s.TotalScore, MeanPayoff: s.MeanPayoff, Cooperation: s.Cooperation}
-	}
-	return out, nil
-}
-
-// PaperTables renders the paper's analytic tables (I, III, IV, VIII) as
-// formatted text keyed by name.
-func PaperTables() map[string]string {
-	return map[string]string{
-		"table1": core.TableI().Format(),
-		"table3": core.TableIII().Format(),
-		"table4": core.TableIV().Format(),
-		"table8": core.TableVIII([]int{1024, 2048, 4096, 8192, 16384, 32768}, []int{256, 512, 1024, 2048}).Format(),
-	}
-}
-
-// ScalingTables renders the paper's modelled scaling artefacts (Table VI,
-// Table VII, Figures 3-7) as formatted text keyed by name, using the
-// paper-anchored calibration.
-func ScalingTables() (map[string]string, error) {
-	cal := perfmodel.PaperCalibration()
-	tables := []struct {
-		name  string
-		build func() (*core.Table, error)
-	}{
-		{"table6", func() (*core.Table, error) { return core.TableVI(cal) }},
-		{"table7", func() (*core.Table, error) { return core.TableVII(cal) }},
-		{"fig3", func() (*core.Table, error) { return core.Fig3(cal) }},
-		{"fig4", func() (*core.Table, error) { return core.Fig4(cal, 2048) }},
-		{"fig5", func() (*core.Table, error) { return core.Fig5(cal) }},
-		{"fig6", func() (*core.Table, error) { return core.Fig6(cal) }},
-		{"fig7", func() (*core.Table, error) { return core.Fig7(cal, true) }},
-	}
-	out := map[string]string{}
-	for _, t := range tables {
-		tbl, err := t.build()
-		if err != nil {
-			return nil, err
-		}
-		out[t.name] = tbl.Format()
 	}
 	return out, nil
 }

@@ -184,33 +184,3 @@ func TestWSLSBeatsTFTUnderNoise(t *testing.T) {
 		t.Fatalf("TFT (rank %d) beat WSLS (rank %d) under 5%% errors", pos["TFT"], pos["WSLS"])
 	}
 }
-
-func TestPaperTables(t *testing.T) {
-	tables := PaperTables()
-	for _, key := range []string{"table1", "table3", "table4", "table8"} {
-		txt, ok := tables[key]
-		if !ok || txt == "" {
-			t.Fatalf("missing %s", key)
-		}
-	}
-	if !strings.Contains(tables["table4"], "2^4096") {
-		t.Fatal("table 4 missing memory-six count")
-	}
-}
-
-func TestScalingTables(t *testing.T) {
-	tables, err := ScalingTables()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"table6", "table7", "fig3", "fig4", "fig5", "fig6", "fig7"} {
-		txt, ok := tables[key]
-		if !ok || txt == "" {
-			t.Fatalf("missing %s", key)
-		}
-	}
-	// The modelled Table VI anchor: memory-one at P=128 is 26.5s.
-	if !strings.Contains(tables["table6"], "26.5") {
-		t.Fatalf("table6 lost the paper anchor:\n%s", tables["table6"])
-	}
-}

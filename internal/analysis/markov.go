@@ -223,41 +223,3 @@ func ExactPure(payoff game.Payoff, s0, s1 *strategy.Pure) (pi0, pi1 float64, err
 		stB = sp.NextState(stB, m1, m0)
 	}
 }
-
-// CooperationRatePure returns the exact long-run fraction of cooperative
-// moves in deterministic error-free play between two pure strategies.
-func CooperationRatePure(s0, s1 *strategy.Pure) (float64, error) {
-	sp := s0.Space()
-	if s1.Space() != sp {
-		return 0, fmt.Errorf("analysis: mismatched strategy spaces")
-	}
-	type joint struct{ a, b uint32 }
-	seen := make(map[joint]int)
-	var coops []float64
-
-	stA, stB := sp.InitialState(), sp.InitialState()
-	for step := 0; ; step++ {
-		j := joint{stA, stB}
-		if first, ok := seen[j]; ok {
-			var c float64
-			n := step - first
-			for i := first; i < step; i++ {
-				c += coops[i]
-			}
-			return c / float64(2*n), nil
-		}
-		seen[j] = step
-		m0 := s0.MoveAt(stA)
-		m1 := s1.MoveAt(stB)
-		c := 0.0
-		if m0 == strategy.Cooperate {
-			c++
-		}
-		if m1 == strategy.Cooperate {
-			c++
-		}
-		coops = append(coops, c)
-		stA = sp.NextState(stA, m0, m1)
-		stB = sp.NextState(stB, m1, m0)
-	}
-}

@@ -145,13 +145,10 @@ func TestMarkovNearPeriodicChainCesaro(t *testing.T) {
 	// vanishing error rate the chain is nearly periodic, the fixed-point
 	// fast path cannot converge, and the Cesàro fallback must deliver the
 	// period average: payoffs (R + P)/2 = 2.
-	sp := sp1()
-	flip := strategy.PureFromMoves(sp, []strategy.Move{
-		strategy.Defect,    // CC -> D
-		strategy.Cooperate, // CD
-		strategy.Cooperate, // DC
-		strategy.Cooperate, // DD -> C
-	})
+	flip, err := strategy.ParsePure("1000") // CC -> D, CD/DC/DD -> C
+	if err != nil {
+		t.Fatal(err)
+	}
 	pi0, pi1, err := MarkovPayoff(payoff, flip, flip, 1e-12)
 	if err != nil {
 		t.Fatal(err)
@@ -232,25 +229,6 @@ func TestExactPureMatchesLongSampledGame(t *testing.T) {
 
 func TestExactPureMismatchedSpaces(t *testing.T) {
 	if _, _, err := ExactPure(payoff, strategy.AllC(sp1()), strategy.AllC(strategy.NewSpace(2))); err == nil {
-		t.Fatal("mismatched spaces accepted")
-	}
-}
-
-func TestCooperationRatePure(t *testing.T) {
-	r, err := CooperationRatePure(strategy.AllC(sp1()), strategy.AllC(sp1()))
-	if err != nil || r != 1 {
-		t.Fatalf("ALLC self coop rate %v (%v)", r, err)
-	}
-	r, err = CooperationRatePure(strategy.AllD(sp1()), strategy.AllD(sp1()))
-	if err != nil || r != 0 {
-		t.Fatalf("ALLD self coop rate %v", r)
-	}
-	// WSLS vs ALLD: WSLS alternates C/D, ALLD never cooperates -> 1/4.
-	r, err = CooperationRatePure(strategy.WSLS(sp1()), strategy.AllD(sp1()))
-	if err != nil || r != 0.25 {
-		t.Fatalf("WSLS vs ALLD coop rate %v, want 0.25", r)
-	}
-	if _, err := CooperationRatePure(strategy.AllC(sp1()), strategy.AllC(strategy.NewSpace(2))); err == nil {
 		t.Fatal("mismatched spaces accepted")
 	}
 }

@@ -7,7 +7,6 @@
 package bitset
 
 import (
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -33,21 +32,8 @@ func New(n int) *Bitset {
 
 func wordsFor(n int) int { return (n + wordBits - 1) / wordBits }
 
-// FromWords builds a Bitset of n bits from the given word slice (copied).
-// Bits beyond n in the last word are cleared. It panics if the slice is too
-// short for n bits.
-func FromWords(n int, words []uint64) *Bitset {
-	if len(words) < wordsFor(n) {
-		panic("bitset: FromWords slice too short")
-	}
-	b := New(n)
-	copy(b.words, words[:wordsFor(n)])
-	b.trim()
-	return b
-}
-
 // trim clears any bits beyond the logical length in the last word so that
-// Equal, Hamming, and Count stay exact.
+// Equal and Count stay exact.
 func (b *Bitset) trim() {
 	if b.n%wordBits != 0 && len(b.words) > 0 {
 		b.words[len(b.words)-1] &= (1 << uint(b.n%wordBits)) - 1
@@ -81,27 +67,11 @@ func (b *Bitset) Set(i int, v bool) {
 	}
 }
 
-// Flip inverts bit i. It panics if i is out of range.
-func (b *Bitset) Flip(i int) {
-	if i < 0 || i >= b.n {
-		panic(fmt.Sprintf("bitset: Flip(%d) out of range [0,%d)", i, b.n))
-	}
-	b.words[i/wordBits] ^= 1 << uint(i%wordBits)
-}
-
 // Clone returns a deep copy.
 func (b *Bitset) Clone() *Bitset {
 	c := &Bitset{n: b.n, words: make([]uint64, len(b.words))}
 	copy(c.words, b.words)
 	return c
-}
-
-// CopyFrom overwrites b with src. Both must have the same length.
-func (b *Bitset) CopyFrom(src *Bitset) {
-	if b.n != src.n {
-		panic("bitset: CopyFrom length mismatch")
-	}
-	copy(b.words, src.words)
 }
 
 // Equal reports whether the two bitsets have identical length and bits.
@@ -126,32 +96,12 @@ func (b *Bitset) Count() int {
 	return c
 }
 
-// Hamming returns the number of positions at which b and o differ.
-// It panics on length mismatch.
-func (b *Bitset) Hamming(o *Bitset) int {
-	if b.n != o.n {
-		panic("bitset: Hamming length mismatch")
-	}
-	d := 0
-	for i := range b.words {
-		d += bits.OnesCount64(b.words[i] ^ o.words[i])
-	}
-	return d
-}
-
 // SetAll sets every bit.
 func (b *Bitset) SetAll() {
 	for i := range b.words {
 		b.words[i] = ^uint64(0)
 	}
 	b.trim()
-}
-
-// ClearAll zeroes every bit.
-func (b *Bitset) ClearAll() {
-	for i := range b.words {
-		b.words[i] = 0
-	}
 }
 
 // Fingerprint returns a 64-bit mixing hash of the contents, usable as a map
@@ -227,16 +177,6 @@ func (b *Bitset) UnmarshalBinary(data []byte) error {
 	}
 	b.trim()
 	return nil
-}
-
-// Hex returns the words as a hex string (low word first), a compact codec
-// for logs and checkpoints.
-func (b *Bitset) Hex() string {
-	raw := make([]byte, 8*len(b.words))
-	for i, w := range b.words {
-		putU64(raw[8*i:], w)
-	}
-	return hex.EncodeToString(raw)
 }
 
 func putU64(p []byte, v uint64) {

@@ -8,6 +8,9 @@ import (
 	"repro/internal/strategy"
 )
 
+// noise is zero-mean uniform noise of standard deviation sd.
+func noise(src *rng.Source, sd float64) float64 { return (src.Float64() - 0.5) * sd * math.Sqrt(12) }
+
 // threeBlobs makes three well-separated 2D clusters.
 func threeBlobs(src *rng.Source, perBlob int) ([][]float64, []int) {
 	centres := [][]float64{{0, 0}, {10, 0}, {0, 10}}
@@ -15,7 +18,7 @@ func threeBlobs(src *rng.Source, perBlob int) ([][]float64, []int) {
 	labels := make([]int, 0, 3*perBlob)
 	for c, cen := range centres {
 		for i := 0; i < perBlob; i++ {
-			pts = append(pts, []float64{cen[0] + src.Normal()*0.5, cen[1] + src.Normal()*0.5})
+			pts = append(pts, []float64{cen[0] + noise(src, 0.5), cen[1] + noise(src, 0.5)})
 			labels = append(labels, c)
 		}
 	}
@@ -224,9 +227,9 @@ func TestFig2Readout(t *testing.T) {
 	var strategies []strategy.Strategy
 	wsls := strategy.WSLS(sp)
 	for i := 0; i < 85; i++ {
-		// WSLS with small probabilistic jitter.
-		m := strategy.MixedFromProbs(sp, []float64{1, 0, 0, 1})
-		strategies = append(strategies, strategy.PerturbMixed(m, 0.05, src))
+		// WSLS with small probabilistic jitter (MixedFromProbs clamps).
+		jit := func() float64 { return noise(src, 0.05) }
+		strategies = append(strategies, strategy.MixedFromProbs(sp, []float64{1 + jit(), jit(), jit(), 1 + jit()}))
 	}
 	for i := 0; i < 15; i++ {
 		strategies = append(strategies, strategy.RandomMixed(sp, src))

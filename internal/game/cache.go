@@ -146,12 +146,6 @@ func (c *PairCache) Put(k PairKey, pay float64) {
 	c.idx[k] = c.ll.PushFront(&pairEntry{key: k, pay: pay})
 }
 
-// Len returns the number of live entries.
-func (c *PairCache) Len() int { return c.ll.Len() }
-
-// Cap returns the entry bound.
-func (c *PairCache) Cap() int { return c.cap }
-
 // Stats snapshots the counters.
 func (c *PairCache) Stats() CacheStats {
 	return CacheStats{

@@ -33,8 +33,8 @@ func TestPairCacheHitMissUpdate(t *testing.T) {
 	if v, ok := c.Get(k); !ok || v != 3.5 {
 		t.Fatalf("after update got (%v,%v), want (3.5,true)", v, ok)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("len %d after re-put, want 1", c.Len())
+	if n := c.Stats().Entries; n != 1 {
+		t.Fatalf("len %d after re-put, want 1", n)
 	}
 	st := c.Stats()
 	if st.Hits != 2 || st.Misses != 1 || st.Evictions != 0 {
@@ -55,8 +55,8 @@ func TestPairCacheEvictsLRU(t *testing.T) {
 		t.Fatal("key 0 missing before eviction")
 	}
 	c.Put(testKey(3), 3)
-	if c.Len() != 3 {
-		t.Fatalf("len %d after eviction, want 3 (cap)", c.Len())
+	if n := c.Stats().Entries; n != 3 {
+		t.Fatalf("len %d after eviction, want 3 (cap)", n)
 	}
 	if _, ok := c.Get(testKey(1)); ok {
 		t.Fatal("LRU key 1 survived eviction")
@@ -75,8 +75,8 @@ func TestPairCacheStaysBounded(t *testing.T) {
 	c := NewPairCache(16)
 	for i := 0; i < 1000; i++ {
 		c.Put(testKey(i), float64(i))
-		if c.Len() > c.Cap() {
-			t.Fatalf("len %d exceeds cap %d at insert %d", c.Len(), c.Cap(), i)
+		if n := c.Stats().Entries; n > 16 {
+			t.Fatalf("len %d exceeds cap 16 at insert %d", n, i)
 		}
 	}
 	st := c.Stats()
@@ -87,8 +87,8 @@ func TestPairCacheStaysBounded(t *testing.T) {
 
 func TestPairCacheDefaultCapacity(t *testing.T) {
 	for _, capacity := range []int{0, -5} {
-		if got := NewPairCache(capacity).Cap(); got != DefaultPairCacheSize {
-			t.Fatalf("NewPairCache(%d).Cap() = %d, want %d", capacity, got, DefaultPairCacheSize)
+		if got := NewPairCache(capacity).Stats().Capacity; got != DefaultPairCacheSize {
+			t.Fatalf("NewPairCache(%d) bound = %d, want %d", capacity, got, DefaultPairCacheSize)
 		}
 	}
 }

@@ -50,14 +50,6 @@ type Result struct {
 	Rounds   int
 }
 
-// CooperationRate returns the fraction of all moves that were cooperative.
-func (r Result) CooperationRate() float64 {
-	if r.Rounds == 0 {
-		return 0
-	}
-	return float64(r.Coop0+r.Coop1) / float64(2*r.Rounds)
-}
-
 // Mean0 returns player 0's mean per-round payoff.
 func (r Result) Mean0() float64 {
 	if r.Rounds == 0 {
@@ -199,29 +191,4 @@ func shiftView(view []strategy.Move, my, opp strategy.Move) {
 	copy(view, view[2:])
 	view[len(view)-2] = my
 	view[len(view)-1] = opp
-}
-
-// MovesTrace replays a match and records the joint move sequence; used by
-// tests and by the visualiser. It uses the optimised engine.
-func MovesTrace(rules Rules, s0, s1 strategy.Strategy, src *rng.Source) (moves0, moves1 []strategy.Move) {
-	sp := s0.Space()
-	st0, st1 := sp.InitialState(), sp.InitialState()
-	moves0 = make([]strategy.Move, rules.Rounds)
-	moves1 = make([]strategy.Move, rules.Rounds)
-	for r := 0; r < rules.Rounds; r++ {
-		m0 := s0.Move(st0, src)
-		m1 := s1.Move(st1, src)
-		if rules.ErrorRate > 0 {
-			if src.Bernoulli(rules.ErrorRate) {
-				m0 ^= 1
-			}
-			if src.Bernoulli(rules.ErrorRate) {
-				m1 ^= 1
-			}
-		}
-		moves0[r], moves1[r] = m0, m1
-		st0 = sp.NextState(st0, m0, m1)
-		st1 = sp.NextState(st1, m1, m0)
-	}
-	return moves0, moves1
 }

@@ -79,32 +79,3 @@ func Tournament(rules Rules, entrants []Entrant, repeats int, seed uint64) ([]St
 	sort.SliceStable(out, func(a, b int) bool { return out[a].TotalScore > out[b].TotalScore })
 	return out, nil
 }
-
-// PairwiseMatrix plays every ordered pair once and returns the payoff matrix
-// m[i][j] = mean per-round payoff of entrant i against entrant j. Diagonal
-// entries are self-play. Used by the abundance analysis and examples.
-func PairwiseMatrix(rules Rules, entrants []Entrant, seed uint64) ([][]float64, error) {
-	if err := rules.Validate(); err != nil {
-		return nil, err
-	}
-	if len(entrants) == 0 {
-		return nil, fmt.Errorf("game: no entrants")
-	}
-	master := rng.New(seed)
-	m := make([][]float64, len(entrants))
-	for i := range m {
-		m[i] = make([]float64, len(entrants))
-	}
-	for i := range entrants {
-		for j := i; j < len(entrants); j++ {
-			src := master.Derive(uint64(i), uint64(j))
-			res := Play(rules, entrants[i].Strategy, entrants[j].Strategy, src)
-			m[i][j] = res.Mean0()
-			m[j][i] = res.Mean1()
-			if i == j {
-				m[i][j] = (res.Mean0() + res.Mean1()) / 2
-			}
-		}
-	}
-	return m, nil
-}

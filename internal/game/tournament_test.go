@@ -117,32 +117,3 @@ func TestTournamentValidation(t *testing.T) {
 		t.Fatal("mismatched spaces accepted")
 	}
 }
-
-func TestPairwiseMatrix(t *testing.T) {
-	es := classicEntrants(t, 1)
-	m, err := PairwiseMatrix(DefaultRules(), es, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m) != len(es) {
-		t.Fatalf("matrix has %d rows", len(m))
-	}
-	idx := map[string]int{}
-	for i, e := range es {
-		idx[e.Name] = i
-	}
-	// ALLD vs ALLC: exploiter earns T=4 per round, victim earns S=0.
-	if got := m[idx["ALLD"]][idx["ALLC"]]; got != 4 {
-		t.Errorf("ALLD vs ALLC mean = %v, want 4", got)
-	}
-	if got := m[idx["ALLC"]][idx["ALLD"]]; got != 0 {
-		t.Errorf("ALLC vs ALLD mean = %v, want 0", got)
-	}
-	// TFT self-play: mutual cooperation, R=3.
-	if got := m[idx["TFT"]][idx["TFT"]]; got != 3 {
-		t.Errorf("TFT self-play mean = %v, want 3", got)
-	}
-	if _, err := PairwiseMatrix(DefaultRules(), nil, 1); err == nil {
-		t.Fatal("empty entrants accepted")
-	}
-}

@@ -86,7 +86,6 @@ func TestChaosWorkerHelper(t *testing.T) {
 	}
 	tr, err := NewNetTransport(NetConfig{
 		Self: rank, Size: size, Network: "unix", Addrs: addrs, Job: job,
-		Linger: time.Second,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "chaos worker transport: %v\n", err)
@@ -151,7 +150,6 @@ func chaosRun(t *testing.T, size, gens int, mode string, onGen func(g int, cmd *
 	for i := 0; i < child; i++ {
 		tr, err := NewNetTransport(NetConfig{
 			Self: i, Size: size, Network: "unix", Addrs: addrs, Job: t.Name(),
-			Linger: time.Second,
 		})
 		if err != nil {
 			t.Fatalf("rank %d transport: %v", i, err)
@@ -225,7 +223,7 @@ func TestChaosProcessCleanExit(t *testing.T) {
 	}
 	for _, tr := range trs {
 		if evs := tr.world.Evictions(); len(evs) != 0 {
-			t.Errorf("rank %d evicted someone on a clean run: %v", tr.Self(), evs)
+			t.Errorf("rank %d evicted someone on a clean run: %v", tr.cfg.Self, evs)
 		}
 	}
 }
@@ -246,10 +244,10 @@ func TestChaosProcessErrorExit(t *testing.T) {
 	for _, tr := range trs {
 		evs := tr.world.Evictions()
 		if len(evs) != 1 || evs[0].Rank != 2 {
-			t.Fatalf("rank %d evictions: %v", tr.Self(), evs)
+			t.Fatalf("rank %d evictions: %v", tr.cfg.Self, evs)
 		}
 		if msg := evs[0].Err.Error(); !strings.Contains(msg, "worker exploded") {
-			t.Errorf("rank %d eviction cause %q does not carry the worker's error", tr.Self(), msg)
+			t.Errorf("rank %d eviction cause %q does not carry the worker's error", tr.cfg.Self, msg)
 		}
 	}
 }
@@ -276,11 +274,11 @@ func TestChaosProcessSIGKILL(t *testing.T) {
 	for _, tr := range trs {
 		evs := tr.world.Evictions()
 		if len(evs) != 1 || evs[0].Rank != 2 {
-			t.Fatalf("rank %d evictions: %v", tr.Self(), evs)
+			t.Fatalf("rank %d evictions: %v", tr.cfg.Self, evs)
 		}
 		msg := evs[0].Err.Error()
 		if !strings.Contains(msg, "heartbeat") && !strings.Contains(msg, "unreachable") {
-			t.Errorf("rank %d eviction cause %q lacks a liveness diagnosis", tr.Self(), msg)
+			t.Errorf("rank %d eviction cause %q lacks a liveness diagnosis", tr.cfg.Self, msg)
 		}
 	}
 }
@@ -316,11 +314,11 @@ func TestChaosProcessSIGSTOPThenCont(t *testing.T) {
 	for _, tr := range trs {
 		evs := tr.world.Evictions()
 		if len(evs) != 1 || evs[0].Rank != 2 {
-			t.Fatalf("rank %d evictions: %v", tr.Self(), evs)
+			t.Fatalf("rank %d evictions: %v", tr.cfg.Self, evs)
 		}
 		msg := evs[0].Err.Error()
 		if !strings.Contains(msg, "heartbeat") && !strings.Contains(msg, "unreachable") {
-			t.Errorf("rank %d eviction cause %q lacks a liveness diagnosis", tr.Self(), msg)
+			t.Errorf("rank %d eviction cause %q lacks a liveness diagnosis", tr.cfg.Self, msg)
 		}
 	}
 }

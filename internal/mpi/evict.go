@@ -471,19 +471,6 @@ func (c *Comm) Shrink(survivors []int) (*Comm, error) {
 // Rank until a Shrink renumbers the survivors.
 func (c *Comm) OrigRank() int { return c.world.origOf(c.rank) }
 
-// Group returns the communicator's members as original ranks, indexed by
-// this communicator's dense rank numbering.
-func (c *Comm) Group() []int {
-	if c.world.orig == nil {
-		g := make([]int, c.world.size)
-		for i := range g {
-			g[i] = i
-		}
-		return g
-	}
-	return append([]int(nil), c.world.orig...)
-}
-
 // Distributed agreement. On a networked world the shared-memory rendezvous
 // above is unavailable, so Agree is coordinated by rank 0: every survivor
 // announces its arrival at its next round over the wire (frameAgree), rank

@@ -93,7 +93,7 @@ func TestEvictionKilledWorkerRecoversLive(t *testing.T) {
 			g = v.(int)
 		}
 		mu.Lock()
-		groups[c.OrigRank()] = c.Group()
+		groups[c.OrigRank()] = c.world.orig
 		mu.Unlock()
 		return nil
 	})
@@ -281,7 +281,7 @@ func TestShrinkRemapsRanksAndCounters(t *testing.T) {
 			if err := nc.Send(0, 5, 42); err != nil {
 				return err
 			}
-			if g := fmt.Sprint(nc.Group()); g != fmt.Sprint([]int{0, 2}) {
+			if g := fmt.Sprint(nc.world.orig); g != fmt.Sprint([]int{0, 2}) {
 				return fmt.Errorf("group = %s", g)
 			}
 		}

@@ -164,11 +164,6 @@ func trafficSlice(byTag map[int]*tagTraffic) (out []TagTraffic, msgs, bytes uint
 	return out, msgs, bytes
 }
 
-// Snapshot returns the rank's current accounting as a plain value.
-func (m *RankMetrics) Snapshot() RankCommSnapshot {
-	return m.snapshot(false)
-}
-
 // TagLabel names a tag for human-readable and exported output: the
 // collective-protocol tags get symbolic names, user tags their decimal
 // value.
@@ -207,21 +202,6 @@ func (w *World) EnableMetrics() {
 		cm[i] = newRankMetrics(i)
 	}
 	w.commMetrics = cm
-}
-
-// MetricsEnabled reports whether EnableMetrics was called on this
-// world's root.
-func (w *World) MetricsEnabled() bool { return w.rootW().commMetrics != nil }
-
-// Metrics returns this rank's communication accounting handle, nil
-// unless the root world called EnableMetrics. The handle survives
-// Shrink: it is indexed by original rank.
-func (c *Comm) Metrics() *RankMetrics {
-	cm := c.world.rootW().commMetrics
-	if cm == nil {
-		return nil
-	}
-	return cm[c.world.origOf(c.rank)]
 }
 
 // CommMetricsSnapshot captures every rank's communication accounting,

@@ -126,9 +126,6 @@ func TestMetricsCollectiveAccounting(t *testing.T) {
 func TestMetricsDisabledByDefault(t *testing.T) {
 	w := NewWorld(2)
 	err := w.Run(func(c *Comm) error {
-		if c.Metrics() != nil {
-			t.Error("Metrics() non-nil without EnableMetrics")
-		}
 		if c.Rank() == 0 {
 			return c.Send(1, 1, []float64{1})
 		}

@@ -29,7 +29,6 @@ func netMesh(t *testing.T, n int) []NetConfig {
 			Network: "unix",
 			Addrs:   addrs,
 			Job:     t.Name(),
-			Linger:  time.Second,
 		}
 	}
 	return cfgs
@@ -244,7 +243,7 @@ func TestNetWorldErrorExitEvictedSurvivorsRecover(t *testing.T) {
 				g++
 			}
 			mu.Lock()
-			finals[c.OrigRank()] = c.Group()
+			finals[c.OrigRank()] = c.world.orig
 			mu.Unlock()
 			return nil
 		})
@@ -310,11 +309,11 @@ func TestNetWorldSilentVanishEvicted(t *testing.T) {
 	for _, tr := range trs[:2] {
 		evs := tr.world.Evictions()
 		if len(evs) != 1 || evs[0].Rank != 2 {
-			t.Fatalf("rank %d evictions: %v", tr.Self(), evs)
+			t.Fatalf("rank %d evictions: %v", tr.cfg.Self, evs)
 		}
 		msg := evs[0].Err.Error()
 		if !strings.Contains(msg, "heartbeat") && !strings.Contains(msg, "unreachable") {
-			t.Errorf("rank %d eviction cause %q lacks liveness diagnosis", tr.Self(), msg)
+			t.Errorf("rank %d eviction cause %q lacks liveness diagnosis", tr.cfg.Self, msg)
 		}
 	}
 }
@@ -389,6 +388,146 @@ func TestNetHalfOpenPeerDroppedWhileMeshWires(t *testing.T) {
 	for r, err := range errs {
 		if err != nil {
 			t.Errorf("rank %d: %v", r, err)
+		}
+	}
+}
+
+// A clean exit ends on the acknowledgement of the goodbye, not on the
+// linger: rank r+1 stays in its body until rank r's RunLocal has returned,
+// so every leaver's remaining peers are alive, acknowledging, and nowhere
+// near saying goodbye themselves. With the shipped five-second Linger, each
+// RunLocal must still return promptly after its body.
+func TestNetShutdownEndsOnAck(t *testing.T) {
+	const n = 3
+	trs := newNetTransports(t, netMesh(t, n))
+	left := make([]chan struct{}, n)
+	for i := range left {
+		left[i] = make(chan struct{})
+	}
+	errs := make([]error, n)
+	took := make([]time.Duration, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			defer close(left[rank])
+			w := NewNetWorld(trs[rank])
+			if err := trs[rank].Start(); err != nil {
+				errs[rank] = err
+				trs[rank].Shutdown(err)
+				return
+			}
+			var bodyEnd time.Time
+			errs[rank] = w.RunLocal(func(c *Comm) error {
+				err := c.Barrier()
+				if rank > 0 {
+					<-left[rank-1]
+				}
+				bodyEnd = time.Now()
+				return err
+			})
+			took[rank] = time.Since(bodyEnd)
+		}(i)
+	}
+	wg.Wait()
+	for r := range errs {
+		if errs[r] != nil {
+			t.Errorf("rank %d: %v", r, errs[r])
+		}
+		if took[r] > time.Second {
+			t.Errorf("rank %d: RunLocal returned %v after its body (Linger %v): the exit waited on something other than the goodbye's ack",
+				r, took[r], trs[r].cfg.Linger)
+		}
+	}
+}
+
+// Linger is the bound for a peer that never acknowledges: Shutdown does not
+// return while frames are outstanding to a connected peer, and does return
+// once Linger has passed. Rank 1 is a stand-in that completes the handshake
+// and then never reads.
+func TestNetShutdownBoundedByLinger(t *testing.T) {
+	const linger = 300 * time.Millisecond
+	cfgs := netMesh(t, 2)
+	cfgs[0].Linger = linger
+	trs := newNetTransports(t, cfgs)
+	ln, err := net.Listen("unix", cfgs[1].Addrs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	release := make(chan struct{})
+	defer close(release)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, err := readFrame(conn); err != nil {
+			return
+		}
+		if err := trs[1].writeHandshake(conn, frameWelcome); err != nil {
+			return
+		}
+		<-release
+	}()
+
+	w := NewNetWorld(trs[0])
+	if err := trs[0].Start(); err != nil {
+		t.Fatalf("rank 0 start: %v", err)
+	}
+	var bodyEnd time.Time
+	if err := w.RunLocal(func(c *Comm) error {
+		err := c.Send(1, 7, "unheard")
+		bodyEnd = time.Now()
+		return err
+	}); err != nil {
+		t.Fatalf("rank 0: %v", err)
+	}
+	if took := time.Since(bodyEnd); took < linger || took > linger+time.Second {
+		t.Errorf("Shutdown with an unacknowledged frame took %v, want between Linger (%v) and Linger+1s", took, linger)
+	}
+}
+
+// A long one-way burst — thousands of broadcasts from one root, data all one
+// way and one ack per frame the other — fills both socket buffers. The
+// sender must keep consuming acks while its writes are blocked: the burst
+// completes promptly and without a single resend.
+func TestNetOneWayBurstCompletes(t *testing.T) {
+	const burst = 4000
+	trs := newNetTransports(t, netMesh(t, 3))
+	done := make(chan []error, 1)
+	go func() {
+		done <- runNetWorlds(t, trs, nil, func(c *Comm) error {
+			for i := 0; i < burst; i++ {
+				got, err := c.Bcast(0, i)
+				if err != nil {
+					return fmt.Errorf("bcast %d: %w", i, err)
+				}
+				if got.(int) != i {
+					return fmt.Errorf("bcast %d carried %v", i, got)
+				}
+			}
+			return c.Barrier()
+		})
+	}()
+	select {
+	case errs := <-done:
+		for r, err := range errs {
+			if err != nil {
+				t.Errorf("rank %d: %v", r, err)
+			}
+		}
+	case <-time.After(10 * time.Second):
+		for _, tr := range trs {
+			tr.close()
+		}
+		t.Fatal("one-way burst did not complete within 10s: the transport wedged")
+	}
+	for _, tr := range trs {
+		if s := tr.Stats().Snapshot(); s.Resends != 0 || s.Reconnects != 0 {
+			t.Errorf("rank %d: %d resends, %d reconnects on an undisturbed mesh", tr.cfg.Self, s.Resends, s.Reconnects)
 		}
 	}
 }

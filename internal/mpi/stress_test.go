@@ -37,7 +37,7 @@ func TestStressMixedTraffic(t *testing.T) {
 
 			// Random extra traffic to rank 0 with wildcard receive there.
 			if c.Rank() != 0 {
-				if src.Bool() {
+				if src.Uint64()&1 == 1 {
 					if err := c.Send(0, 20, c.Rank()*1000+r); err != nil {
 						return err
 					}

@@ -34,7 +34,8 @@ import (
 // Agree/Shrink live eviction exactly as an injected fault does.
 
 // NetConfig parameterises a NetTransport. Self, Size, Network, and Addrs
-// are required; zero durations select the defaults below.
+// are required; zero durations select the defaults below. The reconnect
+// schedule is not configurable: see the DefaultRetry constants.
 type NetConfig struct {
 	// Self is the original rank this process hosts.
 	Self int
@@ -51,31 +52,29 @@ type NetConfig struct {
 	DialTimeout time.Duration
 	// WriteTimeout is the per-frame write deadline.
 	WriteTimeout time.Duration
-	// RetryBase and RetryCap shape the reconnect backoff: the delay starts
-	// at RetryBase, doubles per attempt, is capped at RetryCap, and gets
-	// up to 50% uniform jitter added.
-	RetryBase time.Duration
-	RetryCap  time.Duration
-	// RetryBudget is the total time a broken connection may spend
-	// redialing before the peer is declared lost.
-	RetryBudget time.Duration
-	// StartupBudget is the dial budget while wiring the initial mesh
-	// (workers of one launch start at different times).
-	StartupBudget time.Duration
-	// Linger bounds the post-run drain: how long Shutdown waits for peers
-	// to acknowledge outstanding frames and say goodbye.
+	// Linger bounds the post-run drain: how long Shutdown waits for a peer
+	// that never acknowledges this rank's outstanding frames.
 	Linger time.Duration
 }
 
 // Default NetConfig durations.
 const (
-	DefaultDialTimeout   = 1 * time.Second
-	DefaultWriteTimeout  = 2 * time.Second
+	DefaultDialTimeout  = 1 * time.Second
+	DefaultWriteTimeout = 2 * time.Second
+	DefaultLinger       = 5 * time.Second
+)
+
+// The reconnect schedule. The delay between dial attempts starts at
+// DefaultRetryBase, doubles per attempt, is capped at DefaultRetryCap, and
+// gets up to 50% uniform jitter added. A broken connection may spend
+// DefaultRetryBudget redialing before the peer is declared lost;
+// DefaultStartupBudget is the dial budget while wiring the initial mesh
+// (workers of one launch start at different times).
+const (
 	DefaultRetryBase     = 10 * time.Millisecond
 	DefaultRetryCap      = 500 * time.Millisecond
 	DefaultRetryBudget   = 3 * time.Second
 	DefaultStartupBudget = 10 * time.Second
-	DefaultLinger        = 5 * time.Second
 )
 
 func (c *NetConfig) norm() error {
@@ -96,18 +95,6 @@ func (c *NetConfig) norm() error {
 	}
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = DefaultWriteTimeout
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = DefaultRetryBase
-	}
-	if c.RetryCap <= 0 {
-		c.RetryCap = DefaultRetryCap
-	}
-	if c.RetryBudget <= 0 {
-		c.RetryBudget = DefaultRetryBudget
-	}
-	if c.StartupBudget <= 0 {
-		c.StartupBudget = DefaultStartupBudget
 	}
 	if c.Linger <= 0 {
 		c.Linger = DefaultLinger
@@ -141,15 +128,10 @@ func NewNetTransport(cfg NetConfig) (*NetTransport, error) {
 		if r == cfg.Self {
 			continue
 		}
-		p := &peer{t: t, rank: r, dialer: cfg.Self < r}
-		p.cond = sync.NewCond(&p.mu)
-		t.peers[r] = p
+		t.peers[r] = &peer{t: t, rank: r, dialer: cfg.Self < r}
 	}
 	return t, nil
 }
-
-// Self returns the original rank this transport's process hosts.
-func (t *NetTransport) Self() int { return t.cfg.Self }
 
 // Size returns the world size the transport was configured with.
 func (t *NetTransport) Size() int { return t.cfg.Size }
@@ -161,7 +143,7 @@ func (t *NetTransport) Stats() *TransportStats { return &t.stats }
 func (t *NetTransport) bind(w *World) { t.world = w }
 
 // Start listens on the hosted rank's address and wires the mesh: this
-// side dials every higher rank (with backoff, within StartupBudget) and
+// side dials every higher rank (with backoff, within DefaultStartupBudget) and
 // accepts connections from every lower rank. It returns once every peer
 // is connected, or with the first wiring error.
 func (t *NetTransport) Start() error {
@@ -187,7 +169,7 @@ func (t *NetTransport) Start() error {
 		dials.Add(1)
 		go func(p *peer) {
 			defer dials.Done()
-			errCh <- p.dialOnce(t.cfg.StartupBudget)
+			errCh <- p.dialOnce(DefaultStartupBudget)
 		}(t.peers[r])
 	}
 	dials.Wait()
@@ -198,7 +180,7 @@ func (t *NetTransport) Start() error {
 		}
 	}
 	// Wait for every lower rank to dial in.
-	deadline := time.Now().Add(t.cfg.StartupBudget)
+	deadline := time.Now().Add(DefaultStartupBudget)
 	for r := 0; r < t.cfg.Self; r++ {
 		if err := t.peers[r].waitConnected(deadline); err != nil {
 			return err
@@ -345,11 +327,13 @@ func (t *NetTransport) sendAgreeResult(dst, round int, survivors []int) error {
 	})
 }
 
-// Shutdown announces the hosted rank's exit to every reachable peer,
-// drains outstanding frames within the linger budget, and tears the mesh
-// down. It is the clean half of exit attribution: a peer that receives
-// the goodbye knows whether this rank finished OK or with which error; a
-// peer that never does will diagnose a vanished rank from its silence.
+// Shutdown announces the hosted rank's exit to every reachable peer, waits
+// until each has acknowledged everything sent to it (Linger bounds the wait
+// for a peer that never does), and tears the mesh down. A peer that already
+// said goodbye gets none back: it is not listening. It is the clean half of
+// exit attribution: a peer that receives the goodbye knows whether this rank
+// finished OK or with which error; a peer that never does will diagnose a
+// vanished rank from its silence.
 func (t *NetTransport) Shutdown(status error) {
 	msg := goodbyeMsg{OK: status == nil}
 	if status != nil {
@@ -361,8 +345,11 @@ func (t *NetTransport) Shutdown(status error) {
 		if p == nil || encErr != nil {
 			continue
 		}
+		// An evicted peer gets no goodbye, for the reason it gets no beats
+		// (see Beat): told that this rank finished cleanly, a zombie would
+		// wait on it forever instead of seeing it go stale and unwinding.
 		p.mu.Lock()
-		skip := p.done || p.lost
+		skip := p.done || p.lost || t.world.rankFailedNow(p.rank)
 		p.mu.Unlock()
 		if skip {
 			continue
@@ -397,7 +384,6 @@ func (t *NetTransport) close() {
 			p.conn.Close()
 			p.conn = nil
 		}
-		p.cond.Broadcast()
 		p.mu.Unlock()
 	}
 	t.wg.Wait()
@@ -431,8 +417,13 @@ type peer struct {
 	rank   int
 	dialer bool // this side dials (lower rank dials higher)
 
+	// wmu orders sequenced writes: a reliable frame takes its number and
+	// reaches the wire, and a reconnect's resend runs, inside one wmu
+	// section each, so frames hit the stream in sequence order. It is
+	// taken before mu, and mu is never held across socket I/O — the read
+	// loop needs mu to process the acks that let a blocked writer proceed.
+	wmu  sync.Mutex
 	mu   sync.Mutex
-	cond *sync.Cond
 	conn net.Conn
 	// sendSeq numbers reliable frames; unacked holds them, ascending,
 	// until the peer's cumulative ack covers them.
@@ -473,7 +464,7 @@ func (p *peer) waitConnected(deadline time.Time) error {
 func (p *peer) dialOnce(budget time.Duration) error {
 	t := p.t
 	deadline := time.Now().Add(budget)
-	backoff := t.cfg.RetryBase
+	backoff := DefaultRetryBase
 	for {
 		if t.closed.Load() {
 			return errors.New("mpi: transport closed")
@@ -503,8 +494,8 @@ func (p *peer) dialOnce(budget time.Duration) error {
 		sleep := backoff/2 + time.Duration(rand.Int64N(int64(backoff/2)+1))
 		time.Sleep(sleep)
 		backoff *= 2
-		if backoff > t.cfg.RetryCap {
-			backoff = t.cfg.RetryCap
+		if backoff > DefaultRetryCap {
+			backoff = DefaultRetryCap
 		}
 	}
 }
@@ -539,8 +530,11 @@ func (p *peer) handshake(conn net.Conn) error {
 // install adopts a fresh connection: the previous one (if any) is closed,
 // a read loop is spawned, and every unacked reliable frame is resent in
 // sequence order — the receiver's duplicate suppression discards the ones
-// that did arrive before the cut.
+// that did arrive before the cut. The read loop starts first, so the acks
+// the resend earns are consumed while it is still being written.
 func (p *peer) install(conn net.Conn) {
+	p.wmu.Lock()
+	defer p.wmu.Unlock()
 	p.mu.Lock()
 	if p.t.closed.Load() {
 		p.mu.Unlock()
@@ -556,6 +550,12 @@ func (p *peer) install(conn net.Conn) {
 	}
 	p.everConn = true
 	resend := append([]*frame(nil), p.unacked...)
+	p.mu.Unlock()
+	p.t.wg.Add(1)
+	go func() {
+		defer p.t.wg.Done()
+		p.readLoop(conn)
+	}()
 	for _, f := range resend {
 		if err := p.t.writeFrame(conn, f); err != nil {
 			break
@@ -564,19 +564,14 @@ func (p *peer) install(conn net.Conn) {
 	if len(resend) > 0 {
 		p.t.stats.Resends.Add(uint64(len(resend)))
 	}
-	p.cond.Broadcast()
-	p.mu.Unlock()
-	p.t.wg.Add(1)
-	go func() {
-		defer p.t.wg.Done()
-		p.readLoop(conn)
-	}()
 }
 
 // sendReliable queues a sequenced frame and transmits it on the live
 // connection; a broken connection only delays it (resend-on-reconnect
 // delivers). It errors only when the peer can never receive it.
 func (p *peer) sendReliable(f *frame) error {
+	p.wmu.Lock()
+	defer p.wmu.Unlock()
 	p.mu.Lock()
 	if p.lost {
 		p.mu.Unlock()
@@ -590,12 +585,8 @@ func (p *peer) sendReliable(f *frame) error {
 	f.Seq = p.sendSeq
 	p.unacked = append(p.unacked, f)
 	conn := p.conn
-	var err error
-	if conn != nil {
-		err = p.t.writeFrame(conn, f)
-	}
 	p.mu.Unlock()
-	if conn == nil || err != nil {
+	if conn == nil || p.t.writeFrame(conn, f) != nil {
 		p.connBroken(conn)
 	}
 	return nil
@@ -647,7 +638,7 @@ func (p *peer) connBroken(conn net.Conn) {
 	t.wg.Add(1)
 	go func() {
 		defer t.wg.Done()
-		err := p.dialOnce(t.cfg.RetryBudget)
+		err := p.dialOnce(DefaultRetryBudget)
 		p.mu.Lock()
 		p.redialing = false
 		p.mu.Unlock()
@@ -666,7 +657,6 @@ func (p *peer) markLost(err error) {
 		return
 	}
 	p.lost = true
-	p.cond.Broadcast()
 	p.mu.Unlock()
 	p.t.world.peerLost(p.rank, err)
 }
@@ -681,19 +671,20 @@ func (p *peer) handleAck(cum uint64) {
 	if i > 0 {
 		p.unacked = append(p.unacked[:0], p.unacked[i:]...)
 	}
-	if len(p.unacked) == 0 {
-		p.cond.Broadcast()
-	}
 	p.mu.Unlock()
 }
 
-// drain waits until the peer has acknowledged every reliable frame and
-// announced its own exit (or been declared lost), bounded by deadline.
+// drain waits until the peer has acknowledged every reliable frame,
+// bounded by deadline. The peer's own goodbye is not waited for: nothing
+// this rank sent is outstanding, and peers neither redial nor evict a rank
+// that said goodbye. It also ends once no ack can come, or matter, any
+// more: the peer is lost or evicted, or it said goodbye and hung up.
 func (p *peer) drain(deadline time.Time) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
-		if p.lost || (p.done && len(p.unacked) == 0) {
+		gone := p.lost || (p.done && p.conn == nil) || p.t.world.rankFailedNow(p.rank)
+		if gone || len(p.unacked) == 0 {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -787,7 +778,6 @@ func (p *peer) dispatch(f *frame) {
 		}
 		p.mu.Lock()
 		p.done = true
-		p.cond.Broadcast()
 		p.mu.Unlock()
 		t.world.peerExited(p.rank, gb.OK, gb.Err, gb.Cascade)
 	case frameAgree:

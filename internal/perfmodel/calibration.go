@@ -127,20 +127,3 @@ func runMatch(rules game.Rules, eng *game.SearchEngine, s0, s1 strategy.Strategy
 	}
 	game.Play(rules, s0, s1, src)
 }
-
-// AnalyticSearchCalibration derives per-game costs from first principles
-// for the paper-faithful engine: each round, each player linearly scans the
-// 4^n-entry state table comparing 2n-move views, so the expected per-round
-// cost is cyclesPerCompare × 4^n/2 × 2n per player plus a fixed per-round
-// overhead. It makes the Fig. 4 growth mechanism explicit and is used by
-// the ablation bench.
-func AnalyticSearchCalibration(m Machine, rounds int, cyclesPerCompare, cyclesPerRound float64) Calibration {
-	c := Calibration{Name: "analytic-search@" + m.Name, ClockHz: m.ClockHz}
-	for n := 1; n <= 6; n++ {
-		states := float64(int64(1) << uint(2*n))
-		perPlayerScan := cyclesPerCompare * states / 2 * float64(2*n)
-		cycles := float64(rounds) * (2*perPlayerScan + cyclesPerRound)
-		c.GameSeconds[n] = cycles / m.ClockHz
-	}
-	return c
-}

@@ -42,13 +42,3 @@ func GamesKnee(m Machine, cal Calibration, memory int, pcRate float64, targetEff
 	g := comm * (2*targetEff - 1) / (c * (1 - targetEff))
 	return math.Max(g, 0), nil
 }
-
-// SSetsForGames converts a games-per-worker workload into the
-// SSets-per-worker load that produces it at population size S (each owned
-// SSet plays S-1 opponents per generation).
-func SSetsForGames(games float64, ssets int) float64 {
-	if ssets < 2 {
-		return 0
-	}
-	return games / float64(ssets-1)
-}

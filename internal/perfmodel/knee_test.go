@@ -70,12 +70,3 @@ func TestGamesKneeValidation(t *testing.T) {
 		t.Fatal("target 1 accepted")
 	}
 }
-
-func TestSSetsForGames(t *testing.T) {
-	if got := SSetsForGames(1023, 1024); got != 1 {
-		t.Fatalf("SSetsForGames = %v, want 1", got)
-	}
-	if SSetsForGames(10, 1) != 0 {
-		t.Fatal("degenerate population not zero")
-	}
-}

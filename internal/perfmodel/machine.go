@@ -26,9 +26,6 @@ type Machine struct {
 	Name string
 	// ClockHz is the core clock (BG/L 700 MHz, BG/P 850 MHz).
 	ClockHz float64
-	// MemPerNodeBytes bounds the state table (the paper's §VI-B reason for
-	// stopping at memory six on BG/L's 512 MB nodes).
-	MemPerNodeBytes uint64
 	// LinkLatency is the per-hop torus latency in seconds.
 	LinkLatency float64
 	// LinkBandwidth is the torus link bandwidth in bytes/second.
@@ -48,7 +45,6 @@ func BlueGeneL() Machine {
 	return Machine{
 		Name:                "BlueGene/L",
 		ClockHz:             700e6,
-		MemPerNodeBytes:     512 << 20,
 		LinkLatency:         100e-9,
 		LinkBandwidth:       175e6,
 		TreeLatencyPerLevel: 1.0e-6,
@@ -63,7 +59,6 @@ func BlueGeneP() Machine {
 	return Machine{
 		Name:                "BlueGene/P",
 		ClockHz:             850e6,
-		MemPerNodeBytes:     2 << 30,
 		LinkLatency:         64e-9,
 		LinkBandwidth:       425e6,
 		TreeLatencyPerLevel: 0.8e-6,
@@ -82,38 +77,10 @@ func Host(clockHz float64) Machine {
 	return Machine{
 		Name:                "host",
 		ClockHz:             clockHz,
-		MemPerNodeBytes:     8 << 30,
 		LinkLatency:         20e-9,
 		LinkBandwidth:       10e9,
 		TreeLatencyPerLevel: 100e-9,
 		MsgOverhead:         200e-9,
 		ProcsPerRack:        64,
 	}
-}
-
-// StateTableBytes returns the memory footprint of the global state table at
-// memory depth n as the paper's search engine stores it: 4^n views of 2n
-// one-byte moves.
-func StateTableBytes(memory int) uint64 {
-	states := uint64(1) << uint(2*memory)
-	return states * uint64(2*memory)
-}
-
-// MaxMemoryFor returns the largest memory depth whose state table (plus a
-// same-sized working copy per strategy view) fits in the node memory —
-// the paper's §VI-B observation that BG/L's 512 MB bounded it to memory
-// six applies to its strategy-space bookkeeping; the state table itself is
-// small, so we bound by the strategy table of all SSets a node must hold:
-// ssets × 4^n bits for pure strategies.
-func MaxMemoryFor(m Machine, ssetsPerNode int) int {
-	best := 0
-	for n := 1; n <= 6; n++ {
-		states := uint64(1) << uint(2*n)
-		perSSet := states / 8 // pure strategy bit-table bytes
-		need := StateTableBytes(n) + uint64(ssetsPerNode)*perSSet
-		if need <= m.MemPerNodeBytes {
-			best = n
-		}
-	}
-	return best
 }

@@ -94,19 +94,6 @@ func (s StrongScalingSpec) Runtime(procs int) (float64, error) {
 	return t * topology.MappingPenalty(procs), nil
 }
 
-// Sweep returns Runtime at each processor count.
-func (s StrongScalingSpec) Sweep(procs []int) ([]float64, error) {
-	out := make([]float64, len(procs))
-	for i, p := range procs {
-		t, err := s.Runtime(p)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = t
-	}
-	return out, nil
-}
-
 // WeakScalingSpec grows the problem with the machine: each processor keeps
 // a fixed number of SSets whose hosted agents play a fixed number of
 // matches per generation (the paper's Fig. 6 construction, 4,096 SSets per

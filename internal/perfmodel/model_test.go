@@ -23,9 +23,6 @@ func TestMachineDescriptions(t *testing.T) {
 	if l.ClockHz != 700e6 || p.ClockHz != 850e6 {
 		t.Fatal("clock speeds wrong")
 	}
-	if l.MemPerNodeBytes != 512<<20 || p.MemPerNodeBytes != 2<<30 {
-		t.Fatal("node memory wrong")
-	}
 	if p.ProcsPerRack != 4096 || l.ProcsPerRack != 2048 {
 		t.Fatal("procs per rack wrong")
 	}
@@ -34,28 +31,6 @@ func TestMachineDescriptions(t *testing.T) {
 	}
 	if Host(2e9).ClockHz != 2e9 {
 		t.Fatal("host explicit clock ignored")
-	}
-}
-
-func TestStateTableBytes(t *testing.T) {
-	if StateTableBytes(1) != 8 {
-		t.Fatalf("memory-1 table = %d bytes", StateTableBytes(1))
-	}
-	if StateTableBytes(6) != 4096*12 {
-		t.Fatalf("memory-6 table = %d bytes", StateTableBytes(6))
-	}
-}
-
-func TestMaxMemoryFor(t *testing.T) {
-	if got := MaxMemoryFor(BlueGeneL(), 1024); got != 6 {
-		t.Fatalf("BG/L with 1024 SSets supports memory %d, want 6", got)
-	}
-	// A tiny hypothetical node cannot hold memory six tables for a large
-	// strategy view.
-	tiny := BlueGeneL()
-	tiny.MemPerNodeBytes = 1 << 16
-	if got := MaxMemoryFor(tiny, 1<<20); got >= 6 {
-		t.Fatalf("64KB node claims memory %d", got)
 	}
 }
 
@@ -124,18 +99,6 @@ func TestHostCalibrationMeasures(t *testing.T) {
 	bad.Rounds = 0
 	if _, err := HostCalibration(bad, 1, false, 1); err == nil {
 		t.Fatal("bad rules accepted")
-	}
-}
-
-func TestAnalyticSearchCalibrationShape(t *testing.T) {
-	c := AnalyticSearchCalibration(BlueGeneL(), 200, 2, 50)
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Scan cost grows as 4^n * n: each +1 memory step costs > 4x once the
-	// scan dominates.
-	if c.GameSeconds[6]/c.GameSeconds[5] < 4 {
-		t.Errorf("analytic mem6/mem5 = %v, want >= 4", c.GameSeconds[6]/c.GameSeconds[5])
 	}
 }
 
@@ -331,20 +294,6 @@ func TestRuntimeValidation(t *testing.T) {
 	var bad StrongScalingSpec
 	if bad.Validate() == nil {
 		t.Fatal("zero spec accepted")
-	}
-}
-
-func TestSweep(t *testing.T) {
-	s := paperSpec(1)
-	ts, err := s.Sweep([]int{128, 256, 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ts) != 3 || ts[0] <= ts[2] {
-		t.Fatalf("sweep = %v", ts)
-	}
-	if _, err := s.Sweep([]int{128, 1}); err == nil {
-		t.Fatal("bad proc count accepted in sweep")
 	}
 }
 

@@ -179,9 +179,6 @@ func (p *Population) payoffRow(k int) error {
 // Atoms returns the current atoms (shared slice; do not modify).
 func (p *Population) Atoms() []Atom { return p.atoms }
 
-// Generation returns the number of completed steps.
-func (p *Population) Generation() int { return p.gen }
-
 // Fitness returns atom i's frequency-weighted expected payoff.
 func (p *Population) Fitness(i int) float64 {
 	f := 0.0

@@ -101,8 +101,8 @@ func TestFrequenciesStayNormalised(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Generation() != 200 {
-		t.Fatalf("generation = %d", p.Generation())
+	if p.gen != 200 {
+		t.Fatalf("generation = %d", p.gen)
 	}
 }
 

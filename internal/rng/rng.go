@@ -13,10 +13,7 @@
 //     the same stream, no matter which rank asks for it.
 package rng
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // Source is a xoshiro256** pseudo-random generator. The zero value is not a
 // valid generator; construct one with New or Derive.
@@ -93,36 +90,6 @@ func (s *Source) Derive(keys ...uint64) *Source {
 	return New(h)
 }
 
-// Jump advances the generator 2^128 steps, equivalent to that many calls to
-// Uint64. It can be used to generate 2^128 non-overlapping subsequences.
-func (s *Source) Jump() {
-	jump := [4]uint64{0x180EC6D33CFD0ABA, 0xD5A61266F0C9392C, 0xA9582618E03FC9AA, 0x39ABDC4529B1661C}
-	var t0, t1, t2, t3 uint64
-	for _, j := range jump {
-		for b := 0; b < 64; b++ {
-			if j&(1<<uint(b)) != 0 {
-				t0 ^= s.s0
-				t1 ^= s.s1
-				t2 ^= s.s2
-				t3 ^= s.s3
-			}
-			s.Uint64()
-		}
-	}
-	s.s0, s.s1, s.s2, s.s3 = t0, t1, t2, t3
-}
-
-// State returns the four state words, for checkpointing.
-func (s *Source) State() [4]uint64 { return [4]uint64{s.s0, s.s1, s.s2, s.s3} }
-
-// SetState restores state saved by State.
-func (s *Source) SetState(st [4]uint64) {
-	s.s0, s.s1, s.s2, s.s3 = st[0], st[1], st[2], st[3]
-	if s.s0|s.s1|s.s2|s.s3 == 0 {
-		s.s0 = golden
-	}
-}
-
 // Float64 returns a uniform float64 in [0,1) with 53 bits of precision.
 func (s *Source) Float64() float64 {
 	return float64(s.Uint64()>>11) * (1.0 / (1 << 53))
@@ -152,9 +119,6 @@ func (s *Source) Uint64n(n uint64) uint64 {
 	return hi
 }
 
-// Bool returns true with probability 1/2.
-func (s *Source) Bool() bool { return s.Uint64()&1 == 1 }
-
 // Bernoulli returns true with probability p (clamped to [0,1]).
 func (s *Source) Bernoulli(p float64) bool {
 	if p <= 0 {
@@ -164,27 +128,6 @@ func (s *Source) Bernoulli(p float64) bool {
 		return true
 	}
 	return s.Float64() < p
-}
-
-// Perm returns a uniformly random permutation of [0,n), Fisher-Yates.
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle randomizes the order of n elements using the provided swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // Pair returns two distinct uniform indices in [0,n). It panics if n < 2.
@@ -199,27 +142,4 @@ func (s *Source) Pair(n int) (a, b int) {
 		b++
 	}
 	return a, b
-}
-
-// Exponential returns an exponentially distributed value with rate lambda.
-// It panics if lambda <= 0.
-func (s *Source) Exponential(lambda float64) float64 {
-	if lambda <= 0 {
-		panic("rng: Exponential with non-positive rate")
-	}
-	// Inverse CDF on (0,1]: avoid log(0) by flipping the open side.
-	u := 1.0 - s.Float64()
-	return -math.Log(u) / lambda
-}
-
-// Normal returns a standard normal variate (Marsaglia polar method).
-func (s *Source) Normal() float64 {
-	for {
-		u := 2*s.Float64() - 1
-		v := 2*s.Float64() - 1
-		q := u*u + v*v
-		if q > 0 && q < 1 {
-			return u * math.Sqrt(-2*math.Log(q)/q)
-		}
-	}
 }

@@ -191,41 +191,6 @@ func TestPairCoversAllOrderedPairs(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	s := New(10)
-	p := s.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
-func TestShuffleProperty(t *testing.T) {
-	f := func(seed uint64, n uint8) bool {
-		m := int(n%50) + 2
-		s := New(seed)
-		vals := make([]int, m)
-		for i := range vals {
-			vals[i] = i
-		}
-		s.Shuffle(m, func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-		seen := make([]bool, m)
-		for _, v := range vals {
-			if v < 0 || v >= m || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBernoulliExtremes(t *testing.T) {
 	s := New(11)
 	for i := 0; i < 1000; i++ {
@@ -256,108 +221,6 @@ func TestBernoulliRate(t *testing.T) {
 	got := float64(hits) / n
 	if math.Abs(got-p) > 0.01 {
 		t.Fatalf("Bernoulli(%v) rate = %v", p, got)
-	}
-}
-
-func TestStateRoundTrip(t *testing.T) {
-	s := New(13)
-	for i := 0; i < 10; i++ {
-		s.Uint64()
-	}
-	st := s.State()
-	want := make([]uint64, 20)
-	for i := range want {
-		want[i] = s.Uint64()
-	}
-	var r Source
-	r.SetState(st)
-	for i := range want {
-		if got := r.Uint64(); got != want[i] {
-			t.Fatalf("restored stream diverged at %d", i)
-		}
-	}
-}
-
-func TestSetStateZeroGuard(t *testing.T) {
-	var s Source
-	s.SetState([4]uint64{0, 0, 0, 0})
-	if s.Uint64() == 0 && s.Uint64() == 0 && s.Uint64() == 0 {
-		t.Fatal("all-zero state not repaired")
-	}
-}
-
-func TestJumpDisjoint(t *testing.T) {
-	a := New(14)
-	b := New(14)
-	b.Jump()
-	// After a jump the two streams should not collide over a short window.
-	outs := map[uint64]bool{}
-	for i := 0; i < 1000; i++ {
-		outs[a.Uint64()] = true
-	}
-	for i := 0; i < 1000; i++ {
-		if outs[b.Uint64()] {
-			t.Fatal("jumped stream collided with base stream")
-		}
-	}
-}
-
-func TestExponentialMean(t *testing.T) {
-	s := New(15)
-	const lambda, n = 2.0, 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		v := s.Exponential(lambda)
-		if v < 0 {
-			t.Fatal("negative exponential variate")
-		}
-		sum += v
-	}
-	mean := sum / n
-	if math.Abs(mean-1/lambda) > 0.01 {
-		t.Fatalf("Exponential mean %v, want %v", mean, 1/lambda)
-	}
-}
-
-func TestExponentialPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Exponential(0) did not panic")
-		}
-	}()
-	New(1).Exponential(0)
-}
-
-func TestNormalMoments(t *testing.T) {
-	s := New(16)
-	const n = 200000
-	sum, sumsq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := s.Normal()
-		sum += v
-		sumsq += v * v
-	}
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if math.Abs(mean) > 0.01 {
-		t.Errorf("Normal mean %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.02 {
-		t.Errorf("Normal variance %v, want ~1", variance)
-	}
-}
-
-func TestBoolBalance(t *testing.T) {
-	s := New(17)
-	const n = 100000
-	trues := 0
-	for i := 0; i < n; i++ {
-		if s.Bool() {
-			trues++
-		}
-	}
-	if math.Abs(float64(trues)/n-0.5) > 0.01 {
-		t.Fatalf("Bool true-rate %v", float64(trues)/n)
 	}
 }
 

@@ -53,12 +53,6 @@ type Config struct {
 	// NumSSets is the number of Strategy Sets (the population of
 	// strategies).
 	NumSSets int
-	// AgentsPerSSet is the number of agents sharing each SSet's strategy.
-	// The paper sets it equal to NumSSets so each agent plays exactly one
-	// opponent per generation; 0 selects that default. It determines the
-	// work decomposition and the agent population size reported by
-	// PopulationSize, not the dynamics.
-	AgentsPerSSet int
 	// Generations is the number of evolution steps.
 	Generations int
 	// Rules are the per-match IPD parameters; a zero value selects the
@@ -120,9 +114,9 @@ type Config struct {
 	// Observer, when non-nil, is invoked after every generation. It runs on
 	// the Nature Agent, and the *Population it receives is the Nature
 	// Agent's global strategy view — each SSet's strategy plus the
-	// statistics derived from strategies alone (Abundance, FractionMatching,
-	// FractionNear, MeanCooperationProb, Snapshot) — identical on both
-	// engines at every rank count. It carries no payoffs or fitness: those
+	// statistics derived from strategies alone (Abundance, FractionNear,
+	// MeanCooperationProb, Snapshot) — identical on both engines at every
+	// rank count. It carries no payoffs or fitness: those
 	// live with whichever rank plays the games, and reach the caller as
 	// Result.MeanFitness and Result.FinalFitness.
 	Observer Observer
@@ -256,12 +250,6 @@ func (c *Config) Validate() error {
 	if c.NumSSets < 2 {
 		return fmt.Errorf("sim: need >= 2 SSets, got %d", c.NumSSets)
 	}
-	if c.AgentsPerSSet == 0 {
-		c.AgentsPerSSet = c.NumSSets
-	}
-	if c.AgentsPerSSet < 1 {
-		return fmt.Errorf("sim: agents per SSet %d < 1", c.AgentsPerSSet)
-	}
 	if c.Generations < 0 {
 		return fmt.Errorf("sim: negative generations %d", c.Generations)
 	}
@@ -345,12 +333,13 @@ func (c *Config) Validate() error {
 // generations: it bounds the recorded series to ~1000 points.
 func autoStride(gens int) int { return gens/1000 + 1 }
 
-// PopulationSize returns the total number of agents,
-// NumSSets * AgentsPerSSet. With the paper's default AgentsPerSSet ==
-// NumSSets this grows as the square of the SSet count (the mechanism behind
-// its 10^18-agent populations).
+// PopulationSize returns the total number of agents. The paper gives each
+// SSet as many agents as there are SSets, so each agent plays exactly one
+// opponent per generation and the population grows as the square of the SSet
+// count (the mechanism behind its 10^18-agent populations). The engine
+// schedules SSet pairs, not agents: this is a reported figure only.
 func (c Config) PopulationSize() uint64 {
-	return uint64(c.NumSSets) * uint64(c.AgentsPerSSet)
+	return uint64(c.NumSSets) * uint64(c.NumSSets)
 }
 
 // GamesPerGeneration returns the number of two-player IPD matches one
@@ -359,19 +348,4 @@ func (c Config) PopulationSize() uint64 {
 func (c Config) GamesPerGeneration() uint64 {
 	s := uint64(c.NumSSets)
 	return s * (s - 1)
-}
-
-// OpponentsPerAgent returns how many opposing SSets each agent handles per
-// generation (the paper's s/a split).
-func (c Config) OpponentsPerAgent() float64 {
-	return float64(c.NumSSets-1) / float64(c.AgentsPerSSet)
-}
-
-// AgentsPerProcessor returns the agent load per processor when the
-// population is spread over procs processors (Table VIII of the paper).
-func (c Config) AgentsPerProcessor(procs int) float64 {
-	if procs < 1 {
-		panic("sim: AgentsPerProcessor needs procs >= 1")
-	}
-	return float64(c.PopulationSize()) / float64(procs)
 }

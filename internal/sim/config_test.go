@@ -14,9 +14,6 @@ func TestDefaultConfigValid(t *testing.T) {
 	if cfg.PCRate != 0.10 || cfg.Mu != 0.05 {
 		t.Fatalf("paper defaults wrong: PC %v mu %v", cfg.PCRate, cfg.Mu)
 	}
-	if cfg.AgentsPerSSet != 64 {
-		t.Fatalf("agents per SSet defaulted to %d, want NumSSets", cfg.AgentsPerSSet)
-	}
 	if cfg.Rules.Rounds != 200 {
 		t.Fatalf("rounds = %d", cfg.Rules.Rounds)
 	}
@@ -33,7 +30,6 @@ func TestValidateRejections(t *testing.T) {
 		func(c *Config) { c.PCRate = -0.1 },
 		func(c *Config) { c.Mu = 2 },
 		func(c *Config) { c.Beta = -1 },
-		func(c *Config) { c.AgentsPerSSet = -3 },
 		func(c *Config) { c.SampleStride = -1 },
 		func(c *Config) { c.Rules = game.Rules{Payoff: game.Payoff{R: 1, S: 2, T: 3, P: 4}, Rounds: 10} },
 	}
@@ -54,9 +50,6 @@ func TestValidateDefaults(t *testing.T) {
 	if cfg.Rules.Rounds != 200 {
 		t.Fatal("rules not defaulted")
 	}
-	if cfg.AgentsPerSSet != 8 {
-		t.Fatal("agents not defaulted")
-	}
 	if cfg.SampleStride != 6 {
 		t.Fatalf("stride = %d, want 6 for 5000 gens", cfg.SampleStride)
 	}
@@ -74,31 +67,6 @@ func TestPopulationSizeAndGames(t *testing.T) {
 	if cfg.GamesPerGeneration() != 1024*1023 {
 		t.Fatalf("games = %d", cfg.GamesPerGeneration())
 	}
-	if cfg.OpponentsPerAgent() >= 1.0001 || cfg.OpponentsPerAgent() < 0.99 {
-		t.Fatalf("opponents per agent = %v, want ~1", cfg.OpponentsPerAgent())
-	}
-}
-
-func TestAgentsPerProcessorTableVIII(t *testing.T) {
-	// Table VIII's structure: with a = S the load is S^2 / P.
-	cfg := DefaultConfig(1, 16384)
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got := cfg.AgentsPerProcessor(256); got != 1048576 {
-		t.Fatalf("16384 SSets on 256 procs = %v agents/proc, want 1048576", got)
-	}
-	cfg2 := DefaultConfig(1, 1024)
-	_ = cfg2.Validate()
-	if got := cfg2.AgentsPerProcessor(256); got != 4096 {
-		t.Fatalf("1024 SSets on 256 procs = %v, want 4096", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("procs 0 did not panic")
-		}
-	}()
-	cfg.AgentsPerProcessor(0)
 }
 
 func TestObserverFunc(t *testing.T) {

@@ -144,7 +144,7 @@ func TestResilientDoesNotRestartOnControlStop(t *testing.T) {
 	cfg.CheckpointSink = NewMemorySink()
 	stops := 0
 	cfg.Control = stopAfter(15, &stops)
-	_, err := RunParallelResilient(cfg, 3, RestartPolicy{})
+	_, err := RunParallelResilient(cfg, 3, 3)
 	if !errors.Is(err, ErrStopped) {
 		t.Fatalf("supervised stop error = %v, want ErrStopped", err)
 	}

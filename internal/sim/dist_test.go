@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/mpi"
 )
@@ -37,7 +36,6 @@ func runNetworked(t *testing.T, cfg Config, ranks int) (*Result, []error) {
 				Network: "unix",
 				Addrs:   addrs,
 				Job:     t.Name(),
-				Linger:  time.Second,
 			})
 			if err != nil {
 				errs[rank] = err

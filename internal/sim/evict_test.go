@@ -43,7 +43,7 @@ func TestEvictKilledWorkerBitExactNoRestart(t *testing.T) {
 	faulty.CheckpointSink = NewMemorySink()
 	faulty.FaultPlan = mpi.NewFaultPlan().Kill(2, 500)
 	faulty.EventLog = trace.NewEventLog()
-	res, err := RunParallelResilient(faulty, 4, RestartPolicy{})
+	res, err := RunParallelResilient(faulty, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestEvictNatureDeathFallsBackToRestart(t *testing.T) {
 	faulty.CheckpointSink = NewMemorySink()
 	faulty.FaultPlan = mpi.NewFaultPlan().Kill(0, 150)
 	faulty.EventLog = trace.NewEventLog()
-	res, err := RunParallelResilient(faulty, 4, RestartPolicy{})
+	res, err := RunParallelResilient(faulty, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestEvictBelowMinRanksFallsBackToRestart(t *testing.T) {
 	faulty.CheckpointSink = NewMemorySink()
 	faulty.FaultPlan = mpi.NewFaultPlan().Kill(2, 150)
 	faulty.EventLog = trace.NewEventLog()
-	res, err := RunParallelResilient(faulty, 3, RestartPolicy{})
+	res, err := RunParallelResilient(faulty, 3, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,7 +104,7 @@ func TestInterruptedRunReturnsTheUninterruptedResult(t *testing.T) {
 			// Every worker sends at least once a generation (the sampled
 			// reduction), so the kill lands mid-run, past a checkpoint.
 			cfg.FaultPlan = mpi.NewFaultPlan().Kill(1, uint64(every+pick.Intn(gens-2*every)))
-			res, err := RunParallelResilient(cfg, engines[ei], RestartPolicy{})
+			res, err := RunParallelResilient(cfg, engines[ei], 3)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -247,7 +247,7 @@ func TestObserverStreamParity(t *testing.T) {
 			c.Observer = ObserverFunc(func(gen int, pop *Population, ev Events) {
 				o := observed{gen: gen, ev: ev}
 				for i := 0; i < pop.Size(); i++ {
-					o.strategies += fmt.Sprintf("%x,", pop.Strategy(i).Fingerprint())
+					o.strategies += fmt.Sprintf("%x,", pop.strategies[i].Fingerprint())
 				}
 				stream = append(stream, o)
 			})

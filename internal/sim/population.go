@@ -54,9 +54,6 @@ func (p *Population) Size() int { return len(p.strategies) }
 // Space returns the strategy space.
 func (p *Population) Space() strategy.Space { return p.space }
 
-// Strategy returns SSet i's current strategy. The caller must not mutate it.
-func (p *Population) Strategy(i int) strategy.Strategy { return p.strategies[i] }
-
 // SetStrategy assigns a strategy to SSet i and marks its games dirty.
 func (p *Population) SetStrategy(i int, s strategy.Strategy) {
 	p.strategies[i] = s
@@ -78,18 +75,6 @@ func abundance(strategies []strategy.Strategy) *stats.Abundance {
 		a.Add(s.Fingerprint())
 	}
 	return a
-}
-
-// FractionMatching returns the share of SSets whose strategy equals ref
-// (e.g. the WSLS fraction tracked in Fig. 2).
-func (p *Population) FractionMatching(ref strategy.Strategy) float64 {
-	n := 0
-	for _, s := range p.strategies {
-		if s.Equal(ref) {
-			n++
-		}
-	}
-	return float64(n) / float64(p.Size())
 }
 
 // FractionNear returns the share of SSets whose strategy rounds to the pure

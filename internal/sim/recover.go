@@ -3,54 +3,22 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/mpi"
 	"repro/internal/trace"
 )
 
-// RestartPolicy governs how RunParallelResilient reacts to rank failures.
-// The zero value restarts up to 3 times with no backoff. A restart always
-// runs on the original rank count; continuing on fewer ranks is live
-// eviction's job (Config.Evict, Config.MinRanks).
-type RestartPolicy struct {
-	// MaxRestarts is the number of restarts attempted before giving up
-	// (0 selects the default of 3; negative disables restarts entirely).
-	MaxRestarts int
-	// Backoff is the delay before the first restart; it doubles on each
-	// subsequent restart. Zero restarts immediately.
-	Backoff time.Duration
-	// MaxBackoff caps the doubling (0 means uncapped).
-	MaxBackoff time.Duration
-}
-
-func (p RestartPolicy) maxRestarts() int {
-	if p.MaxRestarts == 0 {
-		return 3
-	}
-	return max(p.MaxRestarts, 0)
-}
-
-func (p RestartPolicy) backoff(attempt int) time.Duration {
-	if p.Backoff <= 0 {
-		return 0
-	}
-	b := p.Backoff << uint(attempt)
-	if p.MaxBackoff > 0 && b > p.MaxBackoff {
-		b = p.MaxBackoff
-	}
-	return b
-}
-
 // RunParallelResilient is the fault-tolerant front end to RunParallel: it
 // supervises the run, and when a rank fails (an injected fault, a panic, or
 // a receive deadline firing on a stalled worker) it restores the latest
-// checkpoint and re-runs the remaining generations, up to policy.MaxRestarts
-// times. Because every per-generation random stream is keyed by the absolute
-// generation, the recovered trajectory is the uninterrupted one: final
-// strategies and fitness are bit-identical to a fault-free run (and with
-// FullRecompute the counters match exactly too; incremental runs replay one
-// generation's games at each resume, which only inflates GamesPlayed).
+// checkpoint and re-runs the remaining generations, up to maxRestarts times
+// (none when maxRestarts <= 0). A restart always runs on the original rank
+// count; continuing on fewer ranks is live eviction's job (Config.Evict,
+// Config.MinRanks). Because every per-generation random stream is keyed by
+// the absolute generation, the recovered trajectory is the uninterrupted one:
+// final strategies and fitness are bit-identical to a fault-free run (and
+// with FullRecompute the counters match exactly too; incremental runs replay
+// one generation's games at each resume, which only inflates GamesPlayed).
 //
 // Recovery is evict-first, restart-second: with cfg.Evict, worker failures
 // are recovered live inside RunParallel (heartbeat detection, communicator
@@ -66,7 +34,7 @@ func (p RestartPolicy) backoff(attempt int) time.Duration {
 // The returned Result is the whole logical run's — counters and sampled
 // series cover every generation, restarts or not. Restarts records how many
 // recoveries occurred.
-func RunParallelResilient(cfg Config, ranks int, policy RestartPolicy) (*Result, error) {
+func RunParallelResilient(cfg Config, ranks, maxRestarts int) (*Result, error) {
 	if cfg.CheckpointEvery > 0 && cfg.CheckpointSink == nil {
 		cfg.CheckpointSink = NewMemorySink()
 	}
@@ -105,7 +73,7 @@ func RunParallelResilient(cfg Config, ranks int, policy RestartPolicy) (*Result,
 			Kind: trace.EventFault, Generation: -1, Rank: failedRank,
 			Attempt: attempt, Detail: err.Error(),
 		})
-		if attempt >= policy.maxRestarts() {
+		if attempt >= maxRestarts {
 			logEvent(trace.Event{Kind: trace.EventGiveUp, Generation: -1, Rank: failedRank, Attempt: attempt})
 			return nil, fmt.Errorf("sim: giving up after %d restarts: %w", attempt, err)
 		}
@@ -114,10 +82,6 @@ func RunParallelResilient(cfg Config, ranks int, policy RestartPolicy) (*Result,
 			return nil, err
 		}
 		logEvent(trace.Event{Kind: trace.EventRecovery, Generation: cur.StartGeneration, Rank: failedRank, Attempt: attempt + 1})
-
-		if b := policy.backoff(attempt); b > 0 {
-			time.Sleep(b)
-		}
 	}
 }
 

@@ -47,7 +47,7 @@ func TestResilientKillRecoversBitExact(t *testing.T) {
 	faulty.CheckpointSink = NewMemorySink()
 	faulty.FaultPlan = mpi.NewFaultPlan().Kill(2, 500)
 	faulty.EventLog = trace.NewEventLog()
-	res, err := RunParallelResilient(faulty, 4, RestartPolicy{})
+	res, err := RunParallelResilient(faulty, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestResilientRecoversFromStalledWorker(t *testing.T) {
 	// the checkpoint frontier, so a generous restart budget converges.
 	faulty.FaultPlan = mpi.NewFaultPlan().Delay(2, 40, 1, 600*time.Millisecond)
 	faulty.EventLog = trace.NewEventLog()
-	res, err := RunParallelResilient(faulty, 3, RestartPolicy{MaxRestarts: 10})
+	res, err := RunParallelResilient(faulty, 3, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestResilientIncrementalModeRecovers(t *testing.T) {
 	faulty.CheckpointEvery = 50
 	faulty.CheckpointSink = NewMemorySink()
 	faulty.FaultPlan = mpi.NewFaultPlan().Kill(2, 250)
-	res, err := RunParallelResilient(faulty, 4, RestartPolicy{})
+	res, err := RunParallelResilient(faulty, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestResilientGivesUpWhenBudgetExhausted(t *testing.T) {
 	// initial run, the second the single permitted restart.
 	cfg.FaultPlan = mpi.NewFaultPlan().Kill(1, 5).Kill(1, 6)
 	cfg.EventLog = trace.NewEventLog()
-	_, err := RunParallelResilient(cfg, 3, RestartPolicy{MaxRestarts: 1})
+	_, err := RunParallelResilient(cfg, 3, 1)
 	if err == nil {
 		t.Fatal("exhausted restart budget did not surface an error")
 	}
@@ -230,12 +230,12 @@ func TestResilientGivesUpWhenBudgetExhausted(t *testing.T) {
 
 func TestResilientRejectsBadInputsUpFront(t *testing.T) {
 	cfg := testConfig(1, 6, 10)
-	if _, err := RunParallelResilient(cfg, 1, RestartPolicy{}); err == nil {
+	if _, err := RunParallelResilient(cfg, 1, 3); err == nil {
 		t.Fatal("1 rank accepted")
 	}
 	bad := cfg
 	bad.Memory = 0
-	if _, err := RunParallelResilient(bad, 3, RestartPolicy{}); err == nil {
+	if _, err := RunParallelResilient(bad, 3, 3); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
@@ -259,7 +259,7 @@ func TestResilientRejectsForeignCheckpoint(t *testing.T) {
 	cfg.CheckpointEvery = 50 // beyond the run: the foreign snapshot survives
 	cfg.CheckpointSink = sink
 	cfg.FaultPlan = mpi.NewFaultPlan().Kill(1, 1)
-	_, err := RunParallelResilient(cfg, 3, RestartPolicy{})
+	_, err := RunParallelResilient(cfg, 3, 3)
 	if err == nil || !strings.Contains(err.Error(), "does not match") {
 		t.Fatalf("foreign checkpoint not rejected: %v", err)
 	}
@@ -272,7 +272,7 @@ func TestResilientWithoutFaultsIsPlainRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunParallelResilient(cfg, 3, RestartPolicy{})
+	res, err := RunParallelResilient(cfg, 3, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,9 +71,6 @@ func (l *Binary) SetCell(x, y int, cooperator bool) {
 	l.cells[l.idx(x, y)] = cooperator
 }
 
-// Cell reports whether (x, y) cooperates.
-func (l *Binary) Cell(x, y int) bool { return l.cells[l.idx(x, y)] }
-
 // Generation returns the number of completed steps.
 func (l *Binary) Generation() int { return l.gen }
 
@@ -255,12 +252,6 @@ func (l *IPD) idx(x, y int) int {
 // SetCell overrides one cell's strategy.
 func (l *IPD) SetCell(x, y int, s strategy.Strategy) { l.cells[l.idx(x, y)] = s.Clone() }
 
-// Cell returns the strategy at (x, y) (shared; do not mutate).
-func (l *IPD) Cell(x, y int) strategy.Strategy { return l.cells[l.idx(x, y)] }
-
-// Generation returns completed steps.
-func (l *IPD) Generation() int { return l.gen }
-
 // Step advances one generation: each cell plays its 8 neighbours, scores
 // the mean per-round payoff, then synchronously imitates its best
 // neighbour; finally mutation may replace cells with fresh random
@@ -345,34 +336,4 @@ func (l *IPD) FractionNear(ref *strategy.Pure) float64 {
 		}
 	}
 	return float64(n) / float64(len(l.cells))
-}
-
-// MeanCooperationProb returns the lattice-wide mean cooperation
-// probability over all states.
-func (l *IPD) MeanCooperationProb() float64 {
-	total := 0.0
-	states := l.space.NumStates()
-	for _, s := range l.cells {
-		for st := 0; st < states; st++ {
-			total += s.CooperateProb(uint32(st))
-		}
-	}
-	return total / float64(len(l.cells)*states)
-}
-
-// Ascii renders the lattice by each cell's opening move ('.' C, '#' D).
-func (l *IPD) Ascii() string {
-	var sb strings.Builder
-	init := l.space.InitialState()
-	for y := 0; y < l.h; y++ {
-		for x := 0; x < l.w; x++ {
-			if l.cells[y*l.w+x].CooperateProb(init) >= 0.5 {
-				sb.WriteByte('.')
-			} else {
-				sb.WriteByte('#')
-			}
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }

@@ -97,7 +97,7 @@ func TestBinarySingleDefectorKaleidoscopeSymmetry(t *testing.T) {
 	for y := 0; y < n; y++ {
 		for x := 0; x < n; x++ {
 			// Reflect through the centre.
-			if l.Cell(x, y) != l.Cell(n-1-x, y) || l.Cell(x, y) != l.Cell(x, n-1-y) {
+			if l.cells[l.idx(x, y)] != l.cells[l.idx(n-1-x, y)] || l.cells[l.idx(x, y)] != l.cells[l.idx(x, n-1-y)] {
 				t.Fatalf("pattern lost symmetry at (%d,%d) after %d steps", x, y, l.Generation())
 			}
 		}
@@ -118,7 +118,7 @@ func TestBinaryDeterministic(t *testing.T) {
 	b.Run(50)
 	for y := 0; y < 30; y++ {
 		for x := 0; x < 30; x++ {
-			if a.Cell(x, y) != b.Cell(x, y) {
+			if a.cells[a.idx(x, y)] != b.cells[b.idx(x, y)] {
 				t.Fatal("identical seeds diverged")
 			}
 		}
@@ -218,11 +218,11 @@ func TestIPDMutationChurns(t *testing.T) {
 	}
 	l.Run(3)
 	// With heavy mutation the lattice cannot be uniform.
-	first := l.Cell(0, 0)
+	first := l.cells[l.idx(0, 0)]
 	uniform := true
 	for y := 0; y < 8 && uniform; y++ {
 		for x := 0; x < 8; x++ {
-			if !l.Cell(x, y).Equal(first) {
+			if !l.cells[l.idx(x, y)].Equal(first) {
 				uniform = false
 				break
 			}
@@ -249,28 +249,9 @@ func TestIPDDeterministic(t *testing.T) {
 	a, b := mk(), mk()
 	for y := 0; y < 7; y++ {
 		for x := 0; x < 7; x++ {
-			if !a.Cell(x, y).Equal(b.Cell(x, y)) {
+			if !a.cells[a.idx(x, y)].Equal(b.cells[b.idx(x, y)]) {
 				t.Fatal("identical seeds diverged")
 			}
 		}
-	}
-}
-
-func TestIPDMetricsAndAscii(t *testing.T) {
-	cfg := IPDConfig{W: 5, H: 5, Memory: 1, Seed: 14}
-	l, err := NewIPD(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := l.MeanCooperationProb()
-	if m < 0 || m > 1 {
-		t.Fatalf("mean coop prob %v", m)
-	}
-	art := l.Ascii()
-	if strings.Count(art, "\n") != 5 {
-		t.Fatalf("ascii rows: %q", art)
-	}
-	if l.Generation() != 0 {
-		t.Fatal("fresh lattice has nonzero generation")
 	}
 }

@@ -56,7 +56,7 @@ func TestCanonicalFingerprintSeparatesMutations(t *testing.T) {
 	pf, _ := CanonicalFingerprint(p)
 	for s := 0; s < sp.NumStates(); s++ {
 		q := p.Clone().(*Pure)
-		q.Bits().Flip(s)
+		q.SetMove(uint32(s), q.MoveAt(uint32(s))^1)
 		qf, _ := CanonicalFingerprint(q)
 		if qf == pf {
 			t.Fatalf("flipping state %d did not change the fingerprint", s)
@@ -137,7 +137,8 @@ func FuzzFingerprint(f *testing.F) {
 		}
 		// A mutated table must hash differently.
 		q := p.Clone().(*Pure)
-		q.Bits().Flip(int(flip) % sp.NumStates())
+		st := uint32(int(flip) % sp.NumStates())
+		q.SetMove(st, q.MoveAt(st)^1)
 		if qf, _ := CanonicalFingerprint(q); qf == fp {
 			t.Fatal("mutated table fingerprint collides with original")
 		}

@@ -59,11 +59,6 @@ func (s Space) Memory() int { return s.memory }
 // NumStates returns 4^n.
 func (s Space) NumStates() int { return s.numStates }
 
-// NumPureStrategiesLog2 returns log2 of the number of pure strategies,
-// i.e. the number of states (Table IV of the paper: 2^4 at memory one up to
-// 2^4096 at memory six).
-func (s Space) NumPureStrategiesLog2() int { return s.numStates }
-
 // RoundBits packs one round's pair of moves into two bits.
 func RoundBits(my, opp Move) uint32 { return uint32(my)<<1 | uint32(opp) }
 

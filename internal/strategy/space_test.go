@@ -6,15 +6,12 @@ import (
 )
 
 func TestNewSpaceSizes(t *testing.T) {
-	// Table IV of the paper: number of states 4^n, strategies 2^(4^n).
+	// Table IV of the paper: number of states 4^n.
 	want := map[int]int{1: 4, 2: 16, 3: 64, 4: 256, 5: 1024, 6: 4096}
 	for n, states := range want {
 		sp := NewSpace(n)
 		if sp.NumStates() != states {
 			t.Errorf("memory %d: NumStates = %d, want %d", n, sp.NumStates(), states)
-		}
-		if sp.NumPureStrategiesLog2() != states {
-			t.Errorf("memory %d: log2(#strategies) = %d, want %d", n, sp.NumPureStrategiesLog2(), states)
 		}
 		if sp.Memory() != n {
 			t.Errorf("memory %d: Memory() = %d", n, sp.Memory())

@@ -48,21 +48,6 @@ func PureFromBits(sp Space, b *bitset.Bitset) *Pure {
 	return &Pure{space: sp, bits: b}
 }
 
-// PureFromMoves builds a pure strategy from an explicit move table
-// (len must equal NumStates).
-func PureFromMoves(sp Space, moves []Move) *Pure {
-	if len(moves) != sp.NumStates() {
-		panic(fmt.Sprintf("strategy: %d moves for %d states", len(moves), sp.NumStates()))
-	}
-	p := NewPure(sp)
-	for i, m := range moves {
-		if m == Defect {
-			p.bits.Set(i, true)
-		}
-	}
-	return p
-}
-
 // ParsePure parses a 0/1 response string ("0101" = memory-one WSLS in the
 // paper's binary order) into a pure strategy of the matching space.
 func ParsePure(s string) (*Pure, error) {
@@ -124,9 +109,6 @@ func (p *Pure) Fingerprint() uint64 { return p.bits.Fingerprint() }
 
 // String implements Strategy: "0" cooperate / "1" defect per state.
 func (p *Pure) String() string { return p.bits.String() }
-
-// Hamming returns the number of states on which two pure strategies differ.
-func (p *Pure) Hamming(o *Pure) int { return p.bits.Hamming(o.bits) }
 
 // Mixed is a probabilistic strategy: per-state cooperation probability.
 type Mixed struct {
@@ -235,21 +217,6 @@ func (m *Mixed) String() string {
 	return sb.String()
 }
 
-// Quantize snaps each probability to the nearest of levels equally spaced
-// values in [0,1]; with levels == 2 this produces the nearest pure strategy.
-// It returns m for chaining. It panics if levels < 2.
-func (m *Mixed) Quantize(levels int) *Mixed {
-	if levels < 2 {
-		panic("strategy: Quantize needs levels >= 2")
-	}
-	step := 1.0 / float64(levels-1)
-	for i, v := range m.p {
-		k := int(v/step + 0.5)
-		m.p[i] = float64(k) * step
-	}
-	return m
-}
-
 // NearestPure returns the pure strategy obtained by rounding each state's
 // cooperation probability (ties, p == 0.5, round toward defection so the
 // map is deterministic).
@@ -287,40 +254,6 @@ func RandomMixed(sp Space, src *rng.Source) *Mixed {
 		m.p[i] = src.Float64()
 	}
 	return m
-}
-
-// PointMutatePure flips the moves of k distinct uniformly chosen states and
-// returns a new strategy. It panics if k exceeds the state count.
-func PointMutatePure(p *Pure, k int, src *rng.Source) *Pure {
-	n := p.space.NumStates()
-	if k < 0 || k > n {
-		panic(fmt.Sprintf("strategy: PointMutatePure k=%d of %d states", k, n))
-	}
-	q := p.Clone().(*Pure)
-	if k == 0 {
-		return q
-	}
-	// Floyd's algorithm for k distinct samples without O(n) memory.
-	chosen := make(map[int]struct{}, k)
-	for j := n - k; j < n; j++ {
-		t := src.Intn(j + 1)
-		if _, dup := chosen[t]; dup {
-			t = j
-		}
-		chosen[t] = struct{}{}
-		q.bits.Flip(t)
-	}
-	return q
-}
-
-// PerturbMixed adds Normal(0, sigma) noise to every state's cooperation
-// probability (clamped), returning a new strategy.
-func PerturbMixed(m *Mixed, sigma float64, src *rng.Source) *Mixed {
-	q := m.Clone().(*Mixed)
-	for i := range q.p {
-		q.p[i] = clamp01(q.p[i] + sigma*src.Normal())
-	}
-	return q
 }
 
 // EnumeratePure yields every pure strategy in the space in lexicographic

@@ -45,9 +45,6 @@ type Grid struct {
 	points []Point
 }
 
-// NewGrid builds a grid from explicit points.
-func NewGrid(points []Point) *Grid { return &Grid{points: points} }
-
 // Size returns the number of cells.
 func (g *Grid) Size() int { return len(g.points) }
 

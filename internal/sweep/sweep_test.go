@@ -126,7 +126,7 @@ func TestRunProducesOutcomes(t *testing.T) {
 func TestRunRecordsFailures(t *testing.T) {
 	bad := baseCfg()
 	bad.Memory = 0 // invalid
-	g := NewGrid([]Point{{Labels: map[string]string{"case": "bad"}, Config: bad}})
+	g := &Grid{points: []Point{{Labels: map[string]string{"case": "bad"}, Config: bad}}}
 	outs := g.Run(1)
 	if outs[0].Err == nil {
 		t.Fatal("invalid config did not record an error")
@@ -134,7 +134,7 @@ func TestRunRecordsFailures(t *testing.T) {
 }
 
 func TestRunDefaultWorkers(t *testing.T) {
-	g := NewGrid([]Point{{Labels: map[string]string{"case": "one"}, Config: baseCfg()}})
+	g := &Grid{points: []Point{{Labels: map[string]string{"case": "one"}, Config: baseCfg()}}}
 	outs := g.Run(0)
 	if len(outs) != 1 || outs[0].Err != nil {
 		t.Fatalf("default-worker run failed: %+v", outs)

@@ -48,22 +48,6 @@ func (t Torus) CoordOf(rank int) Coord {
 	}
 }
 
-// RankOf is the inverse of CoordOf. Coordinates are wrapped torus-style.
-func (t Torus) RankOf(c Coord) int {
-	x := mod(c.X, t.DX)
-	y := mod(c.Y, t.DY)
-	z := mod(c.Z, t.DZ)
-	return x + t.DX*(y+t.DY*z)
-}
-
-func mod(a, n int) int {
-	m := a % n
-	if m < 0 {
-		m += n
-	}
-	return m
-}
-
 // axisDist is the wrap-around distance along one torus axis.
 func axisDist(a, b, dim int) int {
 	d := a - b
@@ -74,13 +58,6 @@ func axisDist(a, b, dim int) int {
 		return wrap
 	}
 	return d
-}
-
-// Hops returns the minimal hop count between two ranks under dimension-order
-// routing on the torus.
-func (t Torus) Hops(a, b int) int {
-	ca, cb := t.CoordOf(a), t.CoordOf(b)
-	return axisDist(ca.X, cb.X, t.DX) + axisDist(ca.Y, cb.Y, t.DY) + axisDist(ca.Z, cb.Z, t.DZ)
 }
 
 // Diameter returns the maximum hop distance between any two nodes.
@@ -183,12 +160,3 @@ const (
 	// processors per rack.
 	BGLProcsPerRack = 2048
 )
-
-// RacksFor returns how many BG/P racks hold the given processor count
-// (rounded up).
-func RacksFor(procs, procsPerRack int) int {
-	if procs < 1 || procsPerRack < 1 {
-		panic("topology: RacksFor needs positive arguments")
-	}
-	return (procs + procsPerRack - 1) / procsPerRack
-}

@@ -3,7 +3,6 @@ package topology
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewTorusValidation(t *testing.T) {
@@ -22,7 +21,8 @@ func TestNewTorusValidation(t *testing.T) {
 func TestCoordRankRoundTrip(t *testing.T) {
 	tor, _ := NewTorus(3, 5, 7)
 	for r := 0; r < tor.Nodes(); r++ {
-		if got := tor.RankOf(tor.CoordOf(r)); got != r {
+		c := tor.CoordOf(r)
+		if got := c.X + tor.DX*(c.Y+tor.DY*c.Z); got != r {
 			t.Fatalf("rank %d round-trips to %d", r, got)
 		}
 	}
@@ -38,57 +38,11 @@ func TestCoordOfPanics(t *testing.T) {
 	tor.CoordOf(8)
 }
 
-func TestRankOfWraps(t *testing.T) {
-	tor, _ := NewTorus(4, 4, 4)
-	if tor.RankOf(Coord{X: -1, Y: 0, Z: 0}) != tor.RankOf(Coord{X: 3, Y: 0, Z: 0}) {
-		t.Fatal("negative wrap failed")
-	}
-	if tor.RankOf(Coord{X: 5, Y: 4, Z: 4}) != tor.RankOf(Coord{X: 1, Y: 0, Z: 0}) {
-		t.Fatal("positive wrap failed")
-	}
-}
-
-func TestHopsBasics(t *testing.T) {
-	tor, _ := NewTorus(8, 8, 8)
-	if tor.Hops(0, 0) != 0 {
-		t.Fatal("self distance nonzero")
-	}
-	// Neighbour along X.
-	if got := tor.Hops(0, 1); got != 1 {
-		t.Fatalf("adjacent hops = %d", got)
-	}
-	// Wrap-around: node 7 along X is 1 hop from node 0.
-	if got := tor.Hops(0, 7); got != 1 {
-		t.Fatalf("wrap hops = %d, want 1", got)
-	}
-	// Opposite corner.
-	far := tor.RankOf(Coord{X: 4, Y: 4, Z: 4})
-	if got := tor.Hops(0, far); got != 12 {
-		t.Fatalf("diameter hops = %d, want 12", got)
-	}
-}
-
-func TestHopsSymmetric(t *testing.T) {
-	tor, _ := NewTorus(4, 6, 3)
-	f := func(a, b uint16) bool {
-		ra := int(a) % tor.Nodes()
-		rb := int(b) % tor.Nodes()
-		return tor.Hops(ra, rb) == tor.Hops(rb, ra)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHopsTriangleInequality(t *testing.T) {
-	tor, _ := NewTorus(5, 4, 3)
-	f := func(a, b, c uint16) bool {
-		ra, rb, rc := int(a)%tor.Nodes(), int(b)%tor.Nodes(), int(c)%tor.Nodes()
-		return tor.Hops(ra, rc) <= tor.Hops(ra, rb)+tor.Hops(rb, rc)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
+// hops is the minimal hop count between two ranks, the brute-force reference
+// for Diameter and MeanHops.
+func hops(t Torus, a, b int) int {
+	ca, cb := t.CoordOf(a), t.CoordOf(b)
+	return axisDist(ca.X, cb.X, t.DX) + axisDist(ca.Y, cb.Y, t.DY) + axisDist(ca.Z, cb.Z, t.DZ)
 }
 
 func TestDiameter(t *testing.T) {
@@ -100,7 +54,7 @@ func TestDiameter(t *testing.T) {
 	max := 0
 	for a := 0; a < tor.Nodes(); a += 37 {
 		for b := 0; b < tor.Nodes(); b += 41 {
-			if h := tor.Hops(a, b); h > max {
+			if h := hops(tor, a, b); h > max {
 				max = h
 			}
 		}
@@ -115,7 +69,7 @@ func TestMeanHopsMatchesSampling(t *testing.T) {
 	total, count := 0, 0
 	for a := 0; a < tor.Nodes(); a++ {
 		for b := 0; b < tor.Nodes(); b++ {
-			total += tor.Hops(a, b)
+			total += hops(tor, a, b)
 			count++
 		}
 	}
@@ -196,19 +150,4 @@ func TestMappingPenalty(t *testing.T) {
 		}
 	}()
 	MappingPenalty(0)
-}
-
-func TestRacksFor(t *testing.T) {
-	if RacksFor(262144, BGPProcsPerRack) != 64 {
-		t.Fatal("64-rack count wrong")
-	}
-	if RacksFor(294912, BGPProcsPerRack) != 72 {
-		t.Fatal("72-rack count wrong")
-	}
-	if RacksFor(2048, BGLProcsPerRack) != 1 {
-		t.Fatal("BG/L rack count wrong")
-	}
-	if RacksFor(2049, BGLProcsPerRack) != 2 {
-		t.Fatal("rounding up failed")
-	}
 }

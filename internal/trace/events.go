@@ -1,10 +1,6 @@
 package trace
 
-import (
-	"encoding/json"
-	"io"
-	"sync"
-)
+import "sync"
 
 // EventKind classifies a fault-tolerance event.
 type EventKind string
@@ -87,16 +83,4 @@ func (l *EventLog) Count(kind EventKind) int {
 		}
 	}
 	return n
-}
-
-// Len returns the total number of events.
-func (l *EventLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.events)
-}
-
-// WriteJSON writes the log as a JSON array.
-func (l *EventLog) WriteJSON(w io.Writer) error {
-	return json.NewEncoder(w).Encode(l.Events())
 }

@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"bytes"
-	"encoding/json"
 	"sync"
 	"testing"
 )
@@ -13,8 +11,8 @@ func TestEventLogAppendAndCount(t *testing.T) {
 	l.Append(Event{Kind: EventFault, Generation: -1, Rank: 2, Detail: "injected"})
 	l.Append(Event{Kind: EventRecovery, Generation: 100, Rank: 2, Attempt: 1})
 	l.Append(Event{Kind: EventCheckpoint, Generation: 200, Rank: 0})
-	if l.Len() != 4 {
-		t.Fatalf("len = %d, want 4", l.Len())
+	if n := len(l.Events()); n != 4 {
+		t.Fatalf("len = %d, want 4", n)
 	}
 	if n := l.Count(EventCheckpoint); n != 2 {
 		t.Fatalf("checkpoint count = %d, want 2", n)
@@ -46,23 +44,7 @@ func TestEventLogConcurrentAppend(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if l.Len() != 800 {
-		t.Fatalf("len = %d, want 800", l.Len())
-	}
-}
-
-func TestEventLogWriteJSON(t *testing.T) {
-	l := NewEventLog()
-	l.Append(Event{Kind: EventRecovery, Generation: 300, Rank: 1, Attempt: 2, Detail: "rank 1 died"})
-	var buf bytes.Buffer
-	if err := l.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var got []Event
-	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != l.Events()[0] {
-		t.Fatalf("JSON round trip: %+v", got)
+	if n := len(l.Events()); n != 800 {
+		t.Fatalf("len = %d, want 800", n)
 	}
 }

@@ -1,12 +1,10 @@
 // Package trace records per-generation simulation events and exports them
-// as CSV or JSON — the observability layer sitting where the paper's Nature
+// as CSV — the observability layer sitting where the paper's Nature
 // Agent "handles all file I/O to record the global variables across
 // generations".
 package trace
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
 	"strconv"
 	"strings"
@@ -30,7 +28,6 @@ type Recorder struct {
 	records []Record
 	cap     int
 	stride  int
-	seen    int
 }
 
 // NewRecorder creates a recorder keeping at most capacity records
@@ -41,7 +38,6 @@ func NewRecorder(capacity int) *Recorder {
 
 // Add appends a record, thinning when over capacity.
 func (r *Recorder) Add(rec Record) {
-	r.seen++
 	if r.stride > 1 && rec.Generation%r.stride != 0 {
 		return
 	}
@@ -60,15 +56,6 @@ func (r *Recorder) Add(rec Record) {
 
 // Len returns the number of kept records.
 func (r *Recorder) Len() int { return len(r.records) }
-
-// Seen returns the number of records ever offered.
-func (r *Recorder) Seen() int { return r.seen }
-
-// Records returns the kept records (not a copy).
-func (r *Recorder) Records() []Record { return r.records }
-
-// Stride returns the current keep-stride.
-func (r *Recorder) Stride() int { return r.stride }
 
 // WriteCSV writes the kept records as CSV with a header row.
 func (r *Recorder) WriteCSV(w io.Writer) error {
@@ -92,56 +79,4 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, sb.String())
 	return err
-}
-
-// WriteJSON writes the kept records as a JSON array.
-func (r *Recorder) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(r.records)
-}
-
-// ParseCSV reads records written by WriteCSV.
-func ParseCSV(rd io.Reader) ([]Record, error) {
-	data, err := io.ReadAll(rd)
-	if err != nil {
-		return nil, err
-	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) == 0 {
-		return nil, fmt.Errorf("trace: empty CSV")
-	}
-	if !strings.HasPrefix(lines[0], "generation,") {
-		return nil, fmt.Errorf("trace: missing CSV header")
-	}
-	out := make([]Record, 0, len(lines)-1)
-	for ln, line := range lines[1:] {
-		fields := strings.Split(line, ",")
-		if len(fields) != 7 {
-			return nil, fmt.Errorf("trace: line %d has %d fields", ln+2, len(fields))
-		}
-		var rec Record
-		if rec.Generation, err = strconv.Atoi(fields[0]); err != nil {
-			return nil, fmt.Errorf("trace: line %d generation: %w", ln+2, err)
-		}
-		if rec.MeanFitness, err = strconv.ParseFloat(fields[1], 64); err != nil {
-			return nil, fmt.Errorf("trace: line %d mean_fitness: %w", ln+2, err)
-		}
-		if rec.Cooperation, err = strconv.ParseFloat(fields[2], 64); err != nil {
-			return nil, fmt.Errorf("trace: line %d cooperation: %w", ln+2, err)
-		}
-		if rec.Distinct, err = strconv.Atoi(fields[3]); err != nil {
-			return nil, fmt.Errorf("trace: line %d distinct: %w", ln+2, err)
-		}
-		if rec.PC, err = strconv.ParseBool(fields[4]); err != nil {
-			return nil, fmt.Errorf("trace: line %d pc: %w", ln+2, err)
-		}
-		if rec.Adopted, err = strconv.ParseBool(fields[5]); err != nil {
-			return nil, fmt.Errorf("trace: line %d adopted: %w", ln+2, err)
-		}
-		if rec.Mutated, err = strconv.ParseBool(fields[6]); err != nil {
-			return nil, fmt.Errorf("trace: line %d mutated: %w", ln+2, err)
-		}
-		out = append(out, rec)
-	}
-	return out, nil
 }

@@ -2,7 +2,8 @@ package trace
 
 import (
 	"bytes"
-	"strings"
+	"encoding/csv"
+	"strconv"
 	"testing"
 )
 
@@ -15,10 +16,10 @@ func TestRecorderUnbounded(t *testing.T) {
 	for g := 0; g < 100; g++ {
 		r.Add(rec(g))
 	}
-	if r.Len() != 100 || r.Seen() != 100 {
-		t.Fatalf("len %d seen %d", r.Len(), r.Seen())
+	if r.Len() != 100 {
+		t.Fatalf("len %d", r.Len())
 	}
-	if r.Stride() != 1 {
+	if r.stride != 1 {
 		t.Fatal("unbounded recorder thinned")
 	}
 }
@@ -31,17 +32,14 @@ func TestRecorderThinning(t *testing.T) {
 	if r.Len() > 64 {
 		t.Fatalf("kept %d records over cap 64", r.Len())
 	}
-	if r.Seen() != 10000 {
-		t.Fatalf("seen %d", r.Seen())
-	}
-	if r.Stride() < 2 {
+	if r.stride < 2 {
 		t.Fatal("no thinning occurred")
 	}
 	// Kept generations must respect the stride and stay ordered.
 	last := -1
-	for _, kept := range r.Records() {
-		if kept.Generation%r.Stride() != 0 {
-			t.Fatalf("generation %d kept at stride %d", kept.Generation, r.Stride())
+	for _, kept := range r.records {
+		if kept.Generation%r.stride != 0 {
+			t.Fatalf("generation %d kept at stride %d", kept.Generation, r.stride)
 		}
 		if kept.Generation <= last {
 			t.Fatal("records out of order")
@@ -49,14 +47,16 @@ func TestRecorderThinning(t *testing.T) {
 		last = kept.Generation
 	}
 	// Early and late trajectory both survive thinning.
-	if r.Records()[0].Generation > 1000 {
-		t.Fatalf("early trajectory lost: first kept gen %d", r.Records()[0].Generation)
+	if r.records[0].Generation > 1000 {
+		t.Fatalf("early trajectory lost: first kept gen %d", r.records[0].Generation)
 	}
 	if last < 8000 {
 		t.Fatalf("late trajectory lost: last kept gen %d", last)
 	}
 }
 
+// The CSV is read back by an independent reader: a header, then one
+// seven-field row per record that parses to the record's values.
 func TestCSVRoundTrip(t *testing.T) {
 	r := NewRecorder(0)
 	for g := 0; g < 25; g++ {
@@ -66,56 +66,24 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := r.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseCSV(&buf)
+	rows, err := csv.NewReader(&buf).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 25 {
-		t.Fatalf("parsed %d records", len(got))
+	if len(rows) != 26 || rows[0][0] != "generation" || len(rows[0]) != 7 {
+		t.Fatalf("%d rows, header %v", len(rows), rows[0])
 	}
-	for i, g := range got {
-		if g != rec(i) {
-			t.Fatalf("record %d = %+v, want %+v", i, g, rec(i))
+	for i, row := range rows[1:] {
+		var got Record
+		got.Generation, _ = strconv.Atoi(row[0])
+		got.MeanFitness, _ = strconv.ParseFloat(row[1], 64)
+		got.Cooperation, _ = strconv.ParseFloat(row[2], 64)
+		got.Distinct, _ = strconv.Atoi(row[3])
+		got.PC, _ = strconv.ParseBool(row[4])
+		got.Adopted, _ = strconv.ParseBool(row[5])
+		got.Mutated, _ = strconv.ParseBool(row[6])
+		if got != rec(i) {
+			t.Fatalf("row %d = %v, want %+v", i, row, rec(i))
 		}
-	}
-}
-
-func TestJSONOutput(t *testing.T) {
-	r := NewRecorder(0)
-	r.Add(rec(3))
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s := buf.String()
-	if !strings.Contains(s, `"generation":3`) || !strings.Contains(s, `"mean_fitness"`) {
-		t.Fatalf("JSON output missing fields: %s", s)
-	}
-}
-
-func TestParseCSVErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"not,a,header\n1,2,3",
-		"generation,mean_fitness,cooperation,distinct_strategies,pc_event,adopted,mutated\n1,2",
-		"generation,mean_fitness,cooperation,distinct_strategies,pc_event,adopted,mutated\nx,1,1,1,true,true,true",
-		"generation,mean_fitness,cooperation,distinct_strategies,pc_event,adopted,mutated\n1,x,1,1,true,true,true",
-		"generation,mean_fitness,cooperation,distinct_strategies,pc_event,adopted,mutated\n1,1,1,x,true,true,true",
-		"generation,mean_fitness,cooperation,distinct_strategies,pc_event,adopted,mutated\n1,1,1,1,maybe,true,true",
-	}
-	for i, c := range cases {
-		if _, err := ParseCSV(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d: bad CSV accepted", i)
-		}
-	}
-}
-
-func TestParseCSVHeaderOnly(t *testing.T) {
-	got, err := ParseCSV(strings.NewReader("generation,mean_fitness,cooperation,distinct_strategies,pc_event,adopted,mutated\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("parsed %d records from header-only CSV", len(got))
 	}
 }
