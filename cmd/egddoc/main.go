@@ -2,7 +2,9 @@
 // tree for .md files and verifies that every relative link resolves to an
 // existing file and that every fragment resolves to a GitHub-style heading
 // anchor in its target document. External schemes (http, https, mailto) are
-// skipped — CI must not depend on the network.
+// skipped — CI must not depend on the network. In the living documents it
+// also checks that a back-ticked repository path (`internal/sim/spec.go`)
+// names a file that exists (livingDoc).
 //
 //	egddoc              check every .md under the current directory
 //	egddoc -dir path    check a tree rooted elsewhere
@@ -33,21 +35,25 @@ func main() {
 // documentation uses inline links exclusively.
 var linkPattern = regexp.MustCompile(`!?\[[^\]]*\]\(([^()\s]+(?:\([^()]*\))?[^()\s]*)\)`)
 
-// problem is one broken link, reported egdlint-style as file:line: message.
-type problem struct {
-	file string
-	line int
-	msg  string
-}
+// pathPattern matches a back-ticked repository file path: one of the source
+// directories, a slash-separated name and a lower-case file extension, ending
+// at the closing back-tick, an argument, a :line suffix or a #fragment.
+// Globs (`internal/*/README.md`) and package-qualified symbols
+// (`internal/mpi.ParseFault`) do not match.
+var pathPattern = regexp.MustCompile("`((?:cmd|internal|docs|scripts|examples|bench)/[\\w./-]*\\.[a-z0-9]+)[`\\s:#]")
 
-func (p problem) String() string {
-	return fmt.Sprintf("%s:%d: %s", p.file, p.line, p.msg)
-}
+// livingDoc matches, relative to the root, the documents that describe the
+// repository as it is; only their back-ticked paths are checked. The rest —
+// change log, roadmap, the issue being worked, the paper's material, the
+// benchmark's notes on its output files — record history or name generated
+// files, and name absent paths on purpose.
+var livingDoc = regexp.MustCompile(`^(?:README|DESIGN|EXPERIMENTS)\.md$|^docs/[^/]+\.md$|^internal/[^/]+/README\.md$`)
 
 // doc is one parsed markdown file: its link occurrences and the set of
 // GitHub-style anchors its headings generate.
 type doc struct {
 	links   []link
+	paths   []link // back-ticked repository paths (pathPattern)
 	anchors map[string]bool
 }
 
@@ -106,6 +112,9 @@ func parseDoc(path string) (*doc, error) {
 			target = strings.Trim(target, "<>")
 			d.links = append(d.links, link{line: lineNo, target: target})
 		}
+		for _, m := range pathPattern.FindAllStringSubmatch(line, -1) {
+			d.paths = append(d.paths, link{line: lineNo, target: m[1]})
+		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -135,16 +144,9 @@ func headingAnchor(line string) string {
 	return b.String()
 }
 
-// external reports whether the link target leaves the repository: URL
-// schemes and protocol-relative references are not checked.
-func external(target string) bool {
-	for _, p := range []string{"http://", "https://", "mailto:", "ftp://", "//"} {
-		if strings.HasPrefix(target, p) {
-			return true
-		}
-	}
-	return false
-}
+// external matches a link target that leaves the repository: URL schemes
+// and protocol-relative references are not checked.
+var external = regexp.MustCompile(`^(?:[a-z]+:)?//|^mailto:`)
 
 // collect walks root for .md files, skipping hidden directories and
 // testdata fixtures (fixtures may deliberately contain broken links).
@@ -170,10 +172,11 @@ func collect(root string) ([]string, error) {
 	return files, err
 }
 
-// check verifies every link of every file. Cross-file fragment targets are
+// check verifies every link of every file and reports each broken one
+// egdlint-style, as file:line: message. Cross-file fragment targets are
 // parsed lazily and memoized, so linking into a file outside the checked
 // set (e.g. a doc under internal/) still validates its anchors.
-func check(root string, files []string) ([]problem, error) {
+func check(root string, files []string) ([]string, error) {
 	parsed := map[string]*doc{}
 	load := func(path string) (*doc, error) {
 		if d, ok := parsed[path]; ok {
@@ -186,7 +189,7 @@ func check(root string, files []string) ([]problem, error) {
 		parsed[path] = d
 		return d, nil
 	}
-	var problems []problem
+	var problems []string
 	for _, file := range files {
 		d, err := load(file)
 		if err != nil {
@@ -196,8 +199,18 @@ func check(root string, files []string) ([]problem, error) {
 		if r, err := filepath.Rel(root, file); err == nil {
 			rel = r
 		}
+		report := func(line int, format string, args ...any) {
+			problems = append(problems, fmt.Sprintf("%s:%d: ", rel, line)+fmt.Sprintf(format, args...))
+		}
+		if livingDoc.MatchString(filepath.ToSlash(rel)) {
+			for _, l := range d.paths {
+				if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(l.target))); err != nil {
+					report(l.line, "stale path `%s`: no such file in the repository", l.target)
+				}
+			}
+		}
 		for _, l := range d.links {
-			if external(l.target) || l.target == "" {
+			if l.target == "" || external.MatchString(l.target) {
 				continue
 			}
 			pathPart, frag, _ := strings.Cut(l.target, "#")
@@ -211,18 +224,15 @@ func check(root string, files []string) ([]problem, error) {
 				}
 				info, err := os.Stat(targetFile)
 				if err != nil {
-					problems = append(problems, problem{rel, l.line, fmt.Sprintf("broken link %q: %s does not exist", l.target, pathPart)})
+					report(l.line, "broken link %q: %s does not exist", l.target, pathPart)
 					continue
 				}
 				if frag != "" && info.IsDir() {
-					problems = append(problems, problem{rel, l.line, fmt.Sprintf("broken link %q: fragment on a directory", l.target)})
+					report(l.line, "broken link %q: fragment on a directory", l.target)
 					continue
 				}
 			}
-			if frag == "" {
-				continue
-			}
-			if !strings.EqualFold(filepath.Ext(targetFile), ".md") {
+			if frag == "" || !strings.EqualFold(filepath.Ext(targetFile), ".md") {
 				continue // anchors into non-markdown files are viewer-defined
 			}
 			td, err := load(targetFile)
@@ -230,7 +240,7 @@ func check(root string, files []string) ([]problem, error) {
 				return nil, err
 			}
 			if !td.anchors[strings.ToLower(frag)] {
-				problems = append(problems, problem{rel, l.line, fmt.Sprintf("broken link %q: no heading anchor #%s in %s", l.target, frag, pathPart)})
+				report(l.line, "broken link %q: no heading anchor #%s in %s", l.target, frag, pathPart)
 			}
 		}
 	}

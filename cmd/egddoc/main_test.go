@@ -152,3 +152,39 @@ func TestRepoDocsLinkClean(t *testing.T) {
 		t.Errorf("repository docs have broken links:\n%s", out.String())
 	}
 }
+
+// A back-ticked repository path in a living document must name a file that
+// exists; history documents, globs, package-qualified symbols, fenced code
+// and directories without an extension are not paths to check.
+func TestStalePaths(t *testing.T) {
+	dir := t.TempDir()
+	write(t, dir, "internal/sim/spec.go", "package sim\n")
+	write(t, dir, "scripts/smoke.sh", "#!/bin/sh\n")
+	body := "# Top\n\n" +
+		"Lives: `internal/sim/spec.go`, `internal/sim/spec.go:12`, `scripts/smoke.sh -quick`.\n" +
+		"Gone: `internal/server/spec.go` and `cmd/egdold/main.go:7`.\n" +
+		"Not paths: `internal/*/README.md`, `internal/mpi.ParseFault`, `internal/sim`, `other/dir/file.go`.\n\n" +
+		"```\n`docs/FENCED.md`\n```\n"
+	write(t, dir, "README.md", body)
+	write(t, dir, "docs/GUIDE.md", "# Guide\n\nSee `docs/MISSING.md`.\n")
+	write(t, dir, "internal/sim/README.md", "# sim\n\n`bench/nope.go`\n")
+	write(t, dir, "CHANGES.md", "Deleted `internal/server/durable.go`.\n")
+	write(t, dir, "bench/README.md", "Writes `bench/out/trace.json`.\n")
+
+	var out, errw strings.Builder
+	if code := run([]string{"-dir", dir}, &out, &errw); code != 1 {
+		t.Fatalf("stale paths exited %d:\n%s%s", code, out.String(), errw.String())
+	}
+	got := out.String()
+	for _, want := range []string{
+		"README.md:4: stale path `internal/server/spec.go`",
+		"README.md:4: stale path `cmd/egdold/main.go`",
+		"docs/GUIDE.md:3: stale path `docs/MISSING.md`",
+		"internal/sim/README.md:3: stale path `bench/nope.go`",
+		"4 broken link(s)",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("output missing %q:\n%s", want, got)
+		}
+	}
+}

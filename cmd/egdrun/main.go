@@ -13,12 +13,17 @@
 //	egdrun -np 4 -evict -full -ssets 16 -gens 600 -chaos-kill 2@500ms
 //	egdrun -np 4 -evict -full -chaos-stop 3@1s:2s   # SIGSTOP, 2s later SIGCONT
 //
+// The run is described by the flags every command shares (README.md "Run
+// parameters") plus egdsim's fault-tolerance flags; the launcher parses them
+// once and hands each worker the result as one JSON argument.
+//
 // A chaos-targeted worker is expected to die (or to discover its eviction
 // and exit with an error); egdrun succeeds when rank 0 completes and every
 // non-targeted worker exits cleanly.
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -83,10 +88,35 @@ func parseChaos(spec string, stop bool) (chaosSpec, error) {
 	return cs, nil
 }
 
+// workerJob is what the launcher hands each worker process, as the JSON value
+// of its -worker flag: the parsed run and the worker's place in the mesh.
+type workerJob struct {
+	Rank    int
+	Addrs   []string
+	Network string // unix or tcp
+	Job     string // id shared by the fleet
+	Spec    sim.Spec
+	Faults  sim.FaultTolerance
+}
+
+// config materialises the engine configuration the job describes.
+func (j workerJob) config() (sim.Config, error) {
+	cfg, err := j.Spec.Config()
+	if err != nil {
+		return cfg, err
+	}
+	return cfg, j.Faults.Apply(&cfg)
+}
+
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("egdrun", flag.ContinueOnError)
+	// The run and its failure handling are egdsim's flag sets (README.md
+	// "Run parameters"); the rest steer the launcher.
+	job := workerJob{Spec: sim.DefaultSpec()}
+	job.Spec.BindFlags(fs)
+	job.Faults.BindFlags(fs)
+	fs.IntVar(&job.Spec.Ranks, "np", 0, "number of worker processes (ranks); >= 2")
 	var (
-		np      = fs.Int("np", 0, "number of worker processes (ranks); >= 2")
 		sockDir = fs.String("sock", "", "unix-socket directory for the rank mesh (default: a temp dir)")
 		tcpBase = fs.String("tcp", "", "use TCP instead of unix sockets: host:basePort (rank i listens on basePort+i)")
 		timeout = fs.Duration("timeout", 10*time.Minute, "kill the fleet and fail if the run exceeds this")
@@ -94,92 +124,47 @@ func run(args []string, out io.Writer) error {
 		chaosKill = fs.String("chaos-kill", "", "SIGKILL specs 'rank@delay', comma-separated (requires -evict)")
 		chaosStop = fs.String("chaos-stop", "", "SIGSTOP specs 'rank@delay:pause', comma-separated (requires -evict)")
 
-		// Worker-process plumbing (internal; set by the launcher).
-		worker = fs.Bool("worker", false, "internal: run as a single-rank worker process")
-		rank   = fs.Int("rank", -1, "internal: this worker's rank")
-		addrs  = fs.String("addrs", "", "internal: comma-separated rank addresses")
-		netw   = fs.String("net", "unix", "internal: mesh network (unix or tcp)")
-		job    = fs.String("job", "", "internal: job id shared by the fleet")
-
-		// Simulation parameters (forwarded to every worker).
-		memory   = fs.Int("memory", 1, "strategy memory depth n in [1,6]")
-		ssets    = fs.Int("ssets", 64, "number of Strategy Sets")
-		gens     = fs.Int("gens", 1000, "generations to simulate")
-		rounds   = fs.Int("rounds", 200, "IPD rounds per match")
-		seed     = fs.Uint64("seed", 1, "master random seed")
-		mixed    = fs.Bool("mixed", false, "evolve probabilistic (mixed) strategies")
-		full     = fs.Bool("full", false, "recompute all fitness every generation (paper timing mode)")
-		evict    = fs.Bool("evict", false, "live rank eviction: heartbeat detection, communicator shrink")
-		hbEvery  = fs.Duration("heartbeat-every", 0, "liveness tick interval for -evict (0 = engine default)")
-		hbMisses = fs.Int("heartbeat-misses", 0, "missed ticks before -evict declares a rank dead (0 = engine default)")
-		deadline = fs.Duration("worker-timeout", 0, "receive deadline turning a stalled rank into a detectable failure")
-		inject   = fs.String("inject-fault", "", "scripted fault specs, ';'-separated (see internal/mpi.ParseFault)")
+		worker = fs.String("worker", "", "internal: run as the single-rank worker process this JSON workerJob describes")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	cfg := sim.DefaultConfig(*memory, *ssets)
-	cfg.Generations = *gens
-	cfg.Rules.Rounds = *rounds
-	cfg.Seed = *seed
-	if *mixed {
-		cfg.Kind = sim.MixedStrategies
+	if *worker != "" {
+		job = workerJob{}
+		if err := json.Unmarshal([]byte(*worker), &job); err != nil {
+			return fmt.Errorf("-worker: %w", err)
+		}
+		return runWorker(job, out)
 	}
-	cfg.FullRecompute = *full
-	cfg.Evict = *evict
-	cfg.HeartbeatEvery = *hbEvery
-	cfg.HeartbeatMisses = *hbMisses
-	cfg.RecvTimeout = *deadline
-	if *inject != "" {
-		plan := mpi.NewFaultPlan()
-		for _, spec := range strings.Split(*inject, ";") {
-			if spec = strings.TrimSpace(spec); spec == "" {
-				continue
-			}
-			f, err := mpi.ParseFault(spec)
+
+	np := job.Spec.Ranks
+	if np < 2 {
+		return fmt.Errorf("-np must be >= 2 (Nature + workers), got %d", np)
+	}
+	// Reject a bad run here, before any process is spawned.
+	if _, err := job.config(); err != nil {
+		return err
+	}
+	var chaos []chaosSpec
+	for _, kind := range []struct {
+		stop  bool
+		specs string
+	}{{false, *chaosKill}, {true, *chaosStop}} {
+		for _, spec := range splitSpecs(kind.specs) {
+			cs, err := parseChaos(spec, kind.stop)
 			if err != nil {
 				return err
 			}
-			plan.Add(f)
-		}
-		cfg.FaultPlan = plan
-	}
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-
-	if *worker {
-		return runWorker(cfg, *rank, strings.Split(*addrs, ","), *netw, *job, out)
-	}
-
-	if *np < 2 {
-		return fmt.Errorf("-np must be >= 2 (Nature + workers), got %d", *np)
-	}
-	var chaos []chaosSpec
-	for _, spec := range splitSpecs(*chaosKill) {
-		cs, err := parseChaos(spec, false)
-		if err != nil {
-			return err
-		}
-		chaos = append(chaos, cs)
-	}
-	for _, spec := range splitSpecs(*chaosStop) {
-		cs, err := parseChaos(spec, true)
-		if err != nil {
-			return err
-		}
-		chaos = append(chaos, cs)
-	}
-	for _, cs := range chaos {
-		if cs.rank <= 0 || cs.rank >= *np {
-			return fmt.Errorf("chaos target rank %d out of worker range [1,%d)", cs.rank, *np)
-		}
-		if !*evict {
-			return fmt.Errorf("chaos flags need -evict (live recovery) to make sense")
+			if cs.rank <= 0 || cs.rank >= np {
+				return fmt.Errorf("chaos target rank %d out of worker range [1,%d)", cs.rank, np)
+			}
+			if !job.Faults.Evict {
+				return fmt.Errorf("chaos flags need -evict (live recovery) to make sense")
+			}
+			chaos = append(chaos, cs)
 		}
 	}
-	return launch(fs, *np, *sockDir, *tcpBase, *timeout, chaos, out)
+	return launch(job, *sockDir, *tcpBase, *timeout, chaos, out)
 }
 
 func splitSpecs(s string) []string {
@@ -192,22 +177,15 @@ func splitSpecs(s string) []string {
 	return out
 }
 
-// launcherOnly names the flags that steer the launcher itself and must not
-// be forwarded to worker processes.
-var launcherOnly = map[string]bool{
-	"np": true, "sock": true, "tcp": true, "timeout": true,
-	"chaos-kill": true, "chaos-stop": true,
-	"worker": true, "rank": true, "addrs": true, "net": true, "job": true,
-}
-
 // launch spawns one worker process per rank, runs the chaos schedule, and
 // attributes every exit. Success requires rank 0 to complete and every
 // non-targeted worker to exit 0.
-func launch(fs *flag.FlagSet, np int, sockDir, tcpBase string, timeout time.Duration, chaos []chaosSpec, out io.Writer) error {
+func launch(job workerJob, sockDir, tcpBase string, timeout time.Duration, chaos []chaosSpec, out io.Writer) error {
 	self, err := os.Executable()
 	if err != nil {
 		return fmt.Errorf("locate own binary: %w", err)
 	}
+	np := job.Spec.Ranks
 	network := "unix"
 	addrs := make([]string, np)
 	switch {
@@ -237,22 +215,17 @@ func launch(fs *flag.FlagSet, np int, sockDir, tcpBase string, timeout time.Dura
 		}
 	}
 
-	// Forward exactly the sim flags the user set; the mesh plumbing is ours.
-	var fwd []string
-	fs.Visit(func(f *flag.Flag) {
-		if !launcherOnly[f.Name] {
-			fwd = append(fwd, "-"+f.Name+"="+f.Value.String())
-		}
-	})
-	jobID := fmt.Sprintf("egdrun-%d-%d", os.Getpid(), time.Now().UnixNano())
+	job.Addrs, job.Network = addrs, network
+	job.Job = fmt.Sprintf("egdrun-%d-%d", os.Getpid(), time.Now().UnixNano())
 
 	cmds := make([]*exec.Cmd, np)
 	for i := 0; i < np; i++ {
-		args := append([]string{
-			"-worker", "-rank", strconv.Itoa(i),
-			"-net", network, "-addrs", strings.Join(addrs, ","), "-job", jobID,
-		}, fwd...)
-		cmd := exec.Command(self, args...)
+		job.Rank = i
+		arg, err := json.Marshal(job)
+		if err != nil {
+			return err
+		}
+		cmd := exec.Command(self, "-worker", string(arg))
 		cmd.Stderr = os.Stderr
 		if i == 0 {
 			cmd.Stdout = out // the Nature rank owns the summary
@@ -348,23 +321,27 @@ func describeExit(cmd *exec.Cmd) string {
 
 // runWorker hosts one rank of the mesh: transport up, simulation through
 // sim.RunWorker, and (on the Nature rank) the deterministic summary.
-func runWorker(cfg sim.Config, rank int, addrs []string, network, job string, out io.Writer) error {
-	if rank < 0 || rank >= len(addrs) {
-		return fmt.Errorf("worker rank %d outside %d addresses", rank, len(addrs))
+func runWorker(job workerJob, out io.Writer) error {
+	if job.Rank < 0 || job.Rank >= len(job.Addrs) {
+		return fmt.Errorf("worker rank %d outside %d addresses", job.Rank, len(job.Addrs))
+	}
+	cfg, err := job.config()
+	if err != nil {
+		return err
 	}
 	tr, err := mpi.NewNetTransport(mpi.NetConfig{
-		Self:    rank,
-		Size:    len(addrs),
-		Network: network,
-		Addrs:   addrs,
-		Job:     job,
+		Self:    job.Rank,
+		Size:    len(job.Addrs),
+		Network: job.Network,
+		Addrs:   job.Addrs,
+		Job:     job.Job,
 	})
 	if err != nil {
 		return err
 	}
 	res, err := sim.RunWorker(cfg, tr)
 	if err != nil {
-		return fmt.Errorf("rank %d: %w", rank, err)
+		return fmt.Errorf("rank %d: %w", job.Rank, err)
 	}
 	if res != nil {
 		printSummary(out, res)

@@ -87,31 +87,44 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 
 // A real three-process fleet over unix sockets: the Nature process's
 // deterministic summary must be the in-process parallel engine's, line for
-// line.
+// line — for a plain run, and for the paper's Fig. 2 configuration, whose
+// every non-default parameter (mixed strategies, execution errors, the
+// unconditional Fermi rule, PC rate, beta) must cross the process boundary.
 func TestFleetSummaryMatchesInProcessEngine(t *testing.T) {
 	t.Setenv(helperEnv, "1")
-	var out strings.Builder
-	args := []string{"-np", "3", "-ssets", "8", "-gens", "150", "-rounds", "20", "-seed", "11", "-full",
-		"-sock", t.TempDir(), "-timeout", "2m"}
-	if err := run(args, &out); err != nil {
-		t.Fatalf("fleet failed: %v\noutput:\n%s", err, out.String())
+	plain := sim.DefaultConfig(1, 8)
+	plain.Generations = 150
+	plain.Rules.Rounds = 20
+	plain.Seed = 11
+	plain.FullRecompute = true
+	cases := []struct {
+		name string
+		args []string
+		cfg  sim.Config
+	}{
+		{"plain", []string{"-ssets", "8", "-gens", "150", "-rounds", "20", "-seed", "11", "-full"}, plain},
+		{"fig2", []string{"-ssets", "12", "-gens", "300", "-seed", "5", "-mixed", "-error", "0.01", "-fermi", "-pcrate", "1", "-beta", "50"},
+			core.WSLSValidationConfig(12, 300, 5)},
 	}
-	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
-	if !strings.HasPrefix(lines[0], "run: 3 ranks finish, 0 evictions, ") {
-		t.Fatalf("first line = %q, want the fleet's run line", lines[0])
-	}
-
-	cfg := sim.DefaultConfig(1, 8)
-	cfg.Generations = 150
-	cfg.Rules.Rounds = 20
-	cfg.Seed = 11
-	cfg.FullRecompute = true
-	res, err := sim.RunParallel(cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := strings.Join(lines[1:], "\n"), strings.Join(core.SummaryLines(res), "\n"); got != want {
-		t.Fatalf("fleet summary differs from sim.RunParallel's:\n%s\n--- want ---\n%s", got, want)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var out strings.Builder
+			args := append([]string{"-np", "3", "-sock", t.TempDir(), "-timeout", "2m"}, tc.args...)
+			if err := run(args, &out); err != nil {
+				t.Fatalf("fleet failed: %v\noutput:\n%s", err, out.String())
+			}
+			lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+			if !strings.HasPrefix(lines[0], "run: 3 ranks finish, 0 evictions, ") {
+				t.Fatalf("first line = %q, want the fleet's run line", lines[0])
+			}
+			res, err := sim.RunParallel(tc.cfg, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := strings.Join(lines[1:], "\n"), strings.Join(core.SummaryLines(res), "\n"); got != want {
+				t.Fatalf("fleet summary differs from sim.RunParallel's:\n%s\n--- want ---\n%s", got, want)
+			}
+		})
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/game"
 	"repro/internal/metrics"
-	"repro/internal/mpi"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -46,35 +45,21 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("egdsim", flag.ContinueOnError)
+	// The run itself is a sim.Spec and the failure handling a
+	// sim.FaultTolerance — the flag sets egdrun shares (README.md "Run
+	// parameters"); the rest steer this process's engine choice and outputs.
+	spec := sim.DefaultSpec()
+	spec.BindFlags(fs)
+	var ft sim.FaultTolerance
+	ft.BindFlags(fs)
+	fs.IntVar(&spec.Ranks, "ranks", 1, "1 = sequential; >= 2 = parallel engine (Nature + workers)")
+	fs.IntVar(&spec.CheckpointEvery, "checkpoint-every", 0, "write a recovery checkpoint every N generations")
 	var (
-		memory    = fs.Int("memory", 1, "strategy memory depth n in [1,6]")
-		ssets     = fs.Int("ssets", 64, "number of Strategy Sets")
-		gens      = fs.Int("gens", 1000, "generations to simulate")
-		rounds    = fs.Int("rounds", 200, "IPD rounds per match (paper: 200)")
-		errRate   = fs.Float64("error", 0, "per-move execution error probability")
-		pcRate    = fs.Float64("pcrate", sim.DefaultPCRate, "pairwise comparison rate (paper: 0.10)")
-		mu        = fs.Float64("mu", sim.DefaultMu, "mutation rate (paper: 0.05)")
-		beta      = fs.Float64("beta", sim.DefaultBeta, "Fermi selection intensity")
-		mixed     = fs.Bool("mixed", false, "evolve probabilistic (mixed) strategies")
-		seed      = fs.Uint64("seed", 1, "master random seed")
-		ranks     = fs.Int("ranks", 1, "1 = sequential; >= 2 = parallel engine (Nature + workers)")
-		full      = fs.Bool("full", false, "recompute all fitness every generation (paper timing mode)")
-		search    = fs.Bool("search", false, "use the paper-faithful linear find_state lookup")
-		fermi     = fs.Bool("fermi", false, "unconditional Fermi adoption (no teacher-better gate; Traulsen et al.)")
-		exact     = fs.Bool("exact", false, "exact infinite-game Markov payoffs instead of sampled matches")
-		payCache  = fs.Bool("payoff-cache", false, "memoize strategy-pair payoffs (bit-identical results; see docs/KERNEL.md)")
-		payCacheN = fs.Int("payoff-cache-size", 0, "payoff cache entries per rank for -payoff-cache (0 = engine default)")
 		csvPath   = fs.String("trace", "", "write per-generation CSV trace to this file")
 		ckpt      = fs.String("checkpoint", "", "write final population checkpoint to this file")
 		resume    = fs.String("resume", "", "resume from a checkpoint file (continues its trajectory)")
-		ckptEvery = fs.Int("checkpoint-every", 0, "write a recovery checkpoint every N generations")
 		ckptFile  = fs.String("checkpoint-file", "", "recovery checkpoint path for -checkpoint-every (default: the -checkpoint path)")
-		inject    = fs.String("inject-fault", "", "scripted fault specs, ';'-separated, e.g. 'rank=2,after=500' (see internal/mpi.ParseFault)")
 		restarts  = fs.Int("max-restarts", 3, "restart budget after rank failures (parallel engine; <= 0 disables recovery)")
-		deadline  = fs.Duration("worker-timeout", 0, "receive deadline that turns a stalled rank into a detectable failure (parallel engine)")
-		evict     = fs.Bool("evict", false, "recover from worker failures live: heartbeat detection, communicator shrink, in-flight re-shard (parallel engine)")
-		hbEvery   = fs.Duration("heartbeat-every", 0, "liveness tick interval for -evict (0 = engine default)")
-		hbMisses  = fs.Int("heartbeat-misses", 0, "consecutive missed ticks before -evict declares a rank dead (0 = engine default)")
 		minRanks  = fs.Int("min-ranks", 0, "smallest world -evict may shrink to before falling back to restart (0 = engine floor of 2)")
 		mapRows   = fs.Int("map", 0, "print an ASCII strategy map of up to this many SSets")
 		top       = fs.Int("top", 5, "report the top-k most abundant final strategies")
@@ -86,24 +71,18 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	cfg := sim.DefaultConfig(*memory, *ssets)
-	cfg.Generations = *gens
-	cfg.Rules.Rounds = *rounds
-	cfg.Rules.ErrorRate = *errRate
-	cfg.PCRate = *pcRate
-	cfg.Mu = *mu
-	cfg.Beta = *beta
-	if *mixed {
-		cfg.Kind = sim.MixedStrategies
+	if spec.Ranks < 2 && (ft.InjectFault != "" || ft.WorkerTimeout > 0 || ft.Evict) {
+		return fmt.Errorf("-inject-fault, -worker-timeout and -evict need the parallel engine (-ranks >= 2)")
 	}
-	cfg.Seed = *seed
-	cfg.FullRecompute = *full
-	cfg.UseSearchEngine = *search
-	cfg.AllowWorseAdoption = *fermi
-	cfg.ExactPayoffs = *exact
-	cfg.PayoffCache = *payCache
-	cfg.PayoffCacheSize = *payCacheN
+	if *metricsFm != "json" && *metricsFm != "prom" {
+		return fmt.Errorf("-metrics-format must be json or prom, got %q", *metricsFm)
+	}
+	spec.Metrics = *metricsTo != ""
+
+	cfg, err := spec.Config()
+	if err != nil {
+		return err
+	}
 	if *resume != "" {
 		f, err := os.Open(*resume)
 		if err != nil {
@@ -124,10 +103,7 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "resuming from %s at generation %d (seed %d)\n", *resume, snap.Generation, snap.Seed)
 	}
-	if *ranks < 2 && (*inject != "" || *deadline > 0 || *evict) {
-		return fmt.Errorf("-inject-fault, -worker-timeout and -evict need the parallel engine (-ranks >= 2)")
-	}
-	if *ckptEvery > 0 {
+	if cfg.CheckpointEvery > 0 {
 		path := *ckptFile
 		if path == "" {
 			path = *ckpt
@@ -135,42 +111,17 @@ func run(args []string, out io.Writer) error {
 		if path == "" {
 			return fmt.Errorf("-checkpoint-every requires -checkpoint-file (or -checkpoint) FILE")
 		}
-		cfg.CheckpointEvery = *ckptEvery
 		cfg.CheckpointSink = &sim.FileSink{Path: path}
 	}
-	if *inject != "" {
-		plan := mpi.NewFaultPlan()
-		for _, spec := range strings.Split(*inject, ";") {
-			spec = strings.TrimSpace(spec)
-			if spec == "" {
-				continue
-			}
-			f, err := mpi.ParseFault(spec)
-			if err != nil {
-				return err
-			}
-			plan.Add(f)
-		}
-		cfg.FaultPlan = plan
-	}
-	cfg.RecvTimeout = *deadline
-	cfg.Evict = *evict
-	cfg.HeartbeatEvery = *hbEvery
-	cfg.HeartbeatMisses = *hbMisses
 	cfg.MinRanks = *minRanks
-	cfg.Metrics = *metricsTo != ""
-	if *metricsFm != "json" && *metricsFm != "prom" {
-		return fmt.Errorf("-metrics-format must be json or prom, got %q", *metricsFm)
-	}
-	if err := cfg.Validate(); err != nil {
+	if err := ft.Apply(&cfg); err != nil {
 		return err
 	}
 
 	var rec *trace.Recorder
-	var observers []sim.Observer
 	if *csvPath != "" {
 		rec = trace.NewRecorder(100000)
-		observers = append(observers, sim.ObserverFunc(func(gen int, pop *sim.Population, ev sim.Events) {
+		cfg.Observer = sim.ObserverFunc(func(gen int, pop *sim.Population, ev sim.Events) {
 			rec.Add(trace.Record{
 				Generation:  gen,
 				Cooperation: pop.MeanCooperationProb(),
@@ -179,24 +130,11 @@ func run(args []string, out io.Writer) error {
 				Adopted:     ev.Adopted,
 				Mutated:     ev.MutationOccurred,
 			})
-		}))
-	}
-	switch len(observers) {
-	case 1:
-		cfg.Observer = observers[0]
-	default:
-		if len(observers) > 1 {
-			all := observers
-			cfg.Observer = sim.ObserverFunc(func(gen int, pop *sim.Population, ev sim.Events) {
-				for _, o := range all {
-					o.Generation(gen, pop, ev)
-				}
-			})
-		}
+		})
 	}
 
-	resilient := cfg.FaultPlan != nil || cfg.CheckpointEvery > 0 || cfg.RecvTimeout > 0 || cfg.Evict
-	if cfg.CheckpointEvery > 0 || (resilient && *ranks >= 2) {
+	resilient := spec.Ranks >= 2 && (cfg.FaultPlan != nil || cfg.CheckpointEvery > 0 || cfg.RecvTimeout > 0 || cfg.Evict)
+	if cfg.CheckpointEvery > 0 || resilient {
 		cfg.EventLog = trace.NewEventLog()
 	}
 	if *pprofCPU != "" {
@@ -210,17 +148,11 @@ func run(args []string, out io.Writer) error {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	var (
-		res *sim.Result
-		err error
-	)
-	switch {
-	case *ranks >= 2 && resilient:
-		res, err = sim.RunParallelResilient(cfg, *ranks, *restarts)
-	case *ranks >= 2:
-		res, err = sim.RunParallel(cfg, *ranks)
-	default:
-		res, err = sim.RunSequential(cfg)
+	var res *sim.Result
+	if resilient {
+		res, err = sim.RunParallelResilient(cfg, spec.Ranks, *restarts)
+	} else {
+		res, err = sim.Run(cfg, spec.Ranks)
 	}
 	if err != nil {
 		return err
@@ -238,7 +170,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	fmt.Fprintf(out, "run: memory-%d, %d SSets, %d generations, %d ranks, %.2fs\n",
-		*memory, *ssets, *gens, res.Ranks, res.Elapsed.Seconds())
+		spec.Memory, spec.SSets, spec.Generations, res.Ranks, res.Elapsed.Seconds())
 	fmt.Fprintf(out, "population: %d agents (agents/SSet = #SSets), %d games/generation when fully replayed\n",
 		cfg.PopulationSize(), cfg.GamesPerGeneration())
 	summary := core.SummaryLines(res)

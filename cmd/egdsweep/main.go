@@ -29,47 +29,55 @@ func main() {
 }
 
 func run() error {
+	// The base run is the spec every command shares (README.md "Run
+	// parameters"); the three swept parameters take lists here.
+	base := sim.DefaultSpec()
+	base.SSets, base.Generations = 32, 10000
+	base.BindFlags(flag.CommandLine)
 	var (
-		memory  = flag.Int("memory", 1, "strategy memory depth")
-		ssets   = flag.Int("ssets", 32, "number of Strategy Sets")
-		gens    = flag.Int("gens", 10000, "generations per cell")
-		rounds  = flag.Int("rounds", 200, "IPD rounds per match")
-		mixed   = flag.Bool("mixed", false, "evolve mixed strategies")
-		fermi   = flag.Bool("fermi", false, "unconditional Fermi adoption")
-		pcrate  = flag.Float64("pcrate", sim.DefaultPCRate, "pairwise comparison rate")
-		betas   = flag.String("beta", "1", "comma-separated selection intensities")
-		mus     = flag.String("mu", "0.05", "comma-separated mutation rates")
-		errs    = flag.String("error", "0", "comma-separated execution error rates")
-		seeds   = flag.Int("seeds", 1, "number of seeds per parameter combination")
+		betas   = listFlag("beta")
+		mus     = listFlag("mu")
+		errs    = listFlag("error")
+		seeds   = flag.Int("seeds", 1, "number of seeds per parameter combination, counting up from -seed")
 		workers = flag.Int("workers", 0, "concurrent cells (0 = NumCPU)")
 	)
 	flag.Parse()
-
-	base := sim.DefaultConfig(*memory, *ssets)
-	base.Generations = *gens
-	base.Rules.Rounds = *rounds
-	base.PCRate = *pcrate
-	if *mixed {
-		base.Kind = sim.MixedStrategies
+	cfg, err := base.Config()
+	if err != nil {
+		return err
 	}
-	base.AllowWorseAdoption = *fermi
 
 	seedVals := make([]string, *seeds)
 	for i := range seedVals {
-		seedVals[i] = strconv.Itoa(i + 1)
+		seedVals[i] = strconv.FormatUint(base.Seed+uint64(i), 10)
 	}
-	grid, err := sweep.Cross(base,
+	grid, err := sweep.Cross(cfg,
 		[]string{"beta", "mu", "error", "seed"},
 		[][]string{split(*betas), split(*mus), split(*errs), seedVals},
 		applyParam)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "egdsweep: %d cells x %d generations\n", grid.Size(), *gens)
+	fmt.Fprintf(os.Stderr, "egdsweep: %d cells x %d generations\n", grid.Size(), base.Generations)
 	outcomes := grid.Run(*workers)
 	fmt.Print(sweep.CSV(outcomes))
 	return nil
 }
+
+// listFlag turns one of the spec's flags into a sweep axis: same name and
+// default, but the value is a comma-separated list applied cell by cell.
+func listFlag(name string) *string {
+	f := flag.Lookup(name)
+	v := listValue(f.DefValue)
+	f.Value = &v
+	f.Usage = "comma-separated values: " + f.Usage
+	return (*string)(&v)
+}
+
+type listValue string
+
+func (l *listValue) String() string     { return string(*l) }
+func (l *listValue) Set(s string) error { *l = listValue(s); return nil }
 
 func split(s string) []string {
 	parts := strings.Split(s, ",")
@@ -82,34 +90,15 @@ func split(s string) []string {
 	return out
 }
 
-func applyParam(cfg *sim.Config, name, value string) error {
-	switch name {
-	case "beta":
-		v, err := strconv.ParseFloat(value, 64)
-		if err != nil {
-			return err
-		}
-		cfg.Beta = v
-	case "mu":
-		v, err := strconv.ParseFloat(value, 64)
-		if err != nil {
-			return err
-		}
-		cfg.Mu = v
-	case "error":
-		v, err := strconv.ParseFloat(value, 64)
-		if err != nil {
-			return err
-		}
-		cfg.Rules.ErrorRate = v
-	case "seed":
-		v, err := strconv.ParseUint(value, 10, 64)
-		if err != nil {
-			return err
-		}
-		cfg.Seed = v
+func applyParam(cfg *sim.Config, name, value string) (err error) {
+	rates := map[string]*float64{"beta": &cfg.Beta, "mu": &cfg.Mu, "error": &cfg.Rules.ErrorRate}
+	switch {
+	case name == "seed":
+		cfg.Seed, err = strconv.ParseUint(value, 10, 64)
+	case rates[name] != nil:
+		*rates[name], err = strconv.ParseFloat(value, 64)
 	default:
-		return fmt.Errorf("unknown parameter %q", name)
+		err = fmt.Errorf("unknown parameter %q", name)
 	}
-	return nil
+	return err
 }

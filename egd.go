@@ -17,9 +17,11 @@
 //	cfg := egd.Config{Memory: 1, SSets: 64, Generations: 2000, Seed: 1}
 //	res, err := egd.Run(cfg)
 //
-// Advanced users (custom observers, checkpointing, the performance model)
-// can use the internal packages directly; this package covers the common
-// flows with a flat, stable surface.
+// Config is sim.Spec, the one description of a run the commands and the
+// service also use, so a run written here is the same run as `egdsim` flags
+// or an `egdserve` job. Advanced users (custom observers, checkpointing, the
+// performance model) can use the internal packages directly; this package
+// covers the common flows with a flat, stable surface.
 package egd
 
 import (
@@ -31,92 +33,12 @@ import (
 	"repro/internal/strategy"
 )
 
-// Config parameterises a simulation run. Zero values select the paper's
-// defaults where one exists (see field comments).
-type Config struct {
-	// Memory is the strategy depth n in [1,6]. Required.
-	Memory int
-	// SSets is the number of Strategy Sets. Required (>= 2).
-	SSets int
-	// Generations is the number of evolution steps. Required (>= 0).
-	Generations int
-	// Rounds is the IPD match length (0 selects the paper's 200).
-	Rounds int
-	// ErrorRate is the per-move execution error probability (paper §III-E).
-	ErrorRate float64
-	// PCRate is the pairwise-comparison rate (0 selects the paper's 0.10;
-	// use NoPC to disable learning entirely).
-	PCRate float64
-	// NoPC disables pairwise comparison (PCRate 0 means "default" because
-	// of Go zero values, so disabling needs an explicit flag).
-	NoPC bool
-	// Mu is the mutation rate (0 selects the paper's 0.05; use NoMutation
-	// to disable).
-	Mu float64
-	// NoMutation disables mutation.
-	NoMutation bool
-	// Beta is the Fermi selection intensity (0 selects 1.0).
-	Beta float64
-	// Mixed selects probabilistic strategies (the paper's Fig. 2 mode)
-	// instead of pure bit-table strategies.
-	Mixed bool
-	// Seed drives all randomness; a given seed yields an identical
-	// trajectory at any rank count.
-	Seed uint64
-	// Ranks selects the engine: 0 or 1 runs the sequential reference;
-	// >= 2 runs the parallel engine with one Nature rank plus workers.
-	Ranks int
-	// FullRecompute replays every match every generation (the paper's
-	// timing-study behaviour) instead of only on strategy change.
-	FullRecompute bool
-	// PaperFaithfulLookup uses the linear find_state search of the paper's
-	// pseudo-code in the game inner loop (slower; for ablations).
-	PaperFaithfulLookup bool
-	// ExactPayoffs evaluates match-ups by the exact infinite-game Markov
-	// payoff instead of sampling Rounds-round matches — the evaluation of
-	// the original Nowak-Sigmund study. Removes all game sampling noise.
-	ExactPayoffs bool
-	// UnconditionalFermi drops the paper-text's teacher-strictly-better
-	// gate and uses the standard Fermi process (Traulsen et al., the
-	// paper's citation [15]): the learner may adopt a worse-scoring
-	// teacher with probability below 1/2. This near-neutral drift is what
-	// lets reciprocators bootstrap out of all-defect populations; the
-	// Fig. 2 WSLS validation uses it.
-	UnconditionalFermi bool
-}
-
-func (c Config) toSim() sim.Config {
-	cfg := sim.DefaultConfig(c.Memory, c.SSets)
-	cfg.Generations = c.Generations
-	if c.Rounds > 0 {
-		cfg.Rules.Rounds = c.Rounds
-	}
-	cfg.Rules.ErrorRate = c.ErrorRate
-	if c.PCRate > 0 {
-		cfg.PCRate = c.PCRate
-	}
-	if c.NoPC {
-		cfg.PCRate = 0
-	}
-	if c.Mu > 0 {
-		cfg.Mu = c.Mu
-	}
-	if c.NoMutation {
-		cfg.Mu = 0
-	}
-	if c.Beta > 0 {
-		cfg.Beta = c.Beta
-	}
-	if c.Mixed {
-		cfg.Kind = sim.MixedStrategies
-	}
-	cfg.Seed = c.Seed
-	cfg.FullRecompute = c.FullRecompute
-	cfg.UseSearchEngine = c.PaperFaithfulLookup
-	cfg.ExactPayoffs = c.ExactPayoffs
-	cfg.AllowWorseAdoption = c.UnconditionalFermi
-	return cfg
-}
+// Config describes a run: the same sim.Spec the command-line flags fill in
+// and egdserve accepts as a JSON job (README.md "Run parameters"). Memory,
+// SSets and Generations are required; every other zero value selects the
+// paper's default, and the pointer fields PCRate, Mu and Beta keep an
+// explicit zero (a run without mutation is Mu pointing at 0).
+type Config = sim.Spec
 
 // SeriesPoint is one sampled (generation, value) observation.
 type SeriesPoint struct {
@@ -153,20 +75,15 @@ type Result struct {
 	Ranks   int
 }
 
-// Run executes the simulation described by cfg, sequentially (Ranks <= 1)
-// or on the parallel engine (Ranks >= 2). Identical seeds give identical
-// trajectories regardless of Ranks.
+// Run executes the simulation described by cfg on the engine cfg.Ranks
+// selects (sim.Run): sequential for 0 or 1, the parallel engine from 2 up.
+// Identical seeds give identical trajectories regardless of Ranks.
 func Run(cfg Config) (*Result, error) {
-	simCfg := cfg.toSim()
-	var (
-		res *sim.Result
-		err error
-	)
-	if cfg.Ranks >= 2 {
-		res, err = sim.RunParallel(simCfg, cfg.Ranks)
-	} else {
-		res, err = sim.RunSequential(simCfg)
+	simCfg, err := cfg.Config()
+	if err != nil {
+		return nil, err
 	}
+	res, err := sim.Run(simCfg, cfg.Ranks)
 	if err != nil {
 		return nil, err
 	}

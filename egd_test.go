@@ -74,29 +74,30 @@ func TestRunMixedMarksStrategies(t *testing.T) {
 	}
 }
 
+// rate is a Config rate that is present: explicit, zero included.
+func rate(v float64) *float64 { return &v }
+
 func TestConfigDefaultsAndFlags(t *testing.T) {
 	cfg := quickConfig()
-	sc := cfg.toSim()
+	sc, err := cfg.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if sc.PCRate != 0.10 || sc.Mu != 0.05 || sc.Beta != 1.0 || sc.Rules.Rounds != 20 {
 		t.Fatalf("defaults wrong: %+v", sc)
 	}
-	cfg.NoPC = true
-	cfg.NoMutation = true
-	sc = cfg.toSim()
-	if sc.PCRate != 0 || sc.Mu != 0 {
-		t.Fatal("No* flags ignored")
+	cfg.PCRate, cfg.Mu = rate(0), rate(0)
+	if sc, err = cfg.Config(); err != nil || sc.PCRate != 0 || sc.Mu != 0 {
+		t.Fatalf("explicit zero rates ignored: %v %v (%v)", sc.PCRate, sc.Mu, err)
 	}
-	cfg = quickConfig()
-	cfg.PCRate = 0.3
-	cfg.Mu = 0.2
-	cfg.Beta = 5
-	sc = cfg.toSim()
-	if sc.PCRate != 0.3 || sc.Mu != 0.2 || sc.Beta != 5 {
-		t.Fatal("explicit rates ignored")
+	cfg.PCRate, cfg.Mu, cfg.Beta = rate(0.3), rate(0.2), rate(5)
+	if sc, err = cfg.Config(); err != nil || sc.PCRate != 0.3 || sc.Mu != 0.2 || sc.Beta != 5 {
+		t.Fatalf("explicit rates ignored: %+v (%v)", sc, err)
 	}
-	cfg.PaperFaithfulLookup = true
-	if !cfg.toSim().UseSearchEngine {
-		t.Fatal("lookup flag ignored")
+	cfg.SearchEngine = true
+	cfg.AllowWorseAdoption = true
+	if sc, err = cfg.Config(); err != nil || !sc.UseSearchEngine || !sc.AllowWorseAdoption {
+		t.Fatalf("lookup / Fermi switches ignored: %+v (%v)", sc, err)
 	}
 }
 
@@ -124,7 +125,7 @@ func TestExactPayoffsFlag(t *testing.T) {
 		t.Fatal("no evaluations in exact mode")
 	}
 	// Exact + paper-faithful lookup is contradictory and must be rejected.
-	cfg.PaperFaithfulLookup = true
+	cfg.SearchEngine = true
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("exact + search lookup accepted")
 	}
@@ -132,8 +133,7 @@ func TestExactPayoffsFlag(t *testing.T) {
 
 func TestNoEvolutionWhenDisabled(t *testing.T) {
 	cfg := quickConfig()
-	cfg.NoPC = true
-	cfg.NoMutation = true
+	cfg.PCRate, cfg.Mu = rate(0), rate(0)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -43,12 +43,16 @@ type Eviction struct {
 	Err error
 }
 
-// agreeRound is one rendezvous of the Agree collective. Rounds are keyed by
-// a per-rank sequence number: every live rank's Nth Agree call joins round
-// N, which stays aligned because the recovery protocol performs exactly one
-// Agree per rank per failure epoch.
+// agreeRound is one rendezvous of the Agree collective, kept where the
+// coordinator's state lives: the shared root world of an in-process run,
+// rank 0 of a networked one. Rounds are keyed by a per-rank sequence number:
+// every live rank's Nth Agree call joins round N, which stays aligned because
+// the recovery protocol performs exactly one Agree per rank per failure epoch.
 type agreeRound struct {
 	arrived map[int]bool
+	// replied marks the remote ranks already sent the result (networked
+	// worlds only; in-process waiters read it from the round itself).
+	replied map[int]bool
 	result  []int
 }
 
@@ -324,50 +328,114 @@ func (w *World) agree(orig int) ([]int, error) {
 	if !w.evict {
 		return nil, errors.New("mpi: Agree needs EnableEviction")
 	}
-	if w.self >= 0 {
-		return w.agreeNet(orig)
-	}
 	w.emu.Lock()
-	defer w.emu.Unlock()
 	if rf := w.failedP[orig].Load(); rf != nil {
+		w.emu.Unlock()
 		return nil, fmt.Errorf("mpi: rank %d cannot join agreement: %w", orig, rf)
 	}
 	round := w.agreeSeq[orig]
 	w.agreeSeq[orig]++
-	rd := w.agreeRounds[round]
-	if rd == nil {
-		rd = &agreeRound{arrived: make(map[int]bool)}
-		w.agreeRounds[round] = rd
+	if w.self <= 0 {
+		// The coordinator's state is local — every rank's on an in-process
+		// world, rank 0's on a networked one: arrive, then wait until someone
+		// resolves the round. Whoever is waiting resolves it, so in process a
+		// dead rank 0 cannot block the round.
+		rd := w.roundLocked(round)
+		rd.arrived[orig] = true
+		w.econd.Broadcast()
+		res, replies := w.resolveLocked(rd)
+		for res == nil {
+			w.econd.Wait()
+			res, replies = w.resolveLocked(rd)
+		}
+		w.emu.Unlock()
+		w.sendAgreeResults(round, res, replies)
+		return append([]int(nil), res...), nil
 	}
-	rd.arrived[orig] = true
-	w.econd.Broadcast()
-	for rd.result == nil {
-		if w.agreeComplete(rd) {
-			var res []int
-			for r := 0; r < w.size; r++ {
-				if rd.arrived[r] && w.failedP[r].Load() == nil {
-					res = append(res, r)
-				}
-			}
-			rd.result = res
-			w.econd.Broadcast()
-			break
+	w.emu.Unlock()
+	// A networked worker: announce the arrival to rank 0 over the wire
+	// (frameAgree) and wait for its reply (frameAgreeResult). Rank 0 is a
+	// single point of coordination; if it dies, the Agree fails with its
+	// *RankFailedError and the application falls back to checkpoint-restart —
+	// the same degradation the engine already takes when Nature dies.
+	nt, ok := w.tr.(*NetTransport)
+	if !ok {
+		return nil, errors.New("mpi: networked Agree without a NetTransport")
+	}
+	if err := nt.sendAgree(round); err != nil {
+		return nil, fmt.Errorf("mpi: rank %d cannot reach agreement coordinator: %w", orig, err)
+	}
+	w.emu.Lock()
+	defer w.emu.Unlock()
+	for {
+		if res, ok := w.netResults[round]; ok {
+			return append([]int(nil), res...), nil
+		}
+		if rf := w.failedP[0].Load(); rf != nil {
+			return nil, fmt.Errorf("mpi: agreement coordinator failed: %w", rf)
+		}
+		if w.done[0] {
+			return nil, errors.New("mpi: agreement coordinator exited before resolving the round")
 		}
 		w.econd.Wait()
 	}
-	return append([]int(nil), rd.result...), nil
 }
 
-// agreeComplete reports whether every root-world rank is accounted for:
-// arrived at this round, declared failed, or exited. Callers hold emu.
-func (w *World) agreeComplete(rd *agreeRound) bool {
-	for r := 0; r < w.size; r++ {
-		if rd.arrived[r] || w.done[r] || w.failedP[r].Load() != nil {
-			continue
-		}
-		return false
+// roundLocked returns (creating if needed) the coordinator's state for a
+// round. Callers hold emu.
+func (w *World) roundLocked(round int) *agreeRound {
+	rd := w.agreeRounds[round]
+	if rd == nil {
+		rd = &agreeRound{arrived: make(map[int]bool), replied: make(map[int]bool)}
+		w.agreeRounds[round] = rd
 	}
-	return true
+	return rd
+}
+
+// resolveLocked advances one coordinator round: resolves it when every
+// root-world rank is accounted for — arrived, exited, or declared failed —
+// and returns the result plus, on a networked world, the arrived remote
+// ranks not yet replied to (the caller sends the replies outside the lock).
+// A rank that arrived but was since declared failed still gets a reply — it
+// is excluded from the result, and discovering that at Shrink is how a
+// wrongly-revived process (SIGCONT after its eviction) learns it must exit.
+// Callers hold emu.
+func (w *World) resolveLocked(rd *agreeRound) (res []int, replies []int) {
+	if rd.result == nil {
+		for r := 0; r < w.size; r++ {
+			if rd.arrived[r] || w.done[r] || w.failedP[r].Load() != nil {
+				continue
+			}
+			return nil, nil
+		}
+		out := []int{}
+		for r := 0; r < w.size; r++ {
+			if rd.arrived[r] && w.failedP[r].Load() == nil {
+				out = append(out, r)
+			}
+		}
+		rd.result = out
+		w.econd.Broadcast()
+	}
+	if w.self == 0 {
+		for r := range rd.arrived {
+			if r != 0 && !rd.replied[r] {
+				rd.replied[r] = true
+				replies = append(replies, r)
+			}
+		}
+	}
+	return rd.result, replies
+}
+
+// sendAgreeResults delivers a resolved round to the remote ranks resolveLocked
+// named (none on an in-process world).
+func (w *World) sendAgreeResults(round int, res []int, dsts []int) {
+	if nt, ok := w.tr.(*NetTransport); ok {
+		for _, dst := range dsts {
+			_ = nt.sendAgreeResult(dst, round, res)
+		}
+	}
 }
 
 // Shrink builds the dense sub-communicator over the given survivors
@@ -471,138 +539,19 @@ func (c *Comm) Shrink(survivors []int) (*Comm, error) {
 // Rank until a Shrink renumbers the survivors.
 func (c *Comm) OrigRank() int { return c.world.origOf(c.rank) }
 
-// Distributed agreement. On a networked world the shared-memory rendezvous
-// above is unavailable, so Agree is coordinated by rank 0: every survivor
-// announces its arrival at its next round over the wire (frameAgree), rank
-// 0 resolves the round once every root-world rank is accounted for —
-// arrived, exited (goodbye received), or declared failed — and replies
-// with the surviving-rank set (frameAgreeResult). Rounds align by call
-// count exactly as in the in-process protocol. Rank 0 is a single point of
-// coordination; if it dies, workers fail their Agree with its
-// *RankFailedError and the application falls back to checkpoint-restart —
-// the same degradation the engine already takes when Nature dies.
-
-// netAgreeRound is one wire-coordinated agreement round at rank 0.
-type netAgreeRound struct {
-	arrived map[int]bool
-	replied map[int]bool
-	result  []int
-}
-
-// agreeNet runs one agreement round from the hosted rank's side.
-func (w *World) agreeNet(orig int) ([]int, error) {
-	nt, ok := w.tr.(*NetTransport)
-	if !ok {
-		return nil, errors.New("mpi: networked Agree without a NetTransport")
-	}
-	w.emu.Lock()
-	if rf := w.failedP[orig].Load(); rf != nil {
-		w.emu.Unlock()
-		return nil, fmt.Errorf("mpi: rank %d cannot join agreement: %w", orig, rf)
-	}
-	round := w.agreeSeq[orig]
-	w.agreeSeq[orig]++
-	if orig == 0 {
-		rd := w.netRoundLocked(round)
-		rd.arrived[0] = true
-		w.econd.Broadcast()
-		res, replies := w.netResolveLocked(rd)
-		for res == nil {
-			w.econd.Wait()
-			res, replies = w.netResolveLocked(rd)
-		}
-		w.emu.Unlock()
-		for _, dst := range replies {
-			_ = nt.sendAgreeResult(dst, round, res)
-		}
-		return append([]int(nil), res...), nil
-	}
-	w.emu.Unlock()
-	if err := nt.sendAgree(round); err != nil {
-		return nil, fmt.Errorf("mpi: rank %d cannot reach agreement coordinator: %w", orig, err)
-	}
-	w.emu.Lock()
-	defer w.emu.Unlock()
-	for {
-		if res, ok := w.netResults[round]; ok {
-			return append([]int(nil), res...), nil
-		}
-		if rf := w.failedP[0].Load(); rf != nil {
-			return nil, fmt.Errorf("mpi: agreement coordinator failed: %w", rf)
-		}
-		if w.done[0] {
-			return nil, errors.New("mpi: agreement coordinator exited before resolving the round")
-		}
-		w.econd.Wait()
-	}
-}
-
-// netRoundLocked returns (creating if needed) the coordinator's state for
-// a round. Callers hold emu.
-func (w *World) netRoundLocked(round int) *netAgreeRound {
-	if w.netRounds == nil {
-		w.netRounds = make(map[int]*netAgreeRound)
-	}
-	rd := w.netRounds[round]
-	if rd == nil {
-		rd = &netAgreeRound{arrived: make(map[int]bool), replied: make(map[int]bool)}
-		w.netRounds[round] = rd
-	}
-	return rd
-}
-
-// netResolveLocked advances one coordinator round: resolves it when every
-// root-world rank is accounted for, and returns the result plus the
-// arrived remote ranks not yet replied to (the caller sends the replies
-// outside the lock). A rank that arrived but was since declared failed
-// still gets a reply — it is excluded from the result, and discovering
-// that at Shrink is how a wrongly-revived process (SIGCONT after its
-// eviction) learns it must exit. Callers hold emu.
-func (w *World) netResolveLocked(rd *netAgreeRound) (res []int, replies []int) {
-	if rd.result == nil {
-		for r := 0; r < w.size; r++ {
-			if rd.arrived[r] || w.done[r] || w.failedP[r].Load() != nil {
-				continue
-			}
-			return nil, nil
-		}
-		out := []int{}
-		for r := 0; r < w.size; r++ {
-			if rd.arrived[r] && w.failedP[r].Load() == nil {
-				out = append(out, r)
-			}
-		}
-		rd.result = out
-		w.econd.Broadcast()
-	}
-	for r := range rd.arrived {
-		if r != 0 && !rd.replied[r] {
-			rd.replied[r] = true
-			replies = append(replies, r)
-		}
-	}
-	return rd.result, replies
-}
-
 // netAgreeArrive records a remote survivor reaching a round (frameAgree at
 // rank 0) and replies if the round resolves.
 func (w *World) netAgreeArrive(orig, round int) {
 	if !w.evict || w.self != 0 || orig <= 0 || orig >= w.size {
 		return
 	}
-	nt, ok := w.tr.(*NetTransport)
-	if !ok {
-		return
-	}
 	w.emu.Lock()
-	rd := w.netRoundLocked(round)
+	rd := w.roundLocked(round)
 	rd.arrived[orig] = true
 	w.econd.Broadcast()
-	res, replies := w.netResolveLocked(rd)
+	res, replies := w.resolveLocked(rd)
 	w.emu.Unlock()
-	for _, dst := range replies {
-		_ = nt.sendAgreeResult(dst, round, res)
-	}
+	w.sendAgreeResults(round, res, replies)
 }
 
 // netAgreeResult records a resolved round at a worker (frameAgreeResult).
@@ -622,31 +571,28 @@ func (w *World) netAgreeResult(round int, survivors []int) {
 	w.econd.Broadcast()
 }
 
-// netAgreeKick re-evaluates every pending coordinator round after a
-// liveness event (a rank declared failed or exited): the event may be
-// exactly what a round was waiting for.
+// netAgreeKick re-evaluates every pending round at a networked coordinator
+// after a liveness event (a rank declared failed or exited): the event may
+// be exactly what a round was waiting for, and the remote ranks waiting on it
+// hear of it only through the reply. (In-process waiters re-evaluate
+// themselves on the econd broadcast that accompanies the event.)
 func (w *World) netAgreeKick() {
 	if !w.evict || w.self != 0 {
 		return
 	}
-	nt, ok := w.tr.(*NetTransport)
-	if !ok {
-		return
-	}
 	type reply struct {
-		dst, round int
-		res        []int
+		round     int
+		res, dsts []int
 	}
 	var outs []reply
 	w.emu.Lock()
-	for round, rd := range w.netRounds {
-		res, replies := w.netResolveLocked(rd)
-		for _, dst := range replies {
-			outs = append(outs, reply{dst: dst, round: round, res: res})
+	for round, rd := range w.agreeRounds {
+		if res, dsts := w.resolveLocked(rd); len(dsts) > 0 {
+			outs = append(outs, reply{round, res, dsts})
 		}
 	}
 	w.emu.Unlock()
 	for _, o := range outs {
-		_ = nt.sendAgreeResult(o.dst, o.round, o.res)
+		w.sendAgreeResults(o.round, o.res, o.dsts)
 	}
 }

@@ -264,6 +264,26 @@ func ParseFault(spec string) (*Fault, error) {
 	return f, nil
 }
 
+// ParseFaultPlan parses the -inject-fault flag: ParseFault specs separated
+// by ';'. No specs give a nil plan, which injects nothing.
+func ParseFaultPlan(specs string) (*FaultPlan, error) {
+	var plan *FaultPlan
+	for _, spec := range strings.Split(specs, ";") {
+		if strings.TrimSpace(spec) == "" {
+			continue
+		}
+		f, err := ParseFault(spec)
+		if err != nil {
+			return nil, err
+		}
+		if plan == nil {
+			plan = NewFaultPlan()
+		}
+		plan.Add(f)
+	}
+	return plan, nil
+}
+
 // InstallFaultPlan arms the plan for this world; it must be called before
 // Run. A nil plan disarms injection.
 func (w *World) InstallFaultPlan(p *FaultPlan) { w.plan = p }

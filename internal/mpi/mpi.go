@@ -199,26 +199,26 @@ type World struct {
 	subs   map[string]*World
 
 	// Eviction-mode state; see evict.go. Zero unless EnableEviction.
-	evict       bool
-	hbEvery     time.Duration
-	hbMisses    int
-	hbStart     time.Time
-	emu         sync.Mutex
-	econd       *sync.Cond
-	lastBeat    []atomic.Int64
-	done        []bool
-	finishedOK  []bool
-	exitErr     []error
-	exited      []chan struct{}
-	failedP     []atomic.Pointer[RankFailedError]
-	evictions   []Eviction
-	agreeSeq    []int
+	evict      bool
+	hbEvery    time.Duration
+	hbMisses   int
+	hbStart    time.Time
+	emu        sync.Mutex
+	econd      *sync.Cond
+	lastBeat   []atomic.Int64
+	done       []bool
+	finishedOK []bool
+	exitErr    []error
+	exited     []chan struct{}
+	failedP    []atomic.Pointer[RankFailedError]
+	evictions  []Eviction
+	agreeSeq   []int
+	// agreeRounds is the agreement coordinator's round registry (see
+	// evict.go): shared by every rank in process, rank 0's on a networked
+	// world, whose other ranks keep the results rank 0 sent them in
+	// netResults. Guarded by emu.
 	agreeRounds map[int]*agreeRound
-	// Networked-world agreement state (see evict.go): the coordinator's
-	// round registry at rank 0, resolved results at the other ranks.
-	// Guarded by emu.
-	netRounds  map[int]*netAgreeRound
-	netResults map[int][]int
+	netResults  map[int][]int
 }
 
 // NewWorld creates a world with the given number of ranks. It panics if

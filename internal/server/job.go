@@ -595,13 +595,7 @@ func (m *Manager) runJob(job *Job) {
 		}
 	})
 
-	var res *sim.Result
-	var err error
-	if job.Spec.Ranks >= 2 {
-		res, err = sim.RunParallel(cfg, job.Spec.Ranks)
-	} else {
-		res, err = sim.RunSequential(cfg)
-	}
+	res, err := sim.Run(cfg, job.Spec.Ranks)
 	ctrl := job.ctrl.Load()
 	switch {
 	case err == nil:

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -131,45 +132,55 @@ func result(t *testing.T, ts *httptest.Server, id string) map[string]any {
 	return m
 }
 
+// The HTTP result must match a direct engine run of the same spec bit for
+// bit: the service adds scheduling, not simulation semantics. The second
+// job is the paper's Fig. 2 configuration, which needs every rate override
+// and the "fermi" field to arrive intact.
 func TestSubmitRunsToDone(t *testing.T) {
 	ts := newTestServer(t, Options{})
-	spec := `{"memory":1,"ssets":8,"generations":60,"rounds":20,"seed":7}`
-	id := submit(t, ts, "", spec)
-	waitState(t, ts, id, StateDone)
-	res := result(t, ts, id)
-
-	fitness, _ := res["final_fitness"].([]any)
-	if len(fitness) != 8 {
-		t.Fatalf("final_fitness has %d entries, want 8", len(fitness))
-	}
-	prints, _ := res["fingerprints"].([]any)
-	if len(prints) != 8 {
-		t.Fatalf("fingerprints has %d entries, want 8", len(prints))
-	}
-
-	// The HTTP result must match a direct engine run of the same spec bit
-	// for bit: the service adds scheduling, not simulation semantics.
+	plain := `{"memory":1,"ssets":8,"generations":60,"rounds":20,"seed":7}`
 	var js JobSpec
-	if err := json.Unmarshal([]byte(spec), &js); err != nil {
+	if err := json.Unmarshal([]byte(plain), &js); err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := js.Config()
+	plainCfg, err := js.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := sim.RunSequential(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, st := range direct.Final {
-		want := fmt.Sprintf("%016x", st.Fingerprint())
-		if prints[i] != want {
-			t.Fatalf("fingerprint[%d]: HTTP %v != direct %s", i, prints[i], want)
+	for _, tc := range []struct {
+		spec string
+		cfg  sim.Config
+	}{
+		{plain, plainCfg},
+		{`{"memory":1,"ssets":8,"generations":300,"seed":5,"mixed":true,"error_rate":0.01,"fermi":true,"pc_rate":1,"beta":50}`,
+			core.WSLSValidationConfig(8, 300, 5)},
+	} {
+		id := submit(t, ts, "", tc.spec)
+		waitState(t, ts, id, StateDone)
+		res := result(t, ts, id)
+
+		fitness, _ := res["final_fitness"].([]any)
+		if len(fitness) != 8 {
+			t.Fatalf("%s: final_fitness has %d entries, want 8", tc.spec, len(fitness))
 		}
-	}
-	for i, f := range direct.FinalFitness {
-		if fitness[i].(float64) != f {
-			t.Fatalf("final_fitness[%d]: HTTP %v != direct %v", i, fitness[i], f)
+		prints, _ := res["fingerprints"].([]any)
+		if len(prints) != 8 {
+			t.Fatalf("%s: fingerprints has %d entries, want 8", tc.spec, len(prints))
+		}
+		direct, err := sim.RunSequential(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, st := range direct.Final {
+			want := fmt.Sprintf("%016x", st.Fingerprint())
+			if prints[i] != want {
+				t.Fatalf("%s: fingerprint[%d]: HTTP %v != direct %s", tc.spec, i, prints[i], want)
+			}
+		}
+		for i, f := range direct.FinalFitness {
+			if fitness[i].(float64) != f {
+				t.Fatalf("%s: final_fitness[%d]: HTTP %v != direct %v", tc.spec, i, fitness[i], f)
+			}
 		}
 	}
 }
@@ -558,7 +569,7 @@ func TestSpecAndTransitionErrors(t *testing.T) {
 	badSpecs := []string{
 		`{"memory":1,"ssets":8,"generations":10,"generatoins":10}`, // unknown field
 		`{"memory":0,"ssets":8,"generations":10}`,                  // memory out of range
-		`{"memory":1,"ssets":8,"generations":10,"ranks":1}`,        // 1 rank is not a parallel run
+		`{"memory":1,"ssets":8,"generations":10,"ranks":-1}`,       // ranks 0 and 1 are the sequential engine; below that is nothing
 		`{"memory":1,"ssets":2,"generations":10,"ranks":4}`,        // more workers than games
 		`not json`,
 	}
@@ -576,7 +587,10 @@ func TestSpecAndTransitionErrors(t *testing.T) {
 		t.Fatalf("unknown job: got %d, want 404", resp.StatusCode)
 	}
 
-	id := submit(t, ts, "", `{"memory":1,"ssets":8,"generations":20,"rounds":10,"seed":1}`)
+	// "ranks": 1 is the sequential engine, as `egdsim -ranks 1` is, and a
+	// spec may ask for its own checkpoint cadence (both were 400 before
+	// sim.Spec).
+	id := submit(t, ts, "", `{"memory":1,"ssets":8,"generations":20,"rounds":10,"seed":1,"ranks":1,"checkpoint_every":5}`)
 	waitState(t, ts, id, StateDone)
 	if resp, m := doJSON(t, "POST", ts.URL+"/api/v1/jobs/"+id+"/pause", "", ""); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("pause done job: got %d (%v), want 409", resp.StatusCode, m)

@@ -1,0 +1,238 @@
+package sim
+
+import (
+	"flag"
+	"fmt"
+	"strconv"
+	"time"
+
+	"repro/internal/game"
+	"repro/internal/mpi"
+)
+
+// Spec is the one description of a run every front end shares: the JSON body
+// of an egdserve job submission (and of its journal records), the value the
+// egdsim/egdrun/egdsweep flags fill in (BindFlags), what the egdrun launcher
+// hands its worker processes, and the root package's egd.Config. Zero values
+// select the paper's defaults. Pointer fields distinguish "omitted" (default
+// applies) from an explicit zero (kept), so a mutation-free trajectory is
+// `"mu": 0` or `-mu 0` while plain omission still selects the paper's 0.05.
+type Spec struct {
+	// Memory is the strategy memory depth n in [1,6].
+	Memory int `json:"memory"`
+	// SSets is the number of Strategy Sets S.
+	SSets int `json:"ssets"`
+	// Generations is the evolution length.
+	Generations int `json:"generations"`
+	// Rounds is the IPD match length (0 selects the paper's 200).
+	Rounds int `json:"rounds,omitempty"`
+	// ErrorRate is the per-player per-round execution error probability.
+	ErrorRate float64 `json:"error_rate,omitempty"`
+	// Mixed selects probabilistic strategies instead of pure bit tables.
+	Mixed bool `json:"mixed,omitempty"`
+	// Seed drives every random decision; equal seeds give equal trajectories.
+	Seed uint64 `json:"seed"`
+	// PCRate, Mu, Beta override the paper's 0.10 / 0.05 / 1.0 when present.
+	PCRate *float64 `json:"pc_rate,omitempty"`
+	Mu     *float64 `json:"mu,omitempty"`
+	Beta   *float64 `json:"beta,omitempty"`
+	// AllowWorseAdoption selects the unconditional Fermi rule (Traulsen et
+	// al.): a learner may adopt a worse-scoring teacher with probability
+	// below 1/2, instead of the paper's teacher-strictly-better gate. The
+	// Fig. 2 WSLS validation uses it.
+	AllowWorseAdoption bool `json:"fermi,omitempty"`
+	// FullRecompute replays every match every generation (the paper's
+	// timing-study mode); off, the engine replays only dirty pairs.
+	FullRecompute bool `json:"full_recompute,omitempty"`
+	// ExactPayoffs replaces sampled matches with the exact Markov payoff.
+	ExactPayoffs bool `json:"exact_payoffs,omitempty"`
+	// SearchEngine selects the paper-faithful linear find_state lookup.
+	SearchEngine bool `json:"search_engine,omitempty"`
+	// PayoffCache enables the strategy-pair payoff memo (docs/KERNEL.md):
+	// bit-identical results, recurring matches served from a bounded LRU.
+	// Memoizable jobs are also priced with the cache-aware cost model, so a
+	// full-recompute job the admission controller would otherwise reject can
+	// clear the budget with the cache on.
+	PayoffCache bool `json:"payoff_cache,omitempty"`
+	// PayoffCacheSize bounds the cache entries per rank (0 selects the
+	// engine default).
+	PayoffCacheSize int `json:"payoff_cache_size,omitempty"`
+	// Ranks selects the engine (see Run): 0 or 1 is the sequential reference
+	// engine, >= 2 the parallel one with that many ranks.
+	Ranks int `json:"ranks,omitempty"`
+	// SampleStride keeps every k-th generation in the recorded series
+	// (0 selects the automatic ~1000-point stride).
+	SampleStride int `json:"sample_stride,omitempty"`
+	// CheckpointEvery persists a resume snapshot every k generations (0
+	// disables) to the sink the front end supplies — egdsim's
+	// -checkpoint-file, the service's store on top of the pause-time
+	// snapshot it always keeps.
+	CheckpointEvery int `json:"checkpoint_every,omitempty"`
+	// Metrics enables the run's observability aggregate (egdsim writes it
+	// to its -metrics file; the service folds its counters into /metrics).
+	Metrics bool `json:"metrics,omitempty"`
+}
+
+// DefaultSpec is the run a command line starts from before its flags are
+// parsed: the paper's rates on 64 memory-one SSets for 1000 generations.
+func DefaultSpec() Spec {
+	return Spec{Memory: 1, SSets: 64, Generations: 1000, Rounds: 200, Seed: 1}
+}
+
+// Config materialises the spec into an engine configuration, validated for
+// the engine Ranks selects and with its defaults normalised: the whole run's
+// window, which every resumed segment is derived from (Config.ResumeFrom).
+func (s Spec) Config() (Config, error) {
+	cfg := Config{
+		Memory:             s.Memory,
+		NumSSets:           s.SSets,
+		Generations:        s.Generations,
+		Rules:              game.DefaultRules(),
+		PCRate:             DefaultPCRate,
+		Mu:                 DefaultMu,
+		Beta:               DefaultBeta,
+		Seed:               s.Seed,
+		FullRecompute:      s.FullRecompute,
+		AllowWorseAdoption: s.AllowWorseAdoption,
+		ExactPayoffs:       s.ExactPayoffs,
+		UseSearchEngine:    s.SearchEngine,
+		PayoffCache:        s.PayoffCache,
+		PayoffCacheSize:    s.PayoffCacheSize,
+		SampleStride:       s.SampleStride,
+		CheckpointEvery:    s.CheckpointEvery,
+		Metrics:            s.Metrics,
+	}
+	if s.Rounds > 0 {
+		cfg.Rules.Rounds = s.Rounds
+	}
+	cfg.Rules.ErrorRate = s.ErrorRate
+	if s.Mixed {
+		cfg.Kind = MixedStrategies
+	}
+	if s.PCRate != nil {
+		cfg.PCRate = *s.PCRate
+	}
+	if s.Mu != nil {
+		cfg.Mu = *s.Mu
+	}
+	if s.Beta != nil {
+		cfg.Beta = *s.Beta
+	}
+	if cfg.CheckpointEvery > 0 {
+		// Checkpoints land in memory until the front end points the run at
+		// its own sink (RunParallelResilient's convention).
+		cfg.CheckpointSink = NewMemorySink()
+	}
+	var err error
+	switch {
+	case s.Ranks < 0:
+		err = fmt.Errorf("sim: negative rank count %d", s.Ranks)
+	case s.Ranks >= 2:
+		err = checkParallel(&cfg, s.Ranks)
+	default:
+		err = cfg.Validate()
+	}
+	if err != nil {
+		return Config{}, err
+	}
+	return cfg, nil
+}
+
+// Run executes cfg on the engine the rank count selects — the one rule every
+// front end shares: 0 or 1 is the sequential reference engine, >= 2 the
+// parallel engine with that many ranks (Nature plus workers). Both produce
+// the same trajectory from the same Config.
+func Run(cfg Config, ranks int) (*Result, error) {
+	if ranks >= 2 {
+		return RunParallel(cfg, ranks)
+	}
+	return RunSequential(cfg)
+}
+
+// BindFlags registers the model parameters on fs under the flag names every
+// command shares (egdsim, egdrun, egdsweep; README.md "Run parameters"), each
+// defaulting to s's current value — DefaultSpec's for egdsim and egdrun. The
+// rates are absent from s until their flag is given, so `-mu 0` is an
+// explicit zero and no -mu is the paper's 0.05.
+func (s *Spec) BindFlags(fs *flag.FlagSet) {
+	fs.IntVar(&s.Memory, "memory", s.Memory, "strategy memory depth n in [1,6]")
+	fs.IntVar(&s.SSets, "ssets", s.SSets, "number of Strategy Sets")
+	fs.IntVar(&s.Generations, "gens", s.Generations, "generations to simulate")
+	fs.IntVar(&s.Rounds, "rounds", s.Rounds, "IPD rounds per match (paper: 200)")
+	fs.Float64Var(&s.ErrorRate, "error", s.ErrorRate, "per-move execution error probability")
+	fs.Var(optFloat{&s.PCRate, DefaultPCRate}, "pcrate", "pairwise comparison rate (paper: 0.10)")
+	fs.Var(optFloat{&s.Mu, DefaultMu}, "mu", "mutation rate (paper: 0.05)")
+	fs.Var(optFloat{&s.Beta, DefaultBeta}, "beta", "Fermi selection intensity")
+	fs.BoolVar(&s.Mixed, "mixed", s.Mixed, "evolve probabilistic (mixed) strategies")
+	fs.Uint64Var(&s.Seed, "seed", s.Seed, "master random seed")
+	fs.BoolVar(&s.FullRecompute, "full", s.FullRecompute, "recompute all fitness every generation (paper timing mode)")
+	fs.BoolVar(&s.SearchEngine, "search", s.SearchEngine, "use the paper-faithful linear find_state lookup")
+	fs.BoolVar(&s.AllowWorseAdoption, "fermi", s.AllowWorseAdoption, "unconditional Fermi adoption (no teacher-better gate; Traulsen et al.)")
+	fs.BoolVar(&s.ExactPayoffs, "exact", s.ExactPayoffs, "exact infinite-game Markov payoffs instead of sampled matches")
+	fs.BoolVar(&s.PayoffCache, "payoff-cache", s.PayoffCache, "memoize strategy-pair payoffs (bit-identical results; see docs/KERNEL.md)")
+	fs.IntVar(&s.PayoffCacheSize, "payoff-cache-size", s.PayoffCacheSize, "payoff cache entries per rank for -payoff-cache (0 = engine default)")
+}
+
+// optFloat is the flag.Value over one of Spec's optional rates: the field
+// stays nil — the paper default def applies — until the flag is set.
+type optFloat struct {
+	field **float64
+	def   float64
+}
+
+func (o optFloat) String() string {
+	v := o.def
+	if o.field != nil && *o.field != nil {
+		v = **o.field
+	}
+	return strconv.FormatFloat(v, 'g', -1, 64)
+}
+
+func (o optFloat) Set(text string) error {
+	v, err := strconv.ParseFloat(text, 64)
+	if err != nil {
+		return err
+	}
+	*o.field = &v
+	return nil
+}
+
+// FaultTolerance is the parallel engine's failure handling as the two launch
+// binaries (egdsim -ranks N, egdrun -np N) expose it: scripted fault
+// injection, the receive deadline that makes a stalled rank detectable, and
+// live eviction with its heartbeat detector.
+type FaultTolerance struct {
+	// InjectFault is the scripted fault plan (mpi.ParseFaultPlan's grammar).
+	InjectFault string
+	// WorkerTimeout is Config.RecvTimeout.
+	WorkerTimeout time.Duration
+	// Evict, HeartbeatEvery, HeartbeatMisses are the Config fields of the
+	// same names.
+	Evict           bool
+	HeartbeatEvery  time.Duration
+	HeartbeatMisses int
+}
+
+// BindFlags registers the fault-tolerance flags on fs.
+func (f *FaultTolerance) BindFlags(fs *flag.FlagSet) {
+	fs.StringVar(&f.InjectFault, "inject-fault", "", "scripted fault specs, ';'-separated, e.g. 'rank=2,after=500' (see internal/mpi.ParseFault)")
+	fs.DurationVar(&f.WorkerTimeout, "worker-timeout", 0, "receive deadline that turns a stalled rank into a detectable failure (parallel engine)")
+	fs.BoolVar(&f.Evict, "evict", false, "recover from worker failures live: heartbeat detection, communicator shrink, in-flight re-shard (parallel engine)")
+	fs.DurationVar(&f.HeartbeatEvery, "heartbeat-every", 0, "liveness tick interval for -evict (0 = engine default)")
+	fs.IntVar(&f.HeartbeatMisses, "heartbeat-misses", 0, "consecutive missed ticks before -evict declares a rank dead (0 = engine default)")
+}
+
+// Apply installs the settings into cfg, parsing the fault plan, and
+// re-validates it.
+func (f FaultTolerance) Apply(cfg *Config) error {
+	plan, err := mpi.ParseFaultPlan(f.InjectFault)
+	if err != nil {
+		return err
+	}
+	cfg.FaultPlan = plan
+	cfg.RecvTimeout = f.WorkerTimeout
+	cfg.Evict = f.Evict
+	cfg.HeartbeatEvery = f.HeartbeatEvery
+	cfg.HeartbeatMisses = f.HeartbeatMisses
+	return cfg.Validate()
+}
