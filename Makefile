@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-json race strict fuzz bench bench-e2e bench-compare docs loc chaos serve-smoke check clean
+.PHONY: all build test vet lint lint-json race fuzz bench bench-e2e bench-compare docs loc chaos serve-smoke check clean
 
 all: build test
 
@@ -15,7 +15,7 @@ vet:
 
 # egdlint: the repo's own static analyzers for MPI-usage and
 # determinism invariants (see internal/lint/README.md). -tests also
-# loads _test.go files and runs the hang-class (SPMD-safety) subset
+# loads _test.go files and runs the hang-class analyzer (mpicollective)
 # over them. Exit 0 means every package honours them.
 lint:
 	$(GO) run ./cmd/egdlint -tests ./...
@@ -30,10 +30,6 @@ lint-json:
 # eviction-era packages (stats, trace, checkpoint) ride along.
 race:
 	$(GO) test -race ./...
-
-# Strict payload accounting: unknown wire types panic instead of logging.
-strict:
-	$(GO) test -tags mpistrict ./internal/mpi ./internal/sim
 
 # Short fuzz pass over every fuzz target that guards a parser: the
 # checkpoint wire format, the fault-spec grammar, the wire frame decoder,

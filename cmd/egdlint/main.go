@@ -117,7 +117,7 @@ func run(args []string, out, errw io.Writer) int {
 	if *andTests {
 		// Test files get only the hang-class analyzers: tests legitimately
 		// use bare tag literals, discarded errors, and wall-clock time, but
-		// an unmatched Send/Recv deadlocks a test run just like a rank.
+		// a rank-conditioned collective deadlocks a test run just like a rank.
 		// Under -run, the test pass honours the same selection.
 		testSuite := lint.SPMDSafety()
 		if *only != "" {

@@ -20,10 +20,14 @@ func TestList(t *testing.T) {
 		t.Fatalf("egdlint -list exited %d: %s", code, errw.String())
 	}
 	got := out.String()
-	for _, name := range []string{"mpierrcheck", "mpicollective", "mpitag", "mpisession", "determinism"} {
+	names := []string{"mpierrcheck", "mpicollective", "mpitag", "determinism", "pkgdoc"}
+	for _, name := range names {
 		if !strings.Contains(got, name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, got)
 		}
+	}
+	if n := strings.Count(got, "\n"); n != len(names) {
+		t.Errorf("-list printed %d analyzers, want %d:\n%s", n, len(names), got)
 	}
 }
 

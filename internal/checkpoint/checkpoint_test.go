@@ -2,6 +2,8 @@ package checkpoint
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/rng"
@@ -369,5 +371,34 @@ func TestSeriesRejectsImplausibleLength(t *testing.T) {
 	data[len(data)-5] = 0x7f
 	if _, err := Read(bytes.NewReader(data)); err == nil {
 		t.Fatal("implausible series length accepted")
+	}
+}
+
+// RemoveTemps deletes exactly the names ReplaceFile's CreateTemp pattern
+// can produce; every near miss, and any directory, stays.
+func TestRemoveTempsTouchesOnlyTempNames(t *testing.T) {
+	dir := t.TempDir()
+	keep := []string{"run.ckpt", "journal.jsonl", "x.tmp", "x.tmpl", "x.tmp12b", ".tmp123", "x.tmp1.bak"}
+	gone := []string{"run.ckpt.tmp123456789", "journal.jsonl.tmp7"}
+	for _, name := range append(append([]string(nil), keep...), gone...) {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Mkdir(filepath.Join(dir, "sub.tmp42"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := RemoveTemps(dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range append(keep, "sub.tmp42") {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("%s was removed: %v", name, err)
+		}
+	}
+	for _, name := range gone {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("%s survived (stat err %v)", name, err)
+		}
 	}
 }

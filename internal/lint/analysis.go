@@ -85,8 +85,8 @@ func RunAnalyzers(dir string, patterns []string, analyzers []*Analyzer) ([]Findi
 // (production files plus TestGoFiles type-checked together) and applies
 // the analyzers — callers pass SPMDSafety(), not All(): test files
 // legitimately use bare tag literals, discarded errors, and wall-clock
-// time, but an unmatched Send/Recv in a test is the same hang it is in
-// production. Findings are filtered to _test.go files; the production
+// time, but a rank-conditioned collective in a test is the same hang it
+// is in production. Findings are filtered to _test.go files; the production
 // files were already covered by the plain run.
 func RunAnalyzersTests(dir string, patterns []string, analyzers []*Analyzer) ([]Finding, error) {
 	fset, pkgs, err := LoadTests(dir, patterns)

@@ -6,7 +6,6 @@ func All() []*Analyzer {
 		MPIErrCheck,
 		MPICollective,
 		MPITag,
-		MPISession,
 		Determinism,
 		PkgDoc,
 	}
@@ -18,7 +17,6 @@ func All() []*Analyzer {
 func SPMDSafety() []*Analyzer {
 	return []*Analyzer{
 		MPICollective,
-		MPISession,
 	}
 }
 

@@ -64,20 +64,20 @@ func g() {
 		t.Error("window crossed the function boundary")
 	}
 	// The directive names mpitag only; other rules stay live on the line.
-	if allows.allowed("mpisession", at(4)) {
+	if allows.allowed("mpicollective", at(4)) {
 		t.Error("suppression bled into a rule the directive did not name")
 	}
 }
 
-// Each malformed shape yields exactly one "directive" finding; the new
-// mpisession name is part of the vocabulary.
+// Each malformed shape yields exactly one "directive" finding and does
+// not cost the well-formed directive beside it.
 func TestDirectiveMalformed(t *testing.T) {
 	src := `package p
 
 //egdlint:allow
 //egdlint:allow nosuchrule with a reason
 //egdlint:allow mpicollective
-//egdlint:allow mpisession valid: suppresses the line below
+//egdlint:allow determinism valid: suppresses the line below
 var x int
 `
 	allows, findings, _ := parseDirectiveFile(t, src)
@@ -101,8 +101,8 @@ var x int
 			t.Errorf("finding %d = %d:%q, want line %d containing %q", i, f.Pos.Line, f.Message, w.line, w.frag)
 		}
 	}
-	if !allows.allowed("mpisession", at(7)) {
-		t.Error("valid mpisession directive in the same file was dropped")
+	if !allows.allowed("determinism", at(7)) {
+		t.Error("valid determinism directive in the same file was dropped")
 	}
 }
 

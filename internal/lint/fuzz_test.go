@@ -11,7 +11,7 @@ import (
 // (the "directive" finding collectDirectives reports) and no rule —
 // never both, never neither.
 func FuzzDirective(f *testing.F) {
-	f.Add("//egdlint:allow mpisession peer half lives in the launcher binary")
+	f.Add("//egdlint:allow mpitag peer half lives in the launcher binary")
 	f.Add("//egdlint:allow determinism wall-clock is display-only here")
 	f.Add("//egdlint:allow")
 	f.Add("//egdlint:allow ")

@@ -12,22 +12,44 @@ import (
 // reserved for the collectives' internal protocol.
 const reservedTagBase = 1 << 30
 
-// MPITag flags magic tag literals and tag constants outside the user
-// range in point-to-point calls.
+// MPITag flags magic tag literals, tag constants outside the user
+// range, and tag constants only one end of the protocol uses.
 //
 // Comm.checkUserTag rejects tags outside [0, 1<<30) at runtime, but a
 // bare `c.Send(dst, 3, ...)` still compiles and silently collides with
 // any other site using 3. Tags are protocol identifiers: they must be
 // named constants, declared once, below the reserved collective range.
 // The mpi package's own wildcards (AnyTag, AnySource) are exempt.
+//
+// A protocol's two ends live in one package (the Nature Agent's
+// receives and the SSet owners' sends are methods of different types in
+// internal/sim), so pairing is a package-level property: a tag constant
+// some site sends must be received somewhere in the package, and vice
+// versa. At runtime the asymmetry is not an error value but a hang — the
+// receiver parks on an inbox nothing fills. A dynamic tag (tagBase+w) or
+// AnyTag on the opposite end may match anything, so either one in the
+// package satisfies every tag of the other direction.
 var MPITag = &Analyzer{
 	Name: "mpitag",
-	Doc:  "user tags must be named constants inside [0, 1<<30); no magic int literals; wire frame kinds unique and in-range",
+	Doc:  "user tags must be named constants inside [0, 1<<30), each sent and received within its package; no magic int literals; wire frame kinds unique and in-range",
 	Run:  runMPITag,
+}
+
+// tagUse is one point-to-point site whose tag is a named constant in
+// the user range.
+type tagUse struct {
+	tag  ast.Expr
+	val  int64
+	send bool
 }
 
 func runMPITag(pass *Pass) error {
 	checkWireKinds(pass)
+	// Keyed by direction (true: sends): the sites to pair, the constants
+	// in use, and whether some site's tag may match anything.
+	var uses []tagUse
+	vals := map[bool]map[int64]bool{true: {}, false: {}}
+	wild := map[bool]bool{}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -42,29 +64,52 @@ func runMPITag(pass *Pass) error {
 			if !tagged || idx >= len(call.Args) {
 				return true
 			}
-			checkTagExpr(pass, method, call.Args[idx])
+			send := method == "Send"
+			if val, ok := checkTagExpr(pass, method, call.Args[idx]); ok {
+				uses = append(uses, tagUse{tag: call.Args[idx], val: val, send: send})
+				vals[send][val] = true
+			} else {
+				wild[send] = true
+			}
 			return true
 		})
+	}
+	for _, u := range uses {
+		if wild[!u.send] || vals[!u.send][u.val] {
+			continue
+		}
+		msg := "tag %s is received but never sent in package %s (the receive can only hang)"
+		if u.send {
+			msg = "tag %s is sent but never received in package %s"
+		}
+		pass.Reportf(u.tag.Pos(), msg, types.ExprString(u.tag), pass.Pkg.Name())
 	}
 	return nil
 }
 
-func checkTagExpr(pass *Pass, method string, tag ast.Expr) {
-	tv, ok := pass.TypesInfo.Types[tag]
-	if !ok || tv.Value == nil {
-		return // dynamic tag: its named-constant parts are checked where declared
+// checkTagExpr reports a magic or out-of-range tag, and returns the
+// value of a named constant in the user range. Every other tag — dynamic,
+// the mpi package's own wildcard, or one just reported — is not ok and
+// counts for pairing as one that may match anything.
+func checkTagExpr(pass *Pass, method string, tag ast.Expr) (val int64, ok bool) {
+	tv, found := pass.TypesInfo.Types[tag]
+	if !found || tv.Value == nil {
+		return 0, false // dynamic tag: its named-constant parts are checked where declared
 	}
 	mpiConst, namedConst := constProvenance(pass, tag)
 	if mpiConst {
-		return // the mpi package's own AnyTag/AnySource wildcards
+		return 0, false // the mpi package's own AnyTag/AnySource wildcards
 	}
 	if !namedConst {
 		pass.Reportf(tag.Pos(), "magic tag literal in %s; declare a named tag constant", method)
-		return
+		return 0, false
 	}
-	if v, exact := constant.Int64Val(constant.ToInt(tv.Value)); exact && (v < 0 || v >= reservedTagBase) {
+	v, exact := constant.Int64Val(constant.ToInt(tv.Value))
+	if exact && (v < 0 || v >= reservedTagBase) {
 		pass.Reportf(tag.Pos(), "tag constant %d in %s is outside the user range [0, 1<<30)", v, method)
+		return 0, false
 	}
+	return v, exact
 }
 
 // constProvenance reports whether the expression references a constant

@@ -22,11 +22,6 @@ func TestMPIErrCheck(t *testing.T) {
 	linttest.Run(t, lint.MPIErrCheck, "errcheck")
 }
 
-func TestMPISession(t *testing.T) {
-	needGo(t)
-	linttest.Run(t, lint.MPISession, "session")
-}
-
 func TestMPICollective(t *testing.T) {
 	needGo(t)
 	linttest.Run(t, lint.MPICollective, "collective")
@@ -34,7 +29,7 @@ func TestMPICollective(t *testing.T) {
 
 func TestMPITag(t *testing.T) {
 	needGo(t)
-	linttest.Run(t, lint.MPITag, "tag", "wirekind")
+	linttest.Run(t, lint.MPITag, "tag", "tagpair", "wirekind")
 }
 
 func TestPkgDoc(t *testing.T) {

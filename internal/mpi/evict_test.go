@@ -165,7 +165,7 @@ func TestSendToEvictedRankFailsFast(t *testing.T) {
 			for len(w.Evictions()) == 0 {
 				time.Sleep(time.Millisecond)
 			}
-			err := c.Send(1, 9, 1.0) //egdlint:allow mpisession deliberate orphan: the test asserts sends to an evicted rank fail
+			err := c.Send(1, 9, 1.0) // deliberate orphan: the test asserts sends to an evicted rank fail
 			var rf *RankFailedError
 			if !errors.As(err, &rf) || rf.Rank != 1 {
 				return fmt.Errorf("send to dead rank returned %v, want RankFailedError{Rank:1}", err)
@@ -198,7 +198,7 @@ func TestRevokeReleasesBlockedRecv(t *testing.T) {
 		case 1:
 			return errors.New("crash")
 		case 0:
-			_, err := c.Recv(1, 4) //egdlint:allow mpisession deliberate orphan: rank 1 crashes and revocation must release this receive
+			_, err := c.Recv(1, 4) // deliberate orphan: rank 1 crashes and revocation must release this receive
 			if !errors.Is(err, ErrRevoked) {
 				return fmt.Errorf("blocked Recv returned %v, want ErrRevoked", err)
 			}

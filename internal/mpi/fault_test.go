@@ -241,7 +241,7 @@ func TestRecvReleasedAtShutdown(t *testing.T) {
 	err := w.Run(func(c *Comm) error {
 		if c.Rank() == 0 {
 			go func() {
-				_, err := c.Recv(1, 5) //egdlint:allow mpisession deliberate orphan: the test asserts world teardown completes it
+				_, err := c.Recv(1, 5) // deliberate orphan: the test asserts world teardown completes it
 				done <- err
 			}()
 		}

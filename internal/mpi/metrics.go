@@ -222,8 +222,7 @@ func (w *World) CommMetricsSnapshot() []RankCommSnapshot {
 // accountSend books one delivered (or injected-drop) message on the
 // root world's totals and, when enabled, the sender's per-tag metrics.
 // src is an original rank; w must be the root.
-func (w *World) accountSend(src, tag int, payload any) {
-	nb := payloadBytes(payload)
+func (w *World) accountSend(src, tag int, nb uint64) {
 	w.p2pMsgs.Add(1)
 	w.p2pByte.Add(nb)
 	if w.commMetrics != nil {
@@ -238,7 +237,9 @@ func (c *Comm) accountRecv(e envelope) {
 	if root.commMetrics == nil {
 		return
 	}
-	root.commMetrics[c.world.origOf(c.rank)].addRecv(e.tag, payloadBytes(e.payload))
+	// The error is the sender's: send refuses a payload without a modelled size.
+	nb, _ := payloadBytes(e.payload)
+	root.commMetrics[c.world.origOf(c.rank)].addRecv(e.tag, nb)
 }
 
 // collTimer starts timing one collective invocation; the returned stop

@@ -9,9 +9,8 @@ import (
 
 // TestMetricsRoundTripMatchesPayloadAccounting sends one payload of
 // every modelled wire type across a two-rank world and asserts the
-// per-rank byte counters agree with the payloadBytes model — the same
-// accounting the mpistrict build enforces at the type level — and with
-// the world's coarse totals.
+// per-rank byte counters agree with the payloadBytes model and with the
+// world's coarse totals.
 func TestMetricsRoundTripMatchesPayloadAccounting(t *testing.T) {
 	payloads := []any{
 		[]byte{1, 2, 3},
@@ -27,7 +26,11 @@ func TestMetricsRoundTripMatchesPayloadAccounting(t *testing.T) {
 	}
 	var wantBytes uint64
 	for _, p := range payloads {
-		wantBytes += payloadBytes(p)
+		n, err := payloadBytes(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantBytes += n
 	}
 
 	w := NewWorld(2)

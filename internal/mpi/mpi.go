@@ -22,7 +22,6 @@ package mpi
 import (
 	"errors"
 	"fmt"
-	"log"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -437,6 +436,10 @@ func (c *Comm) send(dst, tag int, payload any) error {
 	if err := c.checkRank(dst); err != nil {
 		return err
 	}
+	nb, err := payloadBytes(payload)
+	if err != nil {
+		return err
+	}
 	root := c.world.rootW()
 	src := c.world.origOf(c.rank)
 	if root.aborted.Load() {
@@ -470,11 +473,11 @@ func (c *Comm) send(dst, tag int, payload any) error {
 		if v.drop {
 			// The sender transmitted (counters reflect it); the network
 			// lost the packet.
-			root.accountSend(src, tag, payload)
+			root.accountSend(src, tag, nb)
 			return nil
 		}
 	}
-	root.accountSend(src, tag, payload)
+	root.accountSend(src, tag, nb)
 	return root.tr.Deliver(c.world, c.rank, dst, tag, payload)
 }
 
@@ -528,63 +531,48 @@ func (c *Comm) recvDeadline(src, tag int, timeout time.Duration) (Message, error
 	return Message{Source: e.source, Tag: e.tag, Payload: e.payload}, nil
 }
 
-// payloadBytes estimates the wire size of a payload for the communication
-// counters (and hence the perf model).
-func payloadBytes(p any) uint64 {
+// payloadBytes is the wire-size model behind the communication counters
+// (and hence the perf model). A type it does not know is an error, which
+// Comm.send returns: counting a guess would corrupt the counters, and a
+// networked world refuses the same type at encode time.
+func payloadBytes(p any) (uint64, error) {
 	switch v := p.(type) {
 	case nil:
-		return 0
+		return 0, nil
 	case []byte:
-		return uint64(len(v))
+		return uint64(len(v)), nil
 	case []uint64:
-		return uint64(8 * len(v))
+		return uint64(8 * len(v)), nil
 	case []float64:
-		return uint64(8 * len(v))
+		return uint64(8 * len(v)), nil
 	case []int:
-		return uint64(8 * len(v))
+		return uint64(8 * len(v)), nil
 	case []uint32:
-		return uint64(4 * len(v))
+		return uint64(4 * len(v)), nil
 	case []any:
 		// Aggregate payloads cost the sum of their elements on the wire.
 		var total uint64
 		for _, e := range v {
-			total += payloadBytes(e)
+			n, err := payloadBytes(e)
+			if err != nil {
+				return 0, err
+			}
+			total += n
 		}
-		return total
+		return total, nil
 	case string:
-		return uint64(len(v))
+		return uint64(len(v)), nil
 	case float64, int, uint64, int64, uint32, int32:
-		return 8
+		return 8, nil
 	case bool, uint8, int8:
-		return 1
+		return 1, nil
 	case [2]int:
-		return 16
+		return 16, nil
 	case Sizer:
-		return v.WireBytes()
+		return v.WireBytes(), nil
 	default:
-		unknownPayload(p)
-		return 8
+		return 0, fmt.Errorf("mpi: payload type %T has no modelled wire size; implement mpi.Sizer", p)
 	}
-}
-
-// unknownPayloadSeen dedupes unknown-payload diagnostics by concrete type.
-var unknownPayloadSeen sync.Map
-
-// unknownPayload flags a payload type the wire-size model does not know:
-// silently counting it as 8 bytes corrupts the communication counters the
-// perf model projects from. In regular builds it logs once per type; under
-// the mpistrict build tag (the strict test configuration) it panics so the
-// gap cannot ship.
-func unknownPayload(p any) {
-	name := fmt.Sprintf("%T", p)
-	if _, seen := unknownPayloadSeen.LoadOrStore(name, struct{}{}); seen {
-		return
-	}
-	msg := fmt.Sprintf("mpi: payload type %s has no modelled wire size (counting 8 bytes); implement mpi.Sizer", name)
-	if strictPayloadSizes {
-		panic(msg)
-	}
-	log.Print(msg)
 }
 
 // Sizer lets payload types report their modelled wire size to the

@@ -239,10 +239,10 @@ func TestSendInvalidRank(t *testing.T) {
 	w := NewWorld(2)
 	err := w.Run(func(c *Comm) error {
 		if c.Rank() == 0 {
-			if err := c.Send(5, 1, nil); err == nil { //egdlint:allow mpisession deliberate orphan: out-of-range rank must be rejected, not delivered
+			if err := c.Send(5, 1, nil); err == nil { // deliberate orphan: out-of-range rank must be rejected, not delivered
 				return errors.New("send to rank 5 accepted")
 			}
-			if err := c.Send(-1, 1, nil); err == nil { //egdlint:allow mpisession deliberate orphan: negative rank must be rejected, not delivered
+			if err := c.Send(-1, 1, nil); err == nil { // deliberate orphan: negative rank must be rejected, not delivered
 				return errors.New("send to rank -1 accepted")
 			}
 		}
@@ -322,7 +322,7 @@ func TestRecvAfterAbortReturnsRootCause(t *testing.T) {
 		case 0:
 			// Receive from rank 2, which never sends: only the abort can
 			// complete it.
-			_, rerr := c.Recv(2, 5) //egdlint:allow mpisession deliberate orphan: only the abort may complete this receive
+			_, rerr := c.Recv(2, 5) // deliberate orphan: only the abort may complete this receive
 			var rf *RankFailedError
 			if !errors.As(rerr, &rf) {
 				return fmt.Errorf("Recv returned %v, want a *RankFailedError", rerr)
@@ -413,16 +413,38 @@ func TestPayloadBytes(t *testing.T) {
 		{[]any{3.14, "ab", []byte{1, 2, 3}}, 13},
 		{sizedPayload{}, 99},
 	}
-	if !strictPayloadSizes {
-		// Unknown types fall back to 8 bytes with a log-once diagnostic;
-		// under -tags mpistrict the same call panics instead, so the case
-		// only runs in regular builds.
-		cases = append(cases, payloadCase{struct{}{}, 8})
-	}
 	for _, c := range cases {
-		if got := payloadBytes(c.p); got != c.want {
-			t.Errorf("payloadBytes(%T) = %d, want %d", c.p, got, c.want)
+		if got, err := payloadBytes(c.p); err != nil || got != c.want {
+			t.Errorf("payloadBytes(%T) = %d, %v, want %d", c.p, got, err, c.want)
 		}
+	}
+}
+
+// A payload type the wire-size model does not know is refused at the
+// send, by name and before anything is delivered or counted — in-process
+// worlds agree with networked ones, which refuse it at encode time. The
+// element of an aggregate is checked too.
+func TestSendUnmodelledPayloadIsAnError(t *testing.T) {
+	type unmodelled struct{ x int }
+	const tag = 3
+	w := NewWorld(2)
+	err := w.Run(func(c *Comm) error {
+		if c.Rank() != 0 {
+			return nil
+		}
+		for _, p := range []any{unmodelled{1}, []any{1.0, unmodelled{2}}} {
+			err := c.Send(1, tag, p)
+			if err == nil || !contains(err.Error(), "mpi.unmodelled") {
+				t.Errorf("Send(%T) error = %v, want one naming mpi.unmodelled", p, err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msgs := w.Stats().PointToPointMessages; msgs != 0 {
+		t.Errorf("refused sends counted %d messages, want 0", msgs)
 	}
 }
 

@@ -5,9 +5,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
+
+	"repro/internal/checkpoint"
 )
 
 // The durable job store is an append-only JSONL write-ahead journal plus one
@@ -16,7 +19,7 @@ import (
 // point loses at most the events since the last completed append — and
 // recovery replays the journal to rebuild the job table, tenant quotas, and
 // outstanding-work budget exactly. The journal is compacted (rewritten from
-// the live job table through the same tmp+fsync+rename+dir-fsync path the
+// the live job table through checkpoint.ReplaceFile, the path the
 // checkpoint sink uses) every compactEvery appends, so it stays proportional
 // to the job table rather than to the daemon's lifetime.
 
@@ -98,10 +101,18 @@ type store struct {
 // openStore opens (creating if needed) the data directory, replays the
 // existing journal, and returns the store positioned to append. A missing
 // journal is a fresh store; a journal with a truncated or garbage tail is
-// replayed up to the damage and the tail size reported, never fatal.
+// replayed up to the damage and the tail size reported, never fatal. The
+// temporary files of a compaction or checkpoint save that a kill -9
+// interrupted are removed first: nothing else ever would.
 func openStore(dir string) (*store, *journalState, error) {
-	if err := os.MkdirAll(filepath.Join(dir, checkpointsDir), 0o755); err != nil {
+	ckptDir := filepath.Join(dir, checkpointsDir)
+	if err := os.MkdirAll(ckptDir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("server: creating data dir: %w", err)
+	}
+	for _, d := range []string{dir, ckptDir} {
+		if err := checkpoint.RemoveTemps(d); err != nil {
+			return nil, nil, fmt.Errorf("server: opening data dir: %w", err)
+		}
 	}
 	path := filepath.Join(dir, journalName)
 	js := emptyJournalState()
@@ -114,7 +125,7 @@ func openStore(dir string) (*store, *journalState, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("server: opening journal: %w", err)
 	}
-	if err := syncServerDir(dir); err != nil {
+	if err := checkpoint.SyncDir(dir); err != nil {
 		f.Close()
 		return nil, nil, err
 	}
@@ -242,47 +253,25 @@ func (st *store) compact(recs []journalRecord) error {
 	return st.compactLocked(recs)
 }
 
-// compactLocked writes recs to a temp file, fsyncs, renames over the
-// journal, fsyncs the directory, and swaps the append handle — the same
-// torn-write-safe sequence sim.FileSink uses, so a crash mid-compaction
-// leaves either the old journal or the new one, never a mix.
+// compactLocked replaces the journal with recs through
+// checkpoint.ReplaceFile — a crash mid-compaction leaves either the old
+// journal or the new one, never a mix — and swaps the append handle.
 func (st *store) compactLocked(recs []journalRecord) error {
 	path := filepath.Join(st.dir, journalName)
-	tmp, err := os.CreateTemp(st.dir, journalName+".tmp*")
-	if err != nil {
-		return fmt.Errorf("server: journal compact temp: %w", err)
-	}
-	w := bufio.NewWriter(tmp)
-	for _, rec := range recs {
-		line, err := json.Marshal(rec)
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-			return fmt.Errorf("server: encoding journal record: %w", err)
+	err := checkpoint.ReplaceFile(path, func(out io.Writer) error {
+		w := bufio.NewWriter(out)
+		for _, rec := range recs {
+			line, err := json.Marshal(rec)
+			if err != nil {
+				return fmt.Errorf("encoding journal record: %w", err)
+			}
+			w.Write(line)     //nolint:errcheck // surfaced by Flush below
+			w.WriteByte('\n') //nolint:errcheck // surfaced by Flush below
 		}
-		w.Write(line)     //nolint:errcheck // surfaced by Flush below
-		w.WriteByte('\n') //nolint:errcheck // surfaced by Flush below
-	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("server: journal compact write: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("server: journal compact fsync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("server: journal compact rename: %w", err)
-	}
-	if err := syncServerDir(st.dir); err != nil {
-		return err
+		return w.Flush()
+	})
+	if err != nil {
+		return fmt.Errorf("server: journal compact: %w", err)
 	}
 	old := st.f
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -315,18 +304,4 @@ func (st *store) close() error {
 	err := st.f.Close()
 	st.f = nil
 	return err
-}
-
-// syncServerDir fsyncs a directory so renamed/created entries survive a
-// crash (mirrors the checkpoint sink's directory sync).
-func syncServerDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("server: data dir open: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("server: data dir fsync: %w", err)
-	}
-	return nil
 }

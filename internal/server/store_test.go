@@ -355,6 +355,53 @@ func TestJournalCompaction(t *testing.T) {
 	}
 }
 
+// TestOpenStoreRemovesOrphanedTemps plants what a daemon killed between
+// CreateTemp and Rename leaves behind — one compaction temp, one checkpoint
+// temp — and checks the next boot removes both and nothing else.
+func TestOpenStoreRemovesOrphanedTemps(t *testing.T) {
+	dir := t.TempDir()
+	st, _, err := openStore(dir)
+	if err != nil {
+		t.Fatalf("openStore: %v", err)
+	}
+	if err := st.append(journalRecord{Kind: recMeta, Epoch: 4}); err != nil {
+		t.Fatal(err)
+	}
+	ckpt := st.checkpointPath("j-0004-000001")
+	if err := os.WriteFile(ckpt, []byte("snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st.close()
+
+	var orphans []string
+	for _, target := range []string{filepath.Join(dir, journalName), ckpt} {
+		f, err := os.CreateTemp(filepath.Dir(target), filepath.Base(target)+".tmp*")
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.WriteString("torn") //nolint:errcheck // content is irrelevant
+		f.Close()
+		orphans = append(orphans, f.Name())
+	}
+
+	st, js, err := openStore(dir)
+	if err != nil {
+		t.Fatalf("openStore over orphaned temps: %v", err)
+	}
+	defer st.close()
+	for _, o := range orphans {
+		if _, err := os.Stat(o); !os.IsNotExist(err) {
+			t.Errorf("orphaned temp %s survived the boot (stat err %v)", filepath.Base(o), err)
+		}
+	}
+	if data, err := os.ReadFile(ckpt); err != nil || string(data) != "snapshot" {
+		t.Errorf("real checkpoint touched: %q, %v", data, err)
+	}
+	if js.epoch != 4 {
+		t.Errorf("journal not replayed intact: epoch %d, want 4", js.epoch)
+	}
+}
+
 // FuzzJournalTail feeds arbitrary bytes (seeded with real journals plus
 // damaged variants) through replay: it must never panic, and its outputs
 // must stay internally consistent.

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -181,6 +183,11 @@ func TestNetworkedEvictionRecoversBitExact(t *testing.T) {
 
 	faulty := evictConfig(cfg)
 	faulty.FaultPlan = mpi.NewFaultPlan().Kill(3, 200)
+	// Metrics and the payoff cache never feed the trajectory, so the parity
+	// below holds with both on — and the run then registers every metric
+	// family there is, which the catalog check at the end needs.
+	faulty.Metrics = true
+	faulty.PayoffCache = true
 	res, errs := runNetworked(t, faulty, 4)
 	if errs[0] != nil || errs[1] != nil || errs[2] != nil {
 		t.Fatalf("survivors errored: %v / %v / %v", errs[0], errs[1], errs[2])
@@ -219,6 +226,48 @@ func TestNetworkedEvictionRecoversBitExact(t *testing.T) {
 		t.Fatalf("evicted run played fewer games (%d) than clean (%d)",
 			res.Counters.GamesPlayed, clean.Counters.GamesPlayed)
 	}
+	assertCatalogued(t, res)
+}
+
+// assertCatalogued checks catalog ≡ code: every metric family the run's
+// registry holds has a row in docs/OBSERVABILITY.md. res must come from a
+// metrics-on, networked, cached, evicting run — the one kind that registers
+// every conditional family, which is checked first.
+func assertCatalogued(t *testing.T, res *Result) {
+	t.Helper()
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "OBSERVABILITY.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := res.MetricsRegistry().Snapshot()
+	families := make(map[string]bool)
+	for _, c := range snap.Counters {
+		families[metricFamily(c.Name)] = true
+	}
+	for _, g := range snap.Gauges {
+		families[metricFamily(g.Name)] = true
+	}
+	for _, conditional := range []string{
+		"egd_transport_frames_sent_wallclock_total",
+		"egd_comm_heartbeats_wallclock_total",
+		"egd_payoff_cache_entries",
+		"egd_evicted",
+	} {
+		if !families[conditional] {
+			t.Errorf("run registered no %s: not the full-registry run the catalog check needs", conditional)
+		}
+	}
+	for name := range families {
+		if !bytes.Contains(doc, []byte("| `"+name+"` |")) {
+			t.Errorf("metric family %s has no row in docs/OBSERVABILITY.md", name)
+		}
+	}
+}
+
+// metricFamily strips a series name's {label} block.
+func metricFamily(series string) string {
+	name, _, _ := strings.Cut(series, "{")
+	return name
 }
 
 // RunWorker mirrors RunParallel's validation: it rejects bad configs and

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 
 	"repro/internal/checkpoint"
@@ -67,13 +66,9 @@ func (m *MemorySink) Saves() int {
 	return m.saves
 }
 
-// FileSink persists the latest snapshot to a single file, atomically and
-// durably: write to a temporary file in the same directory, fsync it, rename
-// over the target, then fsync the directory. A crash at any point leaves
-// either the previous good checkpoint or the new one — never a torn or
-// zero-length file (a rename alone is atomic in the namespace but not
-// durable: after a power loss the directory entry can point at a file whose
-// data never reached disk).
+// FileSink persists the latest snapshot to a single file through
+// checkpoint.ReplaceFile: a crash at any point leaves either the previous
+// good checkpoint or the new one — never a torn or zero-length file.
 type FileSink struct {
 	Path string
 
@@ -89,43 +84,7 @@ func (f *FileSink) Save(s *checkpoint.Snapshot) error {
 	if write == nil {
 		write = checkpoint.Write
 	}
-	dir := filepath.Dir(f.Path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(f.Path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("sim: checkpoint temp file: %w", err)
-	}
-	if err := write(tmp, s); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("sim: checkpoint fsync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), f.Path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("sim: checkpoint rename: %w", err)
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a just-renamed entry survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("sim: checkpoint dir open: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("sim: checkpoint dir fsync: %w", err)
-	}
-	return nil
+	return checkpoint.ReplaceFile(f.Path, func(w io.Writer) error { return write(w, s) })
 }
 
 // Latest implements CheckpointSink.

@@ -7,9 +7,8 @@ import (
 	"repro/internal/strategy"
 )
 
-// The parallel engine's broadcast payloads must implement mpi.Sizer: an
-// unmodelled type silently counts as 8 bytes and corrupts the perf-model
-// communication counters (and panics under -tags mpistrict).
+// The parallel engine's broadcast payloads must implement mpi.Sizer:
+// Comm.send refuses a type the wire-size model does not know.
 var (
 	_ mpi.Sizer = update{}
 	_ mpi.Sizer = selection{}
