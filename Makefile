@@ -31,16 +31,20 @@ lint-json:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz pass over every fuzz target that guards a parser: the
-# checkpoint wire format, the fault-spec grammar, the wire frame decoder,
-# the job-store journal replayer (arbitrary tail damage must never panic),
+# Short fuzz pass over every fuzz target in the tree, 10 s each. The list
+# is whatever `go test -list '^Fuzz' ./...` reports (target names, then an
+# "ok <package>" line per package), so a new target is fuzzed in CI the day
+# it lands. Today: the checkpoint wire format and the bitset decoder under
+# it, the fault-spec grammar, the wire frame decoder, the job-store journal
+# replayer (arbitrary tail damage must never panic), strategy fingerprints,
 # and the egdlint allow-directive grammar.
 fuzz:
-	$(GO) test -fuzz=FuzzRead -fuzztime=10s ./internal/checkpoint
-	$(GO) test -fuzz=FuzzParseFault -fuzztime=10s ./internal/mpi
-	$(GO) test -fuzz=FuzzWireFrame -fuzztime=10s ./internal/mpi
-	$(GO) test -fuzz=FuzzJournalTail -fuzztime=10s ./internal/server
-	$(GO) test -fuzz=FuzzDirective -fuzztime=10s ./internal/lint
+	@set -e; list=$$($(GO) test -list '^Fuzz' ./...); \
+	echo "$$list" | awk '/^Fuzz/ {t[n++] = $$1} /^ok/ {for (i = 0; i < n; i++) print t[i], $$2; n = 0}' | \
+	while read target pkg; do \
+		echo "== $$target ($$pkg)"; \
+		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime=10s $$pkg || exit 1; \
+	done
 
 # Multi-process chaos smoke: egdrun spawns a real worker fleet over unix
 # sockets, runs a seeded config fault-free, then reruns it with one worker

@@ -24,6 +24,7 @@ func main() {
 	sp := strategy.NewSpace(1)
 	payoff := game.StandardPayoff()
 	rates := []float64{0, 0.001, 0.01, 0.05, 0.10}
+	solver := analysis.NewSolver(sp)
 
 	fmt.Println("exact self-play payoff per round vs execution-error rate")
 	fmt.Println("(Markov stationary analysis; R=3 is sustained cooperation):")
@@ -40,7 +41,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			pi, _, err := analysis.MarkovPayoff(payoff, s, s, e)
+			pi, _, err := solver.Payoff(payoff, s, s, e)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -59,7 +60,7 @@ func main() {
 	fmt.Println("exact payoff against ALLD at 1% errors (resistance to exploitation):")
 	for _, n := range names {
 		s, _ := strategy.Named(n, sp)
-		mine, theirs, err := analysis.MarkovPayoff(payoff, s, alld, 0.01)
+		mine, theirs, err := solver.Payoff(payoff, s, alld, 0.01)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -71,19 +71,18 @@ func FixationProbability(cfg FixationConfig, mutant, resident strategy.Strategy)
 	if err := cfg.validate(); err != nil {
 		return 0, err
 	}
-	if mutant.Space() != resident.Space() {
-		return 0, fmt.Errorf("analysis: mismatched strategy spaces")
-	}
-	// The four pairwise exact payoffs.
-	mm, _, err := MarkovPayoffN(cfg.Payoff, mutant, mutant, cfg.ErrorRate)
+	// The four pairwise exact payoffs (the solver rejects a resident of
+	// another space).
+	solver := NewSolver(mutant.Space())
+	mm, _, err := solver.Payoff(cfg.Payoff, mutant, mutant, cfg.ErrorRate)
 	if err != nil {
 		return 0, err
 	}
-	mr, rm, err := MarkovPayoffN(cfg.Payoff, mutant, resident, cfg.ErrorRate)
+	mr, rm, err := solver.Payoff(cfg.Payoff, mutant, resident, cfg.ErrorRate)
 	if err != nil {
 		return 0, err
 	}
-	rr, _, err := MarkovPayoffN(cfg.Payoff, resident, resident, cfg.ErrorRate)
+	rr, _, err := solver.Payoff(cfg.Payoff, resident, resident, cfg.ErrorRate)
 	if err != nil {
 		return 0, err
 	}

@@ -15,13 +15,12 @@ const (
 	tagBarrierDown
 )
 
-// enterCollective accounts one collective entry for this rank and consults
+// enterCollective counts one collective entry for this rank and consults
 // the fault plan: a scripted FailCollective fault makes the rank fail here
 // with ErrInjectedFault, modelling a node dying inside a collective.
 func (c *Comm) enterCollective() error {
 	root := c.world.rootW()
 	orig := c.world.origOf(c.rank)
-	root.collOps.Add(1)
 	n := root.collCounts[orig].Add(1)
 	if p := root.plan; p != nil && p.onCollective(orig, n) {
 		return fmt.Errorf("mpi: rank %d failed at collective %d: %w", orig, n, ErrInjectedFault)

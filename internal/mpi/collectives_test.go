@@ -204,6 +204,7 @@ func TestMixedCollectiveSequence(t *testing.T) {
 
 func TestCollectiveCounters(t *testing.T) {
 	w := NewWorld(4)
+	w.EnableMetrics()
 	err := w.Run(func(c *Comm) error {
 		_, err := c.Bcast(0, func() any {
 			if c.Rank() == 0 {
@@ -216,12 +217,12 @@ func TestCollectiveCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := w.Stats()
-	if st.CollectiveOps != 4 { // each rank counts its participation
-		t.Errorf("collective ops = %d, want 4", st.CollectiveOps)
+	msgs, _, collectives := commTotals(w)
+	if collectives != 4 { // each rank counts its participation
+		t.Errorf("collective ops = %d, want 4", collectives)
 	}
-	if st.PointToPointMessages != 3 { // binomial tree: P-1 messages total
-		t.Errorf("bcast used %d messages, want 3", st.PointToPointMessages)
+	if msgs != 3 { // binomial tree: P-1 messages total
+		t.Errorf("bcast used %d messages, want 3", msgs)
 	}
 }
 

@@ -14,9 +14,8 @@ import (
 // tags each rank sent and received (messages and bytes), how often each
 // collective ran and how long it took, and the liveness traffic the
 // eviction layer generates. It is the measurement substrate for the
-// paper's compute-vs-communication analysis (Tables V-VI): the world's
-// coarse Stats() totals say how much traffic a run generated, the
-// per-rank metrics say who generated it, on which channel, and when.
+// paper's compute-vs-communication analysis (Tables V-VI): how much
+// traffic a run generated, who generated it, on which channel, and when.
 //
 // Accounting is off by default and enabled with World.EnableMetrics;
 // disabled, every hot path pays a single nil check. Sub-worlds created
@@ -219,12 +218,23 @@ func (w *World) CommMetricsSnapshot() []RankCommSnapshot {
 	return out
 }
 
+// CommTotals sums a snapshot over ranks: messages and bytes sent, and
+// collective invocations — the world-wide view of a run's traffic.
+func CommTotals(snaps []RankCommSnapshot) (msgs, bytes, collectives uint64) {
+	for _, rc := range snaps {
+		msgs += rc.SentMsgs
+		bytes += rc.SentBytes
+		for _, co := range rc.Collectives {
+			collectives += co.Calls
+		}
+	}
+	return msgs, bytes, collectives
+}
+
 // accountSend books one delivered (or injected-drop) message on the
-// root world's totals and, when enabled, the sender's per-tag metrics.
-// src is an original rank; w must be the root.
+// sender's per-tag metrics when enabled. src is an original rank; w must
+// be the root.
 func (w *World) accountSend(src, tag int, nb uint64) {
-	w.p2pMsgs.Add(1)
-	w.p2pByte.Add(nb)
 	if w.commMetrics != nil {
 		w.commMetrics[src].addSent(tag, nb)
 	}

@@ -14,9 +14,9 @@
 //     Barrier), modelling the Blue Gene collective network the paper uses
 //     for pair-selection announcements and global strategy updates.
 //
-// The runtime counts messages and bytes per rank; the perfmodel package uses
-// these counts to project communication cost onto the Blue Gene machine
-// models.
+// With World.EnableMetrics the runtime counts messages and bytes per rank
+// and tag and times each collective (metrics.go); the engine reports the
+// snapshot in Result.Metrics.Comm.
 package mpi
 
 import (
@@ -127,13 +127,6 @@ func (ib *inbox) take(src, tag int, timeout time.Duration) (envelope, error) {
 	}
 }
 
-// Stats aggregates communication counters across a world.
-type Stats struct {
-	PointToPointMessages uint64
-	PointToPointBytes    uint64
-	CollectiveOps        uint64
-}
-
 // World is a set of ranks that can communicate. Create with NewWorld, run an
 // SPMD function on every rank with Run. Shrink derives sub-worlds from a
 // survivor set after a failure; sub-worlds share the original (root) world's
@@ -142,9 +135,6 @@ type Stats struct {
 type World struct {
 	size    int
 	boxes   []*inbox
-	p2pMsgs atomic.Uint64
-	p2pByte atomic.Uint64
-	collOps atomic.Uint64
 	aborted atomic.Bool
 	// cause is the abort cause (a *RankFailedError), stored once by the
 	// CAS winner of abortWith.
@@ -283,17 +273,6 @@ func (w *World) allWorlds() []*World {
 
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.size }
-
-// Stats returns the accumulated communication counters. Sub-worlds report
-// the root's totals: traffic is accounted for the whole logical run.
-func (w *World) Stats() Stats {
-	r := w.rootW()
-	return Stats{
-		PointToPointMessages: r.p2pMsgs.Load(),
-		PointToPointBytes:    r.p2pByte.Load(),
-		CollectiveOps:        r.collOps.Load(),
-	}
-}
 
 // Run executes body once per rank, each on its own goroutine, and waits for
 // all to finish. If any rank returns an error or panics, the world is

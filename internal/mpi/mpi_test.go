@@ -372,8 +372,15 @@ func TestSendAfterAbortReturnsRootCause(t *testing.T) {
 	}
 }
 
+// commTotals is the world's traffic so far (EnableMetrics must have been
+// called).
+func commTotals(w *World) (msgs, bytes, collectives uint64) {
+	return CommTotals(w.CommMetricsSnapshot())
+}
+
 func TestStatsCounters(t *testing.T) {
 	w := NewWorld(2)
+	w.EnableMetrics()
 	err := w.Run(func(c *Comm) error {
 		if c.Rank() == 0 {
 			return c.Send(1, 1, []float64{1, 2, 3, 4})
@@ -384,12 +391,12 @@ func TestStatsCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := w.Stats()
-	if st.PointToPointMessages != 1 {
-		t.Errorf("messages = %d, want 1", st.PointToPointMessages)
+	msgs, bytes, _ := commTotals(w)
+	if msgs != 1 {
+		t.Errorf("messages = %d, want 1", msgs)
 	}
-	if st.PointToPointBytes != 32 {
-		t.Errorf("bytes = %d, want 32", st.PointToPointBytes)
+	if bytes != 32 {
+		t.Errorf("bytes = %d, want 32", bytes)
 	}
 }
 
@@ -428,6 +435,7 @@ func TestSendUnmodelledPayloadIsAnError(t *testing.T) {
 	type unmodelled struct{ x int }
 	const tag = 3
 	w := NewWorld(2)
+	w.EnableMetrics()
 	err := w.Run(func(c *Comm) error {
 		if c.Rank() != 0 {
 			return nil
@@ -443,7 +451,7 @@ func TestSendUnmodelledPayloadIsAnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if msgs := w.Stats().PointToPointMessages; msgs != 0 {
+	if msgs, _, _ := commTotals(w); msgs != 0 {
 		t.Errorf("refused sends counted %d messages, want 0", msgs)
 	}
 }

@@ -7,9 +7,10 @@
 // strategy and samples finite games, this engine tracks the *frequency* of
 // each distinct strategy and evolves the distribution deterministically by
 // discrete-time replicator dynamics, with occasional uniform-random mutant
-// strategies injected at low frequency. Payoffs come from the exact
-// memory-one Markov analysis (internal/analysis), so there is no sampling
-// noise at all: an independent cross-check of the agent-based results.
+// strategies injected at low frequency. Payoffs come from the exact Markov
+// analysis (analysis.Solver) at the strategies' memory depth, so there is
+// no sampling noise at all: an independent cross-check of the agent-based
+// results.
 package replicator
 
 import (
@@ -100,6 +101,8 @@ type Population struct {
 	atoms []Atom
 	// payoff[i][j] caches the exact per-round payoff of atom i vs atom j.
 	payoff [][]float64
+	solver *analysis.Solver
+	sp     strategy.Space
 	src    *rng.Source
 	gen    int
 }
@@ -110,11 +113,10 @@ func New(cfg Config) (*Population, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Population{cfg: cfg, src: rng.New(cfg.Seed)}
-	sp := strategy.NewSpace(1)
+	p := newPopulation(cfg, strategy.NewSpace(1))
 	for i := 0; i < cfg.Atoms; i++ {
 		p.atoms = append(p.atoms, Atom{
-			Strategy: strategy.RandomMixed(sp, p.src),
+			Strategy: strategy.RandomMixed(p.sp, p.src),
 			Freq:     1.0 / float64(cfg.Atoms),
 		})
 	}
@@ -124,24 +126,26 @@ func New(cfg Config) (*Population, error) {
 	return p, nil
 }
 
-// NewFromStrategies creates a population from explicit memory-one
-// strategies at equal frequency.
+// NewFromStrategies creates a population from explicit strategies of one
+// memory depth at equal frequency (the payoff solve rejects a mixed set);
+// mutants are drawn at the same depth.
 func NewFromStrategies(cfg Config, strategies []strategy.Strategy) (*Population, error) {
 	cfg.Atoms = len(strategies)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Population{cfg: cfg, src: rng.New(cfg.Seed)}
+	p := newPopulation(cfg, strategies[0].Space())
 	for _, s := range strategies {
-		if s.Space().Memory() != 1 {
-			return nil, fmt.Errorf("replicator: needs memory-one strategies")
-		}
 		p.atoms = append(p.atoms, Atom{Strategy: s.Clone(), Freq: 1.0 / float64(len(strategies))})
 	}
 	if err := p.rebuildPayoffs(); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+func newPopulation(cfg Config, sp strategy.Space) *Population {
+	return &Population{cfg: cfg, sp: sp, solver: analysis.NewSolver(sp), src: rng.New(cfg.Seed)}
 }
 
 func (p *Population) rebuildPayoffs() error {
@@ -152,7 +156,7 @@ func (p *Population) rebuildPayoffs() error {
 	}
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
-			pi, pj, err := analysis.MarkovPayoff(p.cfg.Payoff, p.atoms[i].Strategy, p.atoms[j].Strategy, p.cfg.ErrorRate)
+			pi, pj, err := p.solver.Payoff(p.cfg.Payoff, p.atoms[i].Strategy, p.atoms[j].Strategy, p.cfg.ErrorRate)
 			if err != nil {
 				return err
 			}
@@ -166,7 +170,7 @@ func (p *Population) rebuildPayoffs() error {
 // payoffRow recomputes row and column k after atom k changed.
 func (p *Population) payoffRow(k int) error {
 	for j := range p.atoms {
-		pi, pj, err := analysis.MarkovPayoff(p.cfg.Payoff, p.atoms[k].Strategy, p.atoms[j].Strategy, p.cfg.ErrorRate)
+		pi, pj, err := p.solver.Payoff(p.cfg.Payoff, p.atoms[k].Strategy, p.atoms[j].Strategy, p.cfg.ErrorRate)
 		if err != nil {
 			return err
 		}
@@ -269,8 +273,7 @@ func (p *Population) removeAtom(k int) {
 }
 
 func (p *Population) injectMutant() error {
-	sp := strategy.NewSpace(1)
-	mutant := Atom{Strategy: strategy.RandomMixed(sp, p.src), Freq: p.cfg.MutantFreq}
+	mutant := Atom{Strategy: strategy.RandomMixed(p.sp, p.src), Freq: p.cfg.MutantFreq}
 	// Make room by scaling everyone down.
 	scale := 1.0 - p.cfg.MutantFreq
 	for i := range p.atoms {

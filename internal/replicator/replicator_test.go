@@ -214,12 +214,52 @@ func TestMutationInjectsAndPrunes(t *testing.T) {
 }
 
 func TestNewFromStrategiesRejectsWrongMemory(t *testing.T) {
-	cfg := baseConfig()
-	_, err := NewFromStrategies(cfg, []strategy.Strategy{
-		strategy.AllC(strategy.NewSpace(2)), strategy.AllD(strategy.NewSpace(2)),
+	// Any one depth is accepted; a population mixing depths has no joint
+	// chain and is refused by the payoff solve.
+	_, err := NewFromStrategies(baseConfig(), []strategy.Strategy{
+		strategy.AllC(sp1()), strategy.AllD(strategy.NewSpace(2)),
 	})
 	if err == nil {
-		t.Fatal("memory-2 strategies accepted")
+		t.Fatal("memory-1 and memory-2 strategies accepted in one population")
+	}
+}
+
+func TestMemoryTwoPopulation(t *testing.T) {
+	// The Fig. 2 mechanism at memory two: the classics' memory-2 forms
+	// play the same game, so WSLS again ends on top under errors — and the
+	// mutants injected along the way are drawn at the population's depth.
+	sp2 := strategy.NewSpace(2)
+	cfg := baseConfig()
+	cfg.ErrorRate = 0.05
+	cfg.Generations = 2000
+	cfg.MutateEvery = 400
+	cfg.MutantFreq = 0.001
+	p, err := NewFromStrategies(cfg, []strategy.Strategy{
+		strategy.TFT(sp2), strategy.WSLS(sp2), strategy.AllC(sp2),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutants := 0
+	err = p.Run(func(gen int, pop *Population) {
+		// A fresh mutant is the last atom, still at its entry frequency.
+		if last := pop.Atoms()[len(pop.Atoms())-1]; gen%cfg.MutateEvery == 0 && last.Freq == cfg.MutantFreq {
+			mutants++
+		}
+		for _, a := range pop.Atoms() {
+			if a.Strategy.Space() != sp2 {
+				t.Fatalf("gen %d: memory-%d atom in a memory-2 population", gen, a.Strategy.Space().Memory())
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mutants != cfg.Generations/cfg.MutateEvery {
+		t.Fatalf("%d mutants observed, want %d", mutants, cfg.Generations/cfg.MutateEvery)
+	}
+	if got := p.FractionNear(strategy.WSLS(sp2)); got < 0.5 {
+		t.Fatalf("memory-2 WSLS frequency %v after noisy competition, want > 0.5", got)
 	}
 }
 

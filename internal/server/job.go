@@ -76,7 +76,6 @@ type Job struct {
 	state  State
 	gen    int // last generation boundary reached
 	errMsg string
-	result *sim.Result
 	// wire is the finished run's serialisable result, built once at settle;
 	// it is what /result serves and what the journal persists, so a
 	// recovered daemon answers for done jobs without re-running them.
@@ -413,14 +412,14 @@ func (m *Manager) Submit(tenant string, spec JobSpec) (*Job, error) {
 	m.mu.Unlock()
 
 	// Journal the admission before acknowledging it: once the tenant sees
-	// 202, the job survives a crash.
+	// 202, the job survives a crash. Replay reads a submit record as a
+	// queued job, so no state record follows it.
 	if m.store != nil {
 		if err := m.store.append(journalRecord{Kind: recSubmit, Job: job.ID, Tenant: job.Tenant, Spec: &spec, Est: est}); err != nil {
 			m.reg.Counter("egd_server_journal_errors_total").Inc()
 			m.logf("egdserve: journal submit for job %s: %v", job.ID, err)
 		}
 	}
-	m.persistState(job)
 
 	if err := m.enqueue(job); err != nil {
 		m.settle(job, StateCanceled, nil, "")
@@ -643,7 +642,6 @@ func (m *Manager) settle(job *Job, state State, res *sim.Result, errMsg string) 
 		return
 	}
 	job.state = state
-	job.result = res
 	job.errMsg = errMsg
 	if res != nil {
 		job.gen = job.cfg.StartGeneration + job.cfg.Generations

@@ -335,9 +335,9 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, wire)
 }
 
-// handleEvents streams a job's timeline as Server-Sent Events: the backlog
-// after the client's Last-Event-ID (0 when absent), then live events until
-// the job settles or the client disconnects.
+// handleEvents streams a job's timeline as Server-Sent Events: everything
+// after the client's Last-Event-ID (0 when absent), at the client's pace,
+// until the job settles or the client disconnects.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.jobFor(w, r)
 	if !ok {
@@ -354,17 +354,18 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			afterID = n
 		}
 	}
-	backlog, live, cancel := job.hub.subscribe(afterID)
-	defer cancel()
+	// An ID from the future (nothing this hub issued) reads from the
+	// timeline's current end.
+	afterID = min(afterID, job.hub.highWater())
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 	// Each event gets its own write deadline: a client that stops reading
 	// stalls the TCP send buffer, the deadline expires, the write fails,
-	// and the stream ends — instead of this handler (and the job's hub
-	// slot) hanging on one stalled peer forever. The dropped client
-	// reconnects with Last-Event-ID and replays what it missed.
+	// and the stream ends — instead of this handler hanging on one stalled
+	// peer forever. The client reconnects with Last-Event-ID and reads on
+	// from there.
 	rc := http.NewResponseController(w)
 	writeSSE := func(ev sseEvent) bool {
 		if s.sseTimeout > 0 {
@@ -377,20 +378,19 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		flusher.Flush()
 		return true
 	}
-	for _, ev := range backlog {
-		if !writeSSE(ev) {
-			return
-		}
-	}
 	for {
-		select {
-		case ev, open := <-live:
-			if !open {
-				return // job settled (or subscriber dropped): stream ends
-			}
+		events, wake, closed := job.hub.after(afterID)
+		for _, ev := range events {
 			if !writeSSE(ev) {
 				return
 			}
+			afterID = ev.ID
+		}
+		if closed {
+			return // job settled and its whole timeline is written
+		}
+		select {
+		case <-wake:
 		case <-r.Context().Done():
 			return
 		}

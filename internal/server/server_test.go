@@ -473,45 +473,81 @@ func TestSSELiveStreamAndReplay(t *testing.T) {
 	}
 }
 
-// A subscriber that never drains is dropped once its 64-event buffer is
-// full — publish never blocks on it — and a re-subscribe with the last id
-// it saw replays the dense remainder of the timeline.
-func TestHubDropsLaggingSubscriberAndReplays(t *testing.T) {
+// A subscriber is a cursor into the retained timeline, so one that stops
+// reading never blocks publish and loses nothing: whenever it reads again,
+// the dense remainder after its last id is there.
+func TestHubSubscriberThatNeverReadsLosesNothing(t *testing.T) {
 	h := newHub()
-	_, ch, cancel := h.subscribe(0)
-	const buffered, extra = 64, 6
+	events, wake, closed := h.after(0)
+	if len(events) != 0 || closed {
+		t.Fatalf("fresh hub: %d events, closed=%v", len(events), closed)
+	}
+	// A second subscriber follows the stream live, the way handleEvents
+	// does, while the first one sleeps on its cursor.
+	const total, seen = 1000, 64
+	followed := make(chan int, 1)
+	go func() {
+		last := 0
+		for {
+			events, wake, closed := h.after(last)
+			for _, ev := range events {
+				if ev.ID != last+1 {
+					t.Errorf("live subscriber read id %d after %d", ev.ID, last)
+				}
+				last = ev.ID
+			}
+			if closed {
+				followed <- last
+				return
+			}
+			<-wake
+		}
+	}()
 	published := make(chan struct{})
 	go func() {
 		defer close(published)
-		for i := 0; i < buffered+extra; i++ {
+		for i := 0; i < total; i++ {
 			h.publish("tick", i)
 		}
 	}()
 	select {
 	case <-published:
 	case <-time.After(5 * time.Second):
-		t.Fatal("publish blocked on a subscriber that does not drain")
+		t.Fatal("publish blocked on a subscriber that does not read")
 	}
-	last := 0
-	for ev := range ch { // closed by the drop, after the buffered prefix
-		if ev.ID != last+1 {
-			t.Fatalf("buffered event id %d after %d; want dense ids", ev.ID, last)
+	select {
+	case <-wake:
+	default:
+		t.Fatal("the first publish did not wake the waiting subscriber")
+	}
+	events, wake, closed = h.after(seen)
+	if len(events) != total-seen || closed {
+		t.Fatalf("read after id %d returned %d events (closed=%v), want %d", seen, len(events), closed, total-seen)
+	}
+	for i, ev := range events {
+		if ev.ID != seen+1+i {
+			t.Fatalf("event %d has id %d, want %d: the timeline is not dense", i, ev.ID, seen+1+i)
 		}
-		last = ev.ID
 	}
-	if last != buffered {
-		t.Fatalf("lagging subscriber received %d events before the drop, want %d", last, buffered)
+	// Closing wakes the waiters; what they then read is final, and later
+	// publishes are ignored.
+	h.close()
+	select {
+	case <-wake:
+	default:
+		t.Fatal("close did not wake the waiting subscriber")
 	}
-	cancel() // after a drop: must be a no-op, not a double close
-	backlog, _, cancel2 := h.subscribe(last)
-	defer cancel2()
-	if len(backlog) != extra {
-		t.Fatalf("replay after id %d returned %d events, want %d", last, len(backlog), extra)
+	h.publish("late", 0)
+	if events, _, closed = h.after(total); len(events) != 0 || !closed {
+		t.Fatalf("closed hub: %d events after the last id, closed=%v", len(events), closed)
 	}
-	for i, ev := range backlog {
-		if ev.ID != last+1+i {
-			t.Fatalf("replayed event %d has id %d, want %d", i, ev.ID, last+1+i)
+	select {
+	case last := <-followed:
+		if last != total {
+			t.Fatalf("live subscriber ended at id %d, want %d", last, total)
 		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("live subscriber did not end when the hub closed")
 	}
 }
 

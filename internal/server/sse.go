@@ -14,10 +14,11 @@ type sseEvent struct {
 	Data []byte // one JSON object, no newlines
 }
 
-// hub is a per-job event fan-out: publishers append to a retained timeline,
-// subscribers receive the backlog (after their Last-Event-ID) plus live
-// events. Slow subscribers are dropped rather than blocking the engine —
-// they reconnect with Last-Event-ID and replay what they missed.
+// hub is a per-job event timeline: publishers append to it, and a
+// subscriber is nothing but a cursor into it — it reads the events after
+// the last ID it wrote and waits for the next publish. There is no
+// per-subscriber buffer, so a reader can fall arbitrarily far behind
+// without losing an event and without a publisher ever waiting for it.
 //
 // base offsets the ID sequence: a hub rebuilt after a daemon restart starts
 // at the journal-persisted high-water mark, so IDs stay monotonic across
@@ -28,7 +29,8 @@ type hub struct {
 	mu     sync.Mutex
 	base   int
 	events []sseEvent
-	subs   []chan sseEvent
+	// wake is closed by the next publish or close; nil while nobody waits.
+	wake   chan struct{}
 	closed bool
 }
 
@@ -49,10 +51,10 @@ func (h *hub) highWater() int {
 	return h.base + len(h.events)
 }
 
-// publish appends one event and fans it out. v is serialised to JSON;
-// serialisation failures are impossible for the value types the server
-// publishes (plain structs of numbers and strings), so publish is infallible
-// by design.
+// publish appends one event and wakes the waiting subscribers. v is
+// serialised to JSON; serialisation failures are impossible for the value
+// types the server publishes (plain structs of numbers and strings), so
+// publish is infallible by design.
 func (h *hub) publish(kind string, v any) {
 	data, err := json.Marshal(v)
 	if err != nil {
@@ -63,65 +65,36 @@ func (h *hub) publish(kind string, v any) {
 	if h.closed {
 		return
 	}
-	ev := sseEvent{ID: h.base + len(h.events) + 1, Kind: kind, Data: data}
-	h.events = append(h.events, ev)
-	live := h.subs[:0]
-	for _, ch := range h.subs {
-		select {
-		case ch <- ev:
-			live = append(live, ch)
-		default:
-			close(ch) // lagging subscriber: drop; it replays via Last-Event-ID
-		}
-	}
-	h.subs = live
+	h.events = append(h.events, sseEvent{ID: h.base + len(h.events) + 1, Kind: kind, Data: data})
+	h.wakeLocked()
 }
 
-// subscribe registers a listener. backlog holds every retained event with
-// ID > afterID; ch then carries live events until cancel is called, the
-// subscriber lags, or the hub closes (channel closed in all three cases).
-func (h *hub) subscribe(afterID int) (backlog []sseEvent, ch chan sseEvent, cancel func()) {
+func (h *hub) wakeLocked() {
+	if h.wake != nil {
+		close(h.wake)
+		h.wake = nil
+	}
+}
+
+// after returns every retained event with ID > afterID (a read-only view
+// of the timeline), whether the stream has ended — in which case the view
+// is complete — and a channel that is closed by the next publish or close.
+func (h *hub) after(afterID int) (events []sseEvent, wake <-chan struct{}, closed bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	idx := afterID - h.base
-	if idx < 0 {
-		idx = 0
+	idx := min(max(afterID-h.base, 0), len(h.events))
+	if h.wake == nil && !h.closed {
+		h.wake = make(chan struct{})
 	}
-	if idx < len(h.events) {
-		backlog = append(backlog, h.events[idx:]...)
-	}
-	ch = make(chan sseEvent, 64)
-	if h.closed {
-		close(ch)
-		return backlog, ch, func() {}
-	}
-	h.subs = append(h.subs, ch)
-	cancel = func() {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		for i, c := range h.subs {
-			if c == ch {
-				h.subs = append(h.subs[:i], h.subs[i+1:]...)
-				close(c)
-				return
-			}
-		}
-	}
-	return backlog, ch, cancel
+	return h.events[idx:len(h.events):len(h.events)], h.wake, h.closed
 }
 
-// close ends the stream: subscribers' channels are closed after any events
-// already queued, and later publishes are ignored. The timeline stays
-// readable for Last-Event-ID replays of finished jobs.
+// close ends the stream: waiting subscribers wake to read what is left,
+// and later publishes are ignored. The timeline stays readable for
+// Last-Event-ID replays of finished jobs.
 func (h *hub) close() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.closed {
-		return
-	}
 	h.closed = true
-	for _, ch := range h.subs {
-		close(ch)
-	}
-	h.subs = nil
+	h.wakeLocked()
 }

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -233,6 +235,61 @@ func TestRecoveryServesTerminalResults(t *testing.T) {
 	// The elapsed field must also survive (journaled verbatim, not re-run).
 	if _, ok := result(t, ts2, id)["elapsed_seconds"]; !ok {
 		t.Errorf("recovered result lost elapsed_seconds")
+	}
+}
+
+// TestSubmitRecordAloneRecoversQueued pins the journal's per-job footprint
+// and the property that makes it enough: a job costs three appends (submit,
+// running, done — no state record echoing the submit), and a crash image
+// holding only the submit record recovers the job queued and runs it to the
+// uninterrupted result.
+func TestSubmitRecordAloneRecoversQueued(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newDurableServer(t, dir)
+	id := submit(t, ts, "", `{"memory":1,"ssets":8,"generations":60,"rounds":20,"seed":7}`)
+	waitState(t, ts, id, StateDone)
+	want := resultMinusElapsed(t, ts, id)
+	s.Close()
+	ts.Close()
+
+	data, err := os.ReadFile(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatalf("reading journal: %v", err)
+	}
+	var kinds []string
+	image, off := 0, 0 // image: the journal up to and including the submit record
+	for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+		off += len(line)
+		if len(line) == 0 {
+			continue
+		}
+		var rec journalRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		if rec.Job != id {
+			continue
+		}
+		kinds = append(kinds, rec.Kind+":"+string(rec.State))
+		if rec.Kind == recSubmit {
+			image = off
+		}
+	}
+	if wantKinds := []string{"submit:", "state:running", "state:done"}; !reflect.DeepEqual(kinds, wantKinds) {
+		t.Fatalf("job's journal records = %v, want %v", kinds, wantKinds)
+	}
+
+	crashDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(crashDir, journalName), data[:image], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if rj := replayJournal(data[:image]).jobs[id]; rj == nil || rj.state != StateQueued || rj.eventID != 0 {
+		t.Fatalf("submit-only journal replays to %+v, want the job queued at event id 0", rj)
+	}
+	_, ts2 := newDurableServer(t, crashDir)
+	waitState(t, ts2, id, StateDone)
+	if got := resultMinusElapsed(t, ts2, id); !reflect.DeepEqual(got, want) {
+		t.Errorf("job recovered from its submit record differs from the uninterrupted run\n got: %v\nwant: %v", got, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/metrics"
@@ -162,17 +163,34 @@ func TestMetricsOffByDefault(t *testing.T) {
 	}
 }
 
-// TestMetricsEventLogged: the engine appends one EventMetrics trace event.
+// TestMetricsEventLogged: the engine appends one EventMetrics trace event,
+// whose totals are the per-rank comm snapshot's.
 func TestMetricsEventLogged(t *testing.T) {
 	cfg := testConfig(1, 6, 10)
 	cfg.Seed = 306
 	cfg.Metrics = true
 	cfg.EventLog = trace.NewEventLog()
-	if _, err := RunParallel(cfg, 3); err != nil {
+	res, err := RunParallel(cfg, 3)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if n := cfg.EventLog.Count(trace.EventMetrics); n != 1 {
 		t.Fatalf("logged %d metrics events, want 1", n)
+	}
+	wantMsgs, wantBytes, wantColls := mpi.CommTotals(res.Metrics.Comm)
+	for _, ev := range cfg.EventLog.Events() {
+		if ev.Kind != trace.EventMetrics {
+			continue
+		}
+		var games, msgs, nbytes, colls uint64
+		if _, err := fmt.Sscanf(ev.Detail, "games=%d p2p_msgs=%d p2p_bytes=%d collectives=%d", &games, &msgs, &nbytes, &colls); err != nil {
+			t.Fatalf("metrics event detail %q: %v", ev.Detail, err)
+		}
+		// 3 ranks enter 2 broadcasts and a reduce per generation, plus set-up.
+		if games != res.Counters.GamesPlayed || msgs != wantMsgs || msgs == 0 || nbytes != wantBytes || colls != wantColls || colls < 3*3*10 {
+			t.Errorf("metrics event %q, want games=%d p2p_msgs=%d p2p_bytes=%d collectives=%d (>= 90)",
+				ev.Detail, res.Counters.GamesPlayed, wantMsgs, wantBytes, wantColls)
+		}
 	}
 }
 

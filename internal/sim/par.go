@@ -171,10 +171,9 @@ func runWorld(cfg Config, world *mpi.World, launch func(body func(*mpi.Comm) err
 		result.Metrics.Comm = world.CommMetricsSnapshot()
 		result.Metrics.Transport = world.TransportStats()
 		if cfg.EventLog != nil {
-			stats := world.Stats()
+			msgs, nbytes, colls := mpi.CommTotals(result.Metrics.Comm)
 			cfg.EventLog.Append(trace.Event{Kind: trace.EventMetrics, Generation: cfg.StartGeneration + cfg.Generations, Rank: -1,
-				Detail: fmt.Sprintf("games=%d p2p_msgs=%d p2p_bytes=%d collectives=%d",
-					result.Counters.GamesPlayed, stats.PointToPointMessages, stats.PointToPointBytes, stats.CollectiveOps)})
+				Detail: fmt.Sprintf("games=%d p2p_msgs=%d p2p_bytes=%d collectives=%d", result.Counters.GamesPlayed, msgs, nbytes, colls)})
 		}
 	}
 	return result, nil

@@ -10,11 +10,10 @@ import (
 )
 
 // payoffKernel bundles the per-rank machinery of one run's payoff
-// evaluation: the optional paper-faithful search engine and the optional
-// strategy-pair payoff cache with its per-pass fingerprint table. Each
-// rank (and the sequential engine) owns exactly one kernel; none of its
-// state is shared or sent. A nil kernel is valid and selects the plain
-// uncached path — tests exercising pairBlock.refresh directly rely on this.
+// evaluation: the exact-payoff solver (exact mode), the optional
+// paper-faithful search engine and the optional strategy-pair payoff cache
+// with its per-pass fingerprint table. Each rank (and the sequential
+// engine) owns exactly one kernel; none of its state is shared or sent.
 //
 // The cacheability contract (docs/KERNEL.md): a pair payoff may be served
 // from the cache only when replaying the match is guaranteed to reproduce
@@ -27,8 +26,9 @@ import (
 // stream and bypasses the cache, keeping cache-on and cache-off
 // trajectories identical.
 type payoffKernel struct {
-	eng   *game.SearchEngine
-	cache *game.PairCache
+	solver *analysis.Solver
+	eng    *game.SearchEngine
+	cache  *game.PairCache
 	// tab* is the per-pass fingerprint table prepare() builds from the
 	// population: one entry per SSet, so the pair loop pays two slice loads
 	// per match. tabOK[i] is false when SSet i's strategy is not memoizable
@@ -40,6 +40,9 @@ type payoffKernel struct {
 // newPayoffKernel builds the kernel for one rank of a validated config.
 func newPayoffKernel(cfg *Config) *payoffKernel {
 	k := &payoffKernel{}
+	if cfg.ExactPayoffs {
+		k.solver = analysis.NewSolver(strategy.NewSpace(cfg.Memory))
+	}
 	if cfg.UseSearchEngine {
 		k.eng = game.NewSearchEngine(strategy.NewSpace(cfg.Memory))
 	}
@@ -52,7 +55,7 @@ func newPayoffKernel(cfg *Config) *payoffKernel {
 // cacheStats snapshots the pair cache, nil when caching is disabled (so the
 // metrics snapshot field stays omitted and wire sizes are unchanged).
 func (k *payoffKernel) cacheStats() *game.CacheStats {
-	if k == nil || k.cache == nil {
+	if k.cache == nil {
 		return nil
 	}
 	st := k.cache.Stats()
@@ -63,7 +66,7 @@ func (k *payoffKernel) cacheStats() *game.CacheStats {
 // ahead of a refresh sweep. It costs one fingerprint per SSet — amortised
 // over up to S-1 matches each — and is a no-op without a cache.
 func (k *payoffKernel) prepare(cfg *Config, pop *Population) {
-	if k == nil || k.cache == nil {
+	if k.cache == nil {
 		return
 	}
 	n := pop.Size()
@@ -90,7 +93,7 @@ func (k *payoffKernel) prepare(cfg *Config, pop *Population) {
 // rng.Derive never advances the master stream, so serving a hit cannot
 // shift any other draw: cache-on and cache-off runs stay bit-identical.
 func (k *payoffKernel) pairPayoff(cfg *Config, master *rng.Source, gen, i, j int, si, sj strategy.Strategy) (float64, error) {
-	if k == nil || k.cache == nil || !k.tabOK[i] || !k.tabOK[j] {
+	if k.cache == nil || !k.tabOK[i] || !k.tabOK[j] {
 		return k.play(cfg, master, gen, i, j, si, sj)
 	}
 	key := game.NewPairKey(k.tabFP[i], k.tabFP[j], cfg.Rules, cfg.ExactPayoffs)
@@ -112,8 +115,8 @@ func (k *payoffKernel) pairPayoff(cfg *Config, master *rng.Source, gen, i, j int
 // no noise, direct indexing) because game.PlayPure is bit-identical to
 // game.Play there — it is a strictly faster encoding of the same loop.
 func (k *payoffKernel) play(cfg *Config, master *rng.Source, gen, i, j int, si, sj strategy.Strategy) (float64, error) {
-	if cfg.ExactPayoffs {
-		pi0, _, err := analysis.MarkovPayoffN(cfg.Rules.Payoff, si, sj, cfg.Rules.ErrorRate)
+	if k.solver != nil {
+		pi0, _, err := k.solver.Payoff(cfg.Rules.Payoff, si, sj, cfg.Rules.ErrorRate)
 		if err != nil {
 			// Config.Validate probes exact-mode computability up front, so
 			// this is nearly unreachable — but a malformed job (say, an
@@ -125,7 +128,7 @@ func (k *payoffKernel) play(cfg *Config, master *rng.Source, gen, i, j int, si, 
 		return pi0, nil
 	}
 	src := master.Derive(0x6A3E, uint64(gen), uint64(i), uint64(j))
-	if k != nil && k.eng != nil {
+	if k.eng != nil {
 		return k.eng.Play(cfg.Rules, si, sj, src).Mean0(), nil
 	}
 	if cfg.Rules.ErrorRate == 0 {

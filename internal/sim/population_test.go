@@ -114,7 +114,7 @@ func TestFitnessScaleIsPerRound(t *testing.T) {
 			pop.SetStrategy(i, strategy.AllC(pop.Space()))
 		}
 		b := wholeBlock(pop.Size())
-		if _, err := b.refresh(&cfg, pop, master, nil, 0, cfg.FullRecompute); err != nil {
+		if _, err := b.refresh(&cfg, pop, master, newPayoffKernel(&cfg), 0, cfg.FullRecompute); err != nil {
 			t.Fatal(err)
 		}
 		if got := b.fitness(0); got != cfg.Rules.Payoff.T {
@@ -299,7 +299,7 @@ func TestRefreshPayoffsIncremental(t *testing.T) {
 	pop := NewPopulation(cfg, master)
 	b := wholeBlock(pop.Size())
 	refresh := func(gen int) (uint64, error) {
-		return b.refresh(&cfg, pop, master, nil, gen, cfg.FullRecompute)
+		return b.refresh(&cfg, pop, master, newPayoffKernel(&cfg), gen, cfg.FullRecompute)
 	}
 	// The Nature rank's closed-form tally must agree with every pass.
 	scheduled := func() uint64 { return scheduledGames(pop.dirty, cfg.FullRecompute) }
@@ -340,7 +340,7 @@ func TestPayoffValuesMatchDirectPlay(t *testing.T) {
 	pop.SetStrategy(0, strategy.AllC(pop.Space()))
 	pop.SetStrategy(1, strategy.AllD(pop.Space()))
 	b := wholeBlock(pop.Size())
-	if _, err := b.refresh(&cfg, pop, master, nil, 0, cfg.FullRecompute); err != nil {
+	if _, err := b.refresh(&cfg, pop, master, newPayoffKernel(&cfg), 0, cfg.FullRecompute); err != nil {
 		t.Fatal(err)
 	}
 	// ALLC vs ALLD: sucker payoff 0 per round; ALLD vs ALLC: temptation 4.
@@ -364,7 +364,7 @@ func TestPairBlocksTileTheWholeList(t *testing.T) {
 	pop := NewPopulation(cfg, master)
 	s := pop.Size()
 	whole := wholeBlock(s)
-	if _, err := whole.refresh(&cfg, pop, master, nil, 4, false); err != nil {
+	if _, err := whole.refresh(&cfg, pop, master, newPayoffKernel(&cfg), 4, false); err != nil {
 		t.Fatal(err)
 	}
 	for _, nWorkers := range []int{1, 2, 4, 7, s * (s - 1)} {
@@ -374,7 +374,7 @@ func TestPairBlocksTileTheWholeList(t *testing.T) {
 		for w := 0; w < nWorkers; w++ {
 			lo, hi := blockRange(s*(s-1), nWorkers, w)
 			b := newPairBlock(s, lo, hi)
-			g, err := b.refresh(&cfg, pop, master, nil, 4, false)
+			g, err := b.refresh(&cfg, pop, master, newPayoffKernel(&cfg), 4, false)
 			if err != nil {
 				t.Fatal(err)
 			}
