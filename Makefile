@@ -35,9 +35,10 @@ race:
 # is whatever `go test -list '^Fuzz' ./...` reports (target names, then an
 # "ok <package>" line per package), so a new target is fuzzed in CI the day
 # it lands. Today: the checkpoint wire format and the bitset decoder under
-# it, the fault-spec grammar, the wire frame decoder, the job-store journal
-# replayer (arbitrary tail damage must never panic), strategy fingerprints,
-# and the egdlint allow-directive grammar.
+# it, the fault-spec grammar, the wire frame and payload decoder, the
+# parallel engine's message decoders, the job-store journal replayer
+# (arbitrary tail damage must never panic), strategy fingerprints, and the
+# egdlint allow-directive grammar.
 fuzz:
 	@set -e; list=$$($(GO) test -list '^Fuzz' ./...); \
 	echo "$$list" | awk '/^Fuzz/ {t[n++] = $$1} /^ok/ {for (i = 0; i < n; i++) print t[i], $$2; n = 0}' | \
@@ -49,7 +50,8 @@ fuzz:
 # Multi-process chaos smoke: egdrun spawns a real worker fleet over unix
 # sockets, runs a seeded config fault-free, then reruns it with one worker
 # SIGKILLed and one SIGSTOPped mid-run, and asserts the deterministic
-# summary lines are byte-identical (see scripts/chaos_smoke.sh).
+# summary lines are byte-identical and the fault evicted its rank — once at
+# memory one, once at memory six (see scripts/chaos_smoke.sh).
 chaos:
 	./scripts/chaos_smoke.sh
 

@@ -141,7 +141,10 @@ func TestFleetChaosScheduleMatchesFaultFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		args := append([]string{"-np", "4", "-ssets", "16", "-gens", "1200", "-rounds", "20", "-seed", "7", "-full",
+		// Sized so the run is still going when the second fault lands: the
+		// byte-oriented wire codec made a networked generation several times
+		// cheaper than it was when this ran 1200 generations.
+		args := append([]string{"-np", "4", "-ssets", "16", "-gens", "6000", "-rounds", "20", "-seed", "7", "-full",
 			"-sock", t.TempDir(), "-timeout", "2m"}, extra...)
 		cmd := exec.Command(self, args...)
 		cmd.Env = append(os.Environ(), helperEnv+"=1")
@@ -176,7 +179,7 @@ func TestFleetChaosScheduleMatchesFaultFree(t *testing.T) {
 	}
 
 	cfg := sim.DefaultConfig(1, 16)
-	cfg.Generations = 1200
+	cfg.Generations = 6000
 	cfg.Rules.Rounds = 20
 	cfg.Seed = 7
 	cfg.FullRecompute = true

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/strategy"
@@ -103,6 +104,11 @@ func (s *Snapshot) Validate() error {
 		if st.Space() != sp {
 			return fmt.Errorf("checkpoint: strategy %d space mismatch", i)
 		}
+		switch st.(type) {
+		case *strategy.Pure, *strategy.Mixed:
+		default:
+			return fmt.Errorf("checkpoint: unsupported strategy type %T", st)
+		}
 	}
 	if len(s.Fitness) != 0 && len(s.Fitness) != len(s.Strategies) {
 		return fmt.Errorf("checkpoint: %d fitness values for %d strategies", len(s.Fitness), len(s.Strategies))
@@ -137,27 +143,11 @@ func Write(w io.Writer, s *Snapshot) error {
 		hasFitness = 1
 	}
 	_ = bw.WriteByte(hasFitness)
+	var record []byte // reused across strategies
 	for _, st := range s.Strategies {
-		switch v := st.(type) {
-		case *strategy.Pure:
-			_ = bw.WriteByte(kindPure)
-			data, err := v.Bits().MarshalBinary()
-			if err != nil {
-				return err
-			}
-			writeU32(uint32(len(data)))
-			if _, err := bw.Write(data); err != nil {
-				return err
-			}
-		case *strategy.Mixed:
-			_ = bw.WriteByte(kindMixed)
-			probs := v.Probs()
-			writeU32(uint32(len(probs)))
-			for _, p := range probs {
-				writeU64(math.Float64bits(p))
-			}
-		default:
-			return fmt.Errorf("checkpoint: unsupported strategy type %T", st)
+		record = AppendStrategy(record[:0], st)
+		if _, err := bw.Write(record); err != nil {
+			return err
 		}
 	}
 	if hasFitness == 1 {
@@ -188,6 +178,72 @@ func Write(w io.Writer, s *Snapshot) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// AppendStrategy appends one strategy the way the snapshot stream and the
+// parallel engine's messages both carry it: a kind byte, a little-endian
+// uint32 length, and the body — the response bitset's binary form (length in
+// bytes) for a pure strategy, one float64 per state (length in states) for
+// a mixed one. There is no third form: it panics on any other type, which
+// Snapshot.Validate reports as an error first.
+func AppendStrategy(b []byte, st strategy.Strategy) []byte {
+	switch v := st.(type) {
+	case *strategy.Pure:
+		bits, _ := v.Bits().MarshalBinary()
+		return append(binary.LittleEndian.AppendUint32(append(b, kindPure), uint32(len(bits))), bits...)
+	case *strategy.Mixed:
+		b = binary.LittleEndian.AppendUint32(append(slices.Grow(b, 5+8*len(v.Probs())), kindMixed), uint32(len(v.Probs())))
+		for _, p := range v.Probs() {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p))
+		}
+		return b
+	}
+	panic(fmt.Sprintf("checkpoint: unsupported strategy type %T", st))
+}
+
+// ReadStrategy decodes one strategy of space sp written by AppendStrategy. A
+// length that does not fit the space is refused before the body is read.
+func ReadStrategy(r io.Reader, sp strategy.Space) (strategy.Strategy, error) {
+	var head [5]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil {
+		return nil, err
+	}
+	n := int(binary.LittleEndian.Uint32(head[1:]))
+	switch head[0] {
+	case kindPure:
+		if n > 1<<20 {
+			return nil, fmt.Errorf("pure strategy blob of %d bytes", n)
+		}
+		data := make([]byte, n)
+		if _, err := io.ReadFull(r, data); err != nil {
+			return nil, err
+		}
+		var b bitset.Bitset
+		if err := b.UnmarshalBinary(data); err != nil {
+			return nil, err
+		}
+		if b.Len() != sp.NumStates() {
+			return nil, fmt.Errorf("pure strategy has %d states, want %d", b.Len(), sp.NumStates())
+		}
+		return strategy.PureFromBits(sp, &b), nil
+	case kindMixed:
+		if n != sp.NumStates() {
+			return nil, fmt.Errorf("mixed strategy has %d probs, want %d", n, sp.NumStates())
+		}
+		data := make([]byte, 8*n)
+		if _, err := io.ReadFull(r, data); err != nil {
+			return nil, err
+		}
+		probs := make([]float64, n)
+		for j := range probs {
+			probs[j] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*j:]))
+			if math.IsNaN(probs[j]) || probs[j] < 0 || probs[j] > 1 {
+				return nil, fmt.Errorf("mixed strategy prob %d out of range", j)
+			}
+		}
+		return strategy.MixedFromProbs(sp, probs), nil
+	}
+	return nil, fmt.Errorf("unknown strategy kind %d", head[0])
 }
 
 // Read decodes a snapshot from r.
@@ -238,49 +294,8 @@ func Read(r io.Reader) (*Snapshot, error) {
 	sp := strategy.NewSpace(s.Memory)
 	s.Strategies = make([]strategy.Strategy, count)
 	for i := range s.Strategies {
-		kind, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: strategy %d kind: %w", i, err)
-		}
-		var n uint32
-		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-			return nil, err
-		}
-		switch kind {
-		case kindPure:
-			if n > 1<<20 {
-				return nil, fmt.Errorf("checkpoint: pure strategy blob of %d bytes", n)
-			}
-			data := make([]byte, n)
-			if _, err := io.ReadFull(br, data); err != nil {
-				return nil, err
-			}
-			var b bitset.Bitset
-			if err := b.UnmarshalBinary(data); err != nil {
-				return nil, err
-			}
-			if b.Len() != sp.NumStates() {
-				return nil, fmt.Errorf("checkpoint: strategy %d has %d states, want %d", i, b.Len(), sp.NumStates())
-			}
-			s.Strategies[i] = strategy.PureFromBits(sp, &b)
-		case kindMixed:
-			if int(n) != sp.NumStates() {
-				return nil, fmt.Errorf("checkpoint: mixed strategy %d has %d probs, want %d", i, n, sp.NumStates())
-			}
-			probs := make([]float64, n)
-			for j := range probs {
-				var bits64 uint64
-				if err := binary.Read(br, binary.LittleEndian, &bits64); err != nil {
-					return nil, err
-				}
-				probs[j] = math.Float64frombits(bits64)
-				if math.IsNaN(probs[j]) || probs[j] < 0 || probs[j] > 1 {
-					return nil, fmt.Errorf("checkpoint: mixed strategy %d prob %d out of range", i, j)
-				}
-			}
-			s.Strategies[i] = strategy.MixedFromProbs(sp, probs)
-		default:
-			return nil, fmt.Errorf("checkpoint: unknown strategy kind %d", kind)
+		if s.Strategies[i], err = ReadStrategy(br, sp); err != nil {
+			return nil, fmt.Errorf("checkpoint: strategy %d: %w", i, err)
 		}
 	}
 	if hasFitness == 1 {

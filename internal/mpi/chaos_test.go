@@ -46,7 +46,7 @@ func chaosBody(gens int, fail func(g int, c *Comm) error) func(c *Comm) error {
 					}
 				}
 			} else {
-				err = c.Send(0, 7, g)
+				err = c.Send(0, 7, float64(g))
 			}
 			if err == nil {
 				err = c.Barrier()

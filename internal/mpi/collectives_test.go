@@ -43,13 +43,13 @@ func TestBcastSequenceDifferentRoots(t *testing.T) {
 			root := iter % c.Size()
 			var p any
 			if c.Rank() == root {
-				p = iter * 100
+				p = float64(iter * 100)
 			}
 			got, err := c.Bcast(root, p)
 			if err != nil {
 				return err
 			}
-			if got.(int) != iter*100 {
+			if got.(float64) != float64(iter*100) {
 				return fmt.Errorf("iter %d: rank %d got %v", iter, c.Rank(), got)
 			}
 		}
@@ -109,7 +109,7 @@ func TestGatherAllRoots(t *testing.T) {
 		for root := 0; root < size; root += max(1, size/2) {
 			w := NewWorld(size)
 			err := w.Run(func(c *Comm) error {
-				got, err := c.Gather(root, c.Rank()*c.Rank())
+				got, err := c.Gather(root, float64(c.Rank()*c.Rank()))
 				if err != nil {
 					return err
 				}
@@ -120,7 +120,7 @@ func TestGatherAllRoots(t *testing.T) {
 					return nil
 				}
 				for i, v := range got {
-					if v.(int) != i*i {
+					if v.(float64) != float64(i*i) {
 						return fmt.Errorf("slot %d = %v", i, v)
 					}
 				}
@@ -173,15 +173,15 @@ func TestMixedCollectiveSequence(t *testing.T) {
 		for gen := 0; gen < 30; gen++ {
 			pair, err := c.Bcast(0, func() any {
 				if c.Rank() == 0 {
-					return []int{gen % 8, (gen + 3) % 8}
+					return []byte{byte(gen % 8), byte((gen + 3) % 8)}
 				}
 				return nil
 			}())
 			if err != nil {
 				return err
 			}
-			sel := pair.([]int)
-			if sel[0] != gen%8 {
+			sel := pair.([]byte)
+			if int(sel[0]) != gen%8 {
 				return fmt.Errorf("gen %d: bad pair %v", gen, sel)
 			}
 			total, err := c.Reduce(0, float64(c.Rank()), OpSum)
@@ -208,7 +208,7 @@ func TestCollectiveCounters(t *testing.T) {
 	err := w.Run(func(c *Comm) error {
 		_, err := c.Bcast(0, func() any {
 			if c.Rank() == 0 {
-				return 1
+				return 1.0
 			}
 			return nil
 		}())

@@ -62,7 +62,7 @@ func TestEvictionKilledWorkerRecoversLive(t *testing.T) {
 				}
 				if err == nil {
 					for i := 1; i < c.Size(); i++ {
-						if err = c.Send(i, 8, g); err != nil {
+						if err = c.Send(i, 8, float64(g)); err != nil {
 							break
 						}
 					}
@@ -71,7 +71,7 @@ func TestEvictionKilledWorkerRecoversLive(t *testing.T) {
 				if err = c.Send(0, 7, float64(c.OrigRank())); err == nil {
 					var msg Message
 					if msg, err = c.Recv(0, 8); err == nil {
-						g = msg.Payload.(int)
+						g = int(msg.Payload.(float64))
 					}
 				}
 			}
@@ -86,11 +86,11 @@ func TestEvictionKilledWorkerRecoversLive(t *testing.T) {
 			c = nc
 			// Resynchronise the generation on the new communicator, the
 			// way the sim's resume broadcast does.
-			v, berr := c.Bcast(0, g)
+			v, berr := c.Bcast(0, float64(g))
 			if berr != nil {
 				return berr
 			}
-			g = v.(int)
+			g = int(v.(float64))
 		}
 		mu.Lock()
 		groups[c.OrigRank()] = c.world.orig
@@ -271,14 +271,14 @@ func TestShrinkRemapsRanksAndCounters(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if msg.Source != 1 || msg.Payload.(int) != 42 {
+			if msg.Source != 1 || msg.Payload.(float64) != 42 {
 				return fmt.Errorf("got %+v", msg)
 			}
 		case 2:
 			if nc.Rank() != 1 || nc.OrigRank() != 2 {
 				return fmt.Errorf("orig 2 mapped to rank %d (orig %d)", nc.Rank(), nc.OrigRank())
 			}
-			if err := nc.Send(0, 5, 42); err != nil {
+			if err := nc.Send(0, 5, 42.0); err != nil {
 				return err
 			}
 			if g := fmt.Sprint(nc.world.orig); g != fmt.Sprint([]int{0, 2}) {
@@ -375,7 +375,7 @@ func TestEvictionTwoStaggeredFailures(t *testing.T) {
 				}
 				if err == nil {
 					for i := 1; i < c.Size(); i++ {
-						if err = c.Send(i, 8, g); err != nil {
+						if err = c.Send(i, 8, float64(g)); err != nil {
 							break
 						}
 					}
@@ -384,7 +384,7 @@ func TestEvictionTwoStaggeredFailures(t *testing.T) {
 				if err = c.Send(0, 7, 1.0); err == nil {
 					var msg Message
 					if msg, err = c.Recv(0, 8); err == nil {
-						g = msg.Payload.(int)
+						g = int(msg.Payload.(float64))
 					}
 				}
 			}
@@ -397,7 +397,7 @@ func TestEvictionTwoStaggeredFailures(t *testing.T) {
 				return err
 			}
 			c = nc
-			v, berr := c.Bcast(0, g)
+			v, berr := c.Bcast(0, float64(g))
 			if berr != nil {
 				// A second failure can land during resynchronisation;
 				// run another recovery epoch.
@@ -406,11 +406,11 @@ func TestEvictionTwoStaggeredFailures(t *testing.T) {
 					return berr
 				}
 				c = nc
-				if v, berr = c.Bcast(0, g); berr != nil {
+				if v, berr = c.Bcast(0, float64(g)); berr != nil {
 					return berr
 				}
 			}
-			g = v.(int)
+			g = int(v.(float64))
 		}
 		return nil
 	})

@@ -16,7 +16,7 @@ func TestKillAfterNthSendIsDeterministic(t *testing.T) {
 		err := w.Run(func(c *Comm) error {
 			if c.Rank() == 0 {
 				for i := 1; i <= 10; i++ {
-					if err := c.Send(1, 1, i); err != nil {
+					if err := c.Send(1, 1, float64(i)); err != nil {
 						return err
 					}
 				}
@@ -27,7 +27,7 @@ func TestKillAfterNthSendIsDeterministic(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				got = append(got, msg.Payload.(int))
+				got = append(got, int(msg.Payload.(float64)))
 			}
 		})
 		if !errors.Is(err, ErrInjectedFault) {
@@ -52,7 +52,7 @@ func TestKillFiresOnceAcrossWorlds(t *testing.T) {
 		w.InstallFaultPlan(plan)
 		return w.Run(func(c *Comm) error {
 			if c.Rank() == 0 {
-				return c.Send(1, 1, "hello")
+				return c.Send(1, 1, []byte("hello"))
 			}
 			_, err := c.Recv(0, 1)
 			return err
@@ -79,7 +79,7 @@ func TestDropSendsPreservesOrderOfSurvivors(t *testing.T) {
 		const n = 10
 		if c.Rank() == 0 {
 			for i := 1; i <= n; i++ {
-				if err := c.Send(1, 1, i); err != nil {
+				if err := c.Send(1, 1, float64(i)); err != nil {
 					return err
 				}
 			}
@@ -91,7 +91,7 @@ func TestDropSendsPreservesOrderOfSurvivors(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if msg.Payload.(int) != w {
+			if msg.Payload.(float64) != float64(w) {
 				return errors.New("out-of-order or wrong survivor payload")
 			}
 		}
@@ -112,13 +112,13 @@ func TestDelaySendsStillDeliver(t *testing.T) {
 	start := time.Now()
 	err := w.Run(func(c *Comm) error {
 		if c.Rank() == 0 {
-			return c.Send(1, 1, 42)
+			return c.Send(1, 1, 42.0)
 		}
 		msg, err := c.Recv(0, 1)
 		if err != nil {
 			return err
 		}
-		if msg.Payload.(int) != 42 {
+		if msg.Payload.(float64) != 42 {
 			return errors.New("wrong payload")
 		}
 		return nil
@@ -152,13 +152,13 @@ func TestRecvTimeoutDeliversBeforeDeadline(t *testing.T) {
 	w := NewWorld(2)
 	err := w.Run(func(c *Comm) error {
 		if c.Rank() == 0 {
-			return c.Send(1, 1, "on time")
+			return c.Send(1, 1, []byte("on time"))
 		}
 		msg, err := c.RecvTimeout(0, 1, 5*time.Second)
 		if err != nil {
 			return err
 		}
-		if msg.Payload.(string) != "on time" {
+		if string(msg.Payload.([]byte)) != "on time" {
 			return errors.New("wrong payload")
 		}
 		return nil
@@ -265,10 +265,10 @@ func TestRankOperationCounters(t *testing.T) {
 	w := NewWorld(2)
 	err := w.Run(func(c *Comm) error {
 		if c.Rank() == 0 {
-			if err := c.Send(1, 1, 1); err != nil {
+			if err := c.Send(1, 1, 1.0); err != nil {
 				return err
 			}
-			if err := c.Send(1, 1, 2); err != nil {
+			if err := c.Send(1, 1, 2.0); err != nil {
 				return err
 			}
 		} else {
@@ -379,7 +379,7 @@ func TestFaultStressNoHang(t *testing.T) {
 				return nil
 			}
 			for i := 0; i < perWorker; i++ {
-				if err := c.Send(0, 1, i); err != nil {
+				if err := c.Send(0, 1, float64(i)); err != nil {
 					return err
 				}
 			}

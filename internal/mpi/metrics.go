@@ -247,7 +247,7 @@ func (c *Comm) accountRecv(e envelope) {
 	if root.commMetrics == nil {
 		return
 	}
-	// The error is the sender's: send refuses a payload without a modelled size.
+	// The error is the sender's: send refuses a payload kind the runtime does not carry.
 	nb, _ := payloadBytes(e.payload)
 	root.commMetrics[c.world.origOf(c.rank)].addRecv(e.tag, nb)
 }

@@ -8,21 +8,17 @@ import (
 )
 
 // TestMetricsRoundTripMatchesPayloadAccounting sends one payload of
-// every modelled wire type across a two-rank world and asserts the
+// every payload kind across a two-rank world and asserts the
 // per-rank byte counters agree with the payloadBytes model and with the
 // world's coarse totals.
 func TestMetricsRoundTripMatchesPayloadAccounting(t *testing.T) {
 	payloads := []any{
+		nil,
 		[]byte{1, 2, 3},
-		[]uint64{1, 2},
 		[]float64{1, 2, 3, 4},
-		[]int{5},
-		[]uint32{6, 7, 8},
-		"hello",
 		3.14,
-		uint64(9),
-		true,
-		[2]int{1, 2},
+		[]byte("hello"),
+		[]float64{},
 	}
 	var wantBytes uint64
 	for _, p := range payloads {
@@ -158,7 +154,7 @@ func TestMetricsSurviveShrink(t *testing.T) {
 			return err
 		}
 		if nc.Rank() == 0 {
-			if err := nc.Send(1, tag, []uint64{1, 2, 3}); err != nil {
+			if err := nc.Send(1, tag, []float64{1, 2, 3}); err != nil {
 				return err
 			}
 		} else {
@@ -180,11 +176,11 @@ func TestMetricsSurviveShrink(t *testing.T) {
 	if !snaps[2].Evicted {
 		t.Error("rank 2 not marked evicted")
 	}
-	if snaps[0].SentBytes != 24 {
-		t.Errorf("rank 0 sent %d bytes on the sub-world, want 24", snaps[0].SentBytes)
+	if snaps[0].SentBytes != 25 {
+		t.Errorf("rank 0 sent %d bytes on the sub-world, want 25", snaps[0].SentBytes)
 	}
-	if snaps[1].RecvBytes != 24 {
-		t.Errorf("rank 1 received %d bytes on the sub-world, want 24", snaps[1].RecvBytes)
+	if snaps[1].RecvBytes != 25 {
+		t.Errorf("rank 1 received %d bytes on the sub-world, want 25", snaps[1].RecvBytes)
 	}
 	if snaps[0].Heartbeats == 0 && snaps[1].Heartbeats == 0 {
 		t.Error("no heartbeats recorded in eviction mode")

@@ -461,8 +461,10 @@ func (c *Comm) send(dst, tag int, payload any) error {
 }
 
 // Send delivers payload to dst with the given tag. It is buffered: it
-// returns as soon as the message is enqueued. The payload is shared by
-// reference; senders must not mutate it afterwards.
+// returns as soon as the message is enqueued. The payload is nil, a
+// float64, a []float64 or a []byte — anything else is an error, in process
+// and over a transport alike (payloadBytes) — and is shared by reference;
+// senders must not mutate it afterwards.
 func (c *Comm) Send(dst, tag int, payload any) error {
 	if err := c.checkUserTag(tag); err != nil {
 		return err
@@ -508,54 +510,4 @@ func (c *Comm) recvDeadline(src, tag int, timeout time.Duration) (Message, error
 	}
 	c.accountRecv(e)
 	return Message{Source: e.source, Tag: e.tag, Payload: e.payload}, nil
-}
-
-// payloadBytes is the wire-size model behind the communication counters
-// (and hence the perf model). A type it does not know is an error, which
-// Comm.send returns: counting a guess would corrupt the counters, and a
-// networked world refuses the same type at encode time.
-func payloadBytes(p any) (uint64, error) {
-	switch v := p.(type) {
-	case nil:
-		return 0, nil
-	case []byte:
-		return uint64(len(v)), nil
-	case []uint64:
-		return uint64(8 * len(v)), nil
-	case []float64:
-		return uint64(8 * len(v)), nil
-	case []int:
-		return uint64(8 * len(v)), nil
-	case []uint32:
-		return uint64(4 * len(v)), nil
-	case []any:
-		// Aggregate payloads cost the sum of their elements on the wire.
-		var total uint64
-		for _, e := range v {
-			n, err := payloadBytes(e)
-			if err != nil {
-				return 0, err
-			}
-			total += n
-		}
-		return total, nil
-	case string:
-		return uint64(len(v)), nil
-	case float64, int, uint64, int64, uint32, int32:
-		return 8, nil
-	case bool, uint8, int8:
-		return 1, nil
-	case [2]int:
-		return 16, nil
-	case Sizer:
-		return v.WireBytes(), nil
-	default:
-		return 0, fmt.Errorf("mpi: payload type %T has no modelled wire size; implement mpi.Sizer", p)
-	}
-}
-
-// Sizer lets payload types report their modelled wire size to the
-// communication counters.
-type Sizer interface {
-	WireBytes() uint64
 }

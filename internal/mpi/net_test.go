@@ -1,10 +1,12 @@
 package mpi
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -85,22 +87,26 @@ func TestNetWorldPointToPointAndCollectives(t *testing.T) {
 	errs := runNetWorlds(t, trs, nil, func(c *Comm) error {
 		n := c.Size()
 		// Ring exchange.
-		if err := c.Send((c.Rank()+1)%n, 7, c.Rank()); err != nil {
+		if err := c.Send((c.Rank()+1)%n, 7, float64(c.Rank())); err != nil {
 			return fmt.Errorf("ring send: %w", err)
+		}
+		// A payload outside the four kinds is refused here as in process.
+		if err := c.Send((c.Rank()+1)%n, 7, c.Rank()); err == nil || !strings.Contains(err.Error(), "int") { // deliberate orphan: refused, never delivered
+			return fmt.Errorf("Send(int) over the mesh: %v, want an error naming the type", err)
 		}
 		m, err := c.Recv((c.Rank()+n-1)%n, 7)
 		if err != nil {
 			return fmt.Errorf("ring recv: %w", err)
 		}
-		if m.Payload.(int) != (c.Rank()+n-1)%n {
+		if m.Payload.(float64) != float64((c.Rank()+n-1)%n) {
 			return fmt.Errorf("ring got %v", m.Payload)
 		}
 		// Broadcast.
-		got, err := c.Bcast(0, "hello")
+		got, err := c.Bcast(0, []byte("hello"))
 		if err != nil {
 			return fmt.Errorf("bcast: %w", err)
 		}
-		if got.(string) != "hello" {
+		if string(got.([]byte)) != "hello" {
 			return fmt.Errorf("bcast got %v", got)
 		}
 		// Reduction.
@@ -112,25 +118,15 @@ func TestNetWorldPointToPointAndCollectives(t *testing.T) {
 			return fmt.Errorf("reduce got %v", sum)
 		}
 		// Gather.
-		vals, err := c.Gather(0, c.Rank())
+		vals, err := c.Gather(0, []float64{float64(c.Rank()), 0.5})
 		if err != nil {
 			return fmt.Errorf("gather: %w", err)
 		}
 		if c.Rank() == 0 {
 			for i, v := range vals {
-				if v.(int) != i {
+				if f := v.([]float64); len(f) != 2 || f[0] != float64(i) || f[1] != 0.5 {
 					return fmt.Errorf("gather got %v", vals)
 				}
-			}
-		}
-		// The gathered []any aggregate crosses the wire again, then barrier.
-		all, err := c.Bcast(0, vals)
-		if err != nil {
-			return fmt.Errorf("bcast of gathered: %w", err)
-		}
-		for i, v := range all.([]any) {
-			if v.(int) != i {
-				return fmt.Errorf("bcast of gathered got %v", all)
 			}
 		}
 		return c.Barrier()
@@ -151,7 +147,7 @@ func TestNetWorldSeverReconnectsAndResends(t *testing.T) {
 	errs := runNetWorlds(t, trs, nil, func(c *Comm) error {
 		if c.Rank() == 0 {
 			for i := 0; i < msgs; i++ {
-				if err := c.Send(1, 5, i); err != nil {
+				if err := c.Send(1, 5, float64(i)); err != nil {
 					return err
 				}
 				time.Sleep(time.Millisecond)
@@ -161,7 +157,7 @@ func TestNetWorldSeverReconnectsAndResends(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if m.Payload.(int) != msgs {
+			if m.Payload.(float64) != msgs {
 				return fmt.Errorf("receiver saw %v messages", m.Payload)
 			}
 			return nil
@@ -171,7 +167,7 @@ func TestNetWorldSeverReconnectsAndResends(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if m.Payload.(int) != i {
+			if m.Payload.(float64) != float64(i) {
 				return fmt.Errorf("message %d carried %v (reorder or loss)", i, m.Payload)
 			}
 			if i == msgs/3 || i == 2*msgs/3 {
@@ -180,7 +176,7 @@ func TestNetWorldSeverReconnectsAndResends(t *testing.T) {
 				trs[1].DropConns()
 			}
 		}
-		return c.Send(0, 6, msgs)
+		return c.Send(0, 6, float64(msgs))
 	})
 	for r, err := range errs {
 		if err != nil {
@@ -225,7 +221,7 @@ func TestNetWorldErrorExitEvictedSurvivorsRecover(t *testing.T) {
 						}
 					}
 				} else {
-					err = c.Send(0, 7, g)
+					err = c.Send(0, 7, float64(g))
 				}
 				if err == nil {
 					// Lockstep: nobody races ahead of the failure epoch on
@@ -284,7 +280,7 @@ func TestNetWorldSilentVanishEvicted(t *testing.T) {
 						}
 					}
 				} else {
-					err = c.Send(0, 7, g)
+					err = c.Send(0, 7, float64(g))
 				}
 				if err == nil {
 					err = c.Barrier()
@@ -369,7 +365,7 @@ func TestNetHalfOpenPeerDroppedWhileMeshWires(t *testing.T) {
 			defer wg.Done()
 			errs[r] = w.RunLocal(func(c *Comm) error {
 				if c.Rank() == 0 {
-					return c.Send(1, 7, "ping")
+					return c.Send(1, 7, []byte("ping"))
 				}
 				_, err := c.Recv(0, 7)
 				return err
@@ -479,7 +475,7 @@ func TestNetShutdownBoundedByLinger(t *testing.T) {
 	}
 	var bodyEnd time.Time
 	if err := w.RunLocal(func(c *Comm) error {
-		err := c.Send(1, 7, "unheard")
+		err := c.Send(1, 7, []byte("unheard"))
 		bodyEnd = time.Now()
 		return err
 	}); err != nil {
@@ -487,6 +483,119 @@ func TestNetShutdownBoundedByLinger(t *testing.T) {
 	}
 	if took := time.Since(bodyEnd); took < linger || took > linger+time.Second {
 		t.Errorf("Shutdown with an unacknowledged frame took %v, want between Linger (%v) and Linger+1s", took, linger)
+	}
+}
+
+// A data frame whose payload does not decode is a protocol violation by a
+// peer the handshake admitted as speaking this codec: the frame was acked, so
+// it will never be resent, and the receiver must not wait for it. Rank 1 is a
+// stand-in that completes the handshake and sends one data frame of an
+// unknown payload kind; rank 0's blocked Recv returns the peer's failure —
+// the abort cause, or under eviction the revocation carrying it.
+func TestNetUndecodableDataFrameFailsThePeer(t *testing.T) {
+	for _, evict := range []bool{false, true} {
+		t.Run(fmt.Sprintf("evict=%v", evict), func(t *testing.T) {
+			cfgs := netMesh(t, 2)
+			trs := newNetTransports(t, cfgs)
+			ln, err := net.Listen("unix", cfgs[1].Addrs[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			release := make(chan struct{})
+			defer close(release)
+			go func() {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				if _, err := readFrame(conn); err != nil {
+					return
+				}
+				if err := trs[1].writeHandshake(conn, frameWelcome); err != nil {
+					return
+				}
+				_ = trs[1].writeFrame(conn, &frame{Kind: frameData, Seq: 1, Src: 1, Dst: 0, Tag: 7, Payload: []byte{0xFF, 1, 2}})
+				<-release
+			}()
+
+			w := NewNetWorld(trs[0])
+			if evict {
+				w.EnableEviction(testBeat, 1000) // the beat monitor must not be what declares the failure
+			}
+			if err := trs[0].Start(); err != nil {
+				t.Fatalf("rank 0 start: %v", err)
+			}
+			began := time.Now()
+			err = w.RunLocal(func(c *Comm) error {
+				_, err := c.RecvTimeout(1, 7, 5*time.Second)
+				return err
+			})
+			var rf *RankFailedError
+			if !errors.As(err, &rf) || rf.Rank != 1 || !strings.Contains(err.Error(), "undecodable") {
+				t.Fatalf("Recv behind an undecodable frame returned %v, want a *RankFailedError naming rank 1", err)
+			}
+			if took := time.Since(began); took > 2*time.Second {
+				t.Errorf("the failure took %v to surface", took)
+			}
+			if n := trs[0].Stats().Snapshot().DecodeErrs; n != 1 {
+				t.Errorf("decode_errs = %d, want 1", n)
+			}
+		})
+	}
+}
+
+// A peer built before the payload codec changed says so in its hello: the
+// frame header carries the protocol version, the listener refuses the
+// connection before anything joins the mesh, and the same hello at the
+// current version is welcomed.
+func TestNetHandshakeRefusesOtherVersion(t *testing.T) {
+	cfgs := netMesh(t, 2)
+	trs := newNetTransports(t, cfgs)
+	NewNetWorld(trs[1])
+	t.Cleanup(trs[1].close)
+	started := make(chan error, 1)
+	go func() { started <- trs[1].Start() }()
+
+	hello, err := encodeFrame(&frame{Kind: frameHello, Src: 0, Dst: 2, Payload: []byte(cfgs[0].Job)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dial := func() net.Conn {
+		for giveUp := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			c, err := net.Dial("unix", cfgs[1].Addrs[1])
+			if err == nil {
+				_ = c.SetDeadline(time.Now().Add(5 * time.Second))
+				return c
+			}
+			if time.Now().After(giveUp) {
+				t.Fatalf("rank 1 never listened: %v", err)
+			}
+		}
+	}
+	old := dial()
+	defer old.Close()
+	v1 := append([]byte(nil), hello...)
+	binary.BigEndian.PutUint16(v1[4:], 1)
+	if _, err := old.Write(v1); err != nil {
+		t.Fatal(err)
+	}
+	// The listener hangs up (EOF, or a reset when it closes on unread bytes).
+	if n, err := old.Read(make([]byte, 1)); n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("version-1 hello: read %d bytes, %v; want the listener to refuse the connection", n, err)
+	}
+
+	cur := dial()
+	defer cur.Close()
+	if _, err := cur.Write(hello); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := readFrame(cur); err != nil || f.Kind != frameWelcome || f.Src != 1 {
+		t.Fatalf("current-version hello: got %+v, %v; want rank 1's welcome", f, err)
+	}
+	if err := <-started; err != nil {
+		t.Fatalf("rank 1 start: %v", err)
 	}
 }
 
@@ -501,11 +610,11 @@ func TestNetOneWayBurstCompletes(t *testing.T) {
 	go func() {
 		done <- runNetWorlds(t, trs, nil, func(c *Comm) error {
 			for i := 0; i < burst; i++ {
-				got, err := c.Bcast(0, i)
+				got, err := c.Bcast(0, float64(i))
 				if err != nil {
 					return fmt.Errorf("bcast %d: %w", i, err)
 				}
-				if got.(int) != i {
+				if got.(float64) != float64(i) {
 					return fmt.Errorf("bcast %d carried %v", i, got)
 				}
 			}

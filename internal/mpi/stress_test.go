@@ -23,26 +23,26 @@ func TestStressMixedTraffic(t *testing.T) {
 			// left, with a payload that encodes (round, sender).
 			right := (c.Rank() + 1) % size
 			left := (c.Rank() - 1 + size) % size
-			if err := c.Send(right, 10, [2]int{r, c.Rank()}); err != nil {
+			if err := c.Send(right, 10, []float64{float64(r), float64(c.Rank())}); err != nil {
 				return err
 			}
 			msg, err := c.Recv(left, 10)
 			if err != nil {
 				return err
 			}
-			got := msg.Payload.([2]int)
-			if got[0] != r || got[1] != left {
+			got := msg.Payload.([]float64)
+			if got[0] != float64(r) || got[1] != float64(left) {
 				return fmt.Errorf("round %d: ring got %v from %d", r, got, msg.Source)
 			}
 
 			// Random extra traffic to rank 0 with wildcard receive there.
 			if c.Rank() != 0 {
 				if src.Uint64()&1 == 1 {
-					if err := c.Send(0, 20, c.Rank()*1000+r); err != nil {
+					if err := c.Send(0, 20, float64(c.Rank()*1000+r)); err != nil {
 						return err
 					}
 				} else {
-					if err := c.Send(0, 21, c.Rank()*1000+r); err != nil {
+					if err := c.Send(0, 21, float64(c.Rank()*1000+r)); err != nil {
 						return err
 					}
 				}
@@ -58,13 +58,13 @@ func TestStressMixedTraffic(t *testing.T) {
 			root := r % size
 			var p any
 			if c.Rank() == root {
-				p = r * r
+				p = float64(r * r)
 			}
 			v, err := c.Bcast(root, p)
 			if err != nil {
 				return err
 			}
-			if v.(int) != r*r {
+			if v.(float64) != float64(r*r) {
 				return fmt.Errorf("round %d: bcast got %v", r, v)
 			}
 			sum, err := c.Reduce(root, float64(c.Rank()), OpSum)

@@ -221,14 +221,7 @@ func (t *NetTransport) handleIncoming(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	hv, err := decodePayload(f.Payload)
-	if err != nil {
-		conn.Close()
-		return
-	}
-	hello, ok := hv.(helloMsg)
-	if !ok || hello.Size != t.cfg.Size || hello.Job != t.cfg.Job ||
-		hello.Rank < 0 || hello.Rank >= t.cfg.Self {
+	if !t.sameJob(f) || f.Src < 0 || int(f.Src) >= t.cfg.Self {
 		// Identity mismatch, or a violation of the lower-rank-dials-higher
 		// convention: reject before the connection joins the mesh.
 		conn.Close()
@@ -239,16 +232,18 @@ func (t *NetTransport) handleIncoming(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	t.peers[hello.Rank].install(conn)
+	t.peers[f.Src].install(conn)
 }
 
 // writeHandshake sends this side's identity as a hello or welcome frame.
 func (t *NetTransport) writeHandshake(conn net.Conn, kind frameKind) error {
-	body, err := encodePayload(helloMsg{Rank: t.cfg.Self, Size: t.cfg.Size, Job: t.cfg.Job})
-	if err != nil {
-		return err
-	}
-	return t.writeFrame(conn, &frame{Kind: kind, Src: int32(t.cfg.Self), Payload: body})
+	return t.writeFrame(conn, &frame{Kind: kind, Src: int32(t.cfg.Self), Dst: int32(t.cfg.Size), Payload: []byte(t.cfg.Job)})
+}
+
+// sameJob reports whether a hello or welcome frame names this side's world
+// size and job id.
+func (t *NetTransport) sameJob(f *frame) bool {
+	return int(f.Dst) == t.cfg.Size && string(f.Payload) == t.cfg.Job
 }
 
 // writeFrame encodes and writes one frame under the per-frame deadline.
@@ -318,12 +313,8 @@ func (t *NetTransport) sendAgree(round int) error {
 
 // sendAgreeResult delivers a resolved agreement round to a survivor.
 func (t *NetTransport) sendAgreeResult(dst, round int, survivors []int) error {
-	body, err := encodePayload(agreeResultMsg{Round: round, Survivors: survivors})
-	if err != nil {
-		return err
-	}
 	return t.peers[dst].sendReliable(&frame{
-		Kind: frameAgreeResult, Src: int32(t.cfg.Self), Dst: int32(dst), Tag: int64(round), Payload: body,
+		Kind: frameAgreeResult, Src: int32(t.cfg.Self), Dst: int32(dst), Tag: int64(round), Payload: encodeRanks(survivors),
 	})
 }
 
@@ -335,14 +326,15 @@ func (t *NetTransport) sendAgreeResult(dst, round int, survivors []int) error {
 // finished OK or with which error; a peer that never does will diagnose a
 // vanished rank from its silence.
 func (t *NetTransport) Shutdown(status error) {
-	msg := goodbyeMsg{OK: status == nil}
+	bye := frame{Kind: frameGoodbye, Src: int32(t.cfg.Self), Tag: goodbyeOK}
 	if status != nil {
-		msg.Err = status.Error()
-		msg.Cascade = errors.Is(status, ErrAborted) || errors.Is(status, ErrRevoked)
+		bye.Tag, bye.Payload = 0, []byte(status.Error())
+		if errors.Is(status, ErrAborted) || errors.Is(status, ErrRevoked) {
+			bye.Tag = goodbyeCascade
+		}
 	}
-	body, encErr := encodePayload(msg)
 	for _, p := range t.peers {
-		if p == nil || encErr != nil {
+		if p == nil {
 			continue
 		}
 		// An evicted peer gets no goodbye, for the reason it gets no beats
@@ -354,7 +346,8 @@ func (t *NetTransport) Shutdown(status error) {
 		if skip {
 			continue
 		}
-		_ = p.sendReliable(&frame{Kind: frameGoodbye, Src: int32(t.cfg.Self), Payload: body})
+		f := bye // each peer numbers its own copy
+		_ = p.sendReliable(&f)
 	}
 	deadline := time.Now().Add(t.cfg.Linger)
 	for _, p := range t.peers {
@@ -515,12 +508,7 @@ func (p *peer) handshake(conn net.Conn) error {
 	if f.Kind != frameWelcome {
 		return fmt.Errorf("mpi: handshake with rank %d: got %v, want welcome", p.rank, f.Kind)
 	}
-	hv, err := decodePayload(f.Payload)
-	if err != nil {
-		return err
-	}
-	hello, ok := hv.(helloMsg)
-	if !ok || hello.Rank != p.rank || hello.Size != t.cfg.Size || hello.Job != t.cfg.Job {
+	if int(f.Src) != p.rank || !t.sameJob(f) {
 		return fmt.Errorf("mpi: handshake with rank %d: identity mismatch", p.rank)
 	}
 	_ = conn.SetReadDeadline(time.Time{})
@@ -761,40 +749,36 @@ func (p *peer) dispatch(f *frame) {
 	case frameData:
 		v, err := decodePayload(f.Payload)
 		if err != nil {
-			t.stats.DecodeErrs.Add(1)
+			p.protocolError(err)
 			return
 		}
 		t.world.deliverRemote(f.World, int(f.Src), int(f.Dst), int(f.Tag), v)
 	case frameGoodbye:
-		v, err := decodePayload(f.Payload)
-		if err != nil {
-			t.stats.DecodeErrs.Add(1)
-			return
-		}
-		gb, ok := v.(goodbyeMsg)
-		if !ok {
-			t.stats.DecodeErrs.Add(1)
-			return
-		}
 		p.mu.Lock()
 		p.done = true
 		p.mu.Unlock()
-		t.world.peerExited(p.rank, gb.OK, gb.Err, gb.Cascade)
+		t.world.peerExited(p.rank, f.Tag&goodbyeOK != 0, string(f.Payload), f.Tag&goodbyeCascade != 0)
 	case frameAgree:
 		t.world.netAgreeArrive(p.rank, int(f.Tag))
 	case frameAgreeResult:
-		v, err := decodePayload(f.Payload)
+		survivors, err := decodeRanks(f.Payload)
 		if err != nil {
-			t.stats.DecodeErrs.Add(1)
+			p.protocolError(err)
 			return
 		}
-		res, ok := v.(agreeResultMsg)
-		if !ok {
-			t.stats.DecodeErrs.Add(1)
-			return
-		}
-		t.world.netAgreeResult(res.Round, res.Survivors)
+		t.world.netAgreeResult(int(f.Tag), survivors)
 	}
+}
+
+// protocolError handles an acknowledged frame whose body does not decode.
+// The handshake admitted only peers speaking this codec version, so the
+// sender is broken, and the frame — already acked — will never be resent:
+// the peer is declared failed (abort, or eviction under EnableEviction)
+// rather than leaving the destination rank waiting for a message that is
+// gone.
+func (p *peer) protocolError(err error) {
+	p.t.stats.DecodeErrs.Add(1)
+	p.markLost(fmt.Errorf("mpi: undecodable frame from rank %d: %w", p.rank, err))
 }
 
 // isClosedConn reports the "use of closed network connection" error shape

@@ -74,13 +74,10 @@ type TransportSnapshot struct {
 	// Redials counts individual dial attempts during backoff.
 	Reconnects uint64 `json:"reconnects,omitempty"`
 	Redials    uint64 `json:"redials,omitempty"`
-	// DecodeErrs counts frames whose payload failed to decode (dropped).
+	// DecodeErrs counts malformed frames: a broken stream drops the
+	// connection, an undecodable payload declares the sending peer failed.
 	DecodeErrs uint64 `json:"decode_errs,omitempty"`
 }
-
-// WireBytes models the snapshot's size for the communication counters
-// when it crosses the wire itself (metrics gathers).
-func (TransportSnapshot) WireBytes() uint64 { return 11 * 8 }
 
 // Snapshot copies the counters.
 func (s *TransportStats) Snapshot() TransportSnapshot {

@@ -3,16 +3,16 @@ package mpi
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 )
 
 // This file is the wire half of the transport layer: a length-prefixed
 // binary frame format carrying the runtime's point-to-point envelopes,
 // liveness beats, and recovery-protocol messages between processes, plus
-// the gob-based payload codec that serialises envelope payloads. The frame
-// header is hand-rolled (fixed layout, explicit bounds) in the style of
+// the payload codec for the four payload kinds the runtime carries. Both
+// are hand-rolled (fixed layout, explicit bounds) in the style of
 // internal/checkpoint's snapshot format: a decoder fed truncated or
 // hostile bytes must error — never panic, never allocate unbounded memory.
 
@@ -21,7 +21,7 @@ const wireMagic = 0x45474457
 
 // wireVersion is the protocol version negotiated at handshake; a peer
 // speaking a different version is rejected before any data flows.
-const wireVersion = 1
+const wireVersion = 2
 
 // Frame size limits enforced by the decoder before allocating: a length
 // field beyond these is a corrupt or hostile frame, not a big message.
@@ -38,8 +38,8 @@ type frameKind uint8
 
 const (
 	// frameData carries one point-to-point envelope: dense src/dst ranks
-	// within the sub-world named by the frame's world key, a tag, and a
-	// gob-encoded payload.
+	// within the sub-world named by the frame's world key, a tag, and an
+	// encoded payload (encodePayload).
 	frameData frameKind = 1 + iota
 	// frameBeat is a liveness tick from the hosting rank's heartbeat
 	// emitter; receipt refreshes the sender's entry in the local failure
@@ -59,8 +59,7 @@ const (
 	// sequence number <= Seq has been processed by the sender of the ack.
 	frameAck
 	// frameHello opens a connection: rank identity, world size, job id,
-	// and protocol version (in the header) are checked before the
-	// connection joins the mesh.
+	// and protocol version are checked before the connection joins the mesh.
 	frameHello
 	// frameWelcome accepts a hello, echoing the acceptor's identity.
 	frameWelcome
@@ -104,7 +103,7 @@ func (k frameKind) reliable() bool {
 // frame is one wire message. Src and Dst are dense ranks within the
 // sub-world named by World ("" is the root world), except for transport-
 // level kinds (beat, goodbye, hello, ack) where Src is the sender's
-// original rank and World is empty.
+// original rank and World is empty; see the control-frame layouts below.
 type frame struct {
 	Kind    frameKind
 	Seq     uint64
@@ -219,87 +218,110 @@ func readFrameBody(h [frameHeaderLen]byte, r io.Reader) (*frame, error) {
 	return f, nil
 }
 
-// wirePayload wraps an envelope payload so gob serialises the interface
-// value (concrete type name + value) rather than a fixed struct shape.
-type wirePayload struct {
-	V any
+// Payload kinds: the first byte of a non-empty data-frame body. The
+// runtime carries exactly what the engine sends — nothing (barrier
+// tokens), one float64 (a reduction operand), a []float64 (fitness
+// segments, payoff blocks) or a []byte (a message whose layout the sender
+// owns). A nil payload is the empty body.
+const (
+	kindFloat  = 1 + iota // 8 bytes, big-endian IEEE 754 bits
+	kindFloats            // 8 bytes per element
+	kindBytes             // the bytes themselves
+)
+
+// payloadBytes is the encoded size of a payload — the byte count the
+// communication counters book, in process and over the wire alike. Any
+// other type is an error, which Comm.send returns on both transports.
+func payloadBytes(p any) (uint64, error) {
+	switch v := p.(type) {
+	case nil:
+		return 0, nil
+	case float64:
+		return 1 + 8, nil
+	case []float64:
+		return 1 + 8*uint64(len(v)), nil
+	case []byte:
+		return 1 + uint64(len(v)), nil
+	}
+	return 0, fmt.Errorf("mpi: payload type %T is not nil, float64, []float64 or []byte", p)
 }
 
-// RegisterWirePayload registers a payload type with the wire codec's gob
-// layer. Every concrete type an application sends through a networked
-// world must be registered identically in every process before the world
-// runs; unregistered types fail at encode time on the sender.
-func RegisterWirePayload(v any) { gob.Register(v) }
-
-func init() {
-	// The runtime's own cross-wire payload vocabulary: the scalar and
-	// slice types payloadBytes models, the aggregate shapes collectives
-	// produce, and the transport's control-message bodies.
-	for _, v := range []any{
-		int(0), int32(0), int64(0), uint32(0), uint64(0),
-		float64(0), bool(false), string(""),
-		[]byte(nil), []int(nil), []uint32(nil), []uint64(nil), []float64(nil),
-		[]any(nil), [2]int{},
-		helloMsg{}, goodbyeMsg{}, agreeResultMsg{},
-	} {
-		gob.Register(v)
+// encodePayload serialises an envelope payload for a data frame.
+func encodePayload(p any) ([]byte, error) {
+	n, err := payloadBytes(p)
+	if err != nil || n == 0 {
+		return nil, err
 	}
+	b := make([]byte, 1, n)
+	switch v := p.(type) {
+	case float64:
+		b[0] = kindFloat
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(v))
+	case []float64:
+		b[0] = kindFloats
+		for _, x := range v {
+			b = binary.BigEndian.AppendUint64(b, math.Float64bits(x))
+		}
+	case []byte:
+		b[0] = kindBytes
+		b = append(b, v...)
+	}
+	return b, nil
 }
 
-// encodePayload serialises an envelope payload for a data frame. A nil
-// payload encodes to an empty body.
-func encodePayload(v any) ([]byte, error) {
-	if v == nil {
-		return nil, nil
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&wirePayload{V: v}); err != nil {
-		return nil, fmt.Errorf("mpi: encode wire payload %T: %w", v, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// decodePayload deserialises a data-frame body. Gob decoding of hostile
-// bytes can panic deep in reflection; the recover guard converts any such
-// panic into an error so a malformed frame can never take the receive
-// loop down.
-func decodePayload(b []byte) (v any, err error) {
+// decodePayload deserialises a data-frame body; a kind it does not know or
+// a body that is not a whole number of elements is an error.
+func decodePayload(b []byte) (any, error) {
 	if len(b) == 0 {
 		return nil, nil
 	}
-	defer func() {
-		if p := recover(); p != nil {
-			v, err = nil, fmt.Errorf("mpi: decode wire payload panicked: %v", p)
+	kind, body := b[0], b[1:]
+	switch {
+	case kind == kindFloat && len(body) == 8:
+		return math.Float64frombits(binary.BigEndian.Uint64(body)), nil
+	case kind == kindFloats && len(body)%8 == 0:
+		v := make([]float64, len(body)/8)
+		for i := range v {
+			v[i] = math.Float64frombits(binary.BigEndian.Uint64(body[8*i:]))
 		}
-	}()
-	var wp wirePayload
-	if derr := gob.NewDecoder(bytes.NewReader(b)).Decode(&wp); derr != nil {
-		return nil, fmt.Errorf("mpi: decode wire payload: %w", derr)
+		return v, nil
+	case kind == kindBytes:
+		return body, nil
 	}
-	return wp.V, nil
+	return nil, fmt.Errorf("mpi: wire payload kind %d with a %d-byte body", kind, len(body))
 }
 
-// helloMsg is the handshake body: the dialing (or answering) process
-// identifies the rank it hosts, the world size it was configured with,
-// and the job id, all of which must match the receiving side's view.
-type helloMsg struct {
-	Rank int
-	Size int
-	Job  string
+// Control frames carry their bodies in the header fields and a raw payload:
+//
+//   - hello/welcome: Src is the hosted rank, Dst the world size, Payload the
+//     job id; all three must match the receiving side's view.
+//   - goodbye: Tag holds the exit-status flags below, Payload the error text.
+//   - agree_result: Tag is the round, Payload the surviving original ranks as
+//     big-endian uint32s.
+const (
+	// goodbyeOK marks a clean exit.
+	goodbyeOK = 1 << iota
+	// goodbyeCascade marks an error exit that was itself caused by another
+	// rank's failure (the error matched ErrAborted/ErrRevoked), so receivers
+	// do not attribute an independent failure to a rank that merely unwound.
+	goodbyeCascade
+)
+
+func encodeRanks(ranks []int) []byte {
+	b := make([]byte, 0, 4*len(ranks))
+	for _, r := range ranks {
+		b = binary.BigEndian.AppendUint32(b, uint32(r))
+	}
+	return b
 }
 
-// goodbyeMsg is the goodbye body: the sender's exit status. Cascade marks
-// an error exit that was itself caused by another rank's failure (the
-// error matched ErrAborted/ErrRevoked), so receivers do not attribute an
-// independent failure to a rank that merely unwound.
-type goodbyeMsg struct {
-	OK      bool
-	Err     string
-	Cascade bool
-}
-
-// agreeResultMsg is the agreement-resolution body.
-type agreeResultMsg struct {
-	Round     int
-	Survivors []int
+func decodeRanks(b []byte) ([]int, error) {
+	if len(b)%4 != 0 {
+		return nil, fmt.Errorf("mpi: rank list of %d bytes", len(b))
+	}
+	ranks := make([]int, len(b)/4)
+	for i := range ranks {
+		ranks[i] = int(binary.BigEndian.Uint32(b[4*i:]))
+	}
+	return ranks, nil
 }

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -113,12 +116,18 @@ func TestWireFrameDecodeRejectsCorruption(t *testing.T) {
 }
 
 // FuzzWireFrame hammers the frame decoder with arbitrary bytes: it must
-// return an error or a frame that re-encodes to the identical bytes —
-// never panic, and never allocate beyond the declared length limits (the
+// return an error or a frame that re-encodes to the identical bytes, and a
+// data frame's payload must in turn decode-or-error and re-encode
+// identically — never panic, and never allocate beyond the declared length limits (the
 // bounds checks run before any allocation).
 func FuzzWireFrame(f *testing.F) {
 	seed, _ := encodeFrame(&frame{Kind: frameData, Seq: 3, Src: 1, Dst: 0, Tag: 5, World: "[0 1]", Payload: []byte("p")})
 	f.Add(seed)
+	for _, v := range []any{2.5, []float64{1, math.NaN()}, []byte("msg")} {
+		body, _ := encodePayload(v)
+		withBody, _ := encodeFrame(&frame{Kind: frameData, Seq: 4, Src: 0, Dst: 1, Tag: 1 << 30, Payload: body})
+		f.Add(withBody)
+	}
 	f.Add(seed[:frameHeaderLen])
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, frameHeaderLen))
@@ -137,77 +146,78 @@ func FuzzWireFrame(f *testing.F) {
 		if !bytes.Equal(re, data) {
 			t.Fatalf("re-encode mismatch:\n got %x\nwant %x", re, data)
 		}
+		if fr.Kind != frameData {
+			return
+		}
+		// A data frame's payload must itself decode or error, and a decoded
+		// payload re-encodes to the same body (NaN bit patterns included).
+		v, err := decodePayload(fr.Payload)
+		if err != nil {
+			return
+		}
+		body, err := encodePayload(v)
+		if err != nil {
+			t.Fatalf("decoded payload %T does not re-encode: %v", v, err)
+		}
+		if !bytes.Equal(body, fr.Payload) {
+			t.Fatalf("payload re-encode mismatch:\n got %x\nwant %x", body, fr.Payload)
+		}
 	})
 }
 
+// TestWirePayloadRoundTrip pins the payload codec: each of the four kinds
+// the runtime carries survives the round trip, the size the counters book
+// is the size of the encoding, and everything else is refused — other types
+// at encode time, unknown kinds and ragged bodies at decode time.
 func TestWirePayloadRoundTrip(t *testing.T) {
 	for _, v := range []any{
-		int(7), float64(3.5), "s", []float64{1, 2}, []int{3, 4}, [2]int{5, 6},
-		true, []byte{9}, []any{int(1), "two"},
-		helloMsg{Rank: 1, Size: 4, Job: "j"},
-		goodbyeMsg{OK: false, Err: "boom", Cascade: true},
-		agreeResultMsg{Round: 2, Survivors: []int{0, 2}},
+		nil, float64(3.5), math.Inf(-1), []float64{}, []float64{1, -2, math.MaxFloat64},
+		[]byte{}, []byte{9, 0, 255},
 	} {
 		b, err := encodePayload(v)
 		if err != nil {
 			t.Fatalf("encode %T: %v", v, err)
 		}
+		if n, err := payloadBytes(v); err != nil || n != uint64(len(b)) {
+			t.Fatalf("payloadBytes(%#v) = %d, %v; encoding is %d bytes", v, n, err, len(b))
+		}
 		got, err := decodePayload(b)
 		if err != nil {
 			t.Fatalf("decode %T: %v", v, err)
 		}
-		switch want := v.(type) {
-		case []float64:
-			g := got.([]float64)
-			for i := range want {
-				if g[i] != want[i] {
-					t.Fatalf("%T: got %v want %v", v, got, v)
-				}
-			}
-		case []int:
-			g := got.([]int)
-			for i := range want {
-				if g[i] != want[i] {
-					t.Fatalf("%T: got %v want %v", v, got, v)
-				}
-			}
-		case []byte:
-			if !bytes.Equal(got.([]byte), want) {
-				t.Fatalf("%T: got %v want %v", v, got, v)
-			}
-		case []any:
-			g := got.([]any)
-			for i := range want {
-				if g[i] != want[i] {
-					t.Fatalf("%T: got %v want %v", v, got, v)
-				}
-			}
-		case agreeResultMsg:
-			g := got.(agreeResultMsg)
-			if g.Round != want.Round || len(g.Survivors) != len(want.Survivors) {
-				t.Fatalf("%T: got %v want %v", v, got, v)
-			}
-			for i := range want.Survivors {
-				if g.Survivors[i] != want.Survivors[i] {
-					t.Fatalf("%T: got %v want %v", v, got, v)
-				}
-			}
-		default:
-			if got != v {
-				t.Fatalf("%T: got %v want %v", v, got, v)
-			}
+		if !reflect.DeepEqual(got, v) {
+			t.Fatalf("%T: got %#v want %#v", v, got, v)
 		}
 	}
-	// Nil payloads travel as empty bodies.
-	b, err := encodePayload(nil)
-	if err != nil || b != nil {
-		t.Fatalf("nil payload: %v %v", b, err)
+	if b, _ := encodePayload(nil); b != nil {
+		t.Fatalf("nil payload encodes to %x, want the empty body", b)
 	}
-	if got, err := decodePayload(nil); err != nil || got != nil {
-		t.Fatalf("nil body: %v %v", got, err)
+	for _, v := range []any{int(7), "s", []int{3, 4}, true, []any{1.0}, float32(1), struct{}{}} {
+		if _, err := encodePayload(v); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%T", v)) {
+			t.Errorf("encodePayload(%T) = %v, want an error naming the type", v, err)
+		}
 	}
-	// Garbage bodies error rather than panic.
-	if _, err := decodePayload([]byte{0xde, 0xad, 0xbe, 0xef}); err == nil {
-		t.Fatal("garbage payload decoded")
+	for name, b := range map[string][]byte{
+		"kind 0":        {0},
+		"unknown kind":  {0xde, 0xad, 0xbe, 0xef},
+		"short float":   {kindFloat, 1, 2, 3},
+		"long float":    append([]byte{kindFloat}, make([]byte, 9)...),
+		"ragged floats": append([]byte{kindFloats}, make([]byte, 12)...),
+	} {
+		if v, err := decodePayload(b); err == nil {
+			t.Errorf("%s: decoded to %#v", name, v)
+		}
+	}
+}
+
+func TestWireRankListRoundTrip(t *testing.T) {
+	for _, ranks := range [][]int{{}, {0}, {0, 2, 5, 1 << 20}} {
+		got, err := decodeRanks(encodeRanks(ranks))
+		if err != nil || !reflect.DeepEqual(got, ranks) {
+			t.Fatalf("ranks %v: got %v, %v", ranks, got, err)
+		}
+	}
+	if _, err := decodeRanks([]byte{0, 0, 1}); err == nil {
+		t.Fatal("a 3-byte rank list decoded")
 	}
 }

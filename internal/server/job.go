@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/checkpoint"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
@@ -80,7 +79,6 @@ type Job struct {
 	// it is what /result serves and what the journal persists, so a
 	// recovered daemon answers for done jobs without re-running them.
 	wire *jobResult
-	snap *checkpoint.Snapshot // resume point while paused (or recovered)
 }
 
 // jobStatus is the wire form of a job's state.
@@ -119,12 +117,6 @@ func (j *Job) setGen(gen int) {
 	j.mu.Lock()
 	j.gen = gen
 	j.mu.Unlock()
-}
-
-func (j *Job) resumePoint() *checkpoint.Snapshot {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.snap
 }
 
 // sampleEvent is the SSE payload for a sampled generation. Mean fitness is
@@ -534,8 +526,10 @@ func (m *Manager) worker() {
 }
 
 // runJob executes one segment of a job: its spec configuration, resumed
-// from the job's snapshot when it has one. It ends in done/failed/canceled,
-// or parked (paused, or queued by a drain) with a fresh resume snapshot.
+// from the latest snapshot in the job's sink when there is one — the sink is
+// the job's only resume point, in memory and across restarts alike. It ends
+// in done/failed/canceled, or parked (paused, or queued by a drain) with a
+// fresh resume snapshot.
 func (m *Manager) runJob(job *Job) {
 	switch job.ctrl.Load() {
 	case ctrlCancel:
@@ -552,7 +546,9 @@ func (m *Manager) runJob(job *Job) {
 	defer m.reg.Gauge("egd_server_jobs_running").Add(-1)
 
 	cfg := job.cfg
-	if snap := job.resumePoint(); snap != nil {
+	// A checkpoint that cannot be read is not fatal: the segment starts from
+	// generation 0 and reaches the same result.
+	if snap, _ := job.sink.Latest(); snap != nil {
 		// A stale or foreign checkpoint file would silently fork the job's
 		// trajectory; ResumeFrom refuses it and the job fails instead.
 		if err := cfg.ResumeFrom(snap); err != nil {
@@ -614,7 +610,7 @@ func (m *Manager) runJob(job *Job) {
 
 // park ends a stopped segment in a non-terminal state — paused, or queued
 // for a drain. The engine persisted the stop snapshot before returning; it
-// is the whole run so far and becomes the job's resume point.
+// is the whole run so far, and the next segment resumes from it.
 func (m *Manager) park(job *Job, state State) {
 	snap, err := job.sink.Latest()
 	if err != nil || snap == nil {
@@ -622,7 +618,6 @@ func (m *Manager) park(job *Job, state State) {
 		return
 	}
 	job.mu.Lock()
-	job.snap = snap
 	job.gen = int(snap.Generation)
 	job.state = state
 	job.mu.Unlock()

@@ -86,7 +86,6 @@ func (m *Manager) rebuildJob(rj *recoveredJob) *Job {
 		job.state = StateQueued
 	}
 	if snap != nil && serr == nil {
-		job.snap = snap
 		job.gen = int(snap.Generation)
 	}
 	return job

@@ -528,6 +528,12 @@ func TestDurableResultMatchesEphemeral(t *testing.T) {
 	waitState(t, tsDurable, id2, StateDone)
 	dm := resultMinusElapsed(t, tsDurable, id2)
 
+	// The durable job's sink is a checkpoint file that did not exist when its
+	// first segment asked for a resume point: the segment started at
+	// generation 0, so the sampled series does.
+	if first := dm["cooperation"].([]any)[0].(map[string]any); first["generation"] != 0.0 {
+		t.Errorf("fresh durable job's series starts at %v, want generation 0", first)
+	}
 	// IDs differ by epoch (ephemeral 0, durable 1); everything else must not.
 	delete(em, "id")
 	delete(dm, "id")

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"repro/internal/mpi"
-	"repro/internal/strategy"
-)
+import "repro/internal/mpi"
 
 // This file is the multi-process entry point of the parallel engine: where
 // RunParallel hosts every rank as a goroutine of one process, RunWorker
@@ -12,18 +9,6 @@ import (
 // and the world set-up are the same code (runWorld) — natureRank and
 // workerRank run unchanged over the wire — so a networked run follows the
 // same trajectory, bit for bit, as an in-process run of the same Config.
-
-func init() {
-	// Register the engine's wire-payload vocabulary with the transport
-	// codec. Every type a rank body sends must be registered identically
-	// in every worker process (init-time registration guarantees that).
-	for _, v := range []any{
-		selection{}, update{}, resume{}, RankPhaseSnapshot{},
-		&strategy.Pure{}, &strategy.Mixed{},
-	} {
-		mpi.RegisterWirePayload(v)
-	}
-}
 
 // RunWorker executes this process's rank of a networked simulation: rank 0
 // is the Nature Agent, the rest own block-distributed game pairs, exactly

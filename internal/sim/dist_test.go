@@ -2,8 +2,11 @@ package sim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,11 +23,23 @@ import (
 // It returns the Nature rank's Result and the per-rank RunWorker errors.
 func runNetworked(t *testing.T, cfg Config, ranks int) (*Result, []error) {
 	t.Helper()
+	addrs := socketPaths(t, ranks)
+	return runMesh(t, cfg, ranks, func(int) []string { return addrs })
+}
+
+func socketPaths(t *testing.T, ranks int) []string {
 	dir := t.TempDir()
 	addrs := make([]string, ranks)
 	for i := range addrs {
 		addrs[i] = filepath.Join(dir, fmt.Sprintf("r%d.sock", i))
 	}
+	return addrs
+}
+
+// runMesh is runNetworked with each rank given its own address list, so a
+// test can route a rank's dials through a tap.
+func runMesh(t *testing.T, cfg Config, ranks int, addrsOf func(rank int) []string) (*Result, []error) {
+	t.Helper()
 	results := make([]*Result, ranks)
 	errs := make([]error, ranks)
 	var wg sync.WaitGroup
@@ -36,7 +51,7 @@ func runNetworked(t *testing.T, cfg Config, ranks int) (*Result, []error) {
 				Self:    rank,
 				Size:    ranks,
 				Network: "unix",
-				Addrs:   addrs,
+				Addrs:   addrsOf(rank),
 				Job:     t.Name(),
 			})
 			if err != nil {
@@ -48,6 +63,131 @@ func runNetworked(t *testing.T, cfg Config, ranks int) (*Result, []error) {
 	}
 	wg.Wait()
 	return results[0], errs
+}
+
+// wireTap relays unix-socket connections to a rank's real listener and
+// tallies, per (source, destination, tag), the payload bytes of every data
+// frame that crosses — read off the stream with nothing but the frame
+// header layout docs/TRANSPORT.md documents, so the tally is what the
+// transport wrote, not what it says it wrote.
+type wireTap struct {
+	mu    sync.Mutex
+	bytes map[[3]int]uint64 // {src, dst, tag} -> data-frame payload bytes
+	msgs  map[[3]int]uint64
+}
+
+// listen starts relaying connections made to path on to target.
+func (tap *wireTap) listen(t *testing.T, path, target string) {
+	ln, err := net.Listen("unix", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			in, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			out, err := net.Dial("unix", target)
+			if err != nil {
+				in.Close()
+				continue
+			}
+			go tap.pump(in, out)
+			go tap.pump(out, in)
+		}
+	}()
+}
+
+// pump copies frames from src to dst until either side closes.
+func (tap *wireTap) pump(src, dst net.Conn) {
+	defer src.Close()
+	defer dst.Close()
+	for {
+		// magic(4) version(2) kind(1) pad(1) seq(8) src(4) dst(4) tag(8)
+		// worldLen(2) payloadLen(4), big-endian; then world key and payload.
+		head := make([]byte, 38)
+		if _, err := io.ReadFull(src, head); err != nil {
+			return
+		}
+		worldLen := int(binary.BigEndian.Uint16(head[32:]))
+		payloadLen := int(binary.BigEndian.Uint32(head[34:]))
+		body := make([]byte, worldLen+payloadLen)
+		if _, err := io.ReadFull(src, body); err != nil {
+			return
+		}
+		if head[6] == 1 { // a data frame
+			key := [3]int{int(binary.BigEndian.Uint32(head[16:])), int(binary.BigEndian.Uint32(head[20:])), int(binary.BigEndian.Uint64(head[24:]))}
+			tap.mu.Lock()
+			tap.bytes[key] += uint64(payloadLen)
+			tap.msgs[key]++
+			tap.mu.Unlock()
+		}
+		if _, err := dst.Write(append(head, body...)); err != nil {
+			return
+		}
+	}
+}
+
+// Modelled ≡ actual: the per-tag message and byte counts the Nature rank's
+// communication accounting books are the data-frame payloads a tap on the
+// sockets saw travel from and to rank 0 — every engine message, fitness
+// segment, reduction operand and gathered snapshot, byte for byte.
+func TestCommAccountingMatchesWireBytes(t *testing.T) {
+	const ranks = 3
+	cfg := testConfig(1, 8, 40)
+	cfg.Seed = 105
+	cfg.Metrics = true
+	cfg.Mu = 0.2 // updates with a mutant strategy aboard
+
+	real := socketPaths(t, ranks)
+	taps := socketPaths(t, ranks*ranks)
+	tap := &wireTap{bytes: map[[3]int]uint64{}, msgs: map[[3]int]uint64{}}
+	for from := 0; from < ranks; from++ {
+		for to := from + 1; to < ranks; to++ { // lower ranks dial higher ones
+			tap.listen(t, taps[from*ranks+to], real[to])
+		}
+	}
+	res, errs := runMesh(t, cfg, ranks, func(rank int) []string {
+		addrs := append([]string(nil), real...)
+		for to := rank + 1; to < ranks; to++ {
+			addrs[to] = taps[rank*ranks+to]
+		}
+		return addrs
+	})
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	if ts := res.Metrics.Transport; ts.Resends != 0 || ts.Reconnects != 0 {
+		t.Fatalf("the mesh did not stay up (%+v): a resend is tapped twice", ts)
+	}
+
+	nature := res.Metrics.Comm[0]
+	if len(nature.SentByTag) == 0 || len(nature.RecvByTag) < 4 {
+		t.Fatalf("Nature's accounting is missing tags: %+v", nature)
+	}
+	tap.mu.Lock()
+	defer tap.mu.Unlock()
+	check := func(dir string, booked []mpi.TagTraffic, end int) {
+		for _, tt := range booked {
+			var msgs, bytes uint64
+			for key, n := range tap.bytes {
+				if key[end] == 0 && key[2] == tt.Tag {
+					bytes += n
+					msgs += tap.msgs[key]
+				}
+			}
+			if msgs != tt.Msgs || bytes != tt.Bytes {
+				t.Errorf("rank 0 %s tag %s: accounting books %d messages / %d bytes, the wire carried %d / %d",
+					dir, mpi.TagLabel(tt.Tag), tt.Msgs, tt.Bytes, msgs, bytes)
+			}
+		}
+	}
+	check("sent", nature.SentByTag, 0)
+	check("received", nature.RecvByTag, 1)
 }
 
 // The backend-parity acceptance criterion: the same seeded Config produces

@@ -59,20 +59,6 @@ type RankPhaseSnapshot struct {
 	Cache  *game.CacheStats `json:"cache,omitempty"`
 }
 
-// WireBytes models the gather payload carrying a snapshot to the Nature
-// rank: one rank word plus, per phase, the name bytes and two words, plus
-// five words of cache counters when present.
-func (s RankPhaseSnapshot) WireBytes() uint64 {
-	n := uint64(8)
-	for _, p := range s.Phases {
-		n += uint64(len(p.Phase)) + 16
-	}
-	if s.Cache != nil {
-		n += 5 * 8
-	}
-	return n
-}
-
 // phaseTimer accumulates one rank's phase timings. Each rank times only
 // its own goroutine, so there is no locking; a nil timer (metrics
 // disabled) makes begin/end no-ops.

@@ -1,11 +1,16 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"strconv"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/mpi"
 	"repro/internal/rng"
 	"repro/internal/strategy"
@@ -32,24 +37,31 @@ type update struct {
 	MeanFitnessWanted bool
 }
 
-// tableWireBytes models one strategy table on the wire: a bit per state for
-// pure strategies, a float64 per state for mixed ones.
-func tableWireBytes(s strategy.Strategy) uint64 {
-	states := uint64(s.Space().NumStates())
-	if _, ok := s.(*strategy.Mixed); ok {
-		return states * 8
+// encode is the update's message: flags Adopted (bit 0) and
+// MeanFitnessWanted (bit 1), fields learner, teacher, mutant, and the mutant
+// strategy when — and only when — Mutated.
+func (u update) encode() []byte {
+	var mutant []strategy.Strategy
+	if u.Mutated {
+		mutant = []strategy.Strategy{u.MutantStrategy}
 	}
-	return states / 8
+	return encodeMessage(msgUpdate, flagBits(u.Adopted, u.MeanFitnessWanted), [3]int{u.Learner, u.Teacher, u.Mutant}, mutant...)
 }
 
-// WireBytes models the broadcast payload size for the communication
-// counters: a few header words plus the mutant strategy table when present.
-func (u update) WireBytes() uint64 {
-	n := uint64(6 * 8)
-	if u.MutantStrategy != nil {
-		n += tableWireBytes(u.MutantStrategy)
+// decodeUpdate validates a received update against the run's Config; a
+// mutant must be one randomStrategy(cfg.Kind) could have drawn.
+func decodeUpdate(cfg *Config, payload any) (update, error) {
+	u, err := decodeMessage(cfg, payload, msgUpdate, cfg.NumSSets, 0, 1, func(flags byte, f [3]int, sts []strategy.Strategy) update {
+		u := update{Adopted: flags&1 != 0, MeanFitnessWanted: flags&2 != 0, Mutated: len(sts) == 1, Learner: f[0], Teacher: f[1], Mutant: f[2]}
+		if u.Mutated {
+			u.MutantStrategy = sts[0]
+		}
+		return u
+	})
+	if _, mixed := u.MutantStrategy.(*strategy.Mixed); err == nil && u.Mutated && mixed != (cfg.Kind == MixedStrategies) {
+		err = errors.New("sim: update mutant strategy is not of the run's strategy kind")
 	}
-	return n
+	return u, err
 }
 
 // selection is the Nature Agent's mid-generation broadcast: which SSets are
@@ -66,10 +78,18 @@ type selection struct {
 	Stop bool
 }
 
-// WireBytes models the selection broadcast payload. Stop packs into the
-// header words already counted, keeping the modelled size — and the pinned
-// comm-byte accounting in the backend-parity tests — unchanged.
-func (selection) WireBytes() uint64 { return 3 * 8 }
+// encode is the selection's message: flags PC (bit 0) and Stop (bit 1),
+// fields teacher, learner and an unused zero.
+func (s selection) encode() []byte {
+	return encodeMessage(msgSelection, flagBits(s.PC, s.Stop), [3]int{s.Teacher, s.Learner})
+}
+
+// decodeSelection validates a received selection against the run's Config.
+func decodeSelection(cfg *Config, payload any) (selection, error) {
+	return decodeMessage(cfg, payload, msgSelection, cfg.NumSSets, 0, 0, func(flags byte, f [3]int, _ []strategy.Strategy) selection {
+		return selection{PC: flags&1 != 0, Stop: flags&2 != 0, Teacher: f[0], Learner: f[1]}
+	})
+}
 
 // resume is the Nature Agent's post-eviction broadcast on the shrunk
 // communicator: the authoritative state every survivor replaces its own
@@ -86,14 +106,89 @@ type resume struct {
 	Strategies []strategy.Strategy
 }
 
-// WireBytes models the resume broadcast payload: two header words plus the
-// full strategy tables.
-func (r resume) WireBytes() uint64 {
-	n := uint64(2 * 8)
-	for _, s := range r.Strategies {
-		n += tableWireBytes(s)
+// encode is the resume's message: no flags, fields Gen, Replay and an unused
+// zero, then every SSet's strategy in order.
+func (r resume) encode() []byte {
+	return encodeMessage(msgResume, 0, [3]int{r.Gen, r.Replay}, r.Strategies...)
+}
+
+// decodeResume validates a received resume against the run's Config: exactly
+// one strategy of the run's memory depth per SSet.
+func decodeResume(cfg *Config, payload any) (resume, error) {
+	return decodeMessage(cfg, payload, msgResume, math.MaxInt, cfg.NumSSets, cfg.NumSSets, func(_ byte, f [3]int, sts []strategy.Strategy) resume {
+		return resume{Gen: f[0], Replay: f[1], Strategies: sts}
+	})
+}
+
+// The parallel engine's three broadcasts travel as bytes the engine lays out
+// itself, in process and over a transport alike, so the bytes mpi counts are
+// the message. One layout serves all three: the kind — a message arriving
+// where another was due is refused, not misread — a flags byte, three
+// little-endian uint32 fields (SSet indices, or generation numbers: a run is
+// far shorter than 2^32 generations), then zero or more strategies in the
+// checkpoint stream's form (checkpoint.AppendStrategy).
+const (
+	msgSelection byte = 1 + iota
+	msgUpdate
+	msgResume
+)
+
+const msgHeadLen = 2 + 3*4
+
+// msgNames names each kind of message and then its three fields, for errors.
+var msgNames = [...][4]string{msgSelection: {"selection", "teacher", "learner"}, msgUpdate: {"update", "learner", "teacher", "mutant"}, msgResume: {"resume", "generation", "replay generation"}}
+
+func flagBits(flags ...bool) (b byte) {
+	for i, f := range flags {
+		if f {
+			b |= 1 << i
+		}
 	}
-	return n
+	return b
+}
+
+// encodeMessage lays one message out.
+func encodeMessage(kind, flags byte, fields [3]int, sts ...strategy.Strategy) []byte {
+	b := append(make([]byte, 0, msgHeadLen), kind, flags)
+	for _, f := range fields {
+		b = binary.LittleEndian.AppendUint32(b, uint32(f))
+	}
+	for _, st := range sts {
+		b = checkpoint.AppendStrategy(b, st)
+	}
+	return b
+}
+
+// decodeMessage takes a received payload apart and has build make the typed
+// message of it. The payload must be a message of the wanted kind, every
+// field must lie in [0, bound), between lo and hi strategies of the run's
+// memory depth must follow, and the whole must be, byte for byte, the
+// encoding of what was built from it: no trailing bytes, no unknown flag
+// bit, no value in an unused field, no second spelling of a strategy.
+func decodeMessage[T interface{ encode() []byte }](cfg *Config, payload any, kind byte, bound, lo, hi int, build func(flags byte, f [3]int, sts []strategy.Strategy) T) (msg T, err error) {
+	b, ok := payload.([]byte)
+	if !ok || len(b) < msgHeadLen || b[0] != kind {
+		return msg, fmt.Errorf("sim: expected a %s message, received %T %.14x", msgNames[kind][0], payload, b)
+	}
+	var f [3]int
+	for i := range f {
+		if f[i] = int(binary.LittleEndian.Uint32(b[2+4*i:])); f[i] >= bound {
+			return msg, fmt.Errorf("sim: %s %s %d outside [0,%d)", msgNames[kind][0], msgNames[kind][1+i], f[i], bound)
+		}
+	}
+	var sts []strategy.Strategy
+	for rest := bytes.NewReader(b[msgHeadLen:]); len(sts) < hi && (rest.Len() > 0 || len(sts) < lo); {
+		st, err := checkpoint.ReadStrategy(rest, strategy.NewSpace(cfg.Memory))
+		if err != nil {
+			return msg, fmt.Errorf("sim: %s strategy %d: %w", msgNames[kind][0], len(sts), err)
+		}
+		sts = append(sts, st)
+	}
+	msg = build(b[1], f, sts)
+	if re := msg.encode(); !bytes.Equal(b, re) {
+		return msg, fmt.Errorf("sim: %s of %d bytes %.14x is not the %d-byte encoding %.14x of its content", msgNames[kind][0], len(b), b, len(re), re)
+	}
+	return msg, nil
 }
 
 // RunParallel executes the simulation on a world of `ranks` goroutine
@@ -361,12 +456,7 @@ func (n *natureRank) resync(nc *mpi.Comm) error {
 	n.res.Cooperation.Truncate(n.snap.coopLen)
 	n.pendingFull = true
 	n.crossCheck = 0
-	rs := resume{
-		Gen:        n.gen,
-		Replay:     min(n.gen, n.end-1),
-		Strategies: append([]strategy.Strategy(nil), n.snap.strategies...),
-	}
-	if _, err := nc.Bcast(0, rs); err != nil {
+	if _, err := nc.Bcast(0, resume{Gen: n.gen, Replay: min(n.gen, n.end-1), Strategies: n.snap.strategies}.encode()); err != nil {
 		return err
 	}
 	n.c = nc
@@ -384,12 +474,12 @@ func (n *natureRank) refresh(int) (uint64, error) {
 }
 
 // announce broadcasts the selection to all ranks (collective network).
-func (n *natureRank) announce(sel selection) error { return n.bcast(sel) }
+func (n *natureRank) announce(sel selection) error { return n.bcast(sel.encode()) }
 
 // publish broadcasts the global strategy update (collective network).
-func (n *natureRank) publish(u update) error { return n.bcast(u) }
+func (n *natureRank) publish(u update) error { return n.bcast(u.encode()) }
 
-func (n *natureRank) bcast(payload any) error {
+func (n *natureRank) bcast(payload []byte) error {
 	tb := n.pt.begin()
 	if _, err := n.c.Bcast(0, payload); err != nil {
 		return err
@@ -482,15 +572,20 @@ func (n *natureRank) finalize() error {
 	// unchanged when observability is off; symmetric with the workers'
 	// finalize.
 	if cfg.Metrics {
-		snapsAny, err := c.Gather(0, n.pt.snapshot(c.OrigRank()))
+		parts, err := c.Gather(0, nil)
 		if err != nil {
 			return err
 		}
-		rm := &RunMetrics{}
-		for _, a := range snapsAny {
-			rm.Phases = append(rm.Phases, a.(RankPhaseSnapshot))
+		// Gathered by dense rank — survivors in ascending original rank
+		// (mpi.World.Shrink) — so Phases is already ordered by Rank.
+		rm := &RunMetrics{Phases: make([]RankPhaseSnapshot, len(parts))}
+		rm.Phases[0] = n.pt.snapshot(c.OrigRank())
+		for i, part := range parts[1:] {
+			b, _ := part.([]byte)
+			if err := json.Unmarshal(b, &rm.Phases[1+i]); err != nil {
+				return fmt.Errorf("sim: phase snapshot of rank %d: %w", 1+i, err)
+			}
 		}
-		sort.Slice(rm.Phases, func(i, j int) bool { return rm.Phases[i].Rank < rm.Phases[j].Rank })
 		n.res.Metrics = rm
 	}
 	// In eviction mode a final barrier keeps workers resident until
@@ -581,10 +676,11 @@ func (w *workerRank) resync(nc *mpi.Comm) error {
 	if err != nil {
 		return err
 	}
-	rs := rsAny.(resume)
-	for i, st := range rs.Strategies {
-		w.pop.strategies[i] = st.Clone()
+	rs, err := decodeResume(w.cfg, rsAny)
+	if err != nil {
+		return err
 	}
+	copy(w.pop.strategies, rs.Strategies)
 	w.pop.clearDirty()
 	w.gen, w.replayGen, w.pendingFull = rs.Gen, rs.Replay, true
 	w.join(nc)
@@ -619,14 +715,15 @@ func (w *workerRank) sendSegment(i int) error {
 	return w.c.Send(0, tagFitness, append([]float64(nil), seg...))
 }
 
-// recvBcast receives one of Nature's per-generation broadcasts.
-func (w *workerRank) recvBcast() (any, error) {
+// recvBcast receives and decodes one of Nature's per-generation broadcasts.
+func recvBcast[T any](w *workerRank, decode func(*Config, any) (T, error)) (msg T, err error) {
 	tb := w.pt.begin()
 	v, err := w.c.Bcast(0, nil)
-	if err == nil {
-		w.pt.end(PhaseBroadcast, tb)
+	if err != nil {
+		return msg, err
 	}
-	return v, err
+	w.pt.end(PhaseBroadcast, tb)
+	return decode(w.cfg, v)
 }
 
 func (w *workerRank) generation() error {
@@ -636,11 +733,10 @@ func (w *workerRank) generation() error {
 	w.pop.clearDirty()
 
 	// Receive the PC selection.
-	selAny, err := w.recvBcast()
+	sel, err := recvBcast(w, decodeSelection)
 	if err != nil {
 		return err
 	}
-	sel := selAny.(selection)
 	if sel.Stop {
 		return fmt.Errorf("sim: worker %d: %w", w.c.Rank(), ErrStopped)
 	}
@@ -659,16 +755,15 @@ func (w *workerRank) generation() error {
 	}
 
 	// Apply the global strategy update.
-	uAny, err := w.recvBcast()
+	u, err := recvBcast(w, decodeUpdate)
 	if err != nil {
 		return err
 	}
-	u := uAny.(update)
 	if u.Adopted {
 		w.pop.Adopt(u.Learner, u.Teacher)
 	}
 	if u.Mutated {
-		w.pop.SetStrategy(u.Mutant, u.MutantStrategy.Clone())
+		w.pop.SetStrategy(u.Mutant, u.MutantStrategy)
 	}
 	if u.MeanFitnessWanted {
 		tr := w.pt.begin()
@@ -705,7 +800,14 @@ func (w *workerRank) finalize() error {
 	if w.cfg.Metrics {
 		snap := w.pt.snapshot(w.c.OrigRank())
 		snap.Cache = w.kern.cacheStats()
-		if _, err := w.c.Gather(0, snap); err != nil {
+		// The snapshot travels as its JSON, space-padded (JSON ignores
+		// trailing white space) to the length it has with 19-digit Nanos:
+		// the comm byte counters must not depend on wall-clock digits.
+		b, _ := json.Marshal(snap) // plain counters: cannot fail
+		for _, p := range snap.Phases {
+			b = append(b, "                   "[len(strconv.FormatInt(p.Nanos, 10)):]...)
+		}
+		if _, err := w.c.Gather(0, b); err != nil {
 			return err
 		}
 	}

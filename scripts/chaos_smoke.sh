@@ -3,8 +3,10 @@
 # config three times through egdrun — fault-free, with a worker SIGKILLed
 # mid-run, and with a worker SIGSTOPped through its own eviction — and
 # assert that every deterministic summary line ("work:", fitness,
-# cooperation, WSLS, distinct strategies) is byte-identical across runs.
-# -full keeps GamesPlayed deterministic under eviction replay.
+# cooperation, WSLS, distinct strategies) is byte-identical across runs and
+# that each fault did evict its rank. Two configs take the trio: memory-one
+# and memory-six pure strategies. -full keeps GamesPlayed deterministic under
+# eviction replay.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -13,7 +15,6 @@ GO=${GO:-go}
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
-SIM_FLAGS=(-np 4 -ssets 16 -gens 400 -rounds 20 -seed 7 -full)
 EVICT_FLAGS=(-evict -heartbeat-every 25ms -heartbeat-misses 5)
 
 echo "chaos-smoke: building egdrun"
@@ -21,28 +22,44 @@ $GO build -o "$TMP/egdrun" ./cmd/egdrun
 
 strip_summary() { grep -v '^run:' "$1" > "$1.det"; }
 
-echo "chaos-smoke: fault-free baseline"
-"$TMP/egdrun" "${SIM_FLAGS[@]}" > "$TMP/clean.out"
-strip_summary "$TMP/clean.out"
-
-echo "chaos-smoke: SIGKILL worker 2 mid-run"
-"$TMP/egdrun" "${SIM_FLAGS[@]}" "${EVICT_FLAGS[@]}" -chaos-kill 2@150ms > "$TMP/kill.out"
-strip_summary "$TMP/kill.out"
-
-echo "chaos-smoke: SIGSTOP worker 3 mid-run, SIGCONT after eviction"
-"$TMP/egdrun" "${SIM_FLAGS[@]}" "${EVICT_FLAGS[@]}" -chaos-stop 3@150ms:2s > "$TMP/stop.out"
-strip_summary "$TMP/stop.out"
-
-fail=0
-for chaos in kill stop; do
-    if ! diff -u "$TMP/clean.out.det" "$TMP/$chaos.out.det"; then
-        echo "chaos-smoke: FAIL: $chaos run diverged from the fault-free baseline" >&2
-        fail=1
+# A fault that fires after the run has ended proves nothing: each chaos run
+# must report the eviction it was scripted to cause.
+expect_eviction() {
+    if ! grep -q '^run: 3 ranks finish, 1 evictions, ' "$1"; then
+        echo "chaos-smoke: FAIL: the scripted fault did not land mid-run: $(head -1 "$1")" >&2
+        exit 1
     fi
-done
-if [ "$fail" -ne 0 ]; then
-    exit 1
-fi
+}
 
-echo "chaos-smoke: PASS: chaos runs bit-identical to fault-free baseline"
-cat "$TMP/clean.out.det"
+# trio NAME FLAGS...: one seeded config three times through egdrun.
+trio() {
+    local name=$1; shift
+    echo "chaos-smoke[$name]: fault-free baseline"
+    "$TMP/egdrun" "$@" > "$TMP/clean.out"
+    strip_summary "$TMP/clean.out"
+
+    echo "chaos-smoke[$name]: SIGKILL worker 2 mid-run"
+    "$TMP/egdrun" "$@" "${EVICT_FLAGS[@]}" -chaos-kill 2@150ms > "$TMP/kill.out"
+    expect_eviction "$TMP/kill.out"
+    strip_summary "$TMP/kill.out"
+
+    echo "chaos-smoke[$name]: SIGSTOP worker 3 mid-run, SIGCONT after eviction"
+    "$TMP/egdrun" "$@" "${EVICT_FLAGS[@]}" -chaos-stop 3@150ms:2s > "$TMP/stop.out"
+    expect_eviction "$TMP/stop.out"
+    strip_summary "$TMP/stop.out"
+
+    for chaos in kill stop; do
+        if ! diff -u "$TMP/clean.out.det" "$TMP/$chaos.out.det"; then
+            echo "chaos-smoke[$name]: FAIL: $chaos run diverged from the fault-free baseline" >&2
+            exit 1
+        fi
+    done
+    echo "chaos-smoke[$name]: PASS: chaos runs bit-identical to fault-free baseline"
+    cat "$TMP/clean.out.det"
+}
+
+# Both sets run about a second on a CI core, so a fault at 150 ms lands well
+# inside them. The memory-6 set puts 500-byte strategy tables in the update
+# broadcasts and 4 KiB of them in the post-eviction resume.
+trio memory-1 -np 4 -ssets 16 -gens 8000 -rounds 20 -seed 7 -full
+trio memory-6 -np 4 -memory 6 -ssets 8 -gens 8000 -rounds 20 -seed 7 -full
