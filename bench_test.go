@@ -237,27 +237,23 @@ func BenchmarkFig6_WeakScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkFig7_LargeStrongScaling evaluates the Blue Gene/P projection
-// behind Fig. 7 (model evaluation cost; the numbers themselves are printed
-// by cmd/egdscale -fig 7).
-func BenchmarkFig7_LargeStrongScaling(b *testing.B) {
-	cal := perfmodel.PaperCalibration()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Fig7(cal, true); err != nil {
-			b.Fatal(err)
+// BenchmarkArtefacts times the generator of every catalogue entry that is a
+// pure function of its options — the analytic tables and the Blue Gene
+// projections, Fig. 7 with the 72-rack point (model evaluation cost; the
+// numbers themselves are printed by cmd/egdscale).
+func BenchmarkArtefacts(b *testing.B) {
+	opts := core.Options{Cal: perfmodel.PaperCalibration(), FullSystem: true, Fig4Procs: 2048}
+	for _, a := range core.Artefacts() {
+		if a.ID == "measure" {
+			continue
 		}
-	}
-}
-
-// BenchmarkTableVIII_AgentsPerProcessor regenerates Table VIII.
-func BenchmarkTableVIII_AgentsPerProcessor(b *testing.B) {
-	ssets := core.TableVIISSets()
-	procs := []int{256, 512, 1024, 2048}
-	for i := 0; i < b.N; i++ {
-		tbl := core.TableVIII(ssets, procs)
-		if len(tbl.Rows) != len(ssets) {
-			b.Fatal("table shape wrong")
-		}
+		b.Run(a.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := a.Build(opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

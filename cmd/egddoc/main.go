@@ -2,9 +2,11 @@
 // tree for .md files and verifies that every relative link resolves to an
 // existing file and that every fragment resolves to a GitHub-style heading
 // anchor in its target document. External schemes (http, https, mailto) are
-// skipped — CI must not depend on the network. In the living documents it
-// also checks that a back-ticked repository path (`internal/sim/spec.go`)
-// names a file that exists (livingDoc).
+// skipped — CI must not depend on the network. In the living documents
+// (livingDoc) it also checks what inline code cites: a repository path
+// (`internal/sim/spec.go`) or package directory (`go run ./cmd/egdsim`) must
+// exist, and an `egdscale -table N` or `-fig N` must select an entry of
+// core.Artefacts().
 //
 //	egddoc              check every .md under the current directory
 //	egddoc -dir path    check a tree rooted elsewhere
@@ -24,6 +26,8 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+
+	"repro/internal/core"
 )
 
 func main() {
@@ -42,6 +46,15 @@ var linkPattern = regexp.MustCompile(`!?\[[^\]]*\]\(([^()\s]+(?:\([^()]*\))?[^()
 // (`internal/mpi.ParseFault`) do not match.
 var pathPattern = regexp.MustCompile("`((?:cmd|internal|docs|scripts|examples|bench)/[\\w./-]*\\.[a-z0-9]+)[`\\s:#]")
 
+// In an inline code span, pkgDirPattern matches the package directory a go
+// command names (./cmd/NAME, ./examples/NAME — pathPattern needs a file
+// extension) and artefactPattern an egdscale selector.
+var (
+	codeSpan        = regexp.MustCompile("`[^`]+`")
+	pkgDirPattern   = regexp.MustCompile(`\./((?:cmd|examples)/[\w-]+)`)
+	artefactPattern = regexp.MustCompile(`-(table|fig) (\d+)`)
+)
+
 // livingDoc matches, relative to the root, the documents that describe the
 // repository as it is; only their back-ticked paths are checked. The rest —
 // change log, roadmap, the issue being worked, the paper's material, the
@@ -53,7 +66,8 @@ var livingDoc = regexp.MustCompile(`^(?:README|DESIGN|EXPERIMENTS)\.md$|^docs/[^
 // GitHub-style anchors its headings generate.
 type doc struct {
 	links   []link
-	paths   []link // back-ticked repository paths (pathPattern)
+	paths   []link // back-ticked repository paths (pathPattern, pkgDirPattern)
+	ids     []link // catalogue IDs cited as egdscale selectors (artefactPattern)
 	anchors map[string]bool
 }
 
@@ -114,6 +128,17 @@ func parseDoc(path string) (*doc, error) {
 		}
 		for _, m := range pathPattern.FindAllStringSubmatch(line, -1) {
 			d.paths = append(d.paths, link{line: lineNo, target: m[1]})
+		}
+		for _, span := range codeSpan.FindAllString(line, -1) {
+			for _, m := range pkgDirPattern.FindAllStringSubmatch(span, -1) {
+				d.paths = append(d.paths, link{line: lineNo, target: m[1]})
+			}
+			if !strings.Contains(span, "egdscale") {
+				continue
+			}
+			for _, m := range artefactPattern.FindAllStringSubmatch(span, -1) {
+				d.ids = append(d.ids, link{line: lineNo, target: m[1] + m[2]})
+			}
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -189,6 +214,10 @@ func check(root string, files []string) ([]string, error) {
 		parsed[path] = d
 		return d, nil
 	}
+	catalogue := map[string]bool{}
+	for _, a := range core.Artefacts() {
+		catalogue[a.ID] = true
+	}
 	var problems []string
 	for _, file := range files {
 		d, err := load(file)
@@ -205,7 +234,12 @@ func check(root string, files []string) ([]string, error) {
 		if livingDoc.MatchString(filepath.ToSlash(rel)) {
 			for _, l := range d.paths {
 				if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(l.target))); err != nil {
-					report(l.line, "stale path `%s`: no such file in the repository", l.target)
+					report(l.line, "stale path `%s`: no such file or directory in the repository", l.target)
+				}
+			}
+			for _, l := range d.ids {
+				if !catalogue[l.target] {
+					report(l.line, "stale citation: egdscale has no %s (core.Artefacts)", l.target)
 				}
 			}
 		}

@@ -188,3 +188,35 @@ func TestStalePaths(t *testing.T) {
 		}
 	}
 }
+
+// Inline code in a living document that names a package directory or an
+// egdscale selector is held to the tree and to core.Artefacts(): deleting an
+// example, or citing a table the catalogue does not have, fails the check.
+func TestStaleCommands(t *testing.T) {
+	dir := t.TempDir()
+	write(t, dir, "cmd/egdscale/main.go", "package main\n")
+	write(t, dir, "examples/spatial/main.go", "package main\n")
+	write(t, dir, "README.md", "# Top\n\n"+
+		"Run `go run ./examples/spatial` or `go run ./cmd/egdscale -table 6 -fig 3`.\n"+
+		"Gone: `go run ./examples/wsls -gens 100` and `./cmd/egdold`.\n"+
+		"Regenerated by `egdscale -table 5`, `cmd/egdscale -fig 2 -csv`; `egdsim -table 9` is not egdscale's.\n\n"+
+		"```\ngo run ./examples/fenced\n```\n")
+	write(t, dir, "CHANGES.md", "Deleted `go run ./examples/wsls`; `egdscale -table 5` never existed.\n")
+
+	var out, errw strings.Builder
+	if code := run([]string{"-dir", dir}, &out, &errw); code != 1 {
+		t.Fatalf("stale commands exited %d:\n%s%s", code, out.String(), errw.String())
+	}
+	got := out.String()
+	for _, want := range []string{
+		"README.md:4: stale path `examples/wsls`",
+		"README.md:4: stale path `cmd/egdold`",
+		"README.md:5: stale citation: egdscale has no table5",
+		"README.md:5: stale citation: egdscale has no fig2",
+		"4 broken link(s)",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("output missing %q:\n%s", want, got)
+		}
+	}
+}

@@ -1,7 +1,8 @@
 // Command egdscale regenerates the paper's scaling artefacts: the analytic
 // tables (I, III, IV, VIII), the modelled Blue Gene projections (Tables
 // VI-VII, Figures 3-7), and real strong/weak scaling measurements of the
-// parallel engine on this host's cores.
+// parallel engine on this host's cores. What it can print is
+// core.Artefacts(); the flags only select entries of that catalogue.
 //
 // Examples:
 //
@@ -19,12 +20,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/game"
 	"repro/internal/perfmodel"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -37,12 +39,24 @@ func main() {
 	}
 }
 
+// numbered returns the N of every catalogue ID of the form kindN.
+func numbered(arts []core.Artefact, kind string) (ns []string) {
+	for _, a := range arts {
+		if n, ok := strings.CutPrefix(a.ID, kind); ok {
+			ns = append(ns, n)
+		}
+	}
+	return ns
+}
+
 func run(args []string, out io.Writer) error {
+	arts := core.Artefacts()
+	tables, figs := numbered(arts, "table"), numbered(arts, "fig")
 	fs := flag.NewFlagSet("egdscale", flag.ContinueOnError)
 	var (
 		all        = fs.Bool("all", false, "print every table and figure")
-		table      = fs.Int("table", 0, "print one table (1,3,4,6,7,8)")
-		fig        = fs.Int("fig", 0, "print one figure (3,4,5,6,7)")
+		table      = fs.Int("table", 0, "print one table ("+strings.Join(tables, ",")+")")
+		fig        = fs.Int("fig", 0, "print one figure ("+strings.Join(figs, ",")+")")
 		fullSystem = fs.Bool("fullsystem", false, "include the 72-rack 294,912-processor point in Fig. 7")
 		hostCal    = fs.Bool("host-calibrate", false, "calibrate per-game costs from this host's engine instead of the paper anchor")
 		measure    = fs.Bool("measure", false, "measure real parallel-engine scaling on this host")
@@ -55,18 +69,39 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	cal := perfmodel.PaperCalibration()
+	// Flags to catalogue IDs.
+	want := map[string]bool{"knee": *knee, "mappings": *mappings, "measure": *measure}
+	for _, sel := range []struct {
+		kind  string
+		valid []string
+		n     int
+	}{{"table", tables, *table}, {"fig", figs, *fig}} {
+		if sel.n == 0 {
+			continue
+		}
+		if !slices.Contains(sel.valid, strconv.Itoa(sel.n)) {
+			return fmt.Errorf("no -%s %d: the catalogue has %s", sel.kind, sel.n, strings.Join(sel.valid, ","))
+		}
+		want[sel.kind+strconv.Itoa(sel.n)] = true
+	}
+
+	opts := core.Options{Cal: perfmodel.PaperCalibration(), FullSystem: *fullSystem, Fig4Procs: *fig4Procs}
 	if *hostCal {
-		rules := game.DefaultRules()
-		hc, err := perfmodel.HostCalibration(rules, 20, true, 1)
+		hc, err := perfmodel.HostCalibration(game.DefaultRules(), 20, true, 1)
 		if err != nil {
 			return err
 		}
-		cal = hc.Scaled(perfmodel.BlueGeneL())
-		fmt.Fprintf(out, "# host calibration (search engine, scaled to BG/L clock): %v\n", cal.GameSeconds[1:])
+		opts.Cal = hc.Scaled(perfmodel.BlueGeneL())
+		fmt.Fprintf(out, "# host calibration (search engine, scaled to BG/L clock): %v\n", opts.Cal.GameSeconds[1:])
 	}
 
-	emit := func(t *core.Table, err error) error {
+	printed := false
+	for _, a := range arts {
+		if !*all && !want[a.ID] {
+			continue
+		}
+		printed = true
+		t, err := a.Build(opts)
 		if err != nil {
 			return err
 		}
@@ -76,173 +111,10 @@ func run(args []string, out io.Writer) error {
 		} else {
 			fmt.Fprintln(out, t.Format())
 		}
-		return nil
-	}
-
-	printed := false
-	want := func(kind string, n int) bool {
-		if *all {
-			return true
-		}
-		switch kind {
-		case "table":
-			return *table == n
-		case "fig":
-			return *fig == n
-		}
-		return false
-	}
-
-	if want("table", 1) {
-		printed = true
-		if err := emit(core.TableI(), nil); err != nil {
-			return err
-		}
-	}
-	if want("table", 3) {
-		printed = true
-		if err := emit(core.TableIII(), nil); err != nil {
-			return err
-		}
-	}
-	if want("table", 4) {
-		printed = true
-		if err := emit(core.TableIV(), nil); err != nil {
-			return err
-		}
-	}
-	if want("table", 6) {
-		printed = true
-		t, err := core.TableVI(cal)
-		if err := emit(t, err); err != nil {
-			return err
-		}
-	}
-	if want("table", 7) {
-		printed = true
-		t, err := core.TableVII(cal)
-		if err := emit(t, err); err != nil {
-			return err
-		}
-	}
-	if want("table", 8) {
-		printed = true
-		if err := emit(core.TableVIII(core.TableVIISSets(), []int{256, 512, 1024, 2048}), nil); err != nil {
-			return err
-		}
-	}
-	if want("fig", 3) {
-		printed = true
-		t, err := core.Fig3(cal)
-		if err := emit(t, err); err != nil {
-			return err
-		}
-	}
-	if want("fig", 4) {
-		printed = true
-		t, err := core.Fig4(cal, *fig4Procs)
-		if err := emit(t, err); err != nil {
-			return err
-		}
-	}
-	if want("fig", 5) {
-		printed = true
-		t, err := core.Fig5(cal)
-		if err := emit(t, err); err != nil {
-			return err
-		}
-	}
-	if want("fig", 6) {
-		printed = true
-		t, err := core.Fig6(cal)
-		if err := emit(t, err); err != nil {
-			return err
-		}
-	}
-	if want("fig", 7) {
-		printed = true
-		t, err := core.Fig7(cal, *fullSystem)
-		if err := emit(t, err); err != nil {
-			return err
-		}
-	}
-
-	if *knee || *all {
-		printed = true
-		t := &core.Table{
-			Title:   "Efficiency knee: minimum IPD matches/worker/generation for a >= target-efficiency doubling (Fig. 5 rule of thumb)",
-			Columns: []string{"Machine", "Memory", "target 0.90", "target 0.95", "target 0.99"},
-		}
-		for _, mc := range []perfmodel.Machine{perfmodel.BlueGeneL(), perfmodel.BlueGeneP()} {
-			for _, mem := range []int{1, 6} {
-				row := []string{mc.Name, fmt.Sprintf("%d", mem)}
-				for _, target := range []float64{0.90, 0.95, 0.99} {
-					k, err := perfmodel.GamesKnee(mc, cal, mem, core.SmallStudyPCRate, target)
-					if err != nil {
-						return err
-					}
-					row = append(row, fmt.Sprintf("%.2f", k))
-				}
-				t.Rows = append(t.Rows, row)
-			}
-		}
-		if err := emit(t, nil); err != nil {
-			return err
-		}
-	}
-	if *mappings || *all {
-		printed = true
-		t, err := core.MappingStudy()
-		if err := emit(t, err); err != nil {
-			return err
-		}
-	}
-	if *measure || *all {
-		printed = true
-		if err := measureHost(out, *csv); err != nil {
-			return err
-		}
 	}
 	if !printed {
 		fs.Usage()
 		return fmt.Errorf("nothing selected; use -all, -table N, -fig N, or -measure")
-	}
-	return nil
-}
-
-// measureHost runs the real parallel engine across rank counts on this
-// host and prints measured strong scaling — the non-projected counterpart
-// of Figures 3/5/7.
-func measureHost(out io.Writer, csv bool) error {
-	cfg := sim.DefaultConfig(1, 96)
-	cfg.Generations = 20
-	cfg.PCRate = core.SmallStudyPCRate
-	cfg.FullRecompute = true
-	cfg.Rules.Rounds = 100
-	cfg.Seed = 1
-	rows, err := core.HostStrongScaling(cfg, core.DefaultHostRankCounts())
-	if err != nil {
-		return err
-	}
-	t := &core.Table{
-		Title:   fmt.Sprintf("Measured strong scaling on this host (%d cores): memory-1, %d SSets, %d generations, full recompute", runtime.NumCPU(), cfg.NumSSets, cfg.Generations),
-		Columns: []string{"Ranks", "Workers", "Seconds", "Speedup", "Efficiency"},
-	}
-	base := rows[0]
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", r.Ranks),
-			fmt.Sprintf("%d", r.Ranks-1),
-			fmt.Sprintf("%.3f", r.Seconds),
-			fmt.Sprintf("%.2f", base.Seconds/r.Seconds),
-			fmt.Sprintf("%.3f", perfmodel.Efficiency(base.Ranks-1, base.Seconds, r.Ranks-1, r.Seconds)),
-		})
-	}
-	if csv {
-		fmt.Fprintln(out, "# "+t.Title)
-		fmt.Fprint(out, t.CSV())
-	} else {
-		fmt.Fprintln(out, t.Format())
 	}
 	return nil
 }

@@ -15,8 +15,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -26,52 +28,61 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
 		fmt.Fprintln(os.Stderr, "egdstrat:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("egdstrat", flag.ContinueOnError)
 	var (
-		memory  = flag.Int("memory", 1, "memory depth for named classics")
-		errRate = flag.Float64("error", 0.01, "execution error rate for the payoff table")
-		popN    = flag.Int("n", 32, "population size for the fixation analysis")
-		beta    = flag.Float64("beta", 1, "Fermi selection intensity for the fixation analysis")
+		memory  = fs.Int("memory", 1, "memory depth for named classics, in [1,6]")
+		errRate = fs.Float64("error", 0.01, "execution error rate for the payoff table")
+		popN    = fs.Int("n", 32, "population size for the fixation analysis")
+		beta    = fs.Float64("beta", 1, "Fermi selection intensity for the fixation analysis")
 	)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		flag.Usage()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *memory < 1 || *memory > strategy.MaxMemory {
+		return fmt.Errorf("-memory %d out of range [1,%d]", *memory, strategy.MaxMemory)
+	}
+	if fs.NArg() != 1 {
+		fs.Usage()
 		return fmt.Errorf("need exactly one strategy (a classic name or a 0/1 response string)")
 	}
-	arg := flag.Arg(0)
+	arg := fs.Arg(0)
 
 	subject, name, err := parseStrategy(arg, *memory)
 	if err != nil {
 		return err
 	}
 	sp := subject.Space()
-	fmt.Printf("strategy: %s (memory-%d, %d states)\n", name, sp.Memory(), sp.NumStates())
+	fmt.Fprintf(out, "strategy: %s (memory-%d, %d states)\n", name, sp.Memory(), sp.NumStates())
 
 	if p, ok := subject.(*strategy.Pure); ok {
-		fmt.Printf("response: %s\n", p)
+		fmt.Fprintf(out, "response: %s\n", p)
 		tr := strategy.AnalyzeTraits(p)
-		fmt.Printf("traits:   %s\n", tr)
-		fmt.Printf("opens:    %s; defects in %.0f%% of states\n", tr.FirstMove, 100*tr.DefectionRate)
+		fmt.Fprintf(out, "traits:   %s\n", tr)
+		fmt.Fprintf(out, "opens:    %s; defects in %.0f%% of states\n", tr.FirstMove, 100*tr.DefectionRate)
 	} else {
-		fmt.Printf("response: %s (mixed)\n", subject)
+		fmt.Fprintf(out, "response: %s (mixed)\n", subject)
 	}
 
 	if sp.Memory() == 1 {
-		fmt.Println("\nresponse table:")
+		fmt.Fprintln(out, "\nresponse table:")
 		for s := uint32(0); s < uint32(sp.NumStates()); s++ {
-			fmt.Printf("  after %s: cooperate with probability %.2f\n",
+			fmt.Fprintf(out, "  after %s: cooperate with probability %.2f\n",
 				sp.DescribeState(s), subject.CooperateProb(s))
 		}
 	}
 
 	// Exact payoffs against the classic field.
-	fmt.Printf("\nexact long-run payoffs at %.1f%% errors (mine / theirs):\n", 100**errRate)
+	fmt.Fprintf(out, "\nexact long-run payoffs at %.1f%% errors (mine / theirs):\n", 100**errRate)
 	payoff := game.StandardPayoff()
 	opponents := []string{"ALLC", "ALLD", "TFT", "WSLS", "GRIM", "GTFT"}
 	for _, on := range opponents {
@@ -90,17 +101,17 @@ func run() error {
 		case mine < theirs-1e-9:
 			verdict = "loses"
 		}
-		fmt.Printf("  vs %-5s %6.3f / %-6.3f  (%s)\n", on, mine, theirs, verdict)
+		fmt.Fprintf(out, "  vs %-5s %6.3f / %-6.3f  (%s)\n", on, mine, theirs, verdict)
 	}
 	selfPi, _, err := analysis.MarkovPayoffN(payoff, subject, subject, *errRate)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  self-play: %.3f  (3.000 = sustained cooperation)\n", selfPi)
+	fmt.Fprintf(out, "  self-play: %.3f  (3.000 = sustained cooperation)\n", selfPi)
 
 	// Invasion analysis: would a lone copy of this strategy take over a
 	// resident population, under the Fermi pairwise-comparison process?
-	fmt.Printf("\nfixation probability of one mutant in %d residents (Fermi, beta %.1f; neutral = %.4f):\n",
+	fmt.Fprintf(out, "\nfixation probability of one mutant in %d residents (Fermi, beta %.1f; neutral = %.4f):\n",
 		*popN-1, *beta, analysis.NeutralFixation(*popN))
 	fcfg := analysis.FixationConfig{N: *popN, Beta: *beta, ErrorRate: *errRate}
 	for _, on := range opponents {
@@ -116,7 +127,7 @@ func run() error {
 		if inv.Favoured {
 			tag = "  <- favoured by selection"
 		}
-		fmt.Printf("  into %-5s %.4f%s\n", on, inv.Fixation, tag)
+		fmt.Fprintf(out, "  into %-5s %.4f%s\n", on, inv.Fixation, tag)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/strategy"
@@ -52,5 +53,31 @@ func TestParseStrategyRejectsJunk(t *testing.T) {
 	}
 	if _, _, err := parseStrategy("TF2T", 2); err != nil {
 		t.Fatal("TF2T at memory 2 rejected")
+	}
+}
+
+// One good invocation end to end, and the two flag values that used to reach
+// strategy.NewSpace's panic: both are one-line errors naming the flag.
+func TestRunSmoke(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"-error", "0.05", "WSLS"}, &out); err != nil {
+		t.Fatalf("run failed: %v\noutput:\n%s", err, out.String())
+	}
+	for _, want := range []string{
+		"strategy: WSLS (memory-1, 4 states)",
+		"response: 0110",
+		"exact long-run payoffs at 5.0% errors",
+		"self-play:",
+		"fixation probability of one mutant in 31 residents",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output missing %q:\n%s", want, out.String())
+		}
+	}
+	for _, m := range []string{"0", "7"} {
+		err := run([]string{"-memory", m, "TFT"}, &out)
+		if err == nil || !strings.Contains(err.Error(), "-memory "+m+" out of range [1,6]") {
+			t.Errorf("-memory %s: error %v does not name the flag and its range", m, err)
+		}
 	}
 }

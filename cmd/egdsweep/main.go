@@ -11,37 +11,50 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
+	"unicode"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
 		fmt.Fprintln(os.Stderr, "egdsweep:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, out io.Writer) error {
 	// The base run is the spec every command shares (README.md "Run
 	// parameters"); the three swept parameters take lists here.
+	fs := flag.NewFlagSet("egdsweep", flag.ContinueOnError)
 	base := sim.DefaultSpec()
 	base.SSets, base.Generations = 32, 10000
-	base.BindFlags(flag.CommandLine)
+	base.BindFlags(fs)
 	var (
-		betas   = listFlag("beta")
-		mus     = listFlag("mu")
-		errs    = listFlag("error")
-		seeds   = flag.Int("seeds", 1, "number of seeds per parameter combination, counting up from -seed")
-		workers = flag.Int("workers", 0, "concurrent cells (0 = NumCPU)")
+		betas   = listFlag(fs, "beta")
+		mus     = listFlag(fs, "mu")
+		errs    = listFlag(fs, "error")
+		seeds   = fs.Int("seeds", 1, "number of seeds per parameter combination, counting up from -seed")
+		workers = fs.Int("workers", 0, "concurrent cells (0 = NumCPU)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *seeds < 1 {
+		return fmt.Errorf("-seeds %d out of range: need at least 1", *seeds)
+	}
 	cfg, err := base.Config()
 	if err != nil {
 		return err
@@ -59,15 +72,32 @@ func run() error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "egdsweep: %d cells x %d generations\n", grid.Size(), base.Generations)
-	outcomes := grid.Run(*workers)
-	fmt.Print(sweep.CSV(outcomes))
-	return nil
+	_, err = io.WriteString(out, table(grid.Run(*workers)).CSV())
+	return err
+}
+
+// table is one row per cell: the swept parameters in name order, then the
+// metrics. A failed run's message is run_error — "error" is the swept error
+// rate's column.
+func table(outcomes []sweep.Outcome) *core.Table {
+	t := &core.Table{Columns: []string{"beta", "error", "mu", "seed",
+		"mean_fitness", "cooperation", "wsls_fraction", "distinct", "seconds", "run_error"}}
+	for _, o := range outcomes {
+		l, runErr := o.Point.Labels, ""
+		if o.Err != nil {
+			runErr = o.Err.Error()
+		}
+		t.Rows = append(t.Rows, []string{l["beta"], l["error"], l["mu"], l["seed"],
+			fmt.Sprintf("%.6g", o.MeanFitness), fmt.Sprintf("%.6g", o.Cooperation), fmt.Sprintf("%.6g", o.WSLSFraction),
+			strconv.Itoa(o.Distinct), fmt.Sprintf("%.3f", o.Seconds), runErr})
+	}
+	return t
 }
 
 // listFlag turns one of the spec's flags into a sweep axis: same name and
 // default, but the value is a comma-separated list applied cell by cell.
-func listFlag(name string) *string {
-	f := flag.Lookup(name)
+func listFlag(fs *flag.FlagSet, name string) *string {
+	f := fs.Lookup(name)
 	v := listValue(f.DefValue)
 	f.Value = &v
 	f.Usage = "comma-separated values: " + f.Usage
@@ -80,14 +110,7 @@ func (l *listValue) String() string     { return string(*l) }
 func (l *listValue) Set(s string) error { *l = listValue(s); return nil }
 
 func split(s string) []string {
-	parts := strings.Split(s, ",")
-	out := parts[:0]
-	for _, p := range parts {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
+	return strings.FieldsFunc(s, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
 }
 
 func applyParam(cfg *sim.Config, name, value string) (err error) {

@@ -18,12 +18,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 
 	"repro/internal/checkpoint"
-	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/rng"
+	"repro/internal/sim"
 	"repro/internal/strategy"
 )
 
@@ -55,8 +53,9 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	var strategies []strategy.Strategy
-	var memory int
+	// Both inputs take the one Fig. 2 readout, core.RunWSLSValidation: a
+	// checkpoint is a zero-generation run that starts from its population.
+	var cfg sim.Config
 	switch {
 	case *in != "":
 		f, err := os.Open(*in)
@@ -68,67 +67,35 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		strategies = snap.Strategies
-		memory = snap.Memory
+		cfg = sim.Config{Memory: snap.Memory, NumSSets: len(snap.Strategies), InitialStrategies: snap.Strategies, Seed: *seed}
 		fmt.Fprintf(out, "loaded checkpoint: generation %d, %d SSets, memory-%d\n",
-			snap.Generation, len(strategies), memory)
+			snap.Generation, len(snap.Strategies), snap.Memory)
 	case *doRun:
-		cfg := core.WSLSValidationConfig(*ssets, *gens, *seed)
-		res, err := core.RunWSLSValidation(cfg, *k)
-		if err != nil {
-			return err
-		}
-		strategies = res.Result.Final
-		memory = cfg.Memory
-		fmt.Fprintf(out, "fresh run: %d SSets, %d generations; WSLS fraction %.3f\n",
-			*ssets, *gens, res.WSLSFraction)
+		cfg = core.WSLSValidationConfig(*ssets, *gens, *seed)
 	default:
 		fs.Usage()
 		return fmt.Errorf("need -in FILE or -run")
 	}
-	if len(strategies) == 0 {
-		return fmt.Errorf("no strategies to visualise")
-	}
-
-	// Cluster and reorder rows so prevalent strategies band together, the
-	// presentation Fig. 2(b) uses.
-	kk := *k
-	if kk > len(strategies) {
-		kk = len(strategies)
-	}
-	km, err := cluster.KMeans(cluster.StrategyVectors(strategies), kk, 100, rng.New(*seed^0xF16))
+	res, err := core.RunWSLSValidation(cfg, *k)
 	if err != nil {
 		return err
 	}
-	order := make([]int, len(strategies))
-	for i := range order {
-		order[i] = i
+	if *in == "" {
+		fmt.Fprintf(out, "fresh run: %d SSets, %d generations; WSLS fraction %.3f\n",
+			*ssets, *gens, res.WSLSFraction)
 	}
+
+	// Reorder rows so prevalent strategies band together, the presentation
+	// Fig. 2(b) uses.
+	sorted := res.Result.Final
 	if !*noSort {
-		sort.SliceStable(order, func(a, b int) bool {
-			ca, cb := km.Assign[order[a]], km.Assign[order[b]]
-			if km.Sizes[ca] != km.Sizes[cb] {
-				return km.Sizes[ca] > km.Sizes[cb]
-			}
-			return ca < cb
-		})
+		sorted = make([]strategy.Strategy, len(res.Order))
+		for i, idx := range res.Order {
+			sorted[i] = res.Result.Final[idx]
+		}
 	}
-	sorted := make([]strategy.Strategy, len(strategies))
-	for i, idx := range order {
-		sorted[i] = strategies[idx]
-	}
-
-	idx, frac := km.DominantCluster()
-	sp := strategy.NewSpace(memory)
-	rounded, err := cluster.RoundCentroid(km.Centroids[idx], sp)
-	if err != nil {
-		return err
-	}
-	label := rounded.String()
-	if rounded.Equal(strategy.WSLS(sp)) {
-		label += " (WSLS)"
-	}
-	fmt.Fprintf(out, "dominant cluster: %.1f%% of SSets, centroid rounds to %s\n", 100*frac, label)
+	fmt.Fprintln(out, dominantLine(res))
+	km := res.Clusters
 	fmt.Fprintf(out, "cluster sizes: %v (inertia %.3f, %d Lloyd iterations)\n", km.Sizes, km.Inertia, km.Iterations)
 
 	fmt.Fprintln(out, "population map (rows = SSets by cluster, cols = states; '.'=C '#'=D):")
@@ -146,4 +113,13 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "image -> %s\n", *ppmPath)
 	}
 	return nil
+}
+
+// dominantLine reports the largest k-means cluster of a readout.
+func dominantLine(res *core.WSLSOutcome) string {
+	label := res.Dominant.String()
+	if res.DominantIsWSLS {
+		label += " (WSLS)"
+	}
+	return fmt.Sprintf("dominant cluster: %.1f%% of SSets, centroid rounds to %s", 100*res.DominantFraction, label)
 }

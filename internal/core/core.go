@@ -4,18 +4,21 @@
 // machine descriptions), and formats the resulting rows and series the way
 // the paper reports them.
 //
-// Each Table*/Fig* function corresponds to one artefact of the paper's
-// evaluation section; cmd/egdscale and the repository-root benchmarks are
-// thin wrappers around this package.
+// Artefacts is the one list of what is regenerated: every table and figure
+// of the paper's evaluation section that is a table of numbers is an entry
+// with an ID and a Build function, and cmd/egdscale, the catalogue test, the
+// repository-root generator benchmark and cmd/egddoc's citation check all
+// iterate it. Fig. 2 is a run, not a table: WSLSValidationConfig and
+// RunWSLSValidation, rendered by cmd/egdviz.
 package core
 
 import (
+	"encoding/csv"
 	"fmt"
 	"sort"
 	"strings"
 
 	"repro/internal/cluster"
-	"repro/internal/game"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/strategy"
@@ -60,96 +63,13 @@ func (t *Table) Format() string {
 	return sb.String()
 }
 
-// CSV renders the table as CSV.
+// CSV renders the table as RFC 4180 CSV: the header, then one record per
+// row, a cell quoted only when it holds a comma, quote or line break.
 func (t *Table) CSV() string {
 	var sb strings.Builder
-	sb.WriteString(strings.Join(t.Columns, ","))
-	sb.WriteByte('\n')
-	for _, row := range t.Rows {
-		sb.WriteString(strings.Join(row, ","))
-		sb.WriteByte('\n')
-	}
+	// A strings.Builder never fails a write, so neither does the writer.
+	_ = csv.NewWriter(&sb).WriteAll(append([][]string{t.Columns}, t.Rows...))
 	return sb.String()
-}
-
-// TableI renders the Prisoner's Dilemma payoff matrix (paper Table I).
-func TableI() *Table {
-	p := game.StandardPayoff()
-	tbl := p.Table()
-	f := func(cell [2]float64) string { return fmt.Sprintf("%g,%g", cell[0], cell[1]) }
-	return &Table{
-		Title:   "Table I: Prisoner's Dilemma payoff matrix (agent,opponent)",
-		Columns: []string{"Agent\\Opp", "C", "D"},
-		Rows: [][]string{
-			{"C", f(tbl[0][0]), f(tbl[0][1])},
-			{"D", f(tbl[1][0]), f(tbl[1][1])},
-		},
-	}
-}
-
-// TableIII enumerates all 16 memory-one pure strategies (paper Table III),
-// annotated with classic names where they coincide.
-func TableIII() *Table {
-	sp := strategy.NewSpace(1)
-	names := map[uint64]string{
-		strategy.AllC(sp).Fingerprint(): "ALLC",
-		strategy.AllD(sp).Fingerprint(): "ALLD",
-		strategy.TFT(sp).Fingerprint():  "TFT",
-		strategy.WSLS(sp).Fingerprint(): "WSLS",
-		strategy.Grim(sp).Fingerprint(): "GRIM",
-	}
-	t := &Table{
-		Title:   "Table III: all memory-one pure strategies (state order CC,CD,DC,DD; 0=C 1=D)",
-		Columns: []string{"Strategy", "CC", "CD", "DC", "DD", "Name"},
-	}
-	for i, p := range strategy.EnumeratePure(sp) {
-		s := p.String()
-		row := []string{fmt.Sprintf("%d", i+1), s[0:1], s[1:2], s[2:3], s[3:4], names[p.Fingerprint()]}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
-}
-
-// TableIV reports the strategy-space sizes per memory depth (paper
-// Table IV): 4^n states and 2^(4^n) pure strategies.
-func TableIV() *Table {
-	t := &Table{
-		Title:   "Table IV: number of pure strategies per memory depth",
-		Columns: []string{"Memory", "States", "Strategies"},
-	}
-	exact := map[int]string{1: "16", 2: "65536", 3: "1.84e19", 4: "1.16e77"}
-	for n := 1; n <= 6; n++ {
-		sp := strategy.NewSpace(n)
-		count, ok := exact[n]
-		if !ok {
-			count = fmt.Sprintf("2^%d", sp.NumStates())
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", n),
-			fmt.Sprintf("%d", sp.NumStates()),
-			count,
-		})
-	}
-	return t
-}
-
-// TableVIII reports agents per processor for the paper's a = S convention
-// (population S^2 spread over P processors).
-func TableVIII(ssets []int, procs []int) *Table {
-	t := &Table{Title: "Table VIII: agents per processor (agents per SSet = #SSets)"}
-	t.Columns = append(t.Columns, "SSets")
-	for _, p := range procs {
-		t.Columns = append(t.Columns, fmt.Sprintf("P=%d", p))
-	}
-	for _, s := range ssets {
-		row := []string{fmt.Sprintf("%d", s)}
-		for _, p := range procs {
-			agents := uint64(s) * uint64(s) / uint64(p)
-			row = append(row, fmt.Sprintf("%d", agents))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
 }
 
 // WSLSValidationConfig is the scaled Fig. 2 experiment: mixed memory-one
@@ -189,12 +109,21 @@ type WSLSOutcome struct {
 	// DominantIsWSLS reports whether that cluster's centroid rounds to
 	// WSLS.
 	DominantIsWSLS bool
+	// Dominant is that centroid rounded to the nearest pure strategy.
+	Dominant *strategy.Pure
+	// Clusters is the k-means run itself: assignment, sizes, inertia.
+	Clusters *cluster.Result
+	// Order lists the SSet indices banded by cluster, largest cluster
+	// first — the row order of Fig. 2(b)'s population map.
+	Order []int
 	// Result carries the full simulation output.
 	Result *sim.Result
 }
 
 // RunWSLSValidation executes the scaled Fig. 2 experiment and the paper's
-// k-means readout (Lloyd clustering of the final strategies).
+// k-means readout (Lloyd clustering of the final strategies). A population
+// that already exists is read out the same way: pass it as
+// cfg.InitialStrategies with zero generations (egdviz -in).
 func RunWSLSValidation(cfg sim.Config, kClusters int) (*WSLSOutcome, error) {
 	res, err := sim.RunSequential(cfg)
 	if err != nil {
@@ -210,13 +139,25 @@ func RunWSLSValidation(cfg sim.Config, kClusters int) (*WSLSOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	out.Clusters = km
+	out.Order = make([]int, len(res.Final))
+	for i := range out.Order {
+		out.Order[i] = i
+	}
+	sort.SliceStable(out.Order, func(a, b int) bool {
+		ca, cb := km.Assign[out.Order[a]], km.Assign[out.Order[b]]
+		if km.Sizes[ca] != km.Sizes[cb] {
+			return km.Sizes[ca] > km.Sizes[cb]
+		}
+		return ca < cb
+	})
 	idx, frac := km.DominantCluster()
 	out.DominantFraction = frac
-	rounded, err := cluster.RoundCentroid(km.Centroids[idx], sp)
+	out.Dominant, err = cluster.RoundCentroid(km.Centroids[idx], sp)
 	if err != nil {
 		return nil, err
 	}
-	out.DominantIsWSLS = rounded.Equal(wsls)
+	out.DominantIsWSLS = out.Dominant.Equal(wsls)
 	return out, nil
 }
 

@@ -1,5 +1,5 @@
 // Package sweep runs grids of simulation configurations concurrently and
-// tabulates outcome metrics — the workhorse behind parameter studies such
+// collects outcome metrics — the workhorse behind parameter studies such
 // as "cooperation versus error rate" or "WSLS emergence versus selection
 // intensity" that domain scientists run on frameworks like the paper's.
 package sweep
@@ -7,8 +7,6 @@ package sweep
 import (
 	"fmt"
 	"runtime"
-	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/sim"
@@ -130,33 +128,4 @@ func runPoint(p Point) Outcome {
 		o.Cooperation = v
 	}
 	return o
-}
-
-// CSV tabulates outcomes with one row per cell: the label columns in
-// sorted name order followed by the metric columns.
-func CSV(outcomes []Outcome) string {
-	if len(outcomes) == 0 {
-		return ""
-	}
-	names := make([]string, 0, len(outcomes[0].Point.Labels))
-	for n := range outcomes[0].Point.Labels {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var sb strings.Builder
-	sb.WriteString(strings.Join(names, ","))
-	sb.WriteString(",mean_fitness,cooperation,wsls_fraction,distinct,seconds,error\n")
-	for _, o := range outcomes {
-		for _, n := range names {
-			sb.WriteString(o.Point.Labels[n])
-			sb.WriteByte(',')
-		}
-		errStr := ""
-		if o.Err != nil {
-			errStr = strings.ReplaceAll(o.Err.Error(), ",", ";")
-		}
-		fmt.Fprintf(&sb, "%.6g,%.6g,%.6g,%d,%.3f,%s\n",
-			o.MeanFitness, o.Cooperation, o.WSLSFraction, o.Distinct, o.Seconds, errStr)
-	}
-	return sb.String()
 }

@@ -3,7 +3,6 @@ package sweep
 import (
 	"errors"
 	"strconv"
-	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -138,43 +137,6 @@ func TestRunDefaultWorkers(t *testing.T) {
 	outs := g.Run(0)
 	if len(outs) != 1 || outs[0].Err != nil {
 		t.Fatalf("default-worker run failed: %+v", outs)
-	}
-}
-
-func TestCSVOutput(t *testing.T) {
-	g, err := Cross(baseCfg(),
-		[]string{"beta"},
-		[][]string{{"1", "2"}},
-		applyParam)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs := g.Run(1)
-	csv := CSV(outs)
-	lines := strings.Split(strings.TrimSpace(csv), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("%d CSV lines", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "beta,mean_fitness") {
-		t.Fatalf("header = %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "1,") || !strings.HasPrefix(lines[2], "2,") {
-		t.Fatalf("rows out of order: %q %q", lines[1], lines[2])
-	}
-	if CSV(nil) != "" {
-		t.Fatal("empty outcomes should give empty CSV")
-	}
-}
-
-func TestCSVEscapesErrorCommas(t *testing.T) {
-	outs := []Outcome{{
-		Point: Point{Labels: map[string]string{"x": "1"}},
-		Err:   errors.New("boom, with comma"),
-	}}
-	csv := CSV(outs)
-	lines := strings.Split(strings.TrimSpace(csv), "\n")
-	if strings.Count(lines[1], ",") != strings.Count(lines[0], ",") {
-		t.Fatalf("comma in error broke CSV row: %q", lines[1])
 	}
 }
 
