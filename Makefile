@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-json race fuzz bench bench-e2e bench-compare docs loc chaos serve-smoke check clean
+.PHONY: all build test vet lint lint-json race fuzz bench bench-e2e bench-compare bench-check docs loc chaos serve-smoke check clean
 
 all: build test
 
@@ -86,6 +86,14 @@ bench-e2e:
 
 bench-compare:
 	bash bench/run.sh -compare $(A) $(B)
+
+# The committed perf trajectory: a PR that runs the benchmark commits its
+# change-side bench/out/result.json as BENCH_<PR>.json at the root.
+# bench-check compares this checkout's last bench-e2e run with the newest of
+# those records and exits 1 on a regression beyond a metric's bound — on the
+# host the record names in its header; elsewhere it is a report.
+bench-check:
+	bash bench/run.sh -compare $$(ls BENCH_*.json | sort -V | tail -1) bench/out/result.json
 
 # Documentation gate: package docs present on every exported symbol
 # (the pkgdoc egdlint analyzer alone) and no broken relative links or

@@ -257,8 +257,8 @@ func printPhaseSummary(out io.Writer, res *sim.Result) {
 		}
 	}
 	if cached {
-		fmt.Fprintf(out, "payoff cache: %d hits, %d misses (%.1f%% hit rate), %d evictions, %d entries resident\n",
-			cs.Hits, cs.Misses, 100*cs.HitRate(), cs.Evictions, cs.Entries)
+		fmt.Fprintf(out, "payoff cache: %d hits, %d misses (%.1f%% hit rate), %d live types with a payoff row\n",
+			cs.Hits, cs.Misses, 100*cs.HitRate(), cs.Entries)
 	}
 }
 

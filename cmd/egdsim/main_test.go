@@ -265,8 +265,7 @@ func TestRunPayoffCacheSmoke(t *testing.T) {
 		return out.String()
 	}
 	plain := capture()
-	cached := capture("-payoff-cache", "-payoff-cache-size", "4096",
-		"-metrics", filepath.Join(dir, "m.json"))
+	cached := capture("-payoff-cache", "-metrics", filepath.Join(dir, "m.json"))
 	if !strings.Contains(cached, "payoff cache:") {
 		t.Errorf("cache summary line missing:\n%s", cached)
 	}
@@ -289,11 +288,13 @@ func TestRunPayoffCacheSmoke(t *testing.T) {
 	}
 }
 
-func TestRunRejectsNegativeCacheSize(t *testing.T) {
+// The table is sized by the population: the capacity flag left with the LRU
+// and is an unknown flag now, not a silently ignored one.
+func TestRunRejectsPayoffCacheSizeFlag(t *testing.T) {
 	var out strings.Builder
-	err := run([]string{"-gens", "10", "-payoff-cache", "-payoff-cache-size", "-5"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "cache size") {
-		t.Fatalf("negative cache size accepted: %v", err)
+	err := run([]string{"-gens", "10", "-payoff-cache", "-payoff-cache-size", "4096"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -payoff-cache-size") {
+		t.Fatalf("-payoff-cache-size accepted: %v", err)
 	}
 }
 

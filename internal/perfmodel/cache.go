@@ -7,10 +7,12 @@ package perfmodel
 // jobs the daemon can easily run.
 
 // PairCacheHitCostRatio is the modelled cost of serving one memoized pair
-// payoff relative to recomputing the match: two fingerprint lookups and an
-// LRU touch against rounds of table-driven play. Measured hit service is
-// two to three orders of magnitude cheaper than a 200-round match; 0.01 is
-// deliberately conservative so the model never underprices.
+// payoff relative to recomputing the match: a type id, its epoch check and
+// one cell of the rank's π[type][type] against rounds of table-driven play.
+// A hit measures ≈5 ns and the cheapest replay the engine has, a pure
+// memory-three match of 200 rounds, ≈1 µs — a ratio of 0.005, and smaller
+// against every noisy, mixed or exact match. 0.01 therefore overprices a
+// hit at least twofold, which is the side admission may err on.
 const PairCacheHitCostRatio = 0.01
 
 // CacheAdjustedGames returns the effective full-cost match count of a run

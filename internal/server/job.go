@@ -542,8 +542,6 @@ func (m *Manager) runJob(job *Job) {
 	}
 	job.setState(StateRunning)
 	m.persistState(job)
-	m.reg.Gauge("egd_server_jobs_running").Add(1)
-	defer m.reg.Gauge("egd_server_jobs_running").Add(-1)
 
 	cfg := job.cfg
 	// A checkpoint that cannot be read is not fatal: the segment starts from
@@ -590,7 +588,13 @@ func (m *Manager) runJob(job *Job) {
 		}
 	})
 
+	// The gauge spans the engine call alone and falls before the segment's
+	// outcome is published (settle, park), so a client that sees the job
+	// stopped never scrapes it running.
+	running := m.reg.Gauge("egd_server_jobs_running")
+	running.Add(1)
 	res, err := sim.Run(cfg, job.Spec.Ranks)
+	running.Add(-1)
 	ctrl := job.ctrl.Load()
 	switch {
 	case err == nil:
@@ -627,14 +631,24 @@ func (m *Manager) park(job *Job, state State) {
 	m.persistState(job)
 }
 
-// settle moves a job to a terminal state exactly once: records the outcome,
-// releases its budget reservation and tenant slot, folds its metrics into
-// the daemon registry, and closes its event stream.
+// settle moves a job to a terminal state exactly once: folds its metrics
+// into the daemon registry, records the outcome, releases its budget
+// reservation and tenant slot, and closes its event stream. The registry is
+// updated before the terminal state can be observed: a client that polls the
+// job done and then scrapes /metrics finds the job counted.
 func (m *Manager) settle(job *Job, state State, res *sim.Result, errMsg string) {
+	var runReg *metrics.Registry
+	if res != nil {
+		runReg = res.MetricsRegistry()
+	}
 	job.mu.Lock()
 	if job.state.terminal() {
 		job.mu.Unlock()
 		return
+	}
+	m.reg.Counter(metrics.Name("egd_server_jobs_finished_total", "state", string(state))).Inc()
+	if runReg != nil {
+		foldCounters(m.reg, runReg)
 	}
 	job.state = state
 	job.errMsg = errMsg
@@ -653,12 +667,6 @@ func (m *Manager) settle(job *Job, state State, res *sim.Result, errMsg string) 
 	}
 	m.mu.Unlock()
 	m.quotas.release(job.Tenant)
-	m.reg.Counter(metrics.Name("egd_server_jobs_finished_total", "state", string(state))).Inc()
-	if res != nil {
-		if runReg := res.MetricsRegistry(); runReg != nil {
-			foldCounters(m.reg, runReg)
-		}
-	}
 	job.hub.publish("state", map[string]any{"id": job.ID, "state": state, "error": errMsg})
 	job.hub.close()
 	m.persistState(job)

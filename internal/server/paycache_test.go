@@ -1,6 +1,11 @@
 package server
 
 import (
+	"net/http"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -53,26 +58,48 @@ func TestCostModelCacheDiscount(t *testing.T) {
 	}
 }
 
-// TestJobSpecPayoffCacheFields: the wire fields reach the engine config.
+// TestJobSpecPayoffCacheFields: the wire field reaches the engine config,
+// and the capacity knob that left with the LRU is refused by name, not
+// silently dropped.
 func TestJobSpecPayoffCacheFields(t *testing.T) {
-	spec := JobSpec{
-		Memory:          1,
-		SSets:           8,
-		Generations:     10,
-		Seed:            1,
-		PayoffCache:     true,
-		PayoffCacheSize: 512,
-	}
-	cfg, err := spec.Config()
+	spec, err := parseSpec(strings.NewReader(`{"memory":1,"ssets":8,"generations":10,"seed":1,"payoff_cache":true}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cfg.PayoffCache || cfg.PayoffCacheSize != 512 {
-		t.Fatalf("cache fields lost in translation: %+v", cfg)
+	if cfg, err := spec.Config(); err != nil || !cfg.PayoffCache {
+		t.Fatalf("payoff_cache lost in translation: %+v, %v", cfg, err)
 	}
-	spec.PayoffCacheSize = -1
-	if _, err := spec.Config(); err == nil {
-		t.Fatal("negative payoff_cache_size validated")
+	ts := newTestServer(t, Options{})
+	resp, m := doJSON(t, "POST", ts.URL+"/api/v1/jobs", "",
+		`{"memory":1,"ssets":8,"generations":10,"seed":1,"payoff_cache":true,"payoff_cache_size":512}`)
+	if detail, _ := m["detail"].(string); resp.StatusCode != http.StatusBadRequest || !strings.Contains(detail, `"payoff_cache_size"`) {
+		t.Fatalf("payoff_cache_size: got %d %v, want a 400 naming the field", resp.StatusCode, m)
+	}
+}
+
+// TestJournalWithPayoffCacheSizeStillBoots: the journal is decoded
+// leniently, so a record the parent daemon wrote for a job that set the
+// removed knob — below is one such journal, its generation count shortened —
+// re-queues and runs to the result of the same spec without it.
+func TestJournalWithPayoffCacheSizeStillBoots(t *testing.T) {
+	const spec = `"memory":1,"ssets":8,"generations":300,"rounds":100,"seed":11,"full_recompute":true,"payoff_cache":true`
+	dir := t.TempDir()
+	journal := `{"kind":"meta","epoch":1}
+{"kind":"submit","job":"j-0001-000001","tenant":"default","spec":{` + spec + `,"payoff_cache_size":4096},"estimated_seconds":1.5192144056967525}
+{"kind":"state","job":"j-0001-000001","state":"running","event_id":1}
+`
+	if err := os.WriteFile(filepath.Join(dir, journalName), []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newDurableServer(t, dir)
+	waitState(t, ts, "j-0001-000001", StateDone)
+	got := resultMinusElapsed(t, ts, "j-0001-000001")
+
+	_, fresh := newDurableServer(t, t.TempDir())
+	id := submit(t, fresh, "", "{"+spec+"}")
+	waitState(t, fresh, id, StateDone)
+	if want := resultMinusElapsed(t, fresh, id); !reflect.DeepEqual(got, want) {
+		t.Errorf("job replayed from the parent's journal differs from a fresh run\n got: %v\nwant: %v", got, want)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -679,10 +680,29 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	waitState(t, ts, queued, StateCanceled)
 }
 
+// A client that sees a job done finds it counted: settle updates the
+// registry before it publishes the terminal state. The test parks settle on
+// Manager.mu — its first step after publishing — so a daemon that counts
+// afterwards is caught between the two every time, not once in 150 runs.
 func TestMetricsEndpoint(t *testing.T) {
-	ts := newTestServer(t, Options{})
-	id := submit(t, ts, "", `{"memory":1,"ssets":8,"generations":40,"rounds":10,"seed":3,"metrics":true}`)
-	waitState(t, ts, id, StateDone)
+	s, ts := startServer(t, Options{}, nil)
+	id := submit(t, ts, "", `{"memory":1,"ssets":8,"generations":2000,"rounds":100,"seed":3,"full_recompute":true,"metrics":true}`)
+	waitUntil(t, ts, id, "a worker", func(m map[string]any) bool { return m["state"] != string(StateQueued) })
+	job, _ := s.mgr.get(id)
+	s.mgr.mu.Lock()
+	for i := 0; job.status().State != StateDone; i++ {
+		if i == 15000 {
+			s.mgr.mu.Unlock()
+			t.Fatalf("job %s never finished: %+v", id, job.status())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	var parked strings.Builder
+	err := metrics.WritePrometheus(&parked, s.reg.Snapshot())
+	s.mgr.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -693,17 +713,17 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := string(body)
-	for _, want := range []string{
-		"egd_server_jobs_submitted_total 1",
-		`egd_server_jobs_finished_total{state="done"} 1`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("/metrics missing %q:\n%s", want, text)
+	for _, text := range []string{parked.String(), string(body)} {
+		for _, want := range []string{
+			"egd_server_jobs_submitted_total 1",
+			`egd_server_jobs_finished_total{state="done"} 1`,
+			"egd_server_jobs_running 0",
+			// The finished run's own egd_* counters folded into the registry.
+			"egd_games_played_total",
+		} {
+			if !strings.Contains(text, want) {
+				t.Fatalf("/metrics of a daemon whose one job reads done is missing %q:\n%s", want, text)
+			}
 		}
-	}
-	// The finished run's own egd_* counters folded into the registry.
-	if !strings.Contains(text, "egd_games_played_total") {
-		t.Fatalf("/metrics did not fold run counters:\n%s", text)
 	}
 }

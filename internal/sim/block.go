@@ -82,27 +82,29 @@ func newPairBlock(s, lo, hi int) *pairBlock {
 // streams: it replays pair (i, j) iff all is set or either side's strategy
 // changed since the last pass — with all, every owned pair (the paper's
 // full-recompute timing mode, and the rebuild after an eviction re-shards
-// the blocks). Match evaluation goes through kern (a nil kernel selects the
-// plain uncached path). It returns the number of games the schedule
-// touched — a cache hit still counts, since the game was scheduled and its
-// payoff delivered; only the recomputation was skipped. A pairPayoff
-// failure (an exact-mode analysis error) aborts the pass and propagates: it
-// is a configuration fault, so the run fails cleanly instead of panicking
-// or being mistaken for a rank failure.
+// the blocks). Match evaluation goes through kern. It returns the number of
+// games the schedule touched — a cache hit still counts, since the game was
+// scheduled and its payoff delivered; only the recomputation was skipped. A
+// pairPayoff failure (an exact-mode analysis error) aborts the pass and
+// propagates: it is a configuration fault, so the run fails cleanly instead
+// of panicking or being mistaken for a rank failure.
 func (b *pairBlock) refresh(cfg *Config, pop *Population, master *rng.Source, kern *payoffKernel, gen int, all bool) (uint64, error) {
 	games := uint64(0)
-	kern.prepare(cfg, pop)
 	for k := b.lo; k < b.hi; {
 		// One row's owned stretch per outer iteration, so the per-pair work
 		// is a dirty test and an increment, not a division.
 		i, j := pairToIJ(b.s, k)
 		rowHi := min(b.hi, (i+1)*(b.s-1))
 		rowAll := all || pop.dirty[i]
+		row := kern.row(pop, i)
 		for ; k < rowHi; k++ {
 			if rowAll || pop.dirty[j] {
-				v, err := kern.pairPayoff(cfg, master, gen, i, j, pop.strategies[i], pop.strategies[j])
-				if err != nil {
-					return games, err
+				v, ok := kern.hit(pop, row, j)
+				if !ok {
+					var err error
+					if v, err = kern.pairPayoff(cfg, pop, master, gen, row, i, j); err != nil {
+						return games, err
+					}
 				}
 				b.payoffs[k-b.lo] = v
 				games++

@@ -94,20 +94,17 @@ type Config struct {
 	// Execution errors still apply (folded into the chain); Rules.Rounds is
 	// ignored. Mutually exclusive with UseSearchEngine.
 	ExactPayoffs bool
-	// PayoffCache enables the per-rank strategy-pair payoff memo: matches
-	// whose outcome is a pure function of the two behaviour tables and the
-	// rules (exact mode, or error-free deterministic strategies) are served
-	// from a bounded LRU keyed by canonical fingerprint instead of being
+	// PayoffCache enables the per-rank payoff table by strategy type:
+	// matches whose outcome is a pure function of the two behaviour tables
+	// and the rules (exact mode, or error-free deterministic strategies) are
+	// read from π[type][type] — the Population's type ids, so the table is
+	// sized by the population and has no capacity to set — instead of being
 	// replayed. Trajectories are bit-identical with the cache on or off —
-	// pairs whose outcome depends on the random stream bypass it — and
-	// entries survive mutations, adoptions, and checkpoint resumes because
-	// the key is behavioural content, not object identity. Hit/miss/eviction
-	// counters surface through Result.Metrics when Metrics is also set. See
-	// docs/KERNEL.md.
+	// pairs whose outcome depends on the random stream bypass it — and a
+	// payoff outlives mutations and adoptions because a type is behavioural
+	// content, not object identity. Hit/miss counters surface through
+	// Result.Metrics when Metrics is also set. See docs/KERNEL.md.
 	PayoffCache bool
-	// PayoffCacheSize bounds the cache to this many entries per rank
-	// (0 selects game.DefaultPairCacheSize). Ignored unless PayoffCache.
-	PayoffCacheSize int
 	// SampleStride keeps every k-th generation in the recorded time series
 	// (0 selects an automatic stride bounding series length to ~1000).
 	SampleStride int
@@ -299,9 +296,6 @@ func (c *Config) Validate() error {
 	}
 	if c.ExactPayoffs && c.UseSearchEngine {
 		return fmt.Errorf("sim: ExactPayoffs and UseSearchEngine are mutually exclusive")
-	}
-	if c.PayoffCacheSize < 0 {
-		return fmt.Errorf("sim: negative payoff cache size %d", c.PayoffCacheSize)
 	}
 	if c.ExactPayoffs {
 		// Probe exact-mode computability once, up front: a job whose Markov

@@ -133,6 +133,11 @@ func TestInterruptedRunReturnsTheUninterruptedResult(t *testing.T) {
 		if want.Counters.Adoptions == 0 || want.Counters.Mutations == 0 {
 			t.Fatalf("degenerate reference run: %+v", want.Counters)
 		}
+		// Each interruption runs twice: as the reference ran, and with the
+		// payoff table on — every segment, restart and resync of the cached
+		// run must still land on the uncached, uninterrupted result.
+		cached := base
+		cached.PayoffCache = true
 		for ei, ranks := range engines {
 			for _, in := range interruptions {
 				if in.parallelOnly && ranks < 2 {
@@ -140,6 +145,9 @@ func TestInterruptedRunReturnsTheUninterruptedResult(t *testing.T) {
 				}
 				t.Run(fmt.Sprintf("full=%v/ranks=%d/%s", full, ranks, in.name), func(t *testing.T) {
 					assertSameResult(t, want, in.run(t, base, ei), full)
+				})
+				t.Run(fmt.Sprintf("full=%v/ranks=%d/%s, payoff cache", full, ranks, in.name), func(t *testing.T) {
+					assertSameResult(t, want, in.run(t, cached, ei), full)
 				})
 			}
 		}

@@ -204,7 +204,6 @@ func (r *Result) MetricsRegistry() *metrics.Registry {
 		if cs := rs.Cache; cs != nil {
 			reg.Counter(metrics.Name("egd_payoff_cache_hits_total", "rank", rank)).Add(cs.Hits)
 			reg.Counter(metrics.Name("egd_payoff_cache_misses_total", "rank", rank)).Add(cs.Misses)
-			reg.Counter(metrics.Name("egd_payoff_cache_evictions_total", "rank", rank)).Add(cs.Evictions)
 			reg.Gauge(metrics.Name("egd_payoff_cache_entries", "rank", rank)).Set(int64(cs.Entries))
 		}
 	}

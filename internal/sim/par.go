@@ -449,7 +449,7 @@ func (n *natureRank) takeSnap() {
 // resync rolls Nature back to the snapshot and rebroadcasts it as the
 // authoritative state.
 func (n *natureRank) resync(nc *mpi.Comm) error {
-	copy(n.pop.strategies, n.snap.strategies)
+	n.pop.replaceAll(n.snap.strategies)
 	copy(n.pop.dirty, n.snap.dirty)
 	n.res.Counters = n.snap.counters
 	n.res.MeanFitness.Truncate(n.snap.fitLen)
@@ -680,7 +680,7 @@ func (w *workerRank) resync(nc *mpi.Comm) error {
 	if err != nil {
 		return err
 	}
-	copy(w.pop.strategies, rs.Strategies)
+	w.pop.replaceAll(rs.Strategies)
 	w.pop.clearDirty()
 	w.gen, w.replayGen, w.pendingFull = rs.Gen, rs.Replay, true
 	w.join(nc)
@@ -799,7 +799,7 @@ func (w *workerRank) finalize() error {
 	// caching is on); mirrors Nature's metrics Gather.
 	if w.cfg.Metrics {
 		snap := w.pt.snapshot(w.c.OrigRank())
-		snap.Cache = w.kern.cacheStats()
+		snap.Cache = w.kern.cacheStats(w.pop)
 		// The snapshot travels as its JSON, space-padded (JSON ignores
 		// trailing white space) to the length it has with 19-digit Nanos:
 		// the comm byte counters must not depend on wall-clock digits.

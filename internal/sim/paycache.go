@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/analysis"
 	"repro/internal/game"
@@ -11,30 +12,33 @@ import (
 
 // payoffKernel bundles the per-rank machinery of one run's payoff
 // evaluation: the exact-payoff solver (exact mode), the optional
-// paper-faithful search engine and the optional strategy-pair payoff cache
-// with its per-pass fingerprint table. Each rank (and the sequential
-// engine) owns exactly one kernel; none of its state is shared or sent.
+// paper-faithful search engine and the optional payoff table by strategy
+// type. Each rank (and the sequential engine) owns exactly one kernel; none
+// of its state is shared or sent.
 //
 // The cacheability contract (docs/KERNEL.md): a pair payoff may be served
-// from the cache only when replaying the match is guaranteed to reproduce
+// from the table only when replaying the match is guaranteed to reproduce
 // it bit for bit, i.e. when the payoff is a pure function of the two
 // behaviour tables and the rules. That holds in exact mode (the Markov
 // payoff is deterministic by construction, noise folded into the chain) and
 // for sampled matches when ErrorRate == 0 and both strategies are
 // deterministic (strategy.IsDeterministic). Everything else — noisy play,
 // non-degenerate mixed strategies — depends on the (gen,i,j)-keyed random
-// stream and bypasses the cache, keeping cache-on and cache-off
+// stream and bypasses the table, keeping cache-on and cache-off
 // trajectories identical.
 type payoffKernel struct {
 	solver *analysis.Solver
 	eng    *game.SearchEngine
-	cache  *game.PairCache
-	// tab* is the per-pass fingerprint table prepare() builds from the
-	// population: one entry per SSet, so the pair loop pays two slice loads
-	// per match. tabOK[i] is false when SSet i's strategy is not memoizable
-	// under the contract above.
-	tabFP []strategy.Fingerprint
-	tabOK []bool
+	// pi[a][b] is the payoff of type a against type b (the Population's
+	// type ids, so at most S rows of S cells), NaN until played; a row is
+	// allocated when an SSet of its type first heads a row of a refresh.
+	// seen[a] stamps the cells of id a: one more than the epoch they were
+	// filled under, 0 for an id never met. stats is nil when
+	// Config.PayoffCache is off, pi when it is off or no pair of the run is
+	// memoizable.
+	pi    [][]float64
+	seen  []uint32
+	stats *game.CacheStats
 }
 
 // newPayoffKernel builds the kernel for one rank of a validated config.
@@ -47,65 +51,91 @@ func newPayoffKernel(cfg *Config) *payoffKernel {
 		k.eng = game.NewSearchEngine(strategy.NewSpace(cfg.Memory))
 	}
 	if cfg.PayoffCache {
-		k.cache = game.NewPairCache(cfg.PayoffCacheSize)
+		k.stats = &game.CacheStats{}
+		if cfg.ExactPayoffs || cfg.Rules.ErrorRate == 0 {
+			k.pi, k.seen = make([][]float64, cfg.NumSSets), make([]uint32, cfg.NumSSets)
+		}
 	}
 	return k
 }
 
-// cacheStats snapshots the pair cache, nil when caching is disabled (so the
-// metrics snapshot field stays omitted and wire sizes are unchanged).
-func (k *payoffKernel) cacheStats() *game.CacheStats {
-	if k.cache == nil {
+// cacheStats snapshots the table's counters, nil when caching is disabled
+// (so the metrics snapshot field stays omitted and wire sizes are
+// unchanged). Entries is the number of live types of pop holding a row.
+func (k *payoffKernel) cacheStats(pop *Population) *game.CacheStats {
+	if k.stats == nil {
 		return nil
 	}
-	st := k.cache.Stats()
+	st := *k.stats
+	for id, row := range k.pi {
+		if row != nil && pop.types[id].count > 0 {
+			st.Entries++
+		}
+	}
 	return &st
 }
 
-// prepare (re)builds the per-pass fingerprint table from the population
-// ahead of a refresh sweep. It costs one fingerprint per SSet — amortised
-// over up to S-1 matches each — and is a no-op without a cache.
-func (k *payoffKernel) prepare(cfg *Config, pop *Population) {
-	if k.cache == nil {
-		return
+// met reports whether payoffs of pop's type id may be stored in and read
+// from the table under the contract above. If so the kernel has by then
+// stamped the id with its current epoch, which is what hit checks, after
+// dropping the row and emptying the column a previous owner of the id
+// filled.
+func (k *payoffKernel) met(pop *Population, id int32) bool {
+	if id < 0 || k.solver == nil && !pop.types[id].det {
+		return false
 	}
-	n := pop.Size()
-	if cap(k.tabFP) < n {
-		k.tabFP = make([]strategy.Fingerprint, n)
-		k.tabOK = make([]bool, n)
-	}
-	k.tabFP = k.tabFP[:n]
-	k.tabOK = k.tabOK[:n]
-	noiseless := cfg.Rules.ErrorRate == 0
-	for i, s := range pop.strategies {
-		if !cfg.ExactPayoffs && (!noiseless || !strategy.IsDeterministic(s)) {
-			k.tabOK[i] = false
-			continue
+	if stamp := pop.types[id].epoch + 1; k.seen[id] != stamp {
+		for _, row := range k.pi {
+			if row != nil {
+				row[id] = math.NaN()
+			}
 		}
-		k.tabFP[i], k.tabOK[i] = strategy.CanonicalFingerprint(s)
+		k.pi[id], k.seen[id] = nil, stamp
 	}
+	return true
 }
 
-// pairPayoff evaluates the (i, j) match — through the cache when the pair
-// is memoizable — returning SSet i's mean per-round payoff against j. With
-// a cache, prepare must have run on the population si and sj come from.
-// Randomness still derives from (seed, gen, i, j) on the uncached path, and
-// rng.Derive never advances the master stream, so serving a hit cannot
-// shift any other draw: cache-on and cache-off runs stay bit-identical.
-func (k *payoffKernel) pairPayoff(cfg *Config, master *rng.Source, gen, i, j int, si, sj strategy.Strategy) (float64, error) {
-	if k.cache == nil || !k.tabOK[i] || !k.tabOK[j] {
-		return k.play(cfg, master, gen, i, j, si, sj)
+// row returns the table row of SSet i's type for pairPayoff — allocated on
+// this first touch — or nil when SSet i's payoffs are not memoizable.
+func (k *payoffKernel) row(pop *Population, i int) []float64 {
+	a := pop.typ[i]
+	if k.pi == nil || !k.met(pop, a) {
+		return nil
 	}
-	key := game.NewPairKey(k.tabFP[i], k.tabFP[j], cfg.Rules, cfg.ExactPayoffs)
-	if v, hit := k.cache.Get(key); hit {
-		return v, nil
+	if k.pi[a] == nil {
+		k.pi[a] = make([]float64, len(k.pi))
+		for b := range k.pi[a] {
+			k.pi[a][b] = math.NaN()
+		}
 	}
-	v, err := k.play(cfg, master, gen, i, j, si, sj)
-	if err != nil {
-		return 0, err
+	return k.pi[a]
+}
+
+// hit answers the (i, j) match from row, which is k.row(pop, i): j's type
+// id, its stamp and the cell. It is small enough to inline into refresh's
+// pair loop; whatever it cannot answer goes to pairPayoff.
+func (k *payoffKernel) hit(pop *Population, row []float64, j int) (float64, bool) {
+	b := pop.typ[j]
+	if row == nil || b < 0 || k.seen[b] != pop.types[b].epoch+1 || row[b] != row[b] {
+		return 0, false
 	}
-	k.cache.Put(key, v)
-	return v, nil
+	k.stats.Hits++
+	return row[b], true
+}
+
+// pairPayoff evaluates an (i, j) match of pop that hit did not answer,
+// returning SSet i's mean per-round payoff against j and storing it in row
+// when the pair is memoizable. Randomness still derives from (seed, gen, i,
+// j) on the uncached path, and rng.Derive never advances the master stream,
+// so serving a hit cannot shift any other draw: cache-on and cache-off runs
+// stay bit-identical.
+func (k *payoffKernel) pairPayoff(cfg *Config, pop *Population, master *rng.Source, gen int, row []float64, i, j int) (float64, error) {
+	v, err := k.play(cfg, master, gen, i, j, pop.strategies[i], pop.strategies[j])
+	if b := pop.typ[j]; err == nil && row != nil && k.met(pop, b) {
+		k.stats.Misses++
+		row[b] = v
+	}
+	return v, err
 }
 
 // play computes the match payoff without consulting the cache: the exact

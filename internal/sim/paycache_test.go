@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/game"
+	"repro/internal/rng"
+	"repro/internal/strategy"
 )
 
 // assertBitIdentical is the cache-parity comparator: unlike
@@ -178,7 +181,6 @@ func TestPayoffCacheMetricsExport(t *testing.T) {
 	cfg.Seed = 21
 	cfg.FullRecompute = true
 	cfg.PayoffCache = true
-	cfg.PayoffCacheSize = 128
 	cfg.Metrics = true
 
 	res, err := RunParallel(cfg, 3)
@@ -211,7 +213,6 @@ func TestPayoffCacheMetricsExport(t *testing.T) {
 	for _, want := range []string{
 		"egd_payoff_cache_hits_total",
 		"egd_payoff_cache_misses_total",
-		"egd_payoff_cache_evictions_total",
 	} {
 		present := false
 		for _, c := range snap.Counters {
@@ -234,40 +235,93 @@ func TestPayoffCacheMetricsExport(t *testing.T) {
 	}
 }
 
-// TestPayoffCacheTinyCapacityStillExact: a pathologically small cache must
-// thrash (evict constantly) yet never change results.
-func TestPayoffCacheTinyCapacityStillExact(t *testing.T) {
-	base := testConfig(1, 8, 50)
-	base.Seed = 5
-	base.FullRecompute = true
-
-	cached := base
-	cached.PayoffCache = true
-	cached.PayoffCacheSize = 2
-	cached.Metrics = true
-
-	off, err := RunSequential(base)
-	if err != nil {
+// TestKernelForgetsReclaimedID: when a type dies and its id is handed to a
+// new behaviour, the cells the old owner filled must not answer for the new
+// one. AllC against AllD earns 0 a round; the TFT that takes AllC's id earns
+// 1 from the second round on. Removing the epoch stamp check serves the 0.
+func TestKernelForgetsReclaimedID(t *testing.T) {
+	cfg := testConfig(1, 2, 0)
+	cfg.PayoffCache = true
+	sp := strategy.NewSpace(1)
+	cfg.InitialStrategies = []strategy.Strategy{strategy.AllC(sp), strategy.AllD(sp)}
+	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	on, err := RunSequential(cached)
-	if err != nil {
+	master := rng.New(cfg.Seed)
+	pop, kern, blk := NewPopulation(cfg, master), newPayoffKernel(&cfg), newPairBlock(2, 0, 2)
+	refresh := func() {
+		t.Helper()
+		if _, err := blk.refresh(&cfg, pop, master, kern, 0, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refresh()
+	refresh()
+	if blk.payoffs[0] != 0 || *kern.stats != (game.CacheStats{Hits: 2, Misses: 2}) {
+		t.Fatalf("AllC against AllD pays %v with %+v, want 0 from 2 misses then 2 hits", blk.payoffs[0], *kern.stats)
+	}
+	old := pop.typ[0]
+	pop.SetStrategy(0, strategy.TFT(sp))
+	if pop.typ[0] != old || pop.types[old].epoch != 1 {
+		t.Fatalf("TFT took id %d at epoch %d, want the dead AllC's id %d at epoch 1", pop.typ[0], pop.types[pop.typ[0]].epoch, old)
+	}
+	refresh()
+	plain, uncached := newPairBlock(2, 0, 2), cfg
+	uncached.PayoffCache = false
+	if _, err := plain.refresh(&uncached, pop, master, newPayoffKernel(&uncached), 0, true); err != nil {
 		t.Fatal(err)
 	}
-	assertBitIdentical(t, off, on)
-	cs := on.Metrics.Phases[0].Cache
-	if cs == nil || cs.Evictions == 0 {
-		t.Fatalf("2-entry cache should thrash: %+v", cs)
+	if blk.payoffs[0] != plain.payoffs[0] || blk.payoffs[1] != plain.payoffs[1] || plain.payoffs[0] == 0 {
+		t.Fatalf("payoffs %v after the id changed hands, want the replayed %v", blk.payoffs, plain.payoffs)
 	}
-	if cs.Entries > 2 {
-		t.Fatalf("cache exceeded its bound: %+v", cs)
+	if kern.stats.Misses != 4 {
+		t.Fatalf("%+v: both cells of the reclaimed id must be played again", *kern.stats)
 	}
 }
 
-func TestConfigRejectsNegativeCacheSize(t *testing.T) {
-	cfg := testConfig(1, 4, 1)
-	cfg.PayoffCacheSize = -1
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("negative PayoffCacheSize validated")
+// TestPayoffCacheSurvivesIDRecycling: memory two, 8 SSets and a mutation
+// every other generation, so far more than 4·S types live and die and every
+// type id changes hands several times — on the sequential engine and on 2,
+// 3 and 5 ranks the cached run is the uncached one bit for bit, and every
+// scheduled game was a lookup.
+func TestPayoffCacheSurvivesIDRecycling(t *testing.T) {
+	base := testConfig(2, 8, 400)
+	base.Seed = 77
+	base.Mu = 0.5
+	base.PCRate = 1
+	base.Metrics = true
+	cached := base
+	cached.PayoffCache = true
+	minEpoch := uint32(0)
+	cached.Observer = ObserverFunc(func(gen int, pop *Population, _ Events) {
+		if gen == base.Generations-1 {
+			minEpoch = math.MaxUint32
+			for _, ty := range pop.types {
+				minEpoch = min(minEpoch, ty.epoch)
+			}
+		}
+	})
+	for _, ranks := range []int{1, 2, 3, 5} {
+		off, err := Run(base, ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		on, err := Run(cached, ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, off, on)
+		if on.Counters.Mutations <= 4*8 || minEpoch < 3 {
+			t.Fatalf("ranks %d: %d mutations, least-recycled id at epoch %d: the run does not recycle every id", ranks, on.Counters.Mutations, minEpoch)
+		}
+		var cs game.CacheStats
+		for _, rs := range on.Metrics.Phases {
+			if rs.Cache != nil {
+				cs.Merge(*rs.Cache)
+			}
+		}
+		if cs.Hits == 0 || cs.Hits+cs.Misses != on.Counters.GamesPlayed {
+			t.Fatalf("ranks %d: %+v for %d games played", ranks, cs, on.Counters.GamesPlayed)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -18,6 +19,26 @@ type Population struct {
 	// dirty marks SSets whose strategy changed since their games were last
 	// replayed (incremental mode).
 	dirty []bool
+	// The type table: typ[i] is the id of SSet i's behaviour (-1 when
+	// strategy.CanonicalFingerprint does not know the implementation), so
+	// two SSets behave alike exactly when their ids are equal. Live types
+	// never outnumber the SSets, and an id is handed out afresh only when
+	// no dead one is left to reclaim, so ids stay below Size(). A dead type
+	// stays resolvable through ids until its id is reclaimed: a behaviour
+	// that comes back before then gets its old id, and with it whatever a
+	// payoffKernel holds for it.
+	typ   []int32
+	types []popType
+	ids   map[strategy.Fingerprint]int32
+	free  []int32 // dead ids, the most recently dead last
+}
+
+// popType is one behaviour the population holds or held.
+type popType struct {
+	fp    strategy.Fingerprint
+	count int    // SSets holding it now
+	det   bool   // strategy.IsDeterministic
+	epoch uint32 // bumped each time the id is handed to a new fingerprint
 }
 
 // NewPopulation initialises a population of cfg.NumSSets strategies: deep
@@ -29,7 +50,11 @@ func NewPopulation(cfg Config, src *rng.Source) *Population {
 		space:      sp,
 		strategies: make([]strategy.Strategy, cfg.NumSSets),
 		dirty:      make([]bool, cfg.NumSSets),
+		typ:        make([]int32, cfg.NumSSets),
+		ids:        make(map[strategy.Fingerprint]int32),
 	}
+	// Types are interned in SSet order, so the ids are the same on every
+	// rank and after a resume.
 	for i := range p.strategies {
 		if cfg.InitialStrategies != nil {
 			p.strategies[i] = cfg.InitialStrategies[i].Clone()
@@ -37,8 +62,47 @@ func NewPopulation(cfg Config, src *rng.Source) *Population {
 			p.strategies[i] = randomStrategy(cfg.Kind, sp, src.Derive(uint64(i), 0xA11)) // per-SSet stream
 		}
 		p.dirty[i] = true
+		p.typ[i] = p.intern(p.strategies[i])
 	}
 	return p
+}
+
+// intern counts one more SSet holding s's behaviour and returns its id: the
+// one it has, live or dead, else a reclaimed dead id under a new epoch, else
+// a fresh one.
+func (p *Population) intern(s strategy.Strategy) int32 {
+	fp, ok := strategy.CanonicalFingerprint(s)
+	if !ok {
+		return -1
+	}
+	id, known := p.ids[fp]
+	if known && p.types[id].count == 0 {
+		p.free = slices.DeleteFunc(p.free, func(f int32) bool { return f == id })
+	}
+	if !known {
+		t := popType{fp: fp, det: strategy.IsDeterministic(s)}
+		if n := len(p.free); n > 0 {
+			id, p.free = p.free[n-1], p.free[:n-1]
+			delete(p.ids, p.types[id].fp)
+			t.epoch = p.types[id].epoch + 1
+			p.types[id] = t
+		} else {
+			id = int32(len(p.types))
+			p.types = append(p.types, t)
+		}
+		p.ids[fp] = id
+	}
+	p.types[id].count++
+	return id
+}
+
+// release counts SSet i out of its type; a type nobody holds is dead.
+func (p *Population) release(i int) {
+	if id := p.typ[i]; id >= 0 {
+		if p.types[id].count--; p.types[id].count == 0 {
+			p.free = append(p.free, id)
+		}
+	}
 }
 
 func randomStrategy(kind StrategyKind, sp strategy.Space, src *rng.Source) strategy.Strategy {
@@ -56,14 +120,34 @@ func (p *Population) Space() strategy.Space { return p.space }
 
 // SetStrategy assigns a strategy to SSet i and marks its games dirty.
 func (p *Population) SetStrategy(i int, s strategy.Strategy) {
-	p.strategies[i] = s
+	p.release(i)
+	p.strategies[i], p.typ[i] = s, p.intern(s)
 	p.dirty[i] = true
 }
 
-// Adopt makes learner copy teacher's strategy (the PC learning step).
+// Adopt makes learner copy teacher's strategy (the PC learning step) and,
+// with it, the teacher's type.
 func (p *Population) Adopt(learner, teacher int) {
-	p.strategies[learner] = p.strategies[teacher].Clone()
+	id := p.typ[teacher]
+	if id >= 0 {
+		p.types[id].count++
+	}
+	p.release(learner)
+	p.strategies[learner], p.typ[learner] = p.strategies[teacher].Clone(), id
 	p.dirty[learner] = true
+}
+
+// replaceAll installs another global strategy view wholesale (a live
+// eviction's resync), sharing the strategies; the dirty marks are the
+// caller's. Every type dies first, so a behaviour both views hold gets its
+// id back unless a newcomer ahead of it in SSet order reclaimed it.
+func (p *Population) replaceAll(strategies []strategy.Strategy) {
+	for i := range p.typ {
+		p.release(i)
+	}
+	for i, s := range strategies {
+		p.strategies[i], p.typ[i] = s, p.intern(s)
+	}
 }
 
 // Abundance returns the strategy-abundance tally of the current population.

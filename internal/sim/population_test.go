@@ -399,3 +399,117 @@ func TestPairBlocksTileTheWholeList(t *testing.T) {
 		}
 	}
 }
+
+// checkTypeTable holds the Population's type table to its strategies: every
+// id resolves to its SSet's canonical fingerprint, equal behaviour means
+// equal id and nothing else does, the counts are the SSets per type, ids stay
+// below S, and the free list is exactly the dead ids.
+func checkTypeTable(t *testing.T, step string, p *Population) {
+	t.Helper()
+	s := p.Size()
+	if len(p.types) > s {
+		t.Fatalf("%s: %d type ids for %d SSets", step, len(p.types), s)
+	}
+	held := make([]int, len(p.types))
+	fps := make([]strategy.Fingerprint, s)
+	for i, st := range p.strategies {
+		fp, ok := strategy.CanonicalFingerprint(st)
+		id := p.typ[i]
+		if !ok || id < 0 || int(id) >= len(p.types) {
+			t.Fatalf("%s: SSet %d has type id %d (fingerprint known: %v)", step, i, id, ok)
+		}
+		if ty := p.types[id]; ty.fp != fp || ty.det != strategy.IsDeterministic(st) || p.ids[fp] != id {
+			t.Fatalf("%s: SSet %d: id %d is %+v (index says %d), strategy fingerprints to %v", step, i, id, ty, p.ids[fp], fp)
+		}
+		fps[i] = fp
+		held[id]++
+		for j := 0; j < i; j++ {
+			if (fps[j] == fp) != (p.typ[j] == id) {
+				t.Fatalf("%s: SSets %d and %d: same behaviour %v, same id %v", step, j, i, fps[j] == fp, p.typ[j] == id)
+			}
+		}
+	}
+	dead := map[int32]bool{}
+	for _, id := range p.free {
+		if dead[id] || p.types[id].count != 0 {
+			t.Fatalf("%s: free list %v holds id %d twice or alive (count %d)", step, p.free, id, p.types[id].count)
+		}
+		dead[id] = true
+	}
+	for id, ty := range p.types {
+		if ty.count != held[id] || (ty.count == 0) != dead[int32(id)] {
+			t.Fatalf("%s: id %d counts %d SSets, %d hold it, on the free list: %v", step, id, ty.count, held[id], dead[int32(id)])
+		}
+	}
+}
+
+// TestTypeTableFollowsEveryStrategyChange drives seeded random sequences of
+// the three ways strategies change — SetStrategy, Adopt, replaceAll — over
+// memory 1-3, pure and mixed, and checks the type table, and that the dirty
+// marks mean what they did, after every step. Mutants come from randomTwin,
+// so behaviours recur, die and come back.
+func TestTypeTableFollowsEveryStrategyChange(t *testing.T) {
+	for mem := 1; mem <= 3; mem++ {
+		for _, kind := range []StrategyKind{PureStrategies, MixedStrategies} {
+			cfg := testConfig(mem, 6, 0)
+			cfg.Kind = kind
+			src := rng.New(uint64(40 + mem))
+			p := NewPopulation(cfg, src)
+			checkTypeTable(t, "new", p)
+			for step := 0; step < 400; step++ {
+				dirty := append([]bool(nil), p.dirty...)
+				var what string
+				switch i, j := src.Pair(p.Size()); src.Intn(8) {
+				case 0:
+					next := p.Snapshot()
+					for k := range next {
+						if src.Bernoulli(0.5) {
+							next[k] = randomTwin(cfg, src)
+						}
+					}
+					p.replaceAll(next)
+					what = "replaceAll"
+				case 1, 2, 3:
+					p.SetStrategy(i, randomTwin(cfg, src))
+					dirty[i] = true
+					what = "SetStrategy"
+				default:
+					p.Adopt(i, j)
+					dirty[i] = true
+					what = "Adopt"
+				}
+				checkTypeTable(t, what, p)
+				for k := range dirty {
+					if p.dirty[k] != dirty[k] {
+						t.Fatalf("%s at step %d: dirty[%d] = %v, want %v", what, step, k, p.dirty[k], dirty[k])
+					}
+				}
+				if src.Intn(4) == 0 {
+					p.clearDirty()
+				}
+			}
+		}
+	}
+}
+
+// randomTwin draws a strategy of the run's kind whose behaviour recurs: a
+// pure one from the 16 behaviours that depend on the last round alone, as a
+// Pure or — in a mixed run, half the time — as the 0/1 Mixed that behaves
+// the same; the other half a fresh mixed table.
+func randomTwin(cfg Config, src *rng.Source) strategy.Strategy {
+	sp := strategy.NewSpace(cfg.Memory)
+	if cfg.Kind == MixedStrategies && src.Bernoulli(0.5) {
+		return strategy.RandomMixed(sp, src)
+	}
+	last := strategy.RandomPure(strategy.NewSpace(1), src)
+	probs := make([]float64, sp.NumStates())
+	pure := strategy.NewPure(sp)
+	for st := range probs {
+		probs[st] = last.CooperateProb(uint32(st) & 3)
+		pure.SetMove(uint32(st), last.MoveAt(uint32(st)&3))
+	}
+	if cfg.Kind == MixedStrategies && src.Bernoulli(0.5) {
+		return strategy.MixedFromProbs(sp, probs)
+	}
+	return pure
+}

@@ -36,7 +36,7 @@ func RunSequential(cfg Config) (*Result, error) {
 	res.Elapsed = time.Since(start) //egdlint:allow determinism elapsed-time metadata, not part of the trajectory
 	if cfg.Metrics {
 		snap := n.pt.snapshot(0)
-		snap.Cache = local.kern.cacheStats()
+		snap.Cache = local.kern.cacheStats(n.pop)
 		res.Metrics = &RunMetrics{Phases: []RankPhaseSnapshot{snap}}
 		if cfg.EventLog != nil {
 			cfg.EventLog.Append(trace.Event{Kind: trace.EventMetrics, Generation: n.end, Rank: 0,

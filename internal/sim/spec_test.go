@@ -173,7 +173,6 @@ func TestFlagsJSONConfigRoundTrip(t *testing.T) {
 	noMutation.FullRecompute = true
 	noMutation.ExactPayoffs = true
 	noMutation.PayoffCache = true
-	noMutation.PayoffCacheSize = 64
 
 	search := DefaultConfig(1, 64)
 	search.UseSearchEngine = true
@@ -188,7 +187,7 @@ func TestFlagsJSONConfigRoundTrip(t *testing.T) {
 		{"fig2", []string{"-ssets", "12", "-gens", "300", "-seed", "5", "-mixed", "-error", "0.01", "-fermi", "-pcrate", "1", "-beta", "50"},
 			`"fermi":true`, fig2},
 		{"explicit zero mu", []string{"-memory", "2", "-ssets", "10", "-gens", "40", "-rounds", "30", "-mu", "0", "-seed", "9",
-			"-full", "-exact", "-payoff-cache", "-payoff-cache-size", "64"}, `"mu":0`, noMutation},
+			"-full", "-exact", "-payoff-cache"}, `"mu":0`, noMutation},
 		{"omitted rates", []string{"-search"}, `!"mu"`, search},
 	}
 	for _, tc := range cases {

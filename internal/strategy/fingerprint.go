@@ -2,12 +2,13 @@ package strategy
 
 import "math"
 
-// This file defines the canonical 128-bit behavioural fingerprint the
-// strategy-pair payoff cache (internal/game.PairCache) keys on. Unlike the
-// 64-bit Strategy.Fingerprint — a display/abundance hash that quantises
-// mixed tables to 1e-6 — the canonical fingerprint hashes the exact
-// behavioural content and is wide enough to key a correctness-critical
-// memo: equal-behaviour strategies hash equal, and any observable
+// This file defines the canonical 128-bit behavioural fingerprint that
+// identifies a strategy type: the engine's Population (internal/sim) interns
+// one type id per fingerprint, and each rank's payoff table is indexed by
+// those ids. Unlike the 64-bit Strategy.Fingerprint — a display/abundance
+// hash that quantises mixed tables to 1e-6 — the canonical fingerprint
+// hashes the exact behavioural content and is wide enough to key a
+// correctness-critical memo: equal-behaviour strategies hash equal, and any observable
 // difference in the response table changes the hash (collisions are
 // 2^-128-grade events, not engineering concerns; see docs/KERNEL.md).
 //
