@@ -47,10 +47,22 @@ func (b *Bitset) Len() int { return b.n }
 // modify bits beyond Len.
 func (b *Bitset) Words() []uint64 { return b.words }
 
+// rangeError is the panic value of an out-of-range Get or Set. The message is
+// formatted only if somebody reads it, which keeps both accessors within the
+// compiler's inlining budget: a strategy lookup is one bit read.
+type rangeError struct {
+	op   string
+	i, n int
+}
+
+func (e rangeError) Error() string {
+	return fmt.Sprintf("bitset: %s(%d) out of range [0,%d)", e.op, e.i, e.n)
+}
+
 // Get reports whether bit i is set. It panics if i is out of range.
 func (b *Bitset) Get(i int) bool {
 	if i < 0 || i >= b.n {
-		panic(fmt.Sprintf("bitset: Get(%d) out of range [0,%d)", i, b.n))
+		panic(rangeError{"Get", i, b.n})
 	}
 	return b.words[i/wordBits]&(1<<uint(i%wordBits)) != 0
 }
@@ -58,7 +70,7 @@ func (b *Bitset) Get(i int) bool {
 // Set sets bit i to v. It panics if i is out of range.
 func (b *Bitset) Set(i int, v bool) {
 	if i < 0 || i >= b.n {
-		panic(fmt.Sprintf("bitset: Set(%d) out of range [0,%d)", i, b.n))
+		panic(rangeError{"Set", i, b.n})
 	}
 	if v {
 		b.words[i/wordBits] |= 1 << uint(i%wordBits)

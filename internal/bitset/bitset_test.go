@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -43,17 +44,20 @@ func TestSetGet(t *testing.T) {
 	}
 }
 
+// TestOutOfRangePanics also pins the message: the panic value formats it
+// lazily (rangeError) so Get and Set inline, and it must still name the
+// operation, the index and the length.
 func TestOutOfRangePanics(t *testing.T) {
 	b := New(10)
-	for name, f := range map[string]func(){
-		"Get(-1)": func() { b.Get(-1) },
-		"Get(10)": func() { b.Get(10) },
-		"Set(10)": func() { b.Set(10, true) },
+	for want, f := range map[string]func(){
+		"bitset: Get(-1) out of range [0,10)": func() { b.Get(-1) },
+		"bitset: Get(10) out of range [0,10)": func() { b.Get(10) },
+		"bitset: Set(10) out of range [0,10)": func() { b.Set(10, true) },
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
+				if got := fmt.Sprint(recover()); got != want {
+					t.Errorf("panic value %q, want %q", got, want)
 				}
 			}()
 			f()

@@ -70,6 +70,36 @@ func TestPayoffAccumulationOrder(t *testing.T) {
 	}
 }
 
+// TestPlayPureMirror pins what lets the engine settle both cells of a pair
+// from one match: PlayPure(a, b) seen from player 1 is PlayPure(b, a) seen
+// from player 0, bit for bit — same move sequence, symmetric Score, same
+// round order — at every memory depth, under the default rules and under
+// TestPayoffAccumulationOrder's non-representable payoff, where a reordered
+// addition would show.
+func TestPlayPureMirror(t *testing.T) {
+	fractions := Rules{Payoff: Payoff{R: 0.3, S: 0.1, T: 0.4, P: 0.2}, Rounds: 1001}
+	if err := fractions.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(11)
+	for n := 1; n <= strategy.MaxMemory; n++ {
+		sp := strategy.NewSpace(n)
+		for trial := 0; trial < 40; trial++ {
+			a, b := strategy.RandomPure(sp, src), strategy.RandomPure(sp, src)
+			for _, rules := range []Rules{DefaultRules(), fractions} {
+				ab, ba := PlayPure(rules, a, b), PlayPure(rules, b, a)
+				if ab.Fitness1 != ba.Fitness0 || ab.Fitness0 != ba.Fitness1 || ab.Mean1() != ba.Mean0() || ab.Mean0() != ba.Mean1() {
+					t.Fatalf("memory %d trial %d, %d rounds: (a,b) = (%v,%v) but (b,a) = (%v,%v)",
+						n, trial, rules.Rounds, ab.Fitness0, ab.Fitness1, ba.Fitness0, ba.Fitness1)
+				}
+				if ab.Coop1 != ba.Coop0 || ab.Coop0 != ba.Coop1 {
+					t.Fatalf("memory %d trial %d: cooperation counts are not mirrored", n, trial)
+				}
+			}
+		}
+	}
+}
+
 func TestPlayPureRejectsNoise(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -29,6 +29,14 @@ func pairToIJ(s, pair int) (i, j int) {
 	return i, j
 }
 
+// pairIndex is pairToIJ's inverse: the flat index of pair (i, j), i != j.
+func pairIndex(s, i, j int) int {
+	if j > i {
+		j--
+	}
+	return i*(s-1) + j
+}
+
 // blockRange returns worker w's contiguous range of the n work items
 // (block-distributed, remainders to the leading workers).
 func blockRange(n, nWorkers, w int) (lo, hi int) {
@@ -89,49 +97,104 @@ func newPairBlock(s, lo, hi int) *pairBlock {
 // propagates: it is a configuration fault, so the run fails cleanly instead
 // of panicking or being mistaken for a rank failure.
 func (b *pairBlock) refresh(cfg *Config, pop *Population, master *rng.Source, kern *payoffKernel, gen int, all bool) (uint64, error) {
-	games := uint64(0)
+	if !all {
+		return b.refreshChanged(cfg, pop, master, kern, gen)
+	}
 	for k := b.lo; k < b.hi; {
 		// One row's owned stretch per outer iteration, so the per-pair work
-		// is a dirty test and an increment, not a division.
+		// is an increment, not a division.
 		i, j := pairToIJ(b.s, k)
 		rowHi := min(b.hi, (i+1)*(b.s-1))
-		rowAll := all || pop.dirty[i]
 		row := kern.row(pop, i)
 		for ; k < rowHi; k++ {
-			if rowAll || pop.dirty[j] {
-				v, ok := kern.hit(pop, row, j)
-				if !ok {
-					var err error
-					if v, err = kern.pairPayoff(cfg, pop, master, gen, row, i, j); err != nil {
-						return games, err
-					}
+			v, ok := kern.hit(pop, row, j)
+			if !ok {
+				var err error
+				if v, err = kern.pairPayoff(cfg, pop, master, gen, row, i, j); err != nil {
+					return uint64(k - b.lo), err
 				}
-				b.payoffs[k-b.lo] = v
-				games++
 			}
+			b.payoffs[k-b.lo] = v
 			if j++; j == i {
 				j++
+			}
+		}
+	}
+	return uint64(b.hi - b.lo), nil
+}
+
+// refreshChanged is refresh's incremental pass. It is driven by pop.changed,
+// so it costs what changed — the owned cells of each changed SSet's row and
+// column, O(|changed|·S) over all blocks together — and nothing when nothing
+// did. Cells (i, j) and (j, i) are separate games, each counted, but where
+// the block owns both it replays them back to back, which is what lets the
+// kernel settle the second from the first's match (payoffKernel.last). So
+// for each changed SSet d: the owned stretch of row d, each cell's mirror
+// right behind it; then what is left of column d — the cells in unchanged
+// rows (a changed row's stretch holds its own) whose mirror another block
+// owns.
+func (b *pairBlock) refreshChanged(cfg *Config, pop *Population, master *rng.Source, kern *payoffKernel, gen int) (uint64, error) {
+	games, s1 := uint64(0), b.s-1
+	replay := func(i, j, k int) error {
+		row := kern.row(pop, i)
+		v, ok := kern.hit(pop, row, j)
+		if !ok {
+			var err error
+			if v, err = kern.pairPayoff(cfg, pop, master, gen, row, i, j); err != nil {
+				return err
+			}
+		}
+		b.payoffs[k-b.lo] = v
+		games++
+		return nil
+	}
+	for _, d := range pop.changed {
+		for k := max(b.lo, d*s1); k < min(b.hi, (d+1)*s1); k++ {
+			j := k - d*s1 // the column, which skips the diagonal
+			if j >= d {
+				j++
+			}
+			m := pairIndex(b.s, j, d)
+			if b.owns(m) && pop.dirty[j] && j < d {
+				continue // replayed behind (j, d) in row j's stretch
+			}
+			if err := replay(d, j, k); err != nil {
+				return games, err
+			}
+			if b.owns(m) {
+				if err := replay(j, d, m); err != nil {
+					return games, err
+				}
+			}
+		}
+		for i := b.lo / s1; i <= (b.hi-1)/s1; i++ {
+			if i == d || pop.dirty[i] || b.owns(pairIndex(b.s, d, i)) {
+				continue
+			}
+			if k := pairIndex(b.s, i, d); b.owns(k) {
+				if err := replay(i, d, k); err != nil {
+					return games, err
+				}
 			}
 		}
 	}
 	return games, nil
 }
 
+// owns reports whether pair index k lies in the block.
+func (b *pairBlock) owns(k int) bool { return b.lo <= k && k < b.hi }
+
 // scheduledGames is the closed form of refresh's game count over the whole
-// pair list: every pair with all, otherwise all pairs minus the clean×clean
-// ones. The Nature rank of the parallel engine owns no pairs; it tallies
-// the generation's schedule with this so snapshots carry an up-to-date
-// GamesPlayed without an every-generation reduction, and cross-checks the
-// tally against the workers' refresh counts at finalization.
-func scheduledGames(dirty []bool, all bool) uint64 {
-	s := len(dirty)
-	clean := 0
-	if !all {
-		for _, d := range dirty {
-			if !d {
-				clean++
-			}
-		}
+// pair list of s SSets, changed of them dirty: every pair with all, otherwise
+// all pairs minus the clean×clean ones. The Nature rank of the parallel
+// engine owns no pairs; it tallies the generation's schedule with this so
+// snapshots carry an up-to-date GamesPlayed without an every-generation
+// reduction, and cross-checks the tally against the workers' refresh counts
+// at finalization.
+func scheduledGames(s, changed int, all bool) uint64 {
+	clean := s - changed
+	if all {
+		clean = 0
 	}
 	return uint64(s*(s-1) - clean*(clean-1))
 }

@@ -182,6 +182,57 @@ func TestObserverSeesEveryGeneration(t *testing.T) {
 	}
 }
 
+// TestPlacedStrategiesAreNeverWritten pins what adoption by reference, the
+// eviction snapshot and the kernel's last-match memo all lean on: once a
+// strategy value is placed in the population nothing writes into it. On both
+// engines an observer keeps a deep copy of every value it has ever seen
+// placed and compares all of them each generation; it also checks that an
+// adopting learner really shares its teacher's value.
+func TestPlacedStrategiesAreNeverWritten(t *testing.T) {
+	for _, kind := range []StrategyKind{PureStrategies, MixedStrategies} {
+		for _, ranks := range []int{1, 3} {
+			cfg := testConfig(2, 8, 400)
+			cfg.Kind, cfg.Seed, cfg.PCRate, cfg.Beta = kind, 77, 0.5, 5
+			placed := map[strategy.Strategy]strategy.Strategy{}
+			shared := 0
+			// The observer runs on the Nature rank's goroutine: Errorf, not Fatalf.
+			cfg.Observer = ObserverFunc(func(gen int, pop *Population, ev Events) {
+				for _, s := range pop.strategies {
+					if _, ok := placed[s]; !ok {
+						placed[s] = s.Clone()
+					}
+				}
+				for s, was := range placed {
+					if !s.Equal(was) {
+						t.Errorf("kind %v, %d ranks, generation %d: a placed strategy changed from %v to %v", kind, ranks, gen, was, s)
+					}
+				}
+				// The generation's mutation comes after its adoption and may
+				// have replaced either side since.
+				if ev.Adopted && !(ev.MutationOccurred && (ev.Mutant == ev.Learner || ev.Mutant == ev.Teacher)) {
+					if pop.strategies[ev.Learner] != pop.strategies[ev.Teacher] {
+						t.Errorf("generation %d: learner %d holds a copy of teacher %d's strategy", gen, ev.Learner, ev.Teacher)
+					}
+					shared++
+				}
+			})
+			res, err := runOn(cfg, ranks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if shared < 10 || len(placed) < 20 {
+				t.Fatalf("degenerate run: %d adoptions shared a value, %d values placed", shared, len(placed))
+			}
+			// Result.Final is the observer's copy to keep: deep, not shared.
+			for i, s := range res.Final {
+				if _, aliased := placed[s]; aliased {
+					t.Fatalf("Result.Final[%d] aliases a population value", i)
+				}
+			}
+		}
+	}
+}
+
 func TestSelectionFavoursFitterStrategies(t *testing.T) {
 	// With frequent PC, no mutation, and strong selection, the population
 	// should lose diversity (abundance entropy falls) as fitter strategies

@@ -10,6 +10,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/rng"
 	"repro/internal/strategy"
+	"repro/internal/trace"
 )
 
 // The resume contract, engine-level: a run interrupted at a generation
@@ -49,6 +50,9 @@ func TestInterruptedRunReturnsTheUninterruptedResult(t *testing.T) {
 	const gens, every = 120, 25
 	engines := []int{1, 3, 5} // rank counts; 1 is RunSequential
 	pick := rng.New(1409)
+	// pending lists the generations that start with a changed SSet still to
+	// be replayed (the reference run fills it in).
+	var pending []int
 
 	// resumeOn continues base from the sink's latest snapshot to the end of
 	// base's window.
@@ -113,6 +117,28 @@ func TestInterruptedRunReturnsTheUninterruptedResult(t *testing.T) {
 			}
 			return res
 		}},
+		// Live eviction replaces the restart: the survivors re-shard and
+		// replay the interrupted generation.
+		{"eviction with changed SSets pending", true, func(t *testing.T, base Config, ei int) *Result {
+			// A worker's generation is three collectives — selection, update,
+			// the sampled reduction — so its (3g+1)-th is generation g's
+			// selection: worker 1 dies just after the incremental pass over
+			// what generation g-1 changed, and Nature rolls back to the top of
+			// g, which the survivors replay whole on re-sharded blocks.
+			g := pending[pick.Intn(len(pending))]
+			cfg := evictConfig(base)
+			cfg.EventLog = trace.NewEventLog()
+			cfg.FaultPlan = mpi.NewFaultPlan().FailCollective(1, uint64(3*g+1))
+			res, err := RunParallel(cfg, engines[ei])
+			if err != nil {
+				t.Fatal(err)
+			}
+			evs := cfg.EventLog.Events()
+			if res.Evictions != 1 || len(evs) != 1 || evs[0].Kind != trace.EventEviction || evs[0].Generation != g {
+				t.Fatalf("evictions = %d, events %+v; want rank 1 evicted in generation %d", res.Evictions, evs, g)
+			}
+			return res
+		}},
 	}
 
 	for _, full := range []bool{false, true} {
@@ -126,7 +152,14 @@ func TestInterruptedRunReturnsTheUninterruptedResult(t *testing.T) {
 		base.Rules.Rounds = 16
 		base.Seed = 1410
 		base.FullRecompute = full
-		want, err := RunSequential(base)
+		ref := base
+		pending = nil
+		ref.Observer = ObserverFunc(func(gen int, _ *Population, ev Events) {
+			if (ev.Adopted || ev.MutationOccurred) && gen+1 < gens {
+				pending = append(pending, gen+1)
+			}
+		})
+		want, err := RunSequential(ref)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -177,12 +177,14 @@ func decodeMessage[T interface{ encode() []byte }](cfg *Config, payload any, kin
 		}
 	}
 	var sts []strategy.Strategy
-	for rest := bytes.NewReader(b[msgHeadLen:]); len(sts) < hi && (rest.Len() > 0 || len(sts) < lo); {
-		st, err := checkpoint.ReadStrategy(rest, strategy.NewSpace(cfg.Memory))
-		if err != nil {
-			return msg, fmt.Errorf("sim: %s strategy %d: %w", msgNames[kind][0], len(sts), err)
+	if len(b) > msgHeadLen || lo > 0 { // most messages end at the header: no reader for those
+		for rest := bytes.NewReader(b[msgHeadLen:]); len(sts) < hi && (rest.Len() > 0 || len(sts) < lo); {
+			st, err := checkpoint.ReadStrategy(rest, strategy.NewSpace(cfg.Memory))
+			if err != nil {
+				return msg, fmt.Errorf("sim: %s strategy %d: %w", msgNames[kind][0], len(sts), err)
+			}
+			sts = append(sts, st)
 		}
-		sts = append(sts, st)
 	}
 	msg = build(b[1], f, sts)
 	if re := msg.encode(); !bytes.Equal(b, re) {
@@ -385,12 +387,12 @@ func recoverLive(cfg *Config, c *mpi.Comm, r rankRole, traced *int, cause error)
 // natureSnap is the Nature Agent's rollback point for live eviction:
 // everything a generation changes before it completes, which is what
 // replaying the one a failure interrupted needs (gen itself only advances
-// on success).
+// on success). The dirty marks are not among it: the replay recomputes
+// every pair and clears them.
 // Strategy references can be shared because strategies are immutable —
 // Adopt and SetStrategy replace entries, never mutate them in place.
 type natureSnap struct {
 	strategies      []strategy.Strategy
-	dirty           []bool
 	counters        Counters
 	fitLen, coopLen int
 }
@@ -418,12 +420,23 @@ type natureRank struct {
 	pendingFull bool
 	crossCheck  uint64
 	snap        natureSnap
+	// segs[i] is rowSegments of SSet i over c's workers.
+	segs [][]rowSegment
 }
 
 func newNatureRank(cfg *Config, c *mpi.Comm) *natureRank {
-	n := &natureRank{nature: newNature(cfg), c: c}
+	n := &natureRank{nature: newNature(cfg)}
 	n.src = n
+	n.join(c)
 	return n
+}
+
+// join makes c Nature's communicator and lays the rows out over its workers.
+func (n *natureRank) join(c *mpi.Comm) {
+	n.c, n.segs = c, make([][]rowSegment, n.cfg.NumSSets)
+	for i := range n.segs {
+		n.segs[i] = rowSegments(n.cfg.NumSSets, c.Size()-1, i)
+	}
 }
 
 func (n *natureRank) position() int { return n.gen }
@@ -440,7 +453,6 @@ func (n *natureRank) step() (bool, error) {
 
 func (n *natureRank) takeSnap() {
 	n.snap.strategies = append(n.snap.strategies[:0], n.pop.strategies...)
-	n.snap.dirty = append(n.snap.dirty[:0], n.pop.dirty...)
 	n.snap.counters = n.res.Counters
 	n.snap.fitLen = n.res.MeanFitness.Len()
 	n.snap.coopLen = n.res.Cooperation.Len()
@@ -450,7 +462,7 @@ func (n *natureRank) takeSnap() {
 // authoritative state.
 func (n *natureRank) resync(nc *mpi.Comm) error {
 	n.pop.replaceAll(n.snap.strategies)
-	copy(n.pop.dirty, n.snap.dirty)
+	n.pop.clearDirty()
 	n.res.Counters = n.snap.counters
 	n.res.MeanFitness.Truncate(n.snap.fitLen)
 	n.res.Cooperation.Truncate(n.snap.coopLen)
@@ -459,7 +471,7 @@ func (n *natureRank) resync(nc *mpi.Comm) error {
 	if _, err := nc.Bcast(0, resume{Gen: n.gen, Replay: min(n.gen, n.end-1), Strategies: n.snap.strategies}.encode()); err != nil {
 		return err
 	}
-	n.c = nc
+	n.join(nc)
 	return nil
 }
 
@@ -467,7 +479,7 @@ func (n *natureRank) resync(nc *mpi.Comm) error {
 // they evaluate the replay predicate over the same dirty marks — without
 // playing any. A post-eviction replay recomputes every pair.
 func (n *natureRank) refresh(int) (uint64, error) {
-	scheduled := scheduledGames(n.pop.dirty, n.pendingFull || n.cfg.FullRecompute)
+	scheduled := scheduledGames(n.pop.Size(), len(n.pop.changed), n.pendingFull || n.cfg.FullRecompute)
 	n.pendingFull = false
 	n.crossCheck += scheduled
 	return scheduled, nil
@@ -508,16 +520,15 @@ func (n *natureRank) fitnesses(teacher, learner int) (piT, piL float64, err erro
 // sequential engine bit for bit — at any worker count, which is what makes
 // post-eviction re-sharding trajectory-invariant.
 func (n *natureRank) recvFitness(i int) (float64, error) {
-	s := n.cfg.NumSSets
 	total := 0.0
-	for _, seg := range rowSegments(s, n.c.Size()-1, i) {
+	for _, seg := range n.segs[i] {
 		msg, err := n.c.Recv(1+seg.worker, tagFitness)
 		if err != nil {
 			return 0, err
 		}
 		total = foldPayoffs(total, msg.Payload.([]float64))
 	}
-	return total / float64(s-1), nil
+	return total / float64(n.cfg.NumSSets-1), nil
 }
 
 // meanFitness joins the workers' payoff reduction; Nature contributes 0.

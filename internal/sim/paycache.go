@@ -39,6 +39,19 @@ type payoffKernel struct {
 	pi    [][]float64
 	seen  []uint32
 	stats *game.CacheStats
+	// last is the most recent game.PlayPure match and its two players. The
+	// error-free pure match is the one evaluator whose result holds both
+	// cells of a pair bit for bit: played as (j, i) it walks the same move
+	// sequence, Payoff.Score is symmetric and the rounds are added in the
+	// same order, so Mean1 of match (i, j) is Mean0 of match (j, i). play
+	// therefore answers the mirror of the match it just played from last —
+	// refreshChanged replays a pair's two cells back to back for this. The
+	// players are compared by identity, which is sound because a placed
+	// strategy is never written to (Population.Adopt).
+	last struct {
+		s0, s1 *strategy.Pure
+		res    game.Result
+	}
 }
 
 // newPayoffKernel builds the kernel for one rank of a validated config.
@@ -143,7 +156,10 @@ func (k *payoffKernel) pairPayoff(cfg *Config, pop *Population, master *rng.Sour
 // kernel, or the general sampled match, in that order of preference. The
 // bit-packed path is unconditional when it applies (two pure strategies,
 // no noise, direct indexing) because game.PlayPure is bit-identical to
-// game.Play there — it is a strictly faster encoding of the same loop.
+// game.Play there — it is a strictly faster encoding of the same loop — and
+// it alone serves a match's mirror from k.last: the solver iterates over a
+// differently ordered chain for (j, i), and a sampled match draws from its
+// own (gen, i, j) stream.
 func (k *payoffKernel) play(cfg *Config, master *rng.Source, gen, i, j int, si, sj strategy.Strategy) (float64, error) {
 	if k.solver != nil {
 		pi0, _, err := k.solver.Payoff(cfg.Rules.Payoff, si, sj, cfg.Rules.ErrorRate)
@@ -157,16 +173,20 @@ func (k *payoffKernel) play(cfg *Config, master *rng.Source, gen, i, j int, si, 
 		}
 		return pi0, nil
 	}
+	if k.eng == nil && cfg.Rules.ErrorRate == 0 {
+		if p0, ok := si.(*strategy.Pure); ok {
+			if p1, ok := sj.(*strategy.Pure); ok {
+				if k.last.s0 == p1 && k.last.s1 == p0 {
+					return k.last.res.Mean1(), nil
+				}
+				k.last.s0, k.last.s1, k.last.res = p0, p1, game.PlayPure(cfg.Rules, p0, p1)
+				return k.last.res.Mean0(), nil
+			}
+		}
+	}
 	src := master.Derive(0x6A3E, uint64(gen), uint64(i), uint64(j))
 	if k.eng != nil {
 		return k.eng.Play(cfg.Rules, si, sj, src).Mean0(), nil
-	}
-	if cfg.Rules.ErrorRate == 0 {
-		if p0, ok := si.(*strategy.Pure); ok {
-			if p1, ok := sj.(*strategy.Pure); ok {
-				return game.PlayPure(cfg.Rules, p0, p1).Mean0(), nil
-			}
-		}
 	}
 	return game.Play(cfg.Rules, si, sj, src).Mean0(), nil
 }

@@ -17,8 +17,11 @@ type Population struct {
 	space      strategy.Space
 	strategies []strategy.Strategy
 	// dirty marks SSets whose strategy changed since their games were last
-	// replayed (incremental mode).
-	dirty []bool
+	// replayed (incremental mode); changed lists the marked SSets in
+	// ascending order, so a pass that replays only their games costs what
+	// changed, not a scan of the population.
+	dirty   []bool
+	changed []int
 	// The type table: typ[i] is the id of SSet i's behaviour (-1 when
 	// strategy.CanonicalFingerprint does not know the implementation), so
 	// two SSets behave alike exactly when their ids are equal. Live types
@@ -61,10 +64,19 @@ func NewPopulation(cfg Config, src *rng.Source) *Population {
 		} else {
 			p.strategies[i] = randomStrategy(cfg.Kind, sp, src.Derive(uint64(i), 0xA11)) // per-SSet stream
 		}
-		p.dirty[i] = true
+		p.markDirty(i)
 		p.typ[i] = p.intern(p.strategies[i])
 	}
 	return p
+}
+
+// markDirty schedules SSet i's games for replay.
+func (p *Population) markDirty(i int) {
+	if !p.dirty[i] {
+		p.dirty[i] = true
+		at, _ := slices.BinarySearch(p.changed, i)
+		p.changed = slices.Insert(p.changed, at, i)
+	}
 }
 
 // intern counts one more SSet holding s's behaviour and returns its id: the
@@ -118,23 +130,26 @@ func (p *Population) Size() int { return len(p.strategies) }
 // Space returns the strategy space.
 func (p *Population) Space() strategy.Space { return p.space }
 
-// SetStrategy assigns a strategy to SSet i and marks its games dirty.
+// SetStrategy assigns a strategy to SSet i and marks its games dirty. The
+// population keeps s itself: the caller must not write to it afterwards.
 func (p *Population) SetStrategy(i int, s strategy.Strategy) {
 	p.release(i)
 	p.strategies[i], p.typ[i] = s, p.intern(s)
-	p.dirty[i] = true
+	p.markDirty(i)
 }
 
-// Adopt makes learner copy teacher's strategy (the PC learning step) and,
-// with it, the teacher's type.
+// Adopt makes learner take teacher's strategy (the PC learning step) and,
+// with it, the teacher's type. The two SSets share one value: a strategy is
+// immutable once placed — SetStrategy and Adopt replace entries, nothing
+// writes into one — and Snapshot deep-copies for whoever keeps one.
 func (p *Population) Adopt(learner, teacher int) {
 	id := p.typ[teacher]
 	if id >= 0 {
 		p.types[id].count++
 	}
 	p.release(learner)
-	p.strategies[learner], p.typ[learner] = p.strategies[teacher].Clone(), id
-	p.dirty[learner] = true
+	p.strategies[learner], p.typ[learner] = p.strategies[teacher], id
+	p.markDirty(learner)
 }
 
 // replaceAll installs another global strategy view wholesale (a live
@@ -218,7 +233,8 @@ func Fermi(beta, piT, piL float64) float64 {
 
 // clearDirty resets the dirty marks once every owner has refreshed its pairs.
 func (p *Population) clearDirty() {
-	for i := range p.dirty {
+	for _, i := range p.changed {
 		p.dirty[i] = false
 	}
+	p.changed = p.changed[:0]
 }

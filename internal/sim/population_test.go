@@ -74,11 +74,7 @@ func wholeBlock(s int) *pairBlock { return newPairBlock(s, 0, s*(s-1)) }
 
 // at addresses pair (i, j)'s payoff in a block that owns it.
 func (b *pairBlock) at(i, j int) *float64 {
-	k := i*(b.s-1) + j
-	if j > i {
-		k--
-	}
-	return &b.payoffs[k-b.lo]
+	return &b.payoffs[pairIndex(b.s, i, j)-b.lo]
 }
 
 func TestFitnessFromPayoffs(t *testing.T) {
@@ -302,7 +298,7 @@ func TestRefreshPayoffsIncremental(t *testing.T) {
 		return b.refresh(&cfg, pop, master, newPayoffKernel(&cfg), gen, cfg.FullRecompute)
 	}
 	// The Nature rank's closed-form tally must agree with every pass.
-	scheduled := func() uint64 { return scheduledGames(pop.dirty, cfg.FullRecompute) }
+	scheduled := func() uint64 { return scheduledGames(pop.Size(), len(pop.changed), cfg.FullRecompute) }
 	// First refresh: everything dirty -> S*(S-1) games.
 	if got := scheduled(); got != 30 {
 		t.Fatalf("initial schedule tallies %d games, want 30", got)
