@@ -12,7 +12,8 @@
 //   - Bcast, Reduce, Gather, and Barrier are collectives implemented over
 //     point-to-point messages (binomial trees for Bcast, Reduce and
 //     Barrier), modelling the Blue Gene collective network the paper uses
-//     for pair-selection announcements and global strategy updates.
+//     for pair-selection announcements and global strategy updates (the
+//     engine here broadcasts only Nature's verdict on them; see DESIGN.md).
 //
 // With World.EnableMetrics the runtime counts messages and bytes per rank
 // and tag and times each collective (metrics.go); the engine reports the

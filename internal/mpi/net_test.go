@@ -640,3 +640,22 @@ func TestNetOneWayBurstCompletes(t *testing.T) {
 		}
 	}
 }
+
+// A rank whose body needs nobody can be through it and gone before a higher
+// rank, still wiring the mesh, looks for its connection: the mesh was wired
+// all the same, and the late rank must not spend the startup budget waiting
+// for a peer that has been and left.
+func TestNetMeshWiredByAPeerThatAlreadyLeft(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		trs := newNetTransports(t, netMesh(t, 2))
+		begin := time.Now()
+		for rank, err := range runNetWorlds(t, trs, nil, func(*Comm) error { return nil }) {
+			if err != nil {
+				t.Fatalf("round %d, rank %d: %v", i, rank, err)
+			}
+		}
+		if took := time.Since(begin); took > DefaultStartupBudget/2 {
+			t.Fatalf("round %d: an empty run took %v", i, took)
+		}
+	}
+}

@@ -433,11 +433,13 @@ type peer struct {
 	everConn  bool
 }
 
-// waitConnected blocks until the peer's first connection is installed.
+// waitConnected blocks until the peer's first connection has been installed
+// — has been, not is: a peer with nothing to wait for may dial in, run its
+// whole body, say goodbye and hang up between two polls.
 func (p *peer) waitConnected(deadline time.Time) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for p.conn == nil {
+	for !p.everConn {
 		if p.t.closed.Load() {
 			return errors.New("mpi: transport closed while wiring mesh")
 		}

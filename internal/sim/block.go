@@ -200,8 +200,8 @@ func scheduledGames(s, changed int, all bool) uint64 {
 }
 
 // segment returns the owned, contiguous piece of SSet i's payoff row (empty
-// when the block holds none of it). It aliases the block: copy before
-// handing it to another rank.
+// when the block holds none of it). It aliases the block (see
+// workerRank.generation for why that may cross to another rank).
 func (b *pairBlock) segment(i int) []float64 {
 	rowLo := i * (b.s - 1)
 	segLo, segHi := max(b.lo, rowLo), min(b.hi, rowLo+b.s-1)

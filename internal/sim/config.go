@@ -12,8 +12,10 @@
 //     every game pair itself;
 //   - RunParallel: the paper's SPMD decomposition over the mpi runtime —
 //     rank 0 is the Nature Agent, the remaining ranks own block-distributed
-//     game pairs, fitness travels point-to-point, selections and strategy
-//     updates travel by broadcast.
+//     game pairs and derive each generation's plan (selection, mutant,
+//     sampling) from the seed as Nature does, fitness travels
+//     point-to-point, and Nature's verdict — did the learner adopt — travels
+//     by broadcast on the generations that have a comparison or a sample.
 //
 // Fitness evaluation supports the paper's every-generation full recompute
 // (FullRecompute, used in its timing studies) and an incremental mode that
@@ -118,14 +120,16 @@ type Config struct {
 	// Result.MeanFitness and Result.FinalFitness.
 	Observer Observer
 	// Control, when non-nil, is polled at the top of every generation (on
-	// the Nature rank in the parallel engine, where it also tells the
-	// workers to unwind). A non-nil return stops the run at that generation
-	// boundary: the engine persists a resume snapshot to CheckpointSink
-	// (when one is configured) and returns an error wrapping both
-	// ErrStopped and the hook's error. Pause/cancel in a hosting service
-	// builds on this: resume the stopped run from the persisted snapshot
-	// via ResumeFrom and it continues bit-identically (for deterministic
-	// games), ending in the Result the uninterrupted run returns.
+	// the Nature rank in the parallel engine; the workers, who listen to
+	// nobody between rendezvous, unwind at their next one — at most
+	// SampleStride generations later, their work past the stop discarded).
+	// A non-nil return stops the run at that generation boundary: the
+	// engine persists a resume snapshot to CheckpointSink (when one is
+	// configured) and returns an error wrapping both ErrStopped and the
+	// hook's error. Pause/cancel in a hosting service builds on this:
+	// resume the stopped run from the persisted snapshot via ResumeFrom and
+	// it continues bit-identically (for deterministic games), ending in the
+	// Result the uninterrupted run returns.
 	Control func(gen int) error
 	// InitialStrategies, when non-nil, seeds the population instead of
 	// random initialisation (ResumeFrom sets it from a checkpoint). Length must
@@ -152,7 +156,8 @@ type Config struct {
 	// parallel engine (including collective-internal ones): a rank stalled
 	// past the deadline fails with mpi.ErrRecvTimeout instead of hanging —
 	// the detection half of worker-failure recovery. It must comfortably
-	// exceed the longest per-generation compute phase.
+	// exceed the longest stretch between rendezvous: up to SampleStride
+	// generations of compute during which a healthy rank sends nothing.
 	RecvTimeout time.Duration
 	// FaultPlan, when non-nil, is installed into the parallel engine's
 	// world: scripted deterministic fault injection for resilience tests.

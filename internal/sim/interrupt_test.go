@@ -46,6 +46,34 @@ func assertSameResult(t *testing.T, want, got *Result, fullRecompute bool) {
 	assertSameSeries(t, "cooperation", want.Cooperation, got.Cooperation, 0)
 }
 
+// resumeFrom continues base from the sink's latest snapshot to the end of
+// base's window, on whatever run runs it on.
+func resumeFrom(t *testing.T, base Config, sink CheckpointSink, run func(Config) *Result) *Result {
+	t.Helper()
+	snap, err := sink.Latest()
+	if err != nil || snap == nil {
+		t.Fatalf("no snapshot to resume from: %v", err)
+	}
+	cfg := base
+	if err := cfg.ResumeFrom(snap); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Generations = base.Generations - int(snap.Generation)
+	return run(cfg)
+}
+
+// resumeOn is resumeFrom on an in-process engine of ranks ranks.
+func resumeOn(t *testing.T, base Config, sink CheckpointSink, ranks int) *Result {
+	t.Helper()
+	return resumeFrom(t, base, sink, func(cfg Config) *Result {
+		res, err := runOn(cfg, ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	})
+}
+
 func TestInterruptedRunReturnsTheUninterruptedResult(t *testing.T) {
 	const gens, every = 120, 25
 	engines := []int{1, 3, 5} // rank counts; 1 is RunSequential
@@ -53,26 +81,6 @@ func TestInterruptedRunReturnsTheUninterruptedResult(t *testing.T) {
 	// pending lists the generations that start with a changed SSet still to
 	// be replayed (the reference run fills it in).
 	var pending []int
-
-	// resumeOn continues base from the sink's latest snapshot to the end of
-	// base's window.
-	resumeOn := func(t *testing.T, base Config, sink CheckpointSink, ranks int) *Result {
-		t.Helper()
-		snap, err := sink.Latest()
-		if err != nil || snap == nil {
-			t.Fatalf("no snapshot to resume from: %v", err)
-		}
-		cfg := base
-		if err := cfg.ResumeFrom(snap); err != nil {
-			t.Fatal(err)
-		}
-		cfg.Generations = base.Generations - int(snap.Generation)
-		res, err := runOn(cfg, ranks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
 
 	interruptions := []struct {
 		name         string
@@ -120,15 +128,16 @@ func TestInterruptedRunReturnsTheUninterruptedResult(t *testing.T) {
 		// Live eviction replaces the restart: the survivors re-shard and
 		// replay the interrupted generation.
 		{"eviction with changed SSets pending", true, func(t *testing.T, base Config, ei int) *Result {
-			// A worker's generation is three collectives — selection, update,
-			// the sampled reduction — so its (3g+1)-th is generation g's
-			// selection: worker 1 dies just after the incremental pass over
-			// what generation g-1 changed, and Nature rolls back to the top of
-			// g, which the survivors replay whole on re-sharded blocks.
+			// The collectives a worker enters are a function of the plan (a
+			// verdict per rendezvous, a reduction per sampled generation), so
+			// the one after all of generations [0, g)'s is generation g's
+			// first: worker 1 dies just after the incremental pass over what
+			// generation g-1 changed, and Nature rolls back to the top of g,
+			// which the survivors replay whole on re-sharded blocks.
 			g := pending[pick.Intn(len(pending))]
 			cfg := evictConfig(base)
 			cfg.EventLog = trace.NewEventLog()
-			cfg.FaultPlan = mpi.NewFaultPlan().FailCollective(1, uint64(3*g+1))
+			cfg.FaultPlan = mpi.NewFaultPlan().FailCollective(1, planOf(t, base, engines[ei], 0, g).collectives()+1)
 			res, err := RunParallel(cfg, engines[ei])
 			if err != nil {
 				t.Fatal(err)

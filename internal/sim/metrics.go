@@ -28,8 +28,9 @@ const (
 	// PhaseFitnessComm is point-to-point fitness traffic: selected-row
 	// segments and final payoff blocks (the paper's torus traffic).
 	PhaseFitnessComm = "fitness_comm"
-	// PhaseBroadcast is the Nature Agent's selection and update broadcasts
-	// (the paper's collective-network traffic).
+	// PhaseBroadcast is the Nature Agent's verdict broadcasts, one per
+	// rendezvous and one at the end of the window (the paper's
+	// collective-network traffic, less what every rank derives itself).
 	PhaseBroadcast = "broadcast"
 	// PhaseReduce is the mean-fitness and game-count reductions.
 	PhaseReduce = "reduce"

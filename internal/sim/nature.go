@@ -42,6 +42,14 @@ func natureDecision(cfg *Config, master *rng.Source, gen int) decision {
 	return d
 }
 
+// rendezvous reports whether ranks meet in generation gen, whose plan is d:
+// a comparison returns fitness to Nature and needs its verdict, a sampled
+// generation joins the mean-fitness reduction. Both sides evaluate it from
+// (cfg, Seed, gen) alone; between rendezvous a worker talks to nobody.
+func rendezvous(cfg *Config, d decision, gen int) bool {
+	return d.pc || gen%cfg.SampleStride == 0
+}
+
 // resolveAdoption decides whether the learner adopts the teacher's strategy
 // given their fitness values, per the paper's §IV-B: the Fermi probability
 // (Equation 1), gated — unless AllowWorseAdoption — on the teacher strictly
@@ -68,23 +76,23 @@ func mutantStrategy(cfg *Config, master *rng.Source, sp strategy.Space, gen int)
 // place payoffs live. The sequential engine plays every pair itself, so its
 // source answers from a local pairBlock and has nobody to tell; rank 0 of
 // the parallel engine owns no pairs, so its source is the wire protocol —
-// the same five calls become Bcast(selection), ordered tagFitness receives,
-// Bcast(update) and a Reduce. Each source books its own phase timings.
+// the same four calls become ordered tagFitness receives, one Bcast(verdict)
+// on a rendezvous generation and a Reduce on a sampled one. The workers
+// derive the rest of the plan themselves, as generation does, from
+// (Seed, gen). Each source books its own phase timings.
 type fitnessSource interface {
 	// refresh brings every pair's payoff up to date for generation gen and
 	// returns how many games the schedule touched.
 	refresh(gen int) (uint64, error)
-	// announce publishes the generation's selection — or a Stop — to whoever
-	// plays the games.
-	announce(sel selection) error
 	// fitnesses returns the relative fitness of the two selected SSets,
 	// teacher first.
 	fitnesses(teacher, learner int) (piT, piL float64, err error)
-	// publish delivers the end-of-generation strategy update.
-	publish(u update) error
+	// verdict tells whoever plays the games what only Nature knows: on a
+	// rendezvous generation (see rendezvous) whether its learner adopted,
+	// and at any generation boundary that the run stops there.
+	verdict(v verdict) error
 	// meanFitness returns the population's mean relative fitness for the
-	// sampled series; it is asked only on generations whose update carried
-	// MeanFitnessWanted.
+	// sampled series; it is asked only on generations SampleStride divides.
 	meanFitness() (float64, error)
 }
 
@@ -136,12 +144,12 @@ func newNature(cfg *Config) *nature {
 func (n *nature) generation() error {
 	cfg, gen := n.cfg, n.gen
 	// Control poll at the generation boundary (pause/cancel for a hosting
-	// service). The stop is announced first — it is the players' next
-	// rendezvous; they are already on this generation's games — and then the
-	// resume snapshot is persisted.
+	// service). The stop is told first — the players are already on their
+	// games and unwind at their next rendezvous — and then the resume
+	// snapshot is persisted.
 	if cfg.Control != nil {
 		if cause := cfg.Control(gen); cause != nil {
-			if err := n.src.announce(selection{Stop: true}); err != nil {
+			if err := n.src.verdict(verdict{Gen: gen, Stop: true}); err != nil {
 				return err
 			}
 			return n.stop(cause)
@@ -166,10 +174,6 @@ func (n *nature) generation() error {
 		MutationOccurred: d.mutate,
 		Mutant:           d.mutant,
 	}
-	if err := n.src.announce(selection{PC: d.pc, Teacher: d.teacher, Learner: d.learner}); err != nil {
-		return err
-	}
-	u := update{MeanFitnessWanted: gen%cfg.SampleStride == 0}
 	if d.pc {
 		n.res.Counters.PCEvents++
 		piT, piL, err := n.src.fitnesses(d.teacher, d.learner)
@@ -178,23 +182,22 @@ func (n *nature) generation() error {
 		}
 		if resolveAdoption(cfg, n.master, gen, piT, piL) {
 			n.pop.Adopt(d.learner, d.teacher)
-			u.Adopted, u.Learner, u.Teacher = true, d.learner, d.teacher
 			ev.Adopted = true
 			n.res.Counters.Adoptions++
 		}
 	}
 	if d.mutate {
 		n.res.Counters.Mutations++
-		u.Mutated, u.Mutant = true, d.mutant
-		u.MutantStrategy = mutantStrategy(cfg, n.master, n.pop.Space(), gen)
-		n.pop.SetStrategy(d.mutant, u.MutantStrategy)
+		n.pop.SetStrategy(d.mutant, mutantStrategy(cfg, n.master, n.pop.Space(), gen))
 	}
 	n.stepTimer.end(PhaseNatureStep, tn)
-	if err := n.src.publish(u); err != nil {
-		return err
-	}
 
-	if u.MeanFitnessWanted {
+	if rendezvous(cfg, d, gen) {
+		if err := n.src.verdict(verdict{Gen: gen, Adopted: ev.Adopted}); err != nil {
+			return err
+		}
+	}
+	if gen%cfg.SampleStride == 0 {
 		mean, err := n.src.meanFitness()
 		if err != nil {
 			return err

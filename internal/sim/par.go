@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"strconv"
 	"time"
 
@@ -23,72 +22,53 @@ const (
 	tagRows    = 2 // owner -> Nature: final payoff block
 )
 
-// update is the Nature Agent's end-of-generation broadcast: the strategy
-// changes every rank must apply to its global view (paper §V-B, "global
-// strategy updates" over the collective network).
-type update struct {
-	Adopted          bool
-	Learner, Teacher int
-	Mutated          bool
-	Mutant           int
-	MutantStrategy   strategy.Strategy
-	// MeanFitnessWanted tells workers to join a fitness reduction for the
-	// observability series this generation.
-	MeanFitnessWanted bool
-}
-
-// encode is the update's message: flags Adopted (bit 0) and
-// MeanFitnessWanted (bit 1), fields learner, teacher, mutant, and the mutant
-// strategy when — and only when — Mutated.
-func (u update) encode() []byte {
-	var mutant []strategy.Strategy
-	if u.Mutated {
-		mutant = []strategy.Strategy{u.MutantStrategy}
-	}
-	return encodeMessage(msgUpdate, flagBits(u.Adopted, u.MeanFitnessWanted), [3]int{u.Learner, u.Teacher, u.Mutant}, mutant...)
-}
-
-// decodeUpdate validates a received update against the run's Config; a
-// mutant must be one randomStrategy(cfg.Kind) could have drawn.
-func decodeUpdate(cfg *Config, payload any) (update, error) {
-	u, err := decodeMessage(cfg, payload, msgUpdate, cfg.NumSSets, 0, 1, func(flags byte, f [3]int, sts []strategy.Strategy) update {
-		u := update{Adopted: flags&1 != 0, MeanFitnessWanted: flags&2 != 0, Mutated: len(sts) == 1, Learner: f[0], Teacher: f[1], Mutant: f[2]}
-		if u.Mutated {
-			u.MutantStrategy = sts[0]
-		}
-		return u
-	})
-	if _, mixed := u.MutantStrategy.(*strategy.Mixed); err == nil && u.Mutated && mixed != (cfg.Kind == MixedStrategies) {
-		err = errors.New("sim: update mutant strategy is not of the run's strategy kind")
-	}
-	return u, err
-}
-
-// selection is the Nature Agent's mid-generation broadcast: which SSets are
-// being compared (paper: "alerting of the SSets selected for pairwise
-// comparison"). PC false means no comparison this generation.
-type selection struct {
-	PC               bool
-	Teacher, Learner int
-	// Stop tells workers the run is ending at this generation boundary on a
-	// control-hook request (pause/cancel); no update broadcast follows and
-	// every rank exits. It rides in the selection slot because workers play a
-	// generation's games before hearing from Nature — this broadcast is the
-	// first rendezvous where a stop can reach them.
+// verdict is the one per-generation fact only the Nature Agent holds, and
+// the whole of its rendezvous broadcast. Every rank derives the generation's
+// plan — who is compared, who mutates into what, whether the series is
+// sampled — from (Seed, gen) with natureDecision and mutantStrategy, so no
+// selection and no strategy crosses the wire; what a worker cannot know is
+// whether the learner adopted (that takes both fitnesses) and whether the
+// control hook asked for a stop.
+type verdict struct {
+	// Gen is the rendezvous generation the verdict closes. A worker refuses
+	// one that names another generation.
+	Gen int
+	// Adopted reports that Gen's learner took the teacher's strategy.
+	Adopted bool
+	// Stop tells workers the run is ending on a control-hook request
+	// (pause/cancel): nothing of Gen is applied, a Barrier follows — so
+	// Nature outlives every worker's last send to it — and every rank exits.
 	Stop bool
 }
 
-// encode is the selection's message: flags PC (bit 0) and Stop (bit 1),
-// fields teacher, learner and an unused zero.
-func (s selection) encode() []byte {
-	return encodeMessage(msgSelection, flagBits(s.PC, s.Stop), [3]int{s.Teacher, s.Learner})
+// encode is the verdict's message: flags Adopted (bit 0) and Stop (bit 1),
+// field Gen and two unused zeros.
+func (v verdict) encode() []byte {
+	var flags byte
+	if v.Adopted {
+		flags |= 1
+	}
+	if v.Stop {
+		flags |= 2
+	}
+	return encodeMessage(msgVerdict, flags, [3]int{v.Gen})
 }
 
-// decodeSelection validates a received selection against the run's Config.
-func decodeSelection(cfg *Config, payload any) (selection, error) {
-	return decodeMessage(cfg, payload, msgSelection, cfg.NumSSets, 0, 0, func(flags byte, f [3]int, _ []strategy.Strategy) selection {
-		return selection{PC: flags&1 != 0, Stop: flags&2 != 0, Teacher: f[0], Learner: f[1]}
+// decodeVerdict validates a received verdict against the generation the
+// receiver stands at and that generation's plan: only a comparison can end
+// in an adoption.
+func decodeVerdict(cfg *Config, payload any, gen int, pc bool) (verdict, error) {
+	v, err := decodeMessage(cfg, payload, msgVerdict, 0, func(flags byte, f [3]int, _ []strategy.Strategy) verdict {
+		return verdict{Gen: f[0], Adopted: flags&1 != 0, Stop: flags&2 != 0}
 	})
+	switch {
+	case err != nil:
+	case v.Gen != gen:
+		err = fmt.Errorf("sim: verdict for generation %d received at generation %d", v.Gen, gen)
+	case v.Adopted && (v.Stop || !pc):
+		err = fmt.Errorf("sim: verdict reports an adoption in generation %d, which has no comparison to resolve", gen)
+	}
+	return v, err
 }
 
 // resume is the Nature Agent's post-eviction broadcast on the shrunk
@@ -115,37 +95,27 @@ func (r resume) encode() []byte {
 // decodeResume validates a received resume against the run's Config: exactly
 // one strategy of the run's memory depth per SSet.
 func decodeResume(cfg *Config, payload any) (resume, error) {
-	return decodeMessage(cfg, payload, msgResume, math.MaxInt, cfg.NumSSets, cfg.NumSSets, func(_ byte, f [3]int, sts []strategy.Strategy) resume {
+	return decodeMessage(cfg, payload, msgResume, cfg.NumSSets, func(_ byte, f [3]int, sts []strategy.Strategy) resume {
 		return resume{Gen: f[0], Replay: f[1], Strategies: sts}
 	})
 }
 
-// The parallel engine's three broadcasts travel as bytes the engine lays out
+// The parallel engine's two broadcasts travel as bytes the engine lays out
 // itself, in process and over a transport alike, so the bytes mpi counts are
-// the message. One layout serves all three: the kind — a message arriving
-// where another was due is refused, not misread — a flags byte, three
-// little-endian uint32 fields (SSet indices, or generation numbers: a run is
-// far shorter than 2^32 generations), then zero or more strategies in the
-// checkpoint stream's form (checkpoint.AppendStrategy).
+// the message. One layout serves both: the kind — a message arriving where
+// another was due is refused, not misread — a flags byte, three
+// little-endian uint32 fields (generation numbers: a run is far shorter than
+// 2^32 generations), then zero or more strategies in the checkpoint stream's
+// form (checkpoint.AppendStrategy).
 const (
-	msgSelection byte = 1 + iota
-	msgUpdate
+	msgVerdict byte = 1 + iota
 	msgResume
 )
 
 const msgHeadLen = 2 + 3*4
 
-// msgNames names each kind of message and then its three fields, for errors.
-var msgNames = [...][4]string{msgSelection: {"selection", "teacher", "learner"}, msgUpdate: {"update", "learner", "teacher", "mutant"}, msgResume: {"resume", "generation", "replay generation"}}
-
-func flagBits(flags ...bool) (b byte) {
-	for i, f := range flags {
-		if f {
-			b |= 1 << i
-		}
-	}
-	return b
-}
+// msgNames names each kind of message, for errors.
+var msgNames = [...]string{msgVerdict: "verdict", msgResume: "resume"}
 
 // encodeMessage lays one message out.
 func encodeMessage(kind, flags byte, fields [3]int, sts ...strategy.Strategy) []byte {
@@ -160,35 +130,33 @@ func encodeMessage(kind, flags byte, fields [3]int, sts ...strategy.Strategy) []
 }
 
 // decodeMessage takes a received payload apart and has build make the typed
-// message of it. The payload must be a message of the wanted kind, every
-// field must lie in [0, bound), between lo and hi strategies of the run's
-// memory depth must follow, and the whole must be, byte for byte, the
-// encoding of what was built from it: no trailing bytes, no unknown flag
-// bit, no value in an unused field, no second spelling of a strategy.
-func decodeMessage[T interface{ encode() []byte }](cfg *Config, payload any, kind byte, bound, lo, hi int, build func(flags byte, f [3]int, sts []strategy.Strategy) T) (msg T, err error) {
+// message of it. The payload must be a message of the wanted kind, n
+// strategies of the run's memory depth must follow the fields, and the whole
+// must be, byte for byte, the encoding of what was built from it: no
+// trailing bytes, no unknown flag bit, no value in an unused field, no
+// second spelling of a strategy.
+func decodeMessage[T interface{ encode() []byte }](cfg *Config, payload any, kind byte, n int, build func(flags byte, f [3]int, sts []strategy.Strategy) T) (msg T, err error) {
 	b, ok := payload.([]byte)
 	if !ok || len(b) < msgHeadLen || b[0] != kind {
-		return msg, fmt.Errorf("sim: expected a %s message, received %T %.14x", msgNames[kind][0], payload, b)
+		return msg, fmt.Errorf("sim: expected a %s message, received %T %.14x", msgNames[kind], payload, b)
 	}
 	var f [3]int
 	for i := range f {
-		if f[i] = int(binary.LittleEndian.Uint32(b[2+4*i:])); f[i] >= bound {
-			return msg, fmt.Errorf("sim: %s %s %d outside [0,%d)", msgNames[kind][0], msgNames[kind][1+i], f[i], bound)
-		}
+		f[i] = int(binary.LittleEndian.Uint32(b[2+4*i:]))
 	}
 	var sts []strategy.Strategy
-	if len(b) > msgHeadLen || lo > 0 { // most messages end at the header: no reader for those
-		for rest := bytes.NewReader(b[msgHeadLen:]); len(sts) < hi && (rest.Len() > 0 || len(sts) < lo); {
+	if n > 0 { // a verdict ends at the header: no reader for it
+		for rest := bytes.NewReader(b[msgHeadLen:]); len(sts) < n; {
 			st, err := checkpoint.ReadStrategy(rest, strategy.NewSpace(cfg.Memory))
 			if err != nil {
-				return msg, fmt.Errorf("sim: %s strategy %d: %w", msgNames[kind][0], len(sts), err)
+				return msg, fmt.Errorf("sim: %s strategy %d: %w", msgNames[kind], len(sts), err)
 			}
 			sts = append(sts, st)
 		}
 	}
 	msg = build(b[1], f, sts)
 	if re := msg.encode(); !bytes.Equal(b, re) {
-		return msg, fmt.Errorf("sim: %s of %d bytes %.14x is not the %d-byte encoding %.14x of its content", msgNames[kind][0], len(b), b, len(re), re)
+		return msg, fmt.Errorf("sim: %s of %d bytes %.14x is not the %d-byte encoding %.14x of its content", msgNames[kind], len(b), b, len(re), re)
 	}
 	return msg, nil
 }
@@ -399,9 +367,8 @@ type natureSnap struct {
 
 // natureRank is rank 0: the paper's Nature Agent driving the shared
 // generation over the wire. It is its own fitness source — it owns no game
-// pairs, so refresh only tallies the schedule, the selection and update go
-// out by broadcast, and the selected fitness values come back
-// point-to-point.
+// pairs, so refresh only tallies the schedule, the selected fitness values
+// come back point-to-point, and the verdict goes out by broadcast.
 //
 // With cfg.Evict, a detected rank failure is recovered live at the current
 // generation boundary: Nature agrees with the survivors on the new rank
@@ -485,16 +452,25 @@ func (n *natureRank) refresh(int) (uint64, error) {
 	return scheduled, nil
 }
 
-// announce broadcasts the selection to all ranks (collective network).
-func (n *natureRank) announce(sel selection) error { return n.bcast(sel.encode()) }
-
-// publish broadcasts the global strategy update (collective network).
-func (n *natureRank) publish(u update) error { return n.bcast(u.encode()) }
-
-func (n *natureRank) bcast(payload []byte) error {
+// verdict broadcasts v to all ranks (collective network). A stop is told at
+// the workers' next rendezvous — between rendezvous they listen to nobody —
+// and is followed by a Barrier, so Nature outlives every worker's last send
+// to it: the workers may be mid-interval, with segments for that rendezvous
+// still to ship.
+func (n *natureRank) verdict(v verdict) error {
+	if v.Stop {
+		for v.Gen < n.end && !rendezvous(n.cfg, natureDecision(n.cfg, n.master, v.Gen), v.Gen) {
+			v.Gen++ // no rendezvous left in the window: its end is the last one
+		}
+	}
 	tb := n.pt.begin()
-	if _, err := n.c.Bcast(0, payload); err != nil {
+	if _, err := n.c.Bcast(0, v.encode()); err != nil {
 		return err
+	}
+	if v.Stop {
+		if err := n.c.Barrier(); err != nil {
+			return err
+		}
 	}
 	n.pt.end(PhaseBroadcast, tb)
 	return nil
@@ -526,9 +502,25 @@ func (n *natureRank) recvFitness(i int) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		total = foldPayoffs(total, msg.Payload.([]float64))
+		part, err := payoffsIn(msg, seg.hi-seg.lo)
+		if err != nil {
+			return 0, err
+		}
+		total = foldPayoffs(total, part)
 	}
 	return total / float64(n.cfg.NumSSets-1), nil
+}
+
+// payoffsIn takes the payoffs of want pairs out of a worker's message. The
+// workers choose by themselves which rows to return, so what arrives is
+// checked: a payload of another type or length is a corrupt engine message —
+// an error, not a Nature-rank panic or a silently forked trajectory.
+func payoffsIn(msg mpi.Message, want int) ([]float64, error) {
+	part, ok := msg.Payload.([]float64)
+	if !ok || len(part) != want {
+		return nil, fmt.Errorf("sim: rank %d sent %T (%d payoffs) with tag %d, want the %d payoffs of its pairs", msg.Source, msg.Payload, len(part), msg.Tag, want)
+	}
+	return part, nil
 }
 
 // meanFitness joins the workers' payoff reduction; Nature contributes 0.
@@ -552,6 +544,11 @@ func (n *natureRank) finalize() error {
 		n.crossCheck += uint64(s * (s - 1))
 		n.pendingFull = false
 	}
+	// The end of the window is the last rendezvous: a stop told after the
+	// last one inside it reaches the workers here, before they ship anything.
+	if err := n.verdict(verdict{Gen: n.end}); err != nil {
+		return err
+	}
 	// Collect the final payoff blocks into one covering the whole pair list.
 	nWorkers := c.Size() - 1
 	full := newPairBlock(s, 0, s*(s-1))
@@ -561,8 +558,12 @@ func (n *natureRank) finalize() error {
 		if err != nil {
 			return err
 		}
-		lo, _ := blockRange(s*(s-1), nWorkers, w)
-		copy(full.payoffs[lo:], msg.Payload.([]float64))
+		lo, hi := blockRange(s*(s-1), nWorkers, w)
+		rows, err := payoffsIn(msg, hi-lo)
+		if err != nil {
+			return err
+		}
+		copy(full.payoffs[lo:], rows)
 	}
 	n.pt.end(PhaseFitnessComm, tf)
 	// The workers' reduced game count cross-checks Nature's scheduled
@@ -613,8 +614,9 @@ func (n *natureRank) finalize() error {
 }
 
 // workerRank is ranks 1..P-1: it owns a contiguous block of game pairs,
-// keeps the same global strategy view as Nature, plays its matches locally,
-// and applies broadcast updates.
+// keeps the same global strategy view as Nature by deriving each generation's
+// plan from (Seed, gen) as Nature does, plays its matches locally, and meets
+// the other ranks only at a rendezvous (see rendezvous).
 //
 // With cfg.Evict, a rank failure drops the worker into the survivor-side
 // eviction protocol: agree, shrink, then adopt Nature's resume broadcast
@@ -639,9 +641,9 @@ type workerRank struct {
 	replayGen   int
 }
 
-// runWorkerRank runs a worker to completion. A control stop announced by
-// Nature is a clean exit, so the run's only error is Nature's, carrying the
-// snapshot outcome.
+// runWorkerRank runs a worker to completion. A control stop told by Nature
+// is a clean exit, so the run's only error is Nature's, carrying the snapshot
+// outcome.
 func runWorkerRank(cfg *Config, c *mpi.Comm) error {
 	master := rng.New(cfg.Seed)
 	w := &workerRank{
@@ -716,25 +718,27 @@ func (w *workerRank) play() error {
 	return nil
 }
 
-// sendSegment returns the owned piece of SSet i's payoff row to Nature, if
-// this worker owns any of it.
-func (w *workerRank) sendSegment(i int) error {
-	seg := w.block.segment(i)
-	if seg == nil {
-		return nil
-	}
-	return w.c.Send(0, tagFitness, append([]float64(nil), seg...))
-}
-
-// recvBcast receives and decodes one of Nature's per-generation broadcasts.
-func recvBcast[T any](w *workerRank, decode func(*Config, any) (T, error)) (msg T, err error) {
+// takeVerdict receives Nature's verdict at the rendezvous the worker stands
+// at and reports whether the learner adopted. A stop is answered with the
+// Barrier Nature waits in and ends the worker with ErrStopped.
+func (w *workerRank) takeVerdict(pc bool) (adopted bool, err error) {
 	tb := w.pt.begin()
-	v, err := w.c.Bcast(0, nil)
+	p, err := w.c.Bcast(0, nil)
 	if err != nil {
-		return msg, err
+		return false, err
+	}
+	v, err := decodeVerdict(w.cfg, p, w.gen, pc)
+	if err != nil {
+		return false, err
+	}
+	if v.Stop {
+		if err := w.c.Barrier(); err != nil {
+			return false, err
+		}
+		return false, fmt.Errorf("sim: worker %d: %w", w.c.Rank(), ErrStopped)
 	}
 	w.pt.end(PhaseBroadcast, tb)
-	return decode(w.cfg, v)
+	return v.Adopted, nil
 }
 
 func (w *workerRank) generation() error {
@@ -743,40 +747,37 @@ func (w *workerRank) generation() error {
 	}
 	w.pop.clearDirty()
 
-	// Receive the PC selection.
-	sel, err := recvBcast(w, decodeSelection)
-	if err != nil {
-		return err
-	}
-	if sel.Stop {
-		return fmt.Errorf("sim: worker %d: %w", w.c.Rank(), ErrStopped)
-	}
-	if sel.PC {
+	d := natureDecision(w.cfg, w.master, w.gen)
+	if d.pc {
 		// Owners of the selected rows return their segments; teacher
 		// before learner so Nature's ordered receives match when one
-		// worker owns pieces of both.
+		// worker owns pieces of both. The segments alias the block: the
+		// worker next blocks on the verdict, which Nature sends after
+		// folding what it received, and a failure in between re-shards onto
+		// a fresh block (join).
 		tf := w.pt.begin()
-		if err := w.sendSegment(sel.Teacher); err != nil {
-			return err
-		}
-		if err := w.sendSegment(sel.Learner); err != nil {
-			return err
+		for _, i := range [2]int{d.teacher, d.learner} {
+			if seg := w.block.segment(i); seg != nil {
+				if err := w.c.Send(0, tagFitness, seg); err != nil {
+					return err
+				}
+			}
 		}
 		w.pt.end(PhaseFitnessComm, tf)
 	}
-
-	// Apply the global strategy update.
-	u, err := recvBcast(w, decodeUpdate)
-	if err != nil {
-		return err
+	if rendezvous(w.cfg, d, w.gen) {
+		adopted, err := w.takeVerdict(d.pc)
+		if err != nil {
+			return err
+		}
+		if adopted {
+			w.pop.Adopt(d.learner, d.teacher)
+		}
 	}
-	if u.Adopted {
-		w.pop.Adopt(u.Learner, u.Teacher)
+	if d.mutate {
+		w.pop.SetStrategy(d.mutant, mutantStrategy(w.cfg, w.master, w.pop.Space(), w.gen))
 	}
-	if u.Mutated {
-		w.pop.SetStrategy(u.Mutant, u.MutantStrategy)
-	}
-	if u.MeanFitnessWanted {
+	if w.gen%w.cfg.SampleStride == 0 {
 		tr := w.pt.begin()
 		if _, err := w.c.Reduce(0, foldPayoffs(0, w.block.payoffs), mpi.OpSum); err != nil {
 			return err
@@ -795,9 +796,13 @@ func (w *workerRank) finalize() error {
 			return err
 		}
 	}
-	// Ship the final payoff block and the game counter to Nature.
+	if _, err := w.takeVerdict(false); err != nil {
+		return err
+	}
+	// Ship the final payoff block — itself: nothing rewrites it after this —
+	// and the game counter to Nature.
 	tf := w.pt.begin()
-	if err := w.c.Send(0, tagRows, append([]float64(nil), w.block.payoffs...)); err != nil {
+	if err := w.c.Send(0, tagRows, w.block.payoffs); err != nil {
 		return err
 	}
 	w.pt.end(PhaseFitnessComm, tf)

@@ -48,7 +48,7 @@ func RunSequential(cfg Config) (*Result, error) {
 
 // localSource is the sequential engine's fitness source: one pairBlock
 // covering the whole pair list, refreshed in place. Nobody else holds
-// state, so the announce and publish halves of the seam have nothing to do.
+// state, so the verdict has nobody to reach.
 type localSource struct {
 	*nature
 	kern  *payoffKernel
@@ -64,13 +64,11 @@ func (l *localSource) refresh(gen int) (uint64, error) {
 	return played, err
 }
 
-func (*localSource) announce(selection) error { return nil }
-
 func (l *localSource) fitnesses(teacher, learner int) (float64, float64, error) {
 	return l.block.fitness(teacher), l.block.fitness(learner), nil
 }
 
-func (*localSource) publish(update) error { return nil }
+func (*localSource) verdict(verdict) error { return nil }
 
 // meanFitness is the mean of the per-SSet fitnesses (under the standard
 // payoff, 1 = all-defect to 3 = full cooperation).

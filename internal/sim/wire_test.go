@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/mpi"
 	"repro/internal/rng"
 	"repro/internal/strategy"
 )
@@ -38,65 +39,22 @@ func sameStrategies(a, b []strategy.Strategy) bool {
 func pureBytes(mem int) int  { return 5 + 8 + max(8, strategy.NewSpace(mem).NumStates()/8) }
 func mixedBytes(mem int) int { return 5 + 8*strategy.NewSpace(mem).NumStates() }
 
-func TestSelectionRoundTrip(t *testing.T) {
+func TestVerdictRoundTrip(t *testing.T) {
 	cfg := wireConfig(1, 8, PureStrategies)
-	for _, sel := range []selection{
+	for _, v := range []verdict{
 		{},
-		{Stop: true},
-		{PC: true, Teacher: 7, Learner: 0},
-		{PC: true, Stop: true, Teacher: 3, Learner: 4},
+		{Gen: 7, Adopted: true},
+		{Gen: 1 << 20, Stop: true},
+		{Gen: math.MaxUint32},
 	} {
-		b := sel.encode()
+		b := v.encode()
 		if len(b) != 14 {
-			t.Fatalf("%+v encodes to %d bytes, want 14", sel, len(b))
+			t.Fatalf("%+v encodes to %d bytes, want 14", v, len(b))
 		}
-		got, err := decodeSelection(cfg, b)
-		if err != nil || got != sel {
-			t.Fatalf("%+v round trip: %+v, %v", sel, got, err)
+		got, err := decodeVerdict(cfg, b, v.Gen, true)
+		if err != nil || got != v {
+			t.Fatalf("%+v round trip: %+v, %v", v, got, err)
 		}
-	}
-}
-
-func TestUpdateRoundTripAndSize(t *testing.T) {
-	src := rng.New(5)
-	for _, tc := range []struct {
-		name string
-		mem  int
-		kind StrategyKind
-		u    update
-		size int
-	}{
-		{"bare", 1, PureStrategies, update{}, 14},
-		{"adoption", 1, PureStrategies, update{Adopted: true, Learner: 2, Teacher: 5, MeanFitnessWanted: true}, 14},
-		{"pure mutant memory 1", 1, PureStrategies, update{Mutated: true, Mutant: 7}, 14 + pureBytes(1)},
-		{"pure mutant memory 6", 6, PureStrategies, update{Adopted: true, Learner: 1, Mutated: true, Mutant: 3}, 14 + pureBytes(6)},
-		{"mixed mutant memory 1", 1, MixedStrategies, update{Mutated: true, Mutant: 0, MeanFitnessWanted: true}, 14 + mixedBytes(1)},
-		{"mixed mutant memory 6", 6, MixedStrategies, update{Mutated: true, Mutant: 6}, 14 + mixedBytes(6)},
-	} {
-		cfg := wireConfig(tc.mem, 8, tc.kind)
-		u := tc.u
-		if u.Mutated {
-			u.MutantStrategy = randomStrategy(tc.kind, strategy.NewSpace(tc.mem), src)
-		}
-		b := u.encode()
-		if len(b) != tc.size {
-			t.Errorf("%s: %d bytes, want %d", tc.name, len(b), tc.size)
-		}
-		got, err := decodeUpdate(cfg, b)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if !sameStrategies([]strategy.Strategy{got.MutantStrategy}, []strategy.Strategy{u.MutantStrategy}) {
-			t.Errorf("%s: mutant strategy changed in transit", tc.name)
-		}
-		got.MutantStrategy, u.MutantStrategy = nil, nil
-		if got != u {
-			t.Errorf("%s: got %+v, want %+v", tc.name, got, u)
-		}
-	}
-	// The sizes the docs quote: a memory-6 mixed mutant is 32 KiB and change.
-	if pureBytes(1) != 21 || pureBytes(6) != 525 || mixedBytes(1) != 37 || mixedBytes(6) != 32773 {
-		t.Fatalf("strategy sizes moved: %d %d %d %d", pureBytes(1), pureBytes(6), mixedBytes(1), mixedBytes(6))
 	}
 }
 
@@ -124,17 +82,19 @@ func TestResumeRoundTripAndSize(t *testing.T) {
 			t.Errorf("memory %d: resume changed in transit", tc.mem)
 		}
 	}
+	// The sizes the docs quote: a memory-6 mixed strategy is 32 KiB and change.
+	if pureBytes(1) != 21 || pureBytes(6) != 525 || mixedBytes(1) != 37 || mixedBytes(6) != 32773 {
+		t.Fatalf("strategy sizes moved: %d %d %d %d", pureBytes(1), pureBytes(6), mixedBytes(1), mixedBytes(6))
+	}
 }
 
 // Every way a received message can be wrong is an error naming what is
-// wrong — never an index, a type assertion or a strategy table the worker
-// would trip over later.
+// wrong — never a type assertion, a verdict applied to the wrong generation
+// or a strategy table the worker would trip over later.
 func TestEngineMessageRejections(t *testing.T) {
 	cfg := wireConfig(2, 8, PureStrategies)
-	sp := strategy.NewSpace(2)
-	pure, mixed := strategy.AllD(sp), strategy.GTFT(sp, 0.3)
-	sel := selection{PC: true, Teacher: 1, Learner: 2}.encode()
-	upd := update{Adopted: true, Learner: 1, Teacher: 2, Mutated: true, Mutant: 3, MutantStrategy: pure}.encode()
+	pure := strategy.AllD(strategy.NewSpace(2))
+	ver := verdict{Gen: 5, Adopted: true}.encode()
 	pop := NewPopulation(*cfg, rng.New(3))
 	res := resume{Gen: 5, Replay: 5, Strategies: pop.strategies}.encode()
 
@@ -142,10 +102,12 @@ func TestEngineMessageRejections(t *testing.T) {
 	setField := func(i int, v uint32) func([]byte) []byte {
 		return func(b []byte) []byte { binary.LittleEndian.PutUint32(b[2+4*i:], v); return b }
 	}
+	// The receiver stands at generation 5, which has a comparison — except
+	// for the decoder that stands there without one.
 	decoders := map[string]func(any) error{
-		"selection": func(p any) error { _, err := decodeSelection(cfg, p); return err },
-		"update":    func(p any) error { _, err := decodeUpdate(cfg, p); return err },
-		"resume":    func(p any) error { _, err := decodeResume(cfg, p); return err },
+		"verdict":        func(p any) error { _, err := decodeVerdict(cfg, p, 5, true); return err },
+		"verdict, no pc": func(p any) error { _, err := decodeVerdict(cfg, p, 5, false); return err },
+		"resume":         func(p any) error { _, err := decodeResume(cfg, p); return err },
 	}
 	for _, tc := range []struct {
 		name    string
@@ -153,32 +115,31 @@ func TestEngineMessageRejections(t *testing.T) {
 		payload any
 		want    string // a fragment of the error
 	}{
-		{"not bytes", "selection", []float64{1}, "expected a selection message, received []float64"},
-		{"nil", "update", nil, "expected a update message"},
+		{"not bytes", "verdict", []float64{1}, "expected a verdict message, received []float64"},
+		{"nil", "verdict", nil, "expected a verdict message"},
 		{"empty", "resume", []byte{}, "expected a resume message"},
-		{"short head", "selection", sel[:13], "expected a selection message"},
-		{"update where a selection was due", "selection", upd, "expected a selection message"},
-		{"selection where an update was due", "update", sel, "expected a update message"},
-		{"selection where a resume was due", "resume", sel, "expected a resume message"},
-		{"teacher out of range", "selection", with(sel, setField(0, 8)), "selection teacher 8 outside [0,8)"},
-		{"learner out of range", "selection", with(sel, setField(1, math.MaxUint32)), "selection learner 4294967295 outside [0,8)"},
-		{"unused field set", "selection", with(sel, setField(2, 1)), "is not the 14-byte encoding"},
-		{"unknown flag", "selection", with(sel, func(b []byte) []byte { b[1] |= 4; return b }), "is not the 14-byte encoding"},
-		{"trailing byte", "selection", append(append([]byte(nil), sel...), 0), "selection of 15 bytes"},
-		{"update learner out of range", "update", with(upd, setField(0, 99)), "update learner 99 outside"},
-		{"update teacher out of range", "update", with(upd, setField(1, 8)), "update teacher 8 outside"},
-		{"mutant out of range", "update", with(upd, setField(2, 8)), "update mutant 8 outside"},
-		{"unknown update flag", "update", with(upd, func(b []byte) []byte { b[1] |= 0x80; return b }), "encoding"},
-		{"mutant of the other kind", "update", update{Mutated: true, MutantStrategy: mixed}.encode(), "not of the run's strategy kind"},
-		{"mutant of another depth", "update", update{Mutated: true, MutantStrategy: strategy.AllD(strategy.NewSpace(3))}.encode(), "update strategy 0: pure strategy has 64 states, want 16"},
-		{"unknown strategy kind", "update", with(upd, func(b []byte) []byte { b[14] = 9; return b }), "unknown strategy kind 9"},
-		{"truncated mutant", "update", upd[:len(upd)-1], "update strategy 0"},
-		{"two mutants", "update", checkpoint.AppendStrategy(append([]byte(nil), upd...), pure), "encoding"},
-		{"trailing bytes after the mutant", "update", append(append([]byte(nil), upd...), 1, 2, 3), "bytes"},
-		{"padding bits in a bitset", "update", with(upd, func(b []byte) []byte { b[len(b)-1] = 0x80; return b }), "encoding"},
+		{"short head", "verdict", ver[:13], "expected a verdict message"},
+		{"resume where a verdict was due", "verdict", res, "expected a verdict message"},
+		{"verdict where a resume was due", "resume", ver, "expected a resume message"},
+		{"verdict for an earlier generation", "verdict", verdict{Gen: 4}.encode(), "verdict for generation 4 received at generation 5"},
+		{"verdict for a later generation", "verdict", with(ver, setField(0, math.MaxUint32)), "verdict for generation 4294967295 received at generation 5"},
+		{"stop for another generation", "verdict", verdict{Gen: 6, Stop: true}.encode(), "verdict for generation 6 received at generation 5"},
+		{"adoption without a comparison", "verdict, no pc", ver, "no comparison to resolve"},
+		{"adoption aboard a stop", "verdict", verdict{Gen: 5, Adopted: true, Stop: true}.encode(), "no comparison to resolve"},
+		{"unused field set", "verdict", with(ver, setField(1, 1)), "is not the 14-byte encoding"},
+		{"second unused field set", "verdict", with(ver, setField(2, 8)), "is not the 14-byte encoding"},
+		{"unknown flag", "verdict", with(ver, func(b []byte) []byte { b[1] |= 4; return b }), "is not the 14-byte encoding"},
+		{"unknown high flag", "verdict", with(ver, func(b []byte) []byte { b[1] |= 0x80; return b }), "encoding"},
+		{"trailing byte", "verdict", append(append([]byte(nil), ver...), 0), "verdict of 15 bytes"},
+		{"a strategy aboard a verdict", "verdict", checkpoint.AppendStrategy(append([]byte(nil), ver...), pure), "encoding"},
 		{"one strategy short", "resume", res[:len(res)-pureBytes(2)], "resume strategy 7: EOF"},
 		{"one strategy over", "resume", checkpoint.AppendStrategy(append([]byte(nil), res...), pure), "encoding"},
+		{"trailing bytes after the strategies", "resume", append(append([]byte(nil), res...), 1, 2, 3), "bytes"},
+		{"truncated strategy", "resume", res[:len(res)-1], "resume strategy 7"},
+		{"unknown strategy kind", "resume", with(res, func(b []byte) []byte { b[14] = 9; return b }), "unknown strategy kind 9"},
+		{"padding bits in a bitset", "resume", with(res, func(b []byte) []byte { b[len(b)-1] = 0x80; return b }), "encoding"},
 		{"resume flags", "resume", with(res, func(b []byte) []byte { b[1] = 1; return b }), "encoding"},
+		{"resume unused field set", "resume", with(res, setField(2, 1)), "encoding"},
 		{"resume strategy of another depth", "resume", resume{Strategies: append([]strategy.Strategy{strategy.AllD(strategy.NewSpace(1))}, pop.strategies[1:]...)}.encode(), "resume strategy 0: pure strategy has 4 states, want 16"},
 	} {
 		err := decoders[tc.decoder](tc.payload)
@@ -186,50 +147,87 @@ func TestEngineMessageRejections(t *testing.T) {
 			t.Errorf("%s: error %v, want a sim: error containing %q", tc.name, err, tc.want)
 		}
 	}
-	// The unmodified messages do decode.
-	for name, b := range map[string][]byte{"selection": sel, "update": upd, "resume": res} {
-		if err := decoders[name](b); err != nil {
-			t.Errorf("%s: %v", name, err)
+	// The unmodified messages do decode; so does a stop, with or without a
+	// comparison at the rendezvous it names.
+	stop := verdict{Gen: 5, Stop: true}.encode()
+	for _, ok := range []struct {
+		decoder string
+		payload []byte
+	}{{"verdict", ver}, {"verdict", stop}, {"verdict, no pc", stop}, {"verdict, no pc", verdict{Gen: 5}.encode()}, {"resume", res}} {
+		if err := decoders[ok.decoder](ok.payload); err != nil {
+			t.Errorf("%s: %v", ok.decoder, err)
 		}
 	}
 }
 
-// FuzzEngineMessage feeds arbitrary bytes to the three decoders: each must
+// What a worker returns point-to-point is checked like a broadcast: a
+// tagFitness or tagRows payload of another type used to panic the Nature
+// rank, and one of another length silently forked the trajectory.
+func TestFitnessPayloadsAreChecked(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		gens    int // 0: Nature goes straight to finalization
+		tag     int
+		payload any
+		want    string
+	}{
+		{"segment of another type", 1, tagFitness, []byte{1, 2, 3}, "rank 1 sent []uint8 (0 payoffs) with tag 1, want the 3 payoffs"},
+		{"segment too short", 1, tagFitness, []float64{1, 2}, "rank 1 sent []float64 (2 payoffs) with tag 1, want the 3 payoffs"},
+		{"segment too long", 1, tagFitness, []float64{1, 2, 3, 4}, "(4 payoffs) with tag 1, want the 3 payoffs"},
+		{"rows of another type", 0, tagRows, 1.5, "rank 1 sent float64 (0 payoffs) with tag 2, want the 12 payoffs"},
+		{"rows too short", 0, tagRows, make([]float64, 11), "rank 1 sent []float64 (11 payoffs) with tag 2, want the 12 payoffs"},
+		{"no rows", 0, tagRows, nil, "rank 1 sent <nil> (0 payoffs) with tag 2"},
+	} {
+		cfg := testConfig(1, 4, tc.gens)
+		cfg.PCRate = 1 // generation 0 compares
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		var natureErr error
+		_ = mpi.NewWorld(2).Run(func(c *mpi.Comm) error {
+			if c.Rank() == 0 {
+				natureErr = runRank(&cfg, c, newNatureRank(&cfg, c))
+				return natureErr
+			}
+			// A corrupt peer in the only worker's place.
+			if tc.tag == tagRows {
+				if _, err := c.Bcast(0, nil); err != nil { // the end-of-window verdict
+					return err
+				}
+			}
+			return c.Send(0, tc.tag, tc.payload)
+		})
+		if natureErr == nil || !strings.HasPrefix(natureErr.Error(), "sim: ") || !strings.Contains(natureErr.Error(), tc.want) {
+			t.Errorf("%s: Nature's error %v, want a sim: error containing %q", tc.name, natureErr, tc.want)
+		}
+	}
+}
+
+// FuzzEngineMessage feeds arbitrary bytes to the two decoders: each must
 // refuse them or return a message that encodes back to exactly those bytes,
-// and whatever it accepts must be safe to apply — indices inside the
-// population, strategies of the run's space.
+// and whatever it accepts must be safe to apply — a verdict for the
+// receiver's own generation and plan, strategies of the run's space.
 func FuzzEngineMessage(f *testing.F) {
 	cfg := wireConfig(1, 4, MixedStrategies)
 	sp := strategy.NewSpace(1)
 	pop := NewPopulation(*cfg, rng.New(1))
-	f.Add(selection{PC: true, Teacher: 1, Learner: 3}.encode())
-	f.Add(selection{Stop: true}.encode())
-	f.Add(update{Adopted: true, Learner: 2, Teacher: 1, MeanFitnessWanted: true}.encode())
-	f.Add(update{Mutated: true, Mutant: 3, MutantStrategy: strategy.GTFT(sp, 0.25)}.encode())
-	f.Add(update{Mutated: true, Mutant: 1, MutantStrategy: strategy.WSLS(sp)}.encode())
-	f.Add(resume{Gen: 9, Replay: 8, Strategies: pop.strategies}.encode())
+	const at = 9 // the generation the receiver stands at
+	f.Add(verdict{Gen: at, Adopted: true}.encode())
+	f.Add(verdict{Gen: at, Stop: true}.encode())
+	f.Add(verdict{Gen: at}.encode())
+	f.Add(verdict{Gen: at + 1, Adopted: true}.encode())
+	f.Add(resume{Gen: at, Replay: at - 1, Strategies: pop.strategies}.encode())
+	f.Add(resume{Strategies: []strategy.Strategy{strategy.GTFT(sp, 0.25), strategy.WSLS(sp), strategy.AllD(sp), strategy.AllC(sp)}}.encode())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		inRange := func(indices ...int) {
-			for _, i := range indices {
-				if i < 0 || i >= cfg.NumSSets {
-					t.Fatalf("accepted index %d outside [0,%d)", i, cfg.NumSSets)
+		for _, pc := range []bool{false, true} {
+			if v, err := decodeVerdict(cfg, data, at, pc); err == nil {
+				if v.Gen != at || v.Adopted && (!pc || v.Stop) {
+					t.Fatalf("accepted verdict %+v at generation %d, pc %v", v, at, pc)
 				}
-			}
-		}
-		if sel, err := decodeSelection(cfg, data); err == nil {
-			inRange(sel.Teacher, sel.Learner)
-			if re := sel.encode(); !bytes.Equal(re, data) {
-				t.Fatalf("selection re-encodes to %x, was %x", re, data)
-			}
-		}
-		if u, err := decodeUpdate(cfg, data); err == nil {
-			inRange(u.Learner, u.Teacher, u.Mutant)
-			if u.Mutated != (u.MutantStrategy != nil) || u.Mutated && u.MutantStrategy.Space() != sp {
-				t.Fatalf("accepted update %+v", u)
-			}
-			if re := u.encode(); !bytes.Equal(re, data) {
-				t.Fatalf("update re-encodes to %x, was %x", re, data)
+				if re := v.encode(); !bytes.Equal(re, data) {
+					t.Fatalf("verdict re-encodes to %x, was %x", re, data)
+				}
 			}
 		}
 		if rs, err := decodeResume(cfg, data); err == nil {
@@ -248,7 +246,7 @@ func FuzzEngineMessage(f *testing.F) {
 	})
 }
 
-// A strategy has one binary form: the bytes aboard an update are the bytes
+// A strategy has one binary form: the bytes aboard a resume are the bytes
 // the checkpoint stream holds for the same strategy.
 func TestMessageStrategyIsTheCheckpointForm(t *testing.T) {
 	sp := strategy.NewSpace(2)
@@ -258,7 +256,7 @@ func TestMessageStrategyIsTheCheckpointForm(t *testing.T) {
 		if err := checkpoint.Write(&stream, snap); err != nil {
 			t.Fatal(err)
 		}
-		aboard := update{Mutated: true, MutantStrategy: st}.encode()[14:]
+		aboard := resume{Strategies: []strategy.Strategy{st}}.encode()[14:]
 		if !bytes.Contains(stream.Bytes(), aboard) {
 			t.Errorf("%T: the message carries %x, the checkpoint stream %x", st, aboard, stream.Bytes())
 		}

@@ -59,7 +59,8 @@ trio() {
 }
 
 # Both sets run about a second on a CI core, so a fault at 150 ms lands well
-# inside them. The memory-6 set puts 500-byte strategy tables in the update
-# broadcasts and 4 KiB of them in the post-eviction resume.
+# inside them. No strategy rides the per-generation verdict broadcasts — every
+# rank draws the mutants itself — so the memory-6 set differs on the wire by
+# the 4 KiB of strategy tables in its post-eviction resume.
 trio memory-1 -np 4 -ssets 16 -gens 8000 -rounds 20 -seed 7 -full
 trio memory-6 -np 4 -memory 6 -ssets 8 -gens 8000 -rounds 20 -seed 7 -full
