@@ -68,14 +68,11 @@ serve-smoke:
 # per-table/figure benchmarks (bench_test.go) with allocation stats,
 # streamed as test2json records to BENCH_10.json — the machine-readable
 # artifact CI uploads. One iteration keeps the sweep minutes-scale; shapes
-# (scaling curves, compute/comm split, the payoff cache's game_play
-# speedup) survive, but absolute ns/op are noisy at -benchtime=1x, so this
-# is not the basis for performance claims — bench-e2e is (bench/README.md).
-# The cache ablation runs at 10 iterations on top so its headline ratio
-# (docs/KERNEL.md) is stable enough to compare.
+# (scaling curves, compute/comm split) survive, but absolute ns/op are noisy
+# at -benchtime=1x, so this is not the basis for performance claims —
+# bench-e2e is (bench/README.md).
 bench:
 	$(GO) test -json -run '^$$' -bench . -benchmem -benchtime 1x . > BENCH_10.json
-	$(GO) test -json -run '^$$' -bench 'Ablation_PayoffCache' -benchtime 10x . >> BENCH_10.json
 
 # The end-to-end benchmark BENCHMARK.json declares: eight fixed workloads
 # with verified result hashes, end-to-end and per-layer metrics

@@ -335,61 +335,6 @@ func BenchmarkAblation_PayoffEvaluation(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_PayoffCache measures the pair-payoff memo
-// (docs/KERNEL.md) on the workload it targets: a near-fixation population
-// (mostly WSLS, one resident defector) under the paper's full-recompute
-// timing mode, where almost every scheduled match repeats a behaviour pair
-// the cache has already priced. Sub-benchmarks report the game_play phase
-// time per run so the cached/uncached kernel cost can be compared directly
-// (the BENCH_10.json headline); total ns/op also includes the phases the
-// cache cannot touch (nature step, bookkeeping).
-func BenchmarkAblation_PayoffCache(b *testing.B) {
-	mkConfig := func(cache bool) sim.Config {
-		cfg := sim.DefaultConfig(2, 24)
-		cfg.Generations = 40
-		cfg.FullRecompute = true
-		cfg.Rules.Rounds = 200
-		cfg.Seed = 15
-		cfg.Metrics = true
-		cfg.PayoffCache = cache
-		sp := strategy.NewSpace(2)
-		strats := make([]strategy.Strategy, 24)
-		for i := range strats {
-			strats[i] = strategy.WSLS(sp)
-		}
-		strats[0] = strategy.AllD(sp)
-		cfg.InitialStrategies = strats
-		return cfg
-	}
-	gamePlayNanos := func(res *sim.Result) int64 {
-		for _, p := range res.Metrics.PhaseTotals() {
-			if p.Phase == "game_play" {
-				return p.Nanos
-			}
-		}
-		return 0
-	}
-	for _, mode := range []struct {
-		name  string
-		cache bool
-	}{{"cache-off", false}, {"cache-on", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			cfg := mkConfig(mode.cache)
-			var play int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := sim.RunSequential(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				play += gamePlayNanos(res)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(play)/float64(b.N), "game_play-ns/run")
-		})
-	}
-}
-
 // BenchmarkAblation_MutantGeneration prices random strategy generation —
 // the Nature Agent's gen_new_strat — across the strategy representations.
 func BenchmarkAblation_MutantGeneration(b *testing.B) {

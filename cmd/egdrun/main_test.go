@@ -143,8 +143,10 @@ func TestFleetChaosScheduleMatchesFaultFree(t *testing.T) {
 		}
 		// Sized so the run is still going when the second fault lands: the
 		// byte-oriented wire codec made a networked generation several times
-		// cheaper than it was when this ran 1200 generations.
-		args := append([]string{"-np", "4", "-ssets", "16", "-gens", "6000", "-rounds", "20", "-seed", "7", "-full",
+		// cheaper than it was when this ran 1200 generations, and -error keeps
+		// every match out of the payoff table, which serves the noise-free
+		// run in a fraction of the faults' schedule.
+		args := append([]string{"-np", "4", "-ssets", "16", "-gens", "6000", "-rounds", "20", "-error", "0.01", "-seed", "7", "-full",
 			"-sock", t.TempDir(), "-timeout", "2m"}, extra...)
 		cmd := exec.Command(self, args...)
 		cmd.Env = append(os.Environ(), helperEnv+"=1")
@@ -181,6 +183,7 @@ func TestFleetChaosScheduleMatchesFaultFree(t *testing.T) {
 	cfg := sim.DefaultConfig(1, 16)
 	cfg.Generations = 6000
 	cfg.Rules.Rounds = 20
+	cfg.Rules.ErrorRate = 0.01
 	cfg.Seed = 7
 	cfg.FullRecompute = true
 	res, err := sim.RunParallel(cfg, 4)

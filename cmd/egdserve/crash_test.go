@@ -27,10 +27,12 @@ const (
 	dataDirEnv  = "EGDSERVE_DATA_DIR"
 	addrFileEnv = "EGDSERVE_ADDR_FILE"
 	// crashSpec must run long enough that the interruption lands mid-
-	// trajectory: full_recompute pins per-generation cost, so ~30k
-	// generations is seconds of work with a wide window past the first
-	// few checkpoints.
-	crashSpec       = `{"memory":1,"ssets":8,"generations":30000,"rounds":200,"seed":90125,"full_recompute":true}`
+	// trajectory: full_recompute pins the match count and error_rate > 0
+	// keeps every match out of the payoff table (a noise-free run of this
+	// size is served by type in milliseconds), so 12k generations is seconds
+	// of work with a wide window past the first few checkpoints. Each test
+	// also checks the restarted daemon re-queued the job.
+	crashSpec       = `{"memory":1,"ssets":8,"generations":12000,"rounds":200,"error_rate":0.01,"seed":90125,"full_recompute":true}`
 	crashCheckpoint = 500
 )
 
@@ -233,6 +235,7 @@ func TestKill9RecoveryBitIdentical(t *testing.T) {
 		cmd2.Process.Signal(syscall.SIGTERM) //nolint:errcheck // best-effort cleanup
 		cmd2.Wait()                          //nolint:errcheck // best-effort cleanup
 	}()
+	assertInterrupted(t, waitForRecoveryLine(out2))
 	got := waitDone(t, base2, id)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("post-kill result differs from uninterrupted run\n got: %v\nwant: %v", got, want)
@@ -271,9 +274,19 @@ func TestSIGTERMDrainResumesBitIdentical(t *testing.T) {
 	if !strings.Contains(waitForRecoveryLine(out2), "clean shutdown true") {
 		t.Errorf("restarted daemon did not report a clean journal; output:\n%s", out2.String())
 	}
+	assertInterrupted(t, out2.String())
 	got := waitDone(t, base2, id)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("post-drain result differs from uninterrupted run\n got: %v\nwant: %v", got, want)
+	}
+}
+
+// assertInterrupted checks the restarted daemon's recovery line: the one job
+// came back to be re-queued, so the interruption landed before it finished.
+func assertInterrupted(t *testing.T, out string) {
+	t.Helper()
+	if !strings.Contains(out, "recovered 1 jobs from journal (1 re-queued, 0 paused, 0 terminal") {
+		t.Errorf("the job was not re-queued, so the interruption did not land mid-run; output:\n%s", out)
 	}
 }
 

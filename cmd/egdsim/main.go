@@ -249,14 +249,12 @@ func printPhaseSummary(out io.Writer, res *sim.Result) {
 			100*float64(compute)/float64(sum), 100*float64(comm)/float64(sum), 100*float64(other)/float64(sum))
 	}
 	var cs game.CacheStats
-	cached := false
 	for _, p := range res.Metrics.Phases {
 		if p.Cache != nil {
 			cs.Merge(*p.Cache)
-			cached = true
 		}
 	}
-	if cached {
+	if cs.Hits+cs.Misses > 0 {
 		fmt.Fprintf(out, "payoff cache: %d hits, %d misses (%.1f%% hit rate), %d live types with a payoff row\n",
 			cs.Hits, cs.Misses, 100*cs.HitRate(), cs.Entries)
 	}

@@ -248,8 +248,9 @@ func TestRunReportsOutputWriteFailure(t *testing.T) {
 	}
 }
 
-// -payoff-cache keeps the trajectory identical and prints the cache
-// summary line when metrics are on.
+// The payoff table needs no flag: a default-mode run with -metrics prints its
+// hit line, a noisy one (no table) does not, and the science output is the
+// same with metrics on or off.
 func TestRunPayoffCacheSmoke(t *testing.T) {
 	dir := t.TempDir()
 	capture := func(extra ...string) string {
@@ -265,13 +266,16 @@ func TestRunPayoffCacheSmoke(t *testing.T) {
 		return out.String()
 	}
 	plain := capture()
-	cached := capture("-payoff-cache", "-metrics", filepath.Join(dir, "m.json"))
-	if !strings.Contains(cached, "payoff cache:") {
-		t.Errorf("cache summary line missing:\n%s", cached)
+	cached := capture("-metrics", filepath.Join(dir, "m.json"))
+	if !strings.Contains(cached, "payoff cache:") || strings.Contains(cached, "payoff cache: 0 hits") {
+		t.Errorf("cache summary line missing or empty:\n%s", cached)
+	}
+	if noisy := capture("-error", "0.01", "-metrics", filepath.Join(dir, "n.json")); strings.Contains(noisy, "payoff cache:") {
+		t.Errorf("noisy run reports a payoff table:\n%s", noisy)
 	}
 	// The science output (final fitness, cooperation, abundance) must be
-	// byte-identical with and without the cache; strip the metrics-only
-	// lines from the cached run before comparing.
+	// byte-identical with and without metrics; strip the metrics-only lines
+	// before comparing.
 	tail := func(s string) string {
 		i := strings.Index(s, "final mean fitness")
 		if i < 0 {
@@ -284,17 +288,20 @@ func TestRunPayoffCacheSmoke(t *testing.T) {
 		return s
 	}
 	if tail(plain) != tail(cached) {
-		t.Errorf("cache changed the science output:\n--- off ---\n%s\n--- on ---\n%s", tail(plain), tail(cached))
+		t.Errorf("metrics changed the science output:\n--- off ---\n%s\n--- on ---\n%s", tail(plain), tail(cached))
 	}
 }
 
-// The table is sized by the population: the capacity flag left with the LRU
-// and is an unknown flag now, not a silently ignored one.
+// The table is sized by the population and always on: the capacity flag left
+// with the LRU, the switch with the table becoming the default, and each is an
+// unknown flag now, not a silently ignored one.
 func TestRunRejectsPayoffCacheSizeFlag(t *testing.T) {
-	var out strings.Builder
-	err := run([]string{"-gens", "10", "-payoff-cache", "-payoff-cache-size", "4096"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -payoff-cache-size") {
-		t.Fatalf("-payoff-cache-size accepted: %v", err)
+	for _, args := range [][]string{{"-payoff-cache-size", "4096"}, {"-payoff-cache"}} {
+		var out strings.Builder
+		err := run(append([]string{"-gens", "10"}, args...), &out)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
+			t.Fatalf("%s accepted: %v", args[0], err)
+		}
 	}
 }
 

@@ -84,13 +84,14 @@ func run(args []string, out io.Writer) error {
 	// Exact payoffs against the classic field.
 	fmt.Fprintf(out, "\nexact long-run payoffs at %.1f%% errors (mine / theirs):\n", 100**errRate)
 	payoff := game.StandardPayoff()
+	solver := analysis.NewSolver(sp)
 	opponents := []string{"ALLC", "ALLD", "TFT", "WSLS", "GRIM", "GTFT"}
 	for _, on := range opponents {
 		opp, err := strategy.Named(on, sp)
 		if err != nil {
 			continue
 		}
-		mine, theirs, err := analysis.MarkovPayoffN(payoff, subject, opp, *errRate)
+		mine, theirs, err := solver.Payoff(payoff, subject, opp, *errRate)
 		if err != nil {
 			return err
 		}
@@ -103,7 +104,7 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "  vs %-5s %6.3f / %-6.3f  (%s)\n", on, mine, theirs, verdict)
 	}
-	selfPi, _, err := analysis.MarkovPayoffN(payoff, subject, subject, *errRate)
+	selfPi, _, err := solver.Payoff(payoff, subject, subject, *errRate)
 	if err != nil {
 		return err
 	}

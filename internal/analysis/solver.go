@@ -52,7 +52,8 @@ func NewSolver(sp strategy.Space) *Solver {
 
 // MarkovPayoffN is Solver.Payoff on a solver built for the call: the
 // convenience for a handful of evaluations. A caller with many keeps a
-// Solver.
+// Solver; outside tests only bench/probes.go still calls this (ROADMAP item
+// 1's shim ledger).
 func MarkovPayoffN(payoff game.Payoff, s0, s1 strategy.Strategy, errRate float64) (pi0, pi1 float64, err error) {
 	return NewSolver(s0.Space()).Payoff(payoff, s0, s1, errRate)
 }

@@ -292,11 +292,16 @@ func Read(r io.Reader) (*Snapshot, error) {
 		return nil, err
 	}
 	sp := strategy.NewSpace(s.Memory)
-	s.Strategies = make([]strategy.Strategy, count)
-	for i := range s.Strategies {
-		if s.Strategies[i], err = ReadStrategy(br, sp); err != nil {
+	// The count is the stream's word, not yet its data: the slice grows as
+	// strategies arrive, so a header claiming 2^28 of them costs what the
+	// stream holds before it ends, not a 4 GiB make up front.
+	s.Strategies = make([]strategy.Strategy, 0, min(count, 1<<10))
+	for i := uint32(0); i < count; i++ {
+		st, err := ReadStrategy(br, sp)
+		if err != nil {
 			return nil, fmt.Errorf("checkpoint: strategy %d: %w", i, err)
 		}
+		s.Strategies = append(s.Strategies, st)
 	}
 	if hasFitness == 1 {
 		s.Fitness = make([]float64, count)

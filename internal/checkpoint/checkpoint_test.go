@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/rng"
@@ -195,6 +196,26 @@ func TestReadRejectsImplausibleCounts(t *testing.T) {
 	badKind[29] = 99
 	if _, err := Read(bytes.NewReader(badKind)); err == nil {
 		t.Fatal("unknown strategy kind accepted")
+	}
+}
+
+// A count the stream does not back is an error at the end of the data, not a
+// 2^28-entry allocation first (FuzzRead's worker died on one such header).
+func TestReadAllocatesWhatTheStreamHolds(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, pureSnapshot(t, 1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	lying := buf.Bytes()
+	lying[24], lying[25], lying[26], lying[27] = 0, 0, 0, 0x10 // 1<<28, the cap
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Read(bytes.NewReader(lying)); err == nil {
+		t.Fatal("a count of 1<<28 over two strategies accepted")
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("rejecting the stream allocated %d bytes", got)
 	}
 }
 

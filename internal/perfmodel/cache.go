@@ -1,10 +1,10 @@
 package perfmodel
 
-// This file models the strategy-pair payoff cache (sim.Config.PayoffCache,
-// docs/KERNEL.md): with memoization on, most scheduled matches of a
-// full-recompute run are served from the cache at a tiny fraction of a
-// match's cost, so admission pricing that ignored the cache would turn away
-// jobs the daemon can easily run.
+// This file models the engine's payoff table by strategy type
+// (docs/KERNEL.md), which is always on where a run can be memoized: most
+// scheduled matches of a memoizable full-recompute run are served from it at
+// a tiny fraction of a match's cost, so admission pricing that ignored it
+// would turn away jobs the daemon can easily run.
 
 // PairCacheHitCostRatio is the modelled cost of serving one memoized pair
 // payoff relative to recomputing the match: a type id, its epoch check and
@@ -15,8 +15,8 @@ package perfmodel
 // hit at least twofold, which is the side admission may err on.
 const PairCacheHitCostRatio = 0.01
 
-// CacheAdjustedGames returns the effective full-cost match count of a run
-// with the pair-payoff cache enabled, in units of one uncached match.
+// CacheAdjustedGames returns the effective full-cost match count of a
+// memoizable run, in units of one uncached match.
 //
 // The miss model: the warm-up generation computes every ordered pair once
 // (S×(S-1) misses), and thereafter each strategy change — at most one per

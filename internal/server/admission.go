@@ -40,40 +40,26 @@ func (m CostModel) normalised() CostModel {
 // EstimateSeconds models a job's sequential compute cost from its validated
 // configuration:
 //
-//   - full recompute plays G × S × (S-1) matches;
-//   - incremental mode replays only rows touched by a PC adoption or a
-//     mutation: the first generation's S × (S-1) warm-up plus, per later
-//     generation, at most one changed SSet's row and column (2 × (S-1)
-//     matches) at the combined churn rate min(1, pc+mu);
+//   - the match count is perfmodel.CacheAdjustedGames': the first
+//     generation's S × (S-1) warm-up plus, per later generation, one changed
+//     SSet's row and column (2 × (S-1) matches) at the combined churn rate
+//     min(1, pc+mu) — all an incremental job plays — and, under full
+//     recompute, every other scheduled match at PairCacheHitCostRatio, as
+//     the engine's payoff table by strategy type serves it;
+//   - a full-recompute job that is not memoizable (noisy or mixed sampled
+//     play, which bypasses the table) plays all G × S × (S-1) matches;
 //   - a match costs Cal.GameSeconds[memory] × rounds / CalRounds; exact
 //     mode replaces the sampled match with the Markov solve, whose sparse
-//     iteration is priced like a 4^memory-round match;
-//   - with the pair-payoff cache on (and the config memoizable — exact
-//     mode, or error-free deterministic strategies), the match count is
-//     replaced by perfmodel.CacheAdjustedGames: warm-up and churn misses at
-//     full price, recurring pairs at PairCacheHitCostRatio.
+//     iteration is priced like a 4^memory-round match.
 //
 // The estimate is an admission heuristic, not a promise — it ignores rank
 // parallelism (a queued job may run on any engine) and mixing effects.
 func (m CostModel) EstimateSeconds(cfg sim.Config) float64 {
 	m = m.normalised()
-	s := float64(cfg.NumSSets)
-	gens := float64(cfg.Generations)
-	churn := cfg.PCRate + cfg.Mu
-	if churn > 1 {
-		churn = 1
-	}
-	var games float64
-	switch {
-	case cfg.PayoffCache && cacheablePayoffs(cfg):
-		games = perfmodel.CacheAdjustedGames(cfg.Generations, cfg.NumSSets, churn, cfg.FullRecompute)
-	case cfg.FullRecompute:
-		games = gens * s * (s - 1)
-	default:
-		games = s * (s - 1)
-		if gens > 1 {
-			games += (gens - 1) * churn * 2 * (s - 1)
-		}
+	games := perfmodel.CacheAdjustedGames(cfg.Generations, cfg.NumSSets, cfg.PCRate+cfg.Mu, cfg.FullRecompute)
+	if cfg.FullRecompute && !cacheablePayoffs(cfg) {
+		s := float64(cfg.NumSSets)
+		games = float64(cfg.Generations) * s * (s - 1)
 	}
 	rounds := float64(cfg.Rules.Rounds)
 	if cfg.ExactPayoffs {
@@ -86,8 +72,8 @@ func (m CostModel) EstimateSeconds(cfg sim.Config) float64 {
 // cacheablePayoffs mirrors the engine's cacheability contract
 // (docs/KERNEL.md) at the config level: exact-mode payoffs are always
 // memoizable; sampled matches are memoizable when error-free and the
-// strategy kind is deterministic. Mixed runs can still enable the cache —
-// degenerate tables hit — but admission must not assume a discount for
+// strategy kind is deterministic. An error-free mixed run keeps a table too —
+// degenerate strategies hit — but admission must not assume a discount for
 // pairs the engine will bypass.
 func cacheablePayoffs(cfg sim.Config) bool {
 	return cfg.ExactPayoffs || (cfg.Kind == sim.PureStrategies && cfg.Rules.ErrorRate == 0)

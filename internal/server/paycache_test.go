@@ -1,6 +1,7 @@
 package server
 
 import (
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -11,81 +12,85 @@ import (
 	"repro/internal/sim"
 )
 
-// TestCostModelCacheDiscount: enabling the payoff cache on a memoizable
-// full-recompute job must cut the modelled cost by at least the 10x the
-// kernel targets, while non-memoizable jobs keep the undiscounted price.
+// TestCostModelCacheDiscount: every memoizable job is priced by the type
+// table the engine always keeps. A memoizable full-recompute job costs at
+// least 10x less than its full match count, a noisy mixed one (the table
+// stands aside) costs exactly that, an exact mixed one is discounted, and an
+// incremental memoizable job — serve_small_jobs' kind — costs what it cost
+// before the table was the default.
 func TestCostModelCacheDiscount(t *testing.T) {
 	m := DefaultCostModel()
-	base := sim.DefaultConfig(2, 32)
-	base.Generations = 5000
-	base.FullRecompute = true
-	if err := base.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	uncached := m.EstimateSeconds(base)
-
-	cached := base
-	cached.PayoffCache = true
-	discounted := m.EstimateSeconds(cached)
-	if discounted <= 0 {
-		t.Fatalf("discounted estimate %v, want > 0", discounted)
-	}
-	if discounted > uncached/10 {
-		t.Fatalf("cache discount too small: %v vs %v uncached (want >= 10x)", discounted, uncached)
-	}
-
-	// Mixed strategies with noise are not memoizable: no discount.
-	noisy := cached
-	noisy.Kind = sim.MixedStrategies
-	noisy.Rules.ErrorRate = 0.01
-	if got := m.EstimateSeconds(noisy); got != m.EstimateSeconds(func() sim.Config {
-		c := noisy
-		c.PayoffCache = false
+	cfg := func(mutate func(*sim.Config)) sim.Config {
+		c := sim.DefaultConfig(2, 32)
+		c.Generations = 5000
+		mutate(&c)
+		if err := c.Validate(); err != nil {
+			t.Fatal(err)
+		}
 		return c
-	}()) {
-		t.Fatalf("non-memoizable job got a cache discount: %v", got)
+	}
+	perMatch := func(c sim.Config) float64 {
+		rounds := float64(c.Rules.Rounds)
+		if c.ExactPayoffs {
+			rounds = float64(int64(1) << uint(2*c.Memory))
+		}
+		return m.Cal.GameSeconds[c.Memory] * rounds / float64(m.CalRounds)
+	}
+	undiscounted := func(c sim.Config) float64 {
+		s := float64(c.NumSSets)
+		return float64(c.Generations) * s * (s - 1) * perMatch(c)
 	}
 
-	// Exact mode is memoizable even for mixed strategies.
-	exact := base
-	exact.Kind = sim.MixedStrategies
-	exact.ExactPayoffs = true
-	exact.PayoffCache = true
-	exactOff := exact
-	exactOff.PayoffCache = false
-	if m.EstimateSeconds(exact) >= m.EstimateSeconds(exactOff) {
-		t.Fatal("exact-mode job got no cache discount")
+	full := cfg(func(c *sim.Config) { c.FullRecompute = true })
+	if got := m.EstimateSeconds(full); got <= 0 || got > undiscounted(full)/10 {
+		t.Fatalf("memoizable full-recompute job: %v, want in (0, %v]", got, undiscounted(full)/10)
+	}
+	noisy := cfg(func(c *sim.Config) {
+		c.FullRecompute, c.Kind, c.Rules.ErrorRate = true, sim.MixedStrategies, 0.01
+	})
+	if got, want := m.EstimateSeconds(noisy), undiscounted(noisy); got != want {
+		t.Fatalf("noisy mixed job: %v, want the undiscounted %v", got, want)
+	}
+	exact := cfg(func(c *sim.Config) {
+		c.FullRecompute, c.Kind, c.Rules.ErrorRate, c.ExactPayoffs = true, sim.MixedStrategies, 0.01, true
+	})
+	if got := m.EstimateSeconds(exact); got >= undiscounted(exact) {
+		t.Fatalf("exact mixed job: %v, want below the undiscounted %v", got, undiscounted(exact))
+	}
+
+	// The parent's incremental formula, and the value it gave.
+	incr := cfg(func(*sim.Config) {})
+	s, churn := float64(incr.NumSSets), incr.PCRate+incr.Mu
+	want := (s*(s-1) + float64(incr.Generations-1)*churn*2*(s-1)) * perMatch(incr)
+	if got := m.EstimateSeconds(incr); got != want {
+		t.Fatalf("incremental memoizable job: %v, want the parent's %v", got, want)
 	}
 }
 
-// TestJobSpecPayoffCacheFields: the wire field reaches the engine config,
-// and the capacity knob that left with the LRU is refused by name, not
+// TestJobSpecPayoffCacheFields: both knobs that left the job spec — the
+// table's capacity, then the table itself — are refused by name, not
 // silently dropped.
 func TestJobSpecPayoffCacheFields(t *testing.T) {
-	spec, err := parseSpec(strings.NewReader(`{"memory":1,"ssets":8,"generations":10,"seed":1,"payoff_cache":true}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg, err := spec.Config(); err != nil || !cfg.PayoffCache {
-		t.Fatalf("payoff_cache lost in translation: %+v, %v", cfg, err)
-	}
 	ts := newTestServer(t, Options{})
-	resp, m := doJSON(t, "POST", ts.URL+"/api/v1/jobs", "",
-		`{"memory":1,"ssets":8,"generations":10,"seed":1,"payoff_cache":true,"payoff_cache_size":512}`)
-	if detail, _ := m["detail"].(string); resp.StatusCode != http.StatusBadRequest || !strings.Contains(detail, `"payoff_cache_size"`) {
-		t.Fatalf("payoff_cache_size: got %d %v, want a 400 naming the field", resp.StatusCode, m)
+	for _, field := range []string{"payoff_cache", "payoff_cache_size"} {
+		resp, m := doJSON(t, "POST", ts.URL+"/api/v1/jobs", "",
+			`{"memory":1,"ssets":8,"generations":10,"seed":1,"`+field+`":true}`)
+		if detail, _ := m["detail"].(string); resp.StatusCode != http.StatusBadRequest || !strings.Contains(detail, `"`+field+`"`) {
+			t.Fatalf("%s: got %d %v, want a 400 naming the field", field, resp.StatusCode, m)
+		}
 	}
 }
 
 // TestJournalWithPayoffCacheSizeStillBoots: the journal is decoded
-// leniently, so a record the parent daemon wrote for a job that set the
-// removed knob — below is one such journal, its generation count shortened —
-// re-queues and runs to the result of the same spec without it.
+// leniently, so a record an earlier daemon wrote for a job that set the
+// removed knobs — below is one such journal, its generation count shortened,
+// carrying both payoff_cache and payoff_cache_size — re-queues and runs to the
+// result of the same spec without them.
 func TestJournalWithPayoffCacheSizeStillBoots(t *testing.T) {
-	const spec = `"memory":1,"ssets":8,"generations":300,"rounds":100,"seed":11,"full_recompute":true,"payoff_cache":true`
+	const spec = `"memory":1,"ssets":8,"generations":300,"rounds":100,"seed":11,"full_recompute":true`
 	dir := t.TempDir()
 	journal := `{"kind":"meta","epoch":1}
-{"kind":"submit","job":"j-0001-000001","tenant":"default","spec":{` + spec + `,"payoff_cache_size":4096},"estimated_seconds":1.5192144056967525}
+{"kind":"submit","job":"j-0001-000001","tenant":"default","spec":{` + spec + `,"payoff_cache":true,"payoff_cache_size":4096},"estimated_seconds":1.5192144056967525}
 {"kind":"state","job":"j-0001-000001","state":"running","event_id":1}
 `
 	if err := os.WriteFile(filepath.Join(dir, journalName), []byte(journal), 0o644); err != nil {
@@ -103,11 +108,24 @@ func TestJournalWithPayoffCacheSizeStillBoots(t *testing.T) {
 	}
 }
 
-// TestServiceRunsCachedJob: a cached job submitted over HTTP completes and
-// its folded metrics include the cache series.
+// TestServiceRunsCachedJob: a memoizable job submitted over HTTP — no knob
+// asked for the table — completes and its folded metrics include the cache
+// series.
 func TestServiceRunsCachedJob(t *testing.T) {
 	ts := newTestServer(t, Options{})
 	id := submit(t, ts, "",
-		`{"memory":1,"ssets":8,"generations":30,"rounds":10,"seed":4,"full_recompute":true,"payoff_cache":true,"metrics":true}`)
+		`{"memory":1,"ssets":8,"generations":30,"rounds":10,"seed":4,"full_recompute":true,"metrics":true}`)
 	waitState(t, ts, id, StateDone)
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(body), "egd_payoff_cache_hits_total") {
+		t.Fatalf("daemon metrics carry no cache series:\n%s", body)
+	}
 }

@@ -17,9 +17,10 @@ import (
 )
 
 // durableSpec is a job long enough to interrupt mid-run: full_recompute
-// makes every generation cost the same, so the copy/drain points below land
-// well inside the trajectory.
-const durableSpec = `{"memory":1,"ssets":8,"generations":8000,"rounds":100,"seed":1234,"full_recompute":true}`
+// makes every generation cost the same, and error_rate keeps every match out
+// of the payoff table, so the copy/drain points below land well inside the
+// trajectory.
+const durableSpec = `{"memory":1,"ssets":8,"generations":4000,"rounds":100,"error_rate":0.01,"seed":1234,"full_recompute":true}`
 
 // durableOpts is the durable-mode test configuration: one worker keeps
 // scheduling deterministic, a short checkpoint cadence gives crashes

@@ -96,16 +96,9 @@ type Config struct {
 	// Execution errors still apply (folded into the chain); Rules.Rounds is
 	// ignored. Mutually exclusive with UseSearchEngine.
 	ExactPayoffs bool
-	// PayoffCache enables the per-rank payoff table by strategy type:
-	// matches whose outcome is a pure function of the two behaviour tables
-	// and the rules (exact mode, or error-free deterministic strategies) are
-	// read from π[type][type] — the Population's type ids, so the table is
-	// sized by the population and has no capacity to set — instead of being
-	// replayed. Trajectories are bit-identical with the cache on or off —
-	// pairs whose outcome depends on the random stream bypass it — and a
-	// payoff outlives mutations and adoptions because a type is behavioural
-	// content, not object identity. Hit/miss counters surface through
-	// Result.Metrics when Metrics is also set. See docs/KERNEL.md.
+	// PayoffCache is ignored; kept for bench/. The payoff table by strategy
+	// type is always on where a run can be memoized (docs/KERNEL.md), and
+	// bench/ still sets and reads this field (ROADMAP item 1's shim ledger).
 	PayoffCache bool
 	// SampleStride keeps every k-th generation in the recorded time series
 	// (0 selects an automatic stride bounding series length to ~1000).
@@ -193,6 +186,10 @@ type Config struct {
 
 	// prior is the run before StartGeneration, set only by ResumeFrom.
 	prior priorRun
+	// referenceKernel evaluates every scheduled match, with no payoff table:
+	// the reference the bit-parity tests compare the one production kernel
+	// against. No Spec field, flag or front end reaches it.
+	referenceKernel bool
 }
 
 // Observer receives per-generation callbacks from the Nature Agent.
@@ -306,8 +303,9 @@ func (c *Config) Validate() error {
 		// Probe exact-mode computability once, up front: a job whose Markov
 		// analysis cannot run (rules the chain solver rejects) must fail
 		// validation here rather than surface mid-run from payoffKernel.play.
-		probe := strategy.AllC(strategy.NewSpace(c.Memory))
-		if _, _, err := analysis.MarkovPayoffN(c.Rules.Payoff, probe, probe, c.Rules.ErrorRate); err != nil {
+		sp := strategy.NewSpace(c.Memory)
+		probe := strategy.AllC(sp)
+		if _, _, err := analysis.NewSolver(sp).Payoff(c.Rules.Payoff, probe, probe, c.Rules.ErrorRate); err != nil {
 			return fmt.Errorf("sim: exact payoffs not computable for this configuration: %w", err)
 		}
 	}

@@ -316,18 +316,18 @@ func TestNetworkedEvictionRecoversBitExact(t *testing.T) {
 	cfg := testConfig(1, 8, 300)
 	cfg.Seed = 402
 
-	clean, err := RunParallel(cfg, 4)
+	// The clean run is the reference kernel, the faulty one keeps the payoff
+	// table: neither the table nor metrics feed the trajectory, so the parity
+	// below holds with both on — and the run then registers every metric
+	// family there is, which the catalog check at the end needs.
+	clean, err := RunParallel(reference(cfg), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	faulty := evictConfig(cfg)
 	faulty.FaultPlan = mpi.NewFaultPlan().Kill(3, 200)
-	// Metrics and the payoff cache never feed the trajectory, so the parity
-	// below holds with both on — and the run then registers every metric
-	// family there is, which the catalog check at the end needs.
 	faulty.Metrics = true
-	faulty.PayoffCache = true
 	res, errs := runNetworked(t, faulty, 4)
 	if errs[0] != nil || errs[1] != nil || errs[2] != nil {
 		t.Fatalf("survivors errored: %v / %v / %v", errs[0], errs[1], errs[2])

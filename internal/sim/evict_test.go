@@ -217,20 +217,19 @@ func TestEvictBelowMinRanksFallsBackToRestart(t *testing.T) {
 // resync hands each Population a whole strategy view (replaceAll) under a
 // table filled before it. Twelve consecutive kill points cover every kind of
 // send a worker makes; a type id left on a replaced strategy reads another
-// type's payoffs and shows against the uncached, fault-free run.
+// type's payoffs and shows against the fault-free reference run.
 func TestEvictResyncKeepsPayoffTableExact(t *testing.T) {
 	cfg := testConfig(2, 8, 120)
 	cfg.Seed = 403
 	cfg.FullRecompute = true
 	cfg.Mu = 0.5
 	cfg.PCRate = 1
-	clean, err := RunParallel(cfg, 4)
+	clean, err := RunParallel(reference(cfg), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for kill := uint64(112); kill < 124; kill++ {
 		faulty := evictConfig(cfg)
-		faulty.PayoffCache = true
 		faulty.FaultPlan = mpi.NewFaultPlan().Kill(2, kill)
 		res, err := RunParallel(faulty, 4)
 		if err != nil {

@@ -161,7 +161,8 @@ func TestInterruptedRunReturnsTheUninterruptedResult(t *testing.T) {
 		base.Rules.Rounds = 16
 		base.Seed = 1410
 		base.FullRecompute = full
-		ref := base
+		uncached := reference(base)
+		ref := uncached
 		pending = nil
 		ref.Observer = ObserverFunc(func(gen int, _ *Population, ev Events) {
 			if (ev.Adopted || ev.MutationOccurred) && gen+1 < gens {
@@ -175,21 +176,20 @@ func TestInterruptedRunReturnsTheUninterruptedResult(t *testing.T) {
 		if want.Counters.Adoptions == 0 || want.Counters.Mutations == 0 {
 			t.Fatalf("degenerate reference run: %+v", want.Counters)
 		}
-		// Each interruption runs twice: as the reference ran, and with the
-		// payoff table on — every segment, restart and resync of the cached
-		// run must still land on the uncached, uninterrupted result.
-		cached := base
-		cached.PayoffCache = true
+		// Each interruption runs twice: on the reference kernel, as the
+		// reference ran, and with the payoff table — every segment, restart
+		// and resync of the cached run must still land on the uncached,
+		// uninterrupted result.
 		for ei, ranks := range engines {
 			for _, in := range interruptions {
 				if in.parallelOnly && ranks < 2 {
 					continue
 				}
 				t.Run(fmt.Sprintf("full=%v/ranks=%d/%s", full, ranks, in.name), func(t *testing.T) {
-					assertSameResult(t, want, in.run(t, base, ei), full)
+					assertSameResult(t, want, in.run(t, uncached, ei), full)
 				})
 				t.Run(fmt.Sprintf("full=%v/ranks=%d/%s, payoff cache", full, ranks, in.name), func(t *testing.T) {
-					assertSameResult(t, want, in.run(t, cached, ei), full)
+					assertSameResult(t, want, in.run(t, base, ei), full)
 				})
 			}
 		}

@@ -51,9 +51,10 @@ type PhaseStat struct {
 }
 
 // RankPhaseSnapshot is one rank's per-phase timing, phases sorted by name.
-// Rank is the original (pre-eviction) rank. Cache carries the rank's
-// payoff-cache counters when Config.PayoffCache is set (nil otherwise, so
-// cache-off runs gather byte-identical snapshots to pre-cache builds).
+// Rank is the original (pre-eviction) rank. Cache carries the counters of the
+// rank's payoff table by strategy type: set on every rank that plays a
+// memoizable run, nil on Nature (it plays no games) and wherever no table is
+// kept (noisy sampled play).
 type RankPhaseSnapshot struct {
 	Rank   int              `json:"rank"`
 	Phases []PhaseStat      `json:"phases,omitempty"`

@@ -811,8 +811,8 @@ func (w *workerRank) finalize() error {
 		return err
 	}
 	w.pt.end(PhaseReduce, tr)
-	// Ship the phase timings (plus this rank's cache counters when
-	// caching is on); mirrors Nature's metrics Gather.
+	// Ship the phase timings (plus this rank's payoff-table counters when
+	// it keeps a table); mirrors Nature's metrics Gather.
 	if w.cfg.Metrics {
 		snap := w.pt.snapshot(w.c.OrigRank())
 		snap.Cache = w.kern.cacheStats(w.pop)

@@ -96,10 +96,9 @@ func TestRowSegmentsTileRowsExactly(t *testing.T) {
 // from each cell's own stream.
 func TestRefreshChangedVisitsExactlyTheDirtyCells(t *testing.T) {
 	const untouched = -1 // no payoff is negative
-	pure := testConfig(1, 6, 0)
-	cached := pure
-	cached.PayoffCache = true
-	noisy := pure
+	cached := testConfig(1, 6, 0)
+	pure := reference(cached)
+	noisy := cached
 	noisy.Kind, noisy.Rules.ErrorRate = MixedStrategies, 0.05
 	for name, cfg := range map[string]Config{"pure": pure, "cached": cached, "noisy": noisy} {
 		if err := cfg.Validate(); err != nil {

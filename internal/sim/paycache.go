@@ -12,20 +12,22 @@ import (
 
 // payoffKernel bundles the per-rank machinery of one run's payoff
 // evaluation: the exact-payoff solver (exact mode), the optional
-// paper-faithful search engine and the optional payoff table by strategy
-// type. Each rank (and the sequential engine) owns exactly one kernel; none
-// of its state is shared or sent.
+// paper-faithful search engine and the payoff table by strategy type. Each
+// rank (and the sequential engine) owns exactly one kernel; none of its state
+// is shared or sent.
 //
-// The cacheability contract (docs/KERNEL.md): a pair payoff may be served
-// from the table only when replaying the match is guaranteed to reproduce
-// it bit for bit, i.e. when the payoff is a pure function of the two
-// behaviour tables and the rules. That holds in exact mode (the Markov
-// payoff is deterministic by construction, noise folded into the chain) and
-// for sampled matches when ErrorRate == 0 and both strategies are
-// deterministic (strategy.IsDeterministic). Everything else — noisy play,
-// non-degenerate mixed strategies — depends on the (gen,i,j)-keyed random
-// stream and bypasses the table, keeping cache-on and cache-off
-// trajectories identical.
+// The cacheability contract (docs/KERNEL.md): a pair payoff is served from
+// the table only when replaying the match is guaranteed to reproduce it bit
+// for bit, i.e. when the payoff is a pure function of the two behaviour
+// tables and the rules. That holds in exact mode (the Markov payoff is
+// deterministic by construction, noise folded into the chain) and for sampled
+// matches when ErrorRate == 0 and both strategies are deterministic
+// (strategy.IsDeterministic). Everything else — noisy play, non-degenerate
+// mixed strategies — depends on the (gen,i,j)-keyed random stream and
+// bypasses the table, so the table changes no trajectory: it is the one
+// production path, and the reference kernel without it
+// (Config.referenceKernel) exists only for the bit-parity tests to compare
+// against.
 type payoffKernel struct {
 	solver *analysis.Solver
 	eng    *game.SearchEngine
@@ -33,12 +35,12 @@ type payoffKernel struct {
 	// type ids, so at most S rows of S cells), NaN until played; a row is
 	// allocated when an SSet of its type first heads a row of a refresh.
 	// seen[a] stamps the cells of id a: one more than the epoch they were
-	// filled under, 0 for an id never met. stats is nil when
-	// Config.PayoffCache is off, pi when it is off or no pair of the run is
-	// memoizable.
+	// filled under, 0 for an id never met. pi is nil when no pair of the run
+	// is memoizable (noisy sampled play) and in the reference kernel; stats
+	// counts the table's lookups.
 	pi    [][]float64
 	seen  []uint32
-	stats *game.CacheStats
+	stats game.CacheStats
 	// last is the most recent game.PlayPure match and its two players. The
 	// error-free pure match is the one evaluator whose result holds both
 	// cells of a pair bit for bit: played as (j, i) it walks the same move
@@ -54,7 +56,10 @@ type payoffKernel struct {
 	}
 }
 
-// newPayoffKernel builds the kernel for one rank of a validated config.
+// newPayoffKernel builds the kernel for one rank of a validated config. The
+// table is built whenever the run can be memoized — exact mode or no
+// execution noise; met then decides per type — so every error-free
+// deterministic match and every exact solve is evaluated once per type pair.
 func newPayoffKernel(cfg *Config) *payoffKernel {
 	k := &payoffKernel{}
 	if cfg.ExactPayoffs {
@@ -63,23 +68,20 @@ func newPayoffKernel(cfg *Config) *payoffKernel {
 	if cfg.UseSearchEngine {
 		k.eng = game.NewSearchEngine(strategy.NewSpace(cfg.Memory))
 	}
-	if cfg.PayoffCache {
-		k.stats = &game.CacheStats{}
-		if cfg.ExactPayoffs || cfg.Rules.ErrorRate == 0 {
-			k.pi, k.seen = make([][]float64, cfg.NumSSets), make([]uint32, cfg.NumSSets)
-		}
+	if (cfg.ExactPayoffs || cfg.Rules.ErrorRate == 0) && !cfg.referenceKernel {
+		k.pi, k.seen = make([][]float64, cfg.NumSSets), make([]uint32, cfg.NumSSets)
 	}
 	return k
 }
 
-// cacheStats snapshots the table's counters, nil when caching is disabled
-// (so the metrics snapshot field stays omitted and wire sizes are
-// unchanged). Entries is the number of live types of pop holding a row.
+// cacheStats snapshots the table's counters, nil when the kernel has no
+// table (so a noisy run's metrics snapshot omits the field). Entries is the
+// number of live types of pop holding a row.
 func (k *payoffKernel) cacheStats(pop *Population) *game.CacheStats {
-	if k.stats == nil {
+	if k.pi == nil {
 		return nil
 	}
-	st := *k.stats
+	st := k.stats
 	for id, row := range k.pi {
 		if row != nil && pop.types[id].count > 0 {
 			st.Entries++
@@ -140,8 +142,8 @@ func (k *payoffKernel) hit(pop *Population, row []float64, j int) (float64, bool
 // returning SSet i's mean per-round payoff against j and storing it in row
 // when the pair is memoizable. Randomness still derives from (seed, gen, i,
 // j) on the uncached path, and rng.Derive never advances the master stream,
-// so serving a hit cannot shift any other draw: cache-on and cache-off runs
-// stay bit-identical.
+// so serving a hit cannot shift any other draw: the table and the reference
+// kernel give bit-identical runs.
 func (k *payoffKernel) pairPayoff(cfg *Config, pop *Population, master *rng.Source, gen int, row []float64, i, j int) (float64, error) {
 	v, err := k.play(cfg, master, gen, i, j, pop.strategies[i], pop.strategies[j])
 	if b := pop.typ[j]; err == nil && row != nil && k.met(pop, b) {

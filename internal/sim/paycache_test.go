@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -10,10 +11,11 @@ import (
 	"repro/internal/strategy"
 )
 
-// assertBitIdentical is the cache-parity comparator: unlike
+// assertBitIdentical is the table-parity comparator: unlike
 // assertSameTrajectory (which tolerates reduction-order float drift between
-// engines) it demands exact equality everywhere, because cache-on and
-// cache-off runs of the SAME engine share every accumulation order.
+// engines) it demands exact equality everywhere, because a run with the
+// table and a reference run of the SAME engine share every accumulation
+// order.
 func assertBitIdentical(t *testing.T, a, b *Result) {
 	t.Helper()
 	if a.Counters != b.Counters {
@@ -56,85 +58,132 @@ func assertBitIdentical(t *testing.T, a, b *Result) {
 	}
 }
 
-// TestPayoffCacheBitParity is the tentpole's acceptance test: for both
-// engines and all three evaluation modes, enabling the cache changes
-// nothing observable about the trajectory.
+// reference is cfg on the reference kernel: every scheduled match evaluated,
+// no payoff table — what the table is held to bit for bit.
+func reference(cfg Config) Config {
+	cfg.referenceKernel = true
+	return cfg
+}
+
+// TestPayoffCacheBitParity: the payoff table, on by default, changes nothing
+// observable about a trajectory. Every evaluator and schedule (the subtests)
+// × pure, error-free mixed and noisy mixed strategies × the sequential engine
+// and 2, 3 and 5 ranks runs once with the table and once on the reference
+// kernel, and the two are equal bit for bit; across rank counts the usual
+// sequential/parallel parity holds.
 func TestPayoffCacheBitParity(t *testing.T) {
-	modes := []struct {
+	kinds := []struct {
 		name  string
 		apply func(*Config)
 	}{
-		{"incremental", func(*Config) {}},
-		{"full", func(c *Config) { c.FullRecompute = true }},
-		{"exact", func(c *Config) { c.ExactPayoffs = true }},
-		{"search", func(c *Config) { c.UseSearchEngine = true }},
+		{"pure", func(*Config) {}},
+		{"mixed", func(c *Config) { c.Kind = MixedStrategies }},
+		{"mixed noisy", func(c *Config) { c.Kind, c.Rules.ErrorRate = MixedStrategies, 0.05 }},
+	}
+	modes := []struct {
+		name      string
+		apply     func(*Config)
+		schedules []bool // FullRecompute values
+	}{
+		{"incremental", func(*Config) {}, []bool{false}},
+		{"full", func(*Config) {}, []bool{true}},
+		{"exact", func(c *Config) { c.ExactPayoffs = true }, []bool{false, true}},
+		{"search", func(c *Config) { c.UseSearchEngine = true }, []bool{false, true}},
 	}
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {
-			base := testConfig(1, 10, 60)
-			base.Seed = 314
-			mode.apply(&base)
-
-			cached := base
-			cached.PayoffCache = true
-
-			seqOff, err := RunSequential(base)
-			if err != nil {
-				t.Fatal(err)
+			for _, full := range mode.schedules {
+				for _, kind := range kinds {
+					base := testConfig(1, 10, 60)
+					base.Seed = 314
+					base.FullRecompute = full
+					mode.apply(&base)
+					kind.apply(&base)
+					var seq *Result
+					for _, ranks := range []int{1, 2, 3, 5} {
+						what := fmt.Sprintf("%s, full=%v, %d ranks", kind.name, full, ranks)
+						off, err := Run(reference(base), ranks)
+						if err != nil {
+							t.Fatalf("%s: %v", what, err)
+						}
+						on, err := Run(base, ranks)
+						if err != nil {
+							t.Fatalf("%s: %v", what, err)
+						}
+						t.Run(what, func(t *testing.T) { assertBitIdentical(t, off, on) })
+						if seq == nil {
+							seq = on
+						} else {
+							assertSameTrajectory(t, seq, on)
+						}
+					}
+				}
 			}
-			seqOn, err := RunSequential(cached)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertBitIdentical(t, seqOff, seqOn)
-
-			parOff, err := RunParallel(base, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			parOn, err := RunParallel(cached, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertBitIdentical(t, parOff, parOn)
-			// And across engines, the usual sequential/parallel parity.
-			assertSameTrajectory(t, seqOn, parOn)
 		})
 	}
 }
 
 // TestPayoffCacheParityMixedNoise: with non-degenerate mixed strategies and
-// execution errors every match depends on the (gen,i,j) random stream, so
-// the cache must stand aside entirely — parity still holds and the counters
-// prove nothing was memoized.
+// execution errors every match depends on the (gen,i,j) random stream, so no
+// table is allocated at all — no rank carries cache stats — and the run is
+// the reference run bit for bit.
 func TestPayoffCacheParityMixedNoise(t *testing.T) {
 	base := testConfig(1, 8, 40)
 	base.Seed = 99
 	base.Kind = MixedStrategies
 	base.Rules.ErrorRate = 0.05
 	base.Metrics = true
+	for _, ranks := range []int{1, 3} {
+		off, err := Run(reference(base), ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		on, err := Run(base, ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, off, on)
+		for _, rs := range on.Metrics.Phases {
+			if rs.Cache != nil {
+				t.Fatalf("%d ranks: rank %d of a noisy run carries cache stats %+v", ranks, rs.Rank, *rs.Cache)
+			}
+		}
+	}
+}
 
-	cached := base
-	cached.PayoffCache = true
-
-	off, err := RunSequential(base)
+// TestDefaultRunIsServedByType is the property the default mode's speed rests
+// on: egdsim with no flags (sim.DefaultSpec, pure, error-free, incremental)
+// serves recurring type pairs from the table on every rank that plays — hits
+// on each, and hits + misses = GamesPlayed over them — while Nature, which
+// plays nothing, carries no stats.
+func TestDefaultRunIsServedByType(t *testing.T) {
+	spec := DefaultSpec()
+	spec.Metrics = true
+	cfg, err := spec.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := RunSequential(cached)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, off, on)
-	cs := on.Metrics.Phases[0].Cache
-	if cs == nil {
-		t.Fatal("cache stats missing from cached run's snapshot")
-	}
-	if cs.Hits != 0 || cs.Misses != 0 || cs.Entries != 0 {
-		t.Fatalf("uncacheable run touched the cache: %+v", cs)
-	}
-	if off.Metrics.Phases[0].Cache != nil {
-		t.Fatal("cache-off run carries cache stats")
+	for _, ranks := range []int{1, 3, 5} {
+		res, err := Run(cfg, ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var total game.CacheStats
+		for _, rs := range res.Metrics.Phases {
+			if ranks > 1 && rs.Rank == 0 {
+				if rs.Cache != nil {
+					t.Fatalf("%d ranks: Nature carries cache stats %+v", ranks, *rs.Cache)
+				}
+				continue
+			}
+			if rs.Cache == nil || rs.Cache.Hits == 0 {
+				t.Fatalf("%d ranks: rank %d served nothing by type: %+v", ranks, rs.Rank, rs.Cache)
+			}
+			total.Merge(*rs.Cache)
+		}
+		if total.Hits+total.Misses != res.Counters.GamesPlayed {
+			t.Fatalf("%d ranks: %d hits + %d misses for %d games played", ranks, total.Hits, total.Misses, res.Counters.GamesPlayed)
+		}
 	}
 }
 
@@ -146,7 +195,6 @@ func TestPayoffCacheHitsSurviveMutations(t *testing.T) {
 	cfg := testConfig(1, 10, 120)
 	cfg.Seed = 7
 	cfg.FullRecompute = true
-	cfg.PayoffCache = true
 	cfg.Metrics = true
 
 	res, err := RunSequential(cfg)
@@ -180,7 +228,6 @@ func TestPayoffCacheMetricsExport(t *testing.T) {
 	cfg := testConfig(1, 8, 30)
 	cfg.Seed = 21
 	cfg.FullRecompute = true
-	cfg.PayoffCache = true
 	cfg.Metrics = true
 
 	res, err := RunParallel(cfg, 3)
@@ -241,7 +288,6 @@ func TestPayoffCacheMetricsExport(t *testing.T) {
 // 1 from the second round on. Removing the epoch stamp check serves the 0.
 func TestKernelForgetsReclaimedID(t *testing.T) {
 	cfg := testConfig(1, 2, 0)
-	cfg.PayoffCache = true
 	sp := strategy.NewSpace(1)
 	cfg.InitialStrategies = []strategy.Strategy{strategy.AllC(sp), strategy.AllD(sp)}
 	if err := cfg.Validate(); err != nil {
@@ -257,8 +303,8 @@ func TestKernelForgetsReclaimedID(t *testing.T) {
 	}
 	refresh()
 	refresh()
-	if blk.payoffs[0] != 0 || *kern.stats != (game.CacheStats{Hits: 2, Misses: 2}) {
-		t.Fatalf("AllC against AllD pays %v with %+v, want 0 from 2 misses then 2 hits", blk.payoffs[0], *kern.stats)
+	if blk.payoffs[0] != 0 || kern.stats != (game.CacheStats{Hits: 2, Misses: 2}) {
+		t.Fatalf("AllC against AllD pays %v with %+v, want 0 from 2 misses then 2 hits", blk.payoffs[0], kern.stats)
 	}
 	old := pop.typ[0]
 	pop.SetStrategy(0, strategy.TFT(sp))
@@ -266,8 +312,7 @@ func TestKernelForgetsReclaimedID(t *testing.T) {
 		t.Fatalf("TFT took id %d at epoch %d, want the dead AllC's id %d at epoch 1", pop.typ[0], pop.types[pop.typ[0]].epoch, old)
 	}
 	refresh()
-	plain, uncached := newPairBlock(2, 0, 2), cfg
-	uncached.PayoffCache = false
+	plain, uncached := newPairBlock(2, 0, 2), reference(cfg)
 	if _, err := plain.refresh(&uncached, pop, master, newPayoffKernel(&uncached), 0, true); err != nil {
 		t.Fatal(err)
 	}
@@ -275,14 +320,14 @@ func TestKernelForgetsReclaimedID(t *testing.T) {
 		t.Fatalf("payoffs %v after the id changed hands, want the replayed %v", blk.payoffs, plain.payoffs)
 	}
 	if kern.stats.Misses != 4 {
-		t.Fatalf("%+v: both cells of the reclaimed id must be played again", *kern.stats)
+		t.Fatalf("%+v: both cells of the reclaimed id must be played again", kern.stats)
 	}
 }
 
 // TestPayoffCacheSurvivesIDRecycling: memory two, 8 SSets and a mutation
 // every other generation, so far more than 4·S types live and die and every
 // type id changes hands several times — on the sequential engine and on 2,
-// 3 and 5 ranks the cached run is the uncached one bit for bit, and every
+// 3 and 5 ranks the run is the reference run bit for bit, and every
 // scheduled game was a lookup.
 func TestPayoffCacheSurvivesIDRecycling(t *testing.T) {
 	base := testConfig(2, 8, 400)
@@ -291,7 +336,6 @@ func TestPayoffCacheSurvivesIDRecycling(t *testing.T) {
 	base.PCRate = 1
 	base.Metrics = true
 	cached := base
-	cached.PayoffCache = true
 	minEpoch := uint32(0)
 	cached.Observer = ObserverFunc(func(gen int, pop *Population, _ Events) {
 		if gen == base.Generations-1 {
@@ -302,7 +346,7 @@ func TestPayoffCacheSurvivesIDRecycling(t *testing.T) {
 		}
 	})
 	for _, ranks := range []int{1, 2, 3, 5} {
-		off, err := Run(base, ranks)
+		off, err := Run(reference(base), ranks)
 		if err != nil {
 			t.Fatal(err)
 		}

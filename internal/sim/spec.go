@@ -48,12 +48,6 @@ type Spec struct {
 	ExactPayoffs bool `json:"exact_payoffs,omitempty"`
 	// SearchEngine selects the paper-faithful linear find_state lookup.
 	SearchEngine bool `json:"search_engine,omitempty"`
-	// PayoffCache enables the payoff table by strategy type (docs/KERNEL.md):
-	// bit-identical results, recurring matches read from π[type][type].
-	// Memoizable jobs are also priced with the cache-aware cost model, so a
-	// full-recompute job the admission controller would otherwise reject can
-	// clear the budget with the cache on.
-	PayoffCache bool `json:"payoff_cache,omitempty"`
 	// Ranks selects the engine (see Run): 0 or 1 is the sequential reference
 	// engine, >= 2 the parallel one with that many ranks.
 	Ranks int `json:"ranks,omitempty"`
@@ -93,7 +87,6 @@ func (s Spec) Config() (Config, error) {
 		AllowWorseAdoption: s.AllowWorseAdoption,
 		ExactPayoffs:       s.ExactPayoffs,
 		UseSearchEngine:    s.SearchEngine,
-		PayoffCache:        s.PayoffCache,
 		SampleStride:       s.SampleStride,
 		CheckpointEvery:    s.CheckpointEvery,
 		Metrics:            s.Metrics,
@@ -165,7 +158,6 @@ func (s *Spec) BindFlags(fs *flag.FlagSet) {
 	fs.BoolVar(&s.SearchEngine, "search", s.SearchEngine, "use the paper-faithful linear find_state lookup")
 	fs.BoolVar(&s.AllowWorseAdoption, "fermi", s.AllowWorseAdoption, "unconditional Fermi adoption (no teacher-better gate; Traulsen et al.)")
 	fs.BoolVar(&s.ExactPayoffs, "exact", s.ExactPayoffs, "exact infinite-game Markov payoffs instead of sampled matches")
-	fs.BoolVar(&s.PayoffCache, "payoff-cache", s.PayoffCache, "memoize strategy-pair payoffs (bit-identical results; see docs/KERNEL.md)")
 }
 
 // optFloat is the flag.Value over one of Spec's optional rates: the field

@@ -20,6 +20,7 @@ import (
 var runtimeOnly = map[string]string{
 	"StartGeneration": "set by ResumeFrom from a snapshot",
 	"MinRanks":        "egdsim -min-ranks only: the in-process restart fallback's floor",
+	"PayoffCache":     "ignored; kept for bench/, which sets and reads it (ROADMAP item 1's shim ledger)",
 	"Rules.Payoff.R":  "the paper's payoff f[R,S,T,P] = [3,0,4,1]; no front end varies it",
 	"Rules.Payoff.S":  "as Rules.Payoff.R",
 	"Rules.Payoff.T":  "as Rules.Payoff.R",
@@ -172,7 +173,6 @@ func TestFlagsJSONConfigRoundTrip(t *testing.T) {
 	noMutation.Seed = 9
 	noMutation.FullRecompute = true
 	noMutation.ExactPayoffs = true
-	noMutation.PayoffCache = true
 
 	search := DefaultConfig(1, 64)
 	search.UseSearchEngine = true
@@ -187,7 +187,7 @@ func TestFlagsJSONConfigRoundTrip(t *testing.T) {
 		{"fig2", []string{"-ssets", "12", "-gens", "300", "-seed", "5", "-mixed", "-error", "0.01", "-fermi", "-pcrate", "1", "-beta", "50"},
 			`"fermi":true`, fig2},
 		{"explicit zero mu", []string{"-memory", "2", "-ssets", "10", "-gens", "40", "-rounds", "30", "-mu", "0", "-seed", "9",
-			"-full", "-exact", "-payoff-cache"}, `"mu":0`, noMutation},
+			"-full", "-exact"}, `"mu":0`, noMutation},
 		{"omitted rates", []string{"-search"}, `!"mu"`, search},
 	}
 	for _, tc := range cases {

@@ -6,7 +6,8 @@
 # cooperation, WSLS, distinct strategies) is byte-identical across runs and
 # that each fault did evict its rank. Two configs take the trio: memory-one
 # and memory-six pure strategies. -full keeps GamesPlayed deterministic under
-# eviction replay.
+# eviction replay (and the noisy memory-one matches replayable: each draws
+# from its own (generation, pair) stream).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -58,9 +59,11 @@ trio() {
     cat "$TMP/clean.out.det"
 }
 
-# Both sets run about a second on a CI core, so a fault at 150 ms lands well
-# inside them. No strategy rides the per-generation verdict broadcasts — every
-# rank draws the mutants itself — so the memory-6 set differs on the wire by
-# the 4 KiB of strategy tables in its post-eviction resume.
-trio memory-1 -np 4 -ssets 16 -gens 8000 -rounds 20 -seed 7 -full
+# Both sets run well over half a second on a CI core, so a fault at 150 ms
+# lands inside them. The memory-1 set plays with errors: noise-free, its 16
+# SSets share a handful of types and the payoff table serves the whole run in
+# about 0.15 s. No strategy rides the per-generation verdict broadcasts —
+# every rank draws the mutants itself — so the memory-6 set differs on the
+# wire by the 4 KiB of strategy tables in its post-eviction resume.
+trio memory-1 -np 4 -ssets 16 -gens 8000 -rounds 20 -error 0.01 -seed 7 -full
 trio memory-6 -np 4 -memory 6 -ssets 8 -gens 8000 -rounds 20 -seed 7 -full

@@ -74,8 +74,12 @@ curl -fsS --max-time 30 -N "$BASE/api/v1/jobs/$SMALL/events" > "$TMP/sse.out"
 grep -q '^event: sample' "$TMP/sse.out"
 grep -q '"state":"done"' "$TMP/sse.out"
 
+# The long jobs play with errors: error_rate > 0 keeps every match out of the
+# payoff table, which would serve these noise-free specs in milliseconds, so
+# each job runs long enough to interrupt — and each check below asserts that
+# the interruption landed before the job finished.
 echo "serve-smoke: pause/resume parity against an uninterrupted run"
-SPEC='{"memory":1,"ssets":12,"generations":6000,"rounds":100,"seed":99,"full_recompute":true}'
+SPEC='{"memory":1,"ssets":12,"generations":2000,"rounds":100,"error_rate":0.01,"seed":99,"full_recompute":true}'
 A=$(submit "$SPEC")
 for _ in $(seq 1 400); do
     g=$(gen "$A")
@@ -86,6 +90,10 @@ curl -fsS -X POST "$BASE/api/v1/jobs/$A/pause" > /dev/null
 wait_state "$A" paused
 PAUSED_AT=$(gen "$A")
 echo "serve-smoke: paused $A at generation $PAUSED_AT"
+if [ "$PAUSED_AT" -ge 2000 ]; then
+    echo "serve-smoke: FAIL: $A paused at generation $PAUSED_AT, not mid-run" >&2
+    exit 1
+fi
 curl -fsS -X POST "$BASE/api/v1/jobs/$A/resume" > /dev/null
 wait_state "$A" done
 curl -fsS "$BASE/api/v1/jobs/$A/result" | grep -v '"id"\|"elapsed_seconds"' > "$TMP/paused.json"
@@ -121,7 +129,7 @@ SERVE_PID=$!
 wait_base "$TMP/serve2.out"
 echo "serve-smoke: durable daemon at $BASE (data dir $DATA)"
 
-CSPEC='{"memory":1,"ssets":8,"generations":20000,"rounds":200,"seed":4242,"full_recompute":true}'
+CSPEC='{"memory":1,"ssets":8,"generations":6000,"rounds":200,"error_rate":0.01,"seed":4242,"full_recompute":true}'
 C=$(submit "$CSPEC")
 wait_state "$C" done
 curl -fsS "$BASE/api/v1/jobs/$C/result" | grep -v '"id"\|"elapsed_seconds"' > "$TMP/uninterrupted.json"
@@ -141,6 +149,11 @@ SERVE_PID=
 SERVE_PID=$!
 wait_base "$TMP/serve3.out"
 grep -q 'clean shutdown false' "$TMP/serve3.out"
+# C finished before the kill; D must come back unfinished, to be re-queued.
+if ! grep -q 'recovered 2 jobs from journal (1 re-queued, 0 paused, 1 terminal' "$TMP/serve3.out"; then
+    echo "serve-smoke: FAIL: the kill -9 did not land mid-run: $(grep recovered "$TMP/serve3.out")" >&2
+    exit 1
+fi
 echo "serve-smoke: restarted daemon at $BASE, job $D recovering"
 wait_state "$D" done
 curl -fsS "$BASE/api/v1/jobs/$D/result" | grep -v '"id"\|"elapsed_seconds"' > "$TMP/recovered.json"
