@@ -74,10 +74,20 @@ func (r Result) Mean1() float64 {
 // This is the IPD() function of the paper's agent pseudo-code: the view
 // starts at all-cooperate, each round both players choose via their strategy
 // table, errors flip the executed move, payoffs accumulate.
+//
+// A pair of *strategy.Mixed plays on their probability tables directly
+// (playMixed: the same draws in the same order, the same Result, src left
+// where this loop would leave it); every other pairing runs the loop below,
+// which is the reference both are held to.
 func Play(rules Rules, s0, s1 strategy.Strategy, src *rng.Source) Result {
 	sp := s0.Space()
 	if s1.Space() != sp {
 		panic(fmt.Sprintf("game: mismatched spaces (memory %d vs %d)", sp.Memory(), s1.Space().Memory()))
+	}
+	if m0, ok := s0.(*strategy.Mixed); ok {
+		if m1, ok := s1.(*strategy.Mixed); ok {
+			return playMixed(rules, m0, m1, src)
+		}
 	}
 	res := Result{Rounds: rules.Rounds}
 	st0 := sp.InitialState()

@@ -104,12 +104,20 @@ func TestGrimPunishesForever(t *testing.T) {
 }
 
 func TestPlayMismatchedSpacesPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched spaces did not panic")
-		}
-	}()
-	Play(DefaultRules(), strategy.AllC(sp(1)), strategy.AllC(sp(2)), rng.New(1))
+	pairs := map[string][2]strategy.Strategy{
+		"pure":  {strategy.AllC(sp(1)), strategy.AllC(sp(2))},
+		"mixed": {strategy.NewMixed(sp(1)), strategy.NewMixed(sp(2))},
+	}
+	for name, p := range pairs {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("mismatched spaces did not panic")
+				}
+			}()
+			Play(DefaultRules(), p[0], p[1], rng.New(1))
+		})
+	}
 }
 
 func TestErrorsDisruptTFT(t *testing.T) {
@@ -165,21 +173,37 @@ func TestPlayDeterministicGivenSeed(t *testing.T) {
 
 func TestSearchEngineMatchesDirectEngine(t *testing.T) {
 	// The paper-faithful linear-search engine must produce identical results
-	// to the optimised engine for identical random streams.
-	for _, mem := range []int{1, 2, 3} {
-		space := sp(mem)
-		rules := DefaultRules()
-		rules.Rounds = 100
-		rules.ErrorRate = 0.02
-		eng := NewSearchEngine(space)
-		for seed := uint64(0); seed < 10; seed++ {
-			master := rng.New(seed)
-			s0 := strategy.RandomPure(space, master)
-			s1 := strategy.RandomPure(space, master)
-			direct := Play(rules, s0, s1, rng.New(seed+1000))
-			searched := eng.Play(rules, s0, s1, rng.New(seed+1000))
-			if direct != searched {
-				t.Fatalf("memory %d seed %d: direct %+v != searched %+v", mem, seed, direct, searched)
+	// to the optimised engine for identical random streams — pure pairs,
+	// mixed pairs (Play's concrete loop) and mixed×pure pairs alike.
+	pairs := map[string]func(strategy.Space, *rng.Source) (strategy.Strategy, strategy.Strategy){
+		"pure": func(space strategy.Space, src *rng.Source) (strategy.Strategy, strategy.Strategy) {
+			return strategy.RandomPure(space, src), strategy.RandomPure(space, src)
+		},
+		"mixed": func(space strategy.Space, src *rng.Source) (strategy.Strategy, strategy.Strategy) {
+			return strategy.RandomMixed(space, src), strategy.RandomMixed(space, src)
+		},
+		"mixed×pure": func(space strategy.Space, src *rng.Source) (strategy.Strategy, strategy.Strategy) {
+			return strategy.RandomMixed(space, src), strategy.RandomPure(space, src)
+		},
+	}
+	for name, draw := range pairs {
+		for _, mem := range []int{1, 2, 3} {
+			space := sp(mem)
+			rules := DefaultRules()
+			rules.Rounds = 100
+			rules.ErrorRate = 0.02
+			eng := NewSearchEngine(space)
+			for seed := uint64(0); seed < 10; seed++ {
+				s0, s1 := draw(space, rng.New(seed))
+				directSrc, searchedSrc := rng.New(seed+1000), rng.New(seed+1000)
+				direct := Play(rules, s0, s1, directSrc)
+				searched := eng.Play(rules, s0, s1, searchedSrc)
+				if direct != searched {
+					t.Fatalf("%s memory %d seed %d: direct %+v != searched %+v", name, mem, seed, direct, searched)
+				}
+				if directSrc.Uint64() != searchedSrc.Uint64() {
+					t.Fatalf("%s memory %d seed %d: the engines left the stream at different draws", name, mem, seed)
+				}
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package game
 import (
 	"fmt"
 
+	"repro/internal/rng"
 	"repro/internal/strategy"
 )
 
@@ -28,16 +29,7 @@ func PlayPure(rules Rules, s0, s1 *strategy.Pure) Result {
 	if rules.ErrorRate > 0 {
 		panic("game: PlayPure requires ErrorRate == 0")
 	}
-	// score[m0<<1|m1] holds the exact Score values Play would add, so the
-	// accumulation below is bit-identical to the interface path.
-	var score0, score1 [4]float64
-	for m0 := strategy.Move(0); m0 <= 1; m0++ {
-		for m1 := strategy.Move(0); m1 <= 1; m1++ {
-			f0, f1 := rules.Payoff.Score(m0, m1)
-			score0[m0<<1|m1] = f0
-			score1[m0<<1|m1] = f1
-		}
-	}
+	score0, score1 := scoreTables(rules.Payoff)
 	w0 := s0.Bits().Words()
 	w1 := s1.Bits().Words()
 	mask := uint32(sp.NumStates() - 1)
@@ -56,4 +48,72 @@ func PlayPure(rules Rules, s0, s1 *strategy.Pure) Result {
 		st1 = ((st1 << 2) | (m1<<1 | m0)) & mask
 	}
 	return res
+}
+
+// playMixed is Play for two mixed strategies, which the caller has checked
+// share a space: the probability tables are read directly instead of through
+// the Strategy interface, and the stream is stepped in a local copy of *src
+// that is written back at the end. It makes exactly the interface loop's
+// draws in its order — player 0's move, player 1's move, then the two error
+// draws, with no draw for a probability of 0 or 1 and none for an error rate
+// of 0 or 1 — and adds the same Score values in the same round order, so the
+// Result and the caller's next draw are bit-identical
+// (TestPlayMixedMatchesInterfaceLoop).
+func playMixed(rules Rules, s0, s1 *strategy.Mixed, src *rng.Source) Result {
+	score0, score1 := scoreTables(rules.Payoff)
+	p0, p1 := s0.Probs(), s1.Probs()
+	p1 = p1[:len(p0)]
+	mask := uint32(len(p0) - 1)
+	// The error draws are Bernoulli(eps) with its edges settled once, outside
+	// the loop: at eps >= 1 every move flips without a draw, below it each flip
+	// is one Float64 draw, and at eps <= 0 there is no error draw at all.
+	eps := rules.ErrorRate
+	drawErr := eps > 0 && eps < 1
+	var flip uint32
+	if eps >= 1 {
+		flip = 1
+	}
+	r := *src
+	var st0, st1 uint32
+	var f0, f1 float64
+	var joint [4]int // rounds per joint move m0<<1|m1, for the cooperation counts
+	for k := 0; k < rules.Rounds; k++ {
+		m0, m1 := uint32(1), uint32(1) // 1 = Defect
+		if r.Bernoulli(p0[st0]) {
+			m0 = 0
+		}
+		if r.Bernoulli(p1[st1]) {
+			m1 = 0
+		}
+		if drawErr {
+			if r.Float64() < eps {
+				m0 ^= 1
+			}
+			if r.Float64() < eps {
+				m1 ^= 1
+			}
+		}
+		m0 ^= flip
+		m1 ^= flip
+		jm := (m0<<1 | m1) & 3
+		f0 += score0[jm]
+		f1 += score1[jm]
+		joint[jm]++
+		st0 = ((st0 << 2) | jm) & mask
+		st1 = ((st1 << 2) | (m1<<1 | m0)) & mask
+	}
+	*src = r
+	return Result{Fitness0: f0, Fitness1: f1, Coop0: joint[0] + joint[1], Coop1: joint[0] + joint[2], Rounds: rules.Rounds}
+}
+
+// scoreTables returns, indexed by m0<<1|m1, the exact Score values Play adds
+// for each joint move, so a kernel accumulating from them is bit-identical to
+// the interface path.
+func scoreTables(p Payoff) (score0, score1 [4]float64) {
+	for m0 := strategy.Move(0); m0 <= 1; m0++ {
+		for m1 := strategy.Move(0); m1 <= 1; m1++ {
+			score0[m0<<1|m1], score1[m0<<1|m1] = p.Score(m0, m1)
+		}
+	}
+	return score0, score1
 }

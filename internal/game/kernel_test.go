@@ -100,6 +100,95 @@ func TestPlayPureMirror(t *testing.T) {
 	}
 }
 
+// referencePlay is a test-side copy of Play's Strategy-interface loop, taken
+// for every pair whatever its kinds: the semantic reference playMixed is held
+// to, draw for draw.
+func referencePlay(rules Rules, s0, s1 strategy.Strategy, src *rng.Source) Result {
+	sp := s0.Space()
+	res := Result{Rounds: rules.Rounds}
+	st0, st1 := sp.InitialState(), sp.InitialState()
+	for r := 0; r < rules.Rounds; r++ {
+		m0 := s0.Move(st0, src)
+		m1 := s1.Move(st1, src)
+		if rules.ErrorRate > 0 {
+			if src.Bernoulli(rules.ErrorRate) {
+				m0 ^= 1
+			}
+			if src.Bernoulli(rules.ErrorRate) {
+				m1 ^= 1
+			}
+		}
+		f0, f1 := rules.Payoff.Score(m0, m1)
+		res.Fitness0 += f0
+		res.Fitness1 += f1
+		if m0 == strategy.Cooperate {
+			res.Coop0++
+		}
+		if m1 == strategy.Cooperate {
+			res.Coop1++
+		}
+		st0 = sp.NextState(st0, m0, m1)
+		st1 = sp.NextState(st1, m1, m0)
+	}
+	return res
+}
+
+// edgyMixed draws a mixed strategy in which about a third of the states
+// cooperate with probability exactly 0, a third exactly 1, and the rest a
+// uniform probability — so the loop meets both of Bernoulli's no-draw edges.
+func edgyMixed(sp strategy.Space, src *rng.Source) *strategy.Mixed {
+	m := strategy.RandomMixed(sp, src)
+	for s := range m.Probs() {
+		switch src.Intn(3) {
+		case 0:
+			m.SetProb(uint32(s), 0)
+		case 1:
+			m.SetProb(uint32(s), 1)
+		}
+	}
+	return m
+}
+
+// TestPlayMixedMatchesInterfaceLoop pins the concrete Mixed×Mixed loop to the
+// interface loop: at every memory depth, error rate {0, 0.01, 0.5, 1},
+// uniform tables and tables with exact 0/1 probabilities, and 1, 200 and 1001
+// rounds (the last under TestPayoffAccumulationOrder's non-representable
+// payoff), the Result is equal and the caller's stream is left at the same
+// draw.
+func TestPlayMixedMatchesInterfaceLoop(t *testing.T) {
+	fractions := Payoff{R: 0.3, S: 0.1, T: 0.4, P: 0.2}
+	lengths := []struct {
+		rounds int
+		payoff Payoff
+	}{{1, StandardPayoff()}, {DefaultRounds, StandardPayoff()}, {1001, fractions}}
+	src := rng.New(30)
+	for n := 1; n <= strategy.MaxMemory; n++ {
+		sp := strategy.NewSpace(n)
+		for trial := 0; trial < 6; trial++ {
+			draw := strategy.RandomMixed
+			if trial%2 == 1 {
+				draw = edgyMixed
+			}
+			a, b := draw(sp, src), draw(sp, src)
+			for _, eps := range []float64{0, 0.01, 0.5, 1} {
+				for _, l := range lengths {
+					rules := Rules{Payoff: l.payoff, Rounds: l.rounds, ErrorRate: eps}
+					seed := src.Uint64()
+					wantSrc, gotSrc := rng.New(seed), rng.New(seed)
+					want := referencePlay(rules, a, b, wantSrc)
+					got := Play(rules, a, b, gotSrc)
+					if got != want {
+						t.Fatalf("memory %d trial %d error %v, %d rounds: Play %+v != reference %+v", n, trial, eps, l.rounds, got, want)
+					}
+					if g, w := gotSrc.Uint64(), wantSrc.Uint64(); g != w {
+						t.Fatalf("memory %d trial %d error %v, %d rounds: next draw %#x, reference %#x", n, trial, eps, l.rounds, g, w)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestPlayPureRejectsNoise(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -136,6 +225,21 @@ func BenchmarkPlayPureVsPlay(b *testing.B) {
 		b.Run("bitpacked/m"+string(rune('0'+n)), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				PlayPure(rules, s0, s1)
+			}
+		})
+		// The sampled rung: a noisy mixed match (the paper's Fig. 2 kind),
+		// interface loop against Play's concrete one.
+		noisy := rules
+		noisy.ErrorRate = 0.01
+		m0, m1 := strategy.RandomMixed(sp, src), strategy.RandomMixed(sp, src)
+		b.Run("mixed-interface/m"+string(rune('0'+n)), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				referencePlay(noisy, m0, m1, src)
+			}
+		})
+		b.Run("mixed/m"+string(rune('0'+n)), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Play(noisy, m0, m1, src)
 			}
 		})
 	}

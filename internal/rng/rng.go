@@ -83,11 +83,21 @@ func (s *Source) Uint64() uint64 {
 //
 // Distinct key tuples give statistically independent streams.
 func (s *Source) Derive(keys ...uint64) *Source {
+	d := new(Source)
+	s.DeriveInto(d, keys...)
+	return d
+}
+
+// DeriveInto re-seeds dst in place with the stream s.Derive(keys...) returns,
+// for a caller that derives one stream per task and keeps it in a Source it
+// owns rather than allocating one per derivation. Like Derive it does not
+// advance s; dst may be s itself.
+func (s *Source) DeriveInto(dst *Source, keys ...uint64) {
 	h := s.s0 ^ bits.RotateLeft64(s.s1, 13) ^ bits.RotateLeft64(s.s2, 29) ^ bits.RotateLeft64(s.s3, 43)
 	for i, k := range keys {
 		h = mix64(h ^ (k + golden*uint64(i+1)))
 	}
-	return New(h)
+	dst.reseed(h)
 }
 
 // Float64 returns a uniform float64 in [0,1) with 53 bits of precision.

@@ -64,6 +64,39 @@ func TestDeriveDoesNotAdvanceParent(t *testing.T) {
 	}
 }
 
+// TestDeriveIntoMatchesDerive pins the one derivation both forms share:
+// DeriveInto leaves dst on exactly the stream Derive returns, whatever dst
+// held before (including the parent itself), and does not advance the parent.
+func TestDeriveIntoMatchesDerive(t *testing.T) {
+	for _, keys := range [][]uint64{nil, {0}, {3, 5}, {0x6A3E, 7, 1, 2}} {
+		m, twin := New(13), New(13)
+		want := m.Derive(keys...)
+		dst := New(99) // stale state DeriveInto must overwrite
+		m.DeriveInto(dst, keys...)
+		twin.DeriveInto(twin, keys...)
+		for i := 0; i < 100; i++ {
+			w := want.Uint64()
+			if g := dst.Uint64(); g != w {
+				t.Fatalf("keys %v draw %d: DeriveInto %#x, Derive %#x", keys, i, g, w)
+			}
+			if g := twin.Uint64(); g != w {
+				t.Fatalf("keys %v draw %d: DeriveInto onto the parent itself %#x, Derive %#x", keys, i, g, w)
+			}
+		}
+		if m.Uint64() != New(13).Uint64() {
+			t.Fatalf("keys %v: DeriveInto advanced the parent", keys)
+		}
+	}
+	// The derivation itself is part of every run's trajectory: these are the
+	// first draws of two derived streams, pinned so neither form can drift.
+	if got := New(13).Derive(0x6A3E, 7, 1, 2).Uint64(); got != 0x69e0bf00eabc7768 {
+		t.Fatalf("Derive(0x6A3E, 7, 1, 2) first draw %#x", got)
+	}
+	if got := New(13).Derive().Uint64(); got != 0xf4d7a2de6eadab7b {
+		t.Fatalf("Derive() first draw %#x", got)
+	}
+}
+
 func TestDeriveKeysIndependent(t *testing.T) {
 	m := New(9)
 	a := m.Derive(0)

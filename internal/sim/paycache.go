@@ -54,6 +54,9 @@ type payoffKernel struct {
 		s0, s1 *strategy.Pure
 		res    game.Result
 	}
+	// src is the stream of the sampled match being played, re-derived in
+	// place from (seed, gen, i, j) for each one rather than allocated.
+	src rng.Source
 }
 
 // newPayoffKernel builds the kernel for one rank of a validated config. The
@@ -141,7 +144,7 @@ func (k *payoffKernel) hit(pop *Population, row []float64, j int) (float64, bool
 // pairPayoff evaluates an (i, j) match of pop that hit did not answer,
 // returning SSet i's mean per-round payoff against j and storing it in row
 // when the pair is memoizable. Randomness still derives from (seed, gen, i,
-// j) on the uncached path, and rng.Derive never advances the master stream,
+// j) on the uncached path, and rng.DeriveInto never advances the master stream,
 // so serving a hit cannot shift any other draw: the table and the reference
 // kernel give bit-identical runs.
 func (k *payoffKernel) pairPayoff(cfg *Config, pop *Population, master *rng.Source, gen int, row []float64, i, j int) (float64, error) {
@@ -186,9 +189,9 @@ func (k *payoffKernel) play(cfg *Config, master *rng.Source, gen, i, j int, si, 
 			}
 		}
 	}
-	src := master.Derive(0x6A3E, uint64(gen), uint64(i), uint64(j))
+	master.DeriveInto(&k.src, 0x6A3E, uint64(gen), uint64(i), uint64(j))
 	if k.eng != nil {
-		return k.eng.Play(cfg.Rules, si, sj, src).Mean0(), nil
+		return k.eng.Play(cfg.Rules, si, sj, &k.src).Mean0(), nil
 	}
-	return game.Play(cfg.Rules, si, sj, src).Mean0(), nil
+	return game.Play(cfg.Rules, si, sj, &k.src).Mean0(), nil
 }
