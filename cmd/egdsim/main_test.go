@@ -95,8 +95,11 @@ func TestRunEvictionSmoke(t *testing.T) {
 	}
 }
 
-// The same scripted kill without -evict takes the PR 1 path: one
-// checkpoint restart, no evictions.
+// A scripted kill without -evict takes the checkpoint-restart path: one
+// restart, no evictions. The run is served by type, so a worker sends only
+// when its ranks meet to fill the payoff table — at generations 0, 15, 51–54,
+// 104, 148, 200, … and the end — once each as rank 2 of 4: its 8th send is
+// generation 148's, past the checkpoint at 100.
 func TestRunRestartSmoke(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 	var out strings.Builder
@@ -104,7 +107,7 @@ func TestRunRestartSmoke(t *testing.T) {
 		"-memory", "1", "-ssets", "8", "-gens", "400", "-rounds", "20",
 		"-ranks", "4", "-full", "-seed", "42",
 		"-checkpoint-every", "100", "-checkpoint-file", ckpt,
-		"-inject-fault", "rank=2,after=100",
+		"-inject-fault", "rank=2,after=8",
 	}, &out)
 	if err != nil {
 		t.Fatalf("run failed: %v\noutput:\n%s", err, out.String())

@@ -11,9 +11,13 @@
 //   - RunSequential: a single-threaded reference implementation that plays
 //     every game pair itself;
 //   - RunParallel: the paper's SPMD decomposition over the mpi runtime —
-//     rank 0 is the Nature Agent, the remaining ranks own block-distributed
-//     game pairs and derive each generation's plan (selection, mutant,
-//     sampling) from the seed as Nature does, fitness travels
+//     rank 0 is the Nature Agent, and every rank derives each generation's
+//     plan (selection, mutant, sampling) from the seed. When every match is
+//     served from the payoff table by type (exact payoffs, or error-free
+//     deterministic play), every rank holds the same table and runs the
+//     generation itself; the ranks meet only to fill the cells a new type
+//     brings, one Gather and one Bcast split over the workers. Otherwise the
+//     remaining ranks own block-distributed game pairs, fitness travels
 //     point-to-point, and Nature's verdict — did the learner adopt — travels
 //     by broadcast on the generations that have a comparison or a sample.
 //
@@ -115,7 +119,9 @@ type Config struct {
 	// Control, when non-nil, is polled at the top of every generation (on
 	// the Nature rank in the parallel engine; the workers, who listen to
 	// nobody between rendezvous, unwind at their next one — at most
-	// SampleStride generations later, their work past the stop discarded).
+	// SampleStride generations later, their work past the stop discarded: a
+	// run served by type makes every sampled generation a rendezvous for
+	// this bound).
 	// A non-nil return stops the run at that generation boundary: the
 	// engine persists a resume snapshot to CheckpointSink (when one is
 	// configured) and returns an error wrapping both ErrStopped and the
@@ -150,7 +156,9 @@ type Config struct {
 	// past the deadline fails with mpi.ErrRecvTimeout instead of hanging —
 	// the detection half of worker-failure recovery. It must comfortably
 	// exceed the longest stretch between rendezvous: up to SampleStride
-	// generations of compute during which a healthy rank sends nothing.
+	// generations of compute during which a healthy rank sends nothing (a
+	// run served by type, which otherwise meets only to fill its payoff
+	// table, makes every sampled generation a rendezvous when it is set).
 	RecvTimeout time.Duration
 	// FaultPlan, when non-nil, is installed into the parallel engine's
 	// world: scripted deterministic fault injection for resilience tests.
@@ -162,7 +170,8 @@ type Config struct {
 	// Evict enables live rank eviction in the parallel engine: a heartbeat
 	// detector declares dead ranks, survivors agree on the surviving set and
 	// shrink onto a sub-communicator, the dead rank's SSets are re-sharded
-	// across the survivors, and the interrupted generation is replayed from
+	// across the survivors (in a run served by type, every survivor rebuilds
+	// its payoff table), and the interrupted generation is replayed from
 	// its generation-keyed random streams — no restart, and (with
 	// FullRecompute) results bit-identical to a fault-free run. Replayed
 	// generations re-invoke the Observer, as checkpoint restarts do.
@@ -190,6 +199,10 @@ type Config struct {
 	// the reference the bit-parity tests compare the one production kernel
 	// against. No Spec field, flag or front end reaches it.
 	referenceKernel bool
+	// skewRank, when non-zero, makes the worker at that original rank report
+	// one game more than it played at the end of the window: a drifted view,
+	// for the tests of Nature's cross-check.
+	skewRank int
 }
 
 // Observer receives per-generation callbacks from the Nature Agent.

@@ -133,14 +133,23 @@ func (tap *wireTap) pump(src, dst net.Conn) {
 // Modelled ≡ actual: the per-tag message and byte counts the Nature rank's
 // communication accounting books are the data-frame payloads a tap on the
 // sockets saw travel from and to rank 0 — every engine message, fitness
-// segment, reduction operand and gathered snapshot, byte for byte.
+// segment, reduction operand, fill and gathered report, byte for byte, in
+// both protocols (the fitness protocol on the reference kernel; the table
+// run served by type).
 func TestCommAccountingMatchesWireBytes(t *testing.T) {
-	const ranks = 3
 	cfg := testConfig(1, 8, 40)
 	cfg.Seed = 105
 	cfg.Metrics = true
-	cfg.Mu = 0.2 // updates with a mutant strategy aboard
+	cfg.Mu = 0.2 // mutants: new types to fill
+	t.Run("fitness protocol", func(t *testing.T) { tapRun(t, reference(cfg), 4) })
+	t.Run("served by type", func(t *testing.T) { tapRun(t, cfg, 1) })
+}
 
+// tapRun runs cfg on three networked ranks behind a wireTap and holds Nature's
+// accounting of each tag to the tap's; Nature must have received on at least
+// recvTags tags.
+func tapRun(t *testing.T, cfg Config, recvTags int) {
+	const ranks = 3
 	real := socketPaths(t, ranks)
 	taps := socketPaths(t, ranks*ranks)
 	tap := &wireTap{bytes: map[[3]int]uint64{}, msgs: map[[3]int]uint64{}}
@@ -166,7 +175,7 @@ func TestCommAccountingMatchesWireBytes(t *testing.T) {
 	}
 
 	nature := res.Metrics.Comm[0]
-	if len(nature.SentByTag) == 0 || len(nature.RecvByTag) < 4 {
+	if len(nature.SentByTag) == 0 || len(nature.RecvByTag) < recvTags {
 		t.Fatalf("Nature's accounting is missing tags: %+v", nature)
 	}
 	tap.mu.Lock()

@@ -211,13 +211,13 @@ func TestEvictBelowMinRanksFallsBackToRestart(t *testing.T) {
 	assertSameOutcome(t, clean, res)
 }
 
-// A live eviction with the payoff table on. A worker that dies on its
-// reduction send has relayed the generation's update first, so the survivors
-// have applied a mutation that Nature, rolling back, resumes them without:
-// resync hands each Population a whole strategy view (replaceAll) under a
-// table filled before it. Twelve consecutive kill points cover every kind of
-// send a worker makes; a type id left on a replaced strategy reads another
-// type's payoffs and shows against the fault-free reference run.
+// A live eviction with the payoff table on. Survivors that ran ahead of
+// Nature have applied generations that Nature, rolling back, resumes them
+// without: resync rebuilds each rank's population and table from one
+// strategy view. The last twelve sends worker 2 makes cover every kind — a
+// fill's Gather, a sampled meeting's, the end of the window's and its
+// Barrier — and a type id or cell left over from before the resync reads
+// another type's payoffs and shows against the fault-free reference run.
 func TestEvictResyncKeepsPayoffTableExact(t *testing.T) {
 	cfg := testConfig(2, 8, 120)
 	cfg.Seed = 403
@@ -228,7 +228,8 @@ func TestEvictResyncKeepsPayoffTableExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for kill := uint64(112); kill < 124; kill++ {
+	last := killAt(meetingsOf(t, evictConfig(cfg)), 4, 2, cfg.Generations) + 1 // the end's Barrier
+	for kill := last - 11; kill <= last; kill++ {
 		faulty := evictConfig(cfg)
 		faulty.FaultPlan = mpi.NewFaultPlan().Kill(2, kill)
 		res, err := RunParallel(faulty, 4)

@@ -113,9 +113,18 @@ func TestInterruptedRunReturnsTheUninterruptedResult(t *testing.T) {
 		{"supervised kill", true, func(t *testing.T, base Config, ei int) *Result {
 			cfg := base
 			cfg.CheckpointEvery = every
-			// Every worker sends at least once a generation (the sampled
-			// reduction), so the kill lands mid-run, past a checkpoint.
-			cfg.FaultPlan = mpi.NewFaultPlan().Kill(1, uint64(every+pick.Intn(gens-2*every)))
+			// In the fitness protocol every worker sends at least once a
+			// generation (the sampled reduction), so the kill lands mid-run,
+			// past a checkpoint. Served by type, a worker sends only at a
+			// meeting: it dies entering one past the first checkpoint, or the
+			// end of the window's.
+			kill := uint64(every + pick.Intn(gens-2*every))
+			if servedByType(&cfg) {
+				meets := meetingsOf(t, cfg)
+				late := append(meets[before(meets, every):], gens)
+				kill = killAt(meets, engines[ei], 1, late[pick.Intn(len(late))])
+			}
+			cfg.FaultPlan = mpi.NewFaultPlan().Kill(1, kill)
 			res, err := RunParallelResilient(cfg, engines[ei], 3)
 			if err != nil {
 				t.Fatal(err)
@@ -128,16 +137,23 @@ func TestInterruptedRunReturnsTheUninterruptedResult(t *testing.T) {
 		// Live eviction replaces the restart: the survivors re-shard and
 		// replay the interrupted generation.
 		{"eviction with changed SSets pending", true, func(t *testing.T, base Config, ei int) *Result {
-			// The collectives a worker enters are a function of the plan (a
-			// verdict per rendezvous, a reduction per sampled generation), so
+			// The collectives a worker enters are a function of the plan (in
+			// the fitness protocol a verdict per rendezvous and a reduction
+			// per sampled generation; served by type a Gather and a Bcast per
+			// meeting, and with eviction every sampled generation meets), so
 			// the one after all of generations [0, g)'s is generation g's
 			// first: worker 1 dies just after the incremental pass over what
 			// generation g-1 changed, and Nature rolls back to the top of g,
-			// which the survivors replay whole on re-sharded blocks.
+			// which the survivors replay whole — re-sharded, or on rebuilt
+			// tables.
 			g := pending[pick.Intn(len(pending))]
 			cfg := evictConfig(base)
+			k := planOf(t, base, engines[ei], 0, g).collectives() + 1
+			if servedByType(&cfg) {
+				k = collectivesBefore(meetingsOf(t, cfg), g) + 1
+			}
 			cfg.EventLog = trace.NewEventLog()
-			cfg.FaultPlan = mpi.NewFaultPlan().FailCollective(1, planOf(t, base, engines[ei], 0, g).collectives()+1)
+			cfg.FaultPlan = mpi.NewFaultPlan().FailCollective(1, k)
 			res, err := RunParallel(cfg, engines[ei])
 			if err != nil {
 				t.Fatal(err)

@@ -20,24 +20,31 @@ import (
 
 // Phase names used by both engines. Workers spend their time in game play
 // (compute) and in the broadcast/reduce/point-to-point phases (comm); the
-// Nature Agent mirrors the comm phases and adds checkpointing.
+// Nature Agent mirrors the comm phases and adds checkpointing. In a run
+// served by type every rank also books its own population-dynamics step.
 const (
 	// PhaseGamePlay is IPD match execution — the paper's "game dynamics"
-	// compute phase.
+	// compute phase; in a run served by type, a worker's share of the cells
+	// a meeting fills.
 	PhaseGamePlay = "game_play"
 	// PhaseFitnessComm is point-to-point fitness traffic: selected-row
-	// segments and final payoff blocks (the paper's torus traffic).
+	// segments and final payoff blocks (the paper's torus traffic). A run
+	// served by type has none.
 	PhaseFitnessComm = "fitness_comm"
 	// PhaseBroadcast is the Nature Agent's verdict broadcasts, one per
 	// rendezvous and one at the end of the window (the paper's
-	// collective-network traffic, less what every rank derives itself).
+	// collective-network traffic, less what every rank derives itself); in
+	// a run served by type, each meeting — the Gather of new cells and
+	// Nature's verdict — but the end of the window's, whose Gather carries the
+	// snapshot.
 	PhaseBroadcast = "broadcast"
 	// PhaseReduce is the mean-fitness and game-count reductions.
 	PhaseReduce = "reduce"
 	// PhaseCheckpoint is snapshot persistence on the Nature Agent.
 	PhaseCheckpoint = "checkpoint"
-	// PhaseNatureStep is the sequential engine's population-dynamics step
-	// (folded into broadcast/fitness_comm phases when parallel).
+	// PhaseNatureStep is the population-dynamics step of the sequential
+	// engine and of every rank of a run served by type (folded into the
+	// broadcast/fitness_comm phases on the Nature rank otherwise).
 	PhaseNatureStep = "nature_step"
 )
 
@@ -52,9 +59,12 @@ type PhaseStat struct {
 
 // RankPhaseSnapshot is one rank's per-phase timing, phases sorted by name.
 // Rank is the original (pre-eviction) rank. Cache carries the counters of the
-// rank's payoff table by strategy type: set on every rank that plays a
-// memoizable run, nil on Nature (it plays no games) and wherever no table is
-// kept (noisy sampled play).
+// rank's payoff table by strategy type, nil wherever no table is kept (noisy
+// sampled play). In a run served by type every rank holds the table: a
+// worker's misses are the cells it played, Nature's hits every scheduled
+// game no worker had to play, so hits + misses over the ranks is
+// GamesPlayed. In the fitness protocol (error-free mixed play) only the
+// workers keep one, and Nature's is nil.
 type RankPhaseSnapshot struct {
 	Rank   int              `json:"rank"`
 	Phases []PhaseStat      `json:"phases,omitempty"`

@@ -41,19 +41,24 @@ func TestParallelMetricsParity(t *testing.T) {
 			t.Errorf("phase snapshot %d has rank %d", i, rs.Rank)
 		}
 	}
-	// Every worker played games each generation and took every verdict: one
-	// per rendezvous and the end of the window's.
-	verdicts := planOf(t, cfg, ranks, 0, cfg.Generations).rendezvous + 1
-	for _, rs := range m.Phases[1:] {
+	// Served by type, every worker played its share of each fill and every
+	// rank met at each (the snapshot travels in the end of the window's
+	// meeting, so that one is not among them) and folded fitness itself
+	// each generation.
+	meets := uint64(len(meetingsOf(t, cfg)))
+	for _, rs := range m.Phases {
 		byPhase := map[string]PhaseStat{}
 		for _, p := range rs.Phases {
 			byPhase[p.Phase] = p
 		}
-		if got := byPhase[PhaseGamePlay].Calls; got != uint64(cfg.Generations) {
-			t.Errorf("rank %d: %d game_play calls, want %d", rs.Rank, got, cfg.Generations)
+		if got := byPhase[PhaseGamePlay].Calls; rs.Rank > 0 && got != meets {
+			t.Errorf("rank %d: %d game_play calls, want %d", rs.Rank, got, meets)
 		}
-		if got := byPhase[PhaseBroadcast].Calls; got != verdicts {
-			t.Errorf("rank %d: %d broadcast calls, want %d", rs.Rank, got, verdicts)
+		if got := byPhase[PhaseBroadcast].Calls; got != meets {
+			t.Errorf("rank %d: %d broadcast calls, want %d", rs.Rank, got, meets)
+		}
+		if got := byPhase[PhaseNatureStep].Calls; got != uint64(cfg.Generations) {
+			t.Errorf("rank %d: %d nature_step calls, want %d", rs.Rank, got, cfg.Generations)
 		}
 	}
 	if len(m.Comm) != ranks {
@@ -188,9 +193,9 @@ func TestMetricsEventLogged(t *testing.T) {
 		if _, err := fmt.Sscanf(ev.Detail, "games=%d p2p_msgs=%d p2p_bytes=%d collectives=%d", &games, &msgs, &nbytes, &colls); err != nil {
 			t.Fatalf("metrics event detail %q: %v", ev.Detail, err)
 		}
-		// 3 ranks enter the plan's collectives, then finalization's three: the
-		// end-of-window verdict, the game-count reduction, the metrics gather.
-		planned := 3 * (planOf(t, cfg, 3, 0, cfg.Generations).collectives() + 3)
+		// 3 ranks enter a Gather and a Bcast at each meeting and at the end
+		// of the window.
+		planned := 3 * (collectivesBefore(meetingsOf(t, cfg), cfg.Generations) + 2)
 		if games != res.Counters.GamesPlayed || msgs != wantMsgs || msgs == 0 || nbytes != wantBytes || colls != wantColls || colls != planned {
 			t.Errorf("metrics event %q, want games=%d p2p_msgs=%d p2p_bytes=%d collectives=%d (planned: %d)",
 				ev.Detail, res.Counters.GamesPlayed, wantMsgs, wantBytes, wantColls, planned)

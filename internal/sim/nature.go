@@ -79,7 +79,10 @@ func mutantStrategy(cfg *Config, master *rng.Source, sp strategy.Space, gen int)
 // the same four calls become ordered tagFitness receives, one Bcast(verdict)
 // on a rendezvous generation and a Reduce on a sampled one. The workers
 // derive the rest of the plan themselves, as generation does, from
-// (Seed, gen). Each source books its own phase timings.
+// (Seed, gen). In a run served by type every rank, Nature included, runs
+// generation over its own copy of the payoff table (typedRank), which
+// answers all four calls locally and meets the other ranks only to fill the
+// table. Each source books its own phase timings.
 type fitnessSource interface {
 	// refresh brings every pair's payoff up to date for generation gen and
 	// returns how many games the schedule touched.
@@ -108,10 +111,48 @@ type nature struct {
 	gen, end int
 	pt       *phaseTimer
 	// stepTimer books the decide-to-mutate span as PhaseNatureStep. It is pt
-	// in the sequential engine and nil (a no-op) on the parallel Nature
-	// rank, where that span is communication the source already books under
-	// the broadcast and fitness_comm phases.
+	// wherever the span is local compute (the sequential engine, every rank
+	// of a typed run) and nil (a no-op) on the Nature rank of the fitness
+	// protocol, where that span is communication the source already books
+	// under the broadcast and fitness_comm phases.
 	stepTimer *phaseTimer
+	// quiet marks a generation that records nothing — no Control poll,
+	// sampled series, Observer call or checkpoint: a typed run's worker, and
+	// its Nature running on from a stop to the meeting that tells it.
+	quiet bool
+	// snap is the rollback point of a live eviction (Config.Evict).
+	snap natureSnap
+}
+
+// natureSnap is the Nature Agent's rollback point for live eviction:
+// everything a generation changes before it completes, which is what
+// replaying the one a failure interrupted needs (gen itself only advances
+// on success). The dirty marks are not among it: the replay recomputes
+// every pair and clears them.
+// Strategy references can be shared because strategies are immutable —
+// Adopt and SetStrategy replace entries, never mutate them in place.
+type natureSnap struct {
+	gen             int
+	strategies      []strategy.Strategy
+	counters        Counters
+	fitLen, coopLen int
+}
+
+func (n *nature) takeSnap() {
+	n.snap.gen = n.gen
+	n.snap.strategies = append(n.snap.strategies[:0], n.pop.strategies...)
+	n.snap.counters = n.res.Counters
+	n.snap.fitLen = n.res.MeanFitness.Len()
+	n.snap.coopLen = n.res.Cooperation.Len()
+}
+
+// rollback returns the position and the Result to the snapshot; the
+// population is the caller's.
+func (n *nature) rollback() {
+	n.gen = n.snap.gen
+	n.res.Counters = n.snap.counters
+	n.res.MeanFitness.Truncate(n.snap.fitLen)
+	n.res.Cooperation.Truncate(n.snap.coopLen)
 }
 
 func newNature(cfg *Config) *nature {
@@ -147,7 +188,7 @@ func (n *nature) generation() error {
 	// service). The stop is told first — the players are already on their
 	// games and unwind at their next rendezvous — and then the resume
 	// snapshot is persisted.
-	if cfg.Control != nil {
+	if cfg.Control != nil && !n.quiet {
 		if cause := cfg.Control(gen); cause != nil {
 			if err := n.src.verdict(verdict{Gen: gen, Stop: true}); err != nil {
 				return err
@@ -196,6 +237,10 @@ func (n *nature) generation() error {
 		if err := n.src.verdict(verdict{Gen: gen, Adopted: ev.Adopted}); err != nil {
 			return err
 		}
+	}
+	if n.quiet {
+		n.gen++
+		return nil
 	}
 	if gen%cfg.SampleStride == 0 {
 		mean, err := n.src.meanFitness()

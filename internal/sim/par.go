@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 
@@ -22,13 +23,14 @@ const (
 	tagRows    = 2 // owner -> Nature: final payoff block
 )
 
-// verdict is the one per-generation fact only the Nature Agent holds, and
-// the whole of its rendezvous broadcast. Every rank derives the generation's
-// plan — who is compared, who mutates into what, whether the series is
-// sampled — from (Seed, gen) with natureDecision and mutantStrategy, so no
-// selection and no strategy crosses the wire; what a worker cannot know is
-// whether the learner adopted (that takes both fitnesses) and whether the
-// control hook asked for a stop.
+// verdict is what only the Nature Agent holds at a rendezvous, and the whole
+// of its broadcast there. Every rank derives the generation's plan — who is
+// compared, who mutates into what, whether the series is sampled — from
+// (Seed, gen) with natureDecision and mutantStrategy, so no selection and no
+// strategy crosses the wire; what a worker cannot know is whether the
+// learner adopted (that takes both fitnesses), whether the control hook
+// asked for a stop and, in a run served by type, the payoff-table cells the
+// other workers played (typed.go).
 type verdict struct {
 	// Gen is the rendezvous generation the verdict closes. A worker refuses
 	// one that names another generation.
@@ -39,10 +41,12 @@ type verdict struct {
 	// (pause/cancel): nothing of Gen is applied, a Barrier follows — so
 	// Nature outlives every worker's last send to it — and every rank exits.
 	Stop bool
+	// Cells are a typed meeting's new cells, in its list's order.
+	Cells []float64
 }
 
 // encode is the verdict's message: flags Adopted (bit 0) and Stop (bit 1),
-// field Gen and two unused zeros.
+// fields Gen, the cell count and an unused zero, then the cells.
 func (v verdict) encode() []byte {
 	var flags byte
 	if v.Adopted {
@@ -51,22 +55,36 @@ func (v verdict) encode() []byte {
 	if v.Stop {
 		flags |= 2
 	}
-	return encodeMessage(msgVerdict, flags, [3]int{v.Gen})
+	b := encodeMessage(msgVerdict, flags, [3]int{v.Gen, len(v.Cells)})
+	for _, c := range v.Cells {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c))
+	}
+	return b
 }
 
 // decodeVerdict validates a received verdict against the generation the
 // receiver stands at and that generation's plan: only a comparison can end
-// in an adoption.
-func decodeVerdict(cfg *Config, payload any, gen int, pc bool) (verdict, error) {
-	v, err := decodeMessage(cfg, payload, msgVerdict, 0, func(flags byte, f [3]int, _ []strategy.Strategy) verdict {
-		return verdict{Gen: f[0], Adopted: flags&1 != 0, Stop: flags&2 != 0}
+// in an adoption, and only the cells a meeting misses travel — none aboard
+// a stop.
+func decodeVerdict(cfg *Config, payload any, gen int, pc bool, cells int) (verdict, error) {
+	v, err := decodeMessage(cfg, payload, msgVerdict, 0, func(flags byte, f [3]int, _ []strategy.Strategy, body []byte) verdict {
+		v := verdict{Gen: f[0], Adopted: flags&1 != 0, Stop: flags&2 != 0}
+		for ; len(body) >= 8; body = body[8:] {
+			v.Cells = append(v.Cells, math.Float64frombits(binary.LittleEndian.Uint64(body)))
+		}
+		return v
 	})
+	if v.Stop {
+		cells = 0
+	}
 	switch {
 	case err != nil:
 	case v.Gen != gen:
 		err = fmt.Errorf("sim: verdict for generation %d received at generation %d", v.Gen, gen)
 	case v.Adopted && (v.Stop || !pc):
 		err = fmt.Errorf("sim: verdict reports an adoption in generation %d, which has no comparison to resolve", gen)
+	case len(v.Cells) != cells:
+		err = fmt.Errorf("sim: verdict with %d cells received at generation %d, which misses %d", len(v.Cells), gen, cells)
 	}
 	return v, err
 }
@@ -95,18 +113,69 @@ func (r resume) encode() []byte {
 // decodeResume validates a received resume against the run's Config: exactly
 // one strategy of the run's memory depth per SSet.
 func decodeResume(cfg *Config, payload any) (resume, error) {
-	return decodeMessage(cfg, payload, msgResume, cfg.NumSSets, func(_ byte, f [3]int, sts []strategy.Strategy) resume {
+	return decodeMessage(cfg, payload, msgResume, cfg.NumSSets, func(_ byte, f [3]int, sts []strategy.Strategy, _ []byte) resume {
 		return resume{Gen: f[0], Replay: f[1], Strategies: sts}
 	})
+}
+
+// rankReport is what a worker ships to Nature at the end of the window: its
+// phase timings and payoff-table counters when Config.Metrics is set and,
+// in a typed run, its view of the run for Nature's cross-check.
+type rankReport struct {
+	RankPhaseSnapshot
+	// Counters is what the worker counted since the last (re)synchronisation
+	// and Live how many types its population holds: a drifted view changes
+	// either. Both are unset in the fitness protocol, whose report is the
+	// bare snapshot.
+	Counters *Counters `json:"counters,omitempty"`
+	Live     int       `json:"live,omitempty"`
+}
+
+// encode is the report as JSON, space-padded (JSON ignores trailing white
+// space) to the length it has with 19-digit Nanos: the comm byte counters
+// must not depend on wall-clock digits.
+func (rep rankReport) encode() []byte {
+	b, _ := json.Marshal(rep) // plain counters: cannot fail
+	for _, p := range rep.Phases {
+		b = append(b, "                   "[len(strconv.FormatInt(p.Nanos, 10)):]...)
+	}
+	return b
+}
+
+// decodeReports reads the workers' reports out of a Gather at Nature, with
+// the run's phase block: Nature's own snapshot self, then the workers' by
+// dense rank — survivors in ascending original rank (mpi.World.Shrink) — so
+// Phases is already ordered by Rank.
+func decodeReports(self RankPhaseSnapshot, parts []any) (*RunMetrics, []rankReport, error) {
+	rm, reps := &RunMetrics{Phases: []RankPhaseSnapshot{self}}, make([]rankReport, len(parts)-1)
+	for i, part := range parts[1:] {
+		b, _ := part.([]byte)
+		if err := json.Unmarshal(b, &reps[i]); err != nil {
+			return nil, nil, fmt.Errorf("sim: report of rank %d: %w", 1+i, err)
+		}
+		rm.Phases = append(rm.Phases, reps[i].RankPhaseSnapshot)
+	}
+	return rm, reps, nil
+}
+
+// skew is the test seam of the end-of-window cross-check: the games the
+// worker on c reports beyond those it played — one on the rank
+// Config.skewRank names, none elsewhere (a worker's rank is never 0).
+func skew(cfg *Config, c *mpi.Comm) uint64 {
+	if c.OrigRank() == cfg.skewRank {
+		return 1
+	}
+	return 0
 }
 
 // The parallel engine's two broadcasts travel as bytes the engine lays out
 // itself, in process and over a transport alike, so the bytes mpi counts are
 // the message. One layout serves both: the kind — a message arriving where
 // another was due is refused, not misread — a flags byte, three
-// little-endian uint32 fields (generation numbers: a run is far shorter than
-// 2^32 generations), then zero or more strategies in the checkpoint stream's
-// form (checkpoint.AppendStrategy).
+// little-endian uint32 fields (generation numbers and counts: a run is far
+// shorter than 2^32 generations), then zero or more strategies in the
+// checkpoint stream's form (checkpoint.AppendStrategy) or — a verdict only —
+// cells as little-endian float64 bits.
 const (
 	msgVerdict byte = 1 + iota
 	msgResume
@@ -130,12 +199,13 @@ func encodeMessage(kind, flags byte, fields [3]int, sts ...strategy.Strategy) []
 }
 
 // decodeMessage takes a received payload apart and has build make the typed
-// message of it. The payload must be a message of the wanted kind, n
-// strategies of the run's memory depth must follow the fields, and the whole
+// message of it from the flags, the fields, the strategies and the body (the
+// bytes behind the head). The payload must be a message of the wanted kind,
+// n strategies of the run's memory depth must follow the fields, and the whole
 // must be, byte for byte, the encoding of what was built from it: no
 // trailing bytes, no unknown flag bit, no value in an unused field, no
 // second spelling of a strategy.
-func decodeMessage[T interface{ encode() []byte }](cfg *Config, payload any, kind byte, n int, build func(flags byte, f [3]int, sts []strategy.Strategy) T) (msg T, err error) {
+func decodeMessage[T interface{ encode() []byte }](cfg *Config, payload any, kind byte, n int, build func(flags byte, f [3]int, sts []strategy.Strategy, tail []byte) T) (msg T, err error) {
 	b, ok := payload.([]byte)
 	if !ok || len(b) < msgHeadLen || b[0] != kind {
 		return msg, fmt.Errorf("sim: expected a %s message, received %T %.14x", msgNames[kind], payload, b)
@@ -145,7 +215,7 @@ func decodeMessage[T interface{ encode() []byte }](cfg *Config, payload any, kin
 		f[i] = int(binary.LittleEndian.Uint32(b[2+4*i:]))
 	}
 	var sts []strategy.Strategy
-	if n > 0 { // a verdict ends at the header: no reader for it
+	if n > 0 { // a verdict has no strategy: no reader for it
 		for rest := bytes.NewReader(b[msgHeadLen:]); len(sts) < n; {
 			st, err := checkpoint.ReadStrategy(rest, strategy.NewSpace(cfg.Memory))
 			if err != nil {
@@ -154,7 +224,7 @@ func decodeMessage[T interface{ encode() []byte }](cfg *Config, payload any, kin
 			sts = append(sts, st)
 		}
 	}
-	msg = build(b[1], f, sts)
+	msg = build(b[1], f, sts, b[msgHeadLen:])
 	if re := msg.encode(); !bytes.Equal(b, re) {
 		return msg, fmt.Errorf("sim: %s of %d bytes %.14x is not the %d-byte encoding %.14x of its content", msgNames[kind], len(b), b, len(re), re)
 	}
@@ -211,13 +281,28 @@ func runWorld(cfg Config, world *mpi.World, launch func(body func(*mpi.Comm) err
 	}
 	var result *Result
 	var start time.Time
+	typed := servedByType(&cfg)
 	err := launch(func(c *mpi.Comm) error {
-		if c.Rank() != 0 {
-			return runWorkerRank(&cfg, c)
+		if c.Rank() == 0 {
+			start = time.Now() //egdlint:allow determinism elapsed-time metadata for Result.Elapsed, not part of the trajectory
 		}
-		start = time.Now() //egdlint:allow determinism elapsed-time metadata for Result.Elapsed, not part of the trajectory
-		n := newNatureRank(&cfg, c)
-		if err := runRank(&cfg, c, n); err != nil {
+		var role rankRole
+		var n *nature // Nature's
+		switch {
+		case typed:
+			t := newTypedRank(&cfg, c)
+			role, n = t, t.nature
+		case c.Rank() == 0:
+			nr := newNatureRank(&cfg, c)
+			role, n = nr, nr.nature
+		default:
+			role = newWorkerRank(&cfg, c)
+		}
+		err := runRank(&cfg, c, role)
+		if c.Rank() != 0 && errors.Is(err, ErrStopped) {
+			return nil // a control stop told by Nature is a clean exit: the run's one error is Nature's
+		}
+		if err != nil || c.Rank() != 0 {
 			return err
 		}
 		result = n.res
@@ -352,19 +437,6 @@ func recoverLive(cfg *Config, c *mpi.Comm, r rankRole, traced *int, cause error)
 	return nil, cause
 }
 
-// natureSnap is the Nature Agent's rollback point for live eviction:
-// everything a generation changes before it completes, which is what
-// replaying the one a failure interrupted needs (gen itself only advances
-// on success). The dirty marks are not among it: the replay recomputes
-// every pair and clears them.
-// Strategy references can be shared because strategies are immutable —
-// Adopt and SetStrategy replace entries, never mutate them in place.
-type natureSnap struct {
-	strategies      []strategy.Strategy
-	counters        Counters
-	fitLen, coopLen int
-}
-
 // natureRank is rank 0: the paper's Nature Agent driving the shared
 // generation over the wire. It is its own fitness source — it owns no game
 // pairs, so refresh only tallies the schedule, the selected fitness values
@@ -386,7 +458,6 @@ type natureRank struct {
 	// mirroring the workers' local tallies, which reset on resume.
 	pendingFull bool
 	crossCheck  uint64
-	snap        natureSnap
 	// segs[i] is rowSegments of SSet i over c's workers.
 	segs [][]rowSegment
 }
@@ -418,21 +489,12 @@ func (n *natureRank) step() (bool, error) {
 	return true, n.finalize()
 }
 
-func (n *natureRank) takeSnap() {
-	n.snap.strategies = append(n.snap.strategies[:0], n.pop.strategies...)
-	n.snap.counters = n.res.Counters
-	n.snap.fitLen = n.res.MeanFitness.Len()
-	n.snap.coopLen = n.res.Cooperation.Len()
-}
-
 // resync rolls Nature back to the snapshot and rebroadcasts it as the
 // authoritative state.
 func (n *natureRank) resync(nc *mpi.Comm) error {
 	n.pop.replaceAll(n.snap.strategies)
 	n.pop.clearDirty()
-	n.res.Counters = n.snap.counters
-	n.res.MeanFitness.Truncate(n.snap.fitLen)
-	n.res.Cooperation.Truncate(n.snap.coopLen)
+	n.rollback()
 	n.pendingFull = true
 	n.crossCheck = 0
 	if _, err := nc.Bcast(0, resume{Gen: n.gen, Replay: min(n.gen, n.end-1), Strategies: n.snap.strategies}.encode()); err != nil {
@@ -588,15 +650,9 @@ func (n *natureRank) finalize() error {
 		if err != nil {
 			return err
 		}
-		// Gathered by dense rank — survivors in ascending original rank
-		// (mpi.World.Shrink) — so Phases is already ordered by Rank.
-		rm := &RunMetrics{Phases: make([]RankPhaseSnapshot, len(parts))}
-		rm.Phases[0] = n.pt.snapshot(c.OrigRank())
-		for i, part := range parts[1:] {
-			b, _ := part.([]byte)
-			if err := json.Unmarshal(b, &rm.Phases[1+i]); err != nil {
-				return fmt.Errorf("sim: phase snapshot of rank %d: %w", 1+i, err)
-			}
+		rm, _, err := decodeReports(n.pt.snapshot(c.OrigRank()), parts)
+		if err != nil {
+			return err
 		}
 		n.res.Metrics = rm
 	}
@@ -641,10 +697,7 @@ type workerRank struct {
 	replayGen   int
 }
 
-// runWorkerRank runs a worker to completion. A control stop told by Nature
-// is a clean exit, so the run's only error is Nature's, carrying the snapshot
-// outcome.
-func runWorkerRank(cfg *Config, c *mpi.Comm) error {
+func newWorkerRank(cfg *Config, c *mpi.Comm) *workerRank {
 	master := rng.New(cfg.Seed)
 	w := &workerRank{
 		cfg:    cfg,
@@ -658,10 +711,7 @@ func runWorkerRank(cfg *Config, c *mpi.Comm) error {
 		w.pt = newPhaseTimer()
 	}
 	w.join(c)
-	if err := runRank(cfg, c, w); !errors.Is(err, ErrStopped) {
-		return err
-	}
-	return nil
+	return w
 }
 
 // join makes c the worker's communicator and (re-)shards the pair list
@@ -727,7 +777,7 @@ func (w *workerRank) takeVerdict(pc bool) (adopted bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	v, err := decodeVerdict(w.cfg, p, w.gen, pc)
+	v, err := decodeVerdict(w.cfg, p, w.gen, pc, 0)
 	if err != nil {
 		return false, err
 	}
@@ -807,7 +857,7 @@ func (w *workerRank) finalize() error {
 	}
 	w.pt.end(PhaseFitnessComm, tf)
 	tr := w.pt.begin()
-	if _, err := w.c.Reduce(0, float64(w.games), mpi.OpSum); err != nil {
+	if _, err := w.c.Reduce(0, float64(w.games+skew(w.cfg, w.c)), mpi.OpSum); err != nil {
 		return err
 	}
 	w.pt.end(PhaseReduce, tr)
@@ -816,14 +866,7 @@ func (w *workerRank) finalize() error {
 	if w.cfg.Metrics {
 		snap := w.pt.snapshot(w.c.OrigRank())
 		snap.Cache = w.kern.cacheStats(w.pop)
-		// The snapshot travels as its JSON, space-padded (JSON ignores
-		// trailing white space) to the length it has with 19-digit Nanos:
-		// the comm byte counters must not depend on wall-clock digits.
-		b, _ := json.Marshal(snap) // plain counters: cannot fail
-		for _, p := range snap.Phases {
-			b = append(b, "                   "[len(strconv.FormatInt(p.Nanos, 10)):]...)
-		}
-		if _, err := w.c.Gather(0, b); err != nil {
+		if _, err := w.c.Gather(0, rankReport{RankPhaseSnapshot: snap}.encode()); err != nil {
 			return err
 		}
 	}

@@ -3,7 +3,10 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/mpi"
 	"repro/internal/rng"
@@ -11,12 +14,15 @@ import (
 )
 
 // The parallel engine's wire is a function of the plan: every rank derives
-// each generation's comparison, mutation and sampling from (Seed, gen), the
-// ranks meet only at a rendezvous, and Nature adds one verdict. These tests
-// derive what must cross the wire the same way — by walking natureDecision —
-// and run the engine where rendezvous are sparse: every other table in this
-// package runs under 1 000 generations, where the automatic SampleStride is
-// 1 and every generation is a rendezvous.
+// each generation's comparison, mutation and sampling from (Seed, gen). In
+// the fitness protocol the ranks meet only at a rendezvous, and Nature adds
+// one verdict; these tests derive what must cross the wire the same way — by
+// walking natureDecision. Served by type, the ranks meet only where the
+// payoff table lacks a cell (and, with a stop hook, a receive deadline or
+// eviction, at a sampled generation); meetingsOf derives those from a
+// sequential walk of the run. The tests run the engine where rendezvous are
+// sparse: every other table in this package runs under 1 000 generations,
+// where the automatic SampleStride is 1 and every generation is sampled.
 
 // wirePlan is what the plan makes of the wire over a stretch of generations.
 type wirePlan struct {
@@ -53,6 +59,81 @@ func planOf(t *testing.T, cfg Config, ranks, from, to int) wirePlan {
 	}
 	return p
 }
+
+// meetingsOf lists the generations at which the ranks of cfg's run, served
+// by type, meet: those whose refresh finds a live type pair π holds no cell
+// for and, where the run bounds drift, the sampled ones. It derives them
+// from a sequential walk of the same run, keying cells as the kernel does —
+// by type id and epoch, so a reclaimed id's cells are gone — and holding
+// that every rank starts, or restarts, with an empty table.
+func meetingsOf(t *testing.T, cfg Config) []int {
+	t.Helper()
+	bounded := boundedDrift(&cfg)
+	cfg.Control, cfg.CheckpointEvery, cfg.Metrics = nil, 0, false
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if !servedByType(&cfg) {
+		t.Fatal("meetingsOf walks a run served by type")
+	}
+	type cell struct {
+		a, b   int
+		ea, eb uint32
+	}
+	filled := map[cell]bool{}
+	end := cfg.StartGeneration + cfg.Generations
+	var meetings []int
+	refresh := func(gen int, pop *Population) {
+		fresh := false
+		for a, ta := range pop.types {
+			for b, tb := range pop.types {
+				if k := (cell{a, b, ta.epoch, tb.epoch}); ta.count > 0 && tb.count > 0 && (a != b || ta.count > 1) && !filled[k] {
+					filled[k], fresh = true, true
+				}
+			}
+		}
+		if fresh || bounded && gen%cfg.SampleStride == 0 {
+			meetings = append(meetings, gen)
+		}
+	}
+	if cfg.Generations > 0 {
+		refresh(cfg.StartGeneration, NewPopulation(cfg, rng.New(cfg.Seed)))
+	}
+	// The population after generation g is the one g+1's refresh sees.
+	cfg.Observer = ObserverFunc(func(g int, pop *Population, _ Events) {
+		if g+1 < end {
+			refresh(g+1, pop)
+		}
+	})
+	if _, err := RunSequential(cfg); err != nil {
+		t.Fatal(err)
+	}
+	return meetings
+}
+
+// killAt is the send at which worker rank of a typed run on size ranks
+// enters its first meeting at or after generation from (the window's end
+// when none is left): each meeting costs a worker its Gather send and what
+// it relays of Nature's Bcast down the binomial tree.
+func killAt(meetings []int, size, rank, from int) uint64 {
+	per := uint64(1)
+	for mask := 1; mask < size; mask <<= 1 {
+		if rank < mask && rank+mask < size {
+			per++
+		}
+	}
+	return before(meetings, from)*per + 1
+}
+
+// before counts the meetings ahead of generation g.
+func before(meetings []int, g int) uint64 {
+	n, _ := slices.BinarySearch(meetings, g)
+	return uint64(n)
+}
+
+// collectivesBefore is how many collectives each rank of a typed run enters
+// before generation g: a Gather and a Bcast per meeting.
+func collectivesBefore(meetings []int, g int) uint64 { return 2 * before(meetings, g) }
 
 // sparseConfig is a run whose rendezvous are sparse: sampled every 40th
 // generation, compared in one of twenty. 9 SSets and 16 rounds keep every
@@ -122,24 +203,59 @@ func TestFreeRunningRegime(t *testing.T) {
 				if ranks == 2 {
 					continue // Nature alone is below the engine's floor: nothing to evict onto
 				}
-				// A worker dying as it enters its k-th collective: the first
-				// verdict, a reduction, a verdict deep in the run, and the
-				// end of the window's.
-				for _, k := range []uint64{1, 2, planOf(t, base, ranks, 0, mid).collectives() + 1, plan.collectives() + 1} {
-					t.Run(fmt.Sprintf("%s/collective %d fails", name, k), func(t *testing.T) {
-						cfg := evictConfig(base)
+				// A worker dying as it enters its k-th collective. On the
+				// reference kernel, whose fitness protocol meets at every
+				// rendezvous: the first verdict, a reduction, a verdict deep in
+				// the run, and the end of the window's.
+				evict := func(cfg Config, k uint64) func(t *testing.T) {
+					return func(t *testing.T) {
+						cfg := evictConfig(cfg)
 						cfg.EventLog = trace.NewEventLog()
 						cfg.FaultPlan = mpi.NewFaultPlan().FailCollective(1, k)
 						got, err := RunParallel(cfg, ranks)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if got.Evictions != 1 || cfg.EventLog.Count(trace.EventEviction) != 1 {
+						if got.Evictions != 1 || cfg.EventLog.Count(trace.EventEviction) != 1 || !cfg.FaultPlan.Faults()[0].Fired() {
 							t.Fatalf("evictions = %d, events %+v; want exactly one", got.Evictions, cfg.EventLog.Events())
 						}
 						assertSameResult(t, want, got, false) // the replay plays every pair again
-					})
+					}
 				}
+				for _, k := range []uint64{1, 2, planOf(t, base, ranks, 0, mid).collectives() + 1, plan.collectives() + 1} {
+					t.Run(fmt.Sprintf("%s/collective %d fails", name, k), evict(reference(base), k))
+				}
+				// Served by type, where eviction makes every sampled generation
+				// a meeting: the first Gather, the first fill, a meeting deep
+				// in the run, and the end of the window's.
+				meets := meetingsOf(t, evictConfig(base))
+				for _, k := range []uint64{1, 2, collectivesBefore(meets, mid) + 1, collectivesBefore(meets, gens) + 1} {
+					t.Run(fmt.Sprintf("%s/typed/collective %d fails", name, k), evict(base, k))
+				}
+			}
+		}
+	}
+}
+
+// TestDivergedViewFailsTheRun: the end of the window cross-checks every
+// worker's view against Nature's, in both protocols. A worker that reports
+// one game more than it played (the skewRank seam) fails the run with the
+// divergence error instead of a Result; the same run without it succeeds.
+func TestDivergedViewFailsTheRun(t *testing.T) {
+	base := testConfig(1, 8, 60)
+	base.Seed = 331
+	for _, arm := range []struct {
+		name string
+		cfg  Config
+	}{{"fitness protocol", reference(base)}, {"served by type", base}} {
+		for _, ranks := range []int{3, 5} {
+			cfg := arm.cfg
+			if _, err := RunParallel(cfg, ranks); err != nil {
+				t.Fatalf("%s, %d ranks: %v", arm.name, ranks, err)
+			}
+			cfg.skewRank = ranks - 1
+			if res, err := RunParallel(cfg, ranks); res != nil || err == nil || !strings.Contains(err.Error(), "global views diverged") {
+				t.Errorf("%s, %d ranks: result %v, error %v; want the divergence error", arm.name, ranks, res, err)
 			}
 		}
 	}
@@ -189,16 +305,18 @@ func TestFreeRunningStopNetworked(t *testing.T) {
 	}
 }
 
-// TestWireIsAFunctionOfThePlan: each rank's collectives and Nature's fitness
-// receives equal the closed form over the plan, and nothing a strategy's
-// size could move is on the wire — a memory-six mixed run sends what the
-// memory-one run sends.
+// TestWireIsAFunctionOfThePlan: in the fitness protocol each rank's
+// collectives and Nature's fitness receives equal the closed form over the
+// plan, and nothing a strategy's size could move is on the wire — a
+// memory-six mixed run sends what the memory-one run sends. Served by type,
+// each rank's collectives are the meetings a sequential walk of the run
+// derives.
 func TestWireIsAFunctionOfThePlan(t *testing.T) {
 	const gens = 600
 	for _, ranks := range []int{3, 5, 14} { // 14: a row spans several workers
-		// On the reference kernel: the memory-six run below is noisy and keeps
-		// no payoff table, so neither run's metrics gather carries cache
-		// counters, whose digits are no function of the plan.
+		// On the reference kernel, whose fitness protocol the noisy run below
+		// also runs: neither run's metrics gather carries cache counters,
+		// whose digits are no function of the plan.
 		base := reference(sparseConfig(1, gens, false))
 		base.Metrics = true
 		res, err := RunParallel(base, ranks)
@@ -247,6 +365,57 @@ func TestWireIsAFunctionOfThePlan(t *testing.T) {
 			if d := dres.Metrics.Comm[r]; d.SentMsgs != rc.SentMsgs || d.SentBytes != rc.SentBytes {
 				t.Errorf("%d ranks: rank %d sent %d messages, %d bytes at memory six mixed and %d, %d at memory one — a strategy crossed the wire",
 					ranks, r, d.SentMsgs, d.SentBytes, rc.SentMsgs, rc.SentBytes)
+			}
+		}
+
+		// Served by type, the ranks meet at the fills a sequential walk of the
+		// same run finds, at the window's end and — only where something
+		// bounds the drift: a stop hook, a receive deadline, eviction — at
+		// each sampled generation: a Gather and a Bcast each, one Barrier
+		// behind the last with eviction, and nothing else. Every such run is
+		// the sequential run.
+		seq, err := RunSequential(sparseConfig(2, gens, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bound := range []string{"none", "control", "deadline", "evict"} {
+			cfg := sparseConfig(2, gens, false)
+			cfg.Metrics = true
+			switch bound {
+			case "control":
+				cfg.Control = func(int) error { return nil }
+			case "deadline":
+				cfg.RecvTimeout = time.Minute
+			case "evict":
+				cfg = evictConfig(cfg)
+			}
+			fills, meets := meetingsOf(t, sparseConfig(2, gens, false)), meetingsOf(t, cfg)
+			if len(fills) < 3 || bound == "none" && fills[len(fills)-1] < gens/2 || bound != "none" && len(meets) <= len(fills) {
+				t.Fatalf("%s: degenerate plan: fills at %v, meetings at %v", bound, fills, meets)
+			}
+			res, err := RunParallel(cfg, ranks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameResult(t, seq, res, true)
+			m := uint64(len(meets)) + 1
+			want := map[string]uint64{"bcast": m, "gather": m}
+			if cfg.Evict {
+				want["barrier"] = 1
+			}
+			for _, rc := range res.Metrics.Comm {
+				got := map[string]uint64{}
+				for _, co := range rc.Collectives {
+					got[co.Op] = co.Calls
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("%d ranks, %s: rank %d entered %v, the walk says %v", ranks, bound, rc.Rank, got, want)
+				}
+				for _, tt := range append(rc.SentByTag, rc.RecvByTag...) {
+					if l := mpi.TagLabel(tt.Tag); l != "coll_bcast" && l != "coll_gather" && !strings.HasPrefix(l, "coll_barrier") {
+						t.Errorf("%d ranks, %s: rank %d exchanged %d messages with tag %s", ranks, bound, rc.Rank, tt.Msgs, l)
+					}
+				}
 			}
 		}
 	}

@@ -29,9 +29,11 @@ func assertSameOutcome(t *testing.T, clean, got *Result) {
 }
 
 // The acceptance scenario for the fault-tolerant engine: kill worker rank 2
-// at its 500th send mid-run; with CheckpointEvery=100 the supervisor must
-// restore the latest snapshot and finish with a Result — strategies,
-// counters, fitness — bit-identical to a run that never saw the fault.
+// at the first meeting past generation 300 — a run served by type meets
+// only to fill its payoff table — with CheckpointEvery=100, and the
+// supervisor must restore the latest snapshot and finish with a Result —
+// strategies, counters, fitness — bit-identical to a run that never saw the
+// fault.
 func TestResilientKillRecoversBitExact(t *testing.T) {
 	cfg := testConfig(1, 8, 600)
 	cfg.Seed = 301
@@ -45,7 +47,7 @@ func TestResilientKillRecoversBitExact(t *testing.T) {
 	faulty := cfg
 	faulty.CheckpointEvery = 100
 	faulty.CheckpointSink = NewMemorySink()
-	faulty.FaultPlan = mpi.NewFaultPlan().Kill(2, 500)
+	faulty.FaultPlan = mpi.NewFaultPlan().Kill(2, killAt(meetingsOf(t, cfg), 4, 2, 300))
 	faulty.EventLog = trace.NewEventLog()
 	res, err := RunParallelResilient(faulty, 4, 3)
 	if err != nil {
@@ -176,13 +178,13 @@ func TestResilientIncrementalModeRecovers(t *testing.T) {
 	faulty := cfg
 	faulty.CheckpointEvery = 50
 	faulty.CheckpointSink = NewMemorySink()
-	faulty.FaultPlan = mpi.NewFaultPlan().Kill(2, 250)
+	faulty.FaultPlan = mpi.NewFaultPlan().Kill(2, killAt(meetingsOf(t, cfg), 4, 2, 150))
 	res, err := RunParallelResilient(faulty, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Restarts != 1 {
-		t.Fatalf("restarts = %d, want 1", res.Restarts)
+	if res.Restarts != 1 || !faulty.FaultPlan.Faults()[0].Fired() {
+		t.Fatalf("restarts = %d, kill fired = %v; want one recovery", res.Restarts, faulty.FaultPlan.Faults()[0].Fired())
 	}
 	for i := range clean.Final {
 		if !clean.Final[i].Equal(res.Final[i]) {

@@ -46,13 +46,14 @@ func TestVerdictRoundTrip(t *testing.T) {
 		{Gen: 7, Adopted: true},
 		{Gen: 1 << 20, Stop: true},
 		{Gen: math.MaxUint32},
+		{Gen: 7, Cells: []float64{1, 2.5, 0, math.Inf(1)}},
 	} {
 		b := v.encode()
-		if len(b) != 14 {
-			t.Fatalf("%+v encodes to %d bytes, want 14", v, len(b))
+		if len(b) != 14+8*len(v.Cells) {
+			t.Fatalf("%+v encodes to %d bytes, want %d", v, len(b), 14+8*len(v.Cells))
 		}
-		got, err := decodeVerdict(cfg, b, v.Gen, true)
-		if err != nil || got != v {
+		got, err := decodeVerdict(cfg, b, v.Gen, true, len(v.Cells))
+		if err != nil || !reflect.DeepEqual(got, v) {
 			t.Fatalf("%+v round trip: %+v, %v", v, got, err)
 		}
 	}
@@ -97,16 +98,19 @@ func TestEngineMessageRejections(t *testing.T) {
 	ver := verdict{Gen: 5, Adopted: true}.encode()
 	pop := NewPopulation(*cfg, rng.New(3))
 	res := resume{Gen: 5, Replay: 5, Strategies: pop.strategies}.encode()
+	cel := verdict{Gen: 5, Cells: []float64{1, 3}}.encode()
 
 	with := func(b []byte, mut func(b []byte) []byte) []byte { return mut(append([]byte(nil), b...)) }
 	setField := func(i int, v uint32) func([]byte) []byte {
 		return func(b []byte) []byte { binary.LittleEndian.PutUint32(b[2+4*i:], v); return b }
 	}
 	// The receiver stands at generation 5, which has a comparison — except
-	// for the decoder that stands there without one.
+	// for the decoders that stand there without one, one of them at a
+	// meeting of a run served by type that misses two cells.
 	decoders := map[string]func(any) error{
-		"verdict":        func(p any) error { _, err := decodeVerdict(cfg, p, 5, true); return err },
-		"verdict, no pc": func(p any) error { _, err := decodeVerdict(cfg, p, 5, false); return err },
+		"verdict":        func(p any) error { _, err := decodeVerdict(cfg, p, 5, true, 0); return err },
+		"verdict, no pc": func(p any) error { _, err := decodeVerdict(cfg, p, 5, false, 0); return err },
+		"cells":          func(p any) error { _, err := decodeVerdict(cfg, p, 5, false, 2); return err },
 		"resume":         func(p any) error { _, err := decodeResume(cfg, p); return err },
 	}
 	for _, tc := range []struct {
@@ -126,7 +130,7 @@ func TestEngineMessageRejections(t *testing.T) {
 		{"stop for another generation", "verdict", verdict{Gen: 6, Stop: true}.encode(), "verdict for generation 6 received at generation 5"},
 		{"adoption without a comparison", "verdict, no pc", ver, "no comparison to resolve"},
 		{"adoption aboard a stop", "verdict", verdict{Gen: 5, Adopted: true, Stop: true}.encode(), "no comparison to resolve"},
-		{"unused field set", "verdict", with(ver, setField(1, 1)), "is not the 14-byte encoding"},
+		{"a cell count without cells", "verdict", with(ver, setField(1, 1)), "is not the 14-byte encoding"},
 		{"second unused field set", "verdict", with(ver, setField(2, 8)), "is not the 14-byte encoding"},
 		{"unknown flag", "verdict", with(ver, func(b []byte) []byte { b[1] |= 4; return b }), "is not the 14-byte encoding"},
 		{"unknown high flag", "verdict", with(ver, func(b []byte) []byte { b[1] |= 0x80; return b }), "encoding"},
@@ -141,6 +145,16 @@ func TestEngineMessageRejections(t *testing.T) {
 		{"resume flags", "resume", with(res, func(b []byte) []byte { b[1] = 1; return b }), "encoding"},
 		{"resume unused field set", "resume", with(res, setField(2, 1)), "encoding"},
 		{"resume strategy of another depth", "resume", resume{Strategies: append([]strategy.Strategy{strategy.AllD(strategy.NewSpace(1))}, pop.strategies[1:]...)}.encode(), "resume strategy 0: pure strategy has 4 states, want 16"},
+		{"cells for another generation", "cells", verdict{Gen: 4, Cells: []float64{1, 3}}.encode(), "verdict for generation 4 received at generation 5"},
+		{"one cell short", "cells", verdict{Gen: 5, Cells: []float64{1}}.encode(), "verdict with 1 cells received at generation 5, which misses 2"},
+		{"one cell over", "cells", verdict{Gen: 5, Cells: []float64{1, 3, 3}}.encode(), "verdict with 3 cells"},
+		{"no cells", "cells", verdict{Gen: 5}.encode(), "verdict with 0 cells"},
+		{"cells where none are missing", "verdict", cel, "verdict with 2 cells received at generation 5, which misses 0"},
+		{"cells aboard a stop", "cells", verdict{Gen: 5, Stop: true, Cells: []float64{1, 3}}.encode(), "verdict with 2 cells received at generation 5, which misses 0"},
+		{"adoption at a meeting", "cells", verdict{Gen: 5, Adopted: true, Cells: []float64{1, 3}}.encode(), "no comparison to resolve"},
+		{"cell count field off", "cells", with(cel, setField(1, 3)), "encoding"},
+		{"cells' unused field set", "cells", with(cel, setField(2, 1)), "encoding"},
+		{"half a cell", "cells", cel[:len(cel)-4], "encoding"},
 	} {
 		err := decoders[tc.decoder](tc.payload)
 		if err == nil || !strings.HasPrefix(err.Error(), "sim: ") || !strings.Contains(err.Error(), tc.want) {
@@ -153,7 +167,8 @@ func TestEngineMessageRejections(t *testing.T) {
 	for _, ok := range []struct {
 		decoder string
 		payload []byte
-	}{{"verdict", ver}, {"verdict", stop}, {"verdict, no pc", stop}, {"verdict, no pc", verdict{Gen: 5}.encode()}, {"resume", res}} {
+	}{{"verdict", ver}, {"verdict", stop}, {"verdict, no pc", stop}, {"verdict, no pc", verdict{Gen: 5}.encode()}, {"resume", res},
+		{"cells", cel}, {"cells", stop}} {
 		if err := decoders[ok.decoder](ok.payload); err != nil {
 			t.Errorf("%s: %v", ok.decoder, err)
 		}
@@ -203,10 +218,44 @@ func TestFitnessPayloadsAreChecked(t *testing.T) {
 	}
 }
 
+// Served by type, what a worker gathers to Nature is checked the same way:
+// its share of the missing cells, as a []float64 of the share's length.
+func TestCellPayloadsAreChecked(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		payload any
+		want    string
+	}{
+		{"cells of another type", []byte{1, 2, 3}, "rank 1 sent []uint8 (0 cells) at generation 0, want the"},
+		{"no cells", []float64{}, "rank 1 sent []float64 (0 cells) at generation 0, want the"},
+		{"nothing", nil, "rank 1 sent <nil> (0 cells)"},
+	} {
+		cfg := testConfig(1, 4, 1)
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		var natureErr error
+		_ = mpi.NewWorld(2).Run(func(c *mpi.Comm) error {
+			if c.Rank() == 0 {
+				natureErr = runRank(&cfg, c, newTypedRank(&cfg, c))
+				return natureErr
+			}
+			// A corrupt peer in the only worker's place, at generation 0's
+			// fill of the initial population's cells.
+			_, err := c.Gather(0, tc.payload)
+			return err
+		})
+		if natureErr == nil || !strings.HasPrefix(natureErr.Error(), "sim: ") || !strings.Contains(natureErr.Error(), tc.want) {
+			t.Errorf("%s: Nature's error %v, want a sim: error containing %q", tc.name, natureErr, tc.want)
+		}
+	}
+}
+
 // FuzzEngineMessage feeds arbitrary bytes to the two decoders: each must
 // refuse them or return a message that encodes back to exactly those bytes,
 // and whatever it accepts must be safe to apply — a verdict for the
-// receiver's own generation and plan, strategies of the run's space.
+// receiver's own generation, plan and missing cells, strategies of the run's
+// space.
 func FuzzEngineMessage(f *testing.F) {
 	cfg := wireConfig(1, 4, MixedStrategies)
 	sp := strategy.NewSpace(1)
@@ -219,11 +268,16 @@ func FuzzEngineMessage(f *testing.F) {
 	f.Add(resume{Gen: at, Replay: at - 1, Strategies: pop.strategies}.encode())
 	f.Add(resume{Strategies: []strategy.Strategy{strategy.GTFT(sp, 0.25), strategy.WSLS(sp), strategy.AllD(sp), strategy.AllC(sp)}}.encode())
 	f.Add([]byte{})
+	f.Add(verdict{Gen: at, Cells: []float64{2, math.NaN()}}.encode())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, pc := range []bool{false, true} {
-			if v, err := decodeVerdict(cfg, data, at, pc); err == nil {
-				if v.Gen != at || v.Adopted && (!pc || v.Stop) {
-					t.Fatalf("accepted verdict %+v at generation %d, pc %v", v, at, pc)
+			for _, cells := range []int{0, 2} {
+				v, err := decodeVerdict(cfg, data, at, pc, cells)
+				if err != nil {
+					continue
+				}
+				if v.Gen != at || v.Adopted && (!pc || v.Stop) || len(v.Cells) != cells && !v.Stop || v.Stop && len(v.Cells) != 0 {
+					t.Fatalf("accepted verdict %+v at generation %d, pc %v, %d cells missing", v, at, pc, cells)
 				}
 				if re := v.encode(); !bytes.Equal(re, data) {
 					t.Fatalf("verdict re-encodes to %x, was %x", re, data)

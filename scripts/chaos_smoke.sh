@@ -59,11 +59,16 @@ trio() {
     cat "$TMP/clean.out.det"
 }
 
-# Both sets run well over half a second on a CI core, so a fault at 150 ms
-# lands inside them. The memory-1 set plays with errors: noise-free, its 16
-# SSets share a handful of types and the payoff table serves the whole run in
-# about 0.15 s. No strategy rides the per-generation verdict broadcasts —
-# every rank draws the mutants itself — so the memory-6 set differs on the
-# wire by the 4 KiB of strategy tables in its post-eviction resume.
+# A fault at 150 ms must land inside each set's generations. The memory-1 set
+# plays with errors, so it runs the fitness protocol (segments and a verdict
+# broadcast at each rendezvous): noise-free, its 16 SSets share a handful of
+# types and the payoff table serves the whole run in well under 150 ms. The
+# memory-6 set is error-free and pure, so it is served by type: every rank
+# holds the payoff table, and the ranks meet to fill it as mutants bring new
+# types and, under -evict, at each sampled generation — about a thousand
+# meetings whatever -gens is, since the automatic stride grows with it. With
+# -evict its run took 0.39–0.45 s on a 2-vCPU VM at 16 000 generations
+# (0.29–0.32 s at 8 000). No strategy crosses the wire in either set but the
+# post-eviction resume: every rank draws the mutants itself.
 trio memory-1 -np 4 -ssets 16 -gens 8000 -rounds 20 -error 0.01 -seed 7 -full
-trio memory-6 -np 4 -memory 6 -ssets 8 -gens 8000 -rounds 20 -seed 7 -full
+trio memory-6 -np 4 -memory 6 -ssets 8 -gens 16000 -rounds 20 -seed 7 -full
