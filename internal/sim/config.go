@@ -12,14 +12,12 @@
 //     every game pair itself;
 //   - RunParallel: the paper's SPMD decomposition over the mpi runtime —
 //     rank 0 is the Nature Agent, and every rank derives each generation's
-//     plan (selection, mutant, sampling) from the seed. When every match is
-//     served from the payoff table by type (exact payoffs, or error-free
-//     deterministic play), every rank holds the same table and runs the
-//     generation itself; the ranks meet only to fill the cells a new type
-//     brings, one Gather and one Bcast split over the workers. Otherwise the
-//     remaining ranks own block-distributed game pairs, fitness travels
-//     point-to-point, and Nature's verdict — did the learner adopt — travels
-//     by broadcast on the generations that have a comparison or a sample.
+//     plan (selection, mutant, sampling) from the seed, holds the same
+//     payoff table and runs the generation itself. The table is keyed by
+//     strategy type when every match is served by type (exact payoffs, or
+//     error-free deterministic play) and by SSet otherwise; the ranks meet
+//     only to fill the cells it lacks — a new type's, or a changed SSet's
+//     row and column — one Gather and one Bcast split over the workers.
 //
 // Fitness evaluation supports the paper's every-generation full recompute
 // (FullRecompute, used in its timing studies) and an incremental mode that
@@ -118,10 +116,10 @@ type Config struct {
 	Observer Observer
 	// Control, when non-nil, is polled at the top of every generation (on
 	// the Nature rank in the parallel engine; the workers, who listen to
-	// nobody between rendezvous, unwind at their next one — at most
-	// SampleStride generations later, their work past the stop discarded: a
-	// run served by type makes every sampled generation a rendezvous for
-	// this bound).
+	// nobody between meetings, unwind at their next one — at most
+	// SampleStride generations later, their work past the stop discarded:
+	// the parallel engine makes every sampled generation a meeting for this
+	// bound).
 	// A non-nil return stops the run at that generation boundary: the
 	// engine persists a resume snapshot to CheckpointSink (when one is
 	// configured) and returns an error wrapping both ErrStopped and the
@@ -155,10 +153,10 @@ type Config struct {
 	// parallel engine (including collective-internal ones): a rank stalled
 	// past the deadline fails with mpi.ErrRecvTimeout instead of hanging —
 	// the detection half of worker-failure recovery. It must comfortably
-	// exceed the longest stretch between rendezvous: up to SampleStride
-	// generations of compute during which a healthy rank sends nothing (a
-	// run served by type, which otherwise meets only to fill its payoff
-	// table, makes every sampled generation a rendezvous when it is set).
+	// exceed the longest stretch between meetings: up to SampleStride
+	// generations of compute during which a healthy rank sends nothing (the
+	// parallel engine, which otherwise meets only to fill its payoff table,
+	// makes every sampled generation a meeting when it is set).
 	RecvTimeout time.Duration
 	// FaultPlan, when non-nil, is installed into the parallel engine's
 	// world: scripted deterministic fault injection for resilience tests.
@@ -169,10 +167,9 @@ type Config struct {
 	EventLog *trace.EventLog
 	// Evict enables live rank eviction in the parallel engine: a heartbeat
 	// detector declares dead ranks, survivors agree on the surviving set and
-	// shrink onto a sub-communicator, the dead rank's SSets are re-sharded
-	// across the survivors (in a run served by type, every survivor rebuilds
-	// its payoff table), and the interrupted generation is replayed from
-	// its generation-keyed random streams — no restart, and (with
+	// shrink onto a sub-communicator, every survivor rebuilds its payoff
+	// table, and the interrupted generation is replayed from its
+	// generation-keyed random streams — no restart, and (with
 	// FullRecompute) results bit-identical to a fault-free run. Replayed
 	// generations re-invoke the Observer, as checkpoint restarts do.
 	Evict bool

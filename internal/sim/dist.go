@@ -5,13 +5,13 @@ import "repro/internal/mpi"
 // This file is the multi-process entry point of the parallel engine: where
 // RunParallel hosts every rank as a goroutine of one process, RunWorker
 // hosts exactly one rank of a networked world wired by an mpi.NetTransport
-// (the egdrun launcher spawns one such process per rank). The rank roles
-// and the world set-up are the same code (runWorld) — natureRank and
-// workerRank run unchanged over the wire — so a networked run follows the
-// same trajectory, bit for bit, as an in-process run of the same Config.
+// (the egdrun launcher spawns one such process per rank). The ranks and the
+// world set-up are the same code (runWorld) — parRank runs unchanged over
+// the wire — so a networked run follows the same trajectory, bit for bit,
+// as an in-process run of the same Config.
 
 // RunWorker executes this process's rank of a networked simulation: rank 0
-// is the Nature Agent, the rest own block-distributed game pairs, exactly
+// is the Nature Agent, the rest play the games a generation misses, exactly
 // as RunParallel. The transport must be freshly created and not yet
 // started; RunWorker installs the Config's world options (metrics, fault
 // plan, receive deadline, eviction), wires the mesh, and runs the hosted

@@ -132,23 +132,21 @@ func (tap *wireTap) pump(src, dst net.Conn) {
 
 // Modelled ≡ actual: the per-tag message and byte counts the Nature rank's
 // communication accounting books are the data-frame payloads a tap on the
-// sockets saw travel from and to rank 0 — every engine message, fitness
-// segment, reduction operand, fill and gathered report, byte for byte, in
-// both protocols (the fitness protocol on the reference kernel; the table
-// run served by type).
+// sockets saw travel from and to rank 0 — every engine message, fill and
+// gathered report, byte for byte, with the table keyed by SSet (the
+// reference kernel) and by type.
 func TestCommAccountingMatchesWireBytes(t *testing.T) {
 	cfg := testConfig(1, 8, 40)
 	cfg.Seed = 105
 	cfg.Metrics = true
 	cfg.Mu = 0.2 // mutants: new types to fill
-	t.Run("fitness protocol", func(t *testing.T) { tapRun(t, reference(cfg), 4) })
-	t.Run("served by type", func(t *testing.T) { tapRun(t, cfg, 1) })
+	t.Run("keyed by SSet", func(t *testing.T) { tapRun(t, reference(cfg)) })
+	t.Run("served by type", func(t *testing.T) { tapRun(t, cfg) })
 }
 
 // tapRun runs cfg on three networked ranks behind a wireTap and holds Nature's
-// accounting of each tag to the tap's; Nature must have received on at least
-// recvTags tags.
-func tapRun(t *testing.T, cfg Config, recvTags int) {
+// accounting of each tag to the tap's.
+func tapRun(t *testing.T, cfg Config) {
 	const ranks = 3
 	real := socketPaths(t, ranks)
 	taps := socketPaths(t, ranks*ranks)
@@ -175,7 +173,7 @@ func tapRun(t *testing.T, cfg Config, recvTags int) {
 	}
 
 	nature := res.Metrics.Comm[0]
-	if len(nature.SentByTag) == 0 || len(nature.RecvByTag) < recvTags {
+	if len(nature.SentByTag) == 0 || len(nature.RecvByTag) == 0 {
 		t.Fatalf("Nature's accounting is missing tags: %+v", nature)
 	}
 	tap.mu.Lock()

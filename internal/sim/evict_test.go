@@ -25,7 +25,7 @@ func evictConfig(cfg Config) Config {
 
 // The tentpole acceptance scenario: a scripted kill on a worker mid-run
 // completes WITHOUT a supervisor restart. The survivors agree on the new
-// rank set, shrink, re-shard the dead worker's game pairs, and replay the
+// rank set, shrink, rebuild their payoff tables, and replay the
 // interrupted generation — the trace shows one eviction and zero restarts,
 // and the Result is bit-identical to a fault-free run at the same seed.
 func TestEvictKilledWorkerBitExactNoRestart(t *testing.T) {

@@ -18,33 +18,29 @@ import (
 // nondeterministic; everything it measures is *about* the trajectory, never
 // an input to it, which is why the //egdlint:allow escapes below are sound.
 
-// Phase names used by both engines. Workers spend their time in game play
-// (compute) and in the broadcast/reduce/point-to-point phases (comm); the
-// Nature Agent mirrors the comm phases and adds checkpointing. In a run
-// served by type every rank also books its own population-dynamics step.
+// Phase names used by both engines. Every rank books its own
+// population-dynamics step and, in the parallel engine, the meetings
+// (comm); workers add their share of the games (compute), the Nature Agent
+// checkpointing.
 const (
 	// PhaseGamePlay is IPD match execution — the paper's "game dynamics"
-	// compute phase; in a run served by type, a worker's share of the cells
-	// a meeting fills.
+	// compute phase; in the parallel engine, a worker's share of the cells a
+	// meeting fills.
 	PhaseGamePlay = "game_play"
-	// PhaseFitnessComm is point-to-point fitness traffic: selected-row
-	// segments and final payoff blocks (the paper's torus traffic). A run
-	// served by type has none.
+	// PhaseFitnessComm names point-to-point fitness traffic, which no engine
+	// books; bench/ reads the name (ROADMAP item 1's shim ledger).
 	PhaseFitnessComm = "fitness_comm"
-	// PhaseBroadcast is the Nature Agent's verdict broadcasts, one per
-	// rendezvous and one at the end of the window (the paper's
-	// collective-network traffic, less what every rank derives itself); in
-	// a run served by type, each meeting — the Gather of new cells and
-	// Nature's verdict — but the end of the window's, whose Gather carries the
-	// snapshot.
+	// PhaseBroadcast is each meeting of the parallel engine — the Gather of
+	// new cells and Nature's verdict (the paper's collective-network
+	// traffic, less what every rank derives itself) — but the end of the
+	// window's, whose Gather carries the snapshot.
 	PhaseBroadcast = "broadcast"
-	// PhaseReduce is the mean-fitness and game-count reductions.
+	// PhaseReduce names mean-fitness and game-count reductions, which no
+	// engine books; bench/ reads the name (ROADMAP item 1's shim ledger).
 	PhaseReduce = "reduce"
 	// PhaseCheckpoint is snapshot persistence on the Nature Agent.
 	PhaseCheckpoint = "checkpoint"
-	// PhaseNatureStep is the population-dynamics step of the sequential
-	// engine and of every rank of a run served by type (folded into the
-	// broadcast/fitness_comm phases on the Nature rank otherwise).
+	// PhaseNatureStep is the population-dynamics step, on every rank.
 	PhaseNatureStep = "nature_step"
 )
 
@@ -60,11 +56,11 @@ type PhaseStat struct {
 // RankPhaseSnapshot is one rank's per-phase timing, phases sorted by name.
 // Rank is the original (pre-eviction) rank. Cache carries the counters of the
 // rank's payoff table by strategy type, nil wherever no table is kept (noisy
-// sampled play). In a run served by type every rank holds the table: a
-// worker's misses are the cells it played, Nature's hits every scheduled
-// game no worker had to play, so hits + misses over the ranks is
-// GamesPlayed. In the fitness protocol (error-free mixed play) only the
-// workers keep one, and Nature's is nil.
+// sampled play). In a run served by type a worker's misses are the cells it
+// played, Nature's hits every scheduled game no worker had to play, so hits +
+// misses over the ranks is GamesPlayed. Keyed by SSet (error-free mixed
+// play), the workers' counters are their deterministic matches, and
+// Nature's are zero.
 type RankPhaseSnapshot struct {
 	Rank   int              `json:"rank"`
 	Phases []PhaseStat      `json:"phases,omitempty"`
@@ -170,16 +166,15 @@ func (m *RunMetrics) PhaseTotals() []PhaseStat {
 }
 
 // ComputeCommSplit classifies the aggregated phase time into the paper's
-// Table V categories: compute (game play and the Nature step), comm
-// (broadcasts, reductions, point-to-point fitness traffic), and other
-// (checkpoint I/O).
+// Table V categories: compute (game play and the Nature step), comm (the
+// meetings), and other (checkpoint I/O).
 func (m *RunMetrics) ComputeCommSplit() (compute, comm, other time.Duration) {
 	for _, p := range m.PhaseTotals() {
 		d := time.Duration(p.Nanos)
 		switch p.Phase {
 		case PhaseGamePlay, PhaseNatureStep:
 			compute += d
-		case PhaseBroadcast, PhaseReduce, PhaseFitnessComm:
+		case PhaseBroadcast:
 			comm += d
 		default:
 			other += d

@@ -42,14 +42,6 @@ func natureDecision(cfg *Config, master *rng.Source, gen int) decision {
 	return d
 }
 
-// rendezvous reports whether ranks meet in generation gen, whose plan is d:
-// a comparison returns fitness to Nature and needs its verdict, a sampled
-// generation joins the mean-fitness reduction. Both sides evaluate it from
-// (cfg, Seed, gen) alone; between rendezvous a worker talks to nobody.
-func rendezvous(cfg *Config, d decision, gen int) bool {
-	return d.pc || gen%cfg.SampleStride == 0
-}
-
 // resolveAdoption decides whether the learner adopts the teacher's strategy
 // given their fitness values, per the paper's §IV-B: the Fermi probability
 // (Equation 1), gated — unless AllowWorseAdoption — on the teacher strictly
@@ -74,15 +66,11 @@ func mutantStrategy(cfg *Config, master *rng.Source, sp strategy.Space, gen int)
 
 // fitnessSource is the seam between the Nature Agent's generation and the
 // place payoffs live. The sequential engine plays every pair itself, so its
-// source answers from a local pairBlock and has nobody to tell; rank 0 of
-// the parallel engine owns no pairs, so its source is the wire protocol —
-// the same four calls become ordered tagFitness receives, one Bcast(verdict)
-// on a rendezvous generation and a Reduce on a sampled one. The workers
-// derive the rest of the plan themselves, as generation does, from
-// (Seed, gen). In a run served by type every rank, Nature included, runs
-// generation over its own copy of the payoff table (typedRank), which
-// answers all four calls locally and meets the other ranks only to fill the
-// table. Each source books its own phase timings.
+// source answers from a local pairBlock and has nobody to tell. Every rank
+// of the parallel engine, Nature included, runs generation over its own copy
+// of the payoff table (parRank), which answers the same calls locally and
+// meets the other ranks only to fill the table. Each source books its own
+// phase timings.
 type fitnessSource interface {
 	// refresh brings every pair's payoff up to date for generation gen and
 	// returns how many games the schedule touched.
@@ -90,10 +78,9 @@ type fitnessSource interface {
 	// fitnesses returns the relative fitness of the two selected SSets,
 	// teacher first.
 	fitnesses(teacher, learner int) (piT, piL float64, err error)
-	// verdict tells whoever plays the games what only Nature knows: on a
-	// rendezvous generation (see rendezvous) whether its learner adopted,
-	// and at any generation boundary that the run stops there.
-	verdict(v verdict) error
+	// halt tells whoever plays the games what only Nature knows: that the
+	// run stops at this generation boundary.
+	halt()
 	// meanFitness returns the population's mean relative fitness for the
 	// sampled series; it is asked only on generations SampleStride divides.
 	meanFitness() (float64, error)
@@ -110,15 +97,9 @@ type nature struct {
 	// gen is the generation about to run; end is one past the last.
 	gen, end int
 	pt       *phaseTimer
-	// stepTimer books the decide-to-mutate span as PhaseNatureStep. It is pt
-	// wherever the span is local compute (the sequential engine, every rank
-	// of a typed run) and nil (a no-op) on the Nature rank of the fitness
-	// protocol, where that span is communication the source already books
-	// under the broadcast and fitness_comm phases.
-	stepTimer *phaseTimer
 	// quiet marks a generation that records nothing — no Control poll,
-	// sampled series, Observer call or checkpoint: a typed run's worker, and
-	// its Nature running on from a stop to the meeting that tells it.
+	// sampled series, Observer call or checkpoint: a parallel run's worker,
+	// and its Nature running on from a stop to the meeting that tells it.
 	quiet bool
 	// snap is the rollback point of a live eviction (Config.Evict).
 	snap natureSnap
@@ -186,13 +167,11 @@ func (n *nature) generation() error {
 	cfg, gen := n.cfg, n.gen
 	// Control poll at the generation boundary (pause/cancel for a hosting
 	// service). The stop is told first — the players are already on their
-	// games and unwind at their next rendezvous — and then the resume
-	// snapshot is persisted.
+	// games and unwind at their next meeting — and then the resume snapshot
+	// is persisted.
 	if cfg.Control != nil && !n.quiet {
 		if cause := cfg.Control(gen); cause != nil {
-			if err := n.src.verdict(verdict{Gen: gen, Stop: true}); err != nil {
-				return err
-			}
+			n.src.halt()
 			return n.stop(cause)
 		}
 	}
@@ -206,7 +185,7 @@ func (n *nature) generation() error {
 	n.pop.clearDirty()
 
 	// Population dynamics: the PC learning event and the mutation event.
-	tn := n.stepTimer.begin()
+	tn := n.pt.begin()
 	d := natureDecision(cfg, n.master, gen)
 	ev := Events{
 		PCOccurred:       d.pc,
@@ -231,13 +210,8 @@ func (n *nature) generation() error {
 		n.res.Counters.Mutations++
 		n.pop.SetStrategy(d.mutant, mutantStrategy(cfg, n.master, n.pop.Space(), gen))
 	}
-	n.stepTimer.end(PhaseNatureStep, tn)
+	n.pt.end(PhaseNatureStep, tn)
 
-	if rendezvous(cfg, d, gen) {
-		if err := n.src.verdict(verdict{Gen: gen, Adopted: ev.Adopted}); err != nil {
-			return err
-		}
-	}
 	if n.quiet {
 		n.gen++
 		return nil

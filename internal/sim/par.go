@@ -7,55 +7,45 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/mpi"
-	"repro/internal/rng"
 	"repro/internal/strategy"
 	"repro/internal/trace"
 )
 
-// Point-to-point tags used by the parallel engine.
-const (
-	tagFitness = 1 // owner -> Nature: payoff segment of a selected SSet
-	tagRows    = 2 // owner -> Nature: final payoff block
-)
-
-// verdict is what only the Nature Agent holds at a rendezvous, and the whole
-// of its broadcast there. Every rank derives the generation's plan — who is
+// verdict is what only the Nature Agent holds at a meeting, and the whole of
+// its broadcast there. Every rank derives the generation's plan — who is
 // compared, who mutates into what, whether the series is sampled — from
-// (Seed, gen) with natureDecision and mutantStrategy, so no selection and no
+// (Seed, gen) with natureDecision and mutantStrategy, and resolves the
+// adoption from its own table (rank.go), so no selection, no fitness and no
 // strategy crosses the wire; what a worker cannot know is whether the
-// learner adopted (that takes both fitnesses), whether the control hook
-// asked for a stop and, in a run served by type, the payoff-table cells the
-// other workers played (typed.go).
+// control hook asked for a stop and the payoff-table cells the other workers
+// played.
 type verdict struct {
-	// Gen is the rendezvous generation the verdict closes. A worker refuses
-	// one that names another generation.
+	// Gen is the generation of the meeting the verdict closes. A worker
+	// refuses one that names another generation.
 	Gen int
-	// Adopted reports that Gen's learner took the teacher's strategy.
-	Adopted bool
 	// Stop tells workers the run is ending on a control-hook request
 	// (pause/cancel): nothing of Gen is applied, a Barrier follows — so
 	// Nature outlives every worker's last send to it — and every rank exits.
 	Stop bool
-	// Cells are a typed meeting's new cells, in its list's order.
+	// Cells are the meeting's new cells, in its list's order.
 	Cells []float64
 }
 
-// encode is the verdict's message: flags Adopted (bit 0) and Stop (bit 1),
-// fields Gen, the cell count and an unused zero, then the cells.
+// encode is the verdict's message: flag Stop (bit 0), fields Gen, the cell
+// count and an unused zero, then the cells.
 func (v verdict) encode() []byte {
 	var flags byte
-	if v.Adopted {
-		flags |= 1
-	}
 	if v.Stop {
-		flags |= 2
+		flags = 1
 	}
 	b := encodeMessage(msgVerdict, flags, [3]int{v.Gen, len(v.Cells)})
+	b = slices.Grow(b, 8*len(v.Cells))
 	for _, c := range v.Cells {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c))
 	}
@@ -63,12 +53,13 @@ func (v verdict) encode() []byte {
 }
 
 // decodeVerdict validates a received verdict against the generation the
-// receiver stands at and that generation's plan: only a comparison can end
-// in an adoption, and only the cells a meeting misses travel — none aboard
-// a stop.
-func decodeVerdict(cfg *Config, payload any, gen int, pc bool, cells int) (verdict, error) {
+// receiver stands at and the cells its meeting misses — none aboard a stop.
+func decodeVerdict(cfg *Config, payload any, gen, cells int) (verdict, error) {
 	v, err := decodeMessage(cfg, payload, msgVerdict, 0, func(flags byte, f [3]int, _ []strategy.Strategy, body []byte) verdict {
-		v := verdict{Gen: f[0], Adopted: flags&1 != 0, Stop: flags&2 != 0}
+		v := verdict{Gen: f[0], Stop: flags&1 != 0}
+		if len(body) >= 8 {
+			v.Cells = make([]float64, 0, len(body)/8)
+		}
 		for ; len(body) >= 8; body = body[8:] {
 			v.Cells = append(v.Cells, math.Float64frombits(binary.LittleEndian.Uint64(body)))
 		}
@@ -81,8 +72,6 @@ func decodeVerdict(cfg *Config, payload any, gen int, pc bool, cells int) (verdi
 	case err != nil:
 	case v.Gen != gen:
 		err = fmt.Errorf("sim: verdict for generation %d received at generation %d", v.Gen, gen)
-	case v.Adopted && (v.Stop || !pc):
-		err = fmt.Errorf("sim: verdict reports an adoption in generation %d, which has no comparison to resolve", gen)
 	case len(v.Cells) != cells:
 		err = fmt.Errorf("sim: verdict with %d cells received at generation %d, which misses %d", len(v.Cells), gen, cells)
 	}
@@ -95,38 +84,34 @@ func decodeVerdict(cfg *Config, payload any, gen int, pc bool, cells int) (verdi
 // or ahead (buffered packets outran the failure) of Nature's position; a
 // full-state resume makes the skew irrelevant.
 type resume struct {
-	// Gen is the generation the loop resumes at; Replay is the generation
-	// whose random streams the full payoff recompute draws from
-	// (min(Gen, last generation) — a finalization-phase resume replays the
-	// final generation's streams).
-	Gen, Replay int
+	// Gen is the generation the loop resumes at, from its top.
+	Gen int
 	// Strategies is the global strategy view at the top of generation Gen.
 	Strategies []strategy.Strategy
 }
 
-// encode is the resume's message: no flags, fields Gen, Replay and an unused
-// zero, then every SSet's strategy in order.
+// encode is the resume's message: no flags, fields Gen and two unused zeros,
+// then every SSet's strategy in order.
 func (r resume) encode() []byte {
-	return encodeMessage(msgResume, 0, [3]int{r.Gen, r.Replay}, r.Strategies...)
+	return encodeMessage(msgResume, 0, [3]int{r.Gen}, r.Strategies...)
 }
 
 // decodeResume validates a received resume against the run's Config: exactly
 // one strategy of the run's memory depth per SSet.
 func decodeResume(cfg *Config, payload any) (resume, error) {
 	return decodeMessage(cfg, payload, msgResume, cfg.NumSSets, func(_ byte, f [3]int, sts []strategy.Strategy, _ []byte) resume {
-		return resume{Gen: f[0], Replay: f[1], Strategies: sts}
+		return resume{Gen: f[0], Strategies: sts}
 	})
 }
 
 // rankReport is what a worker ships to Nature at the end of the window: its
-// phase timings and payoff-table counters when Config.Metrics is set and,
-// in a typed run, its view of the run for Nature's cross-check.
+// view of the run for Nature's cross-check and, when Config.Metrics is set,
+// its phase timings and payoff-table counters.
 type rankReport struct {
 	RankPhaseSnapshot
 	// Counters is what the worker counted since the last (re)synchronisation
 	// and Live how many types its population holds: a drifted view changes
-	// either. Both are unset in the fitness protocol, whose report is the
-	// bare snapshot.
+	// either.
 	Counters *Counters `json:"counters,omitempty"`
 	Live     int       `json:"live,omitempty"`
 }
@@ -232,10 +217,14 @@ func decodeMessage[T interface{ encode() []byte }](cfg *Config, payload any, kin
 }
 
 // RunParallel executes the simulation on a world of `ranks` goroutine
-// ranks: rank 0 is the Nature Agent, ranks 1..ranks-1 own block-distributed
-// game pairs — the paper's Blue Gene mapping, including the agents-within-
-// SSet split when workers outnumber SSets. The trajectory is identical to
-// RunSequential with the same Config for every rank count.
+// ranks: rank 0 is the Nature Agent, ranks 1..ranks-1 play the games — the
+// paper's Blue Gene mapping, with every update of the Nature Agent known to
+// every rank. Each rank keeps the same payoff table and runs the generation
+// itself; the games a generation misses are block-distributed over the
+// workers, an SSet's row across several of them when workers outnumber SSets
+// (the paper's agents-within-SSet level), and Gathered and broadcast back
+// (rank.go). The trajectory is identical to RunSequential with the same
+// Config for every rank count.
 //
 // ranks must be at least 2; workers may not outnumber the games of one
 // generation, S×(S-1).
@@ -262,8 +251,8 @@ func checkParallel(cfg *Config, ranks int) error {
 }
 
 // runWorld is the one world set-up behind RunParallel and RunWorker: it
-// installs the Config's world options, has launch run the rank roles on the
-// ranks the world hosts (all of them in-process, one per process over a
+// installs the Config's world options, has launch run a parRank on each of
+// the ranks the world hosts (all of them in-process, one per process over a
 // transport), and completes the Nature rank's Result. It returns (nil, nil)
 // when this process hosted only a worker.
 func runWorld(cfg Config, world *mpi.World, launch func(body func(*mpi.Comm) error) error) (*Result, error) {
@@ -281,32 +270,20 @@ func runWorld(cfg Config, world *mpi.World, launch func(body func(*mpi.Comm) err
 	}
 	var result *Result
 	var start time.Time
-	typed := servedByType(&cfg)
 	err := launch(func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
 			start = time.Now() //egdlint:allow determinism elapsed-time metadata for Result.Elapsed, not part of the trajectory
 		}
-		var role rankRole
-		var n *nature // Nature's
-		switch {
-		case typed:
-			t := newTypedRank(&cfg, c)
-			role, n = t, t.nature
-		case c.Rank() == 0:
-			nr := newNatureRank(&cfg, c)
-			role, n = nr, nr.nature
-		default:
-			role = newWorkerRank(&cfg, c)
-		}
-		err := runRank(&cfg, c, role)
+		r := newParRank(&cfg, c)
+		err := runRank(&cfg, c, r)
 		if c.Rank() != 0 && errors.Is(err, ErrStopped) {
 			return nil // a control stop told by Nature is a clean exit: the run's one error is Nature's
 		}
 		if err != nil || c.Rank() != 0 {
 			return err
 		}
-		result = n.res
-		result.Final = n.pop.Snapshot()
+		result = r.res
+		result.Final = r.pop.Snapshot()
 		return nil
 	})
 	if err != nil || result == nil {
@@ -329,27 +306,12 @@ func runWorld(cfg Config, world *mpi.World, launch func(body func(*mpi.Comm) err
 	return result, nil
 }
 
-// rankRole is one side of the parallel engine's protocol — the Nature Agent
-// or a worker — as the recovery driver sees it.
-type rankRole interface {
-	// step runs the rank's next unit of work on its current communicator —
-	// one generation while any remain, then finalization — and reports
-	// whether the run is complete.
-	step() (done bool, err error)
-	// position is the generation the rank stands at, for the event trace.
-	position() int
-	// resync re-establishes the shared state on a freshly shrunk
-	// communicator: Nature rolls back to its snapshot and broadcasts it, a
-	// worker receives and adopts it. On success the role continues on nc.
-	resync(nc *mpi.Comm) error
-}
-
 // runRank drives one rank to completion: run a step; on a failure live
 // eviction can absorb, recover onto the shrunk communicator and run the
 // step the recovery left the rank at. The same loop serves the generations
 // and finalization, so a resume can move a rank across that boundary in
 // either direction.
-func runRank(cfg *Config, c *mpi.Comm, r rankRole) error {
+func runRank(cfg *Config, c *mpi.Comm, r *parRank) error {
 	traced := 0 // evictions already in the event log
 	for {
 		done, err := r.step()
@@ -378,22 +340,22 @@ func evictable(err error) bool {
 }
 
 // recoverLive is the survivor-side eviction protocol, identical on every
-// rank — which is what keeps the rendezvous aligned across divergent
-// failure interleavings: agree on the surviving set, shrink onto it, resync
-// the role's state. Each loop iteration is one agreement epoch; a failure
+// rank — which is what keeps the meetings aligned across divergent failure
+// interleavings: agree on the surviving set, shrink onto it, resync the
+// rank's state. Each loop iteration is one agreement epoch; a failure
 // landing mid-recovery (a failed Shrink or resume broadcast) starts
 // another. It returns the communicator to continue on, or cause when live
 // eviction cannot proceed — eviction is off, the failure is this rank's
 // own, the Nature rank is among the dead (no one can re-drive the
 // schedule), or the survivors are fewer than Config.MinRanks — and the
 // restart supervisor must take over.
-func recoverLive(cfg *Config, c *mpi.Comm, r rankRole, traced *int, cause error) (*mpi.Comm, error) {
+func recoverLive(cfg *Config, c *mpi.Comm, r *parRank, traced *int, cause error) (*mpi.Comm, error) {
 	if !cfg.Evict {
 		return nil, cause
 	}
 	logEvent := func(kind trace.EventKind, rank int, detail string) {
 		if cfg.EventLog != nil {
-			cfg.EventLog.Append(trace.Event{Kind: kind, Generation: r.position(), Rank: rank, Detail: detail})
+			cfg.EventLog.Append(trace.Event{Kind: kind, Generation: r.gen, Rank: rank, Detail: detail})
 		}
 	}
 	for cur := cause; evictable(cur); {
@@ -435,445 +397,4 @@ func recoverLive(cfg *Config, c *mpi.Comm, r rankRole, traced *int, cause error)
 		return nc, nil
 	}
 	return nil, cause
-}
-
-// natureRank is rank 0: the paper's Nature Agent driving the shared
-// generation over the wire. It is its own fitness source — it owns no game
-// pairs, so refresh only tallies the schedule, the selected fitness values
-// come back point-to-point, and the verdict goes out by broadcast.
-//
-// With cfg.Evict, a detected rank failure is recovered live at the current
-// generation boundary: Nature agrees with the survivors on the new rank
-// set, shrinks onto it, rolls its state back to the top of the interrupted
-// generation, and rebroadcasts that state so the survivors re-shard the
-// dead rank's game pairs and replay the generation from its
-// generation-keyed random streams — bit-identical to a fault-free run for
-// deterministic games.
-type natureRank struct {
-	*nature
-	c *mpi.Comm
-	// pendingFull marks that the workers' next refresh replays every owned
-	// pair (their payoff blocks were re-sharded by an eviction); crossCheck
-	// counts the games scheduled since the last world (re)synchronisation,
-	// mirroring the workers' local tallies, which reset on resume.
-	pendingFull bool
-	crossCheck  uint64
-	// segs[i] is rowSegments of SSet i over c's workers.
-	segs [][]rowSegment
-}
-
-func newNatureRank(cfg *Config, c *mpi.Comm) *natureRank {
-	n := &natureRank{nature: newNature(cfg)}
-	n.src = n
-	n.join(c)
-	return n
-}
-
-// join makes c Nature's communicator and lays the rows out over its workers.
-func (n *natureRank) join(c *mpi.Comm) {
-	n.c, n.segs = c, make([][]rowSegment, n.cfg.NumSSets)
-	for i := range n.segs {
-		n.segs[i] = rowSegments(n.cfg.NumSSets, c.Size()-1, i)
-	}
-}
-
-func (n *natureRank) position() int { return n.gen }
-
-func (n *natureRank) step() (bool, error) {
-	if n.cfg.Evict {
-		n.takeSnap() // at n.gen == n.end this is the finalization resume point
-	}
-	if n.gen < n.end {
-		return false, n.generation()
-	}
-	return true, n.finalize()
-}
-
-// resync rolls Nature back to the snapshot and rebroadcasts it as the
-// authoritative state.
-func (n *natureRank) resync(nc *mpi.Comm) error {
-	n.pop.replaceAll(n.snap.strategies)
-	n.pop.clearDirty()
-	n.rollback()
-	n.pendingFull = true
-	n.crossCheck = 0
-	if _, err := nc.Bcast(0, resume{Gen: n.gen, Replay: min(n.gen, n.end-1), Strategies: n.snap.strategies}.encode()); err != nil {
-		return err
-	}
-	n.join(nc)
-	return nil
-}
-
-// refresh tallies the games the workers are scheduling this generation —
-// they evaluate the replay predicate over the same dirty marks — without
-// playing any. A post-eviction replay recomputes every pair.
-func (n *natureRank) refresh(int) (uint64, error) {
-	scheduled := scheduledGames(n.pop.Size(), len(n.pop.changed), n.pendingFull || n.cfg.FullRecompute)
-	n.pendingFull = false
-	n.crossCheck += scheduled
-	return scheduled, nil
-}
-
-// verdict broadcasts v to all ranks (collective network). A stop is told at
-// the workers' next rendezvous — between rendezvous they listen to nobody —
-// and is followed by a Barrier, so Nature outlives every worker's last send
-// to it: the workers may be mid-interval, with segments for that rendezvous
-// still to ship.
-func (n *natureRank) verdict(v verdict) error {
-	if v.Stop {
-		for v.Gen < n.end && !rendezvous(n.cfg, natureDecision(n.cfg, n.master, v.Gen), v.Gen) {
-			v.Gen++ // no rendezvous left in the window: its end is the last one
-		}
-	}
-	tb := n.pt.begin()
-	if _, err := n.c.Bcast(0, v.encode()); err != nil {
-		return err
-	}
-	if v.Stop {
-		if err := n.c.Barrier(); err != nil {
-			return err
-		}
-	}
-	n.pt.end(PhaseBroadcast, tb)
-	return nil
-}
-
-// fitnesses receives the selected SSets' payoff segments point-to-point
-// from their owners (torus network in the paper); teacher first, then
-// learner, in segment order.
-func (n *natureRank) fitnesses(teacher, learner int) (piT, piL float64, err error) {
-	tf := n.pt.begin()
-	if piT, err = n.recvFitness(teacher); err != nil {
-		return 0, 0, err
-	}
-	if piL, err = n.recvFitness(learner); err != nil {
-		return 0, 0, err
-	}
-	n.pt.end(PhaseFitnessComm, tf)
-	return piT, piL, nil
-}
-
-// recvFitness reassembles SSet i's fitness from its row segments, folding
-// payoffs in ascending column order so the floating-point sum matches the
-// sequential engine bit for bit — at any worker count, which is what makes
-// post-eviction re-sharding trajectory-invariant.
-func (n *natureRank) recvFitness(i int) (float64, error) {
-	total := 0.0
-	for _, seg := range n.segs[i] {
-		msg, err := n.c.Recv(1+seg.worker, tagFitness)
-		if err != nil {
-			return 0, err
-		}
-		part, err := payoffsIn(msg, seg.hi-seg.lo)
-		if err != nil {
-			return 0, err
-		}
-		total = foldPayoffs(total, part)
-	}
-	return total / float64(n.cfg.NumSSets-1), nil
-}
-
-// payoffsIn takes the payoffs of want pairs out of a worker's message. The
-// workers choose by themselves which rows to return, so what arrives is
-// checked: a payload of another type or length is a corrupt engine message —
-// an error, not a Nature-rank panic or a silently forked trajectory.
-func payoffsIn(msg mpi.Message, want int) ([]float64, error) {
-	part, ok := msg.Payload.([]float64)
-	if !ok || len(part) != want {
-		return nil, fmt.Errorf("sim: rank %d sent %T (%d payoffs) with tag %d, want the %d payoffs of its pairs", msg.Source, msg.Payload, len(part), msg.Tag, want)
-	}
-	return part, nil
-}
-
-// meanFitness joins the workers' payoff reduction; Nature contributes 0.
-func (n *natureRank) meanFitness() (float64, error) {
-	tr := n.pt.begin()
-	total, err := n.c.Reduce(0, 0, mpi.OpSum)
-	if err != nil {
-		return 0, err
-	}
-	n.pt.end(PhaseReduce, tr)
-	s := n.cfg.NumSSets
-	return total / float64(s*(s-1)), nil
-}
-
-func (n *natureRank) finalize() error {
-	cfg, c, s := n.cfg, n.c, n.cfg.NumSSets
-	// A resume directly into finalization replays the last generation's
-	// games wholesale; account for them in the cross-check (the restored
-	// GamesPlayed already covers the run's schedule).
-	if n.pendingFull {
-		n.crossCheck += uint64(s * (s - 1))
-		n.pendingFull = false
-	}
-	// The end of the window is the last rendezvous: a stop told after the
-	// last one inside it reaches the workers here, before they ship anything.
-	if err := n.verdict(verdict{Gen: n.end}); err != nil {
-		return err
-	}
-	// Collect the final payoff blocks into one covering the whole pair list.
-	nWorkers := c.Size() - 1
-	full := newPairBlock(s, 0, s*(s-1))
-	tf := n.pt.begin()
-	for w := 0; w < nWorkers; w++ {
-		msg, err := c.Recv(1+w, tagRows)
-		if err != nil {
-			return err
-		}
-		lo, hi := blockRange(s*(s-1), nWorkers, w)
-		rows, err := payoffsIn(msg, hi-lo)
-		if err != nil {
-			return err
-		}
-		copy(full.payoffs[lo:], rows)
-	}
-	n.pt.end(PhaseFitnessComm, tf)
-	// The workers' reduced game count cross-checks Nature's scheduled
-	// tally: both sides evaluate the same refresh predicate over the
-	// same window, so any divergence means the global views drifted.
-	tr := n.pt.begin()
-	games, err := c.Reduce(0, 0, mpi.OpSum)
-	if err != nil {
-		return err
-	}
-	n.pt.end(PhaseReduce, tr)
-	if uint64(games) != n.crossCheck {
-		return fmt.Errorf("sim: workers played %d games since the last synchronisation, Nature scheduled %d — global views diverged",
-			uint64(games), n.crossCheck)
-	}
-	// Collect every rank's phase timings. Gated on Metrics so the
-	// collective-operation counters existing fault scripts key on are
-	// unchanged when observability is off; symmetric with the workers'
-	// finalize.
-	if cfg.Metrics {
-		parts, err := c.Gather(0, nil)
-		if err != nil {
-			return err
-		}
-		rm, _, err := decodeReports(n.pt.snapshot(c.OrigRank()), parts)
-		if err != nil {
-			return err
-		}
-		n.res.Metrics = rm
-	}
-	// In eviction mode a final barrier keeps workers resident until
-	// Nature has everything, so a late failure still finds every
-	// survivor able to agree. Gated on Evict: an unconditional barrier
-	// would shift the operation counters existing fault scripts key on.
-	if cfg.Evict {
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-	}
-	n.res.FinalFitness = full.fitnesses()
-	return nil
-}
-
-// workerRank is ranks 1..P-1: it owns a contiguous block of game pairs,
-// keeps the same global strategy view as Nature by deriving each generation's
-// plan from (Seed, gen) as Nature does, plays its matches locally, and meets
-// the other ranks only at a rendezvous (see rendezvous).
-//
-// With cfg.Evict, a rank failure drops the worker into the survivor-side
-// eviction protocol: agree, shrink, then adopt Nature's resume broadcast
-// wholesale — new dense rank, re-sharded pair block, authoritative strategy
-// view — and replay every owned pair from the interrupted generation's
-// random streams.
-type workerRank struct {
-	cfg    *Config
-	c      *mpi.Comm
-	master *rng.Source
-	pop    *Population
-	kern   *payoffKernel
-	block  *pairBlock
-	pt     *phaseTimer
-	// games counts every owned pair the schedule touched since the last
-	// (re)synchronisation, for Nature's cross-check.
-	games    uint64
-	gen, end int
-	// pendingFull marks that an eviction re-sharded this worker's block:
-	// the next pass replays every owned pair from replayGen's streams.
-	pendingFull bool
-	replayGen   int
-}
-
-func newWorkerRank(cfg *Config, c *mpi.Comm) *workerRank {
-	master := rng.New(cfg.Seed)
-	w := &workerRank{
-		cfg:    cfg,
-		master: master,
-		pop:    NewPopulation(*cfg, master), // same deterministic initialisation
-		kern:   newPayoffKernel(cfg),
-		gen:    cfg.StartGeneration,
-		end:    cfg.StartGeneration + cfg.Generations,
-	}
-	if cfg.Metrics {
-		w.pt = newPhaseTimer()
-	}
-	w.join(c)
-	return w
-}
-
-// join makes c the worker's communicator and (re-)shards the pair list
-// over its workers.
-func (w *workerRank) join(c *mpi.Comm) {
-	s := w.cfg.NumSSets
-	lo, hi := blockRange(s*(s-1), c.Size()-1, c.Rank()-1)
-	w.c, w.block, w.games = c, newPairBlock(s, lo, hi), 0
-}
-
-func (w *workerRank) position() int { return w.gen }
-
-func (w *workerRank) step() (bool, error) {
-	if w.gen < w.end {
-		return false, w.generation()
-	}
-	return true, w.finalize()
-}
-
-// resync adopts Nature's resume broadcast wholesale: the worker may be a
-// generation ahead of or behind Nature (a dead mid-tree rank can break a
-// broadcast relay part-way), so local state is untrusted.
-func (w *workerRank) resync(nc *mpi.Comm) error {
-	rsAny, err := nc.Bcast(0, nil)
-	if err != nil {
-		return err
-	}
-	rs, err := decodeResume(w.cfg, rsAny)
-	if err != nil {
-		return err
-	}
-	w.pop.replaceAll(rs.Strategies)
-	w.pop.clearDirty()
-	w.gen, w.replayGen, w.pendingFull = rs.Gen, rs.Replay, true
-	w.join(nc)
-	return nil
-}
-
-// play is the worker's game dynamics: replay the owned pairs whose
-// participants changed — or, after an eviction re-sharded the block, every
-// owned pair from the interrupted generation's streams.
-func (w *workerRank) play() error {
-	gen, all := w.gen, w.cfg.FullRecompute
-	if w.pendingFull {
-		gen, all, w.pendingFull = w.replayGen, true, false
-	}
-	tg := w.pt.begin()
-	played, err := w.block.refresh(w.cfg, w.pop, w.master, w.kern, gen, all)
-	w.games += played
-	if err != nil {
-		return err
-	}
-	w.pt.end(PhaseGamePlay, tg)
-	return nil
-}
-
-// takeVerdict receives Nature's verdict at the rendezvous the worker stands
-// at and reports whether the learner adopted. A stop is answered with the
-// Barrier Nature waits in and ends the worker with ErrStopped.
-func (w *workerRank) takeVerdict(pc bool) (adopted bool, err error) {
-	tb := w.pt.begin()
-	p, err := w.c.Bcast(0, nil)
-	if err != nil {
-		return false, err
-	}
-	v, err := decodeVerdict(w.cfg, p, w.gen, pc, 0)
-	if err != nil {
-		return false, err
-	}
-	if v.Stop {
-		if err := w.c.Barrier(); err != nil {
-			return false, err
-		}
-		return false, fmt.Errorf("sim: worker %d: %w", w.c.Rank(), ErrStopped)
-	}
-	w.pt.end(PhaseBroadcast, tb)
-	return v.Adopted, nil
-}
-
-func (w *workerRank) generation() error {
-	if err := w.play(); err != nil {
-		return err
-	}
-	w.pop.clearDirty()
-
-	d := natureDecision(w.cfg, w.master, w.gen)
-	if d.pc {
-		// Owners of the selected rows return their segments; teacher
-		// before learner so Nature's ordered receives match when one
-		// worker owns pieces of both. The segments alias the block: the
-		// worker next blocks on the verdict, which Nature sends after
-		// folding what it received, and a failure in between re-shards onto
-		// a fresh block (join).
-		tf := w.pt.begin()
-		for _, i := range [2]int{d.teacher, d.learner} {
-			if seg := w.block.segment(i); seg != nil {
-				if err := w.c.Send(0, tagFitness, seg); err != nil {
-					return err
-				}
-			}
-		}
-		w.pt.end(PhaseFitnessComm, tf)
-	}
-	if rendezvous(w.cfg, d, w.gen) {
-		adopted, err := w.takeVerdict(d.pc)
-		if err != nil {
-			return err
-		}
-		if adopted {
-			w.pop.Adopt(d.learner, d.teacher)
-		}
-	}
-	if d.mutate {
-		w.pop.SetStrategy(d.mutant, mutantStrategy(w.cfg, w.master, w.pop.Space(), w.gen))
-	}
-	if w.gen%w.cfg.SampleStride == 0 {
-		tr := w.pt.begin()
-		if _, err := w.c.Reduce(0, foldPayoffs(0, w.block.payoffs), mpi.OpSum); err != nil {
-			return err
-		}
-		w.pt.end(PhaseReduce, tr)
-	}
-	w.gen++
-	return nil
-}
-
-func (w *workerRank) finalize() error {
-	// A resume directly into finalization still rebuilds the re-sharded
-	// block before shipping it.
-	if w.pendingFull {
-		if err := w.play(); err != nil {
-			return err
-		}
-	}
-	if _, err := w.takeVerdict(false); err != nil {
-		return err
-	}
-	// Ship the final payoff block — itself: nothing rewrites it after this —
-	// and the game counter to Nature.
-	tf := w.pt.begin()
-	if err := w.c.Send(0, tagRows, w.block.payoffs); err != nil {
-		return err
-	}
-	w.pt.end(PhaseFitnessComm, tf)
-	tr := w.pt.begin()
-	if _, err := w.c.Reduce(0, float64(w.games+skew(w.cfg, w.c)), mpi.OpSum); err != nil {
-		return err
-	}
-	w.pt.end(PhaseReduce, tr)
-	// Ship the phase timings (plus this rank's payoff-table counters when
-	// it keeps a table); mirrors Nature's metrics Gather.
-	if w.cfg.Metrics {
-		snap := w.pt.snapshot(w.c.OrigRank())
-		snap.Cache = w.kern.cacheStats(w.pop)
-		if _, err := w.c.Gather(0, rankReport{RankPhaseSnapshot: snap}.encode()); err != nil {
-			return err
-		}
-	}
-	// Mirror Nature's eviction-mode barrier: stay resident until every
-	// rank is done, so a late failure still finds a full survivor set.
-	if w.cfg.Evict {
-		return w.c.Barrier()
-	}
-	return nil
 }

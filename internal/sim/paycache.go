@@ -141,6 +141,16 @@ func (k *payoffKernel) hit(pop *Population, row []float64, j int) (float64, bool
 	return row[b], true
 }
 
+// payoff is SSet i's payoff against j in pop: hit's answer, else
+// pairPayoff's.
+func (k *payoffKernel) payoff(cfg *Config, pop *Population, master *rng.Source, gen, i, j int) (float64, error) {
+	row := k.row(pop, i)
+	if v, ok := k.hit(pop, row, j); ok {
+		return v, nil
+	}
+	return k.pairPayoff(cfg, pop, master, gen, row, i, j)
+}
+
 // pairPayoff evaluates an (i, j) match of pop that hit did not answer,
 // returning SSet i's mean per-round payoff against j and storing it in row
 // when the pair is memoizable. Randomness still derives from (seed, gen, i,

@@ -15,10 +15,10 @@ import (
 // assertSameTrajectory (which tolerates reduction-order float drift between
 // engines) it demands exact equality everywhere, because a run with the
 // table and a reference run of the SAME engine share every accumulation
-// order — all but one: a parallel run served by type sums the mean-fitness
-// series over type counts (typedRank.meanFitness), which the reference
-// kernel's fitness protocol sums over rows, so meanTol is reductionDrift
-// wherever b ran on more than one rank with the table, and 0 elsewhere.
+// order — all but one: a parallel run sums the mean-fitness series over its
+// keys' counts (parRank.meanFitness), which on the reference kernel are
+// SSets and with the table types, so meanTol is reductionDrift wherever b
+// ran on more than one rank served by type, and 0 elsewhere.
 func assertBitIdentical(t *testing.T, a, b *Result, meanTol float64) {
 	t.Helper()
 	if a.Counters != b.Counters {
@@ -274,7 +274,7 @@ func TestKernelForgetsReclaimedID(t *testing.T) {
 		t.Fatal(err)
 	}
 	master := rng.New(cfg.Seed)
-	pop, kern, blk := NewPopulation(cfg, master), newPayoffKernel(&cfg), newPairBlock(2, 0, 2)
+	pop, kern, blk := NewPopulation(cfg, master), newPayoffKernel(&cfg), newPairBlock(2)
 	refresh := func() {
 		t.Helper()
 		if _, err := blk.refresh(&cfg, pop, master, kern, 0, true); err != nil {
@@ -292,7 +292,7 @@ func TestKernelForgetsReclaimedID(t *testing.T) {
 		t.Fatalf("TFT took id %d at epoch %d, want the dead AllC's id %d at epoch 1", pop.typ[0], pop.types[pop.typ[0]].epoch, old)
 	}
 	refresh()
-	plain, uncached := newPairBlock(2, 0, 2), reference(cfg)
+	plain, uncached := newPairBlock(2), reference(cfg)
 	if _, err := plain.refresh(&uncached, pop, master, newPayoffKernel(&uncached), 0, true); err != nil {
 		t.Fatal(err)
 	}

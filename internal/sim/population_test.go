@@ -70,11 +70,23 @@ func TestAdoptClones(t *testing.T) {
 }
 
 // wholeBlock is the sequential engine's pair block: the whole flat list.
-func wholeBlock(s int) *pairBlock { return newPairBlock(s, 0, s*(s-1)) }
+func wholeBlock(s int) *pairBlock { return newPairBlock(s) }
 
-// at addresses pair (i, j)'s payoff in a block that owns it.
+// at addresses pair (i, j)'s payoff.
 func (b *pairBlock) at(i, j int) *float64 {
-	return &b.payoffs[pairIndex(b.s, i, j)-b.lo]
+	return &b.payoffs[pairIndex(b.s, i, j)]
+}
+
+// pairToIJ unflattens pair index i*(S-1)+jIdx into (i, j), with jIdx
+// skipping the diagonal: pairIndex's inverse.
+func pairToIJ(s, pair int) (i, j int) {
+	i = pair / (s - 1)
+	jIdx := pair % (s - 1)
+	j = jIdx
+	if jIdx >= i {
+		j = jIdx + 1
+	}
+	return i, j
 }
 
 func TestFitnessFromPayoffs(t *testing.T) {
@@ -263,31 +275,6 @@ func TestPairToIJ(t *testing.T) {
 	}
 }
 
-func TestRowSegmentsCoverEachRow(t *testing.T) {
-	for _, tc := range []struct{ s, w int }{{4, 2}, {6, 5}, {4, 10}, {3, 6}, {8, 3}} {
-		for i := 0; i < tc.s; i++ {
-			segs := rowSegments(tc.s, tc.w, i)
-			if len(segs) == 0 {
-				t.Fatalf("s=%d w=%d: row %d has no owners", tc.s, tc.w, i)
-			}
-			expect := i * (tc.s - 1)
-			for _, seg := range segs {
-				if seg.lo != expect {
-					t.Fatalf("s=%d w=%d row %d: segment gap at %d (lo %d)", tc.s, tc.w, i, expect, seg.lo)
-				}
-				wlo, whi := blockRange(tc.s*(tc.s-1), tc.w, seg.worker)
-				if seg.lo < wlo || seg.hi > whi {
-					t.Fatalf("segment outside its worker's block")
-				}
-				expect = seg.hi
-			}
-			if expect != (i+1)*(tc.s-1) {
-				t.Fatalf("s=%d w=%d row %d: segments end at %d", tc.s, tc.w, i, expect)
-			}
-		}
-	}
-}
-
 func TestRefreshPayoffsIncremental(t *testing.T) {
 	cfg := testConfig(1, 6, 0)
 	_ = cfg.Validate()
@@ -348,10 +335,12 @@ func TestPayoffValuesMatchDirectPlay(t *testing.T) {
 	}
 }
 
-// Worker blocks are windows onto the one pair list: refreshed side by side
-// they hold exactly the whole-list block's payoffs, and their row segments,
-// taken in worker order, tile each SSet's row — which is what lets Nature
-// fold a row's fitness in column order at any worker count.
+// Worker shares are windows onto the one pair list: split with blockRange,
+// each share played pair by pair as a worker plays a meeting's cells — on
+// its own kernel, from each pair's (gen, i, j) stream — the shares hold
+// exactly the whole-list block's payoffs, in its order, at any worker count.
+// That is what lets a run keyed by SSet fill its table from the workers and
+// fold each row's fitness in column order.
 func TestPairBlocksTileTheWholeList(t *testing.T) {
 	cfg := testConfig(1, 6, 0)
 	cfg.Rules.ErrorRate = 0.05 // noisy: payoffs depend on the (gen, i, j) stream
@@ -360,37 +349,26 @@ func TestPairBlocksTileTheWholeList(t *testing.T) {
 	pop := NewPopulation(cfg, master)
 	s := pop.Size()
 	whole := wholeBlock(s)
-	if _, err := whole.refresh(&cfg, pop, master, newPayoffKernel(&cfg), 4, false); err != nil {
+	if _, err := whole.refresh(&cfg, pop, master, newPayoffKernel(&cfg), 4, true); err != nil {
 		t.Fatal(err)
 	}
 	for _, nWorkers := range []int{1, 2, 4, 7, s * (s - 1)} {
 		var flat []float64
-		rows := make([][]float64, s)
-		games := uint64(0)
 		for w := 0; w < nWorkers; w++ {
 			lo, hi := blockRange(s*(s-1), nWorkers, w)
-			b := newPairBlock(s, lo, hi)
-			g, err := b.refresh(&cfg, pop, master, newPayoffKernel(&cfg), 4, false)
-			if err != nil {
-				t.Fatal(err)
+			kern := newPayoffKernel(&cfg)
+			for k := lo; k < hi; k++ {
+				i, j := pairToIJ(s, k)
+				v, err := kern.payoff(&cfg, pop, master, 4, i, j)
+				if err != nil {
+					t.Fatal(err)
+				}
+				flat = append(flat, v)
 			}
-			games += g
-			flat = append(flat, b.payoffs...)
-			for i := range rows {
-				rows[i] = append(rows[i], b.segment(i)...)
-			}
-		}
-		if games != uint64(s*(s-1)) {
-			t.Fatalf("%d workers played %d games, want %d", nWorkers, games, s*(s-1))
 		}
 		for k, v := range whole.payoffs {
 			if flat[k] != v {
 				t.Fatalf("%d workers: pair %d payoff %v, whole-list block has %v", nWorkers, k, flat[k], v)
-			}
-		}
-		for i, row := range rows {
-			if len(row) != s-1 || foldPayoffs(0, row)/float64(s-1) != whole.fitness(i) {
-				t.Fatalf("%d workers: row %d segments %v do not tile the row", nWorkers, i, row)
 			}
 		}
 	}

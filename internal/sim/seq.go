@@ -20,9 +20,9 @@ func RunSequential(cfg Config) (*Result, error) {
 	local := &localSource{
 		nature: n,
 		kern:   newPayoffKernel(&cfg),
-		block:  newPairBlock(cfg.NumSSets, 0, cfg.NumSSets*(cfg.NumSSets-1)),
+		block:  newPairBlock(cfg.NumSSets),
 	}
-	n.src, n.stepTimer = local, n.pt
+	n.src = local
 	for n.gen < n.end {
 		if err := n.generation(); err != nil {
 			return nil, err
@@ -48,7 +48,7 @@ func RunSequential(cfg Config) (*Result, error) {
 
 // localSource is the sequential engine's fitness source: one pairBlock
 // covering the whole pair list, refreshed in place. Nobody else holds
-// state, so the verdict has nobody to reach.
+// state, so a halt has nobody to reach.
 type localSource struct {
 	*nature
 	kern  *payoffKernel
@@ -68,7 +68,7 @@ func (l *localSource) fitnesses(teacher, learner int) (float64, float64, error) 
 	return l.block.fitness(teacher), l.block.fitness(learner), nil
 }
 
-func (*localSource) verdict(verdict) error { return nil }
+func (*localSource) halt() {}
 
 // meanFitness is the mean of the per-SSet fitnesses (under the standard
 // payoff, 1 = all-defect to 3 = full cooperation).

@@ -43,7 +43,6 @@ func TestVerdictRoundTrip(t *testing.T) {
 	cfg := wireConfig(1, 8, PureStrategies)
 	for _, v := range []verdict{
 		{},
-		{Gen: 7, Adopted: true},
 		{Gen: 1 << 20, Stop: true},
 		{Gen: math.MaxUint32},
 		{Gen: 7, Cells: []float64{1, 2.5, 0, math.Inf(1)}},
@@ -52,7 +51,7 @@ func TestVerdictRoundTrip(t *testing.T) {
 		if len(b) != 14+8*len(v.Cells) {
 			t.Fatalf("%+v encodes to %d bytes, want %d", v, len(b), 14+8*len(v.Cells))
 		}
-		got, err := decodeVerdict(cfg, b, v.Gen, true, len(v.Cells))
+		got, err := decodeVerdict(cfg, b, v.Gen, len(v.Cells))
 		if err != nil || !reflect.DeepEqual(got, v) {
 			t.Fatalf("%+v round trip: %+v, %v", v, got, err)
 		}
@@ -69,7 +68,7 @@ func TestResumeRoundTripAndSize(t *testing.T) {
 		pop := NewPopulation(*cfg, rng.New(11))
 		// A run seeded with InitialStrategies may hold either kind.
 		pop.strategies[2] = strategy.AllD(pop.Space())
-		rs := resume{Gen: 1 << 20, Replay: 1<<20 - 1, Strategies: pop.strategies}
+		rs := resume{Gen: 1 << 20, Strategies: pop.strategies}
 		b := rs.encode()
 		want := 14 + 5*tc.each + pureBytes(tc.mem)
 		if len(b) != want {
@@ -79,7 +78,7 @@ func TestResumeRoundTripAndSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Gen != rs.Gen || got.Replay != rs.Replay || !sameStrategies(got.Strategies, rs.Strategies) {
+		if got.Gen != rs.Gen || !sameStrategies(got.Strategies, rs.Strategies) {
 			t.Errorf("memory %d: resume changed in transit", tc.mem)
 		}
 	}
@@ -95,23 +94,21 @@ func TestResumeRoundTripAndSize(t *testing.T) {
 func TestEngineMessageRejections(t *testing.T) {
 	cfg := wireConfig(2, 8, PureStrategies)
 	pure := strategy.AllD(strategy.NewSpace(2))
-	ver := verdict{Gen: 5, Adopted: true}.encode()
+	ver := verdict{Gen: 5}.encode()
 	pop := NewPopulation(*cfg, rng.New(3))
-	res := resume{Gen: 5, Replay: 5, Strategies: pop.strategies}.encode()
+	res := resume{Gen: 5, Strategies: pop.strategies}.encode()
 	cel := verdict{Gen: 5, Cells: []float64{1, 3}}.encode()
 
 	with := func(b []byte, mut func(b []byte) []byte) []byte { return mut(append([]byte(nil), b...)) }
 	setField := func(i int, v uint32) func([]byte) []byte {
 		return func(b []byte) []byte { binary.LittleEndian.PutUint32(b[2+4*i:], v); return b }
 	}
-	// The receiver stands at generation 5, which has a comparison — except
-	// for the decoders that stand there without one, one of them at a
-	// meeting of a run served by type that misses two cells.
+	// The receiver stands at generation 5, at a meeting that misses no cell
+	// or, for "cells", two.
 	decoders := map[string]func(any) error{
-		"verdict":        func(p any) error { _, err := decodeVerdict(cfg, p, 5, true, 0); return err },
-		"verdict, no pc": func(p any) error { _, err := decodeVerdict(cfg, p, 5, false, 0); return err },
-		"cells":          func(p any) error { _, err := decodeVerdict(cfg, p, 5, false, 2); return err },
-		"resume":         func(p any) error { _, err := decodeResume(cfg, p); return err },
+		"verdict": func(p any) error { _, err := decodeVerdict(cfg, p, 5, 0); return err },
+		"cells":   func(p any) error { _, err := decodeVerdict(cfg, p, 5, 2); return err },
+		"resume":  func(p any) error { _, err := decodeResume(cfg, p); return err },
 	}
 	for _, tc := range []struct {
 		name    string
@@ -128,11 +125,9 @@ func TestEngineMessageRejections(t *testing.T) {
 		{"verdict for an earlier generation", "verdict", verdict{Gen: 4}.encode(), "verdict for generation 4 received at generation 5"},
 		{"verdict for a later generation", "verdict", with(ver, setField(0, math.MaxUint32)), "verdict for generation 4294967295 received at generation 5"},
 		{"stop for another generation", "verdict", verdict{Gen: 6, Stop: true}.encode(), "verdict for generation 6 received at generation 5"},
-		{"adoption without a comparison", "verdict, no pc", ver, "no comparison to resolve"},
-		{"adoption aboard a stop", "verdict", verdict{Gen: 5, Adopted: true, Stop: true}.encode(), "no comparison to resolve"},
 		{"a cell count without cells", "verdict", with(ver, setField(1, 1)), "is not the 14-byte encoding"},
 		{"second unused field set", "verdict", with(ver, setField(2, 8)), "is not the 14-byte encoding"},
-		{"unknown flag", "verdict", with(ver, func(b []byte) []byte { b[1] |= 4; return b }), "is not the 14-byte encoding"},
+		{"unknown flag", "verdict", with(ver, func(b []byte) []byte { b[1] |= 2; return b }), "is not the 14-byte encoding"},
 		{"unknown high flag", "verdict", with(ver, func(b []byte) []byte { b[1] |= 0x80; return b }), "encoding"},
 		{"trailing byte", "verdict", append(append([]byte(nil), ver...), 0), "verdict of 15 bytes"},
 		{"a strategy aboard a verdict", "verdict", checkpoint.AppendStrategy(append([]byte(nil), ver...), pure), "encoding"},
@@ -143,6 +138,7 @@ func TestEngineMessageRejections(t *testing.T) {
 		{"unknown strategy kind", "resume", with(res, func(b []byte) []byte { b[14] = 9; return b }), "unknown strategy kind 9"},
 		{"padding bits in a bitset", "resume", with(res, func(b []byte) []byte { b[len(b)-1] = 0x80; return b }), "encoding"},
 		{"resume flags", "resume", with(res, func(b []byte) []byte { b[1] = 1; return b }), "encoding"},
+		{"resume second field set", "resume", with(res, setField(1, 4)), "encoding"},
 		{"resume unused field set", "resume", with(res, setField(2, 1)), "encoding"},
 		{"resume strategy of another depth", "resume", resume{Strategies: append([]strategy.Strategy{strategy.AllD(strategy.NewSpace(1))}, pop.strategies[1:]...)}.encode(), "resume strategy 0: pure strategy has 4 states, want 16"},
 		{"cells for another generation", "cells", verdict{Gen: 4, Cells: []float64{1, 3}}.encode(), "verdict for generation 4 received at generation 5"},
@@ -151,7 +147,6 @@ func TestEngineMessageRejections(t *testing.T) {
 		{"no cells", "cells", verdict{Gen: 5}.encode(), "verdict with 0 cells"},
 		{"cells where none are missing", "verdict", cel, "verdict with 2 cells received at generation 5, which misses 0"},
 		{"cells aboard a stop", "cells", verdict{Gen: 5, Stop: true, Cells: []float64{1, 3}}.encode(), "verdict with 2 cells received at generation 5, which misses 0"},
-		{"adoption at a meeting", "cells", verdict{Gen: 5, Adopted: true, Cells: []float64{1, 3}}.encode(), "no comparison to resolve"},
 		{"cell count field off", "cells", with(cel, setField(1, 3)), "encoding"},
 		{"cells' unused field set", "cells", with(cel, setField(2, 1)), "encoding"},
 		{"half a cell", "cells", cel[:len(cel)-4], "encoding"},
@@ -161,65 +156,23 @@ func TestEngineMessageRejections(t *testing.T) {
 			t.Errorf("%s: error %v, want a sim: error containing %q", tc.name, err, tc.want)
 		}
 	}
-	// The unmodified messages do decode; so does a stop, with or without a
-	// comparison at the rendezvous it names.
+	// The unmodified messages do decode; so does a stop, whatever cells the
+	// meeting it ends misses.
 	stop := verdict{Gen: 5, Stop: true}.encode()
 	for _, ok := range []struct {
 		decoder string
 		payload []byte
-	}{{"verdict", ver}, {"verdict", stop}, {"verdict, no pc", stop}, {"verdict, no pc", verdict{Gen: 5}.encode()}, {"resume", res},
-		{"cells", cel}, {"cells", stop}} {
+	}{{"verdict", ver}, {"verdict", stop}, {"resume", res}, {"cells", cel}, {"cells", stop}} {
 		if err := decoders[ok.decoder](ok.payload); err != nil {
 			t.Errorf("%s: %v", ok.decoder, err)
 		}
 	}
 }
 
-// What a worker returns point-to-point is checked like a broadcast: a
-// tagFitness or tagRows payload of another type used to panic the Nature
-// rank, and one of another length silently forked the trajectory.
-func TestFitnessPayloadsAreChecked(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		gens    int // 0: Nature goes straight to finalization
-		tag     int
-		payload any
-		want    string
-	}{
-		{"segment of another type", 1, tagFitness, []byte{1, 2, 3}, "rank 1 sent []uint8 (0 payoffs) with tag 1, want the 3 payoffs"},
-		{"segment too short", 1, tagFitness, []float64{1, 2}, "rank 1 sent []float64 (2 payoffs) with tag 1, want the 3 payoffs"},
-		{"segment too long", 1, tagFitness, []float64{1, 2, 3, 4}, "(4 payoffs) with tag 1, want the 3 payoffs"},
-		{"rows of another type", 0, tagRows, 1.5, "rank 1 sent float64 (0 payoffs) with tag 2, want the 12 payoffs"},
-		{"rows too short", 0, tagRows, make([]float64, 11), "rank 1 sent []float64 (11 payoffs) with tag 2, want the 12 payoffs"},
-		{"no rows", 0, tagRows, nil, "rank 1 sent <nil> (0 payoffs) with tag 2"},
-	} {
-		cfg := testConfig(1, 4, tc.gens)
-		cfg.PCRate = 1 // generation 0 compares
-		if err := cfg.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		var natureErr error
-		_ = mpi.NewWorld(2).Run(func(c *mpi.Comm) error {
-			if c.Rank() == 0 {
-				natureErr = runRank(&cfg, c, newNatureRank(&cfg, c))
-				return natureErr
-			}
-			// A corrupt peer in the only worker's place.
-			if tc.tag == tagRows {
-				if _, err := c.Bcast(0, nil); err != nil { // the end-of-window verdict
-					return err
-				}
-			}
-			return c.Send(0, tc.tag, tc.payload)
-		})
-		if natureErr == nil || !strings.HasPrefix(natureErr.Error(), "sim: ") || !strings.Contains(natureErr.Error(), tc.want) {
-			t.Errorf("%s: Nature's error %v, want a sim: error containing %q", tc.name, natureErr, tc.want)
-		}
-	}
-}
-
-// Served by type, what a worker gathers to Nature is checked the same way:
-// its share of the missing cells, as a []float64 of the share's length.
+// What a worker gathers to Nature is checked like a broadcast: its share of
+// the missing cells, as a []float64 of the share's length — a payload of
+// another type or length is an error, not a Nature-rank panic or a silently
+// forked trajectory.
 func TestCellPayloadsAreChecked(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -229,24 +182,29 @@ func TestCellPayloadsAreChecked(t *testing.T) {
 		{"cells of another type", []byte{1, 2, 3}, "rank 1 sent []uint8 (0 cells) at generation 0, want the"},
 		{"no cells", []float64{}, "rank 1 sent []float64 (0 cells) at generation 0, want the"},
 		{"nothing", nil, "rank 1 sent <nil> (0 cells)"},
+		{"cells over its share", make([]float64, 13), "rank 1 sent []float64 (13 cells) at generation 0, want the"},
 	} {
-		cfg := testConfig(1, 4, 1)
-		if err := cfg.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		var natureErr error
-		_ = mpi.NewWorld(2).Run(func(c *mpi.Comm) error {
-			if c.Rank() == 0 {
-				natureErr = runRank(&cfg, c, newTypedRank(&cfg, c))
-				return natureErr
+		// Served by type and, on the reference kernel, keyed by SSet, where
+		// the only worker's share is all 12 cells.
+		base := testConfig(1, 4, 1)
+		for _, cfg := range []Config{base, reference(base)} {
+			if err := cfg.Validate(); err != nil {
+				t.Fatal(err)
 			}
-			// A corrupt peer in the only worker's place, at generation 0's
-			// fill of the initial population's cells.
-			_, err := c.Gather(0, tc.payload)
-			return err
-		})
-		if natureErr == nil || !strings.HasPrefix(natureErr.Error(), "sim: ") || !strings.Contains(natureErr.Error(), tc.want) {
-			t.Errorf("%s: Nature's error %v, want a sim: error containing %q", tc.name, natureErr, tc.want)
+			var natureErr error
+			_ = mpi.NewWorld(2).Run(func(c *mpi.Comm) error {
+				if c.Rank() == 0 {
+					natureErr = runRank(&cfg, c, newParRank(&cfg, c))
+					return natureErr
+				}
+				// A corrupt peer in the only worker's place, at generation 0's
+				// fill of the initial population's cells.
+				_, err := c.Gather(0, tc.payload)
+				return err
+			})
+			if natureErr == nil || !strings.HasPrefix(natureErr.Error(), "sim: ") || !strings.Contains(natureErr.Error(), tc.want) {
+				t.Errorf("%s, served by type %v: Nature's error %v, want a sim: error containing %q", tc.name, servedByType(&cfg), natureErr, tc.want)
+			}
 		}
 	}
 }
@@ -254,34 +212,32 @@ func TestCellPayloadsAreChecked(t *testing.T) {
 // FuzzEngineMessage feeds arbitrary bytes to the two decoders: each must
 // refuse them or return a message that encodes back to exactly those bytes,
 // and whatever it accepts must be safe to apply — a verdict for the
-// receiver's own generation, plan and missing cells, strategies of the run's
+// receiver's own generation and missing cells, strategies of the run's
 // space.
 func FuzzEngineMessage(f *testing.F) {
 	cfg := wireConfig(1, 4, MixedStrategies)
 	sp := strategy.NewSpace(1)
 	pop := NewPopulation(*cfg, rng.New(1))
 	const at = 9 // the generation the receiver stands at
-	f.Add(verdict{Gen: at, Adopted: true}.encode())
+	f.Add(verdict{Gen: at, Stop: true, Cells: []float64{1}}.encode())
 	f.Add(verdict{Gen: at, Stop: true}.encode())
 	f.Add(verdict{Gen: at}.encode())
-	f.Add(verdict{Gen: at + 1, Adopted: true}.encode())
-	f.Add(resume{Gen: at, Replay: at - 1, Strategies: pop.strategies}.encode())
+	f.Add(verdict{Gen: at + 1, Cells: []float64{2, 3}}.encode())
+	f.Add(resume{Gen: at, Strategies: pop.strategies}.encode())
 	f.Add(resume{Strategies: []strategy.Strategy{strategy.GTFT(sp, 0.25), strategy.WSLS(sp), strategy.AllD(sp), strategy.AllC(sp)}}.encode())
 	f.Add([]byte{})
 	f.Add(verdict{Gen: at, Cells: []float64{2, math.NaN()}}.encode())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, pc := range []bool{false, true} {
-			for _, cells := range []int{0, 2} {
-				v, err := decodeVerdict(cfg, data, at, pc, cells)
-				if err != nil {
-					continue
-				}
-				if v.Gen != at || v.Adopted && (!pc || v.Stop) || len(v.Cells) != cells && !v.Stop || v.Stop && len(v.Cells) != 0 {
-					t.Fatalf("accepted verdict %+v at generation %d, pc %v, %d cells missing", v, at, pc, cells)
-				}
-				if re := v.encode(); !bytes.Equal(re, data) {
-					t.Fatalf("verdict re-encodes to %x, was %x", re, data)
-				}
+		for _, cells := range []int{0, 2} {
+			v, err := decodeVerdict(cfg, data, at, cells)
+			if err != nil {
+				continue
+			}
+			if v.Gen != at || len(v.Cells) != cells && !v.Stop || v.Stop && len(v.Cells) != 0 {
+				t.Fatalf("accepted verdict %+v at generation %d, %d cells missing", v, at, cells)
+			}
+			if re := v.encode(); !bytes.Equal(re, data) {
+				t.Fatalf("verdict re-encodes to %x, was %x", re, data)
 			}
 		}
 		if rs, err := decodeResume(cfg, data); err == nil {

@@ -60,9 +60,10 @@ trio() {
 }
 
 # A fault at 150 ms must land inside each set's generations. The memory-1 set
-# plays with errors, so it runs the fitness protocol (segments and a verdict
-# broadcast at each rendezvous): noise-free, its 16 SSets share a handful of
-# types and the payoff table serves the whole run in well under 150 ms. The
+# plays with errors, so its payoff table is keyed by SSet and, under -full,
+# the ranks meet every generation to fill all 240 cells (1.35 s for the
+# fault-free run on a 2-vCPU VM): noise-free, its 16 SSets share a handful of
+# types and the table by type serves the whole run in well under 150 ms. The
 # memory-6 set is error-free and pure, so it is served by type: every rank
 # holds the payoff table, and the ranks meet to fill it as mutants bring new
 # types and, under -evict, at each sampled generation — about a thousand
