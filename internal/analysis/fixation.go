@@ -41,13 +41,14 @@ func (c *FixationConfig) validate() error {
 	if err := c.Payoff.Validate(); err != nil {
 		return err
 	}
-	if c.ErrorRate < 0 || c.ErrorRate > 1 {
+	// The negated comparisons reject NaN too, which satisfies neither bound.
+	if !(c.ErrorRate >= 0 && c.ErrorRate <= 1) {
 		return fmt.Errorf("analysis: error rate %v out of [0,1]", c.ErrorRate)
 	}
 	if c.N < 2 {
 		return fmt.Errorf("analysis: population %d < 2", c.N)
 	}
-	if c.Beta < 0 {
+	if !(c.Beta >= 0) {
 		return fmt.Errorf("analysis: beta %v < 0", c.Beta)
 	}
 	return nil

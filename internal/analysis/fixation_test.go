@@ -119,8 +119,13 @@ func TestFixationValidation(t *testing.T) {
 	if _, err := FixationProbability(FixationConfig{N: 4, Beta: -1}, strategy.AllC(sp1()), strategy.AllD(sp1())); err == nil {
 		t.Fatal("negative beta accepted")
 	}
-	if _, err := FixationProbability(FixationConfig{N: 4, Beta: 1, ErrorRate: 2}, strategy.AllC(sp1()), strategy.AllD(sp1())); err == nil {
-		t.Fatal("bad error rate accepted")
+	if _, err := FixationProbability(FixationConfig{N: 4, Beta: math.NaN()}, strategy.AllC(sp1()), strategy.AllD(sp1())); err == nil {
+		t.Fatal("NaN beta accepted")
+	}
+	for _, bad := range []float64{2, math.NaN()} {
+		if _, err := FixationProbability(FixationConfig{N: 4, Beta: 1, ErrorRate: bad}, strategy.AllC(sp1()), strategy.AllD(sp1())); err == nil {
+			t.Fatalf("error rate %v accepted", bad)
+		}
 	}
 	if _, err := FixationProbability(FixationConfig{N: 4, Beta: 1}, strategy.AllC(sp1()), strategy.AllC(strategy.NewSpace(2))); err == nil {
 		t.Fatal("mismatched spaces accepted")

@@ -27,11 +27,14 @@ type pinnedCase struct {
 // (cycle walk, ergodic fixed point, Cesàro fallback) at memory 1, 3 and 6.
 // Solver is a re-housing of that algorithm, not a new one, so it must
 // reproduce them bit for bit — golden hashes cover one workload, this
-// covers the rest.
+// covers the rest. The random mixed pairs at memory 2, 4 and 5 were
+// recorded at commit 5c5098e, the last Solver whose step scattered, so
+// every memory depth has a pinned payoff.
 func pinnedCases() []pinnedCase {
-	sp3, sp6 := strategy.NewSpace(3), strategy.NewSpace(6)
+	sp2, sp3, sp4, sp5, sp6 := strategy.NewSpace(2), strategy.NewSpace(3), strategy.NewSpace(4), strategy.NewSpace(5), strategy.NewSpace(6)
 	flip, _ := strategy.ParsePure("1000") // CC -> D, CD/DC/DD -> C
 	r21, r23, r24, r25, r31 := rng.New(21), rng.New(23), rng.New(24), rng.New(25), rng.New(31)
+	r22, r26, r27 := rng.New(22), rng.New(26), rng.New(27)
 	pure3 := strategy.RandomPure(sp3, r31)
 	// twin is pure3 as a degenerate mixed strategy: same behaviour table,
 	// so every payoff against it must equal pure3's.
@@ -46,6 +49,7 @@ func pinnedCases() []pinnedCase {
 		{"m1 flip-flip cesaro", flip, flip, 1e-12, 0x3fffffffffffffff, 0x3fffffffffffffff},
 		{"m1 GTFT-WSLS ergodic", strategy.GTFT(sp1(), 1.0/3.0), strategy.WSLS(sp1()), 0.01, 0x4005d23a4157b9d1, 0x4006d6008f1840a8},
 		{"m1 random mixed", strategy.RandomMixed(sp1(), r21), strategy.RandomMixed(sp1(), r21), 0.02, 0x40009e8fe1e2765f, 0x3ffe9ccba7c566c6},
+		{"m2 random mixed", strategy.RandomMixed(sp2, r22), strategy.RandomMixed(sp2, r22), 0.01, 0x40039d8465a162b1, 0x3ff9f3fb08cc1a84},
 		{"m3 pure-pure cycle", pure3, other3, 0, 0x4008000000000000, 0x4008000000000000},
 		{"m3 twin-pure cycle", twin, other3, 0, 0x4008000000000000, 0x4008000000000000},
 		{"m3 pure-twin noisy", other3, twin, 0.05, 0x3ffabc4673e0876d, 0x400142125d7b910e},
@@ -53,6 +57,8 @@ func pinnedCases() []pinnedCase {
 		{"m3 WSLS-TFT ergodic", strategy.WSLS(sp3), strategy.TFT(sp3), 0.01, 0x4000000000000d92, 0x4000000000000d94},
 		{"m3 WSLS-ALLD cesaro", strategy.WSLS(sp3), strategy.AllD(sp3), 1e-12, 0x3fe00000000054ac, 0x4004000000002378},
 		{"m3 pure-mixed noiseless", pure3, strategy.RandomMixed(sp3, r23), 0, 0x40014236809568f6, 0x3ffd114a0ad26d32},
+		{"m4 random mixed", strategy.RandomMixed(sp4, r26), strategy.RandomMixed(sp4, r26), 0.01, 0x3ffed2267c8d670c, 0x4000582ab64838f7},
+		{"m5 random mixed", strategy.RandomMixed(sp5, r27), strategy.RandomMixed(sp5, r27), 0.01, 0x400070472fc978a5, 0x3fff9382d97bee62},
 		{"m6 pure-pure cycle", strategy.RandomPure(sp6, r24), strategy.RandomPure(sp6, r24), 0, 0x3ff5555555555555, 0x4005555555555555},
 		{"m6 random mixed", strategy.RandomMixed(sp6, r25), strategy.RandomMixed(sp6, r25), 0.01, 0x3fffdd9c27e6a800, 0x3fffe97f75c3d5b6},
 	}
@@ -75,6 +81,84 @@ func TestSolverPinnedBits(t *testing.T) {
 			if math.Float64bits(pi0) != c.pi0 || math.Float64bits(pi1) != c.pi1 {
 				t.Errorf("%s pass %d: payoffs (%#x,%#x) = (%v,%v), pinned (%#x,%#x)",
 					c.name, pass, math.Float64bits(pi0), math.Float64bits(pi1), pi0, pi1, c.pi0, c.pi1)
+			}
+		}
+	}
+}
+
+// scatterStep is Solver.step as it was before the gather (commit 5c5098e),
+// kept as the reference the gather must match bit for bit: each state with
+// mass pushes mass·P(m) to the successor of each joint move m, states in
+// ascending order, moves of probability 0 skipped.
+func scatterStep(s *Solver) {
+	clear(s.next)
+	for st, mass := range s.cur {
+		if mass == 0 {
+			continue
+		}
+		for m := 0; m < 4; m++ {
+			pm := s.p0[st]
+			if m>>1 == 1 {
+				pm = 1 - s.p0[st]
+			}
+			po := s.p1[st]
+			if m&1 == 1 {
+				po = 1 - s.p1[st]
+			}
+			if pr := pm * po; pr > 0 {
+				s.next[s.successor(uint32(st), m)] += mass * pr
+			}
+		}
+	}
+	s.cur, s.next = s.next, s.cur
+}
+
+// TestGatherStepMatchesScatter holds the gather to the scatter it replaced:
+// from the same distribution both give the same bits in every state after
+// every step, at memory 1–6 and four error rates, on random mixed pairs and
+// on degenerate-mixed pairs whose exact 0 and 1 entries make moves of
+// probability 0.
+func TestGatherStepMatchesScatter(t *testing.T) {
+	const steps = 64
+	master := rng.New(33)
+	// degenerate is a random mixed strategy with about a third of its
+	// entries set to 0 and a third to 1. State 0 keeps its random entry, so
+	// a pair of them is never deterministic and load builds the table.
+	degenerate := func(sp strategy.Space) *strategy.Mixed {
+		m := strategy.RandomMixed(sp, master)
+		for st := 1; st < sp.NumStates(); st++ {
+			if c := master.Intn(3); c < 2 {
+				m.SetProb(uint32(st), float64(c))
+			}
+		}
+		return m
+	}
+	for mem := 1; mem <= 6; mem++ {
+		sp := strategy.NewSpace(mem)
+		gather, scatter := NewSolver(sp), NewSolver(sp)
+		for _, errRate := range []float64{0, 1e-12, 0.01, 0.05} {
+			for _, kind := range []string{"random mixed", "degenerate mixed"} {
+				s0, s1 := strategy.RandomMixed(sp, master), strategy.RandomMixed(sp, master)
+				if kind == "degenerate mixed" {
+					s0, s1 = degenerate(sp), degenerate(sp)
+				}
+				for _, solver := range []*Solver{gather, scatter} {
+					if solver.load(s0, s1, errRate) {
+						t.Fatalf("memory %d, %s, error %v: deterministic pair", mem, kind, errRate)
+					}
+					clear(solver.cur)
+					solver.cur[sp.InitialState()] = 1
+				}
+				for step := 1; step <= steps; step++ {
+					gather.step()
+					scatterStep(scatter)
+					for st := range gather.cur {
+						if g, s := math.Float64bits(gather.cur[st]), math.Float64bits(scatter.cur[st]); g != s {
+							t.Fatalf("memory %d, %s, error %v, step %d, state %d: gather %#x, scatter %#x",
+								mem, kind, errRate, step, st, g, s)
+						}
+					}
+				}
 			}
 		}
 	}
@@ -410,7 +494,10 @@ func BenchmarkSolver(b *testing.B) {
 		name    string
 		memory  int
 		errRate float64
-	}{{"m1", 1, 0.01}, {"m3", 3, 0.01}, {"m6", 6, 0.01}, {"m6pure", 6, 0}} {
+	}{
+		{"m1", 1, 0.01}, {"m2", 2, 0.01}, {"m3", 3, 0.01}, {"m4", 4, 0.01}, {"m5", 5, 0.01}, {"m6", 6, 0.01},
+		{"m3pure", 3, 0}, {"m6pure", 6, 0},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			sp := strategy.NewSpace(bc.memory)
 			master := rng.New(25)

@@ -65,7 +65,8 @@ func (c *Config) Validate() error {
 	if err := c.Payoff.Validate(); err != nil {
 		return err
 	}
-	if c.ErrorRate < 0 || c.ErrorRate > 1 {
+	// The negated comparisons reject NaN too, which satisfies neither bound.
+	if !(c.ErrorRate >= 0 && c.ErrorRate <= 1) {
 		return fmt.Errorf("replicator: error rate %v out of [0,1]", c.ErrorRate)
 	}
 	if c.Atoms < 2 {
@@ -74,7 +75,7 @@ func (c *Config) Validate() error {
 	if c.Generations < 0 {
 		return fmt.Errorf("replicator: negative generations")
 	}
-	if c.MutantFreq < 0 || c.MutantFreq >= 1 {
+	if !(c.MutantFreq >= 0 && c.MutantFreq < 1) {
 		return fmt.Errorf("replicator: mutant frequency %v out of [0,1)", c.MutantFreq)
 	}
 	if c.MutateEvery < 0 {
@@ -83,13 +84,13 @@ func (c *Config) Validate() error {
 	if c.ExtinctBelow == 0 {
 		c.ExtinctBelow = 1e-6
 	}
-	if c.ExtinctBelow < 0 || c.ExtinctBelow > 0.1 {
+	if !(c.ExtinctBelow >= 0 && c.ExtinctBelow <= 0.1) {
 		return fmt.Errorf("replicator: extinction threshold %v out of (0,0.1]", c.ExtinctBelow)
 	}
 	if c.Selection == 0 {
 		c.Selection = 1
 	}
-	if c.Selection < 0 {
+	if !(c.Selection >= 0) {
 		return fmt.Errorf("replicator: negative selection %v", c.Selection)
 	}
 	return nil

@@ -51,6 +51,10 @@ func TestValidateRejections(t *testing.T) {
 		func(c *Config) { c.ErrorRate = 2 },
 		func(c *Config) { c.ExtinctBelow = 0.5 },
 		func(c *Config) { c.Selection = -1 },
+		func(c *Config) { c.Selection = math.NaN() },
+		func(c *Config) { c.MutantFreq = math.NaN() },
+		func(c *Config) { c.ExtinctBelow = math.NaN() },
+		func(c *Config) { c.ErrorRate = math.NaN() },
 		func(c *Config) { c.Payoff = game.Payoff{R: 1, S: 2, T: 3, P: 4} },
 	}
 	for i, mutate := range cases {
