@@ -239,6 +239,6 @@ func TestEvictResyncKeepsPayoffTableExact(t *testing.T) {
 		if res.Evictions != 1 {
 			t.Fatalf("kill at send %d: evictions = %d, want 1", kill, res.Evictions)
 		}
-		assertSameOutcome(t, clean, res)
+		assertBitIdentical(t, clean, res, typedTol(cfg))
 	}
 }

@@ -65,12 +65,12 @@ func mutantStrategy(cfg *Config, master *rng.Source, sp strategy.Space, gen int)
 }
 
 // fitnessSource is the seam between the Nature Agent's generation and the
-// place payoffs live. The sequential engine plays every pair itself, so its
-// source answers from a local pairBlock and has nobody to tell. Every rank
-// of the parallel engine, Nature included, runs generation over its own copy
-// of the payoff table (parRank), which answers the same calls locally and
-// meets the other ranks only to fill the table. Each source books its own
-// phase timings.
+// place payoffs live. Both sources hold a payoffTable (table.go), which
+// answers fitnesses and meanFitness; they differ in how refresh fills it.
+// The sequential engine's source plays every listed cell itself and has
+// nobody to tell. Every rank of the parallel engine, Nature included, runs
+// generation over its own copy of the table (parRank) and meets the other
+// ranks only to fill it. Each source books its own phase timings.
 type fitnessSource interface {
 	// refresh brings every pair's payoff up to date for generation gen and
 	// returns how many games the schedule touched.

@@ -43,14 +43,15 @@ func TestBlockRangePartitionProperties(t *testing.T) {
 	}
 }
 
-// The incremental pass is driven by the changed SSets, not by a scan of the
-// block, so what it visits is an invariant of its own: for dirty sets from
-// empty to everything, the block must replay exactly the cells (i, j) with
+// A refresh is driven by the changed SSets, not by a scan of the table, so
+// what it plays is an invariant of its own: for dirty sets from empty to
+// everything, a table keyed by SSet must play exactly the cells (i, j) with
 // dirty[i] || dirty[j] — each once, to the value a full replay gives — leave
-// the rest untouched, and report scheduledGames' closed form. The three
-// configs take the three roads through the kernel: one match settling both
-// cells of a pair, the same under the type table (every scheduled cell is a
-// hit or a miss), and sampled play from each cell's own stream.
+// the rest untouched, and report scheduledGames' closed form. Keyed by type
+// it plays only the type pairs it lacks, and every scheduled game is a hit
+// or a miss. The three configs take the three roads through the kernel: one
+// match settling both cells of a pair, the type table, and sampled play from
+// each cell's own stream.
 func TestRefreshChangedVisitsExactlyTheDirtyCells(t *testing.T) {
 	const untouched = -1 // no payoff is negative
 	cached := testConfig(1, 6, 0)
@@ -64,8 +65,14 @@ func TestRefreshChangedVisitsExactlyTheDirtyCells(t *testing.T) {
 		s := cfg.NumSSets
 		master := rng.New(21)
 		pop := NewPopulation(cfg, master)
-		want := wholeBlock(s)
-		if _, err := want.refresh(&cfg, pop, master, newPayoffKernel(&cfg), 3, true); err != nil {
+		full := cfg
+		full.FullRecompute = true
+		want := localOn(&full, pop, master)
+		if _, err := want.refresh(3); err != nil {
+			t.Fatal(err)
+		}
+		l := localOn(&cfg, pop, master)
+		if _, err := l.refresh(3); err != nil { // every SSet starts changed
 			t.Fatal(err)
 		}
 		draw := rng.New(22)
@@ -75,37 +82,50 @@ func TestRefreshChangedVisitsExactlyTheDirtyCells(t *testing.T) {
 				pop.markDirty(draw.Intn(s))
 			}
 			what := fmt.Sprintf("%s, changed %v", name, pop.changed)
-			b, kern := wholeBlock(s), newPayoffKernel(&cfg)
-			for k := range b.payoffs {
-				b.payoffs[k] = untouched
+			if !l.byType {
+				for _, row := range l.tab {
+					for j := range row {
+						row[j] = untouched
+					}
+				}
 			}
-			games, err := b.refresh(&cfg, pop, master, kern, 3, false)
+			before := l.kern.stats
+			games, err := l.refresh(3)
 			if err != nil {
 				t.Fatal(err)
 			}
+			listed := map[[2]int32]bool{}
+			for _, ab := range l.cells {
+				if listed[ab] {
+					t.Fatalf("%s: cell %v listed twice", what, ab)
+				}
+				listed[ab] = true
+			}
 			scheduled := uint64(0)
-			for k, got := range b.payoffs {
-				i, j := pairToIJ(s, k)
-				if pairIndex(s, i, j) != k {
-					t.Fatalf("pairIndex(%d,%d) = %d, want %d", i, j, pairIndex(s, i, j), k)
-				}
-				expect := float64(untouched)
-				if pop.dirty[i] || pop.dirty[j] {
-					expect = want.payoffs[k]
-					scheduled++
-				}
-				if got != expect {
-					t.Fatalf("%s: the block holds %v for pair (%d,%d), want %v", what, got, i, j, expect)
+			for i := range s {
+				for j := range s {
+					if i == j {
+						continue
+					}
+					expect := want.cell(i, j)
+					if pop.dirty[i] || pop.dirty[j] {
+						scheduled++
+					} else if !l.byType {
+						expect = untouched
+					}
+					if got := l.cell(i, j); got != expect {
+						t.Fatalf("%s: the table holds %v for pair (%d,%d), want %v", what, got, i, j, expect)
+					}
 				}
 			}
-			if games != scheduled {
-				t.Fatalf("%s: the block counted %d games for %d scheduled cells", what, games, scheduled)
+			if games != scheduled || !l.byType && len(l.cells) != int(scheduled) {
+				t.Fatalf("%s: the refresh counted %d games and played %d cells for %d scheduled cells", what, games, len(l.cells), scheduled)
 			}
-			if st := kern.cacheStats(pop); st != nil && st.Hits+st.Misses != games {
-				t.Fatalf("%s: %d hits + %d misses for %d games", what, st.Hits, st.Misses, games)
+			if st := l.kern.cacheStats(pop); st != nil && st.Hits+st.Misses-before.Hits-before.Misses != games {
+				t.Fatalf("%s: %d hits + %d misses for %d games", what, st.Hits-before.Hits, st.Misses-before.Misses, games)
 			}
 			if sched := scheduledGames(s, len(pop.changed), false); games != sched {
-				t.Fatalf("%s: the block counted %d games, scheduledGames says %d", what, games, sched)
+				t.Fatalf("%s: the refresh counted %d games, scheduledGames says %d", what, games, sched)
 			}
 		}
 	}

@@ -47,9 +47,9 @@ type payoffKernel struct {
 	// sequence, Payoff.Score is symmetric and the rounds are added in the
 	// same order, so Mean1 of match (i, j) is Mean0 of match (j, i). play
 	// therefore answers the mirror of the match it just played from last —
-	// refreshChanged replays a pair's two cells back to back for this. The
-	// players are compared by identity, which is sound because a placed
-	// strategy is never written to (Population.Adopt).
+	// payoffTable.listMissing lists a pair's two cells back to back for
+	// this. The players are compared by identity, which is sound because a
+	// placed strategy is never written to (Population.Adopt).
 	last struct {
 		s0, s1 *strategy.Pure
 		res    game.Result
@@ -113,8 +113,8 @@ func (k *payoffKernel) met(pop *Population, id int32) bool {
 	return true
 }
 
-// row returns the table row of SSet i's type for pairPayoff — allocated on
-// this first touch — or nil when SSet i's payoffs are not memoizable.
+// row returns the table row of SSet i's type — allocated on this first
+// touch — or nil when SSet i's payoffs are not memoizable.
 func (k *payoffKernel) row(pop *Population, i int) []float64 {
 	a := pop.typ[i]
 	if k.pi == nil || !k.met(pop, a) {
@@ -129,37 +129,20 @@ func (k *payoffKernel) row(pop *Population, i int) []float64 {
 	return k.pi[a]
 }
 
-// hit answers the (i, j) match from row, which is k.row(pop, i): j's type
-// id, its stamp and the cell. It is small enough to inline into refresh's
-// pair loop; whatever it cannot answer goes to pairPayoff.
-func (k *payoffKernel) hit(pop *Population, row []float64, j int) (float64, bool) {
-	b := pop.typ[j]
-	if row == nil || b < 0 || k.seen[b] != pop.types[b].epoch+1 || row[b] != row[b] {
-		return 0, false
-	}
-	k.stats.Hits++
-	return row[b], true
-}
-
-// payoff is SSet i's payoff against j in pop: hit's answer, else
-// pairPayoff's.
+// payoff is SSet i's mean per-round payoff against j in pop: the table's
+// cell when i's row holds one under j's current stamp, else the match,
+// stored in the row when the pair is memoizable. Randomness still derives
+// from (seed, gen, i, j) on the uncached path, and rng.DeriveInto never
+// advances the master stream, so serving a hit cannot shift any other draw:
+// the table and the reference kernel give bit-identical runs.
 func (k *payoffKernel) payoff(cfg *Config, pop *Population, master *rng.Source, gen, i, j int) (float64, error) {
-	row := k.row(pop, i)
-	if v, ok := k.hit(pop, row, j); ok {
-		return v, nil
+	row, b := k.row(pop, i), pop.typ[j]
+	if row != nil && b >= 0 && k.seen[b] == pop.types[b].epoch+1 && row[b] == row[b] {
+		k.stats.Hits++
+		return row[b], nil
 	}
-	return k.pairPayoff(cfg, pop, master, gen, row, i, j)
-}
-
-// pairPayoff evaluates an (i, j) match of pop that hit did not answer,
-// returning SSet i's mean per-round payoff against j and storing it in row
-// when the pair is memoizable. Randomness still derives from (seed, gen, i,
-// j) on the uncached path, and rng.DeriveInto never advances the master stream,
-// so serving a hit cannot shift any other draw: the table and the reference
-// kernel give bit-identical runs.
-func (k *payoffKernel) pairPayoff(cfg *Config, pop *Population, master *rng.Source, gen int, row []float64, i, j int) (float64, error) {
 	v, err := k.play(cfg, master, gen, i, j, pop.strategies[i], pop.strategies[j])
-	if b := pop.typ[j]; err == nil && row != nil && k.met(pop, b) {
+	if err == nil && row != nil && k.met(pop, b) {
 		k.stats.Misses++
 		row[b] = v
 	}

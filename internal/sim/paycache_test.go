@@ -11,14 +11,13 @@ import (
 	"repro/internal/strategy"
 )
 
-// assertBitIdentical is the table-parity comparator: unlike
-// assertSameTrajectory (which tolerates reduction-order float drift between
-// engines) it demands exact equality everywhere, because a run with the
-// table and a reference run of the SAME engine share every accumulation
-// order — all but one: a parallel run sums the mean-fitness series over its
-// keys' counts (parRank.meanFitness), which on the reference kernel are
-// SSets and with the table types, so meanTol is reductionDrift wherever b
-// ran on more than one rank served by type, and 0 elsewhere.
+// assertBitIdentical is the table-parity comparator: it demands exact
+// equality everywhere, because a run with the table and a reference run of
+// the SAME engine share every accumulation order — all but one: the
+// mean-fitness series sums over the table's key counts
+// (payoffTable.meanFitness), which on the reference kernel are SSets and
+// with the table types, so meanTol is reductionDrift wherever b was served
+// by type, and 0 elsewhere.
 func assertBitIdentical(t *testing.T, a, b *Result, meanTol float64) {
 	t.Helper()
 	if a.Counters != b.Counters {
@@ -41,10 +40,10 @@ func assertBitIdentical(t *testing.T, a, b *Result, meanTol float64) {
 	assertSameSeries(t, "cooperation", a.Cooperation, b.Cooperation, 0)
 }
 
-// typedTol is assertBitIdentical's meanTol for a table run of cfg on ranks
-// ranks against its reference-kernel run.
-func typedTol(cfg Config, ranks int) float64 {
-	if ranks > 1 && servedByType(&cfg) {
+// typedTol is assertBitIdentical's meanTol for a table run of cfg against
+// its reference-kernel run, at any rank count.
+func typedTol(cfg Config) float64 {
+	if servedByType(&cfg) {
 		return reductionDrift
 	}
 	return 0
@@ -62,9 +61,9 @@ func reference(cfg Config) Config {
 // × pure, error-free mixed and noisy mixed strategies × the sequential engine
 // and 2, 3 and 5 ranks runs once with the table and once on the reference
 // kernel, and the two are equal bit for bit — counters, final strategies,
-// final fitness and cooperation; the mean-fitness series of a parallel run
-// served by type within reductionDrift — and across rank counts the usual
-// sequential/parallel parity holds.
+// final fitness and cooperation; the mean-fitness series of a run served by
+// type within reductionDrift — and across rank counts the usual
+// sequential/parallel parity holds, mean fitness bit for bit.
 func TestPayoffCacheBitParity(t *testing.T) {
 	kinds := []struct {
 		name  string
@@ -104,7 +103,7 @@ func TestPayoffCacheBitParity(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: %v", what, err)
 						}
-						t.Run(what, func(t *testing.T) { assertBitIdentical(t, off, on, typedTol(base, ranks)) })
+						t.Run(what, func(t *testing.T) { assertBitIdentical(t, off, on, typedTol(base)) })
 						if seq == nil {
 							seq = on
 						} else {
@@ -274,17 +273,19 @@ func TestKernelForgetsReclaimedID(t *testing.T) {
 		t.Fatal(err)
 	}
 	master := rng.New(cfg.Seed)
-	pop, kern, blk := NewPopulation(cfg, master), newPayoffKernel(&cfg), newPairBlock(2)
+	cfg.FullRecompute = true
+	pop := NewPopulation(cfg, master)
+	l := localOn(&cfg, pop, master)
 	refresh := func() {
 		t.Helper()
-		if _, err := blk.refresh(&cfg, pop, master, kern, 0, true); err != nil {
+		if _, err := l.refresh(0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	refresh()
 	refresh()
-	if blk.payoffs[0] != 0 || kern.stats != (game.CacheStats{Hits: 2, Misses: 2}) {
-		t.Fatalf("AllC against AllD pays %v with %+v, want 0 from 2 misses then 2 hits", blk.payoffs[0], kern.stats)
+	if l.cell(0, 1) != 0 || l.kern.stats != (game.CacheStats{Hits: 2, Misses: 2}) {
+		t.Fatalf("AllC against AllD pays %v with %+v, want 0 from 2 misses then 2 hits", l.cell(0, 1), l.kern.stats)
 	}
 	old := pop.typ[0]
 	pop.SetStrategy(0, strategy.TFT(sp))
@@ -292,15 +293,16 @@ func TestKernelForgetsReclaimedID(t *testing.T) {
 		t.Fatalf("TFT took id %d at epoch %d, want the dead AllC's id %d at epoch 1", pop.typ[0], pop.types[pop.typ[0]].epoch, old)
 	}
 	refresh()
-	plain, uncached := newPairBlock(2), reference(cfg)
-	if _, err := plain.refresh(&uncached, pop, master, newPayoffKernel(&uncached), 0, true); err != nil {
+	uncached := reference(cfg)
+	plain := localOn(&uncached, pop, master)
+	if _, err := plain.refresh(0); err != nil {
 		t.Fatal(err)
 	}
-	if blk.payoffs[0] != plain.payoffs[0] || blk.payoffs[1] != plain.payoffs[1] || plain.payoffs[0] == 0 {
-		t.Fatalf("payoffs %v after the id changed hands, want the replayed %v", blk.payoffs, plain.payoffs)
+	if l.cell(0, 1) != plain.cell(0, 1) || l.cell(1, 0) != plain.cell(1, 0) || plain.cell(0, 1) == 0 {
+		t.Fatalf("payoffs %v, %v after the id changed hands, want the replayed %v, %v", l.cell(0, 1), l.cell(1, 0), plain.cell(0, 1), plain.cell(1, 0))
 	}
-	if kern.stats.Misses != 4 {
-		t.Fatalf("%+v: both cells of the reclaimed id must be played again", kern.stats)
+	if l.kern.stats.Misses != 4 {
+		t.Fatalf("%+v: both cells of the reclaimed id must be played again", l.kern.stats)
 	}
 }
 
@@ -334,7 +336,7 @@ func TestPayoffCacheSurvivesIDRecycling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertBitIdentical(t, off, on, typedTol(cached, ranks))
+		assertBitIdentical(t, off, on, typedTol(cached))
 		if on.Counters.Mutations <= 4*8 || minEpoch < 3 {
 			t.Fatalf("ranks %d: %d mutations, least-recycled id at epoch %d: the run does not recycle every id", ranks, on.Counters.Mutations, minEpoch)
 		}

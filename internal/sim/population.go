@@ -11,8 +11,8 @@ import (
 
 // Population is the global view of the strategy space the paper's Nature
 // Agent maintains: the strategy assigned to each SSet. Every rank of either
-// engine keeps an identical copy; payoffs live with whoever plays the games
-// (pairBlock), not here.
+// engine keeps an identical copy; payoffs live in each fitness source's
+// payoffTable, not here.
 type Population struct {
 	space      strategy.Space
 	strategies []strategy.Strategy

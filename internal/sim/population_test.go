@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -69,38 +70,40 @@ func TestAdoptClones(t *testing.T) {
 	}
 }
 
-// wholeBlock is the sequential engine's pair block: the whole flat list.
-func wholeBlock(s int) *pairBlock { return newPairBlock(s) }
-
-// at addresses pair (i, j)'s payoff.
-func (b *pairBlock) at(i, j int) *float64 {
-	return &b.payoffs[pairIndex(b.s, i, j)]
+// localOn is a sequential engine's fitness source over pop: its refresh is
+// the sequential engine's, onto a table of its own.
+func localOn(cfg *Config, pop *Population, master *rng.Source) *localSource {
+	return &localSource{nature: &nature{cfg: cfg, master: master, pop: pop}, payoffTable: newPayoffTable(cfg)}
 }
 
-// pairToIJ unflattens pair index i*(S-1)+jIdx into (i, j), with jIdx
-// skipping the diagonal: pairIndex's inverse.
-func pairToIJ(s, pair int) (i, j int) {
-	i = pair / (s - 1)
-	jIdx := pair % (s - 1)
-	j = jIdx
-	if jIdx >= i {
-		j = jIdx + 1
-	}
-	return i, j
-}
+// cell is the table's payoff of SSet i against j under the last refresh's
+// keys.
+func (t *payoffTable) cell(i, j int) float64 { return t.tab[t.keys[i]][t.keys[j]] }
 
 func TestFitnessFromPayoffs(t *testing.T) {
-	cfg := testConfig(1, 3, 0)
+	cfg := reference(testConfig(1, 3, 0)) // keyed by SSet
 	_ = cfg.Validate()
-	b := wholeBlock(cfg.NumSSets)
-	*b.at(0, 1) = 2.0
-	*b.at(0, 2) = 4.0
-	if got := b.fitness(0); got != 3.0 {
+	tb := newPayoffTable(&cfg)
+	tb.keys = []int32{0, 1, 2}
+	tb.tab[0][1], tb.tab[0][2] = 2.0, 4.0
+	if got := tb.fitness(0); got != 3.0 {
 		t.Fatalf("fitness = %v, want 3", got)
 	}
-	fs := b.fitnesses()
+	fs := tb.finalFitness()
 	if len(fs) != 3 || fs[0] != 3.0 {
-		t.Fatalf("Fitnesses = %v", fs)
+		t.Fatalf("FinalFitness = %v", fs)
+	}
+	// Keyed by type, SSets 0 and 2 share a row: SSet 0 meets its twin once.
+	typed := testConfig(1, 3, 0)
+	_ = typed.Validate()
+	tb = newPayoffTable(&typed)
+	tb.keys = []int32{0, 1, 0}
+	tb.tab[0], tb.tab[1] = []float64{1.0, 5.0, 0}, []float64{0, 0, 0}
+	if got := tb.fitness(0); got != 3.0 {
+		t.Fatalf("typed fitness = %v, want 3", got)
+	}
+	if got := tb.finalFitness(); got[0] != 3.0 || got[2] != 3.0 || got[1] != 0 {
+		t.Fatalf("typed FinalFitness = %v, want [3 0 3]", got)
 	}
 }
 
@@ -110,24 +113,25 @@ func TestFitnessScaleIsPerRound(t *testing.T) {
 	// match length, so fitness must not change with Rules.Rounds. AllD in a
 	// field of AllC earns exactly the temptation payoff every round.
 	for _, rounds := range []int{10, 200} {
-		cfg := testConfig(1, 4, 0)
-		cfg.Rules.Rounds = rounds
-		if err := cfg.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		master := rng.New(13)
-		pop := NewPopulation(cfg, master)
-		pop.SetStrategy(0, strategy.AllD(pop.Space()))
-		for i := 1; i < pop.Size(); i++ {
-			pop.SetStrategy(i, strategy.AllC(pop.Space()))
-		}
-		b := wholeBlock(pop.Size())
-		if _, err := b.refresh(&cfg, pop, master, newPayoffKernel(&cfg), 0, cfg.FullRecompute); err != nil {
-			t.Fatal(err)
-		}
-		if got := b.fitness(0); got != cfg.Rules.Payoff.T {
-			t.Fatalf("rounds=%d: AllD fitness = %v, want temptation %v (per-round scale)",
-				rounds, got, cfg.Rules.Payoff.T)
+		for _, cfg := range []Config{testConfig(1, 4, 0), reference(testConfig(1, 4, 0))} {
+			cfg.Rules.Rounds = rounds
+			if err := cfg.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			master := rng.New(13)
+			pop := NewPopulation(cfg, master)
+			pop.SetStrategy(0, strategy.AllD(pop.Space()))
+			for i := 1; i < pop.Size(); i++ {
+				pop.SetStrategy(i, strategy.AllC(pop.Space()))
+			}
+			l := localOn(&cfg, pop, master)
+			if _, err := l.refresh(0); err != nil {
+				t.Fatal(err)
+			}
+			if got := l.fitness(0); got != cfg.Rules.Payoff.T {
+				t.Fatalf("rounds=%d, by type %v: AllD fitness = %v, want temptation %v (per-round scale)",
+					rounds, l.byType, got, cfg.Rules.Payoff.T)
+			}
 		}
 	}
 }
@@ -243,132 +247,139 @@ func TestBlockRangePartition(t *testing.T) {
 	}
 }
 
+// TestPairToIJ: a full recompute keyed by SSet lists every ordered pair of
+// SSets exactly once — the k-th listed cell is a valid (i, j != i) and the
+// mapping is a bijection over the S×(S-1) games — each pair's two cells
+// back to back, pairs in row-major order of their lower SSet.
 func TestPairToIJ(t *testing.T) {
-	// Every pair index maps to a valid (i, j != i) and the mapping is a
-	// bijection over the flat game list.
 	for _, s := range []int{2, 3, 5, 10} {
-		seen := map[[2]int]bool{}
-		for k := 0; k < s*(s-1); k++ {
-			i, j := pairToIJ(s, k)
-			if i < 0 || i >= s || j < 0 || j >= s || i == j {
-				t.Fatalf("s=%d pair %d -> invalid (%d,%d)", s, k, i, j)
-			}
-			key := [2]int{i, j}
-			if seen[key] {
-				t.Fatalf("s=%d pair (%d,%d) produced twice", s, i, j)
-			}
-			seen[key] = true
+		cfg := reference(testConfig(1, s, 0))
+		cfg.FullRecompute = true
+		_ = cfg.Validate()
+		pop := NewPopulation(cfg, rng.New(3))
+		pop.clearDirty()
+		tb := newPayoffTable(&cfg)
+		if games := tb.listMissing(&cfg, pop); games != uint64(s*(s-1)) || len(tb.cells) != s*(s-1) {
+			t.Fatalf("s=%d: %d games, %d cells listed, want %d", s, games, len(tb.cells), s*(s-1))
 		}
-		if len(seen) != s*(s-1) {
-			t.Fatalf("s=%d covered %d ordered pairs", s, len(seen))
+		seen := map[[2]int32]bool{}
+		for k, ij := range tb.cells {
+			if i, j := ij[0], ij[1]; i < 0 || int(i) >= s || j < 0 || int(j) >= s || i == j {
+				t.Fatalf("s=%d cell %d -> invalid %v", s, k, ij)
+			}
+			if seen[ij] {
+				t.Fatalf("s=%d pair %v listed twice", s, ij)
+			}
+			seen[ij] = true
 		}
 	}
-	// Explicit spot checks: row-major, diagonal skipped.
-	if i, j := pairToIJ(4, 0); i != 0 || j != 1 {
-		t.Fatalf("pair 0 = (%d,%d)", i, j)
-	}
-	if i, j := pairToIJ(4, 3); i != 1 || j != 0 {
-		t.Fatalf("pair 3 = (%d,%d)", i, j)
-	}
-	if i, j := pairToIJ(4, 11); i != 3 || j != 2 {
-		t.Fatalf("pair 11 = (%d,%d)", i, j)
+	// Explicit spot checks: (0,1) and its mirror first, (3,2) last.
+	cfg := reference(testConfig(1, 4, 0))
+	cfg.FullRecompute = true
+	_ = cfg.Validate()
+	tb := newPayoffTable(&cfg)
+	tb.listMissing(&cfg, NewPopulation(cfg, rng.New(3)))
+	want := [][2]int32{{0, 1}, {1, 0}, {0, 2}, {2, 0}, {0, 3}, {3, 0}, {1, 2}, {2, 1}, {1, 3}, {3, 1}, {2, 3}, {3, 2}}
+	if fmt.Sprint(tb.cells) != fmt.Sprint(want) {
+		t.Fatalf("listed %v, want %v", tb.cells, want)
 	}
 }
 
 func TestRefreshPayoffsIncremental(t *testing.T) {
-	cfg := testConfig(1, 6, 0)
+	cfg := reference(testConfig(1, 6, 0)) // keyed by SSet: every scheduled game is a listed cell
 	_ = cfg.Validate()
 	master := rng.New(9)
 	pop := NewPopulation(cfg, master)
-	b := wholeBlock(pop.Size())
-	refresh := func(gen int) (uint64, error) {
-		return b.refresh(&cfg, pop, master, newPayoffKernel(&cfg), gen, cfg.FullRecompute)
+	l := localOn(&cfg, pop, master)
+	refresh := func(gen int) (uint64, int, error) {
+		games, err := l.refresh(gen)
+		return games, len(l.cells), err
 	}
-	// The Nature rank's closed-form tally must agree with every pass.
+	// The closed-form tally must agree with every pass.
 	scheduled := func() uint64 { return scheduledGames(pop.Size(), len(pop.changed), cfg.FullRecompute) }
 	// First refresh: everything dirty -> S*(S-1) games.
 	if got := scheduled(); got != 30 {
 		t.Fatalf("initial schedule tallies %d games, want 30", got)
 	}
-	games, err := refresh(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if games != 30 {
-		t.Fatalf("initial refresh played %d games, want 30", games)
+	if games, cells, err := refresh(0); err != nil || games != 30 || cells != 30 {
+		t.Fatalf("initial refresh counted %d games, played %d cells, want 30 (err %v)", games, cells, err)
 	}
 	pop.clearDirty()
 	// Nothing changed: zero games.
-	if g, err := refresh(1); err != nil || g != 0 || scheduled() != 0 {
-		t.Fatalf("clean refresh played %d games (err %v)", g, err)
+	if g, c, err := refresh(1); err != nil || g != 0 || c != 0 || scheduled() != 0 {
+		t.Fatalf("clean refresh counted %d games, played %d cells (err %v)", g, c, err)
 	}
 	// One SSet changes: its row (5 games) plus its column (5 games).
 	pop.SetStrategy(2, strategy.AllD(pop.Space()))
-	if g, err := refresh(2); err != nil || g != 10 || scheduled() != 10 {
-		t.Fatalf("single-change refresh played %d games, want 10 (err %v)", g, err)
+	if g, c, err := refresh(2); err != nil || g != 10 || c != 10 || scheduled() != 10 {
+		t.Fatalf("single-change refresh counted %d games, played %d cells, want 10 (err %v)", g, c, err)
 	}
 	pop.clearDirty()
 	// Full recompute mode: always S*(S-1).
 	cfg.FullRecompute = true
-	if g, err := refresh(3); err != nil || g != 30 || scheduled() != 30 {
-		t.Fatalf("full recompute played %d games, want 30 (err %v)", g, err)
+	if g, c, err := refresh(3); err != nil || g != 30 || c != 30 || scheduled() != 30 {
+		t.Fatalf("full recompute counted %d games, played %d cells, want 30 (err %v)", g, c, err)
 	}
 }
 
 func TestPayoffValuesMatchDirectPlay(t *testing.T) {
-	cfg := testConfig(1, 4, 0)
-	_ = cfg.Validate()
-	master := rng.New(11)
-	pop := NewPopulation(cfg, master)
-	pop.SetStrategy(0, strategy.AllC(pop.Space()))
-	pop.SetStrategy(1, strategy.AllD(pop.Space()))
-	b := wholeBlock(pop.Size())
-	if _, err := b.refresh(&cfg, pop, master, newPayoffKernel(&cfg), 0, cfg.FullRecompute); err != nil {
-		t.Fatal(err)
-	}
-	// ALLC vs ALLD: sucker payoff 0 per round; ALLD vs ALLC: temptation 4.
-	if got := *b.at(0, 1); got != 0 {
-		t.Fatalf("payoff(ALLC,ALLD) = %v", got)
-	}
-	if got := *b.at(1, 0); got != 4 {
-		t.Fatalf("payoff(ALLD,ALLC) = %v", got)
+	for _, cfg := range []Config{testConfig(1, 4, 0), reference(testConfig(1, 4, 0))} {
+		_ = cfg.Validate()
+		master := rng.New(11)
+		pop := NewPopulation(cfg, master)
+		pop.SetStrategy(0, strategy.AllC(pop.Space()))
+		pop.SetStrategy(1, strategy.AllD(pop.Space()))
+		l := localOn(&cfg, pop, master)
+		if _, err := l.refresh(0); err != nil {
+			t.Fatal(err)
+		}
+		// ALLC vs ALLD: sucker payoff 0 per round; ALLD vs ALLC: temptation 4.
+		if got := l.cell(0, 1); got != 0 {
+			t.Fatalf("by type %v: payoff(ALLC,ALLD) = %v", l.byType, got)
+		}
+		if got := l.cell(1, 0); got != 4 {
+			t.Fatalf("by type %v: payoff(ALLD,ALLC) = %v", l.byType, got)
+		}
 	}
 }
 
-// Worker shares are windows onto the one pair list: split with blockRange,
-// each share played pair by pair as a worker plays a meeting's cells — on
-// its own kernel, from each pair's (gen, i, j) stream — the shares hold
-// exactly the whole-list block's payoffs, in its order, at any worker count.
-// That is what lets a run keyed by SSet fill its table from the workers and
-// fold each row's fitness in column order.
+// Worker shares are windows onto the one cell list: a full recompute keyed
+// by SSet lists every pair, and split with blockRange, each share played
+// cell by cell as a worker plays a meeting's cells — on its own kernel, from
+// each pair's (gen, i, j) stream — the shares hold exactly the payoffs the
+// sequential source installs, in list order, at any worker count. That is
+// what lets a run keyed by SSet fill its table from the workers and fold
+// each row's fitness in column order.
 func TestPairBlocksTileTheWholeList(t *testing.T) {
 	cfg := testConfig(1, 6, 0)
 	cfg.Rules.ErrorRate = 0.05 // noisy: payoffs depend on the (gen, i, j) stream
+	cfg.FullRecompute = true
 	_ = cfg.Validate()
 	master := rng.New(21)
 	pop := NewPopulation(cfg, master)
 	s := pop.Size()
-	whole := wholeBlock(s)
-	if _, err := whole.refresh(&cfg, pop, master, newPayoffKernel(&cfg), 4, true); err != nil {
+	whole := localOn(&cfg, pop, master)
+	if _, err := whole.refresh(4); err != nil {
 		t.Fatal(err)
+	}
+	if len(whole.cells) != s*(s-1) {
+		t.Fatalf("a full recompute listed %d cells, want %d", len(whole.cells), s*(s-1))
 	}
 	for _, nWorkers := range []int{1, 2, 4, 7, s * (s - 1)} {
 		var flat []float64
 		for w := 0; w < nWorkers; w++ {
-			lo, hi := blockRange(s*(s-1), nWorkers, w)
-			kern := newPayoffKernel(&cfg)
-			for k := lo; k < hi; k++ {
-				i, j := pairToIJ(s, k)
-				v, err := kern.payoff(&cfg, pop, master, 4, i, j)
-				if err != nil {
-					t.Fatal(err)
-				}
-				flat = append(flat, v)
+			lo, hi := blockRange(len(whole.cells), nWorkers, w)
+			worker := newPayoffTable(&cfg)
+			worker.rep = whole.rep
+			vals, err := worker.playCells(&cfg, pop, master, 4, whole.cells[lo:hi])
+			if err != nil {
+				t.Fatal(err)
 			}
+			flat = append(flat, vals...)
 		}
-		for k, v := range whole.payoffs {
-			if flat[k] != v {
-				t.Fatalf("%d workers: pair %d payoff %v, whole-list block has %v", nWorkers, k, flat[k], v)
+		for k, ab := range whole.cells {
+			if v := whole.tab[ab[0]][ab[1]]; flat[k] != v {
+				t.Fatalf("%d workers: cell %d %v payoff %v, the sequential source has %v", nWorkers, k, ab, flat[k], v)
 			}
 		}
 	}

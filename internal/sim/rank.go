@@ -3,46 +3,41 @@ package sim
 import (
 	"cmp"
 	"fmt"
-	"math"
 
 	"repro/internal/mpi"
-	"repro/internal/strategy"
 )
 
 // This file is the parallel engine's protocol. Every rank, Nature included,
-// keeps the same payoff table and runs the one Nature Agent generation
-// (nature.generation) over it: fitness is an SSet's row of the table folded
-// in column order, and the adoption is resolved from (Seed, gen, piT, piL),
-// so neither a fitness value nor an adoption crosses the wire. A run served
-// by type (servedByType) keys the table by strategy type — it is the
-// kernel's π. Any other run (noisy play, error-free mixed play, the
-// reference kernel) keys it by SSet: each SSet is its own key, a change
-// empties its row and column, and under FullRecompute every generation
-// empties them all, so the missing cells are the pairs the sequential
-// engine's pairBlock replays. The ranks meet only where the table lacks a
-// cell: a refresh that finds cells missing lists them in an order every rank
-// derives alike, splits the list over the workers (blockRange; Nature plays
-// none), Gathers the played cells at Nature and Bcasts Nature's verdict —
-// every new cell — back. A generation without a missing cell sends nothing.
-// Where something depends on how far ranks drift apart (boundedDrift) each
-// sampled generation is a meeting too, and the window's end always is one:
-// its Gather carries every worker's report for Nature's cross-check.
+// keeps its own copy of the payoffTable (table.go) the sequential engine
+// fills alone, and runs the one Nature Agent generation (nature.generation)
+// over it: fitness is an SSet's row folded in column order, and the
+// adoption is resolved from (Seed, gen, piT, piL), so neither a fitness
+// value nor an adoption crosses the wire. The ranks meet only where the
+// table lacks a cell: a refresh that finds cells missing lists them in an
+// order every rank derives alike, splits the list over the workers
+// (blockRange; Nature plays none), Gathers the played cells at Nature and
+// Bcasts Nature's verdict — every new cell — back. A generation without a
+// missing cell sends nothing. Where something depends on how far ranks drift
+// apart (boundedDrift) each sampled generation is a meeting too, and the
+// window's end always is one: its Gather carries every worker's report for
+// Nature's cross-check.
 
-// servedByType reports whether every match of cfg's run is served from π by
-// type — exact payoffs, or error-free play among deterministic strategies
-// only (the pure kind, and initial strategies the type table knows and that
-// are deterministic), never the reference kernel — and with it whether the
-// parallel engine keys its table by type.
-func servedByType(cfg *Config) bool {
-	if cfg.referenceKernel || !cfg.ExactPayoffs && (cfg.Rules.ErrorRate != 0 || cfg.Kind != PureStrategies) {
-		return false
+// blockRange returns worker w's contiguous range of the n work items
+// (block-distributed, remainders to the leading workers). A meeting splits
+// its missing cells with it: when there are fewer workers than SSets a
+// worker plays several whole rows (SSets); when there are more, a single
+// SSet's row spans several workers — the paper's "agents within each
+// strategy group" level, where each agent handles s/a opponents ("each
+// processor handles the agents of between 1/2 to 8 full SSets", §VI-B).
+func blockRange(n, nWorkers, w int) (lo, hi int) {
+	base := n / nWorkers
+	rem := n % nWorkers
+	lo = w*base + min(w, rem)
+	hi = lo + base
+	if w < rem {
+		hi++
 	}
-	for _, s := range cfg.InitialStrategies {
-		if _, ok := strategy.CanonicalFingerprint(s); !ok || !cfg.ExactPayoffs && !strategy.IsDeterministic(s) {
-			return false
-		}
-	}
-	return true
+	return lo, hi
 }
 
 // boundedDrift reports whether something depends on a run's ranks staying
@@ -57,26 +52,8 @@ func boundedDrift(cfg *Config) bool { return cfg.Control != nil || cfg.RecvTimeo
 // generation is quiet.
 type parRank struct {
 	*nature
-	c    *mpi.Comm
-	kern *payoffKernel
-	// tab is the table fitness folds over: kern.pi when byType, else S rows
-	// of S cells keyed by SSet. A NaN cell is missing.
-	tab    [][]float64
-	byType bool
-	// keys holds each SSet's key as of the last refresh that listed cells,
-	// which fitness, mean fitness and FinalFitness fold over; nil before the
-	// first. rep[a] is the lowest SSet holding key a then.
-	keys []int32
-	rep  []int
-	// every lists the SSets when the table is keyed by them: the keys a full
-	// recompute empties.
-	every []int
-	// cells lists the key pairs the last refresh found without a cell; mark,
-	// vals and live are scratch.
-	cells [][2]int32
-	mark  []int
-	vals  []float64
-	live  []int32
+	payoffTable
+	c *mpi.Comm
 	// base is the Counters at the last (re)synchronisation, which the end of
 	// the window cross-checks from.
 	base Counters
@@ -87,17 +64,7 @@ type parRank struct {
 }
 
 func newParRank(cfg *Config, c *mpi.Comm) *parRank {
-	s := cfg.NumSSets
-	r := &parRank{nature: newNature(cfg), c: c, kern: newPayoffKernel(cfg), byType: servedByType(cfg),
-		rep: make([]int, s), mark: make([]int, s)}
-	r.tab = r.kern.pi
-	if !r.byType {
-		r.tab = make([][]float64, s)
-		for i := range r.tab {
-			r.tab[i] = make([]float64, s) // every SSet is changed at the first refresh, which empties its cells
-			r.every = append(r.every, i)
-		}
-	}
+	r := &parRank{nature: newNature(cfg), payoffTable: newPayoffTable(cfg), c: c}
 	r.src, r.quiet, r.base = r, c.Rank() != 0, r.res.Counters
 	return r
 }
@@ -156,13 +123,7 @@ func (r *parRank) resync(nc *mpi.Comm) error {
 // whatever cells the changed SSets' keys lack. Nature books every scheduled
 // game no worker played as a hit.
 func (r *parRank) refresh(gen int) (uint64, error) {
-	pop := r.pop
-	all := r.cfg.FullRecompute && !r.byType // every pair replays from gen's streams
-	scheduled := scheduledGames(pop.Size(), len(pop.changed), r.cfg.FullRecompute)
-	r.cells = r.cells[:0]
-	if len(pop.changed) > 0 || all {
-		r.listMissing(all)
-	}
+	scheduled := r.listMissing(r.cfg, r.pop)
 	if len(r.cells) > 0 || gen%r.cfg.SampleStride == 0 && boundedDrift(r.cfg) {
 		part, err := r.play(gen)
 		if err == nil {
@@ -178,82 +139,20 @@ func (r *parRank) refresh(gen int) (uint64, error) {
 	return scheduled, nil
 }
 
-// listMissing empties the cells of the changed SSets' keys — of every key
-// with all — and lists the live key pairs the table then holds no cell for.
-// Only a changed SSet's key can lack one, so the list is, for each such key a
-// ascending and each live key b ascending, (a, b) and, when b is not among
-// those keys (else b's own pass lists it), (b, a); a key pairs with itself
-// only where two SSets hold it. Keyed by SSet, that is the changed SSets'
-// rows and columns, and with all the pair list in row-major order. Every rank
-// derives the same list.
-func (r *parRank) listMissing(all bool) {
-	pop, tab := r.pop, r.tab
-	r.keys = append(r.keys[:0], pop.typ...)
-	changed, keys := pop.changed, len(pop.types)
-	if !r.byType {
-		for i := range r.keys {
-			r.keys[i] = int32(i)
-		}
-		keys = len(tab)
-		if all {
-			changed = r.every
-		}
-	}
-	clear(r.mark)
-	for _, d := range changed {
-		r.mark[r.keys[d]] = 1
-		if r.byType {
-			r.kern.row(pop, d) // stamps the type's epoch, dropping a previous owner's cells, and allocates its row
-			continue
-		}
-		for j := range tab {
-			tab[d][j], tab[j][d] = math.NaN(), math.NaN()
-		}
-	}
-	for a := range keys {
-		if r.mark[a] == 0 {
-			continue
-		}
-		for b := range keys {
-			held := 1 // keyed by SSet: the one SSet that is the key
-			if r.byType {
-				held = pop.types[b].count
-			}
-			if held == 0 || a == b && held < 2 {
-				continue
-			}
-			if v := tab[a][b]; v != v {
-				r.cells = append(r.cells, [2]int32{int32(a), int32(b)})
-			}
-			if v := tab[b][a]; r.mark[b] == 0 && v != v {
-				r.cells = append(r.cells, [2]int32{int32(b), int32(a)})
-			}
-		}
-	}
-	for i := len(r.keys) - 1; i >= 0; i-- {
-		r.rep[r.keys[i]] = i
-	}
-}
-
-// play evaluates a worker's share of the missing cells between the keys'
-// lowest holders — by type a memoizable match, so which holders play does
-// not matter — from generation gen's streams. Nature plays none.
+// play evaluates a worker's share of the missing cells from generation gen's
+// streams. Nature plays none.
 func (r *parRank) play(gen int) (any, error) {
 	if r.c.Rank() == 0 {
 		return nil, nil
 	}
 	tg := r.pt.begin()
 	lo, hi := blockRange(len(r.cells), r.c.Size()-1, r.c.Rank()-1)
-	r.vals = r.vals[:0]
-	for _, ab := range r.cells[lo:hi] {
-		v, err := r.kern.payoff(r.cfg, r.pop, r.master, gen, r.rep[ab[0]], r.rep[ab[1]])
-		if err != nil {
-			return nil, err
-		}
-		r.vals = append(r.vals, v)
+	vals, err := r.playCells(r.cfg, r.pop, r.master, gen, r.cells[lo:hi])
+	if err != nil {
+		return nil, err
 	}
 	r.pt.end(PhaseGamePlay, tg)
-	return r.vals, nil
+	return vals, nil
 }
 
 // meet is the parallel engine's one exchange. Every worker's part (its share
@@ -300,60 +199,14 @@ func (r *parRank) meet(gen int, part any) ([]any, error) {
 		}
 		return nil, fmt.Errorf("sim: worker %d: %w", r.c.Rank(), ErrStopped)
 	}
-	for n, ab := range r.cells {
-		r.tab[ab[0]][ab[1]] = v.Cells[n]
-	}
+	r.install(r.cells, v.Cells)
 	r.pt.end(PhaseBroadcast, tb)
 	return parts, nil
-}
-
-// fitness is SSet i's relative fitness over the refresh's key vector, folded
-// in column order: bit for bit pairBlock.fitness of a block the same refresh
-// brought up to date.
-func (r *parRank) fitness(i int) float64 {
-	row, total := r.tab[r.keys[i]], 0.0
-	for j, b := range r.keys {
-		if j != i {
-			total += row[b]
-		}
-	}
-	return total / float64(len(r.keys)-1)
-}
-
-func (r *parRank) fitnesses(teacher, learner int) (float64, float64, error) {
-	return r.fitness(teacher), r.fitness(learner), nil
 }
 
 // halt goes quiet on a Control stop, which the workers hear of at their next
 // meeting: step keeps the stop's error for it.
 func (r *parRank) halt() { r.quiet = true }
-
-// meanFitness is Σ n_a(n_b − δ_ab)·tab(a,b) over the refresh's key counts,
-// live keys in the order of their lowest holder — O(S + K²) for K live keys.
-// It reassociates the sequential engine's sum of row sums in the last bits.
-func (r *parRank) meanFitness() (float64, error) {
-	clear(r.mark)
-	r.live = r.live[:0]
-	for _, a := range r.keys {
-		if r.mark[a]++; r.mark[a] == 1 {
-			r.live = append(r.live, a)
-		}
-	}
-	total := 0.0
-	for _, a := range r.live {
-		for _, b := range r.live {
-			m := r.mark[b]
-			if a == b {
-				m-- // no SSet plays itself
-			}
-			if m > 0 {
-				total += float64(r.mark[a]*m) * r.tab[a][b]
-			}
-		}
-	}
-	s := len(r.keys)
-	return total / float64(s*(s-1)), nil
-}
 
 // finalize is the end of the window: a meeting whose Gather carries every
 // worker's report. Nature cross-checks each against its own view — the
@@ -403,9 +256,6 @@ func (r *parRank) collect(mine rankReport, parts []any) error {
 	if r.cfg.Metrics {
 		r.res.Metrics = rm
 	}
-	r.res.FinalFitness = make([]float64, r.cfg.NumSSets) // zeros before a first refresh
-	for i := range r.keys {
-		r.res.FinalFitness[i] = r.fitness(i)
-	}
+	r.res.FinalFitness = r.finalFitness()
 	return nil
 }

@@ -15,16 +15,16 @@ import (
 // assertSameOutcome pins the whole-run outputs a recovered run must
 // reproduce bit for bit: final strategies, final fitness, cumulative
 // counters, and both sampled series from generation 0 — every snapshot
-// carries them and ResumeFrom restores them. Mean-fitness values alone get
-// assertSameTrajectory's reduction-order allowance, because callers here
-// change the rank count mid-run (evictions, a resume on more ranks).
+// carries them and ResumeFrom restores them. Mean fitness is summed in one
+// order at every rank count, so a run that changes it mid-run (evictions, a
+// resume on more ranks) matches too.
 func assertSameOutcome(t *testing.T, clean, got *Result) {
 	t.Helper()
 	if clean.Counters != got.Counters {
 		t.Fatalf("counters differ: %+v vs %+v", clean.Counters, got.Counters)
 	}
 	assertSameFinal(t, clean, got)
-	assertSameSeries(t, "mean fitness", clean.MeanFitness, got.MeanFitness, reductionDrift)
+	assertSameSeries(t, "mean fitness", clean.MeanFitness, got.MeanFitness, 0)
 	assertSameSeries(t, "cooperation", clean.Cooperation, got.Cooperation, 0)
 }
 
