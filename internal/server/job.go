@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -66,8 +67,9 @@ type Job struct {
 
 	hub *hub
 	// sink holds the job's resume snapshots: an in-memory sink by default,
-	// a sim.FileSink (on-disk, crash-safe) under -data-dir. Each snapshot is
-	// the complete run so far — strategies, counters, series.
+	// under -data-dir a behindSink writing on-disk, crash-safe files behind
+	// the engine. Each snapshot is the complete run so far — strategies,
+	// counters, series.
 	sink sim.CheckpointSink
 	ctrl atomic.Int32
 
@@ -75,10 +77,13 @@ type Job struct {
 	state  State
 	gen    int // last generation boundary reached
 	errMsg string
-	// wire is the finished run's serialisable result, built once at settle;
-	// it is what /result serves and what the journal persists, so a
-	// recovered daemon answers for done jobs without re-running them.
-	wire *jobResult
+	// settling is set by the first settle: the terminal state itself only
+	// becomes visible once it is journaled.
+	settling bool
+	// result is the finished run's /result document, encoded once at
+	// settle; /result serves it and the journal persists it, so a recovered
+	// daemon answers for done jobs without re-running them.
+	result json.RawMessage
 }
 
 // jobStatus is the wire form of a job's state.
@@ -104,13 +109,6 @@ func (j *Job) status() jobStatus {
 		EstimatedSeconds: j.EstimatedSeconds,
 		Error:            j.errMsg,
 	}
-}
-
-func (j *Job) setState(s State) {
-	j.mu.Lock()
-	j.state = s
-	j.mu.Unlock()
-	j.hub.publish("state", map[string]any{"id": j.ID, "state": s})
 }
 
 func (j *Job) setGen(gen int) {
@@ -144,6 +142,9 @@ type Manager struct {
 	epoch           int    // journal-persisted boot counter; 0 when ephemeral
 	checkpointEvery int    // durable snapshot cadence for jobs without their own
 	logf            func(format string, args ...any)
+	// diskSink overrides the on-disk sink a durable job's behindSink writes
+	// through (tests block or fail writes); nil means a sim.FileSink.
+	diskSink func(path string) sim.CheckpointSink
 
 	mu          sync.Mutex
 	jobs        map[string]*Job
@@ -286,7 +287,7 @@ func (m *Manager) markCleanAndClose() {
 	if m.store == nil {
 		return
 	}
-	if err := m.store.append(journalRecord{Kind: recClean}); err != nil {
+	if err := m.store.append(journalRecord{Kind: recClean}, nil); err != nil {
 		m.logf("egdserve: journal clean marker: %v", err)
 	}
 	if err := m.store.close(); err != nil {
@@ -407,7 +408,7 @@ func (m *Manager) Submit(tenant string, spec JobSpec) (*Job, error) {
 	// 202, the job survives a crash. Replay reads a submit record as a
 	// queued job, so no state record follows it.
 	if m.store != nil {
-		if err := m.store.append(journalRecord{Kind: recSubmit, Job: job.ID, Tenant: job.Tenant, Spec: &spec, Est: est}); err != nil {
+		if err := m.store.append(journalRecord{Kind: recSubmit, Job: job.ID, Tenant: job.Tenant, Spec: &spec, Est: est}, nil); err != nil {
 			m.reg.Counter("egd_server_journal_errors_total").Inc()
 			m.logf("egdserve: journal submit for job %s: %v", job.ID, err)
 		}
@@ -421,13 +422,18 @@ func (m *Manager) Submit(tenant string, spec JobSpec) (*Job, error) {
 	return job, nil
 }
 
-// newSink selects a job's checkpoint sink: durable on-disk snapshots when a
-// store is configured, in-memory otherwise.
+// newSink selects a job's checkpoint sink: durable on-disk snapshots
+// written behind the engine when a store is configured, in-memory
+// otherwise.
 func (m *Manager) newSink(job *Job) sim.CheckpointSink {
 	if m.store == nil {
 		return sim.NewMemorySink()
 	}
-	return &sim.FileSink{Path: m.store.checkpointPath(job.ID)}
+	path := m.store.checkpointPath(job.ID)
+	if m.diskSink != nil {
+		return newBehindSink(m.diskSink(path), m.reg)
+	}
+	return newBehindSink(&sim.FileSink{Path: path}, m.reg)
 }
 
 // enqueue places a queued job on the worker queue without blocking; a full
@@ -484,15 +490,12 @@ func (m *Manager) Resume(job *Job) error {
 		return &stateError{Detail: fmt.Sprintf("job %s is %s; only paused jobs resume", job.ID, job.state)}
 	}
 	job.state = StateQueued
+	gen := job.gen
 	job.ctrl.Store(ctrlRun)
 	job.mu.Unlock()
-	job.hub.publish("state", map[string]any{"id": job.ID, "state": StateQueued})
-	m.persistState(job)
+	m.commit(job, transition{state: StateQueued, gen: gen}, map[string]any{"id": job.ID, "state": StateQueued})
 	if err := m.enqueue(job); err != nil {
-		job.mu.Lock()
-		job.state = StatePaused
-		job.mu.Unlock()
-		m.persistState(job)
+		m.commit(job, transition{state: StatePaused, gen: gen}, nil)
 		return err
 	}
 	return nil
@@ -540,8 +543,10 @@ func (m *Manager) runJob(job *Job) {
 		// next boot's recovery re-queues it.
 		return
 	}
-	job.setState(StateRunning)
-	m.persistState(job)
+	job.mu.Lock()
+	gen := job.gen
+	job.mu.Unlock()
+	m.commit(job, transition{state: StateRunning, gen: gen}, map[string]any{"id": job.ID, "state": StateRunning})
 
 	cfg := job.cfg
 	// A checkpoint that cannot be read is not fatal: the segment starts from
@@ -613,65 +618,108 @@ func (m *Manager) runJob(job *Job) {
 }
 
 // park ends a stopped segment in a non-terminal state — paused, or queued
-// for a drain. The engine persisted the stop snapshot before returning; it
-// is the whole run so far, and the next segment resumes from it.
+// for a drain. The engine handed over the stop snapshot before returning;
+// Latest puts it on disk before the state is journaled. It is the whole run
+// so far, and the next segment resumes from it.
 func (m *Manager) park(job *Job, state State) {
 	snap, err := job.sink.Latest()
 	if err != nil || snap == nil {
 		m.settle(job, StateFailed, nil, fmt.Sprintf("stop snapshot unavailable: %v", err))
 		return
 	}
-	job.mu.Lock()
-	job.gen = int(snap.Generation)
-	job.state = state
-	job.mu.Unlock()
+	m.commit(job, transition{state: state, gen: int(snap.Generation)},
+		map[string]any{"id": job.ID, "state": state, "generation": snap.Generation})
 	// The request is served; a drained job never runs again in this process.
 	job.ctrl.Store(ctrlRun)
-	job.hub.publish("state", map[string]any{"id": job.ID, "state": state, "generation": snap.Generation})
-	m.persistState(job)
 }
 
 // settle moves a job to a terminal state exactly once: folds its metrics
 // into the daemon registry, records the outcome, releases its budget
-// reservation and tenant slot, and closes its event stream. The registry is
-// updated before the terminal state can be observed: a client that polls the
-// job done and then scrapes /metrics finds the job counted.
+// reservation and tenant slot, closes its event stream and deletes its
+// checkpoint. The registry is updated before the terminal state can be
+// observed: a client that polls the job done and then scrapes /metrics
+// finds the job counted.
 func (m *Manager) settle(job *Job, state State, res *sim.Result, errMsg string) {
 	var runReg *metrics.Registry
 	if res != nil {
 		runReg = res.MetricsRegistry()
 	}
 	job.mu.Lock()
-	if job.state.terminal() {
+	if job.settling || job.state.terminal() {
 		job.mu.Unlock()
 		return
 	}
-	m.reg.Counter(metrics.Name("egd_server_jobs_finished_total", "state", string(state))).Inc()
+	job.settling = true
+	tr := transition{state: state, gen: job.gen, errMsg: errMsg}
+	if res != nil {
+		tr.gen = job.cfg.StartGeneration + job.cfg.Generations
+		if state == StateDone {
+			var err error
+			if tr.result, err = json.Marshal(wireResult(job.ID, res)); err != nil {
+				tr.state, tr.errMsg = StateFailed, "encoding result: "+err.Error()
+			}
+		}
+	}
+	m.reg.Counter(metrics.Name("egd_server_jobs_finished_total", "state", string(tr.state))).Inc()
 	if runReg != nil {
 		foldCounters(m.reg, runReg)
 	}
-	job.state = state
-	job.errMsg = errMsg
-	if res != nil {
-		job.gen = job.cfg.StartGeneration + job.cfg.Generations
-		if state == StateDone {
-			job.wire = buildWireLocked(job, res)
-		}
-	}
 	job.mu.Unlock()
 
+	m.quotas.release(job.Tenant)
+	m.commit(job, tr, map[string]any{"id": job.ID, "state": tr.state, "error": tr.errMsg})
+	job.hub.close()
 	m.mu.Lock()
 	m.outstanding -= job.EstimatedSeconds
 	if m.outstanding < 0 {
 		m.outstanding = 0
 	}
 	m.mu.Unlock()
-	m.quotas.release(job.Tenant)
-	job.hub.publish("state", map[string]any{"id": job.ID, "state": state, "error": errMsg})
-	job.hub.close()
-	m.persistState(job)
 	if m.store != nil {
+		job.sink.(*behindSink).discard()
 		m.store.removeCheckpoint(job.ID)
+	}
+}
+
+// transition is a job's next lifecycle position: what the journal records
+// and what commit installs once it has.
+type transition struct {
+	state  State
+	gen    int
+	errMsg string
+	result json.RawMessage
+}
+
+// commit journals a transition before anyone can see it. Once the record
+// is appended — under the store lock, so a compaction sees both or neither
+// — the transition is installed on the job and ev, when non-nil, published
+// as its state event. The record carries the ID that event gets, so the
+// journaled event-id mark is the one the client saw, and a client never
+// sees a state a crash could undo. Without a store both happen at once.
+func (m *Manager) commit(job *Job, tr transition, ev map[string]any) {
+	show := func() {
+		job.mu.Lock()
+		job.state, job.gen, job.errMsg, job.result = tr.state, tr.gen, tr.errMsg, tr.result
+		job.mu.Unlock()
+		if ev != nil {
+			job.hub.publish("state", ev)
+		}
+	}
+	if m.store == nil {
+		show()
+		return
+	}
+	rec := journalRecord{Kind: recState, Job: job.ID, State: tr.state, Gen: tr.gen, Error: tr.errMsg, EventID: job.hub.highWater(), Result: tr.result}
+	if ev != nil {
+		rec.EventID++
+	}
+	if err := m.store.append(rec, show); err != nil {
+		m.reg.Counter("egd_server_journal_errors_total").Inc()
+		m.logf("egdserve: journal append for job %s: %v", job.ID, err)
+	}
+	if err := m.store.maybeCompact(m.snapshotRecords); err != nil {
+		m.reg.Counter("egd_server_journal_errors_total").Inc()
+		m.logf("egdserve: journal compaction: %v", err)
 	}
 }
 

@@ -58,7 +58,7 @@ func (m *Manager) rebuildJob(rj *recoveredJob) *Job {
 	if rj.state.terminal() {
 		job.state = rj.state
 		job.errMsg = rj.errMsg
-		job.wire = rj.result
+		job.result = rj.result
 		job.hub.close()
 		return job
 	}
@@ -114,29 +114,8 @@ func (m *Manager) snapshotRecords() []journalRecord {
 		spec := job.Spec
 		recs = append(recs,
 			journalRecord{Kind: recSubmit, Job: job.ID, Tenant: job.Tenant, Spec: &spec, Est: job.EstimatedSeconds},
-			journalRecord{Kind: recState, Job: job.ID, State: job.state, Gen: job.gen, Error: job.errMsg, EventID: job.hub.highWater(), Result: job.wire})
+			journalRecord{Kind: recState, Job: job.ID, State: job.state, Gen: job.gen, Error: job.errMsg, EventID: job.hub.highWater(), Result: job.result})
 		job.mu.Unlock()
 	}
 	return recs
-}
-
-// persistState appends a job's current lifecycle state to the journal and
-// compacts when due. A no-op without a store; append failures are counted
-// and logged, not propagated — the in-memory job keeps running and the
-// next transition retries durability.
-func (m *Manager) persistState(job *Job) {
-	if m.store == nil {
-		return
-	}
-	job.mu.Lock()
-	rec := journalRecord{Kind: recState, Job: job.ID, State: job.state, Gen: job.gen, Error: job.errMsg, EventID: job.hub.highWater(), Result: job.wire}
-	job.mu.Unlock()
-	if err := m.store.append(rec); err != nil {
-		m.reg.Counter("egd_server_journal_errors_total").Inc()
-		m.logf("egdserve: journal append for job %s: %v", job.ID, err)
-	}
-	if err := m.store.maybeCompact(m.snapshotRecords); err != nil {
-		m.reg.Counter("egd_server_journal_errors_total").Inc()
-		m.logf("egdserve: journal compaction: %v", err)
-	}
 }

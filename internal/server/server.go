@@ -18,6 +18,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -298,13 +299,12 @@ func seriesPoints(s *stats.Series) []samplePoint {
 	return out
 }
 
-// buildWireLocked materialises a finished run's wire result; the caller
-// holds job.mu. Built once at settle time and retained (and journaled in
-// durable mode), so a restarted daemon serves done jobs' results without
-// re-running them.
-func buildWireLocked(job *Job, res *sim.Result) *jobResult {
+// wireResult is a finished run's /result document. settle encodes it once;
+// the bytes are retained, served and (in durable mode) journaled, so a
+// restarted daemon serves done jobs' results without re-running them.
+func wireResult(id string, res *sim.Result) *jobResult {
 	out := &jobResult{
-		ID:             job.ID,
+		ID:             id,
 		FinalFitness:   res.FinalFitness,
 		Fingerprints:   make([]string, len(res.Final)),
 		Counters:       res.Counters,
@@ -326,13 +326,22 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	job.mu.Lock()
-	state, wire := job.state, job.wire
+	state, raw := job.state, job.result
 	job.mu.Unlock()
-	if state != StateDone || wire == nil {
+	if state != StateDone || len(raw) == 0 {
 		writeError(w, &stateError{Detail: fmt.Sprintf("job %s is %s; results exist only for done jobs", job.ID, state)})
 		return
 	}
-	writeJSON(w, http.StatusOK, wire)
+	// The bytes writeJSON's indenting encoder would write for the document.
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, raw, "", "  "); err != nil {
+		writeError(w, err)
+		return
+	}
+	buf.WriteByte('\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(buf.Bytes()) //nolint:errcheck // client gone mid-write is not actionable
 }
 
 // handleEvents streams a job's timeline as Server-Sent Events: everything
@@ -343,8 +352,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	flusher, canFlush := w.(http.Flusher)
-	if !canFlush {
+	if _, canFlush := w.(http.Flusher); !canFlush {
 		writeJSON(w, http.StatusNotImplemented, map[string]string{"reason": "no_streaming", "detail": "response writer cannot stream"})
 		return
 	}
@@ -365,18 +373,16 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// stalls the TCP send buffer, the deadline expires, the write fails,
 	// and the stream ends — instead of this handler hanging on one stalled
 	// peer forever. The client reconnects with Last-Event-ID and reads on
-	// from there.
+	// from there. Each batch — every event the timeline holds past the
+	// cursor — is flushed once, under its last event's deadline.
 	rc := http.NewResponseController(w)
 	writeSSE := func(ev sseEvent) bool {
 		if s.sseTimeout > 0 {
 			deadline := time.Now().Add(s.sseTimeout) //egdlint:allow determinism SSE write deadline; never feeds a trajectory
 			rc.SetWriteDeadline(deadline)            //nolint:errcheck // unsupported writers (test recorders) just skip the deadline
 		}
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.ID, ev.Kind, ev.Data); err != nil {
-			return false
-		}
-		flusher.Flush()
-		return true
+		_, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.ID, ev.Kind, ev.Data)
+		return err == nil
 	}
 	for {
 		events, wake, closed := job.hub.after(afterID)
@@ -385,6 +391,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			afterID = ev.ID
+		}
+		if len(events) > 0 && rc.Flush() != nil {
+			return
 		}
 		if closed {
 			return // job settled and its whole timeline is written

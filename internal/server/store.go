@@ -54,11 +54,13 @@ type journalRecord struct {
 	Spec   *JobSpec `json:"spec,omitempty"`
 	Est    float64  `json:"estimated_seconds,omitempty"`
 	// state
-	State   State      `json:"state,omitempty"`
-	Gen     int        `json:"generation,omitempty"`
-	Error   string     `json:"error,omitempty"`
-	EventID int        `json:"event_id,omitempty"`
-	Result  *jobResult `json:"result,omitempty"`
+	State   State  `json:"state,omitempty"`
+	Gen     int    `json:"generation,omitempty"`
+	Error   string `json:"error,omitempty"`
+	EventID int    `json:"event_id,omitempty"`
+	// Result is a done job's /result document, encoded once at settle and
+	// carried as bytes through every append and compaction.
+	Result json.RawMessage `json:"result,omitempty"`
 }
 
 // recoveredJob is one job's journal-replayed state: the submit record's
@@ -72,7 +74,7 @@ type recoveredJob struct {
 	gen     int
 	errMsg  string
 	eventID int
-	result  *jobResult
+	result  json.RawMessage
 }
 
 // journalState is the outcome of replaying a journal: the per-job table in
@@ -89,7 +91,8 @@ type journalState struct {
 // store owns the journal file handle and the checkpoint directory. All
 // appends and compactions serialise on mu; append call sites must not hold
 // the manager or job locks (compaction acquires them under mu to snapshot
-// live state, so the lock order is store.mu → Manager.mu → Job.mu).
+// live state, and an append's then installs a job's transition under it, so
+// the lock order is store.mu → Manager.mu → Job.mu → hub.mu).
 type store struct {
 	dir string
 
@@ -201,21 +204,27 @@ func (js *journalState) apply(rec *journalRecord) {
 		if rec.EventID > rj.eventID {
 			rj.eventID = rec.EventID
 		}
-		if rec.Result != nil {
+		if len(rec.Result) > 0 && !bytes.Equal(rec.Result, []byte("null")) {
 			rj.result = rec.Result
 		}
 	}
 }
 
 // append durably writes one record: marshal, write the line, fsync. The
-// record is on disk when append returns.
-func (st *store) append(rec journalRecord) error {
+// record is on disk when append returns. then, when non-nil, runs under the
+// store lock once the append has succeeded or failed, so a compaction never
+// snapshots what then installs without the record that journals it; then
+// must not call back into the store.
+func (st *store) append(rec journalRecord, then func()) error {
 	line, err := json.Marshal(rec)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if then != nil {
+		defer then()
+	}
 	if err != nil {
 		return fmt.Errorf("server: encoding journal record: %w", err)
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	if st.f == nil {
 		return fmt.Errorf("server: journal closed")
 	}

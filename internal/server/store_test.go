@@ -384,7 +384,7 @@ func TestJournalCompaction(t *testing.T) {
 		t.Fatalf("fresh store not empty: %+v", js)
 	}
 	for i := 0; i < compactEvery+10; i++ {
-		if err := st.append(journalRecord{Kind: recState, Job: "j-0001-000001", State: StateRunning, Gen: i}); err != nil {
+		if err := st.append(journalRecord{Kind: recState, Job: "j-0001-000001", State: StateRunning, Gen: i}, nil); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
@@ -403,7 +403,7 @@ func TestJournalCompaction(t *testing.T) {
 		t.Errorf("compaction did not shrink journal: %d -> %d bytes", before.Size(), after.Size())
 	}
 	// Appends keep working on the swapped handle and replay sees both.
-	if err := st.append(journalRecord{Kind: recClean}); err != nil {
+	if err := st.append(journalRecord{Kind: recClean}, nil); err != nil {
 		t.Fatalf("append after compaction: %v", err)
 	}
 	data, _ := os.ReadFile(filepath.Join(dir, journalName))
@@ -422,7 +422,7 @@ func TestOpenStoreRemovesOrphanedTemps(t *testing.T) {
 	if err != nil {
 		t.Fatalf("openStore: %v", err)
 	}
-	if err := st.append(journalRecord{Kind: recMeta, Epoch: 4}); err != nil {
+	if err := st.append(journalRecord{Kind: recMeta, Epoch: 4}, nil); err != nil {
 		t.Fatal(err)
 	}
 	ckpt := st.checkpointPath("j-0004-000001")

@@ -63,6 +63,17 @@ wait_state() { # job id, wanted state
     return 1
 }
 
+# A parity diff of two filtered /result bodies proves nothing if both are
+# empty (or filtered down to nothing): each must still hold the document.
+assert_result() { # filtered /result files
+    for f in "$@"; do
+        if [ ! -s "$f" ] || ! grep -q '"final_fitness"' "$f"; then
+            echo "serve-smoke: FAIL: $f holds no /result document" >&2
+            exit 1
+        fi
+    done
+}
+
 echo "serve-smoke: small job runs to completion"
 SMALL=$(submit '{"memory":1,"ssets":8,"generations":200,"rounds":20,"seed":7,"sample_stride":20}')
 wait_state "$SMALL" done
@@ -102,6 +113,7 @@ B=$(submit "$SPEC")
 wait_state "$B" done
 curl -fsS "$BASE/api/v1/jobs/$B/result" | grep -v '"id"\|"elapsed_seconds"' > "$TMP/straight.json"
 
+assert_result "$TMP/straight.json" "$TMP/paused.json"
 if ! diff -u "$TMP/straight.json" "$TMP/paused.json"; then
     echo "serve-smoke: FAIL: paused+resumed result diverged from the uninterrupted run" >&2
     exit 1
@@ -157,6 +169,7 @@ fi
 echo "serve-smoke: restarted daemon at $BASE, job $D recovering"
 wait_state "$D" done
 curl -fsS "$BASE/api/v1/jobs/$D/result" | grep -v '"id"\|"elapsed_seconds"' > "$TMP/recovered.json"
+assert_result "$TMP/uninterrupted.json" "$TMP/recovered.json"
 if ! diff -u "$TMP/uninterrupted.json" "$TMP/recovered.json"; then
     echo "serve-smoke: FAIL: post-crash result diverged from the uninterrupted run" >&2
     exit 1
