@@ -25,9 +25,9 @@ lint-json:
 	$(GO) run ./cmd/egdlint -tests -json ./... > egdlint.json; \
 	code=$$?; cat egdlint.json; exit $$code
 
-# Race-detector pass over every package: the fault-injection, recovery,
-# and eviction tests run scripted kills/stalls under -race, and the
-# eviction-era packages (stats, trace, checkpoint) ride along.
+# Race-detector pass over every package: the fault-injection and restart
+# tests run scripted kills/stalls under -race, and the packages a restart
+# leans on (stats, trace, checkpoint) ride along.
 race:
 	$(GO) test -race ./...
 
@@ -48,10 +48,11 @@ fuzz:
 	done
 
 # Multi-process chaos smoke: egdrun spawns a real worker fleet over unix
-# sockets, runs a seeded config fault-free, then reruns it with one worker
-# SIGKILLed and one SIGSTOPped mid-run, and asserts the deterministic
-# summary lines are byte-identical and the fault evicted its rank — once at
-# memory one, once at memory six (see scripts/chaos_smoke.sh).
+# sockets, runs a seeded config fault-free, then reruns it once with a
+# worker SIGKILLed and once with a worker SIGSTOPped mid-run, and asserts
+# each fault caused exactly one relaunch from the latest snapshot and the
+# deterministic summary lines are byte-identical — at memory one and at
+# memory six (see scripts/chaos_smoke.sh).
 chaos:
 	./scripts/chaos_smoke.sh
 

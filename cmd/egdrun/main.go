@@ -1,25 +1,31 @@
 // Command egdrun launches a multi-process simulation: one worker process
 // per rank, wired into a full mesh over unix sockets (default) or TCP by
 // the mpi wire transport. Rank 0 hosts the Nature Agent and prints the
-// deterministic run summary; egdrun itself supervises the fleet,
-// attributes every worker's exit status, and — via the chaos flags — doses
-// workers with real SIGKILL/SIGSTOP mid-run to exercise live eviction the
-// way an unplugged node would.
+// deterministic run summary.
+//
+// egdrun supervises the fleet the way sim.RunParallelResilient supervises an
+// in-process world. It attributes every worker's exit status, and on the
+// first abnormal exit — which it sees at once, from the worker's process —
+// it kills the rest of the fleet and relaunches every rank from the Nature
+// rank's latest snapshot (sim.RestartConfig; from the start when
+// -checkpoint-every wrote none), up to -max-restarts times. The chaos flags
+// dose workers with real SIGKILL/SIGSTOP mid-run to exercise that recovery
+// the way an unplugged or hung node would; a stopped worker becomes a
+// failure through the -worker-timeout receive deadline of a rank waiting on
+// it.
 //
 // Examples:
 //
 //	egdrun -np 4 -ssets 32 -gens 2000
 //	egdrun -np 4 -tcp 127.0.0.1:7700 -ssets 32 -gens 2000
-//	egdrun -np 4 -evict -full -ssets 16 -gens 600 -chaos-kill 2@500ms
-//	egdrun -np 4 -evict -full -chaos-stop 3@1s:2s   # SIGSTOP, 2s later SIGCONT
+//	egdrun -np 4 -full -ssets 16 -gens 600 -checkpoint-every 100 -chaos-kill 2@500ms
+//	egdrun -np 4 -full -checkpoint-every 100 -worker-timeout 1s -chaos-stop 3@1s:2s   # SIGSTOP, 2s later SIGCONT
 //
 // The run is described by the flags every command shares (README.md "Run
 // parameters") plus egdsim's fault-tolerance flags; the launcher parses them
-// once and hands each worker the result as one JSON argument.
-//
-// A chaos-targeted worker is expected to die (or to discover its eviction
-// and exit with an error); egdrun succeeds when rank 0 completes and every
-// non-targeted worker exits cleanly.
+// once and hands each worker the result as one JSON argument. The scripted
+// faults (-inject-fault and the chaos schedule) fire in the first fleet
+// only. egdrun succeeds when every rank of a fleet exits cleanly.
 package main
 
 import (
@@ -33,6 +39,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -89,7 +96,8 @@ func parseChaos(spec string, stop bool) (chaosSpec, error) {
 }
 
 // workerJob is what the launcher hands each worker process, as the JSON value
-// of its -worker flag: the parsed run and the worker's place in the mesh.
+// of its -worker flag: the parsed run, the worker's place in the mesh, and
+// where the fleet's snapshots live.
 type workerJob struct {
 	Rank    int
 	Addrs   []string
@@ -97,15 +105,27 @@ type workerJob struct {
 	Job     string // id shared by the fleet
 	Spec    sim.Spec
 	Faults  sim.FaultTolerance
+	// Checkpoint is the file the Nature rank's snapshots go to; Restarts,
+	// how many fleets failed before this one, has every rank resume from it.
+	Checkpoint string
+	Restarts   int
 }
 
-// config materialises the engine configuration the job describes.
+// config materialises the engine configuration the job describes: a
+// relaunched fleet's is the run resumed from the latest snapshot.
 func (j workerJob) config() (sim.Config, error) {
 	cfg, err := j.Spec.Config()
 	if err != nil {
 		return cfg, err
 	}
-	return cfg, j.Faults.Apply(&cfg)
+	if err := j.Faults.Apply(&cfg); err != nil || j.Checkpoint == "" {
+		return cfg, err
+	}
+	cfg.CheckpointSink = &sim.FileSink{Path: j.Checkpoint}
+	if j.Restarts == 0 {
+		return cfg, nil
+	}
+	return sim.RestartConfig(cfg)
 }
 
 func run(args []string, out io.Writer) error {
@@ -119,10 +139,10 @@ func run(args []string, out io.Writer) error {
 	var (
 		sockDir = fs.String("sock", "", "unix-socket directory for the rank mesh (default: a temp dir)")
 		tcpBase = fs.String("tcp", "", "use TCP instead of unix sockets: host:basePort (rank i listens on basePort+i)")
-		timeout = fs.Duration("timeout", 10*time.Minute, "kill the fleet and fail if the run exceeds this")
+		timeout = fs.Duration("timeout", 10*time.Minute, "kill the fleet and fail if the run, relaunches included, exceeds this")
 
-		chaosKill = fs.String("chaos-kill", "", "SIGKILL specs 'rank@delay', comma-separated (requires -evict)")
-		chaosStop = fs.String("chaos-stop", "", "SIGSTOP specs 'rank@delay:pause', comma-separated (requires -evict)")
+		chaosKill = fs.String("chaos-kill", "", "SIGKILL specs 'rank@delay', comma-separated")
+		chaosStop = fs.String("chaos-stop", "", "SIGSTOP specs 'rank@delay:pause', comma-separated (needs -worker-timeout)")
 
 		worker = fs.String("worker", "", "internal: run as the single-rank worker process this JSON workerJob describes")
 	)
@@ -158,8 +178,11 @@ func run(args []string, out io.Writer) error {
 			if cs.rank <= 0 || cs.rank >= np {
 				return fmt.Errorf("chaos target rank %d out of worker range [1,%d)", cs.rank, np)
 			}
-			if !job.Faults.Evict {
-				return fmt.Errorf("chaos flags need -evict (live recovery) to make sense")
+			if job.Faults.MaxRestarts < 1 {
+				return fmt.Errorf("chaos flags need -max-restarts >= 1 to recover from the fault")
+			}
+			if cs.stop && job.Faults.WorkerTimeout <= 0 {
+				return fmt.Errorf("-chaos-stop needs -worker-timeout: nothing else notices a stopped worker")
 			}
 			chaos = append(chaos, cs)
 		}
@@ -177,14 +200,20 @@ func splitSpecs(s string) []string {
 	return out
 }
 
-// launch spawns one worker process per rank, runs the chaos schedule, and
-// attributes every exit. Success requires rank 0 to complete and every
-// non-targeted worker to exit 0.
+// launch supervises the run: it runs a fleet, and while a fleet fails and
+// the restart budget lasts, relaunches every rank from the latest snapshot
+// in the fleet's temp dir. The scripted faults fire in the first fleet
+// only.
 func launch(job workerJob, sockDir, tcpBase string, timeout time.Duration, chaos []chaosSpec, out io.Writer) error {
 	self, err := os.Executable()
 	if err != nil {
 		return fmt.Errorf("locate own binary: %w", err)
 	}
+	dir, err := os.MkdirTemp("", "egdrun-*")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
 	np := job.Spec.Ranks
 	network := "unix"
 	addrs := make([]string, np)
@@ -203,27 +232,50 @@ func launch(job workerJob, sockDir, tcpBase string, timeout time.Duration, chaos
 			addrs[i] = fmt.Sprintf("%s:%d", host, base+i)
 		}
 	default:
-		dir := sockDir
-		if dir == "" {
-			if dir, err = os.MkdirTemp("", "egdrun-*"); err != nil {
-				return err
-			}
-			defer os.RemoveAll(dir)
+		if sockDir == "" {
+			sockDir = dir
 		}
 		for i := range addrs {
-			addrs[i] = filepath.Join(dir, fmt.Sprintf("rank-%d.sock", i))
+			addrs[i] = filepath.Join(sockDir, fmt.Sprintf("rank-%d.sock", i))
 		}
 	}
-
 	job.Addrs, job.Network = addrs, network
-	job.Job = fmt.Sprintf("egdrun-%d-%d", os.Getpid(), time.Now().UnixNano())
+	job.Checkpoint = filepath.Join(dir, "nature.ckpt")
 
+	deadline := time.Now().Add(timeout)
+	for {
+		job.Job = fmt.Sprintf("egdrun-%d-%d", os.Getpid(), time.Now().UnixNano())
+		failed, err := runFleet(self, job, deadline, chaos, out)
+		if err != nil || failed < 0 {
+			return err
+		}
+		if job.Restarts >= job.Faults.MaxRestarts {
+			return fmt.Errorf("rank %d failed; giving up after %d relaunches", failed, job.Restarts)
+		}
+		job.Restarts++
+		job.Faults.InjectFault, chaos = "", nil
+		from := "the start"
+		if snap, err := (&sim.FileSink{Path: job.Checkpoint}).Latest(); err != nil {
+			return err
+		} else if snap != nil {
+			from = fmt.Sprintf("generation %d", snap.Generation)
+		}
+		fmt.Fprintf(os.Stderr, "egdrun: relaunch %d: %d ranks resume from %s\n", job.Restarts, np, from)
+	}
+}
+
+// runFleet spawns one worker process per rank, runs the chaos schedule, and
+// waits for every rank to exit: on the first abnormal exit it kills the
+// rest. It attributes every exit and returns the rank that failed first, -1
+// when every rank exited cleanly.
+func runFleet(self string, job workerJob, deadline time.Time, chaos []chaosSpec, out io.Writer) (int, error) {
+	np := job.Spec.Ranks
 	cmds := make([]*exec.Cmd, np)
 	for i := 0; i < np; i++ {
 		job.Rank = i
 		arg, err := json.Marshal(job)
 		if err != nil {
-			return err
+			return -1, err
 		}
 		cmd := exec.Command(self, "-worker", string(arg))
 		cmd.Stderr = os.Stderr
@@ -233,17 +285,32 @@ func launch(job workerJob, sockDir, tcpBase string, timeout time.Duration, chaos
 		if err := cmd.Start(); err != nil {
 			for _, c := range cmds[:i] {
 				c.Process.Kill()
+				c.Wait()
 			}
-			return fmt.Errorf("spawn rank %d: %w", i, err)
+			return -1, fmt.Errorf("spawn rank %d: %w", i, err)
 		}
 		cmds[i] = cmd
 	}
 
 	targeted := make(map[int]bool)
+	var timers []*time.Timer
+	var tmu sync.Mutex
+	after := func(d time.Duration, f func()) {
+		tmu.Lock()
+		timers = append(timers, time.AfterFunc(d, f))
+		tmu.Unlock()
+	}
+	defer func() {
+		tmu.Lock()
+		for _, t := range timers {
+			t.Stop()
+		}
+		tmu.Unlock()
+	}()
 	for _, cs := range chaos {
 		targeted[cs.rank] = true
 		cs := cs
-		time.AfterFunc(cs.delay, func() {
+		after(cs.delay, func() {
 			sig, name := syscall.SIGKILL, "SIGKILL"
 			if cs.stop {
 				sig, name = syscall.SIGSTOP, "SIGSTOP"
@@ -251,7 +318,7 @@ func launch(job workerJob, sockDir, tcpBase string, timeout time.Duration, chaos
 			fmt.Fprintf(os.Stderr, "egdrun: chaos: rank %d <- %s\n", cs.rank, name)
 			cmds[cs.rank].Process.Signal(sig)
 			if cs.stop {
-				time.AfterFunc(cs.pause, func() {
+				after(cs.pause, func() {
 					fmt.Fprintf(os.Stderr, "egdrun: chaos: rank %d <- SIGCONT\n", cs.rank)
 					cmds[cs.rank].Process.Signal(syscall.SIGCONT)
 				})
@@ -267,40 +334,37 @@ func launch(job workerJob, sockDir, tcpBase string, timeout time.Duration, chaos
 	for i, cmd := range cmds {
 		go func(rank int, cmd *exec.Cmd) { done <- exit{rank, cmd.Wait()} }(i, cmd)
 	}
-	exits := make(map[int]error, np)
-	watchdog := time.After(timeout)
-	for len(exits) < np {
+	killRest := func() {
+		for _, cmd := range cmds {
+			cmd.Process.Kill() // an exited one is an error to ignore
+		}
+	}
+	failed, watchdog := -1, time.After(time.Until(deadline))
+	for left := np; left > 0; {
 		select {
 		case e := <-done:
-			exits[e.rank] = e.err
-		case <-watchdog:
-			for _, cmd := range cmds {
-				cmd.Process.Kill()
+			left--
+			note := ""
+			switch {
+			case targeted[e.rank]:
+				note = " (chaos target)"
+			case e.err != nil && failed >= 0:
+				note = " (stopped by the launcher)"
 			}
-			return fmt.Errorf("fleet did not finish within %v", timeout)
+			fmt.Fprintf(os.Stderr, "egdrun: rank %d: %s%s\n", e.rank, describeExit(cmds[e.rank]), note)
+			if e.err != nil && failed < 0 {
+				failed = e.rank
+				killRest()
+			}
+		case <-watchdog:
+			killRest()
+			for ; left > 0; left-- {
+				<-done
+			}
+			return -1, errors.New("fleet did not finish within the -timeout")
 		}
 	}
-
-	failed := 0
-	for i := 0; i < np; i++ {
-		status := describeExit(cmds[i])
-		switch {
-		case exits[i] == nil:
-			fmt.Fprintf(os.Stderr, "egdrun: rank %d: %s\n", i, status)
-		case targeted[i]:
-			fmt.Fprintf(os.Stderr, "egdrun: rank %d: %s (chaos target)\n", i, status)
-		default:
-			fmt.Fprintf(os.Stderr, "egdrun: rank %d: %s\n", i, status)
-			failed++
-		}
-	}
-	if exits[0] != nil {
-		return fmt.Errorf("rank 0 (Nature) failed: %s", describeExit(cmds[0]))
-	}
-	if failed > 0 {
-		return fmt.Errorf("%d non-targeted worker(s) failed", failed)
-	}
-	return nil
+	return failed, nil
 }
 
 // describeExit renders a finished worker's wait status, distinguishing
@@ -344,6 +408,7 @@ func runWorker(job workerJob, out io.Writer) error {
 		return fmt.Errorf("rank %d: %w", job.Rank, err)
 	}
 	if res != nil {
+		res.Restarts = job.Restarts
 		printSummary(out, res)
 	}
 	return nil
@@ -352,10 +417,11 @@ func runWorker(job workerJob, out io.Writer) error {
 // printSummary writes the run summary. Every line except "run:" is a pure
 // function of the trajectory (core.SummaryLines), so fault-free and chaos
 // runs of the same seeded config diff clean on them (the CI smoke relies on
-// this; use -full so eviction replay does not inflate GamesPlayed).
+// this; use -full so a resume's replay of every pair does not inflate
+// GamesPlayed).
 func printSummary(out io.Writer, res *sim.Result) {
-	fmt.Fprintf(out, "run: %d ranks finish, %d evictions, %.2fs\n",
-		res.Ranks, res.Evictions, res.Elapsed.Seconds())
+	fmt.Fprintf(out, "run: %d ranks, %d restarts, %.2fs\n",
+		res.Ranks, res.Restarts, res.Elapsed.Seconds())
 	for _, line := range core.SummaryLines(res) {
 		fmt.Fprintln(out, line)
 	}

@@ -63,11 +63,11 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 	}{
 		{"one rank", []string{"-np", "1"}, "-np must be >= 2"},
 		{"no rank count", nil, "-np must be >= 2"},
-		{"chaos kill without evict", []string{"-np", "3", "-chaos-kill", "1@1s"}, "need -evict"},
-		{"chaos stop without evict", []string{"-np", "3", "-chaos-stop", "1@1s:1s"}, "need -evict"},
-		{"chaos on the Nature rank", []string{"-np", "3", "-evict", "-chaos-kill", "0@1s"}, "out of worker range [1,3)"},
-		{"chaos past the last rank", []string{"-np", "3", "-evict", "-chaos-stop", "3@1s"}, "out of worker range [1,3)"},
-		{"malformed chaos spec", []string{"-np", "3", "-evict", "-chaos-kill", "1"}, "want rank@delay"},
+		{"chaos kill without a restart budget", []string{"-np", "3", "-max-restarts", "0", "-chaos-kill", "1@1s"}, "need -max-restarts >= 1"},
+		{"chaos stop without a receive deadline", []string{"-np", "3", "-chaos-stop", "1@1s:1s"}, "needs -worker-timeout"},
+		{"chaos on the Nature rank", []string{"-np", "3", "-chaos-kill", "0@1s"}, "out of worker range [1,3)"},
+		{"chaos past the last rank", []string{"-np", "3", "-chaos-stop", "3@1s"}, "out of worker range [1,3)"},
+		{"malformed chaos spec", []string{"-np", "3", "-chaos-kill", "1"}, "want rank@delay"},
 		{"tcp without a port", []string{"-np", "2", "-tcp", "localhost"}, "want host:basePort"},
 		{"tcp with a bad port", []string{"-np", "2", "-tcp", "localhost:http"}, "bad base port"},
 		{"bad fault spec", []string{"-np", "2", "-inject-fault", "rank=two"}, `fault spec rank "two"`},
@@ -114,7 +114,7 @@ func TestFleetSummaryMatchesInProcessEngine(t *testing.T) {
 				t.Fatalf("fleet failed: %v\noutput:\n%s", err, out.String())
 			}
 			lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
-			if !strings.HasPrefix(lines[0], "run: 3 ranks finish, 0 evictions, ") {
+			if !strings.HasPrefix(lines[0], "run: 3 ranks, 0 restarts, ") {
 				t.Fatalf("first line = %q, want the fleet's run line", lines[0])
 			}
 			res, err := sim.RunParallel(tc.cfg, 3)
@@ -129,11 +129,12 @@ func TestFleetSummaryMatchesInProcessEngine(t *testing.T) {
 }
 
 // The chaos schedule scripts/chaos_smoke.sh drives, in Go: a four-process
-// fleet that loses one worker to SIGKILL and one to SIGSTOP mid-run recovers
-// live, and its rank-0 summary is the fault-free fleet's and the in-process
-// engine's, line for line. The launcher runs as a child process (this
-// binary, re-executed as egdrun) so its stderr — where it attributes every
-// worker's exit — can be read.
+// fleet that loses a worker to SIGKILL, or has one frozen by SIGSTOP, is
+// relaunched once from the Nature rank's latest snapshot, and its rank-0
+// summary is the fault-free fleet's and the in-process engine's, line for
+// line. The launcher runs as a child process (this binary, re-executed as
+// egdrun) so its stderr — where it attributes every worker's exit — can be
+// read.
 func TestFleetChaosScheduleMatchesFaultFree(t *testing.T) {
 	fleet := func(extra ...string) (summary []string, stderr string) {
 		t.Helper()
@@ -141,13 +142,11 @@ func TestFleetChaosScheduleMatchesFaultFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Sized so the run is still going when the second fault lands: the
-		// byte-oriented wire codec made a networked generation several times
-		// cheaper than it was when this ran 1200 generations, and -error keeps
+		// Sized so the run is still going when the fault lands: -error keeps
 		// every match out of the payoff table, which serves the noise-free
 		// run in a fraction of the faults' schedule.
 		args := append([]string{"-np", "4", "-ssets", "16", "-gens", "6000", "-rounds", "20", "-error", "0.01", "-seed", "7", "-full",
-			"-sock", t.TempDir(), "-timeout", "2m"}, extra...)
+			"-checkpoint-every", "250", "-sock", t.TempDir(), "-timeout", "2m"}, extra...)
 		cmd := exec.Command(self, args...)
 		cmd.Env = append(os.Environ(), helperEnv+"=1")
 		var out, errb bytes.Buffer
@@ -162,24 +161,6 @@ func TestFleetChaosScheduleMatchesFaultFree(t *testing.T) {
 		return lines, errb.String()
 	}
 
-	clean, _ := fleet()
-	chaos, stderr := fleet("-evict", "-heartbeat-every", "25ms", "-heartbeat-misses", "5",
-		"-chaos-kill", "2@150ms", "-chaos-stop", "3@400ms:700ms")
-
-	if !strings.HasPrefix(chaos[0], "run: 2 ranks finish, 2 evictions, ") {
-		t.Errorf("chaos run line = %q, want both targets evicted mid-run", chaos[0])
-	}
-	for _, want := range []string{
-		"egdrun: rank 0: exit 0\n",
-		"egdrun: rank 1: exit 0\n",
-		"egdrun: rank 2: killed by signal 9 (killed) (chaos target)\n",
-		"egdrun: rank 3: exit 1 (chaos target)\n",
-	} {
-		if !strings.Contains(stderr, want) {
-			t.Errorf("launcher did not report %q; stderr:\n%s", strings.TrimSpace(want), stderr)
-		}
-	}
-
 	cfg := sim.DefaultConfig(1, 16)
 	cfg.Generations = 6000
 	cfg.Rules.Rounds = 20
@@ -191,10 +172,32 @@ func TestFleetChaosScheduleMatchesFaultFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := strings.Join(core.SummaryLines(res), "\n")
+	clean, _ := fleet()
 	if got := strings.Join(clean[1:], "\n"); got != want {
 		t.Errorf("fault-free fleet summary differs from sim.RunParallel's:\n%s\n--- want ---\n%s", got, want)
 	}
-	if got := strings.Join(chaos[1:], "\n"); got != want {
-		t.Errorf("chaos fleet summary differs from the fault-free one:\n%s\n--- want ---\n%s", got, want)
+
+	for _, tc := range []struct {
+		name   string
+		args   []string
+		target string // the chaos target's exit, as the launcher reports it
+	}{
+		{"SIGKILL", []string{"-chaos-kill", "2@600ms"}, "egdrun: rank 2: killed by signal 9 (killed) (chaos target)\n"},
+		{"SIGSTOP", []string{"-worker-timeout", "1s", "-chaos-stop", "3@600ms:1m"}, "egdrun: rank 3: killed by signal 9 (killed) (chaos target)\n"},
+	} {
+		chaos, stderr := fleet(tc.args...)
+		if !strings.HasPrefix(chaos[0], "run: 4 ranks, 1 restarts, ") || strings.Count(stderr, "egdrun: relaunch ") != 1 {
+			t.Errorf("%s: run line %q; want one relaunch, stderr:\n%s", tc.name, chaos[0], stderr)
+		}
+		// From a checkpoint or, where the fault lands before the first one
+		// (a slow host, the race detector), from the start.
+		for _, want := range []string{tc.target, "egdrun: relaunch 1: 4 ranks resume from "} {
+			if !strings.Contains(stderr, want) {
+				t.Errorf("%s: launcher did not report %q; stderr:\n%s", tc.name, strings.TrimSpace(want), stderr)
+			}
+		}
+		if got := strings.Join(chaos[1:], "\n"); got != want {
+			t.Errorf("%s: chaos fleet summary differs from the fault-free one:\n%s\n--- want ---\n%s", tc.name, got, want)
+		}
 	}
 }

@@ -10,7 +10,6 @@
 //	egdsim -memory 6 -ssets 32 -gens 100 -ranks 8 -full
 //	egdsim -ssets 32 -gens 2000 -ranks 4 -checkpoint-every 100 \
 //	    -checkpoint-file run.ckpt -inject-fault rank=2,after=500
-//	egdsim -ssets 32 -gens 2000 -ranks 4 -evict -inject-fault rank=2,after=500
 //	egdsim -ssets 32 -gens 1000 -ranks 4 -metrics run-metrics.json -pprof-cpu cpu.out
 package main
 
@@ -53,14 +52,11 @@ func run(args []string, out io.Writer) error {
 	var ft sim.FaultTolerance
 	ft.BindFlags(fs)
 	fs.IntVar(&spec.Ranks, "ranks", 1, "1 = sequential; >= 2 = parallel engine (Nature + workers)")
-	fs.IntVar(&spec.CheckpointEvery, "checkpoint-every", 0, "write a recovery checkpoint every N generations")
 	var (
 		csvPath   = fs.String("trace", "", "write per-generation CSV trace to this file")
 		ckpt      = fs.String("checkpoint", "", "write final population checkpoint to this file")
 		resume    = fs.String("resume", "", "resume from a checkpoint file (continues its trajectory)")
 		ckptFile  = fs.String("checkpoint-file", "", "recovery checkpoint path for -checkpoint-every (default: the -checkpoint path)")
-		restarts  = fs.Int("max-restarts", 3, "restart budget after rank failures (parallel engine; <= 0 disables recovery)")
-		minRanks  = fs.Int("min-ranks", 0, "smallest world -evict may shrink to before falling back to restart (0 = engine floor of 2)")
 		mapRows   = fs.Int("map", 0, "print an ASCII strategy map of up to this many SSets")
 		top       = fs.Int("top", 5, "report the top-k most abundant final strategies")
 		metricsTo = fs.String("metrics", "", "collect run metrics (phase timers, per-rank comm accounting) and write a snapshot to this file")
@@ -71,8 +67,8 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if spec.Ranks < 2 && (ft.InjectFault != "" || ft.WorkerTimeout > 0 || ft.Evict) {
-		return fmt.Errorf("-inject-fault, -worker-timeout and -evict need the parallel engine (-ranks >= 2)")
+	if spec.Ranks < 2 && (ft.InjectFault != "" || ft.WorkerTimeout > 0) {
+		return fmt.Errorf("-inject-fault and -worker-timeout need the parallel engine (-ranks >= 2)")
 	}
 	if *metricsFm != "json" && *metricsFm != "prom" {
 		return fmt.Errorf("-metrics-format must be json or prom, got %q", *metricsFm)
@@ -103,6 +99,9 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "resuming from %s at generation %d (seed %d)\n", *resume, snap.Generation, snap.Seed)
 	}
+	if err := ft.Apply(&cfg); err != nil {
+		return err
+	}
 	if cfg.CheckpointEvery > 0 {
 		path := *ckptFile
 		if path == "" {
@@ -112,10 +111,6 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("-checkpoint-every requires -checkpoint-file (or -checkpoint) FILE")
 		}
 		cfg.CheckpointSink = &sim.FileSink{Path: path}
-	}
-	cfg.MinRanks = *minRanks
-	if err := ft.Apply(&cfg); err != nil {
-		return err
 	}
 
 	var rec *trace.Recorder
@@ -133,7 +128,7 @@ func run(args []string, out io.Writer) error {
 		})
 	}
 
-	resilient := spec.Ranks >= 2 && (cfg.FaultPlan != nil || cfg.CheckpointEvery > 0 || cfg.RecvTimeout > 0 || cfg.Evict)
+	resilient := spec.Ranks >= 2 && (cfg.FaultPlan != nil || cfg.CheckpointEvery > 0 || cfg.RecvTimeout > 0)
 	if cfg.CheckpointEvery > 0 || resilient {
 		cfg.EventLog = trace.NewEventLog()
 	}
@@ -150,7 +145,7 @@ func run(args []string, out io.Writer) error {
 	}
 	var res *sim.Result
 	if resilient {
-		res, err = sim.RunParallelResilient(cfg, spec.Ranks, *restarts)
+		res, err = sim.RunParallelResilient(cfg, spec.Ranks, ft.MaxRestarts)
 	} else {
 		res, err = sim.Run(cfg, spec.Ranks)
 	}
@@ -176,9 +171,9 @@ func run(args []string, out io.Writer) error {
 	summary := core.SummaryLines(res)
 	fmt.Fprintln(out, summary[0]) // the work counters
 	if cfg.EventLog != nil {
-		fmt.Fprintf(out, "fault tolerance: %d checkpoints, %d faults, %d recoveries, %d restarts, %d evictions\n",
+		fmt.Fprintf(out, "fault tolerance: %d checkpoints, %d faults, %d recoveries, %d restarts\n",
 			cfg.EventLog.Count(trace.EventCheckpoint), cfg.EventLog.Count(trace.EventFault),
-			cfg.EventLog.Count(trace.EventRecovery), res.Restarts, res.Evictions)
+			cfg.EventLog.Count(trace.EventRecovery), res.Restarts)
 		for _, e := range cfg.EventLog.Events() {
 			if e.Kind == trace.EventCheckpoint {
 				continue // one per cadence tick; the count above suffices

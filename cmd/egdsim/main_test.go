@@ -65,38 +65,8 @@ func TestRunCheckpointThenResumeContinuesTheRun(t *testing.T) {
 	}
 }
 
-// End-to-end smoke test of the fault-tolerance surface with live eviction:
-// a scripted worker kill under -evict must complete without a restart and
-// report exactly one eviction in the fault-tolerance summary.
-func TestRunEvictionSmoke(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-	var out strings.Builder
-	err := run([]string{
-		"-memory", "1", "-ssets", "8", "-gens", "400", "-rounds", "20",
-		"-ranks", "4", "-full", "-seed", "42",
-		"-checkpoint-every", "100", "-checkpoint-file", ckpt,
-		"-inject-fault", "rank=2,after=100",
-		"-evict", "-heartbeat-every", "20ms", "-heartbeat-misses", "5",
-	}, &out)
-	if err != nil {
-		t.Fatalf("run failed: %v\noutput:\n%s", err, out.String())
-	}
-	got := out.String()
-	for _, want := range []string{
-		"fault tolerance:",
-		"0 restarts",
-		"1 evictions",
-		"eviction: rank 2",
-		"3 ranks", // 4 launched, one evicted live
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q:\n%s", want, got)
-		}
-	}
-}
-
-// A scripted kill without -evict takes the checkpoint-restart path: one
-// restart, no evictions. The run is served by type, so a worker sends only
+// A scripted kill takes the checkpoint-restart path: one restart. The run
+// is served by type, so a worker sends only
 // when its ranks meet to fill the payoff table — at generations 0, 15, 51–54,
 // 104, 148, 200, … and the end — once each as rank 2 of 4: its 8th send is
 // generation 148's, past the checkpoint at 100.
@@ -116,7 +86,6 @@ func TestRunRestartSmoke(t *testing.T) {
 	for _, want := range []string{
 		"fault tolerance:",
 		"1 restarts",
-		"0 evictions",
 		"fault: rank 2",
 		"recovery:",
 	} {
@@ -126,11 +95,11 @@ func TestRunRestartSmoke(t *testing.T) {
 	}
 }
 
-func TestRunEvictNeedsParallelEngine(t *testing.T) {
+func TestRunWorkerTimeoutNeedsParallelEngine(t *testing.T) {
 	var out strings.Builder
-	err := run([]string{"-gens", "10", "-evict"}, &out)
+	err := run([]string{"-gens", "10", "-worker-timeout", "1s"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "-ranks >= 2") {
-		t.Fatalf("sequential -evict accepted: %v", err)
+		t.Fatalf("sequential -worker-timeout accepted: %v", err)
 	}
 }
 

@@ -22,15 +22,18 @@ import (
 
 // Magic and version identify the stream format. Version 2 appends the run
 // counters after the fitness block; version 3 makes the counters block
-// optional behind a presence byte and appends the sampled series. Write
-// emits the lowest version that can represent the snapshot, so counter-less
-// snapshots stay byte-identical to version 1 streams, series-less ones to
-// version 2 streams, and Read accepts all three.
+// optional behind a presence byte and appends the sampled series; version 4
+// appends one played generation per strategy. Write emits the lowest
+// version that can represent the snapshot, so counter-less snapshots stay
+// byte-identical to version 1 streams, series-less ones to version 2
+// streams, snapshots without played generations to version 3 streams, and
+// Read accepts all four.
 const (
 	Magic           uint32 = 0x45474431 // "EGD1"
 	Version         uint16 = 1
 	VersionCounters uint16 = 2
 	VersionSeries   uint16 = 3
+	VersionPlayed   uint16 = 4
 )
 
 // maxSeriesPoints bounds a decoded series block (a run samples ~1000
@@ -71,6 +74,13 @@ type Snapshot struct {
 	// trip.
 	MeanFitness []SeriesPoint
 	Cooperation []SeriesPoint
+	// Played holds, per strategy, the generation whose random streams the
+	// SSet's payoff cells were last played from. The engines record it only
+	// for a run that keeps noisy or mixed cells across generations, where a
+	// cell's value depends on that generation, so the resumed run plays each
+	// again from its own. Nil means not recorded (and the snapshot encodes
+	// as version <= 3); a recorded snapshot always carries the series block.
+	Played []uint64
 }
 
 // SeriesPoint is one retained sample of a per-generation series.
@@ -113,6 +123,9 @@ func (s *Snapshot) Validate() error {
 	if len(s.Fitness) != 0 && len(s.Fitness) != len(s.Strategies) {
 		return fmt.Errorf("checkpoint: %d fitness values for %d strategies", len(s.Fitness), len(s.Strategies))
 	}
+	if s.Played != nil && len(s.Played) != len(s.Strategies) {
+		return fmt.Errorf("checkpoint: %d played generations for %d strategies", len(s.Played), len(s.Strategies))
+	}
 	return nil
 }
 
@@ -131,6 +144,9 @@ func Write(w io.Writer, s *Snapshot) error {
 	}
 	if s.MeanFitness != nil || s.Cooperation != nil {
 		version = VersionSeries
+	}
+	if s.Played != nil {
+		version = VersionPlayed
 	}
 	_ = binary.Write(bw, binary.LittleEndian, version)
 	_ = bw.WriteByte(byte(s.Memory))
@@ -176,6 +192,9 @@ func Write(w io.Writer, s *Snapshot) error {
 				writeU64(math.Float64bits(p.Value))
 			}
 		}
+	}
+	for _, g := range s.Played {
+		writeU64(g)
 	}
 	return bw.Flush()
 }
@@ -260,7 +279,7 @@ func Read(r io.Reader) (*Snapshot, error) {
 	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
 		return nil, err
 	}
-	if version < Version || version > VersionSeries {
+	if version < Version || version > VersionPlayed {
 		return nil, fmt.Errorf("checkpoint: unsupported version %d", version)
 	}
 	memByte, err := br.ReadByte()
@@ -357,6 +376,17 @@ func Read(r io.Reader) (*Snapshot, error) {
 				pts[i].Value = math.Float64frombits(bits64)
 			}
 			*dst = pts
+		}
+	}
+	if version >= VersionPlayed {
+		// Grown as values arrive, as the strategies are.
+		s.Played = make([]uint64, 0, min(count, 1<<10))
+		for range count {
+			var g uint64
+			if err := binary.Read(br, binary.LittleEndian, &g); err != nil {
+				return nil, fmt.Errorf("checkpoint: reading played generations: %w", err)
+			}
+			s.Played = append(s.Played, g)
 		}
 	}
 	return s, nil

@@ -2,8 +2,8 @@
 // MPI-usage and determinism invariants the paper's reproduction depends
 // on — every rank executes the same collective sequence (Blue Gene's
 // collective network assumes SPMD symmetry) and the game/population
-// dynamics are bit-reproducible from seeded RNG streams (live-eviction
-// replay recovers bit-identically only because of it).
+// dynamics are bit-reproducible from seeded RNG streams (a restart from a
+// snapshot recovers bit-identically only because of it).
 //
 // The package is a self-contained, stdlib-only reimplementation of the
 // subset of golang.org/x/tools/go/analysis that the suite needs: the

@@ -8,9 +8,8 @@ import (
 
 // DeterministicPaths lists the package import paths whose computation
 // must be bit-reproducible from seeded RNG streams. The parallel
-// engine's exactness guarantee — and live eviction's one-generation
-// replay, which recovers *bit-identical* results after a rank death —
-// hold only while these packages take no input from wall clocks,
+// engine's exactness guarantee — and the restart from a snapshot, which
+// recovers *bit-identical* results after a rank death — hold only while these packages take no input from wall clocks,
 // process-global RNGs, or map iteration order. The job service rides on
 // the same guarantee: a paused job's resumed segment must replay the
 // exact trajectory an uninterrupted run would have taken, so the server
@@ -36,8 +35,8 @@ var DeterministicPaths = []string{
 // keys that a later sort call puts back in a canonical order. Anything
 // else — float accumulation, output, early exit — must iterate sorted
 // keys instead, or carry an //egdlint:allow determinism directive
-// (legitimate wall-clock sites such as heartbeats and elapsed-time
-// traces use the same escape).
+// (legitimate wall-clock sites such as elapsed-time traces use the same
+// escape).
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc:  "deterministic packages must not read wall clocks, global math/rand, or unsorted map iteration order",

@@ -53,17 +53,16 @@ func namedMPIType(t types.Type) string {
 
 // errReturning lists the Comm/World methods whose (usually
 // final) error result carries the fault-tolerance signal: typed errors
-// like RankFailedError and ErrRevoked surface only here, so dropping
+// like RankFailedError and ErrRecvTimeout surface only here, so dropping
 // one silently disables recovery.
 var errReturning = map[string]map[string]bool{
-	"Comm": setOf("Send", "Recv", "RecvTimeout", "Bcast", "Reduce", "Gather",
-		"Barrier", "Agree", "Shrink"),
-	"World": setOf("Run", "Shrink"),
+	"Comm":  setOf("Send", "Recv", "RecvTimeout", "Bcast", "Reduce", "Gather", "Barrier"),
+	"World": setOf("Run"),
 }
 
 // collectives lists the operations every rank must execute in the same
 // order — the SPMD symmetry Blue Gene's collective network assumes.
-var collectives = setOf("Bcast", "Reduce", "Gather", "Barrier", "Agree", "Shrink")
+var collectives = setOf("Bcast", "Reduce", "Gather", "Barrier")
 
 // taggedOps maps point-to-point operations to the index of their tag
 // argument.

@@ -35,7 +35,7 @@ func runMPICollective(pass *Pass) error {
 	return nil
 }
 
-// collectRankVars finds variables assigned from Rank()/OrigRank() calls
+// collectRankVars finds variables assigned from Rank() calls
 // in the function, so `rank := c.Rank(); if rank == 0 { ... }` is
 // recognised as well as the inline comparison.
 func collectRankVars(pass *Pass, body *ast.BlockStmt) map[types.Object]bool {
@@ -68,7 +68,7 @@ func isRankCall(pass *Pass, e ast.Expr) bool {
 		return false
 	}
 	recv, method, ok := mpiMethod(pass.TypesInfo, call)
-	return ok && recv == "Comm" && (method == "Rank" || method == "OrigRank")
+	return ok && recv == "Comm" && method == "Rank"
 }
 
 // mentionsRank reports whether the expression reads the rank, directly

@@ -7,9 +7,8 @@ import (
 // MPIErrCheck flags discarded results of mpi communication calls.
 //
 // Every Comm/World operation reports rank failure through its
-// error result — RankFailedError from a poisoned endpoint, ErrRevoked
-// after an eviction, ErrRecvTimeout from a stalled peer. Discarding one
-// silently turns a detectable failure into a hang or a corrupted
+// error result — RankFailedError once a peer has failed, ErrRecvTimeout
+// from a stalled peer. Discarding one silently turns a detectable failure into a hang or a corrupted
 // trajectory, so the result must be consumed: checked, returned, or
 // suppressed with an explicit //egdlint:allow mpierrcheck directive at
 // a site that can justify it.

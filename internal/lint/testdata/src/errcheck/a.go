@@ -11,7 +11,7 @@ func bad(c *mpi.Comm, w *mpi.World) {
 	c.Barrier()                                   // want `result of mpi\.Comm\.Barrier discarded`
 	c.Send(1, tagData, "x")                       // want `result of mpi\.Comm\.Send discarded`
 	c.Bcast(0, nil)                               // want `result of mpi\.Comm\.Bcast discarded`
-	c.Agree()                                     // want `result of mpi\.Comm\.Agree discarded`
+	c.Gather(0, nil)                              // want `result of mpi\.Comm\.Gather discarded`
 	w.Run(func(c *mpi.Comm) error { return nil }) // want `result of mpi\.World\.Run discarded`
 
 	_ = c.Barrier()              // want `error result of mpi\.Comm\.Barrier assigned to _`
@@ -34,8 +34,8 @@ func good(c *mpi.Comm, w *mpi.World) error {
 	if _, err := c.Recv(0, tagData); err != nil {
 		return err
 	}
-	surv, err := c.Agree()
-	if err != nil || len(surv) == 0 {
+	parts, err := c.Gather(0, nil)
+	if err != nil || len(parts) == 0 {
 		return err
 	}
 	return c.Send(1, tagData, "x")

@@ -32,15 +32,11 @@ func NewWorld(n int) *World { return &World{} }
 // Run mirrors World.Run.
 func (w *World) Run(body func(*Comm) error) error { return nil }
 
-// Shrink mirrors World.Shrink.
-func (w *World) Shrink(survivors []int) (*World, error) { return nil, nil }
-
 // Comm mirrors mpi.Comm.
 type Comm struct{}
 
-func (c *Comm) Rank() int     { return 0 }
-func (c *Comm) OrigRank() int { return 0 }
-func (c *Comm) Size() int     { return 1 }
+func (c *Comm) Rank() int { return 0 }
+func (c *Comm) Size() int { return 1 }
 
 func (c *Comm) Send(dst, tag int, payload any) error { return nil }
 func (c *Comm) Recv(src, tag int) (Message, error)   { return Message{}, nil }
@@ -52,5 +48,3 @@ func (c *Comm) Bcast(root int, payload any) (any, error)               { return 
 func (c *Comm) Reduce(root int, value float64, op Op) (float64, error) { return 0, nil }
 func (c *Comm) Gather(root int, payload any) ([]any, error)            { return nil, nil }
 func (c *Comm) Barrier() error                                         { return nil }
-func (c *Comm) Agree() ([]int, error)                                  { return nil, nil }
-func (c *Comm) Shrink(survivors []int) (*Comm, error)                  { return nil, nil }

@@ -7,13 +7,13 @@ type frameKind uint8
 
 const (
 	frameData frameKind = 1 + iota
-	frameBeat
 	frameGoodbye
+	frameAck
 )
 
 const (
 	frameZero  frameKind = 0 // want `wire frame kind frameZero has value 0`
-	frameClash frameKind = 2 // want `wire frame kind frameClash duplicates value 2 of frameBeat`
+	frameClash frameKind = 2 // want `wire frame kind frameClash duplicates value 2 of frameGoodbye`
 )
 
-const frameKindEnd = frameGoodbye + 2 // want `frameKindEnd is 5, want 4`
+const frameKindEnd = frameAck + 2 // want `frameKindEnd is 5, want 4`

@@ -266,8 +266,8 @@ func (s *Snapshot) sort() {
 // wallClockSuffixes mark metrics whose values derive from wall clocks
 // and therefore vary between otherwise identical runs. The suffix
 // applies to the base name (labels excluded). `_wallclock_total` marks
-// counters whose count (not unit) is clock-driven — heartbeat tallies,
-// for instance, grow with elapsed time rather than with the trajectory.
+// counters whose count (not unit) is clock-driven — transport resends,
+// for instance, follow connection timing rather than the trajectory.
 var wallClockSuffixes = []string{"_seconds", "_nanos", "_wallclock_total"}
 
 // isWallClock reports whether a metric identifier names a wall-clock

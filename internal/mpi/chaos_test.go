@@ -19,47 +19,35 @@ import (
 // process (this test binary re-executed into TestChaosWorkerHelper), and the
 // parent subjects it to the failures egdrun must survive — clean exit,
 // error exit with a nonzero status, kill -9, and SIGSTOP/SIGCONT — while
-// hosting the surviving ranks in-process. The assertions pin exit-status
+// hosting the other ranks in-process. The assertions pin exit-status
 // attribution end to end: what the child's process state reports must agree
-// with how the survivors' eviction records diagnose the departure.
+// with the abort cause the in-process ranks return.
 
 const chaosEnvGuard = "EGD_CHAOS_HELPER"
 
 // chaosBody is the SPMD body every chaos rank runs: lockstep generations
-// (gather at rank 0, then a barrier) with the canonical survivor-side
-// recovery step on error. fail, when non-nil, is consulted each generation
-// so a scripted rank can die on cue.
+// (gather at rank 0, then a barrier); any error ends the rank. fail, when
+// non-nil, is consulted each generation so a scripted rank can die on cue.
 func chaosBody(gens int, fail func(g int, c *Comm) error) func(c *Comm) error {
 	return func(c *Comm) error {
-		g := 0
-		for g < gens {
+		for g := 0; g < gens; g++ {
 			if fail != nil {
 				if err := fail(g, c); err != nil {
 					return err
 				}
 			}
-			var err error
 			if c.Rank() == 0 {
 				for i := 1; i < c.Size(); i++ {
-					if _, err = c.Recv(AnySource, 7); err != nil {
-						break
+					if _, err := c.Recv(AnySource, 7); err != nil {
+						return err
 					}
 				}
-			} else {
-				err = c.Send(0, 7, float64(g))
+			} else if err := c.Send(0, 7, float64(g)); err != nil {
+				return err
 			}
-			if err == nil {
-				err = c.Barrier()
+			if err := c.Barrier(); err != nil {
+				return err
 			}
-			if err != nil {
-				nc, ok := evictRecover(c, err)
-				if !ok {
-					return err
-				}
-				c = nc
-				continue
-			}
-			g++
 		}
 		return nil
 	}
@@ -92,7 +80,6 @@ func TestChaosWorkerHelper(t *testing.T) {
 		os.Exit(3)
 	}
 	w := NewNetWorld(tr)
-	w.EnableEviction(testBeat, testMisses)
 	w.SetRecvTimeout(5 * time.Second)
 	if err := tr.Start(); err != nil {
 		fmt.Fprintf(os.Stderr, "chaos worker start: %v\n", err)
@@ -117,10 +104,11 @@ func TestChaosWorkerHelper(t *testing.T) {
 
 // chaosRun hosts ranks 0..size-2 in-process and rank size-1 as a child
 // process in the given mode, runs gens lockstep generations, and returns
-// the in-process errors, each survivor's transport (for eviction records),
-// the finished child command, and its combined output. onGen, when non-nil,
-// fires on rank 0 after each completed generation (the chaos trigger).
-func chaosRun(t *testing.T, size, gens int, mode string, onGen func(g int, cmd *exec.Cmd)) ([]error, []*NetTransport, *exec.Cmd, string) {
+// the in-process errors, the finished child command, and its combined
+// output. The in-process ranks bound every receive by recvTimeout (0: no
+// bound). onGen, when non-nil, fires on rank 0 at the top of each
+// generation (the chaos trigger).
+func chaosRun(t *testing.T, size, gens int, mode string, recvTimeout time.Duration, onGen func(g int, cmd *exec.Cmd)) ([]error, *exec.Cmd, string) {
 	t.Helper()
 	dir := t.TempDir()
 	addrs := make([]string, size)
@@ -163,7 +151,7 @@ func chaosRun(t *testing.T, size, gens int, mode string, onGen func(g int, cmd *
 		go func(rank int) {
 			defer wg.Done()
 			w := NewNetWorld(trs[rank])
-			w.EnableEviction(testBeat, testMisses)
+			w.SetRecvTimeout(recvTimeout)
 			if err := trs[rank].Start(); err != nil {
 				errs[rank] = err
 				trs[rank].Shutdown(err)
@@ -182,7 +170,7 @@ func chaosRun(t *testing.T, size, gens int, mode string, onGen func(g int, cmd *
 	wg.Wait()
 
 	// The child must exit on its own in every mode (a SIGKILLed child is
-	// already gone; a SIGSTOP'd child is resumed by its onGen hook). Bound
+	// already gone; a SIGSTOP'd child is resumed by a timer its test set). Bound
 	// the wait so a regression hangs the test with a diagnosis, not forever.
 	done := make(chan error, 1)
 	go func() { done <- cmd.Wait() }()
@@ -193,7 +181,7 @@ func chaosRun(t *testing.T, size, gens int, mode string, onGen func(g int, cmd *
 		<-done
 		t.Fatalf("chaos worker did not exit; output:\n%s", out.String())
 	}
-	return errs, trs, cmd, out.String()
+	return errs, cmd, out.String()
 }
 
 // waitStatus digs the raw wait status out of the finished child.
@@ -207,9 +195,9 @@ func waitStatus(t *testing.T, cmd *exec.Cmd) syscall.WaitStatus {
 }
 
 // A worker process that finishes its generations and leaves cleanly: exit
-// status 0, goodbye on the wire, and nobody evicts anybody.
+// status 0, goodbye on the wire, and no rank fails.
 func TestChaosProcessCleanExit(t *testing.T) {
-	errs, trs, cmd, out := chaosRun(t, 3, 4, "clean", nil)
+	errs, cmd, out := chaosRun(t, 3, 4, "clean", 0, nil)
 	for r, err := range errs {
 		if err != nil {
 			t.Errorf("rank %d: %v", r, err)
@@ -221,104 +209,83 @@ func TestChaosProcessCleanExit(t *testing.T) {
 	if !strings.Contains(out, "CHAOS_WORKER_DONE") {
 		t.Fatalf("worker never reached completion; output:\n%s", out)
 	}
-	for _, tr := range trs {
-		if evs := tr.world.Evictions(); len(evs) != 0 {
-			t.Errorf("rank %d evicted someone on a clean run: %v", tr.cfg.Self, evs)
+}
+
+// assertBlamed checks that every in-process rank unwound on rank 2's
+// failure, and that the cause it returns says what contains.
+func assertBlamed(t *testing.T, errs []error, contains ...string) {
+	t.Helper()
+	for r, err := range errs {
+		var rf *RankFailedError
+		if !errors.As(err, &rf) || rf.Rank != 2 {
+			t.Errorf("rank %d returned %v, want the *RankFailedError of rank 2", r, err)
+			continue
+		}
+		ok := false
+		for _, c := range contains {
+			ok = ok || strings.Contains(err.Error(), c)
+		}
+		if !ok {
+			t.Errorf("rank %d cause %q names none of %q", r, err, contains)
 		}
 	}
 }
 
 // A worker process that dies of its own error: nonzero exit status, and the
-// survivors' eviction records attribute the failure to the worker's actual
-// error (carried by its goodbye frame), not to a liveness guess.
+// other ranks abort on the worker's actual error (carried by its goodbye
+// frame), not on a liveness guess.
 func TestChaosProcessErrorExit(t *testing.T) {
-	errs, trs, cmd, out := chaosRun(t, 3, 8, "error", nil)
-	for r, err := range errs {
-		if err != nil {
-			t.Errorf("survivor rank %d: %v", r, err)
-		}
-	}
+	errs, cmd, out := chaosRun(t, 3, 8, "error", 0, nil)
 	if code := cmd.ProcessState.ExitCode(); code != 3 {
 		t.Fatalf("erroring worker exit code %d, want 3; output:\n%s", code, out)
 	}
-	for _, tr := range trs {
-		evs := tr.world.Evictions()
-		if len(evs) != 1 || evs[0].Rank != 2 {
-			t.Fatalf("rank %d evictions: %v", tr.cfg.Self, evs)
-		}
-		if msg := evs[0].Err.Error(); !strings.Contains(msg, "worker exploded") {
-			t.Errorf("rank %d eviction cause %q does not carry the worker's error", tr.cfg.Self, msg)
-		}
-	}
+	assertBlamed(t, errs, "worker exploded")
 }
 
-// kill -9 mid-run: the wait status reports SIGKILL, the survivors see only
-// silence — stale heartbeats or a dead socket — and the eviction records
-// say so.
+// kill -9 mid-run: the wait status reports SIGKILL, the other ranks see
+// only a dead socket, and the lower ranks, which dial it, declare it
+// unreachable once the redial budget is spent: every rank aborts naming it.
 func TestChaosProcessSIGKILL(t *testing.T) {
 	var once sync.Once
-	errs, trs, cmd, out := chaosRun(t, 3, 10, "clean", func(g int, cmd *exec.Cmd) {
+	errs, cmd, out := chaosRun(t, 3, 10, "clean", 0, func(g int, cmd *exec.Cmd) {
 		if g == 2 {
 			once.Do(func() { cmd.Process.Signal(syscall.SIGKILL) })
 		}
 	})
-	for r, err := range errs {
-		if err != nil {
-			t.Errorf("survivor rank %d: %v", r, err)
-		}
-	}
 	ws := waitStatus(t, cmd)
 	if !ws.Signaled() || ws.Signal() != syscall.SIGKILL {
 		t.Fatalf("wait status %v, want SIGKILL; output:\n%s", ws, out)
 	}
-	for _, tr := range trs {
-		evs := tr.world.Evictions()
-		if len(evs) != 1 || evs[0].Rank != 2 {
-			t.Fatalf("rank %d evictions: %v", tr.cfg.Self, evs)
-		}
-		msg := evs[0].Err.Error()
-		if !strings.Contains(msg, "heartbeat") && !strings.Contains(msg, "unreachable") {
-			t.Errorf("rank %d eviction cause %q lacks a liveness diagnosis", tr.cfg.Self, msg)
-		}
-	}
+	assertBlamed(t, errs, "unreachable")
 }
 
-// SIGSTOP freezes the worker without killing it: the survivors must evict
-// it on heartbeat staleness exactly as a kill, and when SIGCONT resumes the
-// zombie it must discover its own eviction and exit with an error rather
-// than rejoin or hang.
+// SIGSTOP freezes the worker without killing it or its sockets: only the
+// receive deadline notices, and the world aborts on it. When SIGCONT
+// resumes the worker it hears the others' error goodbyes and exits with an
+// error rather than hang.
 func TestChaosProcessSIGSTOPThenCont(t *testing.T) {
 	var stop, cont sync.Once
-	errs, trs, cmd, out := chaosRun(t, 3, 10, "clean", func(g int, cmd *exec.Cmd) {
+	resume := func(cmd *exec.Cmd) { cont.Do(func() { cmd.Process.Signal(syscall.SIGCONT) }) }
+	errs, cmd, out := chaosRun(t, 3, 10, "clean", 500*time.Millisecond, func(g int, cmd *exec.Cmd) {
 		if g == 2 {
-			stop.Do(func() { cmd.Process.Signal(syscall.SIGSTOP) })
-		}
-		if g == 8 {
-			// By now the survivors have evicted the frozen rank (they could
-			// not have passed gen 3's barrier otherwise). Resume it.
-			cont.Do(func() { cmd.Process.Signal(syscall.SIGCONT) })
+			stop.Do(func() {
+				cmd.Process.Signal(syscall.SIGSTOP)
+				time.AfterFunc(1500*time.Millisecond, func() { resume(cmd) })
+			})
 		}
 	})
-	cont.Do(func() { cmd.Process.Signal(syscall.SIGCONT) })
 	for r, err := range errs {
-		if err != nil {
-			t.Errorf("survivor rank %d: %v", r, err)
+		if !errors.Is(err, ErrAborted) && !errors.Is(err, ErrRecvTimeout) {
+			t.Errorf("rank %d returned %v, want the receive deadline's abort", r, err)
 		}
+	}
+	if !errors.Is(errs[0], ErrRecvTimeout) && !errors.Is(errs[1], ErrRecvTimeout) {
+		t.Errorf("no rank's deadline fired: %v", errs)
 	}
 	if ws := waitStatus(t, cmd); ws.Signaled() {
 		t.Fatalf("resumed worker died of signal %v, want error exit; output:\n%s", ws.Signal(), out)
 	}
 	if code := cmd.ProcessState.ExitCode(); code != 3 {
-		t.Fatalf("resumed worker exit code %d, want 3 (must discover its eviction); output:\n%s", code, out)
-	}
-	for _, tr := range trs {
-		evs := tr.world.Evictions()
-		if len(evs) != 1 || evs[0].Rank != 2 {
-			t.Fatalf("rank %d evictions: %v", tr.cfg.Self, evs)
-		}
-		msg := evs[0].Err.Error()
-		if !strings.Contains(msg, "heartbeat") && !strings.Contains(msg, "unreachable") {
-			t.Errorf("rank %d eviction cause %q lacks a liveness diagnosis", tr.cfg.Self, msg)
-		}
+		t.Fatalf("resumed worker exit code %d, want 3 (must hear of the abort); output:\n%s", code, out)
 	}
 }

@@ -19,11 +19,10 @@ const (
 // the fault plan: a scripted FailCollective fault makes the rank fail here
 // with ErrInjectedFault, modelling a node dying inside a collective.
 func (c *Comm) enterCollective() error {
-	root := c.world.rootW()
-	orig := c.world.origOf(c.rank)
-	n := root.collCounts[orig].Add(1)
-	if p := root.plan; p != nil && p.onCollective(orig, n) {
-		return fmt.Errorf("mpi: rank %d failed at collective %d: %w", orig, n, ErrInjectedFault)
+	w := c.world
+	n := w.collCounts[c.rank].Add(1)
+	if p := w.plan; p != nil && p.onCollective(c.rank, n) {
+		return fmt.Errorf("mpi: rank %d failed at collective %d: %w", c.rank, n, ErrInjectedFault)
 	}
 	return nil
 }

@@ -32,7 +32,7 @@ var ErrShutdown = errors.New("mpi: world shut down")
 // RankFailedError reports that a specific rank failed, taking the world
 // down with it. It satisfies errors.Is(err, ErrAborted) so existing abort
 // handling keeps working, while errors.As recovers *who* died — which is
-// what a supervisor needs to decide between restart and degradation.
+// what a supervisor reports when it restarts the run.
 type RankFailedError struct {
 	Rank int
 	Err  error // the rank's own error, when known
@@ -298,9 +298,8 @@ func (w *World) InstallFaultPlan(p *FaultPlan) { w.plan = p }
 func (w *World) SetRecvTimeout(d time.Duration) { w.recvTimeout = d }
 
 // RankSends returns how many sends rank has attempted (including
-// collective-internal packets) — the counter fault plans key off. Rank is an
-// original (root-world) rank; the counter persists across Shrink.
-func (w *World) RankSends(rank int) uint64 { return w.rootW().sendCounts[rank].Load() }
+// collective-internal packets) — the counter fault plans key off.
+func (w *World) RankSends(rank int) uint64 { return w.sendCounts[rank].Load() }
 
 // RankCollectives returns how many collective operations rank has entered.
-func (w *World) RankCollectives(rank int) uint64 { return w.rootW().collCounts[rank].Load() }
+func (w *World) RankCollectives(rank int) uint64 { return w.collCounts[rank].Load() }

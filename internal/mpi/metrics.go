@@ -12,18 +12,15 @@ import (
 
 // This file is the runtime's per-rank communication accounting: which
 // tags each rank sent and received (messages and bytes), how often each
-// collective ran and how long it took, and the liveness traffic the
-// eviction layer generates. It is the measurement substrate for the
+// collective ran and how long it took. It is the measurement substrate for
+// the
 // paper's compute-vs-communication analysis (Tables V-VI): how much
 // traffic a run generated, who generated it, on which channel, and when.
 //
 // Accounting is off by default and enabled with World.EnableMetrics;
-// disabled, every hot path pays a single nil check. Sub-worlds created
-// by Shrink route to the root's accounting indexed by original rank, so
-// a rank keeps its identity across an eviction, like the fault-plan
-// counters do.
+// disabled, every hot path pays a single nil check.
 
-// RankMetrics is one original rank's communication accounting. All
+// RankMetrics is one rank's communication accounting. All
 // methods are safe for concurrent use; snapshots are plain values.
 type RankMetrics struct {
 	rank int
@@ -32,8 +29,6 @@ type RankMetrics struct {
 	sent map[int]*tagTraffic
 	recv map[int]*tagTraffic
 	coll map[string]*collStats
-
-	heartbeats metrics.Counter
 }
 
 // tagTraffic counts one (rank, direction, tag) channel.
@@ -116,7 +111,7 @@ type CollectiveStat struct {
 // the collective Nanos fields is deterministic for a deterministic
 // program.
 type RankCommSnapshot struct {
-	// Rank is the original (root-world) rank.
+	// Rank is the rank.
 	Rank int `json:"rank"`
 	// Totals across all tags.
 	SentMsgs  uint64 `json:"sent_msgs"`
@@ -129,20 +124,13 @@ type RankCommSnapshot struct {
 	RecvByTag []TagTraffic `json:"recv_by_tag,omitempty"`
 	// Collectives, sorted by op name.
 	Collectives []CollectiveStat `json:"collectives,omitempty"`
-	// Heartbeats is how many liveness beats this rank's emitter recorded
-	// (eviction mode only). Wall-clock driven, hence nondeterministic.
-	Heartbeats uint64 `json:"heartbeats,omitempty"`
-	// Evicted reports whether the failure detector declared this rank
-	// dead during the run.
-	Evicted bool `json:"evicted,omitempty"`
 }
 
-// Snapshot captures the rank's accounting. The evicted flag comes from
-// the owning world's failure record.
-func (m *RankMetrics) snapshot(evicted bool) RankCommSnapshot {
+// snapshot captures the rank's accounting.
+func (m *RankMetrics) snapshot() RankCommSnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s := RankCommSnapshot{Rank: m.rank, Heartbeats: m.heartbeats.Load(), Evicted: evicted}
+	s := RankCommSnapshot{Rank: m.rank}
 	s.SentByTag, s.SentMsgs, s.SentBytes = trafficSlice(m.sent)
 	s.RecvByTag, s.RecvMsgs, s.RecvBytes = trafficSlice(m.recv)
 	for op, cs := range m.coll {
@@ -185,14 +173,11 @@ func TagLabel(tag int) string {
 }
 
 // EnableMetrics switches on per-rank communication accounting. Must be
-// called on the root world before Run; it is idempotent. The disabled
+// called before Run; it is idempotent. The disabled
 // runtime pays one nil check per operation; enabled, each send/receive
 // additionally costs a map lookup under a per-rank mutex and two atomic
 // adds.
 func (w *World) EnableMetrics() {
-	if w.root != nil {
-		panic("mpi: EnableMetrics on a shrunk sub-world; enable on the root")
-	}
 	if w.commMetrics != nil {
 		return
 	}
@@ -204,16 +189,14 @@ func (w *World) EnableMetrics() {
 }
 
 // CommMetricsSnapshot captures every rank's communication accounting,
-// ordered by original rank. Nil unless EnableMetrics was called.
+// ordered by rank. Nil unless EnableMetrics was called.
 func (w *World) CommMetricsSnapshot() []RankCommSnapshot {
-	r := w.rootW()
-	if r.commMetrics == nil {
+	if w.commMetrics == nil {
 		return nil
 	}
-	out := make([]RankCommSnapshot, r.size)
-	for i, m := range r.commMetrics {
-		evicted := r.evict && r.failedP[i].Load() != nil
-		out[i] = m.snapshot(evicted)
+	out := make([]RankCommSnapshot, w.size)
+	for i, m := range w.commMetrics {
+		out[i] = m.snapshot()
 	}
 	return out
 }
@@ -232,8 +215,7 @@ func CommTotals(snaps []RankCommSnapshot) (msgs, bytes, collectives uint64) {
 }
 
 // accountSend books one delivered (or injected-drop) message on the
-// sender's per-tag metrics when enabled. src is an original rank; w must
-// be the root.
+// sender's per-tag metrics when enabled.
 func (w *World) accountSend(src, tag int, nb uint64) {
 	if w.commMetrics != nil {
 		w.commMetrics[src].addSent(tag, nb)
@@ -243,32 +225,25 @@ func (w *World) accountSend(src, tag int, nb uint64) {
 // accountRecv books one received message on the receiver's per-tag
 // metrics when enabled.
 func (c *Comm) accountRecv(e envelope) {
-	root := c.world.rootW()
-	if root.commMetrics == nil {
+	cm := c.world.commMetrics
+	if cm == nil {
 		return
 	}
 	// The error is the sender's: send refuses a payload kind the runtime does not carry.
 	nb, _ := payloadBytes(e.payload)
-	root.commMetrics[c.world.origOf(c.rank)].addRecv(e.tag, nb)
+	cm[c.rank].addRecv(e.tag, nb)
 }
 
 // collTimer starts timing one collective invocation; the returned stop
 // function books the elapsed wall time. Nil when metrics are disabled —
 // callers guard the defer, keeping the disabled path allocation-free.
 func (c *Comm) collTimer(op string) func() {
-	root := c.world.rootW()
-	if root.commMetrics == nil {
+	cm := c.world.commMetrics
+	if cm == nil {
 		return nil
 	}
-	cs := root.commMetrics[c.world.origOf(c.rank)].collOp(op)
+	cs := cm[c.rank].collOp(op)
 	cs.calls.Inc()
 	start := time.Now()
 	return func() { cs.nanos.Add(time.Since(start).Nanoseconds()) }
-}
-
-// noteHeartbeat counts one liveness beat for the rank's metrics.
-func (w *World) noteHeartbeat(rank int) {
-	if w.commMetrics != nil {
-		w.commMetrics[rank].heartbeats.Inc()
-	}
 }

@@ -1,10 +1,8 @@
 package mpi
 
 import (
-	"errors"
 	"reflect"
 	"testing"
-	"time"
 )
 
 // TestMetricsRoundTripMatchesPayloadAccounting sends one payload of
@@ -129,60 +127,5 @@ func TestMetricsDisabledByDefault(t *testing.T) {
 	}
 	if snaps := w.CommMetricsSnapshot(); snaps != nil {
 		t.Fatalf("snapshot without EnableMetrics: %+v", snaps)
-	}
-}
-
-// TestMetricsSurviveShrink: accounting keeps original-rank identity
-// across an eviction-mode shrink.
-func TestMetricsSurviveShrink(t *testing.T) {
-	w := NewWorld(3)
-	w.EnableMetrics()
-	w.EnableEviction(5*time.Millisecond, 2)
-	const tag = 3
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() == 2 {
-			return errors.New("deliberate death") // dies immediately
-		}
-		// Survivors: agree, shrink, then exchange one message on the
-		// sub-communicator.
-		surv, err := c.Agree()
-		if err != nil {
-			return err
-		}
-		nc, err := c.Shrink(surv)
-		if err != nil {
-			return err
-		}
-		if nc.Rank() == 0 {
-			if err := nc.Send(1, tag, []float64{1, 2, 3}); err != nil {
-				return err
-			}
-		} else {
-			if _, err := nc.Recv(0, tag); err != nil {
-				return err
-			}
-		}
-		// Stay resident until the detector has declared rank 2 failed, so
-		// Run's verdict sees an eviction rather than an unexplained error.
-		for len(c.Evictions()) == 0 {
-			time.Sleep(time.Millisecond)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snaps := w.CommMetricsSnapshot()
-	if !snaps[2].Evicted {
-		t.Error("rank 2 not marked evicted")
-	}
-	if snaps[0].SentBytes != 25 {
-		t.Errorf("rank 0 sent %d bytes on the sub-world, want 25", snaps[0].SentBytes)
-	}
-	if snaps[1].RecvBytes != 25 {
-		t.Errorf("rank 1 received %d bytes on the sub-world, want 25", snaps[1].RecvBytes)
-	}
-	if snaps[0].Heartbeats == 0 && snaps[1].Heartbeats == 0 {
-		t.Error("no heartbeats recorded in eviction mode")
 	}
 }

@@ -129,10 +129,9 @@ func (ib *inbox) take(src, tag int, timeout time.Duration) (envelope, error) {
 }
 
 // World is a set of ranks that can communicate. Create with NewWorld, run an
-// SPMD function on every rank with Run. Shrink derives sub-worlds from a
-// survivor set after a failure; sub-worlds share the original (root) world's
-// counters, fault plan, and failure bookkeeping, all indexed by original
-// rank, so scripted faults and statistics stay meaningful across a shrink.
+// SPMD function on every rank with Run. A rank that fails aborts the world;
+// recovery is a restart from the latest snapshot (sim.RunParallelResilient,
+// egdrun's fleet), never a live repair.
 type World struct {
 	size    int
 	boxes   []*inbox
@@ -142,73 +141,23 @@ type World struct {
 	cause atomic.Value
 	// sendCounts / collCounts are the per-rank operation counters fault
 	// plans key off; deterministic for a deterministic SPMD program.
-	// Indexed by original rank; sub-worlds route here, so "rank 2's 500th
-	// send" keeps meaning the same event before and after a shrink.
 	sendCounts []atomic.Uint64
 	collCounts []atomic.Uint64
 	// plan, when non-nil, scripts deterministic fault injection.
 	plan *FaultPlan
 	// recvTimeout, when non-zero, bounds every blocking receive.
 	recvTimeout time.Duration
-	// commMetrics, when non-nil, is the per-original-rank communication
-	// accounting EnableMetrics armed (see metrics.go). Root world only;
-	// sub-worlds route through rootW.
+	// commMetrics, when non-nil, is the per-rank communication accounting
+	// EnableMetrics armed (see metrics.go).
 	commMetrics []*RankMetrics
 
 	// tr delivers envelopes (the transport seam; see transport.go). The
 	// in-process mailbox transport on ordinary worlds; a NetTransport when
-	// the world's ranks live in separate processes. Root world only.
+	// the world's ranks live in separate processes.
 	tr Transport
-	// self is the original rank this process hosts on a networked world,
-	// -1 on in-process worlds (every rank is local). Root world only.
+	// self is the rank this process hosts on a networked world, -1 on
+	// in-process worlds (every rank is local).
 	self int
-	// shut latches once shutdown has released pending receives: a Shrink
-	// racing past the end of Run must finish its new inboxes immediately
-	// rather than leave receivers hanging until their deadline.
-	shut atomic.Bool
-	// pendingWire buffers wire envelopes addressed to sub-worlds this
-	// process has not built with Shrink yet (see net.go). Guarded by wmu.
-	pendingWire map[string][]pendingEnv
-
-	// root is the original world this sub-world was shrunk from (nil on the
-	// root itself); orig maps this world's dense ranks to original ranks
-	// (nil on the root: the identity).
-	root *World
-	orig []int
-	// revoked marks a world unusable after a member rank was declared
-	// failed (ULFM's revocation): every pending and future operation on it
-	// fails with an error matching ErrRevoked and carrying the
-	// *RankFailedError cause.
-	revoked     atomic.Bool
-	revokeCause atomic.Value
-
-	// wmu guards the registry of this root world and all its sub-worlds
-	// (abort, shutdown, and revocation fan out over it).
-	wmu    sync.Mutex
-	worlds []*World
-	subs   map[string]*World
-
-	// Eviction-mode state; see evict.go. Zero unless EnableEviction.
-	evict      bool
-	hbEvery    time.Duration
-	hbMisses   int
-	hbStart    time.Time
-	emu        sync.Mutex
-	econd      *sync.Cond
-	lastBeat   []atomic.Int64
-	done       []bool
-	finishedOK []bool
-	exitErr    []error
-	exited     []chan struct{}
-	failedP    []atomic.Pointer[RankFailedError]
-	evictions  []Eviction
-	agreeSeq   []int
-	// agreeRounds is the agreement coordinator's round registry (see
-	// evict.go): shared by every rank in process, rank 0's on a networked
-	// world, whose other ranks keep the results rank 0 sent them in
-	// netResults. Guarded by emu.
-	agreeRounds map[int]*agreeRound
-	netResults  map[int][]int
 }
 
 // NewWorld creates a world with the given number of ranks. It panics if
@@ -222,54 +171,13 @@ func NewWorld(size int) *World {
 		boxes:      make([]*inbox, size),
 		sendCounts: make([]atomic.Uint64, size),
 		collCounts: make([]atomic.Uint64, size),
-		subs:       make(map[string]*World),
 		tr:         procTransport{},
 		self:       -1,
 	}
-	w.worlds = []*World{w}
 	for i := range w.boxes {
 		w.boxes[i] = newInbox()
 	}
 	return w
-}
-
-// rootW returns the original world this one descends from (itself when it is
-// the root).
-func (w *World) rootW() *World {
-	if w.root != nil {
-		return w.root
-	}
-	return w
-}
-
-// origOf maps one of this world's dense ranks to its original rank.
-func (w *World) origOf(rank int) int {
-	if w.orig == nil {
-		return rank
-	}
-	return w.orig[rank]
-}
-
-// contains reports whether the original rank is a member of this world.
-func (w *World) contains(orig int) bool {
-	if w.orig == nil {
-		return orig >= 0 && orig < w.size
-	}
-	for _, r := range w.orig {
-		if r == orig {
-			return true
-		}
-	}
-	return false
-}
-
-// allWorlds snapshots the root's registry: the root world plus every
-// sub-world Shrink has created.
-func (w *World) allWorlds() []*World {
-	r := w.rootW()
-	r.wmu.Lock()
-	defer r.wmu.Unlock()
-	return append([]*World(nil), r.worlds...)
 }
 
 // Size returns the number of ranks.
@@ -286,28 +194,16 @@ func (w *World) Size() int { return w.size }
 // cascade errors. After all ranks return, receives still pending (on a
 // goroutine the body left behind) are released with ErrShutdown.
 func (w *World) Run(body func(c *Comm) error) error {
-	if w.root != nil {
-		panic("mpi: Run on a shrunk sub-world; run the root world")
-	}
 	if w.self >= 0 {
 		panic("mpi: Run on a networked world; use RunLocal")
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, w.size)
-	stopHB := w.startHeartbeat()
 	for r := 0; r < w.size; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
 			err := runBody(body, &Comm{world: w, rank: rank})
-			if w.evict {
-				// Eviction mode: a rank's death does not abort the world.
-				// Record the exit; the heartbeat monitor (or an explicit
-				// markFailed) declares failure, survivors Agree+Shrink.
-				errs[rank] = err
-				w.rankExited(rank, err)
-				return
-			}
 			if err == nil {
 				return
 			}
@@ -323,18 +219,12 @@ func (w *World) Run(body func(c *Comm) error) error {
 		}(r)
 	}
 	wg.Wait()
-	if stopHB != nil {
-		stopHB()
-	}
 	w.shutdown()
-	if w.evict {
-		return w.resolveEvicted(errs)
-	}
 	return errors.Join(errs...)
 }
 
-// runBody invokes the rank body, converting a panic into an error so
-// eviction-mode accounting sees a uniform failure shape.
+// runBody invokes the rank body, converting a panic into an error, so a
+// panicking rank aborts the world like an erroring one.
 func runBody(body func(c *Comm) error, c *Comm) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -352,10 +242,8 @@ func (w *World) abortWith(cause *RankFailedError) {
 	w.cause.CompareAndSwap(nil, cause)
 	if w.aborted.CompareAndSwap(false, true) {
 		c := w.abortCause()
-		for _, sub := range w.allWorlds() {
-			for _, ib := range sub.boxes {
-				ib.finish(c)
-			}
+		for _, ib := range w.boxes {
+			ib.finish(c)
 		}
 	}
 }
@@ -363,22 +251,18 @@ func (w *World) abortWith(cause *RankFailedError) {
 // abortCause returns the recorded failure, or ErrAborted during the brief
 // window before the CAS winner stores it.
 func (w *World) abortCause() error {
-	if c, ok := w.rootW().cause.Load().(error); ok {
+	if c, ok := w.cause.Load().(error); ok {
 		return c
 	}
 	return ErrAborted
 }
 
-// shutdown releases receives still pending after every rank has returned —
-// on the root and on every sub-world Shrink created: no matching send can
-// ever arrive, so letting them block would leak their goroutines for the
-// process lifetime.
+// shutdown releases receives still pending after every rank has returned:
+// no matching send can ever arrive, so letting them block would leak their
+// goroutines for the process lifetime.
 func (w *World) shutdown() {
-	w.shut.Store(true)
-	for _, sub := range w.allWorlds() {
-		for _, ib := range sub.boxes {
-			ib.finish(ErrShutdown)
-		}
+	for _, ib := range w.boxes {
+		ib.finish(ErrShutdown)
 	}
 }
 
@@ -408,10 +292,9 @@ func (c *Comm) checkUserTag(tag int) error {
 	return nil
 }
 
-// send delivers without tag validation (collectives use internal tags).
-// Operation counters, the fault plan, and traffic totals live on the root
-// world and are indexed by original rank, so a scripted "rank 2, send 500"
-// stays the same event after a Shrink renumbers the survivors.
+// send delivers without tag validation (collectives use internal tags),
+// after counting the send, consulting the fault plan and booking the
+// traffic.
 func (c *Comm) send(dst, tag int, payload any) error {
 	if err := c.checkRank(dst); err != nil {
 		return err
@@ -420,45 +303,31 @@ func (c *Comm) send(dst, tag int, payload any) error {
 	if err != nil {
 		return err
 	}
-	root := c.world.rootW()
-	src := c.world.origOf(c.rank)
-	if root.aborted.Load() {
-		return c.world.abortCause()
+	w := c.world
+	if w.aborted.Load() {
+		return w.abortCause()
 	}
-	// The fence outranks the revocation check so a send touching the dead
-	// rank reports the specific poisoned endpoint, not just the revocation.
-	if root.evict {
-		if err := root.sendFence(src, c.world.origOf(dst)); err != nil {
-			return err
-		}
-	}
-	if err := c.world.revokeErr(); err != nil {
-		return err
-	}
-	n := root.sendCounts[src].Add(1)
-	if p := root.plan; p != nil {
-		v := p.onSend(src, n)
+	n := w.sendCounts[c.rank].Add(1)
+	if p := w.plan; p != nil {
+		v := p.onSend(c.rank, n)
 		if v.kill {
-			return fmt.Errorf("mpi: rank %d killed at send %d: %w", src, n, ErrInjectedFault)
+			return fmt.Errorf("mpi: rank %d killed at send %d: %w", c.rank, n, ErrInjectedFault)
 		}
 		if v.delay > 0 {
 			time.Sleep(v.delay)
-			if root.aborted.Load() {
-				return c.world.abortCause()
-			}
-			if err := c.world.revokeErr(); err != nil {
-				return err
+			if w.aborted.Load() {
+				return w.abortCause()
 			}
 		}
 		if v.drop {
 			// The sender transmitted (counters reflect it); the network
 			// lost the packet.
-			root.accountSend(src, tag, nb)
+			w.accountSend(c.rank, tag, nb)
 			return nil
 		}
 	}
-	root.accountSend(src, tag, nb)
-	return root.tr.Deliver(c.world, c.rank, dst, tag, payload)
+	w.accountSend(c.rank, tag, nb)
+	return w.tr.Deliver(w, c.rank, dst, tag, payload)
 }
 
 // Send delivers payload to dst with the given tag. It is buffered: it

@@ -196,120 +196,73 @@ func TestNetWorldSeverReconnectsAndResends(t *testing.T) {
 	t.Logf("reconnects=%d resends=%d dups_dropped=%d", reconnects, resends, dups)
 }
 
-// A rank erroring out over the wire is detected (goodbye + stale beats),
-// evicted, and the survivors recover live on a shrunk communicator — the
-// in-process eviction protocol, across processes.
-func TestNetWorldErrorExitEvictedSurvivorsRecover(t *testing.T) {
-	const gens = 8
-	boom := errors.New("boom")
-	trs := newNetTransports(t, netMesh(t, 3))
-	finals := make([][]int, 3)
-	var mu sync.Mutex
-	errs := runNetWorlds(t, trs,
-		func(w *World) { w.EnableEviction(testBeat, testMisses) },
-		func(c *Comm) error {
-			g := 0
-			for g < gens {
-				if c.OrigRank() == 2 && g == 3 {
-					return boom
-				}
-				var err error
-				if c.Rank() == 0 {
-					for i := 1; i < c.Size(); i++ {
-						if _, err = c.Recv(AnySource, 7); err != nil {
-							break
-						}
-					}
-				} else {
-					err = c.Send(0, 7, float64(g))
-				}
-				if err == nil {
-					// Lockstep: nobody races ahead of the failure epoch on
-					// buffered sends.
-					err = c.Barrier()
-				}
-				if err != nil {
-					nc, ok := evictRecover(c, err)
-					if !ok {
+// lockstep is a networked rank's body for the failure tests: gens
+// generations of a gather at rank 0 and a barrier, with die consulted at
+// the top of each — a non-nil error ends the rank there.
+func lockstep(gens int, die func(c *Comm, g int) error) func(c *Comm) error {
+	return func(c *Comm) error {
+		for g := 0; g < gens; g++ {
+			if err := die(c, g); err != nil {
+				return err
+			}
+			if c.Rank() == 0 {
+				for i := 1; i < c.Size(); i++ {
+					if _, err := c.Recv(AnySource, 7); err != nil {
 						return err
 					}
-					c = nc
-					continue
 				}
-				g++
+			} else if err := c.Send(0, 7, float64(g)); err != nil {
+				return err
 			}
-			mu.Lock()
-			finals[c.OrigRank()] = c.world.orig
-			mu.Unlock()
-			return nil
-		})
-	if errs[0] != nil || errs[1] != nil {
-		t.Fatalf("survivors errored: %v / %v", errs[0], errs[1])
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
+}
+
+// A rank erroring out over the wire aborts the others with its own error,
+// which its goodbye frame carries — the in-process abort, across processes.
+// Rank 1 hears it from rank 2, or from rank 0 unwinding on it: either way
+// the cause blames rank 2.
+func TestNetWorldErrorExitAbortsTheOthers(t *testing.T) {
+	boom := errors.New("boom")
+	trs := newNetTransports(t, netMesh(t, 3))
+	errs := runNetWorlds(t, trs, nil, lockstep(8, func(c *Comm, g int) error {
+		if c.Rank() == 2 && g == 3 {
+			return boom
+		}
+		return nil
+	}))
 	if !errors.Is(errs[2], boom) {
 		t.Fatalf("rank 2 exit: %v", errs[2])
 	}
 	for _, r := range []int{0, 1} {
-		if got := fmt.Sprint(finals[r]); got != "[0 1]" {
-			t.Errorf("rank %d final group %v", r, got)
+		var rf *RankFailedError
+		if !errors.As(errs[r], &rf) || rf.Rank != 2 || !strings.Contains(errs[r].Error(), "boom") {
+			t.Errorf("rank %d returned %v, want rank 2's failure carrying its error", r, errs[r])
 		}
 	}
 }
 
 // A peer that vanishes silently — transport torn down with no goodbye, as
-// a kill -9 would leave it — is detected by heartbeat staleness on the
-// survivors, who evict it and continue.
-func TestNetWorldSilentVanishEvicted(t *testing.T) {
-	const gens = 6
+// a kill -9 would leave it — is declared unreachable by the ranks that dial
+// it once the redial budget is spent, and the world aborts blaming it.
+func TestNetWorldSilentVanishAborts(t *testing.T) {
 	trs := newNetTransports(t, netMesh(t, 3))
-	errs := runNetWorlds(t, trs,
-		func(w *World) { w.EnableEviction(testBeat, testMisses) },
-		func(c *Comm) error {
-			g := 0
-			for g < gens {
-				if c.OrigRank() == 2 && g == 2 {
-					// Vanish: sever the mesh and leave without goodbye.
-					trs[2].close()
-					return errors.New("simulated hard crash")
-				}
-				var err error
-				if c.Rank() == 0 {
-					for i := 1; i < c.Size(); i++ {
-						if _, err = c.Recv(AnySource, 7); err != nil {
-							break
-						}
-					}
-				} else {
-					err = c.Send(0, 7, float64(g))
-				}
-				if err == nil {
-					err = c.Barrier()
-				}
-				if err != nil {
-					nc, ok := evictRecover(c, err)
-					if !ok {
-						return err
-					}
-					c = nc
-					continue
-				}
-				g++
-			}
-			return nil
-		})
-	if errs[0] != nil || errs[1] != nil {
-		t.Fatalf("survivors errored: %v / %v", errs[0], errs[1])
-	}
-	// Both survivors must have recorded rank 2's eviction with a liveness
-	// diagnosis (no goodbye arrived to attribute an error exit).
-	for _, tr := range trs[:2] {
-		evs := tr.world.Evictions()
-		if len(evs) != 1 || evs[0].Rank != 2 {
-			t.Fatalf("rank %d evictions: %v", tr.cfg.Self, evs)
+	errs := runNetWorlds(t, trs, nil, lockstep(6, func(c *Comm, g int) error {
+		if c.Rank() == 2 && g == 2 {
+			// Vanish: sever the mesh and leave without goodbye.
+			trs[2].close()
+			return errors.New("simulated hard crash")
 		}
-		msg := evs[0].Err.Error()
-		if !strings.Contains(msg, "heartbeat") && !strings.Contains(msg, "unreachable") {
-			t.Errorf("rank %d eviction cause %q lacks liveness diagnosis", tr.cfg.Self, msg)
+		return nil
+	}))
+	for _, r := range []int{0, 1} {
+		var rf *RankFailedError
+		if !errors.As(errs[r], &rf) || rf.Rank != 2 || !strings.Contains(errs[r].Error(), "unreachable") {
+			t.Errorf("rank %d returned %v, want rank 2 declared unreachable", r, errs[r])
 		}
 	}
 }
@@ -490,59 +443,52 @@ func TestNetShutdownBoundedByLinger(t *testing.T) {
 // peer the handshake admitted as speaking this codec: the frame was acked, so
 // it will never be resent, and the receiver must not wait for it. Rank 1 is a
 // stand-in that completes the handshake and sends one data frame of an
-// unknown payload kind; rank 0's blocked Recv returns the peer's failure —
-// the abort cause, or under eviction the revocation carrying it.
+// unknown payload kind; rank 0's blocked Recv returns the peer's failure as
+// the abort cause.
 func TestNetUndecodableDataFrameFailsThePeer(t *testing.T) {
-	for _, evict := range []bool{false, true} {
-		t.Run(fmt.Sprintf("evict=%v", evict), func(t *testing.T) {
-			cfgs := netMesh(t, 2)
-			trs := newNetTransports(t, cfgs)
-			ln, err := net.Listen("unix", cfgs[1].Addrs[1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ln.Close()
-			release := make(chan struct{})
-			defer close(release)
-			go func() {
-				conn, err := ln.Accept()
-				if err != nil {
-					return
-				}
-				defer conn.Close()
-				if _, err := readFrame(conn); err != nil {
-					return
-				}
-				if err := trs[1].writeHandshake(conn, frameWelcome); err != nil {
-					return
-				}
-				_ = trs[1].writeFrame(conn, &frame{Kind: frameData, Seq: 1, Src: 1, Dst: 0, Tag: 7, Payload: []byte{0xFF, 1, 2}})
-				<-release
-			}()
+	cfgs := netMesh(t, 2)
+	trs := newNetTransports(t, cfgs)
+	ln, err := net.Listen("unix", cfgs[1].Addrs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	release := make(chan struct{})
+	defer close(release)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, err := readFrame(conn); err != nil {
+			return
+		}
+		if err := trs[1].writeHandshake(conn, frameWelcome); err != nil {
+			return
+		}
+		_ = trs[1].writeFrame(conn, &frame{Kind: frameData, Seq: 1, Src: 1, Dst: 0, Tag: 7, Payload: []byte{0xFF, 1, 2}})
+		<-release
+	}()
 
-			w := NewNetWorld(trs[0])
-			if evict {
-				w.EnableEviction(testBeat, 1000) // the beat monitor must not be what declares the failure
-			}
-			if err := trs[0].Start(); err != nil {
-				t.Fatalf("rank 0 start: %v", err)
-			}
-			began := time.Now()
-			err = w.RunLocal(func(c *Comm) error {
-				_, err := c.RecvTimeout(1, 7, 5*time.Second)
-				return err
-			})
-			var rf *RankFailedError
-			if !errors.As(err, &rf) || rf.Rank != 1 || !strings.Contains(err.Error(), "undecodable") {
-				t.Fatalf("Recv behind an undecodable frame returned %v, want a *RankFailedError naming rank 1", err)
-			}
-			if took := time.Since(began); took > 2*time.Second {
-				t.Errorf("the failure took %v to surface", took)
-			}
-			if n := trs[0].Stats().Snapshot().DecodeErrs; n != 1 {
-				t.Errorf("decode_errs = %d, want 1", n)
-			}
-		})
+	w := NewNetWorld(trs[0])
+	if err := trs[0].Start(); err != nil {
+		t.Fatalf("rank 0 start: %v", err)
+	}
+	began := time.Now()
+	err = w.RunLocal(func(c *Comm) error {
+		_, err := c.RecvTimeout(1, 7, 5*time.Second)
+		return err
+	})
+	var rf *RankFailedError
+	if !errors.As(err, &rf) || rf.Rank != 1 || !strings.Contains(err.Error(), "undecodable") {
+		t.Fatalf("Recv behind an undecodable frame returned %v, want a *RankFailedError naming rank 1", err)
+	}
+	if took := time.Since(began); took > 2*time.Second {
+		t.Errorf("the failure took %v to surface", took)
+	}
+	if n := trs[0].Stats().Snapshot().DecodeErrs; n != 1 {
+		t.Errorf("decode_errs = %d, want 1", n)
 	}
 }
 

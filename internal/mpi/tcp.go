@@ -27,17 +27,17 @@ import (
 //     and receiver-side duplicate suppression, so a frame in flight across
 //     a connection loss is delivered exactly once.
 //
-// Failure surfaces through the runtime's existing machinery: wire
-// heartbeats feed the eviction layer's failure detector, a goodbye frame
-// attributes a peer's exit (clean vs. error), and a peer that stays
-// unreachable past the redial budget is declared failed — flowing into
-// Agree/Shrink live eviction exactly as an injected fault does.
+// Failure surfaces through the runtime's existing machinery: a goodbye
+// frame attributes a peer's exit (clean vs. error), and a peer that stays
+// unreachable past the redial budget is declared failed. Either aborts the
+// world exactly as an injected fault does; a stalled peer is caught by the
+// receive deadline (World.SetRecvTimeout).
 
 // NetConfig parameterises a NetTransport. Self, Size, Network, and Addrs
 // are required; zero durations select the defaults below. The reconnect
 // schedule is not configurable: see the DefaultRetry constants.
 type NetConfig struct {
-	// Self is the original rank this process hosts.
+	// Self is the rank this process hosts.
 	Self int
 	// Size is the world size; len(Addrs) must equal it.
 	Size int
@@ -62,6 +62,11 @@ const (
 	DefaultDialTimeout  = 1 * time.Second
 	DefaultWriteTimeout = 2 * time.Second
 	DefaultLinger       = 5 * time.Second
+	// errorLinger caps the drain of an error exit: the peers it tells are
+	// about to abort, and one that cannot acknowledge — a stopped process,
+	// say — must not hold the failure back from a supervisor that watches
+	// for exits.
+	errorLinger = 100 * time.Millisecond
 )
 
 // The reconnect schedule. The delay between dial attempts starts at
@@ -139,7 +144,7 @@ func (t *NetTransport) Size() int { return t.cfg.Size }
 // Stats returns the live counter set (read with Snapshot).
 func (t *NetTransport) Stats() *TransportStats { return &t.stats }
 
-// bind attaches the transport to its root world (NewNetWorld).
+// bind attaches the transport to its world (NewNetWorld).
 func (t *NetTransport) bind(w *World) { t.world = w }
 
 // Start listens on the hosted rank's address and wires the mesh: this
@@ -267,8 +272,7 @@ func (t *NetTransport) writeFrame(conn net.Conn, f *frame) error {
 // local inbox (sharing the payload by reference, like the in-process
 // transport); remote envelopes are encoded and sent reliably.
 func (t *NetTransport) Deliver(w *World, src, dst, tag int, payload any) error {
-	origDst := w.origOf(dst)
-	if origDst == t.cfg.Self {
+	if dst == t.cfg.Self {
 		w.boxes[dst].put(envelope{source: src, tag: tag, payload: payload})
 		return nil
 	}
@@ -276,72 +280,35 @@ func (t *NetTransport) Deliver(w *World, src, dst, tag int, payload any) error {
 	if err != nil {
 		return err
 	}
-	return t.peers[origDst].sendReliable(&frame{
-		Kind: frameData, Src: int32(src), Dst: int32(dst), Tag: int64(tag),
-		World: w.key(), Payload: body,
-	})
-}
-
-// Beat broadcasts one liveness tick to every peer (transient: a beat lost
-// with a broken connection is simply the next deadline's problem).
-func (t *NetTransport) Beat() {
-	f := &frame{Kind: frameBeat, Src: int32(t.cfg.Self)}
-	for _, p := range t.peers {
-		if p == nil {
-			continue
-		}
-		// An evicted peer is dead to the group: stop feeding its failure
-		// detector, so a zombie (e.g. SIGSTOP'd through its own eviction,
-		// then resumed) sees the survivors go stale and unwinds instead of
-		// waiting forever on a communicator it is no longer part of.
-		if t.world != nil && t.world.rankFailedNow(p.rank) {
-			continue
-		}
-		if p.sendTransient(f) {
-			t.stats.BeatsSent.Add(1)
-		}
-	}
-}
-
-// sendAgree announces this rank's arrival at an agreement round to the
-// coordinating rank 0.
-func (t *NetTransport) sendAgree(round int) error {
-	return t.peers[0].sendReliable(&frame{
-		Kind: frameAgree, Src: int32(t.cfg.Self), Seq: 0, Tag: int64(round),
-	})
-}
-
-// sendAgreeResult delivers a resolved agreement round to a survivor.
-func (t *NetTransport) sendAgreeResult(dst, round int, survivors []int) error {
 	return t.peers[dst].sendReliable(&frame{
-		Kind: frameAgreeResult, Src: int32(t.cfg.Self), Dst: int32(dst), Tag: int64(round), Payload: encodeRanks(survivors),
+		Kind: frameData, Src: int32(src), Dst: int32(dst), Tag: int64(tag), Payload: body,
 	})
 }
 
 // Shutdown announces the hosted rank's exit to every reachable peer, waits
 // until each has acknowledged everything sent to it (Linger bounds the wait
-// for a peer that never does), and tears the mesh down. A peer that already
-// said goodbye gets none back: it is not listening. It is the clean half of
-// exit attribution: a peer that receives the goodbye knows whether this rank
-// finished OK or with which error; a peer that never does will diagnose a
-// vanished rank from its silence.
+// for a peer that never does, errorLinger an error exit's), and tears the
+// mesh down. A peer that already said goodbye gets none back: it is not
+// listening. It is the clean half of exit attribution: a peer that receives
+// the goodbye knows whether this rank finished OK or with which error; a
+// peer that never does will diagnose a vanished rank from its silence.
 func (t *NetTransport) Shutdown(status error) {
 	bye := frame{Kind: frameGoodbye, Src: int32(t.cfg.Self), Tag: goodbyeOK}
 	if status != nil {
-		bye.Tag, bye.Payload = 0, []byte(status.Error())
-		if errors.Is(status, ErrAborted) || errors.Is(status, ErrRevoked) {
-			bye.Tag = goodbyeCascade
+		// Blame the rank whose failure this one unwound on, with that
+		// failure's error, if there is one.
+		blamed, cause := t.cfg.Self, status
+		if rf := (*RankFailedError)(nil); errors.As(status, &rf) && rf.Err != nil {
+			blamed, cause = rf.Rank, rf.Err
 		}
+		bye.Tag, bye.Dst, bye.Payload = 0, int32(blamed), []byte(cause.Error())
 	}
 	for _, p := range t.peers {
 		if p == nil {
 			continue
 		}
-		// An evicted peer gets no goodbye, for the reason it gets no beats
-		// (see Beat): told that this rank finished cleanly, a zombie would
-		// wait on it forever instead of seeing it go stale and unwinding.
 		p.mu.Lock()
-		skip := p.done || p.lost || t.world.rankFailedNow(p.rank)
+		skip := p.done || p.lost
 		p.mu.Unlock()
 		if skip {
 			continue
@@ -349,7 +316,11 @@ func (t *NetTransport) Shutdown(status error) {
 		f := bye // each peer numbers its own copy
 		_ = p.sendReliable(&f)
 	}
-	deadline := time.Now().Add(t.cfg.Linger)
+	linger := t.cfg.Linger
+	if status != nil {
+		linger = min(linger, errorLinger)
+	}
+	deadline := time.Now().Add(linger)
 	for _, p := range t.peers {
 		if p != nil {
 			p.drain(deadline)
@@ -467,7 +438,7 @@ func (p *peer) dialOnce(budget time.Duration) error {
 		p.mu.Lock()
 		stop := p.done || p.lost
 		p.mu.Unlock()
-		if stop || t.world.rankFailedNow(p.rank) {
+		if stop {
 			return nil
 		}
 		conn, err := net.DialTimeout(t.cfg.Network, t.cfg.Addrs[p.rank], t.cfg.DialTimeout)
@@ -582,27 +553,11 @@ func (p *peer) sendReliable(f *frame) error {
 	return nil
 }
 
-// sendTransient writes an unsequenced frame on the live connection if
-// there is one; losses are acceptable by construction.
-func (p *peer) sendTransient(f *frame) bool {
-	p.mu.Lock()
-	conn := p.conn
-	p.mu.Unlock()
-	if conn == nil {
-		p.connBroken(nil)
-		return false
-	}
-	if err := p.t.writeFrame(conn, f); err != nil {
-		p.connBroken(conn)
-		return false
-	}
-	return true
-}
-
 // connBroken retires a failed connection (idempotently) and, on the
 // dialing side, starts the backoff reconnect loop. The accepting side
-// waits for the dialer to come back; if the peer is truly gone, the
-// heartbeat failure detector — not the transport — declares it.
+// waits for the dialer to come back; if the peer is truly gone, a lower
+// rank declares it lost after the redial budget, and the abort reaches this
+// side in that rank's goodbye — unless a receive deadline fires first.
 func (p *peer) connBroken(conn net.Conn) {
 	t := p.t
 	if t.closed.Load() {
@@ -638,8 +593,7 @@ func (p *peer) connBroken(conn net.Conn) {
 	}()
 }
 
-// markLost declares the peer unreachable: the world turns this into a
-// rank failure (eviction mode) or an abort.
+// markLost declares the peer unreachable: the world aborts.
 func (p *peer) markLost(err error) {
 	p.mu.Lock()
 	if p.lost || p.done {
@@ -666,14 +620,14 @@ func (p *peer) handleAck(cum uint64) {
 
 // drain waits until the peer has acknowledged every reliable frame,
 // bounded by deadline. The peer's own goodbye is not waited for: nothing
-// this rank sent is outstanding, and peers neither redial nor evict a rank
-// that said goodbye. It also ends once no ack can come, or matter, any
-// more: the peer is lost or evicted, or it said goodbye and hung up.
+// this rank sent is outstanding, and peers do not redial a rank that said
+// goodbye. It also ends once no ack can come, or matter, any more: the peer
+// is lost, or it said goodbye and hung up.
 func (p *peer) drain(deadline time.Time) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
-		gone := p.lost || (p.done && p.conn == nil) || p.t.world.rankFailedNow(p.rank)
+		gone := p.lost || (p.done && p.conn == nil)
 		if gone || len(p.unacked) == 0 {
 			return
 		}
@@ -704,14 +658,10 @@ func (p *peer) readLoop(conn net.Conn) {
 			return
 		}
 		t.stats.FramesRecv.Add(1)
-		t.stats.BytesRecv.Add(uint64(frameHeaderLen + len(f.World) + len(f.Payload)))
+		t.stats.BytesRecv.Add(uint64(frameHeaderLen + len(f.Payload)))
 		if !f.Kind.reliable() {
-			switch f.Kind {
-			case frameAck:
+			if f.Kind == frameAck {
 				p.handleAck(f.Seq)
-			case frameBeat:
-				t.stats.BeatsRecv.Add(1)
-				t.world.noteRemoteBeat(p.rank)
 			}
 			continue
 		}
@@ -754,30 +704,20 @@ func (p *peer) dispatch(f *frame) {
 			p.protocolError(err)
 			return
 		}
-		t.world.deliverRemote(f.World, int(f.Src), int(f.Dst), int(f.Tag), v)
+		t.world.deliverRemote(int(f.Src), int(f.Dst), int(f.Tag), v)
 	case frameGoodbye:
 		p.mu.Lock()
 		p.done = true
 		p.mu.Unlock()
-		t.world.peerExited(p.rank, f.Tag&goodbyeOK != 0, string(f.Payload), f.Tag&goodbyeCascade != 0)
-	case frameAgree:
-		t.world.netAgreeArrive(p.rank, int(f.Tag))
-	case frameAgreeResult:
-		survivors, err := decodeRanks(f.Payload)
-		if err != nil {
-			p.protocolError(err)
-			return
-		}
-		t.world.netAgreeResult(int(f.Tag), survivors)
+		t.world.peerExited(p.rank, int(f.Dst), f.Tag&goodbyeOK != 0, string(f.Payload))
 	}
 }
 
 // protocolError handles an acknowledged frame whose body does not decode.
 // The handshake admitted only peers speaking this codec version, so the
 // sender is broken, and the frame — already acked — will never be resent:
-// the peer is declared failed (abort, or eviction under EnableEviction)
-// rather than leaving the destination rank waiting for a message that is
-// gone.
+// the peer is declared failed — the world aborts — rather than leaving the
+// destination rank waiting for a message that is gone.
 func (p *peer) protocolError(err error) {
 	p.t.stats.DecodeErrs.Add(1)
 	p.markLost(fmt.Errorf("mpi: undecodable frame from rank %d: %w", p.rank, err))

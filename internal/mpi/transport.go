@@ -1,14 +1,11 @@
 package mpi
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Transport is the delivery seam under the runtime's point-to-point layer
 // (and therefore under the collectives, which are built purely from
-// point-to-point sends and receives). Comm.send validates, fences, counts,
-// and accounts a message, then hands the envelope to the world's transport
+// point-to-point sends and receives). Comm.send validates, counts, and
+// accounts a message, then hands the envelope to the world's transport
 // for delivery into the destination rank's inbox.
 //
 // The default transport is the in-process mailbox delivery the runtime has
@@ -16,9 +13,8 @@ import (
 // to the pre-transport behaviour. NetTransport (tcp.go) replaces it for
 // worlds whose ranks live in separate processes.
 type Transport interface {
-	// Deliver routes one envelope to rank dst of world w. Ranks are dense
-	// within w (which may be a shrunk sub-world); payload ownership passes
-	// to the transport. Deliver is buffered-send semantics: it returns
+	// Deliver routes one envelope to rank dst of world w; payload ownership
+	// passes to the transport. Deliver is buffered-send semantics: it returns
 	// once the message is enqueued for (eventual, reliable) delivery, not
 	// once it is received.
 	Deliver(w *World, src, dst, tag int, payload any) error
@@ -43,8 +39,6 @@ type TransportStats struct {
 	FramesRecv  atomic.Uint64
 	BytesSent   atomic.Uint64
 	BytesRecv   atomic.Uint64
-	BeatsSent   atomic.Uint64
-	BeatsRecv   atomic.Uint64
 	Resends     atomic.Uint64
 	DupsDropped atomic.Uint64
 	Reconnects  atomic.Uint64
@@ -62,9 +56,6 @@ type TransportSnapshot struct {
 	FramesRecv uint64 `json:"frames_recv"`
 	BytesSent  uint64 `json:"bytes_sent"`
 	BytesRecv  uint64 `json:"bytes_recv"`
-	// BeatsSent / BeatsRecv count wire heartbeats (eviction mode only).
-	BeatsSent uint64 `json:"beats_sent,omitempty"`
-	BeatsRecv uint64 `json:"beats_recv,omitempty"`
 	// Resends counts reliable frames retransmitted after a reconnect.
 	Resends uint64 `json:"resends,omitempty"`
 	// DupsDropped counts reliable frames discarded by the receiver's
@@ -86,8 +77,6 @@ func (s *TransportStats) Snapshot() TransportSnapshot {
 		FramesRecv:  s.FramesRecv.Load(),
 		BytesSent:   s.BytesSent.Load(),
 		BytesRecv:   s.BytesRecv.Load(),
-		BeatsSent:   s.BeatsSent.Load(),
-		BeatsRecv:   s.BeatsRecv.Load(),
 		Resends:     s.Resends.Load(),
 		DupsDropped: s.DupsDropped.Load(),
 		Reconnects:  s.Reconnects.Load(),
@@ -96,22 +85,10 @@ func (s *TransportStats) Snapshot() TransportSnapshot {
 	}
 }
 
-// key names this world in wire frames: the root world is "", a shrunk
-// sub-world is its survivor list — exactly the registry key Shrink caches
-// it under, so both sides of a connection resolve the same sub-world from
-// the same sorted survivor set.
-func (w *World) key() string {
-	if w.orig == nil {
-		return ""
-	}
-	return fmt.Sprint(w.orig)
-}
-
 // TransportStats returns the networked transport's counter snapshot, or
 // nil for an in-process world.
 func (w *World) TransportStats() *TransportSnapshot {
-	r := w.rootW()
-	if nt, ok := r.tr.(*NetTransport); ok {
+	if nt, ok := w.tr.(*NetTransport); ok {
 		s := nt.stats.Snapshot()
 		return &s
 	}

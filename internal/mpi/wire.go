@@ -9,8 +9,8 @@ import (
 )
 
 // This file is the wire half of the transport layer: a length-prefixed
-// binary frame format carrying the runtime's point-to-point envelopes,
-// liveness beats, and recovery-protocol messages between processes, plus
+// binary frame format carrying the runtime's point-to-point envelopes and
+// the transport's own control messages between processes, plus
 // the payload codec for the four payload kinds the runtime carries. Both
 // are hand-rolled (fixed layout, explicit bounds) in the style of
 // internal/checkpoint's snapshot format: a decoder fed truncated or
@@ -21,40 +21,27 @@ const wireMagic = 0x45474457
 
 // wireVersion is the protocol version negotiated at handshake; a peer
 // speaking a different version is rejected before any data flows.
-const wireVersion = 2
+const wireVersion = 3
 
-// Frame size limits enforced by the decoder before allocating: a length
-// field beyond these is a corrupt or hostile frame, not a big message.
-const (
-	maxWorldKeyLen  = 1 << 10 // sub-world keys are short survivor lists
-	maxFramePayload = 1 << 26 // 64 MiB bounds any legitimate sim payload
-)
+// maxFramePayload bounds a frame's payload length, checked by the decoder
+// before allocating: a length field beyond it is a corrupt or hostile
+// frame, not a big message. 64 MiB bounds any legitimate sim payload.
+const maxFramePayload = 1 << 26
 
 // frameKind discriminates wire frames. Reliable kinds (frameData,
-// frameGoodbye, frameAgree, frameAgreeResult) carry per-peer sequence
-// numbers, are resent after a reconnect, and are dup-dropped by the
-// receiver; transient kinds (beats, acks, handshake) are fire-and-forget.
+// frameGoodbye) carry per-peer sequence numbers, are resent after a
+// reconnect, and are dup-dropped by the receiver; transient kinds (acks,
+// handshake) are fire-and-forget.
 type frameKind uint8
 
 const (
-	// frameData carries one point-to-point envelope: dense src/dst ranks
-	// within the sub-world named by the frame's world key, a tag, and an
-	// encoded payload (encodePayload).
+	// frameData carries one point-to-point envelope: src/dst ranks, a tag,
+	// and an encoded payload (encodePayload).
 	frameData frameKind = 1 + iota
-	// frameBeat is a liveness tick from the hosting rank's heartbeat
-	// emitter; receipt refreshes the sender's entry in the local failure
-	// detector.
-	frameBeat
 	// frameGoodbye announces the sender's rank leaving Run, carrying its
-	// exit status so survivors attribute the departure (clean shutdown vs.
-	// error exit vs. silent disappearance).
+	// exit status so peers attribute the departure (clean shutdown vs.
+	// error exit, which aborts them).
 	frameGoodbye
-	// frameAgree is a survivor's arrival at an agreement round, sent to
-	// the coordinating rank 0.
-	frameAgree
-	// frameAgreeResult is rank 0's resolution of an agreement round: the
-	// surviving-rank set.
-	frameAgreeResult
 	// frameAck is a cumulative acknowledgement: every reliable frame with
 	// sequence number <= Seq has been processed by the sender of the ack.
 	frameAck
@@ -72,14 +59,8 @@ func (k frameKind) String() string {
 	switch k {
 	case frameData:
 		return "data"
-	case frameBeat:
-		return "beat"
 	case frameGoodbye:
 		return "goodbye"
-	case frameAgree:
-		return "agree"
-	case frameAgreeResult:
-		return "agree_result"
 	case frameAck:
 		return "ack"
 	case frameHello:
@@ -93,37 +74,28 @@ func (k frameKind) String() string {
 // reliable reports whether the kind is sequenced, resent after reconnect,
 // and dup-suppressed at the receiver.
 func (k frameKind) reliable() bool {
-	switch k {
-	case frameData, frameGoodbye, frameAgree, frameAgreeResult:
-		return true
-	}
-	return false
+	return k == frameData || k == frameGoodbye
 }
 
-// frame is one wire message. Src and Dst are dense ranks within the
-// sub-world named by World ("" is the root world), except for transport-
-// level kinds (beat, goodbye, hello, ack) where Src is the sender's
-// original rank and World is empty; see the control-frame layouts below.
+// frame is one wire message. Src and Dst are ranks; for the control kinds
+// (goodbye, hello, welcome, ack) Src is the sender's rank and the other
+// fields follow the control-frame layouts below.
 type frame struct {
 	Kind    frameKind
 	Seq     uint64
 	Src     int32
 	Dst     int32
 	Tag     int64
-	World   string
 	Payload []byte
 }
 
 // frameHeaderLen is the fixed-size prefix of an encoded frame:
 // magic(4) version(2) kind(1) pad(1) seq(8) src(4) dst(4) tag(8)
-// worldLen(2) payloadLen(4).
-const frameHeaderLen = 38
+// payloadLen(4).
+const frameHeaderLen = 36
 
 // appendFrame encodes f onto buf and returns the extended slice.
 func appendFrame(buf []byte, f *frame) ([]byte, error) {
-	if len(f.World) > maxWorldKeyLen {
-		return nil, fmt.Errorf("mpi: wire frame world key %d bytes exceeds %d", len(f.World), maxWorldKeyLen)
-	}
 	if len(f.Payload) > maxFramePayload {
 		return nil, fmt.Errorf("mpi: wire frame payload %d bytes exceeds %d", len(f.Payload), maxFramePayload)
 	}
@@ -139,17 +111,15 @@ func appendFrame(buf []byte, f *frame) ([]byte, error) {
 	binary.BigEndian.PutUint32(h[16:], uint32(f.Src))
 	binary.BigEndian.PutUint32(h[20:], uint32(f.Dst))
 	binary.BigEndian.PutUint64(h[24:], uint64(f.Tag))
-	binary.BigEndian.PutUint16(h[32:], uint16(len(f.World)))
-	binary.BigEndian.PutUint32(h[34:], uint32(len(f.Payload)))
+	binary.BigEndian.PutUint32(h[32:], uint32(len(f.Payload)))
 	buf = append(buf, h[:]...)
-	buf = append(buf, f.World...)
 	buf = append(buf, f.Payload...)
 	return buf, nil
 }
 
 // encodeFrame encodes f into a fresh buffer.
 func encodeFrame(f *frame) ([]byte, error) {
-	return appendFrame(make([]byte, 0, frameHeaderLen+len(f.World)+len(f.Payload)), f)
+	return appendFrame(make([]byte, 0, frameHeaderLen+len(f.Payload)), f)
 }
 
 // readFrame decodes one frame from r. Length fields are bounds-checked
@@ -192,11 +162,9 @@ func readFrameBody(h [frameHeaderLen]byte, r io.Reader) (*frame, error) {
 	if h[7] != 0 {
 		return nil, fmt.Errorf("mpi: wire frame pad byte %#x nonzero", h[7])
 	}
-	wkLen := int(binary.BigEndian.Uint16(h[32:]))
-	payLen := int(binary.BigEndian.Uint32(h[34:]))
-	if wkLen > maxWorldKeyLen {
-		return nil, fmt.Errorf("mpi: wire frame world key %d bytes exceeds %d", wkLen, maxWorldKeyLen)
-	}
+	// The bound is checked on the unsigned length: converted first, a
+	// length past 2^31 would be negative on a 32-bit int and pass it.
+	payLen := binary.BigEndian.Uint32(h[32:])
 	if payLen > maxFramePayload {
 		return nil, fmt.Errorf("mpi: wire frame payload %d bytes exceeds %d", payLen, maxFramePayload)
 	}
@@ -207,13 +175,11 @@ func readFrameBody(h [frameHeaderLen]byte, r io.Reader) (*frame, error) {
 		Dst:  int32(binary.BigEndian.Uint32(h[20:])),
 		Tag:  int64(binary.BigEndian.Uint64(h[24:])),
 	}
-	rest := make([]byte, wkLen+payLen)
-	if _, err := io.ReadFull(r, rest); err != nil {
-		return nil, err
-	}
-	f.World = string(rest[:wkLen])
 	if payLen > 0 {
-		f.Payload = rest[wkLen:]
+		f.Payload = make([]byte, payLen)
+		if _, err := io.ReadFull(r, f.Payload); err != nil {
+			return nil, err
+		}
 	}
 	return f, nil
 }
@@ -295,33 +261,9 @@ func decodePayload(b []byte) (any, error) {
 //
 //   - hello/welcome: Src is the hosted rank, Dst the world size, Payload the
 //     job id; all three must match the receiving side's view.
-//   - goodbye: Tag holds the exit-status flags below, Payload the error text.
-//   - agree_result: Tag is the round, Payload the surviving original ranks as
-//     big-endian uint32s.
-const (
-	// goodbyeOK marks a clean exit.
-	goodbyeOK = 1 << iota
-	// goodbyeCascade marks an error exit that was itself caused by another
-	// rank's failure (the error matched ErrAborted/ErrRevoked), so receivers
-	// do not attribute an independent failure to a rank that merely unwound.
-	goodbyeCascade
-)
+//   - goodbye: Tag holds goodbyeOK on a clean exit; on an error exit Dst is
+//     the rank the error blames and Payload its text.
+//   - ack: Seq is the cumulative acknowledgement.
 
-func encodeRanks(ranks []int) []byte {
-	b := make([]byte, 0, 4*len(ranks))
-	for _, r := range ranks {
-		b = binary.BigEndian.AppendUint32(b, uint32(r))
-	}
-	return b
-}
-
-func decodeRanks(b []byte) ([]int, error) {
-	if len(b)%4 != 0 {
-		return nil, fmt.Errorf("mpi: rank list of %d bytes", len(b))
-	}
-	ranks := make([]int, len(b)/4)
-	for i := range ranks {
-		ranks[i] = int(binary.BigEndian.Uint32(b[4*i:]))
-	}
-	return ranks, nil
-}
+// goodbyeOK marks a clean exit in a goodbye frame's Tag.
+const goodbyeOK = 1

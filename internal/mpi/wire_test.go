@@ -14,12 +14,10 @@ import (
 
 func TestWireFrameRoundTrip(t *testing.T) {
 	frames := []*frame{
-		{Kind: frameData, Seq: 1, Src: 2, Dst: 0, Tag: 7, World: "", Payload: []byte("hello")},
-		{Kind: frameData, Seq: 42, Src: 0, Dst: 3, Tag: 1 << 30, World: "[0 1 3]", Payload: nil},
-		{Kind: frameBeat, Src: 1},
-		{Kind: frameGoodbye, Seq: 9, Src: 3, Payload: []byte{1, 2, 3}},
-		{Kind: frameAgree, Seq: 5, Src: 2, Tag: 0},
-		{Kind: frameAgreeResult, Seq: 6, Src: 0, Dst: 2, Tag: 1, Payload: []byte("x")},
+		{Kind: frameData, Seq: 1, Src: 2, Dst: 0, Tag: 7, Payload: []byte("hello")},
+		{Kind: frameData, Seq: 42, Src: 0, Dst: 3, Tag: 1 << 30, Payload: nil},
+		{Kind: frameGoodbye, Seq: 9, Src: 3, Dst: 1, Payload: []byte{1, 2, 3}},
+		{Kind: frameGoodbye, Seq: 10, Src: 2, Tag: goodbyeOK},
 		{Kind: frameAck, Seq: 1234567},
 		{Kind: frameHello, Src: 1, Payload: []byte("id")},
 		{Kind: frameWelcome, Src: 2},
@@ -34,7 +32,7 @@ func TestWireFrameRoundTrip(t *testing.T) {
 			t.Fatalf("decode %v: %v", f.Kind, err)
 		}
 		if got.Kind != f.Kind || got.Seq != f.Seq || got.Src != f.Src ||
-			got.Dst != f.Dst || got.Tag != f.Tag || got.World != f.World ||
+			got.Dst != f.Dst || got.Tag != f.Tag ||
 			!bytes.Equal(got.Payload, f.Payload) {
 			t.Fatalf("round trip %v: got %+v want %+v", f.Kind, got, f)
 		}
@@ -46,7 +44,7 @@ func TestWireFrameStreamed(t *testing.T) {
 	want := []*frame{
 		{Kind: frameData, Seq: 1, Src: 0, Dst: 1, Tag: 3, Payload: []byte("a")},
 		{Kind: frameAck, Seq: 1},
-		{Kind: frameData, Seq: 2, Src: 0, Dst: 1, Tag: 3, World: "[0 1]", Payload: []byte("bb")},
+		{Kind: frameData, Seq: 2, Src: 0, Dst: 1, Tag: 3, Payload: []byte("bb")},
 	}
 	for _, f := range want {
 		b, err := encodeFrame(f)
@@ -76,9 +74,6 @@ func TestWireFrameEncodeRejectsInvalid(t *testing.T) {
 	if _, err := encodeFrame(&frame{Kind: frameKindEnd}); err == nil {
 		t.Fatal("out-of-range kind encoded")
 	}
-	if _, err := encodeFrame(&frame{Kind: frameData, World: strings.Repeat("x", maxWorldKeyLen+1)}); err == nil {
-		t.Fatal("oversized world key encoded")
-	}
 	if _, err := encodeFrame(&frame{Kind: frameData, Payload: make([]byte, maxFramePayload+1)}); err == nil {
 		t.Fatal("oversized payload encoded")
 	}
@@ -101,16 +96,16 @@ func TestWireFrameDecodeRejectsCorruption(t *testing.T) {
 	corrupt("truncated header", func(b []byte) []byte { return b[:frameHeaderLen-1] })
 	corrupt("truncated body", func(b []byte) []byte { return b[:len(b)-3] })
 	corrupt("trailing garbage", func(b []byte) []byte { return append(b, 0xAB) })
-	corrupt("oversized world len", func(b []byte) []byte {
-		binary.BigEndian.PutUint16(b[32:], maxWorldKeyLen+1)
+	corrupt("oversized payload len", func(b []byte) []byte {
+		binary.BigEndian.PutUint32(b[32:], maxFramePayload+1)
 		return b
 	})
-	corrupt("oversized payload len", func(b []byte) []byte {
-		binary.BigEndian.PutUint32(b[34:], maxFramePayload+1)
+	corrupt("payload len past 2^31", func(b []byte) []byte {
+		binary.BigEndian.PutUint32(b[32:], 1<<31)
 		return b
 	})
 	corrupt("payload len beyond body", func(b []byte) []byte {
-		binary.BigEndian.PutUint32(b[34:], 1<<20)
+		binary.BigEndian.PutUint32(b[32:], 1<<20)
 		return b
 	})
 }
@@ -121,7 +116,7 @@ func TestWireFrameDecodeRejectsCorruption(t *testing.T) {
 // identically — never panic, and never allocate beyond the declared length limits (the
 // bounds checks run before any allocation).
 func FuzzWireFrame(f *testing.F) {
-	seed, _ := encodeFrame(&frame{Kind: frameData, Seq: 3, Src: 1, Dst: 0, Tag: 5, World: "[0 1]", Payload: []byte("p")})
+	seed, _ := encodeFrame(&frame{Kind: frameData, Seq: 3, Src: 1, Dst: 0, Tag: 5, Payload: []byte("p")})
 	f.Add(seed)
 	for _, v := range []any{2.5, []float64{1, math.NaN()}, []byte("msg")} {
 		body, _ := encodePayload(v)
@@ -132,7 +127,7 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, frameHeaderLen))
 	big := append([]byte(nil), seed...)
-	binary.BigEndian.PutUint32(big[34:], 1<<31)
+	binary.BigEndian.PutUint32(big[32:], 1<<31)
 	f.Add(big)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := decodeFrameBytes(data)
@@ -207,17 +202,5 @@ func TestWirePayloadRoundTrip(t *testing.T) {
 		if v, err := decodePayload(b); err == nil {
 			t.Errorf("%s: decoded to %#v", name, v)
 		}
-	}
-}
-
-func TestWireRankListRoundTrip(t *testing.T) {
-	for _, ranks := range [][]int{{}, {0}, {0, 2, 5, 1 << 20}} {
-		got, err := decodeRanks(encodeRanks(ranks))
-		if err != nil || !reflect.DeepEqual(got, ranks) {
-			t.Fatalf("ranks %v: got %v, %v", ranks, got, err)
-		}
-	}
-	if _, err := decodeRanks([]byte{0, 0, 1}); err == nil {
-		t.Fatal("a 3-byte rank list decoded")
 	}
 }

@@ -136,9 +136,9 @@ type Config struct {
 	// StartGeneration offsets the generation counter. Every per-generation
 	// random stream is keyed by the absolute generation number, so a run
 	// resumed from generation g's snapshot (ResumeFrom sets StartGeneration
-	// = g) continues the original trajectory exactly (bit-identical for
-	// deterministic games; for mixed strategies the resumed run resamples
-	// cached match-ups once at the resume point).
+	// = g) continues the original trajectory exactly (bit-identical; a run
+	// keeping noisy or mixed cells across generations replays each from
+	// the generation the snapshot records for it).
 	StartGeneration int
 	// CheckpointEvery makes the Nature Agent persist a snapshot to
 	// CheckpointSink every k completed generations (0 disables). The
@@ -162,27 +162,9 @@ type Config struct {
 	// world: scripted deterministic fault injection for resilience tests.
 	FaultPlan *mpi.FaultPlan
 	// EventLog, when non-nil, receives fault-tolerance events (checkpoints
-	// written, recoveries performed, ranks evicted) from the engine and
+	// written, faults seen, recoveries performed) from the engine and
 	// supervisor.
 	EventLog *trace.EventLog
-	// Evict enables live rank eviction in the parallel engine: a heartbeat
-	// detector declares dead ranks, survivors agree on the surviving set and
-	// shrink onto a sub-communicator, every survivor rebuilds its payoff
-	// table, and the interrupted generation is replayed from its
-	// generation-keyed random streams — no restart, and (with
-	// FullRecompute) results bit-identical to a fault-free run. Replayed
-	// generations re-invoke the Observer, as checkpoint restarts do.
-	Evict bool
-	// HeartbeatEvery is the liveness tick period when Evict is set (0
-	// selects mpi.DefaultHeartbeatEvery).
-	HeartbeatEvery time.Duration
-	// HeartbeatMisses is how many consecutive missed heartbeat deadlines
-	// declare a rank dead (0 selects mpi.DefaultHeartbeatMisses).
-	HeartbeatMisses int
-	// MinRanks is the smallest world live eviction may shrink to; below it
-	// the engine falls back to checkpoint-restart (values < 2 mean 2, the
-	// engine's floor of Nature plus one worker).
-	MinRanks int
 	// Metrics enables the observability layer: per-rank phase timers in
 	// both engines and per-rank communication accounting in the parallel
 	// one, aggregated into Result.Metrics at run end. Collection never
@@ -196,7 +178,7 @@ type Config struct {
 	// the reference the bit-parity tests compare the one production kernel
 	// against. No Spec field, flag or front end reaches it.
 	referenceKernel bool
-	// skewRank, when non-zero, makes the worker at that original rank report
+	// skewRank, when non-zero, makes the worker at that rank report
 	// one game more than it played at the end of the window: a drifted view,
 	// for the tests of Nature's cross-check.
 	skewRank int
@@ -296,15 +278,6 @@ func (c *Config) Validate() error {
 	}
 	if c.RecvTimeout < 0 {
 		return fmt.Errorf("sim: negative receive timeout %v", c.RecvTimeout)
-	}
-	if c.HeartbeatEvery < 0 {
-		return fmt.Errorf("sim: negative heartbeat period %v", c.HeartbeatEvery)
-	}
-	if c.HeartbeatMisses < 0 {
-		return fmt.Errorf("sim: negative heartbeat miss budget %d", c.HeartbeatMisses)
-	}
-	if c.MinRanks < 0 {
-		return fmt.Errorf("sim: negative rank floor %d", c.MinRanks)
 	}
 	if c.ExactPayoffs && c.UseSearchEngine {
 		return fmt.Errorf("sim: ExactPayoffs and UseSearchEngine are mutually exclusive")

@@ -14,7 +14,7 @@ import "repro/internal/mpi"
 // is the Nature Agent, the rest play the games a generation misses, exactly
 // as RunParallel. The transport must be freshly created and not yet
 // started; RunWorker installs the Config's world options (metrics, fault
-// plan, receive deadline, eviction), wires the mesh, and runs the hosted
+// plan, receive deadline), wires the mesh, and runs the hosted
 // rank to completion.
 //
 // On the Nature process the returned Result is the run's result, assembled

@@ -106,14 +106,13 @@ func (tap *wireTap) pump(src, dst net.Conn) {
 	defer dst.Close()
 	for {
 		// magic(4) version(2) kind(1) pad(1) seq(8) src(4) dst(4) tag(8)
-		// worldLen(2) payloadLen(4), big-endian; then world key and payload.
-		head := make([]byte, 38)
+		// payloadLen(4), big-endian; then the payload.
+		head := make([]byte, 36)
 		if _, err := io.ReadFull(src, head); err != nil {
 			return
 		}
-		worldLen := int(binary.BigEndian.Uint16(head[32:]))
-		payloadLen := int(binary.BigEndian.Uint32(head[34:]))
-		body := make([]byte, worldLen+payloadLen)
+		payloadLen := int(binary.BigEndian.Uint32(head[32:]))
+		body := make([]byte, payloadLen)
 		if _, err := io.ReadFull(src, body); err != nil {
 			return
 		}
@@ -239,8 +238,8 @@ func TestNetworkedBackendParityBitExact(t *testing.T) {
 			t.Fatalf("cooperation at sample %d: (%d,%v) vs (%d,%v)", i, ga, va, gb, vb)
 		}
 	}
-	if net.Ranks != 3 || net.Evictions != 0 || net.Restarts != 0 {
-		t.Fatalf("networked result ranks=%d evictions=%d restarts=%d", net.Ranks, net.Evictions, net.Restarts)
+	if net.Ranks != 3 || net.Restarts != 0 {
+		t.Fatalf("networked result ranks=%d restarts=%d", net.Ranks, net.Restarts)
 	}
 }
 
@@ -314,72 +313,56 @@ func TestNetworkedBackendParityMetrics(t *testing.T) {
 	}
 }
 
-// The chaos acceptance criterion at the engine level: a worker whose rank
-// dies mid-run over the wire — injected fault, goodbye frame, agreement,
-// shrink — yields the same strategies, fitness, and event counters as a
-// run that never saw the fault. Incremental mode replays the interrupted
-// generation, so GamesPlayed may only grow.
-func TestNetworkedEvictionRecoversBitExact(t *testing.T) {
+// The restart path over the wire, at the engine level: a worker dying
+// mid-run aborts the networked world, and a fresh mesh relaunched from
+// Nature's latest snapshot (RestartConfig, what egdrun's fleet does) ends in
+// the Result of a run that never saw the fault.
+func TestNetworkedRestartRecoversBitExact(t *testing.T) {
 	cfg := testConfig(1, 8, 300)
 	cfg.Seed = 402
 
-	// The clean run is the reference kernel, the faulty one keeps the payoff
-	// table: neither the table nor metrics feed the trajectory, so the parity
-	// below holds with both on — and the run then registers every metric
+	// Metrics do not feed the trajectory, so the parity below holds with
+	// them on only in the faulty run — which then registers every metric
 	// family there is, which the catalog check at the end needs.
-	clean, err := RunParallel(reference(cfg), 4)
+	clean, err := RunParallel(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	faulty := evictConfig(cfg)
-	faulty.FaultPlan = mpi.NewFaultPlan().Kill(3, 200)
+	faulty := cfg
+	faulty.CheckpointEvery = 50
+	faulty.CheckpointSink = NewMemorySink()
 	faulty.Metrics = true
+	// Worker 3 dies entering its first meeting past the second checkpoint.
+	faulty.FaultPlan = mpi.NewFaultPlan().Kill(3, killAt(meetingsOf(t, faulty), 4, 3, 100))
 	res, errs := runNetworked(t, faulty, 4)
-	if errs[0] != nil || errs[1] != nil || errs[2] != nil {
-		t.Fatalf("survivors errored: %v / %v / %v", errs[0], errs[1], errs[2])
+	if res != nil || !errors.Is(errs[3], mpi.ErrInjectedFault) || !faulty.FaultPlan.Faults()[0].Fired() {
+		t.Fatalf("faulty run: result %v, rank 3 exit %v; want the scripted kill", res, errs[3])
 	}
-	if !errors.Is(errs[3], mpi.ErrInjectedFault) {
-		t.Fatalf("killed rank exit: %v", errs[3])
-	}
-	if !faulty.FaultPlan.Faults()[0].Fired() {
-		t.Fatal("scripted kill never fired")
-	}
-	if res == nil {
-		t.Fatal("no Result from the Nature rank")
-	}
-	if res.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", res.Evictions)
-	}
-	if res.Ranks != 3 {
-		t.Fatalf("ranks after eviction = %d, want 3", res.Ranks)
-	}
-	for i := range clean.Final {
-		if !clean.Final[i].Equal(res.Final[i]) {
-			t.Fatalf("final strategy %d differs", i)
+	for rank, err := range errs[:3] {
+		var rf *mpi.RankFailedError
+		if !errors.As(err, &rf) || rf.Rank != 3 {
+			t.Fatalf("rank %d exit %v, want the abort naming rank 3", rank, err)
 		}
 	}
-	for i := range clean.FinalFitness {
-		if clean.FinalFitness[i] != res.FinalFitness[i] {
-			t.Fatalf("final fitness %d differs", i)
+	restart, err := RestartConfig(faulty)
+	if err != nil || restart.StartGeneration < 100 {
+		t.Fatalf("restart from generation %d (%v), want one past the second checkpoint", restart.StartGeneration, err)
+	}
+	res, errs = runNetworked(t, restart, 4)
+	for rank, err := range errs {
+		if err != nil {
+			t.Fatalf("relaunched rank %d: %v", rank, err)
 		}
 	}
-	if clean.Counters.PCEvents != res.Counters.PCEvents ||
-		clean.Counters.Adoptions != res.Counters.Adoptions ||
-		clean.Counters.Mutations != res.Counters.Mutations {
-		t.Fatalf("event counters differ: %+v vs %+v", clean.Counters, res.Counters)
-	}
-	if res.Counters.GamesPlayed < clean.Counters.GamesPlayed {
-		t.Fatalf("evicted run played fewer games (%d) than clean (%d)",
-			res.Counters.GamesPlayed, clean.Counters.GamesPlayed)
-	}
+	assertSameResult(t, clean, res, false)
 	assertCatalogued(t, res)
 }
 
 // assertCatalogued checks catalog ≡ code: every metric family the run's
 // registry holds has a row in docs/OBSERVABILITY.md. res must come from a
-// metrics-on, networked, cached, evicting run — the one kind that registers
-// every conditional family, which is checked first.
+// metrics-on, networked, cached run — the one kind that registers every
+// conditional family, which is checked first.
 func assertCatalogued(t *testing.T, res *Result) {
 	t.Helper()
 	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "OBSERVABILITY.md"))
@@ -396,9 +379,7 @@ func assertCatalogued(t *testing.T, res *Result) {
 	}
 	for _, conditional := range []string{
 		"egd_transport_frames_sent_wallclock_total",
-		"egd_comm_heartbeats_wallclock_total",
 		"egd_payoff_cache_entries",
-		"egd_evicted",
 	} {
 		if !families[conditional] {
 			t.Errorf("run registered no %s: not the full-registry run the catalog check needs", conditional)

@@ -128,73 +128,81 @@ func TestInterruptedRunReturnsTheUninterruptedResult(t *testing.T) {
 			}
 			return res
 		}},
-		// Live eviction replaces the restart: the survivors replay the
-		// interrupted generation.
-		{"eviction with changed SSets pending", true, func(t *testing.T, base Config, ei int) *Result {
-			// The collectives a worker enters are a function of the plan (a
-			// Gather and a Bcast per meeting, and with eviction every sampled
-			// generation meets), so the one after all of generations
-			// [0, g)'s is generation g's first: worker 1 dies as it meets
-			// over what generation g-1 changed, and Nature rolls back to the
-			// top of g, which the survivors replay whole on rebuilt tables.
+		// The supervisor restarts from a snapshot taken with changed SSets
+		// still to be replayed: a run keyed by SSet plays each of their
+		// cells again from the generation the uninterrupted run played it
+		// in, which the snapshot records.
+		{"restart with changed SSets pending", true, func(t *testing.T, base Config, ei int) *Result {
 			g := pending[pick.Intn(len(pending))]
-			cfg := evictConfig(base)
-			k := collectivesBefore(meetingsOf(t, cfg), g) + 1
+			cfg := base
+			cfg.CheckpointEvery = g
+			// Worker 1 dies entering the first meeting at or past g, after
+			// the snapshot at g.
+			kill := killAt(meetingsOf(t, cfg), engines[ei], 1, g)
+			cfg.FaultPlan = mpi.NewFaultPlan().Kill(1, kill)
 			cfg.EventLog = trace.NewEventLog()
-			cfg.FaultPlan = mpi.NewFaultPlan().FailCollective(1, k)
-			res, err := RunParallel(cfg, engines[ei])
+			res, err := RunParallelResilient(cfg, engines[ei], 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			evs := cfg.EventLog.Events()
-			if res.Evictions != 1 || len(evs) != 1 || evs[0].Kind != trace.EventEviction || evs[0].Generation != g {
-				t.Fatalf("evictions = %d, events %+v; want rank 1 evicted in generation %d", res.Evictions, evs, g)
+			if res.Restarts != 1 || !cfg.FaultPlan.Faults()[0].Fired() || cfg.EventLog.Count(trace.EventRecovery) != 1 {
+				t.Fatalf("restarts = %d, events %+v; want one recovery", res.Restarts, cfg.EventLog.Events())
 			}
 			return res
 		}},
 	}
 
-	for _, full := range []bool{false, true} {
-		// 9 SSets and 16 rounds keep S-1 and the match length powers of
-		// two: every payoff, row sum and population total is then a dyadic
-		// rational float64 holds exactly, the one rounding left is the
-		// final division, and the mean-fitness series is bit-identical
-		// across engines and rank counts — so a single sequential run is
-		// the reference for the whole table.
-		base := testConfig(1, 9, gens)
-		base.Rules.Rounds = 16
-		base.Seed = 1410
-		base.FullRecompute = full
-		uncached := reference(base)
-		ref := uncached
-		pending = nil
-		ref.Observer = ObserverFunc(func(gen int, _ *Population, ev Events) {
-			if (ev.Adopted || ev.MutationOccurred) && gen+1 < gens {
-				pending = append(pending, gen+1)
-			}
-		})
-		want, err := RunSequential(ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want.Counters.Adoptions == 0 || want.Counters.Mutations == 0 {
-			t.Fatalf("degenerate reference run: %+v", want.Counters)
-		}
-		// Each interruption runs twice: on the reference kernel, as the
-		// reference ran, and with the payoff table — every segment, restart
-		// and resync of the cached run must still land on the uncached,
-		// uninterrupted result.
-		for ei, ranks := range engines {
-			for _, in := range interruptions {
-				if in.parallelOnly && ranks < 2 {
-					continue
+	// The noisy rows key the table by SSet even with the payoff cache, and
+	// each cell holds the match of the generation it was played in: an
+	// incremental resume must play it again from that generation.
+	for _, noise := range []float64{0, 0.01} {
+		for _, full := range []bool{false, true} {
+			// 9 SSets and 16 rounds keep S-1 and the match length powers of
+			// two: every payoff, row sum and population total is then a
+			// dyadic rational float64 holds exactly, the one rounding left is
+			// the final division, and the mean-fitness series is
+			// bit-identical across engines and rank counts — so a single
+			// sequential run is the reference for the whole table.
+			base := testConfig(1, 9, gens)
+			base.Rules.Rounds = 16
+			base.Rules.ErrorRate = noise
+			base.Seed = 1410
+			base.FullRecompute = full
+			uncached := reference(base)
+			ref := uncached
+			pending = nil
+			ref.Observer = ObserverFunc(func(gen int, _ *Population, ev Events) {
+				if (ev.Adopted || ev.MutationOccurred) && gen+1 < gens {
+					pending = append(pending, gen+1)
 				}
-				t.Run(fmt.Sprintf("full=%v/ranks=%d/%s", full, ranks, in.name), func(t *testing.T) {
-					assertSameResult(t, want, in.run(t, uncached, ei), full)
-				})
-				t.Run(fmt.Sprintf("full=%v/ranks=%d/%s, payoff cache", full, ranks, in.name), func(t *testing.T) {
-					assertSameResult(t, want, in.run(t, base, ei), full)
-				})
+			})
+			want, err := RunSequential(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Counters.Adoptions == 0 || want.Counters.Mutations == 0 {
+				t.Fatalf("degenerate reference run: %+v", want.Counters)
+			}
+			row := fmt.Sprintf("full=%v", full)
+			if noise != 0 {
+				row += fmt.Sprintf("/error=%v", noise)
+			}
+			// Each interruption runs twice: on the reference kernel, as the
+			// reference ran, and with the payoff table — every segment and
+			// restart of the cached run must still land on the uncached,
+			// uninterrupted result.
+			for ei, ranks := range engines {
+				for _, in := range interruptions {
+					if in.parallelOnly && ranks < 2 {
+						continue
+					}
+					t.Run(fmt.Sprintf("%s/ranks=%d/%s", row, ranks, in.name), func(t *testing.T) {
+						assertSameResult(t, want, in.run(t, uncached, ei), full)
+					})
+					t.Run(fmt.Sprintf("%s/ranks=%d/%s, payoff cache", row, ranks, in.name), func(t *testing.T) {
+						assertSameResult(t, want, in.run(t, base, ei), full)
+					})
+				}
 			}
 		}
 	}

@@ -54,7 +54,7 @@ type PhaseStat struct {
 }
 
 // RankPhaseSnapshot is one rank's per-phase timing, phases sorted by name.
-// Rank is the original (pre-eviction) rank. Cache carries the counters of the
+// Cache carries the counters of the
 // rank's payoff table by strategy type, nil wherever no table is kept (noisy
 // sampled play). In a run served by type a worker's misses are the cells it
 // played, Nature's hits every scheduled game no worker had to play, so hits +
@@ -125,16 +125,14 @@ func (t *phaseTimer) snapshot(rank int) RankPhaseSnapshot {
 // when Config.Metrics is set: every rank's phase timing plus, for the
 // parallel engine, every rank's communication accounting.
 type RunMetrics struct {
-	// Phases holds per-rank phase timings, ordered by original rank. Ranks
-	// evicted mid-run lose their phase data (it lived on the dead
-	// goroutine); their comm accounting below survives.
+	// Phases holds per-rank phase timings, ordered by rank.
 	Phases []RankPhaseSnapshot `json:"phases,omitempty"`
 	// Comm holds per-rank communication accounting (parallel engine only),
-	// ordered by original rank.
+	// ordered by rank.
 	Comm []mpi.RankCommSnapshot `json:"comm,omitempty"`
 	// Transport holds the wire-transport counters of a networked run
-	// (RunWorker): this process's view of the wire — frames, bytes, beats,
-	// and the retry machinery's evidence (reconnects, resends, duplicate
+	// (RunWorker): this process's view of the wire — frames, bytes, and
+	// the retry machinery's evidence (reconnects, resends, duplicate
 	// suppression). Nil on in-process runs.
 	Transport *mpi.TransportSnapshot `json:"transport,omitempty"`
 }
@@ -199,7 +197,6 @@ func (r *Result) MetricsRegistry() *metrics.Registry {
 	reg.Counter("egd_mutations_total").Add(r.Counters.Mutations)
 	reg.Gauge("egd_ranks").Set(int64(r.Ranks))
 	reg.Counter("egd_restarts_total").Add(uint64(r.Restarts))
-	reg.Counter("egd_evictions_total").Add(uint64(r.Evictions))
 	reg.Gauge("egd_run_elapsed_nanos").Set(r.Elapsed.Nanoseconds())
 
 	for _, rs := range r.Metrics.Phases {
@@ -230,16 +227,10 @@ func (r *Result) MetricsRegistry() *metrics.Registry {
 			reg.Counter(metrics.Name("egd_comm_collective_calls_total", "op", co.Op, "rank", rank)).Add(co.Calls)
 			reg.Gauge(metrics.Name("egd_comm_collective_nanos", "op", co.Op, "rank", rank)).Set(co.Nanos)
 		}
-		if cs.Heartbeats > 0 {
-			reg.Counter(metrics.Name("egd_comm_heartbeats_wallclock_total", "rank", rank)).Add(cs.Heartbeats)
-		}
-		if cs.Evicted {
-			reg.Gauge(metrics.Name("egd_evicted", "rank", rank)).Set(1)
-		}
 	}
 	if ts := r.Metrics.Transport; ts != nil {
-		// Wire traffic depends on real-time behaviour (beat cadence,
-		// reconnects), so the transport series carry the _wallclock_total
+		// Wire traffic depends on real-time behaviour (reconnects, resends),
+		// so the transport series carry the _wallclock_total
 		// marker and are stripped from deterministic snapshots.
 		for _, c := range []struct {
 			name string
@@ -249,8 +240,6 @@ func (r *Result) MetricsRegistry() *metrics.Registry {
 			{"frames_recv", ts.FramesRecv},
 			{"bytes_sent", ts.BytesSent},
 			{"bytes_recv", ts.BytesRecv},
-			{"beats_sent", ts.BeatsSent},
-			{"beats_recv", ts.BeatsRecv},
 			{"resends", ts.Resends},
 			{"dups_dropped", ts.DupsDropped},
 			{"reconnects", ts.Reconnects},

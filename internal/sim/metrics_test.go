@@ -203,38 +203,36 @@ func TestMetricsEventLogged(t *testing.T) {
 	}
 }
 
-// TestMetricsWithEviction: collection composes with live eviction — the
-// evicted rank keeps its comm accounting (original-rank identity), and the
-// survivors' phase snapshots still arrive.
-func TestMetricsWithEviction(t *testing.T) {
-	cfg := evictConfig(testConfig(1, 8, 200))
+// TestMetricsWithRestart: collection composes with a supervised restart —
+// the Result carries the relaunched world's metrics, a phase and a comm
+// snapshot for every rank, and the registry counts the restart.
+func TestMetricsWithRestart(t *testing.T) {
+	cfg := deadline(testConfig(1, 8, 200)) // every sampled generation meets
 	cfg.Seed = 307
 	cfg.Metrics = true
 	cfg.FullRecompute = true
+	cfg.CheckpointEvery = 50
 	cfg.FaultPlan = mpi.NewFaultPlan().Kill(2, 60)
-	res, err := RunParallel(cfg, 4)
+	res, err := RunParallelResilient(cfg, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", res.Evictions)
+	if res.Restarts != 1 || !cfg.FaultPlan.Faults()[0].Fired() {
+		t.Fatalf("restarts = %d, kill fired = %v; want one recovery", res.Restarts, cfg.FaultPlan.Faults()[0].Fired())
 	}
-	if len(res.Metrics.Comm) != 4 {
-		t.Fatalf("comm snapshots = %d, want 4 (original ranks)", len(res.Metrics.Comm))
+	if len(res.Metrics.Comm) != 4 || len(res.Metrics.Phases) != 4 {
+		t.Fatalf("%d comm and %d phase snapshots, want 4 of each", len(res.Metrics.Comm), len(res.Metrics.Phases))
 	}
-	if !res.Metrics.Comm[2].Evicted {
-		t.Error("evicted rank not flagged in comm snapshot")
-	}
-	if res.Metrics.Comm[2].SentMsgs == 0 {
-		t.Error("evicted rank's pre-death traffic lost")
-	}
-	// Phase snapshots: survivors only (the dead goroutine's timer is gone).
-	if len(res.Metrics.Phases) != 3 {
-		t.Fatalf("phase snapshots = %d, want 3 survivors", len(res.Metrics.Phases))
-	}
-	for _, rs := range res.Metrics.Phases {
-		if rs.Rank == 2 {
-			t.Error("evicted rank reported a phase snapshot")
+	for r, rc := range res.Metrics.Comm {
+		if rc.Rank != r || res.Metrics.Phases[r].Rank != r || rc.SentMsgs == 0 {
+			t.Errorf("rank %d: comm snapshot %+v, phase snapshot of rank %d", r, rc, res.Metrics.Phases[r].Rank)
 		}
+	}
+	restarts := false
+	for _, c := range res.MetricsRegistry().Snapshot().Counters {
+		restarts = restarts || c.Name == "egd_restarts_total" && c.Value == 1
+	}
+	if !restarts {
+		t.Error("the registry does not count the restart")
 	}
 }

@@ -84,6 +84,8 @@ type fitnessSource interface {
 	// meanFitness returns the population's mean relative fitness for the
 	// sampled series; it is asked only on generations SampleStride divides.
 	meanFitness() (float64, error)
+	// finalFitness returns every SSet's fitness over the last refresh.
+	finalFitness() []float64
 }
 
 // nature is the paper's Nature Agent (§IV-B): the global strategy view, the
@@ -101,39 +103,6 @@ type nature struct {
 	// sampled series, Observer call or checkpoint: a parallel run's worker,
 	// and its Nature running on from a stop to the meeting that tells it.
 	quiet bool
-	// snap is the rollback point of a live eviction (Config.Evict).
-	snap natureSnap
-}
-
-// natureSnap is the Nature Agent's rollback point for live eviction:
-// everything a generation changes before it completes, which is what
-// replaying the one a failure interrupted needs (gen itself only advances
-// on success). The dirty marks are not among it: the replay recomputes
-// every pair and clears them.
-// Strategy references can be shared because strategies are immutable —
-// Adopt and SetStrategy replace entries, never mutate them in place.
-type natureSnap struct {
-	gen             int
-	strategies      []strategy.Strategy
-	counters        Counters
-	fitLen, coopLen int
-}
-
-func (n *nature) takeSnap() {
-	n.snap.gen = n.gen
-	n.snap.strategies = append(n.snap.strategies[:0], n.pop.strategies...)
-	n.snap.counters = n.res.Counters
-	n.snap.fitLen = n.res.MeanFitness.Len()
-	n.snap.coopLen = n.res.Cooperation.Len()
-}
-
-// rollback returns the position and the Result to the snapshot; the
-// population is the caller's.
-func (n *nature) rollback() {
-	n.gen = n.snap.gen
-	n.res.Counters = n.snap.counters
-	n.res.MeanFitness.Truncate(n.snap.fitLen)
-	n.res.Cooperation.Truncate(n.snap.coopLen)
 }
 
 func newNature(cfg *Config) *nature {
@@ -182,7 +151,7 @@ func (n *nature) generation() error {
 	if err != nil {
 		return err
 	}
-	n.pop.clearDirty()
+	n.pop.clearDirty(gen)
 
 	// Population dynamics: the PC learning event and the mutation event.
 	tn := n.pt.begin()

@@ -7,13 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"strconv"
 	"time"
 
-	"repro/internal/checkpoint"
 	"repro/internal/mpi"
-	"repro/internal/strategy"
 	"repro/internal/trace"
 )
 
@@ -37,15 +34,27 @@ type verdict struct {
 	Cells []float64
 }
 
-// encode is the verdict's message: flag Stop (bit 0), fields Gen, the cell
-// count and an unused zero, then the cells.
+// The verdict travels as bytes the engine lays out itself, in process and
+// over a transport alike, so the bytes mpi counts are the message: the kind
+// byte — anything else arriving where a verdict is due is refused, not
+// misread — a flags byte with Stop at bit 0, three little-endian uint32
+// fields (Gen, the cell count and an unused zero: a run is far shorter than
+// 2^32 generations), then the cells as little-endian float64 bits.
+const (
+	msgVerdict byte = 1
+	msgHeadLen      = 2 + 3*4
+)
+
+// encode is the verdict's message.
 func (v verdict) encode() []byte {
 	var flags byte
 	if v.Stop {
 		flags = 1
 	}
-	b := encodeMessage(msgVerdict, flags, [3]int{v.Gen, len(v.Cells)})
-	b = slices.Grow(b, 8*len(v.Cells))
+	b := append(make([]byte, 0, msgHeadLen+8*len(v.Cells)), msgVerdict, flags)
+	b = binary.LittleEndian.AppendUint32(b, uint32(v.Gen))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(v.Cells)))
+	b = binary.LittleEndian.AppendUint32(b, 0)
 	for _, c := range v.Cells {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c))
 	}
@@ -54,54 +63,36 @@ func (v verdict) encode() []byte {
 
 // decodeVerdict validates a received verdict against the generation the
 // receiver stands at and the cells its meeting misses — none aboard a stop.
-func decodeVerdict(cfg *Config, payload any, gen, cells int) (verdict, error) {
-	v, err := decodeMessage(cfg, payload, msgVerdict, 0, func(flags byte, f [3]int, _ []strategy.Strategy, body []byte) verdict {
-		v := verdict{Gen: f[0], Stop: flags&1 != 0}
-		if len(body) >= 8 {
-			v.Cells = make([]float64, 0, len(body)/8)
-		}
-		for ; len(body) >= 8; body = body[8:] {
-			v.Cells = append(v.Cells, math.Float64frombits(binary.LittleEndian.Uint64(body)))
-		}
-		return v
-	})
+// The payload must be, byte for byte, the encoding of the verdict read from
+// it: no trailing bytes, no unknown flag bit, no value in an unused field.
+func decodeVerdict(payload any, gen, cells int) (verdict, error) {
+	b, ok := payload.([]byte)
+	if !ok || len(b) < msgHeadLen || b[0] != msgVerdict {
+		return verdict{}, fmt.Errorf("sim: expected a verdict message, received %T %.14x", payload, b)
+	}
+	// Compared unsigned: converted first, a field past 2^31 would be
+	// negative on a 32-bit int.
+	if g := binary.LittleEndian.Uint32(b[2:]); uint64(g) != uint64(gen) {
+		return verdict{}, fmt.Errorf("sim: verdict for generation %d received at generation %d", g, gen)
+	}
+	v := verdict{Gen: gen, Stop: b[1]&1 != 0}
+	body := b[msgHeadLen:]
+	if len(body) >= 8 {
+		v.Cells = make([]float64, 0, len(body)/8)
+	}
+	for ; len(body) >= 8; body = body[8:] {
+		v.Cells = append(v.Cells, math.Float64frombits(binary.LittleEndian.Uint64(body)))
+	}
+	if re := v.encode(); !bytes.Equal(b, re) {
+		return verdict{}, fmt.Errorf("sim: verdict of %d bytes %.14x is not the %d-byte encoding %.14x of its content", len(b), b, len(re), re)
+	}
 	if v.Stop {
 		cells = 0
 	}
-	switch {
-	case err != nil:
-	case v.Gen != gen:
-		err = fmt.Errorf("sim: verdict for generation %d received at generation %d", v.Gen, gen)
-	case len(v.Cells) != cells:
-		err = fmt.Errorf("sim: verdict with %d cells received at generation %d, which misses %d", len(v.Cells), gen, cells)
+	if len(v.Cells) != cells {
+		return verdict{}, fmt.Errorf("sim: verdict with %d cells received at generation %d, which misses %d", len(v.Cells), gen, cells)
 	}
-	return v, err
-}
-
-// resume is the Nature Agent's post-eviction broadcast on the shrunk
-// communicator: the authoritative state every survivor replaces its own
-// with. Workers may be behind (a dead mid-tree rank broke a broadcast relay)
-// or ahead (buffered packets outran the failure) of Nature's position; a
-// full-state resume makes the skew irrelevant.
-type resume struct {
-	// Gen is the generation the loop resumes at, from its top.
-	Gen int
-	// Strategies is the global strategy view at the top of generation Gen.
-	Strategies []strategy.Strategy
-}
-
-// encode is the resume's message: no flags, fields Gen and two unused zeros,
-// then every SSet's strategy in order.
-func (r resume) encode() []byte {
-	return encodeMessage(msgResume, 0, [3]int{r.Gen}, r.Strategies...)
-}
-
-// decodeResume validates a received resume against the run's Config: exactly
-// one strategy of the run's memory depth per SSet.
-func decodeResume(cfg *Config, payload any) (resume, error) {
-	return decodeMessage(cfg, payload, msgResume, cfg.NumSSets, func(_ byte, f [3]int, sts []strategy.Strategy, _ []byte) resume {
-		return resume{Gen: f[0], Strategies: sts}
-	})
+	return v, nil
 }
 
 // rankReport is what a worker ships to Nature at the end of the window: its
@@ -109,9 +100,8 @@ func decodeResume(cfg *Config, payload any) (resume, error) {
 // its phase timings and payoff-table counters.
 type rankReport struct {
 	RankPhaseSnapshot
-	// Counters is what the worker counted since the last (re)synchronisation
-	// and Live how many types its population holds: a drifted view changes
-	// either.
+	// Counters is what the worker counted in the window and Live how many
+	// types its population holds: a drifted view changes either.
 	Counters *Counters `json:"counters,omitempty"`
 	Live     int       `json:"live,omitempty"`
 }
@@ -129,8 +119,7 @@ func (rep rankReport) encode() []byte {
 
 // decodeReports reads the workers' reports out of a Gather at Nature, with
 // the run's phase block: Nature's own snapshot self, then the workers' by
-// dense rank — survivors in ascending original rank (mpi.World.Shrink) — so
-// Phases is already ordered by Rank.
+// rank, so Phases is already ordered by Rank.
 func decodeReports(self RankPhaseSnapshot, parts []any) (*RunMetrics, []rankReport, error) {
 	rm, reps := &RunMetrics{Phases: []RankPhaseSnapshot{self}}, make([]rankReport, len(parts)-1)
 	for i, part := range parts[1:] {
@@ -147,73 +136,10 @@ func decodeReports(self RankPhaseSnapshot, parts []any) (*RunMetrics, []rankRepo
 // worker on c reports beyond those it played — one on the rank
 // Config.skewRank names, none elsewhere (a worker's rank is never 0).
 func skew(cfg *Config, c *mpi.Comm) uint64 {
-	if c.OrigRank() == cfg.skewRank {
+	if c.Rank() == cfg.skewRank {
 		return 1
 	}
 	return 0
-}
-
-// The parallel engine's two broadcasts travel as bytes the engine lays out
-// itself, in process and over a transport alike, so the bytes mpi counts are
-// the message. One layout serves both: the kind — a message arriving where
-// another was due is refused, not misread — a flags byte, three
-// little-endian uint32 fields (generation numbers and counts: a run is far
-// shorter than 2^32 generations), then zero or more strategies in the
-// checkpoint stream's form (checkpoint.AppendStrategy) or — a verdict only —
-// cells as little-endian float64 bits.
-const (
-	msgVerdict byte = 1 + iota
-	msgResume
-)
-
-const msgHeadLen = 2 + 3*4
-
-// msgNames names each kind of message, for errors.
-var msgNames = [...]string{msgVerdict: "verdict", msgResume: "resume"}
-
-// encodeMessage lays one message out.
-func encodeMessage(kind, flags byte, fields [3]int, sts ...strategy.Strategy) []byte {
-	b := append(make([]byte, 0, msgHeadLen), kind, flags)
-	for _, f := range fields {
-		b = binary.LittleEndian.AppendUint32(b, uint32(f))
-	}
-	for _, st := range sts {
-		b = checkpoint.AppendStrategy(b, st)
-	}
-	return b
-}
-
-// decodeMessage takes a received payload apart and has build make the typed
-// message of it from the flags, the fields, the strategies and the body (the
-// bytes behind the head). The payload must be a message of the wanted kind,
-// n strategies of the run's memory depth must follow the fields, and the whole
-// must be, byte for byte, the encoding of what was built from it: no
-// trailing bytes, no unknown flag bit, no value in an unused field, no
-// second spelling of a strategy.
-func decodeMessage[T interface{ encode() []byte }](cfg *Config, payload any, kind byte, n int, build func(flags byte, f [3]int, sts []strategy.Strategy, tail []byte) T) (msg T, err error) {
-	b, ok := payload.([]byte)
-	if !ok || len(b) < msgHeadLen || b[0] != kind {
-		return msg, fmt.Errorf("sim: expected a %s message, received %T %.14x", msgNames[kind], payload, b)
-	}
-	var f [3]int
-	for i := range f {
-		f[i] = int(binary.LittleEndian.Uint32(b[2+4*i:]))
-	}
-	var sts []strategy.Strategy
-	if n > 0 { // a verdict has no strategy: no reader for it
-		for rest := bytes.NewReader(b[msgHeadLen:]); len(sts) < n; {
-			st, err := checkpoint.ReadStrategy(rest, strategy.NewSpace(cfg.Memory))
-			if err != nil {
-				return msg, fmt.Errorf("sim: %s strategy %d: %w", msgNames[kind], len(sts), err)
-			}
-			sts = append(sts, st)
-		}
-	}
-	msg = build(b[1], f, sts, b[msgHeadLen:])
-	if re := msg.encode(); !bytes.Equal(b, re) {
-		return msg, fmt.Errorf("sim: %s of %d bytes %.14x is not the %d-byte encoding %.14x of its content", msgNames[kind], len(b), b, len(re), re)
-	}
-	return msg, nil
 }
 
 // RunParallel executes the simulation on a world of `ranks` goroutine
@@ -265,9 +191,6 @@ func runWorld(cfg Config, world *mpi.World, launch func(body func(*mpi.Comm) err
 	if cfg.RecvTimeout > 0 {
 		world.SetRecvTimeout(cfg.RecvTimeout)
 	}
-	if cfg.Evict {
-		world.EnableEviction(cfg.HeartbeatEvery, cfg.HeartbeatMisses)
-	}
 	var result *Result
 	var start time.Time
 	err := launch(func(c *mpi.Comm) error {
@@ -275,7 +198,7 @@ func runWorld(cfg Config, world *mpi.World, launch func(body func(*mpi.Comm) err
 			start = time.Now() //egdlint:allow determinism elapsed-time metadata for Result.Elapsed, not part of the trajectory
 		}
 		r := newParRank(&cfg, c)
-		err := runRank(&cfg, c, r)
+		err := r.run()
 		if c.Rank() != 0 && errors.Is(err, ErrStopped) {
 			return nil // a control stop told by Nature is a clean exit: the run's one error is Nature's
 		}
@@ -283,15 +206,14 @@ func runWorld(cfg Config, world *mpi.World, launch func(body func(*mpi.Comm) err
 			return err
 		}
 		result = r.res
-		result.Final = r.pop.Snapshot()
+		result.Final, result.played = r.pop.Snapshot(), r.played(r.end)
 		return nil
 	})
 	if err != nil || result == nil {
 		return nil, err
 	}
 	result.Elapsed = time.Since(start) //egdlint:allow determinism elapsed-time metadata, not part of the trajectory
-	result.Evictions = len(world.Evictions())
-	result.Ranks = world.Size() - result.Evictions
+	result.Ranks = world.Size()
 	if cfg.Metrics && result.Metrics != nil {
 		// Comm and transport accounting is this process's view: every rank
 		// in-process, the hosted rank's side of the wire when networked.
@@ -304,97 +226,4 @@ func runWorld(cfg Config, world *mpi.World, launch func(body func(*mpi.Comm) err
 		}
 	}
 	return result, nil
-}
-
-// runRank drives one rank to completion: run a step; on a failure live
-// eviction can absorb, recover onto the shrunk communicator and run the
-// step the recovery left the rank at. The same loop serves the generations
-// and finalization, so a resume can move a rank across that boundary in
-// either direction.
-func runRank(cfg *Config, c *mpi.Comm, r *parRank) error {
-	traced := 0 // evictions already in the event log
-	for {
-		done, err := r.step()
-		if err == nil {
-			if done {
-				return nil
-			}
-			continue
-		}
-		if c, err = recoverLive(cfg, c, r, &traced, err); err != nil {
-			return err
-		}
-	}
-}
-
-// evictable reports whether an engine error is a rank failure that live
-// eviction can recover from: a revoked communicator or any error carrying a
-// *RankFailedError (poisoned sends, abort causes). The caller's own faults
-// (an injected kill firing on this rank, say) are not evictable.
-func evictable(err error) bool {
-	if errors.Is(err, mpi.ErrRevoked) {
-		return true
-	}
-	var rf *mpi.RankFailedError
-	return errors.As(err, &rf)
-}
-
-// recoverLive is the survivor-side eviction protocol, identical on every
-// rank — which is what keeps the meetings aligned across divergent failure
-// interleavings: agree on the surviving set, shrink onto it, resync the
-// rank's state. Each loop iteration is one agreement epoch; a failure
-// landing mid-recovery (a failed Shrink or resume broadcast) starts
-// another. It returns the communicator to continue on, or cause when live
-// eviction cannot proceed — eviction is off, the failure is this rank's
-// own, the Nature rank is among the dead (no one can re-drive the
-// schedule), or the survivors are fewer than Config.MinRanks — and the
-// restart supervisor must take over.
-func recoverLive(cfg *Config, c *mpi.Comm, r *parRank, traced *int, cause error) (*mpi.Comm, error) {
-	if !cfg.Evict {
-		return nil, cause
-	}
-	logEvent := func(kind trace.EventKind, rank int, detail string) {
-		if cfg.EventLog != nil {
-			cfg.EventLog.Append(trace.Event{Kind: kind, Generation: r.gen, Rank: rank, Detail: detail})
-		}
-	}
-	for cur := cause; evictable(cur); {
-		surv, err := c.Agree()
-		if err != nil {
-			break
-		}
-		if len(surv) == 0 || surv[0] != 0 {
-			// The lowest survivor records the decision once for the trace.
-			if len(surv) > 0 && c.OrigRank() == surv[0] {
-				logEvent(trace.EventEvictionFailed, 0, "nature rank failed; falling back to checkpoint restart")
-			}
-			break
-		}
-		if c.Rank() == 0 {
-			evs := c.Evictions()
-			for _, e := range evs[*traced:] {
-				logEvent(trace.EventEviction, e.Rank, e.Err.Error())
-			}
-			*traced = len(evs)
-		}
-		// The engine's own floor is Nature plus one worker.
-		if floor := max(cfg.MinRanks, 2); len(surv) < floor {
-			if c.Rank() == 0 {
-				logEvent(trace.EventEvictionFailed, -1,
-					fmt.Sprintf("%d survivors below floor %d; falling back to checkpoint restart", len(surv), floor))
-			}
-			break
-		}
-		nc, err := c.Shrink(surv)
-		if err != nil {
-			cur = err
-			continue
-		}
-		if err := r.resync(nc); err != nil {
-			c, cur = nc, err
-			continue
-		}
-		return nc, nil
-	}
-	return nil, cause
 }

@@ -1,11 +1,9 @@
 package sim
 
 // Property tests for the work decomposition. A meeting splits its missing
-// cells over whatever workers the world has, and live eviction shrinks it,
-// so these invariants must hold not just for the launch count but for every
-// worker count the world can shrink to (nWorkers-1, nWorkers-2, ...) — the
-// loops below cover all of them exhaustively for a spread of population
-// sizes.
+// cells over whatever workers the world has, so these invariants must hold
+// for every worker count (nWorkers, nWorkers-1, ...) — the loops below
+// cover all of them exhaustively for a spread of population sizes.
 
 import (
 	"fmt"
@@ -77,7 +75,7 @@ func TestRefreshChangedVisitsExactlyTheDirtyCells(t *testing.T) {
 		}
 		draw := rng.New(22)
 		for _, nDirty := range []int{0, 1, 2, 2, 3, s} {
-			pop.clearDirty()
+			pop.clearDirty(3)
 			for len(pop.changed) < nDirty {
 				pop.markDirty(draw.Intn(s))
 			}

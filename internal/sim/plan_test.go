@@ -10,14 +10,13 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/rng"
-	"repro/internal/trace"
 )
 
 // The parallel engine's wire is a function of the plan: every rank derives
 // each generation's comparison, mutation and sampling from (Seed, gen) and
 // holds the same payoff table, so the ranks meet only where the table lacks
-// a cell (and, with a stop hook, a receive deadline or eviction, at a
-// sampled generation); meetingsOf derives those from a sequential walk of
+// a cell (and, with a stop hook or a receive deadline, at a sampled
+// generation); meetingsOf derives those from a sequential walk of
 // the run. The tests run the engine where samples are sparse: every other
 // table in this package runs under 1 000 generations, where the automatic
 // SampleStride is 1 and every generation is sampled.
@@ -191,41 +190,43 @@ func TestFreeRunningRegime(t *testing.T) {
 					})
 				}
 				if ranks == 2 {
-					continue // Nature alone is below the engine's floor: nothing to evict onto
+					continue // the kills run at the interruption matrix's rank counts
 				}
-				// A worker dying as it enters its k-th collective, where
-				// eviction makes every sampled generation a meeting.
-				evict := func(cfg Config, k uint64) func(t *testing.T) {
+				// A worker dying as it enters its k-th collective, where a
+				// receive deadline makes every sampled generation a meeting:
+				// the world aborts, and the supervisor restarts the run from
+				// its latest snapshot.
+				restart := func(cfg Config, k uint64) func(t *testing.T) {
 					return func(t *testing.T) {
-						cfg := evictConfig(cfg)
-						cfg.EventLog = trace.NewEventLog()
+						cfg := deadline(cfg)
+						cfg.CheckpointEvery = 100
 						cfg.FaultPlan = mpi.NewFaultPlan().FailCollective(1, k)
-						got, err := RunParallel(cfg, ranks)
+						got, err := RunParallelResilient(cfg, ranks, 1)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if got.Evictions != 1 || cfg.EventLog.Count(trace.EventEviction) != 1 || !cfg.FaultPlan.Faults()[0].Fired() {
-							t.Fatalf("evictions = %d, events %+v; want exactly one", got.Evictions, cfg.EventLog.Events())
+						if got.Restarts != 1 || !cfg.FaultPlan.Faults()[0].Fired() {
+							t.Fatalf("restarts = %d, kill fired = %v; want one recovery", got.Restarts, cfg.FaultPlan.Faults()[0].Fired())
 						}
-						assertSameResult(t, want, got, false) // the replay plays every pair again
+						assertSameResult(t, want, got, false) // the resume plays every pair again
 					}
 				}
 				// On the reference kernel, keyed by SSet, which meets after
 				// every change: the first Gather and the first Bcast, the
 				// Gather of the 21st meeting and the Bcast of the 44th early in
 				// the run, a meeting deep in it, and the end of the window's.
-				meets := meetingsOf(t, evictConfig(reference(base)))
+				meets := meetingsOf(t, deadline(reference(base)))
 				if len(meets) < 44 {
 					t.Fatalf("%s: %d meetings keyed by SSet, want 44 or more", name, len(meets))
 				}
 				for _, k := range []uint64{1, 2, 41, 88, collectivesBefore(meets, mid) + 1, collectivesBefore(meets, gens) + 1} {
-					t.Run(fmt.Sprintf("%s/collective %d fails", name, k), evict(reference(base), k))
+					t.Run(fmt.Sprintf("%s/collective %d fails", name, k), restart(reference(base), k))
 				}
 				// Served by type: the first Gather, the first fill, a meeting
 				// deep in the run, and the end of the window's.
-				meets = meetingsOf(t, evictConfig(base))
+				meets = meetingsOf(t, deadline(base))
 				for _, k := range []uint64{1, 2, collectivesBefore(meets, mid) + 1, collectivesBefore(meets, gens) + 1} {
-					t.Run(fmt.Sprintf("%s/typed/collective %d fails", name, k), evict(base, k))
+					t.Run(fmt.Sprintf("%s/typed/collective %d fails", name, k), restart(base, k))
 				}
 			}
 		}
@@ -301,16 +302,21 @@ func TestFreeRunningStopNetworked(t *testing.T) {
 	}
 }
 
+// deadline bounds cfg's receives generously: nothing in the tests that
+// use it stalls, but a bounded drift makes every sampled generation a
+// meeting.
+func deadline(cfg Config) Config {
+	cfg.RecvTimeout = time.Minute
+	return cfg
+}
+
 // assertMeetings holds every rank of res to the meetings a walk of its run
-// found: a Gather and a Bcast each and at the window's end, one Barrier
-// behind the last with eviction, and no other message.
-func assertMeetings(t *testing.T, what string, res *Result, meetings int, evict bool) {
+// found: a Gather and a Bcast each and at the window's end, and no other
+// message.
+func assertMeetings(t *testing.T, what string, res *Result, meetings int) {
 	t.Helper()
 	m := uint64(meetings) + 1
 	want := map[string]uint64{"bcast": m, "gather": m}
-	if evict {
-		want["barrier"] = 1
-	}
 	for _, rc := range res.Metrics.Comm {
 		got := map[string]uint64{}
 		for _, co := range rc.Collectives {
@@ -320,7 +326,7 @@ func assertMeetings(t *testing.T, what string, res *Result, meetings int, evict 
 			t.Errorf("%s: rank %d entered %v, the walk says %v", what, rc.Rank, got, want)
 		}
 		for _, tt := range append(rc.SentByTag, rc.RecvByTag...) {
-			if l := mpi.TagLabel(tt.Tag); l != "coll_bcast" && l != "coll_gather" && !strings.HasPrefix(l, "coll_barrier") {
+			if l := mpi.TagLabel(tt.Tag); l != "coll_bcast" && l != "coll_gather" {
 				t.Errorf("%s: rank %d exchanged %d messages with tag %s", what, rc.Rank, tt.Msgs, l)
 			}
 		}
@@ -357,7 +363,7 @@ func TestWireIsAFunctionOfThePlan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertMeetings(t, what, res, len(meets), false)
+			assertMeetings(t, what, res, len(meets))
 			runs = append(runs, res)
 		}
 		res, dres := runs[0], runs[1]
@@ -373,22 +379,20 @@ func TestWireIsAFunctionOfThePlan(t *testing.T) {
 
 		// Served by type, the ranks meet at the fills a sequential walk of the
 		// same run finds, at the window's end and — only where something
-		// bounds the drift: a stop hook, a receive deadline, eviction — at
-		// each sampled generation. Every such run is the sequential run.
+		// bounds the drift: a stop hook, a receive deadline — at each sampled
+		// generation. Every such run is the sequential run.
 		seq, err := RunSequential(sparseConfig(2, gens, false))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, bound := range []string{"none", "control", "deadline", "evict"} {
+		for _, bound := range []string{"none", "control", "deadline"} {
 			cfg := sparseConfig(2, gens, false)
 			cfg.Metrics = true
 			switch bound {
 			case "control":
 				cfg.Control = func(int) error { return nil }
 			case "deadline":
-				cfg.RecvTimeout = time.Minute
-			case "evict":
-				cfg = evictConfig(cfg)
+				cfg = deadline(cfg)
 			}
 			fills, meets := meetingsOf(t, sparseConfig(2, gens, false)), meetingsOf(t, cfg)
 			if len(fills) < 3 || bound == "none" && fills[len(fills)-1] < gens/2 || bound != "none" && len(meets) <= len(fills) {
@@ -399,7 +403,7 @@ func TestWireIsAFunctionOfThePlan(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertSameResult(t, seq, res, true)
-			assertMeetings(t, fmt.Sprintf("%d ranks, %s", ranks, bound), res, len(meets), cfg.Evict)
+			assertMeetings(t, fmt.Sprintf("%d ranks, %s", ranks, bound), res, len(meets))
 		}
 	}
 }

@@ -22,6 +22,11 @@ type Population struct {
 	// changed, not a scan of the population.
 	dirty   []bool
 	changed []int
+	// played[i] is the generation whose refresh last listed SSet i as
+	// changed, -1 while a change waits for the next: where cells are kept
+	// across generations (keptAcrossGenerations), the generation i's cells
+	// were played from. A resumed run takes it from the snapshot.
+	played []int
 	// The type table: typ[i] is the id of SSet i's behaviour (-1 when
 	// strategy.CanonicalFingerprint does not know the implementation), so
 	// two SSets behave alike exactly when their ids are equal. Live types
@@ -53,6 +58,7 @@ func NewPopulation(cfg Config, src *rng.Source) *Population {
 		space:      sp,
 		strategies: make([]strategy.Strategy, cfg.NumSSets),
 		dirty:      make([]bool, cfg.NumSSets),
+		played:     make([]int, cfg.NumSSets),
 		typ:        make([]int32, cfg.NumSSets),
 		ids:        make(map[strategy.Fingerprint]int32),
 	}
@@ -67,11 +73,18 @@ func NewPopulation(cfg Config, src *rng.Source) *Population {
 		p.markDirty(i)
 		p.typ[i] = p.intern(p.strategies[i])
 	}
+	// Every SSet is changed at a resumed run's first refresh, which refills
+	// the table; the snapshot says which generation each one's cells are
+	// played from.
+	if cfg.prior.played != nil {
+		copy(p.played, cfg.prior.played)
+	}
 	return p
 }
 
 // markDirty schedules SSet i's games for replay.
 func (p *Population) markDirty(i int) {
+	p.played[i] = -1
 	if !p.dirty[i] {
 		p.dirty[i] = true
 		at, _ := slices.BinarySearch(p.changed, i)
@@ -152,19 +165,6 @@ func (p *Population) Adopt(learner, teacher int) {
 	p.markDirty(learner)
 }
 
-// replaceAll installs another global strategy view wholesale (a live
-// eviction's resync), sharing the strategies; the dirty marks are the
-// caller's. Every type dies first, so a behaviour both views hold gets its
-// id back unless a newcomer ahead of it in SSet order reclaimed it.
-func (p *Population) replaceAll(strategies []strategy.Strategy) {
-	for i := range p.typ {
-		p.release(i)
-	}
-	for i, s := range strategies {
-		p.strategies[i], p.typ[i] = s, p.intern(s)
-	}
-}
-
 // Abundance returns the strategy-abundance tally of the current population.
 func (p *Population) Abundance() *stats.Abundance { return abundance(p.strategies) }
 
@@ -231,10 +231,21 @@ func Fermi(beta, piT, piL float64) float64 {
 	return 1.0 / (1.0 + math.Exp(-beta*(piT-piL)))
 }
 
-// clearDirty resets the dirty marks once every owner has refreshed its pairs.
-func (p *Population) clearDirty() {
+// playedAt is the generation SSet i's cells are played from at generation
+// gen's refresh: gen for a changed SSet.
+func (p *Population) playedAt(i, gen int) int {
+	if p.played[i] < 0 {
+		return gen
+	}
+	return p.played[i]
+}
+
+// clearDirty resets the dirty marks once every owner has refreshed its pairs
+// at generation gen.
+func (p *Population) clearDirty(gen int) {
 	for _, i := range p.changed {
 		p.dirty[i] = false
+		p.played[i] = p.playedAt(i, gen)
 	}
 	p.changed = p.changed[:0]
 }

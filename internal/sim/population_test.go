@@ -257,7 +257,7 @@ func TestPairToIJ(t *testing.T) {
 		cfg.FullRecompute = true
 		_ = cfg.Validate()
 		pop := NewPopulation(cfg, rng.New(3))
-		pop.clearDirty()
+		pop.clearDirty(0)
 		tb := newPayoffTable(&cfg)
 		if games := tb.listMissing(&cfg, pop); games != uint64(s*(s-1)) || len(tb.cells) != s*(s-1) {
 			t.Fatalf("s=%d: %d games, %d cells listed, want %d", s, games, len(tb.cells), s*(s-1))
@@ -304,7 +304,7 @@ func TestRefreshPayoffsIncremental(t *testing.T) {
 	if games, cells, err := refresh(0); err != nil || games != 30 || cells != 30 {
 		t.Fatalf("initial refresh counted %d games, played %d cells, want 30 (err %v)", games, cells, err)
 	}
-	pop.clearDirty()
+	pop.clearDirty(0)
 	// Nothing changed: zero games.
 	if g, c, err := refresh(1); err != nil || g != 0 || c != 0 || scheduled() != 0 {
 		t.Fatalf("clean refresh counted %d games, played %d cells (err %v)", g, c, err)
@@ -314,7 +314,7 @@ func TestRefreshPayoffsIncremental(t *testing.T) {
 	if g, c, err := refresh(2); err != nil || g != 10 || c != 10 || scheduled() != 10 {
 		t.Fatalf("single-change refresh counted %d games, played %d cells, want 10 (err %v)", g, c, err)
 	}
-	pop.clearDirty()
+	pop.clearDirty(0)
 	// Full recompute mode: always S*(S-1).
 	cfg.FullRecompute = true
 	if g, c, err := refresh(3); err != nil || g != 30 || c != 30 || scheduled() != 30 {
@@ -429,7 +429,7 @@ func checkTypeTable(t *testing.T, step string, p *Population) {
 }
 
 // TestTypeTableFollowsEveryStrategyChange drives seeded random sequences of
-// the three ways strategies change — SetStrategy, Adopt, replaceAll — over
+// the two ways strategies change — SetStrategy and Adopt — over
 // memory 1-3, pure and mixed, and checks the type table, and that the dirty
 // marks mean what they did, after every step. Mutants come from randomTwin,
 // so behaviours recur, die and come back.
@@ -445,16 +445,7 @@ func TestTypeTableFollowsEveryStrategyChange(t *testing.T) {
 				dirty := append([]bool(nil), p.dirty...)
 				var what string
 				switch i, j := src.Pair(p.Size()); src.Intn(8) {
-				case 0:
-					next := p.Snapshot()
-					for k := range next {
-						if src.Bernoulli(0.5) {
-							next[k] = randomTwin(cfg, src)
-						}
-					}
-					p.replaceAll(next)
-					what = "replaceAll"
-				case 1, 2, 3:
+				case 0, 1, 2, 3:
 					p.SetStrategy(i, randomTwin(cfg, src))
 					dirty[i] = true
 					what = "SetStrategy"
@@ -470,7 +461,7 @@ func TestTypeTableFollowsEveryStrategyChange(t *testing.T) {
 					}
 				}
 				if src.Intn(4) == 0 {
-					p.clearDirty()
+					p.clearDirty(0)
 				}
 			}
 		}

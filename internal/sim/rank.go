@@ -42,20 +42,19 @@ func blockRange(n, nWorkers, w int) (lo, hi int) {
 
 // boundedDrift reports whether something depends on a run's ranks staying
 // within SampleStride generations of each other — the stop latency
-// Config.Control documents, RecvTimeout's stall detection, live eviction —
-// which makes every sampled generation a meeting.
-func boundedDrift(cfg *Config) bool { return cfg.Control != nil || cfg.RecvTimeout > 0 || cfg.Evict }
+// Config.Control documents, RecvTimeout's stall detection — which makes
+// every sampled generation a meeting.
+func boundedDrift(cfg *Config) bool { return cfg.Control != nil || cfg.RecvTimeout > 0 }
 
-// parRank is one rank of the parallel engine, Nature (dense rank 0) or a
-// worker, and its own fitness source. Only Nature records: Control, the
+// parRank is one rank of the parallel engine, Nature (rank 0) or a worker, and its own fitness source. Only Nature records: Control, the
 // Observer, checkpoints and the sampled series stay its own, and a worker's
 // generation is quiet.
 type parRank struct {
 	*nature
 	payoffTable
 	c *mpi.Comm
-	// base is the Counters at the last (re)synchronisation, which the end of
-	// the window cross-checks from.
+	// base is the Counters the window started from (a resumed run's prior
+	// ones), which the end of the window cross-checks from.
 	base Counters
 	// stopErr is a Control stop's error once Nature has saved its snapshot:
 	// Nature then runs on quietly to the workers' next meeting, tells them
@@ -69,53 +68,18 @@ func newParRank(cfg *Config, c *mpi.Comm) *parRank {
 	return r
 }
 
-// step runs the next generation, or the end of the window. The eviction
-// rollback point is the top of the generation; a failure at the end of the
-// window replays the last one, whose refresh is the key vector FinalFitness
-// folds over, so only a window without a generation resumes at its end.
-func (r *parRank) step() (bool, error) {
-	if r.cfg.Evict && r.c.Rank() == 0 && (r.gen < r.end || r.snap.strategies == nil) {
-		r.takeSnap()
+// run drives the rank through its generations and the end of the window.
+func (r *parRank) run() error {
+	for r.gen < r.end {
+		err := r.generation()
+		if r.quiet && r.c.Rank() == 0 && r.stopErr == nil {
+			r.stopErr, err = err, nil // the stop's error: its snapshot is saved
+		}
+		if err != nil {
+			return err
+		}
 	}
-	if r.gen >= r.end {
-		return true, r.finalize()
-	}
-	err := r.generation()
-	if r.quiet && r.c.Rank() == 0 && r.stopErr == nil {
-		r.stopErr, err = err, nil // the stop's error: its snapshot is saved
-	}
-	return false, err
-}
-
-// resync re-establishes the shared state on a shrunk communicator: Nature
-// rolls back to its snapshot and broadcasts it, a worker adopts it, and
-// every survivor rebuilds its population from those strategies, so type ids
-// agree again, and forgets its table: every SSet of the new population is
-// changed, so the next refresh empties and refills each cell by SSet, and
-// with every stamp cleared each type's row and column are dropped on its
-// first touch (payoffKernel.met).
-func (r *parRank) resync(nc *mpi.Comm) error {
-	var out any
-	if nc.Rank() == 0 {
-		r.rollback()
-		out = resume{Gen: r.gen, Strategies: r.snap.strategies}.encode()
-	}
-	p, err := nc.Bcast(0, out)
-	if err != nil {
-		return err
-	}
-	rs, err := decodeResume(r.cfg, p)
-	if err != nil {
-		return err
-	}
-	cfg := *r.cfg
-	cfg.InitialStrategies = rs.Strategies
-	r.pop, r.keys = NewPopulation(cfg, r.master), nil
-	clear(r.kern.seen)
-	// A worker's counters may be ahead of or behind Nature's: the cross-check
-	// counts from here.
-	r.c, r.gen, r.base = nc, rs.Gen, r.res.Counters
-	return nil
+	return r.finalize()
 }
 
 // refresh brings the table up to date for generation gen: the scheduled
@@ -188,7 +152,7 @@ func (r *parRank) meet(gen int, part any) ([]any, error) {
 		return nil, err
 	}
 	if r.c.Rank() != 0 {
-		if v, err = decodeVerdict(r.cfg, p, gen, len(r.cells)); err != nil {
+		if v, err = decodeVerdict(p, gen, len(r.cells)); err != nil {
 			return nil, err
 		}
 	}
@@ -205,15 +169,13 @@ func (r *parRank) meet(gen int, part any) ([]any, error) {
 }
 
 // halt goes quiet on a Control stop, which the workers hear of at their next
-// meeting: step keeps the stop's error for it.
+// meeting: run keeps the stop's error for it.
 func (r *parRank) halt() { r.quiet = true }
 
 // finalize is the end of the window: a meeting whose Gather carries every
 // worker's report. Nature cross-checks each against its own view — the
-// Counters since the last synchronisation and the live type count, which a
-// drifted view changes — and folds FinalFitness from the table. In eviction
-// mode a final barrier keeps workers resident until Nature has everything,
-// so a late failure still finds every survivor able to agree.
+// Counters of the window and the live type count, which a drifted view
+// changes — and folds FinalFitness from the table.
 func (r *parRank) finalize() error {
 	c, b := r.res.Counters, r.base
 	mine := rankReport{Live: len(r.pop.types) - len(r.pop.free), Counters: &Counters{
@@ -221,7 +183,7 @@ func (r *parRank) finalize() error {
 		Adoptions: c.Adoptions - b.Adoptions, Mutations: c.Mutations - b.Mutations,
 	}}
 	if r.cfg.Metrics {
-		mine.RankPhaseSnapshot = r.pt.snapshot(r.c.OrigRank())
+		mine.RankPhaseSnapshot = r.pt.snapshot(r.c.Rank())
 		mine.Cache = r.kern.cacheStats(r.pop)
 	}
 	var part any
@@ -233,9 +195,6 @@ func (r *parRank) finalize() error {
 	parts, err := r.meet(r.end, part)
 	if err == nil && r.c.Rank() == 0 {
 		err = r.collect(mine, parts)
-	}
-	if err == nil && r.cfg.Evict {
-		err = r.c.Barrier()
 	}
 	return err
 }
@@ -249,7 +208,7 @@ func (r *parRank) collect(mine rankReport, parts []any) error {
 	}
 	for i, rep := range reps {
 		if rep.Counters == nil || *rep.Counters != *mine.Counters || rep.Live != mine.Live {
-			return fmt.Errorf("sim: worker %d counted %+v over %d live types since the last synchronisation, Nature %+v over %d — global views diverged",
+			return fmt.Errorf("sim: worker %d counted %+v over %d live types in the window, Nature %+v over %d — global views diverged",
 				1+i, rep.Counters, rep.Live, *mine.Counters, mine.Live)
 		}
 	}

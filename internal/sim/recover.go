@@ -10,22 +10,17 @@ import (
 
 // RunParallelResilient is the fault-tolerant front end to RunParallel: it
 // supervises the run, and when a rank fails (an injected fault, a panic, or
-// a receive deadline firing on a stalled worker) it restores the latest
-// checkpoint and re-runs the remaining generations, up to maxRestarts times
-// (none when maxRestarts <= 0). A restart always runs on the original rank
-// count; continuing on fewer ranks is live eviction's job (Config.Evict,
-// Config.MinRanks). Because every per-generation random stream is keyed by
-// the absolute generation, the recovered trajectory is the uninterrupted one:
-// final strategies and fitness are bit-identical to a fault-free run (and
-// with FullRecompute the counters match exactly too; incremental runs replay
-// one generation's games at each resume, which only inflates GamesPlayed).
-//
-// Recovery is evict-first, restart-second: with cfg.Evict, worker failures
-// are recovered live inside RunParallel (heartbeat detection, communicator
-// shrink, one-generation replay — see recoverLive) and never reach this
-// supervisor. Only failures live eviction cannot absorb — the Nature rank
-// dying, or survivors dropping below cfg.MinRanks — surface here and take
-// the checkpoint-restart path.
+// a receive deadline firing on a stalled worker) the world aborts, and the
+// supervisor restarts it from the latest checkpoint (RestartConfig) on the
+// same rank count, up to maxRestarts times (none when maxRestarts <= 0).
+// Restarting from the latest snapshot is the repo's one recovery path: egdrun
+// drives the same RestartConfig across a fleet of processes, and egdserve's
+// journal resumes a job from its durable snapshot the same way. Because every
+// per-generation random stream is keyed by the absolute generation, and the
+// snapshot carries what the resumed table needs, the recovered run returns
+// the uninterrupted run's Result: final strategies and fitness, counters
+// and both series (GamesPlayed aside on an incremental run, where a resume
+// replays every pair once).
 //
 // When cfg.CheckpointEvery > 0 and no sink is configured, an in-memory sink
 // is installed automatically. With checkpointing disabled, recovery restarts
@@ -78,22 +73,25 @@ func RunParallelResilient(cfg Config, ranks, maxRestarts int) (*Result, error) {
 			return nil, fmt.Errorf("sim: giving up after %d restarts: %w", attempt, err)
 		}
 
-		if cur, err = restartConfig(cfg, attempt); err != nil {
-			return nil, err
+		if cur, err = RestartConfig(cfg); err != nil {
+			return nil, fmt.Errorf("sim: restart %d: %w", attempt+1, err)
 		}
 		logEvent(trace.Event{Kind: trace.EventRecovery, Generation: cur.StartGeneration, Rank: failedRank, Attempt: attempt + 1})
 	}
 }
 
-// restartConfig builds the configuration for the next attempt: the original
-// run resumed from the latest checkpoint, or from scratch when none exists.
-func restartConfig(cfg Config, attempt int) (Config, error) {
+// RestartConfig is the configuration a supervisor relaunches cfg's run with
+// after a failure: the run resumed from its sink's latest snapshot
+// (Config.ResumeFrom), to the end of cfg's window; cfg itself, a restart
+// from scratch, when there is no sink or no snapshot yet. A snapshot of
+// another run, or from outside the window, is an error.
+func RestartConfig(cfg Config) (Config, error) {
 	if cfg.CheckpointSink == nil {
 		return cfg, nil
 	}
 	snap, err := cfg.CheckpointSink.Latest()
 	if err != nil {
-		return cfg, fmt.Errorf("sim: restart %d: reading checkpoint: %w", attempt+1, err)
+		return cfg, fmt.Errorf("reading checkpoint: %w", err)
 	}
 	if snap == nil {
 		return cfg, nil
@@ -102,13 +100,13 @@ func restartConfig(cfg Config, attempt int) (Config, error) {
 	// A snapshot from a different run would silently fork the trajectory;
 	// ResumeFrom fails fast instead.
 	if err := cur.ResumeFrom(snap); err != nil {
-		return cfg, fmt.Errorf("sim: restart %d: %w", attempt+1, err)
+		return cfg, err
 	}
 	// Window policy: finish the original run.
 	end := cfg.StartGeneration + cfg.Generations
 	if cur.StartGeneration < cfg.StartGeneration || cur.StartGeneration > end {
-		return cfg, fmt.Errorf("sim: restart %d: checkpoint generation %d outside run window [%d,%d]",
-			attempt+1, cur.StartGeneration, cfg.StartGeneration, end)
+		return cfg, fmt.Errorf("checkpoint generation %d outside run window [%d,%d]",
+			cur.StartGeneration, cfg.StartGeneration, end)
 	}
 	cur.Generations = end - cur.StartGeneration
 	return cur, nil

@@ -16,8 +16,8 @@ import (
 // reproduce bit for bit: final strategies, final fitness, cumulative
 // counters, and both sampled series from generation 0 — every snapshot
 // carries them and ResumeFrom restores them. Mean fitness is summed in one
-// order at every rank count, so a run that changes it mid-run (evictions, a
-// resume on more ranks) matches too.
+// order at every rank count, so a run that changes it mid-run (a resume on
+// more ranks) matches too.
 func assertSameOutcome(t *testing.T, clean, got *Result) {
 	t.Helper()
 	if clean.Counters != got.Counters {

@@ -27,19 +27,19 @@ type Result struct {
 	Counters Counters
 	// Elapsed is the wall-clock duration of the run.
 	Elapsed time.Duration
-	// Ranks is the number of ranks still in the world when the run finished
-	// (1 for sequential; start count minus live evictions for parallel).
+	// Ranks is the number of ranks the run finished on (1 for sequential).
 	Ranks int
 	// Restarts is how many times the recovery supervisor restarted the run
 	// (0 for a direct or fault-free run).
 	Restarts int
-	// Evictions is how many ranks were evicted live — failed and recovered
-	// from in flight, without a restart (Config.Evict).
-	Evictions int
 	// Metrics holds the run's observability aggregate (per-rank phase
 	// timings, and comm accounting for the parallel engine); nil unless
 	// Config.Metrics was set.
 	Metrics *RunMetrics
+
+	// played is what Snapshot records of the final population's
+	// Population.played (nature.played).
+	played []uint64
 }
 
 // FinalAbundance tallies the final population's strategy abundance.
@@ -55,7 +55,7 @@ func (r *Result) FractionNear(ref *strategy.Pure) float64 { return fractionNear(
 // carry, so Config.ResumeFrom continues the run from it as from any of
 // those. cfg is the configuration the run was started with.
 func (r *Result) Snapshot(cfg Config) *checkpoint.Snapshot {
-	snap := newSnapshot(&cfg, cfg.StartGeneration+cfg.Generations, r.Final, r.Counters, r.MeanFitness, r.Cooperation)
+	snap := newSnapshot(&cfg, cfg.StartGeneration+cfg.Generations, r.Final, r.Counters, r.MeanFitness, r.Cooperation, r.played)
 	snap.Fitness = r.FinalFitness
 	return snap
 }

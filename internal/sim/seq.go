@@ -28,7 +28,7 @@ func RunSequential(cfg Config) (*Result, error) {
 
 	res := n.res
 	res.Ranks = 1
-	res.Final = n.pop.Snapshot()
+	res.Final, res.played = n.pop.Snapshot(), n.played(n.end)
 	res.FinalFitness = local.finalFitness()
 	res.Elapsed = time.Since(start) //egdlint:allow determinism elapsed-time metadata, not part of the trajectory
 	if cfg.Metrics {

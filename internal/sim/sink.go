@@ -102,9 +102,11 @@ func (f *FileSink) Latest() (*checkpoint.Snapshot, error) {
 
 // newSnapshot records a run at a generation boundary: the strategies after
 // gen completed generations, the cumulative counters and both series
-// sampled so far. Every snapshot the engines write is built here, so each
-// one is the whole run up to gen and ResumeFrom needs nothing else.
-func newSnapshot(cfg *Config, gen int, strategies []strategy.Strategy, ctr Counters, fit, coop *stats.Series) *checkpoint.Snapshot {
+// sampled so far, and where cells are kept across generations the
+// generation each SSet's cells were played from. Every snapshot the engines
+// write is built here, so each one is the whole run up to gen and
+// ResumeFrom needs nothing else.
+func newSnapshot(cfg *Config, gen int, strategies []strategy.Strategy, ctr Counters, fit, coop *stats.Series, played []uint64) *checkpoint.Snapshot {
 	return &checkpoint.Snapshot{
 		Generation:  uint64(gen),
 		Seed:        cfg.Seed,
@@ -113,13 +115,35 @@ func newSnapshot(cfg *Config, gen int, strategies []strategy.Strategy, ctr Count
 		Counters:    &ctr,
 		MeanFitness: seriesToPoints(fit),
 		Cooperation: seriesToPoints(coop),
+		Played:      played,
 	}
 }
 
+// played is what a snapshot after gen completed generations records of
+// Population.played: nil unless the run keeps cells across generations
+// (keptAcrossGenerations) — other snapshots stay byte-identical to the
+// stream version before it — and gen for an SSet whose change the next
+// refresh plays.
+func (n *nature) played(gen int) []uint64 {
+	if !keptAcrossGenerations(n.cfg) {
+		return nil
+	}
+	out := make([]uint64, n.pop.Size())
+	for i := range out {
+		out[i] = uint64(n.pop.playedAt(i, gen))
+	}
+	return out
+}
+
 // saveSnapshot persists the Nature Agent's state after gen completed
-// generations into the configured sink.
+// generations into the configured sink. A snapshot at the window's end also
+// carries the run's FinalFitness: a restart from it runs no generation, so
+// its table never holds the last refresh that FinalFitness folds.
 func (n *nature) saveSnapshot(gen int) error {
-	snap := newSnapshot(n.cfg, gen, n.pop.Snapshot(), n.res.Counters, n.res.MeanFitness, n.res.Cooperation)
+	snap := newSnapshot(n.cfg, gen, n.pop.Snapshot(), n.res.Counters, n.res.MeanFitness, n.res.Cooperation, n.played(gen))
+	if gen == n.end {
+		snap.Fitness = n.src.finalFitness()
+	}
 	if err := n.cfg.CheckpointSink.Save(snap); err != nil {
 		return fmt.Errorf("sim: checkpoint at generation %d: %w", gen, err)
 	}
@@ -128,10 +152,14 @@ func (n *nature) saveSnapshot(gen int) error {
 
 // priorRun is the part of a snapshot that has no exported Config field: the
 // counters and series of the generations before StartGeneration, which the
-// Nature Agent starts its Result from.
+// Nature Agent starts its Result from, the generation each SSet's cells
+// were played from, which the first refresh plays them from again, and the
+// fitness a window without a refresh reports as FinalFitness.
 type priorRun struct {
 	counters      Counters
 	fitness, coop []checkpoint.SeriesPoint
+	played        []int
+	final         []float64
 }
 
 // ResumeFrom points the configuration at snap — newSnapshot's inverse and
@@ -139,12 +167,16 @@ type priorRun struct {
 // strategies, at its generation, with its cumulative counters and sampled
 // series, so the run continues the snapshot's trajectory and returns the
 // Result the uninterrupted run would have (every random stream is keyed by
-// seed and absolute generation; bit-identical for deterministic games). A
-// snapshot of a different run — another seed, memory depth or SSet count —
+// seed and absolute generation, and a run that keeps cells across
+// generations replays each from the generation the snapshot records for it).
+// A snapshot of a different run — another seed, memory depth or SSet count —
 // would silently fork the trajectory and is refused, as is a series that is
-// not strictly ascending below the snapshot generation (the points arrive
-// from a file). A snapshot without counters or series (an older stream
-// version) resumes with empty ones.
+// not strictly ascending below the snapshot generation or a played
+// generation past it (the values arrive from a file). A snapshot without
+// counters or series (an older stream version) resumes with empty ones;
+// one without played generations, of a noisy or mixed incremental run,
+// replays every cell from the resume generation's streams, which forks the
+// trajectory.
 //
 // Call it on the run's own Config, before narrowing Generations: an
 // automatic SampleStride is pinned here from the window the receiver still
@@ -164,12 +196,22 @@ func (c *Config) ResumeFrom(snap *checkpoint.Snapshot) error {
 			}
 		}
 	}
+	if snap.Played != nil && len(snap.Played) != len(snap.Strategies) {
+		return fmt.Errorf("sim: checkpoint records %d played generations for %d SSets", len(snap.Played), len(snap.Strategies))
+	}
+	var played []int
+	for i, g := range snap.Played {
+		if g > snap.Generation {
+			return fmt.Errorf("sim: checkpoint SSet %d played at generation %d, past snapshot generation %d", i, g, snap.Generation)
+		}
+		played = append(played, int(g))
+	}
 	if c.SampleStride == 0 {
 		c.SampleStride = autoStride(c.Generations)
 	}
 	c.InitialStrategies = snap.Strategies
 	c.StartGeneration = int(snap.Generation)
-	c.prior = priorRun{fitness: snap.MeanFitness, coop: snap.Cooperation}
+	c.prior = priorRun{fitness: snap.MeanFitness, coop: snap.Cooperation, played: played, final: snap.Fitness}
 	if snap.Counters != nil {
 		c.prior.counters = *snap.Counters
 	}

@@ -186,31 +186,33 @@ func (o optFloat) Set(text string) error {
 
 // FaultTolerance is the parallel engine's failure handling as the two launch
 // binaries (egdsim -ranks N, egdrun -np N) expose it: scripted fault
-// injection, the receive deadline that makes a stalled rank detectable, and
-// live eviction with its heartbeat detector.
+// injection, the receive deadline that makes a stalled rank detectable, the
+// cadence of the snapshots a restart resumes from, and the restart budget
+// of the supervisor that drives it (RunParallelResilient in process, egdrun
+// across its fleet).
 type FaultTolerance struct {
 	// InjectFault is the scripted fault plan (mpi.ParseFaultPlan's grammar).
 	InjectFault string
 	// WorkerTimeout is Config.RecvTimeout.
 	WorkerTimeout time.Duration
-	// Evict, HeartbeatEvery, HeartbeatMisses are the Config fields of the
-	// same names.
-	Evict           bool
-	HeartbeatEvery  time.Duration
-	HeartbeatMisses int
+	// CheckpointEvery is Config.CheckpointEvery.
+	CheckpointEvery int
+	// MaxRestarts is the supervisor's restart budget (<= 0: a failure ends
+	// the run).
+	MaxRestarts int
 }
 
 // BindFlags registers the fault-tolerance flags on fs.
 func (f *FaultTolerance) BindFlags(fs *flag.FlagSet) {
 	fs.StringVar(&f.InjectFault, "inject-fault", "", "scripted fault specs, ';'-separated, e.g. 'rank=2,after=500' (see internal/mpi.ParseFault)")
 	fs.DurationVar(&f.WorkerTimeout, "worker-timeout", 0, "receive deadline that turns a stalled rank into a detectable failure (parallel engine)")
-	fs.BoolVar(&f.Evict, "evict", false, "recover from worker failures live: heartbeat detection, communicator shrink, in-flight re-shard (parallel engine)")
-	fs.DurationVar(&f.HeartbeatEvery, "heartbeat-every", 0, "liveness tick interval for -evict (0 = engine default)")
-	fs.IntVar(&f.HeartbeatMisses, "heartbeat-misses", 0, "consecutive missed ticks before -evict declares a rank dead (0 = engine default)")
+	fs.IntVar(&f.CheckpointEvery, "checkpoint-every", 0, "write a recovery checkpoint every N generations")
+	fs.IntVar(&f.MaxRestarts, "max-restarts", 3, "restarts from the latest checkpoint after rank failures (parallel engine; <= 0 disables recovery)")
 }
 
 // Apply installs the settings into cfg, parsing the fault plan, and
-// re-validates it.
+// re-validates it. A checkpoint cadence lands in memory until the front end
+// points the run at its own sink, as Spec.Config does.
 func (f FaultTolerance) Apply(cfg *Config) error {
 	plan, err := mpi.ParseFaultPlan(f.InjectFault)
 	if err != nil {
@@ -218,8 +220,11 @@ func (f FaultTolerance) Apply(cfg *Config) error {
 	}
 	cfg.FaultPlan = plan
 	cfg.RecvTimeout = f.WorkerTimeout
-	cfg.Evict = f.Evict
-	cfg.HeartbeatEvery = f.HeartbeatEvery
-	cfg.HeartbeatMisses = f.HeartbeatMisses
+	if f.CheckpointEvery != 0 {
+		cfg.CheckpointEvery = f.CheckpointEvery
+	}
+	if cfg.CheckpointEvery > 0 && cfg.CheckpointSink == nil {
+		cfg.CheckpointSink = NewMemorySink()
+	}
 	return cfg.Validate()
 }

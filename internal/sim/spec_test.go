@@ -19,7 +19,6 @@ import (
 // add it to Spec — and so to every front end at once — or justify it here.
 var runtimeOnly = map[string]string{
 	"StartGeneration": "set by ResumeFrom from a snapshot",
-	"MinRanks":        "egdsim -min-ranks only: the in-process restart fallback's floor",
 	"PayoffCache":     "ignored; kept for bench/, which sets and reads it (ROADMAP item 1's shim ledger)",
 	"Rules.Payoff.R":  "the paper's payoff f[R,S,T,P] = [3,0,4,1]; no front end varies it",
 	"Rules.Payoff.S":  "as Rules.Payoff.R",
@@ -123,7 +122,9 @@ func TestEveryConfigFieldIsReachable(t *testing.T) {
 			t.Fatalf("FaultTolerance.%s perturbed: %v", name, err)
 		}
 		names := moved(baseCfg, cfg)
-		if len(names) == 0 && cfg.FaultPlan == nil { // InjectFault moves the plan, not a scalar
+		// InjectFault moves the plan, not a scalar; MaxRestarts is the
+		// supervisor's budget, which no engine reads.
+		if len(names) == 0 && cfg.FaultPlan == nil && name != "MaxRestarts" {
 			t.Errorf("FaultTolerance.%s moves no Config field", name)
 		}
 		for _, n := range names {

@@ -23,6 +23,9 @@ type payoffTable struct {
 	// of S cells keyed by SSet. A NaN cell is missing.
 	tab    [][]float64
 	byType bool
+	// kept is keptAcrossGenerations: a cell is played from the generation
+	// its SSets were last changed in.
+	kept bool
 	// keys holds each SSet's key as of the last refresh that listed cells,
 	// which fitness, mean fitness and FinalFitness fold over; nil before the
 	// first. rep[a] is the lowest SSet holding key a then.
@@ -31,6 +34,9 @@ type payoffTable struct {
 	// every lists the SSets when the table is keyed by them: the keys a full
 	// recompute empties.
 	every []int
+	// prior is the FinalFitness of the snapshot the run resumed from, if it
+	// recorded one.
+	prior []float64
 	// cells lists the key pairs the last refresh found without a cell; mark,
 	// vals, live and held are scratch.
 	cells [][2]int32
@@ -42,7 +48,7 @@ type payoffTable struct {
 
 func newPayoffTable(cfg *Config) payoffTable {
 	s := cfg.NumSSets
-	t := payoffTable{kern: newPayoffKernel(cfg), byType: servedByType(cfg), rep: make([]int, s), mark: make([]int, s)}
+	t := payoffTable{kern: newPayoffKernel(cfg), byType: servedByType(cfg), kept: keptAcrossGenerations(cfg), rep: make([]int, s), mark: make([]int, s), prior: cfg.prior.final}
 	t.tab = t.kern.pi
 	if !t.byType {
 		t.tab = make([][]float64, s)
@@ -150,13 +156,26 @@ func (t *payoffTable) listMissing(cfg *Config, pop *Population) uint64 {
 	return scheduled
 }
 
+// keptAcrossGenerations reports whether cfg's run keys its table by SSet and
+// keeps a cell until one of its SSets changes: a cell of noisy or mixed play
+// then holds the match of the generation it was played in, which a snapshot
+// of the run records (Population.played) so a resumed run plays it again.
+func keptAcrossGenerations(cfg *Config) bool { return !servedByType(cfg) && !cfg.FullRecompute }
+
 // playCells evaluates cells between the keys' lowest holders — by type a
 // memoizable match, so which holders play does not matter — from generation
-// gen's streams. The values are scratch, valid until the next call.
+// gen's streams; a cell kept across generations from the streams of the
+// later of the generations its SSets were played from, which is gen except
+// at a resumed run's first refresh. The values are scratch, valid until the
+// next call.
 func (t *payoffTable) playCells(cfg *Config, pop *Population, master *rng.Source, gen int, cells [][2]int32) ([]float64, error) {
 	t.vals = t.vals[:0]
 	for _, ab := range cells {
-		v, err := t.kern.payoff(cfg, pop, master, gen, t.rep[ab[0]], t.rep[ab[1]])
+		i, j, g := t.rep[ab[0]], t.rep[ab[1]], gen
+		if t.kept {
+			g = max(pop.playedAt(i, gen), pop.playedAt(j, gen))
+		}
+		v, err := t.kern.payoff(cfg, pop, master, g, i, j)
 		if err != nil {
 			return nil, err
 		}
@@ -228,10 +247,15 @@ func (t *payoffTable) meanFitness() (float64, error) {
 	return total / float64(s*(s-1)), nil
 }
 
-// finalFitness is every SSet's fitness over the last refresh's key vector:
-// zeros before a first refresh.
+// finalFitness is every SSet's fitness over the last refresh's key vector.
+// Before a first refresh it is what the snapshot the run resumed from
+// recorded, zeros without one.
 func (t *payoffTable) finalFitness() []float64 {
 	out := make([]float64, len(t.rep))
+	if t.keys == nil {
+		copy(out, t.prior)
+		return out
+	}
 	for i := range t.keys {
 		out[i] = t.fitness(i)
 	}

@@ -78,7 +78,7 @@ func TestListMissingKeepsMirrorsAdjacent(t *testing.T) {
 			for n, ab := range tb.cells {
 				tb.tab[ab[0]][ab[1]] = float64(n) // any payoff fills the cell
 			}
-			pop.clearDirty()
+			pop.clearDirty(0)
 			switch i, j := src.Pair(pop.Size()); src.Intn(4) {
 			case 0:
 				pop.SetStrategy(i, randomTwin(cfg, src))

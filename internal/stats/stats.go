@@ -50,18 +50,6 @@ func (s *Series) Last() (gen int, v float64, ok bool) {
 	return s.gens[len(s.gens)-1], s.vals[len(s.vals)-1], true
 }
 
-// Truncate discards all samples past the first n, rolling the series back to
-// an earlier observation point — used when a recovered run replays
-// generations that had already been observed, so the replay cannot
-// double-record them. Out-of-range n is a no-op.
-func (s *Series) Truncate(n int) {
-	if n < 0 || n >= len(s.gens) {
-		return
-	}
-	s.gens = s.gens[:n]
-	s.vals = s.vals[:n]
-}
-
 // Abundance tracks how many SSets hold each distinct strategy, keyed by the
 // strategy's content fingerprint, to report how many distinct strategies a
 // population has collapsed to.

@@ -15,13 +15,6 @@ const (
 	EventRecovery EventKind = "recovery"
 	// EventGiveUp: the restart budget was exhausted.
 	EventGiveUp EventKind = "give_up"
-	// EventEviction: a failed rank was evicted live — the world shrank onto
-	// the survivors and the run continued without a restart.
-	EventEviction EventKind = "eviction"
-	// EventEvictionFailed: live eviction was not possible (the Nature rank
-	// died, or survivors fell below the configured floor); the run falls
-	// back to checkpoint-restart.
-	EventEvictionFailed EventKind = "eviction_failed"
 	// EventMetrics: the engine aggregated the run's observability metrics
 	// (Config.Metrics); Detail carries a deterministic one-line summary.
 	EventMetrics EventKind = "metrics"
