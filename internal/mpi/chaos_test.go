@@ -242,9 +242,9 @@ func TestChaosProcessErrorExit(t *testing.T) {
 	assertBlamed(t, errs, "worker exploded")
 }
 
-// kill -9 mid-run: the wait status reports SIGKILL, the other ranks see
-// only a dead socket, and the lower ranks, which dial it, declare it
-// unreachable once the redial budget is spent: every rank aborts naming it.
+// kill -9 mid-run: the wait status reports SIGKILL, and the other ranks see
+// only a dead socket — a connection that ends, or a write that fails,
+// before the worker's goodbye: every rank aborts naming it.
 func TestChaosProcessSIGKILL(t *testing.T) {
 	var once sync.Once
 	errs, cmd, out := chaosRun(t, 3, 10, "clean", 0, func(g int, cmd *exec.Cmd) {
@@ -256,7 +256,7 @@ func TestChaosProcessSIGKILL(t *testing.T) {
 	if !ws.Signaled() || ws.Signal() != syscall.SIGKILL {
 		t.Fatalf("wait status %v, want SIGKILL; output:\n%s", ws, out)
 	}
-	assertBlamed(t, errs, "unreachable")
+	assertBlamed(t, errs, "before its goodbye", "write to rank 2")
 }
 
 // SIGSTOP freezes the worker without killing it or its sockets: only the

@@ -5,8 +5,8 @@ import "errors"
 // This file is the world-side half of the networked runtime: where tcp.go
 // moves frames between processes, the functions here decide what a frame
 // means to the hosted rank's world — routing data frames into the hosted
-// rank's inbox, and turning a peer's error exit (its goodbye frame) or an
-// unreachable peer into the same abort an injected fault produces. A
+// rank's inbox, and turning a peer's error exit (its goodbye frame) or a
+// failed connection into the same abort an injected fault produces. A
 // networked world hosts exactly one rank per process (World.self >= 0);
 // everything else about the runtime — collectives, fault plans, metrics —
 // is shared with the in-process path.
@@ -41,8 +41,9 @@ func (w *World) RunLocal(body func(c *Comm) error) error {
 	return err
 }
 
-// peerLost turns a peer that stayed unreachable past the redial budget, or
-// that sent an undecodable frame, into a rank failure: the world aborts.
+// peerLost turns a peer whose connection failed before its goodbye — it
+// ended, a write to it failed, or it carried a frame that does not decode —
+// into a rank failure: the world aborts.
 func (w *World) peerLost(rank int, cause error) {
 	if rank < 0 || rank >= w.size {
 		return

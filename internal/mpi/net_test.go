@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -138,10 +139,19 @@ func TestNetWorldPointToPointAndCollectives(t *testing.T) {
 	}
 }
 
-// Severing every connection mid-stream must be recovered transparently by
-// the redial/resend machinery: all messages arrive, exactly once, in
-// order, and the retry counters record the recovery.
-func TestNetWorldSeverReconnectsAndResends(t *testing.T) {
+// cut closes this side's connection to peer without telling anyone: a
+// network cut as one end sees it.
+func cut(tr *NetTransport, peer int) {
+	p := tr.peers[peer]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.conn.Close()
+}
+
+// A connection cut mid-stream is a failed rank at both ends: nothing is
+// redialed or resent, each side aborts at once naming the other, and
+// neither books the cut as a decode error.
+func TestNetWorldSeveredConnectionAborts(t *testing.T) {
 	const msgs = 120
 	trs := newNetTransports(t, netMesh(t, 2))
 	errs := runNetWorlds(t, trs, nil, func(c *Comm) error {
@@ -152,48 +162,28 @@ func TestNetWorldSeverReconnectsAndResends(t *testing.T) {
 				}
 				time.Sleep(time.Millisecond)
 			}
-			// Wait for the receiver's tally before tearing down.
-			m, err := c.Recv(1, 6)
-			if err != nil {
-				return err
-			}
-			if m.Payload.(float64) != msgs {
-				return fmt.Errorf("receiver saw %v messages", m.Payload)
-			}
-			return nil
+			_, err := c.Recv(1, 6)
+			return err
 		}
 		for i := 0; i < msgs; i++ {
-			m, err := c.Recv(0, 5)
-			if err != nil {
+			if _, err := c.Recv(0, 5); err != nil {
 				return err
 			}
-			if m.Payload.(float64) != float64(i) {
-				return fmt.Errorf("message %d carried %v (reorder or loss)", i, m.Payload)
-			}
-			if i == msgs/3 || i == 2*msgs/3 {
-				// Sever both directions without telling anyone.
-				trs[0].DropConns()
-				trs[1].DropConns()
+			if i == msgs/3 {
+				cut(trs[1], 0)
 			}
 		}
 		return c.Send(0, 6, float64(msgs))
 	})
 	for r, err := range errs {
-		if err != nil {
-			t.Errorf("rank %d: %v", r, err)
+		var rf *RankFailedError
+		if !errors.As(err, &rf) || rf.Rank != 1-r {
+			t.Errorf("rank %d returned %v, want the *RankFailedError of rank %d", r, err, 1-r)
+		}
+		if n := trs[r].Stats().Snapshot().DecodeErrs; n != 0 {
+			t.Errorf("rank %d: decode_errs = %d after a cut", r, n)
 		}
 	}
-	var reconnects, resends, dups uint64
-	for _, tr := range trs {
-		s := tr.Stats().Snapshot()
-		reconnects += s.Reconnects
-		resends += s.Resends
-		dups += s.DupsDropped
-	}
-	if reconnects == 0 {
-		t.Error("no reconnects recorded after severing connections")
-	}
-	t.Logf("reconnects=%d resends=%d dups_dropped=%d", reconnects, resends, dups)
 }
 
 // lockstep is a networked rank's body for the failure tests: gens
@@ -247,22 +237,27 @@ func TestNetWorldErrorExitAbortsTheOthers(t *testing.T) {
 }
 
 // A peer that vanishes silently — transport torn down with no goodbye, as
-// a kill -9 would leave it — is declared unreachable by the ranks that dial
-// it once the redial budget is spent, and the world aborts blaming it.
+// a kill -9 would leave it — is noticed at once by every survivor: its
+// connections end before its goodbye, and the world aborts blaming it.
 func TestNetWorldSilentVanishAborts(t *testing.T) {
+	var vanished time.Time
 	trs := newNetTransports(t, netMesh(t, 3))
 	errs := runNetWorlds(t, trs, nil, lockstep(6, func(c *Comm, g int) error {
 		if c.Rank() == 2 && g == 2 {
 			// Vanish: sever the mesh and leave without goodbye.
+			vanished = time.Now()
 			trs[2].close()
 			return errors.New("simulated hard crash")
 		}
 		return nil
 	}))
+	if took := time.Since(vanished); took > time.Second {
+		t.Errorf("the survivors took %v to abort after the vanish", took)
+	}
 	for _, r := range []int{0, 1} {
 		var rf *RankFailedError
-		if !errors.As(errs[r], &rf) || rf.Rank != 2 || !strings.Contains(errs[r].Error(), "unreachable") {
-			t.Errorf("rank %d returned %v, want rank 2 declared unreachable", r, errs[r])
+		if !errors.As(errs[r], &rf) || rf.Rank != 2 || strings.Contains(errs[r].Error(), "simulated") {
+			t.Errorf("rank %d returned %v, want rank 2's failure as the wire saw it", r, errs[r])
 		}
 	}
 }
@@ -467,7 +462,7 @@ func TestNetUndecodableDataFrameFailsThePeer(t *testing.T) {
 		if err := trs[1].writeHandshake(conn, frameWelcome); err != nil {
 			return
 		}
-		_ = trs[1].writeFrame(conn, &frame{Kind: frameData, Seq: 1, Src: 1, Dst: 0, Tag: 7, Payload: []byte{0xFF, 1, 2}})
+		_ = trs[1].writeFrame(conn, &frame{Kind: frameData, Src: 1, Dst: 0, Tag: 7, Payload: []byte{0xFF, 1, 2}})
 		<-release
 	}()
 
@@ -522,14 +517,14 @@ func TestNetHandshakeRefusesOtherVersion(t *testing.T) {
 	}
 	old := dial()
 	defer old.Close()
-	v1 := append([]byte(nil), hello...)
-	binary.BigEndian.PutUint16(v1[4:], 1)
-	if _, err := old.Write(v1); err != nil {
+	v3 := append([]byte(nil), hello...)
+	binary.BigEndian.PutUint16(v3[4:], 3)
+	if _, err := old.Write(v3); err != nil {
 		t.Fatal(err)
 	}
 	// The listener hangs up (EOF, or a reset when it closes on unread bytes).
 	if n, err := old.Read(make([]byte, 1)); n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("version-1 hello: read %d bytes, %v; want the listener to refuse the connection", n, err)
+		t.Fatalf("version-3 hello: read %d bytes, %v; want the listener to refuse the connection", n, err)
 	}
 
 	cur := dial()
@@ -546,9 +541,8 @@ func TestNetHandshakeRefusesOtherVersion(t *testing.T) {
 }
 
 // A long one-way burst — thousands of broadcasts from one root, data all one
-// way and one ack per frame the other — fills both socket buffers. The
-// sender must keep consuming acks while its writes are blocked: the burst
-// completes promptly and without a single resend.
+// way — fills the socket buffers. The read loops never write during a run,
+// so nothing couples the two directions: the burst completes promptly.
 func TestNetOneWayBurstCompletes(t *testing.T) {
 	const burst = 4000
 	trs := newNetTransports(t, netMesh(t, 3))
@@ -580,11 +574,6 @@ func TestNetOneWayBurstCompletes(t *testing.T) {
 		}
 		t.Fatal("one-way burst did not complete within 10s: the transport wedged")
 	}
-	for _, tr := range trs {
-		if s := tr.Stats().Snapshot(); s.Resends != 0 || s.Reconnects != 0 {
-			t.Errorf("rank %d: %d resends, %d reconnects on an undisturbed mesh", tr.cfg.Self, s.Resends, s.Reconnects)
-		}
-	}
 }
 
 // A rank whose body needs nobody can be through it and gone before a higher
@@ -603,5 +592,32 @@ func TestNetMeshWiredByAPeerThatAlreadyLeft(t *testing.T) {
 		if took := time.Since(begin); took > DefaultStartupBudget/2 {
 			t.Fatalf("round %d: an empty run took %v", i, took)
 		}
+	}
+}
+
+// errListener is a listener whose Accept always fails, as it does while the
+// process is out of file descriptors.
+type errListener struct{ calls atomic.Int64 }
+
+func (l *errListener) Accept() (net.Conn, error) {
+	l.calls.Add(1)
+	return nil, errors.New("accept: too many open files")
+}
+func (l *errListener) Close() error   { return nil }
+func (l *errListener) Addr() net.Addr { return &net.UnixAddr{Name: "errListener", Net: "unix"} }
+
+// A persistent Accept error does not pin a core: the accept loop pauses
+// 5, 10, 20, 40, 80 ms … between attempts — five or six in 100 ms — and
+// still stops when the transport does.
+func TestNetAcceptLoopBacksOff(t *testing.T) {
+	ln := &errListener{}
+	tr := &NetTransport{ln: ln, stopCh: make(chan struct{})}
+	tr.wg.Add(1)
+	go tr.acceptLoop()
+	time.Sleep(100 * time.Millisecond)
+	close(tr.stopCh)
+	tr.wg.Wait()
+	if n := ln.calls.Load(); n > 10 {
+		t.Errorf("%d Accept calls in 100 ms, want at most 10", n)
 	}
 }

@@ -8,33 +8,30 @@ import (
 	"math/rand/v2"
 	"net"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // This file is the cross-process transport: a full-mesh TCP or unix-socket
-// backend hardened for real failure. Each process hosts exactly one rank
-// of the world; the mesh is wired lower-rank-dials-higher with a
-// handshake (rank identity, world size, job id, protocol version) on every
-// connection. Reliability is built from three mechanisms:
+// backend. Each process hosts exactly one rank of the world; the mesh is
+// wired lower-rank-dials-higher with a handshake (rank identity, world size,
+// job id, protocol version) on every connection, and each pair of ranks
+// keeps the connection the mesh wired for the whole run. The stream is in
+// order, so frames need no sequence numbers and no acknowledgements: the
+// one ack answers a goodbye, and covers everything sent before it.
 //
-//   - per-frame write deadlines, so a wedged peer cannot block the sender;
-//   - reconnect with capped exponential backoff plus jitter, so a severed
-//     connection heals without a thundering redial;
-//   - per-peer sequence numbers with cumulative acks, resend-on-reconnect,
-//     and receiver-side duplicate suppression, so a frame in flight across
-//     a connection loss is delivered exactly once.
-//
-// Failure surfaces through the runtime's existing machinery: a goodbye
-// frame attributes a peer's exit (clean vs. error), and a peer that stays
-// unreachable past the redial budget is declared failed. Either aborts the
-// world exactly as an injected fault does; a stalled peer is caught by the
-// receive deadline (World.SetRecvTimeout).
+// The wire delivers or fails. A goodbye frame attributes a peer's exit
+// (clean vs. error); a connection that ends before the peer's goodbye, a
+// write that fails, or a stream that does not decode fails the peer at
+// once. Either aborts the world exactly as an injected fault does, and
+// recovery is a restart from the latest snapshot (RunParallelResilient,
+// egdrun's fleet). Per-frame write deadlines keep a wedged peer from
+// blocking the sender; a stalled peer is caught by the receive deadline
+// (World.SetRecvTimeout).
 
 // NetConfig parameterises a NetTransport. Self, Size, Network, and Addrs
-// are required; zero durations select the defaults below. The reconnect
+// are required; zero durations select the defaults below. The dial
 // schedule is not configurable: see the DefaultRetry constants.
 type NetConfig struct {
 	// Self is the rank this process hosts.
@@ -53,7 +50,7 @@ type NetConfig struct {
 	// WriteTimeout is the per-frame write deadline.
 	WriteTimeout time.Duration
 	// Linger bounds the post-run drain: how long Shutdown waits for a peer
-	// that never acknowledges this rank's outstanding frames.
+	// that never acknowledges this rank's goodbye.
 	Linger time.Duration
 }
 
@@ -69,16 +66,15 @@ const (
 	errorLinger = 100 * time.Millisecond
 )
 
-// The reconnect schedule. The delay between dial attempts starts at
+// The dial schedule while wiring the mesh (workers of one launch start at
+// different times). The delay between dial attempts starts at
 // DefaultRetryBase, doubles per attempt, is capped at DefaultRetryCap, and
-// gets up to 50% uniform jitter added. A broken connection may spend
-// DefaultRetryBudget redialing before the peer is declared lost;
-// DefaultStartupBudget is the dial budget while wiring the initial mesh
-// (workers of one launch start at different times).
+// gets up to 50% uniform jitter added; a peer not reached within
+// DefaultStartupBudget fails Start. Once the mesh is up nothing is dialed
+// again.
 const (
 	DefaultRetryBase     = 10 * time.Millisecond
 	DefaultRetryCap      = 500 * time.Millisecond
-	DefaultRetryBudget   = 3 * time.Second
 	DefaultStartupBudget = 10 * time.Second
 )
 
@@ -133,7 +129,7 @@ func NewNetTransport(cfg NetConfig) (*NetTransport, error) {
 		if r == cfg.Self {
 			continue
 		}
-		t.peers[r] = &peer{t: t, rank: r, dialer: cfg.Self < r}
+		t.peers[r] = &peer{t: t, rank: r}
 	}
 	return t, nil
 }
@@ -174,7 +170,7 @@ func (t *NetTransport) Start() error {
 		dials.Add(1)
 		go func(p *peer) {
 			defer dials.Done()
-			errCh <- p.dialOnce(DefaultStartupBudget)
+			errCh <- p.dial()
 		}(t.peers[r])
 	}
 	dials.Wait()
@@ -195,22 +191,28 @@ func (t *NetTransport) Start() error {
 }
 
 // acceptLoop admits incoming connections: each must open with a valid
-// hello (protocol version is checked by the frame decoder itself).
+// hello (protocol version is checked by the frame decoder itself). A
+// failed Accept is retried after a pause — 5 ms, doubling to 1 s, as
+// net/http.Server does — so a persistent error such as EMFILE does not pin
+// a core.
 func (t *NetTransport) acceptLoop() {
 	defer t.wg.Done()
+	var pause time.Duration
 	for {
 		conn, err := t.ln.Accept()
 		if err != nil {
 			if t.closed.Load() {
 				return
 			}
+			pause = min(max(2*pause, 5*time.Millisecond), time.Second)
 			select {
 			case <-t.stopCh:
 				return
-			default:
+			case <-time.After(pause):
 				continue
 			}
 		}
+		pause = 0
 		t.wg.Add(1)
 		go func() {
 			defer t.wg.Done()
@@ -270,7 +272,8 @@ func (t *NetTransport) writeFrame(conn net.Conn, f *frame) error {
 
 // Deliver implements Transport: loopback envelopes go straight to the
 // local inbox (sharing the payload by reference, like the in-process
-// transport); remote envelopes are encoded and sent reliably.
+// transport); remote envelopes are encoded and written to the peer's
+// connection.
 func (t *NetTransport) Deliver(w *World, src, dst, tag int, payload any) error {
 	if dst == t.cfg.Self {
 		w.boxes[dst].put(envelope{source: src, tag: tag, payload: payload})
@@ -280,18 +283,19 @@ func (t *NetTransport) Deliver(w *World, src, dst, tag int, payload any) error {
 	if err != nil {
 		return err
 	}
-	return t.peers[dst].sendReliable(&frame{
+	return t.peers[dst].send(&frame{
 		Kind: frameData, Src: int32(src), Dst: int32(dst), Tag: int64(tag), Payload: body,
 	})
 }
 
-// Shutdown announces the hosted rank's exit to every reachable peer, waits
-// until each has acknowledged everything sent to it (Linger bounds the wait
-// for a peer that never does, errorLinger an error exit's), and tears the
-// mesh down. A peer that already said goodbye gets none back: it is not
-// listening. It is the clean half of exit attribution: a peer that receives
-// the goodbye knows whether this rank finished OK or with which error; a
-// peer that never does will diagnose a vanished rank from its silence.
+// Shutdown announces the hosted rank's exit to every connected peer, waits
+// until each has acknowledged the goodbye — and with it, the stream being
+// in order, everything sent before it (Linger bounds the wait for a peer
+// that never does, errorLinger an error exit's) — and tears the mesh down.
+// A peer that already said goodbye gets none back: it is not listening. It
+// is the clean half of exit attribution: a peer that receives the goodbye
+// knows whether this rank finished OK or with which error; a peer that
+// never does sees the connection end first and fails this rank.
 func (t *NetTransport) Shutdown(status error) {
 	bye := frame{Kind: frameGoodbye, Src: int32(t.cfg.Self), Tag: goodbyeOK}
 	if status != nil {
@@ -304,17 +308,9 @@ func (t *NetTransport) Shutdown(status error) {
 		bye.Tag, bye.Dst, bye.Payload = 0, int32(blamed), []byte(cause.Error())
 	}
 	for _, p := range t.peers {
-		if p == nil {
-			continue
+		if p != nil {
+			_ = p.send(&bye)
 		}
-		p.mu.Lock()
-		skip := p.done || p.lost
-		p.mu.Unlock()
-		if skip {
-			continue
-		}
-		f := bye // each peer numbers its own copy
-		_ = p.sendReliable(&f)
 	}
 	linger := t.cfg.Linger
 	if status != nil {
@@ -356,61 +352,32 @@ func (t *NetTransport) close() {
 	}
 }
 
-// DropConns severs every live connection without telling the peers — the
-// chaos harness's network cut. The reliability layer (redial with backoff
-// on the dialing side, resend of unacked frames, duplicate suppression)
-// must recover transparently.
-func (t *NetTransport) DropConns() {
-	for _, p := range t.peers {
-		if p == nil {
-			continue
-		}
-		p.mu.Lock()
-		if p.conn != nil {
-			p.conn.Close()
-		}
-		p.mu.Unlock()
-	}
-}
-
-// peer is the per-remote-rank endpoint: one connection (replaced on
-// reconnect), the reliable-send queue, and the receive-side sequence
-// state for duplicate suppression.
+// peer is the per-remote-rank endpoint: the one connection the mesh wired
+// to it, and where the exchange of goodbyes stands.
 type peer struct {
-	t      *NetTransport
-	rank   int
-	dialer bool // this side dials (lower rank dials higher)
+	t    *NetTransport
+	rank int
 
-	// wmu orders sequenced writes: a reliable frame takes its number and
-	// reaches the wire, and a reconnect's resend runs, inside one wmu
-	// section each, so frames hit the stream in sequence order. It is
-	// taken before mu, and mu is never held across socket I/O — the read
-	// loop needs mu to process the acks that let a blocked writer proceed.
+	// wmu keeps frames whole and in send order on the stream; mu guards
+	// the rest and is never held across socket I/O.
 	wmu  sync.Mutex
 	mu   sync.Mutex
 	conn net.Conn
-	// sendSeq numbers reliable frames; unacked holds them, ascending,
-	// until the peer's cumulative ack covers them.
-	sendSeq uint64
-	unacked []*frame
-	// lastRecv is the highest reliable sequence processed from this peer:
-	// anything at or below it is a duplicate (a resend racing an ack).
-	lastRecv uint64
-	// done: peer said goodbye. lost: peer declared unreachable after the
-	// redial budget. redialing: a backoff loop is in flight.
+	// connected: the mesh wired this peer. done: it said goodbye. acked:
+	// it acknowledged this rank's goodbye. lost: it failed.
+	connected bool
 	done      bool
+	acked     bool
 	lost      bool
-	redialing bool
-	everConn  bool
 }
 
-// waitConnected blocks until the peer's first connection has been installed
-// — has been, not is: a peer with nothing to wait for may dial in, run its
+// waitConnected blocks until the peer's connection has been installed —
+// has been, not is: a peer with nothing to wait for may dial in, run its
 // whole body, say goodbye and hang up between two polls.
 func (p *peer) waitConnected(deadline time.Time) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for !p.everConn {
+	for !p.connected {
 		if p.t.closed.Load() {
 			return errors.New("mpi: transport closed while wiring mesh")
 		}
@@ -424,22 +391,16 @@ func (p *peer) waitConnected(deadline time.Time) error {
 	return nil
 }
 
-// dialOnce dials the peer within budget, performing the hello/welcome
-// handshake, with capped exponential backoff plus jitter between
-// attempts. Used both for initial wiring and for reconnects.
-func (p *peer) dialOnce(budget time.Duration) error {
+// dial connects to the peer within DefaultStartupBudget, performing the
+// hello/welcome handshake, with capped exponential backoff plus jitter
+// between attempts.
+func (p *peer) dial() error {
 	t := p.t
-	deadline := time.Now().Add(budget)
+	deadline := time.Now().Add(DefaultStartupBudget)
 	backoff := DefaultRetryBase
 	for {
 		if t.closed.Load() {
 			return errors.New("mpi: transport closed")
-		}
-		p.mu.Lock()
-		stop := p.done || p.lost
-		p.mu.Unlock()
-		if stop {
-			return nil
 		}
 		conn, err := net.DialTimeout(t.cfg.Network, t.cfg.Addrs[p.rank], t.cfg.DialTimeout)
 		if err == nil {
@@ -452,17 +413,14 @@ func (p *peer) dialOnce(budget time.Duration) error {
 		}
 		t.stats.Redials.Add(1)
 		if time.Now().After(deadline) {
-			return fmt.Errorf("mpi: rank %d unreachable at %s after %v of redials: %w",
-				p.rank, t.cfg.Addrs[p.rank], budget, err)
+			return fmt.Errorf("mpi: rank %d unreachable at %s after %v of dialing: %w",
+				p.rank, t.cfg.Addrs[p.rank], DefaultStartupBudget, err)
 		}
-		// Full jitter on the upper half keeps simultaneous redials from
+		// Full jitter on the upper half keeps simultaneous dials from
 		// synchronising into a thundering herd.
 		sleep := backoff/2 + time.Duration(rand.Int64N(int64(backoff/2)+1))
 		time.Sleep(sleep)
-		backoff *= 2
-		if backoff > DefaultRetryCap {
-			backoff = DefaultRetryCap
-		}
+		backoff = min(2*backoff, DefaultRetryCap)
 	}
 }
 
@@ -488,246 +446,139 @@ func (p *peer) handshake(conn net.Conn) error {
 	return nil
 }
 
-// install adopts a fresh connection: the previous one (if any) is closed,
-// a read loop is spawned, and every unacked reliable frame is resent in
-// sequence order — the receiver's duplicate suppression discards the ones
-// that did arrive before the cut. The read loop starts first, so the acks
-// the resend earns are consumed while it is still being written.
+// install adopts the peer's connection and spawns its read loop. The mesh
+// wires each pair once: a second connection for the same peer is refused.
 func (p *peer) install(conn net.Conn) {
-	p.wmu.Lock()
-	defer p.wmu.Unlock()
 	p.mu.Lock()
-	if p.t.closed.Load() {
+	if p.t.closed.Load() || p.connected {
 		p.mu.Unlock()
 		conn.Close()
 		return
 	}
-	if p.conn != nil {
-		p.conn.Close()
-	}
-	p.conn = conn
-	if p.everConn {
-		p.t.stats.Reconnects.Add(1)
-	}
-	p.everConn = true
-	resend := append([]*frame(nil), p.unacked...)
+	p.conn, p.connected = conn, true
 	p.mu.Unlock()
 	p.t.wg.Add(1)
 	go func() {
 		defer p.t.wg.Done()
 		p.readLoop(conn)
 	}()
-	for _, f := range resend {
-		if err := p.t.writeFrame(conn, f); err != nil {
-			break
-		}
-	}
-	if len(resend) > 0 {
-		p.t.stats.Resends.Add(uint64(len(resend)))
-	}
 }
 
-// sendReliable queues a sequenced frame and transmits it on the live
-// connection; a broken connection only delays it (resend-on-reconnect
-// delivers). It errors only when the peer can never receive it.
-func (p *peer) sendReliable(f *frame) error {
-	p.wmu.Lock()
-	defer p.wmu.Unlock()
+// send writes a data or goodbye frame to the peer. A peer that said
+// goodbye is past hearing it, so the frame is dropped; a write that fails
+// fails the peer, and the send returns that failure.
+func (p *peer) send(f *frame) error {
 	p.mu.Lock()
-	if p.lost {
-		p.mu.Unlock()
-		return fmt.Errorf("mpi: rank %d is unreachable", p.rank)
-	}
-	if p.t.closed.Load() {
-		p.mu.Unlock()
-		return errors.New("mpi: transport closed")
-	}
-	p.sendSeq++
-	f.Seq = p.sendSeq
-	p.unacked = append(p.unacked, f)
-	conn := p.conn
+	conn, done, lost := p.conn, p.done, p.lost
 	p.mu.Unlock()
-	if conn == nil || p.t.writeFrame(conn, f) != nil {
-		p.connBroken(conn)
+	switch {
+	case lost:
+		return p.t.world.abortCause()
+	case done:
+		return nil
+	case conn == nil:
+		return fmt.Errorf("mpi: rank %d is not connected", p.rank)
+	}
+	if err := p.write(conn, f); err != nil {
+		rf := &RankFailedError{Rank: p.rank, Err: fmt.Errorf("mpi: write to rank %d: %w", p.rank, err)}
+		p.fail(conn, rf.Err)
+		return rf
 	}
 	return nil
 }
 
-// connBroken retires a failed connection (idempotently) and, on the
-// dialing side, starts the backoff reconnect loop. The accepting side
-// waits for the dialer to come back; if the peer is truly gone, a lower
-// rank declares it lost after the redial budget, and the abort reaches this
-// side in that rank's goodbye — unless a receive deadline fires first.
-func (p *peer) connBroken(conn net.Conn) {
-	t := p.t
-	if t.closed.Load() {
-		return
-	}
-	p.mu.Lock()
-	if conn != nil {
-		if p.conn != conn {
-			p.mu.Unlock()
-			return
-		}
-		conn.Close()
-		p.conn = nil
-	}
-	startRedial := p.dialer && !p.redialing && !p.done && !p.lost && p.conn == nil
-	if startRedial {
-		p.redialing = true
-	}
-	p.mu.Unlock()
-	if !startRedial {
-		return
-	}
-	t.wg.Add(1)
-	go func() {
-		defer t.wg.Done()
-		err := p.dialOnce(DefaultRetryBudget)
-		p.mu.Lock()
-		p.redialing = false
-		p.mu.Unlock()
-		if err != nil && !t.closed.Load() {
-			p.markLost(err)
-		}
-	}()
+// write puts one frame on conn under the peer's write lock.
+func (p *peer) write(conn net.Conn, f *frame) error {
+	p.wmu.Lock()
+	defer p.wmu.Unlock()
+	return p.t.writeFrame(conn, f)
 }
 
-// markLost declares the peer unreachable: the world aborts.
-func (p *peer) markLost(err error) {
+// fail retires the peer's connection and, unless the peer said goodbye
+// first or this side is closing, declares the peer failed: the world
+// aborts naming it.
+func (p *peer) fail(conn net.Conn, cause error) {
+	conn.Close()
 	p.mu.Lock()
-	if p.lost || p.done {
-		p.mu.Unlock()
-		return
-	}
-	p.lost = true
+	p.conn = nil
+	lost := !p.done && !p.lost && !p.t.closed.Load()
+	p.lost = p.lost || lost
 	p.mu.Unlock()
-	p.t.world.peerLost(p.rank, err)
+	if lost {
+		p.t.world.peerLost(p.rank, cause)
+	}
 }
 
-// handleAck prunes the reliable queue through the cumulative ack.
-func (p *peer) handleAck(cum uint64) {
-	p.mu.Lock()
-	i := 0
-	for i < len(p.unacked) && p.unacked[i].Seq <= cum {
-		i++
-	}
-	if i > 0 {
-		p.unacked = append(p.unacked[:0], p.unacked[i:]...)
-	}
-	p.mu.Unlock()
-}
-
-// drain waits until the peer has acknowledged every reliable frame,
-// bounded by deadline. The peer's own goodbye is not waited for: nothing
-// this rank sent is outstanding, and peers do not redial a rank that said
-// goodbye. It also ends once no ack can come, or matter, any more: the peer
-// is lost, or it said goodbye and hung up.
+// drain waits until the peer has acknowledged this rank's goodbye, bounded
+// by deadline. It also ends once no ack can come, or matter, any more: the
+// connection is gone (the peer failed, or was never wired), or the peer
+// said goodbye itself — the read loop acknowledged that goodbye before
+// marking the peer done, so nothing the peer waits on is outstanding.
 func (p *peer) drain(deadline time.Time) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for {
-		gone := p.lost || (p.done && p.conn == nil)
-		if gone || len(p.unacked) == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			return
-		}
+	for p.conn != nil && !p.acked && !p.done && time.Now().Before(deadline) {
 		p.mu.Unlock()
 		time.Sleep(2 * time.Millisecond)
 		p.mu.Lock()
 	}
 }
 
-// readLoop decodes frames off one connection and dispatches them.
-// Reliable frames pass through duplicate suppression (a resend racing the
-// ack it already earned) and strict in-order sequencing; a sequence gap
-// means the streams diverged, so the connection is dropped and the
-// resend machinery re-synchronises.
+// readLoop decodes frames off the peer's connection and dispatches them in
+// stream order until the connection ends. An end after the peer's goodbye
+// is its hang-up; any other — EOF, a reset, a frame that does not decode —
+// fails the peer.
 func (p *peer) readLoop(conn net.Conn) {
 	t := p.t
 	br := bufio.NewReader(conn)
 	for {
 		f, err := readFrame(br)
 		if err != nil {
-			if !errors.Is(err, io.EOF) && !isClosedConn(err) {
+			var ne net.Error
+			if !errors.Is(err, io.EOF) && !errors.As(err, &ne) {
 				t.stats.DecodeErrs.Add(1)
 			}
-			p.connBroken(conn)
+			p.fail(conn, fmt.Errorf("mpi: connection to rank %d failed before its goodbye: %w", p.rank, err))
 			return
 		}
 		t.stats.FramesRecv.Add(1)
 		t.stats.BytesRecv.Add(uint64(frameHeaderLen + len(f.Payload)))
-		if !f.Kind.reliable() {
-			if f.Kind == frameAck {
-				p.handleAck(f.Seq)
-			}
-			continue
-		}
-		p.mu.Lock()
-		if f.Seq <= p.lastRecv {
-			p.mu.Unlock()
-			t.stats.DupsDropped.Add(1)
-			p.writeAck(conn)
-			continue
-		}
-		if f.Seq != p.lastRecv+1 {
-			p.mu.Unlock()
-			p.connBroken(conn)
+		if err := p.dispatch(conn, f); err != nil {
+			t.stats.DecodeErrs.Add(1)
+			p.fail(conn, err)
 			return
 		}
-		p.lastRecv = f.Seq
-		p.mu.Unlock()
-		p.writeAck(conn)
-		p.dispatch(f)
 	}
 }
 
-// writeAck sends the cumulative ack for everything processed so far.
-func (p *peer) writeAck(conn net.Conn) {
-	p.mu.Lock()
-	cum := p.lastRecv
-	p.mu.Unlock()
-	if err := p.t.writeFrame(conn, &frame{Kind: frameAck, Src: int32(p.t.cfg.Self), Seq: cum}); err != nil {
-		p.connBroken(conn)
-	}
-}
-
-// dispatch routes one de-duplicated reliable frame into the world.
-func (p *peer) dispatch(f *frame) {
+// dispatch routes one frame into the world. A data frame whose body does
+// not decode is an error: the handshake admitted only peers speaking this
+// codec version, so the sender is broken, and the destination rank must
+// not wait for a message that is gone.
+func (p *peer) dispatch(conn net.Conn, f *frame) error {
 	t := p.t
 	switch f.Kind {
 	case frameData:
 		v, err := decodePayload(f.Payload)
 		if err != nil {
-			p.protocolError(err)
-			return
+			return fmt.Errorf("mpi: undecodable frame from rank %d: %w", p.rank, err)
 		}
 		t.world.deliverRemote(int(f.Src), int(f.Dst), int(f.Tag), v)
 	case frameGoodbye:
+		// Acknowledge before marking the peer done, so this side's drain,
+		// which ends on done, cannot close the connection ahead of the ack.
+		// A failed ack is the peer's hang-up: it has left already.
+		_ = p.write(conn, &frame{Kind: frameAck, Src: int32(t.cfg.Self)})
 		p.mu.Lock()
 		p.done = true
 		p.mu.Unlock()
 		t.world.peerExited(p.rank, int(f.Dst), f.Tag&goodbyeOK != 0, string(f.Payload))
+	case frameAck:
+		p.mu.Lock()
+		p.acked = true
+		p.mu.Unlock()
+	default:
+		return fmt.Errorf("mpi: %v frame from rank %d after the handshake", f.Kind, p.rank)
 	}
-}
-
-// protocolError handles an acknowledged frame whose body does not decode.
-// The handshake admitted only peers speaking this codec version, so the
-// sender is broken, and the frame — already acked — will never be resent:
-// the peer is declared failed — the world aborts — rather than leaving the
-// destination rank waiting for a message that is gone.
-func (p *peer) protocolError(err error) {
-	p.t.stats.DecodeErrs.Add(1)
-	p.markLost(fmt.Errorf("mpi: undecodable frame from rank %d: %w", p.rank, err))
-}
-
-// isClosedConn reports the "use of closed network connection" error shape
-// produced by closing a conn out from under its reader.
-func isClosedConn(err error) bool {
-	if errors.Is(err, net.ErrClosed) {
-		return true
-	}
-	return err != nil && strings.Contains(err.Error(), "use of closed network connection")
+	return nil
 }

@@ -15,8 +15,9 @@ import "sync/atomic"
 type Transport interface {
 	// Deliver routes one envelope to rank dst of world w; payload ownership
 	// passes to the transport. Deliver is buffered-send semantics: it returns
-	// once the message is enqueued for (eventual, reliable) delivery, not
-	// once it is received.
+	// once the message is handed to the destination's inbox or written to
+	// its connection, not once it is received. A delivery that cannot be made
+	// is an error, and over the wire it fails the destination rank.
 	Deliver(w *World, src, dst, tag int, payload any) error
 }
 
@@ -30,20 +31,16 @@ func (procTransport) Deliver(w *World, src, dst, tag int, payload any) error {
 	return nil
 }
 
-// TransportStats is a networked transport's live counter set: the
-// observable evidence of the retry/backoff machinery working (reconnects,
-// resends, duplicate suppression) plus gross frame traffic. All fields are
-// atomically updated; read them through Snapshot.
+// TransportStats is a networked transport's live counter set: gross frame
+// traffic, failed dials while wiring the mesh, and malformed frames. All
+// fields are atomically updated; read them through Snapshot.
 type TransportStats struct {
-	FramesSent  atomic.Uint64
-	FramesRecv  atomic.Uint64
-	BytesSent   atomic.Uint64
-	BytesRecv   atomic.Uint64
-	Resends     atomic.Uint64
-	DupsDropped atomic.Uint64
-	Reconnects  atomic.Uint64
-	Redials     atomic.Uint64
-	DecodeErrs  atomic.Uint64
+	FramesSent atomic.Uint64
+	FramesRecv atomic.Uint64
+	BytesSent  atomic.Uint64
+	BytesRecv  atomic.Uint64
+	Redials    atomic.Uint64
+	DecodeErrs atomic.Uint64
 }
 
 // TransportSnapshot is a point-in-time copy of TransportStats: a plain
@@ -51,37 +48,32 @@ type TransportStats struct {
 // All counts are per-process (the hosting rank's view of the wire).
 type TransportSnapshot struct {
 	// FramesSent / FramesRecv / BytesSent / BytesRecv are gross wire
-	// traffic, including control frames and resends.
+	// traffic, including control frames.
 	FramesSent uint64 `json:"frames_sent"`
 	FramesRecv uint64 `json:"frames_recv"`
 	BytesSent  uint64 `json:"bytes_sent"`
 	BytesRecv  uint64 `json:"bytes_recv"`
-	// Resends counts reliable frames retransmitted after a reconnect.
-	Resends uint64 `json:"resends,omitempty"`
-	// DupsDropped counts reliable frames discarded by the receiver's
-	// sequence-number duplicate suppression.
-	DupsDropped uint64 `json:"dups_dropped,omitempty"`
-	// Reconnects counts connections re-established after a failure;
-	// Redials counts individual dial attempts during backoff.
+	// Resends and Reconnects are always zero: the wire neither resends nor
+	// reconnects (a broken connection fails the peer). They remain only
+	// because the benchmark reads them.
+	Resends    uint64 `json:"resends,omitempty"`
 	Reconnects uint64 `json:"reconnects,omitempty"`
-	Redials    uint64 `json:"redials,omitempty"`
-	// DecodeErrs counts malformed frames: a broken stream drops the
-	// connection, an undecodable payload declares the sending peer failed.
+	// Redials counts failed dial attempts while wiring the mesh.
+	Redials uint64 `json:"redials,omitempty"`
+	// DecodeErrs counts malformed frames: a corrupt stream or an
+	// undecodable payload, either of which fails the sending peer.
 	DecodeErrs uint64 `json:"decode_errs,omitempty"`
 }
 
 // Snapshot copies the counters.
 func (s *TransportStats) Snapshot() TransportSnapshot {
 	return TransportSnapshot{
-		FramesSent:  s.FramesSent.Load(),
-		FramesRecv:  s.FramesRecv.Load(),
-		BytesSent:   s.BytesSent.Load(),
-		BytesRecv:   s.BytesRecv.Load(),
-		Resends:     s.Resends.Load(),
-		DupsDropped: s.DupsDropped.Load(),
-		Reconnects:  s.Reconnects.Load(),
-		Redials:     s.Redials.Load(),
-		DecodeErrs:  s.DecodeErrs.Load(),
+		FramesSent: s.FramesSent.Load(),
+		FramesRecv: s.FramesRecv.Load(),
+		BytesSent:  s.BytesSent.Load(),
+		BytesRecv:  s.BytesRecv.Load(),
+		Redials:    s.Redials.Load(),
+		DecodeErrs: s.DecodeErrs.Load(),
 	}
 }
 

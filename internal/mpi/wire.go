@@ -21,17 +21,14 @@ const wireMagic = 0x45474457
 
 // wireVersion is the protocol version negotiated at handshake; a peer
 // speaking a different version is rejected before any data flows.
-const wireVersion = 3
+const wireVersion = 4
 
 // maxFramePayload bounds a frame's payload length, checked by the decoder
 // before allocating: a length field beyond it is a corrupt or hostile
 // frame, not a big message. 64 MiB bounds any legitimate sim payload.
 const maxFramePayload = 1 << 26
 
-// frameKind discriminates wire frames. Reliable kinds (frameData,
-// frameGoodbye) carry per-peer sequence numbers, are resent after a
-// reconnect, and are dup-dropped by the receiver; transient kinds (acks,
-// handshake) are fire-and-forget.
+// frameKind discriminates wire frames.
 type frameKind uint8
 
 const (
@@ -42,8 +39,8 @@ const (
 	// exit status so peers attribute the departure (clean shutdown vs.
 	// error exit, which aborts them).
 	frameGoodbye
-	// frameAck is a cumulative acknowledgement: every reliable frame with
-	// sequence number <= Seq has been processed by the sender of the ack.
+	// frameAck answers a goodbye: the stream is in order, so the sender
+	// of the ack has processed every frame up to and including it.
 	frameAck
 	// frameHello opens a connection: rank identity, world size, job id,
 	// and protocol version are checked before the connection joins the mesh.
@@ -71,18 +68,11 @@ func (k frameKind) String() string {
 	return fmt.Sprintf("frameKind(%d)", uint8(k))
 }
 
-// reliable reports whether the kind is sequenced, resent after reconnect,
-// and dup-suppressed at the receiver.
-func (k frameKind) reliable() bool {
-	return k == frameData || k == frameGoodbye
-}
-
 // frame is one wire message. Src and Dst are ranks; for the control kinds
 // (goodbye, hello, welcome, ack) Src is the sender's rank and the other
 // fields follow the control-frame layouts below.
 type frame struct {
 	Kind    frameKind
-	Seq     uint64
 	Src     int32
 	Dst     int32
 	Tag     int64
@@ -90,9 +80,8 @@ type frame struct {
 }
 
 // frameHeaderLen is the fixed-size prefix of an encoded frame:
-// magic(4) version(2) kind(1) pad(1) seq(8) src(4) dst(4) tag(8)
-// payloadLen(4).
-const frameHeaderLen = 36
+// magic(4) version(2) kind(1) pad(1) src(4) dst(4) tag(8) payloadLen(4).
+const frameHeaderLen = 28
 
 // appendFrame encodes f onto buf and returns the extended slice.
 func appendFrame(buf []byte, f *frame) ([]byte, error) {
@@ -107,11 +96,10 @@ func appendFrame(buf []byte, f *frame) ([]byte, error) {
 	binary.BigEndian.PutUint16(h[4:], wireVersion)
 	h[6] = uint8(f.Kind)
 	h[7] = 0
-	binary.BigEndian.PutUint64(h[8:], f.Seq)
-	binary.BigEndian.PutUint32(h[16:], uint32(f.Src))
-	binary.BigEndian.PutUint32(h[20:], uint32(f.Dst))
-	binary.BigEndian.PutUint64(h[24:], uint64(f.Tag))
-	binary.BigEndian.PutUint32(h[32:], uint32(len(f.Payload)))
+	binary.BigEndian.PutUint32(h[8:], uint32(f.Src))
+	binary.BigEndian.PutUint32(h[12:], uint32(f.Dst))
+	binary.BigEndian.PutUint64(h[16:], uint64(f.Tag))
+	binary.BigEndian.PutUint32(h[24:], uint32(len(f.Payload)))
 	buf = append(buf, h[:]...)
 	buf = append(buf, f.Payload...)
 	return buf, nil
@@ -164,16 +152,15 @@ func readFrameBody(h [frameHeaderLen]byte, r io.Reader) (*frame, error) {
 	}
 	// The bound is checked on the unsigned length: converted first, a
 	// length past 2^31 would be negative on a 32-bit int and pass it.
-	payLen := binary.BigEndian.Uint32(h[32:])
+	payLen := binary.BigEndian.Uint32(h[24:])
 	if payLen > maxFramePayload {
 		return nil, fmt.Errorf("mpi: wire frame payload %d bytes exceeds %d", payLen, maxFramePayload)
 	}
 	f := &frame{
 		Kind: kind,
-		Seq:  binary.BigEndian.Uint64(h[8:]),
-		Src:  int32(binary.BigEndian.Uint32(h[16:])),
-		Dst:  int32(binary.BigEndian.Uint32(h[20:])),
-		Tag:  int64(binary.BigEndian.Uint64(h[24:])),
+		Src:  int32(binary.BigEndian.Uint32(h[8:])),
+		Dst:  int32(binary.BigEndian.Uint32(h[12:])),
+		Tag:  int64(binary.BigEndian.Uint64(h[16:])),
 	}
 	if payLen > 0 {
 		f.Payload = make([]byte, payLen)
@@ -263,7 +250,7 @@ func decodePayload(b []byte) (any, error) {
 //     job id; all three must match the receiving side's view.
 //   - goodbye: Tag holds goodbyeOK on a clean exit; on an error exit Dst is
 //     the rank the error blames and Payload its text.
-//   - ack: Seq is the cumulative acknowledgement.
+//   - ack: Src is the sender's rank; nothing else.
 
 // goodbyeOK marks a clean exit in a goodbye frame's Tag.
 const goodbyeOK = 1

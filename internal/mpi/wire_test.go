@@ -14,11 +14,11 @@ import (
 
 func TestWireFrameRoundTrip(t *testing.T) {
 	frames := []*frame{
-		{Kind: frameData, Seq: 1, Src: 2, Dst: 0, Tag: 7, Payload: []byte("hello")},
-		{Kind: frameData, Seq: 42, Src: 0, Dst: 3, Tag: 1 << 30, Payload: nil},
-		{Kind: frameGoodbye, Seq: 9, Src: 3, Dst: 1, Payload: []byte{1, 2, 3}},
-		{Kind: frameGoodbye, Seq: 10, Src: 2, Tag: goodbyeOK},
-		{Kind: frameAck, Seq: 1234567},
+		{Kind: frameData, Src: 2, Dst: 0, Tag: 7, Payload: []byte("hello")},
+		{Kind: frameData, Src: 0, Dst: 3, Tag: 1 << 30, Payload: nil},
+		{Kind: frameGoodbye, Src: 3, Dst: 1, Payload: []byte{1, 2, 3}},
+		{Kind: frameGoodbye, Src: 2, Tag: goodbyeOK},
+		{Kind: frameAck, Src: 4},
 		{Kind: frameHello, Src: 1, Payload: []byte("id")},
 		{Kind: frameWelcome, Src: 2},
 	}
@@ -31,7 +31,7 @@ func TestWireFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode %v: %v", f.Kind, err)
 		}
-		if got.Kind != f.Kind || got.Seq != f.Seq || got.Src != f.Src ||
+		if got.Kind != f.Kind || got.Src != f.Src ||
 			got.Dst != f.Dst || got.Tag != f.Tag ||
 			!bytes.Equal(got.Payload, f.Payload) {
 			t.Fatalf("round trip %v: got %+v want %+v", f.Kind, got, f)
@@ -42,9 +42,9 @@ func TestWireFrameRoundTrip(t *testing.T) {
 func TestWireFrameStreamed(t *testing.T) {
 	var buf bytes.Buffer
 	want := []*frame{
-		{Kind: frameData, Seq: 1, Src: 0, Dst: 1, Tag: 3, Payload: []byte("a")},
-		{Kind: frameAck, Seq: 1},
-		{Kind: frameData, Seq: 2, Src: 0, Dst: 1, Tag: 3, Payload: []byte("bb")},
+		{Kind: frameData, Src: 0, Dst: 1, Tag: 3, Payload: []byte("a")},
+		{Kind: frameAck, Src: 1},
+		{Kind: frameData, Src: 0, Dst: 1, Tag: 3, Payload: []byte("bb")},
 	}
 	for _, f := range want {
 		b, err := encodeFrame(f)
@@ -58,7 +58,7 @@ func TestWireFrameStreamed(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if got.Kind != f.Kind || got.Seq != f.Seq || !bytes.Equal(got.Payload, f.Payload) {
+		if got.Kind != f.Kind || got.Src != f.Src || !bytes.Equal(got.Payload, f.Payload) {
 			t.Fatalf("frame %d: got %+v want %+v", i, got, f)
 		}
 	}
@@ -80,7 +80,7 @@ func TestWireFrameEncodeRejectsInvalid(t *testing.T) {
 }
 
 func TestWireFrameDecodeRejectsCorruption(t *testing.T) {
-	good, err := encodeFrame(&frame{Kind: frameData, Seq: 1, Src: 0, Dst: 1, Tag: 2, Payload: []byte("payload")})
+	good, err := encodeFrame(&frame{Kind: frameData, Src: 0, Dst: 1, Tag: 2, Payload: []byte("payload")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,15 +97,15 @@ func TestWireFrameDecodeRejectsCorruption(t *testing.T) {
 	corrupt("truncated body", func(b []byte) []byte { return b[:len(b)-3] })
 	corrupt("trailing garbage", func(b []byte) []byte { return append(b, 0xAB) })
 	corrupt("oversized payload len", func(b []byte) []byte {
-		binary.BigEndian.PutUint32(b[32:], maxFramePayload+1)
+		binary.BigEndian.PutUint32(b[24:], maxFramePayload+1)
 		return b
 	})
 	corrupt("payload len past 2^31", func(b []byte) []byte {
-		binary.BigEndian.PutUint32(b[32:], 1<<31)
+		binary.BigEndian.PutUint32(b[24:], 1<<31)
 		return b
 	})
 	corrupt("payload len beyond body", func(b []byte) []byte {
-		binary.BigEndian.PutUint32(b[32:], 1<<20)
+		binary.BigEndian.PutUint32(b[24:], 1<<20)
 		return b
 	})
 }
@@ -116,18 +116,18 @@ func TestWireFrameDecodeRejectsCorruption(t *testing.T) {
 // identically — never panic, and never allocate beyond the declared length limits (the
 // bounds checks run before any allocation).
 func FuzzWireFrame(f *testing.F) {
-	seed, _ := encodeFrame(&frame{Kind: frameData, Seq: 3, Src: 1, Dst: 0, Tag: 5, Payload: []byte("p")})
+	seed, _ := encodeFrame(&frame{Kind: frameData, Src: 1, Dst: 0, Tag: 5, Payload: []byte("p")})
 	f.Add(seed)
 	for _, v := range []any{2.5, []float64{1, math.NaN()}, []byte("msg")} {
 		body, _ := encodePayload(v)
-		withBody, _ := encodeFrame(&frame{Kind: frameData, Seq: 4, Src: 0, Dst: 1, Tag: 1 << 30, Payload: body})
+		withBody, _ := encodeFrame(&frame{Kind: frameData, Src: 0, Dst: 1, Tag: 1 << 30, Payload: body})
 		f.Add(withBody)
 	}
 	f.Add(seed[:frameHeaderLen])
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, frameHeaderLen))
 	big := append([]byte(nil), seed...)
-	binary.BigEndian.PutUint32(big[32:], 1<<31)
+	binary.BigEndian.PutUint32(big[24:], 1<<31)
 	f.Add(big)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := decodeFrameBytes(data)

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/mpi"
 )
 
@@ -69,11 +70,13 @@ func runMesh(t *testing.T, cfg Config, ranks int, addrsOf func(rank int) []strin
 // tallies, per (source, destination, tag), the payload bytes of every data
 // frame that crosses — read off the stream with nothing but the frame
 // header layout docs/TRANSPORT.md documents, so the tally is what the
-// transport wrote, not what it says it wrote.
+// transport wrote, not what it says it wrote. sever cuts every connection
+// it relays.
 type wireTap struct {
 	mu    sync.Mutex
 	bytes map[[3]int]uint64 // {src, dst, tag} -> data-frame payload bytes
 	msgs  map[[3]int]uint64
+	conns []net.Conn
 }
 
 // listen starts relaying connections made to path on to target.
@@ -94,6 +97,9 @@ func (tap *wireTap) listen(t *testing.T, path, target string) {
 				in.Close()
 				continue
 			}
+			tap.mu.Lock()
+			tap.conns = append(tap.conns, in, out)
+			tap.mu.Unlock()
 			go tap.pump(in, out)
 			go tap.pump(out, in)
 		}
@@ -105,19 +111,19 @@ func (tap *wireTap) pump(src, dst net.Conn) {
 	defer src.Close()
 	defer dst.Close()
 	for {
-		// magic(4) version(2) kind(1) pad(1) seq(8) src(4) dst(4) tag(8)
+		// magic(4) version(2) kind(1) pad(1) src(4) dst(4) tag(8)
 		// payloadLen(4), big-endian; then the payload.
-		head := make([]byte, 36)
+		head := make([]byte, 28)
 		if _, err := io.ReadFull(src, head); err != nil {
 			return
 		}
-		payloadLen := int(binary.BigEndian.Uint32(head[32:]))
+		payloadLen := int(binary.BigEndian.Uint32(head[24:]))
 		body := make([]byte, payloadLen)
 		if _, err := io.ReadFull(src, body); err != nil {
 			return
 		}
 		if head[6] == 1 { // a data frame
-			key := [3]int{int(binary.BigEndian.Uint32(head[16:])), int(binary.BigEndian.Uint32(head[20:])), int(binary.BigEndian.Uint64(head[24:]))}
+			key := [3]int{int(binary.BigEndian.Uint32(head[8:])), int(binary.BigEndian.Uint32(head[12:])), int(binary.BigEndian.Uint64(head[16:]))}
 			tap.mu.Lock()
 			tap.bytes[key] += uint64(payloadLen)
 			tap.msgs[key]++
@@ -126,6 +132,15 @@ func (tap *wireTap) pump(src, dst net.Conn) {
 		if _, err := dst.Write(append(head, body...)); err != nil {
 			return
 		}
+	}
+}
+
+// sever closes both ends of every connection the tap relays: a network cut.
+func (tap *wireTap) sever() {
+	tap.mu.Lock()
+	defer tap.mu.Unlock()
+	for _, c := range tap.conns {
+		c.Close()
 	}
 }
 
@@ -167,10 +182,6 @@ func tapRun(t *testing.T, cfg Config) {
 			t.Fatalf("rank %d: %v", r, err)
 		}
 	}
-	if ts := res.Metrics.Transport; ts.Resends != 0 || ts.Reconnects != 0 {
-		t.Fatalf("the mesh did not stay up (%+v): a resend is tapped twice", ts)
-	}
-
 	nature := res.Metrics.Comm[0]
 	if len(nature.SentByTag) == 0 || len(nature.RecvByTag) == 0 {
 		t.Fatalf("Nature's accounting is missing tags: %+v", nature)
@@ -314,49 +325,112 @@ func TestNetworkedBackendParityMetrics(t *testing.T) {
 }
 
 // The restart path over the wire, at the engine level: a worker dying
-// mid-run aborts the networked world, and a fresh mesh relaunched from
-// Nature's latest snapshot (RestartConfig, what egdrun's fleet does) ends in
-// the Result of a run that never saw the fault.
+// mid-run, or a connection cut mid-run, aborts the networked world, and a
+// fresh mesh relaunched from Nature's latest snapshot (RestartConfig, what
+// egdrun's fleet does) ends in the Result of a run that never saw the
+// fault.
 func TestNetworkedRestartRecoversBitExact(t *testing.T) {
 	cfg := testConfig(1, 8, 300)
 	cfg.Seed = 402
 
 	// Metrics do not feed the trajectory, so the parity below holds with
-	// them on only in the faulty run — which then registers every metric
+	// them on only in the faulty runs — which then register every metric
 	// family there is, which the catalog check at the end needs.
 	clean, err := RunParallel(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	faulty := cfg
 	faulty.CheckpointEvery = 50
-	faulty.CheckpointSink = NewMemorySink()
 	faulty.Metrics = true
-	// Worker 3 dies entering its first meeting past the second checkpoint.
-	faulty.FaultPlan = mpi.NewFaultPlan().Kill(3, killAt(meetingsOf(t, faulty), 4, 3, 100))
-	res, errs := runNetworked(t, faulty, 4)
-	if res != nil || !errors.Is(errs[3], mpi.ErrInjectedFault) || !faulty.FaultPlan.Faults()[0].Fired() {
-		t.Fatalf("faulty run: result %v, rank 3 exit %v; want the scripted kill", res, errs[3])
-	}
-	for rank, err := range errs[:3] {
-		var rf *mpi.RankFailedError
-		if !errors.As(err, &rf) || rf.Rank != 3 {
-			t.Fatalf("rank %d exit %v, want the abort naming rank 3", rank, err)
+
+	// relaunch restarts a failed run from its latest snapshot on a fresh
+	// mesh and holds the outcome to the clean run.
+	relaunch := func(t *testing.T, failed Config) *Result {
+		t.Helper()
+		restart, err := RestartConfig(failed)
+		if err != nil || restart.StartGeneration < 100 {
+			t.Fatalf("restart from generation %d (%v), want one past the second checkpoint", restart.StartGeneration, err)
 		}
-	}
-	restart, err := RestartConfig(faulty)
-	if err != nil || restart.StartGeneration < 100 {
-		t.Fatalf("restart from generation %d (%v), want one past the second checkpoint", restart.StartGeneration, err)
-	}
-	res, errs = runNetworked(t, restart, 4)
-	for rank, err := range errs {
-		if err != nil {
-			t.Fatalf("relaunched rank %d: %v", rank, err)
+		res, errs := runNetworked(t, restart, 4)
+		for rank, err := range errs {
+			if err != nil {
+				t.Fatalf("relaunched rank %d: %v", rank, err)
+			}
 		}
+		assertSameResult(t, clean, res, false)
+		return res
 	}
-	assertSameResult(t, clean, res, false)
-	assertCatalogued(t, res)
+
+	t.Run("killed rank", func(t *testing.T) {
+		killed := faulty
+		killed.CheckpointSink = NewMemorySink()
+		// Worker 3 dies entering its second meeting past the second
+		// checkpoint. It hears the first one's verdict only after Nature has
+		// saved that checkpoint; dying at the first one, it could run ahead
+		// and abort Nature before the save.
+		meetings := meetingsOf(t, killed)
+		first := meetings[before(meetings, 100)]
+		killed.FaultPlan = mpi.NewFaultPlan().Kill(3, killAt(meetings, 4, 3, first+1))
+		res, errs := runNetworked(t, killed, 4)
+		if res != nil || !errors.Is(errs[3], mpi.ErrInjectedFault) || !killed.FaultPlan.Faults()[0].Fired() {
+			t.Fatalf("faulty run: result %v, rank 3 exit %v; want the scripted kill", res, errs[3])
+		}
+		for rank, err := range errs[:3] {
+			var rf *mpi.RankFailedError
+			if !errors.As(err, &rf) || rf.Rank != 3 {
+				t.Fatalf("rank %d exit %v, want the abort naming rank 3", rank, err)
+			}
+		}
+		assertCatalogued(t, relaunch(t, killed))
+	})
+
+	t.Run("severed connection", func(t *testing.T) {
+		// Rank 0 reaches rank 1 through a tap, which Nature's sink severs
+		// once the second checkpoint is saved.
+		real := socketPaths(t, 4)
+		via := socketPaths(t, 1)[0]
+		tap := &wireTap{bytes: map[[3]int]uint64{}, msgs: map[[3]int]uint64{}}
+		tap.listen(t, via, real[1])
+		severed := faulty
+		severed.CheckpointSink = &cutSink{MemorySink: NewMemorySink(), at: 100, cut: tap.sever}
+		res, errs := runMesh(t, severed, 4, func(rank int) []string {
+			addrs := append([]string(nil), real...)
+			if rank == 0 {
+				addrs[1] = via
+			}
+			return addrs
+		})
+		if res != nil {
+			t.Fatal("the severed run returned a result")
+		}
+		for rank, err := range errs {
+			var rf *mpi.RankFailedError
+			if !errors.As(err, &rf) || rf.Rank > 1 {
+				t.Fatalf("rank %d exit %v, want the abort naming an end of the cut", rank, err)
+			}
+		}
+		relaunch(t, severed)
+	})
+}
+
+// cutSink is a memory sink that calls cut once it has saved a snapshot at
+// generation at or later: a fault placed at a known point of the run.
+type cutSink struct {
+	*MemorySink
+	at   uint64
+	cut  func()
+	once sync.Once
+}
+
+func (s *cutSink) Save(snap *checkpoint.Snapshot) error {
+	if err := s.MemorySink.Save(snap); err != nil {
+		return err
+	}
+	if snap.Generation >= s.at {
+		s.once.Do(s.cut)
+	}
+	return nil
 }
 
 // assertCatalogued checks catalog ≡ code: every metric family the run's

@@ -131,9 +131,8 @@ type RunMetrics struct {
 	// ordered by rank.
 	Comm []mpi.RankCommSnapshot `json:"comm,omitempty"`
 	// Transport holds the wire-transport counters of a networked run
-	// (RunWorker): this process's view of the wire — frames, bytes, and
-	// the retry machinery's evidence (reconnects, resends, duplicate
-	// suppression). Nil on in-process runs.
+	// (RunWorker): this process's view of the wire — frames, bytes, failed
+	// dials while wiring, and decode errors. Nil on in-process runs.
 	Transport *mpi.TransportSnapshot `json:"transport,omitempty"`
 }
 
@@ -229,9 +228,10 @@ func (r *Result) MetricsRegistry() *metrics.Registry {
 		}
 	}
 	if ts := r.Metrics.Transport; ts != nil {
-		// Wire traffic depends on real-time behaviour (reconnects, resends),
-		// so the transport series carry the _wallclock_total
-		// marker and are stripped from deterministic snapshots.
+		// Wire traffic depends on real-time behaviour (when the mesh wires,
+		// how ranks interleave), so the transport series carry the
+		// _wallclock_total marker and are stripped from deterministic
+		// snapshots.
 		for _, c := range []struct {
 			name string
 			v    uint64
@@ -240,9 +240,6 @@ func (r *Result) MetricsRegistry() *metrics.Registry {
 			{"frames_recv", ts.FramesRecv},
 			{"bytes_sent", ts.BytesSent},
 			{"bytes_recv", ts.BytesRecv},
-			{"resends", ts.Resends},
-			{"dups_dropped", ts.DupsDropped},
-			{"reconnects", ts.Reconnects},
 			{"redials", ts.Redials},
 			{"decode_errs", ts.DecodeErrs},
 		} {
