@@ -13,16 +13,14 @@ test:
 vet:
 	$(GO) vet ./...
 
-# egdlint: the repo's own static analyzers for MPI-usage and
-# determinism invariants (see internal/lint/README.md). -tests also
-# loads _test.go files and runs the hang-class analyzer (mpicollective)
-# over them. Exit 0 means every package honours them.
+# egdlint: the repo's own static analyzer for the determinism invariant
+# (see internal/lint/README.md). Exit 0 means every package honours it.
 lint:
-	$(GO) run ./cmd/egdlint -tests ./...
+	$(GO) run ./cmd/egdlint ./...
 
 # Machine-readable findings for CI artifacts and tooling.
 lint-json:
-	$(GO) run ./cmd/egdlint -tests -json ./... > egdlint.json; \
+	$(GO) run ./cmd/egdlint -json ./... > egdlint.json; \
 	code=$$?; cat egdlint.json; exit $$code
 
 # Race-detector pass over every package: the fault-injection and restart
@@ -93,11 +91,10 @@ bench-compare:
 bench-check:
 	bash bench/run.sh -compare $$(ls BENCH_*.json | sort -V | tail -1) bench/out/result.json
 
-# Documentation gate: package docs present on every exported symbol
-# (the pkgdoc egdlint analyzer alone) and no broken relative links or
-# heading anchors anywhere in the markdown tree (cmd/egddoc).
+# Documentation gate (cmd/egddoc): a package comment on every Go package,
+# and no broken relative links, heading anchors or stale paths anywhere in
+# the markdown tree.
 docs:
-	$(GO) run ./cmd/egdlint -run pkgdoc ./...
 	$(GO) run ./cmd/egddoc
 
 # Code size: non-test Go lines that are neither blank nor comment-only, per

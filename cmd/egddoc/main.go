@@ -1,4 +1,4 @@
-// Command egddoc is the repository's markdown link checker: it walks the
+// Command egddoc is the repository's documentation checker: it walks the
 // tree for .md files and verifies that every relative link resolves to an
 // existing file and that every fragment resolves to a GitHub-style heading
 // anchor in its target document. External schemes (http, https, mailto) are
@@ -6,19 +6,23 @@
 // (livingDoc) it also checks what inline code cites: a repository path
 // (`internal/sim/spec.go`) or package directory (`go run ./cmd/egdsim`) must
 // exist, and an `egdscale -table N` or `-fig N` must select an entry of
-// core.Artefacts().
+// core.Artefacts(). Walking the tree, it also holds every Go package to a
+// package comment (pkgDocs).
 //
-//	egddoc              check every .md under the current directory
+//	egddoc              check every .md and Go package under the current directory
 //	egddoc -dir path    check a tree rooted elsewhere
 //	egddoc README.md docs/KERNEL.md   check only the named files
 //
-// Exit status: 0 clean, 1 broken links, 2 operational error.
+// Exit status: 0 clean, 1 problems found, 2 operational error.
 package main
 
 import (
 	"bufio"
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"io/fs"
 	"os"
@@ -173,11 +177,11 @@ func headingAnchor(line string) string {
 // and protocol-relative references are not checked.
 var external = regexp.MustCompile(`^(?:[a-z]+:)?//|^mailto:`)
 
-// collect walks root for .md files, skipping hidden directories and
-// testdata fixtures (fixtures may deliberately contain broken links).
-func collect(root string) ([]string, error) {
-	var files []string
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+// collect walks root for .md files and non-test .go files, skipping hidden
+// directories and testdata fixtures (fixtures may deliberately contain
+// broken links or undocumented packages).
+func collect(root string) (docs, goFiles []string, err error) {
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -188,13 +192,74 @@ func collect(root string) ([]string, error) {
 			}
 			return nil
 		}
-		if strings.EqualFold(filepath.Ext(name), ".md") {
-			files = append(files, path)
+		switch {
+		case strings.EqualFold(filepath.Ext(name), ".md"):
+			docs = append(docs, path)
+		case strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go"):
+			goFiles = append(goFiles, path)
 		}
 		return nil
 	})
-	sort.Strings(files)
-	return files, err
+	sort.Strings(docs)
+	sort.Slice(goFiles, func(i, j int) bool { // by package, then file name
+		di, dj := filepath.Dir(goFiles[i]), filepath.Dir(goFiles[j])
+		return di < dj || di == dj && goFiles[i] < goFiles[j]
+	})
+	return docs, goFiles, err
+}
+
+// pkgDocs requires every package to carry a package comment. Non-main
+// packages must use godoc's canonical "Package <name> ..." opening so the
+// generated documentation index reads uniformly; main packages may open
+// however they like (the repo's convention is "Command <name> ..."), but
+// must say something. A missing comment is reported once, at the package
+// clause of the package's first file by name. The files are parsed, not
+// type-checked: one package per directory, goFiles grouped by directory
+// and sorted by name within it.
+func pkgDocs(root string, goFiles []string) ([]string, error) {
+	fset := token.NewFileSet()
+	var problems []string
+	report := func(pos token.Pos, format string, args ...any) {
+		p := fset.Position(pos)
+		if r, err := filepath.Rel(root, p.Filename); err == nil {
+			p.Filename = r
+		}
+		problems = append(problems, fmt.Sprintf("%s:%d: ", p.Filename, p.Line)+fmt.Sprintf(format, args...))
+	}
+	for i := 0; i < len(goFiles); {
+		dir := filepath.Dir(goFiles[i])
+		var first *ast.File
+		var docs []*ast.File
+		for ; i < len(goFiles) && filepath.Dir(goFiles[i]) == dir; i++ {
+			f, err := parser.ParseFile(fset, goFiles[i], nil, parser.PackageClauseOnly|parser.ParseComments)
+			if err != nil {
+				return nil, err
+			}
+			if first == nil {
+				first = f
+			}
+			if f.Doc != nil {
+				docs = append(docs, f)
+			}
+		}
+		name := first.Name.Name
+		switch {
+		case len(docs) == 0 && name == "main":
+			report(first.Package, "command package has no doc comment; document the command (\"Command <name> ...\")")
+		case len(docs) == 0:
+			report(first.Package, "package %s has no package comment; document it in godoc's \"Package %s ...\" form", name, name)
+		case name != "main":
+			want := "Package " + name
+			for _, f := range docs {
+				text := f.Doc.Text()
+				if !strings.HasPrefix(text, want+" ") && !strings.HasPrefix(text, want+"\n") &&
+					strings.TrimRight(text, "\n") != want {
+					report(f.Doc.Pos(), "package comment for %s must start %q", name, want)
+				}
+			}
+		}
+	}
+	return problems, nil
 }
 
 // check verifies every link of every file and reports each broken one
@@ -289,9 +354,14 @@ func run(args []string, out, errw io.Writer) int {
 		return 2
 	}
 	files := fs.Args()
+	var problems []string
 	if len(files) == 0 {
+		var goFiles []string
 		var err error
-		files, err = collect(*dir)
+		files, goFiles, err = collect(*dir)
+		if err == nil {
+			problems, err = pkgDocs(*dir, goFiles)
+		}
 		if err != nil {
 			fmt.Fprintln(errw, "egddoc:", err)
 			return 2
@@ -303,16 +373,17 @@ func run(args []string, out, errw io.Writer) int {
 			}
 		}
 	}
-	problems, err := check(*dir, files)
+	broken, err := check(*dir, files)
 	if err != nil {
 		fmt.Fprintln(errw, "egddoc:", err)
 		return 2
 	}
+	problems = append(problems, broken...)
 	for _, p := range problems {
 		fmt.Fprintln(out, p)
 	}
 	if len(problems) > 0 {
-		fmt.Fprintf(out, "egddoc: %d broken link(s) in %d file(s) checked\n", len(problems), len(files))
+		fmt.Fprintf(out, "egddoc: %d problem(s) in %d file(s) checked\n", len(problems), len(files))
 		return 1
 	}
 	fmt.Fprintf(out, "egddoc: %d file(s) clean\n", len(files))

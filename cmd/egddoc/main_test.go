@@ -72,7 +72,7 @@ func TestBrokenLinks(t *testing.T) {
 		"README.md:3", "MISSING.md does not exist",
 		"README.md:4", "no heading anchor #no-such-heading",
 		"README.md:5", "no heading anchor #nope",
-		"3 broken link(s)",
+		"3 problem(s)",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)
@@ -158,7 +158,7 @@ func TestRepoDocsLinkClean(t *testing.T) {
 // and directories without an extension are not paths to check.
 func TestStalePaths(t *testing.T) {
 	dir := t.TempDir()
-	write(t, dir, "internal/sim/spec.go", "package sim\n")
+	write(t, dir, "internal/sim/spec.go", "// Package sim is a stub.\npackage sim\n")
 	write(t, dir, "scripts/smoke.sh", "#!/bin/sh\n")
 	body := "# Top\n\n" +
 		"Lives: `internal/sim/spec.go`, `internal/sim/spec.go:12`, `scripts/smoke.sh -quick`.\n" +
@@ -181,7 +181,7 @@ func TestStalePaths(t *testing.T) {
 		"README.md:4: stale path `cmd/egdold/main.go`",
 		"docs/GUIDE.md:3: stale path `docs/MISSING.md`",
 		"internal/sim/README.md:3: stale path `bench/nope.go`",
-		"4 broken link(s)",
+		"4 problem(s)",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)
@@ -194,8 +194,8 @@ func TestStalePaths(t *testing.T) {
 // example, or citing a table the catalogue does not have, fails the check.
 func TestStaleCommands(t *testing.T) {
 	dir := t.TempDir()
-	write(t, dir, "cmd/egdscale/main.go", "package main\n")
-	write(t, dir, "examples/spatial/main.go", "package main\n")
+	write(t, dir, "cmd/egdscale/main.go", "// Command egdscale.\npackage main\n")
+	write(t, dir, "examples/spatial/main.go", "// Command spatial.\npackage main\n")
 	write(t, dir, "README.md", "# Top\n\n"+
 		"Run `go run ./examples/spatial` or `go run ./cmd/egdscale -table 6 -fig 3`.\n"+
 		"Gone: `go run ./examples/wsls -gens 100` and `./cmd/egdold`.\n"+
@@ -213,10 +213,62 @@ func TestStaleCommands(t *testing.T) {
 		"README.md:4: stale path `cmd/egdold`",
 		"README.md:5: stale citation: egdscale has no table5",
 		"README.md:5: stale citation: egdscale has no fig2",
-		"4 broken link(s)",
+		"4 problem(s)",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)
 		}
+	}
+}
+
+// Every Go package carries a package comment: a non-main package in
+// godoc's "Package <name>" form, a command in any form. One documented file
+// covers the package, test files and testdata are not packages to check,
+// and explicit file arguments check only the named markdown.
+func TestPackageDocs(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		files map[string]string
+		want  string // the finding, or "" for a clean tree
+	}{
+		{"good", map[string]string{
+			"good/a.go":       "// Package good is documented in the canonical form.\npackage good\n",
+			"good/b.go":       "package good\n",
+			"good/a_test.go":  "package good\n",
+			"testdata/x/x.go": "package x\n",
+		}, ""},
+		{"missing", map[string]string{
+			"missing/b.go": "package missing\n",
+			"missing/a.go": "\npackage missing\n",
+		}, "missing/a.go:2: package missing has no package comment; document it in godoc's \"Package missing ...\" form"},
+		{"wrongform", map[string]string{
+			"wrongform/a.go": "// Documents the package without godoc's canonical opening.\npackage wrongform\n",
+		}, `wrongform/a.go:1: package comment for wrongform must start "Package wrongform"`},
+		{"mainmissing", map[string]string{
+			"cmd/tool/main.go": "package main\n\nfunc main() {}\n",
+		}, "cmd/tool/main.go:1: command package has no doc comment"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			write(t, dir, "README.md", "# ok\n")
+			for name, src := range tc.files {
+				write(t, dir, name, src)
+			}
+			var out, errw strings.Builder
+			code := run([]string{"-dir", dir}, &out, &errw)
+			if tc.want == "" {
+				if code != 0 {
+					t.Fatalf("exited %d:\n%s%s", code, out.String(), errw.String())
+				}
+				return
+			}
+			if code != 1 || !strings.Contains(out.String(), tc.want) || !strings.Contains(out.String(), "1 problem(s)") {
+				t.Fatalf("exited %d, want 1 and the one finding %q:\n%s%s", code, tc.want, out.String(), errw.String())
+			}
+			out.Reset()
+			if code := run([]string{"-dir", dir, "README.md"}, &out, &errw); code != 0 {
+				t.Fatalf("explicit markdown file exited %d:\n%s", code, out.String())
+			}
+		})
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+
+	"repro/internal/lint"
 )
 
 func needGo(t *testing.T) {
@@ -20,7 +22,7 @@ func TestList(t *testing.T) {
 		t.Fatalf("egdlint -list exited %d: %s", code, errw.String())
 	}
 	got := out.String()
-	names := []string{"mpierrcheck", "mpicollective", "mpitag", "determinism", "pkgdoc"}
+	names := []string{"determinism"}
 	for _, name := range names {
 		if !strings.Contains(got, name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, got)
@@ -46,26 +48,24 @@ func TestRepoLintsClean(t *testing.T) {
 	}
 }
 
-// Test files must lint clean too under the SPMD-safety subset: -tests
-// is how CI keeps hang-class bugs out of the test suite itself.
-func TestRepoTestFilesLintClean(t *testing.T) {
-	needGo(t)
-	var out, errw strings.Builder
-	code := run([]string{"-dir", "../..", "-tests", "./..."}, &out, &errw)
-	if code == 2 {
-		t.Fatalf("egdlint -tests failed to run: %s", errw.String())
-	}
-	if code != 0 {
-		t.Errorf("egdlint -tests found violations in the repo:\n%s", out.String())
-	}
+// fixtureDir holds the analyzer's fixtures; lintFixtures registers their
+// package as deterministic for the length of the test, as the analyzer's
+// own suite does, so linting it reports every violation the fixtures seed.
+const fixtureDir = "../../internal/lint/testdata/src"
+
+func lintFixtures(t *testing.T) {
+	old := lint.DeterministicPaths
+	lint.DeterministicPaths = append(append([]string(nil), old...), "fixtures/determinism")
+	t.Cleanup(func() { lint.DeterministicPaths = old })
 }
 
 // -json emits one well-formed array with the stable field names CI
 // tooling consumes, and keeps the findings-mean-exit-1 contract.
 func TestJSONOutput(t *testing.T) {
 	needGo(t)
+	lintFixtures(t)
 	var out, errw strings.Builder
-	code := run([]string{"-dir", "../../internal/lint/testdata/src", "-json", "./errcheck"}, &out, &errw)
+	code := run([]string{"-dir", fixtureDir, "-json", "./determinism"}, &out, &errw)
 	if code != 1 {
 		t.Fatalf("expected exit 1 on dirty fixtures, got %d (stderr: %s)", code, errw.String())
 	}
@@ -101,67 +101,31 @@ func TestJSONOutput(t *testing.T) {
 	}
 }
 
-// The fixture tree deliberately violates every analyzer; linting it
-// must produce findings and exit 1, proving the binary's non-zero path.
+// The fixture tree deliberately violates the analyzer; linting it must
+// produce findings and exit 1, proving the binary's non-zero path.
 func TestFixturesAreDirty(t *testing.T) {
 	needGo(t)
+	lintFixtures(t)
 	var out, errw strings.Builder
-	code := run([]string{"-dir", "../../internal/lint/testdata/src", "./errcheck", "./tag"}, &out, &errw)
+	code := run([]string{"-dir", fixtureDir, "./determinism"}, &out, &errw)
 	if code != 1 {
 		t.Fatalf("expected exit 1 on fixture packages, got %d (stderr: %s)", code, errw.String())
 	}
-	for _, want := range []string{"mpierrcheck", "mpitag", "finding(s)"} {
+	for _, want := range []string{"determinism", "finding(s)"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("fixture lint output missing %q:\n%s", want, out.String())
 		}
 	}
 }
 
-// -run narrows the suite to the named analyzers: a fixture tree dirty
-// for mpitag lints clean under -run mpierrcheck, and an unknown name is
-// an operational error, not a silent no-op.
-func TestRunFilter(t *testing.T) {
-	needGo(t)
-	var out, errw strings.Builder
-	code := run([]string{"-dir", "../../internal/lint/testdata/src", "-run", "mpitag", "./tag"}, &out, &errw)
-	if code != 1 {
-		t.Fatalf("-run mpitag on dirty tag fixtures exited %d (stderr: %s)", code, errw.String())
-	}
-	if !strings.Contains(out.String(), "mpitag") {
-		t.Errorf("filtered run missing mpitag findings:\n%s", out.String())
-	}
-	if strings.Contains(out.String(), "mpierrcheck") {
-		t.Errorf("-run mpitag leaked other analyzers:\n%s", out.String())
-	}
-
-	out.Reset()
-	errw.Reset()
-	code = run([]string{"-dir", "../../internal/lint/testdata/src", "-run", "mpierrcheck", "./tag"}, &out, &errw)
-	if code != 0 {
-		t.Fatalf("-run mpierrcheck over tag fixtures exited %d:\n%s%s", code, out.String(), errw.String())
-	}
-
-	// The docs-CI invocation: pkgdoc alone over the real repo.
-	out.Reset()
-	errw.Reset()
-	code = run([]string{"-dir", "../..", "-run", "pkgdoc", "./..."}, &out, &errw)
-	if code != 0 {
-		t.Errorf("-run pkgdoc over the repo exited %d:\n%s%s", code, out.String(), errw.String())
-	}
-}
-
-func TestRunFilterUnknownName(t *testing.T) {
-	var out, errw strings.Builder
-	if code := run([]string{"-run", "pkgdocs", "./..."}, &out, &errw); code != 2 {
-		t.Fatalf("unknown analyzer name exited %d, want 2", code)
-	}
-	if !strings.Contains(errw.String(), "pkgdocs") {
-		t.Errorf("error does not name the unknown analyzer: %s", errw.String())
-	}
-	out.Reset()
-	errw.Reset()
-	if code := run([]string{"-run", " , ", "./..."}, &out, &errw); code != 2 {
-		t.Fatal("empty -run selection accepted")
+// -tests and -run went with the test-file loader and the analyzer filter;
+// a script still passing them fails loudly instead of linting less.
+func TestRetiredFlagsExitTwo(t *testing.T) {
+	for _, args := range [][]string{{"-tests", "./..."}, {"-run", "determinism", "./..."}} {
+		var out, errw strings.Builder
+		if code := run(args, &out, &errw); code != 2 {
+			t.Errorf("egdlint %v exited %d, want 2", args, code)
+		}
 	}
 }
 

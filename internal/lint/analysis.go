@@ -1,9 +1,9 @@
-// Package lint is egdlint: a suite of static analyzers enforcing the
-// MPI-usage and determinism invariants the paper's reproduction depends
-// on — every rank executes the same collective sequence (Blue Gene's
-// collective network assumes SPMD symmetry) and the game/population
+// Package lint is egdlint: a static analyzer enforcing the determinism
+// invariant the paper's reproduction depends on — the game/population
 // dynamics are bit-reproducible from seeded RNG streams (a restart from a
-// snapshot recovers bit-identically only because of it).
+// snapshot recovers bit-identically only because of it). The SPMD
+// symmetry of the parallel engine's collectives is held by its tests,
+// which hang or fail on every seeded violation (README.md).
 //
 // The package is a self-contained, stdlib-only reimplementation of the
 // subset of golang.org/x/tools/go/analysis that the suite needs: the
@@ -19,7 +19,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Analyzer describes one static check, mirroring analysis.Analyzer.
@@ -78,37 +77,13 @@ func RunAnalyzers(dir string, patterns []string, analyzers []*Analyzer) ([]Findi
 	if err != nil {
 		return nil, err
 	}
-	return runOnPackages(fset, pkgs, analyzers, "")
-}
-
-// RunAnalyzersTests loads each package's in-package test variant
-// (production files plus TestGoFiles type-checked together) and applies
-// the analyzers — callers pass SPMDSafety(), not All(): test files
-// legitimately use bare tag literals, discarded errors, and wall-clock
-// time, but a rank-conditioned collective in a test is the same hang it
-// is in production. Findings are filtered to _test.go files; the production
-// files were already covered by the plain run.
-func RunAnalyzersTests(dir string, patterns []string, analyzers []*Analyzer) ([]Finding, error) {
-	fset, pkgs, err := LoadTests(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	return runOnPackages(fset, pkgs, analyzers, "_test.go")
-}
-
-func runOnPackages(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, fileSuffix string) ([]Finding, error) {
 	var findings []Finding
 	for _, pkg := range pkgs {
 		fs, err := runOnPackage(fset, pkg, analyzers)
 		if err != nil {
 			return nil, err
 		}
-		for _, f := range fs {
-			if fileSuffix != "" && !strings.HasSuffix(f.Pos.Filename, fileSuffix) {
-				continue
-			}
-			findings = append(findings, f)
-		}
+		findings = append(findings, fs...)
 	}
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
@@ -129,9 +104,6 @@ func runOnPackages(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, 
 // runOnPackage applies the analyzers to one loaded package and filters
 // the diagnostics through its allow directives.
 func runOnPackage(fset *token.FileSet, pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
-	// The directive vocabulary is every registered rule, not just the
-	// analyzers this run enables: an allow for a suite-run analyzer must
-	// not become an "unknown rule" finding under a subset run.
 	allows, findings := collectDirectives(fset, pkg.Files, knownRules())
 	for _, a := range analyzers {
 		pass := &Pass{

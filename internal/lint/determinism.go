@@ -33,7 +33,8 @@ var DeterministicPaths = []string{
 // Map iteration is allowed when the body is visibly order-insensitive:
 // deleting entries, integer counting, constant stores, or collecting
 // keys that a later sort call puts back in a canonical order. Anything
-// else — float accumulation, output, early exit — must iterate sorted
+// else — float accumulation, output, early exit, a call other than a
+// builtin or conversion in a sum or a guard — must iterate sorted
 // keys instead, or carry an //egdlint:allow determinism directive
 // (legitimate wall-clock sites such as elapsed-time traces use the same
 // escape).
@@ -50,6 +51,14 @@ var forbiddenTimeFuncs = setOf("Now", "Since", "Until")
 // every other package-level math/rand function draws from the hidden
 // global state.
 var randConstructors = setOf("New", "NewSource", "NewZipf", "NewPCG", "NewChaCha8")
+
+func setOf(names ...string) map[string]bool {
+	m := make(map[string]bool, len(names))
+	for _, n := range names {
+		m[n] = true
+	}
+	return m
+}
 
 func runDeterminism(pass *Pass) error {
 	if !isDeterministicPkg(pass.Pkg.Path()) {
@@ -141,6 +150,10 @@ func orderInsensitiveBlock(pass *Pass, file *ast.File, rng *ast.RangeStmt, stmts
 //     slices.Sort* call re-canonicalises keys
 //   - if <cond> { <allowed forms> }     guarded versions of the above
 //   - continue
+//
+// The operand of n += k and the condition of an if may call only builtins
+// and conversions: any other call (a draw from a seeded stream, say) has
+// a side effect or result that pairs with the keys in map order.
 func orderInsensitiveStmt(pass *Pass, file *ast.File, rng *ast.RangeStmt, s ast.Stmt) bool {
 	switch s := s.(type) {
 	case *ast.ExprStmt:
@@ -155,7 +168,7 @@ func orderInsensitiveStmt(pass *Pass, file *ast.File, rng *ast.RangeStmt, s ast.
 	case *ast.AssignStmt:
 		return orderInsensitiveAssign(pass, file, rng, s)
 	case *ast.IfStmt:
-		if s.Init != nil || s.Else != nil {
+		if s.Init != nil || s.Else != nil || !callsOnlyBuiltins(pass, s.Cond) {
 			return false
 		}
 		return orderInsensitiveBlock(pass, file, rng, s.Body.List)
@@ -172,7 +185,7 @@ func orderInsensitiveAssign(pass *Pass, file *ast.File, rng *ast.RangeStmt, s *a
 	lhs, rhs := s.Lhs[0], s.Rhs[0]
 	switch s.Tok.String() {
 	case "+=", "-=", "|=", "&=", "^=":
-		return isIntegerExpr(pass, lhs)
+		return isIntegerExpr(pass, lhs) && callsOnlyBuiltins(pass, rhs)
 	case "=":
 		// Idempotent constant store (`found = true`).
 		if tv, ok := pass.TypesInfo.Types[rhs]; ok && tv.Value != nil {
@@ -181,6 +194,20 @@ func orderInsensitiveAssign(pass *Pass, file *ast.File, rng *ast.RangeStmt, s *a
 		return sortedAppend(pass, file, rng, lhs, rhs)
 	}
 	return false
+}
+
+// callsOnlyBuiltins reports whether every call in e is a builtin (len,
+// min, ...) or a type conversion.
+func callsOnlyBuiltins(pass *Pass, e ast.Expr) bool {
+	ok := true
+	ast.Inspect(e, func(n ast.Node) bool {
+		if call, isCall := n.(*ast.CallExpr); isCall {
+			tv := pass.TypesInfo.Types[call.Fun]
+			ok = ok && (tv.IsBuiltin() || tv.IsType())
+		}
+		return ok
+	})
+	return ok
 }
 
 func isIntegerExpr(pass *Pass, e ast.Expr) bool {

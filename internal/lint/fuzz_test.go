@@ -11,15 +11,15 @@ import (
 // (the "directive" finding collectDirectives reports) and no rule —
 // never both, never neither.
 func FuzzDirective(f *testing.F) {
-	f.Add("//egdlint:allow mpitag peer half lives in the launcher binary")
 	f.Add("//egdlint:allow determinism wall-clock is display-only here")
 	f.Add("//egdlint:allow")
 	f.Add("//egdlint:allow ")
-	f.Add("//egdlint:allow mpicollective")
+	f.Add("//egdlint:allow determinism")
 	f.Add("//egdlint:allow nosuchrule because reasons")
-	f.Add("//egdlint:allow\t\tmpitag odd spacing")
+	f.Add("//egdlint:allow\t\tdeterminism odd spacing")
 	f.Add("//egdlint:allow \x00 binary junk \xff")
-	f.Add("//egdlint:allowmpitag no space after prefix")
+	f.Add("//egdlint:allowdeterminism no space after prefix")
+	f.Add("//egdlint:allow mpitag names an analyzer that was deleted")
 	f.Fuzz(func(t *testing.T, text string) {
 		known := knownRules()
 		rule, problem, ok := parseDirective(text, known)

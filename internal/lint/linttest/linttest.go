@@ -5,10 +5,8 @@
 //
 // Fixture packages live in a self-contained module (testdata/src/go.mod,
 // module "fixtures") so the loader resolves them with the ordinary go
-// tooling; the fake fixtures/mpi package stands in for repro/internal/mpi,
-// which the analyzers match structurally (package name + type name)
-// rather than by import path. //egdlint:allow directives are honoured,
-// so negative fixtures exercise the suppression path too.
+// tooling. //egdlint:allow directives are honoured, so negative fixtures
+// exercise the suppression path too.
 package linttest
 
 import (

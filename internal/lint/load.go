@@ -13,7 +13,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strings"
 )
 
 // Package is one loaded, parsed, and type-checked target package.
@@ -32,7 +31,6 @@ type listedPackage struct {
 	ImportPath string
 	Name       string
 	Dir        string
-	ForTest    string // set on test variants: the import path under test
 	GoFiles    []string
 	Export     string
 	DepOnly    bool
@@ -45,27 +43,11 @@ type listedPackage struct {
 // so loading works offline and never re-type-checks dependencies —
 // the same strategy x/tools' unitchecker uses under `go vet`.
 //
-// Only non-test GoFiles are loaded: the invariants egdlint enforces
-// protect the simulation's production ranks; tests exercise the fault
-// paths with patterns (bare literals, discarded results) the analyzers
-// would have to special-case. LoadTests opts test files in for the
-// analyzers whose findings are hangs rather than style.
+// Only non-test GoFiles are loaded: the invariant egdlint enforces
+// protects the simulation's trajectories, and tests measure wall-clock
+// time and iterate maps on purpose.
 func Load(dir string, patterns []string) (*token.FileSet, []*Package, error) {
-	return load(dir, patterns, false)
-}
-
-// LoadTests is Load in test mode: `go list -test` adds each package's
-// in-package test variant (production files plus TestGoFiles, compiled
-// as one package), and those variants replace the plain packages as
-// targets. External _test packages are skipped — their imports resolve
-// against test-variant export data the offline loader does not build —
-// and this repo keeps its test files in-package.
-func LoadTests(dir string, patterns []string) (*token.FileSet, []*Package, error) {
-	return load(dir, patterns, true)
-}
-
-func load(dir string, patterns []string, tests bool) (*token.FileSet, []*Package, error) {
-	listed, err := goList(dir, patterns, tests)
+	listed, err := goList(dir, patterns)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -77,31 +59,11 @@ func load(dir string, patterns []string, tests bool) (*token.FileSet, []*Package
 			return nil, nil, fmt.Errorf("lint: go list: %s: %s", p.ImportPath, p.Error.Err)
 		}
 		if p.Export != "" {
-			// A test variant's ImportPath carries a " [pkg.test]" suffix;
-			// imports in source always name the plain path, so key by it and
-			// keep the plain package's export when both appear.
-			key, _, isVariant := strings.Cut(p.ImportPath, " [")
-			if _, dup := exports[key]; !dup || !isVariant {
-				exports[key] = p.Export
-			}
+			exports[p.ImportPath] = p.Export
 		}
-		if p.DepOnly {
-			continue
+		if !p.DepOnly {
+			targets = append(targets, p)
 		}
-		if tests {
-			// Keep only in-package test variants (ForTest set, package name
-			// without the _test suffix): they hold the TestGoFiles.
-			if p.ForTest == "" || strings.HasSuffix(p.Name, "_test") || strings.HasSuffix(p.ImportPath, ".test") {
-				continue
-			}
-			variant := *p
-			if i := strings.Index(variant.ImportPath, " ["); i >= 0 {
-				variant.ImportPath = variant.ImportPath[:i]
-			}
-			targets = append(targets, &variant)
-			continue
-		}
-		targets = append(targets, p)
 	}
 
 	fset := token.NewFileSet()
@@ -128,15 +90,12 @@ func load(dir string, patterns []string, tests bool) (*token.FileSet, []*Package
 	return fset, pkgs, nil
 }
 
-func goList(dir string, patterns []string, tests bool) ([]*listedPackage, error) {
-	args := []string{
+func goList(dir string, patterns []string) ([]*listedPackage, error) {
+	args := append([]string{
 		"list", "-e", "-export", "-deps",
-		"-json=ImportPath,Name,Dir,ForTest,GoFiles,Export,DepOnly,Error",
-	}
-	if tests {
-		args = append(args, "-test")
-	}
-	args = append(append(args, "--"), patterns...)
+		"-json=ImportPath,Name,Dir,GoFiles,Export,DepOnly,Error",
+		"--",
+	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer

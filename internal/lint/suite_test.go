@@ -17,27 +17,6 @@ func needGo(t *testing.T) {
 	}
 }
 
-func TestMPIErrCheck(t *testing.T) {
-	needGo(t)
-	linttest.Run(t, lint.MPIErrCheck, "errcheck")
-}
-
-func TestMPICollective(t *testing.T) {
-	needGo(t)
-	linttest.Run(t, lint.MPICollective, "collective")
-}
-
-func TestMPITag(t *testing.T) {
-	needGo(t)
-	linttest.Run(t, lint.MPITag, "tag", "tagpair", "wirekind")
-}
-
-func TestPkgDoc(t *testing.T) {
-	needGo(t)
-	linttest.Run(t, lint.PkgDoc,
-		"pkgdoc/missing", "pkgdoc/wrongform", "pkgdoc/good", "pkgdoc/mainmissing")
-}
-
 func TestDeterminism(t *testing.T) {
 	needGo(t)
 	old := lint.DeterministicPaths

@@ -75,3 +75,23 @@ func annotated(m map[string]int) {
 		fmt.Println(k)
 	}
 }
+
+// Integer addition commutes, but each draw from a stream pairs with the
+// key map order hands it: both the sum and the count depend on the order.
+func streamDrawsPairWithKeys(m map[string]int, src *rand.Rand, p float64) int {
+	n := 0
+	for _, v := range m { // want `map iteration order feeds computation in a deterministic package`
+		n += src.Intn(v)
+	}
+	for range m { // want `map iteration order feeds computation in a deterministic package`
+		if src.Float64() < p {
+			n++
+		}
+	}
+	for k, v := range m { // builtins and conversions call nothing order-sensitive
+		if len(k) > int(uint8(v)) {
+			n += len(k) + int(int32(v))
+		}
+	}
+	return n
+}

@@ -7,13 +7,14 @@
 //
 //   - Send is buffered (never blocks); Recv blocks until a matching message
 //     (by source and tag, with wildcards) arrives. Messages from the same
-//     (source, tag) pair are non-overtaking; the engine's point-to-point
-//     fitness returns (the paper's torus traffic) ride on this pair.
+//     (source, tag) pair are non-overtaking, which the collectives below
+//     rely on.
 //   - Bcast, Reduce, Gather, and Barrier are collectives implemented over
 //     point-to-point messages (binomial trees for Bcast, Reduce and
 //     Barrier), modelling the Blue Gene collective network the paper uses
-//     for pair-selection announcements and global strategy updates (the
-//     engine here broadcasts only Nature's verdict on them; see DESIGN.md).
+//     for pair-selection announcements and global strategy updates. The
+//     engine enters only Gather, Bcast and, at a stop, Barrier: a worker's
+//     cells go to Nature and Nature's verdict comes back (see DESIGN.md).
 //
 // With World.EnableMetrics the runtime counts messages and bytes per rank
 // and tag and times each collective (metrics.go); the engine reports the

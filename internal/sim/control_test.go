@@ -5,7 +5,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/mpi"
 	"repro/internal/strategy"
 )
 
@@ -125,6 +127,39 @@ func TestControlStopAndResumeParallel(t *testing.T) {
 		if full.FinalFitness[i] != resumed.FinalFitness[i] {
 			t.Fatalf("final fitness %d differs after parallel stop/resume", i)
 		}
+	}
+}
+
+// A rank that fails at the stop's Barrier fails the run: the error names the
+// rank and carries its fault, rather than reading as the stop. The receive
+// deadline bounds the wait should a rank drop the barrier's error.
+func TestControlStopBarrierFailureSurfaces(t *testing.T) {
+	cfg := testConfig(1, 6, 60)
+	cfg.Seed = 82
+	cfg.FullRecompute = true
+	cfg.RecvTimeout = 2 * time.Second
+	stops := 0
+	cfg.Control = stopAfter(40, &stops)
+	if err := checkParallel(&cfg, 3); err != nil {
+		t.Fatal(err)
+	}
+	world := mpi.NewWorld(3)
+	if _, err := runWorld(cfg, world, world.Run); !errors.Is(err, ErrStopped) {
+		t.Fatalf("stopped run error = %v, want ErrStopped", err)
+	}
+	// Rank 1's last collective is the stop's Barrier, after a Gather and a
+	// Bcast at each of the 41 meetings: number 83.
+	barrier := world.RankCollectives(1)
+
+	cfg.FaultPlan = mpi.NewFaultPlan().FailCollective(1, barrier)
+	world = mpi.NewWorld(3)
+	_, err := runWorld(cfg, world, world.Run)
+	var rf *mpi.RankFailedError
+	if !errors.Is(err, mpi.ErrInjectedFault) || !errors.As(err, &rf) || rf.Rank != 1 {
+		t.Fatalf("error = %v, want rank 1's injected fault at collective %d", err, barrier)
+	}
+	if !cfg.FaultPlan.Faults()[0].Fired() {
+		t.Fatal("the barrier fault never fired")
 	}
 }
 
