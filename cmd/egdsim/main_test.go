@@ -221,8 +221,8 @@ func TestRunReportsOutputWriteFailure(t *testing.T) {
 }
 
 // The payoff table needs no flag: a default-mode run with -metrics prints its
-// hit line, a noisy one (no table) does not, and the science output is the
-// same with metrics on or off.
+// hit line, a noisy one and an error-free mixed one (keyed by SSet) do not,
+// and the science output is the same with metrics on or off.
 func TestRunPayoffCacheSmoke(t *testing.T) {
 	dir := t.TempDir()
 	capture := func(extra ...string) string {
@@ -244,6 +244,12 @@ func TestRunPayoffCacheSmoke(t *testing.T) {
 	}
 	if noisy := capture("-error", "0.01", "-metrics", filepath.Join(dir, "n.json")); strings.Contains(noisy, "payoff cache:") {
 		t.Errorf("noisy run reports a payoff table:\n%s", noisy)
+	}
+	if mixed := capture("-mixed", "-metrics", filepath.Join(dir, "x.json")); strings.Contains(mixed, "payoff cache:") {
+		t.Errorf("error-free mixed run, keyed by SSet, reports cache stats:\n%s", mixed)
+	}
+	if m, err := os.ReadFile(filepath.Join(dir, "x.json")); err != nil || strings.Contains(string(m), "egd_payoff_cache") {
+		t.Errorf("error-free mixed run's metrics (%v) carry payoff cache series:\n%s", err, m)
 	}
 	// The science output (final fitness, cooperation, abundance) must be
 	// byte-identical with and without metrics; strip the metrics-only lines

@@ -69,12 +69,10 @@ func (m CostModel) EstimateSeconds(cfg sim.Config) float64 {
 	return games * perMatch
 }
 
-// cacheablePayoffs mirrors the engine's cacheability contract
-// (docs/KERNEL.md) at the config level: exact-mode payoffs are always
-// memoizable; sampled matches are memoizable when error-free and the
-// strategy kind is deterministic. An error-free mixed run keeps a table too —
-// degenerate strategies hit — but admission must not assume a discount for
-// pairs the engine will bypass.
+// cacheablePayoffs mirrors the engine's keying rule (docs/KERNEL.md) at the
+// config level: exact-mode payoffs are always served by type; sampled
+// matches are when error-free and the strategy kind is deterministic. Any
+// other run keys its table by SSet and gets no discount.
 func cacheablePayoffs(cfg sim.Config) bool {
 	return cfg.ExactPayoffs || (cfg.Kind == sim.PureStrategies && cfg.Rules.ErrorRate == 0)
 }

@@ -28,6 +28,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/analysis"
@@ -174,9 +175,9 @@ type Config struct {
 
 	// prior is the run before StartGeneration, set only by ResumeFrom.
 	prior priorRun
-	// referenceKernel evaluates every scheduled match, with no payoff table:
-	// the reference the bit-parity tests compare the one production kernel
-	// against. No Spec field, flag or front end reaches it.
+	// referenceKernel keys the payoff table by SSet whatever the run: the
+	// reference the bit-parity tests hold a run served by type to. No Spec
+	// field, flag or front end reaches it.
 	referenceKernel bool
 	// skewRank, when non-zero, makes the worker at that rank report
 	// one game more than it played at the end of the window: a drifted view,
@@ -270,6 +271,9 @@ func (c *Config) Validate() error {
 	if c.StartGeneration < 0 {
 		return fmt.Errorf("sim: negative start generation %d", c.StartGeneration)
 	}
+	if c.Generations > math.MaxInt-c.StartGeneration {
+		return fmt.Errorf("sim: %d generations from generation %d end past the largest int", c.Generations, c.StartGeneration)
+	}
 	if c.CheckpointEvery < 0 {
 		return fmt.Errorf("sim: negative checkpoint interval %d", c.CheckpointEvery)
 	}
@@ -285,7 +289,7 @@ func (c *Config) Validate() error {
 	if c.ExactPayoffs {
 		// Probe exact-mode computability once, up front: a job whose Markov
 		// analysis cannot run (rules the chain solver rejects) must fail
-		// validation here rather than surface mid-run from payoffKernel.play.
+		// validation here rather than surface mid-run from payoffTable.play.
 		sp := strategy.NewSpace(c.Memory)
 		probe := strategy.AllC(sp)
 		if _, _, err := analysis.NewSolver(sp).Payoff(c.Rules.Payoff, probe, probe, c.Rules.ErrorRate); err != nil {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/game"
@@ -26,6 +27,8 @@ func TestValidateRejections(t *testing.T) {
 		func(c *Config) { c.Memory = 7 },
 		func(c *Config) { c.NumSSets = 1 },
 		func(c *Config) { c.Generations = -1 },
+		func(c *Config) { c.StartGeneration, c.Generations = math.MaxInt-10, 100 }, // the window's end overflows int
+		func(c *Config) { c.StartGeneration, c.Generations = 1, math.MaxInt },
 		func(c *Config) { c.PCRate = 1.5 },
 		func(c *Config) { c.PCRate = -0.1 },
 		func(c *Config) { c.Mu = 2 },
@@ -39,6 +42,11 @@ func TestValidateRejections(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
+	}
+	last := base
+	last.StartGeneration, last.Generations = math.MaxInt-10, 10 // ends at the last int
+	if err := last.Validate(); err != nil {
+		t.Errorf("a window ending at math.MaxInt: %v", err)
 	}
 }
 
@@ -55,17 +63,35 @@ func TestValidateDefaults(t *testing.T) {
 	}
 }
 
+// The game counts are uint64 on every GOARCH: at 50 000 SSets S×(S-1)
+// overflows a 32-bit int.
 func TestPopulationSizeAndGames(t *testing.T) {
-	cfg := DefaultConfig(1, 1024)
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Paper: agents per SSet = #SSets, so the population is S^2.
-	if cfg.PopulationSize() != 1024*1024 {
-		t.Fatalf("population = %d", cfg.PopulationSize())
-	}
-	if cfg.GamesPerGeneration() != 1024*1023 {
-		t.Fatalf("games = %d", cfg.GamesPerGeneration())
+	for _, tc := range []struct {
+		s             int
+		agents, games uint64
+	}{
+		{1024, 1024 * 1024, 1024 * 1023},
+		{50000, 2_500_000_000, 2_499_950_000},
+	} {
+		cfg := DefaultConfig(1, tc.s)
+		if err := checkParallel(&cfg, 3); err != nil {
+			t.Fatalf("S=%d: %v", tc.s, err)
+		}
+		// Paper: agents per SSet = #SSets, so the population is S^2.
+		if cfg.PopulationSize() != tc.agents {
+			t.Fatalf("S=%d: population = %d", tc.s, cfg.PopulationSize())
+		}
+		if cfg.GamesPerGeneration() != tc.games {
+			t.Fatalf("S=%d: games = %d", tc.s, cfg.GamesPerGeneration())
+		}
+		for _, changed := range []int{0, tc.s} {
+			if got := scheduledGames(tc.s, changed, changed == 0); got != tc.games {
+				t.Fatalf("S=%d: scheduledGames(%d changed) = %d, want %d", tc.s, changed, got, tc.games)
+			}
+		}
+		if got, want := scheduledGames(tc.s, 1, false), 2*uint64(tc.s-1); got != want {
+			t.Fatalf("S=%d: scheduledGames(1 changed) = %d, want %d", tc.s, got, want)
+		}
 	}
 }
 

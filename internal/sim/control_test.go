@@ -206,7 +206,7 @@ func TestExactModeErrorPropagatesInsteadOfPanicking(t *testing.T) {
 		t.Fatal("exact-mode analysis failure did not surface as an error")
 	}
 	if !strings.Contains(err.Error(), "exact payoff for pair") {
-		t.Fatalf("error = %v, want a payoffKernel.play exact-payoff error", err)
+		t.Fatalf("error = %v, want a payoffTable.play exact-payoff error", err)
 	}
 }
 

@@ -183,7 +183,7 @@ func TestObserverSeesEveryGeneration(t *testing.T) {
 }
 
 // TestPlacedStrategiesAreNeverWritten pins what adoption by reference, the
-// snapshots and the kernel's last-match memo all lean on: once a
+// snapshots and the table's last-match memo all lean on: once a
 // strategy value is placed in the population nothing writes into it. On both
 // engines an observer keeps a deep copy of every value it has ever seen
 // placed and compares all of them each generation; it also checks that an

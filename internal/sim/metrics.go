@@ -54,13 +54,11 @@ type PhaseStat struct {
 }
 
 // RankPhaseSnapshot is one rank's per-phase timing, phases sorted by name.
-// Cache carries the counters of the
-// rank's payoff table by strategy type, nil wherever no table is kept (noisy
-// sampled play). In a run served by type a worker's misses are the cells it
-// played, Nature's hits every scheduled game no worker had to play, so hits +
-// misses over the ranks is GamesPlayed. Keyed by SSet (error-free mixed
-// play), the workers' counters are their deterministic matches, and
-// Nature's are zero.
+// Cache carries the counters of the rank's payoff table in a run served by
+// type, and is nil when the table is keyed by SSet (noisy or mixed play). A
+// worker's misses are the cells it played, Nature's hits every scheduled
+// game no worker had to play, so hits + misses over the ranks is
+// GamesPlayed.
 type RankPhaseSnapshot struct {
 	Rank   int              `json:"rank"`
 	Phases []PhaseStat      `json:"phases,omitempty"`

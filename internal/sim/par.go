@@ -38,8 +38,8 @@ type verdict struct {
 // over a transport alike, so the bytes mpi counts are the message: the kind
 // byte — anything else arriving where a verdict is due is refused, not
 // misread — a flags byte with Stop at bit 0, three little-endian uint32
-// fields (Gen, the cell count and an unused zero: a run is far shorter than
-// 2^32 generations), then the cells as little-endian float64 bits.
+// fields (Gen's low 32 bits, the cell count and Gen's high 32 bits, zero
+// below generation 2^32), then the cells as little-endian float64 bits.
 const (
 	msgVerdict byte = 1
 	msgHeadLen      = 2 + 3*4
@@ -52,9 +52,10 @@ func (v verdict) encode() []byte {
 		flags = 1
 	}
 	b := append(make([]byte, 0, msgHeadLen+8*len(v.Cells)), msgVerdict, flags)
-	b = binary.LittleEndian.AppendUint32(b, uint32(v.Gen))
+	gen := uint64(v.Gen)
+	b = binary.LittleEndian.AppendUint32(b, uint32(gen))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(v.Cells)))
-	b = binary.LittleEndian.AppendUint32(b, 0)
+	b = binary.LittleEndian.AppendUint32(b, uint32(gen>>32))
 	for _, c := range v.Cells {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c))
 	}
@@ -70,9 +71,10 @@ func decodeVerdict(payload any, gen, cells int) (verdict, error) {
 	if !ok || len(b) < msgHeadLen || b[0] != msgVerdict {
 		return verdict{}, fmt.Errorf("sim: expected a verdict message, received %T %.14x", payload, b)
 	}
-	// Compared unsigned: converted first, a field past 2^31 would be
+	// Compared unsigned: converted first, a generation past 2^31 would be
 	// negative on a 32-bit int.
-	if g := binary.LittleEndian.Uint32(b[2:]); uint64(g) != uint64(gen) {
+	g := uint64(binary.LittleEndian.Uint32(b[10:]))<<32 | uint64(binary.LittleEndian.Uint32(b[2:]))
+	if g != uint64(gen) {
 		return verdict{}, fmt.Errorf("sim: verdict for generation %d received at generation %d", g, gen)
 	}
 	v := verdict{Gen: gen, Stop: b[1]&1 != 0}
@@ -170,7 +172,7 @@ func checkParallel(cfg *Config, ranks int) error {
 	if ranks < 2 {
 		return fmt.Errorf("sim: parallel engine needs >= 2 ranks (Nature + workers), got %d", ranks)
 	}
-	if games := cfg.NumSSets * (cfg.NumSSets - 1); ranks-1 > games {
+	if games := cfg.GamesPerGeneration(); uint64(ranks-1) > games {
 		return fmt.Errorf("sim: %d workers exceed %d games per generation", ranks-1, games)
 	}
 	return nil

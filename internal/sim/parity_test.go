@@ -120,6 +120,32 @@ func TestParallelParityFullRecompute(t *testing.T) {
 	assertSameTrajectory(t, seq, par)
 }
 
+// A window that crosses generation 2^32 runs in parallel as it does
+// sequentially: the verdict carries Gen's high 32 bits. Served by type the
+// first refresh and the end of the window meet; noisy, every adoption too.
+func TestParallelParityPastGeneration2To32(t *testing.T) {
+	start := uint64(1)<<32 - 2
+	if uint64(math.MaxInt) < start+5 {
+		t.Skip("int holds no generation past 2^32 here")
+	}
+	for _, noisy := range []bool{false, true} {
+		cfg := testConfig(1, 6, 5)
+		cfg.Seed, cfg.StartGeneration = 105, int(start)
+		if noisy {
+			cfg.Kind, cfg.Rules.ErrorRate, cfg.PCRate = MixedStrategies, 0.05, 1
+		}
+		seq, err := RunSequential(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := RunParallel(cfg, 3)
+		if err != nil {
+			t.Fatalf("noisy %v: %v", noisy, err)
+		}
+		assertSameTrajectory(t, seq, par)
+	}
+}
+
 func TestParallelParityHigherMemory(t *testing.T) {
 	cfg := testConfig(3, 6, 20)
 	cfg.Seed = 104

@@ -87,7 +87,7 @@ func TestRefreshChangedVisitsExactlyTheDirtyCells(t *testing.T) {
 					}
 				}
 			}
-			before := l.kern.stats
+			before := l.stats
 			games, err := l.refresh(3)
 			if err != nil {
 				t.Fatal(err)
@@ -119,7 +119,7 @@ func TestRefreshChangedVisitsExactlyTheDirtyCells(t *testing.T) {
 			if games != scheduled || !l.byType && len(l.cells) != int(scheduled) {
 				t.Fatalf("%s: the refresh counted %d games and played %d cells for %d scheduled cells", what, games, len(l.cells), scheduled)
 			}
-			if st := l.kern.cacheStats(pop); st != nil && st.Hits+st.Misses-before.Hits-before.Misses != games {
+			if st := l.cacheStats(pop); st != nil && st.Hits+st.Misses-before.Hits-before.Misses != games {
 				t.Fatalf("%s: %d hits + %d misses for %d games", what, st.Hits-before.Hits, st.Misses-before.Misses, games)
 			}
 			if sched := scheduledGames(s, len(pop.changed), false); games != sched {

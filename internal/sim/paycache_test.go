@@ -261,11 +261,12 @@ func TestPayoffCacheMetricsExport(t *testing.T) {
 	}
 }
 
-// TestKernelForgetsReclaimedID: when a type dies and its id is handed to a
+// TestTableForgetsReclaimedID: when a type dies and its id is handed to a
 // new behaviour, the cells the old owner filled must not answer for the new
 // one. AllC against AllD earns 0 a round; the TFT that takes AllC's id earns
-// 1 from the second round on. Removing the epoch stamp check serves the 0.
-func TestKernelForgetsReclaimedID(t *testing.T) {
+// 1 from the second round on. Removing listMissing's epoch stamp check
+// serves the 0.
+func TestTableForgetsReclaimedID(t *testing.T) {
 	cfg := testConfig(1, 2, 0)
 	sp := strategy.NewSpace(1)
 	cfg.InitialStrategies = []strategy.Strategy{strategy.AllC(sp), strategy.AllD(sp)}
@@ -284,8 +285,8 @@ func TestKernelForgetsReclaimedID(t *testing.T) {
 	}
 	refresh()
 	refresh()
-	if l.cell(0, 1) != 0 || l.kern.stats != (game.CacheStats{Hits: 2, Misses: 2}) {
-		t.Fatalf("AllC against AllD pays %v with %+v, want 0 from 2 misses then 2 hits", l.cell(0, 1), l.kern.stats)
+	if l.cell(0, 1) != 0 || l.stats != (game.CacheStats{Hits: 2, Misses: 2}) {
+		t.Fatalf("AllC against AllD pays %v with %+v, want 0 from 2 misses then 2 hits", l.cell(0, 1), l.stats)
 	}
 	old := pop.typ[0]
 	pop.SetStrategy(0, strategy.TFT(sp))
@@ -301,8 +302,8 @@ func TestKernelForgetsReclaimedID(t *testing.T) {
 	if l.cell(0, 1) != plain.cell(0, 1) || l.cell(1, 0) != plain.cell(1, 0) || plain.cell(0, 1) == 0 {
 		t.Fatalf("payoffs %v, %v after the id changed hands, want the replayed %v, %v", l.cell(0, 1), l.cell(1, 0), plain.cell(0, 1), plain.cell(1, 0))
 	}
-	if l.kern.stats.Misses != 4 {
-		t.Fatalf("%+v: both cells of the reclaimed id must be played again", l.kern.stats)
+	if l.stats.Misses != 4 {
+		t.Fatalf("%+v: both cells of the reclaimed id must be played again", l.stats)
 	}
 }
 

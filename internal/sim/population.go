@@ -34,7 +34,7 @@ type Population struct {
 	// no dead one is left to reclaim, so ids stay below Size(). A dead type
 	// stays resolvable through ids until its id is reclaimed: a behaviour
 	// that comes back before then gets its old id, and with it whatever a
-	// payoffKernel holds for it.
+	// payoffTable holds for it.
 	typ   []int32
 	types []popType
 	ids   map[strategy.Fingerprint]int32
@@ -45,7 +45,6 @@ type Population struct {
 type popType struct {
 	fp    strategy.Fingerprint
 	count int    // SSets holding it now
-	det   bool   // strategy.IsDeterministic
 	epoch uint32 // bumped each time the id is handed to a new fingerprint
 }
 
@@ -105,7 +104,7 @@ func (p *Population) intern(s strategy.Strategy) int32 {
 		p.free = slices.DeleteFunc(p.free, func(f int32) bool { return f == id })
 	}
 	if !known {
-		t := popType{fp: fp, det: strategy.IsDeterministic(s)}
+		t := popType{fp: fp}
 		if n := len(p.free); n > 0 {
 			id, p.free = p.free[n-1], p.free[:n-1]
 			delete(p.ids, p.types[id].fp)

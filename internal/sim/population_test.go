@@ -403,7 +403,7 @@ func checkTypeTable(t *testing.T, step string, p *Population) {
 		if !ok || id < 0 || int(id) >= len(p.types) {
 			t.Fatalf("%s: SSet %d has type id %d (fingerprint known: %v)", step, i, id, ok)
 		}
-		if ty := p.types[id]; ty.fp != fp || ty.det != strategy.IsDeterministic(st) || p.ids[fp] != id {
+		if ty := p.types[id]; ty.fp != fp || p.ids[fp] != id {
 			t.Fatalf("%s: SSet %d: id %d is %+v (index says %d), strategy fingerprints to %v", step, i, id, ty, p.ids[fp], fp)
 		}
 		fps[i] = fp

@@ -64,7 +64,7 @@ type parRank struct {
 
 func newParRank(cfg *Config, c *mpi.Comm) *parRank {
 	r := &parRank{nature: newNature(cfg), payoffTable: newPayoffTable(cfg), c: c}
-	r.src, r.quiet, r.base = r, c.Rank() != 0, r.res.Counters
+	r.src, r.quiet, r.worker, r.base = r, c.Rank() != 0, c.Rank() != 0, r.res.Counters
 	return r
 }
 
@@ -84,12 +84,11 @@ func (r *parRank) run() error {
 
 // refresh brings the table up to date for generation gen: the scheduled
 // games are the closed form every rank derives alike, and a meeting fills
-// whatever cells the changed SSets' keys lack. Nature books every scheduled
-// game no worker played as a hit.
+// whatever cells the changed SSets' keys lack.
 func (r *parRank) refresh(gen int) (uint64, error) {
 	scheduled := r.listMissing(r.cfg, r.pop)
 	if len(r.cells) > 0 || gen%r.cfg.SampleStride == 0 && boundedDrift(r.cfg) {
-		part, err := r.play(gen)
+		part, err := r.playShare(gen)
 		if err == nil {
 			_, err = r.meet(gen, part)
 		}
@@ -97,15 +96,12 @@ func (r *parRank) refresh(gen int) (uint64, error) {
 			return scheduled, err
 		}
 	}
-	if r.c.Rank() == 0 {
-		r.kern.stats.Hits += scheduled - uint64(len(r.cells))
-	}
 	return scheduled, nil
 }
 
-// play evaluates a worker's share of the missing cells from generation gen's
-// streams. Nature plays none.
-func (r *parRank) play(gen int) (any, error) {
+// playShare plays a worker's share of the missing cells from generation
+// gen's streams. Nature plays none.
+func (r *parRank) playShare(gen int) (any, error) {
 	if r.c.Rank() == 0 {
 		return nil, nil
 	}
@@ -184,7 +180,7 @@ func (r *parRank) finalize() error {
 	}}
 	if r.cfg.Metrics {
 		mine.RankPhaseSnapshot = r.pt.snapshot(r.c.Rank())
-		mine.Cache = r.kern.cacheStats(r.pop)
+		mine.Cache = r.cacheStats(r.pop)
 	}
 	var part any
 	if r.c.Rank() != 0 {

@@ -33,7 +33,7 @@ func RunSequential(cfg Config) (*Result, error) {
 	res.Elapsed = time.Since(start) //egdlint:allow determinism elapsed-time metadata, not part of the trajectory
 	if cfg.Metrics {
 		snap := n.pt.snapshot(0)
-		snap.Cache = local.kern.cacheStats(n.pop)
+		snap.Cache = local.cacheStats(n.pop)
 		res.Metrics = &RunMetrics{Phases: []RankPhaseSnapshot{snap}}
 		if cfg.EventLog != nil {
 			cfg.EventLog.Append(trace.Event{Kind: trace.EventMetrics, Generation: n.end, Rank: 0,
@@ -59,7 +59,6 @@ func (l *localSource) refresh(gen int) (uint64, error) {
 		return scheduled, err
 	}
 	l.install(l.cells, vals)
-	l.kern.stats.Hits += scheduled - uint64(len(l.cells))
 	l.pt.end(PhaseGamePlay, tg)
 	return scheduled, nil
 }

@@ -30,7 +30,7 @@ func missingCells(tb *payoffTable) map[[2]int32]bool {
 // through a table keyed by type, one keyed by SSet and one keyed by SSet
 // under FullRecompute, and after every refresh's listing checks that each
 // listed cell (a, b), a != b, whose mirror (b, a) is listed too sits right
-// next to it — so the kernel settles a pure pair's second cell from the
+// next to it — so play settles a pure pair's second cell from the
 // first's match — and that the listed set is exactly the cells the table
 // lacks, each once.
 func TestListMissingKeepsMirrorsAdjacent(t *testing.T) {

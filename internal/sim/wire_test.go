@@ -14,12 +14,16 @@ import (
 )
 
 func TestVerdictRoundTrip(t *testing.T) {
-	for _, v := range []verdict{
+	verdicts := []verdict{
 		{},
 		{Gen: 1 << 20, Stop: true},
 		{Gen: math.MaxInt32}, // the highest an int holds on every GOARCH
 		{Gen: 7, Cells: []float64{1, 2.5, 0, math.Inf(1)}},
-	} {
+	}
+	if past := uint64(1)<<32 + 3; uint64(math.MaxInt) >= past { // the high word, where int has one
+		verdicts = append(verdicts, verdict{Gen: int(past), Cells: []float64{2}}, verdict{Gen: math.MaxInt, Stop: true})
+	}
+	for _, v := range verdicts {
 		b := v.encode()
 		if len(b) != 14+8*len(v.Cells) {
 			t.Fatalf("%+v encodes to %d bytes, want %d", v, len(b), 14+8*len(v.Cells))
@@ -64,7 +68,7 @@ func TestEngineMessageRejections(t *testing.T) {
 		{"verdict for a later generation", "verdict", with(ver, setField(0, math.MaxUint32)), "verdict for generation 4294967295 received at generation 5"},
 		{"stop for another generation", "verdict", verdict{Gen: 6, Stop: true}.encode(), "verdict for generation 6 received at generation 5"},
 		{"a cell count without cells", "verdict", with(ver, setField(1, 1)), "is not the 14-byte encoding"},
-		{"second unused field set", "verdict", with(ver, setField(2, 8)), "is not the 14-byte encoding"},
+		{"generation's high word set", "verdict", with(ver, setField(2, 8)), "verdict for generation 34359738373 received at generation 5"},
 		{"unknown flag", "verdict", with(ver, func(b []byte) []byte { b[1] |= 2; return b }), "is not the 14-byte encoding"},
 		{"unknown high flag", "verdict", with(ver, func(b []byte) []byte { b[1] |= 0x80; return b }), "encoding"},
 		{"trailing byte", "verdict", append(append([]byte(nil), ver...), 0), "verdict of 15 bytes"},
@@ -76,7 +80,7 @@ func TestEngineMessageRejections(t *testing.T) {
 		{"cells where none are missing", "verdict", cel, "verdict with 2 cells received at generation 5, which misses 0"},
 		{"cells aboard a stop", "cells", verdict{Gen: 5, Stop: true, Cells: []float64{1, 3}}.encode(), "verdict with 2 cells received at generation 5, which misses 0"},
 		{"cell count field off", "cells", with(cel, setField(1, 3)), "encoding"},
-		{"cells' unused field set", "cells", with(cel, setField(2, 1)), "encoding"},
+		{"cells' generation 2^32 later", "cells", with(cel, setField(2, 1)), "verdict for generation 4294967301 received at generation 5"},
 		{"half a cell", "cells", cel[:len(cel)-4], "encoding"},
 	} {
 		err := decoders[tc.decoder](tc.payload)
