@@ -434,6 +434,89 @@ func TestNetShutdownBoundedByLinger(t *testing.T) {
 	}
 }
 
+// Linger bounds only a peer that stays connected and silent: a peer whose
+// connection ends before it acknowledges the goodbye can no longer ack, and
+// Shutdown returns when the connection fails, not when Linger runs out.
+// Rank 1 is a stand-in that completes the handshake, reads up to rank 0's
+// goodbye, and hangs up without the ack.
+func TestNetShutdownEndsWhenThePeerHangsUp(t *testing.T) {
+	cfgs := netMesh(t, 2)
+	cfgs[0].Linger = 10 * time.Second
+	trs := newNetTransports(t, cfgs)
+	ln, err := net.Listen("unix", cfgs[1].Addrs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, err := readFrame(conn); err != nil {
+			return
+		}
+		if err := trs[1].writeHandshake(conn, frameWelcome); err != nil {
+			return
+		}
+		for {
+			if f, err := readFrame(conn); err != nil || f.Kind == frameGoodbye {
+				return
+			}
+		}
+	}()
+
+	w := NewNetWorld(trs[0])
+	if err := trs[0].Start(); err != nil {
+		t.Fatalf("rank 0 start: %v", err)
+	}
+	var bodyEnd time.Time
+	if err := w.RunLocal(func(*Comm) error {
+		bodyEnd = time.Now()
+		return nil
+	}); err != nil {
+		t.Fatalf("rank 0: %v", err)
+	}
+	if took := time.Since(bodyEnd); took > time.Second {
+		t.Errorf("Shutdown took %v after the peer hung up unacked (Linger %v): the drain waited out Linger", took, cfgs[0].Linger)
+	}
+}
+
+// A rank blocked in Start on a lower rank that never dials wakes when its
+// transport closes: Start fails at once instead of spending the startup
+// budget.
+func TestNetStartWakesOnClose(t *testing.T) {
+	cfgs := netMesh(t, 2)
+	trs := newNetTransports(t, cfgs)
+	NewNetWorld(trs[1])
+	started := make(chan error, 1)
+	go func() { started <- trs[1].Start() }()
+	// Rank 1 dials no one, so once it listens it is waiting for rank 0.
+	for {
+		conn, err := net.Dial("unix", cfgs[1].Addrs[1])
+		if err == nil {
+			conn.Close()
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond)
+	begin := time.Now()
+	trs[1].close()
+	select {
+	case err := <-started:
+		if err == nil || !strings.Contains(err.Error(), "transport closed while wiring mesh") {
+			t.Fatalf("Start = %v, want the transport-closed error", err)
+		}
+		if took := time.Since(begin); took > time.Second {
+			t.Errorf("Start returned %v after close, want well under a second", took)
+		}
+	case <-time.After(DefaultStartupBudget / 2):
+		t.Fatal("Start still waiting on a closed transport")
+	}
+}
+
 // A data frame whose payload does not decode is a protocol violation by a
 // peer the handshake admitted as speaking this codec: the frame was acked, so
 // it will never be resent, and the receiver must not wait for it. Rank 1 is a

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -130,6 +131,7 @@ func NewNetTransport(cfg NetConfig) (*NetTransport, error) {
 			continue
 		}
 		t.peers[r] = &peer{t: t, rank: r}
+		t.peers[r].changed.L = &t.peers[r].mu
 	}
 	return t, nil
 }
@@ -164,21 +166,16 @@ func (t *NetTransport) Start() error {
 	t.wg.Add(1)
 	go t.acceptLoop()
 
+	// Dial every higher rank at once; the first dial error fails Start.
 	errCh := make(chan error, t.cfg.Size)
-	var dials sync.WaitGroup
 	for r := t.cfg.Self + 1; r < t.cfg.Size; r++ {
-		dials.Add(1)
-		go func(p *peer) {
-			defer dials.Done()
-			errCh <- p.dial()
-		}(t.peers[r])
+		go func() { errCh <- t.peers[r].dial() }()
 	}
-	dials.Wait()
-	close(errCh)
-	for e := range errCh {
-		if e != nil {
-			return e
-		}
+	for r := t.cfg.Self + 1; r < t.cfg.Size; r++ {
+		err = cmp.Or(err, <-errCh)
+	}
+	if err != nil {
+		return err
 	}
 	// Wait for every lower rank to dial in.
 	deadline := time.Now().Add(DefaultStartupBudget)
@@ -332,19 +329,22 @@ func (t *NetTransport) close() {
 		return
 	}
 	close(t.stopCh)
-	if t.ln != nil {
-		t.ln.Close()
-	}
+	// Wake the peers first. That ends a Start waiting on one of them, and
+	// taking its lock orders the listener and wait group Start set up
+	// before the reads below.
 	for _, p := range t.peers {
 		if p == nil {
 			continue
 		}
-		p.mu.Lock()
-		if p.conn != nil {
-			p.conn.Close()
-			p.conn = nil
-		}
-		p.mu.Unlock()
+		p.update(func() {
+			if p.conn != nil {
+				p.conn.Close()
+				p.conn = nil
+			}
+		})
+	}
+	if t.ln != nil {
+		t.ln.Close()
 	}
 	t.wg.Wait()
 	if t.cfg.Network == "unix" {
@@ -359,10 +359,13 @@ type peer struct {
 	rank int
 
 	// wmu keeps frames whole and in send order on the stream; mu guards
-	// the rest and is never held across socket I/O.
-	wmu  sync.Mutex
-	mu   sync.Mutex
-	conn net.Conn
+	// the rest and is never held across socket I/O. changed, on mu, is
+	// broadcast whenever conn or a flag below changes and when the
+	// transport closes: every wait on the peer (await) wakes on it.
+	wmu     sync.Mutex
+	mu      sync.Mutex
+	changed sync.Cond
+	conn    net.Conn
 	// connected: the mesh wired this peer. done: it said goodbye. acked:
 	// it acknowledged this rank's goodbye. lost: it failed.
 	connected bool
@@ -373,22 +376,39 @@ type peer struct {
 
 // waitConnected blocks until the peer's connection has been installed —
 // has been, not is: a peer with nothing to wait for may dial in, run its
-// whole body, say goodbye and hang up between two polls.
+// whole body, say goodbye and hang up before this side looks.
 func (p *peer) waitConnected(deadline time.Time) error {
+	switch {
+	case p.await(deadline, func() bool { return p.connected }):
+		return nil
+	case p.t.closed.Load():
+		return errors.New("mpi: transport closed while wiring mesh")
+	}
+	return fmt.Errorf("mpi: rank %d never connected within the startup budget", p.rank)
+}
+
+// await blocks until ready, evaluated under mu, holds, the transport
+// closes, or deadline passes, and reports whether ready holds. It wakes on
+// the event itself: every change ready can see is broadcast on changed, and
+// a timer broadcasts the deadline.
+func (p *peer) await(deadline time.Time, ready func() bool) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for !p.connected {
-		if p.t.closed.Load() {
-			return errors.New("mpi: transport closed while wiring mesh")
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("mpi: rank %d never connected within the startup budget", p.rank)
-		}
-		p.mu.Unlock()
-		time.Sleep(5 * time.Millisecond)
-		p.mu.Lock()
+	expired := false
+	timer := time.AfterFunc(time.Until(deadline), func() { p.update(func() { expired = true }) })
+	defer timer.Stop()
+	for !ready() && !expired && !p.t.closed.Load() {
+		p.changed.Wait()
 	}
-	return nil
+	return ready()
+}
+
+// update applies change under mu and wakes every wait on the peer.
+func (p *peer) update(change func()) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	change()
+	p.changed.Broadcast()
 }
 
 // dial connects to the peer within DefaultStartupBudget, performing the
@@ -456,6 +476,7 @@ func (p *peer) install(conn net.Conn) {
 		return
 	}
 	p.conn, p.connected = conn, true
+	p.changed.Broadcast()
 	p.mu.Unlock()
 	p.t.wg.Add(1)
 	go func() {
@@ -499,11 +520,11 @@ func (p *peer) write(conn net.Conn, f *frame) error {
 // aborts naming it.
 func (p *peer) fail(conn net.Conn, cause error) {
 	conn.Close()
-	p.mu.Lock()
-	p.conn = nil
-	lost := !p.done && !p.lost && !p.t.closed.Load()
-	p.lost = p.lost || lost
-	p.mu.Unlock()
+	var lost bool
+	p.update(func() {
+		p.conn, lost = nil, !p.done && !p.lost && !p.t.closed.Load()
+		p.lost = p.lost || lost
+	})
 	if lost {
 		p.t.world.peerLost(p.rank, cause)
 	}
@@ -515,13 +536,7 @@ func (p *peer) fail(conn net.Conn, cause error) {
 // said goodbye itself — the read loop acknowledged that goodbye before
 // marking the peer done, so nothing the peer waits on is outstanding.
 func (p *peer) drain(deadline time.Time) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for p.conn != nil && !p.acked && !p.done && time.Now().Before(deadline) {
-		p.mu.Unlock()
-		time.Sleep(2 * time.Millisecond)
-		p.mu.Lock()
-	}
+	p.await(deadline, func() bool { return p.conn == nil || p.acked || p.done })
 }
 
 // readLoop decodes frames off the peer's connection and dispatches them in
@@ -569,14 +584,10 @@ func (p *peer) dispatch(conn net.Conn, f *frame) error {
 		// which ends on done, cannot close the connection ahead of the ack.
 		// A failed ack is the peer's hang-up: it has left already.
 		_ = p.write(conn, &frame{Kind: frameAck, Src: int32(t.cfg.Self)})
-		p.mu.Lock()
-		p.done = true
-		p.mu.Unlock()
+		p.update(func() { p.done = true })
 		t.world.peerExited(p.rank, int(f.Dst), f.Tag&goodbyeOK != 0, string(f.Payload))
 	case frameAck:
-		p.mu.Lock()
-		p.acked = true
-		p.mu.Unlock()
+		p.update(func() { p.acked = true })
 	default:
 		return fmt.Errorf("mpi: %v frame from rank %d after the handshake", f.Kind, p.rank)
 	}

@@ -25,7 +25,7 @@ import (
 func runNetworked(t *testing.T, cfg Config, ranks int) (*Result, []error) {
 	t.Helper()
 	addrs := socketPaths(t, ranks)
-	return runMesh(t, cfg, ranks, func(int) []string { return addrs })
+	return runMesh(t, cfg, ranks, "unix", func(int) []string { return addrs })
 }
 
 func socketPaths(t *testing.T, ranks int) []string {
@@ -37,9 +37,26 @@ func socketPaths(t *testing.T, ranks int) []string {
 	return addrs
 }
 
-// runMesh is runNetworked with each rank given its own address list, so a
-// test can route a rank's dials through a tap.
-func runMesh(t *testing.T, cfg Config, ranks int, addrsOf func(rank int) []string) (*Result, []error) {
+// loopbackAddrs returns a TCP address on 127.0.0.1 per rank, each a port the
+// kernel handed to a ":0" listener that is closed again before the mesh
+// starts.
+func loopbackAddrs(t *testing.T, ranks int) []string {
+	t.Helper()
+	addrs := make([]string, ranks)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = ln.Addr().String()
+		defer ln.Close()
+	}
+	return addrs
+}
+
+// runMesh is runNetworked over network with each rank given its own address
+// list, so a test can route a rank's dials through a tap.
+func runMesh(t *testing.T, cfg Config, ranks int, network string, addrsOf func(rank int) []string) (*Result, []error) {
 	t.Helper()
 	results := make([]*Result, ranks)
 	errs := make([]error, ranks)
@@ -51,7 +68,7 @@ func runMesh(t *testing.T, cfg Config, ranks int, addrsOf func(rank int) []strin
 			tr, err := mpi.NewNetTransport(mpi.NetConfig{
 				Self:    rank,
 				Size:    ranks,
-				Network: "unix",
+				Network: network,
 				Addrs:   addrsOf(rank),
 				Job:     t.Name(),
 			})
@@ -170,7 +187,7 @@ func tapRun(t *testing.T, cfg Config) {
 			tap.listen(t, taps[from*ranks+to], real[to])
 		}
 	}
-	res, errs := runMesh(t, cfg, ranks, func(rank int) []string {
+	res, errs := runMesh(t, cfg, ranks, "unix", func(rank int) []string {
 		addrs := append([]string(nil), real...)
 		for to := rank + 1; to < ranks; to++ {
 			addrs[to] = taps[rank*ranks+to]
@@ -210,8 +227,8 @@ func tapRun(t *testing.T, cfg Config) {
 // The backend-parity acceptance criterion: the same seeded Config produces
 // a byte-identical Result whether the ranks are goroutines sharing a
 // process (RunParallel) or processes sharing nothing but sockets
-// (RunWorker). The transport changes where bytes travel, not what is
-// computed.
+// (RunWorker), unix or TCP loopback. The transport changes where bytes
+// travel, not what is computed.
 func TestNetworkedBackendParityBitExact(t *testing.T) {
 	cfg := testConfig(1, 12, 60)
 	cfg.Seed = 101
@@ -220,37 +237,42 @@ func TestNetworkedBackendParityBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, errs := runNetworked(t, cfg, 3)
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	if net == nil {
-		t.Fatal("networked run produced no Result on the Nature rank")
-	}
-	assertSameTrajectory(t, inproc, net)
-	// Two parallel runs with identical reduction trees must agree exactly,
-	// not merely within tolerance.
-	for i := 0; i < inproc.MeanFitness.Len(); i++ {
-		_, va := inproc.MeanFitness.At(i)
-		_, vb := net.MeanFitness.At(i)
-		if va != vb {
-			t.Fatalf("mean fitness sample %d: %v (in-process) vs %v (wire)", i, va, vb)
-		}
-	}
-	if inproc.Cooperation.Len() != net.Cooperation.Len() {
-		t.Fatalf("cooperation series lengths differ: %d vs %d", inproc.Cooperation.Len(), net.Cooperation.Len())
-	}
-	for i := 0; i < inproc.Cooperation.Len(); i++ {
-		ga, va := inproc.Cooperation.At(i)
-		gb, vb := net.Cooperation.At(i)
-		if ga != gb || va != vb {
-			t.Fatalf("cooperation at sample %d: (%d,%v) vs (%d,%v)", i, ga, va, gb, vb)
-		}
-	}
-	if net.Ranks != 3 || net.Restarts != 0 {
-		t.Fatalf("networked result ranks=%d restarts=%d", net.Ranks, net.Restarts)
+	for network, addrsOf := range map[string]func(*testing.T, int) []string{"unix": socketPaths, "tcp": loopbackAddrs} {
+		t.Run(network, func(t *testing.T) {
+			addrs := addrsOf(t, 3)
+			wire, errs := runMesh(t, cfg, 3, network, func(int) []string { return addrs })
+			for r, err := range errs {
+				if err != nil {
+					t.Fatalf("rank %d: %v", r, err)
+				}
+			}
+			if wire == nil {
+				t.Fatal("networked run produced no Result on the Nature rank")
+			}
+			assertSameTrajectory(t, inproc, wire)
+			// Two parallel runs with identical reduction trees must agree
+			// exactly, not merely within tolerance.
+			for i := 0; i < inproc.MeanFitness.Len(); i++ {
+				_, va := inproc.MeanFitness.At(i)
+				_, vb := wire.MeanFitness.At(i)
+				if va != vb {
+					t.Fatalf("mean fitness sample %d: %v (in-process) vs %v (wire)", i, va, vb)
+				}
+			}
+			if inproc.Cooperation.Len() != wire.Cooperation.Len() {
+				t.Fatalf("cooperation series lengths differ: %d vs %d", inproc.Cooperation.Len(), wire.Cooperation.Len())
+			}
+			for i := 0; i < inproc.Cooperation.Len(); i++ {
+				ga, va := inproc.Cooperation.At(i)
+				gb, vb := wire.Cooperation.At(i)
+				if ga != gb || va != vb {
+					t.Fatalf("cooperation at sample %d: (%d,%v) vs (%d,%v)", i, ga, va, gb, vb)
+				}
+			}
+			if wire.Ranks != 3 || wire.Restarts != 0 {
+				t.Fatalf("networked result ranks=%d restarts=%d", wire.Ranks, wire.Restarts)
+			}
+		})
 	}
 }
 
@@ -394,7 +416,7 @@ func TestNetworkedRestartRecoversBitExact(t *testing.T) {
 		tap.listen(t, via, real[1])
 		severed := faulty
 		severed.CheckpointSink = &cutSink{MemorySink: NewMemorySink(), at: 100, cut: tap.sever}
-		res, errs := runMesh(t, severed, 4, func(rank int) []string {
+		res, errs := runMesh(t, severed, 4, "unix", func(rank int) []string {
 			addrs := append([]string(nil), real...)
 			if rank == 0 {
 				addrs[1] = via

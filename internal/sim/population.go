@@ -210,7 +210,7 @@ func (p *Population) MeanCooperationProb() float64 {
 			total += s.CooperateProb(uint32(st))
 		}
 	}
-	return total / float64(p.Size()*states)
+	return total / (float64(p.Size()) * float64(states))
 }
 
 // Snapshot returns deep copies of all strategies (for observers that retain

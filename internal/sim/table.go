@@ -374,7 +374,7 @@ func (t *payoffTable) meanFitness() (float64, error) {
 		total += t.held[x] * sum
 	}
 	s := len(t.keys)
-	return total / float64(s*(s-1)), nil
+	return total / (float64(s) * float64(s-1)), nil
 }
 
 // finalFitness is every SSet's fitness over the last refresh's key vector.

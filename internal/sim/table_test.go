@@ -94,3 +94,19 @@ func TestListMissingKeepsMirrorsAdjacent(t *testing.T) {
 		}
 	}
 }
+
+// TestMeanFitnessPastInt32Pairs pins the mean fitness divisor S(S-1) to
+// floating point: at S = 46 342, the first size where it reaches 2^31, the
+// int product wraps where int is 32 bits. Every SSet holds the one type, so
+// the mean is that type's one cell, exactly.
+func TestMeanFitnessPastInt32Pairs(t *testing.T) {
+	const s, cell = 46342, 2.75
+	tb := payoffTable{tab: [][]float64{{cell}}, keys: make([]int32, s), mark: make([]int, 1)}
+	got, err := tb.meanFitness()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != cell {
+		t.Fatalf("mean fitness of %d SSets of one type = %v, want its cell %v", s, got, cell)
+	}
+}
