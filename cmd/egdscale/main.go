@@ -1,7 +1,7 @@
 // Command egdscale regenerates the paper's scaling artefacts: the analytic
 // tables (I, III, IV, VIII), the modelled Blue Gene projections (Tables
 // VI-VII, Figures 3-7), and real strong/weak scaling measurements of the
-// parallel engine on this host's cores. What it can print is
+// engine on this host's cores. What it can print is
 // core.Artefacts(); the flags only select entries of that catalogue.
 //
 // Examples:
@@ -10,7 +10,7 @@
 //	egdscale -table 6             # Table VI only
 //	egdscale -fig 7 -fullsystem   # Fig. 7 including the 72-rack point
 //	egdscale -host-calibrate      # calibrate the model from this host's engine
-//	egdscale -measure             # real parallel-engine scaling on this host
+//	egdscale -measure             # real engine scaling on this host
 //	egdscale -csv                 # emit CSV instead of aligned text
 package main
 
@@ -59,7 +59,7 @@ func run(args []string, out io.Writer) error {
 		fig        = fs.Int("fig", 0, "print one figure ("+strings.Join(figs, ",")+")")
 		fullSystem = fs.Bool("fullsystem", false, "include the 72-rack 294,912-processor point in Fig. 7")
 		hostCal    = fs.Bool("host-calibrate", false, "calibrate per-game costs from this host's engine instead of the paper anchor")
-		measure    = fs.Bool("measure", false, "measure real parallel-engine scaling on this host")
+		measure    = fs.Bool("measure", false, "measure real engine scaling on this host")
 		mappings   = fs.Bool("mappings", false, "run the rank-to-torus mapping study (paper future work)")
 		knee       = fs.Bool("knee", false, "compute the SSets-per-processor efficiency knee (Fig. 5 rule of thumb)")
 		csv        = fs.Bool("csv", false, "emit CSV instead of aligned text")

@@ -1,6 +1,6 @@
 // Command egdserve runs the multi-tenant simulation service: an HTTP/JSON
-// daemon that queues submitted jobs, runs them on the sequential or
-// parallel engine with a bounded worker pool, streams progress as
+// daemon that queues submitted jobs, runs them on the engine at the rank
+// count each job asks for with a bounded worker pool, streams progress as
 // Server-Sent Events, supports checkpoint-backed pause/resume/cancel, and
 // serves the egd_* metrics catalog at /metrics. A perfmodel-driven
 // admission controller prices every submission against the configured

@@ -51,7 +51,7 @@ func run(args []string, out io.Writer) error {
 	spec.BindFlags(fs)
 	var ft sim.FaultTolerance
 	ft.BindFlags(fs)
-	fs.IntVar(&spec.Ranks, "ranks", 1, "1 = sequential; >= 2 = parallel engine (Nature + workers)")
+	fs.IntVar(&spec.Ranks, "ranks", 1, "ranks of the engine's world: rank 0 is Nature, and every rank plays a share of the games (1 = the reference)")
 	var (
 		csvPath   = fs.String("trace", "", "write per-generation CSV trace to this file")
 		ckpt      = fs.String("checkpoint", "", "write final population checkpoint to this file")
@@ -68,7 +68,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	if spec.Ranks < 2 && (ft.InjectFault != "" || ft.WorkerTimeout > 0) {
-		return fmt.Errorf("-inject-fault and -worker-timeout need the parallel engine (-ranks >= 2)")
+		return fmt.Errorf("-inject-fault and -worker-timeout need a rank to fail or stall besides Nature (-ranks >= 2)")
 	}
 	if *metricsFm != "json" && *metricsFm != "prom" {
 		return fmt.Errorf("-metrics-format must be json or prom, got %q", *metricsFm)

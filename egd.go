@@ -6,11 +6,13 @@
 // agents sharing one memory-n Iterated Prisoner's Dilemma strategy, n up to
 // six (4096 game states, 2^4096 pure strategies) — evolved by a Nature
 // Agent through Fermi pairwise-comparison learning and random mutation. The
-// parallel engine decomposes the work exactly as the paper's Blue Gene
-// implementation does: rank 0 is the Nature Agent, the remaining ranks own
-// block-distributed SSets, game play is communication-free, and population
-// dynamics travel over broadcast and point-to-point messages (here, a
-// goroutine-backed MPI-like runtime).
+// engine decomposes the work as the paper's Blue Gene implementation does:
+// rank 0 is the Nature Agent, every rank derives each generation's
+// population dynamics from the seed and holds the same payoff table, game
+// play is communication-free, and the games a generation misses are
+// block-distributed over every rank, Nature included, and gathered and
+// broadcast back (here, over a goroutine-backed MPI-like runtime). A world
+// of one rank plays every game itself and is the reference.
 //
 // Quick start:
 //
@@ -75,9 +77,9 @@ type Result struct {
 	Ranks   int
 }
 
-// Run executes the simulation described by cfg on the engine cfg.Ranks
-// selects (sim.Run): sequential for 0 or 1, the parallel engine from 2 up.
-// Identical seeds give identical trajectories regardless of Ranks.
+// Run executes the simulation described by cfg on a world of cfg.Ranks
+// ranks (sim.Run; 0 counts as 1). Identical seeds give identical
+// trajectories regardless of Ranks.
 func Run(cfg Config) (*Result, error) {
 	simCfg, err := cfg.Config()
 	if err != nil {

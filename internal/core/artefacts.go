@@ -362,7 +362,7 @@ func mappingStudy(Options) (*Table, error) {
 	return t, nil
 }
 
-// measuredScaling runs the real parallel engine across this host's rank
+// measuredScaling runs the real engine across this host's rank
 // counts and tabulates measured strong scaling — the non-projected
 // counterpart of Figures 3/5/7.
 func measuredScaling(Options) (*Table, error) {
@@ -385,34 +385,33 @@ func measuredScaling(Options) (*Table, error) {
 	for _, r := range rows {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", r.ranks),
-			fmt.Sprintf("%d", r.ranks-1),
+			fmt.Sprintf("%d", r.ranks),
 			fmt.Sprintf("%.3f", r.seconds),
 			fmt.Sprintf("%.2f", base.seconds/r.seconds),
-			fmt.Sprintf("%.3f", perfmodel.Efficiency(base.ranks-1, base.seconds, r.ranks-1, r.seconds)),
+			fmt.Sprintf("%.3f", perfmodel.Efficiency(base.ranks, base.seconds, r.ranks, r.seconds)),
 		})
 	}
 	return t, nil
 }
 
 // hostScalingRow is one measured (not modelled) scaling point: the actual
-// parallel engine on goroutine ranks.
+// engine on goroutine ranks.
 type hostScalingRow struct {
 	ranks   int
 	seconds float64
 }
 
-// hostStrongScaling times the real parallel engine on this host for the
-// given configuration at each rank count. A count the engine cannot use —
-// fewer than two ranks (Nature plus one worker), or more workers than the
-// configuration has SSet pairs to share out — is skipped; it is an error
-// only if none is left.
+// hostStrongScaling times the real engine on this host for the given
+// configuration at each rank count, every rank playing a share of the
+// games. A count with more workers than the configuration has SSet pairs to
+// share out is skipped; it is an error only if none is left.
 func hostStrongScaling(cfg sim.Config, rankCounts []int) ([]hostScalingRow, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	var out []hostScalingRow
 	for _, r := range rankCounts {
-		if r < 2 || r-1 > cfg.NumSSets*(cfg.NumSSets-1) {
+		if r-1 > cfg.NumSSets*(cfg.NumSSets-1) {
 			continue
 		}
 		res, err := sim.RunParallel(cfg, r)
@@ -428,11 +427,11 @@ func hostStrongScaling(cfg sim.Config, rankCounts []int) ([]hostScalingRow, erro
 }
 
 // defaultHostRankCounts returns the rank counts measuredScaling uses:
-// powers of two workers up to the CPU count, plus one Nature rank each.
+// powers of two up to the CPU count.
 func defaultHostRankCounts() []int {
 	var out []int
-	for w := 1; w <= runtime.NumCPU(); w *= 2 {
-		out = append(out, w+1)
+	for r := 1; r <= runtime.NumCPU(); r *= 2 {
+		out = append(out, r)
 	}
 	return out
 }

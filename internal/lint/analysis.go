@@ -2,7 +2,7 @@
 // invariant the paper's reproduction depends on — the game/population
 // dynamics are bit-reproducible from seeded RNG streams (a restart from a
 // snapshot recovers bit-identically only because of it). The SPMD
-// symmetry of the parallel engine's collectives is held by its tests,
+// symmetry of the engine's collectives is held by its tests,
 // which hang or fail on every seeded violation (README.md).
 //
 // The package is a self-contained, stdlib-only reimplementation of the

@@ -119,7 +119,7 @@ func (j *Job) setGen(gen int) {
 
 // sampleEvent is the SSE payload for a sampled generation. Mean fitness is
 // omitted because the observer's population view carries strategies, not
-// payoffs, on either engine; cooperation derives from strategies alone.
+// payoffs, at any rank count; cooperation derives from strategies alone.
 type sampleEvent struct {
 	Generation  int     `json:"generation"`
 	Cooperation float64 `json:"cooperation"`
@@ -207,25 +207,10 @@ func newManager(opts Options, reg *metrics.Registry) (*Manager, error) {
 // cancelled, and Close returns once every worker has drained. In durable
 // mode every job settles terminally, so the journal gets a clean marker.
 func (m *Manager) Close() {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
+	if m.shut(func(job *Job) { job.ctrl.Store(ctrlCancel) }) {
 		m.wg.Wait()
-		return
+		m.markCleanAndClose()
 	}
-	m.closed = true
-	ids := make([]string, 0, len(m.jobs))
-	for id := range m.jobs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		m.jobs[id].ctrl.Store(ctrlCancel)
-	}
-	close(m.queue)
-	m.mu.Unlock()
-	m.wg.Wait()
-	m.markCleanAndClose()
 }
 
 // Drain parks the service for restart: submissions stop, queued jobs stay
@@ -236,26 +221,11 @@ func (m *Manager) Close() {
 // within timeout, Drain returns an error and writes no marker; the journal
 // then still recovers correctly, it just reports an unclean shutdown.
 func (m *Manager) Drain(timeout time.Duration) error {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		m.wg.Wait()
+	// Only park jobs with no competing request: an in-flight pause or
+	// cancel still wins, and its outcome is journaled as usual.
+	if !m.shut(func(job *Job) { job.ctrl.CompareAndSwap(ctrlRun, ctrlDrain) }) {
 		return nil
 	}
-	m.closed = true
-	ids := make([]string, 0, len(m.jobs))
-	for id := range m.jobs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		// Only park jobs with no competing request: an in-flight pause or
-		// cancel still wins, and its outcome is journaled as usual.
-		m.jobs[id].ctrl.CompareAndSwap(ctrlRun, ctrlDrain)
-	}
-	close(m.queue)
-	m.mu.Unlock()
-
 	done := make(chan struct{})
 	go func() {
 		m.wg.Wait()
@@ -269,17 +239,42 @@ func (m *Manager) Drain(timeout time.Duration) error {
 	// End every open event stream so the HTTP server can finish its own
 	// shutdown; parked jobs' timelines stay readable for late replays.
 	m.mu.Lock()
-	ids = ids[:0]
-	for id := range m.jobs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		m.jobs[id].hub.close()
+	for _, job := range m.jobsByID() {
+		job.hub.close()
 	}
 	m.mu.Unlock()
 	m.markCleanAndClose()
 	return nil
+}
+
+// shut is the prologue Close and Drain share: it closes the pool to
+// submissions and hands every job, in ID order, to stop. When the pool was
+// already closed it only waits for the workers and reports false.
+func (m *Manager) shut(stop func(*Job)) bool {
+	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		m.wg.Wait()
+		return false
+	}
+	m.closed = true
+	for _, job := range m.jobsByID() {
+		stop(job)
+	}
+	close(m.queue)
+	m.mu.Unlock()
+	return true
+}
+
+// jobsByID returns every job in ID order (submission order: IDs are
+// zero-padded sequence numbers). The caller holds m.mu.
+func (m *Manager) jobsByID() []*Job {
+	jobs := make([]*Job, 0, len(m.jobs))
+	for _, job := range m.jobs {
+		jobs = append(jobs, job)
+	}
+	sort.Slice(jobs, func(a, b int) bool { return jobs[a].ID < jobs[b].ID })
+	return jobs
 }
 
 // markCleanAndClose finalises the journal after the pool has drained.
@@ -302,19 +297,10 @@ func (m *Manager) get(id string) (*Job, bool) {
 	return job, ok
 }
 
-// list returns all job statuses sorted by ID (submission order: IDs are
-// zero-padded sequence numbers).
+// list returns all job statuses in ID order.
 func (m *Manager) list() []jobStatus {
 	m.mu.Lock()
-	ids := make([]string, 0, len(m.jobs))
-	for id := range m.jobs {
-		ids = append(ids, id)
-	}
-	jobs := make([]*Job, 0, len(ids))
-	sort.Strings(ids)
-	for _, id := range ids {
-		jobs = append(jobs, m.jobs[id])
-	}
+	jobs := m.jobsByID()
 	m.mu.Unlock()
 	out := make([]jobStatus, len(jobs))
 	for i, j := range jobs {

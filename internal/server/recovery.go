@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"sort"
 )
 
 // recoverJobs rebuilds the manager's job table, tenant quotas, and
@@ -96,15 +95,7 @@ func (m *Manager) rebuildJob(rj *recoveredJob) *Job {
 // by the store under its own lock, so it must not call back into it.
 func (m *Manager) snapshotRecords() []journalRecord {
 	m.mu.Lock()
-	ids := make([]string, 0, len(m.jobs))
-	for id := range m.jobs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	jobs := make([]*Job, 0, len(ids))
-	for _, id := range ids {
-		jobs = append(jobs, m.jobs[id])
-	}
+	jobs := m.jobsByID()
 	m.mu.Unlock()
 
 	recs := make([]journalRecord, 0, 1+2*len(jobs))

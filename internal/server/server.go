@@ -1,7 +1,7 @@
 // Package server implements the egdserve daemon: a multi-tenant HTTP/JSON
 // job service over the simulation engines. Tenants POST sim.Config-shaped
-// specs, a bounded worker pool runs them on the sequential or parallel
-// engine, progress streams out as Server-Sent Events, and pause/resume/
+// specs, a bounded worker pool runs them on the engine at each job's rank
+// count, progress streams out as Server-Sent Events, and pause/resume/
 // cancel ride on the engine's Control hook and checkpoint machinery — a
 // paused job resumes from its snapshot bit-identically (pure strategies).
 // A perfmodel-driven admission controller prices every submission and

@@ -4,20 +4,16 @@
 // Agent through Fermi pairwise-comparison learning and random mutation
 // (population dynamics, §IV-B).
 //
-// Two engines produce bit-identical trajectories from the same seed,
-// because both execute the one Nature Agent generation (nature.generation)
-// and differ only in the fitness source plugged into it:
-//
-//   - RunSequential: a single-threaded reference implementation that plays
-//     every game pair itself;
-//   - RunParallel: the paper's SPMD decomposition over the mpi runtime —
-//     rank 0 is the Nature Agent, and every rank derives each generation's
-//     plan (selection, mutant, sampling) from the seed, holds the same
-//     payoff table and runs the generation itself. The table is keyed by
-//     strategy type when every match is served by type (exact payoffs, or
-//     error-free deterministic play) and by SSet otherwise; the ranks meet
-//     only to fill the cells it lacks — a new type's, or a changed SSet's
-//     row and column — one Gather and one Bcast split over the workers.
+// One engine runs the paper's SPMD decomposition over the mpi runtime
+// (RunParallel): rank 0 is the Nature Agent, and every rank derives each
+// generation's plan (selection, mutant, sampling) from the seed, holds the
+// same payoff table and runs the generation itself. The table is keyed by
+// strategy type when every match is served by type (exact payoffs, or
+// error-free deterministic play) and by SSet otherwise; the ranks meet only
+// to fill the cells it lacks — a new type's, or a changed SSet's row and
+// column — one Gather and one Bcast, every rank, Nature included, playing a
+// block of them. The trajectory is the same at every rank count, so a world
+// of one (RunSequential), which plays every cell itself, is the reference.
 //
 // Fitness evaluation supports the paper's every-generation full recompute
 // (FullRecompute, used in its timing studies) and an incremental mode that
@@ -77,7 +73,7 @@ type Config struct {
 	// Kind selects pure or mixed strategies.
 	Kind StrategyKind
 	// Seed drives every random decision; identical seeds give identical
-	// trajectories on both engines at any rank count.
+	// trajectories at any rank count.
 	Seed uint64
 	// FullRecompute forces every SSet's fitness to be recomputed every
 	// generation, as the paper's timing studies do. When false, fitness is
@@ -110,17 +106,16 @@ type Config struct {
 	// the Nature Agent, and the *Population it receives is the Nature
 	// Agent's global strategy view — each SSet's strategy plus the
 	// statistics derived from strategies alone (Abundance, FractionNear,
-	// MeanCooperationProb, Snapshot) — identical on both engines at every
-	// rank count. It carries no payoffs or fitness: those
+	// MeanCooperationProb, Snapshot) — identical at every rank count. It carries no payoffs or fitness: those
 	// live with whichever rank plays the games, and reach the caller as
 	// Result.MeanFitness and Result.FinalFitness.
 	Observer Observer
-	// Control, when non-nil, is polled at the top of every generation (on
-	// the Nature rank in the parallel engine; the workers, who listen to
-	// nobody between meetings, unwind at their next one — at most
-	// SampleStride generations later, their work past the stop discarded:
-	// the parallel engine makes every sampled generation a meeting for this
-	// bound).
+	// Control, when non-nil, is polled at the top of every generation on
+	// the Nature rank. The workers, who listen to nobody between meetings,
+	// unwind at their next one — at most SampleStride generations later,
+	// their work past the stop discarded: on more than one rank the engine
+	// makes every sampled generation a meeting for this bound. A world of
+	// one stops at once.
 	// A non-nil return stops the run at that generation boundary: the
 	// engine persists a resume snapshot to CheckpointSink (when one is
 	// configured) and returns an error wrapping both ErrStopped and the
@@ -150,25 +145,24 @@ type Config struct {
 	// CheckpointSink receives periodic snapshots; required when
 	// CheckpointEvery > 0.
 	CheckpointSink CheckpointSink
-	// RecvTimeout, when positive, bounds every blocking receive in the
-	// parallel engine (including collective-internal ones): a rank stalled
+	// RecvTimeout, when positive, bounds every blocking receive of the
+	// engine's ranks (including collective-internal ones): a rank stalled
 	// past the deadline fails with mpi.ErrRecvTimeout instead of hanging —
 	// the detection half of worker-failure recovery. It must comfortably
 	// exceed the longest stretch between meetings: up to SampleStride
 	// generations of compute during which a healthy rank sends nothing (the
-	// parallel engine, which otherwise meets only to fill its payoff table,
-	// makes every sampled generation a meeting when it is set).
+	// engine, which otherwise meets only to fill its payoff table, makes
+	// every sampled generation a meeting on more than one rank when it is
+	// set).
 	RecvTimeout time.Duration
-	// FaultPlan, when non-nil, is installed into the parallel engine's
-	// world: scripted deterministic fault injection for resilience tests.
+	// FaultPlan, when non-nil, is installed into the engine's world: scripted deterministic fault injection for resilience tests.
 	FaultPlan *mpi.FaultPlan
 	// EventLog, when non-nil, receives fault-tolerance events (checkpoints
 	// written, faults seen, recoveries performed) from the engine and
 	// supervisor.
 	EventLog *trace.EventLog
-	// Metrics enables the observability layer: per-rank phase timers in
-	// both engines and per-rank communication accounting in the parallel
-	// one, aggregated into Result.Metrics at run end. Collection never
+	// Metrics enables the observability layer: per-rank phase timers and
+	// per-rank communication accounting, aggregated into Result.Metrics at run end. Collection never
 	// feeds back into the trajectory — parity and bit-exactness hold with
 	// it on or off (see docs/OBSERVABILITY.md).
 	Metrics bool

@@ -172,6 +172,34 @@ func TestControlStopWithoutSinkStillStops(t *testing.T) {
 	}
 }
 
+// A world of one has nobody to tell of a stop, so it returns the stop at the
+// boundary it was asked at — an egdserve pause of a one-rank job — rather
+// than running on to a meeting: on a run that never changes an SSet, the
+// next one is the end of a 2^40-generation window (2^31-1 where int is 32
+// bits).
+func TestOneRankStopIsPrompt(t *testing.T) {
+	const stopAt = 5
+	cfg := testConfig(1, 8, min(1<<40, math.MaxInt))
+	cfg.PCRate, cfg.Mu = 0, 0
+	cfg.CheckpointSink = NewMemorySink()
+	stops := 0
+	cfg.Control = stopAfter(stopAt, &stops)
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunSequential(cfg)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrStopped) || stops != 1 {
+			t.Fatalf("error %v after %d stops, want ErrStopped after one", err, stops)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("a one-rank run asked to stop at generation 5 is still running after a second")
+	}
+	stoppedAt(t, cfg.CheckpointSink, stopAt)
+}
+
 func TestResilientDoesNotRestartOnControlStop(t *testing.T) {
 	cfg := testConfig(1, 6, 50)
 	cfg.Seed = 83

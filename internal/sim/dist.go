@@ -2,7 +2,7 @@ package sim
 
 import "repro/internal/mpi"
 
-// This file is the multi-process entry point of the parallel engine: where
+// This file is the multi-process entry point of the engine: where
 // RunParallel hosts every rank as a goroutine of one process, RunWorker
 // hosts exactly one rank of a networked world wired by an mpi.NetTransport
 // (the egdrun launcher spawns one such process per rank). The ranks and the
@@ -11,8 +11,8 @@ import "repro/internal/mpi"
 // as an in-process run of the same Config.
 
 // RunWorker executes this process's rank of a networked simulation: rank 0
-// is the Nature Agent, the rest play the games a generation misses, exactly
-// as RunParallel. The transport must be freshly created and not yet
+// is the Nature Agent, and every rank plays a share of the games a
+// generation misses, exactly as in RunParallel. The transport must be freshly created and not yet
 // started; RunWorker installs the Config's world options (metrics, fault
 // plan, receive deadline), wires the mesh, and runs the hosted
 // rank to completion.

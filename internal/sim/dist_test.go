@@ -495,7 +495,7 @@ func metricFamily(series string) string {
 }
 
 // RunWorker mirrors RunParallel's validation: it rejects bad configs and
-// degenerate rank counts before any socket is touched.
+// more workers than games before any socket is touched.
 func TestRunWorkerValidation(t *testing.T) {
 	dir := t.TempDir()
 	mk := func(self, size int) *mpi.NetTransport {
@@ -512,9 +512,17 @@ func TestRunWorkerValidation(t *testing.T) {
 		return tr
 	}
 	cfg := testConfig(1, 4, 10)
-	if _, err := RunWorker(cfg, mk(0, 1)); err == nil {
-		t.Fatal("1 rank accepted (needs Nature + worker)")
+	// A world of one process is the reference run (a world of none the
+	// transport itself refuses).
+	want, err := RunSequential(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	got, err := RunWorker(cfg, mk(0, 1))
+	if err != nil {
+		t.Fatalf("1 rank: %v", err)
+	}
+	assertSameResult(t, want, got, true)
 	if _, err := RunWorker(cfg, mk(0, 14)); err == nil {
 		t.Fatal("13 workers accepted for 12 games")
 	}

@@ -216,7 +216,7 @@ func TestPlacedStrategiesAreNeverWritten(t *testing.T) {
 					shared++
 				}
 			})
-			res, err := runOn(cfg, ranks)
+			res, err := RunParallel(cfg, ranks)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -17,15 +17,7 @@ import (
 // boundary and resumed through Config.ResumeFrom from one of its own
 // snapshots returns the Result the uninterrupted run returns — final
 // strategies and fitness, counters, and both sampled series from generation
-// 0 — whichever engine ran it and however it was interrupted.
-
-// runOn runs cfg on the sequential engine (ranks 1) or the parallel one.
-func runOn(cfg Config, ranks int) (*Result, error) {
-	if ranks < 2 {
-		return RunSequential(cfg)
-	}
-	return RunParallel(cfg, ranks)
-}
+// 0 — at whichever rank count it ran and however it was interrupted.
 
 // assertSameResult is the strict form of assertSameOutcome: every
 // deterministic field of the Result bit for bit, mean fitness included.
@@ -66,7 +58,7 @@ func resumeFrom(t *testing.T, base Config, sink CheckpointSink, run func(Config)
 func resumeOn(t *testing.T, base Config, sink CheckpointSink, ranks int) *Result {
 	t.Helper()
 	return resumeFrom(t, base, sink, func(cfg Config) *Result {
-		res, err := runOn(cfg, ranks)
+		res, err := RunParallel(cfg, ranks)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,23 +68,23 @@ func resumeOn(t *testing.T, base Config, sink CheckpointSink, ranks int) *Result
 
 func TestInterruptedRunReturnsTheUninterruptedResult(t *testing.T) {
 	const gens, every = 120, 25
-	engines := []int{1, 3, 5} // rank counts; 1 is RunSequential
+	engines := []int{1, 3, 5} // rank counts; 1 is the reference
 	pick := rng.New(1409)
 	// pending lists the generations that start with a changed SSet still to
 	// be replayed (the reference run fills it in).
 	var pending []int
 
 	interruptions := []struct {
-		name         string
-		parallelOnly bool
-		run          func(t *testing.T, base Config, ei int) *Result
+		name        string
+		needsWorker bool
+		run         func(t *testing.T, base Config, ei int) *Result
 	}{
 		{"control stop", false, func(t *testing.T, base Config, ei int) *Result {
 			stopAt := 1 + pick.Intn(gens-1)
 			cfg, stops := base, 0
 			cfg.CheckpointSink = NewMemorySink()
 			cfg.Control = stopAfter(stopAt, &stops)
-			if res, err := runOn(cfg, engines[ei]); !errors.Is(err, ErrStopped) || res != nil {
+			if res, err := RunParallel(cfg, engines[ei]); !errors.Is(err, ErrStopped) || res != nil {
 				t.Fatalf("stop at %d: result %v, error %v; want nil, ErrStopped", stopAt, res, err)
 			}
 			return resumeOn(t, base, cfg.CheckpointSink, engines[ei])
@@ -104,12 +96,12 @@ func TestInterruptedRunReturnsTheUninterruptedResult(t *testing.T) {
 			first.Generations = every + 1 + pick.Intn(gens-every-1)
 			first.CheckpointEvery = every
 			first.CheckpointSink = NewMemorySink()
-			if _, err := runOn(first, engines[(ei+1)%len(engines)]); err != nil {
+			if _, err := RunParallel(first, engines[(ei+1)%len(engines)]); err != nil {
 				t.Fatal(err)
 			}
 			return resumeOn(t, base, first.CheckpointSink, engines[ei])
 		}},
-		// The restart supervisor fronts the parallel engine only.
+		// A kill needs a worker to kill.
 		{"supervised kill", true, func(t *testing.T, base Config, ei int) *Result {
 			cfg := base
 			cfg.CheckpointEvery = every
@@ -161,8 +153,8 @@ func TestInterruptedRunReturnsTheUninterruptedResult(t *testing.T) {
 			// two: every payoff, row sum and population total is then a
 			// dyadic rational float64 holds exactly, the one rounding left is
 			// the final division, and the mean-fitness series is
-			// bit-identical across engines and rank counts — so a single
-			// sequential run is the reference for the whole table.
+			// bit-identical across rank counts — so a single one-rank run
+			// is the reference for the whole table.
 			base := testConfig(1, 9, gens)
 			base.Rules.Rounds = 16
 			base.Rules.ErrorRate = noise
@@ -193,7 +185,7 @@ func TestInterruptedRunReturnsTheUninterruptedResult(t *testing.T) {
 			// uninterrupted result.
 			for ei, ranks := range engines {
 				for _, in := range interruptions {
-					if in.parallelOnly && ranks < 2 {
+					if in.needsWorker && ranks < 2 {
 						continue
 					}
 					t.Run(fmt.Sprintf("%s/ranks=%d/%s", row, ranks, in.name), func(t *testing.T) {

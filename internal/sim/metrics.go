@@ -18,25 +18,23 @@ import (
 // nondeterministic; everything it measures is *about* the trajectory, never
 // an input to it, which is why the //egdlint:allow escapes below are sound.
 
-// Phase names used by both engines. Every rank books its own
-// population-dynamics step and, in the parallel engine, the meetings
-// (comm); workers add their share of the games (compute), the Nature Agent
-// checkpointing.
+// Phase names the engine books. Every rank books its own
+// population-dynamics step, the meetings (comm) and its share of the games
+// (compute); the Nature Agent adds checkpointing.
 const (
 	// PhaseGamePlay is IPD match execution — the paper's "game dynamics"
-	// compute phase; in the parallel engine, a worker's share of the cells a
-	// meeting fills.
+	// compute phase: a rank's share of the cells a meeting fills.
 	PhaseGamePlay = "game_play"
-	// PhaseFitnessComm names point-to-point fitness traffic, which no engine
-	// books; bench/ reads the name (ROADMAP item 1's shim ledger).
+	// PhaseFitnessComm names point-to-point fitness traffic, which the
+	// engine does not book; bench/ reads the name (ROADMAP item 1's shim ledger).
 	PhaseFitnessComm = "fitness_comm"
-	// PhaseBroadcast is each meeting of the parallel engine — the Gather of
+	// PhaseBroadcast is each meeting of the engine — the Gather of
 	// new cells and Nature's verdict (the paper's collective-network
 	// traffic, less what every rank derives itself) — but the end of the
 	// window's, whose Gather carries the snapshot.
 	PhaseBroadcast = "broadcast"
-	// PhaseReduce names mean-fitness and game-count reductions, which no
-	// engine books; bench/ reads the name (ROADMAP item 1's shim ledger).
+	// PhaseReduce names mean-fitness and game-count reductions, which the
+	// engine does not book; bench/ reads the name (ROADMAP item 1's shim ledger).
 	PhaseReduce = "reduce"
 	// PhaseCheckpoint is snapshot persistence on the Nature Agent.
 	PhaseCheckpoint = "checkpoint"
@@ -56,9 +54,8 @@ type PhaseStat struct {
 // RankPhaseSnapshot is one rank's per-phase timing, phases sorted by name.
 // Cache carries the counters of the rank's payoff table in a run served by
 // type, and is nil when the table is keyed by SSet (noisy or mixed play). A
-// worker's misses are the cells it played, Nature's hits every scheduled
-// game no worker had to play, so hits + misses over the ranks is
-// GamesPlayed.
+// rank's misses are the cells it played, Nature's hits every scheduled game
+// no rank had to play, so hits + misses over the ranks is GamesPlayed.
 type RankPhaseSnapshot struct {
 	Rank   int              `json:"rank"`
 	Phases []PhaseStat      `json:"phases,omitempty"`
@@ -120,13 +117,12 @@ func (t *phaseTimer) snapshot(rank int) RankPhaseSnapshot {
 }
 
 // RunMetrics is the observability aggregate a run attaches to its Result
-// when Config.Metrics is set: every rank's phase timing plus, for the
-// parallel engine, every rank's communication accounting.
+// when Config.Metrics is set: every rank's phase timing and communication
+// accounting.
 type RunMetrics struct {
 	// Phases holds per-rank phase timings, ordered by rank.
 	Phases []RankPhaseSnapshot `json:"phases,omitempty"`
-	// Comm holds per-rank communication accounting (parallel engine only),
-	// ordered by rank.
+	// Comm holds per-rank communication accounting, ordered by rank.
 	Comm []mpi.RankCommSnapshot `json:"comm,omitempty"`
 	// Transport holds the wire-transport counters of a networked run
 	// (RunWorker): this process's view of the wire — frames, bytes, failed

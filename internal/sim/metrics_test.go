@@ -11,7 +11,7 @@ import (
 )
 
 // TestParallelMetricsParity: collection must not perturb the trajectory —
-// a metrics-enabled parallel run matches the metrics-free sequential
+// a metrics-enabled four-rank run matches the metrics-free one-rank
 // reference bit for bit, and the aggregate covers every rank and phase.
 func TestParallelMetricsParity(t *testing.T) {
 	cfg := testConfig(1, 10, 40)
@@ -41,8 +41,8 @@ func TestParallelMetricsParity(t *testing.T) {
 			t.Errorf("phase snapshot %d has rank %d", i, rs.Rank)
 		}
 	}
-	// Served by type, every worker played its share of each fill and every
-	// rank met at each (the snapshot travels in the end of the window's
+	// Served by type, every rank, Nature included, played its share of each
+	// fill and met at each (the snapshot travels in the end of the window's
 	// meeting, so that one is not among them) and folded fitness itself
 	// each generation.
 	meets := uint64(len(meetingsOf(t, cfg)))
@@ -51,7 +51,7 @@ func TestParallelMetricsParity(t *testing.T) {
 		for _, p := range rs.Phases {
 			byPhase[p.Phase] = p
 		}
-		if got := byPhase[PhaseGamePlay].Calls; rs.Rank > 0 && got != meets {
+		if got := byPhase[PhaseGamePlay].Calls; got != meets {
 			t.Errorf("rank %d: %d game_play calls, want %d", rs.Rank, got, meets)
 		}
 		if got := byPhase[PhaseBroadcast].Calls; got != meets {
@@ -73,7 +73,10 @@ func TestParallelMetricsParity(t *testing.T) {
 	}
 }
 
-// TestSequentialMetrics: the reference engine records its phases too.
+// TestSequentialMetrics: a world of one records its phases and its
+// collectives too. It plays every cell of a fill itself, so it books
+// game_play and a broadcast at each meeting a walk of its run finds, and
+// nature_step every generation.
 func TestSequentialMetrics(t *testing.T) {
 	cfg := testConfig(1, 8, 25)
 	cfg.Seed = 302
@@ -82,19 +85,23 @@ func TestSequentialMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Metrics == nil || len(res.Metrics.Phases) != 1 {
-		t.Fatalf("sequential metrics = %+v, want one rank", res.Metrics)
+	if res.Metrics == nil || len(res.Metrics.Phases) != 1 || len(res.Metrics.Comm) != 1 {
+		t.Fatalf("one-rank metrics = %+v, want one rank", res.Metrics)
+	}
+	meets := meetingsOf(t, cfg)
+	if len(meets) < 2 || len(meets) == cfg.Generations {
+		t.Fatalf("degenerate plan: meetings at %v", meets)
 	}
 	byPhase := map[string]PhaseStat{}
 	for _, p := range res.Metrics.Phases[0].Phases {
 		byPhase[p.Phase] = p
 	}
-	if byPhase[PhaseGamePlay].Calls != uint64(cfg.Generations) {
-		t.Errorf("game_play calls = %d, want %d", byPhase[PhaseGamePlay].Calls, cfg.Generations)
+	for phase, want := range map[string]int{PhaseGamePlay: len(meets), PhaseBroadcast: len(meets), PhaseNatureStep: cfg.Generations} {
+		if got := byPhase[phase].Calls; got != uint64(want) {
+			t.Errorf("%s calls = %d, want %d", phase, got, want)
+		}
 	}
-	if byPhase[PhaseNatureStep].Calls != uint64(cfg.Generations) {
-		t.Errorf("nature_step calls = %d, want %d", byPhase[PhaseNatureStep].Calls, cfg.Generations)
-	}
+	assertMeetings(t, "1 rank", res, len(meets))
 }
 
 // TestMetricsRegistryDeterminism: two same-seed runs export byte-identical

@@ -20,7 +20,7 @@ import (
 // (Seed, gen) with natureDecision and mutantStrategy, and resolves the
 // adoption from its own table (rank.go), so no selection, no fitness and no
 // strategy crosses the wire; what a worker cannot know is whether the
-// control hook asked for a stop and the payoff-table cells the other workers
+// control hook asked for a stop and the payoff-table cells the other ranks
 // played.
 type verdict struct {
 	// Gen is the generation of the meeting the verdict closes. A worker
@@ -46,17 +46,25 @@ const (
 )
 
 // encode is the verdict's message.
-func (v verdict) encode() []byte {
+func (v verdict) encode() []byte { return appendCells(v.head(len(v.Cells)), v.Cells) }
+
+// head is the message of a verdict of n cells up to its first cell, with
+// room for them.
+func (v verdict) head(n int) []byte {
 	var flags byte
 	if v.Stop {
 		flags = 1
 	}
-	b := append(make([]byte, 0, msgHeadLen+8*len(v.Cells)), msgVerdict, flags)
+	b := append(make([]byte, 0, msgHeadLen+8*n), msgVerdict, flags)
 	gen := uint64(v.Gen)
 	b = binary.LittleEndian.AppendUint32(b, uint32(gen))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(v.Cells)))
-	b = binary.LittleEndian.AppendUint32(b, uint32(gen>>32))
-	for _, c := range v.Cells {
+	b = binary.LittleEndian.AppendUint32(b, uint32(n))
+	return binary.LittleEndian.AppendUint32(b, uint32(gen>>32))
+}
+
+// appendCells appends cells to a verdict's message.
+func appendCells(b []byte, cells []float64) []byte {
+	for _, c := range cells {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c))
 	}
 	return b
@@ -145,16 +153,17 @@ func skew(cfg *Config, c *mpi.Comm) uint64 {
 }
 
 // RunParallel executes the simulation on a world of `ranks` goroutine
-// ranks: rank 0 is the Nature Agent, ranks 1..ranks-1 play the games — the
-// paper's Blue Gene mapping, with every update of the Nature Agent known to
-// every rank. Each rank keeps the same payoff table and runs the generation
-// itself; the games a generation misses are block-distributed over the
-// workers, an SSet's row across several of them when workers outnumber SSets
-// (the paper's agents-within-SSet level), and Gathered and broadcast back
-// (rank.go). The trajectory is identical to RunSequential with the same
-// Config for every rank count.
+// ranks: rank 0 is the Nature Agent, and every rank plays a block of the
+// games a generation misses — the paper's Blue Gene mapping, with every
+// update of the Nature Agent known to every rank. Each rank keeps the same
+// payoff table and runs the generation itself; the missing games are
+// block-distributed over the ranks, an SSet's row across several of them
+// when ranks outnumber SSets (the paper's agents-within-SSet level), and
+// Gathered and broadcast back (rank.go). The trajectory is the same for
+// every rank count; a world of one, which plays every game itself, is the
+// reference RunSequential names.
 //
-// ranks must be at least 2; workers may not outnumber the games of one
+// ranks must be at least 1; workers may not outnumber the games of one
 // generation, S×(S-1).
 func RunParallel(cfg Config, ranks int) (*Result, error) {
 	if err := checkParallel(&cfg, ranks); err != nil {
@@ -164,13 +173,13 @@ func RunParallel(cfg Config, ranks int) (*Result, error) {
 	return runWorld(cfg, world, world.Run)
 }
 
-// checkParallel validates cfg and the rank count for the parallel engine.
+// checkParallel validates cfg and the rank count.
 func checkParallel(cfg *Config, ranks int) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	if ranks < 2 {
-		return fmt.Errorf("sim: parallel engine needs >= 2 ranks (Nature + workers), got %d", ranks)
+	if ranks < 1 {
+		return fmt.Errorf("sim: the engine needs >= 1 rank, got %d", ranks)
 	}
 	if games := cfg.GamesPerGeneration(); uint64(ranks-1) > games {
 		return fmt.Errorf("sim: %d workers exceed %d games per generation", ranks-1, games)

@@ -9,9 +9,9 @@ import (
 )
 
 // The paper's central software property: the parallel decomposition changes
-// where work runs, not what is computed. These tests pin the parallel
-// engine's trajectory to the sequential reference for a range of rank
-// counts, strategy kinds, and evaluation modes.
+// where work runs, not what is computed. These tests pin the engine's
+// trajectory to the one-rank reference for a range of rank counts, strategy
+// kinds, and evaluation modes.
 
 func assertSameTrajectory(t *testing.T, a, b *Result) {
 	t.Helper()
@@ -120,8 +120,8 @@ func TestParallelParityFullRecompute(t *testing.T) {
 	assertSameTrajectory(t, seq, par)
 }
 
-// A window that crosses generation 2^32 runs in parallel as it does
-// sequentially: the verdict carries Gen's high 32 bits. Served by type the
+// A window that crosses generation 2^32 runs on several ranks as it does on
+// one: the verdict carries Gen's high 32 bits. Served by type the
 // first refresh and the end of the window meet; noisy, every adoption too.
 func TestParallelParityPastGeneration2To32(t *testing.T) {
 	start := uint64(1)<<32 - 2
@@ -162,11 +162,11 @@ func TestParallelParityHigherMemory(t *testing.T) {
 
 func TestParallelValidation(t *testing.T) {
 	cfg := testConfig(1, 4, 10)
-	if _, err := RunParallel(cfg, 1); err == nil {
-		t.Fatal("1 rank accepted (needs Nature + worker)")
-	}
 	if _, err := RunParallel(cfg, 0); err == nil {
 		t.Fatal("0 ranks accepted")
+	}
+	if _, err := RunParallel(cfg, 1); err != nil {
+		t.Fatalf("1 rank rejected: %v", err)
 	}
 	// Workers are capped by the games of one generation, S*(S-1) = 12.
 	if _, err := RunParallel(cfg, 14); err == nil {
@@ -258,10 +258,9 @@ type observed struct {
 	strategies string // per-SSet fingerprints, in SSet order
 }
 
-// TestObserverStreamParity: Config.Observer sees the same thing on either
-// engine — the full (generation, events, population) stream of a parallel
-// run equals the sequential one's, at every rank count and in both
-// evaluation modes.
+// TestObserverStreamParity: Config.Observer sees the same thing at every
+// rank count — the full (generation, events, population) stream of a
+// several-rank run equals the one-rank run's, in both evaluation modes.
 func TestObserverStreamParity(t *testing.T) {
 	for _, full := range []bool{false, true} {
 		cfg := testConfig(1, 10, 80)
@@ -284,7 +283,7 @@ func TestObserverStreamParity(t *testing.T) {
 		}
 		want := record(RunSequential)
 		if len(want) != cfg.Generations {
-			t.Fatalf("full=%v: sequential observer saw %d generations, want %d", full, len(want), cfg.Generations)
+			t.Fatalf("full=%v: one-rank observer saw %d generations, want %d", full, len(want), cfg.Generations)
 		}
 		for _, ranks := range []int{2, 3, 5} {
 			got := record(func(c Config) (*Result, error) { return RunParallel(c, ranks) })
@@ -293,7 +292,7 @@ func TestObserverStreamParity(t *testing.T) {
 			}
 			for k := range want {
 				if got[k] != want[k] {
-					t.Fatalf("full=%v ranks=%d: observer callback %d = %+v, sequential saw %+v", full, ranks, k, got[k], want[k])
+					t.Fatalf("full=%v ranks=%d: observer callback %d = %+v, one rank saw %+v", full, ranks, k, got[k], want[k])
 				}
 			}
 		}

@@ -58,12 +58,12 @@ func reference(cfg Config) Config {
 
 // TestPayoffCacheBitParity: the payoff table, on by default, changes nothing
 // observable about a trajectory. Every evaluator and schedule (the subtests)
-// × pure, error-free mixed and noisy mixed strategies × the sequential engine
-// and 2, 3 and 5 ranks runs once with the table and once on the reference
+// × pure, error-free mixed and noisy mixed strategies × 1, 2, 3 and 5 ranks
+// runs once with the table and once on the reference
 // kernel, and the two are equal bit for bit — counters, final strategies,
 // final fitness and cooperation; the mean-fitness series of a run served by
-// type within reductionDrift — and across rank counts the usual
-// sequential/parallel parity holds, mean fitness bit for bit.
+// type within reductionDrift — and across rank counts the usual rank-count
+// invariance holds, mean fitness bit for bit.
 func TestPayoffCacheBitParity(t *testing.T) {
 	kinds := []struct {
 		name  string
@@ -147,9 +147,9 @@ func TestPayoffCacheParityMixedNoise(t *testing.T) {
 // TestDefaultRunIsServedByType is the property the default mode's speed rests
 // on: egdsim with no flags (sim.DefaultSpec, pure, error-free, incremental)
 // serves recurring type pairs from the table, so hits + misses = GamesPlayed
-// over the ranks. In parallel every rank holds the table: each worker's
-// misses are the cells it played, and Nature's hits are every scheduled
-// game no worker had to play.
+// over the ranks. Every rank holds the table: each rank's misses are the
+// cells it played, and Nature's hits are every scheduled game no rank had
+// to play.
 func TestDefaultRunIsServedByType(t *testing.T) {
 	spec := DefaultSpec()
 	spec.Metrics = true
@@ -164,8 +164,8 @@ func TestDefaultRunIsServedByType(t *testing.T) {
 		}
 		var total game.CacheStats
 		for _, rs := range res.Metrics.Phases {
-			if rs.Cache == nil || rs.Rank == 0 && rs.Cache.Hits == 0 || rs.Cache.Misses == 0 && rs.Rank != 0 {
-				t.Fatalf("%d ranks: rank %d cache stats %+v: want Nature's hits and each worker's misses", ranks, rs.Rank, rs.Cache)
+			if rs.Cache == nil || rs.Rank == 0 && rs.Cache.Hits == 0 || rs.Cache.Misses == 0 {
+				t.Fatalf("%d ranks: rank %d cache stats %+v: want Nature's hits and each rank's misses", ranks, rs.Rank, rs.Cache)
 			}
 			total.Merge(*rs.Cache)
 		}
@@ -211,7 +211,7 @@ func TestPayoffCacheHitsSurviveMutations(t *testing.T) {
 }
 
 // TestPayoffCacheMetricsExport: the egd_* registry carries the per-rank
-// cache series, on both engines.
+// cache series.
 func TestPayoffCacheMetricsExport(t *testing.T) {
 	cfg := testConfig(1, 8, 30)
 	cfg.Seed = 21
@@ -222,8 +222,8 @@ func TestPayoffCacheMetricsExport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every rank holds the table: Nature books the hits, the workers the
-	// cells they played.
+	// Every rank holds the table: Nature books the hits, every rank the
+	// cells it played.
 	var total game.CacheStats
 	for _, rs := range res.Metrics.Phases {
 		if rs.Cache == nil {
@@ -309,8 +309,7 @@ func TestTableForgetsReclaimedID(t *testing.T) {
 
 // TestPayoffCacheSurvivesIDRecycling: memory two, 8 SSets and a mutation
 // every other generation, so far more than 4·S types live and die and every
-// type id changes hands several times — on the sequential engine and on 2,
-// 3 and 5 ranks the run is the reference run bit for bit, and every
+// type id changes hands several times — on 1, 2, 3 and 5 ranks the run is the reference run bit for bit, and every
 // scheduled game was a lookup.
 func TestPayoffCacheSurvivesIDRecycling(t *testing.T) {
 	base := testConfig(2, 8, 400)

@@ -16,7 +16,7 @@ import (
 // each generation's comparison, mutation and sampling from (Seed, gen) and
 // holds the same payoff table, so the ranks meet only where the table lacks
 // a cell (and, with a stop hook or a receive deadline, at a sampled
-// generation); meetingsOf derives those from a sequential walk of
+// generation); meetingsOf derives those from a one-rank walk of
 // the run. The tests run the engine where samples are sparse: every other
 // table in this package runs under 1 000 generations, where the automatic
 // SampleStride is 1 and every generation is sampled.
@@ -42,7 +42,7 @@ func quietGens(t *testing.T, cfg Config, gens int) []int {
 // meetingsOf lists the generations at which the ranks of cfg's run meet:
 // those whose refresh finds a pair of SSets whose cell the table does not
 // hold and, where the run bounds drift, the sampled ones. It derives them
-// from a sequential walk of the same run, keying cells as the engine does —
+// from a one-rank walk of the same run, keying cells as the engine does —
 // served by type, by type id and epoch, so a reclaimed id's cells are gone;
 // otherwise by SSet and how often it changed, every SSet changing each
 // generation under FullRecompute — and holding that every rank starts, or
@@ -127,7 +127,7 @@ func collectivesBefore(meetings []int, g int) uint64 { return 2 * before(meeting
 // sparseConfig is a run whose samples are sparse: sampled every 40th
 // generation, compared in one of twenty. 9 SSets and 16 rounds keep every
 // sum a dyadic rational (see TestInterruptedRunReturnsTheUninterruptedResult),
-// so one sequential run is the bit-exact reference at every rank count.
+// so a one-rank run is the bit-exact reference at every rank count.
 func sparseConfig(mem, gens int, full bool) Config {
 	cfg := testConfig(mem, 9, gens)
 	cfg.Rules.Rounds = 16
@@ -334,13 +334,13 @@ func assertMeetings(t *testing.T, what string, res *Result, meetings int) {
 }
 
 // TestWireIsAFunctionOfThePlan: each rank's collectives are the meetings a
-// sequential walk of the run derives, whether the table is keyed by SSet or
-// by type, and nothing a strategy's size could move is on the wire — a
-// memory-six mixed noisy run sends what the memory-one run on the same plan
-// sends.
+// walk of the run derives, whether the table is keyed by SSet or by type, at
+// every rank count from one, and nothing a strategy's size could move is on
+// the wire — a memory-six mixed noisy run sends what the memory-one run on
+// the same plan sends.
 func TestWireIsAFunctionOfThePlan(t *testing.T) {
 	const gens = 600
-	for _, ranks := range []int{3, 5, 14} { // 14: a row spans several workers
+	for _, ranks := range []int{1, 2, 3, 5, 14} { // 14: a row spans several ranks
 		// Keyed by SSet: the reference kernel, and noisy memory-six mixed
 		// play, which meet after every change. Every adoption is a coin flip
 		// from the Nature stream, so both runs change the same SSets at the
@@ -377,10 +377,11 @@ func TestWireIsAFunctionOfThePlan(t *testing.T) {
 			}
 		}
 
-		// Served by type, the ranks meet at the fills a sequential walk of the
-		// same run finds, at the window's end and — only where something
-		// bounds the drift: a stop hook, a receive deadline — at each sampled
-		// generation. Every such run is the sequential run.
+		// Served by type, the ranks meet at the fills a walk of the same run
+		// finds, at the window's end and — only where something bounds the
+		// drift: a stop hook, a receive deadline — at each sampled
+		// generation. A world of one has nobody to drift from and meets at
+		// its fills only. Every such run is the one-rank run.
 		seq, err := RunSequential(sparseConfig(2, gens, false))
 		if err != nil {
 			t.Fatal(err)
@@ -403,6 +404,9 @@ func TestWireIsAFunctionOfThePlan(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertSameResult(t, seq, res, true)
+			if ranks == 1 {
+				meets = fills
+			}
 			assertMeetings(t, fmt.Sprintf("%d ranks, %s", ranks, bound), res, len(meets))
 		}
 	}

@@ -70,10 +70,26 @@ func TestAdoptClones(t *testing.T) {
 	}
 }
 
-// localOn is a sequential engine's fitness source over pop: its refresh is
-// the sequential engine's, onto a table of its own.
-func localOn(cfg *Config, pop *Population, master *rng.Source) *localSource {
-	return &localSource{nature: &nature{cfg: cfg, master: master, pop: pop}, payoffTable: newPayoffTable(cfg)}
+// localTable is a payoff table over pop whose refresh plays every cell it
+// lists itself, as a world of one's does.
+type localTable struct {
+	cfg    *Config
+	pop    *Population
+	master *rng.Source
+	payoffTable
+}
+
+func localOn(cfg *Config, pop *Population, master *rng.Source) *localTable {
+	return &localTable{cfg, pop, master, newPayoffTable(cfg)}
+}
+
+func (l *localTable) refresh(gen int) (uint64, error) {
+	scheduled := l.listMissing(l.cfg, l.pop)
+	vals, err := l.playCells(l.cfg, l.pop, l.master, gen, l.cells)
+	if err == nil {
+		l.install(l.cells, vals)
+	}
+	return scheduled, err
 }
 
 // cell is the table's payoff of SSet i against j under the last refresh's
@@ -343,13 +359,13 @@ func TestPayoffValuesMatchDirectPlay(t *testing.T) {
 	}
 }
 
-// Worker shares are windows onto the one cell list: a full recompute keyed
-// by SSet lists every pair, and split with blockRange, each share played
-// cell by cell as a worker plays a meeting's cells — on its own kernel, from
-// each pair's (gen, i, j) stream — the shares hold exactly the payoffs the
-// sequential source installs, in list order, at any worker count. That is
-// what lets a run keyed by SSet fill its table from the workers and fold
-// each row's fitness in column order.
+// Rank shares are windows onto the one cell list: a full recompute keyed by
+// SSet lists every pair, and split with blockRange, each share played cell
+// by cell as a rank plays a meeting's cells — on its own kernel, from each
+// pair's (gen, i, j) stream — the shares hold exactly the payoffs a world of
+// one installs, in list order, at any rank count. That is what lets a run
+// keyed by SSet fill its table from the ranks and fold each row's fitness
+// in column order.
 func TestPairBlocksTileTheWholeList(t *testing.T) {
 	cfg := testConfig(1, 6, 0)
 	cfg.Rules.ErrorRate = 0.05 // noisy: payoffs depend on the (gen, i, j) stream
@@ -379,7 +395,7 @@ func TestPairBlocksTileTheWholeList(t *testing.T) {
 		}
 		for k, ab := range whole.cells {
 			if v := whole.tab[ab[0]][ab[1]]; flat[k] != v {
-				t.Fatalf("%d workers: cell %d %v payoff %v, the sequential source has %v", nWorkers, k, ab, flat[k], v)
+				t.Fatalf("%d ranks: cell %d %v payoff %v, a world of one has %v", nWorkers, k, ab, flat[k], v)
 			}
 		}
 	}

@@ -232,8 +232,8 @@ func TestResilientGivesUpWhenBudgetExhausted(t *testing.T) {
 
 func TestResilientRejectsBadInputsUpFront(t *testing.T) {
 	cfg := testConfig(1, 6, 10)
-	if _, err := RunParallelResilient(cfg, 1, 3); err == nil {
-		t.Fatal("1 rank accepted")
+	if _, err := RunParallelResilient(cfg, 0, 3); err == nil {
+		t.Fatal("0 ranks accepted")
 	}
 	bad := cfg
 	bad.Memory = 0

@@ -27,13 +27,13 @@ type Result struct {
 	Counters Counters
 	// Elapsed is the wall-clock duration of the run.
 	Elapsed time.Duration
-	// Ranks is the number of ranks the run finished on (1 for sequential).
+	// Ranks is the number of ranks the run finished on.
 	Ranks int
 	// Restarts is how many times the recovery supervisor restarted the run
 	// (0 for a direct or fault-free run).
 	Restarts int
 	// Metrics holds the run's observability aggregate (per-rank phase
-	// timings, and comm accounting for the parallel engine); nil unless
+	// timings and comm accounting); nil unless
 	// Config.Metrics was set.
 	Metrics *RunMetrics
 

@@ -103,8 +103,8 @@ func (f *FileSink) Latest() (*checkpoint.Snapshot, error) {
 // newSnapshot records a run at a generation boundary: the strategies after
 // gen completed generations, the cumulative counters and both series
 // sampled so far, and where cells are kept across generations the
-// generation each SSet's cells were played from. Every snapshot the engines
-// write is built here, so each one is the whole run up to gen and
+// generation each SSet's cells were played from. Every snapshot the engine
+// writes is built here, so each one is the whole run up to gen and
 // ResumeFrom needs nothing else.
 func newSnapshot(cfg *Config, gen int, strategies []strategy.Strategy, ctr Counters, fit, coop *stats.Series, played []uint64) *checkpoint.Snapshot {
 	return &checkpoint.Snapshot{
@@ -124,13 +124,13 @@ func newSnapshot(cfg *Config, gen int, strategies []strategy.Strategy, ctr Count
 // (keptAcrossGenerations) — other snapshots stay byte-identical to the
 // stream version before it — and gen for an SSet whose change the next
 // refresh plays.
-func (n *nature) played(gen int) []uint64 {
-	if !keptAcrossGenerations(n.cfg) {
+func (r *parRank) played(gen int) []uint64 {
+	if !keptAcrossGenerations(r.cfg) {
 		return nil
 	}
-	out := make([]uint64, n.pop.Size())
+	out := make([]uint64, r.pop.Size())
 	for i := range out {
-		out[i] = uint64(n.pop.playedAt(i, gen))
+		out[i] = uint64(r.pop.playedAt(i, gen))
 	}
 	return out
 }
@@ -139,12 +139,12 @@ func (n *nature) played(gen int) []uint64 {
 // generations into the configured sink. A snapshot at the window's end also
 // carries the run's FinalFitness: a restart from it runs no generation, so
 // its table never holds the last refresh that FinalFitness folds.
-func (n *nature) saveSnapshot(gen int) error {
-	snap := newSnapshot(n.cfg, gen, n.pop.Snapshot(), n.res.Counters, n.res.MeanFitness, n.res.Cooperation, n.played(gen))
-	if gen == n.end {
-		snap.Fitness = n.src.finalFitness()
+func (r *parRank) saveSnapshot(gen int) error {
+	snap := newSnapshot(r.cfg, gen, r.pop.Snapshot(), r.res.Counters, r.res.MeanFitness, r.res.Cooperation, r.played(gen))
+	if gen == r.end {
+		snap.Fitness = r.finalFitness()
 	}
-	if err := n.cfg.CheckpointSink.Save(snap); err != nil {
+	if err := r.cfg.CheckpointSink.Save(snap); err != nil {
 		return fmt.Errorf("sim: checkpoint at generation %d: %w", gen, err)
 	}
 	return nil

@@ -48,8 +48,8 @@ type Spec struct {
 	ExactPayoffs bool `json:"exact_payoffs,omitempty"`
 	// SearchEngine selects the paper-faithful linear find_state lookup.
 	SearchEngine bool `json:"search_engine,omitempty"`
-	// Ranks selects the engine (see Run): 0 or 1 is the sequential reference
-	// engine, >= 2 the parallel one with that many ranks.
+	// Ranks is the size of the engine's world (see Run): 0 selects 1, the
+	// reference.
 	Ranks int `json:"ranks,omitempty"`
 	// SampleStride keeps every k-th generation in the recorded series
 	// (0 selects the automatic ~1000-point stride).
@@ -71,7 +71,7 @@ func DefaultSpec() Spec {
 }
 
 // Config materialises the spec into an engine configuration, validated for
-// the engine Ranks selects and with its defaults normalised: the whole run's
+// Ranks ranks and with its defaults normalised: the whole run's
 // window, which every resumed segment is derived from (Config.ResumeFrom).
 func (s Spec) Config() (Config, error) {
 	cfg := Config{
@@ -112,31 +112,19 @@ func (s Spec) Config() (Config, error) {
 		// its own sink (RunParallelResilient's convention).
 		cfg.CheckpointSink = NewMemorySink()
 	}
-	var err error
-	switch {
-	case s.Ranks < 0:
-		err = fmt.Errorf("sim: negative rank count %d", s.Ranks)
-	case s.Ranks >= 2:
-		err = checkParallel(&cfg, s.Ranks)
-	default:
-		err = cfg.Validate()
+	if s.Ranks < 0 {
+		return Config{}, fmt.Errorf("sim: negative rank count %d", s.Ranks)
 	}
-	if err != nil {
+	if err := checkParallel(&cfg, max(s.Ranks, 1)); err != nil {
 		return Config{}, err
 	}
 	return cfg, nil
 }
 
-// Run executes cfg on the engine the rank count selects — the one rule every
-// front end shares: 0 or 1 is the sequential reference engine, >= 2 the
-// parallel engine with that many ranks (Nature plus workers). Both produce
-// the same trajectory from the same Config.
-func Run(cfg Config, ranks int) (*Result, error) {
-	if ranks >= 2 {
-		return RunParallel(cfg, ranks)
-	}
-	return RunSequential(cfg)
-}
+// Run executes cfg on a world of ranks ranks, 0 counting as 1 — the one rule
+// every front end shares. Every rank count produces the same trajectory from
+// the same Config.
+func Run(cfg Config, ranks int) (*Result, error) { return RunParallel(cfg, max(ranks, 1)) }
 
 // BindFlags registers the model parameters on fs under the flag names every
 // command shares (egdsim, egdrun, egdsweep; README.md "Run parameters"), each
@@ -184,7 +172,7 @@ func (o optFloat) Set(text string) error {
 	return nil
 }
 
-// FaultTolerance is the parallel engine's failure handling as the two launch
+// FaultTolerance is the engine's failure handling as the two launch
 // binaries (egdsim -ranks N, egdrun -np N) expose it: scripted fault
 // injection, the receive deadline that makes a stalled rank detectable, the
 // cadence of the snapshots a restart resumes from, and the restart budget
@@ -205,9 +193,9 @@ type FaultTolerance struct {
 // BindFlags registers the fault-tolerance flags on fs.
 func (f *FaultTolerance) BindFlags(fs *flag.FlagSet) {
 	fs.StringVar(&f.InjectFault, "inject-fault", "", "scripted fault specs, ';'-separated, e.g. 'rank=2,after=500' (see internal/mpi.ParseFault)")
-	fs.DurationVar(&f.WorkerTimeout, "worker-timeout", 0, "receive deadline that turns a stalled rank into a detectable failure (parallel engine)")
+	fs.DurationVar(&f.WorkerTimeout, "worker-timeout", 0, "receive deadline that turns a stalled rank into a detectable failure (two or more ranks)")
 	fs.IntVar(&f.CheckpointEvery, "checkpoint-every", 0, "write a recovery checkpoint every N generations")
-	fs.IntVar(&f.MaxRestarts, "max-restarts", 3, "restarts from the latest checkpoint after rank failures (parallel engine; <= 0 disables recovery)")
+	fs.IntVar(&f.MaxRestarts, "max-restarts", 3, "restarts from the latest checkpoint after rank failures (two or more ranks; <= 0 disables recovery)")
 }
 
 // Apply installs the settings into cfg, parsing the fault plan, and

@@ -229,8 +229,8 @@ func TestFlagsJSONConfigRoundTrip(t *testing.T) {
 	}
 }
 
-// Ranks 0 and 1 are the sequential engine, >= 2 the parallel one, whose own
-// check bounds the worker count; a checkpoint cadence needs no sink yet.
+// Ranks 0 and 1 are a world of one; the engine's own check bounds the
+// worker count; a checkpoint cadence needs no sink yet.
 func TestSpecRanksAndCheckpointCadence(t *testing.T) {
 	spec := Spec{Memory: 1, SSets: 2, Generations: 5, CheckpointEvery: 2}
 	for ranks, wantErr := range map[int]string{-1: "negative rank count", 0: "", 1: "", 3: "", 4: "workers exceed"} {

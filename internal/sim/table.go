@@ -10,11 +10,10 @@ import (
 	"repro/internal/strategy"
 )
 
-// payoffTable is the one payoff table both engines fold fitness over, and the
-// one place a payoff is evaluated. The sequential engine's source plays every
-// cell it lists itself; each rank of the parallel engine holds its own copy
-// and meets the others to fill it (rank.go). None of its state is shared or
-// sent. A run served by type (servedByType) keys the table by strategy type,
+// payoffTable is the payoff table every rank folds fitness over, and the one
+// place a payoff is evaluated. Each rank holds its own copy, plays its block
+// of the cells it lists and meets the others to fill the rest (rank.go); a
+// world of one plays them all. None of its state is shared or sent. A run served by type (servedByType) keys the table by strategy type,
 // at most K×K cells for K live types. Any other run (noisy play, error-free
 // mixed play, the reference kernel) keys it by SSet: each SSet is its own
 // key, a change empties its row and column, and under FullRecompute every
@@ -35,7 +34,7 @@ type payoffTable struct {
 	kept bool
 	// stats counts the scheduled games: a miss for every cell this table
 	// plays, a hit for every one no rank plays — booked (book) on every
-	// table but a parallel worker's, so once over the ranks. Only a table
+	// table but a worker's, so once over the ranks. Only a table
 	// keyed by type reports them (cacheStats).
 	stats  game.CacheStats
 	worker bool
@@ -140,8 +139,8 @@ func (t *payoffTable) cacheStats(pop *Population) *game.CacheStats {
 // scheduledGames is the closed form of a generation's game count over the
 // whole pair list of s SSets, changed of them dirty: every pair with all,
 // otherwise all pairs minus the clean×clean ones. Whoever played the games,
-// every source tallies the schedule with it, so the engines' counters agree
-// and the ranks' agree at the end of the window's cross-check. It counts in
+// every rank tallies the schedule with it, so the counters agree at every
+// rank count and at the end of the window's cross-check. It counts in
 // uint64, which s×(s-1) fits where int is 32 bits too.
 func scheduledGames(s, changed int, all bool) uint64 {
 	n, clean := uint64(s), uint64(s-changed)
@@ -152,7 +151,7 @@ func scheduledGames(s, changed int, all bool) uint64 {
 }
 
 // listMissing is the first half of a refresh for pop, the same on every
-// rank of either engine: it empties the cells of the changed SSets' keys —
+// rank: it empties the cells of the changed SSets' keys —
 // of every key under FullRecompute keyed by SSet — lists in cells the live
 // key pairs the table then holds no cell for, books the hits and returns
 // the generation's scheduled games. Keyed by type, a changed SSet's type id
@@ -235,7 +234,7 @@ func (t *payoffTable) listMissing(cfg *Config, pop *Population) uint64 {
 }
 
 // book counts the scheduled games the listed cells leave unplayed as hits —
-// on every table but a parallel worker's, so Nature books them once for the
+// on every table but a worker's, so Nature books them once for the
 // ranks — and returns scheduled.
 func (t *payoffTable) book(scheduled uint64) uint64 {
 	if !t.worker {
@@ -340,15 +339,11 @@ func (t *payoffTable) fitness(i int) float64 {
 	return total / float64(len(t.keys)-1)
 }
 
-func (t *payoffTable) fitnesses(teacher, learner int) (float64, float64, error) {
-	return t.fitness(teacher), t.fitness(learner), nil
-}
-
 // meanFitness is the population's mean relative fitness, Σ_a n_a Σ_b
 // (n_b − δ_ab)·tab(a,b) over the refresh's key counts, live keys in the
 // order of their lowest holder and each row's own pairing last — O(S + K²)
-// for K live keys. Every engine and rank count sums it in this one order.
-func (t *payoffTable) meanFitness() (float64, error) {
+// for K live keys. Every rank count sums it in this one order.
+func (t *payoffTable) meanFitness() float64 {
 	clear(t.mark)
 	t.live = t.live[:0]
 	for _, a := range t.keys {
@@ -374,7 +369,7 @@ func (t *payoffTable) meanFitness() (float64, error) {
 		total += t.held[x] * sum
 	}
 	s := len(t.keys)
-	return total / (float64(s) * float64(s-1)), nil
+	return total / (float64(s) * float64(s-1))
 }
 
 // finalFitness is every SSet's fitness over the last refresh's key vector.

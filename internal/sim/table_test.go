@@ -102,11 +102,7 @@ func TestListMissingKeepsMirrorsAdjacent(t *testing.T) {
 func TestMeanFitnessPastInt32Pairs(t *testing.T) {
 	const s, cell = 46342, 2.75
 	tb := payoffTable{tab: [][]float64{{cell}}, keys: make([]int32, s), mark: make([]int, 1)}
-	got, err := tb.meanFitness()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != cell {
+	if got := tb.meanFitness(); got != cell {
 		t.Fatalf("mean fitness of %d SSets of one type = %v, want its cell %v", s, got, cell)
 	}
 }

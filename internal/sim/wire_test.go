@@ -117,7 +117,7 @@ func TestCellPayloadsAreChecked(t *testing.T) {
 		{"cells over its share", make([]float64, 13), "rank 1 sent []float64 (13 cells) at generation 0, want the"},
 	} {
 		// Served by type and, on the reference kernel, keyed by SSet, where
-		// the only worker's share is all 12 cells.
+		// the only worker's share is 6 of the 12 cells.
 		base := testConfig(1, 4, 1)
 		for _, cfg := range []Config{base, reference(base)} {
 			if err := cfg.Validate(); err != nil {
