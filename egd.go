@@ -32,6 +32,7 @@ import (
 
 	"repro/internal/game"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/strategy"
 )
 
@@ -43,10 +44,7 @@ import (
 type Config = sim.Spec
 
 // SeriesPoint is one sampled (generation, value) observation.
-type SeriesPoint struct {
-	Generation int
-	Value      float64
-}
+type SeriesPoint = stats.Point
 
 // Result summarises a run.
 type Result struct {
@@ -114,17 +112,8 @@ func convertResult(cfg sim.Config, res *sim.Result) *Result {
 		}
 	}
 	out.DistinctStrategies = res.FinalAbundance().Distinct()
-	out.MeanFitness = seriesPoints(res.MeanFitness.Len(), res.MeanFitness.At)
-	out.Cooperation = seriesPoints(res.Cooperation.Len(), res.Cooperation.At)
-	return out
-}
-
-func seriesPoints(n int, at func(int) (int, float64)) []SeriesPoint {
-	out := make([]SeriesPoint, n)
-	for i := range out {
-		g, v := at(i)
-		out[i] = SeriesPoint{Generation: g, Value: v}
-	}
+	out.MeanFitness = res.MeanFitness.Points()
+	out.Cooperation = res.Cooperation.Points()
 	return out
 }
 

@@ -9,6 +9,7 @@ package bitset
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"strings"
 )
@@ -175,10 +176,12 @@ func (b *Bitset) UnmarshalBinary(data []byte) error {
 		return errors.New("bitset: truncated header")
 	}
 	n := getU64(data)
-	if n > 1<<32 {
+	// Bounded as the unsigned word it arrives as: converted first, a length
+	// of 2^31 or more would turn negative where int is 32 bits.
+	if n > min(1<<32, math.MaxInt) {
 		return fmt.Errorf("bitset: implausible length %d", n)
 	}
-	nw := wordsFor(int(n))
+	nw := int((n + wordBits - 1) / wordBits)
 	if len(data) < 8+8*nw {
 		return errors.New("bitset: truncated payload")
 	}

@@ -165,6 +165,19 @@ func TestUnmarshalTruncated(t *testing.T) {
 	}
 }
 
+// A bit count of 2^31 or more is refused as the uint64 it arrives as: where
+// int is 32 bits, converting it first made it negative and make panicked.
+func TestUnmarshalRejectsLengthPastInt(t *testing.T) {
+	for _, n := range []uint64{1 << 31, 1<<32 - 1, 1 << 32, 1<<63 + 5} {
+		data := make([]byte, 16)
+		putU64(data, n)
+		var b Bitset
+		if err := b.UnmarshalBinary(data); err == nil {
+			t.Errorf("a %d-bit header over one word accepted", n)
+		}
+	}
+}
+
 func TestFingerprintDistinguishes(t *testing.T) {
 	a := New(4096)
 	b := New(4096)

@@ -17,23 +17,18 @@ import (
 	"slices"
 
 	"repro/internal/bitset"
+	"repro/internal/stats"
 	"repro/internal/strategy"
 )
 
-// Magic and version identify the stream format. Version 2 appends the run
-// counters after the fitness block; version 3 makes the counters block
-// optional behind a presence byte and appends the sampled series; version 4
-// appends one played generation per strategy. Write emits the lowest
-// version that can represent the snapshot, so counter-less snapshots stay
-// byte-identical to version 1 streams, series-less ones to version 2
-// streams, snapshots without played generations to version 3 streams, and
-// Read accepts all four.
+// Magic and Version identify the stream format. There is one layout: the
+// header, then the strategies, the fitness, the counters, both series and
+// the played generations, each block but the counters a little-endian
+// uint32 count followed by that many entries. Read refuses every other
+// version.
 const (
-	Magic           uint32 = 0x45474431 // "EGD1"
-	Version         uint16 = 1
-	VersionCounters uint16 = 2
-	VersionSeries   uint16 = 3
-	VersionPlayed   uint16 = 4
+	Magic   uint32 = 0x45474431 // "EGD1"
+	Version uint16 = 5
 )
 
 // maxSeriesPoints bounds a decoded series block (a run samples ~1000
@@ -61,32 +56,21 @@ type Snapshot struct {
 	// (empty means not recorded).
 	Fitness []float64
 	// Counters holds the run's cumulative event counters, so a resumed run
-	// reports totals identical to an uninterrupted one. Nil means not
-	// recorded (and the snapshot encodes as version 1); every snapshot the
-	// engines write carries them.
+	// reports totals identical to an uninterrupted one. Nil is written as
+	// zeros and read back as them.
 	Counters *RunCounters
 	// MeanFitness and Cooperation carry the sampled series up to the
 	// snapshot generation, which makes a snapshot the complete record of the
 	// run so far: sim.Config.ResumeFrom restores them and the resumed run
-	// returns the uninterrupted run's series. Every snapshot the engines
-	// write carries both. Nil means not recorded (and the snapshot encodes
-	// as version <= 2); non-nil but empty is recorded and survives a round
-	// trip.
-	MeanFitness []SeriesPoint
-	Cooperation []SeriesPoint
+	// returns the uninterrupted run's series.
+	MeanFitness []stats.Point
+	Cooperation []stats.Point
 	// Played holds, per strategy, the generation whose random streams the
 	// SSet's payoff cells were last played from. The engines record it only
 	// for a run that keeps noisy or mixed cells across generations, where a
 	// cell's value depends on that generation, so the resumed run plays each
-	// again from its own. Nil means not recorded (and the snapshot encodes
-	// as version <= 3); a recorded snapshot always carries the series block.
+	// again from its own; empty means not recorded.
 	Played []uint64
-}
-
-// SeriesPoint is one retained sample of a per-generation series.
-type SeriesPoint struct {
-	Generation uint64
-	Value      float64
 }
 
 // RunCounters tallies the work a run performed up to the snapshot
@@ -123,7 +107,7 @@ func (s *Snapshot) Validate() error {
 	if len(s.Fitness) != 0 && len(s.Fitness) != len(s.Strategies) {
 		return fmt.Errorf("checkpoint: %d fitness values for %d strategies", len(s.Fitness), len(s.Strategies))
 	}
-	if s.Played != nil && len(s.Played) != len(s.Strategies) {
+	if len(s.Played) != 0 && len(s.Played) != len(s.Strategies) {
 		return fmt.Errorf("checkpoint: %d played generations for %d strategies", len(s.Played), len(s.Strategies))
 	}
 	return nil
@@ -134,78 +118,53 @@ func Write(w io.Writer, s *Snapshot) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
+	le := binary.LittleEndian
 	bw := bufio.NewWriter(w)
-	writeU32 := func(v uint32) { _ = binary.Write(bw, binary.LittleEndian, v) }
-	writeU64 := func(v uint64) { _ = binary.Write(bw, binary.LittleEndian, v) }
-	writeU32(Magic)
-	version := Version
-	if s.Counters != nil {
-		version = VersionCounters
-	}
-	if s.MeanFitness != nil || s.Cooperation != nil {
-		version = VersionSeries
-	}
-	if s.Played != nil {
-		version = VersionPlayed
-	}
-	_ = binary.Write(bw, binary.LittleEndian, version)
-	_ = bw.WriteByte(byte(s.Memory))
-	_ = bw.WriteByte(0) // reserved
-	writeU64(s.Generation)
-	writeU64(s.Seed)
-	writeU32(uint32(len(s.Strategies)))
-	hasFitness := uint8(0)
-	if len(s.Fitness) > 0 {
-		hasFitness = 1
-	}
-	_ = bw.WriteByte(hasFitness)
-	var record []byte // reused across strategies
+	// b carries the header, then one strategy record at a time, then the
+	// rest, which it is sized for (with 78 bytes of header, counts and
+	// counters).
+	b := make([]byte, 0, 78+8*len(s.Fitness)+16*(len(s.MeanFitness)+len(s.Cooperation))+8*len(s.Played))
+	b = le.AppendUint32(b, Magic)
+	b = le.AppendUint16(b, Version)
+	b = append(b, byte(s.Memory), 0) // reserved
+	b = le.AppendUint64(b, s.Generation)
+	b = le.AppendUint64(b, s.Seed)
+	b = le.AppendUint32(b, uint32(len(s.Strategies)))
 	for _, st := range s.Strategies {
-		record = AppendStrategy(record[:0], st)
-		if _, err := bw.Write(record); err != nil {
-			return err
-		}
+		bw.Write(b)
+		b = appendStrategy(b[:0], st)
 	}
-	if hasFitness == 1 {
-		for _, f := range s.Fitness {
-			writeU64(math.Float64bits(f))
-		}
+	b = le.AppendUint32(b, uint32(len(s.Fitness)))
+	for _, f := range s.Fitness {
+		b = le.AppendUint64(b, math.Float64bits(f))
 	}
-	if version >= VersionSeries {
-		hasCounters := uint8(0)
-		if s.Counters != nil {
-			hasCounters = 1
-		}
-		_ = bw.WriteByte(hasCounters)
-	}
+	var ctr RunCounters
 	if s.Counters != nil {
-		writeU64(s.Counters.GamesPlayed)
-		writeU64(s.Counters.PCEvents)
-		writeU64(s.Counters.Adoptions)
-		writeU64(s.Counters.Mutations)
+		ctr = *s.Counters
 	}
-	if version >= VersionSeries {
-		for _, series := range [][]SeriesPoint{s.MeanFitness, s.Cooperation} {
-			writeU32(uint32(len(series)))
-			for _, p := range series {
-				writeU64(p.Generation)
-				writeU64(math.Float64bits(p.Value))
-			}
+	for _, v := range []uint64{ctr.GamesPlayed, ctr.PCEvents, ctr.Adoptions, ctr.Mutations} {
+		b = le.AppendUint64(b, v)
+	}
+	for _, series := range [][]stats.Point{s.MeanFitness, s.Cooperation} {
+		b = le.AppendUint32(b, uint32(len(series)))
+		for _, p := range series {
+			b = le.AppendUint64(le.AppendUint64(b, uint64(p.Generation)), math.Float64bits(p.Value))
 		}
 	}
+	b = le.AppendUint32(b, uint32(len(s.Played)))
 	for _, g := range s.Played {
-		writeU64(g)
+		b = le.AppendUint64(b, g)
 	}
+	bw.Write(b) // a write error sticks to bw and Flush reports it
 	return bw.Flush()
 }
 
-// AppendStrategy appends one strategy the way the snapshot stream and the
-// parallel engine's messages both carry it: a kind byte, a little-endian
-// uint32 length, and the body — the response bitset's binary form (length in
+// appendStrategy appends one strategy: a kind byte, a little-endian uint32
+// length, and the body — the response bitset's binary form (length in
 // bytes) for a pure strategy, one float64 per state (length in states) for
 // a mixed one. There is no third form: it panics on any other type, which
 // Snapshot.Validate reports as an error first.
-func AppendStrategy(b []byte, st strategy.Strategy) []byte {
+func appendStrategy(b []byte, st strategy.Strategy) []byte {
 	switch v := st.(type) {
 	case *strategy.Pure:
 		bits, _ := v.Bits().MarshalBinary()
@@ -220,21 +179,74 @@ func AppendStrategy(b []byte, st strategy.Strategy) []byte {
 	panic(fmt.Sprintf("checkpoint: unsupported strategy type %T", st))
 }
 
-// ReadStrategy decodes one strategy of space sp written by AppendStrategy. A
-// length that does not fit the space is refused before the body is read.
-func ReadStrategy(r io.Reader, sp strategy.Space) (strategy.Strategy, error) {
-	var head [5]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return nil, err
+// decoder reads little-endian words off a stream and keeps the first error:
+// after one, every read returns zero, so a block checks it once.
+type decoder struct {
+	r   *bufio.Reader
+	buf [8]byte
+	err error
+}
+
+func (d *decoder) next(n int) []byte {
+	if d.err == nil {
+		_, d.err = io.ReadFull(d.r, d.buf[:n])
 	}
-	n := int(binary.LittleEndian.Uint32(head[1:]))
-	switch head[0] {
+	if d.err != nil {
+		clear(d.buf[:n])
+	}
+	return d.buf[:n]
+}
+
+func (d *decoder) u8() uint8   { return d.next(1)[0] }
+func (d *decoder) u16() uint16 { return binary.LittleEndian.Uint16(d.next(2)) }
+func (d *decoder) u32() uint32 { return binary.LittleEndian.Uint32(d.next(4)) }
+func (d *decoder) u64() uint64 { return binary.LittleEndian.Uint64(d.next(8)) }
+
+// readBlock reads a count and then that many entries. A count above limit is
+// refused before any entry is read, and past 1 024 entries the slice grows
+// as they arrive, so a count the stream does not back costs what the stream
+// holds, not its claim. A zero count reads as nil.
+func readBlock[T any](d *decoder, what string, limit uint32, entry func() (T, error)) ([]T, error) {
+	n := d.u32()
+	if d.err != nil {
+		return nil, fmt.Errorf("reading %s count: %w", what, d.err)
+	}
+	if n > limit {
+		return nil, fmt.Errorf("implausible %s count %d", what, n)
+	}
+	var out []T
+	if n > 0 {
+		out = make([]T, 0, min(n, 1<<10))
+	}
+	for i := range n {
+		v, err := entry()
+		if err == nil {
+			err = d.err
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s %d: %w", what, i, err)
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+// strategy decodes one strategy of space sp written by appendStrategy. The
+// length is bounded as the unsigned word it arrives as, so no platform's int
+// sees an out-of-range one, and one that does not fit the space is refused
+// before the body is read.
+func (d *decoder) strategy(sp strategy.Space) (strategy.Strategy, error) {
+	kind, n := d.u8(), d.u32()
+	if d.err != nil {
+		return nil, d.err
+	}
+	switch kind {
 	case kindPure:
 		if n > 1<<20 {
 			return nil, fmt.Errorf("pure strategy blob of %d bytes", n)
 		}
 		data := make([]byte, n)
-		if _, err := io.ReadFull(r, data); err != nil {
+		if _, err := io.ReadFull(d.r, data); err != nil {
 			return nil, err
 		}
 		var b bitset.Bitset
@@ -246,148 +258,75 @@ func ReadStrategy(r io.Reader, sp strategy.Space) (strategy.Strategy, error) {
 		}
 		return strategy.PureFromBits(sp, &b), nil
 	case kindMixed:
-		if n != sp.NumStates() {
+		if n != uint32(sp.NumStates()) {
 			return nil, fmt.Errorf("mixed strategy has %d probs, want %d", n, sp.NumStates())
-		}
-		data := make([]byte, 8*n)
-		if _, err := io.ReadFull(r, data); err != nil {
-			return nil, err
 		}
 		probs := make([]float64, n)
 		for j := range probs {
-			probs[j] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*j:]))
+			probs[j] = math.Float64frombits(d.u64())
 			if math.IsNaN(probs[j]) || probs[j] < 0 || probs[j] > 1 {
 				return nil, fmt.Errorf("mixed strategy prob %d out of range", j)
 			}
 		}
-		return strategy.MixedFromProbs(sp, probs), nil
+		return strategy.MixedFromProbs(sp, probs), d.err
 	}
-	return nil, fmt.Errorf("unknown strategy kind %d", head[0])
+	return nil, fmt.Errorf("unknown strategy kind %d", kind)
 }
 
 // Read decodes a snapshot from r.
 func Read(r io.Reader) (*Snapshot, error) {
-	br := bufio.NewReader(r)
-	var magic uint32
-	if err := binary.Read(br, binary.LittleEndian, &magic); err != nil {
-		return nil, fmt.Errorf("checkpoint: reading magic: %w", err)
-	}
-	if magic != Magic {
-		return nil, fmt.Errorf("checkpoint: bad magic %#x", magic)
-	}
-	var version uint16
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
-		return nil, err
-	}
-	if version < Version || version > VersionPlayed {
-		return nil, fmt.Errorf("checkpoint: unsupported version %d", version)
-	}
-	memByte, err := br.ReadByte()
+	s, err := (&decoder{r: bufio.NewReader(r)}).snapshot()
 	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	if err := s.Validate(); err != nil {
 		return nil, err
-	}
-	if _, err := br.ReadByte(); err != nil { // reserved
-		return nil, err
-	}
-	s := &Snapshot{Memory: int(memByte)}
-	if s.Memory < 1 || s.Memory > strategy.MaxMemory {
-		return nil, fmt.Errorf("checkpoint: memory %d out of range", s.Memory)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &s.Generation); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(br, binary.LittleEndian, &s.Seed); err != nil {
-		return nil, err
-	}
-	var count uint32
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return nil, err
-	}
-	if count == 0 || count > 1<<28 {
-		return nil, fmt.Errorf("checkpoint: implausible strategy count %d", count)
-	}
-	hasFitness, err := br.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	sp := strategy.NewSpace(s.Memory)
-	// The count is the stream's word, not yet its data: the slice grows as
-	// strategies arrive, so a header claiming 2^28 of them costs what the
-	// stream holds before it ends, not a 4 GiB make up front.
-	s.Strategies = make([]strategy.Strategy, 0, min(count, 1<<10))
-	for i := uint32(0); i < count; i++ {
-		st, err := ReadStrategy(br, sp)
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: strategy %d: %w", i, err)
-		}
-		s.Strategies = append(s.Strategies, st)
-	}
-	if hasFitness == 1 {
-		s.Fitness = make([]float64, count)
-		for i := range s.Fitness {
-			var bits64 uint64
-			if err := binary.Read(br, binary.LittleEndian, &bits64); err != nil {
-				return nil, err
-			}
-			s.Fitness[i] = math.Float64frombits(bits64)
-		}
-	}
-	hasCounters := version == VersionCounters
-	if version >= VersionSeries {
-		b, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: reading counters flag: %w", err)
-		}
-		if b > 1 {
-			return nil, fmt.Errorf("checkpoint: bad counters flag %d", b)
-		}
-		hasCounters = b == 1
-	}
-	if hasCounters {
-		s.Counters = &RunCounters{}
-		for _, field := range []*uint64{
-			&s.Counters.GamesPlayed, &s.Counters.PCEvents,
-			&s.Counters.Adoptions, &s.Counters.Mutations,
-		} {
-			if err := binary.Read(br, binary.LittleEndian, field); err != nil {
-				return nil, fmt.Errorf("checkpoint: reading counters: %w", err)
-			}
-		}
-	}
-	if version >= VersionSeries {
-		for _, dst := range []*[]SeriesPoint{&s.MeanFitness, &s.Cooperation} {
-			var n uint32
-			if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-				return nil, fmt.Errorf("checkpoint: reading series length: %w", err)
-			}
-			if n > maxSeriesPoints {
-				return nil, fmt.Errorf("checkpoint: implausible series length %d", n)
-			}
-			// Non-nil even when empty, so the round trip keeps version 3.
-			pts := make([]SeriesPoint, n)
-			for i := range pts {
-				var bits64 uint64
-				if err := binary.Read(br, binary.LittleEndian, &pts[i].Generation); err != nil {
-					return nil, err
-				}
-				if err := binary.Read(br, binary.LittleEndian, &bits64); err != nil {
-					return nil, err
-				}
-				pts[i].Value = math.Float64frombits(bits64)
-			}
-			*dst = pts
-		}
-	}
-	if version >= VersionPlayed {
-		// Grown as values arrive, as the strategies are.
-		s.Played = make([]uint64, 0, min(count, 1<<10))
-		for range count {
-			var g uint64
-			if err := binary.Read(br, binary.LittleEndian, &g); err != nil {
-				return nil, fmt.Errorf("checkpoint: reading played generations: %w", err)
-			}
-			s.Played = append(s.Played, g)
-		}
 	}
 	return s, nil
+}
+
+func (d *decoder) snapshot() (*Snapshot, error) {
+	magic, version, memory, _ := d.u32(), d.u16(), d.u8(), d.u8()
+	s := &Snapshot{Memory: int(memory), Generation: d.u64(), Seed: d.u64()}
+	switch {
+	case d.err != nil:
+		return nil, fmt.Errorf("reading header: %w", d.err)
+	case magic != Magic:
+		return nil, fmt.Errorf("bad magic %#x", magic)
+	case version != Version:
+		return nil, fmt.Errorf("unsupported version %d", version)
+	case s.Memory < 1 || s.Memory > strategy.MaxMemory:
+		return nil, fmt.Errorf("memory %d out of range", s.Memory)
+	}
+	sp := strategy.NewSpace(s.Memory)
+	var err error
+	if s.Strategies, err = readBlock(d, "strategy", 1<<28, func() (strategy.Strategy, error) { return d.strategy(sp) }); err != nil {
+		return nil, err
+	}
+	if len(s.Strategies) == 0 {
+		return nil, errors.New("no strategies")
+	}
+	count := uint32(len(s.Strategies))
+	if s.Fitness, err = readBlock(d, "fitness", count, func() (float64, error) { return math.Float64frombits(d.u64()), nil }); err != nil {
+		return nil, err
+	}
+	s.Counters = &RunCounters{GamesPlayed: d.u64(), PCEvents: d.u64(), Adoptions: d.u64(), Mutations: d.u64()}
+	if d.err != nil {
+		return nil, fmt.Errorf("reading counters: %w", d.err)
+	}
+	point := func() (stats.Point, error) {
+		gen, v := d.u64(), math.Float64frombits(d.u64())
+		if gen > math.MaxInt {
+			return stats.Point{}, fmt.Errorf("generation %d overflows int", gen)
+		}
+		return stats.Point{Generation: int(gen), Value: v}, nil
+	}
+	if s.MeanFitness, err = readBlock(d, "mean fitness point", maxSeriesPoints, point); err != nil {
+		return nil, err
+	}
+	if s.Cooperation, err = readBlock(d, "cooperation point", maxSeriesPoints, point); err != nil {
+		return nil, err
+	}
+	s.Played, err = readBlock(d, "played generation", count, func() (uint64, error) { return d.u64(), nil })
+	return s, err
 }

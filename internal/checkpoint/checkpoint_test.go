@@ -2,12 +2,16 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/stats"
 	"repro/internal/strategy"
 )
 
@@ -141,11 +145,13 @@ func TestReadRejectsCorruption(t *testing.T) {
 	if _, err := Read(bytes.NewReader(bad)); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	// Bad version.
-	bad = append([]byte{}, good...)
-	bad[4] = 0xFF
-	if _, err := Read(bytes.NewReader(bad)); err == nil {
-		t.Fatal("bad version accepted")
+	// Every version but the one layout's, the four earlier ones included.
+	for _, v := range []byte{0, 1, 2, 3, 4, 6, 0xFF} {
+		bad = append([]byte{}, good...)
+		bad[4] = v
+		if _, err := Read(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "unsupported version") {
+			t.Fatalf("version %d: error %v, want unsupported version", v, err)
+		}
 	}
 	// Bad memory byte.
 	bad = append([]byte{}, good...)
@@ -184,18 +190,59 @@ func TestReadRejectsImplausibleCounts(t *testing.T) {
 	if _, err := Read(bytes.NewReader(hugeCount)); err == nil {
 		t.Fatal("implausible strategy count accepted")
 	}
-	// The first strategy's blob length sits after count (4) and the
-	// has-fitness byte (1) and the kind byte (1): offset 30.
-	hugeBlob := append([]byte{}, good...)
-	hugeBlob[30], hugeBlob[31], hugeBlob[32], hugeBlob[33] = 0xFF, 0xFF, 0xFF, 0x7F
-	if _, err := Read(bytes.NewReader(hugeBlob)); err == nil {
-		t.Fatal("oversized pure blob accepted")
+	// The first strategy's kind byte follows the count, at offset 28, and
+	// its blob length is the uint32 after it. A length of 2^31 or more is
+	// refused as the uint32 it arrives as (converted to a 32-bit int first,
+	// it went negative and make panicked).
+	for _, blob := range []uint32{0x7FFFFFFF, 0x80000000, 0xFFFFFFFF} {
+		hugeBlob := append([]byte{}, good...)
+		binary.LittleEndian.PutUint32(hugeBlob[29:], blob)
+		if _, err := Read(bytes.NewReader(hugeBlob)); err == nil {
+			t.Fatalf("pure blob of %d bytes accepted", blob)
+		}
 	}
-	// Unknown strategy kind at offset 29.
 	badKind := append([]byte{}, good...)
-	badKind[29] = 99
+	badKind[28] = 99
 	if _, err := Read(bytes.NewReader(badKind)); err == nil {
 		t.Fatal("unknown strategy kind accepted")
+	}
+	// The stream ends with the three uint32 counts of the two series and the
+	// played generations; the fitness count precedes the 32 counter bytes.
+	for _, tc := range []struct {
+		name string
+		at   int // offset from the end of the stream
+		n    uint32
+	}{
+		{"a fitness count between none and every strategy", 12 + 32 + 4, 1},
+		{"a fitness count past the strategies", 12 + 32 + 4, 3},
+		{"a series past the cap", 12, 1<<20 + 1},
+		{"a played count past the strategies", 4, 3},
+		{"a played count between none and every strategy", 4, 1},
+	} {
+		bad := append([]byte{}, good...)
+		binary.LittleEndian.PutUint32(bad[len(bad)-tc.at:], tc.n)
+		bad = append(bad, make([]byte, 64)...) // entries enough for the count
+		if _, err := Read(bytes.NewReader(bad)); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+	}
+}
+
+// A series point's generation arrives as a uint64; one past math.MaxInt is
+// refused rather than wrapped into a negative int.
+func TestReadRejectsSeriesGenerationPastInt(t *testing.T) {
+	s := pureSnapshot(t, 1, 2)
+	s.MeanFitness = []stats.Point{{Generation: 3, Value: 1.5}}
+	var buf bytes.Buffer
+	if err := Write(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	// The point (generation, value) sits before the cooperation and played
+	// counts.
+	binary.LittleEndian.PutUint64(data[len(data)-8-16:], uint64(math.MaxInt)+1)
+	if _, err := Read(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "overflows int") {
+		t.Fatalf("a series generation past math.MaxInt: error %v", err)
 	}
 }
 
@@ -243,13 +290,10 @@ func TestReadRejectsOutOfRangeProbs(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	// The last 8 bytes of the stream are the final probability; set them to
-	// the bit pattern of 2.0 (out of range).
-	for i := 0; i < 8; i++ {
-		data[len(data)-8+i] = 0
-	}
-	data[len(data)-2] = 0x00
-	data[len(data)-1] = 0x40 // float64(2.0) high byte
+	// The final probability is the 8 bytes before the fitness count (4),
+	// the counters (32) and the three trailing counts (12); set them to the
+	// bit pattern of 2.0 (out of range).
+	binary.LittleEndian.PutUint64(data[len(data)-48-8:], math.Float64bits(2))
 	if _, err := Read(bytes.NewReader(data)); err == nil {
 		t.Fatal("out-of-range probability accepted")
 	}
@@ -262,10 +306,6 @@ func TestCountersRoundTrip(t *testing.T) {
 	if err := Write(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	// Counters force the version-2 stream format.
-	if v := buf.Bytes()[4]; v != byte(VersionCounters) {
-		t.Fatalf("stream version = %d, want %d", v, VersionCounters)
-	}
 	got, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -273,35 +313,24 @@ func TestCountersRoundTrip(t *testing.T) {
 	if got.Counters == nil || *got.Counters != *s.Counters {
 		t.Fatalf("counters round trip: got %+v, want %+v", got.Counters, s.Counters)
 	}
-	// Truncating the counter block must error, not silently drop it.
+	// Truncating the counter block (before the three trailing counts) must
+	// error, not silently drop it.
 	buf.Reset()
 	if err := Write(&buf, s); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	if _, err := Read(bytes.NewReader(data[:len(data)-8])); err == nil {
+	if _, err := Read(bytes.NewReader(data[:len(data)-12-8])); err == nil {
 		t.Fatal("truncated counter block accepted")
 	}
-}
-
-func TestVersion1StreamStaysVersion1(t *testing.T) {
-	// A snapshot without counters must encode byte-identically to the
-	// pre-counter format: existing checkpoint files and the offset-based
-	// corruption tests depend on the version-1 layout.
-	s := pureSnapshot(t, 1, 3)
-	var buf bytes.Buffer
+	// A snapshot without counters is written with zero ones.
+	s.Counters = nil
+	buf.Reset()
 	if err := Write(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	if v := buf.Bytes()[4]; v != byte(Version) {
-		t.Fatalf("stream version = %d, want %d", v, Version)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Counters != nil {
-		t.Fatalf("counters materialised from a version-1 stream: %+v", got.Counters)
+	if got, err := Read(&buf); err != nil || got.Counters == nil || *got.Counters != (RunCounters{}) {
+		t.Fatalf("nil counters read back as %+v (%v), want zeros", got.Counters, err)
 	}
 }
 
@@ -315,14 +344,11 @@ func TestWriteRejectsInvalid(t *testing.T) {
 func TestSeriesRoundTrip(t *testing.T) {
 	s := pureSnapshot(t, 2, 5)
 	s.Counters = &RunCounters{GamesPlayed: 10, PCEvents: 2, Adoptions: 1, Mutations: 3}
-	s.MeanFitness = []SeriesPoint{{Generation: 0, Value: 1.25}, {Generation: 7, Value: 2.5}}
-	s.Cooperation = []SeriesPoint{{Generation: 0, Value: 0.5}}
+	s.MeanFitness = []stats.Point{{Generation: 0, Value: 1.25}, {Generation: 7, Value: 2.5}}
+	s.Cooperation = []stats.Point{{Generation: 0, Value: 0.5}}
 	var buf bytes.Buffer
 	if err := Write(&buf, s); err != nil {
 		t.Fatal(err)
-	}
-	if v := buf.Bytes()[4]; v != byte(VersionSeries) {
-		t.Fatalf("stream version = %d, want %d", v, VersionSeries)
 	}
 	got, err := Read(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -340,56 +366,52 @@ func TestSeriesRoundTrip(t *testing.T) {
 
 	// A truncated series block errors instead of silently shortening.
 	data := buf.Bytes()
-	if _, err := Read(bytes.NewReader(data[:len(data)-4])); err == nil {
+	if _, err := Read(bytes.NewReader(data[:len(data)-4-4])); err == nil {
 		t.Fatal("truncated series block accepted")
 	}
 }
 
-func TestSeriesEmptyButRecordedSurvivesRoundTrip(t *testing.T) {
-	// Non-nil empty series mark "recorded, nothing sampled yet" and must
-	// keep the version-3 encoding through a round trip (the fuzz target's
-	// re-encode check depends on it). Counters stay absent.
-	s := pureSnapshot(t, 1, 2)
-	s.MeanFitness = []SeriesPoint{}
-	s.Cooperation = []SeriesPoint{}
-	var buf bytes.Buffer
-	if err := Write(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.MeanFitness == nil || got.Cooperation == nil {
-		t.Fatal("recorded-but-empty series decoded as nil")
-	}
-	if got.Counters != nil {
-		t.Fatalf("counters materialised without a counter block: %+v", got.Counters)
-	}
-	var again bytes.Buffer
-	if err := Write(&again, got); err != nil {
-		t.Fatal(err)
-	}
-	if v := again.Bytes()[4]; v != byte(VersionSeries) {
-		t.Fatalf("re-encoded version = %d, want %d", v, VersionSeries)
+// Write, Read and Write again give the same bytes: a snapshot with every
+// block populated and one with every optional block empty, so the one layout
+// carries both without a distinction the codec would have to remember.
+func TestRoundTripIsByteIdentical(t *testing.T) {
+	full := pureSnapshot(t, 2, 3)
+	full.Strategies[1] = strategy.GTFT(strategy.NewSpace(2), 0.25)
+	full.Fitness = []float64{1.5, 2.25, math.Inf(1)}
+	full.Counters = &RunCounters{GamesPlayed: 1 << 40, PCEvents: 7, Adoptions: 3, Mutations: 2}
+	full.MeanFitness = []stats.Point{{Generation: 0, Value: 1.25}, {Generation: 12000, Value: 2.5}}
+	full.Cooperation = []stats.Point{{Generation: 0, Value: 0.5}}
+	full.Played = []uint64{12345, 0, 99}
+	empty := pureSnapshot(t, 1, 2)
+	for name, s := range map[string]*Snapshot{"every block populated": full, "every block empty": empty} {
+		var first, second bytes.Buffer
+		if err := Write(&first, s); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Read(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := Write(&second, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("%s: re-encoded stream differs:\n%x\n%x", name, first.Bytes(), second.Bytes())
+		}
 	}
 }
 
 func TestSeriesRejectsImplausibleLength(t *testing.T) {
 	s := pureSnapshot(t, 1, 2)
-	s.MeanFitness = []SeriesPoint{}
-	s.Cooperation = []SeriesPoint{}
 	var buf bytes.Buffer
 	if err := Write(&buf, s); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	// Overwrite the mean-fitness series length (last 8 bytes are the two
-	// u32 counts) with a value over the cap.
-	data[len(data)-8] = 0xff
-	data[len(data)-7] = 0xff
-	data[len(data)-6] = 0xff
-	data[len(data)-5] = 0x7f
+	// Overwrite the mean-fitness series length (the stream ends with the
+	// three u32 counts of the series and the played generations) with a
+	// value over the cap.
+	binary.LittleEndian.PutUint32(data[len(data)-12:], 0x7fffffff)
 	if _, err := Read(bytes.NewReader(data)); err == nil {
 		t.Fatal("implausible series length accepted")
 	}

@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/stats"
 	"repro/internal/strategy"
 )
 
 // FuzzRead hardens the checkpoint decoder: arbitrary bytes must never
 // panic, and any stream it accepts must re-encode to an equivalent
-// snapshot.
+// snapshot whose encoding is a fixed point of Write∘Read.
 func FuzzRead(f *testing.F) {
 	// Seed with valid streams of both strategy kinds. Each seed gets its own
 	// buffer: F.Add keeps the slice it is given.
@@ -31,18 +32,18 @@ func FuzzRead(f *testing.F) {
 	seed(&Snapshot{Generation: 8, Seed: 3, Memory: 1,
 		Strategies:  []strategy.Strategy{strategy.WSLS(strategy.NewSpace(1))},
 		Counters:    &RunCounters{GamesPlayed: 42},
-		MeanFitness: []SeriesPoint{{Generation: 0, Value: 2.0}, {Generation: 4, Value: 2.25}},
-		Cooperation: []SeriesPoint{{Generation: 0, Value: 0.5}}})
-	// The shape the engines write at the end of a run: all five blocks,
-	// one series recorded but still empty.
+		MeanFitness: []stats.Point{{Generation: 0, Value: 2.0}, {Generation: 4, Value: 2.25}},
+		Cooperation: []stats.Point{{Generation: 0, Value: 0.5}}})
+	// The shape the engines write at the end of a run that keeps cells
+	// across generations: every block, one series still empty.
 	seed(&Snapshot{Generation: 1, Seed: 7, Memory: 2,
 		Strategies:  []strategy.Strategy{strategy.WSLS(sp), strategy.RandomPure(sp, src)},
 		Fitness:     []float64{2.0, 1.25},
 		Counters:    &RunCounters{GamesPlayed: 2, PCEvents: 1, Mutations: 1},
-		MeanFitness: []SeriesPoint{{Generation: 0, Value: 1.625}},
-		Cooperation: []SeriesPoint{}})
+		MeanFitness: []stats.Point{{Generation: 0, Value: 1.625}},
+		Played:      []uint64{0, 1}})
 	f.Add([]byte{})
-	f.Add([]byte{0x31, 0x44, 0x47, 0x45, 1, 0})
+	f.Add([]byte{0x31, 0x44, 0x47, 0x45, byte(Version), 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := Read(bytes.NewReader(data))
@@ -57,9 +58,13 @@ func FuzzRead(f *testing.F) {
 		if err := Write(&out, snap); err != nil {
 			t.Fatalf("accepted snapshot does not re-encode: %v", err)
 		}
-		again, err := Read(&out)
+		again, err := Read(bytes.NewReader(out.Bytes()))
 		if err != nil {
 			t.Fatalf("re-encoded snapshot does not decode: %v", err)
+		}
+		var twice bytes.Buffer
+		if err := Write(&twice, again); err != nil || !bytes.Equal(twice.Bytes(), out.Bytes()) {
+			t.Fatalf("re-encoding is not a fixed point (%v)", err)
 		}
 		if len(again.Strategies) != len(snap.Strategies) || again.Generation != snap.Generation {
 			t.Fatal("round trip changed the snapshot")

@@ -46,8 +46,9 @@ func (m CostModel) normalised() CostModel {
 //     min(1, pc+mu) — all an incremental job plays — and, under full
 //     recompute, every other scheduled match at PairCacheHitCostRatio, as
 //     the engine's payoff table by strategy type serves it;
-//   - a full-recompute job that is not memoizable (noisy or mixed sampled
-//     play, which bypasses the table) plays all G × S × (S-1) matches;
+//   - a full-recompute job the table does not serve by type
+//     (sim.ServedByType: noisy or mixed sampled play) plays all
+//     G × S × (S-1) matches;
 //   - a match costs Cal.GameSeconds[memory] × rounds / CalRounds; exact
 //     mode replaces the sampled match with the Markov solve, whose sparse
 //     iteration is priced like a 4^memory-round match.
@@ -57,7 +58,7 @@ func (m CostModel) normalised() CostModel {
 func (m CostModel) EstimateSeconds(cfg sim.Config) float64 {
 	m = m.normalised()
 	games := perfmodel.CacheAdjustedGames(cfg.Generations, cfg.NumSSets, cfg.PCRate+cfg.Mu, cfg.FullRecompute)
-	if cfg.FullRecompute && !cacheablePayoffs(cfg) {
+	if cfg.FullRecompute && !sim.ServedByType(&cfg) {
 		s := float64(cfg.NumSSets)
 		games = float64(cfg.Generations) * s * (s - 1)
 	}
@@ -67,14 +68,6 @@ func (m CostModel) EstimateSeconds(cfg sim.Config) float64 {
 	}
 	perMatch := m.Cal.GameSeconds[cfg.Memory] * rounds / float64(m.CalRounds)
 	return games * perMatch
-}
-
-// cacheablePayoffs mirrors the engine's keying rule (docs/KERNEL.md) at the
-// config level: exact-mode payoffs are always served by type; sampled
-// matches are when error-free and the strategy kind is deterministic. Any
-// other run keys its table by SSet and gets no discount.
-func cacheablePayoffs(cfg sim.Config) bool {
-	return cfg.ExactPayoffs || (cfg.Kind == sim.PureStrategies && cfg.Rules.ErrorRate == 0)
 }
 
 // admissionError is a structured rejection: the HTTP layer maps Status to

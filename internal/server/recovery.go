@@ -1,9 +1,5 @@
 package server
 
-import (
-	"fmt"
-)
-
 // recoverJobs rebuilds the manager's job table, tenant quotas, and
 // outstanding-work budget from a replayed journal, returning the jobs that
 // must be re-queued (journaled queued, plus journaled running — a job the
@@ -22,7 +18,7 @@ func (m *Manager) recoverJobs(js *journalState) []*Job {
 			m.store.removeCheckpoint(id)
 			terminal++
 			if job.state == StateFailed && !rj.state.terminal() {
-				failed++ // recovery itself failed this one (lost checkpoint, stale spec)
+				failed++ // recovery itself failed this one (stale spec)
 			}
 		case job.state == StatePaused:
 			m.quotas.restore(job.Tenant)
@@ -40,10 +36,9 @@ func (m *Manager) recoverJobs(js *journalState) []*Job {
 	return pending
 }
 
-// rebuildJob materialises one journal-replayed job. Non-terminal jobs whose
-// on-disk state is unusable (a paused job with a lost checkpoint, a spec
-// that no longer validates) come back failed with the reason recorded
-// rather than poisoning the boot.
+// rebuildJob materialises one journal-replayed job. A non-terminal job whose
+// spec no longer validates comes back failed with the reason recorded rather
+// than poisoning the boot.
 func (m *Manager) rebuildJob(rj *recoveredJob) *Job {
 	job := &Job{
 		ID:               rj.id,
@@ -69,22 +64,14 @@ func (m *Manager) rebuildJob(rj *recoveredJob) *Job {
 		return job
 	}
 	job.cfg = cfg
-	snap, serr := job.sink.Latest()
+	// A paused job stays paused; a queued or running one is queued. Its next
+	// segment resumes from the checkpoint, or from generation 0 when there is
+	// none or it cannot be read: both reach the uninterrupted result.
+	job.state = StateQueued
 	if rj.state == StatePaused {
-		if serr != nil || snap == nil {
-			job.state = StateFailed
-			job.errMsg = fmt.Sprintf("paused job lost its resume checkpoint across restart: %v", serr)
-			job.hub.close()
-			return job
-		}
 		job.state = StatePaused
-	} else {
-		// Journaled queued or running: either way the next segment runs
-		// when a worker picks it up. A checkpoint read error is not fatal
-		// here — the job simply restarts from generation 0.
-		job.state = StateQueued
 	}
-	if snap != nil && serr == nil {
+	if snap, err := job.sink.Latest(); err == nil && snap != nil {
 		job.gen = int(snap.Generation)
 	}
 	return job

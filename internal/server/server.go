@@ -265,12 +265,6 @@ func (s *Server) handleTransition(f func(*Job) error) http.HandlerFunc {
 	}
 }
 
-// samplePoint is one retained series observation.
-type samplePoint struct {
-	Generation int     `json:"generation"`
-	Value      float64 `json:"value"`
-}
-
 // jobResult is the wire form of a finished run. ElapsedSeconds is the only
 // non-deterministic field; parity checks compare everything else.
 type jobResult struct {
@@ -278,25 +272,11 @@ type jobResult struct {
 	FinalFitness   []float64     `json:"final_fitness"`
 	Fingerprints   []string      `json:"fingerprints"`
 	Counters       sim.Counters  `json:"counters"`
-	MeanFitness    []samplePoint `json:"mean_fitness"`
-	Cooperation    []samplePoint `json:"cooperation"`
+	MeanFitness    []stats.Point `json:"mean_fitness"`
+	Cooperation    []stats.Point `json:"cooperation"`
 	Ranks          int           `json:"ranks"`
 	Restarts       int           `json:"restarts"`
 	ElapsedSeconds float64       `json:"elapsed_seconds"`
-}
-
-// seriesPoints is a sampled series in wire form (null when nothing was
-// sampled).
-func seriesPoints(s *stats.Series) []samplePoint {
-	if s.Len() == 0 {
-		return nil
-	}
-	out := make([]samplePoint, s.Len())
-	for i := range out {
-		g, v := s.At(i)
-		out[i] = samplePoint{Generation: g, Value: v}
-	}
-	return out
 }
 
 // wireResult is a finished run's /result document. settle encodes it once;
@@ -308,8 +288,8 @@ func wireResult(id string, res *sim.Result) *jobResult {
 		FinalFitness:   res.FinalFitness,
 		Fingerprints:   make([]string, len(res.Final)),
 		Counters:       res.Counters,
-		MeanFitness:    seriesPoints(res.MeanFitness),
-		Cooperation:    seriesPoints(res.Cooperation),
+		MeanFitness:    res.MeanFitness.Points(),
+		Cooperation:    res.Cooperation.Points(),
 		Ranks:          res.Ranks,
 		Restarts:       res.Restarts,
 		ElapsedSeconds: res.Elapsed.Seconds(),

@@ -18,6 +18,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/strategy"
 )
 
@@ -252,6 +253,61 @@ func TestPauseKillRebootResumesFromStopSnapshot(t *testing.T) {
 	}
 }
 
+// A paused job whose checkpoint cannot be read across a reboot stays paused,
+// as a queued or running one stays queued: resumed, its next segment starts
+// from generation 0 and serves the uninterrupted run's /result.
+func TestPausedJobWithUnreadableCheckpointStaysPaused(t *testing.T) {
+	want := runDurableBaseline(t)
+
+	dir := t.TempDir()
+	s, ts := newDurableServer(t, dir)
+	id := submit(t, ts, "", durableSpec)
+	waitUntil(t, ts, id, "mid-run", func(m map[string]any) bool {
+		gen, _ := m["generation"].(float64)
+		return m["state"] == string(StateRunning) && gen >= 300
+	})
+	if resp, m := doJSON(t, "POST", ts.URL+"/api/v1/jobs/"+id+"/pause", "", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("pause: got %d, body %v", resp.StatusCode, m)
+	}
+	waitState(t, ts, id, StatePaused)
+	s.Close()
+	ts.Close()
+	if err := os.WriteFile(filepath.Join(dir, checkpointsDir, id+".ckpt"), []byte("not a checkpoint"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts2 := newDurableServer(t, dir)
+	if st := status(t, ts2, id); st["state"] != string(StatePaused) {
+		t.Fatalf("recovered job is %v (%v), want paused", st["state"], st["error"])
+	}
+	if resp, m := doJSON(t, "POST", ts2.URL+"/api/v1/jobs/"+id+"/resume", "", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("resume: got %d, body %v", resp.StatusCode, m)
+	}
+	waitState(t, ts2, id, StateDone)
+	if got := resultMinusElapsed(t, ts2, id); !reflect.DeepEqual(got, want) {
+		t.Errorf("result after a lost checkpoint differs from uninterrupted run\n got: %v\nwant: %v", got, want)
+	}
+}
+
+// A series encodes in /result as [{"generation":…,"value":…}], and as null
+// when nothing was sampled.
+func TestResultSeriesWireForm(t *testing.T) {
+	fit, _ := stats.NewSeries(5)
+	for g := range 7 {
+		fit.Observe(g, 1.5+float64(g))
+	}
+	coop, _ := stats.NewSeries(5)
+	body, err := json.Marshal(wireResult("j", &sim.Result{MeanFitness: fit, Cooperation: coop}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"mean_fitness":[{"generation":0,"value":1.5},{"generation":5,"value":6.5}]`, `"cooperation":null`} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("/result document %s lacks %s", body, want)
+		}
+	}
+}
+
 // The terminal state is journaled before anyone can see it: while the
 // store is held, a job that has finished running keeps its done event off
 // the timeline, reads running, and has no /result. Once the append
@@ -372,7 +428,7 @@ func TestStructResultJournalReplays(t *testing.T) {
 		ID:           "j-0001-000001",
 		FinalFitness: []float64{1.5, 2.0625, 0.1},
 		Fingerprints: []string{"00000000000000aa", "00000000000000bb", "00000000000000cc"},
-		MeanFitness:  []samplePoint{{Generation: 0, Value: 1.25}},
+		MeanFitness:  []stats.Point{{Generation: 0, Value: 1.25}},
 		Ranks:        1,
 	}
 	type structRecord struct {

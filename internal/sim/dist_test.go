@@ -252,23 +252,8 @@ func TestNetworkedBackendParityBitExact(t *testing.T) {
 			assertSameTrajectory(t, inproc, wire)
 			// Two parallel runs with identical reduction trees must agree
 			// exactly, not merely within tolerance.
-			for i := 0; i < inproc.MeanFitness.Len(); i++ {
-				_, va := inproc.MeanFitness.At(i)
-				_, vb := wire.MeanFitness.At(i)
-				if va != vb {
-					t.Fatalf("mean fitness sample %d: %v (in-process) vs %v (wire)", i, va, vb)
-				}
-			}
-			if inproc.Cooperation.Len() != wire.Cooperation.Len() {
-				t.Fatalf("cooperation series lengths differ: %d vs %d", inproc.Cooperation.Len(), wire.Cooperation.Len())
-			}
-			for i := 0; i < inproc.Cooperation.Len(); i++ {
-				ga, va := inproc.Cooperation.At(i)
-				gb, vb := wire.Cooperation.At(i)
-				if ga != gb || va != vb {
-					t.Fatalf("cooperation at sample %d: (%d,%v) vs (%d,%v)", i, ga, va, gb, vb)
-				}
-			}
+			assertSameSeries(t, "mean fitness", inproc.MeanFitness, wire.MeanFitness, 0)
+			assertSameSeries(t, "cooperation", inproc.Cooperation, wire.Cooperation, 0)
 			if wire.Ranks != 3 || wire.Restarts != 0 {
 				t.Fatalf("networked result ranks=%d restarts=%d", wire.Ranks, wire.Restarts)
 			}

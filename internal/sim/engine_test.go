@@ -23,7 +23,7 @@ func TestRunSequentialBasics(t *testing.T) {
 	if res.Ranks != 1 {
 		t.Fatalf("ranks = %d", res.Ranks)
 	}
-	if res.MeanFitness.Len() == 0 || res.Cooperation.Len() == 0 {
+	if len(res.MeanFitness.Points()) == 0 || len(res.Cooperation.Points()) == 0 {
 		t.Fatal("series empty")
 	}
 	// Per-round fitness scale: between P=1 and R=3 under the standard

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -231,10 +232,10 @@ func TestResumeFromRejectsMalformedSeries(t *testing.T) {
 			s.Cooperation[3].Generation = s.Cooperation[2].Generation
 		}},
 		{"point at the snapshot generation", "not ascending below", func(s *checkpoint.Snapshot) {
-			s.Cooperation[19].Generation = s.Generation
+			s.Cooperation[19].Generation = int(s.Generation)
 		}},
 		{"point past the snapshot generation", "not ascending below", func(s *checkpoint.Snapshot) {
-			s.MeanFitness[19].Generation = s.Generation + 7
+			s.MeanFitness[19].Generation = int(s.Generation) + 7
 		}},
 		{"foreign seed", "does not match", func(s *checkpoint.Snapshot) { s.Seed++ }},
 	}
@@ -257,9 +258,56 @@ func TestResumeFromRejectsMalformedSeries(t *testing.T) {
 	}
 }
 
-// A snapshot without counter or series blocks — an older stream version,
-// or one built by hand — still resumes; the run then simply has no record
-// of the generations before it.
+// A noisy incremental run keeps each cell from the generation it was played
+// in, so its snapshot without played generations cannot be resumed without
+// forking the trajectory: ResumeFrom refuses it and names the missing block,
+// and the intact snapshot resumes to the uninterrupted run's result.
+func TestResumeFromRefusesKeptRunWithoutPlayed(t *testing.T) {
+	cfg := testConfig(1, 12, 120)
+	cfg.Seed = 1413
+	cfg.Rules.ErrorRate = 0.05
+	want, err := RunSequential(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := NewMemorySink()
+	first := cfg
+	first.Generations = 60
+	first.CheckpointEvery = 60
+	first.CheckpointSink = sink
+	if _, err := RunSequential(first); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := sink.Latest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	intact := cfg
+	if err := intact.ResumeFrom(snap); err != nil {
+		t.Fatal(err)
+	}
+	intact.Generations = 60
+	got, err := RunSequential(intact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.FinalFitness, want.FinalFitness) {
+		t.Fatalf("resumed FinalFitness %v, uninterrupted %v", got.FinalFitness, want.FinalFitness)
+	}
+
+	snap.Played = nil
+	resumed := cfg
+	err = resumed.ResumeFrom(snap)
+	if err == nil || !strings.Contains(err.Error(), "played-generations block") {
+		t.Fatalf("a kept run's snapshot without played generations: error %v, want one naming the played-generations block", err)
+	}
+	if resumed.StartGeneration != 0 || resumed.InitialStrategies != nil {
+		t.Fatal("a refused snapshot still changed the config")
+	}
+}
+
+// A snapshot built by hand without counters or series still resumes; the
+// run then simply has no record of the generations before it.
 func TestResumeFromBareSnapshot(t *testing.T) {
 	cfg := testConfig(1, 4, 30)
 	cfg.Seed = 1412
@@ -276,8 +324,8 @@ func TestResumeFromBareSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g, _ := res.MeanFitness.At(0); res.MeanFitness.Len() != 20 || g != 10 {
-		t.Fatalf("series has %d points from generation %d, want 20 from 10", res.MeanFitness.Len(), g)
+	if pts := res.MeanFitness.Points(); len(pts) != 20 || pts[0].Generation != 10 {
+		t.Fatalf("series %+v, want 20 points from generation 10", pts)
 	}
 	if res.Counters.PCEvents > 20 || res.Counters.Mutations > 20 {
 		t.Fatalf("counters %+v cover more than the 20 generations run", res.Counters)

@@ -53,17 +53,16 @@ func assertSameFinal(t *testing.T, a, b *Result) {
 // tol (0 demands bit-identity).
 func assertSameSeries(t *testing.T, name string, a, b *stats.Series, tol float64) {
 	t.Helper()
-	if a.Len() != b.Len() {
-		t.Fatalf("%s series lengths differ: %d vs %d", name, a.Len(), b.Len())
+	pa, pb := a.Points(), b.Points()
+	if len(pa) != len(pb) {
+		t.Fatalf("%s series lengths differ: %d vs %d", name, len(pa), len(pb))
 	}
-	for i := 0; i < a.Len(); i++ {
-		ga, va := a.At(i)
-		gb, vb := b.At(i)
-		if ga != gb {
-			t.Fatalf("%s sample %d: generation %d vs %d", name, i, ga, gb)
+	for i := range pa {
+		if pa[i].Generation != pb[i].Generation {
+			t.Fatalf("%s sample %d: generation %d vs %d", name, i, pa[i].Generation, pb[i].Generation)
 		}
-		if math.Abs(va-vb) > tol {
-			t.Fatalf("%s at gen %d: %v vs %v", name, ga, va, vb)
+		if math.Abs(pa[i].Value-pb[i].Value) > tol {
+			t.Fatalf("%s at gen %d: %v vs %v", name, pa[i].Generation, pa[i].Value, pb[i].Value)
 		}
 	}
 }

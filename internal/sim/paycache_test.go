@@ -43,7 +43,7 @@ func assertBitIdentical(t *testing.T, a, b *Result, meanTol float64) {
 // typedTol is assertBitIdentical's meanTol for a table run of cfg against
 // its reference-kernel run, at any rank count.
 func typedTol(cfg Config) float64 {
-	if servedByType(&cfg) {
+	if ServedByType(&cfg) {
 		return reductionDrift
 	}
 	return 0

@@ -54,7 +54,7 @@ func meetingsOf(t *testing.T, cfg Config) []int {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	byType := servedByType(&cfg)
+	byType := ServedByType(&cfg)
 	changes := make([]uint32, cfg.NumSSets)
 	filled := map[[4]uint32]bool{}
 	end := cfg.StartGeneration + cfg.Generations

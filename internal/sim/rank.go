@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/rng"
+	"repro/internal/stats"
 )
 
 // This file is the engine's protocol. Every rank, Nature included, keeps its
@@ -78,6 +79,8 @@ type parRank struct {
 
 func newParRank(cfg *Config, c *mpi.Comm) *parRank {
 	master := rng.New(cfg.Seed)
+	fit, _ := stats.NewSeries(cfg.SampleStride, cfg.prior.fitness...) // stride >= 1 after Validate
+	coop, _ := stats.NewSeries(cfg.SampleStride, cfg.prior.coop...)
 	r := &parRank{
 		payoffTable: newPayoffTable(cfg),
 		cfg:         cfg,
@@ -88,8 +91,8 @@ func newParRank(cfg *Config, c *mpi.Comm) *parRank {
 		// uninterrupted run's counters and series.
 		res: &Result{
 			Counters:    cfg.prior.counters,
-			MeanFitness: seriesFromPoints(cfg.SampleStride, cfg.prior.fitness),
-			Cooperation: seriesFromPoints(cfg.SampleStride, cfg.prior.coop),
+			MeanFitness: fit,
+			Cooperation: coop,
 		},
 		c:     c,
 		gen:   cfg.StartGeneration,

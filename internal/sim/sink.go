@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -113,16 +114,15 @@ func newSnapshot(cfg *Config, gen int, strategies []strategy.Strategy, ctr Count
 		Memory:      cfg.Memory,
 		Strategies:  strategies,
 		Counters:    &ctr,
-		MeanFitness: seriesToPoints(fit),
-		Cooperation: seriesToPoints(coop),
+		MeanFitness: fit.Points(),
+		Cooperation: coop.Points(),
 		Played:      played,
 	}
 }
 
 // played is what a snapshot after gen completed generations records of
 // Population.played: nil unless the run keeps cells across generations
-// (keptAcrossGenerations) — other snapshots stay byte-identical to the
-// stream version before it — and gen for an SSet whose change the next
+// (keptAcrossGenerations), and gen for an SSet whose change the next
 // refresh plays.
 func (r *parRank) played(gen int) []uint64 {
 	if !keptAcrossGenerations(r.cfg) {
@@ -157,7 +157,7 @@ func (r *parRank) saveSnapshot(gen int) error {
 // fitness a window without a refresh reports as FinalFitness.
 type priorRun struct {
 	counters      Counters
-	fitness, coop []checkpoint.SeriesPoint
+	fitness, coop []stats.Point
 	played        []int
 	final         []float64
 }
@@ -172,11 +172,10 @@ type priorRun struct {
 // A snapshot of a different run — another seed, memory depth or SSet count —
 // would silently fork the trajectory and is refused, as is a series that is
 // not strictly ascending below the snapshot generation or a played
-// generation past it (the values arrive from a file). A snapshot without
-// counters or series (an older stream version) resumes with empty ones;
-// one without played generations, of a noisy or mixed incremental run,
-// replays every cell from the resume generation's streams, which forks the
-// trajectory.
+// generation past it (the values arrive from a file), and so is a snapshot
+// without played generations for a run that keeps cells across generations
+// (noisy or mixed play without FullRecompute), whose cells the resumed run
+// could not replay from their own generations.
 //
 // Call it on the run's own Config, before narrowing Generations: an
 // automatic SampleStride is pinned here from the window the receiver still
@@ -188,15 +187,20 @@ func (c *Config) ResumeFrom(snap *checkpoint.Snapshot) error {
 		return fmt.Errorf("sim: checkpoint (seed %d, memory %d, %d SSets) does not match run (seed %d, memory %d, %d SSets)",
 			snap.Seed, snap.Memory, len(snap.Strategies), c.Seed, c.Memory, c.NumSSets)
 	}
-	for _, pts := range [][]checkpoint.SeriesPoint{snap.MeanFitness, snap.Cooperation} {
+	for _, pts := range [][]stats.Point{snap.MeanFitness, snap.Cooperation} {
 		for i, p := range pts {
-			if p.Generation >= snap.Generation || (i > 0 && p.Generation <= pts[i-1].Generation) {
+			if uint64(p.Generation) >= snap.Generation || (i > 0 && p.Generation <= pts[i-1].Generation) {
 				return fmt.Errorf("sim: checkpoint series point %d (generation %d) is not ascending below snapshot generation %d",
 					i, p.Generation, snap.Generation)
 			}
 		}
 	}
-	if snap.Played != nil && len(snap.Played) != len(snap.Strategies) {
+	resumed := *c
+	resumed.InitialStrategies = snap.Strategies
+	switch {
+	case len(snap.Played) == 0 && keptAcrossGenerations(&resumed):
+		return errors.New("sim: checkpoint has no played-generations block, which a run that keeps cells across generations resumes from")
+	case len(snap.Played) != 0 && len(snap.Played) != len(snap.Strategies):
 		return fmt.Errorf("sim: checkpoint records %d played generations for %d SSets", len(snap.Played), len(snap.Strategies))
 	}
 	var played []int
@@ -216,29 +220,4 @@ func (c *Config) ResumeFrom(snap *checkpoint.Snapshot) error {
 		c.prior.counters = *snap.Counters
 	}
 	return nil
-}
-
-// seriesToPoints flattens a sampled series into checkpoint points. The
-// result is non-nil even when empty: "recorded, nothing sampled yet" is
-// distinct from "not recorded" in the snapshot encoding.
-func seriesToPoints(s *stats.Series) []checkpoint.SeriesPoint {
-	if s == nil {
-		return []checkpoint.SeriesPoint{}
-	}
-	out := make([]checkpoint.SeriesPoint, s.Len())
-	for i := range out {
-		g, v := s.At(i)
-		out[i] = checkpoint.SeriesPoint{Generation: uint64(g), Value: v}
-	}
-	return out
-}
-
-// seriesFromPoints is seriesToPoints' inverse: a series sampling on stride
-// that already holds the restored points.
-func seriesFromPoints(stride int, pts []checkpoint.SeriesPoint) *stats.Series {
-	s, _ := stats.NewSeries(stride) // stride >= 1 after Validate
-	for _, p := range pts {
-		s.Append(int(p.Generation), p.Value)
-	}
-	return s
 }

@@ -13,7 +13,7 @@ import (
 // payoffTable is the payoff table every rank folds fitness over, and the one
 // place a payoff is evaluated. Each rank holds its own copy, plays its block
 // of the cells it lists and meets the others to fill the rest (rank.go); a
-// world of one plays them all. None of its state is shared or sent. A run served by type (servedByType) keys the table by strategy type,
+// world of one plays them all. None of its state is shared or sent. A run served by type (ServedByType) keys the table by strategy type,
 // at most K×K cells for K live types. Any other run (noisy play, error-free
 // mixed play, the reference kernel) keys it by SSet: each SSet is its own
 // key, a change empties its row and column, and under FullRecompute every
@@ -80,7 +80,7 @@ type payoffTable struct {
 
 func newPayoffTable(cfg *Config) payoffTable {
 	s := cfg.NumSSets
-	t := payoffTable{tab: make([][]float64, s), byType: servedByType(cfg), kept: keptAcrossGenerations(cfg), rep: make([]int, s), mark: make([]int, s), prior: cfg.prior.final}
+	t := payoffTable{tab: make([][]float64, s), byType: ServedByType(cfg), kept: keptAcrossGenerations(cfg), rep: make([]int, s), mark: make([]int, s), prior: cfg.prior.final}
 	if t.byType {
 		t.seen = make([]uint32, s)
 	} else {
@@ -98,8 +98,9 @@ func newPayoffTable(cfg *Config) payoffTable {
 	return t
 }
 
-// servedByType is the per-run keying rule (docs/KERNEL.md): the table is
-// keyed by strategy type when replaying any match of cfg's run is guaranteed
+// ServedByType is the per-run keying rule (docs/KERNEL.md), and the one
+// place it lives: the service's admission prices a job by it too. The table
+// is keyed by strategy type when replaying any match of cfg's run is guaranteed
 // to reproduce its payoff bit for bit, i.e. when the payoff is a pure
 // function of the two behaviours and the rules — exact payoffs (the Markov
 // payoff folds noise into the chain), or error-free play among
@@ -108,7 +109,7 @@ func newPayoffTable(cfg *Config) payoffTable {
 // kernel. Everything else depends on the (gen,i,j)-keyed random stream, so
 // it is keyed by SSet, where a cell lives only until one of its SSets
 // changes.
-func servedByType(cfg *Config) bool {
+func ServedByType(cfg *Config) bool {
 	if cfg.referenceKernel || !cfg.ExactPayoffs && (cfg.Rules.ErrorRate != 0 || cfg.Kind != PureStrategies) {
 		return false
 	}
@@ -247,7 +248,7 @@ func (t *payoffTable) book(scheduled uint64) uint64 {
 // keeps a cell until one of its SSets changes: a cell of noisy or mixed play
 // then holds the match of the generation it was played in, which a snapshot
 // of the run records (Population.played) so a resumed run plays it again.
-func keptAcrossGenerations(cfg *Config) bool { return !servedByType(cfg) && !cfg.FullRecompute }
+func keptAcrossGenerations(cfg *Config) bool { return !ServedByType(cfg) && !cfg.FullRecompute }
 
 // playCells plays cells between the keys' lowest holders — by type a
 // memoizable match, so which holders play does not matter — from generation

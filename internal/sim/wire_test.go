@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/checkpoint"
 	"repro/internal/mpi"
 	"repro/internal/strategy"
 )
@@ -39,7 +38,9 @@ func TestVerdictRoundTrip(t *testing.T) {
 // wrong — never a type assertion or a verdict applied to the wrong
 // generation.
 func TestEngineMessageRejections(t *testing.T) {
-	pure := strategy.AllD(strategy.NewSpace(2))
+	// A pure strategy's record as a checkpoint stores it: kind, length, bits.
+	bits, _ := strategy.AllD(strategy.NewSpace(2)).Bits().MarshalBinary()
+	pure := append(binary.LittleEndian.AppendUint32([]byte{1}, uint32(len(bits))), bits...)
 	ver := verdict{Gen: 5}.encode()
 	cel := verdict{Gen: 5, Cells: []float64{1, 3}}.encode()
 
@@ -72,7 +73,7 @@ func TestEngineMessageRejections(t *testing.T) {
 		{"unknown flag", "verdict", with(ver, func(b []byte) []byte { b[1] |= 2; return b }), "is not the 14-byte encoding"},
 		{"unknown high flag", "verdict", with(ver, func(b []byte) []byte { b[1] |= 0x80; return b }), "encoding"},
 		{"trailing byte", "verdict", append(append([]byte(nil), ver...), 0), "verdict of 15 bytes"},
-		{"a strategy aboard a verdict", "verdict", checkpoint.AppendStrategy(append([]byte(nil), ver...), pure), "encoding"},
+		{"a strategy aboard a verdict", "verdict", append(append([]byte(nil), ver...), pure...), "encoding"},
 		{"cells for another generation", "cells", verdict{Gen: 4, Cells: []float64{1, 3}}.encode(), "verdict for generation 4 received at generation 5"},
 		{"one cell short", "cells", verdict{Gen: 5, Cells: []float64{1}}.encode(), "verdict with 1 cells received at generation 5, which misses 2"},
 		{"one cell over", "cells", verdict{Gen: 5, Cells: []float64{1, 3, 3}}.encode(), "verdict with 3 cells"},
@@ -135,7 +136,7 @@ func TestCellPayloadsAreChecked(t *testing.T) {
 				return err
 			})
 			if natureErr == nil || !strings.HasPrefix(natureErr.Error(), "sim: ") || !strings.Contains(natureErr.Error(), tc.want) {
-				t.Errorf("%s, served by type %v: Nature's error %v, want a sim: error containing %q", tc.name, servedByType(&cfg), natureErr, tc.want)
+				t.Errorf("%s, served by type %v: Nature's error %v, want a sim: error containing %q", tc.name, ServedByType(&cfg), natureErr, tc.want)
 			}
 		}
 	}

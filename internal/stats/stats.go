@@ -3,51 +3,54 @@
 // and the strategy-abundance tally behind the "distinct strategies" figure.
 package stats
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
+
+// Point is one kept sample of a series. A snapshot, the service's /result
+// document and egd.Result all carry a series as this slice.
+type Point struct {
+	Generation int     `json:"generation"`
+	Value      float64 `json:"value"`
+}
 
 // Series is a time series sampled at a fixed generation stride, bounding
 // memory for the paper's 10^7-generation runs.
 type Series struct {
 	stride int
-	gens   []int
-	vals   []float64
+	points []Point
 }
 
 // NewSeries creates a series that keeps every stride-th observation
-// (stride >= 1).
-func NewSeries(stride int) (*Series, error) {
+// (stride >= 1), starting from prior: the samples an earlier segment of the
+// run already kept, restored from a checkpoint. The series never writes
+// into prior's backing array.
+func NewSeries(stride int, prior ...Point) (*Series, error) {
 	if stride < 1 {
 		return nil, fmt.Errorf("stats: series stride %d < 1", stride)
 	}
-	return &Series{stride: stride}, nil
+	return &Series{stride: stride, points: slices.Clip(prior)}, nil
 }
 
 // Observe records the value at a generation if it falls on the stride.
 func (s *Series) Observe(gen int, v float64) {
 	if gen%s.stride == 0 {
-		s.Append(gen, v)
+		s.points = append(s.points, Point{gen, v})
 	}
 }
 
-// Append records a sample unconditionally — the way back in for samples an
-// earlier segment of the run already kept (restored from a checkpoint).
-func (s *Series) Append(gen int, v float64) {
-	s.gens = append(s.gens, gen)
-	s.vals = append(s.vals, v)
-}
-
-// Len returns the number of kept samples.
-func (s *Series) Len() int { return len(s.gens) }
-
-// At returns the i-th kept (generation, value) pair.
-func (s *Series) At(i int) (int, float64) { return s.gens[i], s.vals[i] }
+// Points returns the kept samples in generation order (nil when none). The
+// caller must not modify them.
+func (s *Series) Points() []Point { return s.points }
 
 // Last returns the most recent kept pair; ok is false when empty.
 func (s *Series) Last() (gen int, v float64, ok bool) {
-	if len(s.gens) == 0 {
+	if len(s.points) == 0 {
 		return 0, 0, false
 	}
-	return s.gens[len(s.gens)-1], s.vals[len(s.vals)-1], true
+	p := s.points[len(s.points)-1]
+	return p.Generation, p.Value, true
 }
 
 // Abundance tracks how many SSets hold each distinct strategy, keyed by the

@@ -10,12 +10,8 @@ func TestSeriesStride(t *testing.T) {
 	for g := 0; g < 100; g++ {
 		s.Observe(g, float64(g))
 	}
-	if s.Len() != 10 {
-		t.Fatalf("kept %d samples", s.Len())
-	}
-	g, v := s.At(3)
-	if g != 30 || v != 30 {
-		t.Fatalf("At(3) = %d,%v", g, v)
+	if pts := s.Points(); len(pts) != 10 || pts[3] != (Point{30, 30}) {
+		t.Fatalf("kept %+v", pts)
 	}
 	lg, lv, ok := s.Last()
 	if !ok || lg != 90 || lv != 90 {
