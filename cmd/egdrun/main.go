@@ -8,11 +8,11 @@
 // first abnormal exit — which it sees at once, from the worker's process —
 // it kills the rest of the fleet and relaunches every rank from the Nature
 // rank's latest snapshot (sim.RestartConfig; from the start when
-// -checkpoint-every wrote none), up to -max-restarts times. The chaos flags
-// dose workers with real SIGKILL/SIGSTOP mid-run to exercise that recovery
-// the way an unplugged or hung node would; a stopped worker becomes a
-// failure through the -worker-timeout receive deadline of a rank waiting on
-// it.
+// -checkpoint-every wrote none that can be read), up to -max-restarts
+// times. The chaos flags dose workers with real SIGKILL/SIGSTOP mid-run to
+// exercise that recovery the way an unplugged or hung node would; a stopped
+// worker becomes a failure through the -worker-timeout receive deadline of
+// a rank waiting on it.
 //
 // Examples:
 //
@@ -134,7 +134,7 @@ func run(args []string, out io.Writer) error {
 	// "Run parameters"); the rest steer the launcher.
 	job := workerJob{Spec: sim.DefaultSpec()}
 	job.Spec.BindFlags(fs)
-	job.Faults.BindFlags(fs)
+	job.Faults.BindFlags(fs, &job.Spec.CheckpointEvery)
 	fs.IntVar(&job.Spec.Ranks, "np", 0, "number of worker processes (ranks); >= 2")
 	var (
 		sockDir = fs.String("sock", "", "unix-socket directory for the rank mesh (default: a temp dir)")
@@ -254,13 +254,12 @@ func launch(job workerJob, sockDir, tcpBase string, timeout time.Duration, chaos
 		}
 		job.Restarts++
 		job.Faults.InjectFault, chaos = "", nil
-		from := "the start"
-		if snap, err := (&sim.FileSink{Path: job.Checkpoint}).Latest(); err != nil {
+		// The workers resume through the same rule.
+		cfg, err := job.config()
+		if err != nil {
 			return err
-		} else if snap != nil {
-			from = fmt.Sprintf("generation %d", snap.Generation)
 		}
-		fmt.Fprintf(os.Stderr, "egdrun: relaunch %d: %d ranks resume from %s\n", job.Restarts, np, from)
+		fmt.Fprintf(os.Stderr, "egdrun: relaunch %d: %d ranks resume from generation %d\n", job.Restarts, np, cfg.StartGeneration)
 	}
 }
 

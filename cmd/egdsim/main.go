@@ -21,7 +21,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -50,7 +49,7 @@ func run(args []string, out io.Writer) error {
 	spec := sim.DefaultSpec()
 	spec.BindFlags(fs)
 	var ft sim.FaultTolerance
-	ft.BindFlags(fs)
+	ft.BindFlags(fs, &spec.CheckpointEvery)
 	fs.IntVar(&spec.Ranks, "ranks", 1, "ranks of the engine's world: rank 0 is Nature, and every rank plays a share of the games (1 = the reference)")
 	var (
 		csvPath   = fs.String("trace", "", "write per-generation CSV trace to this file")
@@ -128,10 +127,6 @@ func run(args []string, out io.Writer) error {
 		})
 	}
 
-	resilient := spec.Ranks >= 2 && (cfg.FaultPlan != nil || cfg.CheckpointEvery > 0 || cfg.RecvTimeout > 0)
-	if cfg.CheckpointEvery > 0 || resilient {
-		cfg.EventLog = trace.NewEventLog()
-	}
 	if *pprofCPU != "" {
 		f, err := os.Create(*pprofCPU)
 		if err != nil {
@@ -143,12 +138,7 @@ func run(args []string, out io.Writer) error {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	var res *sim.Result
-	if resilient {
-		res, err = sim.RunParallelResilient(cfg, spec.Ranks, ft.MaxRestarts)
-	} else {
-		res, err = sim.Run(cfg, spec.Ranks)
-	}
+	res, err := sim.RunParallelResilient(cfg, max(spec.Ranks, 1), ft.MaxRestarts)
 	if err != nil {
 		return err
 	}
@@ -170,17 +160,8 @@ func run(args []string, out io.Writer) error {
 		cfg.PopulationSize(), cfg.GamesPerGeneration())
 	summary := core.SummaryLines(res)
 	fmt.Fprintln(out, summary[0]) // the work counters
-	if cfg.EventLog != nil {
-		fmt.Fprintf(out, "fault tolerance: %d checkpoints, %d faults, %d recoveries, %d restarts\n",
-			cfg.EventLog.Count(trace.EventCheckpoint), cfg.EventLog.Count(trace.EventFault),
-			cfg.EventLog.Count(trace.EventRecovery), res.Restarts)
-		for _, e := range cfg.EventLog.Events() {
-			if e.Kind == trace.EventCheckpoint {
-				continue // one per cadence tick; the count above suffices
-			}
-			detail := strings.ReplaceAll(e.Detail, "\n", "; ") // errors.Join is multi-line
-			fmt.Fprintf(out, "  %s: rank %d, attempt %d  %s\n", e.Kind, e.Rank, e.Attempt, detail)
-		}
+	if cfg.FaultPlan != nil || cfg.RecvTimeout > 0 || cfg.CheckpointEvery > 0 {
+		fmt.Fprintf(out, "fault tolerance: %d restarts\n", res.Restarts)
 	}
 	if res.Metrics != nil {
 		printPhaseSummary(out, res)

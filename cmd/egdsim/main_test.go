@@ -82,16 +82,26 @@ func TestRunRestartSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run failed: %v\noutput:\n%s", err, out.String())
 	}
-	got := out.String()
-	for _, want := range []string{
-		"fault tolerance:",
-		"1 restarts",
-		"fault: rank 2",
-		"recovery:",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q:\n%s", want, got)
-		}
+	if got := out.String(); !strings.Contains(got, "\nfault tolerance: 1 restarts\n") {
+		t.Errorf("output missing the one-restart line:\n%s", got)
+	}
+}
+
+// -trace writes one CSV row per generation under a header naming the
+// columns the Observer fills.
+func TestRunTraceCSVHeader(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.csv")
+	var out strings.Builder
+	if err := run([]string{"-ssets", "8", "-gens", "30", "-rounds", "20", "-trace", path}, &out); err != nil {
+		t.Fatalf("run failed: %v\noutput:\n%s", err, out.String())
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if want := "generation,cooperation,distinct_strategies,pc_event,adopted,mutated"; lines[0] != want || len(lines) != 31 {
+		t.Fatalf("trace has %d lines under header %q, want 31 under %q", len(lines), lines[0], want)
 	}
 }
 

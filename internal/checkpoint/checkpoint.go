@@ -110,6 +110,10 @@ func (s *Snapshot) Validate() error {
 	if len(s.Played) != 0 && len(s.Played) != len(s.Strategies) {
 		return fmt.Errorf("checkpoint: %d played generations for %d strategies", len(s.Played), len(s.Strategies))
 	}
+	// Read refuses a longer series: Write must not produce one.
+	if n := max(len(s.MeanFitness), len(s.Cooperation)); n > maxSeriesPoints {
+		return fmt.Errorf("checkpoint: %d series points, over the %d Read accepts", n, maxSeriesPoints)
+	}
 	return nil
 }
 

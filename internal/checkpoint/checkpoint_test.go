@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -414,6 +415,26 @@ func TestSeriesRejectsImplausibleLength(t *testing.T) {
 	binary.LittleEndian.PutUint32(data[len(data)-12:], 0x7fffffff)
 	if _, err := Read(bytes.NewReader(data)); err == nil {
 		t.Fatal("implausible series length accepted")
+	}
+}
+
+// Write refuses what Read refuses: a series past the cap fails at the
+// checkpoint instead of leaving a file no resume can read.
+func TestWriteRefusesSeriesReadRefuses(t *testing.T) {
+	for _, long := range []string{"mean fitness", "cooperation"} {
+		s := pureSnapshot(t, 1, 2)
+		pts := make([]stats.Point, maxSeriesPoints+1)
+		for i := range pts {
+			pts[i].Generation = i
+		}
+		if long == "mean fitness" {
+			s.MeanFitness = pts
+		} else {
+			s.Cooperation = pts
+		}
+		if err := Write(io.Discard, s); err == nil {
+			t.Errorf("Write accepted a %s series of %d points", long, len(pts))
+		}
 	}
 }
 

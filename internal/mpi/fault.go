@@ -10,12 +10,14 @@ import (
 )
 
 // This file is the runtime's fault model: a deterministic, scripted
-// injection plan standing in for the node failures, link stalls, and lost
-// packets that an hours-long Blue Gene partition occupation makes an
-// operational fact. Faults key off per-rank operation counters (the rank's
-// Nth send, its Nth collective), which are deterministic for a deterministic
-// SPMD program regardless of goroutine scheduling — so a scripted failure
-// reproduces bit-for-bit across runs and under -race.
+// injection plan standing in for the node failures and link stalls that an
+// hours-long Blue Gene partition occupation makes an operational fact; a
+// lost message's one observable effect, a receive that never completes, is
+// a delay past the receive deadline. Faults key off per-rank operation
+// counters (the rank's Nth send, its Nth collective), which are
+// deterministic for a deterministic SPMD program regardless of goroutine
+// scheduling — so a scripted failure reproduces bit-for-bit across runs and
+// under -race.
 
 // ErrInjectedFault marks errors produced by a scripted fault plan.
 var ErrInjectedFault = errors.New("mpi: injected fault")
@@ -60,12 +62,6 @@ const (
 	// failure mid-run. Fires at most once per Fault value, even across
 	// worlds — a supervisor restarting with the same plan does not re-kill.
 	KillAfterSends FaultKind = iota
-	// DropSends silently discards the rank's sends numbered
-	// [After, After+Count): the message is counted as transmitted but never
-	// delivered, modelling packet loss. Dropping collective-internal
-	// packets deadlocks the collective (as in real MPI) unless a receive
-	// deadline is set.
-	DropSends
 	// DelaySends sleeps for Delay before delivering the rank's sends
 	// numbered [After, After+Count), modelling link congestion or a slow
 	// node. Combined with receive deadlines this exercises timeout paths.
@@ -79,8 +75,6 @@ func (k FaultKind) String() string {
 	switch k {
 	case KillAfterSends:
 		return "kill"
-	case DropSends:
-		return "drop"
 	case DelaySends:
 		return "delay"
 	case FailCollective:
@@ -89,8 +83,8 @@ func (k FaultKind) String() string {
 	return fmt.Sprintf("FaultKind(%d)", int(k))
 }
 
-// Fault is one scripted failure. The zero Count means 1 for Drop/Delay
-// kinds. Counters are 1-based: After == 1 targets the rank's first
+// Fault is one scripted failure. The zero Count means 1 for the delay
+// kind. Counters are 1-based: After == 1 targets the rank's first
 // operation (After == 0 is treated as 1).
 type Fault struct {
 	Rank  int
@@ -130,12 +124,6 @@ func (p *FaultPlan) Kill(rank int, after uint64) *FaultPlan {
 	return p.Add(&Fault{Rank: rank, Kind: KillAfterSends, After: after})
 }
 
-// Drop scripts the loss of count consecutive sends from rank starting at
-// its after-th.
-func (p *FaultPlan) Drop(rank int, after, count uint64) *FaultPlan {
-	return p.Add(&Fault{Rank: rank, Kind: DropSends, After: after, Count: count})
-}
-
 // Delay scripts a delivery delay of d on count consecutive sends from rank
 // starting at its after-th.
 func (p *FaultPlan) Delay(rank int, after, count uint64, d time.Duration) *FaultPlan {
@@ -153,7 +141,6 @@ func (p *FaultPlan) Faults() []*Fault { return p.faults }
 // sendVerdict is the plan's decision for one send.
 type sendVerdict struct {
 	kill  bool
-	drop  bool
 	delay time.Duration
 }
 
@@ -168,10 +155,6 @@ func (p *FaultPlan) onSend(rank int, n uint64) sendVerdict {
 		case KillAfterSends:
 			if n >= f.threshold() && f.fired.CompareAndSwap(false, true) {
 				v.kill = true
-			}
-		case DropSends:
-			if n >= f.threshold() && n < f.threshold()+f.span() {
-				v.drop = true
 			}
 		case DelaySends:
 			if n >= f.threshold() && n < f.threshold()+f.span() {
@@ -199,7 +182,6 @@ func (p *FaultPlan) onCollective(rank int, n uint64) bool {
 // ParseFault parses a CLI fault spec of comma-separated key=value pairs:
 //
 //	rank=3,after=500                     kill rank 3 at its 500th send
-//	rank=1,after=10,kind=drop,count=3    drop rank 1's sends 10..12
 //	rank=2,after=5,kind=delay,delay=50ms stall rank 2's 5th send 50ms
 //	rank=0,after=2,kind=collective       fail rank 0's 2nd collective
 func ParseFault(spec string) (*Fault, error) {
@@ -242,14 +224,12 @@ func ParseFault(spec string) (*Fault, error) {
 			switch value {
 			case "kill":
 				f.Kind = KillAfterSends
-			case "drop":
-				f.Kind = DropSends
 			case "delay":
 				f.Kind = DelaySends
 			case "collective":
 				f.Kind = FailCollective
 			default:
-				return nil, fmt.Errorf("mpi: fault spec kind %q (want kill, drop, delay, or collective)", value)
+				return nil, fmt.Errorf("mpi: fault spec kind %q (want kill, delay, or collective)", value)
 			}
 		default:
 			return nil, fmt.Errorf("mpi: fault spec key %q", key)

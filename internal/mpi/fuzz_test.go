@@ -14,7 +14,6 @@ import (
 func FuzzParseFault(f *testing.F) {
 	for _, seed := range []string{
 		"rank=3,after=500",
-		"rank=1,after=10,kind=drop,count=3",
 		"rank=2,after=5,kind=delay,delay=50ms",
 		"rank=0,after=2,kind=collective",
 		"rank=0",
@@ -26,6 +25,7 @@ func FuzzParseFault(f *testing.F) {
 		"rank=1,count=0",
 		"rank=1,kind=delay",
 		"rank=1,kind=warp",
+		"rank=1,after=10,kind=drop,count=3",
 		"rank=1,,after=2",
 		"rank=01,after=007",
 		"rank=1=2",

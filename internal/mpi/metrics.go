@@ -201,21 +201,8 @@ func (w *World) CommMetricsSnapshot() []RankCommSnapshot {
 	return out
 }
 
-// CommTotals sums a snapshot over ranks: messages and bytes sent, and
-// collective invocations — the world-wide view of a run's traffic.
-func CommTotals(snaps []RankCommSnapshot) (msgs, bytes, collectives uint64) {
-	for _, rc := range snaps {
-		msgs += rc.SentMsgs
-		bytes += rc.SentBytes
-		for _, co := range rc.Collectives {
-			collectives += co.Calls
-		}
-	}
-	return msgs, bytes, collectives
-}
-
-// accountSend books one delivered (or injected-drop) message on the
-// sender's per-tag metrics when enabled.
+// accountSend books one delivered message on the sender's per-tag metrics
+// when enabled.
 func (w *World) accountSend(src, tag int, nb uint64) {
 	if w.commMetrics != nil {
 		w.commMetrics[src].addSent(tag, nb)

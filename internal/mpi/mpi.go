@@ -320,12 +320,6 @@ func (c *Comm) send(dst, tag int, payload any) error {
 				return w.abortCause()
 			}
 		}
-		if v.drop {
-			// The sender transmitted (counters reflect it); the network
-			// lost the packet.
-			w.accountSend(c.rank, tag, nb)
-			return nil
-		}
 	}
 	w.accountSend(c.rank, tag, nb)
 	return w.tr.Deliver(w, c.rank, dst, tag, payload)

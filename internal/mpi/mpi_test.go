@@ -375,7 +375,14 @@ func TestSendAfterAbortReturnsRootCause(t *testing.T) {
 // commTotals is the world's traffic so far (EnableMetrics must have been
 // called).
 func commTotals(w *World) (msgs, bytes, collectives uint64) {
-	return CommTotals(w.CommMetricsSnapshot())
+	for _, rc := range w.CommMetricsSnapshot() {
+		msgs += rc.SentMsgs
+		bytes += rc.SentBytes
+		for _, co := range rc.Collectives {
+			collectives += co.Calls
+		}
+	}
+	return msgs, bytes, collectives
 }
 
 func TestStatsCounters(t *testing.T) {

@@ -515,10 +515,10 @@ func (m *Manager) worker() {
 }
 
 // runJob executes one segment of a job: its spec configuration, resumed
-// from the latest snapshot in the job's sink when there is one — the sink is
-// the job's only resume point, in memory and across restarts alike. It ends
-// in done/failed/canceled, or parked (paused, or queued by a drain) with a
-// fresh resume snapshot.
+// through sim.RestartConfig from the latest snapshot in the job's sink when
+// there is one — the sink is the job's only resume point, in memory and
+// across restarts alike. It ends in done/failed/canceled, or parked
+// (paused, or queued by a drain) with a fresh resume snapshot.
 func (m *Manager) runJob(job *Job) {
 	switch job.ctrl.Load() {
 	case ctrlCancel:
@@ -535,24 +535,19 @@ func (m *Manager) runJob(job *Job) {
 	m.commit(job, transition{state: StateRunning, gen: gen}, map[string]any{"id": job.ID, "state": StateRunning})
 
 	cfg := job.cfg
-	// A checkpoint that cannot be read is not fatal: the segment starts from
-	// generation 0 and reaches the same result.
-	if snap, _ := job.sink.Latest(); snap != nil {
-		// A stale or foreign checkpoint file would silently fork the job's
-		// trajectory; ResumeFrom refuses it and the job fails instead.
-		if err := cfg.ResumeFrom(snap); err != nil {
-			m.settle(job, StateFailed, nil, "resume checkpoint rejected: "+err.Error())
-			return
-		}
-		// Window policy: finish the job's original window.
-		cfg.Generations = job.cfg.StartGeneration + job.cfg.Generations - cfg.StartGeneration
-	}
 	cfg.CheckpointSink = job.sink
 	if m.store != nil && cfg.CheckpointEvery == 0 {
 		// Durable mode: every job checkpoints on the server cadence even
 		// when its spec asked for none — otherwise a crash would replay the
 		// whole trajectory from generation 0.
 		cfg.CheckpointEvery = m.checkpointEvery
+	}
+	// The one resume rule: a foreign or out-of-window checkpoint would fork
+	// the job's trajectory, and the job fails instead.
+	cfg, err := sim.RestartConfig(cfg)
+	if err != nil {
+		m.settle(job, StateFailed, nil, "resume checkpoint rejected: "+err.Error())
+		return
 	}
 	cfg.Control = func(gen int) error {
 		job.setGen(gen)

@@ -31,7 +31,6 @@ import (
 	"repro/internal/game"
 	"repro/internal/mpi"
 	"repro/internal/strategy"
-	"repro/internal/trace"
 )
 
 // StrategyKind selects the strategy representation evolved by the run.
@@ -106,8 +105,8 @@ type Config struct {
 	// the Nature Agent, and the *Population it receives is the Nature
 	// Agent's global strategy view — each SSet's strategy plus the
 	// statistics derived from strategies alone (Abundance, FractionNear,
-	// MeanCooperationProb, Snapshot) — identical at every rank count. It carries no payoffs or fitness: those
-	// live with whichever rank plays the games, and reach the caller as
+	// MeanCooperationProb, Snapshot) — identical at every rank count. It
+	// carries no payoffs or fitness: those reach the caller as
 	// Result.MeanFitness and Result.FinalFitness.
 	Observer Observer
 	// Control, when non-nil, is polled at the top of every generation on
@@ -157,10 +156,6 @@ type Config struct {
 	RecvTimeout time.Duration
 	// FaultPlan, when non-nil, is installed into the engine's world: scripted deterministic fault injection for resilience tests.
 	FaultPlan *mpi.FaultPlan
-	// EventLog, when non-nil, receives fault-tolerance events (checkpoints
-	// written, faults seen, recoveries performed) from the engine and
-	// supervisor.
-	EventLog *trace.EventLog
 	// Metrics enables the observability layer: per-rank phase timers and
 	// per-rank communication accounting, aggregated into Result.Metrics at run end. Collection never
 	// feeds back into the trajectory — parity and bit-exactness hold with

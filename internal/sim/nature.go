@@ -3,7 +3,6 @@ package sim
 import (
 	"repro/internal/rng"
 	"repro/internal/strategy"
-	"repro/internal/trace"
 )
 
 // Derivation keys for the independent random streams of a run. Every rank
@@ -134,9 +133,6 @@ func (r *parRank) generation() error {
 			return err
 		}
 		r.pt.end(PhaseCheckpoint, tc)
-		if cfg.EventLog != nil {
-			cfg.EventLog.Append(trace.Event{Kind: trace.EventCheckpoint, Generation: gen + 1, Rank: 0})
-		}
 	}
 	r.gen++
 	return nil

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/mpi"
-	"repro/internal/trace"
 )
 
 // verdict is what only the Nature Agent holds at a meeting, and the whole of
@@ -230,11 +229,6 @@ func runWorld(cfg Config, world *mpi.World, launch func(body func(*mpi.Comm) err
 		// in-process, the hosted rank's side of the wire when networked.
 		result.Metrics.Comm = world.CommMetricsSnapshot()
 		result.Metrics.Transport = world.TransportStats()
-		if cfg.EventLog != nil {
-			msgs, nbytes, colls := mpi.CommTotals(result.Metrics.Comm)
-			cfg.EventLog.Append(trace.Event{Kind: trace.EventMetrics, Generation: cfg.StartGeneration + cfg.Generations, Rank: -1,
-				Detail: fmt.Sprintf("games=%d p2p_msgs=%d p2p_bytes=%d collectives=%d", result.Counters.GamesPlayed, msgs, nbytes, colls)})
-		}
 	}
 	return result, nil
 }

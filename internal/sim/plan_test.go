@@ -200,6 +200,7 @@ func TestFreeRunningRegime(t *testing.T) {
 					return func(t *testing.T) {
 						cfg := deadline(cfg)
 						cfg.CheckpointEvery = 100
+						cfg.CheckpointSink = NewMemorySink()
 						cfg.FaultPlan = mpi.NewFaultPlan().FailCollective(1, k)
 						got, err := RunParallelResilient(cfg, ranks, 1)
 						if err != nil {

@@ -3,49 +3,31 @@ package sim
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/mpi"
-	"repro/internal/trace"
 )
 
 // RunParallelResilient is the fault-tolerant front end to RunParallel: it
 // supervises the run, and when a rank fails (an injected fault, a panic, or
 // a receive deadline firing on a stalled worker) the world aborts, and the
-// supervisor restarts it from the latest checkpoint (RestartConfig) on the
-// same rank count, up to maxRestarts times (none when maxRestarts <= 0).
-// Restarting from the latest snapshot is the repo's one recovery path: egdrun
-// drives the same RestartConfig across a fleet of processes, and egdserve's
-// journal resumes a job from its durable snapshot the same way. Because every
+// supervisor restarts it through RestartConfig on the same rank count, up
+// to maxRestarts times (none when maxRestarts <= 0). Because every
 // per-generation random stream is keyed by the absolute generation, and the
 // snapshot carries what the resumed table needs, the recovered run returns
 // the uninterrupted run's Result: final strategies and fitness, counters
 // and both series (GamesPlayed aside on an incremental run, where a resume
 // replays every pair once).
 //
-// When cfg.CheckpointEvery > 0 and no sink is configured, an in-memory sink
-// is installed automatically. With checkpointing disabled, recovery restarts
-// from the beginning — correct, but all progress is lost.
-//
-// The returned Result is the whole logical run's — counters and sampled
-// series cover every generation, restarts or not. Restarts records how many
-// recoveries occurred.
+// The run restarts from cfg.CheckpointSink's latest snapshot, or from the
+// start when there is no sink. Restarts records how many recoveries
+// occurred; when the budget runs out, the error joins every attempt's
+// failure.
 func RunParallelResilient(cfg Config, ranks, maxRestarts int) (*Result, error) {
-	if cfg.CheckpointEvery > 0 && cfg.CheckpointSink == nil {
-		cfg.CheckpointSink = NewMemorySink()
-	}
 	// Validate up front; any later failure is then a runtime fault and
 	// retryable.
 	if err := checkParallel(&cfg, ranks); err != nil {
 		return nil, err
 	}
-
-	logEvent := func(e trace.Event) {
-		if cfg.EventLog != nil {
-			cfg.EventLog.Append(e)
-		}
-	}
-
 	cur := cfg
+	var failures []error
 	for attempt := 0; ; attempt++ {
 		res, err := RunParallel(cur, ranks)
 		if err == nil {
@@ -58,47 +40,37 @@ func RunParallelResilient(cfg Config, ranks, maxRestarts int) (*Result, error) {
 		if errors.Is(err, ErrStopped) {
 			return nil, err
 		}
-
-		failedRank := -1
-		var rf *mpi.RankFailedError
-		if errors.As(err, &rf) {
-			failedRank = rf.Rank
-		}
-		logEvent(trace.Event{
-			Kind: trace.EventFault, Generation: -1, Rank: failedRank,
-			Attempt: attempt, Detail: err.Error(),
-		})
+		failures = append(failures, err)
 		if attempt >= maxRestarts {
-			logEvent(trace.Event{Kind: trace.EventGiveUp, Generation: -1, Rank: failedRank, Attempt: attempt})
-			return nil, fmt.Errorf("sim: giving up after %d restarts: %w", attempt, err)
+			return nil, fmt.Errorf("sim: giving up after %d restarts: %w", attempt, errors.Join(failures...))
 		}
-
 		if cur, err = RestartConfig(cfg); err != nil {
 			return nil, fmt.Errorf("sim: restart %d: %w", attempt+1, err)
 		}
-		logEvent(trace.Event{Kind: trace.EventRecovery, Generation: cur.StartGeneration, Rank: failedRank, Attempt: attempt + 1})
 	}
 }
 
-// RestartConfig is the configuration a supervisor relaunches cfg's run with
-// after a failure: the run resumed from its sink's latest snapshot
-// (Config.ResumeFrom), to the end of cfg's window; cfg itself, a restart
-// from scratch, when there is no sink or no snapshot yet. A snapshot of
-// another run, or from outside the window, is an error.
+// RestartConfig is the one resume rule, the configuration every supervisor
+// (RunParallelResilient in process, egdrun across its fleet, egdserve's
+// journal for a job) relaunches cfg's run with: the run resumed from its
+// sink's latest snapshot (Config.ResumeFrom), to the end of cfg's window.
+// It is cfg itself, a restart from the window's start, when there is no
+// sink, no snapshot yet, or none that can be read (a missing, garbled or
+// older-version file): that costs a recomputation, never a wrong result. A
+// snapshot of another run, or from outside the window, is an error.
+//
+// Ranks that resumed from different points cannot fork silently: a worker
+// refuses a verdict for another generation, and the end of the window
+// cross-checks every rank's counters.
 func RestartConfig(cfg Config) (Config, error) {
 	if cfg.CheckpointSink == nil {
 		return cfg, nil
 	}
 	snap, err := cfg.CheckpointSink.Latest()
-	if err != nil {
-		return cfg, fmt.Errorf("reading checkpoint: %w", err)
-	}
-	if snap == nil {
+	if err != nil || snap == nil {
 		return cfg, nil
 	}
 	cur := cfg
-	// A snapshot from a different run would silently fork the trajectory;
-	// ResumeFrom fails fast instead.
 	if err := cur.ResumeFrom(snap); err != nil {
 		return cfg, err
 	}

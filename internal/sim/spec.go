@@ -109,7 +109,7 @@ func (s Spec) Config() (Config, error) {
 	}
 	if cfg.CheckpointEvery > 0 {
 		// Checkpoints land in memory until the front end points the run at
-		// its own sink (RunParallelResilient's convention).
+		// its own sink.
 		cfg.CheckpointSink = NewMemorySink()
 	}
 	if s.Ranks < 0 {
@@ -173,34 +173,32 @@ func (o optFloat) Set(text string) error {
 }
 
 // FaultTolerance is the engine's failure handling as the two launch
-// binaries (egdsim -ranks N, egdrun -np N) expose it: scripted fault
-// injection, the receive deadline that makes a stalled rank detectable, the
-// cadence of the snapshots a restart resumes from, and the restart budget
-// of the supervisor that drives it (RunParallelResilient in process, egdrun
-// across its fleet).
+// binaries (egdsim, egdrun -np N) expose it: scripted fault injection, the
+// receive deadline that makes a stalled rank detectable, and the restart
+// budget of the supervisor that drives it (RunParallelResilient in process,
+// egdrun across its fleet). The cadence of the snapshots a restart resumes
+// from is the run's own, Spec.CheckpointEvery.
 type FaultTolerance struct {
 	// InjectFault is the scripted fault plan (mpi.ParseFaultPlan's grammar).
 	InjectFault string
 	// WorkerTimeout is Config.RecvTimeout.
 	WorkerTimeout time.Duration
-	// CheckpointEvery is Config.CheckpointEvery.
-	CheckpointEvery int
 	// MaxRestarts is the supervisor's restart budget (<= 0: a failure ends
 	// the run).
 	MaxRestarts int
 }
 
-// BindFlags registers the fault-tolerance flags on fs.
-func (f *FaultTolerance) BindFlags(fs *flag.FlagSet) {
+// BindFlags registers the fault-tolerance flags on fs, and -checkpoint-every
+// on checkpointEvery (the run's Spec.CheckpointEvery).
+func (f *FaultTolerance) BindFlags(fs *flag.FlagSet, checkpointEvery *int) {
 	fs.StringVar(&f.InjectFault, "inject-fault", "", "scripted fault specs, ';'-separated, e.g. 'rank=2,after=500' (see internal/mpi.ParseFault)")
 	fs.DurationVar(&f.WorkerTimeout, "worker-timeout", 0, "receive deadline that turns a stalled rank into a detectable failure (two or more ranks)")
-	fs.IntVar(&f.CheckpointEvery, "checkpoint-every", 0, "write a recovery checkpoint every N generations")
-	fs.IntVar(&f.MaxRestarts, "max-restarts", 3, "restarts from the latest checkpoint after rank failures (two or more ranks; <= 0 disables recovery)")
+	fs.IntVar(checkpointEvery, "checkpoint-every", *checkpointEvery, "write a recovery checkpoint every N generations")
+	fs.IntVar(&f.MaxRestarts, "max-restarts", 3, "restarts from the latest checkpoint after a failure (<= 0 disables recovery)")
 }
 
 // Apply installs the settings into cfg, parsing the fault plan, and
-// re-validates it. A checkpoint cadence lands in memory until the front end
-// points the run at its own sink, as Spec.Config does.
+// re-validates it.
 func (f FaultTolerance) Apply(cfg *Config) error {
 	plan, err := mpi.ParseFaultPlan(f.InjectFault)
 	if err != nil {
@@ -208,11 +206,5 @@ func (f FaultTolerance) Apply(cfg *Config) error {
 	}
 	cfg.FaultPlan = plan
 	cfg.RecvTimeout = f.WorkerTimeout
-	if f.CheckpointEvery != 0 {
-		cfg.CheckpointEvery = f.CheckpointEvery
-	}
-	if cfg.CheckpointEvery > 0 && cfg.CheckpointSink == nil {
-		cfg.CheckpointSink = NewMemorySink()
-	}
 	return cfg.Validate()
 }

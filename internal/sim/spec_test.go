@@ -29,7 +29,7 @@ var runtimeOnly = map[string]string{
 // scalarLeaves flattens the exported bool/number fields of v (nested structs
 // included, e.g. Rules.Rounds) to name -> value. Interfaces, funcs, slices,
 // pointers and arrays — Observer, Control, CheckpointSink, InitialStrategies,
-// EventLog, FaultPlan — are wiring or data, not parameters.
+// FaultPlan — are wiring or data, not parameters.
 func scalarLeaves(prefix string, v reflect.Value, out map[string]any) {
 	for i := 0; i < v.NumField(); i++ {
 		f := v.Type().Field(i)

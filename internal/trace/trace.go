@@ -13,7 +13,6 @@ import (
 // Record is one generation's logged state.
 type Record struct {
 	Generation  int     `json:"generation"`
-	MeanFitness float64 `json:"mean_fitness"`
 	Cooperation float64 `json:"cooperation"`
 	Distinct    int     `json:"distinct_strategies"`
 	PC          bool    `json:"pc_event"`
@@ -60,11 +59,9 @@ func (r *Recorder) Len() int { return len(r.records) }
 // WriteCSV writes the kept records as CSV with a header row.
 func (r *Recorder) WriteCSV(w io.Writer) error {
 	var sb strings.Builder
-	sb.WriteString("generation,mean_fitness,cooperation,distinct_strategies,pc_event,adopted,mutated\n")
+	sb.WriteString("generation,cooperation,distinct_strategies,pc_event,adopted,mutated\n")
 	for _, rec := range r.records {
 		sb.WriteString(strconv.Itoa(rec.Generation))
-		sb.WriteByte(',')
-		sb.WriteString(strconv.FormatFloat(rec.MeanFitness, 'g', -1, 64))
 		sb.WriteByte(',')
 		sb.WriteString(strconv.FormatFloat(rec.Cooperation, 'g', -1, 64))
 		sb.WriteByte(',')

@@ -8,7 +8,7 @@ import (
 )
 
 func rec(gen int) Record {
-	return Record{Generation: gen, MeanFitness: float64(gen) * 0.1, Cooperation: 0.5, Distinct: gen % 7, PC: gen%2 == 0, Adopted: gen%4 == 0, Mutated: gen%3 == 0}
+	return Record{Generation: gen, Cooperation: float64(gen) * 0.1, Distinct: gen % 7, PC: gen%2 == 0, Adopted: gen%4 == 0, Mutated: gen%3 == 0}
 }
 
 func TestRecorderUnbounded(t *testing.T) {
@@ -56,7 +56,7 @@ func TestRecorderThinning(t *testing.T) {
 }
 
 // The CSV is read back by an independent reader: a header, then one
-// seven-field row per record that parses to the record's values.
+// six-field row per record that parses to the record's values.
 func TestCSVRoundTrip(t *testing.T) {
 	r := NewRecorder(0)
 	for g := 0; g < 25; g++ {
@@ -70,18 +70,17 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 26 || rows[0][0] != "generation" || len(rows[0]) != 7 {
+	if len(rows) != 26 || rows[0][0] != "generation" || len(rows[0]) != 6 {
 		t.Fatalf("%d rows, header %v", len(rows), rows[0])
 	}
 	for i, row := range rows[1:] {
 		var got Record
 		got.Generation, _ = strconv.Atoi(row[0])
-		got.MeanFitness, _ = strconv.ParseFloat(row[1], 64)
-		got.Cooperation, _ = strconv.ParseFloat(row[2], 64)
-		got.Distinct, _ = strconv.Atoi(row[3])
-		got.PC, _ = strconv.ParseBool(row[4])
-		got.Adopted, _ = strconv.ParseBool(row[5])
-		got.Mutated, _ = strconv.ParseBool(row[6])
+		got.Cooperation, _ = strconv.ParseFloat(row[1], 64)
+		got.Distinct, _ = strconv.Atoi(row[2])
+		got.PC, _ = strconv.ParseBool(row[3])
+		got.Adopted, _ = strconv.ParseBool(row[4])
+		got.Mutated, _ = strconv.ParseBool(row[5])
 		if got != rec(i) {
 			t.Fatalf("row %d = %v, want %+v", i, row, rec(i))
 		}
