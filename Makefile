@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-json race fuzz bench bench-e2e bench-compare bench-check docs loc chaos serve-smoke check clean
+.PHONY: all build test vet lint race fuzz bench bench-e2e bench-compare bench-check docs loc chaos serve-smoke check clean
 
 all: build test
 
@@ -13,15 +13,11 @@ test:
 vet:
 	$(GO) vet ./...
 
-# egdlint: the repo's own static analyzer for the determinism invariant
-# (see internal/lint/README.md). Exit 0 means every package honours it.
+# egdlint: the repo's static check of the determinism invariant (see
+# internal/lint/README.md). It is one test, which `make test` runs too;
+# this target runs it alone. Exit 0 means every package honours it.
 lint:
-	$(GO) run ./cmd/egdlint ./...
-
-# Machine-readable findings for CI artifacts and tooling.
-lint-json:
-	$(GO) run ./cmd/egdlint -json ./... > egdlint.json; \
-	code=$$?; cat egdlint.json; exit $$code
+	$(GO) test -count=1 -run '^TestRepoLintsClean$$' ./internal/lint
 
 # Race-detector pass over every package: the fault-injection and restart
 # tests run scripted kills/stalls under -race, and the packages a restart

@@ -115,7 +115,7 @@ func run(args []string, out io.Writer) error {
 	var rec *trace.Recorder
 	if *csvPath != "" {
 		rec = trace.NewRecorder(100000)
-		cfg.Observer = sim.ObserverFunc(func(gen int, pop *sim.Population, ev sim.Events) {
+		cfg.Observer = func(gen int, pop *sim.Population, ev sim.Events) {
 			rec.Add(trace.Record{
 				Generation:  gen,
 				Cooperation: pop.MeanCooperationProb(),
@@ -124,7 +124,7 @@ func run(args []string, out io.Writer) error {
 				Adopted:     ev.Adopted,
 				Mutated:     ev.MutationOccurred,
 			})
-		})
+		}
 	}
 
 	if *pprofCPU != "" {

@@ -2,19 +2,23 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
-	"strings"
 )
 
 // DeterministicPaths lists the package import paths whose computation
 // must be bit-reproducible from seeded RNG streams. The parallel
 // engine's exactness guarantee — and the restart from a snapshot, which
-// recovers *bit-identical* results after a rank death — hold only while these packages take no input from wall clocks,
-// process-global RNGs, or map iteration order. The job service rides on
-// the same guarantee: a paused job's resumed segment must replay the
-// exact trajectory an uninterrupted run would have taken, so the server
-// package obeys the same rules (its token-bucket clock is an annotated
-// exception that never feeds a trajectory).
+// recovers *bit-identical* results after a rank death — hold only while
+// these packages take no input from wall clocks, process-global RNGs, or
+// map iteration order. A run's recorded result also passes through
+// checkpoint (snapshot bytes), stats (the sampled series), bitset
+// (strategy bits) and cluster (the Fig. 2 k-means readout), so they obey
+// the same rules. The job service rides on the same guarantee: a paused
+// job's resumed segment must replay the exact trajectory an
+// uninterrupted run would have taken, so the server package obeys them
+// too (its token-bucket clock is an annotated exception that never feeds
+// a trajectory).
 var DeterministicPaths = []string{
 	"repro/internal/sim",
 	"repro/internal/game",
@@ -23,12 +27,21 @@ var DeterministicPaths = []string{
 	"repro/internal/analysis",
 	"repro/internal/replicator",
 	"repro/internal/server",
+	"repro/internal/checkpoint",
+	"repro/internal/stats",
+	"repro/internal/bitset",
+	"repro/internal/cluster",
 }
 
-// Determinism forbids nondeterministic inputs in the deterministic
-// packages: wall-clock reads (time.Now/Since/Until), the process-global
-// math/rand generators (seeded implicitly, shared across goroutines),
-// and `range` over maps whose body feeds computation or output.
+// rule names the determinism check in findings and in //egdlint:allow
+// directives.
+const rule = "determinism"
+
+// checker applies the determinism rules to the files of one package.
+// They forbid nondeterministic inputs in the deterministic packages:
+// wall-clock reads (time.Now/Since/Until), the process-global math/rand
+// generators (seeded implicitly, shared across goroutines), and `range`
+// over maps whose body feeds computation or output.
 //
 // Map iteration is allowed when the body is visibly order-insensitive:
 // deleting entries, integer counting, constant stores, or collecting
@@ -38,10 +51,10 @@ var DeterministicPaths = []string{
 // keys instead, or carry an //egdlint:allow determinism directive
 // (legitimate wall-clock sites such as elapsed-time traces use the same
 // escape).
-var Determinism = &Analyzer{
-	Name: "determinism",
-	Doc:  "deterministic packages must not read wall clocks, global math/rand, or unsorted map iteration order",
-	Run:  runDeterminism,
+type checker struct {
+	info   *types.Info
+	file   *ast.File // the file being checked
+	report func(pos token.Pos, format string, args ...any)
 }
 
 // forbiddenTimeFuncs read the wall clock.
@@ -60,22 +73,17 @@ func setOf(names ...string) map[string]bool {
 	return m
 }
 
-func runDeterminism(pass *Pass) error {
-	if !isDeterministicPkg(pass.Pkg.Path()) {
-		return nil
-	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.Ident:
-				checkForbiddenFunc(pass, n)
-			case *ast.RangeStmt:
-				checkMapRange(pass, f, n)
-			}
-			return true
-		})
-	}
-	return nil
+func (c *checker) checkFile(f *ast.File) {
+	c.file = f
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.Ident:
+			c.checkForbiddenFunc(n)
+		case *ast.RangeStmt:
+			c.checkMapRange(n)
+		}
+		return true
+	})
 }
 
 func isDeterministicPkg(path string) bool {
@@ -87,8 +95,8 @@ func isDeterministicPkg(path string) bool {
 	return false
 }
 
-func checkForbiddenFunc(pass *Pass, id *ast.Ident) {
-	fn, ok := pass.TypesInfo.Uses[id].(*types.Func)
+func (c *checker) checkForbiddenFunc(id *ast.Ident) {
+	fn, ok := c.info.Uses[id].(*types.Func)
 	if !ok || fn.Pkg() == nil {
 		return
 	}
@@ -98,41 +106,34 @@ func checkForbiddenFunc(pass *Pass, id *ast.Ident) {
 	switch fn.Pkg().Path() {
 	case "time":
 		if forbiddenTimeFuncs[fn.Name()] {
-			pass.Reportf(id.Pos(), "time.%s reads the wall clock in a deterministic package; thread timestamps in from the caller", fn.Name())
+			c.report(id.Pos(), "time.%s reads the wall clock in a deterministic package; thread timestamps in from the caller", fn.Name())
 		}
 	case "math/rand", "math/rand/v2":
 		if !randConstructors[fn.Name()] {
-			pass.Reportf(id.Pos(), "global %s.%s in a deterministic package; draw from a seeded rng stream instead", pathBase(fn.Pkg().Path()), fn.Name())
+			c.report(id.Pos(), "global %s.%s in a deterministic package; draw from a seeded rng stream instead", fn.Pkg().Name(), fn.Name())
 		}
 	}
-}
-
-func pathBase(p string) string {
-	if i := strings.LastIndexByte(p, '/'); i >= 0 {
-		return p[i+1:]
-	}
-	return p
 }
 
 // checkMapRange flags a range over a map unless every statement in the
 // body is order-insensitive.
-func checkMapRange(pass *Pass, file *ast.File, n *ast.RangeStmt) {
-	t := pass.TypesInfo.Types[n.X].Type
+func (c *checker) checkMapRange(n *ast.RangeStmt) {
+	t := c.info.Types[n.X].Type
 	if t == nil {
 		return
 	}
 	if _, isMap := t.Underlying().(*types.Map); !isMap {
 		return
 	}
-	if orderInsensitiveBlock(pass, file, n, n.Body.List) {
+	if c.orderInsensitiveBlock(n, n.Body.List) {
 		return
 	}
-	pass.Reportf(n.Pos(), "map iteration order feeds computation in a deterministic package; iterate sorted keys")
+	c.report(n.Pos(), "map iteration order feeds computation in a deterministic package; iterate sorted keys")
 }
 
-func orderInsensitiveBlock(pass *Pass, file *ast.File, rng *ast.RangeStmt, stmts []ast.Stmt) bool {
+func (c *checker) orderInsensitiveBlock(rng *ast.RangeStmt, stmts []ast.Stmt) bool {
 	for _, s := range stmts {
-		if !orderInsensitiveStmt(pass, file, rng, s) {
+		if !c.orderInsensitiveStmt(rng, s) {
 			return false
 		}
 	}
@@ -154,7 +155,7 @@ func orderInsensitiveBlock(pass *Pass, file *ast.File, rng *ast.RangeStmt, stmts
 // The operand of n += k and the condition of an if may call only builtins
 // and conversions: any other call (a draw from a seeded stream, say) has
 // a side effect or result that pairs with the keys in map order.
-func orderInsensitiveStmt(pass *Pass, file *ast.File, rng *ast.RangeStmt, s ast.Stmt) bool {
+func (c *checker) orderInsensitiveStmt(rng *ast.RangeStmt, s ast.Stmt) bool {
 	switch s := s.(type) {
 	case *ast.ExprStmt:
 		call, ok := s.X.(*ast.CallExpr)
@@ -162,47 +163,47 @@ func orderInsensitiveStmt(pass *Pass, file *ast.File, rng *ast.RangeStmt, s ast.
 			return false
 		}
 		id, ok := call.Fun.(*ast.Ident)
-		return ok && id.Name == "delete" && pass.TypesInfo.Uses[id] == types.Universe.Lookup("delete")
+		return ok && id.Name == "delete" && c.info.Uses[id] == types.Universe.Lookup("delete")
 	case *ast.IncDecStmt:
-		return isIntegerExpr(pass, s.X)
+		return c.isIntegerExpr(s.X)
 	case *ast.AssignStmt:
-		return orderInsensitiveAssign(pass, file, rng, s)
+		return c.orderInsensitiveAssign(rng, s)
 	case *ast.IfStmt:
-		if s.Init != nil || s.Else != nil || !callsOnlyBuiltins(pass, s.Cond) {
+		if s.Init != nil || s.Else != nil || !c.callsOnlyBuiltins(s.Cond) {
 			return false
 		}
-		return orderInsensitiveBlock(pass, file, rng, s.Body.List)
+		return c.orderInsensitiveBlock(rng, s.Body.List)
 	case *ast.BranchStmt:
 		return s.Tok.String() == "continue"
 	}
 	return false
 }
 
-func orderInsensitiveAssign(pass *Pass, file *ast.File, rng *ast.RangeStmt, s *ast.AssignStmt) bool {
+func (c *checker) orderInsensitiveAssign(rng *ast.RangeStmt, s *ast.AssignStmt) bool {
 	if len(s.Lhs) != 1 || len(s.Rhs) != 1 {
 		return false
 	}
 	lhs, rhs := s.Lhs[0], s.Rhs[0]
 	switch s.Tok.String() {
 	case "+=", "-=", "|=", "&=", "^=":
-		return isIntegerExpr(pass, lhs) && callsOnlyBuiltins(pass, rhs)
+		return c.isIntegerExpr(lhs) && c.callsOnlyBuiltins(rhs)
 	case "=":
 		// Idempotent constant store (`found = true`).
-		if tv, ok := pass.TypesInfo.Types[rhs]; ok && tv.Value != nil {
+		if tv, ok := c.info.Types[rhs]; ok && tv.Value != nil {
 			return true
 		}
-		return sortedAppend(pass, file, rng, lhs, rhs)
+		return c.sortedAppend(rng, lhs, rhs)
 	}
 	return false
 }
 
 // callsOnlyBuiltins reports whether every call in e is a builtin (len,
 // min, ...) or a type conversion.
-func callsOnlyBuiltins(pass *Pass, e ast.Expr) bool {
+func (c *checker) callsOnlyBuiltins(e ast.Expr) bool {
 	ok := true
 	ast.Inspect(e, func(n ast.Node) bool {
 		if call, isCall := n.(*ast.CallExpr); isCall {
-			tv := pass.TypesInfo.Types[call.Fun]
+			tv := c.info.Types[call.Fun]
 			ok = ok && (tv.IsBuiltin() || tv.IsType())
 		}
 		return ok
@@ -210,8 +211,8 @@ func callsOnlyBuiltins(pass *Pass, e ast.Expr) bool {
 	return ok
 }
 
-func isIntegerExpr(pass *Pass, e ast.Expr) bool {
-	t := pass.TypesInfo.Types[e].Type
+func (c *checker) isIntegerExpr(e ast.Expr) bool {
+	t := c.info.Types[e].Type
 	if t == nil {
 		return false
 	}
@@ -222,40 +223,40 @@ func isIntegerExpr(pass *Pass, e ast.Expr) bool {
 // sortedAppend recognises `keys = append(keys, ...)` where the same
 // variable is later passed to a sort.* or slices.* call after the range
 // statement, restoring a canonical order.
-func sortedAppend(pass *Pass, file *ast.File, rng *ast.RangeStmt, lhs, rhs ast.Expr) bool {
+func (c *checker) sortedAppend(rng *ast.RangeStmt, lhs, rhs ast.Expr) bool {
 	lid, ok := lhs.(*ast.Ident)
 	if !ok {
 		return false
 	}
-	obj := pass.TypesInfo.Uses[lid]
+	obj := c.info.Uses[lid]
 	if obj == nil {
-		obj = pass.TypesInfo.Defs[lid]
+		obj = c.info.Defs[lid]
 	}
 	call, ok := rhs.(*ast.CallExpr)
 	if !ok {
 		return false
 	}
 	fid, ok := call.Fun.(*ast.Ident)
-	if !ok || fid.Name != "append" || pass.TypesInfo.Uses[fid] != types.Universe.Lookup("append") {
+	if !ok || fid.Name != "append" || c.info.Uses[fid] != types.Universe.Lookup("append") {
 		return false
 	}
 	if len(call.Args) == 0 {
 		return false
 	}
-	if base, ok := call.Args[0].(*ast.Ident); !ok || pass.TypesInfo.Uses[base] != obj {
+	if base, ok := call.Args[0].(*ast.Ident); !ok || c.info.Uses[base] != obj {
 		return false
 	}
 	// Look for a later sort over the same variable anywhere in the file.
 	sorted := false
-	ast.Inspect(file, func(n ast.Node) bool {
+	ast.Inspect(c.file, func(n ast.Node) bool {
 		if sorted {
 			return false
 		}
-		c, ok := n.(*ast.CallExpr)
-		if !ok || c.Pos() < rng.End() {
+		sc, ok := n.(*ast.CallExpr)
+		if !ok || sc.Pos() < rng.End() {
 			return true
 		}
-		sel, ok := c.Fun.(*ast.SelectorExpr)
+		sel, ok := sc.Fun.(*ast.SelectorExpr)
 		if !ok {
 			return true
 		}
@@ -263,13 +264,13 @@ func sortedAppend(pass *Pass, file *ast.File, rng *ast.RangeStmt, lhs, rhs ast.E
 		if !ok {
 			return true
 		}
-		if pkg, isPkg := pass.TypesInfo.Uses[pkgID].(*types.PkgName); !isPkg ||
+		if pkg, isPkg := c.info.Uses[pkgID].(*types.PkgName); !isPkg ||
 			(pkg.Imported().Path() != "sort" && pkg.Imported().Path() != "slices") {
 			return true
 		}
-		for _, arg := range c.Args {
+		for _, arg := range sc.Args {
 			ast.Inspect(arg, func(an ast.Node) bool {
-				if aid, ok := an.(*ast.Ident); ok && pass.TypesInfo.Uses[aid] == obj {
+				if aid, ok := an.(*ast.Ident); ok && c.info.Uses[aid] == obj {
 					sorted = true
 				}
 				return !sorted

@@ -16,7 +16,7 @@ func parseDirectiveFile(t *testing.T, src string) (allowSet, []Finding, *token.F
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	allows, findings := collectDirectives(fset, []*ast.File{f}, knownRules())
+	allows, findings := collectDirectives(fset, []*ast.File{f})
 	return allows, findings, fset
 }
 
@@ -46,26 +46,22 @@ func g() {
 	}
 	// Trailing: line 4 carries the directive, so lines 4 and 5 are in its
 	// window; the flagged statement is on 4.
-	if !allows.allowed("determinism", at(4)) {
+	if !allows.allowed(at(4)) {
 		t.Error("trailing directive does not cover its own line")
 	}
 	// Standalone on line 8 covers 8 and 9 (the statement below) but not
 	// 10: a second statement is outside the window.
-	if !allows.allowed("determinism", at(9)) {
+	if !allows.allowed(at(9)) {
 		t.Error("standalone directive does not cover the line below")
 	}
-	if allows.allowed("determinism", at(10)) {
+	if allows.allowed(at(10)) {
 		t.Error("window leaks two lines below the directive")
 	}
 	// The closing brace boundary: line 5 is inside the trailing window by
 	// the line arithmetic, but line 6 (the blank between functions) and
 	// anything in g's body before its own directive are not.
-	if allows.allowed("determinism", at(6)) || allows.allowed("determinism", at(7)) {
+	if allows.allowed(at(6)) || allows.allowed(at(7)) {
 		t.Error("window crossed the function boundary")
-	}
-	// The directive names determinism only; other rules stay live on the line.
-	if allows.allowed("directive", at(4)) {
-		t.Error("suppression bled into a rule the directive did not name")
 	}
 }
 
@@ -94,14 +90,14 @@ var x int
 	}
 	for i, w := range wants {
 		f := findings[i]
-		if f.Analyzer != "directive" {
-			t.Errorf("finding %d analyzer = %q, want directive", i, f.Analyzer)
+		if f.Rule != "directive" {
+			t.Errorf("finding %d rule = %q, want directive", i, f.Rule)
 		}
 		if f.Pos.Line != w.line || !strings.Contains(f.Message, w.frag) {
 			t.Errorf("finding %d = %d:%q, want line %d containing %q", i, f.Pos.Line, f.Message, w.line, w.frag)
 		}
 	}
-	if !allows.allowed("determinism", at(7)) {
+	if !allows.allowed(at(7)) {
 		t.Error("valid determinism directive in the same file was dropped")
 	}
 }
@@ -123,22 +119,29 @@ var x int
 		t.Fatalf("got %d directive findings, want %d: %v", len(findings), len(retired), findings)
 	}
 	for i, name := range retired {
-		if f := findings[i]; f.Analyzer != "directive" || !strings.Contains(f.Message, `unknown rule "`+name+`"`) {
-			t.Errorf("finding %d = %s %q, want directive naming unknown rule %q", i, f.Analyzer, f.Message, name)
+		if f := findings[i]; f.Rule != "directive" || !strings.Contains(f.Message, `unknown rule "`+name+`"`) {
+			t.Errorf("finding %d = %s %q, want directive naming unknown rule %q", i, f.Rule, f.Message, name)
 		}
-		if allows.allowed(name, at(3+i)) || allows.allowed(name, at(4+i)) {
+		if allows.allowed(at(3+i)) || allows.allowed(at(4+i)) {
 			t.Errorf("directive for deleted %s suppressed a line", name)
 		}
 	}
 }
 
-// The directive vocabulary is every registered analyzer: knownRules must
-// cover All().
-func TestKnownRulesCoversAllAnalyzers(t *testing.T) {
-	known := knownRules()
-	for _, a := range All() {
-		if !known[a.Name] {
-			t.Errorf("knownRules missing %q", a.Name)
-		}
+// The rule name must be set off from the prefix by white space: a
+// directive glued to it is malformed and suppresses nothing.
+func TestDirectiveNeedsSeparator(t *testing.T) {
+	src := `package p
+
+//egdlint:allowdeterminism glued to the prefix
+var x int
+`
+	allows, findings, _ := parseDirectiveFile(t, src)
+	if len(findings) != 1 || findings[0].Rule != "directive" || findings[0].Pos.Line != 3 ||
+		!strings.Contains(findings[0].Message, "followed by white space") {
+		t.Fatalf("got %v, want one directive finding on line 3 about the missing white space", findings)
+	}
+	if allows.allowed(at(3)) || allows.allowed(at(4)) {
+		t.Error("a directive glued to the prefix suppressed a line")
 	}
 }

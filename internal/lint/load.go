@@ -15,15 +15,11 @@ import (
 	"path/filepath"
 )
 
-// Package is one loaded, parsed, and type-checked target package.
-type Package struct {
-	Path      string
-	Name      string
-	Dir       string
-	GoFiles   []string
-	Files     []*ast.File
-	Types     *types.Package
-	TypesInfo *types.Info
+// loadedPackage is one parsed and type-checked target package.
+type loadedPackage struct {
+	files []*ast.File
+	types *types.Package
+	info  *types.Info
 }
 
 // listedPackage is the slice of `go list -json` output the loader needs.
@@ -37,16 +33,13 @@ type listedPackage struct {
 	Error      *struct{ Err string }
 }
 
-// Load resolves patterns (relative to dir) with the go tool, then
-// parses and type-checks each matched package from source. Imports are
-// satisfied from the compiler export data `go list -export` produces,
-// so loading works offline and never re-type-checks dependencies —
-// the same strategy x/tools' unitchecker uses under `go vet`.
-//
-// Only non-test GoFiles are loaded: the invariant egdlint enforces
-// protects the simulation's trajectories, and tests measure wall-clock
-// time and iterate maps on purpose.
-func Load(dir string, patterns []string) (*token.FileSet, []*Package, error) {
+// load resolves patterns (relative to dir) with the go tool, then parses
+// and type-checks each matched package's non-test GoFiles from source.
+// Imports are satisfied from the compiler export data `go list -export`
+// produces, so loading works offline and never re-type-checks
+// dependencies — the same strategy x/tools' unitchecker uses under
+// `go vet`.
+func load(dir string, patterns []string) (*token.FileSet, []*loadedPackage, error) {
 	listed, err := goList(dir, patterns)
 	if err != nil {
 		return nil, nil, err
@@ -76,7 +69,7 @@ func Load(dir string, patterns []string) (*token.FileSet, []*Package, error) {
 	}
 	imp := importer.ForCompiler(fset, "gc", lookup)
 
-	var pkgs []*Package
+	var pkgs []*loadedPackage
 	for _, p := range targets {
 		if p.Name == "main" && len(p.GoFiles) == 0 {
 			continue
@@ -118,7 +111,7 @@ func goList(dir string, patterns []string) ([]*listedPackage, error) {
 	return listed, nil
 }
 
-func typeCheck(fset *token.FileSet, imp types.Importer, p *listedPackage) (*Package, error) {
+func typeCheck(fset *token.FileSet, imp types.Importer, p *listedPackage) (*loadedPackage, error) {
 	files := make([]*ast.File, 0, len(p.GoFiles))
 	for _, name := range p.GoFiles {
 		f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
@@ -128,23 +121,14 @@ func typeCheck(fset *token.FileSet, imp types.Importer, p *listedPackage) (*Pack
 		files = append(files, f)
 	}
 	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
 	}
 	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(p.ImportPath, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", p.ImportPath, err)
 	}
-	return &Package{
-		Path:      p.ImportPath,
-		Name:      p.Name,
-		Dir:       p.Dir,
-		GoFiles:   p.GoFiles,
-		Files:     files,
-		Types:     tpkg,
-		TypesInfo: info,
-	}, nil
+	return &loadedPackage{files: files, types: tpkg, info: info}, nil
 }

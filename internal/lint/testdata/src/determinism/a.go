@@ -6,6 +6,7 @@ package determinism
 import (
 	"fmt"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"sort"
 	"time"
 )
@@ -18,6 +19,12 @@ func wallClock() time.Duration {
 func globalRand() int {
 	rand.Shuffle(3, func(i, j int) {}) // want `global rand\.Shuffle in a deterministic package`
 	return rand.Intn(10)               // want `global rand\.Intn in a deterministic package`
+}
+
+// The finding names a package by its declared name, not its import path's
+// last element ("v2").
+func globalRandV2() int64 {
+	return randv2.Int64N(10) // want `global rand\.Int64N in a deterministic package`
 }
 
 func seededRand(seed int64) float64 {

@@ -562,7 +562,7 @@ func (m *Manager) runJob(job *Job) {
 		return nil
 	}
 	stride := cfg.SampleStride
-	cfg.Observer = sim.ObserverFunc(func(gen int, pop *sim.Population, ev sim.Events) {
+	cfg.Observer = func(gen int, pop *sim.Population, ev sim.Events) {
 		job.setGen(gen + 1)
 		if gen%stride == 0 {
 			job.hub.publish("sample", sampleEvent{
@@ -572,7 +572,7 @@ func (m *Manager) runJob(job *Job) {
 				Mutated:     ev.MutationOccurred,
 			})
 		}
-	})
+	}
 
 	// The gauge spans the engine call alone and falls before the segment's
 	// outcome is published (settle, park), so a client that sees the job

@@ -101,14 +101,16 @@ type Config struct {
 	// SampleStride keeps every k-th generation in the recorded time series
 	// (0 selects an automatic stride bounding series length to ~1000).
 	SampleStride int
-	// Observer, when non-nil, is invoked after every generation. It runs on
+	// Observer, when non-nil, is called after generation gen's evolution
+	// step with the population (valid only during the call) and the
+	// generation's events. It runs on
 	// the Nature Agent, and the *Population it receives is the Nature
 	// Agent's global strategy view — each SSet's strategy plus the
 	// statistics derived from strategies alone (Abundance, FractionNear,
 	// MeanCooperationProb, Snapshot) — identical at every rank count. It
 	// carries no payoffs or fitness: those reach the caller as
 	// Result.MeanFitness and Result.FinalFitness.
-	Observer Observer
+	Observer func(gen int, pop *Population, ev Events)
 	// Control, when non-nil, is polled at the top of every generation on
 	// the Nature rank. The workers, who listen to nobody between meetings,
 	// unwind at their next one — at most SampleStride generations later,
@@ -173,19 +175,6 @@ type Config struct {
 	// for the tests of Nature's cross-check.
 	skewRank int
 }
-
-// Observer receives per-generation callbacks from the Nature Agent.
-type Observer interface {
-	// Generation is called after generation gen's evolution step with the
-	// population (valid only during the call) and the generation's events.
-	Generation(gen int, pop *Population, ev Events)
-}
-
-// ObserverFunc adapts a function to the Observer interface.
-type ObserverFunc func(gen int, pop *Population, ev Events)
-
-// Generation implements Observer.
-func (f ObserverFunc) Generation(gen int, pop *Population, ev Events) { f(gen, pop, ev) }
 
 // Events records what the Nature Agent did in one generation.
 type Events struct {

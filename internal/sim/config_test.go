@@ -94,12 +94,3 @@ func TestPopulationSizeAndGames(t *testing.T) {
 		}
 	}
 }
-
-func TestObserverFunc(t *testing.T) {
-	called := 0
-	var obs Observer = ObserverFunc(func(gen int, pop *Population, ev Events) { called++ })
-	obs.Generation(0, nil, Events{})
-	if called != 1 {
-		t.Fatal("ObserverFunc not invoked")
-	}
-}

@@ -224,11 +224,11 @@ func TestExactModeErrorPropagatesInsteadOfPanicking(t *testing.T) {
 	cfg := testConfig(2, 4, 3)
 	cfg.ExactPayoffs = true
 	wrong := strategy.AllC(strategy.NewSpace(1))
-	cfg.Observer = ObserverFunc(func(gen int, pop *Population, ev Events) {
+	cfg.Observer = func(gen int, pop *Population, ev Events) {
 		if gen == 0 {
 			pop.SetStrategy(0, wrong)
 		}
-	})
+	}
 	_, err := RunSequential(cfg)
 	if err == nil {
 		t.Fatal("exact-mode analysis failure did not surface as an error")

@@ -168,12 +168,12 @@ func TestSearchEngineModeMatchesDirect(t *testing.T) {
 func TestObserverSeesEveryGeneration(t *testing.T) {
 	cfg := testConfig(1, 4, 25)
 	gens := []int{}
-	cfg.Observer = ObserverFunc(func(gen int, pop *Population, ev Events) {
+	cfg.Observer = func(gen int, pop *Population, ev Events) {
 		gens = append(gens, gen)
 		if pop.Size() != 4 {
 			t.Errorf("observer saw population of %d", pop.Size())
 		}
-	})
+	}
 	if _, err := RunSequential(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestPlacedStrategiesAreNeverWritten(t *testing.T) {
 			placed := map[strategy.Strategy]strategy.Strategy{}
 			shared := 0
 			// The observer runs on the Nature rank's goroutine: Errorf, not Fatalf.
-			cfg.Observer = ObserverFunc(func(gen int, pop *Population, ev Events) {
+			cfg.Observer = func(gen int, pop *Population, ev Events) {
 				for _, s := range pop.strategies {
 					if _, ok := placed[s]; !ok {
 						placed[s] = s.Clone()
@@ -215,7 +215,7 @@ func TestPlacedStrategiesAreNeverWritten(t *testing.T) {
 					}
 					shared++
 				}
-			})
+			}
 			res, err := RunParallel(cfg, ranks)
 			if err != nil {
 				t.Fatal(err)

@@ -164,11 +164,11 @@ func TestInterruptedRunReturnsTheUninterruptedResult(t *testing.T) {
 			uncached := reference(base)
 			ref := uncached
 			pending = nil
-			ref.Observer = ObserverFunc(func(gen int, _ *Population, ev Events) {
+			ref.Observer = func(gen int, _ *Population, ev Events) {
 				if (ev.Adopted || ev.MutationOccurred) && gen+1 < gens {
 					pending = append(pending, gen+1)
 				}
-			})
+			}
 			want, err := RunSequential(ref)
 			if err != nil {
 				t.Fatal(err)

@@ -122,7 +122,7 @@ func (r *parRank) generation() error {
 		r.res.Cooperation.Observe(gen, r.pop.MeanCooperationProb())
 	}
 	if cfg.Observer != nil {
-		cfg.Observer.Generation(gen, r.pop, ev)
+		cfg.Observer(gen, r.pop, ev)
 	}
 	// Checkpoint on absolute generation numbers, so a resumed run keeps the
 	// original cadence instead of one phase-shifted by the restart, and runs

@@ -218,12 +218,12 @@ func TestParallelObserverRuns(t *testing.T) {
 	cfg.Seed = 105
 	count := 0
 	adopted := 0
-	cfg.Observer = ObserverFunc(func(gen int, pop *Population, ev Events) {
+	cfg.Observer = func(gen int, pop *Population, ev Events) {
 		count++
 		if ev.Adopted {
 			adopted++
 		}
-	})
+	}
 	res, err := RunParallel(cfg, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -268,13 +268,13 @@ func TestObserverStreamParity(t *testing.T) {
 		record := func(run func(Config) (*Result, error)) []observed {
 			var stream []observed
 			c := cfg
-			c.Observer = ObserverFunc(func(gen int, pop *Population, ev Events) {
+			c.Observer = func(gen int, pop *Population, ev Events) {
 				o := observed{gen: gen, ev: ev}
 				for i := 0; i < pop.Size(); i++ {
 					o.strategies += fmt.Sprintf("%x,", pop.strategies[i].Fingerprint())
 				}
 				stream = append(stream, o)
-			})
+			}
 			if _, err := run(c); err != nil {
 				t.Fatal(err)
 			}

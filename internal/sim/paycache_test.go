@@ -319,14 +319,14 @@ func TestPayoffCacheSurvivesIDRecycling(t *testing.T) {
 	base.Metrics = true
 	cached := base
 	minEpoch := uint32(0)
-	cached.Observer = ObserverFunc(func(gen int, pop *Population, _ Events) {
+	cached.Observer = func(gen int, pop *Population, _ Events) {
 		if gen == base.Generations-1 {
 			minEpoch = math.MaxUint32
 			for _, ty := range pop.types {
 				minEpoch = min(minEpoch, ty.epoch)
 			}
 		}
-	})
+	}
 	for _, ranks := range []int{1, 2, 3, 5} {
 		off, err := Run(reference(base), ranks)
 		if err != nil {

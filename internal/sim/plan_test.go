@@ -89,11 +89,11 @@ func meetingsOf(t *testing.T, cfg Config) []int {
 		refresh(cfg.StartGeneration, NewPopulation(cfg, rng.New(cfg.Seed)))
 	}
 	// The population after generation g is the one g+1's refresh sees.
-	cfg.Observer = ObserverFunc(func(g int, pop *Population, _ Events) {
+	cfg.Observer = func(g int, pop *Population, _ Events) {
 		if g+1 < end {
 			refresh(g+1, pop)
 		}
-	})
+	}
 	if _, err := RunSequential(cfg); err != nil {
 		t.Fatal(err)
 	}
