@@ -215,8 +215,8 @@ func baselineResult(t *testing.T) map[string]any {
 }
 
 // TestKill9RecoveryBitIdentical SIGKILLs the daemon mid-job. The journal
-// says "running" with no clean marker; the restarted daemon must re-queue
-// the job, resume it from its last durable checkpoint, and produce the
+// says "running"; the restarted daemon must report the job interrupted,
+// re-queue it, resume it from its last durable checkpoint, and produce the
 // uninterrupted run's result.
 func TestKill9RecoveryBitIdentical(t *testing.T) {
 	want := baselineResult(t)
@@ -240,15 +240,15 @@ func TestKill9RecoveryBitIdentical(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("post-kill result differs from uninterrupted run\n got: %v\nwant: %v", got, want)
 	}
-	if !strings.Contains(out2.String(), "clean shutdown false") {
-		t.Errorf("recovery log did not flag the unclean shutdown; output:\n%s", out2.String())
+	if !strings.Contains(out2.String(), "1 interrupted while running") {
+		t.Errorf("recovery log did not report the job the kill interrupted; output:\n%s", out2.String())
 	}
 }
 
 // TestSIGTERMDrainResumesBitIdentical sends the daemon SIGTERM mid-job: it
-// must drain (checkpoint the running job, park it queued, mark the journal
-// clean) and exit zero; the restarted daemon finishes the job with the
-// uninterrupted run's result.
+// must drain (checkpoint the running job, journal it queued) and exit zero;
+// the restarted daemon finds no job interrupted and finishes the job with
+// the uninterrupted run's result.
 func TestSIGTERMDrainResumesBitIdentical(t *testing.T) {
 	want := baselineResult(t)
 
@@ -262,7 +262,7 @@ func TestSIGTERMDrainResumesBitIdentical(t *testing.T) {
 	if err := cmd.Wait(); err != nil {
 		t.Fatalf("drained daemon exited non-zero: %v; output:\n%s", err, out.String())
 	}
-	if !strings.Contains(out.String(), "drain complete, journal clean") {
+	if !strings.Contains(out.String(), "drain complete, no job left running") {
 		t.Errorf("drain completion message missing; output:\n%s", out.String())
 	}
 
@@ -271,8 +271,8 @@ func TestSIGTERMDrainResumesBitIdentical(t *testing.T) {
 		cmd2.Process.Signal(syscall.SIGTERM) //nolint:errcheck // best-effort cleanup
 		cmd2.Wait()                          //nolint:errcheck // best-effort cleanup
 	}()
-	if !strings.Contains(waitForRecoveryLine(out2), "clean shutdown true") {
-		t.Errorf("restarted daemon did not report a clean journal; output:\n%s", out2.String())
+	if !strings.Contains(waitForRecoveryLine(out2), "0 interrupted while running") {
+		t.Errorf("restarted daemon found a job interrupted after a clean drain; output:\n%s", out2.String())
 	}
 	assertInterrupted(t, out2.String())
 	got := waitDone(t, base2, id)

@@ -129,13 +129,13 @@ func run(args []string, out io.Writer) error {
 	if *dataDir != "" {
 		// Durable shutdown is a drain: running jobs stop at the next
 		// generation boundary with a checkpoint on disk and are journaled
-		// queued, the journal gets its clean marker, and the next boot
-		// resumes every interrupted trajectory bit-identically.
+		// queued, so the next boot finds no job interrupted and resumes
+		// every parked trajectory bit-identically.
 		fmt.Fprintln(out, "egdserve: draining (running jobs checkpoint and park)")
 		if err := srv.Drain(*drainTimeout); err != nil {
 			fmt.Fprintln(out, "egdserve:", err)
 		} else {
-			fmt.Fprintln(out, "egdserve: drain complete, journal clean")
+			fmt.Fprintln(out, "egdserve: drain complete, no job left running")
 		}
 	} else {
 		fmt.Fprintln(out, "egdserve: shutting down")

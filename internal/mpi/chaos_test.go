@@ -263,13 +263,26 @@ func TestChaosProcessSIGKILL(t *testing.T) {
 // receive deadline notices, and the world aborts on it. When SIGCONT
 // resumes the worker it hears the others' error goodbyes and exits with an
 // error rather than hang.
+//
+// kill(2) returns once the signal is queued, not once the worker has
+// stopped: the stop lands when the worker's threads next pass the kernel's
+// signal path, and until then the mesh can run its remaining generations
+// to the end. Rank 0 holds its generation until wait4(WUNTRACED) reports
+// the worker stopped, so the world cannot finish before the freeze.
 func TestChaosProcessSIGSTOPThenCont(t *testing.T) {
 	var stop, cont sync.Once
 	resume := func(cmd *exec.Cmd) { cont.Do(func() { cmd.Process.Signal(syscall.SIGCONT) }) }
 	errs, cmd, out := chaosRun(t, 3, 10, "clean", 500*time.Millisecond, func(g int, cmd *exec.Cmd) {
 		if g == 2 {
 			stop.Do(func() {
-				cmd.Process.Signal(syscall.SIGSTOP)
+				if err := cmd.Process.Signal(syscall.SIGSTOP); err != nil {
+					t.Errorf("SIGSTOP: %v", err)
+					return
+				}
+				var ws syscall.WaitStatus
+				if _, err := syscall.Wait4(cmd.Process.Pid, &ws, syscall.WUNTRACED, nil); err != nil || !ws.Stopped() {
+					t.Errorf("waiting for the worker to stop: status %v, %v", ws, err)
+				}
 				time.AfterFunc(1500*time.Millisecond, func() { resume(cmd) })
 			})
 		}

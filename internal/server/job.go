@@ -189,8 +189,10 @@ func newManager(opts Options, reg *metrics.Registry) (*Manager, error) {
 	}
 	if m.store != nil {
 		// Boot compaction: rewrite the journal as the recovered state under
-		// the new epoch, dropping the previous process's transition history
-		// (and its clean marker — the journal is "dirty" until we shut down).
+		// the new epoch, dropping the previous process's transition history.
+		// An interrupted job is journaled queued again, so a later boot
+		// counts it interrupted only if it was running again when that
+		// process stopped.
 		if err := m.store.compact(m.snapshotRecords()); err != nil {
 			m.store.close()
 			return nil, err
@@ -204,22 +206,21 @@ func newManager(opts Options, reg *metrics.Registry) (*Manager, error) {
 }
 
 // Close stops the pool: no new submissions are accepted, running jobs are
-// cancelled, and Close returns once every worker has drained. In durable
-// mode every job settles terminally, so the journal gets a clean marker.
+// cancelled, and Close returns once every worker has drained.
 func (m *Manager) Close() {
 	if m.shut(func(job *Job) { job.ctrl.Store(ctrlCancel) }) {
 		m.wg.Wait()
-		m.markCleanAndClose()
+		m.closeStore()
 	}
 }
 
 // Drain parks the service for restart: submissions stop, queued jobs stay
 // queued, running jobs stop at the next generation boundary with a durable
 // snapshot and return to queued — all journaled, so the next boot re-queues
-// them and finishes each trajectory bit-identically. Once every worker is
-// idle the journal gets its clean-shutdown marker. If workers do not settle
-// within timeout, Drain returns an error and writes no marker; the journal
-// then still recovers correctly, it just reports an unclean shutdown.
+// them, finds none journaled running, and finishes each trajectory
+// bit-identically. If workers do not settle within timeout, Drain returns an
+// error; the jobs still running stay journaled running, and the next boot
+// resumes them as interrupted, from their latest checkpoints.
 func (m *Manager) Drain(timeout time.Duration) error {
 	// Only park jobs with no competing request: an in-flight pause or
 	// cancel still wins, and its outcome is journaled as usual.
@@ -234,7 +235,7 @@ func (m *Manager) Drain(timeout time.Duration) error {
 	select {
 	case <-done:
 	case <-time.After(timeout):
-		return fmt.Errorf("server: drain timed out after %s; journal left unclean (recovery will resume interrupted jobs)", timeout)
+		return fmt.Errorf("server: drain timed out after %s; the next boot resumes the jobs still running as interrupted", timeout)
 	}
 	// End every open event stream so the HTTP server can finish its own
 	// shutdown; parked jobs' timelines stay readable for late replays.
@@ -243,7 +244,7 @@ func (m *Manager) Drain(timeout time.Duration) error {
 		job.hub.close()
 	}
 	m.mu.Unlock()
-	m.markCleanAndClose()
+	m.closeStore()
 	return nil
 }
 
@@ -277,13 +278,10 @@ func (m *Manager) jobsByID() []*Job {
 	return jobs
 }
 
-// markCleanAndClose finalises the journal after the pool has drained.
-func (m *Manager) markCleanAndClose() {
+// closeStore releases the journal after the pool has drained.
+func (m *Manager) closeStore() {
 	if m.store == nil {
 		return
-	}
-	if err := m.store.append(journalRecord{Kind: recClean}, nil); err != nil {
-		m.logf("egdserve: journal clean marker: %v", err)
 	}
 	if err := m.store.close(); err != nil {
 		m.logf("egdserve: closing journal: %v", err)
@@ -325,8 +323,8 @@ func (m *Manager) drainSeconds() int {
 
 // Submit validates, prices, and admits a job, returning it in StateQueued.
 // Errors are *specError (malformed), *admissionError (over budget),
-// *quotaError (tenant limits), or errShuttingDown; the HTTP layer maps each
-// to its status.
+// *quotaError (tenant limits), errShuttingDown, or the failed journal append
+// of the submission; the HTTP layer maps each to its status.
 func (m *Manager) Submit(tenant string, spec JobSpec) (*Job, error) {
 	cfg, err := spec.Config()
 	if err != nil {
@@ -386,17 +384,34 @@ func (m *Manager) Submit(tenant string, spec JobSpec) (*Job, error) {
 		state:            StateQueued,
 	}
 	job.sink = m.newSink(job)
-	m.jobs[job.ID] = job
 	m.outstanding += est
+	if m.store == nil {
+		m.jobs[job.ID] = job
+	}
 	m.mu.Unlock()
 
-	// Journal the admission before acknowledging it: once the tenant sees
-	// 202, the job survives a crash. Replay reads a submit record as a
-	// queued job, so no state record follows it.
+	// Journal the admission before listing or acknowledging it: once the
+	// tenant sees 202, the job survives a crash. The job is listed under the
+	// store lock once its record is appended, so a compaction journals it
+	// only with that record on disk; a job whose record is not appended is
+	// not admitted, and its reservation is given back. Replay reads a submit
+	// record as a queued job, so no state record follows it.
 	if m.store != nil {
-		if err := m.store.append(journalRecord{Kind: recSubmit, Job: job.ID, Tenant: job.Tenant, Spec: &spec, Est: est}, nil); err != nil {
+		err := m.store.append(journalRecord{Kind: recSubmit, Job: job.ID, Tenant: job.Tenant, Spec: &spec, Est: est}, func(err error) {
+			if err == nil {
+				m.mu.Lock()
+				m.jobs[job.ID] = job
+				m.mu.Unlock()
+			}
+		})
+		if err != nil {
 			m.reg.Counter("egd_server_journal_errors_total").Inc()
 			m.logf("egdserve: journal submit for job %s: %v", job.ID, err)
+			m.quotas.release(tenant)
+			m.mu.Lock()
+			m.outstanding -= est
+			m.mu.Unlock()
+			return nil, err
 		}
 	}
 
@@ -694,7 +709,7 @@ func (m *Manager) commit(job *Job, tr transition, ev map[string]any) {
 	if ev != nil {
 		rec.EventID++
 	}
-	if err := m.store.append(rec, show); err != nil {
+	if err := m.store.append(rec, func(error) { show() }); err != nil {
 		m.reg.Counter("egd_server_journal_errors_total").Inc()
 		m.logf("egdserve: journal append for job %s: %v", job.ID, err)
 	}

@@ -8,9 +8,12 @@ package server
 // trajectory is bit-identical). Must run before the worker pool starts.
 func (m *Manager) recoverJobs(js *journalState) []*Job {
 	var pending []*Job
-	requeued, paused, terminal, failed := 0, 0, 0, 0
+	requeued, paused, terminal, failed, interrupted := 0, 0, 0, 0, 0
 	for _, id := range js.order {
 		rj := js.jobs[id]
+		if rj.state == StateRunning {
+			interrupted++ // the previous process died, or its drain timed out, under this job
+		}
 		job := m.rebuildJob(rj)
 		m.jobs[id] = job
 		switch {
@@ -31,8 +34,8 @@ func (m *Manager) recoverJobs(js *journalState) []*Job {
 			requeued++
 		}
 	}
-	m.logf("egdserve: recovered %d jobs from journal (%d re-queued, %d paused, %d terminal, %d unrecoverable); epoch %d, clean shutdown %v, %d bytes of journal tail skipped",
-		len(js.order), requeued, paused, terminal, failed, m.epoch, js.clean, js.skippedTail)
+	m.logf("egdserve: recovered %d jobs from journal (%d re-queued, %d paused, %d terminal, %d unrecoverable), %d interrupted while running; epoch %d, %d bytes of journal tail skipped",
+		len(js.order), requeued, paused, terminal, failed, interrupted, m.epoch, js.skippedTail)
 	return pending
 }
 

@@ -34,12 +34,12 @@ const (
 	maxJournalLine = 32 << 20
 )
 
-// Journal record kinds.
+// Journal record kinds. Replay ignores any other kind, such as the "clean"
+// shutdown marker earlier daemons appended.
 const (
 	recMeta   = "meta"   // epoch high-water: written once per process boot
 	recSubmit = "submit" // a job's immutable identity: spec, tenant, price
 	recState  = "state"  // a lifecycle transition; terminal done carries the result
-	recClean  = "clean"  // clean-shutdown marker: every job is durably settled or parked
 )
 
 // journalRecord is one JSONL line of the write-ahead journal. Exactly one
@@ -78,11 +78,10 @@ type recoveredJob struct {
 }
 
 // journalState is the outcome of replaying a journal: the per-job table in
-// submission order, the epoch high-water mark, whether the previous process
-// shut down cleanly, and how much undecodable tail was skipped.
+// submission order, the epoch high-water mark, and how much undecodable
+// tail was skipped.
 type journalState struct {
 	epoch       int
-	clean       bool
 	skippedTail int // bytes of truncated/garbage tail tolerated, 0 on a healthy journal
 	jobs        map[string]*recoveredJob
 	order       []string
@@ -148,7 +147,6 @@ func replayJournal(data []byte) *journalState {
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 0, 64<<10), maxJournalLine)
 	consumed := 0
-	lastKind := ""
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(bytes.TrimSpace(line)) == 0 {
@@ -160,14 +158,12 @@ func replayJournal(data []byte) *journalState {
 			break // torn tail: everything from here is skipped
 		}
 		consumed += len(line) + 1
-		lastKind = rec.Kind
 		js.apply(&rec)
 	}
 	if consumed > len(data) {
 		consumed = len(data) // final line had no trailing newline
 	}
 	js.skippedTail = len(data) - consumed
-	js.clean = lastKind == recClean && js.skippedTail == 0
 	return js
 }
 
@@ -211,16 +207,16 @@ func (js *journalState) apply(rec *journalRecord) {
 }
 
 // append durably writes one record: marshal, write the line, fsync. The
-// record is on disk when append returns. then, when non-nil, runs under the
-// store lock once the append has succeeded or failed, so a compaction never
-// snapshots what then installs without the record that journals it; then
-// must not call back into the store.
-func (st *store) append(rec journalRecord, then func()) error {
+// record is on disk when append returns nil. then, when non-nil, runs under
+// the store lock once the append has succeeded or failed, with its error,
+// so a compaction never snapshots what then installs without the record
+// that journals it; then must not call back into the store.
+func (st *store) append(rec journalRecord, then func(error)) (err error) {
 	line, err := json.Marshal(rec)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if then != nil {
-		defer then()
+		defer func() { then(err) }()
 	}
 	if err != nil {
 		return fmt.Errorf("server: encoding journal record: %w", err)

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -130,9 +131,9 @@ func TestRecoveryFromCrashImageBitIdentical(t *testing.T) {
 }
 
 // TestDrainParksAndResumesBitIdentical drains a daemon mid-job (the SIGTERM
-// path): the job must come back journaled queued with a durable snapshot,
-// and a second daemon over the same directory must finish it with an
-// uninterrupted-run result.
+// path): the job must come back journaled queued with a durable snapshot, so
+// the next boot finds no job journaled running, and a second daemon over the
+// same directory must finish it with an uninterrupted-run result.
 func TestDrainParksAndResumesBitIdentical(t *testing.T) {
 	want := runDurableBaseline(t)
 
@@ -151,11 +152,8 @@ func TestDrainParksAndResumesBitIdentical(t *testing.T) {
 		t.Fatalf("reading journal: %v", err)
 	}
 	js := replayJournal(data)
-	if !js.clean {
-		t.Errorf("journal not marked clean after drain")
-	}
-	if rj := js.jobs[id]; rj == nil || rj.state != StateQueued {
-		t.Errorf("drained job journaled as %+v, want queued", js.jobs[id])
+	if rj := js.jobs[id]; rj == nil || rj.state != StateQueued || rj.gen < 500 {
+		t.Errorf("drained job journaled as %+v, want queued past generation 500", js.jobs[id])
 	}
 	ts.Close() // release the listener; the manager is already drained
 
@@ -164,6 +162,58 @@ func TestDrainParksAndResumesBitIdentical(t *testing.T) {
 	got := resultMinusElapsed(t, ts2, id)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("drained+resumed result differs from uninterrupted run\n got: %v\nwant: %v", got, want)
+	}
+}
+
+// TestRecoveryCountsInterruptedJobs: the recovery summary counts the jobs
+// the journal last shows running. A crash image taken mid-run has one; the
+// daemon booted over it journals the job queued again and, drained while
+// the job runs once more, parks it, so the boot after that finds none.
+func TestRecoveryCountsInterruptedJobs(t *testing.T) {
+	liveDir, crashDir := t.TempDir(), filepath.Join(t.TempDir(), "image")
+	_, ts := newDurableServer(t, liveDir)
+	id := submit(t, ts, "", durableSpec)
+	waitUntil(t, ts, id, "mid-run", func(m map[string]any) bool {
+		gen, _ := m["generation"].(float64)
+		return m["state"] == string(StateRunning) && gen >= 300
+	})
+	copyDir(t, liveDir, crashDir)
+	doJSON(t, "POST", ts.URL+"/api/v1/jobs/"+id+"/cancel", "", "")
+
+	// boot starts a daemon over crashDir and returns its recovery summary,
+	// which New logs before it returns.
+	boot := func() (*Server, *httptest.Server, string) {
+		var summary string
+		opts := durableOpts(crashDir)
+		opts.Log = func(format string, args ...any) {
+			if msg := fmt.Sprintf(format, args...); strings.Contains(msg, "recovered") {
+				summary = msg
+			}
+		}
+		s, err := New(opts)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(func() {
+			s.Close()
+			ts.Close()
+		})
+		return s, ts, summary
+	}
+	s2, ts2, summary := boot()
+	if !strings.Contains(summary, "(1 re-queued, 0 paused, 0 terminal, 0 unrecoverable), 1 interrupted while running") {
+		t.Errorf("boot over the crash image logged %q, want the job re-queued and counted interrupted", summary)
+	}
+	waitUntil(t, ts2, id, "running again", func(m map[string]any) bool {
+		return m["state"] == string(StateRunning)
+	})
+	if err := s2.Drain(30 * time.Second); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	ts2.Close()
+	if _, _, summary := boot(); !strings.Contains(summary, "(1 re-queued, 0 paused, 0 terminal, 0 unrecoverable), 0 interrupted while running") {
+		t.Errorf("boot after a clean drain logged %q, want the job re-queued and none interrupted", summary)
 	}
 }
 
@@ -323,7 +373,8 @@ func TestEpochIDsStayUniqueAcrossRestarts(t *testing.T) {
 }
 
 // TestJournalTailDamageTolerated truncates and garbles the journal tail:
-// replay must keep every intact record and report (not fail on) the tail.
+// replay must keep every intact record and report (not fail on) the tail,
+// and blank lines are no damage at all.
 func TestJournalTailDamageTolerated(t *testing.T) {
 	dir := t.TempDir()
 	spec := `{"memory":1,"ssets":8,"generations":40,"rounds":20,"seed":9}`
@@ -339,13 +390,13 @@ func TestJournalTailDamageTolerated(t *testing.T) {
 		t.Fatalf("reading journal: %v", err)
 	}
 	for _, tc := range []struct {
-		name      string
-		tail      []byte
-		wantClean bool // blank-line padding is benign, real damage is not
+		name   string
+		tail   []byte
+		damage bool // the whole tail is skipped; blank lines are no damage
 	}{
-		{"truncated-record", []byte(`{"kind":"state","job":"` + id + `","sta`), false},
-		{"garbage", []byte("\x00\xffnot json at all"), false},
-		{"empty-lines", []byte("\n\n\n"), true},
+		{"truncated-record", []byte(`{"kind":"state","job":"` + id + `","sta`), true},
+		{"garbage", []byte("\x00\xffnot json at all"), true},
+		{"empty-lines", []byte("\n\n\n"), false},
 	} {
 		damaged := append(append([]byte(nil), data...), tc.tail...)
 		js := replayJournal(damaged)
@@ -353,8 +404,12 @@ func TestJournalTailDamageTolerated(t *testing.T) {
 		if rj == nil || rj.state != StateDone || rj.result == nil {
 			t.Errorf("%s: intact records lost: %+v", tc.name, rj)
 		}
-		if js.clean != tc.wantClean {
-			t.Errorf("%s: clean = %v, want %v", tc.name, js.clean, tc.wantClean)
+		want := 0
+		if tc.damage {
+			want = len(tc.tail)
+		}
+		if js.skippedTail != want {
+			t.Errorf("%s: skipped %d bytes of tail, want %d", tc.name, js.skippedTail, want)
 		}
 		// A daemon must boot over the damaged journal and keep serving.
 		dmgDir := t.TempDir()
@@ -403,13 +458,13 @@ func TestJournalCompaction(t *testing.T) {
 		t.Errorf("compaction did not shrink journal: %d -> %d bytes", before.Size(), after.Size())
 	}
 	// Appends keep working on the swapped handle and replay sees both.
-	if err := st.append(journalRecord{Kind: recClean}, nil); err != nil {
+	if err := st.append(journalRecord{Kind: recMeta, Epoch: 4}, nil); err != nil {
 		t.Fatalf("append after compaction: %v", err)
 	}
 	data, _ := os.ReadFile(filepath.Join(dir, journalName))
 	got := replayJournal(data)
-	if got.epoch != 3 || !got.clean || got.jobs["j-0001-000001"].state != StateDone {
-		t.Errorf("replay after compaction: epoch=%d clean=%v jobs=%+v", got.epoch, got.clean, got.jobs)
+	if got.epoch != 4 || got.jobs["j-0001-000001"].state != StateDone {
+		t.Errorf("replay after compaction: epoch=%d jobs=%+v", got.epoch, got.jobs)
 	}
 }
 
@@ -498,6 +553,40 @@ func FuzzJournalTail(f *testing.F) {
 			t.Fatalf("order/table size mismatch: %d vs %d", len(js.order), len(js.jobs))
 		}
 	})
+}
+
+// TestSubmitNotAcknowledgedWithoutJournalRecord: a submission whose record
+// cannot be appended is refused with a 5xx, not acknowledged — a 202
+// promises the job survives a crash — and leaves no job listed and no
+// tenant slot or budget held.
+func TestSubmitNotAcknowledgedWithoutJournalRecord(t *testing.T) {
+	s, ts := newDurableServer(t, t.TempDir())
+	if err := s.mgr.store.close(); err != nil { // every later append fails
+		t.Fatal(err)
+	}
+	resp, m := doJSON(t, "POST", ts.URL+"/api/v1/jobs", "", durableSpec)
+	if resp.StatusCode < 500 {
+		t.Fatalf("submission without a journal record: got %d %v, want a 5xx", resp.StatusCode, m)
+	}
+	if _, list := doJSON(t, "GET", ts.URL+"/api/v1/jobs", "", ""); len(list["jobs"].([]any)) != 0 {
+		t.Errorf("refused job is listed: %v", list)
+	}
+	if n := s.reg.Counter("egd_server_journal_errors_total").Load(); n != 1 {
+		t.Errorf("egd_server_journal_errors_total = %d, want 1", n)
+	}
+	s.mgr.mu.Lock()
+	outstanding := s.mgr.outstanding
+	s.mgr.mu.Unlock()
+	if outstanding != 0 {
+		t.Errorf("refused job still holds %v s of the outstanding budget", outstanding)
+	}
+	q := s.mgr.quotas
+	q.mu.Lock()
+	active := q.state("default").active
+	q.mu.Unlock()
+	if active != 0 {
+		t.Errorf("refused job still holds %d tenant slots", active)
+	}
 }
 
 // TestSubmitRejectedAfterDrain pins the shutdown contract: a draining

@@ -343,7 +343,10 @@ func (t *payoffTable) fitness(i int) float64 {
 // meanFitness is the population's mean relative fitness, Σ_a n_a Σ_b
 // (n_b − δ_ab)·tab(a,b) over the refresh's key counts, live keys in the
 // order of their lowest holder and each row's own pairing last — O(S + K²)
-// for K live keys. Every rank count sums it in this one order.
+// for K live keys. Every rank count sums it in this one order. Each product
+// is rounded by an explicit float64 conversion, which the Go spec forbids
+// fusing into the add that follows, so an FMA-capable GOARCH (arm64, ppc64le,
+// s390x, …) sums the same bits as amd64.
 func (t *payoffTable) meanFitness() float64 {
 	clear(t.mark)
 	t.live = t.live[:0]
@@ -361,13 +364,13 @@ func (t *payoffTable) meanFitness() float64 {
 		row, sum := t.tab[a], 0.0
 		for y, b := range t.live {
 			if y != x {
-				sum += t.held[y] * row[b]
+				sum += float64(t.held[y] * row[b])
 			}
 		}
 		if n := t.held[x]; n > 1 { // no SSet plays itself
-			sum += (n - 1) * row[a]
+			sum += float64((n - 1) * row[a])
 		}
-		total += t.held[x] * sum
+		total += float64(t.held[x] * sum)
 	}
 	s := len(t.keys)
 	return total / (float64(s) * float64(s-1))
