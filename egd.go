@@ -27,10 +27,8 @@
 package egd
 
 import (
-	"fmt"
 	"time"
 
-	"repro/internal/game"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/strategy"
@@ -115,50 +113,4 @@ func convertResult(cfg sim.Config, res *sim.Result) *Result {
 	out.MeanFitness = res.MeanFitness.Points()
 	out.Cooperation = res.Cooperation.Points()
 	return out
-}
-
-// Standing is one entrant's record in a classic-strategy tournament.
-type Standing struct {
-	// Name is the classic strategy's name (TFT, WSLS, ...).
-	Name string
-	// Score is the total payoff over all matches.
-	Score float64
-	// MeanPayoff is the per-round mean payoff.
-	MeanPayoff float64
-	// Cooperation is the fraction of the entrant's own moves that were C.
-	Cooperation float64
-}
-
-// ClassicTournament plays an Axelrod-style round robin among the classic
-// strategies (ALLC, ALLD, TFT, WSLS, GRIM, GTFT, and TF2T at memory >= 2)
-// at the given memory depth and execution-error rate, returning standings
-// best-first.
-func ClassicTournament(memory int, errorRate float64, repeats int, seed uint64) ([]Standing, error) {
-	if memory < 1 || memory > strategy.MaxMemory {
-		return nil, fmt.Errorf("egd: memory %d out of [1,%d]", memory, strategy.MaxMemory)
-	}
-	sp := strategy.NewSpace(memory)
-	names := []string{"ALLC", "ALLD", "TFT", "WSLS", "GRIM", "GTFT"}
-	if memory >= 2 {
-		names = append(names, "TF2T")
-	}
-	entrants := make([]game.Entrant, 0, len(names))
-	for _, n := range names {
-		s, err := strategy.Named(n, sp)
-		if err != nil {
-			return nil, err
-		}
-		entrants = append(entrants, game.Entrant{Name: n, Strategy: s})
-	}
-	rules := game.DefaultRules()
-	rules.ErrorRate = errorRate
-	standings, err := game.Tournament(rules, entrants, repeats, seed)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Standing, len(standings))
-	for i, s := range standings {
-		out[i] = Standing{Name: s.Name, Score: s.TotalScore, MeanPayoff: s.MeanPayoff, Cooperation: s.Cooperation}
-	}
-	return out, nil
 }

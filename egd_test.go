@@ -142,45 +142,3 @@ func TestNoEvolutionWhenDisabled(t *testing.T) {
 		t.Fatalf("evolution events despite disabling: %+v", res)
 	}
 }
-
-func TestClassicTournament(t *testing.T) {
-	standings, err := ClassicTournament(1, 0, 2, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(standings) != 6 {
-		t.Fatalf("%d entrants at memory 1", len(standings))
-	}
-	for i := 1; i < len(standings); i++ {
-		if standings[i].Score > standings[i-1].Score {
-			t.Fatal("standings unsorted")
-		}
-	}
-	withTF2T, err := ClassicTournament(2, 0.01, 2, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(withTF2T) != 7 {
-		t.Fatalf("%d entrants at memory 2, want 7 (TF2T joins)", len(withTF2T))
-	}
-	if _, err := ClassicTournament(0, 0, 1, 1); err == nil {
-		t.Fatal("memory 0 accepted")
-	}
-	if _, err := ClassicTournament(1, 0, 0, 1); err == nil {
-		t.Fatal("0 repeats accepted")
-	}
-}
-
-func TestWSLSBeatsTFTUnderNoise(t *testing.T) {
-	standings, err := ClassicTournament(1, 0.05, 5, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos := map[string]int{}
-	for i, s := range standings {
-		pos[s.Name] = i
-	}
-	if pos["WSLS"] > pos["TFT"] {
-		t.Fatalf("TFT (rank %d) beat WSLS (rank %d) under 5%% errors", pos["TFT"], pos["WSLS"])
-	}
-}

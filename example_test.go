@@ -55,38 +55,3 @@ func ExampleRun_parallel() {
 	// identical final populations: true
 	// games equal: true
 }
-
-// Classic strategies in an Axelrod-style round robin. In a noise-free
-// field the reciprocators tie at sustained mutual cooperation.
-func ExampleClassicTournament() {
-	standings, err := egd.ClassicTournament(1, 0, 3, 2012)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Println("entrants:", len(standings))
-	fmt.Println("winner beats ALLD:", standings[0].Score > findScore(standings, "ALLD"))
-	fmt.Println("ALLD cooperates never:", findCoop(standings, "ALLD") == 0)
-	// Output:
-	// entrants: 6
-	// winner beats ALLD: true
-	// ALLD cooperates never: true
-}
-
-func findScore(standings []egd.Standing, name string) float64 {
-	for _, s := range standings {
-		if s.Name == name {
-			return s.Score
-		}
-	}
-	return -1
-}
-
-func findCoop(standings []egd.Standing, name string) float64 {
-	for _, s := range standings {
-		if s.Name == name {
-			return s.Cooperation
-		}
-	}
-	return -1
-}

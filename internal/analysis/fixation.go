@@ -93,7 +93,7 @@ func FixationProbability(cfg FixationConfig, mutant, resident strategy.Strategy)
 	logProd := 0.0
 	for j := 1; j <= cfg.N-1; j++ {
 		piM, piR := payoffsAt(cfg, mm, mr, rm, rr, j)
-		logProd += -cfg.Beta * (piM - piR)
+		logProd += float64(-cfg.Beta * (piM - piR))
 		if logProd > 700 {
 			// The product diverges: fixation probability underflows to ~0.
 			return 0, nil

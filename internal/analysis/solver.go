@@ -8,9 +8,9 @@
 // evaluator of that chain: the analytic machinery behind the
 // Nowak-Sigmund Win-Stay Lose-Shift study the paper validates against
 // (Fig. 2), the engine's exact-payoff mode (internal/sim), the replicator
-// dynamics (internal/replicator) and the fixation analysis in this package
-// all call it, and it is the ground truth the sampled game engine is tested
-// against.
+// equation the engine is held to as its large-population limit
+// (internal/replicator) and the fixation analysis in this package all call
+// it, and it is the ground truth the sampled game engine is tested against.
 package analysis
 
 import (

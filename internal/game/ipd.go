@@ -45,8 +45,6 @@ func (r Rules) Validate() error {
 type Result struct {
 	Fitness0 float64 // total payoff accumulated by player 0
 	Fitness1 float64 // total payoff accumulated by player 1
-	Coop0    int     // rounds in which player 0 cooperated
-	Coop1    int     // rounds in which player 1 cooperated
 	Rounds   int
 }
 
@@ -106,12 +104,6 @@ func Play(rules Rules, s0, s1 strategy.Strategy, src *rng.Source) Result {
 		f0, f1 := rules.Payoff.Score(m0, m1)
 		res.Fitness0 += f0
 		res.Fitness1 += f1
-		if m0 == strategy.Cooperate {
-			res.Coop0++
-		}
-		if m1 == strategy.Cooperate {
-			res.Coop1++
-		}
 		st0 = sp.NextState(st0, m0, m1)
 		st1 = sp.NextState(st1, m1, m0)
 	}
@@ -184,12 +176,6 @@ func (e *SearchEngine) Play(rules Rules, s0, s1 strategy.Strategy, src *rng.Sour
 		f0, f1 := rules.Payoff.Score(m0, m1)
 		res.Fitness0 += f0
 		res.Fitness1 += f1
-		if m0 == strategy.Cooperate {
-			res.Coop0++
-		}
-		if m1 == strategy.Cooperate {
-			res.Coop1++
-		}
 		// Shift the views: drop the oldest round, append the new one.
 		shiftView(e.view0, m0, m1)
 		shiftView(e.view1, m1, m0)

@@ -11,6 +11,25 @@ import (
 
 func sp(n int) strategy.Space { return strategy.NewSpace(n) }
 
+// tally returns rules whose payoff makes each player's total a count of
+// moves: with S = 0, P = 1, R = k and T = k+1 for k = Rounds+1, a player's
+// total is k·(the opponent's cooperative moves) + (its own defections). It
+// is a Prisoner's Dilemma (T > R > P > S, 2R > T+S), and a payoff draws
+// nothing, so a match under it makes the moves it makes under any other
+// payoff from the same stream.
+func tally(rules Rules) Rules {
+	k := float64(rules.Rounds + 1)
+	rules.Payoff = Payoff{R: k, S: 0, T: k + 1, P: 1}
+	return rules
+}
+
+// coops returns how often player 0 and player 1 cooperated in res, a match
+// played under tally rules.
+func coops(res Result) (c0, c1 int) {
+	k := float64(res.Rounds + 1)
+	return int(res.Fitness1 / k), int(res.Fitness0 / k)
+}
+
 func TestRulesValidate(t *testing.T) {
 	if err := DefaultRules().Validate(); err != nil {
 		t.Fatal(err)
@@ -43,8 +62,8 @@ func TestAllCvsAllD(t *testing.T) {
 	if res.Fitness1 != 4*float64(rules.Rounds) {
 		t.Errorf("ALLD fitness = %v, want %v", res.Fitness1, 4*rules.Rounds)
 	}
-	if res.Coop0 != rules.Rounds || res.Coop1 != 0 {
-		t.Errorf("coop counts %d,%d", res.Coop0, res.Coop1)
+	if c0, c1 := coops(Play(tally(rules), strategy.AllC(sp(1)), strategy.AllD(sp(1)), src)); c0 != rules.Rounds || c1 != 0 {
+		t.Errorf("coop counts %d,%d", c0, c1)
 	}
 }
 
@@ -56,8 +75,8 @@ func TestMutualCooperation(t *testing.T) {
 	if res.Fitness0 != want || res.Fitness1 != want {
 		t.Fatalf("TFT vs ALLC = %v,%v want %v each", res.Fitness0, res.Fitness1, want)
 	}
-	if res.Coop0 != rules.Rounds || res.Coop1 != rules.Rounds {
-		t.Fatalf("cooperative moves %d,%d of %d rounds, want all", res.Coop0, res.Coop1, rules.Rounds)
+	if c0, c1 := coops(Play(tally(rules), strategy.TFT(sp(1)), strategy.AllC(sp(1)), src)); c0 != rules.Rounds || c1 != rules.Rounds {
+		t.Fatalf("cooperative moves %d,%d of %d rounds, want all", c0, c1, rules.Rounds)
 	}
 }
 
@@ -74,8 +93,8 @@ func TestTFTvsAllD(t *testing.T) {
 	if res.Fitness1 != wantAllD {
 		t.Errorf("ALLD fitness %v, want %v", res.Fitness1, wantAllD)
 	}
-	if res.Coop0 != 1 {
-		t.Errorf("TFT cooperated %d times, want 1", res.Coop0)
+	if c0, _ := coops(Play(tally(rules), strategy.TFT(sp(1)), strategy.AllD(sp(1)), src)); c0 != 1 {
+		t.Errorf("TFT cooperated %d times, want 1", c0)
 	}
 }
 
@@ -83,9 +102,9 @@ func TestWSLSvsAllD(t *testing.T) {
 	// WSLS against ALLD alternates C,D,C,D,... (shift after every loss).
 	rules := DefaultRules()
 	src := rng.New(4)
-	res := Play(rules, strategy.WSLS(sp(1)), strategy.AllD(sp(1)), src)
-	if res.Coop0 != rules.Rounds/2 {
-		t.Fatalf("WSLS cooperated %d times vs ALLD, want %d", res.Coop0, rules.Rounds/2)
+	c0, _ := coops(Play(tally(rules), strategy.WSLS(sp(1)), strategy.AllD(sp(1)), src))
+	if c0 != rules.Rounds/2 {
+		t.Fatalf("WSLS cooperated %d times vs ALLD, want %d", c0, rules.Rounds/2)
 	}
 }
 
@@ -97,9 +116,8 @@ func TestGrimPunishesForever(t *testing.T) {
 	// error: simpler — Grim vs TFT with a single forced initial defection is
 	// not expressible; instead test Grim vs ALLD: defects from round 2 on.
 	src := rng.New(5)
-	res := Play(rules, strategy.Grim(sp(1)), strategy.AllD(sp(1)), src)
-	if res.Coop0 != 1 {
-		t.Fatalf("Grim cooperated %d times vs ALLD, want 1", res.Coop0)
+	if c0, _ := coops(Play(tally(rules), strategy.Grim(sp(1)), strategy.AllD(sp(1)), src)); c0 != 1 {
+		t.Fatalf("Grim cooperated %d times vs ALLD, want 1", c0)
 	}
 }
 
@@ -127,10 +145,10 @@ func TestErrorsDisruptTFT(t *testing.T) {
 	rules.Rounds = 2000
 	rules.ErrorRate = 0.01
 	src := rng.New(6)
-	tft := Play(rules, strategy.TFT(sp(1)), strategy.TFT(sp(1)), src)
-	wsls := Play(rules, strategy.WSLS(sp(1)), strategy.WSLS(sp(1)), src)
+	tft0, tft1 := coops(Play(tally(rules), strategy.TFT(sp(1)), strategy.TFT(sp(1)), src))
+	wsls0, wsls1 := coops(Play(tally(rules), strategy.WSLS(sp(1)), strategy.WSLS(sp(1)), src))
 	// Cooperative moves out of the 2*Rounds both players make.
-	wc, tc := wsls.Coop0+wsls.Coop1, tft.Coop0+tft.Coop1
+	wc, tc := wsls0+wsls1, tft0+tft1
 	if wc <= tc {
 		t.Fatalf("WSLS cooperative moves %d should exceed TFT's %d under errors", wc, tc)
 	}
@@ -143,9 +161,8 @@ func TestErrorRateOneInvertsAll(t *testing.T) {
 	rules := DefaultRules()
 	rules.ErrorRate = 1
 	src := rng.New(7)
-	res := Play(rules, strategy.AllC(sp(1)), strategy.AllC(sp(1)), src)
-	if res.Coop0 != 0 || res.Coop1 != 0 {
-		t.Fatalf("error rate 1 should flip every move: coop %d,%d", res.Coop0, res.Coop1)
+	if c0, c1 := coops(Play(tally(rules), strategy.AllC(sp(1)), strategy.AllC(sp(1)), src)); c0 != 0 || c1 != 0 {
+		t.Fatalf("error rate 1 should flip every move: coop %d,%d", c0, c1)
 	}
 }
 
@@ -154,8 +171,8 @@ func TestMixedStrategyPlayStatistics(t *testing.T) {
 	rules.Rounds = 50000
 	m := strategy.MixedFromProbs(sp(1), []float64{0.7, 0.7, 0.7, 0.7})
 	src := rng.New(8)
-	res := Play(rules, m, strategy.AllC(sp(1)), src)
-	rate := float64(res.Coop0) / float64(rules.Rounds)
+	c0, _ := coops(Play(tally(rules), m, strategy.AllC(sp(1)), src))
+	rate := float64(c0) / float64(rules.Rounds)
 	if math.Abs(rate-0.7) > 0.01 {
 		t.Fatalf("mixed coop rate %v, want ~0.7", rate)
 	}
@@ -240,7 +257,7 @@ func TestSearchEngineSpaceMismatchPanics(t *testing.T) {
 }
 
 func TestResultHelpers(t *testing.T) {
-	r := Result{Fitness0: 300, Fitness1: 100, Coop0: 50, Coop1: 150, Rounds: 100}
+	r := Result{Fitness0: 300, Fitness1: 100, Rounds: 100}
 	if r.Mean0() != 3 || r.Mean1() != 1 {
 		t.Fatal("mean payoffs wrong")
 	}
@@ -261,6 +278,7 @@ func TestPlayBoundsProperty(t *testing.T) {
 		s0 := strategy.RandomPure(space, master)
 		s1 := strategy.RandomPure(space, master)
 		res := Play(rules, s0, s1, master)
+		c0, c1 := coops(Play(tally(rules), s0, s1, master))
 		maxJoint := (rules.Payoff.T + rules.Payoff.S) // 4
 		if 2*rules.Payoff.R > rules.Payoff.T+rules.Payoff.S {
 			maxJoint = 2 * rules.Payoff.R // 6
@@ -269,7 +287,7 @@ func TestPlayBoundsProperty(t *testing.T) {
 		if total < 2*rules.Payoff.P*float64(rules.Rounds)*0 || total > maxJoint*float64(rules.Rounds) {
 			return false
 		}
-		return res.Coop0 <= rules.Rounds && res.Coop1 <= rules.Rounds && res.Coop0 >= 0 && res.Coop1 >= 0
+		return c0 <= rules.Rounds && c1 <= rules.Rounds && c0 >= 0 && c1 >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -288,8 +306,10 @@ func TestPlaySymmetryProperty(t *testing.T) {
 		s1 := strategy.RandomPure(space, master)
 		a := Play(rules, s0, s1, master)
 		b := Play(rules, s1, s0, master)
+		a0, a1 := coops(Play(tally(rules), s0, s1, master))
+		b0, b1 := coops(Play(tally(rules), s1, s0, master))
 		return a.Fitness0 == b.Fitness1 && a.Fitness1 == b.Fitness0 &&
-			a.Coop0 == b.Coop1 && a.Coop1 == b.Coop0
+			a0 == b1 && a1 == b0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -42,8 +42,6 @@ func PlayPure(rules Rules, s0, s1 *strategy.Pure) Result {
 		jm := m0<<1 | m1
 		res.Fitness0 += score0[jm]
 		res.Fitness1 += score1[jm]
-		res.Coop0 += int(m0 ^ 1)
-		res.Coop1 += int(m1 ^ 1)
 		st0 = ((st0 << 2) | jm) & mask
 		st1 = ((st1 << 2) | (m1<<1 | m0)) & mask
 	}
@@ -76,7 +74,6 @@ func playMixed(rules Rules, s0, s1 *strategy.Mixed, src *rng.Source) Result {
 	r := *src
 	var st0, st1 uint32
 	var f0, f1 float64
-	var joint [4]int // rounds per joint move m0<<1|m1, for the cooperation counts
 	for k := 0; k < rules.Rounds; k++ {
 		m0, m1 := uint32(1), uint32(1) // 1 = Defect
 		if r.Bernoulli(p0[st0]) {
@@ -98,12 +95,11 @@ func playMixed(rules Rules, s0, s1 *strategy.Mixed, src *rng.Source) Result {
 		jm := (m0<<1 | m1) & 3
 		f0 += score0[jm]
 		f1 += score1[jm]
-		joint[jm]++
 		st0 = ((st0 << 2) | jm) & mask
 		st1 = ((st1 << 2) | (m1<<1 | m0)) & mask
 	}
 	*src = r
-	return Result{Fitness0: f0, Fitness1: f1, Coop0: joint[0] + joint[1], Coop1: joint[0] + joint[2], Rounds: rules.Rounds}
+	return Result{Fitness0: f0, Fitness1: f1, Rounds: rules.Rounds}
 }
 
 // scoreTables returns, indexed by m0<<1|m1, the exact Score values Play adds

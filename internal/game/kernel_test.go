@@ -26,6 +26,9 @@ func TestPlayPureBitIdentical(t *testing.T) {
 			if got != want {
 				t.Fatalf("memory %d trial %d: PlayPure %+v != Play %+v", n, trial, got, want)
 			}
+			if g, w := PlayPure(tally(rules), s0, s1), Play(tally(rules), s0, s1, src); g != w {
+				t.Fatalf("memory %d trial %d: PlayPure moved differently from Play: tallies %+v != %+v", n, trial, g, w)
+			}
 			if n <= 3 { // linear search is O(4^n·n) per round; keep it tractable
 				se := eng.Play(rules, s0, s1, src)
 				if se != want {
@@ -92,9 +95,11 @@ func TestPlayPureMirror(t *testing.T) {
 					t.Fatalf("memory %d trial %d, %d rounds: (a,b) = (%v,%v) but (b,a) = (%v,%v)",
 						n, trial, rules.Rounds, ab.Fitness0, ab.Fitness1, ba.Fitness0, ba.Fitness1)
 				}
-				if ab.Coop1 != ba.Coop0 || ab.Coop0 != ba.Coop1 {
-					t.Fatalf("memory %d trial %d: cooperation counts are not mirrored", n, trial)
-				}
+			}
+			ab0, ab1 := coops(PlayPure(tally(DefaultRules()), a, b))
+			ba0, ba1 := coops(PlayPure(tally(DefaultRules()), b, a))
+			if ab1 != ba0 || ab0 != ba1 {
+				t.Fatalf("memory %d trial %d: cooperation counts are not mirrored", n, trial)
 			}
 		}
 	}
@@ -121,12 +126,6 @@ func referencePlay(rules Rules, s0, s1 strategy.Strategy, src *rng.Source) Resul
 		f0, f1 := rules.Payoff.Score(m0, m1)
 		res.Fitness0 += f0
 		res.Fitness1 += f1
-		if m0 == strategy.Cooperate {
-			res.Coop0++
-		}
-		if m1 == strategy.Cooperate {
-			res.Coop1++
-		}
 		st0 = sp.NextState(st0, m0, m1)
 		st1 = sp.NextState(st1, m1, m0)
 	}
@@ -153,14 +152,14 @@ func edgyMixed(sp strategy.Space, src *rng.Source) *strategy.Mixed {
 // interface loop: at every memory depth, error rate {0, 0.01, 0.5, 1},
 // uniform tables and tables with exact 0/1 probabilities, and 1, 200 and 1001
 // rounds (the last under TestPayoffAccumulationOrder's non-representable
-// payoff), the Result is equal and the caller's stream is left at the same
-// draw.
+// payoff) plus 200 under the tally payoff, which counts the moves, the Result
+// is equal and the caller's stream is left at the same draw.
 func TestPlayMixedMatchesInterfaceLoop(t *testing.T) {
 	fractions := Payoff{R: 0.3, S: 0.1, T: 0.4, P: 0.2}
 	lengths := []struct {
 		rounds int
 		payoff Payoff
-	}{{1, StandardPayoff()}, {DefaultRounds, StandardPayoff()}, {1001, fractions}}
+	}{{1, StandardPayoff()}, {DefaultRounds, StandardPayoff()}, {1001, fractions}, {DefaultRounds, tally(DefaultRules()).Payoff}}
 	src := rng.New(30)
 	for n := 1; n <= strategy.MaxMemory; n++ {
 		sp := strategy.NewSpace(n)

@@ -40,8 +40,9 @@ const rule = "determinism"
 // checker applies the determinism rules to the files of one package.
 // They forbid nondeterministic inputs in the deterministic packages:
 // wall-clock reads (time.Now/Since/Until), the process-global math/rand
-// generators (seeded implicitly, shared across goroutines), and `range`
-// over maps whose body feeds computation or output.
+// generators (seeded implicitly, shared across goroutines), `range`
+// over maps whose body feeds computation or output, and float products
+// added or subtracted unrounded, which a compiler may fuse.
 //
 // Map iteration is allowed when the body is visibly order-insensitive:
 // deleting entries, integer counting, constant stores, or collecting
@@ -81,9 +82,48 @@ func (c *checker) checkFile(f *ast.File) {
 			c.checkForbiddenFunc(n)
 		case *ast.RangeStmt:
 			c.checkMapRange(n)
+		case *ast.BinaryExpr:
+			if n.Op == token.ADD || n.Op == token.SUB {
+				c.checkFusable(n.X)
+				c.checkFusable(n.Y)
+			}
+		case *ast.AssignStmt:
+			if (n.Tok == token.ADD_ASSIGN || n.Tok == token.SUB_ASSIGN) && len(n.Rhs) == 1 {
+				c.checkFusable(n.Rhs[0])
+			}
 		}
 		return true
 	})
+}
+
+// checkFusable flags e, an operand of a float + or -, when it is a
+// product (under parentheses or a sign) that no conversion rounds. The Go
+// spec lets an implementation fuse x*y + z into one multiply-add that
+// skips the product's rounding, and the arm64 compiler does (FMADDD and
+// kin) where amd64 does not, so the bits would depend on the platform. An
+// explicit float64(x*y) rounds the product and forbids the fusion.
+func (c *checker) checkFusable(e ast.Expr) {
+	for {
+		if p, ok := e.(*ast.ParenExpr); ok {
+			e = p.X
+		} else if u, ok := e.(*ast.UnaryExpr); ok && (u.Op == token.ADD || u.Op == token.SUB) {
+			e = u.X
+		} else {
+			break
+		}
+	}
+	mul, ok := e.(*ast.BinaryExpr)
+	if !ok || mul.Op != token.MUL {
+		return
+	}
+	tv := c.info.Types[mul]
+	if tv.Value != nil || tv.Type == nil {
+		return // a constant product is folded exactly at compile time
+	}
+	if b, ok := tv.Type.Underlying().(*types.Basic); !ok || b.Info()&types.IsFloat == 0 {
+		return
+	}
+	c.report(mul.Pos(), "float product added unrounded in a deterministic package; arm64 may fuse it into a multiply-add: round it with float64(...)")
 }
 
 func isDeterministicPkg(path string) bool {

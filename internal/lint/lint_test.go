@@ -186,8 +186,10 @@ func checkModule(t *testing.T, files map[string]string) (string, []lint.Finding)
 
 // Each violation the check exists to catch, seeded into the package of
 // the module it would break, yields exactly one determinism finding that
-// the problem matcher annotates.
+// the problem matcher annotates; a case with no want is a near miss that
+// yields none.
 func TestSeededViolationsFail(t *testing.T) {
+	const fused = `^float product added unrounded in a deterministic package`
 	cases := []struct {
 		name, file, src, want string
 	}{
@@ -227,10 +229,50 @@ func Write(fitness map[int]float64) float64 {
 	return total
 }
 `, `^map iteration order feeds computation`},
+		{"product_plus_in_replicator", "internal/replicator/replicator.go", `package replicator
+
+func Growth(s, f, mean float64) float64 { return 1 + s*(f-mean) }
+`, fused},
+		{"product_minus_in_analysis", "internal/analysis/fixation.go", `package analysis
+
+func Residual(x, y, z float64) float64 { return x*y - z }
+`, fused},
+		{"product_add_assign_in_cluster", "internal/cluster/kmeans.go", `package cluster
+
+func sqDist(a, b []float64) float64 {
+	s := 0.0
+	for i := range a {
+		d := a[i] - b[i]
+		s += d * d
+	}
+	return s
+}
+`, fused},
+		{"product_sub_assign_in_server", "internal/server/quota.go", `package server
+
+func drain(tokens, elapsed, rate float64) float64 {
+	tokens -= elapsed * rate
+	return tokens
+}
+`, fused},
+		{"rounded_product_in_replicator", "internal/replicator/replicator.go", `package replicator
+
+func Growth(s, f, mean float64) float64 { return 1 + float64(s*(f-mean)) }
+`, ""},
+		{"integer_product_in_sim", "internal/sim/nature.go", `package sim
+
+func offset(gen, stride, base int) int { return gen*stride + base }
+`, ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			dir, findings := checkModule(t, map[string]string{c.file: c.src})
+			if c.want == "" {
+				if len(findings) != 0 {
+					t.Fatalf("got %v, want no finding", findings)
+				}
+				return
+			}
 			if len(findings) != 1 {
 				t.Fatalf("got %d findings, want 1: %v", len(findings), findings)
 			}

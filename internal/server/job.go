@@ -80,6 +80,10 @@ type Job struct {
 	// settling is set by the first settle: the terminal state itself only
 	// becomes visible once it is journaled.
 	settling bool
+	// resuming is set while a Resume journals the job's queued state: the
+	// job still reads paused, refuses a second Resume, and is cancelled as
+	// the queued job it is about to be.
+	resuming bool
 	// result is the finished run's /result document, encoded once at
 	// settle; /result serves it and the journal persists it, so a recovered
 	// daemon answers for done jobs without re-running them.
@@ -486,15 +490,22 @@ func (m *Manager) Pause(job *Job) error {
 // snapshot.
 func (m *Manager) Resume(job *Job) error {
 	job.mu.Lock()
+	if job.resuming {
+		job.mu.Unlock()
+		return &stateError{Detail: fmt.Sprintf("job %s is already resuming", job.ID)}
+	}
 	if job.state != StatePaused {
 		job.mu.Unlock()
 		return &stateError{Detail: fmt.Sprintf("job %s is %s; only paused jobs resume", job.ID, job.state)}
 	}
-	job.state = StateQueued
+	job.resuming = true
 	gen := job.gen
 	job.ctrl.Store(ctrlRun)
 	job.mu.Unlock()
 	m.commit(job, transition{state: StateQueued, gen: gen}, map[string]any{"id": job.ID, "state": StateQueued})
+	job.mu.Lock()
+	job.resuming = false
+	job.mu.Unlock()
 	if err := m.enqueue(job); err != nil {
 		m.commit(job, transition{state: StatePaused, gen: gen}, nil)
 		return err
@@ -507,6 +518,9 @@ func (m *Manager) Resume(job *Job) error {
 func (m *Manager) Cancel(job *Job) error {
 	job.mu.Lock()
 	state := job.state
+	if job.resuming {
+		state = StateQueued
+	}
 	job.mu.Unlock()
 	switch state {
 	case StateRunning, StateQueued:

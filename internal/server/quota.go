@@ -90,7 +90,7 @@ func (q *quotaTable) admit(tenant string) error {
 		now := q.nowFn()
 		elapsed := float64(now-st.lastNanos) / 1e9
 		st.lastNanos = now
-		st.tokens += elapsed * q.limits.RatePerSec
+		st.tokens += float64(elapsed * q.limits.RatePerSec)
 		if b := q.burst(); st.tokens > b {
 			st.tokens = b
 		}

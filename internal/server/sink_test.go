@@ -363,6 +363,85 @@ func TestTerminalStateJournaledBeforePublished(t *testing.T) {
 	}
 }
 
+// resumeWithStoreHeld pauses a durable job mid-run, then calls Resume on
+// it with the store locked, so the queued record cannot be appended, and
+// runs during once Resume is blocked in the append. It returns Resume's
+// error once the lock is released.
+func resumeWithStoreHeld(t *testing.T, s *Server, ts *httptest.Server, id string, during func(job *Job)) error {
+	t.Helper()
+	waitState(t, ts, id, StateRunning)
+	if resp, m := doJSON(t, "POST", ts.URL+"/api/v1/jobs/"+id+"/pause", "", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("pause: got %d, body %v", resp.StatusCode, m)
+	}
+	waitState(t, ts, id, StatePaused)
+	job, _ := s.mgr.get(id)
+	resumed := make(chan error, 1)
+	func() {
+		st := s.mgr.store
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		go func() { resumed <- s.mgr.Resume(job) }()
+		for i := 0; ; i++ {
+			job.mu.Lock()
+			blocked := job.resuming
+			job.mu.Unlock()
+			if blocked {
+				break
+			}
+			if i == 15000 {
+				t.Fatalf("Resume of job %s never reached the journal append", id)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		time.Sleep(50 * time.Millisecond) // room for a premature queued to show
+		during(job)
+	}()
+	return <-resumed
+}
+
+// A resumed job reads paused until its queued state is journaled: while
+// Resume waits on the append, status and the job list show paused and a
+// second Resume is refused. Once the append lands the job runs to done.
+func TestResumeJournaledBeforeQueued(t *testing.T) {
+	s, ts := newDurableServer(t, t.TempDir())
+	id := submit(t, ts, "", durableSpec)
+	err := resumeWithStoreHeld(t, s, ts, id, func(job *Job) {
+		if got := status(t, ts, id)["state"]; got != string(StatePaused) {
+			t.Errorf("job reads %v before its queued state is journaled, want paused", got)
+		}
+		_, list := doJSON(t, "GET", ts.URL+"/api/v1/jobs", "", "")
+		for _, j := range list["jobs"].([]any) {
+			if j := j.(map[string]any); j["id"] == id && j["state"] != string(StatePaused) {
+				t.Errorf("job list shows %v before the queued state is journaled, want paused", j["state"])
+			}
+		}
+		if err := s.mgr.Resume(job); err == nil {
+			t.Error("a second Resume was accepted while the first was journaling")
+		}
+	})
+	if err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	waitState(t, ts, id, StateDone)
+}
+
+// A Cancel that lands while Resume journals the queued state cancels the
+// job as a queued one: the worker settles it, and the journaled queued
+// record never overwrites a canceled state.
+func TestCancelWhileResumingEndsCanceled(t *testing.T) {
+	s, ts := newDurableServer(t, t.TempDir())
+	id := submit(t, ts, "", durableSpec)
+	err := resumeWithStoreHeld(t, s, ts, id, func(job *Job) {
+		if err := s.mgr.Cancel(job); err != nil {
+			t.Errorf("Cancel while resuming: %v", err)
+		}
+	})
+	if err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	waitState(t, ts, id, StateCanceled)
+}
+
 // getRaw fetches a URL's body and Content-Type.
 func getRaw(t *testing.T, url string) ([]byte, string) {
 	t.Helper()

@@ -195,7 +195,10 @@ func (m *Mixed) Fingerprint() uint64 {
 	h := uint64(m.space.NumStates())*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03
 	for _, v := range m.p {
 		// Quantise to 1e-6 so fingerprints are stable across serialisation.
-		q := uint64(v * 1e6)
+		// The float64 rounds the product before the unsigned conversion,
+		// whose out-of-range branch ppc64le, riscv64 and loong64 would
+		// otherwise fuse with it into a multiply-subtract.
+		q := uint64(float64(v * 1e6))
 		h ^= q
 		h *= 0x100000001B3
 		h ^= h >> 31
