@@ -180,16 +180,33 @@ func (s *Solver) deterministicMove(st uint32) int {
 	return m
 }
 
-// step advances cur by one round of play: state 4q+m gathers the mass
-// cur[p]·pr[p][m] of its predecessors p = q, q+N, q+2N, q+3N — one from
-// each quarter of the states. The four terms are added left to right in
-// that ascending order — the order in which a scatter over ascending
-// states adds them; the terms a scatter skips (no mass, or a move of
-// probability 0) are +0, which leaves a non-negative sum unchanged — so
-// the distribution is bit-identical to the scatter's. Every product is
-// rounded before its add (the float64 conversions forbid fusing the two
-// into an FMA), so the bits do not depend on the target either.
+// useAVX selects the vector step: set once from the CPU, and changed only
+// by tests that compare the two steps.
+var useAVX = hasAVX()
+
+// step advances cur by one round of play, through stepAVX where the CPU
+// has AVX and through gather everywhere else. The two give the same bits.
 func (s *Solver) step() {
+	if useAVX {
+		stepAVX(s.next, s.cur, s.pr)
+	} else {
+		s.gather()
+	}
+	s.cur, s.next = s.next, s.cur
+}
+
+// gather writes the distribution after one round of play into next: state
+// 4q+m gathers the mass cur[p]·pr[p][m] of its predecessors p = q, q+N,
+// q+2N, q+3N — one from each quarter of the states. The four terms are
+// added left to right in that ascending order — the order in which a
+// scatter over ascending states adds them; the terms a scatter skips (no
+// mass, or a move of probability 0) are +0, which leaves a non-negative
+// sum unchanged — so the distribution is bit-identical to the scatter's.
+// Every product is rounded before its add (the float64 conversions forbid
+// fusing the two into an FMA), so the bits do not depend on the target
+// either. stepAVX computes the same sums, the four states 4q..4q+3 in the
+// lanes of one vector.
+func (s *Solver) gather() {
 	nq := len(s.cur) / 4
 	c0, c1, c2, c3 := s.cur[:nq], s.cur[nq:2*nq], s.cur[2*nq:3*nq], s.cur[3*nq:]
 	r0, r1, r2, r3 := s.pr[:nq], s.pr[nq:2*nq], s.pr[2*nq:3*nq], s.pr[3*nq:]
@@ -204,7 +221,6 @@ func (s *Solver) step() {
 		t[2] = float64(a*pa[2]) + float64(b*pb[2]) + float64(c*pc[2]) + float64(d*pd[2])
 		t[3] = float64(a*pa[3]) + float64(b*pb[3]) + float64(c*pc[3]) + float64(d*pd[3])
 	}
-	s.cur, s.next = s.next, s.cur
 }
 
 // expected is the two players' expected payoffs of one round played from

@@ -2,6 +2,10 @@ package analysis
 
 import (
 	"math"
+	"os"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -65,25 +69,28 @@ func pinnedCases() []pinnedCase {
 }
 
 func TestSolverPinnedBits(t *testing.T) {
-	// One solver per space, reused across cases and paths, so state left by
-	// one solve (seen marks, swapped buffers) must not leak into the next.
-	solvers := map[strategy.Space]*Solver{}
-	for _, c := range pinnedCases() {
-		sp := c.s0.Space()
-		if solvers[sp] == nil {
-			solvers[sp] = NewSolver(sp)
-		}
-		for pass := 0; pass < 2; pass++ {
-			pi0, pi1, err := solvers[sp].Payoff(payoff, c.s0, c.s1, c.errRate)
-			if err != nil {
-				t.Fatalf("%s: %v", c.name, err)
+	withEachStep(t, func(kernel string) {
+		// One solver per space, reused across cases and paths, so state left
+		// by one solve (seen marks, swapped buffers) must not leak into the
+		// next.
+		solvers := map[strategy.Space]*Solver{}
+		for _, c := range pinnedCases() {
+			sp := c.s0.Space()
+			if solvers[sp] == nil {
+				solvers[sp] = NewSolver(sp)
 			}
-			if math.Float64bits(pi0) != c.pi0 || math.Float64bits(pi1) != c.pi1 {
-				t.Errorf("%s pass %d: payoffs (%#x,%#x) = (%v,%v), pinned (%#x,%#x)",
-					c.name, pass, math.Float64bits(pi0), math.Float64bits(pi1), pi0, pi1, c.pi0, c.pi1)
+			for pass := 0; pass < 2; pass++ {
+				pi0, pi1, err := solvers[sp].Payoff(payoff, c.s0, c.s1, c.errRate)
+				if err != nil {
+					t.Fatalf("%s, %s step: %v", c.name, kernel, err)
+				}
+				if math.Float64bits(pi0) != c.pi0 || math.Float64bits(pi1) != c.pi1 {
+					t.Errorf("%s, %s step, pass %d: payoffs (%#x,%#x) = (%v,%v), pinned (%#x,%#x)",
+						c.name, kernel, pass, math.Float64bits(pi0), math.Float64bits(pi1), pi0, pi1, c.pi0, c.pi1)
+				}
 			}
 		}
-	}
+	})
 }
 
 // scatterStep is Solver.step as it was before the gather (commit 5c5098e),
@@ -113,52 +120,133 @@ func scatterStep(s *Solver) {
 	s.cur, s.next = s.next, s.cur
 }
 
-// TestGatherStepMatchesScatter holds the gather to the scatter it replaced:
-// from the same distribution both give the same bits in every state after
-// every step, at memory 1–6 and four error rates, on random mixed pairs and
-// on degenerate-mixed pairs whose exact 0 and 1 entries make moves of
-// probability 0.
-func TestGatherStepMatchesScatter(t *testing.T) {
-	const steps = 64
-	master := rng.New(33)
-	// degenerate is a random mixed strategy with about a third of its
-	// entries set to 0 and a third to 1. State 0 keeps its random entry, so
-	// a pair of them is never deterministic and load builds the table.
-	degenerate := func(sp strategy.Space) *strategy.Mixed {
-		m := strategy.RandomMixed(sp, master)
-		for st := 1; st < sp.NumStates(); st++ {
-			if c := master.Intn(3); c < 2 {
-				m.SetProb(uint32(st), float64(c))
+// withEachStep runs f once with the solver set to each step kernel this
+// CPU can run — the Go gather, and the vector step where the CPU has AVX —
+// and restores the CPU's choice after. So that a comparison of the two
+// cannot pass without running the vector step, it first fails the test on
+// amd64 when /proc/cpuinfo lists avx but hasAVX does not see it, or when
+// the CPU has AVX but the solver steps in Go.
+func withEachStep(t *testing.T, f func(kernel string)) {
+	t.Helper()
+	if runtime.GOARCH == "amd64" {
+		if info, err := os.ReadFile("/proc/cpuinfo"); err == nil && !hasAVX() {
+			for _, line := range strings.Split(string(info), "\n") {
+				if name, flags, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" &&
+					slices.Contains(strings.Fields(flags), "avx") {
+					t.Fatal("/proc/cpuinfo lists avx, but hasAVX reports none")
+				}
 			}
 		}
-		return m
+		if hasAVX() && !useAVX {
+			t.Fatal("the CPU has AVX, but the solver steps in Go")
+		}
 	}
-	for mem := 1; mem <= 6; mem++ {
-		sp := strategy.NewSpace(mem)
-		gather, scatter := NewSolver(sp), NewSolver(sp)
-		for _, errRate := range []float64{0, 1e-12, 0.01, 0.05} {
-			for _, kind := range []string{"random mixed", "degenerate mixed"} {
-				s0, s1 := strategy.RandomMixed(sp, master), strategy.RandomMixed(sp, master)
-				if kind == "degenerate mixed" {
-					s0, s1 = degenerate(sp), degenerate(sp)
+	defer func() { useAVX = hasAVX() }()
+	for _, avx := range []bool{false, true} {
+		if avx && !hasAVX() {
+			continue
+		}
+		useAVX = avx
+		kernel := "go"
+		if avx {
+			kernel = "avx"
+		}
+		t.Logf("solving with the %s step (%s, AVX %v)", kernel, runtime.GOARCH, hasAVX())
+		f(kernel)
+	}
+}
+
+// TestGatherStepMatchesScatter holds each step kernel to the scatter the
+// gather replaced: from the same distribution both give the same bits in
+// every state after every step, at memory 1–6 and five error rates, on
+// random mixed pairs and on degenerate-mixed pairs whose exact 0 and 1
+// entries make moves of probability 0.
+func TestGatherStepMatchesScatter(t *testing.T) {
+	const steps = 64
+	withEachStep(t, func(kernel string) {
+		master := rng.New(33)
+		// degenerate is a random mixed strategy with about a third of its
+		// entries set to 0 and a third to 1. State 0 keeps its random entry,
+		// so a pair of them is never deterministic and load builds the table.
+		degenerate := func(sp strategy.Space) *strategy.Mixed {
+			m := strategy.RandomMixed(sp, master)
+			for st := 1; st < sp.NumStates(); st++ {
+				if c := master.Intn(3); c < 2 {
+					m.SetProb(uint32(st), float64(c))
 				}
-				for _, solver := range []*Solver{gather, scatter} {
-					if solver.load(s0, s1, errRate) {
-						t.Fatalf("memory %d, %s, error %v: deterministic pair", mem, kind, errRate)
+			}
+			return m
+		}
+		for mem := 1; mem <= 6; mem++ {
+			sp := strategy.NewSpace(mem)
+			gather, scatter := NewSolver(sp), NewSolver(sp)
+			for _, errRate := range []float64{0, 1e-12, 0.01, 0.05, 0.5} {
+				for _, kind := range []string{"random mixed", "degenerate mixed"} {
+					s0, s1 := strategy.RandomMixed(sp, master), strategy.RandomMixed(sp, master)
+					if kind == "degenerate mixed" {
+						s0, s1 = degenerate(sp), degenerate(sp)
 					}
-					clear(solver.cur)
-					solver.cur[sp.InitialState()] = 1
-				}
-				for step := 1; step <= steps; step++ {
-					gather.step()
-					scatterStep(scatter)
-					for st := range gather.cur {
-						if g, s := math.Float64bits(gather.cur[st]), math.Float64bits(scatter.cur[st]); g != s {
-							t.Fatalf("memory %d, %s, error %v, step %d, state %d: gather %#x, scatter %#x",
-								mem, kind, errRate, step, st, g, s)
+					for _, solver := range []*Solver{gather, scatter} {
+						if solver.load(s0, s1, errRate) {
+							t.Fatalf("memory %d, %s, error %v: deterministic pair", mem, kind, errRate)
+						}
+						clear(solver.cur)
+						solver.cur[sp.InitialState()] = 1
+					}
+					for step := 1; step <= steps; step++ {
+						gather.step()
+						scatterStep(scatter)
+						for st := range gather.cur {
+							if g, s := math.Float64bits(gather.cur[st]), math.Float64bits(scatter.cur[st]); g != s {
+								t.Fatalf("memory %d, %s, error %v, step %d, state %d: %s step %#x, scatter %#x",
+									mem, kind, errRate, step, st, kernel, g, s)
+							}
 						}
 					}
 				}
+			}
+		}
+	})
+}
+
+// TestVectorStepMatchesGoOnPayoff solves random pairs at memory 1–6 and
+// three error rates, and the Cesàro fallback chain of
+// TestMarkovNearPeriodicChainCesaro, once with each step kernel: every
+// payoff has the same bits.
+func TestVectorStepMatchesGoOnPayoff(t *testing.T) {
+	flip, err := strategy.ParsePure("1000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type pair struct {
+		s0, s1  strategy.Strategy
+		errRate float64
+	}
+	pairs := []pair{{flip, flip, 1e-12}}
+	master := rng.New(43)
+	for mem := 1; mem <= 6; mem++ {
+		sp := strategy.NewSpace(mem)
+		for _, errRate := range []float64{0, 0.01, 0.5} {
+			for i := 0; i < 3; i++ {
+				pairs = append(pairs, pair{strategy.RandomMixed(sp, master), strategy.RandomMixed(sp, master), errRate})
+			}
+		}
+	}
+	got := map[string][][2]uint64{}
+	withEachStep(t, func(kernel string) {
+		for _, p := range pairs {
+			pi0, pi1, err := NewSolver(p.s0.Space()).Payoff(payoff, p.s0, p.s1, p.errRate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[kernel] = append(got[kernel], [2]uint64{math.Float64bits(pi0), math.Float64bits(pi1)})
+		}
+	})
+	for kernel, bits := range got {
+		for i, b := range bits {
+			if g := got["go"][i]; b != g {
+				t.Errorf("pair %d (memory %d, error %v): %s payoffs %#x, go %#x",
+					i, pairs[i].s0.Space().Memory(), pairs[i].errRate, kernel, b, g)
 			}
 		}
 	}
