@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/cpu"
 	"repro/internal/game"
 	"repro/internal/strategy"
 )
@@ -180,14 +181,11 @@ func (s *Solver) deterministicMove(st uint32) int {
 	return m
 }
 
-// useAVX selects the vector step: set once from the CPU, and changed only
-// by tests that compare the two steps.
-var useAVX = hasAVX()
-
 // step advances cur by one round of play, through stepAVX where the CPU
-// has AVX and through gather everywhere else. The two give the same bits.
+// has AVX (cpu.AVX) and through gather everywhere else. The two give the
+// same bits.
 func (s *Solver) step() {
-	if useAVX {
+	if cpu.AVX {
 		stepAVX(s.next, s.cur, s.pr)
 	} else {
 		s.gather()

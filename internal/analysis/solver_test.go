@@ -2,13 +2,11 @@ package analysis
 
 import (
 	"math"
-	"os"
-	"runtime"
-	"slices"
-	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/cpu"
+	"repro/internal/cpu/cputest"
 	"repro/internal/game"
 	"repro/internal/rng"
 	"repro/internal/strategy"
@@ -122,38 +120,19 @@ func scatterStep(s *Solver) {
 
 // withEachStep runs f once with the solver set to each step kernel this
 // CPU can run — the Go gather, and the vector step where the CPU has AVX —
-// and restores the CPU's choice after. So that a comparison of the two
-// cannot pass without running the vector step, it first fails the test on
-// amd64 when /proc/cpuinfo lists avx but hasAVX does not see it, or when
-// the CPU has AVX but the solver steps in Go.
+// and restores the CPU's choice after. On amd64 it first fails the test
+// when /proc/cpuinfo lists avx but the probe does not see it, or when the
+// CPU has AVX but the solver steps in Go (cputest.EachKernel).
 func withEachStep(t *testing.T, f func(kernel string)) {
 	t.Helper()
-	if runtime.GOARCH == "amd64" {
-		if info, err := os.ReadFile("/proc/cpuinfo"); err == nil && !hasAVX() {
-			for _, line := range strings.Split(string(info), "\n") {
-				if name, flags, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" &&
-					slices.Contains(strings.Fields(flags), "avx") {
-					t.Fatal("/proc/cpuinfo lists avx, but hasAVX reports none")
-				}
-			}
-		}
-		if hasAVX() && !useAVX {
-			t.Fatal("the CPU has AVX, but the solver steps in Go")
-		}
-	}
-	defer func() { useAVX = hasAVX() }()
-	for _, avx := range []bool{false, true} {
-		if avx && !hasAVX() {
-			continue
-		}
-		useAVX = avx
+	avx, _ := cpu.Probe()
+	cputest.EachKernel(t, "analysis.Solver.step", &cpu.AVX, avx, []string{"avx"}, func(on bool) {
 		kernel := "go"
-		if avx {
+		if on {
 			kernel = "avx"
 		}
-		t.Logf("solving with the %s step (%s, AVX %v)", kernel, runtime.GOARCH, hasAVX())
 		f(kernel)
-	}
+	})
 }
 
 // TestGatherStepMatchesScatter holds each step kernel to the scatter the

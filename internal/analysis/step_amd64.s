@@ -1,29 +1,5 @@
 #include "textflag.h"
 
-// func hasAVX() bool
-//
-// CPUID leaf 1 reports AVX in ECX bit 28 and OSXSAVE in ECX bit 27; with
-// OSXSAVE set, XGETBV(0) bits 1 and 2 say the OS saves the XMM and YMM
-// state across context switches.
-TEXT ·hasAVX(SB), NOSPLIT, $0-1
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x18000000, CX
-	CMPL CX, $0x18000000
-	JNE  no
-	XORL CX, CX
-	XGETBV
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE  no
-	MOVB $1, ret+0(FP)
-	RET
-
-no:
-	MOVB $0, ret+0(FP)
-	RET
-
 // func stepAVX(next, cur []float64, pr [][4]float64)
 //
 // For each q < N = len(cur)/4 it writes next[4q:4q+4], the four lanes

@@ -75,6 +75,15 @@ func (s *Source) Uint64() uint64 {
 	return r
 }
 
+// State returns the generator's four xoshiro256** words, for a kernel that
+// steps the recurrence itself, several streams side by side
+// (game.PlayMixedBatch).
+func (s *Source) State() [4]uint64 { return [4]uint64{s.s0, s.s1, s.s2, s.s3} }
+
+// SetState puts back words State returned, stepped by Uint64's recurrence
+// or not; such words are never all zero.
+func (s *Source) SetState(w [4]uint64) { s.s0, s.s1, s.s2, s.s3 = w[0], w[1], w[2], w[3] }
+
 // Derive returns a new Source whose state is a pure function of s's original
 // seed material and the given keys. Deriving does not advance s. Typical use:
 //

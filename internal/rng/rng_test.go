@@ -97,6 +97,24 @@ func TestDeriveIntoMatchesDerive(t *testing.T) {
 	}
 }
 
+// TestStateRoundTrip pins what a kernel that steps the words itself relies
+// on: SetState of State's words resumes the stream where State read it, in
+// another Source as in the same one.
+func TestStateRoundTrip(t *testing.T) {
+	s := New(17)
+	s.Uint64()
+	w := s.State()
+	want := [3]uint64{s.Uint64(), s.Uint64(), s.Uint64()}
+	var c Source
+	c.SetState(w)
+	s.SetState(w)
+	for i, x := range want {
+		if g, h := c.Uint64(), s.Uint64(); g != x || h != x {
+			t.Fatalf("draw %d after SetState: %#x and %#x, want %#x", i, g, h, x)
+		}
+	}
+}
+
 func TestDeriveKeysIndependent(t *testing.T) {
 	m := New(9)
 	a := m.Derive(0)

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/analysis"
 	"repro/internal/game"
@@ -76,6 +77,16 @@ type payoffTable struct {
 	// stream is the sampled match's random stream, re-derived in place
 	// from (seed, gen, i, j) for each one rather than allocated.
 	stream rng.Source
+	// mixed collects a playCells call's cells between two *strategy.Mixed
+	// that neither the solver nor the search engine serves — each one's
+	// place in the list, its players and its stream — for one
+	// game.PlayMixedBatch call; scratch, like vals.
+	mixed struct {
+		at   []int
+		a, b []*strategy.Mixed
+		src  []rng.Source
+		out  []game.Result
+	}
 }
 
 func newPayoffTable(cfg *Config) payoffTable {
@@ -254,28 +265,68 @@ func keptAcrossGenerations(cfg *Config) bool { return !ServedByType(cfg) && !cfg
 // memoizable match, so which holders play does not matter — from generation
 // gen's streams; a cell kept across generations from the streams of the
 // later of the generations its SSets were played from, which is gen except
-// at a resumed run's first refresh. Each is a miss. The values are scratch,
-// valid until the next call.
+// at a resumed run's first refresh. The cells between two mixed strategies
+// that play sampled are played in one batch (game.PlayMixedBatch), each from
+// its own stream, so the order they are played in does not matter; their
+// values take their places in the list. Each cell is a miss. The values are
+// scratch, valid until the next call.
 func (t *payoffTable) playCells(cfg *Config, pop *Population, master *rng.Source, gen int, cells [][2]int32) ([]float64, error) {
 	t.vals = t.vals[:0]
-	for _, ab := range cells {
+	m := &t.mixed
+	m.at, m.a, m.b, m.src = m.at[:0], m.a[:0], m.b[:0], m.src[:0]
+	for n, ab := range cells {
 		i, j, g := t.rep[ab[0]], t.rep[ab[1]], gen
 		if t.kept {
 			g = max(pop.playedAt(i, gen), pop.playedAt(j, gen))
 		}
-		v, err := t.play(cfg, master, g, i, j, pop.strategies[i], pop.strategies[j])
+		si, sj := pop.strategies[i], pop.strategies[j]
+		if m0, m1, ok := t.sampledMixed(si, sj); ok {
+			m.at, m.a, m.b, m.src = append(m.at, n), append(m.a, m0), append(m.b, m1), append(m.src, rng.Source{})
+			matchStream(master, &m.src[len(m.src)-1], g, i, j)
+			t.vals = append(t.vals, 0) // the batch's value, below
+			continue
+		}
+		v, err := t.play(cfg, master, g, i, j, si, sj)
 		if err != nil {
 			return nil, err
 		}
 		t.vals = append(t.vals, v)
 	}
+	if len(m.at) > 0 {
+		m.out = slices.Grow(m.out[:0], len(m.at))[:len(m.at)]
+		game.PlayMixedBatch(cfg.Rules, m.a, m.b, m.src, m.out)
+		for k, n := range m.at {
+			t.vals[n] = m.out[k].Mean0()
+		}
+	}
 	t.stats.Misses += uint64(len(cells))
 	return t.vals, nil
 }
 
+// sampledMixed returns si and sj as mixed strategies where the match
+// between them is a sampled one that playCells batches: both are
+// *strategy.Mixed, and neither the exact solver nor the search engine
+// evaluates it.
+func (t *payoffTable) sampledMixed(si, sj strategy.Strategy) (m0, m1 *strategy.Mixed, ok bool) {
+	if t.solver != nil || t.eng != nil {
+		return nil, nil, false
+	}
+	m0, ok0 := si.(*strategy.Mixed)
+	m1, ok1 := sj.(*strategy.Mixed)
+	return m0, m1, ok0 && ok1
+}
+
+// matchStream re-derives dst in place as the stream of the sampled match
+// (i, j) at generation gen: the one derivation of a match's stream, for a
+// batched cell and for play alike.
+func matchStream(master, dst *rng.Source, gen, i, j int) {
+	master.DeriveInto(dst, 0x6A3E, uint64(gen), uint64(i), uint64(j))
+}
+
 // play is SSet i's mean per-round payoff against j at generation gen: the
 // exact Markov payoff, the paper-faithful search engine, the bit-packed
-// pure kernel, or the general sampled match, in that order of preference.
+// pure kernel, or the general sampled match, in that order of preference
+// (playCells batches the sampled matches between two mixed strategies).
 // The bit-packed path is unconditional when it applies (two pure
 // strategies, no noise, direct indexing) because game.PlayPure is
 // bit-identical to game.Play there — it is a strictly faster encoding of the
@@ -307,7 +358,7 @@ func (t *payoffTable) play(cfg *Config, master *rng.Source, gen, i, j int, si, s
 			}
 		}
 	}
-	master.DeriveInto(&t.stream, 0x6A3E, uint64(gen), uint64(i), uint64(j))
+	matchStream(master, &t.stream, gen, i, j)
 	if t.eng != nil {
 		return t.eng.Play(cfg.Rules, si, sj, &t.stream).Mean0(), nil
 	}
