@@ -301,6 +301,8 @@ func (d *decoder) snapshot() (*Snapshot, error) {
 		return nil, fmt.Errorf("unsupported version %d", version)
 	case s.Memory < 1 || s.Memory > strategy.MaxMemory:
 		return nil, fmt.Errorf("memory %d out of range", s.Memory)
+	case s.Generation > math.MaxInt: // every reader converts it to an int
+		return nil, fmt.Errorf("generation %d overflows int", s.Generation)
 	}
 	sp := strategy.NewSpace(s.Memory)
 	var err error

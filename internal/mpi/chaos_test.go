@@ -37,8 +37,8 @@ func chaosBody(gens int, fail func(g int, c *Comm) error) func(c *Comm) error {
 				}
 			}
 			if c.Rank() == 0 {
-				for i := 1; i < c.Size(); i++ {
-					if _, err := c.Recv(AnySource, 7); err != nil {
+				for src := 1; src < c.Size(); src++ {
+					if _, err := c.Recv(src, 7); err != nil {
 						return err
 					}
 				}

@@ -49,9 +49,8 @@ func (c *Comm) Bcast(root int, payload any) (any, error) {
 	value := payload
 	// Standard binomial tree: at round `mask`, virtual ranks below mask hold
 	// the data and send it to vrank+mask; ranks in [mask, 2*mask) receive
-	// from their (unique, pinned) parent vrank-mask. Pinning the source —
-	// rather than wildcard-receiving — keeps back-to-back collectives with
-	// different roots correctly matched via per-(source,tag) FIFO order.
+	// from their (unique) parent vrank-mask. Per-(source, tag) FIFO order
+	// keeps back-to-back collectives with different roots matched.
 	for mask := 1; mask < size; mask <<= 1 {
 		if vrank < mask {
 			child := vrank + mask
@@ -63,11 +62,11 @@ func (c *Comm) Bcast(root int, payload any) (any, error) {
 			}
 		} else if vrank < mask<<1 {
 			parent := (vrank - mask + root) % size
-			msg, err := c.recv(parent, tagBcast)
+			v, err := c.recv(parent, tagBcast)
 			if err != nil {
 				return nil, err
 			}
-			value = msg.Payload
+			value = v
 		}
 	}
 	return value, nil
@@ -76,36 +75,17 @@ func (c *Comm) Bcast(root int, payload any) (any, error) {
 // Op is a reduction operator.
 type Op int
 
-// Reduction operators.
-const (
-	OpSum Op = iota
-	OpMax
-	OpMin
-)
-
-func (o Op) apply(a, b float64) float64 {
-	switch o {
-	case OpSum:
-		return a + b
-	case OpMax:
-		if a > b {
-			return a
-		}
-		return b
-	case OpMin:
-		if a < b {
-			return a
-		}
-		return b
-	}
-	panic(fmt.Sprintf("mpi: unknown op %d", int(o)))
-}
+// OpSum, the sum, is the one reduction operator.
+const OpSum Op = 0
 
 // Reduce combines every rank's value with op; the result is returned at
 // root (other ranks get 0). Binomial-tree reduction, log2 P rounds.
 func (c *Comm) Reduce(root int, value float64, op Op) (float64, error) {
 	if err := c.checkRank(root); err != nil {
 		return 0, err
+	}
+	if op != OpSum {
+		return 0, fmt.Errorf("mpi: unknown reduction op %d", int(op))
 	}
 	if stop := c.collTimer("reduce"); stop != nil {
 		defer stop()
@@ -127,11 +107,11 @@ func (c *Comm) Reduce(root int, value float64, op Op) (float64, error) {
 		}
 		peer := vrank | mask
 		if peer < size {
-			msg, err := c.recv((peer+root)%size, tagReduce)
+			v, err := c.recv((peer+root)%size, tagReduce)
 			if err != nil {
 				return 0, err
 			}
-			acc = op.apply(acc, msg.Payload.(float64))
+			acc += v.(float64)
 		}
 		mask <<= 1
 	}
@@ -159,20 +139,19 @@ func (c *Comm) Gather(root int, payload any) ([]any, error) {
 		}
 		return nil, nil
 	}
-	// Receive exactly one message per source: a wildcard here could steal a
-	// fast rank's contribution to the *next* Gather while a slow rank's
-	// contribution to this one is still in flight.
+	// One message per source, in rank order: a fast rank's contribution to
+	// the next Gather waits behind its contribution to this one.
 	out := make([]any, c.world.size)
 	out[root] = payload
 	for src := 0; src < c.world.size; src++ {
 		if src == root {
 			continue
 		}
-		msg, err := c.recv(src, tagGather)
+		v, err := c.recv(src, tagGather)
 		if err != nil {
 			return nil, err
 		}
-		out[src] = msg.Payload
+		out[src] = v
 	}
 	return out, nil
 }

@@ -23,11 +23,11 @@ func TestKillAfterNthSendIsDeterministic(t *testing.T) {
 				return nil
 			}
 			for {
-				msg, err := c.Recv(0, 1)
+				v, err := c.Recv(0, 1)
 				if err != nil {
 					return err
 				}
-				got = append(got, int(msg.Payload.(float64)))
+				got = append(got, int(v.(float64)))
 			}
 		})
 		if !errors.Is(err, ErrInjectedFault) {
@@ -77,11 +77,11 @@ func TestDelaySendsStillDeliver(t *testing.T) {
 		if c.Rank() == 0 {
 			return c.Send(1, 1, 42.0)
 		}
-		msg, err := c.Recv(0, 1)
+		v, err := c.Recv(0, 1)
 		if err != nil {
 			return err
 		}
-		if msg.Payload.(float64) != 42 {
+		if v.(float64) != 42 {
 			return errors.New("wrong payload")
 		}
 		return nil
@@ -96,11 +96,12 @@ func TestDelaySendsStillDeliver(t *testing.T) {
 
 func TestRecvTimeoutExpires(t *testing.T) {
 	w := NewWorld(2)
+	w.SetRecvTimeout(20 * time.Millisecond)
 	err := w.Run(func(c *Comm) error {
 		if c.Rank() != 0 {
 			return nil
 		}
-		_, err := c.RecvTimeout(1, 1, 20*time.Millisecond)
+		_, err := c.Recv(1, 1)
 		if !errors.Is(err, ErrRecvTimeout) {
 			return errors.New("deadline did not expire")
 		}
@@ -113,15 +114,16 @@ func TestRecvTimeoutExpires(t *testing.T) {
 
 func TestRecvTimeoutDeliversBeforeDeadline(t *testing.T) {
 	w := NewWorld(2)
+	w.SetRecvTimeout(5 * time.Second)
 	err := w.Run(func(c *Comm) error {
 		if c.Rank() == 0 {
 			return c.Send(1, 1, []byte("on time"))
 		}
-		msg, err := c.RecvTimeout(0, 1, 5*time.Second)
+		v, err := c.Recv(0, 1)
 		if err != nil {
 			return err
 		}
-		if string(msg.Payload.([]byte)) != "on time" {
+		if string(v.([]byte)) != "on time" {
 			return errors.New("wrong payload")
 		}
 		return nil
@@ -183,7 +185,7 @@ func TestRunJoinsAllRankErrors(t *testing.T) {
 		if c.Rank() == 1 {
 			return rootCause
 		}
-		_, err := c.Recv(AnySource, 9)
+		_, err := c.Recv(1, 9)
 		return err // cascade: aborted by rank 1
 	})
 	if !errors.Is(err, rootCause) {
@@ -336,9 +338,11 @@ func TestFaultStressNoHang(t *testing.T) {
 		w.InstallFaultPlan(NewFaultPlan().Kill(2, killAt))
 		err := w.Run(func(c *Comm) error {
 			if c.Rank() == 0 {
-				for i := 0; i < 3*perWorker; i++ {
-					if _, err := c.Recv(AnySource, 1); err != nil {
-						return err
+				for i := 0; i < perWorker; i++ {
+					for src := 1; src < c.Size(); src++ {
+						if _, err := c.Recv(src, 1); err != nil {
+							return err
+						}
 					}
 				}
 				return nil

@@ -166,8 +166,6 @@ func TagLabel(tag int) string {
 		return "coll_barrier_up"
 	case tagBarrierDown:
 		return "coll_barrier_down"
-	case AnyTag:
-		return "any"
 	}
 	return strconv.Itoa(tag)
 }

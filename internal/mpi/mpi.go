@@ -5,10 +5,10 @@
 //
 // Semantics follow MPI where it matters for the algorithm:
 //
-//   - Send is buffered (never blocks); Recv blocks until a matching message
-//     (by source and tag, with wildcards) arrives. Messages from the same
-//     (source, tag) pair are non-overtaking, which the collectives below
-//     rely on.
+//   - Send is buffered (never blocks); Recv blocks until the message of a
+//     named source and tag arrives, or the world's receive deadline
+//     (World.SetRecvTimeout) passes. Messages from the same (source, tag)
+//     pair are non-overtaking, which the collectives below rely on.
 //   - Bcast, Reduce, Gather, and Barrier are collectives implemented over
 //     point-to-point messages (binomial trees for Bcast, Reduce and
 //     Barrier), modelling the Blue Gene collective network the paper uses
@@ -29,12 +29,6 @@ import (
 	"time"
 )
 
-// Wildcards for Recv matching.
-const (
-	AnySource = -1
-	AnyTag    = -1
-)
-
 // internalTagBase marks tags reserved for collectives; user tags must be
 // non-negative and below this value.
 const internalTagBase = 1 << 30
@@ -44,13 +38,6 @@ const internalTagBase = 1 << 30
 // deadlocking. The concrete error returned is a *RankFailedError naming the
 // first failed rank; errors.Is(err, ErrAborted) remains true for it.
 var ErrAborted = errors.New("mpi: world aborted")
-
-// Message is a received envelope.
-type Message struct {
-	Source  int
-	Tag     int
-	Payload any
-}
 
 // envelope is the in-flight form of a message.
 type envelope struct {
@@ -93,11 +80,9 @@ func (ib *inbox) finish(cause error) {
 	ib.cond.Broadcast()
 }
 
-// take removes and returns the first message matching (src, tag); it blocks
+// take removes and returns the first message from src with tag; it blocks
 // until one arrives, the optional timeout expires, or the world ends (abort
-// or shutdown). The AnyTag wildcard matches user tags only —
-// collective-protocol messages live in their own context, as in MPI, so a
-// wildcard receive can never steal a broadcast or barrier packet.
+// or shutdown).
 func (ib *inbox) take(src, tag int, timeout time.Duration) (envelope, error) {
 	var expired bool
 	if timeout > 0 {
@@ -113,8 +98,7 @@ func (ib *inbox) take(src, tag int, timeout time.Duration) (envelope, error) {
 	defer ib.mu.Unlock()
 	for {
 		for i, e := range ib.queue {
-			tagOK := e.tag == tag || (tag == AnyTag && e.tag < internalTagBase)
-			if tagOK && (src == AnySource || e.source == src) {
+			if e.tag == tag && e.source == src {
 				ib.queue = append(ib.queue[:i], ib.queue[i+1:]...)
 				return e, nil
 			}
@@ -337,42 +321,25 @@ func (c *Comm) Send(dst, tag int, payload any) error {
 	return c.send(dst, tag, payload)
 }
 
-// Recv blocks until a message matching (src, tag) arrives. Use AnySource /
-// AnyTag as wildcards. When the world has a default receive deadline
+// Recv blocks until the message from src with the given tag arrives and
+// returns its payload. When the world has a receive deadline
 // (World.SetRecvTimeout), it applies.
-func (c *Comm) Recv(src, tag int) (Message, error) {
-	return c.RecvTimeout(src, tag, 0)
+func (c *Comm) Recv(src, tag int) (any, error) {
+	if err := c.checkRank(src); err != nil {
+		return nil, err
+	}
+	if err := c.checkUserTag(tag); err != nil {
+		return nil, err
+	}
+	return c.recv(src, tag)
 }
 
-// RecvTimeout is Recv with an explicit deadline: if no matching message
-// arrives within timeout it returns ErrRecvTimeout. A zero timeout falls
-// back to the world's default deadline (unbounded when that is unset too).
-func (c *Comm) RecvTimeout(src, tag int, timeout time.Duration) (Message, error) {
-	if src != AnySource {
-		if err := c.checkRank(src); err != nil {
-			return Message{}, err
-		}
-	}
-	if tag != AnyTag {
-		if err := c.checkUserTag(tag); err != nil {
-			return Message{}, err
-		}
-	}
-	return c.recvDeadline(src, tag, timeout)
-}
-
-func (c *Comm) recv(src, tag int) (Message, error) {
-	return c.recvDeadline(src, tag, 0)
-}
-
-func (c *Comm) recvDeadline(src, tag int, timeout time.Duration) (Message, error) {
-	if timeout <= 0 {
-		timeout = c.world.recvTimeout
-	}
-	e, err := c.world.boxes[c.rank].take(src, tag, timeout)
+// recv is Recv without argument checks (collectives use internal tags).
+func (c *Comm) recv(src, tag int) (any, error) {
+	e, err := c.world.boxes[c.rank].take(src, tag, c.world.recvTimeout)
 	if err != nil {
-		return Message{}, err
+		return nil, err
 	}
 	c.accountRecv(e)
-	return Message{Source: e.source, Tag: e.tag, Payload: e.payload}, nil
+	return e.payload, nil
 }

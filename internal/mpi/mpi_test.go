@@ -46,40 +46,14 @@ func TestSendRecvBasic(t *testing.T) {
 		if c.Rank() == 0 {
 			return c.Send(1, 7, 42.0)
 		}
-		msg, err := c.Recv(0, 7)
+		v, err := c.Recv(0, 7)
 		if err != nil {
 			return err
 		}
-		if msg.Source != 0 || msg.Tag != 7 || msg.Payload.(float64) != 42.0 {
-			return fmt.Errorf("bad message %+v", msg)
+		if v.(float64) != 42.0 {
+			return fmt.Errorf("bad payload %v", v)
 		}
 		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRecvWildcards(t *testing.T) {
-	w := NewWorld(3)
-	err := w.Run(func(c *Comm) error {
-		switch c.Rank() {
-		case 0:
-			got := map[int]bool{}
-			for i := 0; i < 2; i++ {
-				msg, err := c.Recv(AnySource, AnyTag)
-				if err != nil {
-					return err
-				}
-				got[msg.Source] = true
-			}
-			if !got[1] || !got[2] {
-				return fmt.Errorf("sources seen: %v", got)
-			}
-			return nil
-		default:
-			return c.Send(0, c.Rank()*10, float64(c.Rank()))
-		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -99,12 +73,12 @@ func TestNonOvertakingSameSourceTag(t *testing.T) {
 			return nil
 		}
 		for i := 0; i < n; i++ {
-			msg, err := c.Recv(0, 3)
+			v, err := c.Recv(0, 3)
 			if err != nil {
 				return err
 			}
-			if msg.Payload.(float64) != float64(i) {
-				return fmt.Errorf("message %d overtaken by %d", i, msg.Payload)
+			if v.(float64) != float64(i) {
+				return fmt.Errorf("message %d overtaken by %v", i, v)
 			}
 		}
 		return nil
@@ -124,64 +98,21 @@ func TestRecvByTagSelectsAcrossQueue(t *testing.T) {
 			return c.Send(1, 2, []byte("second"))
 		}
 		// Receive tag 2 first even though tag 1 arrived earlier.
-		msg, err := c.Recv(0, 2)
+		v, err := c.Recv(0, 2)
 		if err != nil {
 			return err
 		}
-		if string(msg.Payload.([]byte)) != "second" {
-			return fmt.Errorf("tag-2 recv got %v", msg.Payload)
+		if string(v.([]byte)) != "second" {
+			return fmt.Errorf("tag-2 recv got %v", v)
 		}
-		msg, err = c.Recv(0, 1)
+		v, err = c.Recv(0, 1)
 		if err != nil {
 			return err
 		}
-		if string(msg.Payload.([]byte)) != "first" {
-			return fmt.Errorf("tag-1 recv got %v", msg.Payload)
+		if string(v.([]byte)) != "first" {
+			return fmt.Errorf("tag-1 recv got %v", v)
 		}
 		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWildcardDoesNotStealCollectiveTraffic(t *testing.T) {
-	// A wildcard receive posted while a broadcast is in flight must match
-	// only user messages; collective packets live in their own context.
-	w := NewWorld(2)
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() == 0 {
-			// Rank 1 broadcasts; its tree packet to rank 0 arrives before
-			// the user message. The wildcard must skip it.
-			if err := c.Send(1, 9, []byte("ignored")); err != nil {
-				return err
-			}
-			msg, err := c.Recv(AnySource, AnyTag)
-			if err != nil {
-				return err
-			}
-			if msg.Tag != 5 || string(msg.Payload.([]byte)) != "user" {
-				return fmt.Errorf("wildcard matched %d/%v", msg.Tag, msg.Payload)
-			}
-			// Now join the broadcast; the packet must still be there.
-			v, err := c.Bcast(1, nil)
-			if err != nil {
-				return err
-			}
-			if v.(float64) != 77 {
-				return fmt.Errorf("bcast got %v", v)
-			}
-			return nil
-		}
-		// Rank 1: wait for the go signal, start the bcast (enqueues the
-		// tree packet at rank 0), then send the user message.
-		if _, err := c.Recv(0, 9); err != nil {
-			return err
-		}
-		if _, err := c.Bcast(1, 77.0); err != nil {
-			return err
-		}
-		return c.Send(0, 5, []byte("user"))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +211,7 @@ func TestRankErrorAbortsWorld(t *testing.T) {
 		}
 		// Other ranks block on a Recv that will never be satisfied; the
 		// abort must release them instead of deadlocking the test.
-		_, err := c.Recv(AnySource, 9)
+		_, err := c.Recv(2, 9)
 		if !errors.Is(err, ErrAborted) {
 			return fmt.Errorf("expected ErrAborted, got %v", err)
 		}
@@ -297,7 +228,7 @@ func TestRankPanicAbortsWorld(t *testing.T) {
 		if c.Rank() == 0 {
 			panic("kaboom")
 		}
-		_, err := c.Recv(AnySource, 1)
+		_, err := c.Recv(0, 1)
 		if !errors.Is(err, ErrAborted) {
 			return fmt.Errorf("want ErrAborted, got %v", err)
 		}

@@ -99,8 +99,8 @@ func TestNetWorldPointToPointAndCollectives(t *testing.T) {
 		if err != nil {
 			return fmt.Errorf("ring recv: %w", err)
 		}
-		if m.Payload.(float64) != float64((c.Rank()+n-1)%n) {
-			return fmt.Errorf("ring got %v", m.Payload)
+		if m.(float64) != float64((c.Rank()+n-1)%n) {
+			return fmt.Errorf("ring got %v", m)
 		}
 		// Broadcast.
 		got, err := c.Bcast(0, []byte("hello"))
@@ -180,7 +180,7 @@ func TestNetWorldSeveredConnectionAborts(t *testing.T) {
 		if !errors.As(err, &rf) || rf.Rank != 1-r {
 			t.Errorf("rank %d returned %v, want the *RankFailedError of rank %d", r, err, 1-r)
 		}
-		if n := trs[r].Stats().Snapshot().DecodeErrs; n != 0 {
+		if n := trs[r].stats.Snapshot().DecodeErrs; n != 0 {
 			t.Errorf("rank %d: decode_errs = %d after a cut", r, n)
 		}
 	}
@@ -196,8 +196,8 @@ func lockstep(gens int, die func(c *Comm, g int) error) func(c *Comm) error {
 				return err
 			}
 			if c.Rank() == 0 {
-				for i := 1; i < c.Size(); i++ {
-					if _, err := c.Recv(AnySource, 7); err != nil {
+				for src := 1; src < c.Size(); src++ {
+					if _, err := c.Recv(src, 7); err != nil {
 						return err
 					}
 				}
@@ -550,12 +550,13 @@ func TestNetUndecodableDataFrameFailsThePeer(t *testing.T) {
 	}()
 
 	w := NewNetWorld(trs[0])
+	w.SetRecvTimeout(5 * time.Second)
 	if err := trs[0].Start(); err != nil {
 		t.Fatalf("rank 0 start: %v", err)
 	}
 	began := time.Now()
 	err = w.RunLocal(func(c *Comm) error {
-		_, err := c.RecvTimeout(1, 7, 5*time.Second)
+		_, err := c.Recv(1, 7)
 		return err
 	})
 	var rf *RankFailedError
@@ -565,7 +566,7 @@ func TestNetUndecodableDataFrameFailsThePeer(t *testing.T) {
 	if took := time.Since(began); took > 2*time.Second {
 		t.Errorf("the failure took %v to surface", took)
 	}
-	if n := trs[0].Stats().Snapshot().DecodeErrs; n != 1 {
+	if n := w.TransportStats().DecodeErrs; n != 1 {
 		t.Errorf("decode_errs = %d, want 1", n)
 	}
 }

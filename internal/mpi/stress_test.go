@@ -8,8 +8,9 @@ import (
 )
 
 // TestStressMixedTraffic drives many ranks through interleaved
-// point-to-point rings, wildcard receives, and collectives for many rounds;
-// run under -race this shakes out ordering and matching bugs.
+// point-to-point rings, receives in a shuffled source order, and
+// collectives for many rounds; run under -race this shakes out ordering and
+// matching bugs.
 func TestStressMixedTraffic(t *testing.T) {
 	const (
 		size   = 12
@@ -26,30 +27,38 @@ func TestStressMixedTraffic(t *testing.T) {
 			if err := c.Send(right, 10, []float64{float64(r), float64(c.Rank())}); err != nil {
 				return err
 			}
-			msg, err := c.Recv(left, 10)
+			v, err := c.Recv(left, 10)
 			if err != nil {
 				return err
 			}
-			got := msg.Payload.([]float64)
+			got := v.([]float64)
 			if got[0] != float64(r) || got[1] != float64(left) {
-				return fmt.Errorf("round %d: ring got %v from %d", r, got, msg.Source)
+				return fmt.Errorf("round %d: ring got %v from %d", r, got, left)
 			}
 
-			// Random extra traffic to rank 0 with wildcard receive there.
+			// Extra traffic to rank 0 on a tag that alternates by round,
+			// received there in a random source order.
+			tag := 20 + r%2
 			if c.Rank() != 0 {
-				if src.Uint64()&1 == 1 {
-					if err := c.Send(0, 20, float64(c.Rank()*1000+r)); err != nil {
-						return err
-					}
-				} else {
-					if err := c.Send(0, 21, float64(c.Rank()*1000+r)); err != nil {
-						return err
-					}
+				if err := c.Send(0, tag, float64(c.Rank()*1000+r)); err != nil {
+					return err
 				}
 			} else {
-				for i := 0; i < size-1; i++ {
-					if _, err := c.Recv(AnySource, AnyTag); err != nil {
+				order := make([]int, size-1)
+				for i := range order {
+					order[i] = i + 1
+				}
+				for i := len(order) - 1; i > 0; i-- {
+					j := int(src.Uint64() % uint64(i+1))
+					order[i], order[j] = order[j], order[i]
+				}
+				for _, from := range order {
+					v, err := c.Recv(from, tag)
+					if err != nil {
 						return err
+					}
+					if v.(float64) != float64(from*1000+r) {
+						return fmt.Errorf("round %d: rank %d sent %v", r, from, v)
 					}
 				}
 			}
@@ -60,12 +69,12 @@ func TestStressMixedTraffic(t *testing.T) {
 			if c.Rank() == root {
 				p = float64(r * r)
 			}
-			v, err := c.Bcast(root, p)
+			b, err := c.Bcast(root, p)
 			if err != nil {
 				return err
 			}
-			if v.(float64) != float64(r*r) {
-				return fmt.Errorf("round %d: bcast got %v", r, v)
+			if b.(float64) != float64(r*r) {
+				return fmt.Errorf("round %d: bcast got %v", r, b)
 			}
 			sum, err := c.Reduce(root, float64(c.Rank()), OpSum)
 			if err != nil {

@@ -139,9 +139,6 @@ func NewNetTransport(cfg NetConfig) (*NetTransport, error) {
 // Size returns the world size the transport was configured with.
 func (t *NetTransport) Size() int { return t.cfg.Size }
 
-// Stats returns the live counter set (read with Snapshot).
-func (t *NetTransport) Stats() *TransportStats { return &t.stats }
-
 // bind attaches the transport to its world (NewNetWorld).
 func (t *NetTransport) bind(w *World) { t.world = w }
 

@@ -507,7 +507,8 @@ func (m *Manager) Resume(job *Job) error {
 	job.resuming = false
 	job.mu.Unlock()
 	if err := m.enqueue(job); err != nil {
-		m.commit(job, transition{state: StatePaused, gen: gen}, nil)
+		// Back to paused, on the event stream too: it said queued.
+		m.commit(job, transition{state: StatePaused, gen: gen}, map[string]any{"id": job.ID, "state": StatePaused, "generation": gen})
 		return err
 	}
 	return nil

@@ -387,6 +387,96 @@ func TestAdmissionOutstandingBudget(t *testing.T) {
 	waitState(t, ts, b, StateCanceled)
 }
 
+// fullQueue starts a one-worker daemon whose one queue slot is taken: a
+// job running and one queued behind it, both long and tenant "busy"'s.
+func fullQueue(t *testing.T, opts Options) (*Server, *httptest.Server) {
+	t.Helper()
+	opts.Workers, opts.QueueDepth = 1, 1
+	s, ts := startServer(t, opts, nil)
+	waitState(t, ts, submit(t, ts, "busy", longSpec), StateRunning)
+	submit(t, ts, "busy", longSpec)
+	return s, ts
+}
+
+// assertQueueFull asserts a 429 queue_full refusal with a Retry-After.
+func assertQueueFull(t *testing.T, what string, resp *http.Response, m map[string]any) {
+	t.Helper()
+	if resp.StatusCode != http.StatusTooManyRequests || m["reason"] != "queue_full" || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("%s: %d (Retry-After %q), body %v; want 429 queue_full with a Retry-After", what, resp.StatusCode, resp.Header.Get("Retry-After"), m)
+	}
+}
+
+// A submission that finds the queue full is refused with 429 and a
+// Retry-After, counted as queue_full, and gives back what admission took —
+// the tenant's slot and the outstanding budget — so the same submission is
+// refused for the full queue again, not for the tenant's cap or the budget.
+func TestSubmitIntoFullQueue(t *testing.T) {
+	var js JobSpec
+	if err := json.Unmarshal([]byte(longSpec), &js); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := js.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := DefaultCostModel().EstimateSeconds(cfg)
+	// Room for the two jobs in flight and one more, which a leaked budget
+	// or slot would fill.
+	s, ts := fullQueue(t, Options{MaxOutstandingSeconds: 3.5 * est, Tenant: TenantLimits{MaxActive: 3}})
+	for try := 1; try <= 2; try++ {
+		resp, m := doJSON(t, "POST", ts.URL+"/api/v1/jobs", "busy", longSpec)
+		assertQueueFull(t, fmt.Sprintf("submission %d", try), resp, m)
+	}
+	s.mgr.mu.Lock()
+	outstanding := s.mgr.outstanding
+	s.mgr.mu.Unlock()
+	if outstanding != 2*est {
+		t.Errorf("outstanding %v s, want the two admitted jobs' %v s", outstanding, 2*est)
+	}
+	if n := s.mgr.reg.Counter(`egd_server_jobs_rejected_total{reason="queue_full"}`).Load(); n != 2 {
+		t.Errorf("queue_full rejections counted %d, want 2", n)
+	}
+}
+
+// A resume that finds the queue full is refused with 429 and a
+// Retry-After, and the job is paused again everywhere it shows: its status
+// and, as the last state event, its event stream.
+func TestResumeIntoFullQueue(t *testing.T) {
+	s, ts := startServer(t, Options{Workers: 1, QueueDepth: 1}, nil)
+	id := submit(t, ts, "", longSpec)
+	waitState(t, ts, id, StateRunning)
+	if resp, m := doJSON(t, "POST", ts.URL+"/api/v1/jobs/"+id+"/pause", "", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("pause: got %d, body %v", resp.StatusCode, m)
+	}
+	waitState(t, ts, id, StatePaused)
+	waitState(t, ts, submit(t, ts, "", longSpec), StateRunning)
+	submit(t, ts, "", longSpec)
+
+	resp, m := doJSON(t, "POST", ts.URL+"/api/v1/jobs/"+id+"/resume", "", "")
+	assertQueueFull(t, "resume", resp, m)
+	if st := status(t, ts, id); st["state"] != string(StatePaused) {
+		t.Errorf("status after the refused resume: %v, want paused", st["state"])
+	}
+	job, _ := s.mgr.get(id)
+	events, _, _ := job.hub.after(0)
+	var last, states []string
+	for _, ev := range events {
+		if ev.Kind == "state" {
+			var st struct{ State string }
+			if err := json.Unmarshal(ev.Data, &st); err != nil {
+				t.Fatal(err)
+			}
+			states = append(states, st.State)
+		}
+	}
+	if len(states) > 0 {
+		last = states[len(states)-1:]
+	}
+	if fmt.Sprint(last) != "[paused]" {
+		t.Errorf("state events %v, want the last one paused", states)
+	}
+}
+
 // sseEventRec is one parsed SSE frame.
 type sseEventRec struct {
 	id   int

@@ -197,6 +197,39 @@ var errDiskFull = errors.New("disk full")
 func (failingSink) Save(*checkpoint.Snapshot) error       { return errDiskFull }
 func (failingSink) Latest() (*checkpoint.Snapshot, error) { return nil, nil }
 
+// lostSink takes every snapshot and can read none back.
+type lostSink struct{}
+
+var errLost = errors.New("checkpoint lost")
+
+func (lostSink) Save(*checkpoint.Snapshot) error       { return nil }
+func (lostSink) Latest() (*checkpoint.Snapshot, error) { return nil, errLost }
+
+// A pause whose stop snapshot cannot be read back fails the job — a
+// paused job must be resumable from its snapshot — and releases its tenant
+// slot and budget.
+func TestPauseWithoutStopSnapshotFailsJob(t *testing.T) {
+	s, ts, _ := newSinkServer(t, t.TempDir(), func(string) sim.CheckpointSink { return lostSink{} })
+	id := submit(t, ts, "", durableSpec)
+	waitState(t, ts, id, StateRunning)
+	if resp, m := doJSON(t, "POST", ts.URL+"/api/v1/jobs/"+id+"/pause", "", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("pause: got %d, body %v", resp.StatusCode, m)
+	}
+	st := waitState(t, ts, id, StateFailed)
+	if msg, _ := st["error"].(string); !strings.HasPrefix(msg, "stop snapshot unavailable") || !strings.Contains(msg, errLost.Error()) {
+		t.Fatalf("job error %q, want the unavailable stop snapshot", msg)
+	}
+	s.mgr.quotas.mu.Lock()
+	active := s.mgr.quotas.tenants["default"].active
+	s.mgr.quotas.mu.Unlock()
+	s.mgr.mu.Lock()
+	outstanding := s.mgr.outstanding
+	s.mgr.mu.Unlock()
+	if active != 0 || outstanding != 0 {
+		t.Errorf("after the failure the tenant holds %d slots and the budget %v s, want none", active, outstanding)
+	}
+}
+
 // A write that fails behind the engine fails the job at its next
 // checkpoint: Save reports the stored error and the engine stops there.
 func TestCheckpointWriteFailureFailsJob(t *testing.T) {

@@ -170,10 +170,6 @@ type Config struct {
 	// reference the bit-parity tests hold a run served by type to. No Spec
 	// field, flag or front end reaches it.
 	referenceKernel bool
-	// skewRank, when non-zero, makes the worker at that rank report
-	// one game more than it played at the end of the window: a drifted view,
-	// for the tests of Nature's cross-check.
-	skewRank int
 }
 
 // Events records what the Nature Agent did in one generation.

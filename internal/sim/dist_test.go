@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -299,6 +300,17 @@ func TestNetworkedBackendParityMetrics(t *testing.T) {
 					a.Rank, a.Phases[j].Phase, a.Phases[j].Calls, b.Phases[j].Calls)
 			}
 		}
+	}
+	// Nature's messages and bytes per tag, the workers' reports among them,
+	// are the same on both backends; only the collectives' wall time differs.
+	a, b := inproc.Metrics.Comm[0], net.Metrics.Comm[0]
+	for _, co := range [][]mpi.CollectiveStat{a.Collectives, b.Collectives} {
+		for i := range co {
+			co[i].Nanos = 0
+		}
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("Nature's comm accounting: %+v in process, %+v over the wire", a, b)
 	}
 	// Transport accounting is per-process wallclock observability, not part
 	// of the trajectory — but it must exist and show real wire traffic.

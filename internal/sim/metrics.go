@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -31,7 +31,7 @@ const (
 	// PhaseBroadcast is each meeting of the engine — the Gather of
 	// new cells and Nature's verdict (the paper's collective-network
 	// traffic, less what every rank derives itself) — but the end of the
-	// window's, whose Gather carries the snapshot.
+	// window's, whose Gather carries the workers' reports.
 	PhaseBroadcast = "broadcast"
 	// PhaseReduce names mean-fitness and game-count reductions, which the
 	// engine does not book; bench/ reads the name (ROADMAP item 1's shim ledger).
@@ -62,20 +62,26 @@ type RankPhaseSnapshot struct {
 	Cache  *game.CacheStats `json:"cache,omitempty"`
 }
 
-// phaseTimer accumulates one rank's phase timings. Each rank times only
-// its own goroutine, so there is no locking; a nil timer (metrics
-// disabled) makes begin/end no-ops.
-type phaseTimer struct {
-	stats map[string]*phaseAccum
-}
+// The phases the engine books, in name order: the index of each in a
+// phaseTimer and its place in a worker's report (par.go).
+const (
+	phaseBroadcast = iota
+	phaseCheckpoint
+	phaseGamePlay
+	phaseNatureStep
+	numPhases
+)
+
+var phaseNames = [numPhases]string{PhaseBroadcast, PhaseCheckpoint, PhaseGamePlay, PhaseNatureStep}
+
+// phaseTimer accumulates one rank's phase timings, a fixed table over the
+// phases the engine books. Each rank times only its own goroutine, so there
+// is no locking; a nil timer (metrics disabled) makes begin/end no-ops.
+type phaseTimer [numPhases]phaseAccum
 
 type phaseAccum struct {
 	calls uint64
 	nanos int64
-}
-
-func newPhaseTimer() *phaseTimer {
-	return &phaseTimer{stats: make(map[string]*phaseAccum)}
 }
 
 // begin returns the phase start time, zero when the timer is disabled.
@@ -87,33 +93,27 @@ func (t *phaseTimer) begin() time.Time {
 }
 
 // end books the elapsed time since start against the phase.
-func (t *phaseTimer) end(phase string, start time.Time) {
+func (t *phaseTimer) end(phase int, start time.Time) {
 	if t == nil {
 		return
 	}
-	a, ok := t.stats[phase]
-	if !ok {
-		a = &phaseAccum{}
-		t.stats[phase] = a
-	}
-	a.calls++
-	a.nanos += time.Since(start).Nanoseconds() //egdlint:allow determinism phase timing is observability metadata, never an input to the trajectory
+	t[phase].calls++
+	t[phase].nanos += time.Since(start).Nanoseconds() //egdlint:allow determinism phase timing is observability metadata, never an input to the trajectory
 }
 
-// snapshot captures the timer as a plain value for the given original
-// rank, phases in sorted order.
-func (t *phaseTimer) snapshot(rank int) RankPhaseSnapshot {
-	s := RankPhaseSnapshot{Rank: rank}
-	names := make([]string, 0, len(t.stats))
-	for name := range t.stats {
-		names = append(names, name)
+// stats is the timer as plain values in name order, phases never booked
+// omitted; nil for a nil timer.
+func (t *phaseTimer) stats() []PhaseStat {
+	if t == nil {
+		return nil
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		a := t.stats[name]
-		s.Phases = append(s.Phases, PhaseStat{Phase: name, Calls: a.calls, Nanos: a.nanos})
+	var out []PhaseStat
+	for p, a := range t {
+		if a.calls > 0 {
+			out = append(out, PhaseStat{Phase: phaseNames[p], Calls: a.calls, Nanos: a.nanos})
+		}
 	}
-	return s
+	return out
 }
 
 // RunMetrics is the observability aggregate a run attaches to its Result
@@ -130,48 +130,30 @@ type RunMetrics struct {
 	Transport *mpi.TransportSnapshot `json:"transport,omitempty"`
 }
 
-// PhaseTotals aggregates phase timings across ranks, sorted by phase name.
-func (m *RunMetrics) PhaseTotals() []PhaseStat {
-	acc := map[string]*PhaseStat{}
+// totals sums every rank's phase timings.
+func (m *RunMetrics) totals() *phaseTimer {
+	var sum phaseTimer
 	for _, r := range m.Phases {
 		for _, p := range r.Phases {
-			t, ok := acc[p.Phase]
-			if !ok {
-				t = &PhaseStat{Phase: p.Phase}
-				acc[p.Phase] = t
+			if i := slices.Index(phaseNames[:], p.Phase); i >= 0 {
+				sum[i].calls += p.Calls
+				sum[i].nanos += p.Nanos
 			}
-			t.Calls += p.Calls
-			t.Nanos += p.Nanos
 		}
 	}
-	out := make([]PhaseStat, 0, len(acc))
-	names := make([]string, 0, len(acc))
-	for name := range acc {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		out = append(out, *acc[name])
-	}
-	return out
+	return &sum
 }
+
+// PhaseTotals aggregates phase timings across ranks, sorted by phase name.
+func (m *RunMetrics) PhaseTotals() []PhaseStat { return m.totals().stats() }
 
 // ComputeCommSplit classifies the aggregated phase time into the paper's
 // Table V categories: compute (game play and the Nature step), comm (the
 // meetings), and other (checkpoint I/O).
 func (m *RunMetrics) ComputeCommSplit() (compute, comm, other time.Duration) {
-	for _, p := range m.PhaseTotals() {
-		d := time.Duration(p.Nanos)
-		switch p.Phase {
-		case PhaseGamePlay, PhaseNatureStep:
-			compute += d
-		case PhaseBroadcast:
-			comm += d
-		default:
-			other += d
-		}
-	}
-	return compute, comm, other
+	t := m.totals()
+	d := func(p int) time.Duration { return time.Duration(t[p].nanos) }
+	return d(phaseGamePlay) + d(phaseNatureStep), d(phaseBroadcast), d(phaseCheckpoint)
 }
 
 // MetricsRegistry exports the run's metrics into a registry keyed by the
@@ -226,19 +208,12 @@ func (r *Result) MetricsRegistry() *metrics.Registry {
 		// how ranks interleave), so the transport series carry the
 		// _wallclock_total marker and are stripped from deterministic
 		// snapshots.
-		for _, c := range []struct {
-			name string
-			v    uint64
-		}{
-			{"frames_sent", ts.FramesSent},
-			{"frames_recv", ts.FramesRecv},
-			{"bytes_sent", ts.BytesSent},
-			{"bytes_recv", ts.BytesRecv},
-			{"redials", ts.Redials},
-			{"decode_errs", ts.DecodeErrs},
-		} {
-			reg.Counter("egd_transport_" + c.name + "_wallclock_total").Add(c.v)
-		}
+		reg.Counter("egd_transport_frames_sent_wallclock_total").Add(ts.FramesSent)
+		reg.Counter("egd_transport_frames_recv_wallclock_total").Add(ts.FramesRecv)
+		reg.Counter("egd_transport_bytes_sent_wallclock_total").Add(ts.BytesSent)
+		reg.Counter("egd_transport_bytes_recv_wallclock_total").Add(ts.BytesRecv)
+		reg.Counter("egd_transport_redials_wallclock_total").Add(ts.Redials)
+		reg.Counter("egd_transport_decode_errs_wallclock_total").Add(ts.DecodeErrs)
 	}
 	return reg
 }

@@ -177,7 +177,8 @@ func TestMetricsOffByDefault(t *testing.T) {
 
 // TestMetricsCommFollowsThePlan: the run's comm snapshot counts the
 // collectives the plan schedules — 3 ranks enter a Gather and a Bcast at
-// each meeting and at the end of the window.
+// each meeting and at the end of the window — and the bytes its messages'
+// layouts give, the end of the window's report gather among them.
 func TestMetricsCommFollowsThePlan(t *testing.T) {
 	cfg := testConfig(1, 6, 10)
 	cfg.Seed = 306
@@ -193,9 +194,11 @@ func TestMetricsCommFollowsThePlan(t *testing.T) {
 			colls += co.Calls
 		}
 	}
-	if planned := 3 * (collectivesBefore(meetingsOf(t, cfg), cfg.Generations) + 2); msgs == 0 || colls != planned {
+	meets := meetingsOf(t, cfg)
+	if planned := 3 * (collectivesBefore(meets, cfg.Generations) + 2); msgs == 0 || colls != planned {
 		t.Errorf("%d messages, %d collectives; want some messages and %d collectives", msgs, colls, planned)
 	}
+	assertWireBytes(t, "3 ranks", res, len(meets))
 }
 
 // TestMetricsWithRestart: collection composes with a supervised restart —

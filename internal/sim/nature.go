@@ -111,7 +111,7 @@ func (r *parRank) generation() error {
 		r.res.Counters.Mutations++
 		r.pop.SetStrategy(d.mutant, mutantStrategy(cfg, r.master, r.pop.Space(), gen))
 	}
-	r.pt.end(PhaseNatureStep, tn)
+	r.pt.end(phaseNatureStep, tn)
 
 	if r.quiet {
 		r.gen++
@@ -132,7 +132,7 @@ func (r *parRank) generation() error {
 		if err := r.saveSnapshot(gen + 1); err != nil {
 			return err
 		}
-		r.pt.end(PhaseCheckpoint, tc)
+		r.pt.end(phaseCheckpoint, tc)
 	}
 	r.gen++
 	return nil

@@ -3,13 +3,12 @@ package sim
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"strconv"
 	"time"
 
+	"repro/internal/game"
 	"repro/internal/mpi"
 )
 
@@ -105,50 +104,72 @@ func decodeVerdict(payload any, gen, cells int) (verdict, error) {
 }
 
 // rankReport is what a worker ships to Nature at the end of the window: its
-// view of the run for Nature's cross-check and, when Config.Metrics is set,
-// its phase timings and payoff-table counters.
+// view of the run for Nature's cross-check — what it counted in the window
+// and how many types its population holds, either of which a drifted view
+// changes — and, when Config.Metrics is set, its phase timings and, in a run
+// served by type, its payoff-table counters.
 type rankReport struct {
-	RankPhaseSnapshot
-	// Counters is what the worker counted in the window and Live how many
-	// types its population holds: a drifted view changes either.
-	Counters *Counters `json:"counters,omitempty"`
-	Live     int       `json:"live,omitempty"`
+	Counters Counters
+	Live     int
+	Phases   *phaseTimer
+	Cache    *game.CacheStats
 }
 
-// encode is the report as JSON, space-padded (JSON ignores trailing white
-// space) to the length it has with 19-digit Nanos: the comm byte counters
-// must not depend on wall-clock digits.
+// The report is laid out like the verdict: the kind byte, a flags byte with
+// the phase block present at bit 0 and the payoff table's counters at bit 1,
+// then little-endian uint64 fields: the window's four counters and the live
+// type count; calls and nanos of each phase in name order (phaseNames);
+// hits, misses and entries. Every field has a fixed width, so the comm byte
+// counters depend on the flags alone, never on a timing's digits.
+const msgReport byte = 2
+
+// encode is the report's message.
 func (rep rankReport) encode() []byte {
-	b, _ := json.Marshal(rep) // plain counters: cannot fail
-	for _, p := range rep.Phases {
-		b = append(b, "                   "[len(strconv.FormatInt(p.Nanos, 10)):]...)
+	c, b := rep.Counters, []byte{msgReport, 0}
+	words := []uint64{c.GamesPlayed, c.PCEvents, c.Adoptions, c.Mutations, uint64(rep.Live)}
+	if rep.Phases != nil {
+		b[1] |= 1
+		for _, a := range rep.Phases {
+			words = append(words, a.calls, uint64(a.nanos))
+		}
+	}
+	if cs := rep.Cache; cs != nil {
+		b[1] |= 2
+		words = append(words, cs.Hits, cs.Misses, uint64(cs.Entries))
+	}
+	for _, v := range words {
+		b = binary.LittleEndian.AppendUint64(b, v)
 	}
 	return b
 }
 
-// decodeReports reads the workers' reports out of a Gather at Nature, with
-// the run's phase block: Nature's own snapshot self, then the workers' by
-// rank, so Phases is already ordered by Rank.
-func decodeReports(self RankPhaseSnapshot, parts []any) (*RunMetrics, []rankReport, error) {
-	rm, reps := &RunMetrics{Phases: []RankPhaseSnapshot{self}}, make([]rankReport, len(parts)-1)
-	for i, part := range parts[1:] {
-		b, _ := part.([]byte)
-		if err := json.Unmarshal(b, &reps[i]); err != nil {
-			return nil, nil, fmt.Errorf("sim: report of rank %d: %w", 1+i, err)
+// decodeReport reads worker w's report out of Nature's Gather by the
+// verdict's rule: the payload must be, byte for byte, the encoding of the
+// report read from it — no trailing or missing bytes, no unknown flag bit, no
+// field past what an int holds.
+func decodeReport(w int, payload any) (rankReport, error) {
+	b, ok := payload.([]byte)
+	if !ok || len(b) < 2 || b[0] != msgReport {
+		return rankReport{}, fmt.Errorf("sim: rank %d sent %T %.14x at the end of the window, want its report", w, payload, b)
+	}
+	var u [5 + 2*numPhases + 3]uint64 // every field; one past the payload's end reads 0, and the re-encoding differs
+	for i := range min(len(u), (len(b)-2)/8) {
+		u[i] = binary.LittleEndian.Uint64(b[2+8*i:])
+	}
+	rep, f := rankReport{Counters: Counters{GamesPlayed: u[0], PCEvents: u[1], Adoptions: u[2], Mutations: u[3]}, Live: int(u[4])}, u[5:]
+	if b[1]&1 != 0 {
+		rep.Phases = new(phaseTimer)
+		for p := range rep.Phases {
+			rep.Phases[p], f = phaseAccum{f[0], int64(f[1])}, f[2:]
 		}
-		rm.Phases = append(rm.Phases, reps[i].RankPhaseSnapshot)
 	}
-	return rm, reps, nil
-}
-
-// skew is the test seam of the end-of-window cross-check: the games the
-// worker on c reports beyond those it played — one on the rank
-// Config.skewRank names, none elsewhere (a worker's rank is never 0).
-func skew(cfg *Config, c *mpi.Comm) uint64 {
-	if c.Rank() == cfg.skewRank {
-		return 1
+	if b[1]&2 != 0 {
+		rep.Cache = &game.CacheStats{Hits: f[0], Misses: f[1], Entries: int(f[2])}
 	}
-	return 0
+	if re := rep.encode(); !bytes.Equal(b, re) {
+		return rankReport{}, fmt.Errorf("sim: report of rank %d of %d bytes %.14x is not the %d-byte encoding %.14x of its content", w, len(b), b, len(re), re)
+	}
+	return rep, nil
 }
 
 // RunParallel executes the simulation on a world of `ranks` goroutine

@@ -236,9 +236,9 @@ func TestFreeRunningRegime(t *testing.T) {
 
 // TestDivergedViewFailsTheRun: the end of the window cross-checks every
 // worker's view against Nature's, whether the table is keyed by SSet or by
-// type. A worker that reports
-// one game more than it played (the skewRank seam) fails the run with the
-// divergence error instead of a Result; the same run without it succeeds.
+// type. A worker that reports one game more than it played, or one live
+// type more than it holds, fails the run with the divergence error; the
+// same run with its own report succeeds.
 func TestDivergedViewFailsTheRun(t *testing.T) {
 	base := testConfig(1, 8, 60)
 	base.Seed = 331
@@ -247,13 +247,17 @@ func TestDivergedViewFailsTheRun(t *testing.T) {
 		cfg  Config
 	}{{"keyed by SSet", reference(base)}, {"served by type", base}} {
 		for _, ranks := range []int{3, 5} {
-			cfg := arm.cfg
-			if _, err := RunParallel(cfg, ranks); err != nil {
+			if err := runReporting(t, arm.cfg, ranks, rankReport.encode); err != nil {
 				t.Fatalf("%s, %d ranks: %v", arm.name, ranks, err)
 			}
-			cfg.skewRank = ranks - 1
-			if res, err := RunParallel(cfg, ranks); res != nil || err == nil || !strings.Contains(err.Error(), "global views diverged") {
-				t.Errorf("%s, %d ranks: result %v, error %v; want the divergence error", arm.name, ranks, res, err)
+			for what, drift := range map[string]func(*rankReport){
+				"a game more":      func(rep *rankReport) { rep.Counters.GamesPlayed++ },
+				"a live type more": func(rep *rankReport) { rep.Live++ },
+			} {
+				err := runReporting(t, arm.cfg, ranks, func(rep rankReport) []byte { drift(&rep); return rep.encode() })
+				if want := fmt.Sprintf("sim: worker %d counted", ranks-1); err == nil || !strings.HasPrefix(err.Error(), want) || !strings.Contains(err.Error(), "global views diverged") {
+					t.Errorf("%s, %d ranks, %s: error %v; want the divergence error naming worker %d", arm.name, ranks, what, err, ranks-1)
+				}
 			}
 		}
 	}
@@ -334,6 +338,45 @@ func assertMeetings(t *testing.T, what string, res *Result, meetings int) {
 	}
 }
 
+// reportBytes is a worker's report with metrics in a run served by type:
+// the kind and flags bytes, then eight bytes for each of the window's four
+// counters and the live type count, calls and nanos of the four phases, and
+// the payoff table's hits, misses and entries.
+const reportBytes = 2 + 8*(4+1+2*4+3)
+
+// assertWireBytes holds the bytes of res, a run served by type with metrics
+// on, to its messages' layouts and the meetings a walk of it found. Each
+// message's payload carries a kind byte. At every meeting a worker gathers
+// its block of the cells, eight bytes each, and at the window's end its
+// report. Nature's Bcast sends each of its children in the tree a verdict:
+// fourteen bytes and eight per cell, at every meeting and the end. The cells
+// a rank played are its payoff table's misses.
+func assertWireBytes(t *testing.T, what string, res *Result, meetings int) {
+	t.Helper()
+	m, cells, children := uint64(meetings), uint64(0), uint64(0)
+	for _, ps := range res.Metrics.Phases {
+		cells += ps.Cache.Misses
+	}
+	for mask := 1; mask < len(res.Metrics.Comm); mask <<= 1 {
+		children++
+	}
+	for _, rc := range res.Metrics.Comm {
+		tag, want := "coll_bcast", children*((m+1)*(1+14)+8*cells)
+		if rc.Rank != 0 {
+			tag, want = "coll_gather", m+8*res.Metrics.Phases[rc.Rank].Cache.Misses+1+reportBytes
+		}
+		var got uint64
+		for _, tt := range rc.SentByTag {
+			if mpi.TagLabel(tt.Tag) == tag {
+				got = tt.Bytes
+			}
+		}
+		if got != want {
+			t.Errorf("%s: rank %d sent %d bytes with tag %s, its messages' layouts say %d", what, rc.Rank, got, tag, want)
+		}
+	}
+}
+
 // TestWireIsAFunctionOfThePlan: each rank's collectives are the meetings a
 // walk of the run derives, whether the table is keyed by SSet or by type, at
 // every rank count from one, and nothing a strategy's size could move is on
@@ -345,8 +388,7 @@ func TestWireIsAFunctionOfThePlan(t *testing.T) {
 		// Keyed by SSet: the reference kernel, and noisy memory-six mixed
 		// play, which meet after every change. Every adoption is a coin flip
 		// from the Nature stream, so both runs change the same SSets at the
-		// same generations. Neither run's metrics gather carries cache
-		// counters, whose digits are no function of the plan.
+		// same generations.
 		shared := func(cfg Config) Config {
 			cfg.Metrics, cfg.Beta, cfg.AllowWorseAdoption = true, 0, true
 			return cfg
@@ -409,6 +451,7 @@ func TestWireIsAFunctionOfThePlan(t *testing.T) {
 				meets = fills
 			}
 			assertMeetings(t, fmt.Sprintf("%d ranks, %s", ranks, bound), res, len(meets))
+			assertWireBytes(t, fmt.Sprintf("%d ranks, %s", ranks, bound), res, len(meets))
 		}
 	}
 }

@@ -101,7 +101,7 @@ func newParRank(cfg *Config, c *mpi.Comm) *parRank {
 	}
 	r.worker, r.base = r.quiet, r.res.Counters
 	if cfg.Metrics {
-		r.pt = newPhaseTimer()
+		r.pt = new(phaseTimer)
 	}
 	return r
 }
@@ -146,7 +146,7 @@ func (r *parRank) playShare(gen int) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.pt.end(PhaseGamePlay, tg)
+	r.pt.end(phaseGamePlay, tg)
 	return vals, nil
 }
 
@@ -204,27 +204,33 @@ func (r *parRank) meet(gen int, part any) ([]any, error) {
 		}
 		return nil, fmt.Errorf("sim: worker %d: %w", r.c.Rank(), ErrStopped)
 	}
-	r.pt.end(PhaseBroadcast, tb)
+	r.pt.end(phaseBroadcast, tb)
 	return parts, nil
 }
 
-// finalize is the end of the window: a meeting whose Gather carries every
-// worker's report. Nature cross-checks each against its own view — the
-// Counters of the window and the live type count, which a drifted view
-// changes — and folds FinalFitness from the table.
-func (r *parRank) finalize() error {
+// report is the rank's view at the end of the window: the Counters of the
+// window and its live type count, which a drifted view changes, and with
+// metrics its phase timings so far and its table's counters.
+func (r *parRank) report() rankReport {
 	c, b := r.res.Counters, r.base
-	mine := rankReport{Live: len(r.pop.types) - len(r.pop.free), Counters: &Counters{
+	rep := rankReport{Live: len(r.pop.types) - len(r.pop.free), Counters: Counters{
 		GamesPlayed: c.GamesPlayed - b.GamesPlayed, PCEvents: c.PCEvents - b.PCEvents,
 		Adoptions: c.Adoptions - b.Adoptions, Mutations: c.Mutations - b.Mutations,
 	}}
 	if r.cfg.Metrics {
-		mine.RankPhaseSnapshot = r.pt.snapshot(r.c.Rank())
-		mine.Cache = r.cacheStats(r.pop)
+		pt := *r.pt // the end of the window's meeting is not booked
+		rep.Phases, rep.Cache = &pt, r.cacheStats(r.pop)
 	}
+	return rep
+}
+
+// finalize is the end of the window: a meeting whose Gather carries every
+// worker's report. Nature cross-checks each against its own and folds
+// FinalFitness from the table.
+func (r *parRank) finalize() error {
+	mine := r.report()
 	var part any
 	if r.c.Rank() != 0 {
-		mine.Counters.GamesPlayed += skew(r.cfg, r.c)
 		part = mine.encode()
 	}
 	r.cells = r.cells[:0]
@@ -238,15 +244,17 @@ func (r *parRank) finalize() error {
 // collect is Nature's side of the end of the window: the cross-check, the
 // run's metrics and FinalFitness.
 func (r *parRank) collect(mine rankReport, parts []any) error {
-	rm, reps, err := decodeReports(mine.RankPhaseSnapshot, parts)
-	if err != nil {
-		return err
-	}
-	for i, rep := range reps {
-		if rep.Counters == nil || *rep.Counters != *mine.Counters || rep.Live != mine.Live {
-			return fmt.Errorf("sim: worker %d counted %+v over %d live types in the window, Nature %+v over %d — global views diverged",
-				1+i, rep.Counters, rep.Live, *mine.Counters, mine.Live)
+	rm := &RunMetrics{Phases: []RankPhaseSnapshot{{Rank: 0, Phases: mine.Phases.stats(), Cache: mine.Cache}}}
+	for w := 1; w < len(parts); w++ {
+		rep, err := decodeReport(w, parts[w])
+		if err != nil {
+			return err
 		}
+		if rep.Counters != mine.Counters || rep.Live != mine.Live {
+			return fmt.Errorf("sim: worker %d counted %+v over %d live types in the window, Nature %+v over %d — global views diverged",
+				w, rep.Counters, rep.Live, mine.Counters, mine.Live)
+		}
+		rm.Phases = append(rm.Phases, RankPhaseSnapshot{Rank: w, Phases: rep.Phases.stats(), Cache: rep.Cache})
 	}
 	if r.cfg.Metrics {
 		r.res.Metrics = rm

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"math"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/strategy"
@@ -146,6 +149,52 @@ func TestResumeValidation(t *testing.T) {
 	cfg.InitialStrategies = []strategy.Strategy{nil, strategy.AllD(strategy.NewSpace(1))}
 	if _, err := RunSequential(cfg); err == nil {
 		t.Fatal("nil initial strategy accepted")
+	}
+}
+
+// A checkpoint file's generation arrives as a uint64. One an int holds
+// resumes exactly there, with the file's counters; one past math.MaxInt —
+// 2^32+5 on a 32-bit build, whose series points all fit — is refused where
+// the file is read, not wrapped to generation 5.
+func TestResumeGenerationPastInt(t *testing.T) {
+	cfg := testConfig(1, 6, 10)
+	cfg.Seed = 351
+	res, err := RunSequential(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := res.Snapshot(cfg)
+	for _, gen := range []uint64{1<<32 + 5, uint64(math.MaxInt) + 1} {
+		snap.Generation = gen
+		sink := &FileSink{Path: filepath.Join(t.TempDir(), "run.ckpt")}
+		if err := sink.Save(snap); err != nil {
+			t.Fatal(err)
+		}
+		read, err := sink.Latest()
+		if gen > math.MaxInt {
+			if err == nil || !strings.Contains(err.Error(), "overflows int") {
+				t.Errorf("generation %d: read error %v, want it refused", gen, err)
+			}
+			continue
+		}
+		resumed := cfg
+		if err == nil {
+			err = resumed.ResumeFrom(read)
+		}
+		if err != nil {
+			t.Fatalf("generation %d: %v", gen, err)
+		}
+		if uint64(resumed.StartGeneration) != gen || resumed.prior.counters != res.Counters {
+			t.Fatalf("resumed at generation %d with counters %+v, want %d and %+v", resumed.StartGeneration, resumed.prior.counters, gen, res.Counters)
+		}
+		resumed.Generations = 3
+		more, err := RunSequential(resumed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last := more.MeanFitness.Points(); more.Counters.GamesPlayed <= res.Counters.GamesPlayed || uint64(last[len(last)-1].Generation) < gen {
+			t.Errorf("resumed run: counters %+v, mean fitness %v; want both to go on from generation %d", more.Counters, last, gen)
+		}
 	}
 }
 

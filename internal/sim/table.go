@@ -269,9 +269,10 @@ func keptAcrossGenerations(cfg *Config) bool { return !ServedByType(cfg) && !cfg
 // that play sampled are played in one batch (game.PlayMixedBatch), each from
 // its own stream, so the order they are played in does not matter; their
 // values take their places in the list. Each cell is a miss. The values are
-// scratch, valid until the next call.
+// scratch, valid until the next call. The scratch grows once per call, to
+// the cells listed — the batch's at its first cell, to the cells left.
 func (t *payoffTable) playCells(cfg *Config, pop *Population, master *rng.Source, gen int, cells [][2]int32) ([]float64, error) {
-	t.vals = t.vals[:0]
+	t.vals = slices.Grow(t.vals[:0], len(cells))
 	m := &t.mixed
 	m.at, m.a, m.b, m.src = m.at[:0], m.a[:0], m.b[:0], m.src[:0]
 	for n, ab := range cells {
@@ -281,6 +282,10 @@ func (t *payoffTable) playCells(cfg *Config, pop *Population, master *rng.Source
 		}
 		si, sj := pop.strategies[i], pop.strategies[j]
 		if m0, m1, ok := t.sampledMixed(si, sj); ok {
+			if len(m.at) == 0 {
+				k := len(cells) - n
+				m.at, m.a, m.b, m.src = slices.Grow(m.at, k), slices.Grow(m.a, k), slices.Grow(m.b, k), slices.Grow(m.src, k)
+			}
 			m.at, m.a, m.b, m.src = append(m.at, n), append(m.a, m0), append(m.b, m1), append(m.src, rng.Source{})
 			matchStream(master, &m.src[len(m.src)-1], g, i, j)
 			t.vals = append(t.vals, 0) // the batch's value, below

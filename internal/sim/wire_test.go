@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/game"
 	"repro/internal/mpi"
 	"repro/internal/strategy"
 )
@@ -34,6 +35,50 @@ func TestVerdictRoundTrip(t *testing.T) {
 	}
 }
 
+// timedReport is a report carrying every block: counters, the phase table
+// (a phase never booked among them) and the payoff table's counters.
+func timedReport() rankReport {
+	pt := phaseTimer{phaseBroadcast: {3, 1234}, phaseGamePlay: {3, math.MaxInt64}, phaseNatureStep: {60, 7}}
+	return rankReport{
+		Counters: Counters{GamesPlayed: math.MaxUint64, PCEvents: 5, Adoptions: 2, Mutations: 1},
+		Live:     4, Phases: &pt, Cache: &game.CacheStats{Hits: 9, Misses: 3, Entries: 4},
+	}
+}
+
+// A report is its fixed layout: 42 bytes of kind, flags, counters and live
+// count, 64 more with the phase table, 24 more with the payoff table's
+// counters — whatever the values — and it decodes back to itself.
+func TestReportRoundTrip(t *testing.T) {
+	full := timedReport()
+	untimed := full
+	untimed.Phases = nil
+	for _, tc := range []struct {
+		rep  rankReport
+		size int
+	}{
+		{rankReport{}, 42},
+		{rankReport{Live: 1, Counters: Counters{GamesPlayed: 12}}, 42},
+		{rankReport{Phases: new(phaseTimer)}, 106},
+		{untimed, 66},
+		{full, 130},
+	} {
+		b := tc.rep.encode()
+		if len(b) != tc.size || b[0] != msgReport {
+			t.Fatalf("%+v encodes to %d bytes of kind %d, want %d of kind %d", tc.rep, len(b), b[0], tc.size, msgReport)
+		}
+		got, err := decodeReport(1, b)
+		if err != nil || !reflect.DeepEqual(got, tc.rep) {
+			t.Fatalf("%+v round trip: %+v, %v", tc.rep, got, err)
+		}
+	}
+	// The phase block a report carries reads as the rank's snapshot: name
+	// order, the phase never booked omitted.
+	want := []PhaseStat{{PhaseBroadcast, 3, 1234}, {PhaseGamePlay, 3, math.MaxInt64}, {PhaseNatureStep, 60, 7}}
+	if got := full.Phases.stats(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("phases %+v, want %+v", got, want)
+	}
+}
+
 // Every way a received message can be wrong is an error naming what is
 // wrong — never a type assertion or a verdict applied to the wrong
 // generation.
@@ -53,7 +98,12 @@ func TestEngineMessageRejections(t *testing.T) {
 	decoders := map[string]func(any) error{
 		"verdict": func(p any) error { _, err := decodeVerdict(p, 5, 0); return err },
 		"cells":   func(p any) error { _, err := decodeVerdict(p, 5, 2); return err },
+		"report":  func(p any) error { _, err := decodeReport(2, p); return err }, // from rank 2
 	}
+	rep := timedReport().encode()
+	untimed := rankReport{Live: 3}.encode()
+	flags := func(f byte) func([]byte) []byte { return func(b []byte) []byte { b[1] = f; return b } }
+	cut := func(b []byte, n int) []byte { return append(append([]byte(nil), b[:n]...), b[n+64:]...) } // drops 64 bytes at n
 	for _, tc := range []struct {
 		name    string
 		decoder string
@@ -83,6 +133,23 @@ func TestEngineMessageRejections(t *testing.T) {
 		{"cell count field off", "cells", with(cel, setField(1, 3)), "encoding"},
 		{"cells' generation 2^32 later", "cells", with(cel, setField(2, 1)), "verdict for generation 4294967301 received at generation 5"},
 		{"half a cell", "cells", cel[:len(cel)-4], "encoding"},
+		{"report not bytes", "report", []float64{1}, "rank 2 sent []float64"},
+		{"no report", "report", nil, "rank 2 sent <nil>"},
+		{"empty report", "report", []byte{}, "rank 2 sent []uint8"},
+		{"a verdict for a report", "report", ver, "rank 2 sent []uint8 01"},
+		{"a JSON report", "report", []byte(`{"counters":{"GamesPlayed":1},"live":3}`), "want its report"},
+		{"report of an unknown kind", "report", with(untimed, func(b []byte) []byte { b[0] = 3; return b }), "want its report"},
+		{"unknown report flag", "report", with(untimed, flags(4)), "report of rank 2 of 42 bytes"},
+		{"unknown high report flag", "report", with(rep, flags(0x83)), "is not the 130-byte encoding"},
+		{"phase block missing", "report", cut(rep, 42), "report of rank 2 of 66 bytes"},
+		{"phase block extra", "report", with(rep, flags(2)), "report of rank 2 of 130 bytes"},
+		{"cache block missing", "report", rep[:106], "report of rank 2 of 106 bytes"},
+		{"cache block extra", "report", with(rep, flags(1)), "is not the 106-byte encoding"},
+		{"report's trailing byte", "report", append(append([]byte(nil), rep...), 0), "report of rank 2 of 131 bytes"},
+		{"counters cut short", "report", untimed[:38], "report of rank 2 of 38 bytes"},
+		{"live count cut short", "report", untimed[:41], "is not the 42-byte encoding"},
+		{"head only", "report", untimed[:2], "of 2 bytes"},
+		{"nanos cut short", "report", with(rep, flags(1))[:100], "of 100 bytes"},
 	} {
 		err := decoders[tc.decoder](tc.payload)
 		if err == nil || !strings.HasPrefix(err.Error(), "sim: ") || !strings.Contains(err.Error(), tc.want) {
@@ -142,10 +209,68 @@ func TestCellPayloadsAreChecked(t *testing.T) {
 	}
 }
 
-// FuzzEngineMessage feeds arbitrary bytes to the verdict decoder: it must
-// refuse them or return a verdict that encodes back to exactly those bytes,
-// and whatever it accepts must be safe to apply — a verdict for the
-// receiver's own generation and missing cells.
+// runReporting runs cfg on a world of ranks whose last worker ships what
+// send makes of its end-of-window report in place of the report's
+// encoding, and returns Nature's error.
+func runReporting(t *testing.T, cfg Config, ranks int, send func(rankReport) []byte) error {
+	t.Helper()
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var natureErr error
+	_ = mpi.NewWorld(ranks).Run(func(c *mpi.Comm) error {
+		r := newParRank(&cfg, c)
+		if c.Rank() != ranks-1 {
+			err := r.run()
+			if c.Rank() == 0 {
+				natureErr = err
+			}
+			return err
+		}
+		// run, up to finalize's meeting.
+		for r.gen < r.end {
+			if err := r.generation(); err != nil {
+				return err
+			}
+		}
+		r.cells = r.cells[:0]
+		_, err := r.meet(r.end, send(r.report()))
+		return err
+	})
+	return natureErr
+}
+
+// A worker whose end-of-window report is garbled fails the run at Nature
+// with an error naming that worker, whether the table is keyed by type or by
+// SSet and with metrics or without; the worker's own report passes.
+func TestGarbledReportFailsTheRun(t *testing.T) {
+	base := testConfig(1, 6, 20)
+	base.Seed = 341
+	metered := base
+	metered.Metrics = true
+	for _, tc := range []struct {
+		name string
+		send func(rankReport) []byte
+		want string
+	}{
+		{"its own", rankReport.encode, ""},
+		{"a trailing byte", func(rep rankReport) []byte { return append(rep.encode(), 0) }, "sim: report of rank 2 of "},
+		{"an unknown flag", func(rep rankReport) []byte { b := rep.encode(); b[1] |= 0x80; return b }, "sim: report of rank 2 of "},
+		{"a JSON report", func(rankReport) []byte { return []byte(`{"live":1}`) }, "sim: rank 2 sent []uint8 7b226c69"},
+	} {
+		for _, cfg := range []Config{base, reference(base), metered} {
+			err := runReporting(t, cfg, 3, tc.send)
+			if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.want)) {
+				t.Errorf("%s, served by type %v, metrics %v: Nature's error %v, want %q", tc.name, ServedByType(&cfg), cfg.Metrics, err, tc.want)
+			}
+		}
+	}
+}
+
+// FuzzEngineMessage feeds arbitrary bytes to the verdict and report
+// decoders: each must refuse them or return a message that encodes back to
+// exactly those bytes, and a verdict it accepts must be safe to apply — for
+// the receiver's own generation and missing cells.
 func FuzzEngineMessage(f *testing.F) {
 	const at = 9 // the generation the receiver stands at
 	f.Add(verdict{Gen: at, Stop: true, Cells: []float64{1}}.encode())
@@ -156,7 +281,16 @@ func FuzzEngineMessage(f *testing.F) {
 	f.Add(verdict{Gen: at, Cells: []float64{1}}.encode()[:msgHeadLen-1]) // a head cut short
 	f.Add([]byte{})
 	f.Add(verdict{Gen: at, Cells: []float64{2, math.NaN()}}.encode())
+	f.Add(timedReport().encode())
+	f.Add(rankReport{Live: 2, Counters: Counters{GamesPlayed: 30}}.encode())
+	f.Add(rankReport{Phases: new(phaseTimer)}.encode()[:50]) // a phase block cut short
+	f.Add(append(rankReport{}.encode(), 0))                  // a trailing byte
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if rep, err := decodeReport(1, data); err == nil {
+			if re := rep.encode(); !bytes.Equal(re, data) {
+				t.Fatalf("report re-encodes to %x, was %x", re, data)
+			}
+		}
 		for _, cells := range []int{0, 2} {
 			v, err := decodeVerdict(data, at, cells)
 			if err != nil {
