@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint race fuzz bench bench-e2e bench-compare bench-check docs loc chaos serve-smoke check clean
+.PHONY: all build test vet lint race fuzz bench-e2e bench-compare bench-check docs loc chaos serve-smoke check clean
 
 all: build test
 
@@ -59,16 +59,6 @@ chaos:
 serve-smoke:
 	./scripts/serve_smoke.sh
 
-# Regenerates the paper's artefacts: a single-iteration sweep of the
-# per-table/figure benchmarks (bench_test.go) with allocation stats,
-# streamed as test2json records to BENCH_10.json — the machine-readable
-# artifact CI uploads. One iteration keeps the sweep minutes-scale; shapes
-# (scaling curves, compute/comm split) survive, but absolute ns/op are noisy
-# at -benchtime=1x, so this is not the basis for performance claims —
-# bench-e2e is (bench/README.md).
-bench:
-	$(GO) test -json -run '^$$' -bench . -benchmem -benchtime 1x . > BENCH_10.json
-
 # The end-to-end benchmark BENCHMARK.json declares: eight fixed workloads
 # with verified result hashes, end-to-end and per-layer metrics
 # (bench/README.md). bench-compare prints the paired table for two result
@@ -97,14 +87,18 @@ docs:
 # package and in total, outside bench/, .bench_build/ and testdata/ (analyzer
 # fixtures are test inputs, not code) — the pipeline CHANGES.md has quoted
 # since PR 12, so "less code" is a number every PR can show (CI prints it in
-# the docs job).
-LOC_FILES = -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' -not -path '*/testdata/*'
+# the docs job). The second column counts assembly (*.s) the same way, so a
+# kernel's cost shows beside the Go it replaces.
+LOC_SKIP = -not -path './bench/*' -not -path './.bench_build/*' -not -path '*/testdata/*'
+LOC_FILES = -name '*.go' -not -name '*_test.go' $(LOC_SKIP)
+LOC_ASM = -name '*.s' $(LOC_SKIP)
 LOC_COUNT = xargs cat | grep -v '^\s*//' | grep -vc '^\s*$$'
 loc:
+	@printf '%6s %6s\n' go asm
 	@for d in $$(find . $(LOC_FILES) | xargs -n1 dirname | sort -u); do \
-		printf '%6d  %s\n' "$$(find $$d -maxdepth 1 $(LOC_FILES) | $(LOC_COUNT))" "$$d"; \
+		printf '%6d %6d  %s\n' "$$(find $$d -maxdepth 1 $(LOC_FILES) | $(LOC_COUNT))" "$$(find $$d -maxdepth 1 $(LOC_ASM) | $(LOC_COUNT))" "$$d"; \
 	done
-	@printf '%6d  total\n' "$$(find . $(LOC_FILES) | $(LOC_COUNT))"
+	@printf '%6d %6d  total\n' "$$(find . $(LOC_FILES) | $(LOC_COUNT))" "$$(find . $(LOC_ASM) | $(LOC_COUNT))"
 
 check: vet lint
 	$(GO) test -race ./...

@@ -5,7 +5,7 @@
 // skipped — CI must not depend on the network. In the living documents
 // (livingDoc) it also checks what inline code cites: a repository path
 // (`internal/sim/spec.go`) or package directory (`go run ./cmd/egdsim`) must
-// exist, and an `egdscale -table N` or `-fig N` must select an entry of
+// exist, and an `egdsim scale -table N` or `-fig N` must select an entry of
 // core.Artefacts(). Walking the tree, it also holds every Go package to a
 // package comment (pkgDocs).
 //
@@ -52,7 +52,7 @@ var pathPattern = regexp.MustCompile("`((?:cmd|internal|docs|scripts|examples|be
 
 // In an inline code span, pkgDirPattern matches the package directory a go
 // command names (./cmd/NAME, ./examples/NAME — pathPattern needs a file
-// extension) and artefactPattern an egdscale selector.
+// extension) and artefactPattern a selector of egdsim's scale subcommand.
 var (
 	codeSpan        = regexp.MustCompile("`[^`]+`")
 	pkgDirPattern   = regexp.MustCompile(`\./((?:cmd|examples)/[\w-]+)`)
@@ -71,7 +71,7 @@ var livingDoc = regexp.MustCompile(`^(?:README|DESIGN|EXPERIMENTS)\.md$|^docs/[^
 type doc struct {
 	links   []link
 	paths   []link // back-ticked repository paths (pathPattern, pkgDirPattern)
-	ids     []link // catalogue IDs cited as egdscale selectors (artefactPattern)
+	ids     []link // catalogue IDs cited as `egdsim scale` selectors (artefactPattern)
 	anchors map[string]bool
 }
 
@@ -137,7 +137,7 @@ func parseDoc(path string) (*doc, error) {
 			for _, m := range pkgDirPattern.FindAllStringSubmatch(span, -1) {
 				d.paths = append(d.paths, link{line: lineNo, target: m[1]})
 			}
-			if !strings.Contains(span, "egdscale") {
+			if !strings.Contains(span, "egdsim scale ") {
 				continue
 			}
 			for _, m := range artefactPattern.FindAllStringSubmatch(span, -1) {
@@ -304,7 +304,7 @@ func check(root string, files []string) ([]string, error) {
 			}
 			for _, l := range d.ids {
 				if !catalogue[l.target] {
-					report(l.line, "stale citation: egdscale has no %s (core.Artefacts)", l.target)
+					report(l.line, "stale citation: egdsim scale has no %s (core.Artefacts)", l.target)
 				}
 			}
 		}

@@ -189,19 +189,20 @@ func TestStalePaths(t *testing.T) {
 	}
 }
 
-// Inline code in a living document that names a package directory or an
-// egdscale selector is held to the tree and to core.Artefacts(): deleting an
-// example, or citing a table the catalogue does not have, fails the check.
+// Inline code in a living document that names a package directory or a
+// selector of egdsim's scale subcommand is held to the tree and to
+// core.Artefacts(): deleting an example, or citing a table the catalogue
+// does not have, fails the check.
 func TestStaleCommands(t *testing.T) {
 	dir := t.TempDir()
-	write(t, dir, "cmd/egdscale/main.go", "// Command egdscale.\npackage main\n")
+	write(t, dir, "cmd/egdsim/main.go", "// Command egdsim.\npackage main\n")
 	write(t, dir, "examples/spatial/main.go", "// Command spatial.\npackage main\n")
 	write(t, dir, "README.md", "# Top\n\n"+
-		"Run `go run ./examples/spatial` or `go run ./cmd/egdscale -table 6 -fig 3`.\n"+
+		"Run `go run ./examples/spatial` or `go run ./cmd/egdsim scale -table 6 -fig 3`.\n"+
 		"Gone: `go run ./examples/wsls -gens 100` and `./cmd/egdold`.\n"+
-		"Regenerated by `egdscale -table 5`, `cmd/egdscale -fig 2 -csv`; `egdsim -table 9` is not egdscale's.\n\n"+
+		"Regenerated by `egdsim scale -table 5`, `cmd/egdsim scale -fig 2 -csv`; `egdsim -table 9` is not scale's.\n\n"+
 		"```\ngo run ./examples/fenced\n```\n")
-	write(t, dir, "CHANGES.md", "Deleted `go run ./examples/wsls`; `egdscale -table 5` never existed.\n")
+	write(t, dir, "CHANGES.md", "Deleted `go run ./examples/wsls`; `egdsim scale -table 5` never existed.\n")
 
 	var out, errw strings.Builder
 	if code := run([]string{"-dir", dir}, &out, &errw); code != 1 {
@@ -211,8 +212,8 @@ func TestStaleCommands(t *testing.T) {
 	for _, want := range []string{
 		"README.md:4: stale path `examples/wsls`",
 		"README.md:4: stale path `cmd/egdold`",
-		"README.md:5: stale citation: egdscale has no table5",
-		"README.md:5: stale citation: egdscale has no fig2",
+		"README.md:5: stale citation: egdsim scale has no table5",
+		"README.md:5: stale citation: egdsim scale has no fig2",
 		"4 problem(s)",
 	} {
 		if !strings.Contains(got, want) {

@@ -149,6 +149,9 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
 	if *worker != "" {
 		job = workerJob{}
 		if err := json.Unmarshal([]byte(*worker), &job); err != nil {

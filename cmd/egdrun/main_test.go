@@ -85,6 +85,16 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 	}
 }
 
+// A positional argument egdrun does not take is refused before any flag is
+// checked or process spawned, so a typo cannot launch a default fleet.
+func TestRunRefusesStrayArguments(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{"-np", "1", "bogus"}, &out)
+	if err == nil || !strings.Contains(err.Error(), `unexpected argument "bogus"`) || out.Len() != 0 {
+		t.Fatalf("run with a stray argument: error %v, output %q", err, out.String())
+	}
+}
+
 // A real three-process fleet over unix sockets: the Nature process's
 // deterministic summary must be the in-process parallel engine's, line for
 // line — for a plain run, and for the paper's Fig. 2 configuration, whose

@@ -99,3 +99,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		t.Fatal("run accepted an unparseable listen address")
 	}
 }
+
+// A stray word is refused before any flag is acted on: the unknown
+// calibration would be an error of its own, and no daemon starts.
+func TestRunRefusesStrayArguments(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"-cal", "bogus", "stray"}, &out); err == nil || !strings.Contains(err.Error(), `unexpected argument "stray"`) {
+		t.Fatalf("run with a stray argument: %v", err)
+	}
+}

@@ -11,6 +11,14 @@
 //	egdsim -ssets 32 -gens 2000 -ranks 4 -checkpoint-every 100 \
 //	    -checkpoint-file run.ckpt -inject-fault rank=2,after=500
 //	egdsim -ssets 32 -gens 1000 -ranks 4 -metrics run-metrics.json -pprof-cpu cpu.out
+//
+// A first argument naming a subcommand runs it instead, with flags of its
+// own:
+//
+//	egdsim scale   the paper's tables and figures (runScale)
+//	egdsim viz     the Fig. 2 population map of a checkpoint or a fresh run (runViz)
+//	egdsim strat   one strategy's traits, exact payoffs and fixation (runStrat)
+//	egdsim sweep   a grid of runs over beta, mu, error and seed, as CSV (runSweep)
 package main
 
 import (
@@ -42,7 +50,23 @@ func main() {
 }
 
 func run(args []string, out io.Writer) error {
+	if len(args) > 0 {
+		switch args[0] {
+		case "scale":
+			return runScale(args[1:], out)
+		case "viz":
+			return runViz(args[1:], out)
+		case "strat":
+			return runStrat(args[1:], out)
+		case "sweep":
+			return runSweep(args[1:], out)
+		}
+	}
 	fs := flag.NewFlagSet("egdsim", flag.ContinueOnError)
+	fs.Usage = func() {
+		fmt.Fprintln(fs.Output(), "Usage: egdsim [flags]\n       egdsim scale|viz|strat|sweep [flags]   (egdsim SUBCOMMAND -h for its flags)")
+		fs.PrintDefaults()
+	}
 	// The run itself is a sim.Spec and the failure handling a
 	// sim.FaultTolerance — the flag sets egdrun shares (README.md "Run
 	// parameters"); the rest steer this process's engine choice and outputs.
@@ -63,7 +87,7 @@ func run(args []string, out io.Writer) error {
 		pprofCPU  = fs.String("pprof-cpu", "", "write a CPU profile of the run to this file")
 		pprofMem  = fs.String("pprof-mem", "", "write a heap profile taken after the run to this file")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
 	if spec.Ranks < 2 && (ft.InjectFault != "" || ft.WorkerTimeout > 0) {
@@ -79,12 +103,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	if *resume != "" {
-		f, err := os.Open(*resume)
-		if err != nil {
-			return err
-		}
-		snap, err := checkpoint.Read(f)
-		f.Close()
+		snap, err := readCheckpoint(*resume)
 		if err != nil {
 			return err
 		}
@@ -202,6 +221,18 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
+// parse parses args into fs and refuses a positional argument: a stray word
+// is a mistake, not something to ignore.
+func parse(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	return nil
+}
+
 // printPhaseSummary renders the per-phase wall-time table and the paper's
 // Table-V-style compute/communication split.
 func printPhaseSummary(out io.Writer, res *sim.Result) {
@@ -245,6 +276,16 @@ func writeMetrics(path, format string, res *sim.Result) error {
 		}
 		return metrics.WriteJSON(w, snap)
 	})
+}
+
+// readCheckpoint reads the snapshot in the checkpoint file at path.
+func readCheckpoint(path string) (*checkpoint.Snapshot, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return checkpoint.Read(f)
 }
 
 // writeFile creates path, fills it through write, and reports the first

@@ -105,6 +105,34 @@ func TestRunTraceCSVHeader(t *testing.T) {
 	}
 }
 
+// A positional argument no command takes is refused before anything runs:
+// a misspelt subcommand does not fall through to the default simulation, a
+// subcommand goes first, and a word after a subcommand's flags is not
+// ignored. strat takes exactly one strategy.
+func TestRunRefusesStrayArguments(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"misspelt subcommand", []string{"typo"}, `unexpected argument "typo"`},
+		{"subcommand after flags", []string{"-gens", "10", "scale"}, `unexpected argument "scale"`},
+		{"scale", []string{"scale", "-table", "1", "bogus"}, `unexpected argument "bogus"`},
+		{"viz", []string{"viz", "-run", "-gens", "10", "bogus"}, `unexpected argument "bogus"`},
+		{"sweep", []string{"sweep", "-gens", "10", "bogus"}, `unexpected argument "bogus"`},
+		{"strat with two strategies", []string{"strat", "WSLS", "bogus"}, "need exactly one strategy"},
+		{"strat with none", []string{"strat"}, "need exactly one strategy"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out strings.Builder
+			err := run(tc.args, &out)
+			if err == nil || !strings.Contains(err.Error(), tc.want) || out.Len() > 0 {
+				t.Errorf("run%q: error %v and %d bytes of output, want only an error containing %q", tc.args, err, out.Len(), tc.want)
+			}
+		})
+	}
+}
+
 func TestRunWorkerTimeoutNeedsParallelEngine(t *testing.T) {
 	var out strings.Builder
 	err := run([]string{"-gens", "10", "-worker-timeout", "1s"}, &out)

@@ -18,19 +18,19 @@ type Options struct {
 	Cal perfmodel.Calibration
 	// FullSystem appends the 72-rack 294,912-processor point to Fig. 7.
 	FullSystem bool
-	// Fig4Procs is Fig. 4's fixed processor count (egdscale: 2048).
+	// Fig4Procs is Fig. 4's fixed processor count (egdsim scale: 2048).
 	Fig4Procs int
 }
 
 // Artefact is one table or figure this repository regenerates: its ID (the
-// egdscale selector: -table 6 is "table6", -knee is "knee") and the function
-// that builds it.
+// egdsim scale selector: -table 6 is "table6", -knee is "knee") and the
+// function that builds it.
 type Artefact struct {
 	ID    string
 	Build func(Options) (*Table, error)
 }
 
-// Artefacts is the catalogue, in the order egdscale -all prints it: the
+// Artefacts is the catalogue, in the order egdsim scale -all prints it: the
 // analytic tables, the Blue Gene projections, then the repository's own
 // studies. Only the last entry, "measure", times this host; the rest are
 // pure functions of Options.

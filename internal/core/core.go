@@ -6,10 +6,9 @@
 //
 // Artefacts is the one list of what is regenerated: every table and figure
 // of the paper's evaluation section that is a table of numbers is an entry
-// with an ID and a Build function, and cmd/egdscale, the catalogue test, the
-// repository-root generator benchmark and cmd/egddoc's citation check all
-// iterate it. Fig. 2 is a run, not a table: WSLSValidationConfig and
-// RunWSLSValidation, rendered by cmd/egdviz.
+// with an ID and a Build function, and egdsim scale, the catalogue test and
+// cmd/egddoc's citation check all iterate it. Fig. 2 is a run, not a table:
+// WSLSValidationConfig and RunWSLSValidation, rendered by egdsim viz.
 package core
 
 import (
@@ -123,7 +122,7 @@ type WSLSOutcome struct {
 // RunWSLSValidation executes the scaled Fig. 2 experiment and the paper's
 // k-means readout (Lloyd clustering of the final strategies). A population
 // that already exists is read out the same way: pass it as
-// cfg.InitialStrategies with zero generations (egdviz -in).
+// cfg.InitialStrategies with zero generations (egdsim viz -in).
 func RunWSLSValidation(cfg sim.Config, kClusters int) (*WSLSOutcome, error) {
 	res, err := sim.RunSequential(cfg)
 	if err != nil {

@@ -30,7 +30,7 @@ func build(t *testing.T, id string) *Table {
 	return nil
 }
 
-// The catalogue is egdscale -all's order, and every entry that does not time
+// The catalogue is egdsim scale -all's order, and every entry that does not time
 // this host builds a non-empty, rectangular table whose CSV encoding/csv
 // reads back cell for cell. Only Table I's cells (pairs) need quoting: no
 // other cell or column name holds a comma, quote or line break, so every

@@ -2,6 +2,7 @@ package game
 
 import (
 	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -316,35 +317,29 @@ func TestPlaySymmetryProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkPlayMemory1(b *testing.B) { benchPlay(b, 1) }
-func BenchmarkPlayMemory3(b *testing.B) { benchPlay(b, 3) }
-func BenchmarkPlayMemory6(b *testing.B) { benchPlay(b, 6) }
+// BenchmarkPlayMemory and BenchmarkSearchPlayMemory price one match at
+// memory 1 to 6 with the direct state index and with the paper's linear
+// find_state scan: Fig. 4's mechanism (sub-benchmark N is memory N).
+func BenchmarkPlayMemory(b *testing.B)       { benchMemories(b, false) }
+func BenchmarkSearchPlayMemory(b *testing.B) { benchMemories(b, true) }
 
-func benchPlay(b *testing.B, mem int) {
-	space := sp(mem)
-	master := rng.New(1)
-	s0 := strategy.RandomPure(space, master)
-	s1 := strategy.RandomPure(space, master)
-	rules := DefaultRules()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Play(rules, s0, s1, master)
-	}
-}
-
-func BenchmarkSearchPlayMemory1(b *testing.B) { benchSearchPlay(b, 1) }
-func BenchmarkSearchPlayMemory3(b *testing.B) { benchSearchPlay(b, 3) }
-func BenchmarkSearchPlayMemory6(b *testing.B) { benchSearchPlay(b, 6) }
-
-func benchSearchPlay(b *testing.B, mem int) {
-	space := sp(mem)
-	master := rng.New(1)
-	s0 := strategy.RandomPure(space, master)
-	s1 := strategy.RandomPure(space, master)
-	rules := DefaultRules()
-	eng := NewSearchEngine(space)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Play(rules, s0, s1, master)
+// benchMemories times one random pure pair's match per memory depth.
+func benchMemories(b *testing.B, search bool) {
+	for mem := 1; mem <= 6; mem++ {
+		b.Run(strconv.Itoa(mem), func(b *testing.B) {
+			space := sp(mem)
+			master := rng.New(1)
+			s0 := strategy.RandomPure(space, master)
+			s1 := strategy.RandomPure(space, master)
+			rules := DefaultRules()
+			play := Play
+			if search {
+				play = NewSearchEngine(space).Play
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				play(rules, s0, s1, master)
+			}
+		})
 	}
 }

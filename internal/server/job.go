@@ -154,7 +154,12 @@ type Manager struct {
 	jobs        map[string]*Job
 	nextID      int
 	outstanding float64 // modelled seconds of non-terminal jobs
-	closed      bool
+	// reserved counts queue slots held by submissions admitted but not yet
+	// enqueued: len(queue)+reserved never exceeds cap(queue), so a
+	// submission is refused for a full queue before it is journaled or
+	// listed, and its enqueue cannot find the queue full.
+	reserved int
+	closed   bool
 
 	wg sync.WaitGroup
 }
@@ -374,6 +379,11 @@ func (m *Manager) Submit(tenant string, spec JobSpec) (*Job, error) {
 			RetryAfterSeconds: retry,
 		}
 	}
+	if err := m.reserveLocked(est); err != nil {
+		m.mu.Unlock()
+		m.quotas.release(tenant)
+		return nil, err
+	}
 	m.nextID++
 	// IDs are epoch-counter pairs: the epoch is a journal-persisted boot
 	// counter, so IDs stay unique and lexicographically submission-ordered
@@ -414,11 +424,13 @@ func (m *Manager) Submit(tenant string, spec JobSpec) (*Job, error) {
 			m.quotas.release(tenant)
 			m.mu.Lock()
 			m.outstanding -= est
+			m.reserved--
 			m.mu.Unlock()
 			return nil, err
 		}
 	}
 
+	// The slot is reserved, so only a shutdown since admission refuses it.
 	if err := m.enqueue(job); err != nil {
 		m.settle(job, StateCanceled, nil, "")
 		return nil, err
@@ -441,32 +453,43 @@ func (m *Manager) newSink(job *Job) sim.CheckpointSink {
 	return newBehindSink(&sim.FileSink{Path: path}, m.reg)
 }
 
-// enqueue places a queued job on the worker queue without blocking; a full
-// queue is a capacity rejection with a drain-time Retry-After. The send
-// happens under the manager lock so it can never race the queue close in
-// Close/Drain (which also hold the lock).
+// reserveLocked claims a queue slot for a job about to be enqueued or, if
+// the queue is full, returns a capacity rejection. The caller holds m.mu;
+// enqueue spends the slot.
+func (m *Manager) reserveLocked(est float64) error {
+	if len(m.queue)+m.reserved >= cap(m.queue) {
+		return m.queueFull(est)
+	}
+	m.reserved++
+	return nil
+}
+
+// enqueue places a queued job on the worker queue, into the slot
+// reserveLocked claimed for it. The send happens under the manager lock so
+// it can never race the queue close in Close/Drain (which also hold the
+// lock), and the reservation keeps it from blocking.
 func (m *Manager) enqueue(job *Job) error {
 	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.reserved--
 	if m.closed {
-		m.mu.Unlock()
 		return errShuttingDown
 	}
-	select {
-	case m.queue <- job:
-		m.mu.Unlock()
-		m.reg.Gauge("egd_server_queue_depth").Set(int64(len(m.queue)))
-		return nil
-	default:
-		retry := m.drainSeconds()
-		m.mu.Unlock()
-		m.reject("queue_full")
-		return &admissionError{
-			Status:            429,
-			Reason:            "queue_full",
-			Detail:            fmt.Sprintf("job queue is full (%d entries)", cap(m.queue)),
-			ModelledSeconds:   job.EstimatedSeconds,
-			RetryAfterSeconds: retry,
-		}
+	m.queue <- job
+	m.reg.Gauge("egd_server_queue_depth").Set(int64(len(m.queue)))
+	return nil
+}
+
+// queueFull counts and returns a full-queue refusal with a drain-time
+// Retry-After. The caller holds m.mu.
+func (m *Manager) queueFull(est float64) error {
+	m.reject("queue_full")
+	return &admissionError{
+		Status:            429,
+		Reason:            "queue_full",
+		Detail:            fmt.Sprintf("job queue is full (%d entries)", cap(m.queue)),
+		ModelledSeconds:   est,
+		RetryAfterSeconds: m.drainSeconds(),
 	}
 }
 
@@ -506,7 +529,13 @@ func (m *Manager) Resume(job *Job) error {
 	job.mu.Lock()
 	job.resuming = false
 	job.mu.Unlock()
-	if err := m.enqueue(job); err != nil {
+	m.mu.Lock()
+	err := m.reserveLocked(job.EstimatedSeconds)
+	m.mu.Unlock()
+	if err == nil {
+		err = m.enqueue(job)
+	}
+	if err != nil {
 		// Back to paused, on the event stream too: it said queued.
 		m.commit(job, transition{state: StatePaused, gen: gen}, map[string]any{"id": job.ID, "state": StatePaused, "generation": gen})
 		return err

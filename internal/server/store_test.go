@@ -589,6 +589,40 @@ func TestSubmitNotAcknowledgedWithoutJournalRecord(t *testing.T) {
 	}
 }
 
+// A submission refused for a full queue leaves no trace: it is neither
+// listed nor journaled, so a restart over the same data directory recovers
+// only the admitted jobs — the one running and the one queued behind it.
+func TestRefusedSubmissionLeavesNoRecord(t *testing.T) {
+	dir := t.TempDir()
+	opts := durableOpts(dir)
+	opts.QueueDepth = 1
+	s, ts := startServer(t, opts, nil)
+	running := submit(t, ts, "", longSpec)
+	waitState(t, ts, running, StateRunning)
+	want := []string{running, submit(t, ts, "", longSpec)}
+	resp, m := doJSON(t, "POST", ts.URL+"/api/v1/jobs", "", longSpec)
+	assertQueueFull(t, "a third submission", resp, m)
+
+	listed := func(ts *httptest.Server) (ids []string) {
+		_, list := doJSON(t, "GET", ts.URL+"/api/v1/jobs", "", "")
+		for _, j := range list["jobs"].([]any) {
+			ids = append(ids, j.(map[string]any)["id"].(string))
+		}
+		return ids
+	}
+	if got := listed(ts); !reflect.DeepEqual(got, want) {
+		t.Errorf("listed after the refusal: %v, want the admitted %v", got, want)
+	}
+	if err := s.Drain(time.Minute); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	ts.Close()
+	_, ts2 := newDurableServer(t, dir)
+	if got := listed(ts2); !reflect.DeepEqual(got, want) {
+		t.Errorf("recovered after a restart: %v, want the admitted %v", got, want)
+	}
+}
+
 // TestSubmitRejectedAfterDrain pins the shutdown contract: a draining
 // daemon refuses new work instead of accepting jobs it will never run.
 func TestSubmitRejectedAfterDrain(t *testing.T) {

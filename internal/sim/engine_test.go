@@ -309,3 +309,37 @@ func TestInvalidConfigRejected(t *testing.T) {
 		t.Fatal("parallel memory 0 accepted")
 	}
 }
+
+// BenchmarkEvaluation prices one run under each way the engine evaluates
+// fitness. On a noise-free pure population: the paper's every-generation
+// full recompute against the incremental replay of changed pairs. On a
+// noisy mixed one: the three match evaluators — sampled 200-round games
+// (the paper's), the paper-faithful search lookup, and the exact Markov
+// payoff (Nowak-Sigmund's).
+func BenchmarkEvaluation(b *testing.B) {
+	pure := testConfig(1, 24, 50)
+	pure.Seed = 13
+	mixed := DefaultConfig(1, 16)
+	mixed.Generations, mixed.Kind, mixed.Rules.ErrorRate, mixed.Seed = 30, MixedStrategies, 0.01, 14
+	for _, tc := range []struct {
+		name string
+		base Config
+		set  func(*Config)
+	}{
+		{"full-recompute", pure, func(c *Config) { c.FullRecompute = true }},
+		{"incremental", pure, func(*Config) {}},
+		{"sampled-200", mixed, func(*Config) {}},
+		{"search-200", mixed, func(c *Config) { c.UseSearchEngine = true }},
+		{"exact", mixed, func(c *Config) { c.ExactPayoffs = true }},
+	} {
+		cfg := tc.base
+		tc.set(&cfg)
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := RunSequential(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -12,8 +12,8 @@ import (
 
 // Spec is the one description of a run every front end shares: the JSON body
 // of an egdserve job submission (and of its journal records), the value the
-// egdsim/egdrun/egdsweep flags fill in (BindFlags), what the egdrun launcher
-// hands its worker processes, and the root package's egd.Config. Zero values
+// flags of egdsim, egdrun and egdsim sweep fill in (BindFlags), and what the
+// egdrun launcher hands its worker processes. Zero values
 // select the paper's defaults. Pointer fields distinguish "omitted" (default
 // applies) from an explicit zero (kept), so a mutation-free trajectory is
 // `"mu": 0` or `-mu 0` while plain omission still selects the paper's 0.05.
@@ -127,9 +127,9 @@ func (s Spec) Config() (Config, error) {
 func Run(cfg Config, ranks int) (*Result, error) { return RunParallel(cfg, max(ranks, 1)) }
 
 // BindFlags registers the model parameters on fs under the flag names every
-// command shares (egdsim, egdrun, egdsweep; README.md "Run parameters"), each
-// defaulting to s's current value — DefaultSpec's for egdsim and egdrun. The
-// rates are absent from s until their flag is given, so `-mu 0` is an
+// command shares (egdsim, egdrun, egdsim sweep; README.md "Run parameters"),
+// each defaulting to s's current value — DefaultSpec's for egdsim and egdrun.
+// The rates are absent from s until their flag is given, so `-mu 0` is an
 // explicit zero and no -mu is the paper's 0.05.
 func (s *Spec) BindFlags(fs *flag.FlagSet) {
 	fs.IntVar(&s.Memory, "memory", s.Memory, "strategy memory depth n in [1,6]")

@@ -170,7 +170,7 @@ func TestFlagsJSONConfigRoundTrip(t *testing.T) {
 	noMutation := DefaultConfig(2, 10)
 	noMutation.Generations = 40
 	noMutation.Rules.Rounds = 30
-	noMutation.Mu = 0
+	noMutation.PCRate, noMutation.Mu = 0, 0
 	noMutation.Seed = 9
 	noMutation.FullRecompute = true
 	noMutation.ExactPayoffs = true
@@ -187,8 +187,8 @@ func TestFlagsJSONConfigRoundTrip(t *testing.T) {
 	}{
 		{"fig2", []string{"-ssets", "12", "-gens", "300", "-seed", "5", "-mixed", "-error", "0.01", "-fermi", "-pcrate", "1", "-beta", "50"},
 			`"fermi":true`, fig2},
-		{"explicit zero mu", []string{"-memory", "2", "-ssets", "10", "-gens", "40", "-rounds", "30", "-mu", "0", "-seed", "9",
-			"-full", "-exact"}, `"mu":0`, noMutation},
+		{"explicit zero rates", []string{"-memory", "2", "-ssets", "10", "-gens", "40", "-rounds", "30", "-pcrate", "0", "-mu", "0", "-seed", "9",
+			"-full", "-exact"}, `"pc_rate":0,"mu":0`, noMutation},
 		{"omitted rates", []string{"-search"}, `!"mu"`, search},
 	}
 	for _, tc := range cases {
@@ -230,9 +230,18 @@ func TestFlagsJSONConfigRoundTrip(t *testing.T) {
 }
 
 // Ranks 0 and 1 are a world of one; the engine's own check bounds the
-// worker count; a checkpoint cadence needs no sink yet.
+// worker count; a checkpoint cadence needs no sink yet; and Run at every
+// accepted rank count plays the one-rank trajectory.
 func TestSpecRanksAndCheckpointCadence(t *testing.T) {
 	spec := Spec{Memory: 1, SSets: 2, Generations: 5, CheckpointEvery: 2}
+	one, err := spec.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := RunSequential(one)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for ranks, wantErr := range map[int]string{-1: "negative rank count", 0: "", 1: "", 3: "", 4: "workers exceed"} {
 		spec.Ranks = ranks
 		cfg, err := spec.Config()
@@ -249,6 +258,7 @@ func TestSpecRanksAndCheckpointCadence(t *testing.T) {
 			if want := max(ranks, 1); res.Ranks != want {
 				t.Errorf("ranks %d ran on %d ranks, want %d", ranks, res.Ranks, want)
 			}
+			assertSameTrajectory(t, ref, res)
 		}
 	}
 	if cfg, _ := (Spec{Memory: 1, SSets: 8, Generations: 5}).Config(); cfg.Rules != game.DefaultRules() {

@@ -227,3 +227,20 @@ func TestFingerprintProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkRandomStrategy prices the Nature Agent's gen_new_strat at memory
+// six: a random pure and a random mixed strategy over 4096 states.
+func BenchmarkRandomStrategy(b *testing.B) {
+	src := rng.New(3)
+	sp := NewSpace(6)
+	b.Run("pure-4096", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			RandomPure(sp, src)
+		}
+	})
+	b.Run("mixed-4096", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			RandomMixed(sp, src)
+		}
+	})
+}
