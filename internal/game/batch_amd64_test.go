@@ -13,13 +13,12 @@ func TestLanesLayout(t *testing.T) {
 		got, want uintptr
 	}{
 		{"s", unsafe.Offsetof(l.s), 0},
-		{"p0", unsafe.Offsetof(l.p0), 256},
-		{"p1", unsafe.Offsetof(l.p1), 320},
-		{"mask", unsafe.Offsetof(l.mask), 384},
-		{"score", unsafe.Offsetof(l.score), 448},
-		{"eps", unsafe.Offsetof(l.eps), 576},
-		{"start", unsafe.Offsetof(l.start), 640},
-		{"fit", unsafe.Offsetof(l.fit), 704},
+		{"p0", unsafe.Offsetof(l.p0), 512},
+		{"p1", unsafe.Offsetof(l.p1), 640},
+		{"mask", unsafe.Offsetof(l.mask), 768},
+		{"score", unsafe.Offsetof(l.score), 896},
+		{"fit", unsafe.Offsetof(l.fit), 1024},
+		{"start", unsafe.Offsetof(l.start), 1280},
 	} {
 		if f.got != f.want {
 			t.Errorf("lanes.%s at offset %d, the kernel reads it at %d", f.name, f.got, f.want)

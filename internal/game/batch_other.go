@@ -7,7 +7,7 @@ import (
 	"repro/internal/strategy"
 )
 
-// playMixed8s is never called: cpu.AVX512 is false off amd64.
-func playMixed8s(rules Rules, a, b []*strategy.Mixed, src []rng.Source, out []Result) int {
+// playMixed16s is never called: cpu.AVX512 is false off amd64.
+func playMixed16s(rules Rules, a, b []*strategy.Mixed, src []rng.Source, out []Result) {
 	panic("game: no batch kernel on this architecture")
 }

@@ -241,18 +241,18 @@ func BenchmarkPlayPureVsPlay(b *testing.B) {
 				Play(noisy, m0, m1, src)
 			}
 		})
-		// Eight such matches an operation: eight Play calls against one
-		// PlayMixedBatch call, whose full group of eight is one kernel call
-		// where the CPU has AVX-512.
-		as, bs := make([]*strategy.Mixed, 8), make([]*strategy.Mixed, 8)
+		// Sixteen such matches an operation: sixteen Play calls against one
+		// PlayMixedBatch call, which is one kernel call where the CPU has
+		// AVX-512.
+		as, bs := make([]*strategy.Mixed, 16), make([]*strategy.Mixed, 16)
 		for k := range as {
 			as[k], bs[k] = strategy.RandomMixed(sp, src), strategy.RandomMixed(sp, src)
 		}
-		streams, out := make([]rng.Source, 8), make([]Result, 8)
+		streams, out := make([]rng.Source, 16), make([]Result, 16)
 		for k := range streams {
 			streams[k] = *rng.New(uint64(k))
 		}
-		b.Run("mixed-play8/m"+string(rune('0'+n)), func(b *testing.B) {
+		b.Run("mixed-play16/m"+string(rune('0'+n)), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for k := range out {
 					out[k] = Play(noisy, as[k], bs[k], &streams[k])

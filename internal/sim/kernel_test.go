@@ -27,12 +27,18 @@ func withEachKernel(t *testing.T, f func(kernel bool)) {
 // field bit for bit, the MeanFitness and Cooperation series included,
 // with the batch kernel on and off: a noisy mixed full-recompute run and
 // a run that keeps its cells across generations (the Fig. 2 validation
-// config), each on one rank and on three, and the kept run resumed from
-// its snapshot at mid-run.
+// config), each on one rank and on three, the kept run resumed from its
+// snapshot at mid-run, and a full-recompute run of 20 SSets on two ranks.
+// No rank's share of a full run is a multiple of the kernel's sixteen
+// lanes, so each batch ends in a padded group: 132 cells on one rank, 44
+// on each of three, and 190 on each of two.
 func TestMixedBatchKernelParity(t *testing.T) {
 	full := sim.DefaultConfig(2, 12)
 	full.Kind, full.Rules.ErrorRate, full.FullRecompute = sim.MixedStrategies, 0.01, true
 	full.Generations, full.Seed = 40, 5
+	wide := sim.DefaultConfig(2, 20)
+	wide.Kind, wide.Rules.ErrorRate, wide.FullRecompute = sim.MixedStrategies, 0.01, true
+	wide.Generations, wide.Seed = 20, 6
 	kept := core.WSLSValidationConfig(16, 300, 11)
 	type run struct {
 		name string
@@ -44,6 +50,7 @@ func TestMixedBatchKernelParity(t *testing.T) {
 			run{"full recompute", func() (*sim.Result, error) { return sim.RunParallel(full, ranks) }},
 			run{"kept cells", func() (*sim.Result, error) { return sim.RunParallel(kept, ranks) }})
 	}
+	runs = append(runs, run{"full recompute, 20 SSets on two ranks", func() (*sim.Result, error) { return sim.RunParallel(wide, 2) }})
 	runs = append(runs, run{"kept cells, resumed at generation 150", func() (*sim.Result, error) {
 		first := kept
 		first.Generations = 150

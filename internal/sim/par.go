@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/game"
@@ -44,16 +45,16 @@ const (
 )
 
 // encode is the verdict's message.
-func (v verdict) encode() []byte { return appendCells(v.head(len(v.Cells)), v.Cells) }
+func (v verdict) encode() []byte { return appendCells(v.appendHead(nil, len(v.Cells)), v.Cells) }
 
-// head is the message of a verdict of n cells up to its first cell, with
-// room for them.
-func (v verdict) head(n int) []byte {
+// appendHead appends to b the message of a verdict of n cells up to its
+// first cell, with room for them.
+func (v verdict) appendHead(b []byte, n int) []byte {
 	var flags byte
 	if v.Stop {
 		flags = 1
 	}
-	b := append(make([]byte, 0, msgHeadLen+8*n), msgVerdict, flags)
+	b = append(slices.Grow(b, msgHeadLen+8*n), msgVerdict, flags)
 	gen := uint64(v.Gen)
 	b = binary.LittleEndian.AppendUint32(b, uint32(gen))
 	b = binary.LittleEndian.AppendUint32(b, uint32(n))
@@ -68,11 +69,20 @@ func appendCells(b []byte, cells []float64) []byte {
 	return b
 }
 
-// decodeVerdict validates a received verdict against the generation the
-// receiver stands at and the cells its meeting misses — none aboard a stop.
-// The payload must be, byte for byte, the encoding of the verdict read from
+// verdictDecoder holds a worker's buffers for the verdicts it receives:
+// the cells a verdict decodes into and its re-encoding, both reused from
+// meeting to meeting, so a decoded verdict's Cells hold only until the
+// next decode.
+type verdictDecoder struct {
+	cells []float64
+	re    []byte
+}
+
+// decode validates a received verdict against the generation the receiver
+// stands at and the cells its meeting misses — none aboard a stop. The
+// payload must be, byte for byte, the encoding of the verdict read from
 // it: no trailing bytes, no unknown flag bit, no value in an unused field.
-func decodeVerdict(payload any, gen, cells int) (verdict, error) {
+func (d *verdictDecoder) decode(payload any, gen, cells int) (verdict, error) {
 	b, ok := payload.([]byte)
 	if !ok || len(b) < msgHeadLen || b[0] != msgVerdict {
 		return verdict{}, fmt.Errorf("sim: expected a verdict message, received %T %.14x", payload, b)
@@ -85,14 +95,15 @@ func decodeVerdict(payload any, gen, cells int) (verdict, error) {
 	}
 	v := verdict{Gen: gen, Stop: b[1]&1 != 0}
 	body := b[msgHeadLen:]
-	if len(body) >= 8 {
-		v.Cells = make([]float64, 0, len(body)/8)
-	}
+	d.cells = slices.Grow(d.cells[:0], len(body)/8)
 	for ; len(body) >= 8; body = body[8:] {
-		v.Cells = append(v.Cells, math.Float64frombits(binary.LittleEndian.Uint64(body)))
+		d.cells = append(d.cells, math.Float64frombits(binary.LittleEndian.Uint64(body)))
 	}
-	if re := v.encode(); !bytes.Equal(b, re) {
-		return verdict{}, fmt.Errorf("sim: verdict of %d bytes %.14x is not the %d-byte encoding %.14x of its content", len(b), b, len(re), re)
+	if len(d.cells) > 0 {
+		v.Cells = d.cells
+	}
+	if d.re = appendCells(v.appendHead(d.re[:0], len(v.Cells)), v.Cells); !bytes.Equal(b, d.re) {
+		return verdict{}, fmt.Errorf("sim: verdict of %d bytes %.14x is not the %d-byte encoding %.14x of its content", len(b), b, len(d.re), d.re)
 	}
 	if v.Stop {
 		cells = 0

@@ -75,6 +75,10 @@ type parRank struct {
 	// Nature then runs on quietly to the workers' next meeting, tells them
 	// there, and returns it.
 	stopErr error
+	// verdict is Nature's verdict buffer and verdicts a worker's decoding
+	// buffers, both reused from meeting to meeting (meet).
+	verdict  []byte
+	verdicts verdictDecoder
 }
 
 func newParRank(cfg *Config, c *mpi.Comm) *parRank {
@@ -170,7 +174,13 @@ func (r *parRank) meet(gen int, part any) ([]any, error) {
 			n = 0
 		}
 		if len(parts) > 1 {
-			out = verdict{Gen: gen, Stop: stop}.head(n)
+			// The buffer is rewritten only here, after this meeting's Gather
+			// has returned. In process, Bcast hands every receiver this one
+			// slice (Comm.send does not copy it), and every worker decodes
+			// the previous verdict before it sends its part of this Gather;
+			// over a transport the bytes are copied when sent.
+			r.verdict = verdict{Gen: gen, Stop: stop}.appendHead(r.verdict[:0], n)
+			out = r.verdict
 		}
 		for w := 0; n > 0 && w < len(parts); w++ {
 			lo, hi := blockRange(n, len(parts), w)
@@ -189,7 +199,7 @@ func (r *parRank) meet(gen int, part any) ([]any, error) {
 		return nil, err
 	}
 	if r.c.Rank() != 0 {
-		v, err := decodeVerdict(p, gen, len(r.cells))
+		v, err := r.verdicts.decode(p, gen, len(r.cells))
 		if err != nil {
 			return nil, err
 		}

@@ -13,6 +13,13 @@ import (
 	"repro/internal/strategy"
 )
 
+// decodeVerdict decodes a verdict with a fresh decoder, whose Cells the
+// caller keeps.
+func decodeVerdict(payload any, gen, cells int) (verdict, error) {
+	var d verdictDecoder
+	return d.decode(payload, gen, cells)
+}
+
 func TestVerdictRoundTrip(t *testing.T) {
 	verdicts := []verdict{
 		{},
