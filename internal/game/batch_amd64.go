@@ -26,9 +26,16 @@ type lanes struct {
 //go:noescape
 func playMixed16(l *lanes, rounds int, eps float64, drawErr bool)
 
+// minLanes is the fewest matches playMixed16s plays in a kernel call. A call
+// costs the same however many of its lanes are used, about as much as two
+// to three 200-round playMixed matches at memory 1 and 3, so a last group
+// of fewer plays through playMixed.
+const minLanes = 3
+
 // playMixed16s plays every match of the batch through playMixed16, sixteen
-// a call. The unused lanes of a last group of fewer replay the group's
-// first match on copies of its stream, and their outputs are dropped.
+// a call. The unused lanes of a last group of fewer, but at least minLanes,
+// replay the group's first match on copies of its stream, and their outputs
+// are dropped.
 func playMixed16s(rules Rules, a, b []*strategy.Mixed, src []rng.Source, out []Result) {
 	var l lanes
 	score0, score1 := scoreTables(rules.Payoff)
@@ -42,6 +49,12 @@ func playMixed16s(rules Rules, a, b []*strategy.Mixed, src []rng.Source, out []R
 	}
 	for g := 0; g < len(out); g += 16 {
 		n := min(16, len(out)-g)
+		if n < minLanes {
+			for k := g; k < len(out); k++ {
+				out[k] = playMixed(rules, a[k], b[k], &src[k])
+			}
+			return
+		}
 		for k := range 16 {
 			j := g
 			if k < n {

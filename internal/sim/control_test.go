@@ -144,7 +144,7 @@ func TestControlStopBarrierFailureSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	world := mpi.NewWorld(3)
-	if _, err := runWorld(cfg, world, world.Run); !errors.Is(err, ErrStopped) {
+	if _, err := runWorld(cfg, world, world.Size(), world.Run); !errors.Is(err, ErrStopped) {
 		t.Fatalf("stopped run error = %v, want ErrStopped", err)
 	}
 	// Rank 1's last collective is the stop's Barrier, after a Gather and a
@@ -153,7 +153,7 @@ func TestControlStopBarrierFailureSurfaces(t *testing.T) {
 
 	cfg.FaultPlan = mpi.NewFaultPlan().FailCollective(1, barrier)
 	world = mpi.NewWorld(3)
-	_, err := runWorld(cfg, world, world.Run)
+	_, err := runWorld(cfg, world, world.Size(), world.Run)
 	var rf *mpi.RankFailedError
 	if !errors.Is(err, mpi.ErrInjectedFault) || !errors.As(err, &rf) || rf.Rank != 1 {
 		t.Fatalf("error = %v, want rank 1's injected fault at collective %d", err, barrier)

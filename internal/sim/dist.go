@@ -26,7 +26,7 @@ func RunWorker(cfg Config, t *mpi.NetTransport) (*Result, error) {
 		return nil, err
 	}
 	world := mpi.NewNetWorld(t)
-	return runWorld(cfg, world, func(body func(*mpi.Comm) error) error {
+	return runWorld(cfg, world, 1, func(body func(*mpi.Comm) error) error {
 		if err := t.Start(); err != nil {
 			return err
 		}

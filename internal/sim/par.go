@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"time"
 
@@ -194,6 +195,13 @@ func decodeReport(w int, payload any) (rankReport, error) {
 // every rank count; a world of one, which plays every game itself, is the
 // reference RunSequential names.
 //
+// The ranks share the process's cores. Where they outnumber them
+// (runtime.GOMAXPROCS, read once per world), each rank plays its block in
+// slices of 64 games and yields its thread between two, so the ranks take
+// turns on the cores and finish their blocks together: a generation then
+// costs R/P blocks, not ⌈R/P⌉ (sharesCores). Otherwise every rank plays its
+// block straight through.
+//
 // ranks must be at least 1; workers may not outnumber the games of one
 // generation, S×(S-1).
 func RunParallel(cfg Config, ranks int) (*Result, error) {
@@ -201,8 +209,18 @@ func RunParallel(cfg Config, ranks int) (*Result, error) {
 		return nil, err
 	}
 	world := mpi.NewWorld(ranks)
-	return runWorld(cfg, world, world.Run)
+	return runWorld(cfg, world, ranks, world.Run)
 }
+
+// sharesCores is the rule by which the ranks of a world yield: whether the
+// hosted ranks one process runs at once outnumber the threads that run its
+// Go code (runtime.GOMAXPROCS). The Go runtime preempts a running goroutine
+// only after 10 ms, longer than a rank's block of a generation takes, so
+// without a yield the first P ranks play their blocks to the end while the
+// others wait for a core, and the last play alone. A world of one and the
+// one rank a RunWorker process hosts never yield: there a yield would only
+// wake an idle thread and move the rank to it.
+func sharesCores(hosted int) bool { return hosted > runtime.GOMAXPROCS(0) }
 
 // checkParallel validates cfg and the rank count.
 func checkParallel(cfg *Config, ranks int) error {
@@ -220,10 +238,11 @@ func checkParallel(cfg *Config, ranks int) error {
 
 // runWorld is the one world set-up behind RunParallel and RunWorker: it
 // installs the Config's world options, has launch run a parRank on each of
-// the ranks the world hosts (all of them in-process, one per process over a
-// transport), and completes the Nature rank's Result. It returns (nil, nil)
-// when this process hosted only a worker.
-func runWorld(cfg Config, world *mpi.World, launch func(body func(*mpi.Comm) error) error) (*Result, error) {
+// the hosted ranks of the world this process runs (all of them in-process,
+// one per process over a transport), whose tables yield where sharesCores
+// says, and completes the Nature rank's Result. It returns (nil, nil) when
+// this process hosted only a worker.
+func runWorld(cfg Config, world *mpi.World, hosted int, launch func(body func(*mpi.Comm) error) error) (*Result, error) {
 	if cfg.Metrics {
 		world.EnableMetrics()
 	}
@@ -235,11 +254,13 @@ func runWorld(cfg Config, world *mpi.World, launch func(body func(*mpi.Comm) err
 	}
 	var result *Result
 	var start time.Time
+	yield := sharesCores(hosted)
 	err := launch(func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
 			start = time.Now() //egdlint:allow determinism elapsed-time metadata for Result.Elapsed, not part of the trajectory
 		}
 		r := newParRank(&cfg, c)
+		r.yield = yield
 		err := r.run()
 		if c.Rank() != 0 && errors.Is(err, ErrStopped) {
 			return nil // a control stop told by Nature is a clean exit: the run's one error is Nature's

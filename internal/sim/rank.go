@@ -142,7 +142,8 @@ func (r *parRank) refresh(gen int) (uint64, error) {
 }
 
 // playShare plays this rank's block of the missing cells from generation
-// gen's streams: every cell on a world of one.
+// gen's streams: every cell on a world of one. On a world that shares its
+// cores the block is played in slices, with a yield between two (playCells).
 func (r *parRank) playShare(gen int) ([]float64, error) {
 	tg := r.pt.begin()
 	lo, hi := blockRange(len(r.cells), r.c.Size(), r.c.Rank())

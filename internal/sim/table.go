@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 
 	"repro/internal/analysis"
@@ -39,14 +40,19 @@ type payoffTable struct {
 	// keyed by type reports them (cacheStats).
 	stats  game.CacheStats
 	worker bool
+	// yield marks the table of a rank whose in-process world outnumbers the
+	// cores (sharesCores): playCells plays its cells in slices of
+	// yieldSlice and yields the thread between them.
+	yield bool
 	// keys holds each SSet's key as of the last refresh that listed cells,
 	// which fitness, mean fitness and FinalFitness fold over; nil before the
 	// first. rep[a] is the lowest SSet holding key a then.
 	keys []int32
 	rep  []int
-	// every lists the SSets when the table is keyed by them: the keys a full
-	// recompute empties.
-	every []int
+	// full is the list of every ordered pair of SSets, which a full
+	// recompute keyed by SSet lists every generation: built at the first
+	// refresh, and cells is it from then on.
+	full [][2]int32
 	// prior is the FinalFitness of the snapshot the run resumed from, if it
 	// recorded one.
 	prior []float64
@@ -97,7 +103,6 @@ func newPayoffTable(cfg *Config) payoffTable {
 	} else {
 		for i := range t.tab {
 			t.tab[i] = make([]float64, s) // every SSet is changed at the first refresh, which empties its cells
-			t.every = append(t.every, i)
 		}
 	}
 	if cfg.ExactPayoffs {
@@ -175,27 +180,30 @@ func scheduledGames(s, changed int, all bool) uint64 {
 // a changed key ahead of a, whose pass listed both. A key pairs with itself
 // only where two SSets hold it. Keeping mirrors adjacent is what lets play
 // settle a pure match's second cell from the first's (payoffTable.last).
+// Under FullRecompute keyed by SSet every SSet is changed, so the list is
+// every ordered pair in that order, the same each generation: it is built
+// once (full) and each cell is emptied once a generation.
 func (t *payoffTable) listMissing(cfg *Config, pop *Population) uint64 {
-	all := cfg.FullRecompute && !t.byType // every pair replays from gen's streams
 	scheduled := scheduledGames(pop.Size(), len(pop.changed), cfg.FullRecompute)
+	if cfg.FullRecompute && !t.byType { // every pair replays from gen's streams
+		t.listAll()
+		return t.book(scheduled)
+	}
 	t.cells = t.cells[:0]
-	if len(pop.changed) == 0 && !all {
+	if len(pop.changed) == 0 {
 		return t.book(scheduled)
 	}
 	tab := t.tab
 	t.keys = append(t.keys[:0], pop.typ...)
-	changed, keys := pop.changed, len(pop.types)
+	keys := len(pop.types)
 	if !t.byType {
 		for i := range t.keys {
 			t.keys[i] = int32(i)
 		}
 		keys = len(tab)
-		if all {
-			changed = t.every
-		}
 	}
 	clear(t.mark)
-	for _, d := range changed {
+	for _, d := range pop.changed {
 		a := t.keys[d]
 		t.mark[a] = 1
 		if !t.byType {
@@ -245,6 +253,28 @@ func (t *payoffTable) listMissing(cfg *Config, pop *Population) uint64 {
 	return t.book(scheduled)
 }
 
+// listAll is listMissing keyed by SSet with every SSet changed: it empties
+// every cell and lists every ordered pair of SSets, (a, b) and right behind
+// it (b, a) for a ascending and b > a ascending. Each SSet is its own key.
+func (t *payoffTable) listAll() {
+	for _, row := range t.tab {
+		for j := range row {
+			row[j] = math.NaN()
+		}
+	}
+	if t.full == nil {
+		s := len(t.tab)
+		t.keys, t.full = make([]int32, s), make([][2]int32, 0, s*(s-1))
+		for a := range s {
+			t.keys[a], t.rep[a] = int32(a), a
+			for b := a + 1; b < s; b++ {
+				t.full = append(t.full, [2]int32{int32(a), int32(b)}, [2]int32{int32(b), int32(a)})
+			}
+		}
+	}
+	t.cells = t.full
+}
+
 // book counts the scheduled games the listed cells leave unplayed as hits —
 // on every table but a worker's, so Nature books them once for the
 // ranks — and returns scheduled.
@@ -261,18 +291,45 @@ func (t *payoffTable) book(scheduled uint64) uint64 {
 // of the run records (Population.played) so a resumed run plays it again.
 func keptAcrossGenerations(cfg *Config) bool { return !ServedByType(cfg) && !cfg.FullRecompute }
 
+// yieldSlice is how many cells a table that yields (payoffTable.yield) plays
+// between two yields: a multiple of the batch kernel's sixteen lanes, so
+// slicing pads no kernel group that the whole list would not.
+const yieldSlice = 64
+
 // playCells plays cells between the keys' lowest holders — by type a
 // memoizable match, so which holders play does not matter — from generation
 // gen's streams; a cell kept across generations from the streams of the
 // later of the generations its SSets were played from, which is gen except
-// at a resumed run's first refresh. The cells between two mixed strategies
-// that play sampled are played in one batch (game.PlayMixedBatch), each from
-// its own stream, so the order they are played in does not matter; their
-// values take their places in the list. Each cell is a miss. The values are
-// scratch, valid until the next call. The scratch grows once per call, to
-// the cells listed — the batch's at its first cell, to the cells left.
+// at a resumed run's first refresh. Each cell is a miss. The values are
+// scratch, valid until the next call, and grow once per call, to the cells
+// listed. A table that yields plays the cells in slices of yieldSlice and
+// hands the thread to another goroutine between two (runtime.Gosched); any
+// other plays them as one slice. No cell's value depends on the slice it
+// is played in.
 func (t *payoffTable) playCells(cfg *Config, pop *Population, master *rng.Source, gen int, cells [][2]int32) ([]float64, error) {
 	t.vals = slices.Grow(t.vals[:0], len(cells))
+	step := len(cells)
+	if t.yield {
+		step = yieldSlice
+	}
+	for lo := 0; lo < len(cells); lo += step {
+		if lo > 0 {
+			runtime.Gosched()
+		}
+		if err := t.playSlice(cfg, pop, master, gen, cells[lo:min(lo+step, len(cells))]); err != nil {
+			return nil, err
+		}
+	}
+	t.stats.Misses += uint64(len(cells))
+	return t.vals, nil
+}
+
+// playSlice plays cells for playCells and appends their values to vals. The
+// cells between two mixed strategies that play sampled are played in one
+// batch (game.PlayMixedBatch), each from its own stream, so the order they
+// are played in does not matter; their values take their places in vals.
+// The batch's scratch grows at its first cell, to the cells left.
+func (t *payoffTable) playSlice(cfg *Config, pop *Population, master *rng.Source, gen int, cells [][2]int32) error {
 	m := &t.mixed
 	m.at, m.a, m.b, m.src = m.at[:0], m.a[:0], m.b[:0], m.src[:0]
 	for n, ab := range cells {
@@ -286,14 +343,14 @@ func (t *payoffTable) playCells(cfg *Config, pop *Population, master *rng.Source
 				k := len(cells) - n
 				m.at, m.a, m.b, m.src = slices.Grow(m.at, k), slices.Grow(m.a, k), slices.Grow(m.b, k), slices.Grow(m.src, k)
 			}
-			m.at, m.a, m.b, m.src = append(m.at, n), append(m.a, m0), append(m.b, m1), append(m.src, rng.Source{})
+			m.at, m.a, m.b, m.src = append(m.at, len(t.vals)), append(m.a, m0), append(m.b, m1), append(m.src, rng.Source{})
 			matchStream(master, &m.src[len(m.src)-1], g, i, j)
 			t.vals = append(t.vals, 0) // the batch's value, below
 			continue
 		}
 		v, err := t.play(cfg, master, g, i, j, si, sj)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		t.vals = append(t.vals, v)
 	}
@@ -304,8 +361,7 @@ func (t *payoffTable) playCells(cfg *Config, pop *Population, master *rng.Source
 			t.vals[n] = m.out[k].Mean0()
 		}
 	}
-	t.stats.Misses += uint64(len(cells))
-	return t.vals, nil
+	return nil
 }
 
 // sampledMixed returns si and sj as mixed strategies where the match
