@@ -4,10 +4,10 @@
 // anchor in its target document. External schemes (http, https, mailto) are
 // skipped — CI must not depend on the network. In the living documents
 // (livingDoc) it also checks what inline code cites: a repository path
-// (`internal/sim/spec.go`) or package directory (`go run ./cmd/egdsim`) must
-// exist, and an `egdsim scale -table N` or `-fig N` must select an entry of
-// core.Artefacts(). Walking the tree, it also holds every Go package to a
-// package comment (pkgDocs).
+// (`internal/sim/spec.go`) or package directory (`internal/sim`,
+// `go run ./cmd/egdsim`) must exist, and an `egdsim scale -table N` or
+// `-fig N` must select an entry of core.Artefacts(). Walking the tree, it
+// also holds every Go package to a package comment (pkgDocs).
 //
 //	egddoc              check every .md and Go package under the current directory
 //	egddoc -dir path    check a tree rooted elsewhere
@@ -30,6 +30,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"unicode"
 
 	"repro/internal/core"
 )
@@ -50,14 +51,19 @@ var linkPattern = regexp.MustCompile(`!?\[[^\]]*\]\(([^()\s]+(?:\([^()]*\))?[^()
 // (`internal/mpi.ParseFault`) do not match.
 var pathPattern = regexp.MustCompile("`((?:cmd|internal|docs|scripts|examples|bench)/[\\w./-]*\\.[a-z0-9]+)[`\\s:#]")
 
-// In an inline code span, pkgDirPattern matches the package directory a go
-// command names (./cmd/NAME, ./examples/NAME — pathPattern needs a file
-// extension) and artefactPattern a selector of egdsim's scale subcommand.
+// In an inline code span, pkgDirPattern matches a word that is a package
+// directory (internal/NAME, cmd/NAME, ./examples/NAME, with or without the
+// ./ a go command gives it — pathPattern needs a file extension) and
+// artefactPattern a selector of egdsim's scale subcommand. A glob or a
+// package-qualified symbol is not a package directory.
 var (
 	codeSpan        = regexp.MustCompile("`[^`]+`")
-	pkgDirPattern   = regexp.MustCompile(`\./((?:cmd|examples)/[\w-]+)`)
+	pkgDirPattern   = regexp.MustCompile(`^(?:\./)?((?:cmd|internal|examples)/[\w-]+(?:/[\w-]+)*)/?$`)
 	artefactPattern = regexp.MustCompile(`-(table|fig) (\d+)`)
 )
+
+// spanWord splits a code span into the words pkgDirPattern looks at.
+func spanWord(r rune) bool { return unicode.IsSpace(r) || strings.ContainsRune("`,;()=|", r) }
 
 // livingDoc matches, relative to the root, the documents that describe the
 // repository as it is; only their back-ticked paths are checked. The rest —
@@ -134,8 +140,10 @@ func parseDoc(path string) (*doc, error) {
 			d.paths = append(d.paths, link{line: lineNo, target: m[1]})
 		}
 		for _, span := range codeSpan.FindAllString(line, -1) {
-			for _, m := range pkgDirPattern.FindAllStringSubmatch(span, -1) {
-				d.paths = append(d.paths, link{line: lineNo, target: m[1]})
+			for _, w := range strings.FieldsFunc(span, spanWord) {
+				if m := pkgDirPattern.FindStringSubmatch(w); m != nil {
+					d.paths = append(d.paths, link{line: lineNo, target: m[1]})
+				}
 			}
 			if !strings.Contains(span, "egdsim scale ") {
 				continue

@@ -154,8 +154,8 @@ func TestRepoDocsLinkClean(t *testing.T) {
 }
 
 // A back-ticked repository path in a living document must name a file that
-// exists; history documents, globs, package-qualified symbols, fenced code
-// and directories without an extension are not paths to check.
+// exists; history documents, globs, package-qualified symbols and fenced
+// code are not paths to check.
 func TestStalePaths(t *testing.T) {
 	dir := t.TempDir()
 	write(t, dir, "internal/sim/spec.go", "// Package sim is a stub.\npackage sim\n")
@@ -215,6 +215,37 @@ func TestStaleCommands(t *testing.T) {
 		"README.md:5: stale citation: egdsim scale has no table5",
 		"README.md:5: stale citation: egdsim scale has no fig2",
 		"4 problem(s)",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("output missing %q:\n%s", want, got)
+		}
+	}
+}
+
+// A back-ticked package directory in a living document, with or without a
+// go command's ./, must exist: a package folded into another leaves no row
+// behind. Files, globs, package-qualified symbols, import paths and history
+// documents are not package directories to check.
+func TestStalePackageDirs(t *testing.T) {
+	dir := t.TempDir()
+	write(t, dir, "internal/perfmodel/model.go", "// Package perfmodel is a stub.\npackage perfmodel\n")
+	write(t, dir, "cmd/egdsim/main.go", "// Command egdsim.\npackage main\n")
+	write(t, dir, "README.md", "# Top\n\n"+
+		"| `internal/perfmodel` | `internal/perfmodel/`, `go test ./internal/perfmodel ./cmd/egdsim` |\n"+
+		"| `internal/topology` | `cmd/egdscale`, `go vet ./internal/gone/sub` |\n"+
+		"Not directories: `internal/*`, `internal/topology.Torus`, `repro/internal/topology`, `go test ./internal/...`.\n")
+	write(t, dir, "CHANGES.md", "Folded `internal/topology` into `internal/perfmodel`.\n")
+
+	var out, errw strings.Builder
+	if code := run([]string{"-dir", dir}, &out, &errw); code != 1 {
+		t.Fatalf("stale package directories exited %d:\n%s%s", code, out.String(), errw.String())
+	}
+	got := out.String()
+	for _, want := range []string{
+		"README.md:4: stale path `internal/topology`",
+		"README.md:4: stale path `cmd/egdscale`",
+		"README.md:4: stale path `internal/gone/sub`",
+		"3 problem(s)",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)

@@ -17,7 +17,7 @@
 //	egdserve -addr :8080 -workers 4
 //	egdserve -addr :8080 -data-dir /var/lib/egdserve -drain-timeout 60s
 //	egdserve -addr 127.0.0.1:0 -workers 8 -max-job-seconds 3600 \
-//	    -tenant-max-active 16 -tenant-rate 5 -tenant-burst 10 -cal host
+//	    -tenant-max-active 16 -tenant-rate 5 -tenant-burst 10
 package main
 
 import (
@@ -33,8 +33,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/game"
-	"repro/internal/perfmodel"
 	"repro/internal/server"
 )
 
@@ -63,7 +61,6 @@ func run(args []string, out io.Writer) error {
 	tenantMaxActive := fs.Int("tenant-max-active", 0, "per-tenant active-job cap (0 = unlimited)")
 	tenantRate := fs.Float64("tenant-rate", 0, "per-tenant submissions per second (0 = unlimited)")
 	tenantBurst := fs.Int("tenant-burst", 0, "per-tenant submission burst (with -tenant-rate)")
-	cal := fs.String("cal", "paper", "admission cost calibration: paper (deterministic) or host (measured)")
 	dataDir := fs.String("data-dir", "", "durable job store directory: journal every job transition and recover interrupted jobs on restart (empty = in-memory only)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "with -data-dir, how long shutdown waits for running jobs to reach a generation boundary and checkpoint")
 	checkpointEvery := fs.Int("checkpoint-every", 0, "with -data-dir, snapshot cadence in generations for jobs whose spec sets none (0 = 250)")
@@ -72,19 +69,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
-	}
-
-	cost := server.DefaultCostModel()
-	switch *cal {
-	case "paper":
-	case "host":
-		c, err := perfmodel.HostCalibration(game.DefaultRules(), 3, false, 1)
-		if err != nil {
-			return fmt.Errorf("host calibration: %w", err)
-		}
-		cost = server.CostModel{Cal: c, CalRounds: game.DefaultRounds}
-	default:
-		return fmt.Errorf("unknown calibration %q (want paper or host)", *cal)
 	}
 
 	srv, err := server.New(server.Options{
@@ -97,7 +81,6 @@ func run(args []string, out io.Writer) error {
 			RatePerSec: *tenantRate,
 			Burst:      *tenantBurst,
 		},
-		Cost:            cost,
 		DataDir:         *dataDir,
 		CheckpointEvery: *checkpointEvery,
 		Log: func(format string, args ...any) {

@@ -92,19 +92,21 @@ func TestRunServesAndShutsDown(t *testing.T) {
 
 func TestRunRejectsBadFlags(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-cal", "bogus"}, &out); err == nil {
-		t.Fatal("run accepted an unknown calibration")
+	// Admission prices with the paper calibration alone: the flag that chose
+	// a host-measured one is gone.
+	if err := run([]string{"-cal", "host"}, &out); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -cal") {
+		t.Fatalf("run with -cal: %v, want an unknown-flag error", err)
 	}
 	if err := run([]string{"-addr", "not-an-address"}, &out); err == nil {
 		t.Fatal("run accepted an unparseable listen address")
 	}
 }
 
-// A stray word is refused before any flag is acted on: the unknown
-// calibration would be an error of its own, and no daemon starts.
+// A stray word is refused before any flag is acted on: the unparseable
+// address would be an error of its own, and no daemon starts.
 func TestRunRefusesStrayArguments(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-cal", "bogus", "stray"}, &out); err == nil || !strings.Contains(err.Error(), `unexpected argument "stray"`) {
+	if err := run([]string{"-addr", "not-an-address", "stray"}, &out); err == nil || !strings.Contains(err.Error(), `unexpected argument "stray"`) {
 		t.Fatalf("run with a stray argument: %v", err)
 	}
 }

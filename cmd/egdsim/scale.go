@@ -46,7 +46,6 @@ func runScale(args []string, out io.Writer) error {
 		fullSystem = fs.Bool("fullsystem", false, "include the 72-rack 294,912-processor point in Fig. 7")
 		hostCal    = fs.Bool("host-calibrate", false, "calibrate per-game costs from this host's engine instead of the paper anchor")
 		measure    = fs.Bool("measure", false, "measure real engine scaling on this host")
-		mappings   = fs.Bool("mappings", false, "run the rank-to-torus mapping study (paper future work)")
 		knee       = fs.Bool("knee", false, "compute the SSets-per-processor efficiency knee (Fig. 5 rule of thumb)")
 		csv        = fs.Bool("csv", false, "emit CSV instead of aligned text")
 		fig4Procs  = fs.Int("fig4procs", 2048, "processor count for the Fig. 4 runtime column")
@@ -56,7 +55,7 @@ func runScale(args []string, out io.Writer) error {
 	}
 
 	// Flags to catalogue IDs.
-	want := map[string]bool{"knee": *knee, "mappings": *mappings, "measure": *measure}
+	want := map[string]bool{"knee": *knee, "measure": *measure}
 	for _, sel := range []struct {
 		kind  string
 		valid []string

@@ -8,7 +8,6 @@ import (
 	"repro/internal/perfmodel"
 	"repro/internal/sim"
 	"repro/internal/strategy"
-	"repro/internal/topology"
 )
 
 // Options is everything a generator reads beyond the paper's constants.
@@ -39,7 +38,7 @@ func Artefacts() []Artefact {
 		{"table1", tableI}, {"table3", tableIII}, {"table4", tableIV},
 		{"table6", tableVI}, {"table7", tableVII}, {"table8", tableVIII},
 		{"fig3", fig3}, {"fig4", fig4}, {"fig5", fig5}, {"fig6", fig6}, {"fig7", fig7},
-		{"knee", knee}, {"mappings", mappingStudy}, {"measure", measuredScaling},
+		{"knee", knee}, {"measure", measuredScaling},
 	}
 }
 
@@ -328,40 +327,6 @@ func knee(o Options) (*Table, error) {
 	return t, nil
 }
 
-// mappingStudy evaluates the paper's §VI-E future work: candidate
-// rank-to-torus mappings compared on the application's Nature-centric
-// traffic pattern, for a full power-of-two partition and a partial
-// (non-power-of-two, "72-rack-like") partition of the same torus.
-func mappingStudy(Options) (*Table, error) {
-	tor, err := topology.NewTorus(16, 16, 16) // a 4,096-node machine slice
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		Title:   "Mapping study (paper future work): Nature-traffic cost per mapping (mean hops; lower is better)",
-		Columns: []string{"Partition", "xyz", "zyx", "snake", "blocked2x2x2"},
-	}
-	for _, part := range []struct {
-		name  string
-		ranks int
-	}{
-		{"full 4096 (power of two)", 4096},
-		{"partial 3600 (non-power-of-two)", 3600},
-		{"partial 2304 (non-power-of-two)", 2304},
-	} {
-		costs, err := topology.CompareMappings(tor, part.ranks, topology.DefaultMappings(tor))
-		if err != nil {
-			return nil, err
-		}
-		row := []string{part.name}
-		for _, m := range t.Columns[1:] {
-			row = append(row, fmt.Sprintf("%.3f", costs[m]))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
-}
-
 // measuredScaling runs the real engine across this host's rank
 // counts and tabulates measured strong scaling — the non-projected
 // counterpart of Figures 3/5/7.
@@ -379,12 +344,11 @@ func measuredScaling(Options) (*Table, error) {
 	t := &Table{
 		Title: fmt.Sprintf("Measured strong scaling on this host (%d cores): memory-1, %d SSets, %d generations, full recompute",
 			runtime.NumCPU(), cfg.NumSSets, cfg.Generations),
-		Columns: []string{"Ranks", "Workers", "Seconds", "Speedup", "Efficiency"},
+		Columns: []string{"Ranks", "Seconds", "Speedup", "Efficiency"},
 	}
 	base := rows[0]
 	for _, r := range rows {
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", r.ranks),
 			fmt.Sprintf("%d", r.ranks),
 			fmt.Sprintf("%.3f", r.seconds),
 			fmt.Sprintf("%.2f", base.seconds/r.seconds),

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -65,7 +66,7 @@ func TestModelTablesGenerate(t *testing.T) {
 			t.Errorf("%s: CSV needs quoting = %v:\n%s", a.ID, quoted, tbl.CSV())
 		}
 	}
-	if got := strings.Join(ids, " "); got != "table1 table3 table4 table6 table7 table8 fig3 fig4 fig5 fig6 fig7 knee mappings measure" {
+	if got := strings.Join(ids, " "); got != "table1 table3 table4 table6 table7 table8 fig3 fig4 fig5 fig6 fig7 knee measure" {
 		t.Errorf("catalogue order: %s", got)
 	}
 	if vi := build(t, "table6"); len(vi.Rows) != 6 || len(vi.Columns) != 6 {
@@ -143,20 +144,6 @@ func TestTableFormatAndCSV(t *testing.T) {
 	odd := &Table{Columns: []string{"a", "b"}, Rows: [][]string{{"x, y", "say \"hi\"\nbye"}, {"", "plain"}}}
 	if got, want := odd.CSV(), "a,b\n\"x, y\",\"say \"\"hi\"\"\nbye\"\n,plain\n"; got != want {
 		t.Fatalf("CSV escaping: %q, want %q", got, want)
-	}
-}
-
-func TestMappingStudy(t *testing.T) {
-	tbl := build(t, "mappings")
-	if len(tbl.Rows) != 3 || len(tbl.Columns) != 5 {
-		t.Fatalf("shape %dx%d", len(tbl.Rows), len(tbl.Columns))
-	}
-	for _, row := range tbl.Rows {
-		for _, cell := range row[1:] {
-			if cell == "" || cell == "0.000" {
-				t.Fatalf("empty cost cell in %v", row)
-			}
-		}
 	}
 }
 
@@ -279,6 +266,20 @@ func TestHostStrongScaling(t *testing.T) {
 	bad.Memory = 0
 	if _, err := hostStrongScaling(bad, []int{2}); err == nil {
 		t.Fatal("invalid config accepted")
+	}
+}
+
+// The measured table has one column per quantity: every rank plays, so a
+// worker count would repeat the rank count.
+func TestMeasuredScalingColumns(t *testing.T) {
+	tbl := build(t, "measure")
+	if got := strings.Join(tbl.Columns, ","); got != "Ranks,Seconds,Speedup,Efficiency" {
+		t.Fatalf("columns %s", got)
+	}
+	for i, row := range tbl.Rows {
+		if len(row) != len(tbl.Columns) || row[0] != strconv.Itoa(1<<i) {
+			t.Errorf("row %d = %q", i, row)
+		}
 	}
 }
 

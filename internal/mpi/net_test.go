@@ -263,14 +263,10 @@ func TestNetWorldSilentVanishAborts(t *testing.T) {
 }
 
 // A half-open peer — a connection to the listener that never sends its
-// hello — is closed once the hello deadline (DialTimeout+WriteTimeout)
+// hello — is closed once the hello deadline (dialTimeout+writeTimeout)
 // lapses, and meanwhile does not keep the real mesh from wiring.
 func TestNetHalfOpenPeerDroppedWhileMeshWires(t *testing.T) {
 	cfgs := netMesh(t, 2)
-	for i := range cfgs {
-		cfgs[i].DialTimeout = 100 * time.Millisecond
-		cfgs[i].WriteTimeout = 200 * time.Millisecond
-	}
 	trs := newNetTransports(t, cfgs)
 	worlds := []*World{NewNetWorld(trs[0]), NewNetWorld(trs[1])}
 	t.Cleanup(func() {
@@ -322,7 +318,7 @@ func TestNetHalfOpenPeerDroppedWhileMeshWires(t *testing.T) {
 	}
 
 	// The listener gives up on the silent connection within its bound.
-	bound := cfgs[1].DialTimeout + cfgs[1].WriteTimeout
+	bound := dialTimeout + writeTimeout
 	_ = raw.SetReadDeadline(opened.Add(bound + 2*time.Second))
 	if _, err := raw.Read(make([]byte, 1)); err != io.EOF {
 		t.Errorf("half-open connection after %v: read returned %v, want EOF from the listener closing it (bound %v)",

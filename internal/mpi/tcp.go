@@ -32,8 +32,8 @@ import (
 // (World.SetRecvTimeout).
 
 // NetConfig parameterises a NetTransport. Self, Size, Network, and Addrs
-// are required; zero durations select the defaults below. The dial
-// schedule is not configurable: see the DefaultRetry constants.
+// are required; a zero Linger selects DefaultLinger. The deadlines and the
+// dial schedule are not configurable: see the constants below.
 type NetConfig struct {
 	// Self is the rank this process hosts.
 	Self int
@@ -46,20 +46,18 @@ type NetConfig struct {
 	// Job is an opaque run identity checked at handshake, so a stray
 	// worker from another launch cannot join the mesh.
 	Job string
-	// DialTimeout bounds one dial attempt.
-	DialTimeout time.Duration
-	// WriteTimeout is the per-frame write deadline.
-	WriteTimeout time.Duration
 	// Linger bounds the post-run drain: how long Shutdown waits for a peer
 	// that never acknowledges this rank's goodbye.
 	Linger time.Duration
 }
 
-// Default NetConfig durations.
+// The wire's deadlines: dialTimeout bounds one dial attempt, writeTimeout
+// each frame's write, and their sum a new connection's hello.
+// DefaultLinger is what a zero NetConfig.Linger selects.
 const (
-	DefaultDialTimeout  = 1 * time.Second
-	DefaultWriteTimeout = 2 * time.Second
-	DefaultLinger       = 5 * time.Second
+	dialTimeout   = 1 * time.Second
+	writeTimeout  = 2 * time.Second
+	DefaultLinger = 5 * time.Second
 	// errorLinger caps the drain of an error exit: the peers it tells are
 	// about to abort, and one that cannot acknowledge — a stopped process,
 	// say — must not hold the failure back from a supervisor that watches
@@ -91,12 +89,6 @@ func (c *NetConfig) norm() error {
 	}
 	if len(c.Addrs) != c.Size {
 		return fmt.Errorf("mpi: %d addrs for %d ranks", len(c.Addrs), c.Size)
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = DefaultDialTimeout
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = DefaultWriteTimeout
 	}
 	if c.Linger <= 0 {
 		c.Linger = DefaultLinger
@@ -216,7 +208,7 @@ func (t *NetTransport) acceptLoop() {
 }
 
 func (t *NetTransport) handleIncoming(conn net.Conn) {
-	_ = conn.SetReadDeadline(time.Now().Add(t.cfg.DialTimeout + t.cfg.WriteTimeout))
+	_ = conn.SetReadDeadline(time.Now().Add(dialTimeout + writeTimeout))
 	f, err := readFrame(conn)
 	if err != nil || f.Kind != frameHello {
 		conn.Close()
@@ -253,7 +245,7 @@ func (t *NetTransport) writeFrame(conn net.Conn, f *frame) error {
 	if err != nil {
 		return err
 	}
-	if err := conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout)); err != nil {
+	if err := conn.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
 		return err
 	}
 	if _, err := conn.Write(b); err != nil {
@@ -419,7 +411,7 @@ func (p *peer) dial() error {
 		if t.closed.Load() {
 			return errors.New("mpi: transport closed")
 		}
-		conn, err := net.DialTimeout(t.cfg.Network, t.cfg.Addrs[p.rank], t.cfg.DialTimeout)
+		conn, err := net.DialTimeout(t.cfg.Network, t.cfg.Addrs[p.rank], dialTimeout)
 		if err == nil {
 			err = p.handshake(conn)
 			if err == nil {
@@ -448,7 +440,7 @@ func (p *peer) handshake(conn net.Conn) error {
 	if err := t.writeHandshake(conn, frameHello); err != nil {
 		return err
 	}
-	_ = conn.SetReadDeadline(time.Now().Add(t.cfg.DialTimeout + t.cfg.WriteTimeout))
+	_ = conn.SetReadDeadline(time.Now().Add(dialTimeout + writeTimeout))
 	f, err := readFrame(conn)
 	if err != nil {
 		return err

@@ -2,58 +2,48 @@ package perfmodel
 
 import "testing"
 
-func TestCacheAdjustedGamesFullRecompute(t *testing.T) {
-	// 100 generations, 10 SSets, no churn: warm-up misses once, everything
-	// after is a hit at the discounted ratio.
-	got := CacheAdjustedGames(100, 10, 0, true)
-	warm := 90.0
-	scheduled := 100 * 90.0
-	want := warm + (scheduled-warm)*PairCacheHitCostRatio
-	if got != want {
-		t.Fatalf("CacheAdjustedGames = %v, want %v", got, want)
+func TestCacheAdjustedGamesCountsMisses(t *testing.T) {
+	// 100 generations, 10 SSets: the warm-up plays every ordered pair once,
+	// each later generation one changed SSet's row and column at the churn
+	// rate; a repeated pair costs nothing.
+	if got, want := CacheAdjustedGames(100, 10, 0), 90.0; got != want {
+		t.Fatalf("no churn: %v, want the warm-up's %v", got, want)
 	}
-	uncached := scheduled
-	if got >= uncached/10 {
-		t.Fatalf("cache-adjusted cost %v not at least 10x below uncached %v", got, uncached)
-	}
-}
-
-func TestCacheAdjustedGamesIncrementalNoDiscount(t *testing.T) {
-	// Incremental mode already skips repeats: adjusted == scheduled.
 	churn := 0.15
-	got := CacheAdjustedGames(100, 10, churn, false)
-	want := 90.0 + 99*churn*2*9
-	if got != want {
-		t.Fatalf("incremental adjusted = %v, want scheduled %v", got, want)
+	if got, want := CacheAdjustedGames(100, 10, churn), 90.0+99*churn*2*9; got != want {
+		t.Fatalf("churn %v: %v, want %v", churn, got, want)
 	}
 }
 
 func TestCacheAdjustedGamesMonotoneInChurn(t *testing.T) {
 	prev := -1.0
 	for _, churn := range []float64{0, 0.1, 0.5, 1, 2} {
-		v := CacheAdjustedGames(50, 8, churn, true)
+		v := CacheAdjustedGames(50, 8, churn)
 		if v < prev {
 			t.Fatalf("adjusted games decreased with churn %v: %v < %v", churn, v, prev)
 		}
 		prev = v
 	}
-	// Churn is clamped to 1: values above do not increase the estimate.
-	if CacheAdjustedGames(50, 8, 1, true) != CacheAdjustedGames(50, 8, 5, true) {
+	// Churn is clamped to [0, 1]: values beyond do not move the estimate.
+	if CacheAdjustedGames(50, 8, 1) != CacheAdjustedGames(50, 8, 5) ||
+		CacheAdjustedGames(50, 8, 0) != CacheAdjustedGames(50, 8, -1) {
 		t.Fatal("churn clamp missing")
 	}
 }
 
 func TestCacheAdjustedGamesBounds(t *testing.T) {
-	if got := CacheAdjustedGames(0, 10, 0.1, true); got != 0 {
+	if got := CacheAdjustedGames(0, 10, 0.1); got != 0 {
 		t.Fatalf("zero generations priced %v", got)
 	}
-	if got := CacheAdjustedGames(10, 1, 0.1, true); got != 0 {
+	if got := CacheAdjustedGames(10, 1, 0.1); got != 0 {
 		t.Fatalf("single SSet priced %v", got)
 	}
-	// Misses can never exceed the schedule: at churn 1 and 2 SSets the
-	// modelled misses would pass the tiny schedule without the cap.
-	sched := 5.0 * 2 * 1
-	if got := CacheAdjustedGames(5, 2, 1, true); got > sched {
-		t.Fatalf("adjusted %v exceeds scheduled %v", got, sched)
+	// Misses never exceed the full-recompute schedule G×S×(S-1), even at
+	// churn 1 and 2 SSets, where they reach it.
+	for _, ssets := range []int{2, 3, 64} {
+		s := float64(ssets)
+		if got, sched := CacheAdjustedGames(5, ssets, 1), 5*s*(s-1); got > sched {
+			t.Errorf("%d SSets: adjusted %v exceeds scheduled %v", ssets, got, sched)
+		}
 	}
 }

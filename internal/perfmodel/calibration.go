@@ -72,11 +72,21 @@ func PaperCalibration() Calibration {
 	return c
 }
 
+// hostClockHz is the nominal clock a host calibration is recorded at; the
+// ratio to a modelled machine's clock rescales it.
+const hostClockHz = 3e9
+
 // HostCalibration measures the actual per-match cost of this repository's
 // engine on the local host, for each memory depth, by timing samples
 // matches between random pure strategies. useSearch selects the
 // paper-faithful linear-search engine (the one whose cost profile Fig. 4
 // reflects); otherwise the optimised engine is timed.
+//
+// It times one error-free match at a time (a pure game.Play, or the search
+// engine), so it prices sampled noisy or mixed play at the single-match
+// rate, not the batch kernel's: where that kernel runs, a host calibration
+// over-predicts such runs several-fold. `egdsim scale -host-calibrate` and
+// the benchmark's perfmodel.host_pred_over_measured inherit that bias.
 func HostCalibration(rules game.Rules, samples int, useSearch bool, seed uint64) (Calibration, error) {
 	if err := rules.Validate(); err != nil {
 		return Calibration{}, err
@@ -88,7 +98,7 @@ func HostCalibration(rules game.Rules, samples int, useSearch bool, seed uint64)
 	if useSearch {
 		name = "host-search"
 	}
-	c := Calibration{Name: name, ClockHz: Host(0).ClockHz}
+	c := Calibration{Name: name, ClockHz: hostClockHz}
 	master := rng.New(seed)
 	for n := 1; n <= 6; n++ {
 		sp := strategy.NewSpace(n)

@@ -17,8 +17,6 @@
 // ratio, or the constants fitted to the paper's own Table VI.
 package perfmodel
 
-import "repro/internal/topology"
-
 // Machine describes the hardware the model prices communication and clock
 // scaling against.
 type Machine struct {
@@ -35,8 +33,6 @@ type Machine struct {
 	TreeLatencyPerLevel float64
 	// MsgOverhead is the per-message software overhead in seconds.
 	MsgOverhead float64
-	// ProcsPerRack converts processor counts to rack counts.
-	ProcsPerRack int
 }
 
 // BlueGeneL returns the Blue Gene/L description used for the paper's
@@ -49,7 +45,6 @@ func BlueGeneL() Machine {
 		LinkBandwidth:       175e6,
 		TreeLatencyPerLevel: 1.0e-6,
 		MsgOverhead:         3.0e-6,
-		ProcsPerRack:        topology.BGLProcsPerRack,
 	}
 }
 
@@ -63,24 +58,5 @@ func BlueGeneP() Machine {
 		LinkBandwidth:       425e6,
 		TreeLatencyPerLevel: 0.8e-6,
 		MsgOverhead:         2.5e-6,
-		ProcsPerRack:        topology.BGPProcsPerRack,
-	}
-}
-
-// Host returns a machine description for the local host, used when
-// reporting real (non-projected) scaling runs. clockHz of 0 selects a
-// nominal 3 GHz.
-func Host(clockHz float64) Machine {
-	if clockHz == 0 {
-		clockHz = 3e9
-	}
-	return Machine{
-		Name:                "host",
-		ClockHz:             clockHz,
-		LinkLatency:         20e-9,
-		LinkBandwidth:       10e9,
-		TreeLatencyPerLevel: 100e-9,
-		MsgOverhead:         200e-9,
-		ProcsPerRack:        64,
 	}
 }

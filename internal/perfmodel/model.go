@@ -3,8 +3,6 @@ package perfmodel
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/topology"
 )
 
 // StrongScalingSpec is a fixed-size problem whose runtime is modelled
@@ -61,7 +59,7 @@ func maxGamesPerWorker(ssets, procs int) float64 {
 // down the collective tree, plus — at the PC rate — two point-to-point
 // fitness returns across the torus.
 func commPerGeneration(m Machine, procs int, memory int, pcRate float64) float64 {
-	depth := float64(topology.TreeDepth(procs))
+	depth := float64(treeDepth(procs))
 	// Selection bcast: 24 bytes. Update bcast: header + (rarely) a strategy
 	// table; price the header plus the expected mutation payload.
 	states := float64(int64(1) << uint(2*memory))
@@ -72,8 +70,7 @@ func commPerGeneration(m Machine, procs int, memory int, pcRate float64) float64
 	total := bcast(24) + bcast(updateBytes)
 	// Fitness returns over the torus at the PC rate: two 8-byte messages
 	// across the mean hop distance of a balanced partition.
-	tor := topology.BalancedShape(procs)
-	p2p := m.MsgOverhead + tor.MeanHops()*m.LinkLatency + 8/m.LinkBandwidth
+	p2p := m.MsgOverhead + balancedShape(procs).meanHops()*m.LinkLatency + 8/m.LinkBandwidth
 	total += pcRate * 2 * p2p
 	return total
 }
@@ -91,7 +88,7 @@ func (s StrongScalingSpec) Runtime(procs int) (float64, error) {
 	compute := maxGamesPerWorker(s.SSets, procs) * cal.GameSeconds[s.Memory]
 	comm := commPerGeneration(s.Machine, procs, s.Memory, s.PCRate)
 	t := float64(s.Generations) * (compute + comm)
-	return t * topology.MappingPenalty(procs), nil
+	return t * mappingPenalty(procs), nil
 }
 
 // WeakScalingSpec grows the problem with the machine: each processor keeps
@@ -147,7 +144,7 @@ func (w WeakScalingSpec) Runtime(procs int) (float64, error) {
 	compute := float64(w.SSetsPerProc) * float64(w.GamesPerSSet) * cal.GameSeconds[w.Memory]
 	comm := commPerGeneration(w.Machine, procs, w.Memory, w.PCRate)
 	t := float64(w.Generations) * (compute + comm)
-	return t * topology.MappingPenalty(procs), nil
+	return t * mappingPenalty(procs), nil
 }
 
 // TotalSSets returns the population the weak-scaled run reaches at procs

@@ -23,15 +23,6 @@ func TestMachineDescriptions(t *testing.T) {
 	if l.ClockHz != 700e6 || p.ClockHz != 850e6 {
 		t.Fatal("clock speeds wrong")
 	}
-	if p.ProcsPerRack != 4096 || l.ProcsPerRack != 2048 {
-		t.Fatal("procs per rack wrong")
-	}
-	if Host(0).ClockHz != 3e9 {
-		t.Fatal("host default clock wrong")
-	}
-	if Host(2e9).ClockHz != 2e9 {
-		t.Fatal("host explicit clock ignored")
-	}
 }
 
 func TestPaperCalibrationShape(t *testing.T) {
@@ -86,6 +77,9 @@ func TestHostCalibrationMeasures(t *testing.T) {
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	if c.ClockHz != 3e9 {
+		t.Errorf("host calibration recorded at %v Hz, want the nominal 3e9", c.ClockHz)
 	}
 	// The search engine's memory-six games must be far costlier than
 	// memory-one (the Fig. 4 mechanism).

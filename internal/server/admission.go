@@ -11,30 +11,12 @@ import (
 // CostModel prices a job before it runs, reusing the perfmodel calibration
 // machinery: a calibration gives the cost of one full match at each memory
 // depth, and the model scales it by the job's match count and match length.
-// The default (paper-fitted) calibration makes admission decisions
-// deterministic; a daemon wanting host-accurate pricing can install a
-// HostCalibration instead.
+// The daemon prices with the zero value, the paper-fitted calibration, which
+// makes admission decisions deterministic.
 type CostModel struct {
-	// Cal is the per-match cost table; zero value selects PaperCalibration.
+	// Cal is the per-match cost table at game.DefaultRounds rounds a match;
+	// the zero value selects PaperCalibration.
 	Cal perfmodel.Calibration
-	// CalRounds is the match length Cal was measured/fitted at (0 selects
-	// the paper's 200); per-match cost scales linearly with rounds.
-	CalRounds int
-}
-
-// DefaultCostModel prices jobs with the deterministic paper calibration.
-func DefaultCostModel() CostModel {
-	return CostModel{Cal: perfmodel.PaperCalibration(), CalRounds: game.DefaultRounds}
-}
-
-func (m CostModel) normalised() CostModel {
-	if m.Cal.ClockHz == 0 {
-		m.Cal = perfmodel.PaperCalibration()
-	}
-	if m.CalRounds == 0 {
-		m.CalRounds = game.DefaultRounds
-	}
-	return m
 }
 
 // EstimateSeconds models a job's sequential compute cost from its validated
@@ -43,21 +25,24 @@ func (m CostModel) normalised() CostModel {
 //   - the match count is perfmodel.CacheAdjustedGames': the first
 //     generation's S × (S-1) warm-up plus, per later generation, one changed
 //     SSet's row and column (2 × (S-1) matches) at the combined churn rate
-//     min(1, pc+mu) — all an incremental job plays — and, under full
-//     recompute, every other scheduled match at PairCacheHitCostRatio, as
-//     the engine's payoff table by strategy type serves it;
+//     min(1, pc+mu) — all an incremental job plays, and all a
+//     full-recompute job plays when the engine's payoff table by strategy
+//     type serves every other scheduled match;
 //   - a full-recompute job the table does not serve by type
 //     (sim.ServedByType: noisy or mixed sampled play) plays all
 //     G × S × (S-1) matches;
-//   - a match costs Cal.GameSeconds[memory] × rounds / CalRounds; exact
-//     mode replaces the sampled match with the Markov solve, whose sparse
-//     iteration is priced like a 4^memory-round match.
+//   - a match costs Cal.GameSeconds[memory] × rounds / game.DefaultRounds;
+//     exact mode replaces the sampled match with the Markov solve, whose
+//     sparse iteration is priced like a 4^memory-round match.
 //
 // The estimate is an admission heuristic, not a promise — it ignores rank
 // parallelism (a queued job may run on any engine) and mixing effects.
 func (m CostModel) EstimateSeconds(cfg sim.Config) float64 {
-	m = m.normalised()
-	games := perfmodel.CacheAdjustedGames(cfg.Generations, cfg.NumSSets, cfg.PCRate+cfg.Mu, cfg.FullRecompute)
+	cal := m.Cal
+	if cal.ClockHz == 0 {
+		cal = perfmodel.PaperCalibration()
+	}
+	games := perfmodel.CacheAdjustedGames(cfg.Generations, cfg.NumSSets, cfg.PCRate+cfg.Mu)
 	if cfg.FullRecompute && !sim.ServedByType(&cfg) {
 		s := float64(cfg.NumSSets)
 		games = float64(cfg.Generations) * s * (s - 1)
@@ -66,7 +51,7 @@ func (m CostModel) EstimateSeconds(cfg sim.Config) float64 {
 	if cfg.ExactPayoffs {
 		rounds = float64(int64(1) << uint(2*cfg.Memory)) // 4^n state sweep
 	}
-	perMatch := m.Cal.GameSeconds[cfg.Memory] * rounds / float64(m.CalRounds)
+	perMatch := cal.GameSeconds[cfg.Memory] * rounds / game.DefaultRounds
 	return games * perMatch
 }
 

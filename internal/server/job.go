@@ -138,7 +138,6 @@ type Manager struct {
 	queue           chan *Job
 	reg             *metrics.Registry
 	quotas          *quotaTable
-	cost            CostModel
 	workers         int
 	maxJobSeconds   float64
 	maxOutstanding  float64
@@ -168,7 +167,6 @@ func newManager(opts Options, reg *metrics.Registry) (*Manager, error) {
 	m := &Manager{
 		reg:             reg,
 		quotas:          newQuotaTable(opts.Tenant, opts.Now),
-		cost:            opts.Cost.normalised(),
 		workers:         opts.workers(),
 		maxJobSeconds:   opts.MaxJobSeconds,
 		maxOutstanding:  opts.MaxOutstandingSeconds,
@@ -340,7 +338,7 @@ func (m *Manager) Submit(tenant string, spec JobSpec) (*Job, error) {
 		m.reject("invalid_spec")
 		return nil, &specError{Detail: err.Error()}
 	}
-	est := m.cost.EstimateSeconds(cfg)
+	est := CostModel{}.EstimateSeconds(cfg)
 	if m.maxJobSeconds > 0 && est > m.maxJobSeconds {
 		m.reject("job_over_budget")
 		return nil, &admissionError{

@@ -9,61 +9,62 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/perfmodel"
 	"repro/internal/sim"
 )
 
-// TestCostModelCacheDiscount: every memoizable job is priced by the type
-// table the engine always keeps. A memoizable full-recompute job costs at
-// least 10x less than its full match count, a noisy mixed one (the table
-// stands aside) costs exactly that, an exact mixed one is discounted, and an
-// incremental memoizable job — serve_small_jobs' kind — costs what it cost
-// before the table was the default.
-func TestCostModelCacheDiscount(t *testing.T) {
-	m := DefaultCostModel()
-	cfg := func(mutate func(*sim.Config)) sim.Config {
+// TestCostModelPrices pins admission pricing across exact, pure noise-free,
+// noisy and mixed jobs, full recompute and incremental. The parent column is
+// what the model charged while it still billed 1% of a match for every
+// scheduled match the type table serves: every job prices as it did then,
+// except a full-recompute job served by type, which now pays only the
+// matches it misses — the same as its incremental twin. A noisy or mixed
+// full-recompute job (the table stands aside) pays every scheduled match.
+func TestCostModelPrices(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		kind        sim.StrategyKind
+		errRate     float64
+		exact, full bool
+		parent      float64
+	}{
+		{"pure incremental", sim.PureStrategies, 0, false, false, 11.382026599326602},
+		{"noisy incremental", sim.PureStrategies, 0.01, false, false, 11.382026599326602},
+		{"mixed incremental", sim.MixedStrategies, 0, false, false, 11.382026599326602},
+		{"noisy mixed incremental", sim.MixedStrategies, 0.01, false, false, 11.382026599326602},
+		{"exact incremental", sim.PureStrategies, 0, true, false, 0.9105621279461282},
+		{"exact mixed incremental", sim.MixedStrategies, 0.01, true, false, 0.9105621279461282},
+		{"pure full", sim.PureStrategies, 0, false, true, 23.157768622895627},
+		{"noisy full", sim.PureStrategies, 0.01, false, true, 1188.9562289562289},
+		{"mixed full", sim.MixedStrategies, 0, false, true, 1188.9562289562289},
+		{"noisy mixed full", sim.MixedStrategies, 0.01, false, true, 1188.9562289562289},
+		{"exact full", sim.PureStrategies, 0, true, true, 1.8526214898316504},
+		{"exact mixed full", sim.MixedStrategies, 0.01, true, true, 1.8526214898316504},
+	} {
 		c := sim.DefaultConfig(2, 32)
 		c.Generations = 5000
-		mutate(&c)
+		c.FullRecompute, c.Kind, c.Rules.ErrorRate, c.ExactPayoffs = tc.full, tc.kind, tc.errRate, tc.exact
 		if err := c.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		return c
-	}
-	perMatch := func(c sim.Config) float64 {
-		rounds := float64(c.Rules.Rounds)
-		if c.ExactPayoffs {
-			rounds = float64(int64(1) << uint(2*c.Memory))
+		got := CostModel{}.EstimateSeconds(c)
+		if !tc.full || !sim.ServedByType(&c) {
+			if got != tc.parent {
+				t.Errorf("%s: %v, want the parent's %v", tc.name, got, tc.parent)
+			}
+			continue
 		}
-		return m.Cal.GameSeconds[c.Memory] * rounds / float64(m.CalRounds)
+		incr := c
+		incr.FullRecompute = false
+		if want := (CostModel{}).EstimateSeconds(incr); got != want || got >= tc.parent {
+			t.Errorf("%s: %v, want its incremental twin's %v, below the parent's %v", tc.name, got, want, tc.parent)
+		}
 	}
-	undiscounted := func(c sim.Config) float64 {
-		s := float64(c.NumSSets)
-		return float64(c.Generations) * s * (s - 1) * perMatch(c)
-	}
-
-	full := cfg(func(c *sim.Config) { c.FullRecompute = true })
-	if got := m.EstimateSeconds(full); got <= 0 || got > undiscounted(full)/10 {
-		t.Fatalf("memoizable full-recompute job: %v, want in (0, %v]", got, undiscounted(full)/10)
-	}
-	noisy := cfg(func(c *sim.Config) {
-		c.FullRecompute, c.Kind, c.Rules.ErrorRate = true, sim.MixedStrategies, 0.01
-	})
-	if got, want := m.EstimateSeconds(noisy), undiscounted(noisy); got != want {
-		t.Fatalf("noisy mixed job: %v, want the undiscounted %v", got, want)
-	}
-	exact := cfg(func(c *sim.Config) {
-		c.FullRecompute, c.Kind, c.Rules.ErrorRate, c.ExactPayoffs = true, sim.MixedStrategies, 0.01, true
-	})
-	if got := m.EstimateSeconds(exact); got >= undiscounted(exact) {
-		t.Fatalf("exact mixed job: %v, want below the undiscounted %v", got, undiscounted(exact))
-	}
-
-	// The parent's incremental formula, and the value it gave.
-	incr := cfg(func(*sim.Config) {})
-	s, churn := float64(incr.NumSSets), incr.PCRate+incr.Mu
-	want := (s*(s-1) + float64(incr.Generations-1)*churn*2*(s-1)) * perMatch(incr)
-	if got := m.EstimateSeconds(incr); got != want {
-		t.Fatalf("incremental memoizable job: %v, want the parent's %v", got, want)
+	// An explicit calibration prices the same way: the paper's, passed in,
+	// is the zero value's.
+	c := sim.DefaultConfig(3, 16)
+	if got, want := (CostModel{Cal: perfmodel.PaperCalibration()}).EstimateSeconds(c), (CostModel{}).EstimateSeconds(c); got != want {
+		t.Errorf("CostModel{Cal: PaperCalibration()} = %v, zero value %v", got, want)
 	}
 }
 

@@ -45,9 +45,6 @@ type Options struct {
 	MaxOutstandingSeconds float64
 	// Tenant bounds each tenant's concurrency and submission rate.
 	Tenant TenantLimits
-	// Cost prices submissions; the zero value uses the deterministic paper
-	// calibration.
-	Cost CostModel
 	// Now overrides the rate limiter's clock (tests); nil uses wall time.
 	Now func() int64
 	// DataDir enables the durable job store: a write-ahead journal of every

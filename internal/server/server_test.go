@@ -358,7 +358,7 @@ func TestAdmissionOutstandingBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := DefaultCostModel().EstimateSeconds(cfg)
+	est := CostModel{}.EstimateSeconds(cfg)
 	if est <= 0 {
 		t.Fatalf("estimate %v, want > 0", est)
 	}
@@ -419,7 +419,7 @@ func TestSubmitIntoFullQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := DefaultCostModel().EstimateSeconds(cfg)
+	est := CostModel{}.EstimateSeconds(cfg)
 	// Room for the two jobs in flight and one more, which a leaked budget
 	// or slot would fill.
 	s, ts := fullQueue(t, Options{MaxOutstandingSeconds: 3.5 * est, Tenant: TenantLimits{MaxActive: 3}})
