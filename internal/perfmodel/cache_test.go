@@ -2,16 +2,26 @@ package perfmodel
 
 import "testing"
 
-func TestCacheAdjustedGamesCountsMisses(t *testing.T) {
-	// 100 generations, 10 SSets: the warm-up plays every ordered pair once,
-	// each later generation one changed SSet's row and column at the churn
-	// rate; a repeated pair costs nothing.
-	if got, want := CacheAdjustedGames(100, 10, 0), 90.0; got != want {
-		t.Fatalf("no churn: %v, want the warm-up's %v", got, want)
+func TestCacheAdjustedGamesFullRecompute(t *testing.T) {
+	// 100 generations, 10 SSets, no churn: the warm-up plays every ordered
+	// pair once; every later scheduled match repeats a known pair and costs
+	// nothing, so the run is priced far below its full schedule.
+	got := CacheAdjustedGames(100, 10, 0)
+	if want := 90.0; got != want {
+		t.Fatalf("CacheAdjustedGames = %v, want the warm-up's %v", got, want)
 	}
+	if scheduled := 100 * 90.0; got >= scheduled/10 {
+		t.Fatalf("cache-adjusted cost %v not at least 10x below the scheduled %v", got, scheduled)
+	}
+}
+
+func TestCacheAdjustedGamesIncrementalNoDiscount(t *testing.T) {
+	// Incremental mode already skips repeats: adjusted == scheduled, the
+	// warm-up plus one changed SSet's row and column per later generation at
+	// the churn rate.
 	churn := 0.15
 	if got, want := CacheAdjustedGames(100, 10, churn), 90.0+99*churn*2*9; got != want {
-		t.Fatalf("churn %v: %v, want %v", churn, got, want)
+		t.Fatalf("incremental adjusted = %v, want scheduled %v", got, want)
 	}
 }
 

@@ -52,6 +52,9 @@ func TestMeanHopsMatchesSampling(t *testing.T) {
 	if math.Abs(tor.meanHops()-exact) > 1e-9 {
 		t.Fatalf("meanHops = %v, exhaustive mean = %v", tor.meanHops(), exact)
 	}
+}
+
+func TestMeanHopsDegenerate(t *testing.T) {
 	if (torus{dx: 1, dy: 1, dz: 1}).meanHops() != 0 {
 		t.Fatal("single node mean hops nonzero")
 	}

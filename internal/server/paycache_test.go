@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/game"
 	"repro/internal/perfmodel"
 	"repro/internal/sim"
 )
@@ -41,30 +42,86 @@ func TestCostModelPrices(t *testing.T) {
 		{"exact full", sim.PureStrategies, 0, true, true, 1.8526214898316504},
 		{"exact mixed full", sim.MixedStrategies, 0.01, true, true, 1.8526214898316504},
 	} {
-		c := sim.DefaultConfig(2, 32)
-		c.Generations = 5000
-		c.FullRecompute, c.Kind, c.Rules.ErrorRate, c.ExactPayoffs = tc.full, tc.kind, tc.errRate, tc.exact
-		if err := c.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		got := CostModel{}.EstimateSeconds(c)
-		if !tc.full || !sim.ServedByType(&c) {
-			if got != tc.parent {
-				t.Errorf("%s: %v, want the parent's %v", tc.name, got, tc.parent)
+		t.Run(tc.name, func(t *testing.T) {
+			c := sim.DefaultConfig(2, 32)
+			c.Generations = 5000
+			c.FullRecompute, c.Kind, c.Rules.ErrorRate, c.ExactPayoffs = tc.full, tc.kind, tc.errRate, tc.exact
+			if err := c.Validate(); err != nil {
+				t.Fatal(err)
 			}
-			continue
-		}
-		incr := c
-		incr.FullRecompute = false
-		if want := (CostModel{}).EstimateSeconds(incr); got != want || got >= tc.parent {
-			t.Errorf("%s: %v, want its incremental twin's %v, below the parent's %v", tc.name, got, want, tc.parent)
-		}
+			got := CostModel{}.EstimateSeconds(c)
+			if !tc.full || !sim.ServedByType(&c) {
+				if got != tc.parent {
+					t.Errorf("%v, want the parent's %v", got, tc.parent)
+				}
+				return
+			}
+			incr := c
+			incr.FullRecompute = false
+			if want := (CostModel{}).EstimateSeconds(incr); got != want || got >= tc.parent {
+				t.Errorf("%v, want its incremental twin's %v, below the parent's %v", got, want, tc.parent)
+			}
+		})
 	}
 	// An explicit calibration prices the same way: the paper's, passed in,
 	// is the zero value's.
 	c := sim.DefaultConfig(3, 16)
 	if got, want := (CostModel{Cal: perfmodel.PaperCalibration()}).EstimateSeconds(c), (CostModel{}).EstimateSeconds(c); got != want {
 		t.Errorf("CostModel{Cal: PaperCalibration()} = %v, zero value %v", got, want)
+	}
+}
+
+// TestCostModelCacheDiscount: every memoizable job is priced by the type
+// table the engine always keeps. A memoizable full-recompute job costs at
+// least 10x less than its full match count, a noisy mixed one (the table
+// stands aside) costs exactly that, an exact mixed one is discounted, and an
+// incremental memoizable job — serve_small_jobs' kind — pays its warm-up
+// plus one changed SSet's row and column per generation at the churn rate.
+func TestCostModelCacheDiscount(t *testing.T) {
+	m := CostModel{Cal: perfmodel.PaperCalibration()}
+	cfg := func(mutate func(*sim.Config)) sim.Config {
+		c := sim.DefaultConfig(2, 32)
+		c.Generations = 5000
+		mutate(&c)
+		if err := c.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	perMatch := func(c sim.Config) float64 {
+		rounds := float64(c.Rules.Rounds)
+		if c.ExactPayoffs {
+			rounds = float64(int64(1) << uint(2*c.Memory))
+		}
+		return m.Cal.GameSeconds[c.Memory] * rounds / game.DefaultRounds
+	}
+	undiscounted := func(c sim.Config) float64 {
+		s := float64(c.NumSSets)
+		return float64(c.Generations) * s * (s - 1) * perMatch(c)
+	}
+
+	full := cfg(func(c *sim.Config) { c.FullRecompute = true })
+	if got := m.EstimateSeconds(full); got <= 0 || got > undiscounted(full)/10 {
+		t.Fatalf("memoizable full-recompute job: %v, want in (0, %v]", got, undiscounted(full)/10)
+	}
+	noisy := cfg(func(c *sim.Config) {
+		c.FullRecompute, c.Kind, c.Rules.ErrorRate = true, sim.MixedStrategies, 0.01
+	})
+	if got, want := m.EstimateSeconds(noisy), undiscounted(noisy); got != want {
+		t.Fatalf("noisy mixed job: %v, want the undiscounted %v", got, want)
+	}
+	exact := cfg(func(c *sim.Config) {
+		c.FullRecompute, c.Kind, c.Rules.ErrorRate, c.ExactPayoffs = true, sim.MixedStrategies, 0.01, true
+	})
+	if got := m.EstimateSeconds(exact); got >= undiscounted(exact) {
+		t.Fatalf("exact mixed job: %v, want below the undiscounted %v", got, undiscounted(exact))
+	}
+
+	incr := cfg(func(*sim.Config) {})
+	s, churn := float64(incr.NumSSets), incr.PCRate+incr.Mu
+	want := (s*(s-1) + float64(incr.Generations-1)*churn*2*(s-1)) * perMatch(incr)
+	if got := m.EstimateSeconds(incr); got != want {
+		t.Fatalf("incremental memoizable job: %v, want %v", got, want)
 	}
 }
 
